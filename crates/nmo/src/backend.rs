@@ -103,8 +103,8 @@ pub trait SampleBackend: Send {
     /// subset, so drains scale with core count.
     ///
     /// A backend that cannot shard (machine-wide instruments like the
-    /// counting backend) keeps the default empty list; the sharded session
-    /// then calls its [`SampleBackend::drain`] from the coordinator pump
+    /// counting backend) keeps the default empty list; the session then
+    /// calls its [`SampleBackend::drain`] from the coordinator pump worker
     /// instead. When workers are handed out, the session stops calling
     /// `drain` on the backend itself — the workers own the streaming side
     /// until [`SampleBackend::stop`].

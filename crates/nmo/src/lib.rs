@@ -115,7 +115,7 @@ pub use capacity::CapacitySeries;
 pub use config::{Mode, NmoConfig, NmoConfigBuilder};
 pub use latency::{LatencyHistogram, LatencyProfile};
 pub use regions::{attribute, RegionAccumulator, RegionProfile, RegionStats};
-pub use runtime::{AddressSample, Profile, Profiler};
+pub use runtime::{AddressSample, Profile};
 pub use session::{ActiveSession, ProfileSession, ProfileSessionBuilder};
 pub use sink::{
     AnalysisRecord, AnalysisReport, AnalysisSink, BandwidthSink, CapacitySink, LatencySink,

@@ -1,30 +1,23 @@
-//! The assembled profiling result ([`Profile`]) and the deprecated
-//! [`Profiler`] shim.
+//! The assembled profiling result ([`Profile`]).
 //!
 //! The runtime machinery described in paper Section IV — per-core SPE event
 //! setup, the monitoring thread, packet decoding — lives in
 //! [`crate::backend::SpeBackend`]; profile assembly is orchestrated by
 //! [`crate::session::ProfileSession`]. This module defines the data the
-//! session produces and keeps the historical `Profiler` entry point alive as
-//! a thin, `#[deprecated]` wrapper over the backend so old call sites keep
-//! compiling while they migrate.
-
-use std::sync::Arc;
+//! session produces.
 
 use arch_sim::{DataSource, Machine, MachineCounters, MemLevel, MigrationStats};
 use spe::SpeStatsSnapshot;
 
 use crate::annotate::{AddrTag, Annotations, Phase};
-use crate::backend::{SampleBackend, SpeBackend};
 use crate::bandwidth::BandwidthSeries;
 use crate::capacity::CapacitySeries;
 use crate::config::NmoConfig;
 use crate::latency::LatencyProfile;
 use crate::regions::{attribute, RegionProfile};
-use crate::sink::{default_sinks, run_sinks, AnalysisRecord};
+use crate::sink::AnalysisRecord;
 use crate::stream::StreamStats;
 use crate::workload::WorkloadReport;
-use crate::NmoError;
 
 /// One decoded SPE address sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,97 +261,6 @@ pub(crate) fn base_profile(
     profile
 }
 
-/// The historical NMO profiler bound to a borrowed machine.
-///
-/// Lifecycle: [`Profiler::new`] → [`Profiler::enable`] → run the workload →
-/// [`Profiler::finish`]. New code should use
-/// [`crate::session::ProfileSession`], which owns its machine, supports
-/// multiple backends and pluggable sinks, and returns `Result` everywhere;
-/// this type remains as a thin shim over [`SpeBackend`].
-pub struct Profiler<'m> {
-    machine: &'m Machine,
-    config: NmoConfig,
-    annotations: Arc<Annotations>,
-    backend: SpeBackend,
-    attached: Vec<usize>,
-}
-
-impl<'m> Profiler<'m> {
-    /// Create a profiler for `machine` with the given configuration.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use nmo::ProfileSession::builder() — it owns the machine, runs multiple \
-                backends, and reports errors as Result instead of panicking"
-    )]
-    pub fn new(machine: &'m Machine, config: NmoConfig) -> Self {
-        Profiler {
-            machine,
-            config,
-            annotations: Arc::new(Annotations::new()),
-            backend: SpeBackend::new(),
-            attached: Vec::new(),
-        }
-    }
-
-    /// The annotation registry (share it with workload code).
-    pub fn annotations(&self) -> Arc<Annotations> {
-        self.annotations.clone()
-    }
-
-    /// `nmo_tag_addr` convenience wrapper.
-    pub fn tag_addr(&self, name: &str, start: u64, end: u64) {
-        self.annotations.tag_addr(name, start, end);
-    }
-
-    /// `nmo_start` convenience wrapper (timestamp in simulated nanoseconds).
-    pub fn start_phase(&self, name: &str, now_ns: u64) {
-        self.annotations.start(name, now_ns);
-    }
-
-    /// `nmo_stop` convenience wrapper.
-    pub fn stop_phase(&self, now_ns: u64) {
-        self.annotations.stop(now_ns);
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &NmoConfig {
-        &self.config
-    }
-
-    /// Set up profiling on the given cores (opens one SPE event per core when
-    /// sampling is active) and start the monitoring thread.
-    pub fn enable(&mut self, cores: &[usize]) -> Result<(), NmoError> {
-        if !self.config.enabled {
-            return Ok(());
-        }
-        for co in self.backend.start(self.machine, cores, &self.config)? {
-            self.machine.set_observer(co.core, co.observer).map_err(NmoError::Sim)?;
-            self.attached.push(co.core);
-        }
-        Ok(())
-    }
-
-    /// Stop profiling, drain all buffers, and assemble the [`Profile`].
-    pub fn finish(mut self) -> Profile {
-        for &core in &self.attached {
-            let _ = self.machine.take_observer(core);
-        }
-        // The SPE backend's stop/fill paths only fail when the monitor thread
-        // itself panicked; the historical API has no error channel, so that
-        // (unreachable in practice) case degrades to an empty sample set.
-        let _ = self.backend.stop(self.machine);
-        let mut profile = base_profile(self.machine, &self.config, &self.annotations);
-        if !self.attached.is_empty() {
-            profile.backends = vec![self.backend.name().to_string()];
-        }
-        let _ = self.backend.fill(&mut profile);
-        warn_on_loss(&profile);
-        let mut sinks = default_sinks(&self.config);
-        let _ = run_sinks(self.machine, &mut profile, &mut sinks);
-        profile
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,19 +407,5 @@ mod tests {
         assert!(profiled > baseline, "profiled {profiled} vs baseline {baseline}");
         let overhead = crate::analysis::time_overhead(baseline, profiled);
         assert!(overhead < 0.5, "overhead unexpectedly large: {overhead}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_profiler_shim_still_works() {
-        let machine = Machine::new(MachineConfig::small_test());
-        let cfg = NmoConfig { overhead: fast_overhead(), ..NmoConfig::paper_default(100) };
-        let mut profiler = Profiler::new(&machine, cfg);
-        profiler.enable(&[0]).unwrap();
-        run_stream_like(&machine, &[0], 20_000);
-        let profile = profiler.finish();
-        assert!(profile.processed_samples > 0);
-        assert_eq!(profile.backends, vec!["spe".to_string()]);
-        assert!(profile.capacity.peak_bytes > 0);
     }
 }

@@ -15,9 +15,7 @@
 //! address samples, hardware counters); sinks
 //! ([`crate::sink::AnalysisSink`]) turn the finished run into the paper's
 //! analysis levels. When no backends or sinks are registered explicitly, the
-//! session derives the paper's defaults from the [`NmoConfig`] flags, so
-//! `ProfileSession` is a strict superset of the deprecated
-//! [`crate::runtime::Profiler`] flow.
+//! session derives the paper's defaults from the [`NmoConfig`] flags.
 //!
 //! For callers that drive the machine directly (attaching engines from their
 //! own threads), [`ProfileSession::start`] returns an [`ActiveSession`]
@@ -27,13 +25,19 @@
 //!
 //! [`ProfileSession::run_streaming`] (and the manual
 //! [`ProfileSession::start_streaming`]) turn the session into an online
-//! pipeline: a *pump* thread periodically drains every backend into
-//! window-stamped [`crate::stream::SampleBatch`]es on a bounded
-//! [`crate::stream::EventBus`], and a *consumer* thread feeds them to the
-//! sinks' streaming hooks as the workload runs. [`ActiveSession::poll_snapshot`]
-//! exposes a live readout ([`StreamSnapshot`]) while collection is active —
-//! the mode a long-running service is profiled in, where waiting for the
-//! workload to exit is not an option.
+//! pipeline of [`StreamOptions::shards`] shards — the same code at every
+//! width, one shard included: per shard, a *pump worker* periodically
+//! drains its share of the backends into window-stamped
+//! [`crate::stream::SampleBatch`]es on its lane of the bounded
+//! [`crate::stream::ShardedBus`], and a *shard consumer* feeds them to the
+//! sinks as the workload runs (per-shard [`crate::sink::SinkShard`] workers,
+//! merged in ascending shard index; see `sink.rs` for the fan-in rule).
+//! Pump worker 0 is the coordinator: it also drains the backends that do
+//! not shard, runs the machine probes, and closes windows.
+//! [`ActiveSession::poll_snapshot`] exposes a live readout
+//! ([`StreamSnapshot`]) while collection is active — the mode a
+//! long-running service is profiled in, where waiting for the workload to
+//! exit is not an option.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -48,7 +52,7 @@ use crate::annotate::Annotations;
 use crate::backend::{CounterBackend, SampleBackend, ShardDrainer, SpeBackend};
 use crate::config::NmoConfig;
 use crate::runtime::Profile;
-use crate::sink::{default_sinks, run_sinks, AnalysisSink, ShardState, SinkShard, StreamContext};
+use crate::sink::{default_sinks, run_sinks, AnalysisSink, FanIn, FanInLane, StreamContext};
 use crate::stream::adaptive::AdaptiveRuntime;
 use crate::stream::{
     BatchPayload, BatchPool, BusEvent, BusRecv, EventBus, SampleBatch, ShardedBus, SnapshotState,
@@ -281,14 +285,25 @@ impl ProfileSession {
 
     /// Drive the registered workload end to end: `setup`, start collection,
     /// `run`, `verify`, and profile assembly.
-    pub fn run(mut self) -> Result<Profile, NmoError> {
+    pub fn run(self) -> Result<Profile, NmoError> {
+        self.drive("run", Self::start)
+    }
+
+    /// The workload lifecycle shared by [`ProfileSession::run`] and
+    /// [`ProfileSession::run_streaming`], which differ only in how
+    /// collection starts.
+    fn drive(
+        mut self,
+        entry: &str,
+        start: fn(Self) -> Result<ActiveSession, NmoError>,
+    ) -> Result<Profile, NmoError> {
         let mut workload = self.workload.take().ok_or_else(|| {
-            NmoError::Config(
-                "ProfileSession::run requires a workload; use run_with for closures".into(),
-            )
+            NmoError::Config(format!(
+                "ProfileSession::{entry} requires a workload; use {entry}_with for closures"
+            ))
         })?;
         workload.setup(&self.machine, &self.annotations)?;
-        let active = self.start()?;
+        let active = start(self)?;
         let report = workload.run(active.machine(), active.annotations_ref(), active.cores())?;
         if !workload.verify() {
             return Err(NmoError::Workload(format!(
@@ -319,26 +334,8 @@ impl ProfileSession {
     /// records the pipeline statistics in [`Profile::stream`]. The final
     /// capacity/bandwidth/region reports are equivalent to the post-hoc
     /// path's (same data, merged windowed instead of scanned whole).
-    pub fn run_streaming(mut self) -> Result<Profile, NmoError> {
-        let mut workload = self.workload.take().ok_or_else(|| {
-            NmoError::Config(
-                "ProfileSession::run_streaming requires a workload; use start_streaming + \
-                 manual engines otherwise"
-                    .into(),
-            )
-        })?;
-        workload.setup(&self.machine, &self.annotations)?;
-        let active = self.start_streaming()?;
-        let report = workload.run(active.machine(), active.annotations_ref(), active.cores())?;
-        if !workload.verify() {
-            return Err(NmoError::Workload(format!(
-                "workload '{}' failed verification",
-                workload.name()
-            )));
-        }
-        let mut profile = active.finish()?;
-        profile.workload = Some(report);
-        Ok(profile)
+    pub fn run_streaming(self) -> Result<Profile, NmoError> {
+        self.drive("run_streaming", Self::start_streaming)
     }
 
     /// Drive a closure through the streaming pipeline (the
@@ -360,25 +357,26 @@ impl ProfileSession {
     ///
     /// The pipeline runs with [`StreamOptions::shards`] shards (`0` = auto:
     /// `min(profiled cores, available_parallelism)`; explicit values are
-    /// clamped to the profiled core count). At one shard this is the
-    /// classic serial pipeline — one pump thread, one consumer thread; at N
-    /// shards it is N pump workers draining disjoint core sets onto N bus
-    /// lanes, N shard consumers running [`SinkShard`] workers, and a
-    /// deterministic (shard-index-ordered) merge back into the registered
-    /// sinks. With [`StreamOptions::adaptive`] set, an
+    /// clamped to the profiled core count): N pump workers draining
+    /// disjoint core sets onto N bus lanes, N shard consumers running
+    /// [`crate::sink::SinkShard`] workers, and a deterministic
+    /// (shard-index-ordered) merge back into the registered sinks. One
+    /// shard is the same pipeline at width 1 — one pump worker (the
+    /// coordinator, draining every backend itself), one lane, one consumer.
+    /// With [`StreamOptions::adaptive`] set, an
     /// [`crate::stream::adaptive::AdaptiveController`] additionally tunes
     /// the *active* shard count, drain cadence, and backpressure policy at
-    /// runtime.
+    /// runtime (at one allocated shard only the latter two can move).
+    ///
+    /// A sink that panics in [`AnalysisSink::on_stream_start`] makes this
+    /// return [`NmoError::Sink`]; nothing is left running.
     pub fn start_streaming(self) -> Result<ActiveSession, NmoError> {
         let opts = self.stream_options.clone();
         let requested_shards = opts.shards;
         let cores = self.cores.len();
         let mut active = self.start()?;
         let mut backends = std::mem::take(&mut active.session.backends);
-        let mut sinks = std::mem::take(&mut active.session.sinks);
-        // Remember the backend names now — `fill` runs after the pump hands
-        // the backends back, but the name list must survive a pump failure.
-        active.backend_names = backends.iter().map(|b| b.name().to_string()).collect();
+        let sinks = std::mem::take(&mut active.session.sinks);
 
         let shards = match requested_shards {
             0 => {
@@ -420,153 +418,95 @@ impl ProfileSession {
             machine: Some(active.session.machine.clone()),
         };
 
-        let (pumps, consumers, merger) = if shards == 1 {
-            // The classic serial pipeline. The adaptive controller still
-            // runs when configured — with one allocated shard it can only
-            // tune the drain cadence and backpressure policy.
-            let pump = {
-                let machine = active.session.machine.clone();
-                let bus = bus.clone();
-                let stop = stop.clone();
-                let opts = opts.clone();
-                let pool = pool.clone();
-                let adaptive = adaptive.clone();
-                std::thread::spawn(move || {
-                    pump_loop(machine, backends, bus, stop, opts, pool, adaptive)
-                })
-            };
-            let consumer = {
-                let lane = bus.lane(0).clone();
-                let snapshot = snapshot.clone();
-                let pool = pool.clone();
-                let adaptive = adaptive.clone();
-                std::thread::spawn(move || {
-                    consumer_loop(sinks, lane, snapshot, ctx, pool, adaptive)
-                })
-            };
-            (vec![pump], vec![ConsumerHandle::Serial(consumer)], None)
-        } else {
-            // The sharded pipeline. Parent sinks see the stream start, then
-            // hand out one worker per shard (legacy sinks keep `None` slots
-            // and are fed serially through the merger mutex). A panicking
-            // sink surfaces as a sink error here, mirroring the serial
-            // path's catch in `consumer_loop` (dropping `active` unwinds
-            // the backends cleanly — no pumps have been spawned yet).
-            let started = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for sink in &mut sinks {
-                    sink.on_stream_start(&ctx);
-                }
-            }));
-            if started.is_err() {
-                return Err(NmoError::sink("stream-start", "sink panicked in on_stream_start"));
-            }
-            let mut shard_workers: Vec<ShardWorkerSet> =
-                (0..shards).map(|_| Vec::with_capacity(sinks.len())).collect();
-            for sink in &mut sinks {
-                match sink.as_shardable() {
-                    Some(shardable) => {
-                        for (shard, workers) in shard_workers.iter_mut().enumerate() {
-                            workers.push(Some(shardable.make_shard(shard, &ctx)));
-                        }
-                    }
-                    None => {
-                        for workers in shard_workers.iter_mut() {
-                            workers.push(None);
-                        }
-                    }
-                }
-            }
-            let merger = Arc::new(Mutex::named(
-                MergerState {
-                    sinks,
-                    pending: std::collections::BTreeMap::new(),
-                    legacy_close_counts: std::collections::BTreeMap::new(),
-                },
-                "session.merger",
-            ));
-
-            // Partition the backends' drain work: shardable backends hand
-            // out per-shard workers; the rest stay on the coordinator.
-            let mut per_shard_drainers: Vec<Vec<Box<dyn ShardDrainer>>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            let mut classic = Vec::with_capacity(backends.len());
-            let mut seeded_sources = Vec::new();
-            for backend in &mut backends {
-                let drainers = backend.shard_drainers(shards);
-                classic.push(drainers.is_empty());
-                if drainers.is_empty() {
-                    // Coordinator-drained backend: its own source list.
-                    seeded_sources.extend(backend.stream_sources());
-                }
-                for drainer in drainers {
-                    // Worker-drained: each worker declares the sources it
-                    // covers (its slice of the backend's core set).
-                    seeded_sources.extend(drainer.sources());
-                    let shard = drainer.shard();
-                    per_shard_drainers[shard.min(shards - 1)].push(drainer);
-                }
-            }
-
-            let coordinator = Arc::new(Mutex::named(
-                CloseCoordinator::new(WindowClock::new(opts.window_ns), seeded_sources),
-                "session.coordinator",
-            ));
-            let final_round = Arc::new(AtomicBool::new(false));
-            let workers_done = Arc::new(AtomicUsize::new(0));
-
-            // Shard `s`'s drainers live in shared slot `s` instead of being
-            // owned by worker `s`: at active width `k`, worker `w < k`
-            // drains every slot `s` with `s % k == w`, so parked workers'
-            // cores keep flowing through the active ones (at full width the
-            // assignment is the identity and each worker only ever touches
-            // its own slot).
-            let slots: Arc<DrainerSlots> = Arc::new(
-                per_shard_drainers
-                    .into_iter()
-                    .map(|drainers| Mutex::named(drainers, "session.drainers"))
-                    .collect(),
-            );
-
-            let mut pumps = Vec::with_capacity(shards);
-            let mut backends_slot = Some((backends, classic));
-            for shard in 0..shards {
-                // The coordinator (shard 0) owns the backends: it drains the
-                // non-shardable ones, runs the machine probes, and drives
-                // the stop sequence.
-                let owned = if shard == 0 { backends_slot.take() } else { None };
-                let worker = PumpWorker {
-                    shard,
-                    machine: active.session.machine.clone(),
-                    backends: owned,
-                    slots: slots.clone(),
-                    bus: bus.clone(),
-                    coordinator: coordinator.clone(),
-                    stop: stop.clone(),
-                    final_round: final_round.clone(),
-                    workers_done: workers_done.clone(),
-                    total_workers: shards,
-                    pool: pool.clone(),
-                    opts: opts.clone(),
-                    adaptive: adaptive.clone(),
-                };
-                pumps.push(std::thread::spawn(move || worker.run()));
-            }
-
-            let mut consumers = Vec::with_capacity(shards);
-            for (shard, workers) in shard_workers.into_iter().enumerate() {
-                let lane = bus.lane(shard).clone();
-                let merger = merger.clone();
-                let snapshot = snapshot.clone();
-                let pool = pool.clone();
-                let adaptive = adaptive.clone();
-                consumers.push(ConsumerHandle::Shard(std::thread::spawn(move || {
-                    shard_consumer_loop(
-                        shard, shards, lane, workers, merger, snapshot, pool, adaptive,
-                    )
-                })));
-            }
-            (pumps, consumers, Some(merger))
+        // Sinks see the stream start, then hand out one worker per shard
+        // (legacy sinks are fed through the merger mutex instead). A
+        // panicking sink surfaces as a sink error here; dropping `active`
+        // unwinds the backends cleanly — no thread has been spawned yet.
+        let started = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            FanIn::start(sinks, shards, &ctx)
+        }));
+        let Ok((fan_in, lanes)) = started else {
+            return Err(NmoError::sink("stream-start", "sink panicked in on_stream_start"));
         };
+        let merger = Arc::new(Mutex::named(fan_in, "session.merger"));
+
+        // Partition the backends' drain work: shardable backends hand out
+        // per-shard workers; the rest stay on the coordinator (all of them
+        // when the pipeline is one shard wide).
+        let mut per_shard_drainers: Vec<Vec<Box<dyn ShardDrainer>>> =
+            (0..shards).map(|_| Vec::new()).collect();
+        let mut classic = Vec::with_capacity(backends.len());
+        let mut seeded_sources = Vec::new();
+        for backend in &mut backends {
+            let drainers = backend.shard_drainers(shards);
+            classic.push(drainers.is_empty());
+            if drainers.is_empty() {
+                // Coordinator-drained backend: its own source list.
+                seeded_sources.extend(backend.stream_sources());
+            }
+            for drainer in drainers {
+                // Worker-drained: each worker declares the sources it
+                // covers (its slice of the backend's core set).
+                seeded_sources.extend(drainer.sources());
+                let shard = drainer.shard();
+                per_shard_drainers[shard.min(shards - 1)].push(drainer);
+            }
+        }
+
+        let coordinator = Arc::new(Mutex::named(
+            CloseCoordinator::new(WindowClock::new(opts.window_ns), seeded_sources),
+            "session.coordinator",
+        ));
+        let final_round = Arc::new(AtomicBool::new(false));
+        let workers_done = Arc::new(AtomicUsize::new(0));
+
+        // Shard `s`'s drainers live in shared slot `s` instead of being
+        // owned by worker `s`: at active width `k`, worker `w < k` drains
+        // every slot `s` with `s % k == w`, so parked workers' cores keep
+        // flowing through the active ones (at full width the assignment is
+        // the identity and each worker only ever touches its own slot).
+        let slots: Arc<DrainerSlots> = Arc::new(
+            per_shard_drainers
+                .into_iter()
+                .map(|drainers| Mutex::named(drainers, "session.drainers"))
+                .collect(),
+        );
+
+        let mut pumps = Vec::with_capacity(shards);
+        let mut backends_slot = Some((backends, classic));
+        for shard in 0..shards {
+            // The coordinator (shard 0) owns the backends: it drains the
+            // non-shardable ones, runs the machine probes, and drives the
+            // stop sequence.
+            let owned = if shard == 0 { backends_slot.take() } else { None };
+            let worker = PumpWorker {
+                shard,
+                machine: active.session.machine.clone(),
+                backends: owned,
+                slots: slots.clone(),
+                bus: bus.clone(),
+                coordinator: coordinator.clone(),
+                stop: stop.clone(),
+                final_round: final_round.clone(),
+                workers_done: workers_done.clone(),
+                pool: pool.clone(),
+                opts: opts.clone(),
+                adaptive: adaptive.clone(),
+            };
+            pumps.push(std::thread::spawn(move || worker.run()));
+        }
+
+        let mut consumers = Vec::with_capacity(shards);
+        for (shard, lane) in lanes.into_iter().enumerate() {
+            let bus_lane = bus.lane(shard).clone();
+            let merger = merger.clone();
+            let snapshot = snapshot.clone();
+            let pool = pool.clone();
+            let adaptive = adaptive.clone();
+            consumers.push(std::thread::spawn(move || {
+                shard_consumer_loop(shard, shards, bus_lane, lane, merger, snapshot, pool, adaptive)
+            }));
+        }
 
         active.streaming = Some(StreamingState {
             bus,
@@ -575,7 +515,6 @@ impl ProfileSession {
             pumps,
             consumers,
             merger,
-            shards,
             requested_shards,
             adaptive,
         });
@@ -631,23 +570,14 @@ impl ProfileSession {
 /// produced.
 type PumpOutcome = (Option<CoordinatorBackends>, Result<(), NmoError>);
 
-/// One consumer thread's join handle: the serial consumer owns the sinks
-/// themselves; a shard consumer owns one `SinkShard` worker per shardable
-/// sink (the parent sinks live in the merger).
-enum ConsumerHandle {
-    Serial(JoinHandle<Vec<Box<dyn AnalysisSink>>>),
-    Shard(JoinHandle<ShardWorkerSet>),
-}
-
-/// One shard consumer's sink workers, index-aligned with the session's
-/// sinks (`None` = legacy sink, fed serially through the merger).
-type ShardWorkerSet = Vec<Option<Box<dyn SinkShard>>>;
+/// The shared half of a session's sink fan-in (the session owns its sinks).
+type SessionFanIn = FanIn<Vec<Box<dyn AnalysisSink>>>;
 
 /// The coordinator pump's cargo: the session's backends plus the flags
 /// marking which of them it drains classically (no shard workers).
 type CoordinatorBackends = (Vec<Box<dyn SampleBackend>>, Vec<bool>);
 
-/// The shared drain-slot table of a sharded session: slot `s` holds shard
+/// The shared drain-slot table of a streaming session: slot `s` holds shard
 /// `s`'s [`ShardDrainer`]s. At active width `k`, pump worker `w < k` drains
 /// every slot `s` with `s % k == w`; workers `w ≥ k` are parked. The
 /// per-slot mutex makes the hand-off across a width change safe — two
@@ -660,32 +590,17 @@ type DrainerSlots = Vec<Mutex<Vec<Box<dyn ShardDrainer>>>>;
 /// controller's idle estimate.
 const CONSUMER_RECV_TIMEOUT: Duration = Duration::from_millis(100);
 
-/// Sinks plus in-flight per-window shard states, shared between the shard
-/// consumers of a sharded session. Also the serialisation point for legacy
-/// (non-shardable) sinks.
-struct MergerState {
-    sinks: Vec<Box<dyn AnalysisSink>>,
-    /// `(sink index, window index)` → states delivered so far, tagged with
-    /// their shard. When every shard has delivered, the states are merged
-    /// in ascending shard order.
-    pending: std::collections::BTreeMap<(usize, u64), Vec<(usize, ShardState)>>,
-    /// Close signals seen per window for the legacy-sink path: legacy sinks
-    /// receive a close only once every lane has processed its copy of the
-    /// broadcast (so their on-time batches all arrived first).
-    legacy_close_counts: std::collections::BTreeMap<u64, usize>,
-}
-
 /// The threads and shared state of a streaming session.
 struct StreamingState {
     bus: Arc<ShardedBus>,
     stop: Arc<AtomicBool>,
     snapshot: Arc<Mutex<SnapshotState>>,
     pumps: Vec<JoinHandle<PumpOutcome>>,
-    consumers: Vec<ConsumerHandle>,
-    merger: Option<Arc<Mutex<MergerState>>>,
-    /// Allocated shard count after resolution/clamping.
-    shards: usize,
-    /// Shard count the caller configured (0 = auto).
+    consumers: Vec<JoinHandle<FanInLane>>,
+    /// The sinks and the shard fan-in state, shared by the consumers.
+    merger: Arc<Mutex<SessionFanIn>>,
+    /// Shard count the caller configured (0 = auto); the allocated count
+    /// (after resolution/clamping) is the bus's lane count.
     requested_shards: usize,
     /// The adaptive controller, when the session runs adaptively.
     adaptive: Option<Arc<AdaptiveRuntime>>,
@@ -867,58 +782,19 @@ impl ActiveSession {
                 streaming.bus.close_all();
 
                 let mut consumer_panicked = false;
-                let mut shard_workers: Vec<(usize, ShardWorkerSet)> = Vec::new();
-                for (shard, consumer) in streaming.consumers.into_iter().enumerate() {
-                    match consumer {
-                        ConsumerHandle::Serial(handle) => match handle.join() {
-                            Ok(sinks) => self.session.sinks = sinks,
-                            Err(_) => consumer_panicked = true,
-                        },
-                        ConsumerHandle::Shard(handle) => match handle.join() {
-                            Ok(workers) => shard_workers.push((shard, workers)),
-                            Err(_) => consumer_panicked = true,
-                        },
+                let mut lanes = Vec::with_capacity(streaming.bus.shards());
+                for consumer in streaming.consumers {
+                    match consumer.join() {
+                        Ok(lane) => lanes.push(lane),
+                        Err(_) => consumer_panicked = true,
                     }
                 }
-
-                if let Some(merger) = streaming.merger {
-                    let mut merger = merger.lock();
-                    let mut sinks = std::mem::take(&mut merger.sinks);
+                {
+                    let mut fan_in = streaming.merger.lock();
                     if !consumer_panicked && !pump_panicked {
-                        // Merge any per-window states that never completed
-                        // (defensive: the shutdown close-broadcast normally
-                        // drains them), then the shards' final states —
-                        // both in ascending shard order.
-                        let leftovers = std::mem::take(&mut merger.pending);
-                        for ((sink_index, index), mut states) in leftovers {
-                            states.sort_by_key(|(shard, _)| *shard);
-                            let window =
-                                WindowClock::new(self.session.stream_options.window_ns.max(1))
-                                    .window(index);
-                            if let Some(shardable) = sinks[sink_index].as_shardable() {
-                                shardable.merge_window(
-                                    window,
-                                    states.into_iter().map(|(_, s)| s).collect(),
-                                );
-                            }
-                        }
-                        shard_workers.sort_by_key(|(shard, _)| *shard);
-                        let sink_count = sinks.len();
-                        for sink_index in 0..sink_count {
-                            let states: Vec<ShardState> = shard_workers
-                                .iter_mut()
-                                .filter_map(|(_, workers)| workers[sink_index].take())
-                                .map(|worker| worker.finish())
-                                .collect();
-                            if states.is_empty() {
-                                continue;
-                            }
-                            if let Some(shardable) = sinks[sink_index].as_shardable() {
-                                shardable.merge_final(states);
-                            }
-                        }
+                        fan_in.finish(lanes);
                     }
-                    self.session.sinks = sinks;
+                    self.session.sinks = std::mem::take(&mut fan_in.sinks);
                 }
 
                 let backends = match backends {
@@ -948,7 +824,7 @@ impl ActiveSession {
                     items_dropped: bus.dropped_items,
                     late_batches: state.late_batches,
                     bus_high_watermark: bus.high_watermark,
-                    shards: streaming.shards as u64,
+                    shards: streaming.bus.shards() as u64,
                     shards_requested: streaming.requested_shards as u64,
                     active_shards: streaming.bus.active_lanes() as u64,
                     adaptive_decisions,
@@ -1020,9 +896,9 @@ fn source_marks(batch: &SampleBatch) -> Vec<(StreamSource, u64)> {
 /// per-source watermark — a window only closes once every recently active,
 /// timestamp-carrying source has moved past it (e.g. the SPE aux watermark
 /// publishes in bursts that lag the RSS probe, and closing on the global
-/// maximum alone would make every SPE burst arrive late). In sharded mode
-/// the workers mark their sources under the mutex after publishing; only
-/// the coordinator closes windows (broadcasting the close to every lane).
+/// maximum alone would make every SPE burst arrive late). The workers mark
+/// their sources under the mutex after publishing; only the coordinator
+/// closes windows (broadcasting the close to every lane).
 struct CloseCoordinator {
     clock: WindowClock,
     open_windows: std::collections::BTreeSet<u64>,
@@ -1122,111 +998,14 @@ fn publish_batch(batch: SampleBatch, bus: &ShardedBus, coordinator: &Mutex<Close
     coordinator.lock().note_published(window_index, &marks);
 }
 
-/// The serial producer (single-shard pipeline): one pump thread drains
-/// every backend (plus the machine-level RSS/bandwidth probes) into
-/// window-stamped batches, advances the watermark, and closes completed
-/// windows. On stop: stop the backends (joining the SPE monitor), publish
-/// the final remainder, close every open window, and close the bus.
-fn pump_loop(
-    machine: Arc<Machine>,
-    mut backends: Vec<Box<dyn SampleBackend>>,
-    bus: Arc<ShardedBus>,
-    stop: Arc<AtomicBool>,
-    opts: StreamOptions,
-    pool: Arc<BatchPool>,
-    adaptive: Option<Arc<AdaptiveRuntime>>,
-) -> PumpOutcome {
-    let seeded = backends.iter().flat_map(|b| b.stream_sources()).collect();
-    let coordinator = Mutex::named(
-        CloseCoordinator::new(WindowClock::new(opts.window_ns), seeded),
-        "session.coordinator",
-    );
-    let mut rss_cursor = 0usize;
-    let mut result: Result<(), NmoError> = Ok(());
-
-    loop {
-        coordinator.lock().tick += 1;
-        let stopping = stop.load(Ordering::Acquire);
-        if stopping {
-            // Observers are detached by now; join the SPE monitor and run
-            // the backends' final synchronous drains into their stores, so
-            // the drain below sees everything.
-            for backend in &mut backends {
-                if let Err(e) = backend.stop(&machine) {
-                    if result.is_ok() {
-                        result = Err(e);
-                    }
-                }
-            }
-        }
-        // Observer flushing is each backend's own job inside `drain` (the
-        // SPE backend nudges its idle cores there); busy cores publish on
-        // the aux watermark, or the workload thread calls
-        // `Engine::flush_observer` itself.
-
-        let clock = coordinator.lock().clock;
-        for backend in &mut backends {
-            match backend.drain(&machine, &clock, &pool) {
-                Ok(batches) => {
-                    for batch in batches {
-                        publish_batch(batch, &bus, &coordinator);
-                    }
-                }
-                Err(e) => {
-                    if result.is_ok() {
-                        result = Err(e);
-                    }
-                }
-            }
-        }
-
-        // Machine probe: new RSS step events since the previous tick.
-        let fresh = machine.rss_events_since(rss_cursor);
-        if !fresh.is_empty() {
-            rss_cursor += fresh.len();
-            for (window, points) in clock.group_by_window(fresh, |p| p.time_ns) {
-                publish_batch(
-                    SampleBatch::new("machine", None, window, BatchPayload::Rss { points }),
-                    &bus,
-                    &coordinator,
-                );
-            }
-        }
-
-        if stopping {
-            // Bandwidth buckets only become readable once the workload's
-            // engines have returned their cores; deliver the full series as
-            // the final tick, one batch per window.
-            let bw = machine.bandwidth_series();
-            for (window, points) in clock.group_by_window(bw, |p| p.time_ns) {
-                publish_batch(
-                    SampleBatch::new("machine", None, window, BatchPayload::Bandwidth { points }),
-                    &bus,
-                    &coordinator,
-                );
-            }
-            coordinator.lock().close_remaining(&bus);
-            bus.close_all();
-            return (Some((backends, Vec::new())), result);
-        }
-
-        coordinator.lock().close_ready_windows(&bus);
-        // With one allocated shard the controller can only tune the drain
-        // cadence and the backpressure policy; rate-limited inside.
-        if let Some(adaptive) = &adaptive {
-            let _ = adaptive.control(&bus);
-        }
-
-        // Drain cadence: the pump samples the backends at the configured
-        // wall-clock interval (the controller's current cadence when
-        // adaptive); nothing signals "new simulated work".
-        let poll = adaptive.as_ref().map(|a| a.poll_interval()).unwrap_or(opts.poll_interval);
-        #[allow(clippy::disallowed_methods)]
-        std::thread::sleep(poll);
+/// A pump worker reports the first error its drain/stop calls produced.
+fn keep_first_error(result: &mut Result<(), NmoError>, e: NmoError) {
+    if result.is_ok() {
+        *result = Err(e);
     }
 }
 
-/// One pump worker of the sharded pipeline. The worker for shard 0 is the
+/// One pump worker of the streaming pipeline. The worker for shard 0 is the
 /// *coordinator*: it owns the backends (draining the non-shardable ones),
 /// runs the machine probes, closes ready windows, runs the adaptive
 /// controller, and drives the shutdown sequence — stop the backends, signal
@@ -1250,7 +1029,6 @@ struct PumpWorker {
     stop: Arc<AtomicBool>,
     final_round: Arc<AtomicBool>,
     workers_done: Arc<AtomicUsize>,
-    total_workers: usize,
     pool: Arc<BatchPool>,
     opts: StreamOptions,
     adaptive: Option<Arc<AdaptiveRuntime>>,
@@ -1280,15 +1058,25 @@ impl PumpWorker {
         }
     }
 
+    /// Drain one slot of the shared table onto the bus, keeping the first
+    /// error.
+    fn drain_slot(&self, slot: usize, clock: &WindowClock, result: &mut Result<(), NmoError>) {
+        for drainer in self.slots[slot].lock().iter_mut() {
+            match drainer.drain(&self.machine, clock, &self.pool) {
+                Ok(batches) => {
+                    for batch in batches {
+                        publish_batch(batch, &self.bus, &self.coordinator);
+                    }
+                }
+                Err(e) => keep_first_error(result, e),
+            }
+        }
+    }
+
     fn run_inner(&mut self) -> PumpOutcome {
         let is_coordinator = self.shard == 0;
         let mut rss_cursor = 0usize;
         let mut result: Result<(), NmoError> = Ok(());
-        let record = |e: NmoError, result: &mut Result<(), NmoError>| {
-            if result.is_ok() {
-                *result = Err(e);
-            }
-        };
 
         loop {
             if is_coordinator {
@@ -1304,7 +1092,7 @@ impl PumpWorker {
                 if let Some((backends, _)) = self.backends.as_mut() {
                     for backend in backends.iter_mut() {
                         if let Err(e) = backend.stop(&self.machine) {
-                            record(e, &mut result);
+                            keep_first_error(&mut result, e);
                         }
                     }
                 }
@@ -1318,7 +1106,7 @@ impl PumpWorker {
             // covered by the active set, so the data keeps flowing.
             let active = match &self.adaptive {
                 Some(_) => self.bus.active_lanes(),
-                None => self.total_workers,
+                None => self.bus.shards(),
             };
             let parked = self.shard >= active;
 
@@ -1330,21 +1118,8 @@ impl PumpWorker {
                 // slot twice (harmless: the second drain finds the store
                 // empty) or skip it for one tick (it is covered again next
                 // tick, and the coordinator sweeps every slot at shutdown).
-                let mut slot = self.shard;
-                while slot < self.slots.len() {
-                    let mut drainers = self.slots[slot].lock();
-                    for drainer in drainers.iter_mut() {
-                        match drainer.drain(&self.machine, &clock, &self.pool) {
-                            Ok(batches) => {
-                                for batch in batches {
-                                    publish_batch(batch, &self.bus, &self.coordinator);
-                                }
-                            }
-                            Err(e) => record(e, &mut result),
-                        }
-                    }
-                    drop(drainers);
-                    slot += active;
+                for slot in (self.shard..self.slots.len()).step_by(active) {
+                    self.drain_slot(slot, &clock, &mut result);
                 }
             }
             if let Some((backends, classic)) = self.backends.as_mut() {
@@ -1358,7 +1133,7 @@ impl PumpWorker {
                                 publish_batch(batch, &self.bus, &self.coordinator);
                             }
                         }
-                        Err(e) => record(e, &mut result),
+                        Err(e) => keep_first_error(&mut result, e),
                     }
                 }
                 // Machine probe: new RSS step events since the previous
@@ -1384,7 +1159,7 @@ impl PumpWorker {
                 // Coordinator: wait for every worker's final publish, then
                 // deliver the bandwidth series, close what remains, and
                 // close the lanes so the consumers can exit.
-                while self.workers_done.load(Ordering::Acquire) < self.total_workers {
+                while self.workers_done.load(Ordering::Acquire) < self.bus.shards() {
                     // Join-barrier poll at shutdown; not on the hot path.
                     #[allow(clippy::disallowed_methods)]
                     std::thread::sleep(Duration::from_millis(1));
@@ -1392,18 +1167,8 @@ impl PumpWorker {
                 // Final sweep: whatever width changes raced the final
                 // round, drain every slot once more so no backend store
                 // retains data (re-draining an empty store is free).
-                for slot in self.slots.iter() {
-                    let mut drainers = slot.lock();
-                    for drainer in drainers.iter_mut() {
-                        match drainer.drain(&self.machine, &clock, &self.pool) {
-                            Ok(batches) => {
-                                for batch in batches {
-                                    publish_batch(batch, &self.bus, &self.coordinator);
-                                }
-                            }
-                            Err(e) => record(e, &mut result),
-                        }
-                    }
+                for slot in 0..self.slots.len() {
+                    self.drain_slot(slot, &clock, &mut result);
                 }
                 let bw = self.machine.bandwidth_series();
                 for (window, points) in clock.group_by_window(bw, |p| p.time_ns) {
@@ -1431,8 +1196,9 @@ impl PumpWorker {
                     let _ = adaptive.control(&self.bus);
                 }
             }
-            // Drain cadence, as in the serial pump above; adaptive sessions
-            // follow the controller's current cadence.
+            // Drain cadence: the workers sample the backends at the
+            // configured wall-clock interval (the controller's current
+            // cadence when adaptive); nothing signals "new simulated work".
             let poll = self
                 .adaptive
                 .as_ref()
@@ -1444,87 +1210,12 @@ impl PumpWorker {
     }
 }
 
-/// The consumer side of a streaming session: deliver bus events to the
-/// sinks' streaming hooks (in bus order) and keep the shared snapshot state
-/// current for [`ActiveSession::poll_snapshot`].
+/// One shard consumer: it drains its bus lane into its [`FanInLane`] — the
+/// [`SinkShard`] workers lock-free, legacy sinks and window closes through
+/// the merger mutex (see [`FanIn`] for the merge rule) — and keeps the
+/// shared snapshot state current for [`ActiveSession::poll_snapshot`].
 ///
 /// A panicking sink must not kill the thread outright: under
-/// [`crate::stream::BackpressurePolicy::Block`] a dead consumer would leave
-/// the pump wedged in `publish` forever (and `finish` wedged joining it).
-/// Instead the panic is caught, the loop keeps draining (discarding) until
-/// the bus closes, and the panic is rethrown so the join in
-/// [`ActiveSession::finish`] surfaces it as an error.
-fn consumer_loop(
-    mut sinks: Vec<Box<dyn AnalysisSink>>,
-    lane: Arc<EventBus>,
-    snapshot: Arc<Mutex<SnapshotState>>,
-    ctx: StreamContext,
-    pool: Arc<BatchPool>,
-    adaptive: Option<Arc<AdaptiveRuntime>>,
-) -> Vec<Box<dyn AnalysisSink>> {
-    let mut panic_payload = None;
-    let dispatch = |sinks: &mut Vec<Box<dyn AnalysisSink>>,
-                    event: &BusEvent,
-                    panic_payload: &mut Option<Box<dyn std::any::Any + Send>>| {
-        if panic_payload.is_some() {
-            return;
-        }
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for sink in sinks.iter_mut() {
-                match event {
-                    BusEvent::Batch(batch) => sink.on_batch(batch),
-                    BusEvent::CloseWindow(window) => sink.on_window_close(*window),
-                }
-            }
-        }));
-        if let Err(payload) = result {
-            *panic_payload = Some(payload);
-        }
-    };
-    if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        for sink in &mut sinks {
-            sink.on_stream_start(&ctx);
-        }
-    })) {
-        panic_payload = Some(payload);
-    }
-    loop {
-        match lane.recv_timeout(CONSUMER_RECV_TIMEOUT) {
-            BusRecv::Event(event) => {
-                {
-                    let mut snap = snapshot.lock();
-                    match &event {
-                        BusEvent::Batch(batch) => snap.record_batch(batch, 0),
-                        BusEvent::CloseWindow(window) => snap.record_close(*window, 1),
-                    }
-                }
-                dispatch(&mut sinks, &event, &mut panic_payload);
-                // The batch's buffers go back to the pool for the next
-                // drain (the zero-copy recycle step).
-                if let BusEvent::Batch(batch) = event {
-                    pool.recycle_batch(batch);
-                }
-            }
-            BusRecv::TimedOut => {
-                if let Some(adaptive) = &adaptive {
-                    adaptive.note_consumer_idle(0);
-                }
-            }
-            BusRecv::Closed => match panic_payload {
-                Some(payload) => std::panic::resume_unwind(payload),
-                None => return sinks,
-            },
-        }
-    }
-}
-
-/// One shard consumer of the sharded pipeline: it drains its lane, feeds
-/// its [`SinkShard`] workers lock-free, serialises legacy sinks through the
-/// merger mutex, and delivers per-window shard states to the merger (the
-/// shard whose delivery completes a window performs that window's merge, in
-/// ascending shard order, under the merger lock).
-///
-/// A panicking sink shard must not kill the thread outright: under
 /// [`crate::stream::BackpressurePolicy::Block`] a dead consumer would leave
 /// its lane's pump worker wedged in `publish` forever (and `finish` wedged
 /// joining it). Instead the panic is caught, the loop keeps draining
@@ -1534,16 +1225,16 @@ fn consumer_loop(
 fn shard_consumer_loop(
     shard: usize,
     shard_count: usize,
-    lane: Arc<EventBus>,
-    mut workers: ShardWorkerSet,
-    merger: Arc<Mutex<MergerState>>,
+    bus_lane: Arc<EventBus>,
+    mut lane: FanInLane,
+    merger: Arc<Mutex<SessionFanIn>>,
     snapshot: Arc<Mutex<SnapshotState>>,
     pool: Arc<BatchPool>,
     adaptive: Option<Arc<AdaptiveRuntime>>,
-) -> ShardWorkerSet {
+) -> FanInLane {
     let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
     loop {
-        match lane.recv_timeout(CONSUMER_RECV_TIMEOUT) {
+        match bus_lane.recv_timeout(CONSUMER_RECV_TIMEOUT) {
             BusRecv::Event(event) => {
                 {
                     let mut snap = snapshot.lock();
@@ -1553,13 +1244,19 @@ fn shard_consumer_loop(
                     }
                 }
                 if panic_payload.is_none() {
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        dispatch_shard_event(shard, shard_count, &event, &mut workers, &merger);
-                    }));
+                    let result =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &event {
+                            BusEvent::Batch(batch) => lane.on_batch(batch, || merger.lock()),
+                            BusEvent::CloseWindow(window) => {
+                                lane.on_window_close(*window, || merger.lock())
+                            }
+                        }));
                     if let Err(payload) = result {
                         panic_payload = Some(payload);
                     }
                 }
+                // The batch's buffers go back to the pool for the next
+                // drain (the zero-copy recycle step).
                 if let BusEvent::Batch(batch) = event {
                     pool.recycle_batch(batch);
                 }
@@ -1573,82 +1270,8 @@ fn shard_consumer_loop(
             }
             BusRecv::Closed => match panic_payload {
                 Some(payload) => std::panic::resume_unwind(payload),
-                None => return workers,
+                None => return lane,
             },
-        }
-    }
-}
-
-fn dispatch_shard_event(
-    shard: usize,
-    shard_count: usize,
-    event: &BusEvent,
-    workers: &mut [Option<Box<dyn SinkShard>>],
-    merger: &Mutex<MergerState>,
-) {
-    match event {
-        BusEvent::Batch(batch) => {
-            let mut any_legacy = false;
-            for worker in workers.iter_mut() {
-                match worker {
-                    Some(worker) => worker.on_batch(batch),
-                    None => any_legacy = true,
-                }
-            }
-            if any_legacy {
-                // Serial fallback: legacy sinks see every batch, serialised
-                // under the merger lock (per-lane order preserved).
-                let mut merger = merger.lock();
-                let merger = &mut *merger;
-                for (index, worker) in workers.iter().enumerate() {
-                    if worker.is_none() {
-                        merger.sinks[index].on_batch(batch);
-                    }
-                }
-            }
-        }
-        BusEvent::CloseWindow(window) => {
-            for (index, worker) in workers.iter_mut().enumerate() {
-                let Some(worker) = worker else { continue };
-                let Some(state) = worker.on_window_close(*window) else { continue };
-                let mut merger = merger.lock();
-                let merger = &mut *merger;
-                let entry = merger.pending.entry((index, window.index)).or_default();
-                entry.push((shard, state));
-                if entry.len() == shard_count {
-                    let mut states = std::mem::take(entry);
-                    merger.pending.remove(&(index, window.index));
-                    states.sort_by_key(|(s, _)| *s);
-                    let states = states.into_iter().map(|(_, state)| state).collect();
-                    merger.sinks[index]
-                        .as_shardable()
-                        // unwrap-ok: a `ShardWorker` is only constructed for
-                        // sinks whose `as_shardable()` returned Some at
-                        // session start; the sink set is immutable after.
-                        .expect("shard workers only exist for shardable sinks")
-                        .merge_window(*window, states);
-                }
-            }
-            {
-                // Legacy sinks get each close exactly once, and only after
-                // every lane has processed its copy of the broadcast — by
-                // then each lane's on-time batches for the window have been
-                // forwarded (they precede the close in lane order), so the
-                // PR 2 close-after-on-time-data contract holds for legacy
-                // sinks under sharding too.
-                let mut merger = merger.lock();
-                let merger = &mut *merger;
-                let seen = merger.legacy_close_counts.entry(window.index).or_insert(0);
-                *seen += 1;
-                if *seen == shard_count {
-                    merger.legacy_close_counts.remove(&window.index);
-                    for (index, worker) in workers.iter().enumerate() {
-                        if worker.is_none() {
-                            merger.sinks[index].on_window_close(*window);
-                        }
-                    }
-                }
-            }
         }
     }
 }
@@ -1885,6 +1508,104 @@ mod tests {
             .unwrap();
         let err = session.run_streaming_with(stream_like).unwrap_err();
         assert!(matches!(err, NmoError::Sink { .. }), "{err}");
+    }
+
+    /// The one-shard pipeline is the sharded pipeline at width 1: with one
+    /// legacy and one shardable sink registered, the legacy sink is fed
+    /// through the fan-in — every batch, each window close exactly once,
+    /// and (one lane) only batches the session counts as late after it —
+    /// while the shardable sink gets exactly one worker.
+    #[test]
+    fn one_shard_session_feeds_a_legacy_sink_next_to_a_shardable_one() {
+        use crate::sink::testing::RecordingSink;
+        let (legacy, legacy_log) = RecordingSink::new(false);
+        let (merged, merged_log) = RecordingSink::new(true);
+        let session = ProfileSession::builder()
+            .machine_config(MachineConfig::small_test())
+            .config(NmoConfig::paper_default(100))
+            .threads(1)
+            .sink(legacy)
+            .sink(merged)
+            .stream_options(StreamOptions { window_ns: 50_000, shards: 1, ..Default::default() })
+            .build()
+            .unwrap();
+        let profile = session.run_streaming_with(stream_like).unwrap();
+        let stats = profile.stream.expect("stream stats");
+        assert_eq!((stats.shards, stats.batches_dropped), (1, 0), "{stats:?}");
+        assert!(stats.windows_closed > 1, "{stats:?}");
+
+        let log = legacy_log.lock().clone();
+        assert_eq!(log[0], "start");
+        let batches =
+            log.iter().filter(|e| e.starts_with("batch") || e.starts_with("ticks")).count() as u64;
+        assert_eq!(batches, stats.batches_published, "the legacy sink sees every batch");
+        let closes: Vec<&str> =
+            log.iter().filter_map(|e| e.strip_prefix("close ")).collect::<Vec<_>>();
+        let mut unique = closes.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(closes.len(), unique.len(), "each window closes once: {closes:?}");
+        assert_eq!(closes.len() as u64, stats.windows_closed);
+        let late = log
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| Some((i, e.strip_prefix("batch ")?)))
+            .filter(|(i, w)| log[..*i].iter().any(|e| e.strip_prefix("close ") == Some(w)))
+            .count() as u64;
+        assert_eq!(late, stats.late_batches, "closes follow their window's on-time batches");
+
+        let merged_log = merged_log.lock().clone();
+        assert_eq!(merged_log.len() as u64, 1 + stats.windows_closed + 1, "{merged_log:?}");
+        assert!(merged_log[1..merged_log.len() - 1].iter().all(|e| e.ends_with(" [0]")));
+        assert_eq!(merged_log.last().map(String::as_str), Some("final [0]"));
+    }
+
+    /// A sink that panics in `on_stream_start` fails `start_streaming`
+    /// itself with a sink error, at every pipeline width, and nothing is
+    /// left running: the backends (and whatever they hold) are dropped.
+    #[test]
+    fn sink_panicking_at_stream_start_fails_start_streaming_and_leaves_nothing_running() {
+        use crate::sink::testing::RecordingSink;
+        struct ProbeBackend {
+            _alive: Arc<()>,
+        }
+        impl SampleBackend for ProbeBackend {
+            fn name(&self) -> &'static str {
+                "probe"
+            }
+            fn start(
+                &mut self,
+                _machine: &Machine,
+                _cores: &[usize],
+                _config: &NmoConfig,
+            ) -> Result<Vec<crate::backend::CoreObserver>, NmoError> {
+                Ok(Vec::new())
+            }
+            fn stop(&mut self, _machine: &Machine) -> Result<(), NmoError> {
+                Ok(())
+            }
+            fn fill(&mut self, _profile: &mut Profile) -> Result<(), NmoError> {
+                Ok(())
+            }
+        }
+        for shards in [1, 2] {
+            let alive = Arc::new(());
+            let (mut sink, _log) = RecordingSink::new(true);
+            sink.panic_on_start = true;
+            let session = ProfileSession::builder()
+                .machine_config(MachineConfig::small_test())
+                .config(NmoConfig::paper_default(100))
+                .threads(2)
+                .backend(SpeBackend::new())
+                .backend(ProbeBackend { _alive: alive.clone() })
+                .sink(sink)
+                .stream_options(StreamOptions { shards, ..Default::default() })
+                .build()
+                .unwrap();
+            let err = session.start_streaming().unwrap_err();
+            assert!(matches!(err, NmoError::Sink { .. }), "{shards} shard(s): {err}");
+            assert_eq!(Arc::strong_count(&alive), 1, "{shards} shard(s): backends dropped");
+        }
     }
 
     #[test]

@@ -8,12 +8,17 @@
 //!
 //! Sinks consume data in one of two ways:
 //!
-//! * **Streaming** (the primary path): during a
-//!   [`crate::session::ProfileSession::run_streaming`] run the consumer
-//!   thread feeds every [`SampleBatch`] to [`AnalysisSink::on_batch`] and
-//!   signals completed windows via [`AnalysisSink::on_window_close`]; at the
-//!   end [`AnalysisSink::finish`] assembles the report from the
-//!   incrementally merged state.
+//! * **Streaming** (the primary path): a
+//!   [`crate::session::ProfileSession::run_streaming`] run — or a replay of
+//!   a stored trace ([`crate::trace::TraceReader`]) — delivers every
+//!   [`SampleBatch`] and window close through one shard fan-in: a
+//!   [`ShardableSink`] aggregates in one [`SinkShard`] worker per pipeline
+//!   shard (one worker when the pipeline is one shard wide) and merges their
+//!   states in ascending shard index; any other sink is fed
+//!   [`AnalysisSink::on_batch`] / [`AnalysisSink::on_window_close`]
+//!   directly, serialised across shards. At the end
+//!   [`AnalysisSink::finish`] assembles the report from the incrementally
+//!   merged state.
 //! * **Post-hoc** (the compatibility adapter): a plain
 //!   [`crate::session::ProfileSession::run`] delivers no batches, so the
 //!   default [`AnalysisSink::finish`] implementation falls back to
@@ -35,6 +40,7 @@
 //! length).
 
 use std::collections::BTreeMap;
+use std::ops::DerefMut;
 use std::sync::Arc;
 
 use arch_sim::{Machine, RssPoint, MAX_MEM_NODES};
@@ -155,8 +161,9 @@ pub trait AnalysisSink: Send {
     /// aggregate incrementally latch the context here.
     fn on_stream_start(&mut self, _ctx: &StreamContext) {}
 
-    /// Streaming: one window-stamped batch arrived. Called from the
-    /// session's consumer thread, in bus order.
+    /// Streaming: one window-stamped batch arrived. Only sinks that are not
+    /// [`ShardableSink`]s are fed through this hook by a pipeline or a
+    /// replay (in lane order, serialised across lanes).
     fn on_batch(&mut self, _batch: &SampleBatch) {}
 
     /// Streaming: the producer watermark passed `window`; no further
@@ -174,8 +181,8 @@ pub trait AnalysisSink: Send {
 
     /// The sharded-pipeline seam: sinks that can aggregate per shard return
     /// themselves as a [`ShardableSink`] here. The default `None` is the
-    /// serial-fallback adapter — a sharded session feeds such a sink every
-    /// batch through a serialising mutex instead (per-lane order preserved,
+    /// serial-fallback adapter — the pipeline feeds such a sink every batch
+    /// directly, serialised across lanes (per-lane order preserved,
     /// cross-lane interleaving unspecified), so pre-sharding sinks compile
     /// and run unchanged.
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
@@ -309,6 +316,170 @@ pub trait ShardableSink {
     fn merge_final(&mut self, states: Vec<ShardState>);
 }
 
+/// The shard fan-in: the one place that drives the sink traits over a
+/// sharded event stream. The live shard consumers, sequential trace replay
+/// and sliced trace queries all deliver through it, so they agree by
+/// construction on the rule: every [`ShardableSink`] aggregates in one
+/// [`SinkShard`] worker per shard; a window's per-shard states merge in
+/// ascending shard index as soon as every shard has delivered its state;
+/// legacy sinks see every batch directly and each window close exactly
+/// once, after every lane has processed its copy of the close (so the
+/// lanes' on-time batches for the window all came first); at the end,
+/// per-window states that never completed merge first, then the workers'
+/// final states, both ascending by shard.
+///
+/// This is the shared half (one per stream; the live consumers keep it
+/// under the `session.merger` mutex). Each shard's workers live in a
+/// [`FanInLane`], whose per-batch path touches the shared half only when a
+/// legacy sink is registered.
+pub(crate) struct FanIn<S> {
+    /// The parent sinks (owned by a live session, borrowed by a replay).
+    pub(crate) sinks: S,
+    shards: usize,
+    /// `(window index, sink index)` → the window and what the shards
+    /// delivered for it so far.
+    pending: BTreeMap<(u64, usize), (Window, ShardStates)>,
+    /// Lanes that have processed their copy of each window's close.
+    close_counts: BTreeMap<u64, usize>,
+    windows_closed: u64,
+}
+
+/// `(shard, state)` pairs, in delivery order.
+type ShardStates = Vec<(usize, ShardState)>;
+
+/// One shard's sink workers, index-aligned with the sinks of its
+/// [`FanIn`] (`None` = legacy sink, fed through the shared half).
+pub(crate) struct FanInLane {
+    shard: usize,
+    workers: Vec<Option<Box<dyn SinkShard>>>,
+}
+
+impl<S: DerefMut<Target = [Box<dyn AnalysisSink>]>> FanIn<S> {
+    /// Start the stream on every sink, then hand out one worker per shard
+    /// and shardable sink.
+    pub(crate) fn start(
+        mut sinks: S,
+        shards: usize,
+        ctx: &StreamContext,
+    ) -> (Self, Vec<FanInLane>) {
+        for sink in sinks.iter_mut() {
+            sink.on_stream_start(ctx);
+        }
+        let mut lanes: Vec<FanInLane> = (0..shards)
+            .map(|shard| FanInLane { shard, workers: Vec::with_capacity(sinks.len()) })
+            .collect();
+        for sink in sinks.iter_mut() {
+            let mut shardable = sink.as_shardable();
+            for lane in &mut lanes {
+                lane.workers.push(shardable.as_mut().map(|s| s.make_shard(lane.shard, ctx)));
+            }
+        }
+        let fan_in = FanIn {
+            sinks,
+            shards,
+            pending: BTreeMap::new(),
+            close_counts: BTreeMap::new(),
+            windows_closed: 0,
+        };
+        (fan_in, lanes)
+    }
+
+    /// Windows every lane has closed so far.
+    pub(crate) fn windows_closed(&self) -> u64 {
+        self.windows_closed
+    }
+
+    /// One lane processed `window`'s close and its workers returned
+    /// `states` (`(sink index, state)` pairs).
+    fn close(&mut self, shard: usize, window: Window, states: Vec<(usize, ShardState)>) {
+        for (index, state) in states {
+            let key = (window.index, index);
+            let (_, delivered) = self.pending.entry(key).or_insert_with(|| (window, Vec::new()));
+            delivered.push((shard, state));
+            if delivered.len() == self.shards {
+                self.merge_pending(key);
+            }
+        }
+        let seen = self.close_counts.entry(window.index).or_insert(0);
+        *seen += 1;
+        if *seen == self.shards {
+            self.close_counts.remove(&window.index);
+            self.windows_closed += 1;
+            for sink in self.sinks.iter_mut() {
+                if sink.as_shardable().is_none() {
+                    sink.on_window_close(window);
+                }
+            }
+        }
+    }
+
+    /// Merge what was delivered for `key`, ascending by shard.
+    fn merge_pending(&mut self, key: (u64, usize)) {
+        let Some((window, mut states)) = self.pending.remove(&key) else { return };
+        states.sort_by_key(|(shard, _)| *shard);
+        if let Some(shardable) = self.sinks[key.1].as_shardable() {
+            shardable.merge_window(window, states.into_iter().map(|(_, state)| state).collect());
+        }
+    }
+
+    /// End of stream: merge the per-window states that never completed
+    /// (ascending window), then every worker's final state.
+    pub(crate) fn finish(&mut self, mut lanes: Vec<FanInLane>) {
+        while let Some(&key) = self.pending.keys().next() {
+            self.merge_pending(key);
+        }
+        lanes.sort_by_key(|lane| lane.shard);
+        for (index, sink) in self.sinks.iter_mut().enumerate() {
+            let Some(shardable) = sink.as_shardable() else { continue };
+            let workers = lanes.iter_mut().filter_map(|lane| lane.workers[index].take());
+            shardable.merge_final(workers.map(|worker| worker.finish()).collect());
+        }
+    }
+}
+
+impl FanInLane {
+    /// Deliver one batch of this lane. `shared` yields the stream's
+    /// [`FanIn`] (a lock guard on the live path); it is only called when a
+    /// legacy sink needs the batch.
+    pub(crate) fn on_batch<S, G>(&mut self, batch: &SampleBatch, shared: impl FnOnce() -> G)
+    where
+        S: DerefMut<Target = [Box<dyn AnalysisSink>]>,
+        G: DerefMut<Target = FanIn<S>>,
+    {
+        let mut any_legacy = false;
+        for worker in &mut self.workers {
+            match worker {
+                Some(worker) => worker.on_batch(batch),
+                None => any_legacy = true,
+            }
+        }
+        if any_legacy {
+            let mut shared = shared();
+            for (index, worker) in self.workers.iter().enumerate() {
+                if worker.is_none() {
+                    shared.sinks[index].on_batch(batch);
+                }
+            }
+        }
+    }
+
+    /// Deliver this lane's copy of `window`'s close: the workers' states
+    /// are gathered lock-free, then handed to the shared half in one step.
+    pub(crate) fn on_window_close<S, G>(&mut self, window: Window, shared: impl FnOnce() -> G)
+    where
+        S: DerefMut<Target = [Box<dyn AnalysisSink>]>,
+        G: DerefMut<Target = FanIn<S>>,
+    {
+        let states = self
+            .workers
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(index, worker)| Some((index, worker.as_mut()?.on_window_close(window)?)))
+            .collect();
+        shared().close(self.shard, window, states);
+    }
+}
+
 /// Level 1: temporal capacity usage (paper Section VI-A, Figure 2), split
 /// per memory node on tiered topologies.
 ///
@@ -319,7 +490,7 @@ pub trait ShardableSink {
 pub struct CapacitySink {
     /// Number of evenly spaced output samples.
     pub buckets: usize,
-    events: Vec<RssPoint>,
+    core: CapacityShard,
     /// DRAM capacity and node count latched from the stream context; `None`
     /// until streaming starts (the post-hoc marker).
     stream_geometry: Option<(u64, usize)>,
@@ -328,7 +499,7 @@ pub struct CapacitySink {
 impl CapacitySink {
     /// A capacity sink emitting `buckets` evenly spaced samples.
     pub fn new(buckets: usize) -> Self {
-        CapacitySink { buckets, events: Vec::new(), stream_geometry: None }
+        CapacitySink { buckets, core: CapacityShard::default(), stream_geometry: None }
     }
 }
 
@@ -362,16 +533,14 @@ impl AnalysisSink for CapacitySink {
     }
 
     fn on_batch(&mut self, batch: &SampleBatch) {
-        if let BatchPayload::Rss { points } = batch.payload() {
-            self.events.extend_from_slice(points);
-        }
+        self.core.on_batch(batch);
     }
 
     fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
         let Some((capacity_bytes, nodes)) = self.stream_geometry else {
             return self.analyze(machine, profile);
         };
-        let mut events = std::mem::take(&mut self.events);
+        let mut events = std::mem::take(&mut self.core.events);
         events.sort_by_key(|e| e.time_ns);
         Ok(AnalysisReport::Capacity(CapacitySeries::from_events(
             &events,
@@ -387,9 +556,12 @@ impl AnalysisSink for CapacitySink {
     }
 }
 
-/// One shard's RSS event collector (see [`CapacitySink`]). RSS batches are
-/// core-less and therefore all ride lane 0, but the shard machinery keeps
-/// the sink uniform with the others (and correct if that routing changes).
+/// The RSS event collector of a [`CapacitySink`]: one per shard, plus the
+/// parent's own (direct [`AnalysisSink::on_batch`] calls and the merge
+/// target). RSS batches are core-less and therefore all ride lane 0, but
+/// the shard machinery keeps the sink uniform with the others (and correct
+/// if that routing changes).
+#[derive(Debug, Clone, Default)]
 struct CapacityShard {
     events: Vec<RssPoint>,
 }
@@ -408,17 +580,17 @@ impl SinkShard for CapacityShard {
 
 impl ShardableSink for CapacitySink {
     fn make_shard(&mut self, _shard: usize, _ctx: &StreamContext) -> Box<dyn SinkShard> {
-        Box::new(CapacityShard { events: Vec::new() })
+        Box::new(CapacityShard::default())
     }
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
         // Shard order fixes the concatenation; `finish` sorts by timestamp
-        // anyway, so the merged series equals the serial one.
+        // anyway, so the merged series does not depend on the shard count.
         for state in states {
             // unwrap-ok: `merge_final` only receives states built by this
             // sink's own `make_shard`, which always boxes Vec<RssPoint>.
             let events = state.downcast::<Vec<RssPoint>>().expect("a CapacityShard state");
-            self.events.extend(*events);
+            self.core.events.extend(*events);
         }
     }
 }
@@ -431,13 +603,9 @@ impl ShardableSink for CapacitySink {
 /// scans the machine's aggregated bucket series.
 #[derive(Debug, Clone, Default)]
 pub struct BandwidthSink {
-    /// Merged bus bytes per bucket *index*, split per memory node (points
-    /// are binned to the bucket containing their timestamp, so unaligned
-    /// deliveries cannot fall between buckets).
-    merged: BTreeMap<u64, [u64; MAX_MEM_NODES]>,
-    /// Bucket width and node count latched from the stream context; `None`
-    /// until streaming starts (the post-hoc marker).
-    stream_geometry: Option<(u64, usize)>,
+    /// The per-bucket merge and the node count, latched from the stream
+    /// context; `None` until streaming starts (the post-hoc marker).
+    stream: Option<(BandwidthShard, usize)>,
 }
 
 impl BandwidthSink {
@@ -465,36 +633,30 @@ impl AnalysisSink for BandwidthSink {
     }
 
     fn on_stream_start(&mut self, ctx: &StreamContext) {
-        self.stream_geometry = Some((ctx.bucket_ns.max(1), ctx.mem_nodes));
+        self.stream = Some((BandwidthShard::new(ctx), ctx.mem_nodes));
     }
 
     fn on_batch(&mut self, batch: &SampleBatch) {
-        let Some((bucket_ns, _)) = self.stream_geometry else { return };
-        if let BatchPayload::Bandwidth { points } = batch.payload() {
-            for p in points {
-                let merged = self.merged.entry(p.time_ns / bucket_ns).or_insert([0; MAX_MEM_NODES]);
-                for (node, bytes) in p.by_node.iter().enumerate() {
-                    merged[node] += bytes;
-                }
-            }
+        if let Some((core, _)) = &mut self.stream {
+            core.on_batch(batch);
         }
     }
 
     fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
-        let Some((bucket_ns, nodes)) = self.stream_geometry else {
+        let Some((BandwidthShard { bucket_ns, merged }, nodes)) = &self.stream else {
             return self.analyze(machine, profile);
         };
-        let points: Vec<arch_sim::BandwidthPoint> = match self.merged.keys().next_back() {
+        let points: Vec<arch_sim::BandwidthPoint> = match merged.keys().next_back() {
             None => Vec::new(),
             Some(&last) => (0..=last)
                 .map(|i| {
-                    let by_node = self.merged.get(&i).copied().unwrap_or([0; MAX_MEM_NODES]);
+                    let by_node = merged.get(&i).copied().unwrap_or([0; MAX_MEM_NODES]);
                     let bytes: u64 = by_node.iter().sum();
                     arch_sim::BandwidthPoint {
                         time_ns: i * bucket_ns,
                         bytes,
                         by_node,
-                        gib_per_s: bytes as f64 / (1u64 << 30) as f64 / (bucket_ns as f64 * 1e-9),
+                        gib_per_s: bytes as f64 / (1u64 << 30) as f64 / (*bucket_ns as f64 * 1e-9),
                     }
                 })
                 .collect(),
@@ -502,7 +664,7 @@ impl AnalysisSink for BandwidthSink {
         Ok(AnalysisReport::Bandwidth(BandwidthSeries::from_buckets(
             &points,
             profile.counters.flops,
-            nodes,
+            *nodes,
         )))
     }
 
@@ -511,10 +673,21 @@ impl AnalysisSink for BandwidthSink {
     }
 }
 
-/// One shard's per-bucket traffic merge (see [`BandwidthSink`]).
+/// The per-bucket traffic merge of a [`BandwidthSink`] (one per shard, plus
+/// the parent's own).
+#[derive(Debug, Clone)]
 struct BandwidthShard {
     bucket_ns: u64,
+    /// Merged bus bytes per bucket *index*, split per memory node (points
+    /// are binned to the bucket containing their timestamp, so unaligned
+    /// deliveries cannot fall between buckets).
     merged: BTreeMap<u64, [u64; MAX_MEM_NODES]>,
+}
+
+impl BandwidthShard {
+    fn new(ctx: &StreamContext) -> Self {
+        BandwidthShard { bucket_ns: ctx.bucket_ns.max(1), merged: BTreeMap::new() }
+    }
 }
 
 impl SinkShard for BandwidthShard {
@@ -537,12 +710,13 @@ impl SinkShard for BandwidthShard {
 
 impl ShardableSink for BandwidthSink {
     fn make_shard(&mut self, _shard: usize, ctx: &StreamContext) -> Box<dyn SinkShard> {
-        Box::new(BandwidthShard { bucket_ns: ctx.bucket_ns.max(1), merged: BTreeMap::new() })
+        Box::new(BandwidthShard::new(ctx))
     }
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
-        // Per-bucket sums are exact integers, so the shard merge equals the
-        // serial merge regardless of how deliveries were split.
+        let Some((core, _)) = &mut self.stream else { return };
+        // Per-bucket sums are exact integers, so the merge does not depend
+        // on how deliveries were split across shards.
         for state in states {
             let merged = state
                 .downcast::<BTreeMap<u64, [u64; MAX_MEM_NODES]>>()
@@ -550,7 +724,7 @@ impl ShardableSink for BandwidthSink {
                 // which always boxes this exact map type.
                 .expect("a BandwidthShard state");
             for (bucket, by_node) in merged.into_iter() {
-                let entry = self.merged.entry(bucket).or_insert([0; MAX_MEM_NODES]);
+                let entry = core.merged.entry(bucket).or_insert([0; MAX_MEM_NODES]);
                 for (node, bytes) in by_node.iter().enumerate() {
                     entry[node] += bytes;
                 }
@@ -567,21 +741,13 @@ impl ShardableSink for BandwidthSink {
 /// scan over the profile's samples.
 #[derive(Debug, Default)]
 pub struct RegionSink {
-    accum: RegionAccumulator,
-    pending: BTreeMap<u64, Vec<crate::runtime::AddressSample>>,
-    annotations: Option<Arc<Annotations>>,
+    core: RegionShard,
 }
 
 impl RegionSink {
     /// A fresh region sink.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn ingest_window(&mut self, index: u64) {
-        let Some(samples) = self.pending.remove(&index) else { return };
-        let Some(ann) = &self.annotations else { return };
-        self.accum.ingest(&samples, &ann.tags(), &ann.phases());
     }
 }
 
@@ -599,30 +765,22 @@ impl AnalysisSink for RegionSink {
     }
 
     fn on_stream_start(&mut self, ctx: &StreamContext) {
-        self.annotations = Some(ctx.annotations.clone());
+        self.core = RegionShard::new(ctx);
     }
 
     fn on_batch(&mut self, batch: &SampleBatch) {
-        if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
-            self.pending.entry(batch.window.index).or_default().extend_from_slice(samples);
-        }
+        self.core.on_batch(batch);
     }
 
     fn on_window_close(&mut self, window: Window) {
-        self.ingest_window(window.index);
+        self.core.ingest_window(window.index);
     }
 
     fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
-        if self.annotations.is_none() {
+        if self.core.annotations.is_none() {
             return self.analyze(machine, profile);
         }
-        // Merge any windows that never saw a close signal.
-        let open: Vec<u64> = self.pending.keys().copied().collect();
-        for index in open {
-            self.ingest_window(index);
-        }
-        let accum = std::mem::take(&mut self.accum);
-        Ok(AnalysisReport::Regions(accum.finalize(&profile.tags)))
+        Ok(AnalysisReport::Regions(self.core.take_accum().finalize(&profile.tags)))
     }
 
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
@@ -630,21 +788,38 @@ impl AnalysisSink for RegionSink {
     }
 }
 
-/// One shard's region attribution (see [`RegionSink`]): buffers its lane's
-/// samples per window, attributes them against the then-current tags/phases
-/// when the window closes, and hands its accumulator back for the ordered
-/// final merge.
+/// The windowed attribution of a [`RegionSink`] (one per shard, plus the
+/// parent's own): buffers samples per window, attributes them against the
+/// then-current tags/phases when the window closes, and hands its
+/// accumulator back for the ordered final merge.
+#[derive(Debug, Default)]
 struct RegionShard {
-    annotations: Arc<Annotations>,
     accum: RegionAccumulator,
     pending: BTreeMap<u64, Vec<crate::runtime::AddressSample>>,
+    /// Latched from the stream context; `None` until streaming starts (the
+    /// parent's post-hoc marker).
+    annotations: Option<Arc<Annotations>>,
 }
 
 impl RegionShard {
+    fn new(ctx: &StreamContext) -> Self {
+        RegionShard { annotations: Some(ctx.annotations.clone()), ..Default::default() }
+    }
+
     fn ingest_window(&mut self, index: u64) {
-        if let Some(samples) = self.pending.remove(&index) {
-            self.accum.ingest(&samples, &self.annotations.tags(), &self.annotations.phases());
+        let Some(samples) = self.pending.remove(&index) else { return };
+        let Some(ann) = &self.annotations else { return };
+        self.accum.ingest(&samples, &ann.tags(), &ann.phases());
+    }
+
+    /// Attribute any windows that never saw a close signal and hand the
+    /// accumulator over.
+    fn take_accum(&mut self) -> RegionAccumulator {
+        let open: Vec<u64> = self.pending.keys().copied().collect();
+        for index in open {
+            self.ingest_window(index);
         }
+        std::mem::take(&mut self.accum)
     }
 }
 
@@ -661,32 +836,24 @@ impl SinkShard for RegionShard {
     }
 
     fn finish(mut self: Box<Self>) -> ShardState {
-        let open: Vec<u64> = self.pending.keys().copied().collect();
-        for index in open {
-            self.ingest_window(index);
-        }
-        Box::new(self.accum)
+        Box::new(self.take_accum())
     }
 }
 
 impl ShardableSink for RegionSink {
     fn make_shard(&mut self, _shard: usize, ctx: &StreamContext) -> Box<dyn SinkShard> {
-        Box::new(RegionShard {
-            annotations: ctx.annotations.clone(),
-            accum: RegionAccumulator::new(),
-            pending: BTreeMap::new(),
-        })
+        Box::new(RegionShard::new(ctx))
     }
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
-        // Per-sample attribution is independent, so counts equal the serial
-        // path's; scatter order is shard-major (deterministic by the fixed
-        // merge order, though different from the serial interleaving).
+        // Per-sample attribution is independent, so counts do not depend on
+        // the shard count; scatter order is shard-major (deterministic by
+        // the fixed merge order).
         for state in states {
             // unwrap-ok: states come from this sink's own `make_shard`,
             // which always boxes a RegionAccumulator.
             let accum = state.downcast::<RegionAccumulator>().expect("a RegionShard state");
-            self.accum.merge(*accum);
+            self.core.accum.merge(*accum);
         }
     }
 }
@@ -701,7 +868,7 @@ impl ShardableSink for RegionSink {
 /// order-independent, so both paths produce identical reports.
 #[derive(Debug, Default)]
 pub struct LatencySink {
-    profile: LatencyProfile,
+    core: LatencyShard,
     /// Set when streaming delivery started (the post-hoc marker).
     streaming: bool,
 }
@@ -731,18 +898,14 @@ impl AnalysisSink for LatencySink {
     }
 
     fn on_batch(&mut self, batch: &SampleBatch) {
-        if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
-            for s in samples {
-                self.profile.record(s.source, s.latency);
-            }
-        }
+        self.core.on_batch(batch);
     }
 
     fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
         if !self.streaming {
             return self.analyze(machine, profile);
         }
-        Ok(AnalysisReport::Latency(std::mem::take(&mut self.profile)))
+        Ok(AnalysisReport::Latency(std::mem::take(&mut self.core.profile)))
     }
 
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
@@ -750,9 +913,10 @@ impl AnalysisSink for LatencySink {
     }
 }
 
-/// One shard's latency histograms (see [`LatencySink`]). Histogram buckets
-/// are exact counters, so the shard merge is bit-identical to the serial
-/// fold in any order.
+/// The latency histograms of a [`LatencySink`] (one per shard, plus the
+/// parent's own). Histogram buckets are exact counters, so the shard merge
+/// is bit-identical to a single fold in any order.
+#[derive(Debug, Default)]
 struct LatencyShard {
     profile: LatencyProfile,
 }
@@ -773,7 +937,7 @@ impl SinkShard for LatencyShard {
 
 impl ShardableSink for LatencySink {
     fn make_shard(&mut self, _shard: usize, _ctx: &StreamContext) -> Box<dyn SinkShard> {
-        Box::new(LatencyShard { profile: LatencyProfile::new() })
+        Box::new(LatencyShard::default())
     }
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
@@ -781,14 +945,14 @@ impl ShardableSink for LatencySink {
             // unwrap-ok: states come from this sink's own `make_shard`,
             // which always boxes a LatencyProfile.
             let profile = state.downcast::<LatencyProfile>().expect("a LatencyShard state");
-            self.profile.merge(&profile);
+            self.core.profile.merge(&profile);
         }
     }
 }
 
-/// The sinks the session registers by default for `config`, mirroring the
-/// behaviour of the historical `Profiler`: capacity when RSS tracking is on,
-/// bandwidth when bandwidth tracking is on. Region attribution and latency
+/// The sinks the session registers by default for `config`: capacity when
+/// RSS tracking is on, bandwidth when bandwidth tracking is on (the paper's
+/// always-on levels). Region attribution and latency
 /// histograms are *not* default sinks — they stay lazy via
 /// [`Profile::regions`] / [`Profile::latency`] (many callers, e.g. the
 /// sensitivity sweeps, never read them and should not pay the per-sample
@@ -829,8 +993,99 @@ pub(crate) fn run_sinks(
     Ok(())
 }
 
+/// Test-only sinks that log what the fan-in delivers to them (shared by the
+/// fan-in, session and trace tests).
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use parking_lot::Mutex;
+
+    /// The delivery log a recording sink and its shards append to.
+    pub(crate) type Log = Arc<Mutex<Vec<String>>>;
+
+    /// Logs `start`, then either the legacy hooks (`batch w<i>` — `ticks
+    /// w<i>` for bandwidth ticks, which the session exempts from late
+    /// accounting — and `close w<i>`) or, when `shardable`, the merges: every shard returns
+    /// its index at each window close and at the end, and the parent logs
+    /// `merge w<i> [shards]` / `final [shards]`.
+    pub(crate) struct RecordingSink {
+        pub(crate) log: Log,
+        pub(crate) shardable: bool,
+        pub(crate) panic_on_start: bool,
+    }
+
+    impl RecordingSink {
+        pub(crate) fn new(shardable: bool) -> (Self, Log) {
+            let log = Log::default();
+            (RecordingSink { log: log.clone(), shardable, panic_on_start: false }, log)
+        }
+    }
+
+    impl AnalysisSink for RecordingSink {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+
+        fn analyze(&mut self, _m: &Machine, _p: &Profile) -> Result<AnalysisReport, NmoError> {
+            Ok(AnalysisReport::Text(self.log.lock().join("\n")))
+        }
+
+        fn on_stream_start(&mut self, _ctx: &StreamContext) {
+            assert!(!self.panic_on_start, "recording sink told to panic at stream start");
+            self.log.lock().push("start".into());
+        }
+
+        fn on_batch(&mut self, batch: &SampleBatch) {
+            let bandwidth = matches!(batch.payload(), BatchPayload::Bandwidth { .. });
+            let kind = if bandwidth { "ticks" } else { "batch" };
+            self.log.lock().push(format!("{kind} w{}", batch.window.index));
+        }
+
+        fn on_window_close(&mut self, window: Window) {
+            self.log.lock().push(format!("close w{}", window.index));
+        }
+
+        fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
+            self.shardable.then_some(self as &mut dyn ShardableSink)
+        }
+    }
+
+    struct RecordingShard(usize);
+
+    impl SinkShard for RecordingShard {
+        fn on_batch(&mut self, _batch: &SampleBatch) {}
+
+        fn on_window_close(&mut self, _window: Window) -> Option<ShardState> {
+            Some(Box::new(self.0))
+        }
+
+        fn finish(self: Box<Self>) -> ShardState {
+            Box::new(self.0)
+        }
+    }
+
+    fn shard_list(states: Vec<ShardState>) -> Vec<usize> {
+        states.into_iter().map(|s| *s.downcast::<usize>().expect("a RecordingShard")).collect()
+    }
+
+    impl ShardableSink for RecordingSink {
+        fn make_shard(&mut self, shard: usize, _ctx: &StreamContext) -> Box<dyn SinkShard> {
+            Box::new(RecordingShard(shard))
+        }
+
+        fn merge_window(&mut self, window: Window, states: Vec<ShardState>) {
+            self.log.lock().push(format!("merge w{} {:?}", window.index, shard_list(states)));
+        }
+
+        fn merge_final(&mut self, states: Vec<ShardState>) {
+            self.log.lock().push(format!("final {:?}", shard_list(states)));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::RecordingSink;
     use super::*;
     use crate::config::NmoConfig;
     use crate::runtime::AddressSample;
@@ -1223,5 +1478,67 @@ mod tests {
         assert!(BandwidthSink::default().as_shardable().is_some());
         assert!(RegionSink::default().as_shardable().is_some());
         assert!(LatencySink::default().as_shardable().is_some());
+    }
+
+    /// The fan-in rule, on the type alone: three lanes whose closes arrive
+    /// interleaved. Each window merges once, when its last lane closes it,
+    /// with the states ascending by shard; the legacy sink sees every batch,
+    /// and each close once, only after every lane processed it; at the end
+    /// the window not every lane closed merges first, then the final states.
+    #[test]
+    fn fan_in_merges_each_window_once_in_shard_order_and_closes_legacy_sinks_last() {
+        let (merged, merged_log) = RecordingSink::new(true);
+        let (legacy, legacy_log) = RecordingSink::new(false);
+        let sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(merged), Box::new(legacy)];
+        let ctx = stream_ctx(Arc::new(Annotations::new()));
+        let (mut fan_in, mut lanes) = FanIn::start(sinks, 3, &ctx);
+        assert_eq!(lanes.len(), 3);
+
+        let clock = crate::stream::WindowClock::new(1000);
+        let batch = |w: u64| {
+            SampleBatch::new(
+                "spe",
+                None,
+                clock.window(w),
+                BatchPayload::SpeSamples {
+                    samples: vec![mk_sample(w * 1000, 0x1000)],
+                    loss: Default::default(),
+                },
+            )
+        };
+        let mut deliver = |lane: usize, close: bool, w: u64| {
+            if close {
+                lanes[lane].on_window_close(clock.window(w), || &mut fan_in);
+            } else {
+                lanes[lane].on_batch(&batch(w), || &mut fan_in);
+            }
+        };
+        deliver(0, false, 0);
+        deliver(2, true, 0);
+        deliver(0, true, 0);
+        deliver(2, true, 1);
+        deliver(1, false, 0); // on time: lane 1 has not closed window 0 yet
+        deliver(1, true, 0); // last lane: window 0 merges and closes
+        deliver(1, true, 1);
+        deliver(0, false, 1);
+        deliver(0, true, 1); // last lane: window 1
+        deliver(0, true, 2); // window 2 never completes
+        assert_eq!(fan_in.windows_closed(), 2);
+        fan_in.finish(lanes);
+
+        assert_eq!(
+            *merged_log.lock(),
+            [
+                "start",
+                "merge w0 [0, 1, 2]",
+                "merge w1 [0, 1, 2]",
+                "merge w2 [0]",
+                "final [0, 1, 2]"
+            ]
+        );
+        assert_eq!(
+            *legacy_log.lock(),
+            ["start", "batch w0", "batch w0", "close w0", "batch w1", "close w1"]
+        );
     }
 }

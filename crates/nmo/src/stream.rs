@@ -6,7 +6,8 @@
 //! over time — so the profiler's core seam is a produce/consume pipeline
 //! rather than a post-hoc scan. On many-core machines (the paper's 128-core
 //! Ampere Altra Max) a single pump/consumer pair cannot keep up with every
-//! core sampling at the densest periods, so the pipeline shards:
+//! core sampling at the densest periods, so the pipeline has a width — N
+//! shards of the same pump worker → lane → consumer chain, N ≥ 1:
 //!
 //! ```text
 //! pump workers ──SampleBatch──▶ ShardedBus ──▶ shard consumers ──▶ merge
@@ -376,8 +377,9 @@ impl EventBus {
     /// Producer side: enqueue an event. Returns `false` when the event was
     /// dropped (bus full under [`BackpressurePolicy::DropNewest`], or bus
     /// closed). A [`BackpressurePolicy::Block`] wait relies on the consumer
-    /// always draining the bus — the session's consumer thread guarantees
-    /// this even when a sink panics (see `consumer_loop`).
+    /// always draining the bus — the session's shard consumers guarantee
+    /// this even when a sink panics (see `shard_consumer_loop` in
+    /// `session.rs`).
     pub fn publish(&self, event: BusEvent) -> bool {
         let is_batch = matches!(event, BusEvent::Batch(_));
         let items = match &event {
@@ -773,9 +775,10 @@ pub struct StreamOptions {
     /// Number of pipeline shards (pump workers, bus lanes, and shard
     /// consumers). `0` (the default) resolves to
     /// `min(profiled cores, available_parallelism)` at session start; `1`
-    /// runs the classic serial pipeline. Explicit values are clamped to the
-    /// profiled core count — extra shards would own zero cores and lanes
-    /// with no producer (see [`StreamStats::shards_requested`]).
+    /// is the same pipeline one shard wide (one pump worker, one lane, one
+    /// consumer). Explicit values are clamped to the profiled core count —
+    /// extra shards would own zero cores and lanes with no producer (see
+    /// [`StreamStats::shards_requested`]).
     pub shards: usize,
     /// Adaptive controller configuration: `Some` lets the pipeline tune its
     /// own active shard count, drain cadence, and backpressure policy at
@@ -811,10 +814,11 @@ pub struct StreamStats {
     pub items_dropped: u64,
     /// Batches that arrived for an already-closed window.
     pub late_batches: u64,
-    /// Highest bus occupancy observed (worst single lane when sharded).
+    /// Highest bus occupancy observed (the worst single lane).
     pub bus_high_watermark: u64,
-    /// Number of pipeline shards the run allocated (1 = the serial
-    /// pipeline), after clamping to the profiled core count.
+    /// Number of pipeline shards the run allocated (its width; 1 = one
+    /// pump worker, one lane, one consumer), after clamping to the profiled
+    /// core count.
     pub shards: u64,
     /// Shard count the caller asked for via [`StreamOptions::shards`]
     /// before resolution/clamping (`0` = auto). Differs from `shards` when
@@ -875,7 +879,7 @@ pub struct StreamSnapshot {
     /// Per-window accounting, ascending by window index.
     pub windows: Vec<WindowSummary>,
     /// Per-shard accounting, ascending by shard index (one entry when the
-    /// pipeline runs serially).
+    /// pipeline is one shard wide).
     pub per_shard: Vec<ShardSummary>,
     /// Windows closed so far.
     pub windows_closed: u64,

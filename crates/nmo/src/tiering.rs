@@ -746,7 +746,7 @@ impl SinkShard for TrackerShard {
 impl HotPageTracker {
     /// Merge one digest into the tracker's live per-page state (pinned
     /// homes override the digest's tier view, exactly like
-    /// [`HotPageTracker::observe`] does on the serial path).
+    /// [`HotPageTracker::observe`] does on the direct `ingest` path).
     fn absorb_digest(&mut self, digest: TrackerDigest) {
         for (page_addr, delta) in digest.pages {
             let entry = self.pages.entry(page_addr).or_insert_with(|| {

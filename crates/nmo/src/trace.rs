@@ -67,15 +67,17 @@
 //! [`TraceWriterSink`] is an ordinary [`AnalysisSink`] + [`ShardableSink`]:
 //! registered on a session it appends each shard lane's deliveries to that
 //! shard's segment, with no cross-shard lock on the hot path (each
-//! [`SinkShard`] owns its file and scratch buffer). [`TraceReader::replay`]
-//! rebuilds the sharded consumer structure offline — per-shard workers fed
-//! in recorded per-lane order, per-window merges in ascending shard index
-//! once every shard closed the window — so a replay through a
-//! [`crate::LatencySink`] or [`crate::tiering::HotPageTracker`] reproduces
-//! the recorded live run bit-for-bit. [`TraceReader::replay_query`] fans
-//! matching blocks out across one worker thread per segment for
-//! time-window-, core-, or address-sliced queries that never load the whole
-//! trace.
+//! [`SinkShard`] owns its file and scratch buffer). Replay owns the reading
+//! side only — segment decoding, the schedule that interleaves the lanes,
+//! index pruning — and delivers through the same shard fan-in the live
+//! consumers use (`sink.rs`), so per-shard workers, ascending-shard window
+//! merges and legacy-sink closes follow the live rule by construction:
+//! [`TraceReader::replay`] walks the segments in lock step (one window close
+//! per shard per round), and a replay through a [`crate::LatencySink`] or
+//! [`crate::tiering::HotPageTracker`] reproduces the recorded live run
+//! bit-for-bit. [`TraceReader::replay_query`] fans matching blocks out
+//! across one worker thread per segment for time-window-, core-, or
+//! address-sliced queries that never load the whole trace.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -85,14 +87,16 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread;
 
+use parking_lot::Mutex;
+
 use arch_sim::{BandwidthPoint, DataSource, Machine, MachineConfig, RssPoint, MAX_MEM_NODES};
 use spe::SpeStatsSnapshot;
 
 use crate::config::NmoConfig;
 use crate::runtime::{AddressSample, Profile};
 use crate::sink::{
-    AnalysisRecord, AnalysisReport, AnalysisSink, ShardState, ShardableSink, SinkShard,
-    StreamContext,
+    AnalysisRecord, AnalysisReport, AnalysisSink, FanIn, FanInLane, ShardState, ShardableSink,
+    SinkShard, StreamContext,
 };
 use crate::stream::{BatchPayload, BatchPool, SampleBatch, Window, WindowClock};
 use crate::NmoError;
@@ -938,10 +942,10 @@ impl Default for Geometry {
 
 /// Records a streaming run into an on-disk trace directory.
 ///
-/// Register it on a session like any other sink; under the sharded pipeline
-/// it is a [`ShardableSink`] whose shards each append to their own segment
-/// file (no cross-shard lock on the hot path), and under the serial
-/// consumer it writes a single-segment trace. [`AnalysisSink::finish`]
+/// Register it on a session like any other sink: it is a [`ShardableSink`]
+/// whose shards each append to their own segment file (no cross-shard lock
+/// on the hot path), so an N-shard pipeline records N segments and a
+/// one-shard pipeline a single-segment trace. [`AnalysisSink::finish`]
 /// finalises the segments and writes the manifest; the returned
 /// [`AnalysisReport::Text`] summarises what was stored.
 ///
@@ -966,8 +970,10 @@ pub struct TraceWriterSink {
     posthoc_window_ns: u64,
     geometry: Geometry,
     streamed: bool,
-    sharded: bool,
-    serial: Option<SegmentWriter>,
+    /// Segment 0's writer for direct [`AnalysisSink::on_batch`] /
+    /// [`AnalysisSink::on_window_close`] calls, opened on first use (a
+    /// pipeline records through [`ShardableSink::make_shard`] instead).
+    direct: Option<TraceShard>,
     summaries: Vec<SegmentSummary>,
     error: Option<String>,
 }
@@ -981,8 +987,7 @@ impl TraceWriterSink {
             posthoc_window_ns: 100_000,
             geometry: Geometry::default(),
             streamed: false,
-            sharded: false,
-            serial: None,
+            direct: None,
             summaries: Vec::new(),
             error: None,
         }
@@ -1006,17 +1011,8 @@ impl TraceWriterSink {
         }
     }
 
-    /// The serial-path segment writer, created on first use.
-    fn serial_writer(&mut self) -> Option<&mut SegmentWriter> {
-        if self.serial.is_none() && self.error.is_none() {
-            match fs::create_dir_all(&self.dir)
-                .and_then(|()| SegmentWriter::create(&self.dir, 0, Arc::clone(&self.pool)))
-            {
-                Ok(w) => self.serial = Some(w),
-                Err(e) => self.record_error(format!("cannot open segment 0: {e}")),
-            }
-        }
-        self.serial.as_mut()
+    fn direct(&mut self) -> &mut TraceShard {
+        self.direct.get_or_insert_with(|| TraceShard::open(&self.dir, 0, &self.pool))
     }
 
     fn write_manifest(&self) -> Result<(), NmoError> {
@@ -1105,41 +1101,20 @@ impl AnalysisSink for TraceWriterSink {
         }
     }
 
-    /// Serial-path recording (the sharded path goes through
-    /// [`ShardableSink::make_shard`] instead).
     fn on_batch(&mut self, batch: &SampleBatch) {
-        if self.sharded {
-            return;
-        }
-        if let Some(w) = self.serial_writer() {
-            if let Err(e) = w.append_batch(batch) {
-                self.serial = None;
-                self.record_error(format!("segment write failed: {e}"));
-            }
-        }
+        self.direct().on_batch(batch);
     }
 
     fn on_window_close(&mut self, window: Window) {
-        if self.sharded {
-            return;
-        }
-        if let Some(w) = self.serial_writer() {
-            if let Err(e) = w.append_close(window) {
-                self.serial = None;
-                self.record_error(format!("segment write failed: {e}"));
-            }
-        }
+        self.direct().on_window_close(window);
     }
 
     fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
         if !self.streamed && self.summaries.is_empty() {
             return self.analyze(machine, profile);
         }
-        if let Some(w) = self.serial.take() {
-            match w.finish() {
-                Ok(s) => self.summaries.push(s),
-                Err(e) => self.record_error(format!("segment finalise failed: {e}")),
-            }
+        if let Some(shard) = self.direct.take() {
+            self.summaries.push(shard.into_summary());
         }
         let shard_errors: Vec<String> =
             self.summaries.iter().filter_map(|s| s.error.clone()).collect();
@@ -1161,17 +1136,7 @@ impl AnalysisSink for TraceWriterSink {
 
 impl ShardableSink for TraceWriterSink {
     fn make_shard(&mut self, shard: usize, _ctx: &StreamContext) -> Box<dyn SinkShard> {
-        self.sharded = true;
-        let writer = fs::create_dir_all(&self.dir)
-            .and_then(|()| SegmentWriter::create(&self.dir, shard, Arc::clone(&self.pool)));
-        match writer {
-            Ok(w) => Box::new(TraceShard { writer: Some(w), shard, error: None }),
-            Err(e) => Box::new(TraceShard {
-                writer: None,
-                shard,
-                error: Some(format!("cannot open segment {shard}: {e}")),
-            }),
-        }
+        Box::new(TraceShard::open(&self.dir, shard, &self.pool))
     }
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
@@ -1193,11 +1158,43 @@ struct TraceShard {
 }
 
 impl TraceShard {
+    fn open(dir: &Path, shard: usize, pool: &Arc<BatchPool>) -> TraceShard {
+        let writer = fs::create_dir_all(dir)
+            .and_then(|()| SegmentWriter::create(dir, shard, Arc::clone(pool)));
+        match writer {
+            Ok(w) => TraceShard { writer: Some(w), shard, error: None },
+            Err(e) => TraceShard {
+                writer: None,
+                shard,
+                error: Some(format!("cannot open segment {shard}: {e}")),
+            },
+        }
+    }
+
     fn fail(&mut self, e: std::io::Error) {
         if self.error.is_none() {
             self.error = Some(format!("segment {} write failed: {e}", self.shard));
         }
         self.writer = None;
+    }
+
+    /// Finalise the segment (footer index + trailer) and describe it.
+    fn into_summary(self) -> SegmentSummary {
+        let mut summary = match self.writer {
+            Some(w) => match w.finish() {
+                Ok(s) => s,
+                Err(e) => SegmentSummary {
+                    shard: self.shard,
+                    error: Some(format!("segment {} finalise failed: {e}", self.shard)),
+                    ..SegmentSummary::default()
+                },
+            },
+            None => SegmentSummary { shard: self.shard, ..SegmentSummary::default() },
+        };
+        if summary.error.is_none() {
+            summary.error = self.error;
+        }
+        summary
     }
 }
 
@@ -1220,21 +1217,7 @@ impl SinkShard for TraceShard {
     }
 
     fn finish(self: Box<Self>) -> ShardState {
-        let mut summary = match self.writer {
-            Some(w) => match w.finish() {
-                Ok(s) => s,
-                Err(e) => SegmentSummary {
-                    shard: self.shard,
-                    error: Some(format!("segment {} finalise failed: {e}", self.shard)),
-                    ..SegmentSummary::default()
-                },
-            },
-            None => SegmentSummary { shard: self.shard, ..SegmentSummary::default() },
-        };
-        if summary.error.is_none() {
-            summary.error = self.error;
-        }
-        Box::new(summary)
+        Box::new(self.into_summary())
     }
 }
 
@@ -1487,10 +1470,6 @@ fn read_block_at(
     decode_events(payload).map_err(err)
 }
 
-/// Per-window shard states awaiting the all-shards-closed merge:
-/// window index -> (window, accumulated `(shard, state)` pairs).
-type PendingWindows = BTreeMap<u64, (Window, Vec<(usize, ShardState)>)>;
-
 /// Opens a stored trace directory and replays it through analysis sinks.
 pub struct TraceReader {
     dir: PathBuf,
@@ -1556,9 +1535,11 @@ impl TraceReader {
     /// recorded run bit-for-bit: each sink's shard workers are fed their
     /// lane's deliveries in recorded order, and per-window states merge in
     /// ascending shard index exactly when the last shard closes the window
-    /// — the same schedule the live sharded consumer follows. Sinks without
-    /// a shardable implementation receive the merged stream serially
-    /// (shard-major within each window round).
+    /// — the live shard consumers' rule, because it is the same code. Sinks
+    /// without a shardable implementation receive the merged stream
+    /// serially (shard-major within each window round). Per-window states
+    /// of a window that not every segment closed merge at the end, as on a
+    /// live run.
     ///
     /// Call [`replay_finish`] (or the sinks' `finish` directly) afterwards
     /// to collect the reports.
@@ -1580,25 +1561,11 @@ impl TraceReader {
         for shard in 0..shards {
             readers.push(SegmentEventReader::open(self.segment_path(shard))?);
         }
-        // Per-sink shard workers (None = legacy sink fed serially).
-        let mut workers: Vec<Option<Vec<Box<dyn SinkShard>>>> = Vec::with_capacity(sinks.len());
-        for sink in sinks.iter_mut() {
-            sink.on_stream_start(ctx);
-            match sink.as_shardable() {
-                Some(sh) => {
-                    workers.push(Some((0..shards).map(|s| sh.make_shard(s, ctx)).collect()));
-                }
-                None => workers.push(None),
-            }
-        }
-        // Pending per-window shard states, per sink, and per-window close
-        // counts for the all-shards-closed trigger (the live merge rule).
-        let mut pending: Vec<PendingWindows> = sinks.iter().map(|_| BTreeMap::new()).collect();
-        let mut close_counts: BTreeMap<u64, (Window, usize)> = BTreeMap::new();
+        let (mut fan_in, mut lanes) = FanIn::start(sinks, shards, ctx);
         let mut queues: Vec<VecDeque<TraceEvent>> = (0..shards).map(|_| VecDeque::new()).collect();
         loop {
             let mut progressed = false;
-            for shard in 0..shards {
+            for (shard, lane) in lanes.iter_mut().enumerate() {
                 // Deliver this shard's events up to and including its next
                 // window close (one close per shard per round keeps the
                 // lanes advancing in lock step, windows ascending).
@@ -1621,31 +1588,10 @@ impl TraceReader {
                             if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
                                 stats.samples += samples.len() as u64;
                             }
-                            for (sink, ws) in sinks.iter_mut().zip(workers.iter_mut()) {
-                                match ws {
-                                    Some(ws) => ws[shard].on_batch(&batch),
-                                    None => sink.on_batch(&batch),
-                                }
-                            }
+                            lane.on_batch(&batch, || &mut fan_in);
                         }
                         TraceEvent::Close(w) => {
-                            for (ws, pend) in workers.iter_mut().zip(pending.iter_mut()) {
-                                if let Some(ws) = ws {
-                                    if let Some(state) = ws[shard].on_window_close(w) {
-                                        pend.entry(w.index)
-                                            .or_insert_with(|| (w, Vec::new()))
-                                            .1
-                                            .push((shard, state));
-                                    }
-                                }
-                            }
-                            let entry = close_counts.entry(w.index).or_insert((w, 0));
-                            entry.1 += 1;
-                            if entry.1 == shards {
-                                close_counts.remove(&w.index);
-                                stats.windows += 1;
-                                merge_closed_window(sinks, &mut workers, &mut pending, w, shards);
-                            }
+                            lane.on_window_close(w, || &mut fan_in);
                             break;
                         }
                     }
@@ -1655,45 +1601,9 @@ impl TraceReader {
                 break;
             }
         }
-        // Final merge, ascending shard index — the live end-of-run path.
-        for (sink, ws) in sinks.iter_mut().zip(workers.iter_mut()) {
-            if let Some(ws) = ws.take() {
-                let states: Vec<ShardState> = ws.into_iter().map(|w| w.finish()).collect();
-                if let Some(sh) = sink.as_shardable() {
-                    sh.merge_final(states);
-                }
-            }
-        }
+        fan_in.finish(lanes);
+        stats.windows = fan_in.windows_closed();
         Ok(stats)
-    }
-}
-
-/// Merge a fully closed window: shardable sinks whose every shard returned
-/// a state get `merge_window` with the states in ascending shard order;
-/// legacy sinks get their single `on_window_close` — the same delivery the
-/// live consumer performs when the last lane processes the broadcast.
-fn merge_closed_window(
-    sinks: &mut [Box<dyn AnalysisSink>],
-    workers: &mut [Option<Vec<Box<dyn SinkShard>>>],
-    pending: &mut [PendingWindows],
-    w: Window,
-    shards: usize,
-) {
-    for ((sink, ws), pend) in sinks.iter_mut().zip(workers.iter_mut()).zip(pending.iter_mut()) {
-        match ws {
-            Some(_) => {
-                let complete = pend.get(&w.index).is_some_and(|(_, states)| states.len() == shards);
-                if complete {
-                    if let Some((win, mut states)) = pend.remove(&w.index) {
-                        states.sort_by_key(|(shard, _)| *shard);
-                        if let Some(sh) = sink.as_shardable() {
-                            sh.merge_window(win, states.into_iter().map(|(_, s)| s).collect());
-                        }
-                    }
-                }
-            }
-            None => sink.on_window_close(w),
-        }
     }
 }
 
@@ -1805,37 +1715,30 @@ impl TraceQuery {
     }
 }
 
-/// What one segment worker brings back from an indexed replay.
+/// What one segment worker counted during an indexed replay.
+#[derive(Default)]
 struct ShardOutcome {
-    shard: usize,
-    workers: Vec<(usize, Box<dyn SinkShard>)>,
-    states: Vec<(usize, Window, ShardState)>,
-    closed: Vec<u64>,
     samples: u64,
     batches: u64,
     blocks: u64,
 }
 
+/// The shared half of a sliced query's sink fan-in (the caller keeps
+/// ownership of the sinks).
+type QueryFanIn<'a> = FanIn<&'a mut [Box<dyn AnalysisSink>]>;
+
 /// Replay the blocks of one segment matching `query` through this shard's
-/// workers (runs on its own thread).
+/// lane (runs on its own thread, like a live shard consumer).
 fn query_segment(
     path: PathBuf,
-    shard: usize,
-    query: TraceQuery,
-    mut set: Vec<(usize, Box<dyn SinkShard>)>,
+    query: &TraceQuery,
+    lane: &mut FanInLane,
+    fan_in: &Mutex<QueryFanIn<'_>>,
 ) -> Result<ShardOutcome, NmoError> {
     let mut file = File::open(&path)
         .map_err(|e| NmoError::trace(format!("cannot open {}: {e}", path.display())))?;
     let entries = read_segment_index(&mut file, &path)?;
-    let mut out = ShardOutcome {
-        shard,
-        workers: Vec::new(),
-        states: Vec::new(),
-        closed: Vec::new(),
-        samples: 0,
-        batches: 0,
-        blocks: 0,
-    };
+    let mut out = ShardOutcome::default();
     for entry in entries.iter().filter(|e| query.matches_entry(e)) {
         let events = read_block_at(&mut file, &path, entry)?;
         out.blocks += 1;
@@ -1855,62 +1758,54 @@ fn query_segment(
                         if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
                             out.samples += samples.len() as u64;
                         }
-                        for (_, worker) in set.iter_mut() {
-                            worker.on_batch(&batch);
-                        }
+                        lane.on_batch(&batch, || fan_in.lock());
                     }
                 }
                 TraceEvent::Close(w) => {
                     if query.window_in_range(w.index) {
-                        out.closed.push(w.index);
-                        for (sink_idx, worker) in set.iter_mut() {
-                            if let Some(state) = worker.on_window_close(w) {
-                                out.states.push((*sink_idx, w, state));
-                            }
-                        }
+                        lane.on_window_close(w, || fan_in.lock());
                     }
                 }
             }
         }
     }
-    out.workers = set;
     Ok(out)
 }
 
 impl TraceReader {
     /// Indexed parallel replay: fan the blocks matching `query` out across
-    /// one worker thread per segment, deliver them to per-shard sink
-    /// workers, then merge per-window states (ascending window, ascending
-    /// shard) and finish — without ever reading non-matching blocks or
-    /// loading the whole trace. Every sink must be a [`ShardableSink`]
-    /// (deterministic merge is what makes the parallel fan-out safe).
+    /// one worker thread per segment, each delivering to its shard's sink
+    /// workers; per-window states merge (ascending shard) as the last
+    /// segment closes each window, exactly as on a live run — without ever
+    /// reading non-matching blocks or loading the whole trace. Every sink
+    /// must be a [`ShardableSink`] (deterministic merge is what makes the
+    /// parallel fan-out safe); otherwise no sink is started and nothing is
+    /// written.
     pub fn replay_query(
         &self,
         query: &TraceQuery,
         sinks: &mut [Box<dyn AnalysisSink>],
     ) -> Result<ReplayStats, NmoError> {
-        let ctx = self.replay_context();
-        let shards = self.shards();
-        let mut sets: Vec<Vec<(usize, Box<dyn SinkShard>)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        for (i, sink) in sinks.iter_mut().enumerate() {
-            sink.on_stream_start(&ctx);
+        for sink in sinks.iter_mut() {
             let name = sink.name();
-            let sh = sink.as_shardable().ok_or_else(|| {
-                NmoError::trace(format!("indexed replay requires shardable sinks; '{name}' is not"))
-            })?;
-            for (shard, set) in sets.iter_mut().enumerate() {
-                set.push((i, sh.make_shard(shard, &ctx)));
+            if sink.as_shardable().is_none() {
+                return Err(NmoError::trace(format!(
+                    "indexed replay requires shardable sinks; '{name}' is not"
+                )));
             }
         }
+        let ctx = self.replay_context();
+        let shards = self.shards();
+        let (fan_in, mut lanes) = FanIn::start(sinks, shards, &ctx);
+        let fan_in = Mutex::named(fan_in, "trace.merger");
         let outcomes: Vec<Result<ShardOutcome, NmoError>> = thread::scope(|scope| {
-            let handles: Vec<_> = sets
-                .into_iter()
+            let handles: Vec<_> = lanes
+                .iter_mut()
                 .enumerate()
-                .map(|(shard, set)| {
+                .map(|(shard, lane)| {
                     let path = self.segment_path(shard);
-                    let query = query.clone();
-                    scope.spawn(move || query_segment(path, shard, query, set))
+                    let fan_in = &fan_in;
+                    scope.spawn(move || query_segment(path, query, lane, fan_in))
                 })
                 .collect();
             handles
@@ -1922,42 +1817,15 @@ impl TraceReader {
                 .collect()
         });
         let mut stats = ReplayStats { segments: shards, ..ReplayStats::default() };
-        let mut per_sink: Vec<PendingWindows> = sinks.iter().map(|_| BTreeMap::new()).collect();
-        let mut workers: Vec<Vec<(usize, Box<dyn SinkShard>)>> =
-            sinks.iter().map(|_| Vec::new()).collect();
-        let mut close_counts: BTreeMap<u64, usize> = BTreeMap::new();
         for outcome in outcomes {
             let o = outcome?;
             stats.samples += o.samples;
             stats.batches += o.batches;
             stats.blocks += o.blocks;
-            for w in o.closed {
-                *close_counts.entry(w).or_insert(0) += 1;
-            }
-            for (sink_idx, window, state) in o.states {
-                per_sink[sink_idx]
-                    .entry(window.index)
-                    .or_insert_with(|| (window, Vec::new()))
-                    .1
-                    .push((o.shard, state));
-            }
-            for (sink_idx, worker) in o.workers {
-                workers[sink_idx].push((o.shard, worker));
-            }
         }
-        stats.windows = close_counts.values().filter(|&&n| n == shards).count() as u64;
-        for (sink, (pend, mut ws)) in sinks.iter_mut().zip(per_sink.into_iter().zip(workers)) {
-            if let Some(sh) = sink.as_shardable() {
-                for (_, (window, mut states)) in pend {
-                    if states.len() == shards {
-                        states.sort_by_key(|(shard, _)| *shard);
-                        sh.merge_window(window, states.into_iter().map(|(_, s)| s).collect());
-                    }
-                }
-                ws.sort_by_key(|(shard, _)| *shard);
-                sh.merge_final(ws.into_iter().map(|(_, w)| w.finish()).collect());
-            }
-        }
+        let mut fan_in = fan_in.into_inner();
+        fan_in.finish(lanes);
+        stats.windows = fan_in.windows_closed();
         Ok(stats)
     }
 
@@ -2412,5 +2280,72 @@ mod tests {
         // Close-carrying blocks are never pruned by core/vaddr.
         let close_entry = IndexEntry { closes: 1, ..entry };
         assert!(TraceQuery::all().with_cores([3]).matches_entry(&close_entry));
+    }
+
+    /// Sequential replay and the sliced query share the live fan-in, so a
+    /// window not every segment closed is merged at the end (ascending
+    /// shard), like a live run's leftovers — it used to be dropped here.
+    #[test]
+    fn replay_and_sliced_query_merge_incomplete_windows_at_the_end() {
+        use crate::sink::testing::RecordingSink;
+        let dir = tmp("leftovers");
+        fs::remove_dir_all(&dir).ok();
+        let ctx = default_replay_context();
+        let clock = WindowClock::new(1_000_000);
+        let mut writer = TraceWriterSink::new(dir.clone());
+        writer.on_stream_start(&ctx);
+        let mut shards: Vec<_> = (0..2).map(|s| writer.make_shard(s, &ctx)).collect();
+        for (shard, closes) in [(0usize, 2u64), (1, 1)] {
+            for w in 0..closes {
+                let window = clock.window(w);
+                let samples = vec![sample(window.start_ns, 0x1000, shard, 9, DataSource::L1)];
+                shards[shard].on_batch(&spe_batch(shard, window, samples));
+                shards[shard].on_window_close(window);
+            }
+        }
+        writer.merge_final(shards.into_iter().map(|s| s.finish()).collect());
+        replay_finish(&mut [Box::new(writer)]).expect("manifest written");
+
+        let reader = TraceReader::open(&dir).expect("open");
+        let expected = ["start", "merge w0 [0, 1]", "merge w1 [0]", "final [0, 1]"];
+        for indexed in [false, true] {
+            let (sink, log) = RecordingSink::new(true);
+            let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(sink)];
+            let stats = if indexed {
+                reader.replay_query(&TraceQuery::all(), &mut sinks)
+            } else {
+                reader.replay(&mut sinks)
+            }
+            .expect("replay");
+            assert_eq!((stats.samples, stats.windows), (3, 1), "indexed={indexed}");
+            assert_eq!(*log.lock(), expected, "indexed={indexed}");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A sliced query over sinks that are not all shardable is refused
+    /// before any sink is started: a `TraceWriterSink` listed first must
+    /// not have created its directory or segment files by then.
+    #[test]
+    fn sliced_query_rejects_a_legacy_sink_before_starting_any_sink() {
+        use crate::sink::testing::RecordingSink;
+        let dir = tmp("query_reject_src");
+        let out = tmp("query_reject_out");
+        fs::remove_dir_all(&dir).ok();
+        fs::remove_dir_all(&out).ok();
+        fs::create_dir_all(&dir).expect("mkdir");
+        let mut writer = TraceWriterSink::new(dir.clone());
+        writer.summaries = vec![write_segment(&dir, 0, 2)];
+        writer.write_manifest().expect("manifest");
+
+        let reader = TraceReader::open(&dir).expect("open");
+        let (legacy, log) = RecordingSink::new(false);
+        let mut sinks: Vec<Box<dyn AnalysisSink>> =
+            vec![Box::new(TraceWriterSink::new(out.clone())), Box::new(legacy)];
+        let err = reader.replay_query(&TraceQuery::all(), &mut sinks).expect_err("must refuse");
+        assert!(matches!(err, NmoError::Trace(_)), "{err}");
+        assert!(!out.exists(), "the writer sink was started: {} exists", out.display());
+        assert!(log.lock().is_empty(), "no sink saw the stream start");
+        fs::remove_dir_all(&dir).ok();
     }
 }

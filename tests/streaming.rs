@@ -79,8 +79,10 @@ fn streaming_stream_workload_matches_post_hoc_series() {
     assert!(!ls.is_empty());
     assert_eq!(ls, lp, "streaming latency histograms must equal the post-hoc scan");
 
-    // The streaming run actually streamed.
+    // The streaming run actually streamed — through the one pipeline, here
+    // one shard wide (one profiled core).
     let stats = streamed.stream.expect("streaming stats recorded");
+    assert_eq!(stats.shards, 1, "{stats:?}");
     assert!(stats.batches_published > 0, "{stats:?}");
     assert!(stats.windows_closed > 1, "{stats:?}");
     assert_eq!(stats.batches_dropped, 0, "{stats:?}");
@@ -142,9 +144,9 @@ fn tiered_stream_latency_is_bimodal_and_streaming_matches_post_hoc() {
 /// The shards>cores edge: an explicit `shards = 4` request on a 1-core run
 /// used to spawn pump workers that owned zero cores and bus lanes with no
 /// producer. The session now clamps the allocation to the profiled core
-/// count (here: the serial pipeline), records the original request in
+/// count (here: one shard), records the original request in
 /// `shards_requested`, and the over-provisioned run stays bit-for-bit the
-/// serial run: same samples, same capacity/bandwidth series, same region
+/// one-shard run: same samples, same capacity/bandwidth series, same region
 /// stats, same latency histograms. (Exact-accounting coverage of the truly
 /// sharded machinery lives in `tests/stream_stress.rs`, where the 128-core
 /// machine gives every shard real cores to own.)

@@ -32,7 +32,8 @@ fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("nmo_trace_it_{tag}_{}", std::process::id()))
 }
 
-/// A sharded PageRank run on the tiered test machine, recorded to `dir`.
+/// A PageRank run on the tiered test machine through a `shards`-wide
+/// pipeline, recorded to `dir`.
 fn recorded_run(dir: &Path, shards: usize) -> Profile {
     ProfileSession::builder()
         .machine_config(MachineConfig::small_test_tiered(PlacementPolicy::TierSplit {
@@ -65,57 +66,63 @@ fn live_report(profile: &Profile, sink: &str) -> String {
     format!("{:?}", rec.report)
 }
 
+/// Live == sequential replay == indexed replay, at every pipeline width —
+/// one shard included: all three deliver through the same shard fan-in.
 #[test]
 fn sequential_replay_is_bit_for_bit_equal_to_the_live_sharded_run() {
-    let dir = tmp("seq_equiv");
-    let profile = recorded_run(&dir, 4);
-    let live_latency = live_report(&profile, "latency");
-    let live_tiering = live_report(&profile, "tiering");
-    assert!(profile.processed_samples > 0);
+    for shards in [1, 2, 4] {
+        let dir = tmp(&format!("seq_equiv_{shards}"));
+        let profile = recorded_run(&dir, shards);
+        let live_latency = live_report(&profile, "latency");
+        let live_tiering = live_report(&profile, "tiering");
+        assert!(profile.processed_samples > 0);
 
-    let reader = TraceReader::open(&dir).expect("open trace");
-    assert_eq!(reader.shards(), 4, "one segment per shard");
-    assert_eq!(reader.window_ns(), 100_000, "recorded window geometry");
-    let summary = reader.summary();
-    assert!(summary.samples > 0 && summary.bytes > 0);
+        let reader = TraceReader::open(&dir).expect("open trace");
+        assert_eq!(reader.shards(), shards, "one segment per shard");
+        assert_eq!(reader.window_ns(), 100_000, "recorded window geometry");
+        let summary = reader.summary();
+        assert!(summary.samples > 0 && summary.bytes > 0);
 
-    let mut sinks = replay_sinks();
-    let stats = reader.replay(&mut sinks).expect("sequential replay");
-    assert_eq!(stats.segments, 4);
-    assert!(stats.samples > 0 && stats.windows > 0, "{stats:?}");
-    assert_eq!(stats.samples, summary.samples, "replay feeds every stored sample");
+        let mut sinks = replay_sinks();
+        let stats = reader.replay(&mut sinks).expect("sequential replay");
+        assert_eq!(stats.segments, shards);
+        assert!(stats.samples > 0 && stats.windows > 0, "{stats:?}");
+        assert_eq!(stats.samples, summary.samples, "replay feeds every stored sample");
 
-    let records = replay_finish(&mut sinks).expect("replay reports");
-    assert_eq!(format!("{:?}", records[0].report), live_latency, "latency replay == live");
-    assert_eq!(format!("{:?}", records[1].report), live_tiering, "tiering replay == live");
-    fs::remove_dir_all(&dir).ok();
+        let records = replay_finish(&mut sinks).expect("replay reports");
+        assert_eq!(format!("{:?}", records[0].report), live_latency, "latency replay == live");
+        assert_eq!(format!("{:?}", records[1].report), live_tiering, "tiering replay == live");
+        fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
 fn indexed_parallel_replay_matches_sequential_replay() {
-    let dir = tmp("idx_equiv");
-    recorded_run(&dir, 4);
-    let reader = TraceReader::open(&dir).expect("open trace");
+    for shards in [1, 4] {
+        let dir = tmp(&format!("idx_equiv_{shards}"));
+        recorded_run(&dir, shards);
+        let reader = TraceReader::open(&dir).expect("open trace");
 
-    let mut seq = replay_sinks();
-    let seq_stats = reader.replay(&mut seq).expect("sequential replay");
-    let seq_records = replay_finish(&mut seq).expect("sequential reports");
+        let mut seq = replay_sinks();
+        let seq_stats = reader.replay(&mut seq).expect("sequential replay");
+        let seq_records = replay_finish(&mut seq).expect("sequential reports");
 
-    let mut idx = replay_sinks();
-    let idx_stats = reader.replay_query(&TraceQuery::all(), &mut idx).expect("indexed replay");
-    let idx_records = replay_finish(&mut idx).expect("indexed reports");
+        let mut idx = replay_sinks();
+        let idx_stats = reader.replay_query(&TraceQuery::all(), &mut idx).expect("indexed replay");
+        let idx_records = replay_finish(&mut idx).expect("indexed reports");
 
-    assert_eq!(idx_stats.samples, seq_stats.samples);
-    assert_eq!(idx_stats.windows, seq_stats.windows);
-    for (i, r) in idx_records.iter().enumerate() {
-        assert_eq!(
-            format!("{:?}", r.report),
-            format!("{:?}", seq_records[i].report),
-            "indexed replay diverged on '{}'",
-            r.sink
-        );
+        assert_eq!(idx_stats.samples, seq_stats.samples);
+        assert_eq!(idx_stats.windows, seq_stats.windows);
+        for (i, r) in idx_records.iter().enumerate() {
+            assert_eq!(
+                format!("{:?}", r.report),
+                format!("{:?}", seq_records[i].report),
+                "indexed replay diverged on '{}' at {shards} shard(s)",
+                r.sink
+            );
+        }
+        fs::remove_dir_all(&dir).ok();
     }
-    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
