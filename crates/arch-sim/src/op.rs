@@ -129,7 +129,17 @@ impl DataSource {
     /// Inverse of [`DataSource::encode`]. Returns `None` for codes that do
     /// not name a source (including cache-class codes with a non-zero node
     /// nibble).
+    ///
+    /// One load from a 256-entry table: the decode loops run this once per
+    /// sample on codes that vary from sample to sample, so a match here
+    /// mispredicts about once per record.
+    #[inline]
     pub fn decode(code: u8) -> Option<Self> {
+        DECODE_TABLE[code as usize]
+    }
+
+    /// The code → source rule [`DECODE_TABLE`] is filled from.
+    const fn decode_code(code: u8) -> Option<Self> {
         let node = code >> 4;
         match code & 0xf {
             _ if code == 0x0 => Some(DataSource::L1),
@@ -140,7 +150,56 @@ impl DataSource {
             _ => None,
         }
     }
+
+    /// Number of distinct [`DataSource::slot`] values.
+    pub const SLOTS: usize = 3 + 2 * SLOT_NODES;
+
+    /// A dense index in `0..`[`DataSource::SLOTS`], ascending in the type's
+    /// `Ord` order (caches, then local DRAM by node, then remote DRAM by
+    /// node), for per-source tables. Like [`DataSource::encode`] it keeps
+    /// the low 4 bits of the node id, which is every node the packet codec
+    /// can carry.
+    #[inline]
+    pub fn slot(self) -> usize {
+        match self {
+            DataSource::L1 => 0,
+            DataSource::L2 => 1,
+            DataSource::Slc => 2,
+            DataSource::Dram(n) => 3 + (n as usize & (SLOT_NODES - 1)),
+            DataSource::RemoteDram(n) => 3 + SLOT_NODES + (n as usize & (SLOT_NODES - 1)),
+        }
+    }
+
+    /// Inverse of [`DataSource::slot`]. Returns `None` at or beyond
+    /// [`DataSource::SLOTS`].
+    pub fn from_slot(slot: usize) -> Option<Self> {
+        match slot {
+            0 => Some(DataSource::L1),
+            1 => Some(DataSource::L2),
+            2 => Some(DataSource::Slc),
+            _ if slot < 3 + SLOT_NODES => Some(DataSource::Dram((slot - 3) as NodeId)),
+            _ if slot < Self::SLOTS => {
+                Some(DataSource::RemoteDram((slot - 3 - SLOT_NODES) as NodeId))
+            }
+            _ => None,
+        }
+    }
 }
+
+/// Node ids the one-byte encoding (and so [`DataSource::slot`]) can tell
+/// apart: the high nibble.
+const SLOT_NODES: usize = 16;
+
+/// [`DataSource::decode`] for every code.
+const DECODE_TABLE: [Option<DataSource>; 256] = {
+    let mut table = [None; 256];
+    let mut code = 0;
+    while code < table.len() {
+        table[code] = DataSource::decode_code(code as u8);
+        code += 1;
+    }
+    table
+};
 
 impl MemLevel {
     /// Encoding used in the SPE data-source packet for the canonical source
@@ -260,6 +319,39 @@ mod tests {
         assert_eq!(DataSource::decode(0x3), None);
         assert_eq!(DataSource::decode(0x18), None, "L2 with a node nibble is invalid");
         assert_eq!(DataSource::decode(0xff), None);
+    }
+
+    /// The table is the match, for every byte; cache-class codes carry no
+    /// node, so any non-zero node nibble on them is rejected.
+    #[test]
+    fn decode_table_agrees_with_the_match_for_every_code() {
+        let mut valid = 0;
+        for code in 0..=255u8 {
+            let decoded = DataSource::decode(code);
+            assert_eq!(decoded, DataSource::decode_code(code), "code {code:#04x}");
+            if let Some(source) = decoded {
+                valid += 1;
+                assert_eq!(source.encode(), code, "{source:?}");
+            }
+            if matches!(code & 0xf, 0x0 | 0x8 | 0x9) && code >> 4 != 0 {
+                assert_eq!(decoded, None, "cache-class code {code:#04x} with a node nibble");
+            }
+        }
+        assert_eq!(valid, 3 + 2 * 16, "three caches, 16 local and 16 remote nodes");
+    }
+
+    #[test]
+    fn slots_are_dense_and_ascend_in_ord_order() {
+        let sources: Vec<DataSource> =
+            (0..DataSource::SLOTS).map(|slot| DataSource::from_slot(slot).unwrap()).collect();
+        for (slot, source) in sources.iter().enumerate() {
+            assert_eq!(source.slot(), slot, "{source:?}");
+            assert_eq!(DataSource::decode(source.encode()), Some(*source), "{source:?}");
+        }
+        assert!(sources.windows(2).all(|pair| pair[0] < pair[1]), "{sources:?}");
+        assert_eq!(DataSource::from_slot(DataSource::SLOTS), None);
+        // Node ids beyond the codec's nibble fold like `encode` folds them.
+        assert_eq!(DataSource::Dram(17).slot(), DataSource::Dram(1).slot());
     }
 
     #[test]

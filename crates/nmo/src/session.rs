@@ -33,7 +33,13 @@
 //! sinks as the workload runs (per-shard [`crate::sink::SinkShard`] workers,
 //! merged in ascending shard index; see `sink.rs` for the fan-in rule).
 //! Pump worker 0 is the coordinator: it also drains the backends that do
-//! not shard, runs the machine probes, and closes windows.
+//! not shard, runs the machine probes, and closes windows. Threads hand
+//! over whole drains, not batches: a worker publishes each drain's batches
+//! in one lane transaction and then notes all of them with the close
+//! coordinator in one more (`publish_batches`), and a consumer works off a
+//! local backlog of up to one [`crate::stream::EventBus::recv_chunk`],
+//! taking the snapshot state and the buffer pool once per chunk — so per
+//! lane, at most its capacity plus one chunk of events is in flight.
 //! [`ActiveSession::poll_snapshot`] exposes a live readout
 //! ([`StreamSnapshot`]) while collection is active — the mode a
 //! long-running service is profiled in, where waiting for the workload to
@@ -55,8 +61,8 @@ use crate::runtime::Profile;
 use crate::sink::{default_sinks, run_sinks, AnalysisSink, FanIn, FanInLane, StreamContext};
 use crate::stream::adaptive::AdaptiveRuntime;
 use crate::stream::{
-    BatchPayload, BatchPool, BusEvent, BusRecv, EventBus, SampleBatch, ShardedBus, SnapshotState,
-    StreamOptions, StreamSnapshot, StreamSource, StreamStats, WindowClock,
+    BatchPayload, BatchPool, BusEvent, BusIdle, EventBus, SampleBatch, ShardedBus, SnapshotState,
+    SourceTally, StreamOptions, StreamSnapshot, StreamSource, StreamStats, WindowClock,
 };
 use crate::workload::Workload;
 use crate::NmoError;
@@ -873,21 +879,30 @@ impl Drop for ActiveSession {
 /// comfortably above one aux-watermark publication interval.
 const SOURCE_IDLE_TICKS: u64 = 250;
 
-/// The per-source watermarks a batch advances: per-core maxima for SPE
-/// sample batches (each core's aux buffer publishes at its own cadence, so
-/// the slowest core bounds what may close), the batch maximum otherwise.
-fn source_marks(batch: &SampleBatch) -> Vec<(StreamSource, u64)> {
-    let Some(max) = batch.max_time_ns() else { return Vec::new() };
+/// What the close coordinator is told about one published batch: its
+/// window, and — once per core whose samples it carries — the source
+/// watermark it advances (`None` for a batch without timestamps).
+type PublishNote = (u64, Option<(StreamSource, u64)>);
+
+/// Append `batch`'s [`PublishNote`]s: per-core maxima for SPE sample
+/// batches (each core's aux buffer publishes at its own cadence, so the
+/// slowest core bounds what may close), the batch maximum otherwise. One
+/// note per stretch of same-core samples — a single note for the per-core
+/// batches every SPE drain produces; a core noted twice just advances to
+/// the larger mark.
+fn push_notes(batch: &SampleBatch, notes: &mut Vec<PublishNote>) {
+    let window = batch.window.index;
+    let Some(max) = batch.max_time_ns() else {
+        notes.push((window, None));
+        return;
+    };
     if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
-        let mut per_core: std::collections::BTreeMap<usize, u64> =
-            std::collections::BTreeMap::new();
-        for s in samples {
-            let entry = per_core.entry(s.core).or_insert(0);
-            *entry = (*entry).max(s.time_ns);
+        for stretch in samples.chunk_by(|a, b| a.core == b.core) {
+            let t_ns = stretch.iter().map(|s| s.time_ns).max().unwrap_or(0);
+            notes.push((window, Some(((batch.backend, Some(stretch[0].core)), t_ns))));
         }
-        per_core.into_iter().map(|(core, t)| ((batch.backend, Some(core)), t)).collect()
     } else {
-        vec![((batch.backend, None), max)]
+        notes.push((window, Some(((batch.backend, None), max))));
     }
 }
 
@@ -928,17 +943,19 @@ impl CloseCoordinator {
         entry.1 = tick;
     }
 
-    /// Register one published batch: advance the clock and its sources'
-    /// watermarks, and track its window as open. Must be called *after* the
-    /// batch was enqueued — the close threshold may only move once the data
-    /// that justifies it is on a lane.
-    fn note_published(&mut self, window_index: u64, marks: &[(StreamSource, u64)]) {
-        for &(source, t_ns) in marks {
-            self.clock.observe(t_ns);
-            self.mark_source(source, t_ns);
-        }
-        if window_index >= self.closed_below {
-            self.open_windows.insert(window_index);
+    /// Register published batches: advance the clock and their sources'
+    /// watermarks, and track their windows as open. Must be called *after*
+    /// the batches were enqueued — the close threshold may only move once
+    /// the data that justifies it is on a lane.
+    fn note_published(&mut self, notes: &[PublishNote]) {
+        for &(window_index, mark) in notes {
+            if let Some((source, t_ns)) = mark {
+                self.clock.observe(t_ns);
+                self.mark_source(source, t_ns);
+            }
+            if window_index >= self.closed_below {
+                self.open_windows.insert(window_index);
+            }
         }
     }
 
@@ -977,25 +994,50 @@ impl CloseCoordinator {
     }
 }
 
-/// Publish a batch on the sharded bus and register it with the close
-/// coordinator (in that order — see [`CloseCoordinator::note_published`]).
-fn publish_batch(batch: SampleBatch, bus: &ShardedBus, coordinator: &Mutex<CloseCoordinator>) {
-    let marks = source_marks(&batch);
-    let window_index = batch.window.index;
+/// Publish a drain's batches on the sharded bus and register them with the
+/// close coordinator (in that order — see
+/// [`CloseCoordinator::note_published`]): one transaction per lane and one
+/// with the coordinator per drain, however many batches it produced.
+fn publish_batches(
+    batches: Vec<SampleBatch>,
+    bus: &ShardedBus,
+    coordinator: &Mutex<CloseCoordinator>,
+) {
+    if batches.is_empty() {
+        return;
+    }
+    let mut notes = Vec::with_capacity(batches.len());
+    for batch in &batches {
+        push_notes(batch, &mut notes);
+    }
     // Ordering rationale (pinned): publish-then-mark. The watermark may
     // only advance once the data justifying it is queued on a lane —
     // marking first would let a concurrent close-threshold computation
-    // close the batch's window before the batch is visible to its shard
+    // close a batch's window before the batch is visible to its shard
     // consumer, violating the close-after-on-time-data contract. Both
     // operations are mutex-protected (lane queue, coordinator), so the
     // program order here is the inter-thread order. Note this nests
     // bus-lock inside-then-before coordinator-lock; `close_ready_windows`
-    // takes coordinator then bus, but `bus.publish` has released the lane
-    // lock before `coordinator.lock()` runs (no lock is held across the
-    // two calls), so no cycle exists — the `NMO_LOCK_CHECK` runtime
-    // checker verifies exactly this in the stress suite.
-    bus.publish(batch);
-    coordinator.lock().note_published(window_index, &marks);
+    // takes coordinator then bus, but `bus.publish_batches` has released
+    // the lane lock before `coordinator.lock()` runs (no lock is held
+    // across the two calls), so no cycle exists — the `NMO_LOCK_CHECK`
+    // runtime checker verifies exactly this in the stress suite.
+    bus.publish_batches(batches);
+    coordinator.lock().note_published(&notes);
+}
+
+/// The machine probe's points as one core-less `"machine"` batch per window.
+fn machine_batches<T>(
+    clock: &WindowClock,
+    points: Vec<T>,
+    time_ns: impl Fn(&T) -> u64,
+    payload: impl Fn(Vec<T>) -> BatchPayload,
+) -> Vec<SampleBatch> {
+    clock
+        .group_by_window(points, time_ns)
+        .into_iter()
+        .map(|(window, points)| SampleBatch::new("machine", None, window, payload(points)))
+        .collect()
 }
 
 /// A pump worker reports the first error its drain/stop calls produced.
@@ -1063,11 +1105,7 @@ impl PumpWorker {
     fn drain_slot(&self, slot: usize, clock: &WindowClock, result: &mut Result<(), NmoError>) {
         for drainer in self.slots[slot].lock().iter_mut() {
             match drainer.drain(&self.machine, clock, &self.pool) {
-                Ok(batches) => {
-                    for batch in batches {
-                        publish_batch(batch, &self.bus, &self.coordinator);
-                    }
-                }
+                Ok(batches) => publish_batches(batches, &self.bus, &self.coordinator),
                 Err(e) => keep_first_error(result, e),
             }
         }
@@ -1128,11 +1166,7 @@ impl PumpWorker {
                         continue;
                     }
                     match backend.drain(&self.machine, &clock, &self.pool) {
-                        Ok(batches) => {
-                            for batch in batches {
-                                publish_batch(batch, &self.bus, &self.coordinator);
-                            }
-                        }
+                        Ok(batches) => publish_batches(batches, &self.bus, &self.coordinator),
                         Err(e) => keep_first_error(&mut result, e),
                     }
                 }
@@ -1141,13 +1175,13 @@ impl PumpWorker {
                 let fresh = self.machine.rss_events_since(rss_cursor);
                 if !fresh.is_empty() {
                     rss_cursor += fresh.len();
-                    for (window, points) in clock.group_by_window(fresh, |p| p.time_ns) {
-                        publish_batch(
-                            SampleBatch::new("machine", None, window, BatchPayload::Rss { points }),
-                            &self.bus,
-                            &self.coordinator,
-                        );
-                    }
+                    let batches = machine_batches(
+                        &clock,
+                        fresh,
+                        |p| p.time_ns,
+                        |points| BatchPayload::Rss { points },
+                    );
+                    publish_batches(batches, &self.bus, &self.coordinator);
                 }
             }
 
@@ -1171,18 +1205,13 @@ impl PumpWorker {
                     self.drain_slot(slot, &clock, &mut result);
                 }
                 let bw = self.machine.bandwidth_series();
-                for (window, points) in clock.group_by_window(bw, |p| p.time_ns) {
-                    publish_batch(
-                        SampleBatch::new(
-                            "machine",
-                            None,
-                            window,
-                            BatchPayload::Bandwidth { points },
-                        ),
-                        &self.bus,
-                        &self.coordinator,
-                    );
-                }
+                let batches = machine_batches(
+                    &clock,
+                    bw,
+                    |p| p.time_ns,
+                    |points| BatchPayload::Bandwidth { points },
+                );
+                publish_batches(batches, &self.bus, &self.coordinator);
                 self.coordinator.lock().close_remaining(&self.bus);
                 self.bus.close_all();
                 return (self.backends.take(), result);
@@ -1233,42 +1262,62 @@ fn shard_consumer_loop(
     adaptive: Option<Arc<AdaptiveRuntime>>,
 ) -> FanInLane {
     let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
+    // The events taken off the lane and not yet delivered: at most one
+    // `recv_chunk` of them, refilled only once empty.
+    let mut backlog: Vec<BusEvent> = Vec::new();
     loop {
-        match bus_lane.recv_timeout(CONSUMER_RECV_TIMEOUT) {
-            BusRecv::Event(event) => {
-                {
-                    let mut snap = snapshot.lock();
-                    match &event {
-                        BusEvent::Batch(batch) => snap.record_batch(batch, shard),
-                        BusEvent::CloseWindow(window) => snap.record_close(*window, shard_count),
+        match bus_lane.recv_chunk(&mut backlog, CONSUMER_RECV_TIMEOUT) {
+            Ok(_) => {
+                // The per-sample walk stays outside `session.snapshot`, the
+                // one mutex every shard consumer shares.
+                let mut by_source = SourceTally::default();
+                for event in &backlog {
+                    if let BusEvent::Batch(batch) = event {
+                        by_source.count_batch(batch);
                     }
                 }
-                if panic_payload.is_none() {
-                    let result =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &event {
-                            BusEvent::Batch(batch) => lane.on_batch(batch, || merger.lock()),
+                {
+                    let mut snap = snapshot.lock();
+                    for event in &backlog {
+                        match event {
+                            BusEvent::Batch(batch) => snap.record_batch(batch, shard),
                             BusEvent::CloseWindow(window) => {
-                                lane.on_window_close(*window, || merger.lock())
+                                snap.record_close(*window, shard_count)
                             }
-                        }));
+                        }
+                    }
+                    snap.add_source_tally(&by_source);
+                }
+                if panic_payload.is_none() {
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        for event in &backlog {
+                            match event {
+                                BusEvent::Batch(batch) => lane.on_batch(batch, || merger.lock()),
+                                BusEvent::CloseWindow(window) => {
+                                    lane.on_window_close(*window, || merger.lock())
+                                }
+                            }
+                        }
+                    }));
                     if let Err(payload) = result {
                         panic_payload = Some(payload);
                     }
                 }
-                // The batch's buffers go back to the pool for the next
+                // The batches' buffers go back to the pool for the next
                 // drain (the zero-copy recycle step).
-                if let BusEvent::Batch(batch) = event {
-                    pool.recycle_batch(batch);
-                }
+                pool.recycle_batches(backlog.drain(..).filter_map(|event| match event {
+                    BusEvent::Batch(batch) => Some(batch),
+                    BusEvent::CloseWindow(_) => None,
+                }));
             }
-            BusRecv::TimedOut => {
+            Err(BusIdle::TimedOut) => {
                 // An empty-lane timeout is the consumer idle signal the
                 // adaptive controller's starvation rule runs on.
                 if let Some(adaptive) = &adaptive {
                     adaptive.note_consumer_idle(shard);
                 }
             }
-            BusRecv::Closed => match panic_payload {
+            Err(BusIdle::Closed) => match panic_payload {
                 Some(payload) => std::panic::resume_unwind(payload),
                 None => return lane,
             },
@@ -1606,6 +1655,85 @@ mod tests {
             assert!(matches!(err, NmoError::Sink { .. }), "{shards} shard(s): {err}");
             assert_eq!(Arc::strong_count(&alive), 1, "{shards} shard(s): backends dropped");
         }
+    }
+
+    /// One drain is one hand-off: every batch goes onto its lane first, the
+    /// coordinator hears of all of them afterwards — so a concurrent
+    /// `close_ready_windows` can never close a window whose batch is still
+    /// on its way — and exactly the windows the batches name end up open.
+    #[test]
+    fn publish_batches_notes_a_drain_only_once_all_of_it_is_on_a_lane() {
+        use crate::runtime::AddressSample;
+        use crate::stream::{BackpressurePolicy, BusRecv};
+        let clock = WindowClock::new(1000);
+        let spe_batch = |core: usize, window: u64| {
+            let sample = AddressSample {
+                time_ns: clock.window(window).start_ns + 7,
+                vaddr: 0x1000,
+                core,
+                is_store: false,
+                latency: 1,
+                source: arch_sim::DataSource::L1,
+            };
+            SampleBatch::new(
+                "spe",
+                Some(core),
+                clock.window(window),
+                BatchPayload::SpeSamples { samples: vec![sample; 3], loss: Default::default() },
+            )
+        };
+        // Two cores, windows 2, 3 and 5 (core 1 skips 3; nobody names 4).
+        let drain = vec![
+            spe_batch(0, 2),
+            spe_batch(0, 3),
+            spe_batch(0, 5),
+            spe_batch(1, 2),
+            spe_batch(1, 5),
+        ];
+        let sources = vec![("spe", Some(0)), ("spe", Some(1))];
+        let coordinator =
+            Arc::new(Mutex::named(CloseCoordinator::new(clock, sources), "session.coordinator"));
+        // One slot on a blocking lane: the publisher cannot get ahead of
+        // the receives below by more than one batch.
+        let bus = ShardedBus::new(1, 1, BackpressurePolicy::Block);
+        let publisher = {
+            let (bus, coordinator) = (bus.clone(), coordinator.clone());
+            std::thread::spawn(move || publish_batches(drain, &bus, &coordinator))
+        };
+        let recv = || match bus.lane(0).recv_timeout(Duration::from_secs(10)) {
+            BusRecv::Event(event) => event,
+            other => panic!("expected an event, got {other:?}"),
+        };
+        let mut seqs = Vec::new();
+        for _ in 0..3 {
+            match recv() {
+                BusEvent::Batch(batch) => seqs.push(batch.seq),
+                BusEvent::CloseWindow(w) => panic!("window {} closed mid-drain", w.index),
+            }
+            // At most four of the five batches have reached the lane.
+            let mut coordinator = coordinator.lock();
+            assert_eq!(coordinator.close_threshold(), 0, "no source has been marked yet");
+            assert!(coordinator.open_windows.is_empty());
+            coordinator.close_ready_windows(&bus);
+        }
+        for _ in 0..2 {
+            match recv() {
+                BusEvent::Batch(batch) => seqs.push(batch.seq),
+                BusEvent::CloseWindow(w) => panic!("window {} closed before its batches", w.index),
+            }
+        }
+        publisher.join().unwrap();
+        assert_eq!(seqs, vec![0, 1, 2, 3, 4], "one contiguous seq range, in drain order");
+
+        let mut coordinator = coordinator.lock();
+        assert_eq!(coordinator.open_windows.iter().copied().collect::<Vec<_>>(), vec![2, 3, 5]);
+        assert_eq!(coordinator.close_threshold(), 5, "both cores have delivered window 5");
+        coordinator.close_ready_windows(&bus);
+        for expected in [2, 3] {
+            assert!(matches!(recv(), BusEvent::CloseWindow(w) if w.index == expected));
+        }
+        assert_eq!(coordinator.open_windows.iter().copied().collect::<Vec<_>>(), vec![5]);
+        assert_eq!(bus.stats().queued, 0);
     }
 
     #[test]

@@ -28,6 +28,18 @@
 //!   truncation) or the producer blocks, depending on
 //!   [`BackpressurePolicy`]. Per-lane accounting rolls up into one
 //!   [`BusStats`] via [`ShardedBus::stats`].
+//! * The unit of hand-off is the *drain*, not the batch: a pump worker
+//!   enqueues everything one drain produced under one hold of the lane
+//!   ([`ShardedBus::publish_batches`] → [`EventBus::publish_all`]; each
+//!   batch still meets the backpressure policy on its own) and wakes the
+//!   consumer once; the consumer takes up to a fixed chunk of queued events
+//!   per hold ([`EventBus::recv_chunk`]), wakes a blocked producer only when
+//!   that took the lane from full to not full, and recycles the chunk's
+//!   buffers under one hold of the pool ([`BatchPool::recycle_batches`]).
+//!   A lane therefore bounds the data in flight at its capacity plus one
+//!   consumer chunk, and [`BusStats::high_watermark`] reads the occupancy
+//!   after whole drains landed — the consumer cannot pop between the
+//!   batches of one drain.
 //! * [`Window`]s close monotonically once the producer-side watermark passes
 //!   them (window-close signals are broadcast to every lane); late batches
 //!   are still delivered (and counted) so final reports stay complete.
@@ -290,7 +302,8 @@ pub struct BusStats {
     pub dropped_batches: u64,
     /// Items (samples/points/deltas) inside dropped batches.
     pub dropped_items: u64,
-    /// Highest queue occupancy observed.
+    /// Highest queue occupancy observed (sampled at every enqueue; a drain
+    /// is enqueued under one hold, so its last batch sees all of it queued).
     pub high_watermark: u64,
     /// Configured capacity.
     pub capacity: u64,
@@ -318,6 +331,19 @@ pub enum BusRecv {
     /// The bus is closed and fully drained.
     Closed,
 }
+
+/// Why a bulk receive ([`EventBus::recv_chunk`]) returned no event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BusIdle {
+    /// The timeout elapsed with the bus empty (but still open).
+    TimedOut,
+    /// The bus is closed and fully drained.
+    Closed,
+}
+
+/// Most events one [`EventBus::recv_chunk`] takes off a lane: what a
+/// consumer holds outside the lane's capacity bound while it works.
+const RECV_CHUNK: usize = 64;
 
 struct BusQueue {
     queue: VecDeque<BusEvent>,
@@ -376,74 +402,129 @@ impl EventBus {
 
     /// Producer side: enqueue an event. Returns `false` when the event was
     /// dropped (bus full under [`BackpressurePolicy::DropNewest`], or bus
-    /// closed). A [`BackpressurePolicy::Block`] wait relies on the consumer
-    /// always draining the bus — the session's shard consumers guarantee
-    /// this even when a sink panics (see `shard_consumer_loop` in
-    /// `session.rs`).
+    /// closed). The one-event case of [`EventBus::publish_all`].
     pub fn publish(&self, event: BusEvent) -> bool {
-        let is_batch = matches!(event, BusEvent::Batch(_));
-        let items = match &event {
-            BusEvent::Batch(b) => b.len() as u64,
-            BusEvent::CloseWindow(_) => 0,
-        };
+        self.publish_all(std::iter::once(event)) == 1
+    }
+
+    /// Producer side: enqueue a run of events — a whole drain — under one
+    /// hold of the queue, and return how many were accepted. Each event
+    /// meets the same rules as if published alone: a batch that finds the
+    /// bus full is dropped and counted under
+    /// [`BackpressurePolicy::DropNewest`] or waits for room under
+    /// [`BackpressurePolicy::Block`]; a closed bus rejects (and counts)
+    /// every remaining batch. The consumer is woken once per run (and
+    /// before every wait for room, so it cannot sleep on what the run has
+    /// queued so far). A `Block` wait relies on the consumer always
+    /// draining the bus — the session's shard consumers guarantee this even
+    /// when a sink panics (see `shard_consumer_loop` in `session.rs`).
+    ///
+    /// `events` is pulled while the queue is held: hand in ready-made
+    /// events, not an iterator that takes other locks.
+    pub fn publish_all(&self, events: impl IntoIterator<Item = BusEvent>) -> usize {
+        let mut accepted = 0;
+        // Events queued since the consumer was last notified.
+        let mut unannounced = false;
         let mut inner = self.inner.lock();
-        if is_batch {
-            while inner.queue.len() >= self.capacity {
-                if self.is_closed() {
-                    break;
+        for event in events {
+            let batch_items = match &event {
+                BusEvent::Batch(b) => Some(b.len() as u64),
+                BusEvent::CloseWindow(_) => None,
+            };
+            let mut full = false;
+            if batch_items.is_some() {
+                while inner.queue.len() >= self.capacity && !self.is_closed() {
+                    if matches!(self.policy(), BackpressurePolicy::DropNewest) {
+                        full = true;
+                        break;
+                    }
+                    if std::mem::take(&mut unannounced) {
+                        self.readable.notify_one();
+                    }
+                    // Block: the consumer notifies when it takes the queue
+                    // from full to not full; re-check the closed flag at
+                    // least every 10 ms all the same, so a blocked producer
+                    // cannot outlive a closed bus.
+                    let deadline = std::time::Instant::now() + Duration::from_millis(10);
+                    let _ = self.writable.wait_until(&mut inner, deadline);
                 }
-                if matches!(self.policy(), BackpressurePolicy::DropNewest) {
-                    drop(inner);
+            }
+            if full || self.is_closed() {
+                if let Some(items) = batch_items {
                     // relaxed-ok: drop-accounting counters read by `stats()`
                     // for reporting; no data is published through them.
                     self.dropped_batches.fetch_add(1, Ordering::Relaxed);
                     self.dropped_items.fetch_add(items, Ordering::Relaxed); // relaxed-ok: as above
-                    return false;
                 }
-                // Block: re-check the closed flag at least every 10 ms so a
-                // blocked producer cannot outlive a closed bus.
-                let deadline = std::time::Instant::now() + Duration::from_millis(10);
-                let _ = self.writable.wait_until(&mut inner, deadline);
+                continue;
             }
+            inner.queue.push_back(event);
+            let occupancy = inner.queue.len() as u64;
+            inner.high_watermark = inner.high_watermark.max(occupancy);
+            // relaxed-ok: publish counter for `stats()`; the event itself is
+            // handed over under `inner`'s mutex, which carries the ordering.
+            self.published.fetch_add(1, Ordering::Relaxed);
+            accepted += 1;
+            unannounced = true;
         }
-        if self.is_closed() {
-            drop(inner);
-            if is_batch {
-                // relaxed-ok: drop-accounting counters, as above.
-                self.dropped_batches.fetch_add(1, Ordering::Relaxed);
-                self.dropped_items.fetch_add(items, Ordering::Relaxed); // relaxed-ok: as above
-            }
-            return false;
-        }
-        inner.queue.push_back(event);
-        let occupancy = inner.queue.len() as u64;
-        inner.high_watermark = inner.high_watermark.max(occupancy);
         drop(inner);
-        // relaxed-ok: publish counter for `stats()`; the event itself was
-        // handed over under `inner`'s mutex, which carries the ordering.
-        self.published.fetch_add(1, Ordering::Relaxed);
-        self.readable.notify_one();
-        true
+        if unannounced {
+            self.readable.notify_one();
+        }
+        accepted
     }
 
     /// Consumer side: dequeue the next event, waiting up to `timeout`.
     /// Queued events are still delivered after [`EventBus::close`];
-    /// [`BusRecv::Closed`] is only returned once the queue is empty.
+    /// [`BusRecv::Closed`] is only returned once the queue is empty. The
+    /// one-event case of [`EventBus::recv_chunk`].
     pub fn recv_timeout(&self, timeout: Duration) -> BusRecv {
+        let mut event = None;
+        match self.dequeue(1, timeout, |e| event = Some(e)) {
+            Ok(_) => event.map_or(BusRecv::TimedOut, BusRecv::Event),
+            Err(BusIdle::TimedOut) => BusRecv::TimedOut,
+            Err(BusIdle::Closed) => BusRecv::Closed,
+        }
+    }
+
+    /// Consumer side: append the queued events — at most a fixed chunk of
+    /// them — to `out` under one hold of the queue, waiting up to `timeout`
+    /// for the first. Returns how many were appended (never 0), or why none
+    /// was: like [`EventBus::recv_timeout`], [`BusIdle::Closed`] only once
+    /// the queue is empty.
+    pub fn recv_chunk(&self, out: &mut Vec<BusEvent>, timeout: Duration) -> Result<usize, BusIdle> {
+        self.dequeue(RECV_CHUNK, timeout, |event| out.push(event))
+    }
+
+    fn dequeue(
+        &self,
+        max: usize,
+        timeout: Duration,
+        mut take: impl FnMut(BusEvent),
+    ) -> Result<usize, BusIdle> {
         let deadline = std::time::Instant::now() + timeout;
         let mut inner = self.inner.lock();
         loop {
-            if let Some(event) = inner.queue.pop_front() {
+            if !inner.queue.is_empty() {
+                let was_full = inner.queue.len() >= self.capacity;
+                let taken = inner.queue.len().min(max);
+                inner.queue.drain(..taken).for_each(&mut take);
+                let made_room = was_full && inner.queue.len() < self.capacity;
                 drop(inner);
-                self.writable.notify_one();
-                return BusRecv::Event(event);
+                // A producer can only be waiting for room while the queue is
+                // full, so only the full -> not-full step needs a wake-up
+                // (every waiter: a chunk can make room for several).
+                if made_room {
+                    self.writable.notify_all();
+                }
+                return Ok(taken);
             }
             if self.is_closed() {
-                return BusRecv::Closed;
+                return Err(BusIdle::Closed);
             }
             if self.readable.wait_until(&mut inner, deadline).timed_out() && inner.queue.is_empty()
             {
-                return if self.is_closed() { BusRecv::Closed } else { BusRecv::TimedOut };
+                return Err(if self.is_closed() { BusIdle::Closed } else { BusIdle::TimedOut });
             }
         }
     }
@@ -586,11 +667,17 @@ impl BatchPool {
     }
 
     /// Return a sample buffer to the pool (cleared, capacity kept).
-    pub fn recycle_samples(&self, mut buf: Vec<AddressSample>) {
-        buf.clear();
+    pub fn recycle_samples(&self, buf: Vec<AddressSample>) {
+        self.recycle_sample_bufs(std::iter::once(buf));
+    }
+
+    fn recycle_sample_bufs(&self, bufs: impl Iterator<Item = Vec<AddressSample>>) {
         let mut pool = self.samples.lock();
-        if pool.len() < self.max_pooled {
-            pool.push(buf);
+        for mut buf in bufs {
+            if pool.len() < self.max_pooled {
+                buf.clear();
+                pool.push(buf);
+            }
         }
     }
 
@@ -605,9 +692,17 @@ impl BatchPool {
 
     /// Recycle a consumed batch's buffers back into the pool.
     pub fn recycle_batch(&self, batch: SampleBatch) {
-        if let BatchPayload::SpeSamples { samples, .. } = batch.into_payload() {
-            self.recycle_samples(samples);
-        }
+        self.recycle_batches(std::iter::once(batch));
+    }
+
+    /// Recycle a run of consumed batches under one hold of the pool.
+    pub fn recycle_batches(&self, batches: impl IntoIterator<Item = SampleBatch>) {
+        self.recycle_sample_bufs(batches.into_iter().filter_map(
+            |batch| match batch.into_payload() {
+                BatchPayload::SpeSamples { samples, .. } => Some(samples),
+                _ => None,
+            },
+        ));
     }
 
     /// Current accounting snapshot.
@@ -712,14 +807,44 @@ impl ShardedBus {
 
     /// Producer side: stamp the batch with the global sequence number and
     /// enqueue it on its core's lane. Returns `false` when the lane dropped
-    /// it (see [`EventBus::publish`]).
-    pub fn publish(&self, mut batch: SampleBatch) -> bool {
+    /// it (see [`EventBus::publish`]). The one-batch case of
+    /// [`ShardedBus::publish_batches`].
+    pub fn publish(&self, batch: SampleBatch) -> bool {
+        self.publish_batches(std::iter::once(batch)) == 1
+    }
+
+    /// Producer side: stamp a drain's batches with a contiguous range of
+    /// sequence numbers and enqueue them in order, every stretch of batches
+    /// bound for the same lane under one hold of that lane (a shard
+    /// worker's cores all hash to its own lane, so normally the whole
+    /// drain). Returns how many the lanes accepted
+    /// (see [`EventBus::publish_all`]).
+    pub fn publish_batches<I>(&self, batches: I) -> usize
+    where
+        I: IntoIterator<Item = SampleBatch>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let batches = batches.into_iter();
         // relaxed-ok: sequence allocator — only uniqueness/atomicity of the
-        // ticket matters; the stamped batch is published via the lane's
-        // mutex-protected queue, which provides the happens-before edge.
-        batch.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let lane = self.lane_for_core(batch.core);
-        self.lanes[lane].publish(BusEvent::Batch(batch))
+        // tickets matters; the stamped batches are published via the lanes'
+        // mutex-protected queues, which provide the happens-before edge.
+        let first_seq = self.seq.fetch_add(batches.len() as u64, Ordering::Relaxed);
+        let mut stamped = batches
+            .zip(first_seq..)
+            .map(|(mut batch, seq)| {
+                batch.seq = seq;
+                batch
+            })
+            .peekable();
+        let mut accepted = 0;
+        while let Some(next) = stamped.peek() {
+            let lane = self.lane_for_core(next.core);
+            let same_lane = std::iter::from_fn(|| {
+                stamped.next_if(|batch| self.lane_for_core(batch.core) == lane)
+            });
+            accepted += self.lanes[lane].publish_all(same_lane.map(BusEvent::Batch));
+        }
+        accepted
     }
 
     /// Broadcast a window-close signal to every lane (close signals bypass
@@ -814,7 +939,8 @@ pub struct StreamStats {
     pub items_dropped: u64,
     /// Batches that arrived for an already-closed window.
     pub late_batches: u64,
-    /// Highest bus occupancy observed (the worst single lane).
+    /// Highest bus occupancy observed (the worst single lane, after a
+    /// whole drain landed on it — see [`BusStats::high_watermark`]).
     pub bus_high_watermark: u64,
     /// Number of pipeline shards the run allocated (its width; 1 = one
     /// pump worker, one lane, one consumer), after clamping to the profiled
@@ -938,6 +1064,43 @@ impl StreamSnapshot {
     }
 }
 
+/// SPE sample counts per data source, indexed by [`DataSource::slot`]: what
+/// a shard consumer counts over a chunk of batches before it takes the
+/// snapshot mutex, and what [`SnapshotState`] sums those into.
+#[derive(Debug, Clone)]
+pub(crate) struct SourceTally([u64; DataSource::SLOTS]);
+
+impl Default for SourceTally {
+    fn default() -> Self {
+        SourceTally([0; DataSource::SLOTS])
+    }
+}
+
+impl SourceTally {
+    /// Count every SPE sample of `batch` (a no-op for other payloads).
+    pub(crate) fn count_batch(&mut self, batch: &SampleBatch) {
+        if let BatchPayload::SpeSamples { samples, .. } = &batch.payload {
+            for s in samples {
+                self.0[s.source.slot()] += 1;
+            }
+        }
+    }
+
+    fn add(&mut self, other: &SourceTally) {
+        for (total, n) in self.0.iter_mut().zip(&other.0) {
+            *total += n;
+        }
+    }
+
+    /// The observed sources with their counts, ascending by source.
+    fn observed(&self) -> Vec<(DataSource, u64)> {
+        (self.0.iter().enumerate())
+            .filter(|(_, &n)| n > 0)
+            .filter_map(|(slot, &n)| Some((DataSource::from_slot(slot)?, n)))
+            .collect()
+    }
+}
+
 /// Consumer-thread bookkeeping behind [`StreamSnapshot`] (shared with
 /// [`crate::session::ActiveSession::poll_snapshot`] via a mutex).
 #[derive(Debug, Default)]
@@ -953,7 +1116,7 @@ pub(crate) struct SnapshotState {
     pub(crate) spe_samples: u64,
     pub(crate) late_batches: u64,
     pub(crate) counter_totals: Vec<(String, u64)>,
-    pub(crate) samples_by_source: Vec<(DataSource, u64)>,
+    samples_by_source: SourceTally,
     pub(crate) rss_peak_bytes: u64,
     pub(crate) last_time_ns: u64,
 }
@@ -970,6 +1133,10 @@ impl SnapshotState {
         }
     }
 
+    /// Account one delivered batch — everything except its per-source
+    /// sample counts, which walk every sample and so are tallied by the
+    /// caller outside the mutex this state lives under (see
+    /// [`SnapshotState::add_source_tally`]).
     pub(crate) fn record_batch(&mut self, batch: &SampleBatch, shard: usize) {
         self.batches += 1;
         if self.per_shard.len() <= shard {
@@ -983,15 +1150,7 @@ impl SnapshotState {
             self.last_time_ns = self.last_time_ns.max(t);
         }
         match &batch.payload {
-            BatchPayload::SpeSamples { samples, .. } => {
-                self.spe_samples += samples.len() as u64;
-                for s in samples {
-                    match self.samples_by_source.binary_search_by_key(&s.source, |(src, _)| *src) {
-                        Ok(i) => self.samples_by_source[i].1 += 1,
-                        Err(i) => self.samples_by_source.insert(i, (s.source, 1)),
-                    }
-                }
-            }
+            BatchPayload::SpeSamples { samples, .. } => self.spe_samples += samples.len() as u64,
             BatchPayload::CounterDeltas { deltas } => {
                 for d in deltas {
                     match self.counter_totals.iter_mut().find(|(n, _)| *n == d.event) {
@@ -1019,6 +1178,11 @@ impl SnapshotState {
         if summary.closed && !matches!(batch.payload, BatchPayload::Bandwidth { .. }) {
             self.late_batches += 1;
         }
+    }
+
+    /// Add the per-source counts of the batches just recorded.
+    pub(crate) fn add_source_tally(&mut self, tally: &SourceTally) {
+        self.samples_by_source.add(tally);
     }
 
     /// Register one lane's close signal for `window`; the window counts as
@@ -1067,7 +1231,7 @@ impl SnapshotState {
             batches: self.batches,
             spe_samples: self.spe_samples,
             counter_totals: self.counter_totals.clone(),
-            samples_by_source: self.samples_by_source.clone(),
+            samples_by_source: self.samples_by_source.observed(),
             rss_peak_bytes: self.rss_peak_bytes,
             last_time_ns: self.last_time_ns,
             bus,
@@ -1187,6 +1351,51 @@ mod tests {
         assert_eq!(bus.stats().dropped_batches, 0);
     }
 
+    /// The consumer only wakes producers when a receive takes the lane
+    /// from full to not full; that wake-up (not just the 10 ms re-check)
+    /// and `close()` must reach a producer parked mid-run.
+    #[test]
+    fn parked_block_producer_is_released_by_the_next_receive_and_by_close() {
+        let clock = WindowClock::new(1000);
+        let bus = EventBus::bounded(2, BackpressurePolicy::Block);
+        let run = move |from: u64| {
+            (from..from + 3).map(move |i| BusEvent::Batch(batch(clock.window(i), 2)))
+        };
+        assert_eq!(bus.publish_all(run(0).take(2)), 2, "the lane is now full");
+
+        // Released by a receive: the run parks on its first batch, the
+        // receive makes room for two, the third parks until the next one.
+        let producer = {
+            let bus = bus.clone();
+            std::thread::spawn(move || bus.publish_all(run(2)))
+        };
+        let mut seen = Vec::new();
+        while seen.len() < 5 {
+            let mut chunk = Vec::new();
+            let wait = Duration::from_secs(10);
+            bus.recv_chunk(&mut chunk, wait).expect("a parked run still delivers");
+            seen.extend(chunk.iter().map(|e| match e {
+                BusEvent::Batch(b) => b.window.index,
+                BusEvent::CloseWindow(_) => panic!("no close was published"),
+            }));
+        }
+        assert_eq!(producer.join().unwrap(), 3);
+        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
+
+        // Released by close: what is queued stays, the rest is counted.
+        assert_eq!(bus.publish_all(run(5).take(2)), 2, "full again");
+        let producer = {
+            let bus = bus.clone();
+            std::thread::spawn(move || bus.publish_all(run(7)))
+        };
+        bus.close();
+        assert_eq!(producer.join().unwrap(), 0, "a closed bus accepts nothing");
+        let stats = bus.stats();
+        assert_eq!((stats.published, stats.queued), (7, 2));
+        assert_eq!((stats.dropped_batches, stats.dropped_items), (3, 6));
+        assert!(stats.high_watermark <= 2, "a Block lane never exceeds its capacity");
+    }
+
     #[test]
     fn closed_bus_rejects_and_unblocks() {
         let bus = EventBus::bounded(1, BackpressurePolicy::Block);
@@ -1221,10 +1430,22 @@ mod tests {
     fn snapshot_state_tracks_per_source_counts() {
         let clock = WindowClock::new(1000);
         let mut state = SnapshotState::default();
-        state.record_batch(&batch_from(clock.window(0), 5, DataSource::L1), 0);
-        state.record_batch(&batch_from(clock.window(0), 3, DataSource::Dram(0)), 1);
-        state.record_batch(&batch_from(clock.window(1), 2, DataSource::RemoteDram(1)), 0);
-        state.record_batch(&batch_from(clock.window(1), 4, DataSource::Dram(0)), 1);
+        // As a shard consumer does it: tally a chunk, then record it.
+        for chunk in [
+            vec![
+                (batch_from(clock.window(0), 5, DataSource::L1), 0),
+                (batch_from(clock.window(0), 3, DataSource::Dram(0)), 1),
+            ],
+            vec![(batch_from(clock.window(1), 2, DataSource::RemoteDram(1)), 0)],
+            vec![(batch_from(clock.window(1), 4, DataSource::Dram(0)), 1)],
+        ] {
+            let mut by_source = SourceTally::default();
+            for (batch, shard) in &chunk {
+                by_source.count_batch(batch);
+                state.record_batch(batch, *shard);
+            }
+            state.add_source_tally(&by_source);
+        }
         let snap =
             state.snapshot(BusStats::default(), &[], MigrationStats::default(), 2, Vec::new());
         assert_eq!(snap.samples_from(DataSource::L1), 5);

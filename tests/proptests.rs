@@ -653,3 +653,163 @@ proptest! {
         prop_assert!(scan.blocks.len() <= written_blocks, "cannot recover unwritten blocks");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Event bus (nmo::stream): bulk enqueue/dequeue against the one-event forms.
+// ---------------------------------------------------------------------------
+
+use nmo_repro::nmo::stream::{BusEvent, BusIdle, BusRecv};
+use nmo_repro::nmo::{BackpressurePolicy, EventBus};
+
+/// The bus events of a scripted run: batch `i` carries `sizes[i]` samples
+/// and is tagged with `seq = i`; every fourth event is followed by a
+/// window-close signal (which bypasses lane capacity).
+fn bus_script(sizes: &[usize]) -> Vec<BusEvent> {
+    let clock = WindowClock::new(TRACE_WINDOW_NS);
+    let mut events = Vec::new();
+    for (i, &n) in sizes.iter().enumerate() {
+        let sample = AddressSample {
+            time_ns: i as u64,
+            vaddr: 0x1000,
+            core: 0,
+            is_store: false,
+            latency: 1,
+            source: DataSource::L1,
+        };
+        let payload = BatchPayload::SpeSamples {
+            samples: vec![sample; n],
+            loss: SpeStatsSnapshot::default(),
+        };
+        let mut batch = SampleBatch::new("spe", Some(0), clock.window(i as u64), payload);
+        batch.seq = i as u64;
+        events.push(BusEvent::Batch(batch));
+        if i % 4 == 3 {
+            events.push(BusEvent::CloseWindow(clock.window(i as u64)));
+        }
+    }
+    events
+}
+
+/// What identifies a delivered event: `(batch seq, samples)` or the closed
+/// window's index.
+fn bus_event_id(event: &BusEvent) -> Result<(u64, usize), u64> {
+    match event {
+        BusEvent::Batch(batch) => Ok((batch.seq, batch.len())),
+        BusEvent::CloseWindow(window) => Err(window.index),
+    }
+}
+
+proptest! {
+    /// `publish_all`/`recv_chunk` are `publish`/`recv_timeout` taken several
+    /// events at a time: on the same script of producer runs and consumer
+    /// turns both deliver the same events in the same order and leave the
+    /// same accounting, drops under `DropNewest` included.
+    #[test]
+    fn bulk_bus_transfers_match_one_event_at_a_time(
+        capacity in 1usize..100,
+        sizes in prop::collection::vec(0usize..20, 1..120),
+        run_lens in prop::collection::vec(1usize..40, 1..20),
+        consumer_turns in prop::collection::vec(any::<bool>(), 1..20),
+    ) {
+        let no_wait = std::time::Duration::ZERO;
+        let bulk = EventBus::bounded(capacity, BackpressurePolicy::DropNewest);
+        let single = EventBus::bounded(capacity, BackpressurePolicy::DropNewest);
+        let (mut bulk_seen, mut single_seen) = (Vec::new(), Vec::new());
+        let mut bulk_events = bus_script(&sizes).into_iter();
+        let mut single_events = bus_script(&sizes).into_iter();
+        for (&run, &consume) in run_lens.iter().cycle().zip(consumer_turns.iter().cycle()) {
+            let events: Vec<BusEvent> = bulk_events.by_ref().take(run).collect();
+            if events.is_empty() {
+                break;
+            }
+            let accepted = bulk.publish_all(events);
+            let accepted_singly =
+                single_events.by_ref().take(run).map(|e| single.publish(e)).filter(|&ok| ok).count();
+            prop_assert_eq!(accepted, accepted_singly);
+            prop_assert_eq!(bulk.stats(), single.stats());
+            if !consume {
+                continue;
+            }
+
+            // One consumer turn: a chunk (part of the queue when it has
+            // grown past a chunk), and as many single receives.
+            let mut chunk = Vec::new();
+            let taken = bulk.recv_chunk(&mut chunk, no_wait).unwrap_or(0);
+            prop_assert_eq!(taken, chunk.len());
+            bulk_seen.extend(chunk.iter().map(bus_event_id));
+            for _ in 0..taken {
+                match single.recv_timeout(no_wait) {
+                    BusRecv::Event(event) => single_seen.push(bus_event_id(&event)),
+                    other => panic!("the single bus holds what the bulk bus held: {other:?}"),
+                }
+            }
+            prop_assert_eq!(bulk.stats(), single.stats());
+        }
+        prop_assert_eq!(bulk_seen, single_seen);
+        prop_assert_eq!(bulk.stats().capacity, capacity as u64);
+        prop_assert_eq!(
+            bulk.recv_chunk(&mut Vec::new(), no_wait).is_err(),
+            matches!(single.recv_timeout(no_wait), BusRecv::TimedOut)
+        );
+    }
+
+    /// Under `Block` a consumer slower than the producer loses nothing, in
+    /// either form: every event arrives, in order, and nothing is counted
+    /// as dropped.
+    #[test]
+    fn blocking_bus_loses_nothing_to_a_slow_consumer(
+        capacity in 1usize..8,
+        sizes in prop::collection::vec(0usize..20, 1..80),
+        run_len in 1usize..30,
+        bulk in any::<bool>(),
+    ) {
+        let bus = EventBus::bounded(capacity, BackpressurePolicy::Block);
+        let expected: Vec<_> = bus_script(&sizes).iter().map(bus_event_id).collect();
+        let producer = {
+            let bus = bus.clone();
+            let mut events = bus_script(&sizes).into_iter();
+            std::thread::spawn(move || {
+                let mut accepted = 0;
+                loop {
+                    let run: Vec<BusEvent> = events.by_ref().take(run_len).collect();
+                    if run.is_empty() {
+                        break;
+                    }
+                    accepted += match bulk {
+                        true => bus.publish_all(run),
+                        false => run.into_iter().map(|e| bus.publish(e)).filter(|&ok| ok).count(),
+                    };
+                }
+                bus.close();
+                accepted
+            })
+        };
+        let wait = std::time::Duration::from_secs(10);
+        let mut seen = Vec::new();
+        loop {
+            // Slow: let the producer run into the full lane between turns.
+            std::thread::yield_now();
+            if bulk {
+                let mut chunk = Vec::new();
+                match bus.recv_chunk(&mut chunk, wait) {
+                    Ok(_) => seen.extend(chunk.iter().map(bus_event_id)),
+                    Err(BusIdle::Closed) => break,
+                    Err(BusIdle::TimedOut) => panic!("producer stalled"),
+                }
+            } else {
+                match bus.recv_timeout(wait) {
+                    BusRecv::Event(event) => seen.push(bus_event_id(&event)),
+                    BusRecv::Closed => break,
+                    BusRecv::TimedOut => panic!("producer stalled"),
+                }
+            }
+        }
+        prop_assert_eq!(producer.join().expect("producer thread"), expected.len());
+        prop_assert_eq!(seen, expected);
+        let stats = bus.stats();
+        prop_assert_eq!(
+            (stats.published, stats.dropped_batches, stats.dropped_items, stats.capacity),
+            (expected.len() as u64, 0, 0, capacity as u64)
+        );
+    }
+}
