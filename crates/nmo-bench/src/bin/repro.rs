@@ -13,7 +13,6 @@ use std::path::{Path, PathBuf};
 use nmo::NmoError;
 use nmo_bench::experiments::{self, ExperimentResult};
 use nmo_bench::harness::Scale;
-use nmo_bench::{stream_adaptive, stream_throughput, trace_bench};
 
 struct Args {
     exp: String,
@@ -48,7 +47,7 @@ fn parse_args() -> Args {
                 println!(
                     "usage: repro [--exp <id|all>] [--quick|--full|--tiny] [--out <dir>]\n\
                      experiments: table1 table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 \
-                     fig11 bench_stream bench_stream_adaptive bench_trace"
+                     fig11"
                 );
                 std::process::exit(0);
             }
@@ -62,21 +61,8 @@ fn parse_args() -> Args {
 }
 
 const EXPERIMENT_IDS: &[&str] = &[
-    "table1",
-    "table2",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
+    "table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
     "fig11",
-    "bench_stream",
-    "bench_stream_adaptive",
-    "bench_trace",
 ];
 
 fn wants(exp: &str, ids: &[&str]) -> bool {
@@ -150,70 +136,6 @@ fn run(args: &Args) -> Result<(), NmoError> {
     }
     if wants(exp, &["fig10", "fig11"]) {
         emit(vec![experiments::fig10_fig11_threads(scale, 4096)?], &args.out, 20);
-    }
-    if wants(exp, &["bench_stream"]) {
-        // Pipeline-throughput sweep (samples/sec vs shard count at 1/32/128
-        // simulated cores); also writes BENCH_stream.json to seed the perf
-        // trajectory of the sharded streaming pipeline.
-        let records_per_core = match args.scale_name {
-            "tiny" => 2_000,
-            "full" => 65_536,
-            _ => 16_384,
-        };
-        let points = stream_throughput::default_sweep(records_per_core);
-        emit(vec![stream_throughput::to_experiment(&points)], &args.out, 20);
-        match stream_throughput::write_bench_stream_json(&points, &args.out) {
-            Ok(path) => println!("  -> wrote {path}\n"),
-            Err(e) => eprintln!("  !! failed to write BENCH_stream.json: {e}"),
-        }
-    }
-    if wants(exp, &["bench_stream_adaptive"]) {
-        // Adaptive controller vs the static shard sweep at the 128-core
-        // configuration; writes BENCH_stream_adaptive.json with the
-        // best-adaptive / best-static headline ratio.
-        let records_per_core = match args.scale_name {
-            "tiny" => 2_000,
-            "full" => 32_768,
-            _ => 8_192,
-        };
-        let (static_points, adaptive_points) =
-            stream_adaptive::adaptive_sweep(128, &[1, 2, 4, 8], records_per_core);
-        emit(vec![stream_adaptive::to_experiment(&static_points, &adaptive_points)], &args.out, 20);
-        if let Some(ratio) =
-            stream_adaptive::adaptive_vs_best_static(&static_points, &adaptive_points)
-        {
-            println!("  adaptive vs best static: {ratio:.3}x\n");
-        }
-        match stream_adaptive::write_bench_stream_adaptive_json(
-            &static_points,
-            &adaptive_points,
-            &args.out,
-        ) {
-            Ok(path) => println!("  -> wrote {path}\n"),
-            Err(e) => eprintln!("  !! failed to write BENCH_stream_adaptive.json: {e}"),
-        }
-    }
-    if wants(exp, &["bench_trace"]) {
-        // Trace-store benchmark: live encode overhead, storage density vs a
-        // fixed-width layout, and indexed replay speedup over re-simulating
-        // the recorded session; writes BENCH_trace.json.
-        let records_per_core = match args.scale_name {
-            "tiny" => 2_000,
-            "full" => 65_536,
-            _ => 16_384,
-        };
-        let result = trace_bench::bench_trace(8, 4, records_per_core, 3);
-        emit(vec![trace_bench::to_experiment(&result)], &args.out, 20);
-        println!(
-            "  encode overhead {:.2}%, {:.2} bytes/sample, indexed replay {:.1}x vs re-simulate\n",
-            result.encode_overhead_fraction.max(0.0) * 100.0,
-            result.bytes_per_sample,
-            result.indexed_speedup_vs_resimulate
-        );
-        match trace_bench::write_bench_trace_json(&result, &args.out) {
-            Ok(path) => println!("  -> wrote {path}\n"),
-            Err(e) => eprintln!("  !! failed to write BENCH_trace.json: {e}"),
-        }
     }
     Ok(())
 }

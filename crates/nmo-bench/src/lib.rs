@@ -16,9 +16,10 @@
 //! | Fig. 9 | Aux-buffer size sweep | [`experiments::fig9_aux_buffer`] |
 //! | Fig. 10/11 | Thread-count sweep | [`experiments::fig10_fig11_threads`] |
 //!
-//! Beyond the paper's figures, `bench_trace` ([`trace_bench`]) measures the
-//! trace store: live encode overhead, bytes/sample vs a fixed-width layout,
-//! and indexed parallel replay speedup over re-simulation.
+//! The profiler's own performance — pipeline throughput, the trace store,
+//! per-layer costs — is measured by the repository's benchmark
+//! (`BENCHMARK.json`, `benchmark/`), which drives the real
+//! `ProfileSession` spine; this crate is the paper's evaluation only.
 //!
 //! The `repro` binary drives them all (`repro --exp all --quick`) and writes
 //! CSV series under `results/`. Criterion benches cover the profiler's hot
@@ -29,8 +30,5 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod stream_adaptive;
-pub mod stream_throughput;
-pub mod trace_bench;
 
 pub use harness::{baseline_run, profiled_run, BaselineRun, Scale, WorkloadKind};

@@ -60,11 +60,14 @@ impl std::fmt::Debug for CoreObserver {
 /// finishes and observers are detached, then [`SampleBackend::fill`] to fold
 /// the backend's results into the assembled [`Profile`].
 ///
-/// During a streaming session the pump thread additionally calls
-/// [`SampleBackend::drain`] periodically while the workload runs (and once
-/// more after `stop`), turning whatever accumulated since the previous call
-/// into window-stamped [`SampleBatch`]es for the event bus. Backends that
-/// only report at the end keep the default no-op.
+/// In between, the session calls [`SampleBackend::drain`] — the pump threads
+/// of a streaming session periodically while the workload runs and once more
+/// after `stop`; a session without pipeline threads at every
+/// [`crate::session::ActiveSession::tiering_step`] and once after `stop` —
+/// turning whatever accumulated since the previous call into window-stamped
+/// [`SampleBatch`]es. That is the only way data reaches the analysis sinks:
+/// a backend that keeps the default no-op fills the [`Profile`] but feeds no
+/// sink.
 pub trait SampleBackend: Send {
     /// Stable backend name (used in reports and error messages).
     fn name(&self) -> &'static str;
@@ -79,14 +82,15 @@ pub trait SampleBackend: Send {
         config: &NmoConfig,
     ) -> Result<Vec<CoreObserver>, NmoError>;
 
-    /// Streaming hook: move everything collected since the previous call
-    /// into window-stamped batches. `clock` supplies the window arithmetic
-    /// and the producer watermark (use [`WindowClock::current`] for data
-    /// without timestamps); `pool` supplies (and takes back) the batch
-    /// buffers, so a steady-state drain allocates nothing. Data returned
-    /// here must *also* be folded into the final [`Profile`] by
-    /// [`SampleBackend::fill`] — batches feed the live pipeline, the
-    /// profile stays the complete record.
+    /// Move everything collected since the previous call into
+    /// window-stamped batches — what the sinks are fed, on every kind of
+    /// session. `clock` supplies the window arithmetic and the producer
+    /// watermark (use [`WindowClock::current`] for data without
+    /// timestamps); `pool` supplies (and takes back) the batch buffers, so
+    /// a steady-state drain allocates nothing. Data returned here must
+    /// *also* be folded into the final [`Profile`] by
+    /// [`SampleBackend::fill`] — batches feed the sinks, the profile stays
+    /// the complete record.
     fn drain(
         &mut self,
         _machine: &Machine,
@@ -126,7 +130,10 @@ pub trait SampleBackend: Send {
     /// session has detached this backend's observers from the cores.
     fn stop(&mut self, machine: &Machine) -> Result<(), NmoError>;
 
-    /// Fold the backend's results into `profile`.
+    /// Fold the backend's results into `profile` (called after the last
+    /// `drain`). Whatever a backend folds here, its data must also have
+    /// streamed through [`SampleBackend::drain`]: the shipped sinks report
+    /// what they were fed and do not read [`Profile::samples`].
     fn fill(&mut self, profile: &mut Profile) -> Result<(), NmoError>;
 }
 

@@ -15,9 +15,11 @@
 //! * [`LatencyProfile`] — one histogram per [`DataSource`], plus local- and
 //!   remote-tier rollups for the DDR-vs-CXL comparison.
 //!
-//! The histograms are order-independent, so the streaming path (recording
-//! batch by batch) lands on bit-identical results to the post-hoc scan of
-//! `Profile::samples`.
+//! The histograms are order-independent, so [`crate::sink::LatencySink`]
+//! (recording batch by batch, however the stream was batched or sharded)
+//! lands on bit-identical results to [`LatencyProfile::from_samples`] over
+//! `Profile::samples` — the lazy [`crate::Profile::latency`] and the
+//! reference the test suites compare against.
 
 use arch_sim::DataSource;
 
@@ -192,7 +194,7 @@ impl LatencyProfile {
         Self::default()
     }
 
-    /// Build a profile by scanning decoded samples (the post-hoc path).
+    /// Build a profile by scanning decoded samples.
     pub fn from_samples(samples: &[AddressSample]) -> Self {
         let mut profile = Self::new();
         for s in samples {

@@ -13,13 +13,23 @@
 //!
 //! Backends ([`crate::backend::SampleBackend`]) acquire the raw data (SPE
 //! address samples, hardware counters); sinks
-//! ([`crate::sink::AnalysisSink`]) turn the finished run into the paper's
-//! analysis levels. When no backends or sinks are registered explicitly, the
-//! session derives the paper's defaults from the [`NmoConfig`] flags.
+//! ([`crate::sink::AnalysisSink`]) turn it into the paper's analysis
+//! levels. When no backends or sinks are registered explicitly, the session
+//! derives the paper's defaults from the [`NmoConfig`] flags.
 //!
 //! For callers that drive the machine directly (attaching engines from their
 //! own threads), [`ProfileSession::start`] returns an [`ActiveSession`]
 //! handle whose [`ActiveSession::finish`] assembles the [`Profile`].
+//!
+//! Sinks are fed one way, whoever drives the session: the backends are
+//! drained into window-stamped [`crate::stream::SampleBatch`]es, and the
+//! batches and window closes are delivered through the shard fan-in of
+//! `sink.rs`. A session started with [`ProfileSession::start`] (which
+//! [`ProfileSession::run`] uses) has no pipeline threads: it delivers on
+//! the caller's thread, through its own fan-in at width 1 — everything at
+//! [`ActiveSession::finish`], or piecewise at every
+//! [`ActiveSession::tiering_step`]. Post-hoc analysis is streaming finished
+//! at the end.
 //!
 //! ## Streaming
 //!
@@ -338,8 +348,9 @@ impl ProfileSession {
     /// stream window-stamped batches onto the event bus while the workload
     /// runs, sinks aggregate them incrementally, and the final [`Profile`]
     /// records the pipeline statistics in [`Profile::stream`]. The final
-    /// capacity/bandwidth/region reports are equivalent to the post-hoc
-    /// path's (same data, merged windowed instead of scanned whole).
+    /// reports are equivalent to [`ProfileSession::run`]'s (same data
+    /// through the same fan-in, delivered as the run goes instead of at
+    /// `finish`).
     pub fn run_streaming(self) -> Result<Profile, NmoError> {
         self.drive("run_streaming", Self::start_streaming)
     }
@@ -414,26 +425,14 @@ impl ProfileSession {
         let pool = BatchPool::new((opts.bus_capacity * shards).clamp(64, 4096));
         let stop = Arc::new(AtomicBool::new(false));
         let snapshot = Arc::new(Mutex::named(SnapshotState::default(), "session.snapshot"));
-        let machine_cfg = active.session.machine.config();
-        let ctx = StreamContext {
-            annotations: active.session.annotations.clone(),
-            capacity_bytes: machine_cfg.total_mem_bytes(),
-            bucket_ns: machine_cfg.cycles_to_ns(machine_cfg.bandwidth_bucket_cycles).max(1),
-            mem_nodes: machine_cfg.mem_nodes(),
-            page_bytes: machine_cfg.page_bytes,
-            machine: Some(active.session.machine.clone()),
-        };
+        let ctx = active.session.stream_context(Some(active.session.machine.clone()));
 
         // Sinks see the stream start, then hand out one worker per shard
         // (legacy sinks are fed through the merger mutex instead). A
         // panicking sink surfaces as a sink error here; dropping `active`
         // unwinds the backends cleanly — no thread has been spawned yet.
-        let started = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            FanIn::start(sinks, shards, &ctx)
-        }));
-        let Ok((fan_in, lanes)) = started else {
-            return Err(NmoError::sink("stream-start", "sink panicked in on_stream_start"));
-        };
+        let (fan_in, lanes) =
+            catch_sink_panic("stream-start", || FanIn::start(sinks, shards, &ctx))?;
         let merger = Arc::new(Mutex::named(fan_in, "session.merger"));
 
         // Partition the backends' drain work: shardable backends hand out
@@ -527,9 +526,24 @@ impl ProfileSession {
         Ok(active)
     }
 
+    /// The context sinks latch when delivery starts: the machine's geometry,
+    /// plus the machine itself where sinks may act on the run.
+    fn stream_context(&self, machine: Option<Arc<Machine>>) -> StreamContext {
+        let cfg = self.machine.config();
+        StreamContext {
+            annotations: self.annotations.clone(),
+            capacity_bytes: cfg.total_mem_bytes(),
+            bucket_ns: cfg.cycles_to_ns(cfg.bandwidth_bucket_cycles).max(1),
+            mem_nodes: cfg.mem_nodes(),
+            page_bytes: cfg.page_bytes,
+            machine,
+        }
+    }
+
     /// Start collection manually and return the active handle. Use this when
     /// the caller attaches engines itself; call [`ActiveSession::finish`]
-    /// when the work is done.
+    /// when the work is done. No pipeline thread runs: the sinks are fed at
+    /// `finish` (and at every [`ActiveSession::tiering_step`] before it).
     pub fn start(mut self) -> Result<ActiveSession, NmoError> {
         // Gather per-core observers from every backend, preserving core order.
         let mut per_core: Vec<(usize, Vec<Box<dyn OpObserver>>)> =
@@ -558,17 +572,22 @@ impl ProfileSession {
             self.machine.set_observer(core, observer).map_err(NmoError::Sim)?;
             attached.push(core);
         }
-        let manual_clock = WindowClock::new(self.stream_options.window_ns);
         Ok(ActiveSession {
             backend_names: self.backends.iter().map(|b| b.name().to_string()).collect(),
             session: self,
             attached,
             streaming: None,
-            manual_clock,
-            manual_closed_below: 0,
-            manual_pool: BatchPool::new(64),
+            inline: None,
+            sink_failed: false,
         })
     }
+}
+
+/// Run sink code, turning a panic into [`NmoError::Sink`] (`stage` names
+/// where it happened).
+fn catch_sink_panic<T>(stage: &str, f: impl FnOnce() -> T) -> Result<T, NmoError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .map_err(|_| NmoError::sink(stage, "a sink panicked"))
 }
 
 /// What a pump worker returns on join: the backends it borrowed for the run
@@ -612,20 +631,32 @@ struct StreamingState {
     adaptive: Option<Arc<AdaptiveRuntime>>,
 }
 
+/// The thread-less counterpart of [`StreamingState`]: the session's own
+/// sink fan-in at width 1, fed on the caller's thread by
+/// [`ActiveSession::step`].
+struct InlineState {
+    fan_in: SessionFanIn,
+    lane: FanInLane,
+    clock: WindowClock,
+    /// Windows below this index have been closed.
+    closed_below: u64,
+    pool: Arc<BatchPool>,
+    /// RSS step events already delivered.
+    rss_cursor: usize,
+}
+
 /// A session that is actively collecting.
 pub struct ActiveSession {
     session: ProfileSession,
     attached: Vec<usize>,
     backend_names: Vec<String>,
     streaming: Option<StreamingState>,
-    /// Window arithmetic of the manual actuation path
-    /// ([`ActiveSession::tiering_step`]); unused while streaming (the pump
-    /// owns the clock there).
-    manual_clock: WindowClock,
-    /// Windows below this index have been closed by `tiering_step`.
-    manual_closed_below: u64,
-    /// Batch-buffer pool of the manual drain path.
-    manual_pool: Arc<BatchPool>,
+    /// Sink delivery of a session without pipeline threads, started by its
+    /// first step.
+    inline: Option<InlineState>,
+    /// A sink panicked in a step: the fan-in state is unusable, every later
+    /// step fails too.
+    sink_failed: bool,
 }
 
 impl std::fmt::Debug for ActiveSession {
@@ -694,13 +725,13 @@ impl ActiveSession {
         })
     }
 
-    /// The manual actuator hook of profile-guided tiering: synchronously
-    /// drain every backend into `tracker`, close every window the sample
+    /// The manual actuator hook of profile-guided tiering: one synchronous
+    /// delivery step — drain every backend, feed the batches to the
+    /// registered sinks and to `tracker`, close every window the sample
     /// watermark has passed (each close runs the tracker's
-    /// [`crate::tiering::TieringPolicy`]), and apply the resulting
-    /// migrations to the machine via
-    /// [`arch_sim::Machine::migrate_page`]. Returns the migrations applied
-    /// by this step.
+    /// [`crate::tiering::TieringPolicy`]) — with the resulting migrations
+    /// applied to the machine via [`arch_sim::Machine::migrate_page`].
+    /// Returns the migrations applied by this step.
     ///
     /// Call it from the workload-driving thread between chunks of work
     /// (with no engine attached, so buffered SPE records flush first) —
@@ -709,7 +740,9 @@ impl ActiveSession {
     /// `tests/tiering.rs`). Window width comes from
     /// [`ProfileSessionBuilder::stream_options`].
     ///
-    /// On a streaming session this returns an error: there the registered
+    /// A sink that panics makes this return [`NmoError::Sink`], with
+    /// collection torn down (observers detached, backends stopped). On a
+    /// streaming session this returns an error: there the registered
     /// tracker sink actuates by itself on the consumer thread.
     pub fn tiering_step(
         &mut self,
@@ -722,38 +755,113 @@ impl ActiveSession {
                     .into(),
             ));
         }
-        let machine = self.session.machine.clone();
-        tracker.configure(machine.config());
-        let mut clock = self.manual_clock;
-        for backend in &mut self.session.backends {
-            for batch in backend.drain(&machine, &clock, &self.manual_pool)? {
-                if let Some(t) = batch.max_time_ns() {
-                    clock.observe(t);
-                }
-                tracker.ingest(&batch);
-                self.manual_pool.recycle_batch(batch);
-            }
-        }
-        let mut applied = Vec::new();
-        let threshold = clock.index_of(clock.watermark_ns());
-        while self.manual_closed_below < threshold {
-            let window = clock.window(self.manual_closed_below);
-            applied.extend(tracker.close_window(window, Some(&machine)));
-            self.manual_closed_below += 1;
-        }
-        self.manual_clock = clock;
-        Ok(applied)
+        tracker.configure(self.session.machine.config());
+        self.step(Some(tracker), false)
     }
 
-    /// Stop collection, drain the backends, run the sinks, and assemble the
-    /// [`Profile`].
-    pub fn finish(mut self) -> Result<Profile, NmoError> {
-        for &core in &self.attached {
+    /// One delivery step of a session without pipeline threads — the only
+    /// way its sinks are fed: drain every backend and run the machine probe
+    /// round, deliver the batches through the session's fan-in (started by
+    /// the first step), then close every window below the watermark's — on
+    /// the `last` step, every remaining one. `tracker` sees the same
+    /// batches and closes; the migrations its closes applied are returned.
+    fn step(
+        &mut self,
+        mut tracker: Option<&mut crate::tiering::HotPageTracker>,
+        last: bool,
+    ) -> Result<Vec<crate::tiering::AppliedMigration>, NmoError> {
+        if self.sink_failed {
+            return Err(NmoError::sink("delivery", "a sink panicked in an earlier step"));
+        }
+        let machine = self.session.machine.clone();
+        let state = match &mut self.inline {
+            Some(state) => state,
+            None => {
+                // Machine-less context, as on a replay: sinks aggregate,
+                // nothing actuates by itself.
+                let ctx = self.session.stream_context(None);
+                let sinks = std::mem::take(&mut self.session.sinks);
+                let started = catch_sink_panic("stream-start", || FanIn::start(sinks, 1, &ctx));
+                let (fan_in, mut lanes) = match started {
+                    Ok(started) => started,
+                    Err(e) => return Err(self.fail_delivery(e)),
+                };
+                self.inline.insert(InlineState {
+                    fan_in,
+                    // unwrap-ok: `FanIn::start(_, 1, _)` hands out one lane.
+                    lane: lanes.pop().expect("one lane"),
+                    clock: WindowClock::new(self.session.stream_options.window_ns),
+                    closed_below: 0,
+                    pool: BatchPool::new(64),
+                    rss_cursor: 0,
+                })
+            }
+        };
+
+        let newest = |batches: &[SampleBatch]| {
+            batches.iter().filter_map(SampleBatch::max_time_ns).max().unwrap_or(0)
+        };
+        let mut batches = Vec::new();
+        for backend in &mut self.session.backends {
+            let drained = backend.drain(&machine, &state.clock, &state.pool)?;
+            // The watermark advances between backends: batches without
+            // timestamps are stamped with its window.
+            state.clock.observe(newest(&drained));
+            batches.extend(drained);
+        }
+        let probed = probe_machine(&machine, &state.clock, &mut state.rss_cursor, last);
+        state.clock.observe(newest(&probed));
+        batches.extend(probed);
+
+        // The watermark's own window stays open until the last step.
+        let threshold = state.clock.index_of(state.clock.watermark_ns()) + u64::from(last);
+        let delivered = catch_sink_panic("delivery", || {
+            let InlineState { fan_in, lane, clock, closed_below, .. } = state;
+            for batch in &batches {
+                lane.on_batch(batch, || &mut *fan_in);
+                if let Some(tracker) = tracker.as_deref_mut() {
+                    tracker.ingest(batch);
+                }
+            }
+            let mut applied = Vec::new();
+            while *closed_below < threshold {
+                let window = clock.window(*closed_below);
+                lane.on_window_close(window, || &mut *fan_in);
+                if let Some(tracker) = tracker.as_deref_mut() {
+                    applied.extend(tracker.close_window(window, Some(&machine)));
+                }
+                *closed_below += 1;
+            }
+            applied
+        });
+        state.pool.recycle_batches(batches);
+        delivered.map_err(|e| self.fail_delivery(e))
+    }
+
+    /// A sink panicked in a step: tear collection down (observers
+    /// detached, backends stopped) and make every later step fail.
+    fn fail_delivery(&mut self, e: NmoError) -> NmoError {
+        self.sink_failed = true;
+        self.detach_observers();
+        for backend in &mut self.session.backends {
+            let _ = backend.stop(&self.session.machine);
+        }
+        e
+    }
+
+    fn detach_observers(&mut self) {
+        for core in self.attached.drain(..) {
             // Dropping the observer box releases the backend's per-core
             // instrument; the final aux drain was published when the last
             // engine detached.
             let _ = self.session.machine.take_observer(core);
         }
+    }
+
+    /// Stop collection, deliver what the backends still hold, run the
+    /// sinks, and assemble the [`Profile`].
+    pub fn finish(mut self) -> Result<Profile, NmoError> {
+        self.detach_observers();
 
         let mut stream_stats = None;
         match self.streaming.take() {
@@ -837,9 +945,17 @@ impl ActiveSession {
                 });
             }
             None => {
+                // Post-hoc is streaming finished at the end: the last step
+                // delivers everything no earlier step did.
                 for backend in &mut self.session.backends {
                     backend.stop(&self.session.machine)?;
                 }
+                self.step(None, true)?;
+                let delivery = self.inline.take();
+                // unwrap-ok: the step above started delivery or returned.
+                let InlineState { mut fan_in, lane, .. } = delivery.expect("delivery started");
+                catch_sink_panic("merge", || fan_in.finish(vec![lane]))?;
+                self.session.sinks = std::mem::take(&mut fan_in.sinks);
             }
         }
 
@@ -860,14 +976,21 @@ impl ActiveSession {
 }
 
 /// Abandoning an active streaming session (e.g. a workload error unwinding
-/// past `finish`) must not leave the pump and consumer threads spinning:
-/// signal them to stop and close the bus so both exit; the backends close
-/// their perf events when the pump drops them.
+/// past `finish`) must leave no thread behind: signal the pipeline to stop,
+/// close the bus so nobody blocks on it, and join every pump worker and
+/// consumer (the coordinator pump stops the backends, which joins the SPE
+/// monitor). A thread that panicked has nothing more to report here.
 impl Drop for ActiveSession {
     fn drop(&mut self) {
         if let Some(streaming) = self.streaming.take() {
             streaming.stop.store(true, Ordering::Release);
             streaming.bus.close_all();
+            for pump in streaming.pumps {
+                let _ = pump.join();
+            }
+            for consumer in streaming.consumers {
+                let _ = consumer.join();
+            }
         }
     }
 }
@@ -1026,18 +1149,38 @@ fn publish_batches(
     coordinator.lock().note_published(&notes);
 }
 
-/// The machine probe's points as one core-less `"machine"` batch per window.
-fn machine_batches<T>(
+/// One machine probe round, as core-less `"machine"` batches: the RSS step
+/// events new since `rss_cursor`, plus — on the `last` round of a run — the
+/// bandwidth series. RSS events stay in the order the machine recorded
+/// them (one batch per run of same-window events): each carries the running
+/// total at its recording, and cores' clocks are skewed against each other,
+/// so recording order — not timestamp order — is what keeps the totals
+/// meaningful.
+fn probe_machine(
+    machine: &Machine,
     clock: &WindowClock,
-    points: Vec<T>,
-    time_ns: impl Fn(&T) -> u64,
-    payload: impl Fn(Vec<T>) -> BatchPayload,
+    rss_cursor: &mut usize,
+    last: bool,
 ) -> Vec<SampleBatch> {
-    clock
-        .group_by_window(points, time_ns)
-        .into_iter()
-        .map(|(window, points)| SampleBatch::new("machine", None, window, payload(points)))
-        .collect()
+    let batch = |window, payload| SampleBatch::new("machine", None, window, payload);
+    let fresh = machine.rss_events_since(*rss_cursor);
+    *rss_cursor += fresh.len();
+    let mut batches: Vec<SampleBatch> = fresh
+        .chunk_by(|a, b| clock.index_of(a.time_ns) == clock.index_of(b.time_ns))
+        .map(|run| {
+            let window = clock.window_containing(run[0].time_ns);
+            batch(window, BatchPayload::Rss { points: run.to_vec() })
+        })
+        .collect();
+    if last {
+        let buckets = clock.group_by_window(machine.bandwidth_series(), |p| p.time_ns);
+        batches.extend(
+            buckets
+                .into_iter()
+                .map(|(window, points)| batch(window, BatchPayload::Bandwidth { points })),
+        );
+    }
+    batches
 }
 
 /// A pump worker reports the first error its drain/stop calls produced.
@@ -1170,19 +1313,9 @@ impl PumpWorker {
                         Err(e) => keep_first_error(&mut result, e),
                     }
                 }
-                // Machine probe: new RSS step events since the previous
-                // tick (coordinator only — the probe is machine-wide).
-                let fresh = self.machine.rss_events_since(rss_cursor);
-                if !fresh.is_empty() {
-                    rss_cursor += fresh.len();
-                    let batches = machine_batches(
-                        &clock,
-                        fresh,
-                        |p| p.time_ns,
-                        |points| BatchPayload::Rss { points },
-                    );
-                    publish_batches(batches, &self.bus, &self.coordinator);
-                }
+                // Machine probe (coordinator only — it is machine-wide).
+                let probed = probe_machine(&self.machine, &clock, &mut rss_cursor, false);
+                publish_batches(probed, &self.bus, &self.coordinator);
             }
 
             if finishing {
@@ -1204,14 +1337,8 @@ impl PumpWorker {
                 for slot in 0..self.slots.len() {
                     self.drain_slot(slot, &clock, &mut result);
                 }
-                let bw = self.machine.bandwidth_series();
-                let batches = machine_batches(
-                    &clock,
-                    bw,
-                    |p| p.time_ns,
-                    |points| BatchPayload::Bandwidth { points },
-                );
-                publish_batches(batches, &self.bus, &self.coordinator);
+                let probed = probe_machine(&self.machine, &clock, &mut rss_cursor, true);
+                publish_batches(probed, &self.bus, &self.coordinator);
                 self.coordinator.lock().close_remaining(&self.bus);
                 self.bus.close_all();
                 return (self.backends.take(), result);
@@ -1607,6 +1734,283 @@ mod tests {
         assert_eq!(merged_log.len() as u64, 1 + stats.windows_closed + 1, "{merged_log:?}");
         assert!(merged_log[1..merged_log.len() - 1].iter().all(|e| e.ends_with(" [0]")));
         assert_eq!(merged_log.last().map(String::as_str), Some("final [0]"));
+    }
+
+    /// A session without pipeline threads feeds its sinks through the same
+    /// fan-in: a legacy sink on `start()`/`finish()` sees the stream start
+    /// once, then every batch, then each window's close exactly once, in
+    /// ascending order — and a shardable one gets exactly one worker.
+    #[test]
+    fn thread_less_session_delivers_through_the_fan_in_at_finish() {
+        use crate::sink::testing::RecordingSink;
+        let (legacy, legacy_log) = RecordingSink::new(false);
+        let (merged, merged_log) = RecordingSink::new(true);
+        let session = ProfileSession::builder()
+            .machine_config(MachineConfig::small_test())
+            .config(NmoConfig::paper_default(100))
+            .threads(2)
+            .sink(legacy)
+            .sink(merged)
+            .stream_options(StreamOptions { window_ns: 50_000, ..Default::default() })
+            .build()
+            .unwrap();
+        let active = session.start().unwrap();
+        stream_like(active.machine(), active.annotations_ref(), active.cores()).unwrap();
+        assert_eq!(*legacy_log.lock(), Vec::<String>::new(), "nothing is fed before a step");
+        let profile = active.finish().unwrap();
+        assert!(profile.stream.is_none(), "no pipeline ran");
+
+        let log = legacy_log.lock().clone();
+        assert_eq!(log.iter().filter(|e| *e == "start").count(), 1);
+        assert_eq!(log[0], "start");
+        let first_close = log.iter().position(|e| e.starts_with("close")).expect("closes");
+        assert!(first_close > 1, "batches were delivered: {log:?}");
+        assert!(log[1..first_close].iter().any(|e| e.starts_with("batch")));
+        assert!(log[1..first_close].iter().any(|e| e.starts_with("ticks")), "bandwidth series");
+        let closes: Vec<u64> = log[first_close..]
+            .iter()
+            .map(|e| {
+                e.strip_prefix("close w").expect("only closes after the first").parse().unwrap()
+            })
+            .collect();
+        let last_window = profile.samples.last().map_or(0, |s| s.time_ns / 50_000);
+        assert!(closes.len() as u64 > last_window, "{closes:?}");
+        assert_eq!(closes, (0..closes.len() as u64).collect::<Vec<_>>(), "each once, ascending");
+
+        let merged_log = merged_log.lock().clone();
+        assert_eq!(merged_log.len(), 1 + closes.len() + 1, "{merged_log:?}");
+        assert!(merged_log[1..merged_log.len() - 1].iter().all(|e| e.ends_with(" [0]")));
+        assert_eq!(merged_log.last().map(String::as_str), Some("final [0]"));
+    }
+
+    /// RSS events reach the capacity sink in the order the machine recorded
+    /// them, whatever their timestamps say: a core that ran ahead in
+    /// simulated time touches a page first, a lagging core the next one —
+    /// and the series still ends on the last-recorded total, under both
+    /// drivers of the fan-in.
+    #[test]
+    fn capacity_series_follows_recording_order_under_clock_skew() {
+        fn skewed(machine: &Machine, _a: &Annotations, cores: &[usize]) -> Result<(), NmoError> {
+            let page = machine.config().page_bytes;
+            let region = machine.alloc("data", 2 * page)?;
+            {
+                let mut ahead = machine.attach(cores[0])?;
+                ahead.cpu_work(5_000_000); // several windows of simulated time
+                ahead.store(region.start, 8);
+            }
+            let mut lagging = machine.attach(cores[1])?;
+            lagging.store(region.start + page, 8);
+            Ok(())
+        }
+        let page = MachineConfig::small_test().page_bytes;
+        for streaming in [false, true] {
+            let session = small_session(100, 2);
+            let profile = if streaming {
+                session.run_streaming_with(skewed)
+            } else {
+                session.run_with(skewed)
+            }
+            .unwrap();
+            assert_eq!(profile.capacity.peak_bytes, 2 * page, "streaming: {streaming}");
+            assert_eq!(
+                profile.capacity.final_gib(),
+                profile.capacity.peak_gib(),
+                "streaming: {streaming}"
+            );
+        }
+    }
+
+    /// Custom sinks keep both of their shapes on `run()`: one that only
+    /// implements `analyze` over the finished profile, and a shardable one
+    /// that counts what it is fed and overrides `finish`.
+    #[test]
+    fn analyze_only_and_finish_overriding_sinks_report_from_run() {
+        use crate::sink::{ShardState, ShardableSink, SinkShard};
+        struct ScanSink;
+        impl AnalysisSink for ScanSink {
+            fn name(&self) -> &'static str {
+                "scan"
+            }
+            fn analyze(&mut self, _m: &Machine, p: &Profile) -> Result<AnalysisReport, NmoError> {
+                Ok(AnalysisReport::Text(format!("samples={}", p.samples.len())))
+            }
+        }
+        #[derive(Default)]
+        struct CountSink(u64);
+        struct CountShard(u64);
+        impl SinkShard for CountShard {
+            fn on_batch(&mut self, batch: &SampleBatch) {
+                if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
+                    self.0 += samples.len() as u64;
+                }
+            }
+            fn finish(self: Box<Self>) -> ShardState {
+                Box::new(self.0)
+            }
+        }
+        impl AnalysisSink for CountSink {
+            fn name(&self) -> &'static str {
+                "count"
+            }
+            fn analyze(&mut self, _m: &Machine, _p: &Profile) -> Result<AnalysisReport, NmoError> {
+                Ok(AnalysisReport::Text("analyze must not be reached".into()))
+            }
+            fn finish(&mut self, _m: &Machine, _p: &Profile) -> Result<AnalysisReport, NmoError> {
+                Ok(AnalysisReport::Text(format!("fed={}", self.0)))
+            }
+            fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
+                Some(self)
+            }
+        }
+        impl ShardableSink for CountSink {
+            fn make_shard(&mut self, _s: usize, _ctx: &StreamContext) -> Box<dyn SinkShard> {
+                Box::new(CountShard(0))
+            }
+            fn merge_final(&mut self, states: Vec<ShardState>) {
+                for state in states {
+                    self.0 += *state.downcast::<u64>().expect("a CountShard state");
+                }
+            }
+        }
+        struct StreamLike;
+        impl Workload for StreamLike {
+            fn name(&self) -> &'static str {
+                "stream-like"
+            }
+            fn setup(&mut self, _m: &Machine, _a: &Annotations) -> Result<(), NmoError> {
+                Ok(())
+            }
+            fn run(
+                &mut self,
+                m: &Machine,
+                a: &Annotations,
+                c: &[usize],
+            ) -> Result<crate::WorkloadReport, NmoError> {
+                stream_like(m, a, c).map(|()| crate::WorkloadReport::default())
+            }
+            fn verify(&self) -> bool {
+                true
+            }
+        }
+        let profile = ProfileSession::builder()
+            .machine_config(MachineConfig::small_test())
+            .config(NmoConfig::paper_default(100))
+            .threads(2)
+            .sink(ScanSink)
+            .sink(CountSink::default())
+            .workload(Box::new(StreamLike))
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        assert!(profile.processed_samples > 100);
+        let text = |i: usize| match &profile.analyses[i].report {
+            AnalysisReport::Text(t) => t.clone(),
+            other => panic!("expected text, got {other:?}"),
+        };
+        assert_eq!(text(0), format!("samples={}", profile.processed_samples));
+        assert_eq!(text(1), format!("fed={}", profile.processed_samples), "every sample delivered");
+    }
+
+    /// A sink panicking while a thread-less session feeds it surfaces as
+    /// `NmoError::Sink` — from `run_with`, whose `finish` delivers
+    /// everything, and from `tiering_step`, which also tears collection
+    /// down: no observer stays attached, the backends are stopped, and the
+    /// session keeps failing.
+    #[test]
+    fn panicking_sink_on_a_thread_less_session_is_a_sink_error() {
+        struct PanickingSink;
+        impl AnalysisSink for PanickingSink {
+            fn name(&self) -> &'static str {
+                "boom"
+            }
+            fn analyze(&mut self, _m: &Machine, _p: &Profile) -> Result<AnalysisReport, NmoError> {
+                Ok(AnalysisReport::Text(String::new()))
+            }
+            fn on_batch(&mut self, _batch: &SampleBatch) {
+                panic!("sink exploded");
+            }
+        }
+        struct StopProbe(Arc<AtomicBool>);
+        impl SampleBackend for StopProbe {
+            fn name(&self) -> &'static str {
+                "stop-probe"
+            }
+            fn start(
+                &mut self,
+                _machine: &Machine,
+                _cores: &[usize],
+                _config: &NmoConfig,
+            ) -> Result<Vec<crate::backend::CoreObserver>, NmoError> {
+                Ok(Vec::new())
+            }
+            fn stop(&mut self, _machine: &Machine) -> Result<(), NmoError> {
+                self.0.store(true, Ordering::SeqCst);
+                Ok(())
+            }
+            fn fill(&mut self, _profile: &mut Profile) -> Result<(), NmoError> {
+                Ok(())
+            }
+        }
+        let build = |stopped: &Arc<AtomicBool>| {
+            ProfileSession::builder()
+                .machine_config(MachineConfig::small_test())
+                .config(NmoConfig::paper_default(100))
+                .threads(1)
+                .backend(SpeBackend::new())
+                .backend(StopProbe(stopped.clone()))
+                .sink(PanickingSink)
+                .build()
+                .unwrap()
+        };
+        let stopped = Arc::new(AtomicBool::new(false));
+        let err = build(&stopped).run_with(stream_like).unwrap_err();
+        assert!(matches!(err, NmoError::Sink { .. }), "{err}");
+
+        let stopped = Arc::new(AtomicBool::new(false));
+        let mut active = build(&stopped).start().unwrap();
+        stream_like(active.machine(), active.annotations_ref(), active.cores()).unwrap();
+        let mut tracker = crate::tiering::HotPageTracker::new(crate::tiering::NoMigration);
+        let err = active.tiering_step(&mut tracker).unwrap_err();
+        assert!(matches!(err, NmoError::Sink { .. }), "{err}");
+        assert!(stopped.load(Ordering::SeqCst), "backends stopped");
+        assert!(active.machine().take_observer(0).unwrap().is_none(), "observer detached");
+        let err = active.tiering_step(&mut tracker).unwrap_err();
+        assert!(matches!(err, NmoError::Sink { .. }), "{err}");
+        let err = active.finish().unwrap_err();
+        assert!(matches!(err, NmoError::Sink { .. }), "{err}");
+    }
+
+    /// Dropping a streaming session mid-run leaks no thread: `drop` joins
+    /// the pump workers and consumers (and, through the coordinator, the
+    /// SPE monitor), so right afterwards nothing holds the sinks any more.
+    #[test]
+    fn dropping_a_streaming_session_joins_its_threads() {
+        use crate::sink::testing::RecordingSink;
+        for shards in [1, 4] {
+            let (sink, log) = RecordingSink::new(false);
+            let active = ProfileSession::builder()
+                .machine_config(MachineConfig::small_test())
+                .config(NmoConfig::paper_default(50))
+                .threads(4)
+                .sink(sink)
+                .stream_options(StreamOptions {
+                    shards,
+                    bus_capacity: 2,
+                    backpressure: crate::stream::BackpressurePolicy::Block,
+                    ..Default::default()
+                })
+                .build()
+                .unwrap()
+                .start_streaming()
+                .unwrap();
+            // Detaching the engines publishes each core's buffered records,
+            // so the pipeline still has batches to move when it is dropped.
+            stream_like(active.machine(), active.annotations_ref(), active.cores()).unwrap();
+            assert!(Arc::strong_count(&log) > 1, "the pipeline holds the sink");
+            drop(active);
+            assert_eq!(Arc::strong_count(&log), 1, "{shards} shard(s): a thread outlived drop");
+        }
     }
 
     /// A sink that panics in `on_stream_start` fails `start_streaming`

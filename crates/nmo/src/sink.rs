@@ -6,38 +6,36 @@
 //! [`crate::session::ProfileSession`] instead of hard-wired steps of the
 //! runtime.
 //!
-//! Sinks consume data in one of two ways:
-//!
-//! * **Streaming** (the primary path): a
-//!   [`crate::session::ProfileSession::run_streaming`] run — or a replay of
-//!   a stored trace ([`crate::trace::TraceReader`]) — delivers every
-//!   [`SampleBatch`] and window close through one shard fan-in: a
-//!   [`ShardableSink`] aggregates in one [`SinkShard`] worker per pipeline
-//!   shard (one worker when the pipeline is one shard wide) and merges their
-//!   states in ascending shard index; any other sink is fed
-//!   [`AnalysisSink::on_batch`] / [`AnalysisSink::on_window_close`]
-//!   directly, serialised across shards. At the end
-//!   [`AnalysisSink::finish`] assembles the report from the incrementally
-//!   merged state.
-//! * **Post-hoc** (the compatibility adapter): a plain
-//!   [`crate::session::ProfileSession::run`] delivers no batches, so the
-//!   default [`AnalysisSink::finish`] implementation falls back to
-//!   [`AnalysisSink::analyze`] over the completed [`Profile`]. Existing
-//!   sinks that only implement `analyze` therefore keep working unchanged
-//!   on both paths.
+//! Sinks get their data one way: every [`SampleBatch`] and window close is
+//! delivered through one shard fan-in (`FanIn`) — by the shard consumers
+//! of a [`crate::session::ProfileSession::run_streaming`] run as the
+//! workload executes, by the session itself at
+//! [`crate::session::ActiveSession::finish`] (and at every
+//! [`crate::session::ActiveSession::tiering_step`]) when it runs without
+//! pipeline threads, or by a replay of a stored trace
+//! ([`crate::trace::TraceReader`]). A [`ShardableSink`] aggregates in one
+//! [`SinkShard`] worker per pipeline shard (one worker when the pipeline is
+//! one shard wide) and merges their states in ascending shard index; any
+//! other sink is fed [`AnalysisSink::on_batch`] /
+//! [`AnalysisSink::on_window_close`] directly, serialised across shards. At
+//! the end [`AnalysisSink::finish`] — by default [`AnalysisSink::analyze`]
+//! — assembles the report from what was delivered. A plain
+//! [`crate::session::ProfileSession::run`] is therefore streaming finished
+//! at the end: a sink that only implements `analyze` over the completed
+//! [`Profile`] keeps working on every path, and a sink that aggregates
+//! batches reports the same on all of them.
 //!
 //! The shipped sinks are incremental aggregators: capacity merges RSS
 //! tick batches (per memory node), bandwidth merges per-bucket traffic
 //! deltas (per memory node), regions attributes each window's samples as it
 //! closes, and latency folds each sample into per-data-source log2
 //! histograms — a windowed merge instead of a deferred whole-run scan, so
-//! analysis work is spread over the run and live readouts stay current.
-//! Note that the *retained data* is not yet bounded: the final [`Profile`]
-//! still records every decoded sample (and the region scatter keeps one
-//! attributed point per sample), so memory grows with run length just as on
-//! the post-hoc path; eviction/downsampling policies for indefinitely long
-//! runs are future work (the latency histograms are already O(1) in run
-//! length).
+//! analysis work is spread over a streaming run and live readouts stay
+//! current. Note that the *retained data* is not yet bounded: the final
+//! [`Profile`] still records every decoded sample (and the region scatter
+//! keeps one attributed point per sample), so memory grows with run length;
+//! eviction/downsampling policies for indefinitely long runs are future
+//! work (the latency histograms are already O(1) in run length).
 
 use std::collections::BTreeMap;
 use std::ops::DerefMut;
@@ -49,7 +47,7 @@ use crate::annotate::Annotations;
 use crate::bandwidth::BandwidthSeries;
 use crate::capacity::CapacitySeries;
 use crate::latency::LatencyProfile;
-use crate::regions::{attribute, RegionAccumulator, RegionProfile};
+use crate::regions::{RegionAccumulator, RegionProfile};
 use crate::runtime::Profile;
 use crate::stream::{BatchPayload, SampleBatch, Window};
 use crate::NmoError;
@@ -112,9 +110,13 @@ pub struct StreamContext {
     pub page_bytes: u64,
     /// The live machine, for sinks that *act* on the run (e.g.
     /// [`crate::tiering::HotPageTracker`] applying page migrations).
-    /// Always present on a session-driven stream; `None` on replays from a
-    /// stored trace (the run is over — there is nothing left to actuate)
-    /// and in hand-built test contexts.
+    /// Present on a session with pipeline threads
+    /// ([`crate::session::ProfileSession::start_streaming`]); `None` on
+    /// replays from a stored trace (the run is over — there is nothing left
+    /// to actuate), on sessions without pipeline threads (delivery happens
+    /// at the caller's steps and at `finish`; nothing actuates by itself —
+    /// see [`crate::session::ActiveSession::tiering_step`]) and in
+    /// hand-built test contexts.
     pub machine: Option<Arc<Machine>>,
 }
 
@@ -144,21 +146,24 @@ impl StreamContext {
 /// A pluggable analysis over a profiling run.
 ///
 /// Only [`AnalysisSink::name`] and [`AnalysisSink::analyze`] are required;
-/// the streaming hooks default to no-ops and [`AnalysisSink::finish`]
-/// defaults to the post-hoc `analyze` adapter, so pre-streaming sinks keep
-/// compiling and behave exactly as before.
+/// the delivery hooks default to no-ops and [`AnalysisSink::finish`]
+/// defaults to `analyze`, so a sink that only reads the finished
+/// [`Profile`] compiles and behaves the same on every kind of run.
 pub trait AnalysisSink: Send {
     /// Stable sink name (used in reports and error messages).
     fn name(&self) -> &'static str;
 
-    /// Post-hoc analysis over the (backend-filled) profile. Also the
-    /// fallback behaviour of [`AnalysisSink::finish`] when no batches were
-    /// streamed.
+    /// Produce the report, after the last batch and window close were
+    /// delivered and the backends filled `profile`. The shipped sinks report
+    /// what was delivered to them and read `profile` only for run-wide
+    /// values (`elapsed_ns`, `counters.flops`, `tags`); a custom sink may
+    /// equally scan the profile.
     fn analyze(&mut self, machine: &Machine, profile: &Profile)
         -> Result<AnalysisReport, NmoError>;
 
-    /// Streaming: a session with streaming delivery is starting. Sinks that
-    /// aggregate incrementally latch the context here.
+    /// Delivery is starting (every session and every replay calls this
+    /// once, before the first batch). Sinks that aggregate incrementally
+    /// latch the context here.
     fn on_stream_start(&mut self, _ctx: &StreamContext) {}
 
     /// Streaming: one window-stamped batch arrived. Only sinks that are not
@@ -171,10 +176,9 @@ pub trait AnalysisSink: Send {
     /// through [`AnalysisSink::on_batch`] and counted by the session).
     fn on_window_close(&mut self, _window: Window) {}
 
-    /// Produce the final report. The default adapter re-expresses the
-    /// historical post-hoc path: it simply calls
-    /// [`AnalysisSink::analyze`]. Streaming sinks override this to emit the
-    /// incrementally merged result instead.
+    /// Produce the final report — what every session and
+    /// [`crate::trace::replay_finish`] call. The default is
+    /// [`AnalysisSink::analyze`]; no shipped sink overrides it.
     fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
         self.analyze(machine, profile)
     }
@@ -220,7 +224,7 @@ pub trait SinkShard: Send {
 /// A sink that scales with the sharded streaming pipeline: per-shard workers
 /// aggregate disjoint lanes in parallel, and the parent merges their states
 /// in **ascending shard index** — a fixed order, so a sharded run produces
-/// the same report as a single-shard (or post-hoc) run wherever the
+/// the same report as a single-shard run wherever the
 /// underlying aggregation is exact (sums, histograms, per-window
 /// attribution).
 ///
@@ -483,23 +487,23 @@ impl FanInLane {
 /// Level 1: temporal capacity usage (paper Section VI-A, Figure 2), split
 /// per memory node on tiered topologies.
 ///
-/// Streaming: merges the RSS tick batches into a step-event list and
-/// resamples at [`AnalysisSink::finish`]; post-hoc: scans the machine's
-/// recorded RSS series.
+/// Merges the RSS tick batches into a step-event list and resamples it over
+/// the run's duration at [`AnalysisSink::analyze`].
 #[derive(Debug, Clone)]
 pub struct CapacitySink {
     /// Number of evenly spaced output samples.
     pub buckets: usize,
     core: CapacityShard,
-    /// DRAM capacity and node count latched from the stream context; `None`
-    /// until streaming starts (the post-hoc marker).
-    stream_geometry: Option<(u64, usize)>,
+    /// Memory capacity (bytes) and node count, latched from the stream
+    /// context.
+    capacity_bytes: u64,
+    nodes: usize,
 }
 
 impl CapacitySink {
     /// A capacity sink emitting `buckets` evenly spaced samples.
     pub fn new(buckets: usize) -> Self {
-        CapacitySink { buckets, core: CapacityShard::default(), stream_geometry: None }
+        CapacitySink { buckets, core: CapacityShard::default(), capacity_bytes: 0, nodes: 1 }
     }
 }
 
@@ -516,39 +520,27 @@ impl AnalysisSink for CapacitySink {
 
     fn analyze(
         &mut self,
-        machine: &Machine,
+        _machine: &Machine,
         profile: &Profile,
     ) -> Result<AnalysisReport, NmoError> {
+        // Delivery order is the machine's recording order (see
+        // `CapacityShard`), which `from_events` expects.
+        let events = std::mem::take(&mut self.core.events);
         Ok(AnalysisReport::Capacity(CapacitySeries::from_events(
-            &machine.rss_series(),
+            &events,
             profile.elapsed_ns,
-            machine.config().total_mem_bytes(),
+            self.capacity_bytes,
             self.buckets,
-            machine.config().mem_nodes(),
+            self.nodes,
         )))
     }
 
     fn on_stream_start(&mut self, ctx: &StreamContext) {
-        self.stream_geometry = Some((ctx.capacity_bytes, ctx.mem_nodes));
+        (self.capacity_bytes, self.nodes) = (ctx.capacity_bytes, ctx.mem_nodes);
     }
 
     fn on_batch(&mut self, batch: &SampleBatch) {
         self.core.on_batch(batch);
-    }
-
-    fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
-        let Some((capacity_bytes, nodes)) = self.stream_geometry else {
-            return self.analyze(machine, profile);
-        };
-        let mut events = std::mem::take(&mut self.core.events);
-        events.sort_by_key(|e| e.time_ns);
-        Ok(AnalysisReport::Capacity(CapacitySeries::from_events(
-            &events,
-            profile.elapsed_ns,
-            capacity_bytes,
-            self.buckets,
-            nodes,
-        )))
     }
 
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
@@ -558,9 +550,11 @@ impl AnalysisSink for CapacitySink {
 
 /// The RSS event collector of a [`CapacitySink`]: one per shard, plus the
 /// parent's own (direct [`AnalysisSink::on_batch`] calls and the merge
-/// target). RSS batches are core-less and therefore all ride lane 0, but
-/// the shard machinery keeps the sink uniform with the others (and correct
-/// if that routing changes).
+/// target). RSS batches are core-less and therefore all ride lane 0, in
+/// the order the machine recorded the events — the order their running
+/// totals mean something in (cores' clocks are skewed against each other,
+/// so timestamps do not reproduce it); the shard machinery keeps the sink
+/// uniform with the others.
 #[derive(Debug, Clone, Default)]
 struct CapacityShard {
     events: Vec<RssPoint>,
@@ -584,8 +578,8 @@ impl ShardableSink for CapacitySink {
     }
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
-        // Shard order fixes the concatenation; `finish` sorts by timestamp
-        // anyway, so the merged series does not depend on the shard count.
+        // Only lane 0's worker holds events, so the concatenation keeps
+        // their order whatever the shard count.
         for state in states {
             // unwrap-ok: `merge_final` only receives states built by this
             // sink's own `make_shard`, which always boxes Vec<RssPoint>.
@@ -598,14 +592,13 @@ impl ShardableSink for CapacitySink {
 /// Level 2: temporal bandwidth usage (paper Section VI-B, Figure 3), split
 /// per memory node on tiered topologies.
 ///
-/// Streaming: merges bandwidth tick batches per bucket (deliveries for the
-/// same bucket sum their bytes, per node — the windowed merge); post-hoc:
-/// scans the machine's aggregated bucket series.
+/// Merges bandwidth tick batches per bucket (deliveries for the same bucket
+/// sum their bytes, per node — the windowed merge).
 #[derive(Debug, Clone, Default)]
 pub struct BandwidthSink {
-    /// The per-bucket merge and the node count, latched from the stream
-    /// context; `None` until streaming starts (the post-hoc marker).
-    stream: Option<(BandwidthShard, usize)>,
+    core: BandwidthShard,
+    /// Node count, latched from the stream context.
+    nodes: usize,
 }
 
 impl BandwidthSink {
@@ -622,30 +615,10 @@ impl AnalysisSink for BandwidthSink {
 
     fn analyze(
         &mut self,
-        machine: &Machine,
+        _machine: &Machine,
         profile: &Profile,
     ) -> Result<AnalysisReport, NmoError> {
-        Ok(AnalysisReport::Bandwidth(BandwidthSeries::from_buckets(
-            &machine.bandwidth_series(),
-            profile.counters.flops,
-            machine.config().mem_nodes(),
-        )))
-    }
-
-    fn on_stream_start(&mut self, ctx: &StreamContext) {
-        self.stream = Some((BandwidthShard::new(ctx), ctx.mem_nodes));
-    }
-
-    fn on_batch(&mut self, batch: &SampleBatch) {
-        if let Some((core, _)) = &mut self.stream {
-            core.on_batch(batch);
-        }
-    }
-
-    fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
-        let Some((BandwidthShard { bucket_ns, merged }, nodes)) = &self.stream else {
-            return self.analyze(machine, profile);
-        };
+        let BandwidthShard { bucket_ns, merged } = &self.core;
         let points: Vec<arch_sim::BandwidthPoint> = match merged.keys().next_back() {
             None => Vec::new(),
             Some(&last) => (0..=last)
@@ -664,8 +637,16 @@ impl AnalysisSink for BandwidthSink {
         Ok(AnalysisReport::Bandwidth(BandwidthSeries::from_buckets(
             &points,
             profile.counters.flops,
-            *nodes,
+            self.nodes,
         )))
+    }
+
+    fn on_stream_start(&mut self, ctx: &StreamContext) {
+        (self.core, self.nodes) = (BandwidthShard::new(ctx), ctx.mem_nodes);
+    }
+
+    fn on_batch(&mut self, batch: &SampleBatch) {
+        self.core.on_batch(batch);
     }
 
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
@@ -687,6 +668,12 @@ struct BandwidthShard {
 impl BandwidthShard {
     fn new(ctx: &StreamContext) -> Self {
         BandwidthShard { bucket_ns: ctx.bucket_ns.max(1), merged: BTreeMap::new() }
+    }
+}
+
+impl Default for BandwidthShard {
+    fn default() -> Self {
+        BandwidthShard { bucket_ns: 1, merged: BTreeMap::new() }
     }
 }
 
@@ -714,7 +701,6 @@ impl ShardableSink for BandwidthSink {
     }
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
-        let Some((core, _)) = &mut self.stream else { return };
         // Per-bucket sums are exact integers, so the merge does not depend
         // on how deliveries were split across shards.
         for state in states {
@@ -724,7 +710,7 @@ impl ShardableSink for BandwidthSink {
                 // which always boxes this exact map type.
                 .expect("a BandwidthShard state");
             for (bucket, by_node) in merged.into_iter() {
-                let entry = core.merged.entry(bucket).or_insert([0; MAX_MEM_NODES]);
+                let entry = self.core.merged.entry(bucket).or_insert([0; MAX_MEM_NODES]);
                 for (node, bytes) in by_node.iter().enumerate() {
                     entry[node] += bytes;
                 }
@@ -735,10 +721,9 @@ impl ShardableSink for BandwidthSink {
 
 /// Level 3: memory-region attribution (paper Section VI-C, Figures 4–6).
 ///
-/// Streaming: buffers each window's SPE samples and attributes them when the
-/// window closes (so phases bracketing the window are usually final),
-/// merging into a running [`RegionAccumulator`]; post-hoc: one attribution
-/// scan over the profile's samples.
+/// Buffers each window's SPE samples and attributes them when the window
+/// closes (so phases bracketing the window are usually final), merging into
+/// a running [`RegionAccumulator`].
 #[derive(Debug, Default)]
 pub struct RegionSink {
     core: RegionShard,
@@ -761,7 +746,7 @@ impl AnalysisSink for RegionSink {
         _machine: &Machine,
         profile: &Profile,
     ) -> Result<AnalysisReport, NmoError> {
-        Ok(AnalysisReport::Regions(attribute(&profile.samples, &profile.tags, &profile.phases)))
+        Ok(AnalysisReport::Regions(self.core.take_accum().finalize(&profile.tags)))
     }
 
     fn on_stream_start(&mut self, ctx: &StreamContext) {
@@ -774,13 +759,6 @@ impl AnalysisSink for RegionSink {
 
     fn on_window_close(&mut self, window: Window) {
         self.core.ingest_window(window.index);
-    }
-
-    fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
-        if self.core.annotations.is_none() {
-            return self.analyze(machine, profile);
-        }
-        Ok(AnalysisReport::Regions(self.core.take_accum().finalize(&profile.tags)))
     }
 
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
@@ -796,20 +774,18 @@ impl AnalysisSink for RegionSink {
 struct RegionShard {
     accum: RegionAccumulator,
     pending: BTreeMap<u64, Vec<crate::runtime::AddressSample>>,
-    /// Latched from the stream context; `None` until streaming starts (the
-    /// parent's post-hoc marker).
-    annotations: Option<Arc<Annotations>>,
+    /// Latched from the stream context.
+    annotations: Arc<Annotations>,
 }
 
 impl RegionShard {
     fn new(ctx: &StreamContext) -> Self {
-        RegionShard { annotations: Some(ctx.annotations.clone()), ..Default::default() }
+        RegionShard { annotations: ctx.annotations.clone(), ..Default::default() }
     }
 
     fn ingest_window(&mut self, index: u64) {
         let Some(samples) = self.pending.remove(&index) else { return };
-        let Some(ann) = &self.annotations else { return };
-        self.accum.ingest(&samples, &ann.tags(), &ann.phases());
+        self.accum.ingest(&samples, &self.annotations.tags(), &self.annotations.phases());
     }
 
     /// Attribute any windows that never saw a close signal and hand the
@@ -862,15 +838,13 @@ impl ShardableSink for RegionSink {
 /// one streaming log2-bucket histogram per SPE data source, with
 /// interpolated p50/p90/p99.
 ///
-/// Streaming: folds every sample of every batch into the per-source
-/// histograms as it arrives (O(1) state per source — nothing is buffered);
-/// post-hoc: one scan over the profile's samples. The histograms are
-/// order-independent, so both paths produce identical reports.
+/// Folds every sample of every batch into the per-source histograms as it
+/// arrives (O(1) state per source — nothing is buffered). The histograms
+/// are order-independent, so the report does not depend on how the stream
+/// was batched or sharded.
 #[derive(Debug, Default)]
 pub struct LatencySink {
     core: LatencyShard,
-    /// Set when streaming delivery started (the post-hoc marker).
-    streaming: bool,
 }
 
 impl LatencySink {
@@ -888,24 +862,13 @@ impl AnalysisSink for LatencySink {
     fn analyze(
         &mut self,
         _machine: &Machine,
-        profile: &Profile,
+        _profile: &Profile,
     ) -> Result<AnalysisReport, NmoError> {
-        Ok(AnalysisReport::Latency(LatencyProfile::from_samples(&profile.samples)))
-    }
-
-    fn on_stream_start(&mut self, _ctx: &StreamContext) {
-        self.streaming = true;
+        Ok(AnalysisReport::Latency(std::mem::take(&mut self.core.profile)))
     }
 
     fn on_batch(&mut self, batch: &SampleBatch) {
         self.core.on_batch(batch);
-    }
-
-    fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
-        if !self.streaming {
-            return self.analyze(machine, profile);
-        }
-        Ok(AnalysisReport::Latency(std::mem::take(&mut self.core.profile)))
     }
 
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
@@ -971,8 +934,7 @@ pub(crate) fn default_sinks(config: &crate::config::NmoConfig) -> Vec<Box<dyn An
 
 /// Run every sink's [`AnalysisSink::finish`] over the profile, recording
 /// the reports and mirroring the standard capacity/bandwidth series into
-/// the legacy fields. On the post-hoc path `finish` falls through to
-/// `analyze`, so this single entry point serves both modes.
+/// the legacy fields.
 pub(crate) fn run_sinks(
     machine: &Machine,
     profile: &mut Profile,
@@ -1102,30 +1064,38 @@ mod tests {
         assert!(names(&off).is_empty());
     }
 
+    /// `run_sinks`, reached through a session: each report lands in
+    /// `Profile.analyses`, and the capacity/bandwidth series are mirrored
+    /// into the profile's own fields.
     #[test]
     fn sinks_populate_profile_and_analyses() {
-        let machine = Machine::new(MachineConfig::small_test());
-        let region = machine.alloc("x", 1 << 16).unwrap();
-        {
-            let mut e = machine.attach(0).unwrap();
-            for i in 0..4_096u64 {
-                e.load(region.start + i * 8, 8);
-            }
-        }
-        let mut profile = Profile::empty("t", NmoConfig::paper_default(100));
-        profile.elapsed_ns = machine.makespan_ns();
-        profile.counters = machine.counters();
-        let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![
-            Box::new(CapacitySink::default()),
-            Box::new(BandwidthSink::default()),
-            Box::new(RegionSink::default()),
-        ];
-        run_sinks(&machine, &mut profile, &mut sinks).unwrap();
+        let profile = crate::session::ProfileSession::builder()
+            .machine_config(MachineConfig::small_test())
+            .config(NmoConfig::paper_default(100))
+            .threads(1)
+            .sink(CapacitySink::default())
+            .sink(BandwidthSink::default())
+            .sink(RegionSink::default())
+            .build()
+            .unwrap()
+            .run_with(|machine, _annotations, cores| {
+                let region = machine.alloc("x", 1 << 16)?;
+                let mut e = machine.attach(cores[0])?;
+                for i in 0..4_096u64 {
+                    e.load(region.start + i * 8, 8);
+                }
+                Ok(())
+            })
+            .unwrap();
         assert_eq!(profile.analyses.len(), 3);
         assert!(profile.capacity.peak_bytes > 0);
         assert!(profile.bandwidth.total_bytes > 0);
-        assert!(matches!(profile.analyses[2].report, AnalysisReport::Regions(_)));
-        assert!(!profile.analyses[0].report.is_empty());
+        assert!(matches!(&profile.analyses[0].report,
+            AnalysisReport::Capacity(c) if *c == profile.capacity));
+        assert!(matches!(&profile.analyses[1].report,
+            AnalysisReport::Bandwidth(b) if *b == profile.bandwidth));
+        assert!(matches!(&profile.analyses[2].report,
+            AnalysisReport::Regions(r) if r.scatter.len() as u64 == profile.processed_samples));
     }
 
     /// A pre-streaming sink that only implements `analyze` still works via
@@ -1188,6 +1158,35 @@ mod tests {
                 assert_eq!(c.peak_bytes_by_node[0], 3 << 20);
                 assert_eq!(c.nodes, 2, "node count latched from the stream context");
                 assert!(!c.points.is_empty());
+            }
+            other => panic!("expected capacity report, got {other:?}"),
+        }
+    }
+
+    /// RSS events carry the running total at their recording, and cores'
+    /// clocks are skewed against each other: the series follows delivery
+    /// (= recording) order, so an event recorded last with an earlier
+    /// timestamp still ends the series.
+    #[test]
+    fn capacity_sink_keeps_rss_events_in_recording_order() {
+        let machine = Machine::new(MachineConfig::small_test());
+        let mut profile = Profile::empty("t", NmoConfig::default());
+        profile.elapsed_ns = 4_000;
+        let mut sink = CapacitySink::new(4);
+        sink.on_stream_start(&stream_ctx(Arc::new(Annotations::new())));
+        let clock = crate::stream::WindowClock::new(1000);
+        for (time_ns, rss) in [(1_500u64, 1u64 << 20), (900, 2 << 20)] {
+            sink.on_batch(&SampleBatch::new(
+                "machine",
+                None,
+                clock.window_containing(time_ns),
+                BatchPayload::Rss { points: vec![arch_sim::RssPoint::flat(time_ns, rss)] },
+            ));
+        }
+        match sink.finish(&machine, &profile).unwrap() {
+            AnalysisReport::Capacity(c) => {
+                assert_eq!(c.peak_bytes, 2 << 20);
+                assert_eq!(c.final_gib(), c.peak_gib(), "the last-recorded total ends the series");
             }
             other => panic!("expected capacity report, got {other:?}"),
         }
@@ -1295,8 +1294,11 @@ mod tests {
         }
     }
 
+    /// `LatencySink` fed batches reports exactly
+    /// `LatencyProfile::from_samples` over the same samples — the reference
+    /// the integration suites compare every kind of run against.
     #[test]
-    fn latency_sink_streaming_matches_post_hoc() {
+    fn latency_sink_fed_batches_equals_from_samples() {
         let machine = Machine::new(MachineConfig::small_test());
         let samples: Vec<AddressSample> = (0..300u64)
             .map(|i| {
@@ -1317,16 +1319,7 @@ mod tests {
             })
             .collect();
 
-        // Post-hoc path: analyze over the filled profile.
-        let mut profile = Profile::empty("t", NmoConfig::default());
-        profile.samples = samples.clone();
-        let mut post_hoc_sink = LatencySink::new();
-        let post_hoc = match post_hoc_sink.finish(&machine, &profile).unwrap() {
-            AnalysisReport::Latency(l) => l,
-            other => panic!("expected latency report, got {other:?}"),
-        };
-
-        // Streaming path: batches in arbitrary chunks.
+        // Batches in arbitrary chunks.
         let mut sink = LatencySink::new();
         sink.on_stream_start(&stream_ctx(Arc::new(Annotations::new())));
         let clock = crate::stream::WindowClock::new(1000);
@@ -1344,7 +1337,7 @@ mod tests {
             other => panic!("expected latency report, got {other:?}"),
         };
 
-        assert_eq!(streamed, post_hoc, "histograms are order-independent");
+        assert_eq!(streamed, LatencyProfile::from_samples(&samples));
         assert_eq!(streamed.per_source.len(), 4);
         assert_eq!(streamed.total_count(), 300);
     }

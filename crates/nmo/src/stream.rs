@@ -123,9 +123,12 @@ impl WindowClock {
         t_ns / self.width_ns
     }
 
-    /// The window with the given index.
+    /// The window with the given index. Bounds saturate at `u64::MAX`, so
+    /// the window containing a timestamp within one width of the end of
+    /// time is merely clipped.
     pub fn window(&self, index: u64) -> Window {
-        Window { index, start_ns: index * self.width_ns, end_ns: (index + 1) * self.width_ns }
+        let start_ns = index.saturating_mul(self.width_ns);
+        Window { index, start_ns, end_ns: start_ns.saturating_add(self.width_ns) }
     }
 
     /// The window containing a timestamp.
@@ -889,7 +892,9 @@ impl ShardedBus {
 /// (see [`crate::session::ProfileSessionBuilder::stream_options`]).
 #[derive(Debug, Clone)]
 pub struct StreamOptions {
-    /// Window width in simulated nanoseconds (default 1 ms).
+    /// Window width in simulated nanoseconds (default 1 ms) — the one
+    /// option a session without pipeline threads uses too (its delivery at
+    /// `finish` and at each `tiering_step` is stamped with these windows).
     pub window_ns: u64,
     /// Event-bus capacity in events *per lane* (default 1024).
     pub bus_capacity: usize,
@@ -1289,6 +1294,17 @@ mod tests {
         assert_eq!(clock.current().index, 4);
         // Zero width is clamped.
         assert_eq!(WindowClock::new(0).width_ns(), 1);
+    }
+
+    /// The last window of `u64` time is clipped at `u64::MAX`, not an
+    /// overflow (a debug-build panic, a wrapped `end_ns` in release).
+    #[test]
+    fn window_at_the_end_of_time_saturates() {
+        let w = WindowClock::new(1_000_000).window_containing(u64::MAX);
+        assert_eq!(w.index, u64::MAX / 1_000_000);
+        assert_eq!(w.start_ns, w.index * 1_000_000);
+        assert_eq!(w.end_ns, u64::MAX);
+        assert!(w.contains_ns(u64::MAX - 1) && w.width_ns() < 1_000_000);
     }
 
     #[test]

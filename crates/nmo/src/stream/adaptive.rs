@@ -1,7 +1,7 @@
 //! The adaptive pipeline controller: auto-tunes the sharded streaming
 //! pipeline at runtime instead of trusting a static shard count.
 //!
-//! `results/bench_stream.csv` history showed why a static configuration is
+//! Shard-count sweeps of the pipeline showed why a static configuration is
 //! wrong: the best shard count depends on host parallelism and load, and a
 //! wrong choice collapses throughput (8 shards on a host with one free core
 //! oversubscribes; 1 shard on a 128-core machine funnels every lane through

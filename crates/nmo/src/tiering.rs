@@ -17,12 +17,16 @@
 //!   ([`crate::session::ProfileSessionBuilder::sink`]); during a
 //!   [`crate::session::ProfileSession::run_streaming`] run it consumes
 //!   batches on the consumer thread and applies decisions whenever the
-//!   producer watermark closes a window.
+//!   producer watermark closes a window. (Registered on a session without
+//!   pipeline threads it is fed like every other sink but has no machine
+//!   to actuate: it tracks and reports, like on a replay.)
 //! * **Manual / deterministic** — drive the workload in chunks and call
-//!   [`crate::session::ActiveSession::tiering_step`] between them; drains,
-//!   window closes, and migrations then happen at fixed points of the
-//!   *simulated* timeline, so two identically configured runs reproduce
-//!   the same decisions bit for bit (see `tests/tiering.rs`).
+//!   [`crate::session::ActiveSession::tiering_step`] between them: each
+//!   step is the session's own delivery step, with the tracker fed the
+//!   same batches and window closes as the registered sinks — so drains,
+//!   closes, and migrations happen at fixed points of the *simulated*
+//!   timeline, and two identically configured runs reproduce the same
+//!   decisions bit for bit (see `tests/tiering.rs`).
 //!
 //! The [`TieringReport`] records the applied migration log plus the
 //! before/after per-tier latency distributions — the "remote p99 drops
@@ -414,10 +418,11 @@ const EVICT_HEAT: f64 = 1.0 / 64.0;
 ///
 /// As an [`AnalysisSink`] it consumes `SpeSamples` batches, decays its
 /// per-page counters at every window close, asks its [`TieringPolicy`] for
-/// decisions, and — when a machine handle is available (always, on a
-/// streaming session) — applies them via [`Machine::migrate_page`]. On the
+/// decisions, and — when a machine handle is available (on a session with
+/// pipeline threads) — applies them via [`Machine::migrate_page`]. On the
 /// manual path, [`crate::session::ActiveSession::tiering_step`] drives the
-/// same state machine synchronously.
+/// same state machine synchronously through [`HotPageTracker::ingest`] and
+/// [`HotPageTracker::close_window`].
 pub struct HotPageTracker {
     policy: Box<dyn TieringPolicy>,
     /// Multiplier applied to every page's heat at each window close.
@@ -427,9 +432,6 @@ pub struct HotPageTracker {
     configured: bool,
     /// Actuation target on the streaming path (latched at stream start).
     machine: Option<Arc<Machine>>,
-    /// Set once streaming (or manual stepping) delivered data — the marker
-    /// telling `finish` not to re-scan the profile.
-    fed_incrementally: bool,
     pages: BTreeMap<u64, PageState>,
     /// Authoritative homes of pages this tracker migrated: late batches may
     /// still carry pre-migration samples, which must not flip the page's
@@ -470,7 +472,6 @@ impl HotPageTracker {
             freq_hz: 1_000_000_000,
             configured: false,
             machine: None,
-            fed_incrementally: false,
             pages: BTreeMap::new(),
             pinned: BTreeMap::new(),
             pages_tracked: 0,
@@ -808,27 +809,20 @@ impl AnalysisSink for HotPageTracker {
 
     fn analyze(
         &mut self,
-        machine: &Machine,
-        profile: &Profile,
+        _machine: &Machine,
+        _profile: &Profile,
     ) -> Result<AnalysisReport, NmoError> {
-        // Post-hoc: one scan over the decoded samples. No actuation — the
-        // run is over; the report still carries the heat/latency view.
-        self.configure(machine.config());
-        for s in &profile.samples {
-            self.observe(s);
-        }
         Ok(AnalysisReport::Tiering(self.report()))
     }
 
     fn on_stream_start(&mut self, ctx: &StreamContext) {
-        self.fed_incrementally = true;
         if let Some(machine) = &ctx.machine {
             self.configure(machine.config());
             self.machine = Some(machine.clone());
         } else if !self.configured {
-            // Machine-less stream (a trace replay): latch the page size
-            // from the recorded geometry so page aggregation is identical
-            // to the live run the trace was captured from.
+            // Machine-less stream (a trace replay, a session without
+            // pipeline threads): latch the page size from the stream
+            // geometry so page aggregation is identical to a live run's.
             self.page_bytes = ctx.page_bytes;
             self.configured = true;
         }
@@ -841,13 +835,6 @@ impl AnalysisSink for HotPageTracker {
     fn on_window_close(&mut self, window: Window) {
         let machine = self.machine.clone();
         self.close_window(window, machine.as_deref());
-    }
-
-    fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
-        if !self.fed_incrementally {
-            return self.analyze(machine, profile);
-        }
-        Ok(AnalysisReport::Tiering(self.report()))
     }
 
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {

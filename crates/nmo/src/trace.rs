@@ -1,13 +1,14 @@
-//! Append-only binary trace store and replay — record a streaming run once,
-//! re-analyse it forever.
+//! Append-only binary trace store and replay — record a run's sink delivery
+//! once, re-analyse it forever.
 //!
 //! Every analysis in NMO used to require a live [`crate::ProfileSession`]:
 //! sinks only see samples while the simulated machine runs, so trying a new
 //! sink, tiering policy, or report on an existing run cost a full
-//! re-simulation. This module stores the streaming delivery itself — the
-//! exact per-shard sequence of window-stamped [`SampleBatch`]es and
-//! window-close broadcasts — in a compact indexed binary format, and replays
-//! it through any [`AnalysisSink`] without touching a machine.
+//! re-simulation. This module stores the sink delivery itself — the exact
+//! per-shard sequence of window-stamped [`SampleBatch`]es and window-close
+//! broadcasts, whether pipeline threads delivered it or a session without
+//! them did at `finish` — in a compact indexed binary format, and replays it
+//! through any [`AnalysisSink`] without touching a machine.
 //!
 //! # On-disk layout
 //!
@@ -67,7 +68,8 @@
 //! [`TraceWriterSink`] is an ordinary [`AnalysisSink`] + [`ShardableSink`]:
 //! registered on a session it appends each shard lane's deliveries to that
 //! shard's segment, with no cross-shard lock on the hot path (each
-//! [`SinkShard`] owns its file and scratch buffer). Replay owns the reading
+//! [`SinkShard`] owns its file and scratch buffer); it has no other way to
+//! be fed, so every kind of run records the same kind of trace. Replay owns the reading
 //! side only — segment decoding, the schedule that interleaves the lanes,
 //! index pruning — and delivers through the same shard fan-in the live
 //! consumers use (`sink.rs`), so per-shard workers, ascending-shard window
@@ -79,7 +81,6 @@
 //! across one worker thread per segment for time-window-, core-, or
 //! address-sliced queries that never load the whole trace.
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -98,7 +99,7 @@ use crate::sink::{
     AnalysisRecord, AnalysisReport, AnalysisSink, FanIn, FanInLane, ShardState, ShardableSink,
     SinkShard, StreamContext,
 };
-use crate::stream::{BatchPayload, BatchPool, SampleBatch, Window, WindowClock};
+use crate::stream::{BatchPayload, BatchPool, SampleBatch, Window};
 use crate::NmoError;
 
 /// Segment file header magic.
@@ -940,14 +941,18 @@ impl Default for Geometry {
     }
 }
 
-/// Records a streaming run into an on-disk trace directory.
+/// Records a run's sink delivery into an on-disk trace directory.
 ///
 /// Register it on a session like any other sink: it is a [`ShardableSink`]
 /// whose shards each append to their own segment file (no cross-shard lock
-/// on the hot path), so an N-shard pipeline records N segments and a
-/// one-shard pipeline a single-segment trace. [`AnalysisSink::finish`]
-/// finalises the segments and writes the manifest; the returned
-/// [`AnalysisReport::Text`] summarises what was stored.
+/// on the hot path), so an N-shard pipeline records N segments, and a
+/// one-shard pipeline or a session without pipeline threads a
+/// single-segment trace — SPE samples, counter deltas, RSS and bandwidth
+/// ticks and every window close, in the session's own windows
+/// ([`StreamOptions::window_ns`](crate::stream::StreamOptions::window_ns)).
+/// [`AnalysisSink::analyze`] finalises the segments and writes the
+/// manifest; the returned [`AnalysisReport::Text`] summarises what was
+/// stored.
 ///
 /// ```no_run
 /// use nmo::trace::TraceWriterSink;
@@ -965,11 +970,7 @@ impl Default for Geometry {
 pub struct TraceWriterSink {
     dir: PathBuf,
     pool: Arc<BatchPool>,
-    /// Window width used by the post-hoc (`analyze`) path, where no
-    /// streaming windows exist to latch from.
-    posthoc_window_ns: u64,
     geometry: Geometry,
-    streamed: bool,
     /// Segment 0's writer for direct [`AnalysisSink::on_batch`] /
     /// [`AnalysisSink::on_window_close`] calls, opened on first use (a
     /// pipeline records through [`ShardableSink::make_shard`] instead).
@@ -984,20 +985,11 @@ impl TraceWriterSink {
         TraceWriterSink {
             dir: dir.into(),
             pool: BatchPool::new(32),
-            posthoc_window_ns: 100_000,
             geometry: Geometry::default(),
-            streamed: false,
             direct: None,
             summaries: Vec::new(),
             error: None,
         }
-    }
-
-    /// Window width for the post-hoc [`AnalysisSink::analyze`] path (a
-    /// streamed recording always uses the session's own windows).
-    pub fn posthoc_window_ns(mut self, window_ns: u64) -> Self {
-        self.posthoc_window_ns = window_ns.max(1);
-        self
     }
 
     /// The trace directory this sink writes to.
@@ -1056,40 +1048,31 @@ impl AnalysisSink for TraceWriterSink {
         "trace-writer"
     }
 
-    /// Post-hoc mode: no streaming delivery happened, so encode the
-    /// profile's collected samples as a single-segment trace, windowed at
-    /// [`TraceWriterSink::posthoc_window_ns`] (per-window batches in
-    /// timestamp order, one close per window).
+    /// Finalise what was delivered: close segment 0's direct writer (if
+    /// direct calls opened one), surface the first write error, and write
+    /// the manifest.
     fn analyze(
         &mut self,
         _machine: &Machine,
-        profile: &Profile,
+        _profile: &Profile,
     ) -> Result<AnalysisReport, NmoError> {
-        let clock = WindowClock::new(self.posthoc_window_ns);
-        let mut by_window: BTreeMap<u64, Vec<AddressSample>> = BTreeMap::new();
-        for s in &profile.samples {
-            by_window.entry(clock.index_of(s.time_ns)).or_default().push(*s);
+        if let Some(shard) = self.direct.take() {
+            self.summaries.push(shard.into_summary());
         }
-        fs::create_dir_all(&self.dir)?;
-        let mut writer = SegmentWriter::create(&self.dir, 0, Arc::clone(&self.pool))?;
-        for (index, samples) in by_window {
-            let window = clock.window(index);
-            let batch = SampleBatch::new(
-                "spe",
-                None,
-                window,
-                BatchPayload::SpeSamples { samples, loss: SpeStatsSnapshot::default() },
-            );
-            writer.append_batch(&batch)?;
-            writer.append_close(window)?;
+        let shard_errors: Vec<String> =
+            self.summaries.iter().filter_map(|s| s.error.clone()).collect();
+        for e in shard_errors {
+            self.record_error(e);
         }
-        self.summaries = vec![writer.finish()?];
+        if let Some(e) = &self.error {
+            return Err(NmoError::sink("trace-writer", e.clone()));
+        }
+        self.summaries.sort_by_key(|s| s.shard);
         self.write_manifest()?;
         Ok(self.summary_report())
     }
 
     fn on_stream_start(&mut self, ctx: &StreamContext) {
-        self.streamed = true;
         self.geometry = Geometry {
             capacity_bytes: ctx.capacity_bytes,
             bucket_ns: ctx.bucket_ns,
@@ -1107,26 +1090,6 @@ impl AnalysisSink for TraceWriterSink {
 
     fn on_window_close(&mut self, window: Window) {
         self.direct().on_window_close(window);
-    }
-
-    fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
-        if !self.streamed && self.summaries.is_empty() {
-            return self.analyze(machine, profile);
-        }
-        if let Some(shard) = self.direct.take() {
-            self.summaries.push(shard.into_summary());
-        }
-        let shard_errors: Vec<String> =
-            self.summaries.iter().filter_map(|s| s.error.clone()).collect();
-        for e in shard_errors {
-            self.record_error(e);
-        }
-        if let Some(e) = &self.error {
-            return Err(NmoError::sink("trace-writer", e.clone()));
-        }
-        self.summaries.sort_by_key(|s| s.shard);
-        self.write_manifest()?;
-        Ok(self.summary_report())
     }
 
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
@@ -1899,7 +1862,7 @@ pub fn default_replay_context() -> StreamContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::BatchPayload;
+    use crate::stream::WindowClock;
 
     fn tmp(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("nmo_trace_{tag}_{}", std::process::id()))

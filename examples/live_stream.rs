@@ -94,8 +94,8 @@ fn main() -> Result<(), NmoError> {
         );
     }
     println!(
-        "final series match the post-hoc path: peak RSS {:.3} GiB, peak BW {:.1} GiB/s, \
-         SPE loss {:.1}%",
+        "final series (merged from the streamed windows): peak RSS {:.3} GiB, \
+         peak BW {:.1} GiB/s, SPE loss {:.1}%",
         profile.capacity.peak_gib(),
         profile.bandwidth.peak_gib_per_s,
         profile.loss_fraction() * 100.0,

@@ -539,6 +539,22 @@ fn sample_sort_key(s: &AddressSample) -> (u64, u64, usize, u16, bool, u8) {
 }
 
 proptest! {
+    /// Window arithmetic holds over all of `u64` time: any width, any
+    /// timestamp — no overflow, the window starts at or before the
+    /// timestamp, contains it (or is clipped at `u64::MAX`), and carries
+    /// the index `index_of` computes.
+    #[test]
+    fn window_clock_never_overflows_and_windows_contain_their_timestamp(
+        width in any::<u64>(),
+        t in any::<u64>(),
+    ) {
+        let clock = WindowClock::new(width);
+        let w = clock.window_containing(t);
+        prop_assert_eq!(w.index, clock.index_of(t));
+        prop_assert!(w.start_ns <= t);
+        prop_assert!(w.contains_ns(t) || w.end_ns == u64::MAX);
+    }
+
     /// The lenient block scanner never panics on arbitrary bytes, and its
     /// consumed/skipped accounting covers every byte exactly (the
     /// `decode_records` fuzz-harness contract, ported to the trace codec).

@@ -76,8 +76,11 @@ fn tiering_runs_are_deterministic_end_to_end() {
     assert_eq!(p1.samples.len(), p2.samples.len());
     assert_eq!(p1.counters.mem_access, p2.counters.mem_access);
     assert_eq!(p1.counters.cycles, p2.counters.cycles, "whole simulated timeline pinned");
-    // ...identical per-tier latency histograms...
+    // ...identical per-tier latency histograms, over every step's samples
+    // (the registered sink is fed by each `tiering_step`, not only by the
+    // tail `finish` delivers)...
     assert_eq!(p1.latency(), p2.latency());
+    assert_eq!(p1.latency(), LatencyProfile::from_samples(&p1.samples));
     // ...and identical migration decisions, in order.
     assert_eq!(a1, a2);
     assert!(!a1.is_empty(), "the policy migrated at least once");

@@ -12,6 +12,10 @@
 //! * **Slicing prunes.** A time-window-restricted query reads fewer blocks
 //!   and feeds fewer samples than the full replay, and a core-restricted
 //!   query only surfaces the selected cores' samples.
+//! * **Every kind of run records.** A session without pipeline threads
+//!   stores what its one fan-in lane delivered at `finish` — RSS,
+//!   bandwidth and counter batches too — and replaying that trace
+//!   reproduces the run's own capacity/bandwidth/latency reports.
 //! * **Damage is an error, not garbage.** Corrupting a stored segment makes
 //!   replay fail with `NmoError::Trace` (never a panic, never silently
 //!   wrong samples), while `TraceReader::verify` reports the damage with
@@ -20,11 +24,11 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use nmo_repro::arch_sim::{MachineConfig, PlacementPolicy};
+use nmo_repro::arch_sim::{Machine, MachineConfig, PlacementPolicy};
 use nmo_repro::nmo::trace::replay_finish;
 use nmo_repro::nmo::{
-    AnalysisSink, HotPageTracker, LatencySink, NmoConfig, NoMigration, Profile, ProfileSession,
-    StreamOptions, TraceQuery, TraceReader, TraceWriterSink,
+    AnalysisSink, BandwidthSink, CapacitySink, HotPageTracker, LatencySink, NmoConfig, NoMigration,
+    Profile, ProfileSession, StreamOptions, TraceQuery, TraceReader, TraceWriterSink,
 };
 use nmo_repro::workloads::PageRank;
 
@@ -188,29 +192,47 @@ fn corrupt_segments_fail_replay_with_trace_error_and_verify_reports_them() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Post-hoc recording: a non-streaming `run()` still produces a replayable
-/// trace via the `analyze` fallback (single segment, synthesized windows).
+/// A session without pipeline threads records what its one fan-in lane
+/// delivered — samples, counter deltas, RSS and bandwidth ticks, window
+/// closes — as a single segment, and replaying that trace reproduces the
+/// run's own reports.
 #[test]
-fn posthoc_analyze_records_a_replayable_single_segment_trace() {
-    let dir = tmp("posthoc");
+fn thread_less_run_records_a_trace_that_replays_to_the_live_reports() {
+    let dir = tmp("thread_less");
     let profile = ProfileSession::builder()
         .machine_config(MachineConfig::small_test_tiered(PlacementPolicy::TierSplit {
             local_fraction: 0.5,
         }))
         .config(NmoConfig::paper_default(100))
         .threads(2)
+        .sink(CapacitySink::default())
+        .sink(BandwidthSink::default())
+        .sink(LatencySink::default())
         .sink(TraceWriterSink::new(dir.clone()))
+        .stream_options(StreamOptions { window_ns: 100_000, ..StreamOptions::default() })
         .workload(Box::new(PageRank::new(1 << 9, 8, 1)))
         .build()
         .expect("session builds")
         .run()
-        .expect("post-hoc run");
+        .expect("thread-less run");
     assert!(profile.processed_samples > 0);
 
-    let reader = TraceReader::open(&dir).expect("open post-hoc trace");
+    let reader = TraceReader::open(&dir).expect("open trace");
     assert_eq!(reader.shards(), 1);
-    let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(LatencySink::default())];
-    let stats = reader.replay(&mut sinks).expect("replay post-hoc trace");
-    assert_eq!(stats.samples, profile.processed_samples, "every post-hoc sample is stored");
+    assert_eq!(reader.window_ns(), 100_000, "recorded in the session's own windows");
+    let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![
+        Box::new(CapacitySink::default()),
+        Box::new(BandwidthSink::default()),
+        Box::new(LatencySink::default()),
+    ];
+    let stats = reader.replay(&mut sinks).expect("replay");
+    assert_eq!(stats.samples, profile.processed_samples, "every sample is stored");
+    // The run-wide values the reports need (elapsed time, FLOPs) come from
+    // the run's profile, exactly as they did live.
+    let machine = Machine::new(MachineConfig::small_test());
+    for (sink, name) in sinks.iter_mut().zip(["capacity", "bandwidth", "latency"]) {
+        let replayed = sink.finish(&machine, &profile).expect("replayed report");
+        assert_eq!(format!("{replayed:?}"), live_report(&profile, name), "{name} replay == live");
+    }
     fs::remove_dir_all(&dir).ok();
 }
