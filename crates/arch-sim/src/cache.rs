@@ -30,6 +30,9 @@ struct Line {
 /// A single set-associative cache (one level, one shard).
 #[derive(Debug, Clone)]
 pub struct Cache {
+    /// The tag array, `sets * ways` lines — allocated by the first
+    /// [`Cache::access`], so a machine pays for the caches of the cores it
+    /// runs, not of the 128 it has.
     lines: Vec<Line>,
     sets: u64,
     ways: u32,
@@ -42,26 +45,16 @@ pub struct Cache {
 impl Cache {
     /// Build a cache with the given geometry.
     pub fn new(cfg: &CacheLevelConfig) -> Self {
-        let sets = cfg.sets();
-        Cache {
-            lines: vec![Line::default(); (sets * cfg.ways as u64) as usize],
-            sets,
-            ways: cfg.ways,
-            line_shift: cfg.line_bytes.trailing_zeros(),
-            stamp: 0,
-            hits: 0,
-            misses: 0,
-        }
+        Self::new_shard(cfg, 1)
     }
 
     /// Build a shard of a larger cache: same geometry divided across
     /// `shards` independent units, where this unit handles the sets whose
     /// index modulo `shards` equals `shard_index`.
     pub fn new_shard(cfg: &CacheLevelConfig, shards: usize) -> Self {
-        let sets = cfg.sets() / shards as u64;
         Cache {
-            lines: vec![Line::default(); (sets * cfg.ways as u64) as usize],
-            sets,
+            lines: Vec::new(),
+            sets: cfg.sets() / shards as u64,
             ways: cfg.ways,
             line_shift: cfg.line_bytes.trailing_zeros(),
             stamp: 0,
@@ -81,6 +74,9 @@ impl Cache {
     /// Look up `addr`, filling the line on a miss. `write` marks the line dirty.
     pub fn access(&mut self, addr: u64, write: bool) -> CacheAccess {
         self.stamp += 1;
+        if self.lines.is_empty() {
+            self.lines = vec![Line::default(); (self.sets * self.ways as u64) as usize];
+        }
         let set = self.set_index(addr) as usize;
         let tag = self.tag(addr);
         let base = set * self.ways as usize;
@@ -120,7 +116,10 @@ impl Cache {
         let set = self.set_index(addr) as usize;
         let tag = self.tag(addr);
         let base = set * self.ways as usize;
-        self.lines[base..base + self.ways as usize].iter().any(|l| l.valid && l.tag == tag)
+        // An untouched cache has no tag array yet, and no line.
+        self.lines
+            .get(base..base + self.ways as usize)
+            .is_some_and(|ways| ways.iter().any(|l| l.valid && l.tag == tag))
     }
 
     /// Invalidate the whole cache (used between experiment trials).
@@ -143,6 +142,12 @@ impl Cache {
     /// Number of sets in this cache (or shard).
     pub fn sets(&self) -> u64 {
         self.sets
+    }
+
+    /// Whether the tag array exists yet.
+    #[cfg(test)]
+    pub(crate) fn is_allocated(&self) -> bool {
+        !self.lines.is_empty()
     }
 }
 
@@ -220,6 +225,18 @@ mod tests {
         assert!(c.probe(0x1000));
         c.flush();
         assert!(!c.probe(0x1000));
+    }
+
+    #[test]
+    fn untouched_cache_has_no_tag_array_and_answers_like_an_empty_one() {
+        let mut c = Cache::new(&tiny());
+        assert!(!c.is_allocated());
+        assert!(!c.probe(0x1000));
+        c.flush();
+        assert!(!c.is_allocated(), "probe and flush leave an untouched cache untouched");
+        assert!(!c.access(0x1000, false).hit);
+        assert!(c.is_allocated());
+        assert!(c.probe(0x1000));
     }
 
     #[test]

@@ -4,7 +4,22 @@
 //! receives an [`Engine`]. The engine is the only hot-path object: it owns
 //! the core state (no locks on L1/L2 or counters), and for each memory
 //! operation it walks the hierarchy, charges time, updates counters, and
-//! notifies the core's observer (the SPE unit when profiling is on).
+//! — when the observer (the SPE unit when profiling is on) needs to see the
+//! operation — shows it to the observer.
+//!
+//! The countdown to that operation is the core's, as the SPE interval
+//! counter is on the real part: a retired load, store or branch costs one
+//! mask test and one decrement of the observer's current
+//! [`Quiet`](crate::Quiet), and only when that runs out does the engine
+//! leave the inline path for the `dyn` calls. There, in this order, the
+//! observer is told the per-kind counts of what retired unseen
+//! (`on_skipped`), is shown the operation with the core clock after it
+//! (`on_op`), has its charge put on the clock, and is asked for its next
+//! `Quiet`. Flush, detach and `Machine::take_observer` deliver the
+//! outstanding counts first in the same way, so the counts an observer has
+//! received always add up to the core's counters at each of its callbacks.
+//! The permission is never exceeded but may be cut short; see
+//! [`crate::observer`] for the observer's side of the contract.
 //!
 //! [`Machine::attach`]: crate::machine::Machine::attach
 
@@ -84,13 +99,8 @@ impl<'m> Engine<'m> {
         st.counters.instructions += 1;
         st.counters.branches += 1;
         st.clock += cost;
-        let now = st.clock as u64;
-        if let Some(obs) = st.observer.as_mut() {
-            let charge = obs.on_op(&Op::branch(pc), None, now);
-            if charge.extra_cycles > 0 {
-                st.clock += charge.extra_cycles as f64;
-                st.counters.observer_cycles += charge.extra_cycles;
-            }
+        if st.quiet.spend(OpKind::Branch) {
+            show(st, &Op::branch(pc), None);
         }
         st.counters.cycles = st.clock as u64;
     }
@@ -99,7 +109,8 @@ impl<'m> Engine<'m> {
     ///
     /// These advance the clock and the instruction counter but are not fed to
     /// the observer individually (NMO's SPE configuration samples only memory
-    /// operations; see DESIGN.md for this simplification).
+    /// operations; see DESIGN.md for this simplification): it learns of them
+    /// as [`OpCounts::others`](crate::OpCounts::others).
     pub fn cpu_work(&mut self, n: u64) {
         let cost = self.machine.config().cost.cycles_per_cpu_op;
         let st = self.st();
@@ -131,16 +142,7 @@ impl<'m> Engine<'m> {
     /// flush cost is charged to this core's clock. Used by streaming
     /// profilers at window boundaries.
     pub fn flush_observer(&mut self) {
-        let st = self.st();
-        let now = st.clock as u64;
-        if let Some(obs) = st.observer.as_mut() {
-            let charge = obs.on_flush(now);
-            if charge.extra_cycles > 0 {
-                st.clock += charge.extra_cycles as f64;
-                st.counters.observer_cycles += charge.extra_cycles;
-                st.counters.cycles = st.clock as u64;
-            }
-        }
+        self.st().call_observer(None, |obs, now| obs.on_flush(now));
     }
 
     /// Free a named region of the simulated address space, timestamped with
@@ -244,32 +246,27 @@ impl<'m> Engine<'m> {
         };
 
         st.clock += outcome.occupancy_cycles as f64 + cfg.cost.cycles_per_cpu_op;
-        let now = st.clock as u64;
-
-        if let Some(obs) = st.observer.as_mut() {
-            let op = Op { kind, pc, vaddr, size };
-            let charge = obs.on_op(&op, Some(&outcome), now);
-            if charge.extra_cycles > 0 {
-                st.clock += charge.extra_cycles as f64;
-                st.counters.observer_cycles += charge.extra_cycles;
-            }
+        if st.quiet.spend(kind) {
+            show(st, &Op { kind, pc, vaddr, size }, Some(&outcome));
         }
         st.counters.cycles = st.clock as u64;
         outcome
     }
 }
 
+/// The slow path of a retired operation: the observer's permission ran out,
+/// so it is told what it missed, shown this operation, charged for, and asked
+/// how long the core may stay quiet next. Out of line — at the paper's
+/// sampling periods it runs once in thousands of operations.
+#[inline(never)]
+fn show(st: &mut CoreState, op: &Op, outcome: Option<&MemOutcome>) {
+    st.call_observer(Some(op.kind), |obs, now| obs.on_op(op, outcome, now));
+}
+
 impl Drop for Engine<'_> {
     fn drop(&mut self) {
         if let Some(mut state) = self.state.take() {
-            if let Some(obs) = state.observer.as_mut() {
-                let charge = obs.on_detach(state.clock as u64);
-                if charge.extra_cycles > 0 {
-                    state.clock += charge.extra_cycles as f64;
-                    state.counters.observer_cycles += charge.extra_cycles;
-                    state.counters.cycles = state.clock as u64;
-                }
-            }
+            state.call_observer(None, |obs, now| obs.on_detach(now));
             self.machine.return_core(state);
         }
     }

@@ -22,8 +22,9 @@
 //! 3. updates machine-wide counters (the `mem_access` event used by the
 //!    `perf stat` baseline, bus bytes used for bandwidth profiling, RSS
 //!    first-touch accounting used for capacity profiling), and
-//! 4. hands the retired operation to the core's [`OpObserver`], which is how
-//!    the SPE sampling unit sees the instruction stream.
+//! 4. hands the retired operation to the core's [`OpObserver`] when the
+//!    observer's [`Quiet`] says it needs to see it, which is how the SPE
+//!    sampling unit sees the instruction stream.
 //!
 //! The design goal is *mechanistic fidelity of the profiling path*, not
 //! microarchitectural accuracy: everything NMO measures (sample counts,
@@ -67,7 +68,7 @@ pub use config::{
 pub use counters::{CoreCounters, MachineCounters, MigrationStats};
 pub use engine::Engine;
 pub use machine::{BandwidthPoint, Machine, RssPoint};
-pub use observer::{FanoutObserver, NullObserver, ObserverCharge, OpObserver};
+pub use observer::{FanoutObserver, NullObserver, ObserverCharge, OpCounts, OpObserver, Quiet};
 pub use op::{DataSource, MemLevel, MemOutcome, NodeId, Op, OpKind};
 pub use topology::{MemNode, MemTopology, NodeAccess};
 pub use vm::{AddressSpace, PageHome, PageMigration, Region};

@@ -9,8 +9,8 @@ use crate::clock::TimeConv;
 use crate::config::{MachineConfig, MAX_MEM_NODES};
 use crate::counters::{CoreCounters, MachineCounters, MigrationStats};
 use crate::engine::Engine;
-use crate::observer::OpObserver;
-use crate::op::NodeId;
+use crate::observer::{ObserverCharge, OpCounts, OpObserver, Quiet};
+use crate::op::{NodeId, OpKind};
 use crate::topology::MemTopology;
 use crate::vm::{AddressSpace, PageMigration, Region};
 use crate::{Result, SimError};
@@ -29,7 +29,14 @@ pub(crate) struct CoreState {
     /// Event counters.
     pub counters: CoreCounters,
     /// Attached operation observer (the SPE unit when profiling is enabled).
-    pub observer: Option<Box<dyn OpObserver>>,
+    /// Reached through [`CoreState::call_observer`] only, which keeps `quiet`
+    /// and `told` in step with it.
+    observer: Option<Box<dyn OpObserver>>,
+    /// What the observer last let the core retire unseen, counted down by
+    /// the engine; [`Quiet::NEVER`] while no observer is attached.
+    pub quiet: Quiet,
+    /// How much of `counters` the observer has been shown or told of.
+    told: OpCounts,
     /// Bus bytes per bandwidth bucket attributable to this core, split per
     /// memory node.
     pub bw_buckets: Vec<[u64; MAX_MEM_NODES]>,
@@ -55,8 +62,60 @@ impl CoreState {
             clock: 0.0,
             counters: CoreCounters::default(),
             observer: None,
+            quiet: Quiet::NEVER,
+            told: OpCounts::default(),
             bw_buckets: Vec::new(),
         }
+    }
+
+    /// Hand the observer the counts of what retired since its last callback
+    /// (`shown` is the operation the caller is about to show it, already in
+    /// `counters`).
+    fn deliver_skipped(&mut self, shown: Option<OpKind>) {
+        let Some(obs) = self.observer.as_deref_mut() else { return };
+        let retired = OpCounts::retired(&self.counters);
+        let mut skipped = retired.since(&self.told);
+        if let Some(kind) = shown {
+            *skipped.of_mut(kind) -= 1;
+        }
+        self.told = retired;
+        if skipped.total() > 0 {
+            obs.on_skipped(&skipped);
+        }
+    }
+
+    /// Run one observer callback the way every callback runs: the unseen
+    /// counts first, then `call` with the core clock, then its cycles onto
+    /// the clock and the observer's new [`Quiet`]. Returns whether there was
+    /// an observer to call.
+    pub fn call_observer(
+        &mut self,
+        shown: Option<OpKind>,
+        call: impl FnOnce(&mut dyn OpObserver, u64) -> ObserverCharge,
+    ) -> bool {
+        self.deliver_skipped(shown);
+        let Some(obs) = self.observer.as_deref_mut() else { return false };
+        let charge = call(obs, self.clock as u64);
+        self.quiet = obs.quiet();
+        if charge.extra_cycles > 0 {
+            self.clock += charge.extra_cycles as f64;
+            self.counters.observer_cycles += charge.extra_cycles;
+            self.counters.cycles = self.clock as u64;
+        }
+        true
+    }
+
+    fn take_observer(&mut self) -> Option<Box<dyn OpObserver>> {
+        self.deliver_skipped(None);
+        self.quiet = Quiet::NEVER;
+        self.observer.take()
+    }
+
+    fn set_observer(&mut self, observer: Box<dyn OpObserver>) {
+        self.take_observer();
+        self.told = OpCounts::retired(&self.counters);
+        self.quiet = observer.quiet();
+        self.observer = Some(observer);
     }
 }
 
@@ -280,7 +339,7 @@ impl Machine {
         let mut guard = slot.lock();
         match guard.as_mut() {
             Some(state) => {
-                state.observer = Some(observer);
+                state.set_observer(observer);
                 Ok(())
             }
             None => Err(SimError::CoreBusy(core_id)),
@@ -298,18 +357,7 @@ impl Machine {
         let slot = self.cores.get(core_id).ok_or(SimError::NoSuchCore(core_id))?;
         let mut guard = slot.lock();
         match guard.as_mut() {
-            Some(state) => match state.observer.as_mut() {
-                Some(obs) => {
-                    let charge = obs.on_flush(state.clock as u64);
-                    if charge.extra_cycles > 0 {
-                        state.clock += charge.extra_cycles as f64;
-                        state.counters.observer_cycles += charge.extra_cycles;
-                        state.counters.cycles = state.clock as u64;
-                    }
-                    Ok(true)
-                }
-                None => Ok(false),
-            },
+            Some(state) => Ok(state.call_observer(None, |obs, now| obs.on_flush(now))),
             None => Err(SimError::CoreBusy(core_id)),
         }
     }
@@ -319,7 +367,7 @@ impl Machine {
         let slot = self.cores.get(core_id).ok_or(SimError::NoSuchCore(core_id))?;
         let mut guard = slot.lock();
         match guard.as_mut() {
-            Some(state) => Ok(state.observer.take()),
+            Some(state) => Ok(state.take_observer()),
             None => Err(SimError::CoreBusy(core_id)),
         }
     }
@@ -599,6 +647,32 @@ mod tests {
         let mut e = m.attach(0).unwrap();
         let out = e.load(region.start, 8);
         assert_eq!(out.source, crate::op::DataSource::Dram(0), "served locally after promotion");
+    }
+
+    /// A machine costs what its running cores and touched SLC shards cost:
+    /// no tag array exists until a core attaches *and* accesses memory.
+    #[test]
+    fn caches_are_allocated_by_their_first_access() {
+        let m = Machine::new(MachineConfig::ampere_altra_max());
+        let allocated = |m: &Machine| {
+            let cores = m.cores.iter().filter(|slot| {
+                let slot = slot.lock();
+                let core = slot.as_ref().expect("no engine attached");
+                core.l1.is_allocated() || core.l2.is_allocated()
+            });
+            (cores.count(), m.slc.iter().filter(|shard| shard.lock().is_allocated()).count())
+        };
+        assert_eq!(allocated(&m), (0, 0));
+        m.flush_caches();
+        drop(m.attach(5).unwrap());
+        assert_eq!(allocated(&m), (0, 0), "flushing and attaching touch no tag array");
+
+        let region = m.alloc("data", 1 << 16).unwrap();
+        m.attach(5).unwrap().load(region.start, 8);
+        assert_eq!(allocated(&m), (1, 1), "one core's L1 + L2 and the one SLC shard it missed to");
+        let core = m.cores[5].lock();
+        let core = core.as_ref().unwrap();
+        assert!(core.l1.is_allocated() && core.l2.is_allocated());
     }
 
     #[test]

@@ -1457,6 +1457,7 @@ mod tests {
     use super::*;
     use crate::sink::AnalysisReport;
     use arch_sim::MachineConfig;
+    use std::sync::atomic::AtomicU64;
 
     fn small_session(period: u64, threads: usize) -> ProfileSession {
         ProfileSession::builder()
@@ -1520,6 +1521,7 @@ mod tests {
         // The counter backend's mem_access agrees with the machine counter.
         let mem = profile.perf_count("mem_access").unwrap();
         assert_eq!(mem, profile.counters.mem_access);
+        assert_eq!(profile.perf_count("inst_retired"), Some(profile.counters.instructions));
         // Default sinks produced capacity and bandwidth; region attribution
         // stays lazy unless RegionSink is registered explicitly.
         assert_eq!(profile.analyses.len(), 2);
@@ -1555,6 +1557,106 @@ mod tests {
         assert_eq!(profile.processed_samples, 0);
         assert!(profile.samples.is_empty());
         assert_eq!(profile.perf_count("mem_access"), Some(40_000));
+        assert_eq!(profile.counters.observer_cycles, 0, "counting charges no cycles");
+    }
+
+    /// Sums the `inst_retired` deltas the counting backend streams.
+    struct InstRetiredSum(Arc<AtomicU64>);
+
+    impl AnalysisSink for InstRetiredSum {
+        fn name(&self) -> &'static str {
+            "inst-retired-sum"
+        }
+
+        fn analyze(&mut self, _m: &Machine, _p: &Profile) -> Result<AnalysisReport, NmoError> {
+            Ok(AnalysisReport::Text(String::new()))
+        }
+
+        fn on_batch(&mut self, batch: &SampleBatch) {
+            if let BatchPayload::CounterDeltas { deltas } = batch.payload() {
+                for d in deltas.iter().filter(|d| d.event == "inst_retired") {
+                    self.0.fetch_add(d.delta, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    /// `inst_retired` counts every retired instruction — the bulk
+    /// `cpu_work`/`flops` ones no observer is shown included — on one and on
+    /// two cores, delivered at `finish` or streamed: the deltas the sinks
+    /// receive add up to the final count, which is the machine's own.
+    #[test]
+    fn inst_retired_counts_every_instruction_post_hoc_and_streaming() {
+        fn mixed_work(m: &Machine, _: &Annotations, cores: &[usize]) -> Result<(), NmoError> {
+            let region = m.alloc("data", 1 << 20)?;
+            std::thread::scope(|s| {
+                for &core in cores {
+                    let region = region.clone();
+                    s.spawn(move || {
+                        let mut e = m.attach(core).expect("attach");
+                        for i in 0..20_000u64 {
+                            e.load(region.start + (i % 10_000) * 8, 8);
+                            e.cpu_work(3);
+                            if i % 4 == 0 {
+                                e.store(region.start + (i % 10_000) * 8, 8);
+                                e.flops(2);
+                                e.branch(0x40_0000);
+                            }
+                        }
+                    });
+                }
+            });
+            Ok(())
+        }
+        for threads in [1usize, 2] {
+            for streaming in [false, true] {
+                let streamed = Arc::new(AtomicU64::new(0));
+                let session = ProfileSession::builder()
+                    .machine_config(MachineConfig::small_test())
+                    .config(NmoConfig::paper_default(100))
+                    .threads(threads)
+                    .sink(InstRetiredSum(streamed.clone()))
+                    .build()
+                    .unwrap();
+                let profile = if streaming {
+                    session.run_streaming_with(mixed_work)
+                } else {
+                    session.run_with(mixed_work)
+                }
+                .unwrap();
+                let case = format!("{threads} cores, streaming {streaming}");
+                let per_core = 20_000 * 4 + 5_000 * 4;
+                assert_eq!(profile.counters.instructions, threads as u64 * per_core, "{case}");
+                let inst = profile.perf_count("inst_retired");
+                assert_eq!(inst, Some(profile.counters.instructions), "{case}");
+                assert_eq!(Some(streamed.load(Ordering::Relaxed)), inst, "{case}");
+                assert_eq!(
+                    profile.perf_count("mem_access"),
+                    Some(profile.counters.mem_access),
+                    "{case}"
+                );
+                assert_eq!(profile.perf_count("br_retired"), Some(profile.counters.branches));
+            }
+        }
+    }
+
+    /// The counter-only totals of `counter_only_session_samples_nothing_but_counts`,
+    /// through the streaming pipeline.
+    #[test]
+    fn streaming_counter_only_session_keeps_exact_totals() {
+        let session = ProfileSession::builder()
+            .machine_config(MachineConfig::small_test())
+            .config(NmoConfig { enabled: true, track_rss: true, ..NmoConfig::default() })
+            .threads(2)
+            .build()
+            .unwrap();
+        let profile = session.run_streaming_with(stream_like).unwrap();
+        assert_eq!(profile.backends, vec!["counters".to_string()]);
+        assert_eq!(profile.processed_samples, 0);
+        assert_eq!(profile.perf_count("mem_access"), Some(80_000));
+        assert_eq!(profile.perf_count("ld_retired"), Some(40_000));
+        assert_eq!(profile.perf_count("st_retired"), Some(40_000));
+        assert_eq!(profile.perf_count("inst_retired"), Some(80_000));
         assert_eq!(profile.counters.observer_cycles, 0, "counting charges no cycles");
     }
 

@@ -294,12 +294,12 @@ impl AuxBuffer {
             inner.truncation_events += 1;
             return None;
         }
-        let cap = self.capacity as usize;
         let offset = inner.head;
         let start = (offset % self.capacity) as usize;
-        for (i, b) in data.iter().enumerate() {
-            inner.buf[(start + i) % cap] = *b;
-        }
+        // At most two runs: up to the end of the buffer, then from its start.
+        let (before_wrap, wrapped) = data.split_at(data.len().min(self.capacity as usize - start));
+        inner.buf[start..start + before_wrap.len()].copy_from_slice(before_wrap);
+        inner.buf[..wrapped.len()].copy_from_slice(wrapped);
         inner.head += data.len() as u64;
         meta.aux_head.store(inner.head, Ordering::Release);
         Some(offset)

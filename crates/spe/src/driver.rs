@@ -29,6 +29,16 @@
 //!   sensitivity in Figure 9, and (via the `PERF_AUX_FLAG_COLLISION` flag on
 //!   the published records) of the collision counts in Figure 8c.
 //!
+//! The driver is woken only for the operations the unit's interval counter
+//! selects (see [`arch_sim::observer`]), so due releases are processed then
+//! rather than at every operation. That is exact, not an approximation: the
+//! aux tail is consulted by nothing but the `aux.write` of a selected
+//! operation, the core clock only moves forward, and `process_releases` runs
+//! first at every wake — so at each write the tail has had exactly the
+//! releases due by that operation's clock applied, as it had when they were
+//! applied one operation at a time. A flush or detach catches up the same
+//! way before publishing.
+//!
 //! In addition, SPE needs a minimum functional aux-buffer size
 //! ([`OverheadModel::min_functional_aux_pages`], 4 pages on the paper's
 //! testbed): below it the hardware produces no samples at all, which is why
@@ -38,7 +48,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use arch_sim::{Machine, MemOutcome, ObserverCharge, Op, OpObserver};
+use arch_sim::{Machine, MemOutcome, ObserverCharge, Op, OpCounts, OpObserver, Quiet};
 use perf_sub::records::{
     AuxRecord, ItraceStartRecord, Record, PERF_AUX_FLAG_COLLISION, PERF_AUX_FLAG_TRUNCATED,
 };
@@ -101,6 +111,8 @@ pub struct SpeDriver {
     releases: VecDeque<PendingRelease>,
     /// Whether the aux buffer meets the minimum functional size.
     functional: bool,
+    /// Pending bytes at which a `PERF_RECORD_AUX` record is published.
+    watermark: u64,
 }
 
 impl std::fmt::Debug for SpeDriver {
@@ -128,6 +140,7 @@ impl SpeDriver {
         let unit = SamplerUnit::new(cfg, stats.clone(), timeconv, seed);
         SpeDriver {
             unit,
+            watermark: event.effective_aux_watermark(),
             event,
             stats,
             model,
@@ -245,6 +258,25 @@ impl SpeDriver {
 }
 
 impl OpObserver for SpeDriver {
+    /// The unit's interval while sampling; every operation while the event
+    /// is disabled (re-enabling is noticed at the next one); none at all
+    /// once the aux buffer is too small for SPE to produce anything.
+    fn quiet(&self) -> Quiet {
+        if !self.functional {
+            Quiet::NEVER
+        } else if !self.event.is_enabled() {
+            Quiet::NONE
+        } else {
+            self.unit.quiet()
+        }
+    }
+
+    fn on_skipped(&mut self, counts: &OpCounts) {
+        if self.functional {
+            self.unit.on_skipped(counts);
+        }
+    }
+
     fn on_op(&mut self, op: &Op, outcome: Option<&MemOutcome>, now_cycles: u64) -> ObserverCharge {
         if !self.functional || !self.event.is_enabled() {
             return ObserverCharge::NONE;
@@ -274,7 +306,7 @@ impl OpObserver for SpeDriver {
                 self.stats.add(&self.stats.aux_bytes_written, SPE_RECORD_BYTES as u64);
                 charge += self.model.record_write_cycles;
 
-                if self.pending_bytes >= self.event.effective_aux_watermark() {
+                if self.pending_bytes >= self.watermark {
                     charge += self.publish_pending(now_cycles);
                 }
             }
@@ -326,6 +358,7 @@ mod tests {
     use super::*;
     use arch_sim::MachineConfig;
     use perf_sub::records::Record;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn fast_model() -> OverheadModel {
         OverheadModel {
@@ -468,6 +501,207 @@ mod tests {
             }
         }
         assert_eq!(stats.snapshot().records_written, 0);
+    }
+
+    /// A driver behind a wrapper that counts its `on_op` calls and, with
+    /// `every_op`, hides its [`Quiet`] from the core, so that the driver is
+    /// shown every operation and counts its interval down itself — the
+    /// reference the core's countdown is compared against.
+    struct Wrapped {
+        driver: SpeDriver,
+        every_op: bool,
+        on_ops: Arc<AtomicU64>,
+    }
+
+    impl OpObserver for Wrapped {
+        fn quiet(&self) -> Quiet {
+            if self.every_op {
+                Quiet::NONE
+            } else {
+                self.driver.quiet()
+            }
+        }
+
+        fn on_skipped(&mut self, counts: &OpCounts) {
+            self.driver.on_skipped(counts);
+        }
+
+        fn on_op(&mut self, op: &Op, outcome: Option<&MemOutcome>, now: u64) -> ObserverCharge {
+            self.on_ops.fetch_add(1, Ordering::Relaxed);
+            self.driver.on_op(op, outcome, now)
+        }
+
+        fn on_detach(&mut self, now: u64) -> ObserverCharge {
+            self.driver.on_detach(now)
+        }
+
+        fn on_flush(&mut self, now: u64) -> ObserverCharge {
+            self.driver.on_flush(now)
+        }
+    }
+
+    /// Open an SPE event on core 0 and attach its driver behind [`Wrapped`].
+    fn attach_wrapped(
+        machine: &Machine,
+        cfg: SpeConfig,
+        aux_pages: u64,
+        model: OverheadModel,
+        every_op: bool,
+    ) -> (Arc<PerfEvent>, Arc<SpeStats>, Arc<AtomicU64>) {
+        let (driver, event, stats) =
+            SpeDriver::open_for(machine, 0, cfg, 8, aux_pages, model).expect("event opens");
+        let on_ops = Arc::new(AtomicU64::new(0));
+        machine
+            .set_observer(0, Box::new(Wrapped { driver, every_op, on_ops: on_ops.clone() }))
+            .unwrap();
+        (event, stats, on_ops)
+    }
+
+    /// Everything a run leaves behind that a profiler or the simulated
+    /// machine could tell two runs apart by.
+    #[derive(Debug, PartialEq)]
+    struct RunOutcome {
+        stats: crate::stats::SpeStatsSnapshot,
+        aux_head: u64,
+        aux_tail: u64,
+        aux_bytes: Vec<u8>,
+        ring_records: Vec<Record>,
+        counters: arch_sim::CoreCounters,
+    }
+
+    /// A mixed op stream (two engine attachments, a mid-run flush) on core 0
+    /// under `cfg`; returns the outcome and how often the driver's `on_op`
+    /// ran.
+    fn run_wrapped(
+        cfg: SpeConfig,
+        aux_pages: u64,
+        model: OverheadModel,
+        every_op: bool,
+    ) -> (RunOutcome, u64) {
+        let machine = Machine::new(MachineConfig::small_test());
+        let (event, stats, on_ops) = attach_wrapped(&machine, cfg, aux_pages, model, every_op);
+        let region = machine.alloc("data", 1 << 22).unwrap();
+        for phase in 0..2u64 {
+            let mut e = machine.attach(0).unwrap();
+            for i in 0..30_000u64 {
+                let addr = region.start + (i * 72 + phase * 8) % (1 << 22);
+                if i % 3 == 0 {
+                    e.store(addr, 8);
+                } else {
+                    e.load(addr, 8);
+                }
+                if i % 5 == 0 {
+                    e.branch(0x40_0000 + i);
+                }
+                if i % 7 == 0 {
+                    e.cpu_work(3);
+                }
+                if i == 17_000 {
+                    e.flush_observer();
+                }
+            }
+        }
+        drop(machine.take_observer(0).unwrap());
+        let aux = event.aux().expect("SPE events map an aux buffer");
+        let outcome = RunOutcome {
+            stats: stats.snapshot(),
+            aux_head: aux.head(),
+            aux_tail: aux.tail(),
+            aux_bytes: aux.read_at(0, aux.capacity()),
+            ring_records: event.drain().collect(),
+            counters: machine.core_counters(0).unwrap(),
+        };
+        (outcome, on_ops.load(Ordering::Relaxed))
+    }
+
+    /// The driver woken only at its selected operations leaves exactly what
+    /// the driver shown every operation leaves: statistics, aux bytes, ring
+    /// records and the core's clock — with jitter, with and without branch
+    /// sampling, under truncation, and when non-functional.
+    #[test]
+    fn core_countdown_leaves_exactly_what_the_per_op_path_left() {
+        // Slow enough a drain that a 2-page buffer truncates.
+        let truncating = OverheadModel {
+            drain_cycles_per_byte: 100.0,
+            drain_service_latency_cycles: 200_000,
+            min_functional_aux_pages: 2,
+            ..fast_model()
+        };
+        for period in [1u64, 2, 64, 4096] {
+            for sample_branches in [false, true] {
+                let cfg = SpeConfig { sample_branches, ..SpeConfig::loads_stores(period) };
+                for (aux_pages, model) in [(16, fast_model()), (2, truncating), (1, fast_model())] {
+                    let (quiet, quiet_calls) = run_wrapped(cfg, aux_pages, model, false);
+                    let (every_op, per_op_calls) = run_wrapped(cfg, aux_pages, model, true);
+                    let case = format!(
+                        "period {period}, branches {sample_branches}, {aux_pages} aux pages"
+                    );
+                    assert_eq!(quiet, every_op, "{case}");
+                    assert!(quiet_calls <= per_op_calls, "{case}");
+                    assert_eq!(quiet_calls, quiet.stats.samples_selected, "{case}");
+                    match aux_pages {
+                        1 => {
+                            assert_eq!((quiet.stats.population_ops, quiet_calls), (0, 0), "{case}")
+                        }
+                        2 if period <= 2 => assert!(quiet.stats.truncated_records > 0, "{case}"),
+                        _ => assert!(quiet.stats.records_written > 0, "{case}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// At period 4096 the driver's `on_op` runs for the selected operations
+    /// and nothing else — a per-op call cannot come back unnoticed.
+    #[test]
+    fn driver_is_called_once_per_selected_operation() {
+        let machine = Machine::new(MachineConfig::small_test());
+        let cfg = SpeConfig::loads_stores(4096);
+        let (_event, stats, on_ops) =
+            attach_wrapped(&machine, cfg, 16, OverheadModel::default(), false);
+        let region = machine.alloc("data", 1 << 20).unwrap();
+        let attaches = 4u64;
+        for _ in 0..attaches {
+            let mut e = machine.attach(0).unwrap();
+            for i in 0..250_000u64 {
+                e.load(region.start + (i * 8) % (1 << 20), 8);
+            }
+        }
+        let snap = stats.snapshot();
+        assert_eq!(snap.population_ops, 1_000_000);
+        assert!(snap.samples_selected >= 1_000_000 / 4096, "{snap:?}");
+        let calls = on_ops.load(Ordering::Relaxed);
+        assert!(calls <= snap.samples_selected + attaches, "{calls} on_op calls for {snap:?}");
+    }
+
+    /// Disabling the event stops the population count at the next operation
+    /// the driver is shown (at most one interval later); re-enabling resumes
+    /// it from the next operation on.
+    #[test]
+    fn disabling_mid_run_stops_counting_at_the_next_shown_op() {
+        let machine = Machine::new(MachineConfig::small_test());
+        let cfg = SpeConfig { jitter_ops: 0, ..SpeConfig::loads_stores(100) };
+        let (event, stats) = SpeDriver::open_on(&machine, 0, cfg, 8, 16, fast_model()).unwrap();
+        let region = machine.alloc("data", 1 << 16).unwrap();
+        let loads = |n: u64| {
+            let mut e = machine.attach(0).unwrap();
+            for i in 0..n {
+                e.load(region.start + i % 64 * 8, 8);
+            }
+        };
+        loads(250);
+        event.disable();
+        loads(1_000);
+        let stopped = stats.snapshot();
+        assert!((250..350).contains(&stopped.population_ops), "{stopped:?}");
+        assert_eq!(stopped.samples_selected, 2);
+        loads(1_000);
+        assert_eq!(stats.snapshot(), stopped, "a disabled event counts and samples nothing");
+        event.enable();
+        loads(1_000);
+        let resumed = stats.snapshot();
+        assert_eq!(resumed.population_ops, stopped.population_ops + 1_000);
+        assert!(resumed.samples_selected >= stopped.samples_selected + 9, "{resumed:?}");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use arch_sim::{DataSource, MemOutcome, Op, TimeConv};
+use arch_sim::{DataSource, MemOutcome, Op, OpCounts, OpKind, Quiet, TimeConv};
 
 use crate::config::SpeConfig;
 use crate::packet::SpeRecord;
@@ -34,6 +34,8 @@ pub enum SampleOutcome {
 /// Per-core SPE sampling state machine.
 pub struct SamplerUnit {
     cfg: SpeConfig,
+    /// The operation kinds `cfg` samples.
+    population: Vec<OpKind>,
     stats: Arc<SpeStats>,
     timeconv: TimeConv,
     rng: StdRng,
@@ -58,8 +60,13 @@ impl SamplerUnit {
     /// Create a sampling unit. `seed` makes the perturbation deterministic
     /// per core (use the core id so trials are reproducible).
     pub fn new(cfg: SpeConfig, stats: Arc<SpeStats>, timeconv: TimeConv, seed: u64) -> Self {
+        let population = [OpKind::Load, OpKind::Store, OpKind::Branch]
+            .into_iter()
+            .filter(|&kind| cfg.samples_kind(kind))
+            .collect();
         let mut unit = SamplerUnit {
             cfg,
+            population,
             stats,
             timeconv,
             rng: StdRng::seed_from_u64(seed ^ 0x5045_5350), // "SPES"
@@ -81,7 +88,28 @@ impl SamplerUnit {
         self.interval_remaining = self.cfg.sample_period.saturating_sub(jitter).max(1);
     }
 
-    /// Present one retired operation to the sampling unit.
+    /// How long the core may keep operations from the unit: nothing outside
+    /// the sampled population ever needs showing, and inside it the interval
+    /// counter says how many operations come before the next selected one.
+    pub(crate) fn quiet(&self) -> Quiet {
+        Quiet::over(&self.population, self.interval_remaining - 1)
+    }
+
+    /// Take the operations the core retired without presenting them: the
+    /// interval counter runs down by the population operations among them in
+    /// one step. The core never skips the selected operation, so the jitter
+    /// is drawn at exactly the operations it is drawn at when every
+    /// operation goes through [`SamplerUnit::on_op`].
+    pub(crate) fn on_skipped(&mut self, counts: &OpCounts) {
+        let population: u64 = self.population.iter().map(|&kind| counts.of(kind)).sum();
+        debug_assert!(population < self.interval_remaining, "skipped past the selected operation");
+        self.stats.add(&self.stats.population_ops, population);
+        self.interval_remaining = self.interval_remaining.saturating_sub(population).max(1);
+    }
+
+    /// Present one retired operation to the sampling unit. When the core
+    /// presents an operation before the interval ran out (another observer
+    /// on the core asked for it), the unit counts it down like any other.
     pub fn on_op(
         &mut self,
         op: &Op,

@@ -216,6 +216,53 @@ proptest! {
         }
     }
 
+    /// `AuxBuffer::write` copies in runs; a ring written one byte at a time
+    /// with a modulo per byte is the reference. Any capacity, any mix of
+    /// lengths and partial drains (so offsets land anywhere, wrap-around
+    /// included): the unconsumed bytes read back equal the reference's, and
+    /// a write that does not fit is dropped whole and counted as before.
+    #[test]
+    fn aux_writes_match_a_bytewise_reference_and_keep_truncation_accounting(
+        pages_log2 in 0u32..3,
+        page_bytes in 16u64..200,
+        lens in prop::collection::vec(0usize..260, 1..80),
+        drains in prop::collection::vec(any::<u8>(), 1..20),
+    ) {
+        let meta = MetadataPage::default();
+        let aux = AuxBuffer::new(1 << pages_log2, page_bytes).unwrap();
+        let cap = aux.capacity();
+        let mut reference = vec![0u8; cap as usize];
+        let (mut head, mut tail, mut truncated_bytes, mut truncation_events) = (0u64, 0u64, 0, 0);
+        let mut fill = 0u8;
+        for (len, drain) in lens.into_iter().zip(drains.iter().cycle()) {
+            let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+            fill = fill.wrapping_add(29);
+            let written = aux.write(&data, &meta);
+            if len as u64 <= cap - (head - tail) {
+                prop_assert_eq!(written, Some(head));
+                for (i, byte) in data.iter().enumerate() {
+                    reference[((head + i as u64) % cap) as usize] = *byte;
+                }
+                head += len as u64;
+            } else {
+                prop_assert_eq!(written, None);
+                truncated_bytes += len as u64;
+                truncation_events += 1;
+            }
+            prop_assert_eq!((aux.head(), aux.tail()), (head, tail));
+            prop_assert_eq!(
+                (aux.truncated_bytes(), aux.truncation_events()),
+                (truncated_bytes, truncation_events)
+            );
+            let unconsumed: Vec<u8> =
+                (tail..head).map(|offset| reference[(offset % cap) as usize]).collect();
+            prop_assert_eq!(aux.read_at(tail, head - tail), unconsumed);
+            // Release a random share of what is held.
+            tail += (head - tail) * u64::from(*drain) / 255;
+            aux.advance_tail(tail, &meta);
+        }
+    }
+
     #[test]
     fn time_conversion_via_mmap_triple_is_close_to_exact(
         cycles in 0u64..10_000_000_000,

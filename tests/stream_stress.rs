@@ -53,10 +53,14 @@ fn altra_stress_session(
 
 /// 128 simulated cores at period 1 through 8 shards with lanes too small to
 /// keep up: the run must complete (no deadlock), count every drop, and
-/// still assemble the complete sample record.
+/// still assemble the complete sample record. The lanes are 1 deep, so the
+/// overflow does not hang on host timing: a core's samples span several
+/// 100 µs windows, its drain is one batch per window, and a drain goes onto
+/// its lane under one hold — every batch after the first is dropped however
+/// fast the consumer is.
 #[test]
 fn stress_128_cores_dropnewest_counts_drops_exactly() {
-    let profile = altra_stress_session(8, 2, BackpressurePolicy::DropNewest)
+    let profile = altra_stress_session(8, 1, BackpressurePolicy::DropNewest)
         .run_streaming()
         .expect("streaming run completes");
     let stats = profile.stream.expect("stream stats");
@@ -67,7 +71,7 @@ fn stress_128_cores_dropnewest_counts_drops_exactly() {
     assert!(stats.windows_closed > 0, "{stats:?}");
     assert!(
         stats.batches_dropped > 0 && stats.items_dropped > 0,
-        "2-deep lanes at period 1 must overflow: {stats:?}"
+        "1-deep lanes at period 1 must overflow: {stats:?}"
     );
     // Bus loss never corrupts the post-hoc record: every decoded sample is
     // in the profile even though some batches never reached the sinks.
