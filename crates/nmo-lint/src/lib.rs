@@ -320,7 +320,6 @@ pub fn default_lints() -> Vec<Box<dyn Lint>> {
         Box::new(lints::LockOrder),
         Box::new(lints::NoUnwrapInLib),
         Box::new(lints::RelaxedAtomicsAudit),
-        Box::new(lints::BoundedChannel),
         Box::new(lints::NoPrintlnInLib),
         Box::new(lints::PubApiResult),
     ]

@@ -375,48 +375,6 @@ impl Lint for RelaxedAtomicsAudit {
     }
 }
 
-/// `bounded-channel` — no unbounded channel/queue construction outside
-/// `compat/`: backpressure must be explicit (`EventBus` / `sync_channel`).
-pub struct BoundedChannel;
-
-impl Lint for BoundedChannel {
-    fn id(&self) -> &'static str {
-        "bounded-channel"
-    }
-    fn description(&self) -> &'static str {
-        "no unbounded channel construction outside compat/"
-    }
-
-    fn check_file(&self, file: &SourceFile, diags: &mut Vec<Diagnostic>) {
-        if !matches!(file.kind, FileKind::Lib | FileKind::Bin) {
-            return;
-        }
-        let toks = &file.tokens;
-        for i in 0..toks.len() {
-            let t = &toks[i];
-            let hit = (t.is_ident("channel")
-                && i >= 3
-                && toks[i - 1].is_punct(':')
-                && toks[i - 2].is_punct(':')
-                && toks[i - 3].is_ident("mpsc")
-                && toks.get(i + 1).is_some_and(|t| t.is_punct('(')))
-                || (t.is_ident("unbounded") && toks.get(i + 1).is_some_and(|t| t.is_punct('(')));
-            if !hit || file.in_test_code(t.line) || file.is_allowed(self.id(), t.line) {
-                continue;
-            }
-            diags.push(diag(
-                self.id(),
-                self.severity(),
-                file,
-                t,
-                "unbounded channel construction: use the bounded EventBus/ShardedBus \
-                 (explicit backpressure + drop accounting) or `mpsc::sync_channel`"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
 /// `no-println-in-lib` — library crates report through `summary()` returns
 /// and stderr warning helpers, never stdout.
 pub struct NoPrintlnInLib;
@@ -742,19 +700,6 @@ fn f() {
             !ids(&diags).contains(&"relaxed-atomics-audit"),
             "walk-up over the argument lines should find the call comment: {diags:?}"
         );
-    }
-
-    #[test]
-    fn bounded_channel_hits_mpsc_and_unbounded() {
-        let src = "\
-fn f() {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let q = unbounded();
-    let (a, b) = std::sync::mpsc::sync_channel(8);
-}
-";
-        let diags = lint_src(src);
-        assert_eq!(diags.iter().filter(|d| d.lint == "bounded-channel").count(), 2);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! NMO configuration: the environment variables of Table I plus a
-//! programmatic builder.
+//! NMO configuration: the environment variables of Table I as a plain
+//! struct.
 //!
 //! | Option            | Description                    | Default |
 //! |-------------------|--------------------------------|---------|
@@ -13,7 +13,8 @@
 //!
 //! NMO is designed for transparent, preload-style activation, so everything
 //! can be driven from the environment; library users can instead construct a
-//! [`NmoConfig`] directly or with [`NmoConfig::builder`].
+//! [`NmoConfig`] directly (struct-update syntax over
+//! [`NmoConfig::default`] or [`NmoConfig::paper_default`]).
 
 use spe::{OverheadModel, SpeConfig};
 
@@ -112,106 +113,7 @@ impl Default for NmoConfig {
     }
 }
 
-/// Builder for [`NmoConfig`].
-#[derive(Debug, Default, Clone)]
-pub struct NmoConfigBuilder {
-    cfg: NmoConfig,
-}
-
-impl NmoConfigBuilder {
-    /// Enable collection.
-    pub fn enabled(mut self, on: bool) -> Self {
-        self.cfg.enabled = on;
-        self
-    }
-
-    /// Set the output base name.
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.cfg.name = name.into();
-        self
-    }
-
-    /// Set the collection mode.
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.cfg.mode = mode;
-        self
-    }
-
-    /// Set the SPE sampling period.
-    pub fn period(mut self, period: u64) -> Self {
-        self.cfg.period = period;
-        self
-    }
-
-    /// Track RSS over time.
-    pub fn track_rss(mut self, on: bool) -> Self {
-        self.cfg.track_rss = on;
-        self
-    }
-
-    /// Track bandwidth over time.
-    pub fn track_bandwidth(mut self, on: bool) -> Self {
-        self.cfg.track_bandwidth = on;
-        self
-    }
-
-    /// Ring buffer size in MiB.
-    pub fn bufsize_mib(mut self, mib: u64) -> Self {
-        self.cfg.bufsize_mib = mib;
-        self
-    }
-
-    /// Aux buffer size in MiB.
-    pub fn auxbufsize_mib(mut self, mib: u64) -> Self {
-        self.cfg.auxbufsize_mib = mib;
-        self
-    }
-
-    /// Aux buffer size in machine pages (used by the Figure 9 sweep, which
-    /// needs sub-MiB buffers the environment variable cannot express).
-    pub fn auxbuf_pages(mut self, pages: u64) -> Self {
-        self.cfg.auxbuf_pages_override = Some(pages);
-        self
-    }
-
-    /// Minimum-latency filter.
-    pub fn min_latency(mut self, cycles: u64) -> Self {
-        self.cfg.min_latency = cycles;
-        self
-    }
-
-    /// SPE data-loss warning threshold (fraction of selected samples; 0
-    /// disables the warning).
-    pub fn loss_warn_threshold(mut self, fraction: f64) -> Self {
-        self.cfg.loss_warn_threshold = fraction;
-        self
-    }
-
-    /// Aux-watermark override in bytes (streaming freshness knob; see
-    /// [`NmoConfig::aux_watermark_bytes`]).
-    pub fn aux_watermark_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.aux_watermark_bytes = Some(bytes);
-        self
-    }
-
-    /// Override the SPE overhead model.
-    pub fn overhead(mut self, model: OverheadModel) -> Self {
-        self.cfg.overhead = model;
-        self
-    }
-
-    /// Finish building.
-    pub fn build(self) -> NmoConfig {
-        self.cfg
-    }
-}
-
 impl NmoConfig {
-    /// Start building a configuration.
-    pub fn builder() -> NmoConfigBuilder {
-        NmoConfigBuilder::default()
-    }
-
     /// The configuration the paper uses for its sensitivity study: loads and
     /// stores sampled at `period`, RSS and bandwidth tracking on.
     pub fn paper_default(period: u64) -> Self {
@@ -364,8 +266,6 @@ mod tests {
         assert_eq!(cfg.loss_warn_threshold, 0.0, "negative values clamp to disabled");
         let cfg = NmoConfig::from_lookup(|k| (k == "NMO_LOSS_WARN").then(|| "junk".to_string()));
         assert!((cfg.loss_warn_threshold - 0.1).abs() < 1e-12);
-        let cfg = NmoConfig::builder().loss_warn_threshold(0.02).build();
-        assert!((cfg.loss_warn_threshold - 0.02).abs() < 1e-12);
     }
 
     #[test]
@@ -394,7 +294,8 @@ mod tests {
 
     #[test]
     fn aux_watermark_override_reaches_the_spe_attr() {
-        let cfg = NmoConfig::builder().enabled(true).mode(Mode::LoadStore).period(100).build();
+        let cfg =
+            NmoConfig { enabled: true, mode: Mode::LoadStore, period: 100, ..NmoConfig::default() };
         assert_eq!(cfg.spe_config().to_attr().aux_watermark, 0, "kernel default");
         let cfg = NmoConfig { aux_watermark_bytes: Some(4096), ..cfg };
         assert_eq!(cfg.spe_config().to_attr().aux_watermark, 4096);
@@ -406,7 +307,8 @@ mod tests {
 
     #[test]
     fn spe_config_reflects_mode_and_period() {
-        let cfg = NmoConfig::builder().enabled(true).mode(Mode::Load).period(2048).build();
+        let cfg =
+            NmoConfig { enabled: true, mode: Mode::Load, period: 2048, ..NmoConfig::default() };
         let spe = cfg.spe_config();
         assert!(spe.sample_loads);
         assert!(!spe.sample_stores);
@@ -423,22 +325,29 @@ mod tests {
         // 1 MiB of 64 KiB pages = 16 pages.
         assert_eq!(cfg.ring_pages(64 * 1024), 16);
         assert_eq!(cfg.aux_pages(64 * 1024), 16);
-        let cfg = NmoConfig::builder().auxbufsize_mib(4).build();
+        let cfg = NmoConfig { auxbufsize_mib: 4, ..NmoConfig::default() };
         assert_eq!(cfg.aux_pages(64 * 1024), 64);
         // The page-count override expresses sub-MiB buffers exactly.
-        let cfg = NmoConfig::builder().auxbuf_pages(32).build();
+        let cfg = NmoConfig { auxbuf_pages_override: Some(32), ..NmoConfig::default() };
         assert_eq!(cfg.aux_pages(64 * 1024), 32);
-        let cfg = NmoConfig::builder().auxbuf_pages(2).build();
+        let cfg = NmoConfig { auxbuf_pages_override: Some(2), ..NmoConfig::default() };
         assert_eq!(cfg.aux_pages(64 * 1024), 2);
     }
 
     #[test]
     fn spe_inactive_without_period_or_mode() {
-        let cfg = NmoConfig::builder().enabled(true).mode(Mode::LoadStore).period(0).build();
+        let cfg =
+            NmoConfig { enabled: true, mode: Mode::LoadStore, period: 0, ..NmoConfig::default() };
         assert!(!cfg.spe_active());
-        let cfg = NmoConfig::builder().enabled(true).mode(Mode::None).period(100).build();
+        let cfg =
+            NmoConfig { enabled: true, mode: Mode::None, period: 100, ..NmoConfig::default() };
         assert!(!cfg.spe_active());
-        let cfg = NmoConfig::builder().enabled(false).mode(Mode::LoadStore).period(100).build();
+        let cfg = NmoConfig {
+            enabled: false,
+            mode: Mode::LoadStore,
+            period: 100,
+            ..NmoConfig::default()
+        };
         assert!(!cfg.spe_active());
     }
 }

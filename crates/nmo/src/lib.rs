@@ -112,7 +112,7 @@ pub use annotate::{AddrTag, Annotations, Phase};
 pub use backend::{CoreObserver, CounterBackend, SampleBackend, ShardDrainer, SpeBackend};
 pub use bandwidth::BandwidthSeries;
 pub use capacity::CapacitySeries;
-pub use config::{Mode, NmoConfig, NmoConfigBuilder};
+pub use config::{Mode, NmoConfig};
 pub use latency::{LatencyHistogram, LatencyProfile};
 pub use regions::{attribute, RegionAccumulator, RegionProfile, RegionStats};
 pub use runtime::{AddressSample, Profile};

@@ -86,7 +86,6 @@ pub struct ProfileSessionBuilder {
     sinks: Vec<Box<dyn AnalysisSink>>,
     workload: Option<Box<dyn Workload>>,
     default_backends: bool,
-    default_sinks: bool,
     stream_options: StreamOptions,
 }
 
@@ -100,7 +99,6 @@ impl Default for ProfileSessionBuilder {
             sinks: Vec::new(),
             workload: None,
             default_backends: true,
-            default_sinks: true,
             stream_options: StreamOptions::default(),
         }
     }
@@ -190,13 +188,6 @@ impl ProfileSessionBuilder {
         self
     }
 
-    /// Disable the config-derived default sinks (an empty sink list then
-    /// produces no analyses).
-    pub fn no_default_sinks(mut self) -> Self {
-        self.default_sinks = false;
-        self
-    }
-
     /// Tune the streaming pipeline (window width, bus capacity, pump
     /// interval, backpressure policy) used by
     /// [`ProfileSession::run_streaming`] /
@@ -231,7 +222,7 @@ impl ProfileSessionBuilder {
             }
             self.backends.push(Box::new(CounterBackend::new()));
         }
-        if self.default_sinks && self.sinks.is_empty() {
+        if self.sinks.is_empty() {
             self.sinks = default_sinks(&self.config);
         }
         Ok(ProfileSession {

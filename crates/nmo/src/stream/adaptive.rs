@@ -36,13 +36,12 @@
 //!
 //! * **Active shard count** — the allocated topology (lanes, pump workers,
 //!   shard consumers) is fixed at session start; the controller moves the
-//!   *active* width within `[min_active, allocated]`. Parked pump workers
-//!   sleep and their drain slots are taken over by the active ones; parked
+//!   *active* width within `[1, allocated]`. Parked pump workers sleep
+//!   and their drain slots are taken over by the active ones; parked
 //!   lanes receive no new batches (routing is `core % active`). Every shard
 //!   consumer stays subscribed, so window-close bookkeeping and the
 //!   deterministic merge are untouched by width changes.
-//! * **Drain cadence** — the pump poll interval, within
-//!   `[cadence_min, cadence_max]`.
+//! * **Drain cadence** — the pump poll interval, within `[50 µs, 2 ms]`.
 //! * **Backpressure mode** — [`BackpressurePolicy::DropNewest`] ↔
 //!   [`BackpressurePolicy::Block`] once the loss budget is exhausted at full
 //!   width (bounded overhead beats unbounded loss only when widening is no
@@ -75,31 +74,30 @@ pub struct AdaptiveOptions {
     /// widens, and at full width switches to
     /// [`BackpressurePolicy::Block`].
     pub loss_budget: f64,
-    /// Worst-lane occupancy fraction above which the pipeline counts as
-    /// pressured (default 0.6): widen, or shorten the cadence at full width.
-    pub occupancy_high: f64,
-    /// Worst-lane occupancy fraction below which lanes count as quiet
-    /// (default 0.05).
-    pub occupancy_low: f64,
-    /// Consumer idle fraction above which the active consumers count as
-    /// starved (default 0.5): with quiet lanes this parks a shard, or
-    /// lengthens the cadence at minimum width.
-    pub idle_high: f64,
-    /// Lower bound on the active shard count (default 1).
-    pub min_active: usize,
-    /// Shortest drain cadence the controller may set (default 50 µs).
-    pub cadence_min: Duration,
-    /// Longest drain cadence the controller may set (default 2 ms).
-    pub cadence_max: Duration,
     /// Initial active shard count; `0` (the default) resolves to
     /// `min(allocated, available_parallelism)` — start no wider than the
     /// host can actually run.
     pub initial_active: usize,
-    /// Relative throughput regression that makes the controller revert its
-    /// previous width change (default 0.10): a move that cost more than
-    /// this fraction of windowed throughput is undone.
-    pub regression_tolerance: f64,
 }
+
+/// Worst-lane occupancy fraction above which the pipeline counts as
+/// pressured: widen, or shorten the cadence at full width.
+const OCCUPANCY_HIGH: f64 = 0.6;
+/// Worst-lane occupancy fraction below which lanes count as quiet.
+const OCCUPANCY_LOW: f64 = 0.05;
+/// Consumer idle fraction above which the active consumers count as starved:
+/// with quiet lanes this parks a shard, or lengthens the cadence at minimum
+/// width.
+const IDLE_HIGH: f64 = 0.5;
+/// Lower bound on the active shard count.
+const MIN_ACTIVE: usize = 1;
+/// Shortest and longest drain cadence the controller may set.
+const CADENCE_MIN: Duration = Duration::from_micros(50);
+const CADENCE_MAX: Duration = Duration::from_millis(2);
+/// Relative throughput regression that makes the controller revert its
+/// previous width change: a move that cost more than this fraction of
+/// windowed throughput is undone.
+const REGRESSION_TOLERANCE: f64 = 0.10;
 
 impl Default for AdaptiveOptions {
     fn default() -> Self {
@@ -107,14 +105,7 @@ impl Default for AdaptiveOptions {
             control_interval: Duration::from_millis(2),
             window: 4,
             loss_budget: 0.01,
-            occupancy_high: 0.6,
-            occupancy_low: 0.05,
-            idle_high: 0.5,
-            min_active: 1,
-            cadence_min: Duration::from_micros(50),
-            cadence_max: Duration::from_millis(2),
             initial_active: 0,
-            regression_tolerance: 0.10,
         }
     }
 }
@@ -311,7 +302,7 @@ impl AdaptiveController {
             .max(1);
         let active = match opts.initial_active {
             0 => auto,
-            n => n.clamp(opts.min_active.max(1).min(allocated), allocated),
+            n => n.clamp(MIN_ACTIVE, allocated),
         };
         let window = SlidingWindow::new(opts.window);
         AdaptiveController {
@@ -371,7 +362,7 @@ impl AdaptiveController {
     }
 
     fn set_active(&mut self, to: usize, reason: &'static str) -> Option<AdaptiveDecision> {
-        let to = to.clamp(self.opts.min_active.max(1).min(self.allocated), self.allocated);
+        let to = to.clamp(MIN_ACTIVE, self.allocated);
         if to == self.active {
             return None;
         }
@@ -381,7 +372,7 @@ impl AdaptiveController {
     }
 
     fn set_poll(&mut self, to: Duration, reason: &'static str) -> Option<AdaptiveDecision> {
-        let to = to.clamp(self.opts.cadence_min, self.opts.cadence_max);
+        let to = to.clamp(CADENCE_MIN, CADENCE_MAX);
         if to == self.poll {
             return None;
         }
@@ -416,7 +407,7 @@ impl AdaptiveController {
         // window at the new operating point — revert it if it regressed
         // throughput beyond tolerance, keep it otherwise.
         if let Some(guard) = self.guard.take() {
-            let floor = guard.baseline_throughput * (1.0 - self.opts.regression_tolerance);
+            let floor = guard.baseline_throughput * (1.0 - REGRESSION_TOLERANCE);
             if throughput < floor {
                 if let Some(d) = self.set_active(guard.prev_active, "throughput-regression") {
                     fired.push(d);
@@ -432,7 +423,6 @@ impl AdaptiveController {
         let drops = self.window.drop_fraction();
         let occupancy = self.window.mean_occupancy();
         let idle = self.window.mean_idle();
-        let min_active = self.opts.min_active.max(1).min(self.allocated);
 
         if drops > self.opts.loss_budget {
             // Over the loss budget: widen while possible; at full width,
@@ -448,7 +438,7 @@ impl AdaptiveController {
                 fired.push(self.set_policy(BackpressurePolicy::Block, "loss-over-budget-at-width"));
                 self.switched_policy = true;
             }
-        } else if occupancy > self.opts.occupancy_high {
+        } else if occupancy > OCCUPANCY_HIGH {
             // Pressured lanes, loss still inside budget: widen, or drain
             // faster once already at full width.
             if self.active < self.allocated {
@@ -461,11 +451,11 @@ impl AdaptiveController {
             } else if let Some(d) = self.set_poll(self.poll / 2, "lane-pressure-cadence") {
                 fired.push(d);
             }
-        } else if occupancy < self.opts.occupancy_low && idle > self.opts.idle_high {
+        } else if occupancy < OCCUPANCY_LOW && idle > IDLE_HIGH {
             // Quiet lanes and starved consumers: shed width, then restore a
             // controller-forced Block, then relax the cadence.
-            if self.active > min_active {
-                let target = (self.active / 2).max(min_active);
+            if self.active > MIN_ACTIVE {
+                let target = (self.active / 2).max(MIN_ACTIVE);
                 self.guard =
                     Some(WidthGuard { baseline_throughput: throughput, prev_active: self.active });
                 if let Some(d) = self.set_active(target, "idle-lanes") {
@@ -752,7 +742,7 @@ mod tests {
             "cadence relaxed: {:?}",
             c.poll_interval()
         );
-        assert!(c.poll_interval() <= AdaptiveOptions::default().cadence_max);
+        assert!(c.poll_interval() <= CADENCE_MAX);
         assert!(c.decisions_total() >= 3, "{:?}", c.decisions());
     }
 
@@ -769,7 +759,7 @@ mod tests {
             "cadence shortened: {:?}",
             c.poll_interval()
         );
-        assert!(c.poll_interval() >= AdaptiveOptions::default().cadence_min);
+        assert!(c.poll_interval() >= CADENCE_MIN);
     }
 
     #[test]

@@ -414,6 +414,10 @@ impl TieringReport {
 /// tracked set to pages warm in the recent windows).
 const EVICT_HEAT: f64 = 1.0 / 64.0;
 
+/// Multiplier applied to every page's heat at each window close (a
+/// one-window half-life).
+const DECAY: f64 = 0.5;
+
 /// The hot-page streaming aggregator and actuator (see the module docs).
 ///
 /// As an [`AnalysisSink`] it consumes `SpeSamples` batches, decays its
@@ -425,8 +429,6 @@ const EVICT_HEAT: f64 = 1.0 / 64.0;
 /// [`HotPageTracker::close_window`].
 pub struct HotPageTracker {
     policy: Box<dyn TieringPolicy>,
-    /// Multiplier applied to every page's heat at each window close.
-    decay: f64,
     page_bytes: u64,
     freq_hz: u64,
     configured: bool,
@@ -461,13 +463,12 @@ impl std::fmt::Debug for HotPageTracker {
 }
 
 impl HotPageTracker {
-    /// A tracker deciding with `policy`, with the default half-life decay
-    /// of 0.5 per window and a 64 KiB page size until configured from a
-    /// machine (both actuation paths configure it automatically).
+    /// A tracker deciding with `policy`, with a 64 KiB page size until
+    /// configured from a machine (both actuation paths configure it
+    /// automatically).
     pub fn new(policy: impl TieringPolicy + 'static) -> Self {
         HotPageTracker {
             policy: Box::new(policy),
-            decay: 0.5,
             page_bytes: 64 * 1024,
             freq_hz: 1_000_000_000,
             configured: false,
@@ -481,13 +482,6 @@ impl HotPageTracker {
             applied: Vec::new(),
             last_seen_ns: 0,
         }
-    }
-
-    /// Override the per-window heat decay (clamped to `[0, 1]`; 1.0 never
-    /// forgets, 0.0 considers only the last window).
-    pub fn with_decay(mut self, decay: f64) -> Self {
-        self.decay = decay.clamp(0.0, 1.0);
-        self
     }
 
     /// The policy's name.
@@ -604,10 +598,10 @@ impl HotPageTracker {
         self.applied.extend_from_slice(&applied);
         // Decay after deciding: decisions see the freshest heat.
         self.pages.retain(|_, st| {
-            st.heat *= self.decay;
-            st.dram_heat *= self.decay;
-            st.lat_sum *= self.decay;
-            st.lat_count *= self.decay;
+            st.heat *= DECAY;
+            st.dram_heat *= DECAY;
+            st.lat_sum *= DECAY;
+            st.lat_count *= DECAY;
             st.heat >= EVICT_HEAT
         });
         applied
@@ -891,7 +885,7 @@ mod tests {
 
     #[test]
     fn decay_cools_and_evicts_pages() {
-        let mut tracker = HotPageTracker::new(NoMigration).with_decay(0.5);
+        let mut tracker = HotPageTracker::new(NoMigration);
         fill_tracker(&mut tracker);
         let clock = WindowClock::new(1000);
         tracker.close_window(clock.window(0), None);

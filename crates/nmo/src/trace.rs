@@ -33,14 +33,14 @@
 //! trailer   := index_offset:u64 "NMOE"                       (12 bytes)
 //! ```
 //!
-//! Blocks are flushed at every window-close broadcast (so a close always
-//! terminates its block and blocks map cleanly onto time windows) and when
-//! the scratch buffer passes a size target. Window closes additionally go
-//! into their own one-event mini blocks, so an indexed query can prune data
-//! blocks by core/address yet still deliver every close in its time range.
-//! The footer index is what makes a segment random-access: a query reads the
-//! fixed-width entry table from the end of the file and seeks straight to
-//! the matching blocks — O(1) per block, never scanning the whole segment.
+//! Blocks are flushed at every window-close broadcast and when the scratch
+//! buffer passes a size target, and every window close goes into its own
+//! one-event mini block. So a close always sits alone in its block, blocks
+//! map cleanly onto time windows, and an indexed query can prune data blocks
+//! by core/address yet still deliver every close in its time range. The
+//! footer index is what makes a segment random-access: the reader loads the
+//! fixed-width entry table from the end of the file once and seeks straight
+//! to the blocks it needs — O(1) per block, never scanning the segment.
 //!
 //! # Encoding invariants (varint/delta)
 //!
@@ -58,10 +58,30 @@
 //! * the data source is the 1-byte SPE data-source encoding
 //!   ([`DataSource::encode`]), so the serving node id survives round-trips.
 //!
-//! Decoding is the exact inverse and every read is bounds-checked: arbitrary
-//! bytes never panic, a corrupt block fails its checksum before any event in
-//! it is decoded, and damage surfaces as [`NmoError::Trace`] (strict replay)
-//! or as per-block skip accounting ([`scan_blocks`], lenient).
+//! Decoding is the exact inverse and every read is bounds-checked:
+//! arbitrary bytes never panic, and no length read from a file is trusted
+//! with an allocation before it is checked against the file.
+//!
+//! # Reading: one strict reader, one lenient scanner
+//!
+//! Block frames are parsed in exactly two places.
+//!
+//! * **Strict** — `SegmentReader`, behind [`TraceReader::replay`],
+//!   [`TraceReader::replay_query`] and the block-region bound of
+//!   [`TraceReader::verify`]. Opening checks the header (magic, version,
+//!   and that the file holds the shard the manifest lists it as), the
+//!   trailer, and the footer index (bounds, entry count against the file
+//!   size, checksum). Reading a block requires the frame to lie inside the
+//!   block region and the frame's own length and checksum to agree with the
+//!   index entry's *before* the payload is hashed and decoded — the index
+//!   and the frames vouch for each other. The manifest is validated the same
+//!   way (segment count, power-of-two page size, node count, window width).
+//!   Any damage is an [`NmoError::Trace`]; nothing is delivered from a block
+//!   that fails.
+//! * **Lenient** — [`scan_blocks`], behind [`TraceReader::verify`]: walks a
+//!   block region without the index, steps over garbage, skips frames whose
+//!   checksum or events do not verify, and accounts for every byte as
+//!   consumed or skipped instead of failing.
 //!
 //! # Recording and replaying
 //!
@@ -69,21 +89,26 @@
 //! registered on a session it appends each shard lane's deliveries to that
 //! shard's segment, with no cross-shard lock on the hot path (each
 //! [`SinkShard`] owns its file and scratch buffer); it has no other way to
-//! be fed, so every kind of run records the same kind of trace. Replay owns the reading
-//! side only — segment decoding, the schedule that interleaves the lanes,
-//! index pruning — and delivers through the same shard fan-in the live
-//! consumers use (`sink.rs`), so per-shard workers, ascending-shard window
-//! merges and legacy-sink closes follow the live rule by construction:
-//! [`TraceReader::replay`] walks the segments in lock step (one window close
-//! per shard per round), and a replay through a [`crate::LatencySink`] or
+//! be fed, so every kind of run records the same kind of trace.
+//!
+//! Replay owns the reading side only and is a direct driver of the shard
+//! fan-in the live consumers use (`sink.rs`) — not a backend behind the bus:
+//! the recorded window closes are authoritative, and a bus hop would
+//! re-derive them from host timing. One function, `feed`, delivers a run of
+//! indexed blocks through a shard's lane, so per-shard workers,
+//! ascending-shard window merges and legacy-sink closes follow the live rule
+//! by construction. [`TraceReader::replay`] calls it from one thread in
+//! block-granular rounds — every shard's blocks up to and including its next
+//! close block, shard by shard, so the lanes advance in lock step — and a
+//! replay through a [`crate::LatencySink`] or
 //! [`crate::tiering::HotPageTracker`] reproduces the recorded live run
-//! bit-for-bit. [`TraceReader::replay_query`] fans matching blocks out
-//! across one worker thread per segment for time-window-, core-, or
-//! address-sliced queries that never load the whole trace.
+//! bit-for-bit. [`TraceReader::replay_query`] calls it from one worker
+//! thread per segment with the caller's [`TraceQuery`], for time-window-,
+//! core-, or address-sliced queries that read only the blocks the index
+//! cannot rule out.
 
-use std::collections::VecDeque;
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread;
@@ -99,7 +124,7 @@ use crate::sink::{
     AnalysisRecord, AnalysisReport, AnalysisSink, FanIn, FanInLane, ShardState, ShardableSink,
     SinkShard, StreamContext,
 };
-use crate::stream::{BatchPayload, BatchPool, SampleBatch, Window};
+use crate::stream::{BatchPayload, BatchPool, BusEvent, SampleBatch, Window};
 use crate::NmoError;
 
 /// Segment file header magic.
@@ -231,17 +256,6 @@ fn backend_name(id: u64) -> &'static str {
         2 => "machine",
         _ => "trace",
     }
-}
-
-/// One decoded trace record: a recorded batch delivery or a window-close
-/// broadcast, exactly as the shard lane saw it during the live run.
-#[derive(Debug, Clone)]
-pub enum TraceEvent {
-    /// A recorded delivery of one [`SampleBatch`] (sequence number
-    /// preserved).
-    Batch(SampleBatch),
-    /// A recorded window-close broadcast.
-    Close(Window),
 }
 
 /// Per-block summary accumulated by the writer and stored in the footer
@@ -444,7 +458,7 @@ fn checked_count(
 }
 
 /// Decode every event in a (checksum-verified) block payload.
-fn decode_events(payload: &[u8]) -> Result<Vec<TraceEvent>, String> {
+fn decode_events(payload: &[u8]) -> Result<Vec<BusEvent>, String> {
     let mut pos = 0usize;
     let mut out = Vec::new();
     while pos < payload.len() {
@@ -452,7 +466,7 @@ fn decode_events(payload: &[u8]) -> Result<Vec<TraceEvent>, String> {
         pos += 1;
         if tag == EV_CLOSE {
             let w = read_window(payload, &mut pos)?;
-            out.push(TraceEvent::Close(w));
+            out.push(BusEvent::CloseWindow(w));
             continue;
         }
         if !(EV_SPE..=EV_BANDWIDTH).contains(&tag) {
@@ -585,7 +599,7 @@ fn decode_events(payload: &[u8]) -> Result<Vec<TraceEvent>, String> {
         };
         let mut batch = SampleBatch::new(backend, core, window, data);
         batch.seq = seq;
-        out.push(TraceEvent::Batch(batch));
+        out.push(BusEvent::Batch(batch));
     }
     Ok(out)
 }
@@ -615,7 +629,7 @@ pub struct ScannedBlock {
     /// Whole frame length (header + payload).
     pub frame_len: usize,
     /// The decoded events.
-    pub events: Vec<TraceEvent>,
+    pub events: Vec<BusEvent>,
 }
 
 /// Result of a lenient scan over a segment's block region.
@@ -635,13 +649,6 @@ pub struct BlockScan {
     /// One message per rejected frame or truncated tail (resync noise from
     /// plain garbage bytes is not reported).
     pub errors: Vec<String>,
-}
-
-impl BlockScan {
-    /// The first damage report, as the error strict replay would surface.
-    pub fn first_error(&self) -> Option<NmoError> {
-        self.errors.first().map(|e| NmoError::trace(e.clone()))
-    }
 }
 
 /// Scan a segment's block region, skipping over corruption instead of
@@ -709,58 +716,52 @@ pub fn scan_blocks(data: &[u8]) -> BlockScan {
 // Footer index.
 // ---------------------------------------------------------------------------
 
-/// One fixed-width footer index entry describing a block.
+/// One fixed-width footer index entry: where a block's frame lies, what its
+/// frame header says, and the writer's summary of its payload.
 #[derive(Debug, Clone, Copy)]
 struct IndexEntry {
     offset: u64,
     payload_len: u64,
     checksum: u64,
-    first_window: u64,
-    last_window: u64,
-    core_mask: u64,
-    min_vaddr: u64,
-    max_vaddr: u64,
-    samples: u64,
-    events: u64,
-    closes: u64,
+    meta: BlockMeta,
 }
 
 impl IndexEntry {
     fn encode(&self, out: &mut Vec<u8>) {
+        let m = &self.meta;
         for v in [
             self.offset,
             self.payload_len,
             self.checksum,
-            self.first_window,
-            self.last_window,
-            self.core_mask,
-            self.min_vaddr,
-            self.max_vaddr,
-            self.samples,
-            self.events,
-            self.closes,
+            m.first_window,
+            m.last_window,
+            m.core_mask,
+            m.min_vaddr,
+            m.max_vaddr,
+            m.samples,
+            m.events,
+            m.closes,
         ] {
             put_u64(out, v);
         }
     }
 
     fn decode(data: &[u8], pos: usize) -> Option<IndexEntry> {
-        let mut fields = [0u64; 11];
-        for (i, f) in fields.iter_mut().enumerate() {
-            *f = get_u64(data, pos + i * 8)?;
-        }
+        let field = |i: usize| get_u64(data, pos + i * 8);
         Some(IndexEntry {
-            offset: fields[0],
-            payload_len: fields[1],
-            checksum: fields[2],
-            first_window: fields[3],
-            last_window: fields[4],
-            core_mask: fields[5],
-            min_vaddr: fields[6],
-            max_vaddr: fields[7],
-            samples: fields[8],
-            events: fields[9],
-            closes: fields[10],
+            offset: field(0)?,
+            payload_len: field(1)?,
+            checksum: field(2)?,
+            meta: BlockMeta {
+                first_window: field(3)?,
+                last_window: field(4)?,
+                core_mask: field(5)?,
+                min_vaddr: field(6)?,
+                max_vaddr: field(7)?,
+                samples: field(8)?,
+                events: field(9)?,
+                closes: field(10)?,
+            },
         })
     }
 }
@@ -789,19 +790,15 @@ struct SegmentSummary {
 /// scratch comes from (and returns to) the parent sink's [`BatchPool`].
 struct SegmentWriter {
     file: BufWriter<File>,
-    file_name: String,
-    shard: usize,
     /// Current file offset (the header is already written at construction).
     offset: u64,
     /// Block payload scratch, reused across blocks.
     buf: Vec<u8>,
     meta: BlockMeta,
     index: Vec<IndexEntry>,
-    /// Window width latched from the first event (0 until then).
-    window_ns: u64,
-    samples: u64,
-    events: u64,
-    closes: u64,
+    /// The totals so far (`window_ns` latched from the first event, 0 until
+    /// then; `blocks` and `bytes` filled in by [`SegmentWriter::finish`]).
+    summary: SegmentSummary,
     pool: Arc<BatchPool>,
 }
 
@@ -819,30 +816,25 @@ impl SegmentWriter {
         file.write_all(&(shard as u16).to_le_bytes())?;
         Ok(SegmentWriter {
             file,
-            file_name,
-            shard,
             offset: 8,
             buf: pool.bytes_with_capacity(BLOCK_TARGET_BYTES),
             meta: BlockMeta::empty(),
             index: Vec::new(),
-            window_ns: 0,
-            samples: 0,
-            events: 0,
-            closes: 0,
+            summary: SegmentSummary { shard, file_name, ..SegmentSummary::default() },
             pool,
         })
     }
 
     fn latch_window(&mut self, w: Window) {
-        if self.window_ns == 0 {
-            self.window_ns = w.width_ns();
+        if self.summary.window_ns == 0 {
+            self.summary.window_ns = w.width_ns();
         }
     }
 
     fn append_batch(&mut self, batch: &SampleBatch) -> std::io::Result<()> {
         self.latch_window(batch.window);
-        self.samples += encode_batch_event(&mut self.buf, batch, &mut self.meta);
-        self.events += 1;
+        self.summary.samples += encode_batch_event(&mut self.buf, batch, &mut self.meta);
+        self.summary.events += 1;
         if self.buf.len() >= BLOCK_TARGET_BYTES {
             self.flush_block()?;
         }
@@ -856,8 +848,8 @@ impl SegmentWriter {
         self.latch_window(w);
         self.flush_block()?;
         encode_close_event(&mut self.buf, w, &mut self.meta);
-        self.events += 1;
-        self.closes += 1;
+        self.summary.events += 1;
+        self.summary.closes += 1;
         self.flush_block()
     }
 
@@ -870,22 +862,15 @@ impl SegmentWriter {
         self.file.write_all(&(self.buf.len() as u32).to_le_bytes())?;
         self.file.write_all(&checksum.to_le_bytes())?;
         self.file.write_all(&self.buf)?;
+        let meta = std::mem::replace(&mut self.meta, BlockMeta::empty());
         self.index.push(IndexEntry {
             offset: self.offset,
             payload_len: self.buf.len() as u64,
             checksum,
-            first_window: self.meta.first_window,
-            last_window: self.meta.last_window,
-            core_mask: self.meta.core_mask,
-            min_vaddr: self.meta.min_vaddr,
-            max_vaddr: self.meta.max_vaddr,
-            samples: self.meta.samples,
-            events: self.meta.events,
-            closes: self.meta.closes,
+            meta,
         });
         self.offset += 16 + self.buf.len() as u64;
         self.buf.clear();
-        self.meta = BlockMeta::empty();
         Ok(())
     }
 
@@ -905,19 +890,10 @@ impl SegmentWriter {
         self.file.write_all(&index_offset.to_le_bytes())?;
         self.file.write_all(&TRAILER_MAGIC)?;
         self.file.flush()?;
-        let bytes = index_offset + 8 + entries.len() as u64 + 8 + 8 + 4;
+        self.summary.blocks = self.index.len() as u64;
+        self.summary.bytes = index_offset + 8 + entries.len() as u64 + 8 + 8 + 4;
         self.pool.recycle_bytes(self.buf);
-        Ok(SegmentSummary {
-            shard: self.shard,
-            file_name: self.file_name,
-            window_ns: self.window_ns,
-            samples: self.samples,
-            events: self.events,
-            closes: self.closes,
-            blocks: self.index.len() as u64,
-            bytes,
-            error: None,
-        })
+        Ok(self.summary)
     }
 }
 
@@ -971,10 +947,6 @@ pub struct TraceWriterSink {
     dir: PathBuf,
     pool: Arc<BatchPool>,
     geometry: Geometry,
-    /// Segment 0's writer for direct [`AnalysisSink::on_batch`] /
-    /// [`AnalysisSink::on_window_close`] calls, opened on first use (a
-    /// pipeline records through [`ShardableSink::make_shard`] instead).
-    direct: Option<TraceShard>,
     summaries: Vec<SegmentSummary>,
     error: Option<String>,
 }
@@ -986,7 +958,6 @@ impl TraceWriterSink {
             dir: dir.into(),
             pool: BatchPool::new(32),
             geometry: Geometry::default(),
-            direct: None,
             summaries: Vec::new(),
             error: None,
         }
@@ -1001,10 +972,6 @@ impl TraceWriterSink {
         if self.error.is_none() {
             self.error = Some(e.to_string());
         }
-    }
-
-    fn direct(&mut self) -> &mut TraceShard {
-        self.direct.get_or_insert_with(|| TraceShard::open(&self.dir, 0, &self.pool))
     }
 
     fn write_manifest(&self) -> Result<(), NmoError> {
@@ -1048,17 +1015,13 @@ impl AnalysisSink for TraceWriterSink {
         "trace-writer"
     }
 
-    /// Finalise what was delivered: close segment 0's direct writer (if
-    /// direct calls opened one), surface the first write error, and write
-    /// the manifest.
+    /// Finalise what the shards delivered: surface the first write error,
+    /// or write the manifest.
     fn analyze(
         &mut self,
         _machine: &Machine,
         _profile: &Profile,
     ) -> Result<AnalysisReport, NmoError> {
-        if let Some(shard) = self.direct.take() {
-            self.summaries.push(shard.into_summary());
-        }
         let shard_errors: Vec<String> =
             self.summaries.iter().filter_map(|s| s.error.clone()).collect();
         for e in shard_errors {
@@ -1084,14 +1047,6 @@ impl AnalysisSink for TraceWriterSink {
         }
     }
 
-    fn on_batch(&mut self, batch: &SampleBatch) {
-        self.direct().on_batch(batch);
-    }
-
-    fn on_window_close(&mut self, window: Window) {
-        self.direct().on_window_close(window);
-    }
-
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
         Some(self)
     }
@@ -1115,88 +1070,61 @@ impl ShardableSink for TraceWriterSink {
 /// One shard of the [`TraceWriterSink`]: owns its segment writer, records
 /// exactly what its lane delivered, in delivery order.
 struct TraceShard {
-    writer: Option<SegmentWriter>,
     shard: usize,
-    error: Option<String>,
+    /// The open segment, or the first error — after which nothing more is
+    /// written and the sink's report is that error.
+    writer: Result<SegmentWriter, String>,
 }
 
 impl TraceShard {
     fn open(dir: &Path, shard: usize, pool: &Arc<BatchPool>) -> TraceShard {
         let writer = fs::create_dir_all(dir)
-            .and_then(|()| SegmentWriter::create(dir, shard, Arc::clone(pool)));
-        match writer {
-            Ok(w) => TraceShard { writer: Some(w), shard, error: None },
-            Err(e) => TraceShard {
-                writer: None,
-                shard,
-                error: Some(format!("cannot open segment {shard}: {e}")),
-            },
-        }
+            .and_then(|()| SegmentWriter::create(dir, shard, Arc::clone(pool)))
+            .map_err(|e| format!("cannot open segment {shard}: {e}"));
+        TraceShard { shard, writer }
     }
 
-    fn fail(&mut self, e: std::io::Error) {
-        if self.error.is_none() {
-            self.error = Some(format!("segment {} write failed: {e}", self.shard));
+    fn write(&mut self, append: impl FnOnce(&mut SegmentWriter) -> std::io::Result<()>) {
+        if let Err(e) = self.writer.as_mut().map_or(Ok(()), append) {
+            self.writer = Err(format!("segment {} write failed: {e}", self.shard));
         }
-        self.writer = None;
-    }
-
-    /// Finalise the segment (footer index + trailer) and describe it.
-    fn into_summary(self) -> SegmentSummary {
-        let mut summary = match self.writer {
-            Some(w) => match w.finish() {
-                Ok(s) => s,
-                Err(e) => SegmentSummary {
-                    shard: self.shard,
-                    error: Some(format!("segment {} finalise failed: {e}", self.shard)),
-                    ..SegmentSummary::default()
-                },
-            },
-            None => SegmentSummary { shard: self.shard, ..SegmentSummary::default() },
-        };
-        if summary.error.is_none() {
-            summary.error = self.error;
-        }
-        summary
     }
 }
 
 impl SinkShard for TraceShard {
     fn on_batch(&mut self, batch: &SampleBatch) {
-        if let Some(w) = self.writer.as_mut() {
-            if let Err(e) = w.append_batch(batch) {
-                self.fail(e);
-            }
-        }
+        self.write(|w| w.append_batch(batch));
     }
 
     fn on_window_close(&mut self, window: Window) -> Option<ShardState> {
-        if let Some(w) = self.writer.as_mut() {
-            if let Err(e) = w.append_close(window) {
-                self.fail(e);
-            }
-        }
+        self.write(|w| w.append_close(window));
         None
     }
 
+    /// Finalise the segment (footer index + trailer) and describe it.
     fn finish(self: Box<Self>) -> ShardState {
-        Box::new(self.into_summary())
+        let shard = self.shard;
+        let finished = self
+            .writer
+            .and_then(|w| w.finish().map_err(|e| format!("segment {shard} finalise failed: {e}")));
+        Box::new(finished.unwrap_or_else(|e| SegmentSummary {
+            shard,
+            error: Some(e),
+            ..SegmentSummary::default()
+        }))
     }
 }
 
 // ---------------------------------------------------------------------------
-// The reader: manifest, strict segment streaming, footer-index access.
+// The reader: manifest, the strict segment reader, the lane feed.
 // ---------------------------------------------------------------------------
 
 /// Parsed `trace.manifest`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Manifest {
     window_ns: u64,
-    capacity_bytes: u64,
-    bucket_ns: u64,
-    mem_nodes: usize,
-    page_bytes: u64,
     samples: u64,
+    geometry: Geometry,
     segments: Vec<String>,
 }
 
@@ -1206,24 +1134,14 @@ impl Manifest {
         if lines.next() != Some("nmo-trace-manifest v1") {
             return Err(NmoError::trace("unrecognised manifest header"));
         }
-        let mut m = Manifest {
-            window_ns: 0,
-            capacity_bytes: 0,
-            bucket_ns: 1,
-            mem_nodes: 1,
-            page_bytes: 64 * 1024,
-            samples: 0,
-            segments: Vec::new(),
-        };
+        let mut m = Manifest::default();
+        let mut shards = None;
         for line in lines {
-            let (key, value) = match line.split_once(' ') {
-                Some(kv) => kv,
-                None => {
-                    if line == "end" {
-                        break;
-                    }
-                    return Err(NmoError::trace(format!("malformed manifest line: {line:?}")));
+            let Some((key, value)) = line.split_once(' ') else {
+                if line == "end" {
+                    break;
                 }
+                return Err(NmoError::trace(format!("malformed manifest line: {line:?}")));
             };
             let num = || {
                 value
@@ -1232,12 +1150,12 @@ impl Manifest {
             };
             match key {
                 "window_ns" => m.window_ns = num()?,
-                "capacity_bytes" => m.capacity_bytes = num()?,
-                "bucket_ns" => m.bucket_ns = num()?,
-                "mem_nodes" => m.mem_nodes = num()? as usize,
-                "page_bytes" => m.page_bytes = num()?,
+                "capacity_bytes" => m.geometry.capacity_bytes = num()?,
+                "bucket_ns" => m.geometry.bucket_ns = num()?,
+                "mem_nodes" => m.geometry.mem_nodes = num()? as usize,
+                "page_bytes" => m.geometry.page_bytes = num()?,
                 "samples" => m.samples = num()?,
-                "shards" => {} // implied by the segment list
+                "shards" => shards = Some(num()? as usize),
                 "segment" => {
                     if value.contains('/') || value.contains("..") {
                         return Err(NmoError::trace(format!("suspicious segment name: {value}")));
@@ -1247,8 +1165,20 @@ impl Manifest {
                 _ => {} // forward compatibility: ignore unknown keys
             }
         }
-        if m.segments.is_empty() {
-            return Err(NmoError::trace("manifest lists no segments"));
+        // Replayed sinks compute with these values (page masks, per-node
+        // arrays), and a cut-short segment list would replay part of the run
+        // as if it were all of it: refuse what no writer produces.
+        let g = &m.geometry;
+        if m.segments.is_empty()
+            || shards.is_some_and(|n| n != m.segments.len())
+            || !g.page_bytes.is_power_of_two()
+            || !(1..=MAX_MEM_NODES).contains(&g.mem_nodes)
+            || (m.window_ns == 0 && m.samples > 0)
+        {
+            return Err(NmoError::trace(format!(
+                "manifest needs its {shards:?} segment(s), a power-of-two page_bytes, mem_nodes \
+                 in 1..={MAX_MEM_NODES} and a window_ns when samples are stored; it says {m:?}"
+            )));
         }
         Ok(m)
     }
@@ -1268,7 +1198,7 @@ pub struct TraceSummary {
 }
 
 /// Counters reported by a replay.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
     /// Address samples delivered to sinks.
     pub samples: u64,
@@ -1282,27 +1212,29 @@ pub struct ReplayStats {
     pub segments: usize,
 }
 
-/// Streams one segment file block by block, strictly: any framing,
-/// checksum, or decode damage is an immediate [`NmoError::Trace`].
-struct SegmentEventReader {
-    file: BufReader<File>,
+/// The one strict reader of a finished segment: [`SegmentReader::open`]
+/// checks the header and loads the footer index once, and
+/// [`SegmentReader::read_block`] seeks to an indexed block and decodes it.
+/// Any framing, checksum, or decode damage is an [`NmoError::Trace`].
+struct SegmentReader {
+    file: File,
     path: PathBuf,
+    /// End of the block region (= the footer index's offset).
+    blocks_end: u64,
+    /// Frame scratch, reused across blocks.
     scratch: Vec<u8>,
-    done: bool,
 }
 
-impl SegmentEventReader {
-    fn open(path: PathBuf) -> Result<SegmentEventReader, NmoError> {
+impl SegmentReader {
+    /// Open shard `shard`'s segment at `path` and return the reader with the
+    /// segment's footer index (one entry per block, in file order).
+    fn open(shard: usize, path: PathBuf) -> Result<(SegmentReader, Vec<IndexEntry>), NmoError> {
         let file = File::open(&path)
             .map_err(|e| NmoError::trace(format!("cannot open {}: {e}", path.display())))?;
-        let mut r = SegmentEventReader {
-            file: BufReader::new(file),
-            path,
-            scratch: Vec::new(),
-            done: false,
-        };
+        let mut r = SegmentReader { file, path, blocks_end: 0, scratch: Vec::new() };
+        let file_len = r.file.metadata().map_err(|e| r.damage(format!("cannot stat: {e}")))?.len();
         let mut header = [0u8; 8];
-        r.read_exact(&mut header, "segment header")?;
+        r.read_at(0, &mut header, "segment header")?;
         if header[..4] != SEGMENT_MAGIC {
             return Err(r.damage("not an NMO trace segment (bad magic)"));
         }
@@ -1310,269 +1242,132 @@ impl SegmentEventReader {
         if version != FORMAT_VERSION {
             return Err(r.damage(format!("unsupported segment version {version}")));
         }
-        Ok(r)
+        let recorded = u16::from_le_bytes([header[6], header[7]]);
+        if usize::from(recorded) != shard {
+            return Err(r.damage(format!("holds shard {recorded}, listed as shard {shard}")));
+        }
+        let trailer_at =
+            file_len.checked_sub(12).ok_or_else(|| r.damage("file too short for a trailer"))?;
+        let mut trailer = [0u8; 12];
+        r.read_at(trailer_at, &mut trailer, "trailer")?;
+        let index_offset = get_u64(&trailer, 0).unwrap_or(u64::MAX);
+        if trailer[8..] != TRAILER_MAGIC {
+            return Err(r.damage("bad trailer magic (unfinalised or corrupt segment)"));
+        }
+        // index := magic count entries checksum, ending where the trailer
+        // starts; the offset comes from the file, so no unchecked arithmetic.
+        let index_bytes = index_offset
+            .checked_add(8 + 8)
+            .and_then(|fixed| trailer_at.checked_sub(fixed))
+            .filter(|_| index_offset >= 8)
+            .ok_or_else(|| r.damage(format!("index offset {index_offset} out of bounds")))?;
+        let mut head = [0u8; 8];
+        r.read_at(index_offset, &mut head, "index header")?;
+        if head[..4] != INDEX_MAGIC {
+            return Err(r.damage("bad index magic"));
+        }
+        let count = u64::from(get_u32(&head, 4).unwrap_or(u32::MAX));
+        if count * INDEX_ENTRY_BYTES as u64 != index_bytes {
+            return Err(r.damage(format!("index entry count {count} disagrees with the file size")));
+        }
+        let mut index = vec![0u8; index_bytes as usize + 8];
+        r.read_at(index_offset + 8, &mut index, "index")?;
+        let (entries, sum) = index.split_at(index_bytes as usize);
+        if Some(fnv1a(entries)) != get_u64(sum, 0) {
+            return Err(r.damage("index checksum mismatch"));
+        }
+        let entries = entries
+            .chunks_exact(INDEX_ENTRY_BYTES)
+            .map(|entry| IndexEntry::decode(entry, 0))
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| r.damage("truncated index entry"))?;
+        r.blocks_end = index_offset;
+        Ok((r, entries))
     }
 
     fn damage(&self, what: impl std::fmt::Display) -> NmoError {
         NmoError::trace(format!("{}: {what}", self.path.display()))
     }
 
-    fn read_exact(&mut self, buf: &mut [u8], what: &str) -> Result<(), NmoError> {
+    /// Fill `buf` from `offset`, or report the `what` that was cut short.
+    fn read_at(&mut self, offset: u64, buf: &mut [u8], what: &str) -> Result<(), NmoError> {
         self.file
-            .read_exact(buf)
-            .map_err(|e| NmoError::trace(format!("{}: truncated {what}: {e}", self.path.display())))
+            .seek(SeekFrom::Start(offset))
+            .and_then(|_| self.file.read_exact(buf))
+            .map_err(|e| self.damage(format!("truncated {what} at offset {offset}: {e}")))
     }
 
-    /// The next block's events, or `None` once the footer index is reached.
-    fn next_block(&mut self) -> Result<Option<Vec<TraceEvent>>, NmoError> {
-        if self.done {
-            return Ok(None);
+    /// Read, verify, and decode the block `entry` describes. The frame must
+    /// lie inside the block region, and its own header must agree with the
+    /// index entry on length and checksum before the payload is hashed and
+    /// decoded — so the footer index and the frames vouch for each other.
+    fn read_block(&mut self, entry: &IndexEntry) -> Result<Vec<BusEvent>, NmoError> {
+        let (at, len) = (entry.offset, entry.payload_len);
+        let end = at.checked_add(16).and_then(|payload_at| payload_at.checked_add(len));
+        if at < 8 || len > MAX_BLOCK_BYTES as u64 || end.is_none_or(|end| end > self.blocks_end) {
+            return Err(self.damage(format!(
+                "indexed block at offset {at} ({len} bytes) lies outside the block region"
+            )));
         }
-        let mut magic = [0u8; 4];
-        self.read_exact(&mut magic, "block header")?;
-        if magic == INDEX_MAGIC {
-            self.done = true;
-            return Ok(None);
+        let mut frame = std::mem::take(&mut self.scratch);
+        frame.resize(16 + len as usize, 0);
+        let read = self.read_at(at, &mut frame, "block");
+        self.scratch = frame;
+        read?;
+        let (head, payload) = self.scratch.split_at(16);
+        if head[..4] != BLOCK_MAGIC {
+            return Err(self.damage(format!("index points at a non-block offset {at}")));
         }
-        if magic != BLOCK_MAGIC {
-            return Err(self.damage("bad block magic (corrupt segment)"));
+        if get_u32(head, 4).map(u64::from) != Some(len) || get_u64(head, 8) != Some(entry.checksum)
+        {
+            return Err(
+                self.damage(format!("block frame at offset {at} and its index entry disagree"))
+            );
         }
-        let mut rest = [0u8; 12];
-        self.read_exact(&mut rest, "block header")?;
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        let checksum = u64::from_le_bytes([
-            rest[4], rest[5], rest[6], rest[7], rest[8], rest[9], rest[10], rest[11],
-        ]);
-        if len > MAX_BLOCK_BYTES {
-            return Err(self.damage(format!("oversized block length {len}")));
+        if fnv1a(payload) != entry.checksum {
+            return Err(self.damage(format!("block checksum mismatch at offset {at}")));
         }
-        self.scratch.resize(len, 0);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let res = self.read_exact(&mut scratch, "block payload");
-        self.scratch = scratch;
-        res?;
-        if fnv1a(&self.scratch) != checksum {
-            return Err(self.damage("block checksum mismatch"));
-        }
-        let events = decode_events(&self.scratch).map_err(|e| self.damage(e))?;
-        Ok(Some(events))
+        decode_events(payload).map_err(|e| self.damage(e))
     }
 }
 
-/// Read and verify a segment's footer index (for O(1) block seeks).
-fn read_segment_index(file: &mut File, path: &Path) -> Result<Vec<IndexEntry>, NmoError> {
-    let err = |what: String| NmoError::trace(format!("{}: {what}", path.display()));
-    let file_len = file.seek(SeekFrom::End(0)).map_err(|e| err(format!("cannot seek: {e}")))?;
-    if file_len < 8 + 12 {
-        return Err(err("file too short for a trailer".into()));
-    }
-    file.seek(SeekFrom::End(-12)).map_err(|e| err(format!("cannot seek: {e}")))?;
-    let mut trailer = [0u8; 12];
-    file.read_exact(&mut trailer).map_err(|e| err(format!("truncated trailer: {e}")))?;
-    if trailer[8..] != TRAILER_MAGIC {
-        return Err(err("bad trailer magic (unfinalised or corrupt segment)".into()));
-    }
-    let index_offset = u64::from_le_bytes([
-        trailer[0], trailer[1], trailer[2], trailer[3], trailer[4], trailer[5], trailer[6],
-        trailer[7],
-    ]);
-    if index_offset < 8 || index_offset + 12 > file_len {
-        return Err(err(format!("index offset {index_offset} out of bounds")));
-    }
-    file.seek(SeekFrom::Start(index_offset)).map_err(|e| err(format!("cannot seek: {e}")))?;
-    let mut head = [0u8; 8];
-    file.read_exact(&mut head).map_err(|e| err(format!("truncated index header: {e}")))?;
-    if head[..4] != INDEX_MAGIC {
-        return Err(err("bad index magic".into()));
-    }
-    let count = u32::from_le_bytes([head[4], head[5], head[6], head[7]]) as usize;
-    let index_bytes = count.saturating_mul(INDEX_ENTRY_BYTES);
-    let available = (file_len - index_offset).saturating_sub(8 + 8 + 12);
-    if index_bytes as u64 > available {
-        return Err(err(format!("index entry count {count} exceeds file size")));
-    }
-    let mut entries = vec![0u8; index_bytes];
-    file.read_exact(&mut entries).map_err(|e| err(format!("truncated index: {e}")))?;
-    let mut sum = [0u8; 8];
-    file.read_exact(&mut sum).map_err(|e| err(format!("truncated index checksum: {e}")))?;
-    if fnv1a(&entries) != u64::from_le_bytes(sum) {
-        return Err(err("index checksum mismatch".into()));
-    }
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        match IndexEntry::decode(&entries, i * INDEX_ENTRY_BYTES) {
-            Some(e) => out.push(e),
-            None => return Err(err("truncated index entry".into())),
-        }
-    }
-    Ok(out)
-}
+/// The shared half of a replay's sink fan-in (the caller keeps ownership of
+/// the sinks).
+type ReplayFanIn<'a> = FanIn<&'a mut [Box<dyn AnalysisSink>]>;
 
-/// Read, verify, and decode the block described by `entry`.
-fn read_block_at(
-    file: &mut File,
-    path: &Path,
-    entry: &IndexEntry,
-) -> Result<Vec<TraceEvent>, NmoError> {
-    let err = |what: String| NmoError::trace(format!("{}: {what}", path.display()));
-    let len = usize::try_from(entry.payload_len)
-        .ok()
-        .filter(|&l| l <= MAX_BLOCK_BYTES)
-        .ok_or_else(|| err(format!("oversized indexed block ({} bytes)", entry.payload_len)))?;
-    file.seek(SeekFrom::Start(entry.offset)).map_err(|e| err(format!("cannot seek: {e}")))?;
-    let mut frame = vec![0u8; 16 + len];
-    file.read_exact(&mut frame)
-        .map_err(|e| err(format!("truncated block at offset {}: {e}", entry.offset)))?;
-    if frame[..4] != BLOCK_MAGIC {
-        return Err(err(format!("index points at a non-block offset {}", entry.offset)));
-    }
-    let payload = &frame[16..];
-    if fnv1a(payload) != entry.checksum {
-        return Err(err(format!("block checksum mismatch at offset {}", entry.offset)));
-    }
-    decode_events(payload).map_err(err)
-}
-
-/// Opens a stored trace directory and replays it through analysis sinks.
-pub struct TraceReader {
-    dir: PathBuf,
-    manifest: Manifest,
-}
-
-impl TraceReader {
-    /// Open a trace directory written by [`TraceWriterSink`].
-    pub fn open(dir: impl Into<PathBuf>) -> Result<TraceReader, NmoError> {
-        let dir = dir.into();
-        let manifest_path = dir.join(MANIFEST_NAME);
-        let text = fs::read_to_string(&manifest_path).map_err(|e| {
-            NmoError::trace(format!("cannot read {}: {e}", manifest_path.display()))
-        })?;
-        let manifest = Manifest::parse(&text)?;
-        Ok(TraceReader { dir, manifest })
-    }
-
-    /// Number of per-shard segments (the live run's shard count).
-    pub fn shards(&self) -> usize {
-        self.manifest.segments.len()
-    }
-
-    /// Streaming window width of the recorded run, nanoseconds.
-    pub fn window_ns(&self) -> u64 {
-        self.manifest.window_ns
-    }
-
-    /// Totals of the stored trace.
-    pub fn summary(&self) -> TraceSummary {
-        let bytes = self
-            .manifest
-            .segments
-            .iter()
-            .filter_map(|s| fs::metadata(self.dir.join(s)).ok())
-            .map(|m| m.len())
-            .sum();
-        TraceSummary {
-            shards: self.manifest.segments.len(),
-            samples: self.manifest.samples,
-            bytes,
-            window_ns: self.manifest.window_ns,
-        }
-    }
-
-    /// A machine-less [`StreamContext`] rebuilt from the recorded stream
-    /// geometry: the legitimate replay-side context ([`StreamContext::machine`]
-    /// is `None`, so sinks aggregate but do not actuate).
-    pub fn replay_context(&self) -> StreamContext {
-        StreamContext::for_replay(
-            self.manifest.capacity_bytes,
-            self.manifest.bucket_ns,
-            self.manifest.mem_nodes,
-            self.manifest.page_bytes,
-        )
-    }
-
-    fn segment_path(&self, shard: usize) -> PathBuf {
-        self.dir.join(&self.manifest.segments[shard])
-    }
-
-    /// Sequentially replay the whole trace through `sinks`, reproducing the
-    /// recorded run bit-for-bit: each sink's shard workers are fed their
-    /// lane's deliveries in recorded order, and per-window states merge in
-    /// ascending shard index exactly when the last shard closes the window
-    /// — the live shard consumers' rule, because it is the same code. Sinks
-    /// without a shardable implementation receive the merged stream
-    /// serially (shard-major within each window round). Per-window states
-    /// of a window that not every segment closed merge at the end, as on a
-    /// live run.
-    ///
-    /// Call [`replay_finish`] (or the sinks' `finish` directly) afterwards
-    /// to collect the reports.
-    pub fn replay(&self, sinks: &mut [Box<dyn AnalysisSink>]) -> Result<ReplayStats, NmoError> {
-        let ctx = self.replay_context();
-        self.replay_with_context(&ctx, sinks)
-    }
-
-    /// [`TraceReader::replay`] with a caller-built context (e.g. carrying
-    /// the original annotations so a region sink can re-attribute samples).
-    pub fn replay_with_context(
-        &self,
-        ctx: &StreamContext,
-        sinks: &mut [Box<dyn AnalysisSink>],
-    ) -> Result<ReplayStats, NmoError> {
-        let shards = self.shards();
-        let mut stats = ReplayStats { segments: shards, ..ReplayStats::default() };
-        let mut readers = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            readers.push(SegmentEventReader::open(self.segment_path(shard))?);
-        }
-        let (mut fan_in, mut lanes) = FanIn::start(sinks, shards, ctx);
-        let mut queues: Vec<VecDeque<TraceEvent>> = (0..shards).map(|_| VecDeque::new()).collect();
-        loop {
-            let mut progressed = false;
-            for (shard, lane) in lanes.iter_mut().enumerate() {
-                // Deliver this shard's events up to and including its next
-                // window close (one close per shard per round keeps the
-                // lanes advancing in lock step, windows ascending).
-                loop {
-                    let ev = match queues[shard].pop_front() {
-                        Some(ev) => ev,
-                        None => match readers[shard].next_block()? {
-                            Some(events) => {
-                                stats.blocks += 1;
-                                queues[shard].extend(events);
-                                continue;
-                            }
-                            None => break,
-                        },
-                    };
-                    progressed = true;
-                    match ev {
-                        TraceEvent::Batch(batch) => {
-                            stats.batches += 1;
-                            if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
-                                stats.samples += samples.len() as u64;
-                            }
-                            lane.on_batch(&batch, || &mut fan_in);
-                        }
-                        TraceEvent::Close(w) => {
-                            lane.on_window_close(w, || &mut fan_in);
-                            break;
-                        }
+/// Deliver what `query` keeps of the blocks listed in `entries` through one
+/// shard's lane, in file order — the one place a stored event reaches a
+/// sink. Blocks the index rules out are never read.
+fn feed(
+    reader: &mut SegmentReader,
+    entries: &[IndexEntry],
+    query: &TraceQuery,
+    lane: &mut FanInLane,
+    fan_in: &Mutex<ReplayFanIn<'_>>,
+    stats: &mut ReplayStats,
+) -> Result<(), NmoError> {
+    for entry in entries.iter().filter(|e| query.matches_entry(e)) {
+        stats.blocks += 1;
+        for event in reader.read_block(entry)? {
+            match event {
+                BusEvent::Batch(batch) => {
+                    let Some(batch) = query.filter_batch(batch) else { continue };
+                    stats.batches += 1;
+                    if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
+                        stats.samples += samples.len() as u64;
+                    }
+                    lane.on_batch(&batch, || fan_in.lock());
+                }
+                BusEvent::CloseWindow(w) => {
+                    if query.window_in_range(w.index) {
+                        lane.on_window_close(w, || fan_in.lock());
                     }
                 }
             }
-            if !progressed {
-                break;
-            }
         }
-        fan_in.finish(lanes);
-        stats.windows = fan_in.windows_closed();
-        Ok(stats)
     }
+    Ok(())
 }
-
-// ---------------------------------------------------------------------------
-// Indexed parallel replay.
-// ---------------------------------------------------------------------------
 
 /// A slice of a stored trace: time windows, cores, and/or an address range.
 /// Unset dimensions match everything. Time and core slicing are
@@ -1616,10 +1411,6 @@ impl TraceQuery {
         self.windows.is_none_or(|(lo, hi)| (lo..=hi).contains(&index))
     }
 
-    fn core_matches(&self, core: usize) -> bool {
-        self.cores.as_ref().is_none_or(|cores| cores.contains(&core))
-    }
-
     fn core_mask(&self) -> u64 {
         match &self.cores {
             None => u64::MAX,
@@ -1631,111 +1422,149 @@ impl TraceQuery {
     /// Close mini blocks ride on the window range alone: every close in
     /// range must reach the sinks regardless of core/address slicing.
     fn matches_entry(&self, e: &IndexEntry) -> bool {
+        let m = &e.meta;
         if let Some((lo, hi)) = self.windows {
-            if e.first_window > hi || e.last_window < lo {
+            if m.first_window > hi || m.last_window < lo {
                 return false;
             }
         }
-        if e.closes > 0 {
+        if m.closes > 0 {
             return true;
         }
-        if e.core_mask & self.core_mask() == 0 {
+        if m.core_mask & self.core_mask() == 0 {
             return false;
         }
         if let Some((lo, hi)) = self.vaddr {
-            if e.samples > 0 && (e.min_vaddr > hi || e.max_vaddr < lo) {
+            if m.samples > 0 && (m.min_vaddr > hi || m.max_vaddr < lo) {
                 return false;
             }
         }
         true
     }
 
-    /// Apply the per-sample address filter; `None` drops the whole batch.
+    /// What the query keeps of one stored batch: nothing outside the window
+    /// range or core set; of an SPE batch, the samples inside the address
+    /// range (`None` when none is).
     fn filter_batch(&self, batch: SampleBatch) -> Option<SampleBatch> {
-        let (lo, hi) = match self.vaddr {
-            Some(range) if matches!(batch.payload(), BatchPayload::SpeSamples { .. }) => range,
-            _ => return Some(batch),
-        };
+        let core_kept =
+            batch.core.is_none_or(|c| self.cores.as_ref().is_none_or(|cores| cores.contains(&c)));
+        if !self.window_in_range(batch.window.index) || !core_kept {
+            return None;
+        }
+        let Some((lo, hi)) = self.vaddr else { return Some(batch) };
         let (seq, backend, core, window) = (batch.seq, batch.backend, batch.core, batch.window);
-        match batch.into_payload() {
-            BatchPayload::SpeSamples { samples, loss } => {
-                let filtered: Vec<AddressSample> =
-                    samples.into_iter().filter(|s| (lo..=hi).contains(&s.vaddr)).collect();
-                if filtered.is_empty() {
-                    return None;
-                }
-                let mut b = SampleBatch::new(
-                    backend,
-                    core,
-                    window,
-                    BatchPayload::SpeSamples { samples: filtered, loss },
-                );
-                b.seq = seq;
-                Some(b)
+        let mut payload = batch.into_payload();
+        if let BatchPayload::SpeSamples { samples, .. } = &mut payload {
+            samples.retain(|s| (lo..=hi).contains(&s.vaddr));
+            if samples.is_empty() {
+                return None;
             }
-            _ => None, // unreachable: guarded by the payload match above
         }
+        let mut kept = SampleBatch::new(backend, core, window, payload);
+        kept.seq = seq;
+        Some(kept)
     }
 }
 
-/// What one segment worker counted during an indexed replay.
-#[derive(Default)]
-struct ShardOutcome {
-    samples: u64,
-    batches: u64,
-    blocks: u64,
-}
-
-/// The shared half of a sliced query's sink fan-in (the caller keeps
-/// ownership of the sinks).
-type QueryFanIn<'a> = FanIn<&'a mut [Box<dyn AnalysisSink>]>;
-
-/// Replay the blocks of one segment matching `query` through this shard's
-/// lane (runs on its own thread, like a live shard consumer).
-fn query_segment(
-    path: PathBuf,
-    query: &TraceQuery,
-    lane: &mut FanInLane,
-    fan_in: &Mutex<QueryFanIn<'_>>,
-) -> Result<ShardOutcome, NmoError> {
-    let mut file = File::open(&path)
-        .map_err(|e| NmoError::trace(format!("cannot open {}: {e}", path.display())))?;
-    let entries = read_segment_index(&mut file, &path)?;
-    let mut out = ShardOutcome::default();
-    for entry in entries.iter().filter(|e| query.matches_entry(e)) {
-        let events = read_block_at(&mut file, &path, entry)?;
-        out.blocks += 1;
-        for ev in events {
-            match ev {
-                TraceEvent::Batch(batch) => {
-                    if !query.window_in_range(batch.window.index) {
-                        continue;
-                    }
-                    if let Some(core) = batch.core {
-                        if !query.core_matches(core) {
-                            continue;
-                        }
-                    }
-                    if let Some(batch) = query.filter_batch(batch) {
-                        out.batches += 1;
-                        if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
-                            out.samples += samples.len() as u64;
-                        }
-                        lane.on_batch(&batch, || fan_in.lock());
-                    }
-                }
-                TraceEvent::Close(w) => {
-                    if query.window_in_range(w.index) {
-                        lane.on_window_close(w, || fan_in.lock());
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
+/// Opens a stored trace directory and replays it through analysis sinks.
+pub struct TraceReader {
+    dir: PathBuf,
+    manifest: Manifest,
 }
 
 impl TraceReader {
+    /// Open a trace directory written by [`TraceWriterSink`].
+    pub fn open(dir: impl Into<PathBuf>) -> Result<TraceReader, NmoError> {
+        let dir = dir.into();
+        let manifest_path = dir.join(MANIFEST_NAME);
+        let text = fs::read_to_string(&manifest_path).map_err(|e| {
+            NmoError::trace(format!("cannot read {}: {e}", manifest_path.display()))
+        })?;
+        let manifest = Manifest::parse(&text)?;
+        Ok(TraceReader { dir, manifest })
+    }
+
+    /// Number of per-shard segments (the live run's shard count).
+    pub fn shards(&self) -> usize {
+        self.manifest.segments.len()
+    }
+
+    /// Streaming window width of the recorded run, nanoseconds.
+    pub fn window_ns(&self) -> u64 {
+        self.manifest.window_ns
+    }
+
+    /// Totals of the stored trace.
+    pub fn summary(&self) -> TraceSummary {
+        let bytes =
+            self.segment_paths().filter_map(|p| fs::metadata(p).ok()).map(|m| m.len()).sum();
+        TraceSummary {
+            shards: self.shards(),
+            samples: self.manifest.samples,
+            bytes,
+            window_ns: self.manifest.window_ns,
+        }
+    }
+
+    /// A machine-less [`StreamContext`] rebuilt from the recorded stream
+    /// geometry: the legitimate replay-side context ([`StreamContext::machine`]
+    /// is `None`, so sinks aggregate but do not actuate).
+    pub fn replay_context(&self) -> StreamContext {
+        let g = &self.manifest.geometry;
+        StreamContext::for_replay(g.capacity_bytes, g.bucket_ns, g.mem_nodes, g.page_bytes)
+    }
+
+    fn segment_paths(&self) -> impl Iterator<Item = PathBuf> + '_ {
+        self.manifest.segments.iter().map(|name| self.dir.join(name))
+    }
+
+    /// Open every segment strictly. Both replays do this before starting a
+    /// sink, so a damaged header or index leaves the sinks untouched.
+    fn open_segments(&self) -> Result<Vec<(SegmentReader, Vec<IndexEntry>)>, NmoError> {
+        self.segment_paths()
+            .enumerate()
+            .map(|(shard, path)| SegmentReader::open(shard, path))
+            .collect()
+    }
+
+    /// Sequentially replay the whole trace through `sinks`, reproducing the
+    /// recorded run bit-for-bit: each sink's shard workers are fed their
+    /// lane's deliveries in recorded order, and per-window states merge in
+    /// ascending shard index exactly when the last shard closes the window
+    /// — the live shard consumers' rule, because it is the same code. Sinks
+    /// without a shardable implementation receive the merged stream
+    /// serially (shard-major within each window round). Per-window states
+    /// of a window that not every segment closed merge at the end, as on a
+    /// live run.
+    ///
+    /// Call [`replay_finish`] (or the sinks' `finish` directly) afterwards
+    /// to collect the reports.
+    pub fn replay(&self, sinks: &mut [Box<dyn AnalysisSink>]) -> Result<ReplayStats, NmoError> {
+        let mut segments = self.open_segments()?;
+        let (fan_in, mut lanes) = FanIn::start(sinks, segments.len(), &self.replay_context());
+        let fan_in = Mutex::named(fan_in, "trace.merger");
+        let mut stats = ReplayStats { segments: segments.len(), ..ReplayStats::default() };
+        // One round = every shard's blocks up to and including its next
+        // window close (a close is always alone in its block), so the lanes
+        // advance in lock step, windows ascending.
+        let mut rounds: Vec<_> = segments
+            .iter_mut()
+            .map(|(reader, entries)| (reader, entries.split_inclusive(|e| e.meta.closes > 0)))
+            .collect();
+        let all = TraceQuery::all();
+        let mut progressed = true;
+        while progressed {
+            progressed = false;
+            for ((reader, round), lane) in rounds.iter_mut().zip(&mut lanes) {
+                if let Some(blocks) = round.next() {
+                    feed(reader, blocks, &all, lane, &fan_in, &mut stats)?;
+                    progressed = true;
+                }
+            }
+        }
+        Ok(finish(fan_in, lanes, stats))
+    }
+
     /// Indexed parallel replay: fan the blocks matching `query` out across
     /// one worker thread per segment, each delivering to its shard's sink
     /// workers; per-window states merge (ascending shard) as the last
@@ -1757,39 +1586,37 @@ impl TraceReader {
                 )));
             }
         }
-        let ctx = self.replay_context();
-        let shards = self.shards();
-        let (fan_in, mut lanes) = FanIn::start(sinks, shards, &ctx);
+        let mut segments = self.open_segments()?;
+        let (fan_in, mut lanes) = FanIn::start(sinks, segments.len(), &self.replay_context());
         let fan_in = Mutex::named(fan_in, "trace.merger");
-        let outcomes: Vec<Result<ShardOutcome, NmoError>> = thread::scope(|scope| {
-            let handles: Vec<_> = lanes
+        let outcomes: Vec<Result<ReplayStats, NmoError>> = thread::scope(|scope| {
+            let workers: Vec<_> = segments
                 .iter_mut()
-                .enumerate()
-                .map(|(shard, lane)| {
-                    let path = self.segment_path(shard);
+                .zip(&mut lanes)
+                .map(|((reader, entries), lane)| {
                     let fan_in = &fan_in;
-                    scope.spawn(move || query_segment(path, query, lane, fan_in))
+                    scope.spawn(move || {
+                        let mut stats = ReplayStats::default();
+                        feed(reader, entries, query, lane, fan_in, &mut stats).map(|()| stats)
+                    })
                 })
                 .collect();
-            handles
+            workers
                 .into_iter()
-                .map(|h| {
-                    h.join()
+                .map(|w| {
+                    w.join()
                         .unwrap_or_else(|_| Err(NmoError::trace("indexed replay worker panicked")))
                 })
                 .collect()
         });
-        let mut stats = ReplayStats { segments: shards, ..ReplayStats::default() };
+        let mut stats = ReplayStats { segments: segments.len(), ..ReplayStats::default() };
         for outcome in outcomes {
             let o = outcome?;
             stats.samples += o.samples;
             stats.batches += o.batches;
             stats.blocks += o.blocks;
         }
-        let mut fan_in = fan_in.into_inner();
-        fan_in.finish(lanes);
-        stats.windows = fan_in.windows_closed();
-        Ok(stats)
+        Ok(finish(fan_in, lanes, stats))
     }
 
     /// Lenient integrity check over every segment: scan all block regions
@@ -1797,23 +1624,15 @@ impl TraceReader {
     /// failing on the first corrupt byte.
     pub fn verify(&self) -> Result<TraceVerify, NmoError> {
         let mut v = TraceVerify::default();
-        for shard in 0..self.shards() {
-            let path = self.segment_path(shard);
+        for (shard, path) in self.segment_paths().enumerate() {
             let data = fs::read(&path)
                 .map_err(|e| NmoError::trace(format!("cannot read {}: {e}", path.display())))?;
-            // Scan only the block region when the trailer parses; a segment
-            // with a damaged trailer is scanned to the end (the index bytes
-            // then show up as skipped).
-            let end = match fs::File::open(&path) {
-                Ok(mut f) => read_segment_index(&mut f, &path)
-                    .ok()
-                    .and_then(|_| data.len().checked_sub(12))
-                    .and_then(|t| get_u64(&data, t))
-                    .map_or(data.len(), |off| (off as usize).min(data.len())),
-                Err(_) => data.len(),
-            };
-            let start = 8.min(end);
-            let scan = scan_blocks(&data[start..end]);
+            // Scan only the block region when the strict reader finds it; a
+            // segment with a damaged header, index or trailer is scanned to
+            // the end (the index bytes then show up as skipped).
+            let end = SegmentReader::open(shard, path.clone())
+                .map_or(data.len(), |(reader, _)| (reader.blocks_end as usize).min(data.len()));
+            let scan = scan_blocks(&data[8.min(end)..end]);
             v.blocks += scan.blocks.len() as u64;
             v.consumed_bytes += scan.consumed_bytes as u64;
             v.skipped_bytes += scan.skipped_bytes as u64;
@@ -1821,6 +1640,19 @@ impl TraceReader {
         }
         Ok(v)
     }
+}
+
+/// End of a replay: merge what the lanes still hold and count the windows
+/// every segment closed.
+fn finish(
+    fan_in: Mutex<ReplayFanIn<'_>>,
+    lanes: Vec<FanInLane>,
+    mut stats: ReplayStats,
+) -> ReplayStats {
+    let mut fan_in = fan_in.into_inner();
+    fan_in.finish(lanes);
+    stats.windows = fan_in.windows_closed();
+    stats
 }
 
 /// Result of [`TraceReader::verify`].
@@ -1850,13 +1682,6 @@ pub fn replay_finish(sinks: &mut [Box<dyn AnalysisSink>]) -> Result<Vec<Analysis
                 .map(|report| AnalysisRecord { sink: s.name().to_string(), report })
         })
         .collect()
-}
-
-/// A machine-less [`StreamContext`] for replays with default geometry (used
-/// by hand-built tests; [`TraceReader::replay_context`] rebuilds the
-/// recorded geometry instead).
-pub fn default_replay_context() -> StreamContext {
-    StreamContext::for_replay(0, 1, 1, 64 * 1024)
 }
 
 #[cfg(test)]
@@ -1954,7 +1779,7 @@ mod tests {
         }
     }
 
-    fn mixed_events(window: Window) -> Vec<TraceEvent> {
+    fn mixed_events(window: Window) -> Vec<BusEvent> {
         let samples = vec![
             sample(window.start_ns + 10, 0x7f00_0000, 3, 120, DataSource::L1),
             sample(window.start_ns + 25, 0x7f00_0040, 3, 300, DataSource::Dram(0)),
@@ -2001,11 +1826,11 @@ mod tests {
             },
         );
         vec![
-            TraceEvent::Batch(spe_batch(3, window, samples)),
-            TraceEvent::Batch(counters),
-            TraceEvent::Batch(rss),
-            TraceEvent::Batch(bw),
-            TraceEvent::Close(window),
+            BusEvent::Batch(spe_batch(3, window, samples)),
+            BusEvent::Batch(counters),
+            BusEvent::Batch(rss),
+            BusEvent::Batch(bw),
+            BusEvent::CloseWindow(window),
         ]
     }
 
@@ -2017,10 +1842,10 @@ mod tests {
         let mut meta = BlockMeta::empty();
         for ev in &events {
             match ev {
-                TraceEvent::Batch(b) => {
+                BusEvent::Batch(b) => {
                     encode_batch_event(&mut buf, b, &mut meta);
                 }
-                TraceEvent::Close(w) => encode_close_event(&mut buf, *w, &mut meta),
+                BusEvent::CloseWindow(w) => encode_close_event(&mut buf, *w, &mut meta),
             }
         }
         assert_eq!(meta.samples, 3);
@@ -2036,8 +1861,8 @@ mod tests {
         assert_eq!(decoded.len(), events.len());
         for (orig, got) in events.iter().zip(&decoded) {
             match (orig, got) {
-                (TraceEvent::Batch(a), TraceEvent::Batch(b)) => assert_batches_eq(a, b),
-                (TraceEvent::Close(a), TraceEvent::Close(b)) => assert_eq!(a, b),
+                (BusEvent::Batch(a), BusEvent::Batch(b)) => assert_batches_eq(a, b),
+                (BusEvent::CloseWindow(a), BusEvent::CloseWindow(b)) => assert_eq!(a, b),
                 _ => panic!("event kinds differ"),
             }
         }
@@ -2055,10 +1880,10 @@ mod tests {
         let mut n_events = 0usize;
         for ev in mixed_events(window) {
             match ev {
-                TraceEvent::Batch(b) => {
+                BusEvent::Batch(b) => {
                     encode_batch_event(&mut buf, &b, &mut meta);
                 }
-                TraceEvent::Close(w) => encode_close_event(&mut buf, w, &mut meta),
+                BusEvent::CloseWindow(w) => encode_close_event(&mut buf, w, &mut meta),
             }
             boundaries.insert(buf.len());
             n_events += 1;
@@ -2100,7 +1925,7 @@ mod tests {
     }
 
     #[test]
-    fn segment_round_trips_through_index_and_sequential_reader() {
+    fn segment_round_trips_through_the_indexed_reader() {
         let dir = tmp("segment_rt");
         fs::create_dir_all(&dir).expect("mkdir");
         let summary = write_segment(&dir, 0, 6);
@@ -2108,31 +1933,23 @@ mod tests {
         assert_eq!(summary.closes, 6);
         let path = dir.join(SegmentWriter::segment_file_name(0));
 
-        // Footer index: every block readable via read_block_at, metadata sane.
-        let mut file = File::open(&path).expect("open");
-        let entries = read_segment_index(&mut file, &path).expect("index");
+        // Every block is readable through its index entry, in file order,
+        // and carries what the entry's metadata promises.
+        let (mut reader, entries) = SegmentReader::open(0, path).expect("open");
         assert_eq!(entries.len() as u64, summary.blocks);
-        let mut indexed_events = 0u64;
+        let (mut events, mut closes) = (0u64, 0u64);
         for e in &entries {
-            let events = read_block_at(&mut file, &path, e).expect("block");
-            assert_eq!(events.len() as u64, e.events);
-            indexed_events += e.events;
+            let block = reader.read_block(e).expect("block");
+            assert_eq!(block.len() as u64, e.meta.events);
+            let block_closes =
+                block.iter().filter(|ev| matches!(ev, BusEvent::CloseWindow(_))).count() as u64;
+            assert_eq!(block_closes, e.meta.closes);
+            // What block-granular replay rounds rest on.
+            assert!(e.meta.closes == 0 || e.meta.events == 1, "a close is alone in its block");
+            events += e.meta.events;
+            closes += block_closes;
         }
-        assert_eq!(indexed_events, summary.events);
-
-        // Sequential reader sees the same event stream in order.
-        let mut reader = SegmentEventReader::open(path.clone()).expect("reader");
-        let mut seq_events = 0u64;
-        let mut closes = 0u64;
-        while let Some(events) = reader.next_block().expect("next") {
-            for ev in &events {
-                if matches!(ev, TraceEvent::Close(_)) {
-                    closes += 1;
-                }
-            }
-            seq_events += events.len() as u64;
-        }
-        assert_eq!(seq_events, summary.events);
+        assert_eq!(events, summary.events);
         assert_eq!(closes, 6);
         fs::remove_dir_all(&dir).ok();
     }
@@ -2177,7 +1994,6 @@ mod tests {
         bad[4 + 4 + 2] ^= 0xff; // inside the fnv1a64 field of block 0
         let scan = scan_blocks(&bad);
         assert!(scan.errors.iter().any(|e| e.contains("checksum mismatch")), "{:?}", scan.errors);
-        assert!(scan.first_error().is_some());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2190,16 +2006,10 @@ mod tests {
         let mut data = fs::read(&path).expect("read");
         data[8 + 4 + 4 + 2] ^= 0xff; // corrupt block 0's stored checksum
         fs::write(&path, &data).expect("write");
-        let mut reader = SegmentEventReader::open(path.clone()).expect("open");
-        let err = loop {
-            match reader.next_block() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("damage not detected"),
-                Err(e) => break e,
-            }
-        };
+        let (mut reader, entries) = SegmentReader::open(0, path).expect("open");
+        let err = reader.read_block(&entries[0]).expect_err("damage not detected");
         assert!(
-            matches!(&err, NmoError::Trace(m) if m.contains("checksum")),
+            matches!(&err, NmoError::Trace(m) if m.contains("disagree")),
             "unexpected error: {err}"
         );
         fs::remove_dir_all(&dir).ok();
@@ -2210,10 +2020,32 @@ mod tests {
         let text = "nmo-trace-manifest v1\nwindow_ns 250000\ncapacity_bytes 1024\nbucket_ns 7\nmem_nodes 2\npage_bytes 65536\nshards 2\nsamples 99\nsegment shard-000.seg\nsegment shard-001.seg\nend\n";
         let m = Manifest::parse(text).expect("parse");
         assert_eq!(m.window_ns, 250_000);
-        assert_eq!(m.mem_nodes, 2);
+        assert_eq!(m.geometry.mem_nodes, 2);
         assert_eq!(m.segments.len(), 2);
         assert!(Manifest::parse("not a manifest\n").is_err());
         assert!(Manifest::parse("nmo-trace-manifest v1\nsegment ../../etc/passwd\nend\n").is_err());
+        // Values a replayed sink would compute with (a page mask, per-node
+        // arrays, window arithmetic) are refused here, not panicked on there.
+        let manifest = |page: &str, nodes: &str, window: &str, segments: &str| {
+            format!(
+                "nmo-trace-manifest v1\nwindow_ns {window}\nmem_nodes {nodes}\n\
+                 page_bytes {page}\nsamples 99\n{segments}end\n"
+            )
+        };
+        let seg = "segment shard-000.seg\n";
+        assert!(Manifest::parse(&manifest("4096", "2", "1000", seg)).is_ok());
+        let too_many_nodes = (MAX_MEM_NODES + 1).to_string();
+        for hostile in [
+            manifest("0", "2", "1000", seg),
+            manifest("4097", "2", "1000", seg),
+            manifest("4096", "0", "1000", seg),
+            manifest("4096", &too_many_nodes, "1000", seg),
+            manifest("4096", "2", "0", seg),
+            manifest("4096", "2", "1000", ""),
+        ] {
+            let parsed = Manifest::parse(&hostile);
+            assert!(matches!(parsed, Err(NmoError::Trace(_))), "{hostile}: {parsed:?}");
+        }
     }
 
     #[test]
@@ -2222,14 +2054,16 @@ mod tests {
             offset: 8,
             payload_len: 100,
             checksum: 0,
-            first_window: 4,
-            last_window: 6,
-            core_mask: core_bit(2) | core_bit(66), // 2 and 66 alias mod 64
-            min_vaddr: 0x1000,
-            max_vaddr: 0x2000,
-            samples: 10,
-            events: 3,
-            closes: 0,
+            meta: BlockMeta {
+                first_window: 4,
+                last_window: 6,
+                core_mask: core_bit(2) | core_bit(66), // 2 and 66 alias mod 64
+                min_vaddr: 0x1000,
+                max_vaddr: 0x2000,
+                samples: 10,
+                events: 3,
+                closes: 0,
+            },
         };
         assert!(TraceQuery::all().matches_entry(&entry));
         assert!(TraceQuery::all().with_windows(6, 9).matches_entry(&entry));
@@ -2241,47 +2075,143 @@ mod tests {
         assert!(TraceQuery::all().with_vaddr(0x1800, 0x1900).matches_entry(&entry));
         assert!(!TraceQuery::all().with_vaddr(0x3000, 0x4000).matches_entry(&entry));
         // Close-carrying blocks are never pruned by core/vaddr.
-        let close_entry = IndexEntry { closes: 1, ..entry };
+        let close_entry = IndexEntry { meta: BlockMeta { closes: 1, ..entry.meta }, ..entry };
         assert!(TraceQuery::all().with_cores([3]).matches_entry(&close_entry));
     }
 
     /// Sequential replay and the sliced query share the live fan-in, so a
     /// window not every segment closed is merged at the end (ascending
     /// shard), like a live run's leftovers — it used to be dropped here.
+    /// And since both are the same lane feed over the same reader, an
+    /// unrestricted query is the sequential replay: equal counters, equal
+    /// reports from every built-in sink, at any shard count.
     #[test]
     fn replay_and_sliced_query_merge_incomplete_windows_at_the_end() {
         use crate::sink::testing::RecordingSink;
-        let dir = tmp("leftovers");
-        fs::remove_dir_all(&dir).ok();
-        let ctx = default_replay_context();
+        use crate::tiering::{HotPageTracker, NoMigration};
+        use crate::{BandwidthSink, CapacitySink, LatencySink, RegionSink};
+        let ctx = StreamContext::for_replay(1 << 20, 1000, 2, 4096);
         let clock = WindowClock::new(1_000_000);
-        let mut writer = TraceWriterSink::new(dir.clone());
-        writer.on_stream_start(&ctx);
-        let mut shards: Vec<_> = (0..2).map(|s| writer.make_shard(s, &ctx)).collect();
-        for (shard, closes) in [(0usize, 2u64), (1, 1)] {
-            for w in 0..closes {
-                let window = clock.window(w);
-                let samples = vec![sample(window.start_ns, 0x1000, shard, 9, DataSource::L1)];
-                shards[shard].on_batch(&spe_batch(shard, window, samples));
-                shards[shard].on_window_close(window);
+        for shards in [1usize, 2, 4] {
+            let dir = tmp(&format!("leftovers_{shards}"));
+            fs::remove_dir_all(&dir).ok();
+            let mut writer = TraceWriterSink::new(dir.clone());
+            writer.on_stream_start(&ctx);
+            let mut lanes: Vec<_> = (0..shards).map(|s| writer.make_shard(s, &ctx)).collect();
+            // Shard 0 closes two windows and carries the machine's RSS and
+            // bandwidth ticks; every other shard closes one window.
+            for (shard, lane) in lanes.iter_mut().enumerate() {
+                for w in 0..if shard == 0 { 2 } else { 1 } {
+                    let window = clock.window(w);
+                    let samples = vec![sample(window.start_ns, 0x1000, shard, 9, DataSource::L1)];
+                    lane.on_batch(&spe_batch(shard, window, samples));
+                    for event in mixed_events(window) {
+                        match event {
+                            BusEvent::Batch(b) if shard == 0 && b.core.is_none() => {
+                                lane.on_batch(&b)
+                            }
+                            _ => {}
+                        }
+                    }
+                    lane.on_window_close(window);
+                }
+            }
+            writer.merge_final(lanes.into_iter().map(|s| s.finish()).collect());
+            replay_finish(&mut [Box::new(writer)]).expect("manifest written");
+
+            let reader = TraceReader::open(&dir).expect("open");
+            let all: Vec<usize> = (0..shards).collect();
+            let expected = [
+                "start".into(),
+                format!("merge w0 {all:?}"),
+                "merge w1 [0]".into(),
+                format!("final {all:?}"),
+            ];
+            let mut outcomes = Vec::new();
+            for indexed in [false, true] {
+                let (sink, log) = RecordingSink::new(true);
+                let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![
+                    Box::new(sink),
+                    Box::new(LatencySink::default()),
+                    Box::new(RegionSink::new()),
+                    Box::new(CapacitySink::default()),
+                    Box::new(BandwidthSink::default()),
+                    Box::new(HotPageTracker::new(NoMigration)),
+                ];
+                let stats = if indexed {
+                    reader.replay_query(&TraceQuery::all(), &mut sinks)
+                } else {
+                    reader.replay(&mut sinks)
+                }
+                .expect("replay");
+                let complete = if shards == 1 { 2 } else { 1 };
+                // One SPE batch per shard and window, plus shard 0's four ticks.
+                let (samples, batches) = (shards as u64 + 1, shards as u64 + 5);
+                assert_eq!(
+                    (stats.samples, stats.batches, stats.windows),
+                    (samples, batches, complete)
+                );
+                assert_eq!(*log.lock(), expected, "indexed={indexed} shards={shards}");
+                let reports = replay_finish(&mut sinks).expect("reports");
+                outcomes.push((stats, format!("{reports:?}")));
+            }
+            assert_eq!(outcomes[0], outcomes[1], "replay vs replay_query(all), {shards} shard(s)");
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A finished one-segment trace at `dir` (created), `windows` windows long.
+    fn one_segment_trace(dir: &Path, windows: u64) -> TraceReader {
+        fs::remove_dir_all(dir).ok();
+        fs::create_dir_all(dir).expect("mkdir");
+        let mut writer = TraceWriterSink::new(dir.to_path_buf());
+        writer.summaries = vec![write_segment(dir, 0, windows)];
+        writer.write_manifest().expect("manifest");
+        TraceReader::open(dir).expect("open")
+    }
+
+    /// The footer index and the block frames vouch for each other: an index
+    /// entry that verifies (the index checksum is re-sealed) but contradicts
+    /// its frame's own header on length, then on checksum, fails sequential
+    /// and indexed replay alike; so does a trailer offset no file can hold.
+    #[test]
+    fn index_that_contradicts_the_frames_fails_both_replays() {
+        let dir = tmp("disagree");
+        let reader = one_segment_trace(&dir, 2);
+        let seg = dir.join(SegmentWriter::segment_file_name(0));
+        let pristine = fs::read(&seg).expect("read");
+        let trailer_at = pristine.len() - 12;
+        let entries = get_u64(&pristine, trailer_at).expect("trailer") as usize + 8..trailer_at - 8;
+        let replay_errors = |bytes: &[u8]| -> Vec<String> {
+            fs::write(&seg, bytes).expect("write");
+            [false, true]
+                .map(|indexed| {
+                    let mut sinks: Vec<Box<dyn AnalysisSink>> =
+                        vec![Box::new(crate::LatencySink::default())];
+                    let err = if indexed {
+                        reader.replay_query(&TraceQuery::all(), &mut sinks)
+                    } else {
+                        reader.replay(&mut sinks)
+                    }
+                    .expect_err("a damaged segment must not replay");
+                    assert!(matches!(err, NmoError::Trace(_)), "{err}");
+                    err.to_string()
+                })
+                .to_vec()
+        };
+        for field in [1, 2] {
+            let mut bytes = pristine.clone();
+            bytes[entries.start + field * 8] ^= 1;
+            let sum = fnv1a(&bytes[entries.clone()]);
+            bytes[entries.end..trailer_at].copy_from_slice(&sum.to_le_bytes());
+            for e in replay_errors(&bytes) {
+                assert!(e.contains("index entry disagree"), "field {field}: {e}");
             }
         }
-        writer.merge_final(shards.into_iter().map(|s| s.finish()).collect());
-        replay_finish(&mut [Box::new(writer)]).expect("manifest written");
-
-        let reader = TraceReader::open(&dir).expect("open");
-        let expected = ["start", "merge w0 [0, 1]", "merge w1 [0]", "final [0, 1]"];
-        for indexed in [false, true] {
-            let (sink, log) = RecordingSink::new(true);
-            let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(sink)];
-            let stats = if indexed {
-                reader.replay_query(&TraceQuery::all(), &mut sinks)
-            } else {
-                reader.replay(&mut sinks)
-            }
-            .expect("replay");
-            assert_eq!((stats.samples, stats.windows), (3, 1), "indexed={indexed}");
-            assert_eq!(*log.lock(), expected, "indexed={indexed}");
+        let mut bytes = pristine.clone();
+        bytes[trailer_at..trailer_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        for e in replay_errors(&bytes) {
+            assert!(e.contains("out of bounds"), "{e}");
         }
         fs::remove_dir_all(&dir).ok();
     }
@@ -2294,14 +2224,8 @@ mod tests {
         use crate::sink::testing::RecordingSink;
         let dir = tmp("query_reject_src");
         let out = tmp("query_reject_out");
-        fs::remove_dir_all(&dir).ok();
         fs::remove_dir_all(&out).ok();
-        fs::create_dir_all(&dir).expect("mkdir");
-        let mut writer = TraceWriterSink::new(dir.clone());
-        writer.summaries = vec![write_segment(&dir, 0, 2)];
-        writer.write_manifest().expect("manifest");
-
-        let reader = TraceReader::open(&dir).expect("open");
+        let reader = one_segment_trace(&dir, 2);
         let (legacy, log) = RecordingSink::new(false);
         let mut sinks: Vec<Box<dyn AnalysisSink>> =
             vec![Box::new(TraceWriterSink::new(out.clone())), Box::new(legacy)];

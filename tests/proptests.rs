@@ -478,19 +478,54 @@ proptest! {
 // Trace store (nmo::trace): codec fuzzing and shard-count round trips.
 // ---------------------------------------------------------------------------
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use nmo_repro::nmo::trace::scan_blocks;
 use nmo_repro::nmo::{
-    AddressSample, AnalysisReport, AnalysisSink, Annotations, BatchPayload, NmoError, SampleBatch,
-    StreamContext, TraceReader, TraceWriterSink, WindowClock,
+    AddressSample, AnalysisReport, AnalysisSink, Annotations, BatchPayload, LatencySink, NmoError,
+    SampleBatch, StreamContext, TraceQuery, TraceReader, TraceWriterSink, WindowClock,
 };
 use nmo_repro::spe::SpeStatsSnapshot;
 
 const TRACE_WINDOW_NS: u64 = 100_000;
+
+/// The system allocator, remembering the largest single request any thread
+/// of this test binary made — how the damaged-trace property checks that no
+/// length read from a corrupt file is ever trusted with an allocation.
+struct PeakAlloc;
+
+static PEAK_ALLOC: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a relaxed atomic max.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        PEAK_ALLOC.fetch_max(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        PEAK_ALLOC.fetch_max(new_size, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`; `layout`/`new_size` are the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: PeakAlloc = PeakAlloc;
+
+/// `trace.rs`'s `MAX_BLOCK_BYTES`: the most one stored block may claim.
+const MAX_BLOCK_BYTES: usize = 1 << 28;
 
 /// Unique per-process trace directories for the property runs.
 fn trace_tmp(tag: &str) -> PathBuf {
@@ -578,6 +613,23 @@ impl AnalysisSink for CollectorSink {
             self.out.lock().extend_from_slice(samples);
         }
     }
+}
+
+/// One sample per entry of `pages` (1 µs apart, four cores, every data
+/// source) — the stream the damage properties record before corrupting it.
+fn samples_on_pages(pages: &[u64]) -> Vec<AddressSample> {
+    pages
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| AddressSample {
+            time_ns: i as u64 * 1000,
+            vaddr: 0x2000_0000 + p * 4096,
+            core: i % 4,
+            is_store: i % 2 == 0,
+            latency: (i % 900) as u16,
+            source: source_from((i % 5) as u8, (i % 2) as u8),
+        })
+        .collect()
 }
 
 /// Canonical order for comparing sample multisets.
@@ -676,18 +728,7 @@ proptest! {
         corrupt_with in prop::collection::vec(any::<u8>(), 0..32),
         cut_frac in 0u64..=1_000,
     ) {
-        let samples: Vec<AddressSample> = pages
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| AddressSample {
-                time_ns: i as u64 * 1000,
-                vaddr: 0x2000_0000 + p * 4096,
-                core: i % 4,
-                is_store: i % 2 == 0,
-                latency: (i % 900) as u16,
-                source: source_from((i % 5) as u8, (i % 2) as u8),
-            })
-            .collect();
+        let samples = samples_on_pages(&pages);
         let dir = trace_tmp("corrupt");
         write_sharded_trace(&dir, 1, &samples);
         let seg = dir.join("shard-000.seg");
@@ -714,6 +755,74 @@ proptest! {
         let scan = scan_blocks(&region);
         prop_assert_eq!(scan.consumed_bytes + scan.skipped_bytes, region.len());
         prop_assert!(scan.blocks.len() <= written_blocks, "cannot recover unwritten blocks");
+    }
+
+    /// Arbitrary bit flips plus an arbitrary truncation anywhere in one file
+    /// of a finished trace — a segment's header, block frames, footer index
+    /// or trailer, or `trace.manifest` — make `TraceReader::open`, `replay`
+    /// and `replay_query` fail with `NmoError::Trace` or deliver exactly what
+    /// the undamaged trace delivers: never a panic, never other samples,
+    /// never an allocation sized by a corrupt length.
+    #[test]
+    fn damaged_traces_fail_with_trace_errors_or_replay_unchanged(
+        pages in prop::collection::vec(0u64..64, 1..100),
+        shards in 1usize..=3,
+        file_pick in 0usize..12,
+        flip_at in prop::collection::vec(0usize..1_000_000, 0..4),
+        flip_bit in prop::collection::vec(0u8..8, 0..4),
+        cut_frac in 0u64..=1_500,
+    ) {
+        let samples = samples_on_pages(&pages);
+        let dir = trace_tmp("damaged");
+        write_sharded_trace(&dir, shards, &samples);
+
+        // What a replay delivers, as counters plus the latency report (which
+        // depends on the samples alone, not on the manifest's geometry).
+        let outcome = |reader: &TraceReader, indexed: bool| {
+            let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(LatencySink::default())];
+            let stats = if indexed {
+                reader.replay_query(&TraceQuery::all(), &mut sinks)
+            } else {
+                reader.replay(&mut sinks)
+            }?;
+            let reports = nmo_repro::nmo::trace::replay_finish(&mut sinks)?;
+            Ok::<_, NmoError>(format!("{stats:?} {:?}", reports[0].report))
+        };
+        let reader = TraceReader::open(&dir).expect("open pristine trace");
+        let pristine = [false, true].map(|indexed| outcome(&reader, indexed).expect("pristine replay"));
+        prop_assert_eq!(&pristine[0], &pristine[1]);
+
+        // Damage one file: index 0 is the manifest, the rest are segments.
+        let file = match file_pick % (shards + 1) {
+            0 => dir.join("trace.manifest"),
+            n => dir.join(format!("shard-{:03}.seg", n - 1)),
+        };
+        let mut bytes = std::fs::read(&file).expect("file bytes");
+        for (at, bit) in flip_at.iter().zip(&flip_bit) {
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+        }
+        if cut_frac < 1_000 {
+            bytes.truncate((bytes.len() as u64 * cut_frac / 1_000) as usize);
+        }
+        std::fs::write(&file, &bytes).expect("write damaged file");
+
+        PEAK_ALLOC.store(0, Ordering::Relaxed);
+        match TraceReader::open(&dir) {
+            Err(e) => prop_assert!(matches!(e, NmoError::Trace(_)), "open: {}", e),
+            Ok(reader) => {
+                for (indexed, pristine) in [false, true].into_iter().zip(&pristine) {
+                    match outcome(&reader, indexed) {
+                        Err(e) => prop_assert!(matches!(e, NmoError::Trace(_)), "replay: {}", e),
+                        Ok(delivered) => prop_assert_eq!(&delivered, pristine, "indexed={}", indexed),
+                    }
+                }
+            }
+        }
+        // Other tests of this binary allocate concurrently, but none this
+        // much at once; a corrupt u32/u64 length taken at its word would.
+        prop_assert!(PEAK_ALLOC.load(Ordering::Relaxed) <= MAX_BLOCK_BYTES);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
