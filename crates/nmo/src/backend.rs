@@ -10,17 +10,23 @@
 //!
 //! Two backends ship with the crate:
 //!
-//! * [`SpeBackend`] — the paper's path: one ARM SPE perf event per core, a
-//!   monitoring thread draining `PERF_RECORD_AUX` records, and the 64-byte
-//!   record decode of Section IV.
+//! * [`SpeBackend`] — the paper's path: one ARM SPE perf event per core and
+//!   the 64-byte record decode of Section IV. The paper's monitoring thread
+//!   is *simulated* — what keeping up with the aux buffer costs the profiled
+//!   program is [`spe::OverheadModel`]'s drain latency, per-byte drain time
+//!   and interrupt cycles — so the backend runs no host thread: the core
+//!   that publishes a `PERF_RECORD_AUX` record decodes it on the spot
+//!   ([`spe::SpeDriver::set_publish_handler`]). The model hands aux space
+//!   back in simulated time whether or not a host reader has copied it; a
+//!   reader on a thread of its own was late whenever the host scheduled it
+//!   late, and returned later records' bytes in place of the ones it was
+//!   sent for. Read at publication, every record is read exactly once by
+//!   construction, and a synchronous drain is complete by construction.
 //! * [`CounterBackend`] — `perf stat`-style aggregate counting over
 //!   [`perf_sub::CountingEvent`], the baseline side of the paper's accuracy
 //!   methodology (Eq. 1). It samples no addresses and charges no overhead.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -29,7 +35,6 @@ use arch_sim::{
     TimeConv,
 };
 use perf_sub::attr::{hw_config, PerfEventAttr};
-use perf_sub::poll::PollTimeout;
 use perf_sub::records::Record;
 use perf_sub::{CountingEvent, PerfEvent};
 use spe::packet::{decode_records, SPE_RECORD_BYTES};
@@ -162,63 +167,45 @@ pub trait ShardDrainer: Send {
     fn sources(&self) -> Vec<StreamSource>;
 }
 
-/// Per-core store the SPE decode paths (monitor thread and pump drains)
-/// deposit samples into. One store per core keeps the hot decode path off a
-/// single shared lock, and lets per-shard drain workers collect disjoint
-/// core subsets without contending.
-#[derive(Debug)]
-pub(crate) struct SampleStore {
-    pub(crate) samples: Mutex<Vec<AddressSample>>,
-    pub(crate) processed: AtomicU64,
-    pub(crate) skipped: AtomicU64,
-    pub(crate) aux_records: AtomicU64,
-    pub(crate) collision_flagged: AtomicU64,
-    pub(crate) truncated_flagged: AtomicU64,
+/// What one SPE core's publish handler has decoded and not yet handed out,
+/// with its loss accounting. One store per core keeps the decode off a
+/// single shared lock and lets per-shard drain workers collect disjoint core
+/// subsets without contending; at any time one thread writes it (whoever
+/// publishes for the core) and at most one drain takes from it.
+#[derive(Debug, Default)]
+struct SampleStore {
+    samples: Vec<AddressSample>,
+    processed: u64,
+    skipped: u64,
+    aux_records: u64,
+    collision_flagged: u64,
+    truncated_flagged: u64,
 }
 
-impl Default for SampleStore {
-    fn default() -> Self {
-        SampleStore {
-            samples: Mutex::named(Vec::new(), "spe.store.samples"),
-            processed: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
-            aux_records: AtomicU64::new(0),
-            collision_flagged: AtomicU64::new(0),
-            truncated_flagged: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Everything one SPE core's drain paths share: the perf event, statistics,
-/// the per-core sample store, and the drain gate. Cloning shares the
-/// underlying instruments (all fields are `Arc`s).
+/// Everything the drains of one SPE core share with its publish handler.
+/// Cloning shares the underlying instruments (the fields are `Arc`s).
 #[derive(Clone)]
-pub(crate) struct CoreSpe {
-    pub(crate) core: usize,
-    pub(crate) event: Arc<PerfEvent>,
-    pub(crate) stats: Arc<SpeStats>,
-    /// Serialises ring drains of this event between the monitor thread and
-    /// synchronous drains (`SampleBackend::drain`, `stop`). Holding it
-    /// across a whole `drain_event` call guarantees that once a
-    /// synchronous drain has run, *every* record published to the ring so
-    /// far is in the sample store — the completeness property
-    /// `ActiveSession::tiering_step`'s determinism contract rests on.
-    pub(crate) drain_gate: Arc<Mutex<()>>,
+struct CoreSpe {
+    core: usize,
+    event: Arc<PerfEvent>,
+    stats: Arc<SpeStats>,
     /// This core's decode target.
-    pub(crate) store: Arc<SampleStore>,
+    store: Arc<Mutex<SampleStore>>,
 }
 
 /// The ARM SPE sampling backend (paper Section IV).
 ///
 /// Opens one SPE perf event per profiled core (PMU type `0x2c`) with a ring
-/// buffer of `(N+1)` pages and an aux buffer sized by `NMO_AUXBUFSIZE`,
-/// spawns a monitoring thread that polls the events and decodes each
-/// 64-byte SPE record (validating the `0xb2`/`0x71` header bytes, reading
-/// the virtual address at offset 31 and the timestamp at offset 56), and
-/// converts timestamps to the perf clock via the metadata-page triple.
+/// buffer of `(N+1)` pages and an aux buffer sized by `NMO_AUXBUFSIZE`, and
+/// installs a publish handler on each core's driver that decodes each
+/// 64-byte SPE record as its `PERF_RECORD_AUX` record is published
+/// (validating the `0xb2`/`0x71` header bytes, reading the virtual address
+/// at offset 31 and the timestamp at offset 56), converting timestamps to
+/// the perf clock via the metadata-page triple. The backend has no thread of
+/// its own: the paper's monitoring thread exists here only as simulated time
+/// ([`spe::OverheadModel`]), and dropping the backend leaves nothing running.
 pub struct SpeBackend {
     cores: Vec<CoreSpe>,
-    monitor: Option<JoinHandle<()>>,
     /// Everything already handed out through [`SampleBackend::drain`];
     /// merged back into the profile by `fill`.
     drained: Arc<Mutex<Vec<AddressSample>>>,
@@ -241,40 +228,16 @@ impl SpeBackend {
     pub fn new() -> Self {
         SpeBackend {
             cores: Vec::new(),
-            monitor: None,
             drained: Arc::new(Mutex::named(Vec::new(), "spe.drained")),
             shard_drained: Vec::new(),
             last_stats: SpeStatsSnapshot::default(),
         }
     }
-
-    /// Close every opened event and join the monitor thread. Idempotent.
-    fn shut_down(&mut self) -> std::thread::Result<()> {
-        for c in &self.cores {
-            c.event.close();
-        }
-        match self.monitor.take() {
-            Some(handle) => handle.join(),
-            None => Ok(()),
-        }
-    }
-}
-
-/// A session that errors out mid-run drops its backends without calling
-/// [`SampleBackend::stop`]; without this, the monitor thread would keep
-/// polling (and its perf events stay open) for the rest of the process.
-impl Drop for SpeBackend {
-    fn drop(&mut self) {
-        let _ = self.shut_down();
-    }
 }
 
 impl std::fmt::Debug for SpeBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpeBackend")
-            .field("cores", &self.cores.len())
-            .field("monitoring", &self.monitor.is_some())
-            .finish()
+        f.debug_struct("SpeBackend").field("cores", &self.cores.len()).finish()
     }
 }
 
@@ -298,23 +261,20 @@ impl SampleBackend for SpeBackend {
         let spe_cfg = config.spe_config();
         let mut observers = Vec::with_capacity(cores.len());
         for &core in cores {
-            let (driver, event, stats) =
+            let (mut driver, event, stats) =
                 SpeDriver::open_for(machine, core, spe_cfg, ring_pages, aux_pages, config.overhead)
                     .map_err(NmoError::Perf)?;
-            self.cores.push(CoreSpe {
-                core,
-                event,
-                stats,
-                drain_gate: Arc::new(Mutex::named((), "spe.drain_gate")),
-                store: Arc::new(SampleStore::default()),
-            });
+            let store = Arc::new(Mutex::named(SampleStore::default(), "spe.store.samples"));
+            // The core that publishes an aux record decodes it, before any
+            // later write can reach its bytes. One scratch buffer per core
+            // serves every aux read.
+            let (target, mut scratch) = (store.clone(), Vec::new());
+            driver.set_publish_handler(Box::new(move |event| {
+                drain_event(core, event, &target, &mut scratch)
+            }));
+            self.cores.push(CoreSpe { core, event, stats, store });
             observers.push(CoreObserver { core, observer: Box::new(driver) });
         }
-
-        let events = self.cores.clone();
-        self.monitor = Some(std::thread::spawn(move || {
-            monitor_loop(&events);
-        }));
         Ok(observers)
     }
 
@@ -367,12 +327,10 @@ impl SampleBackend for SpeBackend {
     }
 
     fn stop(&mut self, _machine: &Machine) -> Result<(), NmoError> {
-        self.shut_down().map_err(|_| NmoError::backend("spe", "monitor thread panicked"))?;
-        // Final synchronous drain in case the monitor exited early.
-        let mut scratch = Vec::new();
+        // Nothing is left to read: every record was decoded as it was
+        // published, the last one when the core's engine detached.
         for c in &self.cores {
-            let _gate = c.drain_gate.lock();
-            drain_event(c.core, &c.event, &c.store, &mut scratch);
+            c.event.close();
         }
         Ok(())
     }
@@ -381,34 +339,23 @@ impl SampleBackend for SpeBackend {
         // Everything still in the per-core stores plus everything already
         // streamed out through `drain` (or the shard drain workers) —
         // together the complete sample record.
-        let mut samples = std::mem::take(&mut *self.drained.lock());
+        let mut total = SampleStore {
+            samples: std::mem::take(&mut *self.drained.lock()),
+            ..Default::default()
+        };
         for slot in &self.shard_drained {
-            samples.append(&mut slot.lock());
+            total.samples.append(&mut slot.lock());
         }
-        let mut processed = 0u64;
-        let mut skipped = 0u64;
-        let mut aux_records = 0u64;
-        let mut collision_flagged = 0u64;
-        let mut truncated_flagged = 0u64;
         for c in &self.cores {
-            samples.append(&mut c.store.samples.lock());
-            let st = &c.store;
-            // relaxed-ok: loss-accounting counters; the drain gate already
-            // serialised the writers, these sums are for the report.
-            let (p, s, a, cf, tf) = (
-                st.processed.load(Ordering::Relaxed),
-                st.skipped.load(Ordering::Relaxed),
-                st.aux_records.load(Ordering::Relaxed),
-                st.collision_flagged.load(Ordering::Relaxed),
-                st.truncated_flagged.load(Ordering::Relaxed),
-            );
-            processed += p;
-            skipped += s;
-            aux_records += a;
-            collision_flagged += cf;
-            truncated_flagged += tf;
+            let mut store = c.store.lock();
+            total.samples.append(&mut store.samples);
+            total.processed += store.processed;
+            total.skipped += store.skipped;
+            total.aux_records += store.aux_records;
+            total.collision_flagged += store.collision_flagged;
+            total.truncated_flagged += store.truncated_flagged;
         }
-        samples.sort_by_key(|s| s.time_ns);
+        total.samples.sort_by_key(|s| s.time_ns);
 
         let mut per_core_spe = Vec::new();
         let mut merged = SpeStatsSnapshot::default();
@@ -418,12 +365,12 @@ impl SampleBackend for SpeBackend {
             per_core_spe.push((c.core, snap));
         }
 
-        profile.processed_samples = processed;
-        profile.skipped_packets = skipped;
-        profile.aux_records = aux_records;
-        profile.collision_flagged_records = collision_flagged;
-        profile.truncated_flagged_records = truncated_flagged;
-        profile.samples = samples;
+        profile.processed_samples = total.processed;
+        profile.skipped_packets = total.skipped;
+        profile.aux_records = total.aux_records;
+        profile.collision_flagged_records = total.collision_flagged;
+        profile.truncated_flagged_records = total.truncated_flagged;
+        profile.samples = total.samples;
         profile.spe = merged;
         profile.per_core_spe = per_core_spe;
         Ok(())
@@ -472,13 +419,15 @@ impl ShardDrainer for SpeShardDrainer {
     }
 }
 
-/// Drain a core subset: flush the per-core drivers, pull every published
-/// ring record through the decode pipeline (the monitor thread may also be
-/// pulling; the ring hands each record to exactly one of us), and turn the
-/// collected samples into window-stamped batches. The per-drain loss delta
-/// of the subset rides on the newest batch. Buffers come from `pool`;
-/// `batch_core` stamps the emitted batches (lane routing on the sharded
-/// bus).
+/// Drain a core subset: flush each core's driver (its publish handler has
+/// decoded the flushed data into the store by the time the flush returns; a
+/// core an engine holds cannot be flushed and hands out what its watermarks
+/// published), take the store, and turn the samples into window-stamped
+/// batches. Once this returns, every record the subset published so far has
+/// been handed out — the completeness `ActiveSession::tiering_step`'s
+/// determinism rests on. The per-drain loss delta of the subset rides on the
+/// newest batch. Buffers come from `pool`; `batch_core` stamps the emitted
+/// batches (lane routing on the sharded bus).
 fn drain_core_set(
     cores: &[CoreSpe],
     machine: &Machine,
@@ -488,25 +437,17 @@ fn drain_core_set(
     last_stats: &mut SpeStatsSnapshot,
     batch_core: Option<usize>,
 ) -> Vec<SampleBatch> {
-    // Push sub-watermark data out of the per-core drivers, then decode.
-    let mut scratch = pool.bytes();
-    for c in cores {
-        let _ = machine.flush_observer(c.core);
-        let _gate = c.drain_gate.lock();
-        drain_event(c.core, &c.event, &c.store, &mut scratch);
-    }
-    pool.recycle_bytes(scratch);
-
     // Collect the subset's samples, grouped by window into pooled buffers.
     let mut by_window: std::collections::BTreeMap<u64, Vec<AddressSample>> =
         std::collections::BTreeMap::new();
     for c in cores {
+        let _ = machine.flush_observer(c.core);
         let taken = {
-            let mut lock = c.store.samples.lock();
-            if lock.is_empty() {
+            let mut store = c.store.lock();
+            if store.samples.is_empty() {
                 continue;
             }
-            std::mem::replace(&mut *lock, pool.samples())
+            std::mem::replace(&mut store.samples, pool.samples())
         };
         drained.lock().extend_from_slice(&taken);
         for s in &taken {
@@ -552,84 +493,30 @@ fn drain_core_set(
         .collect()
 }
 
-pub(crate) fn monitor_loop(events: &[CoreSpe]) {
-    // Every drain holds the event's gate for the whole pop→decode→store
-    // sequence, so a concurrent synchronous drain never observes a record
-    // that has left the ring but not yet reached the store. One scratch
-    // buffer serves every event's aux reads (the monitor never allocates in
-    // steady state).
-    let mut scratch = Vec::new();
-    loop {
-        let mut any_ready = false;
-        let mut all_closed = true;
-        for c in events {
-            match c.event.waker().try_wait() {
-                PollTimeout::Ready => {
-                    any_ready = true;
-                    let _gate = c.drain_gate.lock();
-                    drain_event(c.core, &c.event, &c.store, &mut scratch);
-                }
-                PollTimeout::Closed => {
-                    let _gate = c.drain_gate.lock();
-                    drain_event(c.core, &c.event, &c.store, &mut scratch);
-                }
-                PollTimeout::TimedOut => {}
-            }
-            if !c.event.waker().is_closed() {
-                all_closed = false;
-            }
-        }
-        if all_closed {
-            for c in events {
-                let _gate = c.drain_gate.lock();
-                drain_event(c.core, &c.event, &c.store, &mut scratch);
-            }
-            return;
-        }
-        if !any_ready {
-            // The emulated-interrupt poll loop deliberately naps between
-            // checks; there is no condvar on the simulated aux buffers.
-            #[allow(clippy::disallowed_methods)]
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-}
-
-/// Drain every pending ring-buffer record of one event, decoding aux data
-/// into the core's sample store. `scratch` is the caller's reusable aux
-/// read buffer (see [`perf_sub::AuxBuffer::read_into`]) — the decode loop
-/// allocates nothing beyond sample-store growth.
-pub(crate) fn drain_event(
-    core: usize,
-    event: &Arc<PerfEvent>,
-    store: &Arc<SampleStore>,
-    scratch: &mut Vec<u8>,
-) {
+/// The publish handler's body: read every pending ring-buffer record of one
+/// event, decoding aux data into the core's sample store. `scratch` is the
+/// handler's reusable aux read buffer (see
+/// [`perf_sub::AuxBuffer::read_into`]) — the decode loop allocates nothing
+/// beyond sample-store growth.
+fn drain_event(core: usize, event: &PerfEvent, store: &Mutex<SampleStore>, scratch: &mut Vec<u8>) {
     let (time_zero, time_shift, time_mult) = event.meta().clock();
+    let mut store = store.lock();
     for record in event.drain() {
         let aux = match record {
             Record::Aux(a) => a,
             Record::ItraceStart(_) | Record::Lost(_) => continue,
         };
-        // relaxed-ok: loss-accounting counter; the drain gate serialises
-        // drainers and the summary read happens after the final drain.
-        store.aux_records.fetch_add(1, Ordering::Relaxed);
-        if aux.collision() {
-            store.collision_flagged.fetch_add(1, Ordering::Relaxed); // relaxed-ok: as above
-        }
-        if aux.truncated() {
-            store.truncated_flagged.fetch_add(1, Ordering::Relaxed); // relaxed-ok: as above
-        }
+        store.aux_records += 1;
+        store.collision_flagged += u64::from(aux.collision());
+        store.truncated_flagged += u64::from(aux.truncated());
         let Some(aux_buf) = event.aux() else { continue };
         aux_buf.read_into(aux.aux_offset, aux.aux_size, scratch);
         // The incremental NMO decode: validate the 0xb2 / 0x71 header bytes,
         // read the 64-bit address and timestamp, count everything else as
-        // skipped (per-drain loss accounting). Samples decode straight into
-        // the per-core store (the gate serialises us with other drainers).
+        // skipped (per-drain loss accounting).
         let mut decoder = decode_records(scratch);
-        let mut samples = store.samples.lock();
-        samples.reserve(scratch.len() / SPE_RECORD_BYTES);
-        let before = samples.len();
+        store.samples.reserve(scratch.len() / SPE_RECORD_BYTES);
+        let before = store.samples.len();
         for rec in decoder.by_ref() {
             let time_ns = TimeConv::apply_mmap_triple(rec.ticks, time_zero, time_shift, time_mult);
             // Opportunistic full decode for the richer fields.
@@ -637,7 +524,7 @@ pub(crate) fn drain_event(
                 Some(full) => (full.is_store, full.latency, full.source),
                 None => (false, 0, DataSource::L1),
             };
-            samples.push(AddressSample {
+            store.samples.push(AddressSample {
                 time_ns,
                 vaddr: rec.vaddr,
                 core,
@@ -646,12 +533,8 @@ pub(crate) fn drain_event(
                 source,
             });
         }
-        let decoded = (samples.len() - before) as u64;
-        drop(samples);
-        // relaxed-ok: loss-accounting counters, as above — the samples
-        // themselves travel through the mutex-protected store.
-        store.skipped.fetch_add(decoder.skipped(), Ordering::Relaxed);
-        store.processed.fetch_add(decoded, Ordering::Relaxed); // relaxed-ok: as above
+        store.processed += (store.samples.len() - before) as u64;
+        store.skipped += decoder.skipped();
     }
 }
 
@@ -873,6 +756,42 @@ mod tests {
         assert!(profile.processed_samples > 100, "{}", profile.processed_samples);
         assert_eq!(profile.samples.len() as u64, profile.processed_samples);
         assert!(profile.spe.records_written >= profile.processed_samples);
+    }
+
+    /// Nothing reads late: the moment the engine detaches — no `drain`, no
+    /// `stop` — the core's store holds every record the driver wrote.
+    #[test]
+    fn store_is_complete_as_soon_as_the_engine_detaches() {
+        let machine = machine();
+        // A 256-record buffer whose space is handed back ten cycles after it
+        // is published: each record's bytes are soon overwritten.
+        let overhead = spe::OverheadModel {
+            drain_service_latency_cycles: 10,
+            drain_cycles_per_byte: 0.1,
+            ..spe::OverheadModel::default()
+        };
+        let config =
+            NmoConfig { auxbuf_pages_override: Some(4), overhead, ..NmoConfig::paper_default(3) };
+        let mut backend = SpeBackend::new();
+        for co in backend.start(&machine, &[0], &config).unwrap() {
+            machine.set_observer(co.core, co.observer).unwrap();
+        }
+        let region = machine.alloc("data", 1 << 20).unwrap();
+        {
+            let mut e = machine.attach(0).unwrap();
+            for i in 0..30_000u64 {
+                e.load(region.start + i * 8, 8);
+            }
+        }
+        let written = backend.cores[0].stats.snapshot().records_written;
+        assert!(written > 1_000, "{written}");
+        let store = backend.cores[0].store.lock();
+        assert_eq!(
+            (store.samples.len() as u64, store.processed, store.skipped),
+            (written, written, 0)
+        );
+        assert!(store.aux_records > 1, "{}", store.aux_records);
+        assert!(store.samples.windows(2).all(|w| w[0].time_ns <= w[1].time_ns));
     }
 
     #[test]

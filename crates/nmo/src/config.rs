@@ -18,6 +18,8 @@
 
 use spe::{OverheadModel, SpeConfig};
 
+use crate::NmoError;
+
 /// Profile collection mode (`NMO_MODE`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
@@ -75,8 +77,8 @@ pub struct NmoConfig {
     pub min_latency: u64,
     /// Aux-watermark override in bytes (`NMO_AUXWATERMARK`): how much SPE
     /// data accumulates before the kernel publishes a `PERF_RECORD_AUX`
-    /// record and wakes the monitor. `None` keeps the kernel default of
-    /// half the aux buffer. Streaming sessions set a small value (e.g. a
+    /// record, which is when its samples are decoded. `None` keeps the
+    /// kernel default of half the aux buffer. Streaming sessions set a small value (e.g. a
     /// few KiB) so samples reach the pipeline with bounded lag; the extra
     /// watermark interrupts are charged by the overhead model like any
     /// others.
@@ -184,17 +186,38 @@ impl NmoConfig {
     }
 
     /// Ring buffer size in data pages for the given machine page size
-    /// (the `(N+1)`-page mmap excludes the metadata page).
+    /// (the `(N+1)`-page mmap excludes the metadata page). A size too large
+    /// to express saturates; `ProfileSessionBuilder::build` rejects it.
     pub fn ring_pages(&self, page_bytes: u64) -> u64 {
-        ((self.bufsize_mib << 20) / page_bytes).next_power_of_two().max(1)
+        mib_to_pages(self.bufsize_mib, page_bytes)
     }
 
-    /// Aux buffer size in pages for the given machine page size.
+    /// Aux buffer size in pages for the given machine page size (saturating
+    /// like [`NmoConfig::ring_pages`]).
     pub fn aux_pages(&self, page_bytes: u64) -> u64 {
-        if let Some(pages) = self.auxbuf_pages_override {
-            return pages.next_power_of_two().max(1);
+        match self.auxbuf_pages_override {
+            Some(pages) => round_pages(pages),
+            None => mib_to_pages(self.auxbufsize_mib, page_bytes),
         }
-        ((self.auxbufsize_mib << 20) / page_bytes).next_power_of_two().max(1)
+    }
+
+    /// Reject ring/aux sizes no session maps: the environment can ask for
+    /// any number of MiB, and every profiled core allocates both buffers.
+    pub(crate) fn check_buffer_sizes(&self, page_bytes: u64) -> Result<(), NmoError> {
+        let sizes = [
+            ("ring buffer (NMO_BUFSIZE)", self.ring_pages(page_bytes)),
+            ("aux buffer (NMO_AUXBUFSIZE)", self.aux_pages(page_bytes)),
+        ];
+        for (what, pages) in sizes {
+            if pages.checked_mul(page_bytes).is_none_or(|bytes| bytes > MAX_BUFFER_BYTES) {
+                return Err(NmoError::Config(format!(
+                    "{what} of {pages} pages of {page_bytes} bytes exceeds the {} MiB a session \
+                     maps per core",
+                    MAX_BUFFER_BYTES >> 20
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Table I as structured data: `(variable, description, default)`.
@@ -209,6 +232,20 @@ impl NmoConfig {
             ("NMO_AUXBUFSIZE", "Aux buffer size [MiB]", "1"),
         ]
     }
+}
+
+/// The largest ring or aux buffer a session maps per core: eight times the
+/// top of the Figure 9 sweep (2 048 pages of 64 KiB).
+const MAX_BUFFER_BYTES: u64 = 1 << 30;
+
+/// Buffers are mapped in powers of two of pages (at least one: 0 rounds up
+/// to 2^0).
+fn round_pages(pages: u64) -> u64 {
+    pages.checked_next_power_of_two().unwrap_or(u64::MAX)
+}
+
+fn mib_to_pages(mib: u64, page_bytes: u64) -> u64 {
+    round_pages(mib.saturating_mul(1 << 20) / page_bytes)
 }
 
 fn parse_bool(s: &str) -> bool {

@@ -49,8 +49,11 @@
 //! Configuration follows Table I of the paper ([`config::NmoConfig`], the
 //! `NMO_*` environment variables); source annotations follow the C API of
 //! Section III-B ([`annotate`]); the SPE backend opens one perf event per
-//! core, monitors the ring/aux buffers, and decodes the 64-byte SPE records
-//! exactly as described in Section IV; the accuracy and overhead metrics of
+//! core and decodes the 64-byte SPE records exactly as described in Section
+//! IV — on the thread that publishes them: the monitoring thread of Section
+//! IV is simulated time ([`spe::OverheadModel`]), not a host thread, so a
+//! session started with [`session::ProfileSession::start`] creates no thread
+//! at all; the accuracy and overhead metrics of
 //! the sensitivity study (Section VII) live in [`analysis`].
 //!
 //! Because real SPE hardware is unavailable in this environment, the profiler

@@ -1,8 +1,10 @@
 //! The assembled profiling result ([`Profile`]).
 //!
 //! The runtime machinery described in paper Section IV — per-core SPE event
-//! setup, the monitoring thread, packet decoding — lives in
-//! [`crate::backend::SpeBackend`]; profile assembly is orchestrated by
+//! setup, reading the aux buffer, packet decoding — lives in
+//! [`crate::backend::SpeBackend`] (the monitoring thread itself is simulated
+//! time in [`spe::OverheadModel`]; no host thread stands in for it); profile
+//! assembly is orchestrated by
 //! [`crate::session::ProfileSession`]. This module defines the data the
 //! session produces.
 

@@ -188,8 +188,8 @@ impl ProfileSessionBuilder {
         self
     }
 
-    /// Tune the streaming pipeline (window width, bus capacity, pump
-    /// interval, backpressure policy) used by
+    /// Tune the streaming pipeline (window width, bus capacity, shard
+    /// count, backpressure policy) used by
     /// [`ProfileSession::run_streaming`] /
     /// [`ProfileSession::start_streaming`].
     pub fn stream_options(mut self, options: StreamOptions) -> Self {
@@ -201,6 +201,7 @@ impl ProfileSessionBuilder {
     /// simulated machine).
     pub fn build(mut self) -> Result<ProfileSession, NmoError> {
         self.machine_config.validate().map_err(NmoError::Sim)?;
+        self.config.check_buffer_sizes(self.machine_config.page_bytes)?;
         if self.cores.is_empty() {
             self.cores.push(0);
         }
@@ -405,7 +406,7 @@ impl ProfileSession {
             AdaptiveRuntime::new(
                 a.clone(),
                 shards,
-                opts.poll_interval,
+                PUMP_INTERVAL,
                 opts.backpressure,
                 CONSUMER_RECV_TIMEOUT,
             )
@@ -486,7 +487,6 @@ impl ProfileSession {
                 final_round: final_round.clone(),
                 workers_done: workers_done.clone(),
                 pool: pool.clone(),
-                opts: opts.clone(),
                 adaptive: adaptive.clone(),
             };
             pumps.push(std::thread::spawn(move || worker.run()));
@@ -857,8 +857,8 @@ impl ActiveSession {
         let mut stream_stats = None;
         match self.streaming.take() {
             Some(streaming) => {
-                // The coordinator pump stops the backends itself (monitor
-                // joins + final drains on every worker), publishes the
+                // The coordinator pump stops the backends itself, runs the
+                // final drain round on every worker, publishes the
                 // remainder, closes every window, and closes the bus —
                 // which lets the consumers exit.
                 streaming.stop.store(true, Ordering::Release);
@@ -969,8 +969,8 @@ impl ActiveSession {
 /// Abandoning an active streaming session (e.g. a workload error unwinding
 /// past `finish`) must leave no thread behind: signal the pipeline to stop,
 /// close the bus so nobody blocks on it, and join every pump worker and
-/// consumer (the coordinator pump stops the backends, which joins the SPE
-/// monitor). A thread that panicked has nothing more to report here.
+/// consumer — the only threads a session creates. A thread that panicked
+/// has nothing more to report here.
 impl Drop for ActiveSession {
     fn drop(&mut self) {
         if let Some(streaming) = self.streaming.take() {
@@ -986,11 +986,15 @@ impl Drop for ActiveSession {
     }
 }
 
+/// Wall-clock interval between a pump worker's drains — the adaptive
+/// controller's initial cadence too.
+const PUMP_INTERVAL: Duration = Duration::from_micros(200);
+
 /// A source that has been quiet for this many pump ticks stops holding the
 /// close watermark back (it is presumed done, not lagging — e.g. the RSS
 /// probe after the allocation phase, or an SPE core whose thread exited).
-/// At the default 200 µs pump interval this is a 50 ms wall-clock grace —
-/// comfortably above one aux-watermark publication interval.
+/// At [`PUMP_INTERVAL`] this is a 50 ms wall-clock grace — comfortably above
+/// one aux-watermark publication interval.
 const SOURCE_IDLE_TICKS: u64 = 250;
 
 /// What the close coordinator is told about one published batch: its
@@ -1206,7 +1210,6 @@ struct PumpWorker {
     final_round: Arc<AtomicBool>,
     workers_done: Arc<AtomicUsize>,
     pool: Arc<BatchPool>,
-    opts: StreamOptions,
     adaptive: Option<Arc<AdaptiveRuntime>>,
 }
 
@@ -1258,9 +1261,8 @@ impl PumpWorker {
                 && self.stop.load(Ordering::Acquire)
                 && !self.final_round.load(Ordering::Acquire)
             {
-                // Observers are detached; join the SPE monitor and run the
-                // backends' final synchronous drains into their stores,
-                // then open the final drain round for every worker.
+                // Observers are detached: stop the backends, then open the
+                // final drain round for every worker.
                 if let Some((backends, _)) = self.backends.as_mut() {
                     for backend in backends.iter_mut() {
                         if let Err(e) = backend.stop(&self.machine) {
@@ -1343,14 +1345,10 @@ impl PumpWorker {
                     let _ = adaptive.control(&self.bus);
                 }
             }
-            // Drain cadence: the workers sample the backends at the
-            // configured wall-clock interval (the controller's current
-            // cadence when adaptive); nothing signals "new simulated work".
-            let poll = self
-                .adaptive
-                .as_ref()
-                .map(|a| a.poll_interval())
-                .unwrap_or(self.opts.poll_interval);
+            // Drain cadence: the workers sample the backends at a fixed
+            // wall-clock interval (the controller's current cadence when
+            // adaptive); nothing signals "new simulated work".
+            let poll = self.adaptive.as_ref().map_or(PUMP_INTERVAL, |a| a.poll_interval());
             #[allow(clippy::disallowed_methods)]
             std::thread::sleep(poll);
         }
@@ -1495,6 +1493,51 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, NmoError::Config(_)), "{err}");
+    }
+
+    /// Buffer sizes come from the environment: whatever it says, a session
+    /// either builds and maps its buffers or fails with a config error.
+    #[test]
+    fn hostile_buffer_sizes_are_config_errors_not_panics() {
+        let build = |config: NmoConfig| {
+            ProfileSession::builder()
+                .machine_config(MachineConfig::small_test())
+                .config(config)
+                .build()
+        };
+        let from_env = |var: &'static str, value: &'static str| {
+            NmoConfig::from_lookup(|k| match k {
+                "NMO_ENABLE" => Some("1".into()),
+                "NMO_MODE" => Some("mem".into()),
+                "NMO_PERIOD" => Some("100".into()),
+                k if k == var => Some(value.into()),
+                _ => None,
+            })
+        };
+        for (var, value) in [
+            ("NMO_BUFSIZE", "18446744073709551615"),
+            ("NMO_AUXBUFSIZE", "17592186044415"),
+            ("NMO_AUXBUFSIZE", "1025"),
+            ("NMO_BUFSIZE", "4096"),
+        ] {
+            let err = build(from_env(var, value)).expect_err(value);
+            assert!(matches!(err, NmoError::Config(_)), "{var}={value}: {err}");
+        }
+        for pages in [u64::MAX, (1 << 63) + 1, 1 << 19] {
+            let config =
+                NmoConfig { auxbuf_pages_override: Some(pages), ..NmoConfig::paper_default(100) };
+            let err = build(config).expect_err("oversized override");
+            assert!(matches!(err, NmoError::Config(_)), "{pages} pages: {err}");
+        }
+        // Zero and garbage fall back to the 1 MiB default; the largest
+        // accepted size maps.
+        for (var, value) in
+            [("NMO_BUFSIZE", "0"), ("NMO_AUXBUFSIZE", "lots"), ("NMO_BUFSIZE", "1024")]
+        {
+            let session = build(from_env(var, value)).expect(value);
+            let profile = session.run_with(|_, _, _| Ok(())).expect("buffers map");
+            assert_eq!(profile.backends, ["spe", "counters"], "{var}={value}");
+        }
     }
 
     #[test]
@@ -2075,8 +2118,8 @@ mod tests {
     }
 
     /// Dropping a streaming session mid-run leaks no thread: `drop` joins
-    /// the pump workers and consumers (and, through the coordinator, the
-    /// SPE monitor), so right afterwards nothing holds the sinks any more.
+    /// the pump workers and consumers (there are no others), so right
+    /// afterwards nothing holds the sinks any more.
     #[test]
     fn dropping_a_streaming_session_joins_its_threads() {
         use crate::sink::testing::RecordingSink;

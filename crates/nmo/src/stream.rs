@@ -1,13 +1,13 @@
 //! The streaming data plane: time windows, sample batches, and the sharded
 //! event bus connecting backends to analysis sinks.
 //!
-//! The paper's SPE flow is inherently streaming — a monitor thread drains
-//! the aux buffer periodically and all three analysis levels are windowed
-//! over time — so the profiler's core seam is a produce/consume pipeline
-//! rather than a post-hoc scan. On many-core machines (the paper's 128-core
-//! Ampere Altra Max) a single pump/consumer pair cannot keep up with every
-//! core sampling at the densest periods, so the pipeline has a width — N
-//! shards of the same pump worker → lane → consumer chain, N ≥ 1:
+//! The paper's SPE flow is inherently streaming — the aux buffer is drained
+//! as it fills and all three analysis levels are windowed over time — so the
+//! profiler's core seam is a produce/consume pipeline rather than a post-hoc
+//! scan. On many-core machines (the paper's 128-core Ampere Altra Max) a
+//! single pump/consumer pair cannot keep up with every core sampling at the
+//! densest periods, so the pipeline has a width — N shards of the same pump
+//! worker → lane → consumer chain, N ≥ 1:
 //!
 //! ```text
 //! pump workers ──SampleBatch──▶ ShardedBus ──▶ shard consumers ──▶ merge
@@ -898,8 +898,6 @@ pub struct StreamOptions {
     pub window_ns: u64,
     /// Event-bus capacity in events *per lane* (default 1024).
     pub bus_capacity: usize,
-    /// Wall-clock interval between pump drains (default 200 µs).
-    pub poll_interval: Duration,
     /// What producers do when the bus is full.
     pub backpressure: BackpressurePolicy,
     /// Number of pipeline shards (pump workers, bus lanes, and shard
@@ -922,7 +920,6 @@ impl Default for StreamOptions {
         StreamOptions {
             window_ns: 1_000_000,
             bus_capacity: 1024,
-            poll_interval: Duration::from_micros(200),
             backpressure: BackpressurePolicy::default(),
             shards: 0,
             adaptive: None,

@@ -108,15 +108,50 @@ pub struct PageStats {
     pub samples: u64,
 }
 
+/// One page's record: the tracker's live (decaying) state, and one shard's
+/// contribution to it from its slice of one window — the unit of the
+/// tracker's deterministic window-close merge.
 #[derive(Debug, Clone, Copy, Default)]
 struct PageState {
     heat: f64,
     dram_heat: f64,
+    /// Node/tier of the *last* DRAM-class sample seen for the page (only
+    /// meaningful when `saw_dram`).
     node: NodeId,
     remote: bool,
+    saw_dram: bool,
     lat_sum: f64,
     lat_count: f64,
     samples: u64,
+}
+
+/// Fold per-page contributions into `pages` (ascending by address): counts
+/// add, and a contribution that saw a DRAM-class sample sets the page's
+/// node/tier — to the home `pinned` names for it, if any. Returns how many
+/// pages were new to `pages`.
+fn merge_pages(
+    pages: &mut BTreeMap<u64, PageState>,
+    deltas: BTreeMap<u64, PageState>,
+    pinned: &BTreeMap<u64, (NodeId, bool)>,
+) -> u64 {
+    let mut added = 0;
+    for (page_addr, delta) in deltas {
+        let entry = pages.entry(page_addr).or_insert_with(|| {
+            added += 1;
+            PageState::default()
+        });
+        entry.heat += delta.heat;
+        entry.dram_heat += delta.dram_heat;
+        entry.samples += delta.samples;
+        entry.lat_sum += delta.lat_sum;
+        entry.lat_count += delta.lat_count;
+        if delta.saw_dram {
+            (entry.node, entry.remote) =
+                pinned.get(&page_addr).copied().unwrap_or((delta.node, delta.remote));
+            entry.saw_dram = true;
+        }
+    }
+    added
 }
 
 impl PageState {
@@ -430,7 +465,6 @@ const DECAY: f64 = 0.5;
 pub struct HotPageTracker {
     policy: Box<dyn TieringPolicy>,
     page_bytes: u64,
-    freq_hz: u64,
     configured: bool,
     /// Actuation target on the streaming path (latched at stream start).
     machine: Option<Arc<Machine>>,
@@ -470,7 +504,6 @@ impl HotPageTracker {
         HotPageTracker {
             policy: Box::new(policy),
             page_bytes: 64 * 1024,
-            freq_hz: 1_000_000_000,
             configured: false,
             machine: None,
             pages: BTreeMap::new(),
@@ -494,12 +527,11 @@ impl HotPageTracker {
         &self.applied
     }
 
-    /// Latch page geometry and clock frequency from a machine configuration
-    /// (idempotent; called by both actuation paths).
+    /// Latch the page geometry from a machine configuration (idempotent;
+    /// called by both actuation paths).
     pub(crate) fn configure(&mut self, cfg: &MachineConfig) {
         if !self.configured {
             self.page_bytes = cfg.page_bytes;
-            self.freq_hz = cfg.freq_hz;
             self.configured = true;
         }
     }
@@ -523,6 +555,7 @@ impl HotPageTracker {
             };
             entry.node = node;
             entry.remote = remote;
+            entry.saw_dram = true;
             entry.lat_sum += s.latency as f64;
             entry.lat_count += 1.0;
             if !s.source.is_remote() {
@@ -632,28 +665,12 @@ impl HotPageTracker {
     }
 }
 
-/// One page's contribution from one shard's slice of one window (the unit
-/// of the tracker's deterministic window-close merge).
-#[derive(Debug, Clone, Copy, Default)]
-struct PageDelta {
-    heat: f64,
-    dram_heat: f64,
-    samples: u64,
-    lat_sum: f64,
-    lat_count: f64,
-    /// Node/tier of the *last* DRAM-class sample this shard saw for the
-    /// page (only meaningful when `saw_dram`).
-    node: NodeId,
-    remote: bool,
-    saw_dram: bool,
-}
-
 /// One shard's per-window digest of the sample stream: per-page deltas plus
 /// the latency contributions the tracker folds into its segments and
 /// local-DRAM baseline at merge time.
 #[derive(Debug, Default)]
 struct TrackerDigest {
-    pages: BTreeMap<u64, PageDelta>,
+    pages: BTreeMap<u64, PageState>,
     local_dram: LatencyHistogram,
     latency: LatencyProfile,
     last_seen_ns: u64,
@@ -683,19 +700,7 @@ impl TrackerDigest {
     /// Fold `other` into this digest (used for the shard's leftover windows
     /// at finish; ascending window order keeps it deterministic).
     fn absorb(&mut self, other: TrackerDigest) {
-        for (page_addr, delta) in other.pages {
-            let mine = self.pages.entry(page_addr).or_default();
-            mine.heat += delta.heat;
-            mine.dram_heat += delta.dram_heat;
-            mine.samples += delta.samples;
-            mine.lat_sum += delta.lat_sum;
-            mine.lat_count += delta.lat_count;
-            if delta.saw_dram {
-                mine.node = delta.node;
-                mine.remote = delta.remote;
-                mine.saw_dram = true;
-            }
-        }
+        merge_pages(&mut self.pages, other.pages, &BTreeMap::new());
         self.local_dram.merge(&other.local_dram);
         self.latency.merge(&other.latency);
         self.last_seen_ns = self.last_seen_ns.max(other.last_seen_ns);
@@ -743,25 +748,7 @@ impl HotPageTracker {
     /// homes override the digest's tier view, exactly like
     /// [`HotPageTracker::observe`] does on the direct `ingest` path).
     fn absorb_digest(&mut self, digest: TrackerDigest) {
-        for (page_addr, delta) in digest.pages {
-            let entry = self.pages.entry(page_addr).or_insert_with(|| {
-                self.pages_tracked += 1;
-                PageState::default()
-            });
-            entry.heat += delta.heat;
-            entry.dram_heat += delta.dram_heat;
-            entry.samples += delta.samples;
-            entry.lat_sum += delta.lat_sum;
-            entry.lat_count += delta.lat_count;
-            if delta.saw_dram {
-                let (node, remote) = match self.pinned.get(&page_addr) {
-                    Some(&(node, remote)) => (node, remote),
-                    None => (delta.node, delta.remote),
-                };
-                entry.node = node;
-                entry.remote = remote;
-            }
-        }
+        self.pages_tracked += merge_pages(&mut self.pages, digest.pages, &self.pinned);
         self.local_dram.merge(&digest.local_dram);
         // unwrap-ok: `segments` starts non-empty and only grows.
         self.segments.last_mut().expect("segments never empty").merge(&digest.latency);
@@ -776,14 +763,9 @@ impl ShardableSink for HotPageTracker {
     }
 
     fn merge_window(&mut self, window: Window, states: Vec<ShardState>) {
-        for state in states {
-            // unwrap-ok: states come from this sink's own `make_shard`,
-            // which always boxes a TrackerDigest.
-            let digest = state.downcast::<TrackerDigest>().expect("a TrackerShard digest");
-            self.absorb_digest(*digest);
-        }
-        let machine = self.machine.clone();
-        self.close_window(window, machine.as_deref());
+        // The shards' digests in, the window closes as on the serial path.
+        self.merge_final(states);
+        self.on_window_close(window);
     }
 
     fn merge_final(&mut self, states: Vec<ShardState>) {

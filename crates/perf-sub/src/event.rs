@@ -4,7 +4,10 @@
 //! configuration process is done on a per-core basis"), mmaps a ring buffer
 //! of `(N+1)` 64 KiB pages and an aux buffer whose size is controlled by the
 //! `NMO_AUXBUFSIZE` environment variable, and then polls for
-//! `PERF_RECORD_AUX` records.
+//! `PERF_RECORD_AUX` records. In this reproduction nothing polls:
+//! [`PerfEvent::publish`] raises the waker, and the SPE driver then runs the
+//! profiler's reader itself (its publish handler — the overflow-handler
+//! analogue), on the publishing thread.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,7 +27,8 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(3);
 ///
 /// The struct is designed to be shared (`Arc<PerfEvent>`) between the
 /// producer side (the SPE driver, running on the profiled core) and the
-/// consumer side (the NMO monitoring thread).
+/// consumer side (the profiler: its per-record reader runs from the
+/// driver's publish handler, its drains hold the handle for `close`).
 #[derive(Debug)]
 pub struct PerfEvent {
     id: EventId,
@@ -145,7 +149,7 @@ impl PerfEvent {
 
     /// Consumer side: drain every currently pending record as an iterator.
     ///
-    /// This is the streaming read path of the profiler's monitor loop: each
+    /// This is the profiler's read path (run after every publish): each
     /// `next()` consumes one framed record and advances the ring tail, so a
     /// single pass empties everything published up to that point. A corrupt
     /// record stops the iteration; inspect [`RecordDrain::error`] afterwards

@@ -3,8 +3,11 @@
 //! NMO's monitoring thread uses `epoll` on the perf file descriptor to sleep
 //! until the kernel signals that new data (a `PERF_RECORD_AUX` record) is
 //! available. [`Waker`] models that readiness notification: the producer
-//! (the SPE driver) calls [`Waker::wake`], the consumer (the NMO monitor
-//! thread) blocks in [`Waker::wait_timeout`] or polls [`Waker::try_wait`].
+//! (the SPE driver) calls [`Waker::wake`] on every publish, and a consumer
+//! blocks in [`Waker::wait_timeout`] or polls [`Waker::try_wait`]. Nothing
+//! in the profiler consumes it today — the SPE backend reads each record
+//! from the driver's publish handler, not from a polling thread — so a
+//! drain driver that parks on it gets every wake-up.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -36,7 +36,7 @@ pub struct SpeConfig {
     /// Aux watermark in bytes: how much aux data accumulates before a
     /// `PERF_RECORD_AUX` record is published and pollers are woken. 0 keeps
     /// the kernel default (half the aux buffer). Streaming profilers lower
-    /// this so data reaches the monitor with bounded lag — at the cost of
+    /// this so data reaches the profiler with bounded lag — at the cost of
     /// more watermark interrupts, which the overhead model charges.
     pub aux_watermark: u64,
 }

@@ -4,8 +4,14 @@
 //! [`SpeDriver`] implements [`arch_sim::OpObserver`], so attaching it to a
 //! simulated core is the software equivalent of `perf_event_open` with PMU
 //! type `0x2c` bound to that core. It owns the per-core [`SamplerUnit`] and a
-//! shared [`perf_sub::PerfEvent`] (ring buffer + aux buffer + waker) that the
-//! NMO monitoring thread consumes.
+//! shared [`perf_sub::PerfEvent`] (ring buffer + aux buffer + waker). The
+//! profiler reads that event from a publish handler
+//! ([`SpeDriver::set_publish_handler`]) — the event's overflow handler, run
+//! by the driver right after each `PERF_RECORD_AUX` record it publishes —
+//! and not from a thread of its own: the NMO monitoring thread exists here
+//! as the drain model below, in simulated time, and that model releases aux
+//! space without waiting for any host reader. The waker is still raised on
+//! every publish, for whoever wants to park on it.
 //!
 //! ## Overhead and loss model
 //!
@@ -95,6 +101,9 @@ struct PendingRelease {
     new_tail: u64,
 }
 
+/// The event's overflow handler (see [`SpeDriver::set_publish_handler`]).
+pub type PublishHandler = Box<dyn FnMut(&PerfEvent) + Send>;
+
 /// Per-core SPE driver: sampling unit + perf event plumbing + overhead model.
 pub struct SpeDriver {
     unit: SamplerUnit,
@@ -113,6 +122,7 @@ pub struct SpeDriver {
     functional: bool,
     /// Pending bytes at which a `PERF_RECORD_AUX` record is published.
     watermark: u64,
+    publish_handler: Option<PublishHandler>,
 }
 
 impl std::fmt::Debug for SpeDriver {
@@ -149,7 +159,20 @@ impl SpeDriver {
             pending_flags: 0,
             releases: VecDeque::new(),
             functional,
+            publish_handler: None,
         }
+    }
+
+    /// Install the one handler run right after every `PERF_RECORD_AUX`
+    /// record this driver publishes, on the publishing thread: the engine's
+    /// on a watermark or a detach, the flusher's on a flush. The published
+    /// bytes cannot be released (let alone overwritten) before it returns,
+    /// so a handler that reads the record out of the ring and the aux buffer
+    /// is never late, however small the buffer and however fast the drain
+    /// model. Never runs while the aux buffer is too small to be functional
+    /// (nothing is published then).
+    pub fn set_publish_handler(&mut self, handler: PublishHandler) {
+        self.publish_handler = Some(handler);
     }
 
     /// `perf_event_open` analogue without attaching: open an SPE event for
@@ -235,6 +258,9 @@ impl SpeDriver {
             flags: self.pending_flags,
         });
         self.event.publish(record);
+        if let Some(handler) = self.publish_handler.as_mut() {
+            handler(&self.event);
+        }
         self.stats.add(&self.stats.interrupts, 1);
 
         // Schedule the space release (simulated monitor-thread drain). A
@@ -328,8 +354,8 @@ impl OpObserver for SpeDriver {
         if !self.functional {
             return ObserverCharge::NONE;
         }
-        // Final drain: publish whatever is pending so the monitor can process
-        // it after program exit. The paper measures execution time up to the
+        // Final drain: publish whatever is pending so the profiler gets it
+        // at program exit. The paper measures execution time up to the
         // end of `main`, so the final drain is not charged to the core.
         self.publish_pending(now_cycles);
         self.process_releases(u64::MAX);
@@ -341,7 +367,7 @@ impl OpObserver for SpeDriver {
             return ObserverCharge::NONE;
         }
         // Window-boundary flush for streaming consumers: publish sub-watermark
-        // data so the monitor sees it mid-run. Unlike the watermark interrupt
+        // data so the profiler sees it mid-run. Unlike the watermark interrupt
         // this is driven from the profiler side, so the interrupt cost is
         // charged like any other publication.
         self.process_releases(now_cycles);
@@ -485,6 +511,66 @@ mod tests {
             })
             .sum();
         assert_eq!(published, stats.snapshot().aux_bytes_written);
+    }
+
+    /// The publish handler runs once per published `PERF_RECORD_AUX` record
+    /// — watermark, flush and detach alike — on the thread that published
+    /// it, with the record still unread in the ring; a driver whose aux
+    /// buffer is too small to be functional never calls it.
+    #[test]
+    fn publish_handler_runs_once_per_aux_record_on_the_publishing_thread() {
+        /// Runs 3 000 loads, a flush and 100 more loads on a spawned thread;
+        /// returns that thread's id, what the handler saw and the statistics.
+        fn run(aux_pages: u64) -> (std::thread::ThreadId, Vec<(std::thread::ThreadId, u64)>, u64) {
+            let machine = Machine::new(MachineConfig::small_test());
+            let cfg = SpeConfig { jitter_ops: 0, ..SpeConfig::loads_stores(2) };
+            let (mut driver, event, stats) =
+                SpeDriver::open_for(&machine, 0, cfg, 8, aux_pages, fast_model()).unwrap();
+            let _ = event.next_record().unwrap(); // ItraceStart
+            let (seen, calls) = std::sync::mpsc::sync_channel(64);
+            driver.set_publish_handler(Box::new(move |event| {
+                let bytes = event.drain().map(|r| match r {
+                    Record::Aux(a) => a.aux_size,
+                    other => panic!("unexpected record {other:?}"),
+                });
+                let pending: Vec<u64> = bytes.collect();
+                assert_eq!(pending.len(), 1, "exactly the record just published is pending");
+                seen.send((std::thread::current().id(), pending[0])).unwrap();
+            }));
+            machine.set_observer(0, Box::new(driver)).unwrap();
+            let region = machine.alloc("data", 1 << 20).unwrap();
+            let publisher = std::thread::scope(|s| {
+                let worker = s.spawn(|| {
+                    let mut e = machine.attach(0).unwrap();
+                    for i in 0..3_000u64 {
+                        e.load(region.start + i * 8, 8);
+                    }
+                    e.flush_observer();
+                    for i in 0..100u64 {
+                        e.load(region.start + i * 8, 8);
+                    }
+                    std::thread::current().id()
+                });
+                worker.join().unwrap()
+            });
+            assert_eq!(event.drain().count(), 0, "the handler left nothing in the ring");
+            let calls: Vec<_> = calls.try_iter().collect();
+            assert_eq!(calls.len() as u64, stats.snapshot().interrupts);
+            (publisher, calls, stats.snapshot().aux_bytes_written)
+        }
+
+        // 4 pages of 4 KiB: a watermark every 128 records, so 1 500 records
+        // cross it 11 times; then the flush and the detach publish the rest.
+        let (publisher, calls, written) = run(4);
+        assert_eq!(calls.len(), 11 + 2);
+        assert!(calls.iter().all(|(thread, _)| *thread == publisher));
+        assert_ne!(publisher, std::thread::current().id());
+        assert_eq!(calls.iter().map(|(_, bytes)| bytes).sum::<u64>(), written);
+        assert_eq!(written, 1_550 * SPE_RECORD_BYTES as u64);
+
+        // 2 pages < min_functional_aux_pages (4): nothing is ever published.
+        let (_, calls, written) = run(2);
+        assert_eq!((calls.len(), written), (0, 0));
     }
 
     #[test]

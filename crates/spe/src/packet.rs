@@ -205,7 +205,7 @@ pub struct DecodedRecord {
 
 /// Incremental decoder over a drained aux-buffer chunk.
 ///
-/// The monitor thread drains aux data in arbitrary-size chunks (one per
+/// The profiler reads aux data in arbitrary-size chunks (one per
 /// `PERF_RECORD_AUX`); this iterator walks the chunk in 64-byte steps,
 /// yielding every record whose NMO fields validate and counting the rest in
 /// [`SpeRecordIter::skipped`] — the per-drain loss accounting a streaming

@@ -48,7 +48,6 @@ fn main() -> Result<(), NmoError> {
                 loss_budget: 0.01,
                 ..AdaptiveOptions::default()
             }),
-            ..StreamOptions::default()
         })
         .build()?;
 

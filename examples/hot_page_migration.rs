@@ -184,8 +184,8 @@ fn run_policy(
         })?;
         std::mem::swap(&mut ranks, &mut ranks_next);
 
-        // Actuate: tiering_step drains synchronously (gated against the
-        // SPE monitor thread, so it sees every record published so far),
+        // Actuate: tiering_step drains synchronously (every record was
+        // decoded as its core published it, so it sees all of them),
         // closes the elapsed windows, and applies the policy's decisions.
         let applied = active.tiering_step(&mut tracker)?;
         epoch_ends.push(active.machine().makespan_ns());

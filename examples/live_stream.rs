@@ -8,7 +8,7 @@
 //! ```
 //!
 //! The session is started with `start_streaming()`: a pump thread drains
-//! the SPE monitor, the hardware counters, and the machine's RSS/bandwidth
+//! the SPE backend, the hardware counters, and the machine's RSS/bandwidth
 //! probes into window-stamped `SampleBatch`es on a bounded event bus, and
 //! the sinks aggregate them incrementally. While the workload runs on its
 //! own thread, the main thread polls `poll_snapshot()` for the live
@@ -25,7 +25,7 @@ fn main() -> Result<(), NmoError> {
         .machine_config(MachineConfig::ampere_altra_max())
         .config(NmoConfig {
             name: "live_stream".into(),
-            // A small aux watermark keeps the SPE → monitor lag bounded, so
+            // A small aux watermark keeps the SPE → pipeline lag bounded, so
             // samples land in their windows while those windows are still
             // open (the extra watermark interrupts are charged by the
             // overhead model, exactly like on hardware).

@@ -985,3 +985,138 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// SPE read side (nmo::backend), the counterpart of the `AuxBuffer` write-side
+// property above: the simulated drain hands aux space back in *simulated*
+// time, so with a small buffer and a fast drain model a record's bytes are
+// overwritten soon after it is published. Every published record must still
+// be read exactly once, whoever delivers it.
+// ---------------------------------------------------------------------------
+
+use nmo_repro::arch_sim::{Machine, MachineConfig};
+use nmo_repro::nmo::{NmoConfig, ProfileSession, StreamOptions};
+use nmo_repro::spe::OverheadModel;
+
+/// Profile `ops` loads of distinct addresses on each of two cores — without
+/// pipeline threads (`shards: None`) or through a streaming pipeline that
+/// many shards wide — and check that what was written into the aux buffers
+/// is exactly what the profile holds and what the sinks were fed.
+fn assert_every_written_record_is_delivered_once(
+    shards: Option<usize>,
+    aux_pages: u64,
+    period: u64,
+    ops: u64,
+    overhead: OverheadModel,
+) {
+    let case = format!("shards {shards:?}, {aux_pages} aux pages, period {period}, {ops} ops");
+    let fed = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let session = ProfileSession::builder()
+        .machine_config(MachineConfig::small_test())
+        .config(NmoConfig {
+            auxbuf_pages_override: Some(aux_pages),
+            overhead,
+            ..NmoConfig::paper_default(period)
+        })
+        .threads(2)
+        .sink(CollectorSink { out: fed.clone() })
+        .stream_options(StreamOptions {
+            shards: shards.unwrap_or(0),
+            backpressure: BackpressurePolicy::Block,
+            ..StreamOptions::default()
+        })
+        .build()
+        .expect("session builds");
+    let body = |machine: &Machine, _: &Annotations, cores: &[usize]| {
+        let region = machine.alloc("data", cores.len() as u64 * ops * 8)?;
+        std::thread::scope(|s| {
+            for (i, &core) in cores.iter().enumerate() {
+                s.spawn(move || {
+                    let mut engine = machine.attach(core).expect("core is free");
+                    let base = region.start + i as u64 * ops * 8;
+                    for k in 0..ops {
+                        engine.load(base + k * 8, 8);
+                    }
+                });
+            }
+        });
+        Ok(())
+    };
+    let profile = match shards {
+        None => session.run_with(body),
+        Some(_) => session.run_streaming_with(body),
+    }
+    .expect("profiled run");
+
+    let identity = |s: &AddressSample| (s.core, s.time_ns, s.vaddr);
+    let distinct: std::collections::BTreeSet<_> = profile.samples.iter().map(identity).collect();
+    assert!(profile.spe.records_written > 0, "{case}");
+    assert_eq!(distinct.len() as u64, profile.spe.records_written, "{case}");
+    assert_eq!(profile.samples.len() as u64, profile.spe.records_written, "{case}");
+    assert_eq!(profile.processed_samples, profile.spe.records_written, "{case}");
+    assert_eq!(profile.skipped_packets, 0, "{case}");
+
+    // The sinks were fed the same samples, each core's in time order.
+    let fed = fed.lock();
+    assert_eq!(fed.iter().map(identity).collect::<std::collections::BTreeSet<_>>(), distinct);
+    assert_eq!(fed.len(), profile.samples.len(), "{case}");
+    let mut newest = [0u64; 2];
+    for s in fed.iter() {
+        assert!(s.time_ns >= newest[s.core], "{case}: core {} went back in time", s.core);
+        newest[s.core] = s.time_ns;
+    }
+}
+
+/// Aux space is released ten cycles after it is published.
+fn fast_drain() -> OverheadModel {
+    OverheadModel {
+        drain_service_latency_cycles: 10,
+        drain_cycles_per_byte: 0.1,
+        ..OverheadModel::default()
+    }
+}
+
+/// The case that used to deliver a quarter of its samples (and three
+/// quarters duplicates of later ones), then the whole grid around it.
+#[test]
+fn small_aux_buffers_with_a_fast_drain_deliver_every_record_exactly_once() {
+    assert_every_written_record_is_delivered_once(None, 4, 2, 200_000, fast_drain());
+    for shards in [None, Some(1), Some(2)] {
+        for aux_pages in [4, 8, 16] {
+            for period in 1..=8 {
+                assert_every_written_record_is_delivered_once(
+                    shards,
+                    aux_pages,
+                    period,
+                    20_000,
+                    fast_drain(),
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn aux_records_are_read_exactly_once_under_any_drain_model(
+        shards in 0usize..3,
+        aux_pages_log2 in 2u32..5,
+        period in 1u64..9,
+        ops in 500u64..6_000,
+        drain_service_latency_cycles in 0u64..20_000,
+        drain_centicycles_per_byte in 0u32..400,
+    ) {
+        let overhead = OverheadModel {
+            drain_service_latency_cycles,
+            drain_cycles_per_byte: f64::from(drain_centicycles_per_byte) / 100.0,
+            ..OverheadModel::default()
+        };
+        assert_every_written_record_is_delivered_once(
+            shards.checked_sub(1),
+            1 << aux_pages_log2,
+            period,
+            ops,
+            overhead,
+        );
+    }
+}

@@ -133,7 +133,6 @@ fn stress_128_cores_adaptive_completes_with_exact_accounting() {
                 window: 2,
                 ..AdaptiveOptions::default()
             }),
-            ..StreamOptions::default()
         })
         .workload(Box::new(StreamBench::new(64_000, 1)))
         .build()

@@ -57,8 +57,8 @@ fn deterministic_run(chunks: usize) -> (Profile, Vec<AppliedMigration>) {
             }
         }
         // The engine drop above flushed and published every buffered SPE
-        // record, and tiering_step's synchronous drain is gated against the
-        // backend's monitor thread — so the step observes the complete,
+        // record, and each was decoded into the backend's store as it was
+        // published — so the step observes the complete,
         // wall-clock-independent prefix of the sample stream.
         applied.extend(active.tiering_step(&mut tracker).expect("tiering step"));
     }
