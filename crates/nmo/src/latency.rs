@@ -19,7 +19,10 @@
 //! (recording batch by batch, however the stream was batched or sharded)
 //! lands on bit-identical results to [`LatencyProfile::from_samples`] over
 //! `Profile::samples` — the lazy [`crate::Profile::latency`] and the
-//! reference the test suites compare against.
+//! reference the test suites compare against. The sink's per-sample fold
+//! does not search `per_source`: it indexes a dense table by
+//! [`DataSource::slot`] (in `sink.rs`, beside the shard that owns it) and
+//! emits the same ascending profile at the end.
 
 use arch_sim::DataSource;
 
@@ -203,7 +206,10 @@ impl LatencyProfile {
         profile
     }
 
-    /// Record one observation.
+    /// Record one observation: a binary search of `per_source`. The
+    /// reference fold ([`LatencyProfile::from_samples`]), and the one that
+    /// tells apart every node id a hand-built source can carry — a
+    /// [`DataSource::slot`] keeps the low 4 bits.
     pub fn record(&mut self, source: DataSource, latency: u16) {
         match self.per_source.binary_search_by_key(&source, |(s, _)| *s) {
             Ok(i) => self.per_source[i].1.record(latency),

@@ -41,12 +41,12 @@ use std::collections::BTreeMap;
 use std::ops::DerefMut;
 use std::sync::Arc;
 
-use arch_sim::{Machine, RssPoint, MAX_MEM_NODES};
+use arch_sim::{DataSource, Machine, RssPoint, MAX_MEM_NODES};
 
 use crate::annotate::Annotations;
 use crate::bandwidth::BandwidthSeries;
 use crate::capacity::CapacitySeries;
-use crate::latency::LatencyProfile;
+use crate::latency::{LatencyHistogram, LatencyProfile};
 use crate::regions::{RegionAccumulator, RegionProfile};
 use crate::runtime::Profile;
 use crate::stream::{BatchPayload, SampleBatch, Window};
@@ -864,7 +864,7 @@ impl AnalysisSink for LatencySink {
         _machine: &Machine,
         _profile: &Profile,
     ) -> Result<AnalysisReport, NmoError> {
-        Ok(AnalysisReport::Latency(std::mem::take(&mut self.core.profile)))
+        Ok(AnalysisReport::Latency(std::mem::take(&mut self.core).into_profile()))
     }
 
     fn on_batch(&mut self, batch: &SampleBatch) {
@@ -879,22 +879,57 @@ impl AnalysisSink for LatencySink {
 /// The latency histograms of a [`LatencySink`] (one per shard, plus the
 /// parent's own). Histogram buckets are exact counters, so the shard merge
 /// is bit-identical to a single fold in any order.
-#[derive(Debug, Default)]
+///
+/// The per-sample fold indexes a dense table by [`DataSource::slot`] — no
+/// search per sample. A slot keeps the low 4 bits of a node id (every node
+/// the SPE packet can name), so a hand-built source whose node id it would
+/// alias goes to `rest` through [`LatencyProfile::record`], as do the shard
+/// states the parent merges.
+#[derive(Debug)]
 struct LatencyShard {
-    profile: LatencyProfile,
+    by_slot: [LatencyHistogram; DataSource::SLOTS],
+    rest: LatencyProfile,
+}
+
+impl Default for LatencyShard {
+    fn default() -> Self {
+        LatencyShard {
+            by_slot: [LatencyHistogram::default(); DataSource::SLOTS],
+            rest: LatencyProfile::default(),
+        }
+    }
+}
+
+impl LatencyShard {
+    /// The table's observed slots — ascending, since slot order is the
+    /// sources' `Ord` order — with `rest` merged in.
+    fn into_profile(self) -> LatencyProfile {
+        let per_source = (self.by_slot.iter().enumerate())
+            .filter(|(_, hist)| hist.count() > 0)
+            .filter_map(|(slot, hist)| Some((DataSource::from_slot(slot)?, *hist)))
+            .collect();
+        let mut profile = LatencyProfile { per_source };
+        profile.merge(&self.rest);
+        profile
+    }
 }
 
 impl SinkShard for LatencyShard {
     fn on_batch(&mut self, batch: &SampleBatch) {
         if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
             for s in samples {
-                self.profile.record(s.source, s.latency);
+                let slot = s.source.slot();
+                if DataSource::from_slot(slot) == Some(s.source) {
+                    self.by_slot[slot].record(s.latency);
+                } else {
+                    self.rest.record(s.source, s.latency);
+                }
             }
         }
     }
 
     fn finish(self: Box<Self>) -> ShardState {
-        Box::new(self.profile)
+        Box::new(self.into_profile())
     }
 }
 
@@ -908,7 +943,7 @@ impl ShardableSink for LatencySink {
             // unwrap-ok: states come from this sink's own `make_shard`,
             // which always boxes a LatencyProfile.
             let profile = state.downcast::<LatencyProfile>().expect("a LatencyShard state");
-            self.core.profile.merge(&profile);
+            self.core.rest.merge(&profile);
         }
     }
 }
@@ -1294,6 +1329,16 @@ mod tests {
         }
     }
 
+    /// Every source a [`DataSource::slot`] names, then two whose node ids
+    /// alias one (`Dram(16)` onto `Dram(0)`'s, `RemoteDram(200)` onto
+    /// `RemoteDram(8)`'s) and so must not be folded into it.
+    fn every_source(n: u64) -> DataSource {
+        let mut sources: Vec<_> =
+            (0..DataSource::SLOTS).filter_map(DataSource::from_slot).collect();
+        sources.extend([DataSource::Dram(16), DataSource::RemoteDram(200)]);
+        sources[n as usize % sources.len()]
+    }
+
     /// `LatencySink` fed batches reports exactly
     /// `LatencyProfile::from_samples` over the same samples — the reference
     /// the integration suites compare every kind of run against.
@@ -1301,29 +1346,21 @@ mod tests {
     fn latency_sink_fed_batches_equals_from_samples() {
         let machine = Machine::new(MachineConfig::small_test());
         let samples: Vec<AddressSample> = (0..300u64)
-            .map(|i| {
-                let source = match i % 4 {
-                    0 => DataSource::L1,
-                    1 => DataSource::Slc,
-                    2 => DataSource::Dram(0),
-                    _ => DataSource::RemoteDram(1),
-                };
-                AddressSample {
-                    time_ns: i * 10,
-                    vaddr: 0x1000 + i,
-                    core: 0,
-                    is_store: false,
-                    latency: (10 + (i * 13) % 900) as u16,
-                    source,
-                }
+            .map(|i| AddressSample {
+                time_ns: i * 10,
+                vaddr: 0x1000 + i,
+                core: 0,
+                is_store: false,
+                latency: (10 + (i * 13) % 900) as u16,
+                source: every_source(i),
             })
             .collect();
 
-        // Batches in arbitrary chunks.
+        // Batches in arbitrary chunks, an empty one among them.
         let mut sink = LatencySink::new();
         sink.on_stream_start(&stream_ctx(Arc::new(Annotations::new())));
         let clock = crate::stream::WindowClock::new(1000);
-        for (seq, chunk) in samples.chunks(17).enumerate() {
+        for (seq, chunk) in samples.chunks(17).chain([&[][..]]).enumerate() {
             sink.on_batch(&SampleBatch::new(
                 "spe",
                 None,
@@ -1338,7 +1375,7 @@ mod tests {
         };
 
         assert_eq!(streamed, LatencyProfile::from_samples(&samples));
-        assert_eq!(streamed.per_source.len(), 4);
+        assert_eq!(streamed.per_source.len(), DataSource::SLOTS + 2);
         assert_eq!(streamed.total_count(), 300);
     }
 
@@ -1367,13 +1404,7 @@ mod tests {
                             core,
                             is_store: n.is_multiple_of(3),
                             latency: (20 + (n * 17) % 700) as u16,
-                            source: if n.is_multiple_of(5) {
-                                DataSource::RemoteDram(1)
-                            } else if n.is_multiple_of(2) {
-                                DataSource::Dram(0)
-                            } else {
-                                DataSource::L1
-                            },
+                            source: every_source(n),
                         }
                     })
                     .collect();

@@ -24,13 +24,17 @@
 //!
 //! segment   := header block* index trailer
 //! header    := "NMOT" version:u16 shard:u16                  (8 bytes)
-//! block     := "NMOB" payload_len:u32 fnv1a64(payload):u64 payload
+//!              version 2; other versions are refused
+//! block     := "NMOB" payload_len:u32 mulrot64(payload):u64 payload
 //! payload   := event*                                        (see below)
-//! index     := "NMOX" count:u32 entry{count} fnv1a64(entries):u64
+//! index     := "NMOX" count:u32 entry{count} mulrot64(entries):u64
 //! entry     := offset payload_len checksum first_window last_window
 //!              core_mask min_vaddr max_vaddr samples events closes
 //!              (11 × u64-equivalent little-endian fields, 88 bytes)
 //! trailer   := index_offset:u64 "NMOE"                       (12 bytes)
+//! mulrot64  := the bytes' little-endian u64 words, round-robin through four
+//!              lanes of `s = rotl((s ^ word) * K, 29)`; then length, lanes
+//!              and the bytes past the last 32 folded through the same step
 //! ```
 //!
 //! Blocks are flushed at every window-close broadcast and when the scratch
@@ -61,6 +65,17 @@
 //! Decoding is the exact inverse and every read is bounds-checked:
 //! arbitrary bytes never panic, and no length read from a file is trusted
 //! with an allocation before it is checked against the file.
+//!
+//! The checksum (`mulrot64`, one function for blocks and the index) reads a
+//! word at a time, not a byte at a time, and keeps what byte-wise FNV-1a
+//! gave. Its step is a bijection of the running state for a fixed word and
+//! injective in the word for a fixed state, and everything after a step is
+//! a bijection of that state — so bytes that differ from the stored ones
+//! inside one word (any flipped bit) never verify. No word is a no-op: the
+//! lanes start non-zero, so zeros move them, and the length is folded in,
+//! so a cut or zero-extended payload differs in that too and, like a swap
+//! of two words (order matters to a multiply-rotate), passes only as a
+//! 2⁻⁶⁴ accident.
 //!
 //! # Reading: one strict reader, one lenient scanner
 //!
@@ -108,7 +123,7 @@
 //! cannot rule out.
 
 use std::fs::{self, File};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread;
@@ -135,8 +150,11 @@ const BLOCK_MAGIC: [u8; 4] = *b"NMOB";
 const INDEX_MAGIC: [u8; 4] = *b"NMOX";
 /// End-of-file trailer magic.
 const TRAILER_MAGIC: [u8; 4] = *b"NMOE";
-/// Current format version.
-const FORMAT_VERSION: u16 = 1;
+/// Current format version (2: [`mulrot64`] checksums; 1 used FNV-1a). Every
+/// other version is refused.
+const FORMAT_VERSION: u16 = 2;
+/// Size of a block frame's header: magic, payload length, checksum.
+const FRAME_HEADER_BYTES: usize = 16;
 /// Flush a block once its payload passes this size (closes flush earlier).
 const BLOCK_TARGET_BYTES: usize = 64 * 1024;
 /// Upper bound on a declared block payload length (corruption guard).
@@ -154,28 +172,28 @@ const EV_RSS: u8 = 4;
 const EV_BANDWIDTH: u8 = 5;
 
 // ---------------------------------------------------------------------------
-// Primitive codecs: varint, zigzag, FNV-1a.
+// Primitive codecs: varint, zigzag, the checksum.
 // ---------------------------------------------------------------------------
 
-/// Append a LEB128 varint (at most 10 bytes). Single-byte values — the
-/// overwhelming majority under delta encoding — take the early return;
-/// longer ones are staged in a stack buffer so the `Vec` is touched once
-/// instead of once per byte.
+/// Write `v` as a LEB128 varint (at most 10 bytes) at `buf[at..]` and return
+/// the index after it. The caller has made the room.
 #[inline]
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    if v < 0x80 {
-        out.push(v as u8);
-        return;
-    }
-    let mut buf = [0u8; 10];
-    let mut n = 0;
+fn write_varint(buf: &mut [u8], mut at: usize, mut v: u64) -> usize {
     while v >= 0x80 {
-        buf[n] = (v as u8) | 0x80;
+        buf[at] = (v as u8) | 0x80;
         v >>= 7;
-        n += 1;
+        at += 1;
     }
-    buf[n] = v as u8;
-    out.extend_from_slice(&buf[..n + 1]);
+    buf[at] = v as u8;
+    at + 1
+}
+
+/// Append a LEB128 varint — the per-event and per-point fields. The
+/// per-sample loop writes through [`write_varint`] into room it sized once.
+fn put_varint(out: &mut Vec<u8>, v: u64) {
+    let mut buf = [0u8; 10];
+    let len = write_varint(&mut buf, 0, v);
+    out.extend_from_slice(&buf[..len]);
 }
 
 /// Read a LEB128 varint; `None` on truncation or overlong encoding.
@@ -209,14 +227,44 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// FNV-1a 64-bit hash — the block and index checksum.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Odd multiplier of every [`mulrot64`] step (2⁶⁴ / φ).
+const MULROT_K: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Where the four lanes start: distinct, so equal words in different lanes
+/// leave different states.
+const MULROT_LANES: [u64; 4] =
+    [0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344, 0xa409_3822_299f_31d0, 0x082e_fa98_ec4e_6c89];
+
+/// One [`mulrot64`] step. For a fixed `word` it is a bijection of `state`
+/// (xor, odd multiply, rotate), and for a fixed `state` it is injective in
+/// `word` — so a changed word changes the state, and nothing fed in later
+/// can change it back.
+#[inline]
+fn mulrot_step(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(MULROT_K).rotate_left(29)
+}
+
+/// The block and index checksum: the payload's little-endian 64-bit words
+/// go round-robin through four independent [`mulrot_step`] lanes (32 bytes
+/// a stride, so the four multiplies overlap); then the length, the four
+/// lanes and the bytes after the last whole stride are folded, in that
+/// order, through the same step, and one xor-shift/multiply avalanche ends
+/// it. See the module docs for what this guarantees.
+fn mulrot64(data: &[u8]) -> u64 {
+    let mut lanes = MULROT_LANES;
+    let mut strides = data.chunks_exact(32);
+    for stride in &mut strides {
+        for (lane, word) in lanes.iter_mut().zip(stride.chunks_exact(8)) {
+            // unwrap-ok: `chunks_exact(8)` yields 8-byte slices.
+            *lane = mulrot_step(*lane, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
     }
-    h
+    let mut h = lanes.iter().fold(data.len() as u64, |h, &lane| mulrot_step(h, lane));
+    for &byte in strides.remainder() {
+        h = mulrot_step(h, u64::from(byte));
+    }
+    h ^= h >> 32;
+    h = h.wrapping_mul(MULROT_K);
+    h ^ (h >> 29)
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -303,6 +351,12 @@ fn put_window(out: &mut Vec<u8>, w: Window) {
     put_varint(out, w.end_ns.saturating_sub(w.start_ns));
 }
 
+/// The most bytes one sample encodes to: flags, source, two 10-byte deltas,
+/// a `u16` latency, a core id.
+const MAX_SAMPLE_BYTES: usize = 2 + 10 + 10 + 3 + 10;
+/// Samples encoded per sizing of the scratch (its zero-fill stays in L1).
+const SAMPLE_GROUP: usize = 64;
+
 /// Encode one batch delivery. Returns the number of address samples written.
 fn encode_batch_event(out: &mut Vec<u8>, batch: &SampleBatch, meta: &mut BlockMeta) -> u64 {
     let tag = match batch.payload() {
@@ -327,31 +381,38 @@ fn encode_batch_event(out: &mut Vec<u8>, batch: &SampleBatch, meta: &mut BlockMe
     let mut samples_written = 0u64;
     match batch.payload() {
         BatchPayload::SpeSamples { samples, loss } => {
-            // Worst case ~2 + 3 varints of ≤4 bytes per sample; one reserve
-            // here keeps the per-sample pushes off the growth path.
-            out.reserve(samples.len() * 16 + 96);
             put_varint(out, samples.len() as u64);
             let mut prev_time = batch.window.start_ns;
             let mut prev_vaddr = 0u64;
             let mut prev_core = batch.core.unwrap_or(usize::MAX);
-            for s in samples {
-                let core_differs = s.core != prev_core;
-                let flags = u8::from(s.is_store) | (u8::from(core_differs) << 1);
-                out.push(flags);
-                out.push(s.source.encode());
-                put_varint(out, zigzag(s.time_ns.wrapping_sub(prev_time) as i64));
-                put_varint(out, zigzag(s.vaddr.wrapping_sub(prev_vaddr) as i64));
-                put_varint(out, u64::from(s.latency));
-                if core_differs {
-                    put_varint(out, s.core as u64);
-                    meta.core_mask |= core_bit(s.core);
+            let (mut core_mask, mut min_vaddr, mut max_vaddr) =
+                (meta.core_mask, meta.min_vaddr, meta.max_vaddr);
+            // Room for a group's worst case once, bytes stored through an
+            // index, the unused room cut off: no call per varint.
+            for group in samples.chunks(SAMPLE_GROUP) {
+                let mut at = out.len();
+                out.resize(at + group.len() * MAX_SAMPLE_BYTES, 0);
+                for s in group {
+                    let core_differs = s.core != prev_core;
+                    out[at] = u8::from(s.is_store) | (u8::from(core_differs) << 1);
+                    out[at + 1] = s.source.encode();
+                    at =
+                        write_varint(out, at + 2, zigzag(s.time_ns.wrapping_sub(prev_time) as i64));
+                    at = write_varint(out, at, zigzag(s.vaddr.wrapping_sub(prev_vaddr) as i64));
+                    at = write_varint(out, at, u64::from(s.latency));
+                    if core_differs {
+                        at = write_varint(out, at, s.core as u64);
+                        core_mask |= core_bit(s.core);
+                    }
+                    prev_time = s.time_ns;
+                    prev_vaddr = s.vaddr;
+                    prev_core = s.core;
+                    min_vaddr = min_vaddr.min(s.vaddr);
+                    max_vaddr = max_vaddr.max(s.vaddr);
                 }
-                prev_time = s.time_ns;
-                prev_vaddr = s.vaddr;
-                prev_core = s.core;
-                meta.min_vaddr = meta.min_vaddr.min(s.vaddr);
-                meta.max_vaddr = meta.max_vaddr.max(s.vaddr);
+                out.truncate(at);
             }
+            (meta.core_mask, meta.min_vaddr, meta.max_vaddr) = (core_mask, min_vaddr, max_vaddr);
             samples_written = samples.len() as u64;
             meta.samples += samples_written;
             for v in [
@@ -628,8 +689,8 @@ pub struct ScannedBlock {
     pub offset: usize,
     /// Whole frame length (header + payload).
     pub frame_len: usize,
-    /// The decoded events.
-    pub events: Vec<BusEvent>,
+    /// How many events the block decoded to.
+    pub events: usize,
 }
 
 /// Result of a lenient scan over a segment's block region.
@@ -660,7 +721,7 @@ pub fn scan_blocks(data: &[u8]) -> BlockScan {
     let mut pos = 0usize;
     while pos < data.len() {
         let remaining = data.len() - pos;
-        if remaining < 16 {
+        if remaining < FRAME_HEADER_BYTES {
             if data[pos..].starts_with(&BLOCK_MAGIC) {
                 scan.errors.push(format!("truncated block header at offset {pos}"));
             }
@@ -672,7 +733,7 @@ pub fn scan_blocks(data: &[u8]) -> BlockScan {
             scan.skipped_bytes += 1;
             continue;
         }
-        // unwrap-ok: the 16-byte header presence was checked above.
+        // unwrap-ok: the frame header's presence was checked above.
         let len = get_u32(data, pos + 4).unwrap() as usize;
         let checksum = get_u64(data, pos + 8).unwrap(); // unwrap-ok: as above
         if len > MAX_BLOCK_BYTES {
@@ -681,7 +742,7 @@ pub fn scan_blocks(data: &[u8]) -> BlockScan {
             scan.skipped_bytes += 1;
             continue;
         }
-        let frame_len = 16 + len;
+        let frame_len = FRAME_HEADER_BYTES + len;
         if remaining < frame_len {
             scan.errors.push(format!(
                 "truncated block payload at offset {pos} (need {frame_len} bytes, have {remaining})"
@@ -689,8 +750,8 @@ pub fn scan_blocks(data: &[u8]) -> BlockScan {
             scan.skipped_bytes += remaining;
             break;
         }
-        let payload = &data[pos + 16..pos + frame_len];
-        if fnv1a(payload) != checksum {
+        let payload = &data[pos + FRAME_HEADER_BYTES..pos + frame_len];
+        if mulrot64(payload) != checksum {
             scan.errors.push(format!("block checksum mismatch at offset {pos}"));
             scan.skipped_bytes += frame_len;
             pos += frame_len;
@@ -698,7 +759,7 @@ pub fn scan_blocks(data: &[u8]) -> BlockScan {
         }
         match decode_events(payload) {
             Ok(events) => {
-                scan.blocks.push(ScannedBlock { offset: pos, frame_len, events });
+                scan.blocks.push(ScannedBlock { offset: pos, frame_len, events: events.len() });
                 scan.consumed_bytes += frame_len;
                 pos += frame_len;
             }
@@ -788,11 +849,14 @@ struct SegmentSummary {
 /// Appends one shard lane's deliveries to its segment file. Owns its file
 /// handle and scratch buffer, so the streaming hot path takes no lock; the
 /// scratch comes from (and returns to) the parent sink's [`BatchPool`].
+/// Everything reaches the unbuffered file as one `write_all` of the scratch:
+/// a block is one write, and an error is the caller's at once.
 struct SegmentWriter {
-    file: BufWriter<File>,
+    file: File,
     /// Current file offset (the header is already written at construction).
     offset: u64,
-    /// Block payload scratch, reused across blocks.
+    /// The block being built, reused across blocks: room for its frame
+    /// header, then the payload.
     buf: Vec<u8>,
     meta: BlockMeta,
     index: Vec<IndexEntry>,
@@ -810,14 +874,17 @@ impl SegmentWriter {
 
     fn create(dir: &Path, shard: usize, pool: Arc<BatchPool>) -> std::io::Result<SegmentWriter> {
         let file_name = Self::segment_file_name(shard);
-        let mut file = BufWriter::new(File::create(dir.join(&file_name))?);
-        file.write_all(&SEGMENT_MAGIC)?;
-        file.write_all(&FORMAT_VERSION.to_le_bytes())?;
-        file.write_all(&(shard as u16).to_le_bytes())?;
+        let mut file = File::create(dir.join(&file_name))?;
+        let mut buf = pool.bytes_with_capacity(FRAME_HEADER_BYTES + BLOCK_TARGET_BYTES);
+        buf.extend_from_slice(&SEGMENT_MAGIC);
+        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&(shard as u16).to_le_bytes());
+        file.write_all(&buf)?;
+        buf.resize(FRAME_HEADER_BYTES, 0);
         Ok(SegmentWriter {
             file,
             offset: 8,
-            buf: pool.bytes_with_capacity(BLOCK_TARGET_BYTES),
+            buf,
             meta: BlockMeta::empty(),
             index: Vec::new(),
             summary: SegmentSummary { shard, file_name, ..SegmentSummary::default() },
@@ -835,7 +902,7 @@ impl SegmentWriter {
         self.latch_window(batch.window);
         self.summary.samples += encode_batch_event(&mut self.buf, batch, &mut self.meta);
         self.summary.events += 1;
-        if self.buf.len() >= BLOCK_TARGET_BYTES {
+        if self.buf.len() >= FRAME_HEADER_BYTES + BLOCK_TARGET_BYTES {
             self.flush_block()?;
         }
         Ok(())
@@ -854,23 +921,19 @@ impl SegmentWriter {
     }
 
     fn flush_block(&mut self) -> std::io::Result<()> {
-        if self.buf.is_empty() {
+        let (head, payload) = self.buf.split_at_mut(FRAME_HEADER_BYTES);
+        if payload.is_empty() {
             return Ok(());
         }
-        let checksum = fnv1a(&self.buf);
-        self.file.write_all(&BLOCK_MAGIC)?;
-        self.file.write_all(&(self.buf.len() as u32).to_le_bytes())?;
-        self.file.write_all(&checksum.to_le_bytes())?;
+        let (payload_len, checksum) = (payload.len() as u64, mulrot64(payload));
+        head[..4].copy_from_slice(&BLOCK_MAGIC);
+        head[4..8].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        head[8..].copy_from_slice(&checksum.to_le_bytes());
         self.file.write_all(&self.buf)?;
         let meta = std::mem::replace(&mut self.meta, BlockMeta::empty());
-        self.index.push(IndexEntry {
-            offset: self.offset,
-            payload_len: self.buf.len() as u64,
-            checksum,
-            meta,
-        });
-        self.offset += 16 + self.buf.len() as u64;
-        self.buf.clear();
+        self.index.push(IndexEntry { offset: self.offset, payload_len, checksum, meta });
+        self.offset += self.buf.len() as u64;
+        self.buf.truncate(FRAME_HEADER_BYTES);
         Ok(())
     }
 
@@ -879,19 +942,20 @@ impl SegmentWriter {
     fn finish(mut self) -> std::io::Result<SegmentSummary> {
         self.flush_block()?;
         let index_offset = self.offset;
-        let mut entries = Vec::with_capacity(self.index.len() * INDEX_ENTRY_BYTES);
+        let out = &mut self.buf;
+        out.clear();
+        out.extend_from_slice(&INDEX_MAGIC);
+        out.extend_from_slice(&(self.index.len() as u32).to_le_bytes());
         for e in &self.index {
-            e.encode(&mut entries);
+            e.encode(out);
         }
-        self.file.write_all(&INDEX_MAGIC)?;
-        self.file.write_all(&(self.index.len() as u32).to_le_bytes())?;
-        self.file.write_all(&entries)?;
-        self.file.write_all(&fnv1a(&entries).to_le_bytes())?;
-        self.file.write_all(&index_offset.to_le_bytes())?;
-        self.file.write_all(&TRAILER_MAGIC)?;
-        self.file.flush()?;
+        let checksum = mulrot64(&out[8..]);
+        put_u64(out, checksum);
+        put_u64(out, index_offset);
+        out.extend_from_slice(&TRAILER_MAGIC);
+        self.file.write_all(out)?;
         self.summary.blocks = self.index.len() as u64;
-        self.summary.bytes = index_offset + 8 + entries.len() as u64 + 8 + 8 + 4;
+        self.summary.bytes = index_offset + out.len() as u64;
         self.pool.recycle_bytes(self.buf);
         Ok(self.summary)
     }
@@ -1273,7 +1337,7 @@ impl SegmentReader {
         let mut index = vec![0u8; index_bytes as usize + 8];
         r.read_at(index_offset + 8, &mut index, "index")?;
         let (entries, sum) = index.split_at(index_bytes as usize);
-        if Some(fnv1a(entries)) != get_u64(sum, 0) {
+        if Some(mulrot64(entries)) != get_u64(sum, 0) {
             return Err(r.damage("index checksum mismatch"));
         }
         let entries = entries
@@ -1303,18 +1367,20 @@ impl SegmentReader {
     /// decoded — so the footer index and the frames vouch for each other.
     fn read_block(&mut self, entry: &IndexEntry) -> Result<Vec<BusEvent>, NmoError> {
         let (at, len) = (entry.offset, entry.payload_len);
-        let end = at.checked_add(16).and_then(|payload_at| payload_at.checked_add(len));
+        let end = at
+            .checked_add(FRAME_HEADER_BYTES as u64)
+            .and_then(|payload_at| payload_at.checked_add(len));
         if at < 8 || len > MAX_BLOCK_BYTES as u64 || end.is_none_or(|end| end > self.blocks_end) {
             return Err(self.damage(format!(
                 "indexed block at offset {at} ({len} bytes) lies outside the block region"
             )));
         }
         let mut frame = std::mem::take(&mut self.scratch);
-        frame.resize(16 + len as usize, 0);
+        frame.resize(FRAME_HEADER_BYTES + len as usize, 0);
         let read = self.read_at(at, &mut frame, "block");
         self.scratch = frame;
         read?;
-        let (head, payload) = self.scratch.split_at(16);
+        let (head, payload) = self.scratch.split_at(FRAME_HEADER_BYTES);
         if head[..4] != BLOCK_MAGIC {
             return Err(self.damage(format!("index points at a non-block offset {at}")));
         }
@@ -1324,7 +1390,7 @@ impl SegmentReader {
                 self.damage(format!("block frame at offset {at} and its index entry disagree"))
             );
         }
-        if fnv1a(payload) != entry.checksum {
+        if mulrot64(payload) != entry.checksum {
             return Err(self.damage(format!("block checksum mismatch at offset {at}")));
         }
         decode_events(payload).map_err(|e| self.damage(e))
@@ -1772,6 +1838,67 @@ mod tests {
         assert_eq!(get_varint(&overlong, &mut pos), None);
     }
 
+    /// What byte-wise FNV-1a caught, the word-wise checksum catches: any one
+    /// flipped bit, any cut, 1–64 appended zero bytes, and two differing
+    /// 8-byte words changing places (`swap` picks them, modulo the count).
+    fn assert_checksum_sees_damage(payload: &[u8], swap: (usize, usize)) {
+        let sum = mulrot64(payload);
+        let mut bad = payload.to_vec();
+        for bit in 0..payload.len() * 8 {
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(mulrot64(&bad), sum, "bit {bit} of {} bytes flipped", payload.len());
+            bad[bit / 8] ^= 1 << (bit % 8);
+        }
+        for cut in 0..payload.len() {
+            assert_ne!(mulrot64(&payload[..cut]), sum, "{} bytes cut to {cut}", payload.len());
+        }
+        for zeros in 1..=64 {
+            bad.push(0);
+            assert_ne!(mulrot64(&bad), sum, "{zeros} zero bytes after {}", payload.len());
+        }
+        bad.truncate(payload.len());
+        let words = payload.len() / 8;
+        if words > 0 {
+            let (a, b) = (swap.0 % words * 8, swap.1 % words * 8);
+            if payload[a..a + 8] != payload[b..b + 8] {
+                bad.copy_within(a..a + 8, b);
+                bad[a..a + 8].copy_from_slice(&payload[b..b + 8]);
+                assert_ne!(
+                    mulrot64(&bad),
+                    sum,
+                    "words at {a} and {b} of {} swapped",
+                    payload.len()
+                );
+            }
+        }
+    }
+
+    /// Every length around the 32-byte stride and its byte-wise remainder,
+    /// patterned and all-zero (where a zero-extension changes only the
+    /// length), every pair of words swapped.
+    #[test]
+    fn checksum_sees_damage_at_every_stride_and_remainder_edge() {
+        for len in 0..=40usize {
+            let patterned: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            for payload in [patterned, vec![0u8; len]] {
+                for swap in (0..5).flat_map(|a| (0..a).map(move |b| (a, b))) {
+                    assert_checksum_sees_damage(&payload, swap);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn checksum_sees_damage_in_arbitrary_payloads(
+            payload in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..=4096usize),
+            a in 0..512usize,
+            b in 0..512usize,
+        ) {
+            assert_checksum_sees_damage(&payload, (a, b));
+        }
+    }
+
     #[test]
     fn zigzag_round_trips() {
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
@@ -1991,7 +2118,7 @@ mod tests {
 
         // A checksum flip specifically must surface as a checksum error.
         let mut bad = blocks.to_vec();
-        bad[4 + 4 + 2] ^= 0xff; // inside the fnv1a64 field of block 0
+        bad[4 + 4 + 2] ^= 0xff; // inside the checksum field of block 0
         let scan = scan_blocks(&bad);
         assert!(scan.errors.iter().any(|e| e.contains("checksum mismatch")), "{:?}", scan.errors);
         fs::remove_dir_all(&dir).ok();
@@ -2006,12 +2133,57 @@ mod tests {
         let mut data = fs::read(&path).expect("read");
         data[8 + 4 + 4 + 2] ^= 0xff; // corrupt block 0's stored checksum
         fs::write(&path, &data).expect("write");
-        let (mut reader, entries) = SegmentReader::open(0, path).expect("open");
+        let (mut reader, entries) = SegmentReader::open(0, path.clone()).expect("open");
         let err = reader.read_block(&entries[0]).expect_err("damage not detected");
         assert!(
             matches!(&err, NmoError::Trace(m) if m.contains("disagree")),
             "unexpected error: {err}"
         );
+        // A segment of another format version is refused at `open` — before
+        // either replay starts a sink — while the lenient scanner, which
+        // reads no header, still accounts for its whole block region.
+        data[8 + 4 + 4 + 2] ^= 0xff;
+        data[4..6].copy_from_slice(&1u16.to_le_bytes());
+        fs::write(&path, &data).expect("write");
+        let err = SegmentReader::open(0, path).map(|_| ()).expect_err("version 1 opened");
+        assert!(
+            matches!(&err, NmoError::Trace(m) if m.contains("unsupported segment version 1")),
+            "unexpected error: {err}"
+        );
+        let blocks = &data[8..reader.blocks_end as usize];
+        let scan = scan_blocks(blocks);
+        assert_eq!((scan.consumed_bytes, scan.skipped_bytes), (blocks.len(), 0));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Nothing sits between a block and the file, so the write that fails
+    /// is the block's own: it poisons the shard there and then, later
+    /// deliveries write nothing, and `analyze` reports it as a sink error.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_block_write_poisons_the_shard_and_fails_analyze() {
+        let dir = tmp("write_fails");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let mut writer =
+            SegmentWriter::create(&dir, 0, BatchPool::new(4)).expect("the header is written");
+        writer.file = File::options().write(true).open("/dev/full").expect("/dev/full");
+        let mut shard = Box::new(TraceShard { shard: 0, writer: Ok(writer) });
+        let window = WindowClock::new(1_000_000).window(0);
+        let batch = spe_batch(0, window, vec![sample(5, 0x1000, 0, 9, DataSource::L1)]);
+        shard.on_batch(&batch);
+        assert!(shard.writer.is_ok(), "a block is written when it is flushed");
+        shard.on_window_close(window);
+        let poisoned = shard.writer.as_ref().err().cloned().expect("the flush failed");
+        assert!(poisoned.contains("segment 0 write failed"), "{poisoned}");
+        shard.on_batch(&batch);
+        assert_eq!(shard.writer.as_ref().err(), Some(&poisoned), "the first error is kept");
+
+        let mut sink = TraceWriterSink::new(dir.clone());
+        sink.merge_final(vec![shard.finish()]);
+        let err =
+            replay_finish(&mut [Box::new(sink)]).expect_err("the run must not report a trace");
+        assert!(matches!(&err, NmoError::Sink { .. }), "{err}");
+        assert!(!dir.join(MANIFEST_NAME).exists(), "no manifest for a failed recording");
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2202,7 +2374,7 @@ mod tests {
         for field in [1, 2] {
             let mut bytes = pristine.clone();
             bytes[entries.start + field * 8] ^= 1;
-            let sum = fnv1a(&bytes[entries.clone()]);
+            let sum = mulrot64(&bytes[entries.clone()]);
             bytes[entries.end..trailer_at].copy_from_slice(&sum.to_le_bytes());
             for e in replay_errors(&bytes) {
                 assert!(e.contains("index entry disagree"), "field {field}: {e}");
