@@ -6,6 +6,19 @@
 //! Write-allocate, write-back behaviour is approximated: stores allocate
 //! lines like loads, and dirty evictions generate write-back bus traffic at
 //! the level that evicts to DRAM.
+//!
+//! ## Layout
+//!
+//! A way is one word, `line << 2 | DIRTY | VALID`, where `line` is the whole
+//! line index (`addr >> log2(line_bytes)`, set bits included) and 0 is an
+//! empty way. [`CacheLevelConfig::validate`] keeps `line_bytes >= 4`, so the
+//! two top bits of a line index are free for every `u64` address. A lookup
+//! masks `DIRTY` off and compares one word per way: a 16-way set is 128
+//! bytes, two host cache lines. The LRU stamps sit in a parallel array
+//! because only two things touch them — a hit writes the one stamp of the way
+//! it found, a miss in a full set scans them for the victim — and a lookup
+//! that walks the ways of a set should not drag them through the host's cache
+//! with the tags.
 
 use crate::config::CacheLevelConfig;
 
@@ -18,24 +31,23 @@ pub struct CacheAccess {
     pub dirty_eviction: bool,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic LRU stamp; larger is more recent.
-    lru: u64,
-}
+/// The way holds a line.
+const VALID: u64 = 1;
+/// The line was written since it was filled.
+const DIRTY: u64 = 2;
 
 /// A single set-associative cache (one level, one shard).
 #[derive(Debug, Clone)]
 pub struct Cache {
-    /// The tag array, `sets * ways` lines — allocated by the first
-    /// [`Cache::access`], so a machine pays for the caches of the cores it
-    /// runs, not of the 128 it has.
-    lines: Vec<Line>,
+    /// The tag array, `sets * ways` words (see the module docs) — allocated
+    /// by the first [`Cache::access`], so a machine pays for the caches of
+    /// the cores it runs, not of the 128 it has.
+    tags: Vec<u64>,
+    /// Monotonic LRU stamp of each way, parallel to `tags`; larger is more
+    /// recent. Meaningful for valid ways only.
+    stamps: Vec<u64>,
     sets: u64,
-    ways: u32,
+    ways: usize,
     line_shift: u32,
     stamp: u64,
     hits: u64,
@@ -53,9 +65,10 @@ impl Cache {
     /// index modulo `shards` equals `shard_index`.
     pub fn new_shard(cfg: &CacheLevelConfig, shards: usize) -> Self {
         Cache {
-            lines: Vec::new(),
+            tags: Vec::new(),
+            stamps: Vec::new(),
             sets: cfg.sets() / shards as u64,
-            ways: cfg.ways,
+            ways: cfg.ways as usize,
             line_shift: cfg.line_bytes.trailing_zeros(),
             stamp: 0,
             hits: 0,
@@ -63,70 +76,75 @@ impl Cache {
         }
     }
 
-    fn set_index(&self, addr: u64) -> u64 {
-        (addr >> self.line_shift) & (self.sets - 1)
-    }
-
-    fn tag(&self, addr: u64) -> u64 {
-        addr >> self.line_shift
+    /// The valid, clean tag word of `addr`'s line and the index of its set's
+    /// first way.
+    #[inline]
+    fn locate(&self, addr: u64) -> (u64, usize) {
+        let line = addr >> self.line_shift;
+        (line << 2 | VALID, (line & (self.sets - 1)) as usize * self.ways)
     }
 
     /// Look up `addr`, filling the line on a miss. `write` marks the line dirty.
+    #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> CacheAccess {
         self.stamp += 1;
-        if self.lines.is_empty() {
-            self.lines = vec![Line::default(); (self.sets * self.ways as u64) as usize];
-        }
-        let set = self.set_index(addr) as usize;
-        let tag = self.tag(addr);
-        let base = set * self.ways as usize;
-        let ways = &mut self.lines[base..base + self.ways as usize];
-
-        // Hit path.
-        for line in ways.iter_mut() {
-            if line.valid && line.tag == tag {
-                line.lru = self.stamp;
-                line.dirty |= write;
+        let (want, base) = self.locate(addr);
+        let dirty = if write { DIRTY } else { 0 };
+        // An untouched cache has no tag array yet: no way to compare, a miss.
+        let ways = self.tags.get_mut(base..base + self.ways).unwrap_or_default();
+        for (way, tag) in ways.iter_mut().enumerate() {
+            if *tag & !DIRTY == want {
+                *tag |= dirty;
+                self.stamps[base + way] = self.stamp;
                 self.hits += 1;
                 return CacheAccess { hit: true, dirty_eviction: false };
             }
         }
+        self.fill(base, want | dirty)
+    }
 
-        // Miss: choose victim (invalid first, else LRU).
+    /// The miss: put `tag` into the set at `base`, in its first empty way,
+    /// else over the least recently used one (the first of equals).
+    #[inline(never)]
+    fn fill(&mut self, base: usize, tag: u64) -> CacheAccess {
         self.misses += 1;
-        let mut victim = 0usize;
-        let mut best = u64::MAX;
-        for (i, line) in ways.iter().enumerate() {
-            if !line.valid {
-                victim = i;
+        if self.tags.is_empty() {
+            let lines = self.sets as usize * self.ways;
+            self.tags = vec![0; lines];
+            self.stamps = vec![0; lines];
+        }
+        let ways = &mut self.tags[base..base + self.ways];
+        let stamps = &mut self.stamps[base..base + self.ways];
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (way, (&held, &stamp)) in ways.iter().zip(stamps.iter()).enumerate() {
+            if held == 0 {
+                victim = way;
                 break;
             }
-            if line.lru < best {
-                best = line.lru;
-                victim = i;
+            if stamp < oldest {
+                oldest = stamp;
+                victim = way;
             }
         }
-        let dirty_eviction = ways[victim].valid && ways[victim].dirty;
-        ways[victim] = Line { tag, valid: true, dirty: write, lru: self.stamp };
+        let dirty_eviction = ways[victim] & DIRTY != 0;
+        ways[victim] = tag;
+        stamps[victim] = self.stamp;
         CacheAccess { hit: false, dirty_eviction }
     }
 
     /// Probe without modifying state: is the line present?
     pub fn probe(&self, addr: u64) -> bool {
-        let set = self.set_index(addr) as usize;
-        let tag = self.tag(addr);
-        let base = set * self.ways as usize;
+        let (want, base) = self.locate(addr);
         // An untouched cache has no tag array yet, and no line.
-        self.lines
-            .get(base..base + self.ways as usize)
-            .is_some_and(|ways| ways.iter().any(|l| l.valid && l.tag == tag))
+        self.tags
+            .get(base..base + self.ways)
+            .is_some_and(|ways| ways.iter().any(|tag| tag & !DIRTY == want))
     }
 
     /// Invalidate the whole cache (used between experiment trials).
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
-        }
+        self.tags.fill(0);
     }
 
     /// Total hits observed.
@@ -147,7 +165,7 @@ impl Cache {
     /// Whether the tag array exists yet.
     #[cfg(test)]
     pub(crate) fn is_allocated(&self) -> bool {
-        !self.lines.is_empty()
+        !self.tags.is_empty()
     }
 }
 
@@ -237,6 +255,158 @@ mod tests {
         assert!(!c.access(0x1000, false).hit);
         assert!(c.is_allocated());
         assert!(c.probe(0x1000));
+    }
+
+    /// The cache as it was before a way became one word — one `Line` struct
+    /// per way, a `valid` and a `dirty` flag each, the tag array allocated by
+    /// the first access — kept as the oracle for the packed layout.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Line {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        lru: u64,
+    }
+
+    struct LineCache {
+        lines: Vec<Line>,
+        sets: u64,
+        ways: usize,
+        line_shift: u32,
+        stamp: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl LineCache {
+        fn new_shard(cfg: &CacheLevelConfig, shards: usize) -> Self {
+            LineCache {
+                lines: Vec::new(),
+                sets: cfg.sets() / shards as u64,
+                ways: cfg.ways as usize,
+                line_shift: cfg.line_bytes.trailing_zeros(),
+                stamp: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set_of(&self, addr: u64) -> std::ops::Range<usize> {
+            let base = ((addr >> self.line_shift) & (self.sets - 1)) as usize * self.ways;
+            base..base + self.ways
+        }
+
+        fn access(&mut self, addr: u64, write: bool) -> CacheAccess {
+            self.stamp += 1;
+            if self.lines.is_empty() {
+                self.lines = vec![Line::default(); self.sets as usize * self.ways];
+            }
+            let tag = addr >> self.line_shift;
+            let set = self.set_of(addr);
+            let ways = &mut self.lines[set];
+            for line in ways.iter_mut() {
+                if line.valid && line.tag == tag {
+                    line.lru = self.stamp;
+                    line.dirty |= write;
+                    self.hits += 1;
+                    return CacheAccess { hit: true, dirty_eviction: false };
+                }
+            }
+            self.misses += 1;
+            let mut victim = 0usize;
+            let mut best = u64::MAX;
+            for (i, line) in ways.iter().enumerate() {
+                if !line.valid {
+                    victim = i;
+                    break;
+                }
+                if line.lru < best {
+                    best = line.lru;
+                    victim = i;
+                }
+            }
+            let dirty_eviction = ways[victim].valid && ways[victim].dirty;
+            ways[victim] = Line { tag, valid: true, dirty: write, lru: self.stamp };
+            CacheAccess { hit: false, dirty_eviction }
+        }
+
+        fn probe(&self, addr: u64) -> bool {
+            let tag = addr >> self.line_shift;
+            self.lines
+                .get(self.set_of(addr))
+                .is_some_and(|ways| ways.iter().any(|l| l.valid && l.tag == tag))
+        }
+
+        fn flush(&mut self) {
+            self.lines.iter_mut().for_each(|line| *line = Line::default());
+        }
+    }
+
+    /// SplitMix64: the arbitrary sequences below, reproducible per seed.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (*state ^ (*state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Every answer of the packed cache equals the `Line`-struct cache's,
+    /// step by step, over geometries that evict, with probes and flushes
+    /// interleaved — the never-touched cache included (a sequence may open
+    /// with probes and flushes).
+    #[test]
+    fn packed_cache_answers_like_the_line_struct_cache() {
+        let level = |size_bytes, line_bytes, ways| CacheLevelConfig {
+            size_bytes,
+            line_bytes,
+            ways,
+            latency_cycles: 1,
+            occupancy_cycles: 1,
+        };
+        let geometries = [
+            (level(256, 64, 1), 1),        // direct-mapped, 4 sets
+            (level(256, 64, 2), 1),        // 2 sets x 2 ways
+            (level(1024, 64, 16), 1),      // one 16-way set
+            (level(16 << 10, 4, 4), 1),    // the smallest line the word allows
+            (level(64 << 10, 64, 16), 16), // `new_shard(_, 16)`: 4 of 64 sets
+        ];
+        for (geometry, (cfg, shards)) in geometries.iter().enumerate() {
+            cfg.validate("test").expect("geometry is valid");
+            for seed in 0..48u64 {
+                let mut rng = seed << 8 | geometry as u64;
+                let mut packed = Cache::new_shard(cfg, *shards);
+                let mut lines = LineCache::new_shard(cfg, *shards);
+                // A few sets' worth of lines, so sets fill up and evict; one
+                // seed in eight ranges over every address, top bits included.
+                let span = if seed % 8 == 7 { u64::MAX } else { cfg.size_bytes * 3 };
+                for step in 0..1500 {
+                    let word = next(&mut rng);
+                    let addr = next(&mut rng) % span;
+                    let at = (geometry, seed, step, addr); // printed when a step disagrees
+                    match word % 16 {
+                        0 => assert_eq!(packed.probe(addr), lines.probe(addr), "probe, {at:?}"),
+                        1 if word >> 8 & 7 == 0 => {
+                            packed.flush();
+                            lines.flush();
+                        }
+                        _ => {
+                            let write = word >> 4 & 1 == 1;
+                            assert_eq!(
+                                packed.access(addr, write),
+                                lines.access(addr, write),
+                                "{at:?}"
+                            );
+                        }
+                    }
+                    assert_eq!(
+                        (packed.hits(), packed.misses()),
+                        (lines.hits, lines.misses),
+                        "{at:?}"
+                    );
+                    assert_eq!(packed.is_allocated(), !lines.lines.is_empty(), "{at:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,9 +47,11 @@ impl CacheLevelConfig {
 
     /// Validate that the geometry is consistent and power-of-two sized.
     pub fn validate(&self, name: &str) -> Result<()> {
-        if self.line_bytes == 0 || !self.line_bytes.is_power_of_two() {
+        // A cache way is `line << 2 | flags` in one word: the line index of
+        // any `u64` address must leave the two top bits free.
+        if self.line_bytes < 4 || !self.line_bytes.is_power_of_two() {
             return Err(SimError::BadConfig(format!(
-                "{name}: line_bytes must be a non-zero power of two"
+                "{name}: line_bytes must be a power of two, at least 4"
             )));
         }
         if self.ways == 0 {
@@ -467,6 +469,27 @@ mod tests {
         assert_eq!(c.total_mem_bytes(), 256 * 1024 * 1024 * 1024);
         // 200 GB/s at 3 GHz is about 66.7 bytes per cycle.
         assert!((c.local_mem().peak_bytes_per_cycle - 66.666).abs() < 0.1);
+    }
+
+    /// `Cache` packs a way as `line << 2 | flags`, which needs the two top
+    /// bits of every line index free.
+    #[test]
+    fn lines_narrower_than_the_packed_tag_word_allows_are_rejected() {
+        for (line_bytes, valid) in [(1, false), (2, false), (4, true), (64, true)] {
+            let level = CacheLevelConfig {
+                size_bytes: 1024,
+                line_bytes,
+                ways: 2,
+                latency_cycles: 1,
+                occupancy_cycles: 1,
+            };
+            match level.validate("l1d") {
+                Ok(()) => assert!(valid, "line_bytes {line_bytes} accepted"),
+                Err(e) => {
+                    assert!(!valid && matches!(e, SimError::BadConfig(_)), "{line_bytes}: {e:?}")
+                }
+            }
+        }
     }
 
     #[test]

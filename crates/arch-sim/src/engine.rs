@@ -21,10 +21,81 @@
 //! The permission is never exceeded but may be cut short; see
 //! [`crate::observer`] for the observer's side of the contract.
 //!
+//! ## What a memory-bound access costs the host
+//!
+//! An L1 or L2 hit touches nothing outside the core state the engine owns.
+//! An access that misses both takes the `machine.slc` mutex of the one SLC
+//! shard its line maps to. One that misses there too — a memory-bound access
+//! — then touches shared state three times: an `Acquire` load of the address
+//! space's generation; a look into the core's own `PageHomes`, which takes
+//! the `vm.inner` write lock only for a page the core has not resolved under
+//! this generation (every first touch among them); and the compare-and-swap
+//! on the serving node's busy frontier (`MemNode::reserve`) that models
+//! bandwidth contention. The shard mutex and the frontier are the only writes
+//! on this path that another core's access can wait for or be slowed by.
+//! Everything else the access produces stays in the core until the engine
+//! detaches: the node's traffic counters are added up per core
+//! (`CoreState::node_traffic`) and `counters.cycles` is the clock converted
+//! once, both in `Machine::return_core`.
+//!
 //! [`Machine::attach`]: crate::machine::Machine::attach
 
 use crate::machine::{CoreState, Machine};
-use crate::op::{DataSource, MemOutcome, Op, OpKind};
+use crate::op::{DataSource, MemOutcome, NodeId, Op, OpKind};
+use crate::vm::AddressSpace;
+
+/// How many resolved pages a core remembers, direct-mapped by page number.
+/// Chosen by counting `vm.inner` acquisitions (exact, host-independent) on
+/// one `ampere_altra_max` core: at 16 slots STREAM 2 M takes the lock for
+/// 1 470 of its 750 000 memory-bound accesses (its three arrays collide up to
+/// 4 slots: 500 980) and PageRank 2^15 for 7 581 of 172 258 (78 707 at 1
+/// slot, 1 014 at 32 — 0.2 ms of a 250 ms run).
+const PAGE_HOMES: usize = 16;
+
+/// The page homes a core has resolved: `(base, len, node)` spans as
+/// `AddressSpace::place_span` returned them, valid for one generation of the
+/// address space (see [`crate::vm`] for the contract).
+#[derive(Debug, Default)]
+pub(crate) struct PageHomes {
+    /// The generation `spans` were resolved under.
+    generation: u64,
+    /// No slot at all, or [`PAGE_HOMES`] of them — allocated, like a cache's
+    /// tag array, by the first core to need them. An empty slot has `len` 0
+    /// and holds no address.
+    spans: Vec<(u64, u64, NodeId)>,
+}
+
+impl PageHomes {
+    /// The node serving `vaddr` and whether this access is the first touch
+    /// of its page; node 0, no residency accounting, for an address outside
+    /// every region.
+    #[inline]
+    fn resolve(&mut self, vm: &AddressSpace, vaddr: u64) -> (NodeId, bool) {
+        // The generation first: a span must never outlive, even for one
+        // access, a free or migration whose bump this thread can see, and a
+        // span resolved while one is in flight is filed under the old
+        // generation, which the next access finds gone.
+        let generation = vm.generation();
+        if generation != self.generation {
+            self.generation = generation;
+            self.spans.clear();
+        }
+        let slot = (vaddr >> vm.page_shift()) as usize % PAGE_HOMES;
+        if let Some(&(base, len, node)) = self.spans.get(slot) {
+            if vaddr.wrapping_sub(base) < len {
+                return (node, false);
+            }
+        }
+        match vm.place_span(vaddr) {
+            Some((home, base, len)) => {
+                self.spans.resize(PAGE_HOMES, (0, 0, 0));
+                self.spans[slot] = (base, len, home.node);
+                (home.node, home.first_touch)
+            }
+            None => (0, false),
+        }
+    }
+}
 
 /// Execution handle bound to one core of a [`Machine`].
 ///
@@ -102,21 +173,19 @@ impl<'m> Engine<'m> {
         if st.quiet.spend(OpKind::Branch) {
             show(st, &Op::branch(pc), None);
         }
-        st.counters.cycles = st.clock as u64;
     }
 
     /// Account `n` non-memory, non-sampleable ALU/control instructions.
     ///
     /// These advance the clock and the instruction counter but are not fed to
-    /// the observer individually (NMO's SPE configuration samples only memory
-    /// operations; see DESIGN.md for this simplification): it learns of them
-    /// as [`OpCounts::others`](crate::OpCounts::others).
+    /// the observer individually — a simplification: NMO's SPE configuration
+    /// samples only memory operations, so no sample could come of them. The
+    /// observer learns of them as [`OpCounts::others`](crate::OpCounts::others).
     pub fn cpu_work(&mut self, n: u64) {
         let cost = self.machine.config().cost.cycles_per_cpu_op;
         let st = self.st();
         st.counters.instructions += n;
         st.clock += n as f64 * cost;
-        st.counters.cycles = st.clock as u64;
     }
 
     /// Account `n` floating-point operations (for arithmetic intensity).
@@ -126,15 +195,12 @@ impl<'m> Engine<'m> {
         st.counters.instructions += n;
         st.counters.flops += n;
         st.clock += n as f64 * cost;
-        st.counters.cycles = st.clock as u64;
     }
 
     /// Advance the core clock by `cycles` without retiring instructions
     /// (models stalls, synchronisation waits, I/O phases).
     pub fn idle(&mut self, cycles: u64) {
-        let st = self.st();
-        st.clock += cycles as f64;
-        st.counters.cycles = st.clock as u64;
+        self.st().clock += cycles as f64;
     }
 
     /// Flush the core's observer (if any): buffered profiling data (e.g. SPE
@@ -206,14 +272,13 @@ impl<'m> Engine<'m> {
                         0
                     };
                     let now = st.clock as u64;
-                    let (node_id, first_touch) = match machine.vm().place(vaddr) {
-                        Some(home) => (home.node, home.first_touch),
-                        // Untracked address (outside every region): served by
-                        // the local node, no residency accounting.
-                        None => (0, false),
-                    };
+                    let (node_id, first_touch) = st.homes.resolve(machine.vm(), vaddr);
                     let node = machine.topology().node(node_id);
-                    let acc = node.access(now, line_bytes, wb);
+                    let acc = node.reserve(now, (line_bytes + wb) as u64);
+                    let traffic = &mut st.node_traffic[node_id as usize];
+                    traffic[0] += line_bytes as u64;
+                    traffic[1] += wb as u64;
+                    traffic[2] += 1;
                     st.counters.dram_accesses += 1;
                     st.counters.bus_read_bytes += line_bytes as u64;
                     st.counters.bus_write_bytes += wb as u64;
@@ -249,7 +314,6 @@ impl<'m> Engine<'m> {
         if st.quiet.spend(kind) {
             show(st, &Op { kind, pc, vaddr, size }, Some(&outcome));
         }
-        st.counters.cycles = st.clock as u64;
         outcome
     }
 }
@@ -341,6 +405,10 @@ mod tests {
                 assert_eq!(m.rss_bytes(), 4 * page);
             }
         }
+        // Any `u64` is an address: one far outside every region is served by
+        // the local node and is nobody's first touch.
+        let out = e.load(u64::MAX - 7, 8);
+        assert_eq!((out.source, out.first_touch), (DataSource::Dram(0), false));
         drop(e);
         assert_eq!(m.rss_bytes(), 4 * page);
         assert_eq!(m.rss_series().len(), 4);
@@ -452,6 +520,182 @@ mod tests {
             });
         assert!(by_node[0] > 0 && by_node[1] > 0, "per-node bandwidth split recorded: {by_node:?}");
         assert_eq!(by_node.iter().sum::<u64>(), bw.iter().map(|p| p.bytes).sum::<u64>());
+    }
+
+    /// A tiered `small_test` machine and a region of `pages` pages on it —
+    /// at 64 pages (256 KiB) twice the SLC, so a pass over it at line stride
+    /// misses every cache on every access.
+    fn tiered(placement: PlacementPolicy, pages: u64) -> (Machine, crate::vm::Region, u64) {
+        let m = Machine::new(MachineConfig::small_test_tiered(placement));
+        let page = m.config().page_bytes;
+        let region = m.alloc("data", pages * page).unwrap();
+        (m, region, page)
+    }
+
+    /// The memory node behind a DRAM-class outcome, with the tier its
+    /// `DataSource` names checked against the topology.
+    fn serving_node(m: &Machine, out: &MemOutcome) -> NodeId {
+        match out.source {
+            DataSource::Dram(n) => {
+                assert!(!m.topology().node(n).is_remote(), "{:?}", out.source);
+                n
+            }
+            DataSource::RemoteDram(n) => {
+                assert!(m.topology().node(n).is_remote(), "{:?}", out.source);
+                n
+            }
+            cached => panic!("expected a memory-node access, got {cached:?}"),
+        }
+    }
+
+    /// The pages `pages` of `region` at line stride: the one node that served
+    /// every access of each page.
+    fn pass(
+        e: &mut Engine<'_>,
+        m: &Machine,
+        region: &crate::vm::Region,
+        pages: std::ops::Range<u64>,
+    ) -> Vec<NodeId> {
+        let page = m.config().page_bytes;
+        pages
+            .map(|p| {
+                let base = region.start + p * page;
+                let mut nodes = (0..page / 64).map(|line| {
+                    let out = e.load(base + line * 64, 8);
+                    serving_node(m, &out)
+                });
+                let first = nodes.next().unwrap();
+                assert!(nodes.all(|node| node == first), "page {p} served by two nodes");
+                first
+            })
+            .collect()
+    }
+
+    #[test]
+    fn migration_rehomes_a_page_an_attached_engine_has_resolved() {
+        let (m, region, page) = tiered(PlacementPolicy::Interleave, 64);
+        let mut e = m.attach(0).unwrap();
+        let mut homes = pass(&mut e, &m, &region, 0..64);
+        assert_eq!(homes, (0..64).map(|p| p % 2).collect::<Vec<NodeId>>(), "first-touch order");
+        assert_eq!(pass(&mut e, &m, &region, 0..64), homes, "homes are sticky");
+
+        // A pass during which `migrate` moves page `p` to `dst` half-way
+        // through it — the engine has resolved the page and none since. The
+        // rest of the page and every later pass are served from `dst`, every
+        // other page from where it was.
+        let mut rehome = |p: u64, dst: NodeId, migrate: &dyn Fn(u64, u64)| {
+            assert_eq!(pass(&mut e, &m, &region, 0..p), homes[..p as usize]);
+            let base = region.start + p * page;
+            for at in (0..page).step_by(64) {
+                if at == page / 2 {
+                    migrate(base + 100, e.now_cycles());
+                    homes[p as usize] = dst;
+                }
+                assert_eq!(serving_node(&m, &e.load(base + at, 8)), homes[p as usize], "+{at}");
+            }
+            assert_eq!(pass(&mut e, &m, &region, p + 1..64), homes[p as usize + 1..]);
+            assert_eq!(pass(&mut e, &m, &region, 0..64), homes);
+        };
+        // From the engine's own thread.
+        rehome(5, 0, &|addr, now| {
+            m.migrate_page(addr, 0, now).unwrap().expect("page 5 migrates");
+        });
+        // From a second thread that is handed the turn and joined.
+        rehome(40, 1, &|addr, now| {
+            std::thread::scope(|s| {
+                let migrate = || m.migrate_page(addr, 1, now).unwrap();
+                s.spawn(migrate).join().unwrap().expect("page 40 migrates");
+            })
+        });
+        assert_eq!(m.migration_stats().migrations, 2);
+    }
+
+    #[test]
+    fn freed_pages_lose_their_home_and_later_regions_are_first_touched() {
+        let (m, region, page) = tiered(PlacementPolicy::TierSplit { local_fraction: 0.0 }, 64);
+        let mut e = m.attach(0).unwrap();
+        assert_eq!(pass(&mut e, &m, &region, 0..64), vec![1; 64], "TierSplit(0) homes remotely");
+        assert_eq!(m.rss_bytes(), 64 * page);
+
+        assert!(e.free("data"));
+        assert_eq!(m.rss_bytes(), 0);
+        let events = m.rss_series().len();
+        for addr in (region.start..region.end()).step_by(64) {
+            let out = e.load(addr, 8);
+            assert_eq!((out.source, out.first_touch), (DataSource::Dram(0), false), "{addr:#x}");
+        }
+        assert_eq!((m.rss_bytes(), m.rss_series().len()), (0, events), "RSS untouched");
+
+        let next = m.alloc("next", 2 * page).unwrap();
+        for p in 0..2 {
+            let out = e.store(next.start + p * page, 8);
+            assert_eq!((out.source, out.first_touch), (DataSource::RemoteDram(1), true));
+            let again = e.load(next.start + p * page + 64, 8);
+            assert_eq!((again.source, again.first_touch), (DataSource::RemoteDram(1), false));
+        }
+        assert_eq!(m.rss_bytes(), 2 * page);
+    }
+
+    #[test]
+    fn address_past_an_unrounded_region_length_stays_untracked() {
+        let m = Machine::new(MachineConfig::small_test_tiered(PlacementPolicy::TierSplit {
+            local_fraction: 0.0,
+        }));
+        let page = m.config().page_bytes;
+        let region = m.alloc("data", page + 100).unwrap();
+        let last_page = region.start + page;
+        let mut e = m.attach(0).unwrap();
+        // Inside the region's last page, past its length; a line of its own
+        // each time, so every access reaches a memory node.
+        let out = e.load(last_page + 256, 8);
+        assert_eq!((out.source, out.first_touch), (DataSource::Dram(0), false), "before");
+        // The same page, inside the length: homed, and now in the table.
+        let out = e.load(last_page + 8, 8);
+        assert_eq!((out.source, out.first_touch), (DataSource::RemoteDram(1), true));
+        for past in [100, 128, 512, page - 8] {
+            let out = e.load(last_page + past, 8);
+            assert_eq!((out.source, out.first_touch), (DataSource::Dram(0), false), "+{past}");
+        }
+        assert_eq!(m.rss_bytes(), page);
+    }
+
+    /// The nodes' traffic counters are handed over when an engine detaches:
+    /// once every engine has, nothing is missing; a migration counts at once.
+    #[test]
+    fn node_traffic_is_exact_once_every_engine_has_detached() {
+        let (m, region, page) = tiered(PlacementPolicy::Interleave, 1024);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (m, region) = (&m, &region);
+                s.spawn(move || {
+                    let mut e = m.attach(t as usize).unwrap();
+                    let quarter = region.len / 4;
+                    // Stores over 1 MiB, twice: dirty lines are evicted and
+                    // written back all along.
+                    for _ in 0..2 {
+                        for at in (t * quarter..(t + 1) * quarter).step_by(64) {
+                            e.store(region.start + at, 8);
+                        }
+                    }
+                });
+            }
+        });
+        let (c, topo) = (m.counters(), m.topology());
+        assert_eq!(c.dram_accesses, 2 * region.len / 64);
+        assert!(c.bus_write_bytes > 0, "dirty lines were written back");
+        assert_eq!(topo.read_bytes(), c.bus_read_bytes);
+        assert_eq!(topo.write_bytes(), c.bus_write_bytes);
+        assert_eq!(topo.accesses(), c.dram_accesses);
+        for node in topo.nodes() {
+            assert!(node.accesses() > 0);
+            let series: u64 =
+                m.bandwidth_series().iter().map(|point| point.by_node[node.id() as usize]).sum();
+            assert_eq!(node.read_bytes() + node.write_bytes(), series, "node {}", node.id());
+        }
+
+        let written = topo.node(1).write_bytes();
+        m.migrate_page(region.start, 1, 1_000).unwrap().expect("page 0 lives on node 0");
+        assert_eq!(topo.node(1).write_bytes(), written + page);
     }
 
     #[test]

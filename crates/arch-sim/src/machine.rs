@@ -8,7 +8,7 @@ use crate::cache::Cache;
 use crate::clock::TimeConv;
 use crate::config::{MachineConfig, MAX_MEM_NODES};
 use crate::counters::{CoreCounters, MachineCounters, MigrationStats};
-use crate::engine::Engine;
+use crate::engine::{Engine, PageHomes};
 use crate::observer::{ObserverCharge, OpCounts, OpObserver, Quiet};
 use crate::op::{NodeId, OpKind};
 use crate::topology::MemTopology;
@@ -26,7 +26,8 @@ pub(crate) struct CoreState {
     pub l2: Cache,
     /// Core clock in cycles (fractional cycles accumulate in f64).
     pub clock: f64,
-    /// Event counters.
+    /// Event counters. `cycles` is the clock as of the last time somebody
+    /// could read it: [`Machine::return_core`] and an observer's charge.
     pub counters: CoreCounters,
     /// Attached operation observer (the SPE unit when profiling is enabled).
     /// Reached through [`CoreState::call_observer`] only, which keeps `quiet`
@@ -40,6 +41,12 @@ pub(crate) struct CoreState {
     /// Bus bytes per bandwidth bucket attributable to this core, split per
     /// memory node.
     pub bw_buckets: Vec<[u64; MAX_MEM_NODES]>,
+    /// Page homes this core has resolved.
+    pub homes: PageHomes,
+    /// `[read bytes, written-back bytes, accesses]` this core caused at each
+    /// memory node since it was attached; [`Machine::return_core`] hands
+    /// them to the nodes' counters.
+    pub node_traffic: [[u64; 3]; MAX_MEM_NODES],
 }
 
 impl std::fmt::Debug for CoreState {
@@ -65,6 +72,8 @@ impl CoreState {
             quiet: Quiet::NEVER,
             told: OpCounts::default(),
             bw_buckets: Vec::new(),
+            homes: PageHomes::default(),
+            node_traffic: [[0; 3]; MAX_MEM_NODES],
         }
     }
 
@@ -326,7 +335,14 @@ impl Machine {
         Ok(Engine::new(self, state))
     }
 
-    pub(crate) fn return_core(&self, state: CoreState) {
+    /// Take a core back from its engine: the join point at which what the
+    /// core kept to itself — the clock as `counters.cycles`, its traffic at
+    /// each memory node — becomes readable.
+    pub(crate) fn return_core(&self, mut state: CoreState) {
+        state.counters.cycles = state.clock as u64;
+        for (node, traffic) in self.topology.nodes().iter().zip(&mut state.node_traffic) {
+            node.record_traffic(std::mem::take(traffic));
+        }
         let slot = &self.cores[state.id];
         *slot.lock() = Some(state);
     }

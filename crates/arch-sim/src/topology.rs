@@ -20,6 +20,17 @@
 //! Each node's frontier is kept in micro-cycles (1/1024 cycle) in an atomic
 //! so that all cores share it without locking; nodes contend independently
 //! (a saturated CXL node does not slow down DDR traffic).
+//!
+//! A node holds two kinds of shared state, and they arrive at different
+//! times. The **frontier** is the model: every access reserves its time on
+//! it at once (`MemNode::reserve`'s CAS), because the next access from any
+//! core must queue behind it. The **traffic counters** (`read_bytes`,
+//! `write_bytes`, `accesses`) are reporting only: an engine adds its line
+//! fills to a tally of its own core and `Machine::return_core` hands that
+//! tally to the nodes when the engine detaches, so the getters are exact at
+//! join points and lag each running core in between. A page migration
+//! ([`MemTopology::transfer_page`]) has no core to wait for and counts at
+//! once, as does [`MemNode::access`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -83,15 +94,27 @@ impl MemNode {
     /// (a line fill and possibly a write-back). `write_back_bytes` counts
     /// separately toward write traffic.
     pub fn access(&self, now_cycles: u64, read_bytes: u32, write_back_bytes: u32) -> NodeAccess {
-        let total_bytes = read_bytes as u64 + write_back_bytes as u64;
+        self.record_traffic([read_bytes as u64, write_back_bytes as u64, 1]);
+        self.reserve(now_cycles, read_bytes as u64 + write_back_bytes as u64)
+    }
+
+    /// Add `[read bytes, written-back bytes, accesses]` to the traffic
+    /// counters: one access as it happens, or a core's tally when its engine
+    /// detaches.
+    pub(crate) fn record_traffic(&self, [read_bytes, write_bytes, accesses]: [u64; 3]) {
         // relaxed-ok: traffic counters — monotone sums read only by the
         // reporting getters below; no other data is published through them.
-        self.read_bytes.fetch_add(read_bytes as u64, Ordering::Relaxed);
+        self.read_bytes.fetch_add(read_bytes, Ordering::Relaxed);
         // relaxed-ok: traffic counter, as above.
-        self.write_bytes.fetch_add(write_back_bytes as u64, Ordering::Relaxed);
+        self.write_bytes.fetch_add(write_bytes, Ordering::Relaxed);
         // relaxed-ok: traffic counter, as above.
-        self.accesses.fetch_add(1, Ordering::Relaxed);
+        self.accesses.fetch_add(accesses, Ordering::Relaxed);
+    }
 
+    /// Reserve the node's link for `total_bytes` from simulated time
+    /// `now_cycles` on: the busy frontier advances, and what it already ran
+    /// ahead of `now_cycles` is the access's queueing delay.
+    pub(crate) fn reserve(&self, now_cycles: u64, total_bytes: u64) -> NodeAccess {
         let now_micro = now_cycles.saturating_mul(FRAC);
         let reserve = total_bytes * self.microcycles_per_byte;
 
@@ -123,10 +146,11 @@ impl MemNode {
         }
     }
 
-    /// Total bytes read from the node so far.
+    /// Total bytes read from the node so far (by engines that have detached,
+    /// and by migrations).
     pub fn read_bytes(&self) -> u64 {
-        // relaxed-ok: reporting read of a stats counter; a slightly stale
-        // value is fine mid-run and exact at join points.
+        // relaxed-ok: reporting read of a stats counter; a stale value is
+        // fine mid-run and exact at join points.
         self.read_bytes.load(Ordering::Relaxed)
     }
 

@@ -13,8 +13,27 @@
 //! memory node (local DDR, or a CXL-style remote node), and every later
 //! DRAM-class access to the page is served by that node — exactly the
 //! first-touch NUMA behaviour the paper's tiered experiments rely on.
+//!
+//! ## The generation
+//!
+//! A core remembers the homes it has resolved (the engine's page-home
+//! table), so it takes the `vm.inner` lock once per page it enters rather
+//! than once per access. What it remembers stays true until a page loses or
+//! changes its home, and only two calls do that: [`AddressSpace::free`] and
+//! [`AddressSpace::migrate_page`]. Each bumps the address space's
+//! *generation* (a `Release` increment, made while it still holds the write
+//! lock its change was made under). The reader's side of the contract, in
+//! this order: load the generation (`Acquire`), forget everything remembered
+//! under another one, and only then consult the table or call `place_span`
+//! — whose answer is filed under the generation loaded *before* the call.
+//! An answer that a concurrent free or migration overtook is therefore filed
+//! under a generation that is already past, and dies at the core's next
+//! memory-bound access. `alloc` and a first touch bump nothing: they give
+//! homes to addresses that had none, and a core remembers no address without
+//! a home.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
@@ -119,6 +138,9 @@ pub struct AddressSpace {
     num_nodes: usize,
     placement: PlacementPolicy,
     inner: RwLock<Inner>,
+    /// Bumped by every change that takes a home away from a page or gives it
+    /// another (see the module docs).
+    generation: AtomicU64,
 }
 
 impl AddressSpace {
@@ -143,12 +165,24 @@ impl AddressSpace {
             num_nodes: num_nodes.clamp(1, MAX_MEM_NODES),
             placement,
             inner: RwLock::named(Inner { next_free: HEAP_BASE, ..Default::default() }, "vm.inner"),
+            generation: AtomicU64::new(0),
         }
+    }
+
+    /// The generation of page homes: anything resolved under an earlier one
+    /// may no longer hold (see the module docs for the order of reads).
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
     }
 
     /// Page size in bytes.
     pub fn page_bytes(&self) -> u64 {
         self.page_bytes
+    }
+
+    /// `log2` of the page size.
+    pub(crate) fn page_shift(&self) -> u32 {
+        self.page_shift
     }
 
     /// Number of memory nodes pages are placed on.
@@ -213,6 +247,9 @@ impl AddressSpace {
         for (node, count) in released_by_node.iter().enumerate() {
             inner.resident_by_node[node] = inner.resident_by_node[node].saturating_sub(*count);
         }
+        if found {
+            self.generation.fetch_add(1, Ordering::Release);
+        }
         found
     }
 
@@ -254,6 +291,14 @@ impl AddressSpace {
     /// outside every live region (such accesses are served by node 0 and do
     /// not count toward residency).
     pub fn place(&self, addr: u64) -> Option<PageHome> {
+        self.place_span(addr).map(|(home, _, _)| home)
+    }
+
+    /// [`AddressSpace::place`], plus the span the answer holds for as
+    /// `(base, len)`: the page's part of its region, `[page start, min(page
+    /// end, region end))`. An address past an unrounded region length is in
+    /// no span, as [`Region::contains`] has it.
+    pub(crate) fn place_span(&self, addr: u64) -> Option<(PageHome, u64, u64)> {
         let mut inner = self.inner.write();
         let Inner {
             regions,
@@ -271,9 +316,11 @@ impl AddressSpace {
             return None;
         }
         let page = ((addr - st.region.start) >> self.page_shift) as usize;
+        let base = st.region.start + ((page as u64) << self.page_shift);
+        let len = self.page_bytes.min(st.region.end() - base);
         let (word, bit) = (page / 64, page % 64);
         if st.touched[word] & (1 << bit) != 0 {
-            return Some(PageHome { node: st.nodes[page], first_touch: false });
+            return Some((PageHome { node: st.nodes[page], first_touch: false }, base, len));
         }
         let node = self.assign_node(pages_assigned, local_assigned, remote_assigned);
         st.touched[word] |= 1 << bit;
@@ -283,7 +330,7 @@ impl AddressSpace {
         *resident_pages += 1;
         resident_by_node[node as usize] += 1;
         *peak_resident_pages = (*peak_resident_pages).max(*resident_pages);
-        Some(PageHome { node, first_touch: true })
+        Some((PageHome { node, first_touch: true }, base, len))
     }
 
     /// Record a touch of `addr`; returns true if this was the first touch of
@@ -327,6 +374,7 @@ impl AddressSpace {
         st.touched_by_node[dst as usize] += 1;
         resident_by_node[from as usize] -= 1;
         resident_by_node[dst as usize] += 1;
+        self.generation.fetch_add(1, Ordering::Release);
         let page_addr = st.region.start + ((page as u64) << self.page_shift);
         Some(PageMigration { page_addr, from, to: dst, bytes: self.page_bytes })
     }

@@ -547,9 +547,11 @@ fn drain_event(core: usize, event: &PerfEvent, store: &Mutex<SampleStore>, scrat
 /// paper's baseline runs; the final counts land in
 /// [`Profile::perf_counts`].
 ///
-/// A core adds to the shared events in bulk — every 4 096 retired loads,
-/// stores and branches, and whenever it is flushed or its engine detaches —
-/// so the cores' host threads do not share a cache line per operation. A
+/// A core adds to the shared events in bulk — once it has 4 096 retired
+/// loads, stores and branches to report, and whenever it is flushed or its
+/// engine detaches; until then the counts sit in its observer, however often
+/// another backend on the same core has it woken — so the cores' host threads
+/// do not share a cache line per operation or per sample. A
 /// [`SampleBackend::drain`] while engines are running can therefore lag each
 /// running core by up to 4 096 operations; the counts at `finish` are exact
 /// (`inst_retired` equals the machine's `instructions`, `mem_access` its
@@ -579,6 +581,8 @@ struct CounterObserver {
     st_retired: Arc<CountingEvent>,
     inst_retired: Arc<CountingEvent>,
     br_retired: Arc<CountingEvent>,
+    /// What this core retired since it last added to the events.
+    pending: OpCounts,
 }
 
 /// How many operations a core may retire between two updates of the
@@ -588,12 +592,22 @@ struct CounterObserver {
 const COUNTER_REFRESH_OPS: u64 = 4096;
 
 impl CounterObserver {
-    fn add(&self, counts: &OpCounts) {
+    fn note(&mut self, counts: &OpCounts) {
+        self.pending.loads += counts.loads;
+        self.pending.stores += counts.stores;
+        self.pending.branches += counts.branches;
+        self.pending.others += counts.others;
+    }
+
+    /// Add what is pending to the machine-wide events.
+    fn publish(&mut self) -> ObserverCharge {
+        let counts = std::mem::take(&mut self.pending);
         self.inst_retired.add(counts.total());
         self.mem_access.add(counts.loads + counts.stores);
         self.ld_retired.add(counts.loads);
         self.st_retired.add(counts.stores);
         self.br_retired.add(counts.branches);
+        ObserverCharge::NONE
     }
 }
 
@@ -603,7 +617,7 @@ impl OpObserver for CounterObserver {
     }
 
     fn on_skipped(&mut self, counts: &OpCounts) {
-        self.add(counts);
+        self.note(counts);
     }
 
     fn on_op(
@@ -612,8 +626,22 @@ impl OpObserver for CounterObserver {
         _outcome: Option<&MemOutcome>,
         _now_cycles: u64,
     ) -> ObserverCharge {
-        self.add(&OpCounts::one(op.kind));
+        self.note(&OpCounts::one(op.kind));
+        // Woken by its own countdown this is every wake-up; woken early by
+        // another backend's (the SPE unit at a short period) it is not.
+        let counted = self.pending.loads + self.pending.stores + self.pending.branches;
+        if counted >= COUNTER_REFRESH_OPS {
+            self.publish();
+        }
         ObserverCharge::NONE
+    }
+
+    fn on_flush(&mut self, _now_cycles: u64) -> ObserverCharge {
+        self.publish()
+    }
+
+    fn on_detach(&mut self, _now_cycles: u64) -> ObserverCharge {
+        self.publish()
     }
 }
 
@@ -658,6 +686,7 @@ impl SampleBackend for CounterBackend {
                     st_retired: st_retired.clone(),
                     inst_retired: inst_retired.clone(),
                     br_retired: br_retired.clone(),
+                    pending: OpCounts::default(),
                 }) as Box<dyn OpObserver>,
             })
             .collect())
@@ -925,6 +954,35 @@ mod tests {
         backend.fill(&mut profile).unwrap();
         let mem = profile.perf_counts.iter().find(|(n, _)| n == "mem_access").unwrap();
         assert_eq!(mem.1, machine.counters().mem_access);
+    }
+
+    /// Woken far more often than it asked for (here for every operation, by a
+    /// sibling that wants to see them all), a core's counting observer still
+    /// adds to the shared events only once it has 4 096 operations to report —
+    /// and is never further behind than that.
+    #[test]
+    fn counter_observer_woken_early_still_publishes_every_4096_ops() {
+        let machine = machine();
+        let config = NmoConfig { enabled: true, ..NmoConfig::default() };
+        let mut backend = CounterBackend::new();
+        let counting = backend.start(&machine, &[0], &config).unwrap().remove(0).observer;
+        let every_op = Box::new(arch_sim::NullObserver);
+        machine
+            .set_observer(0, Box::new(arch_sim::FanoutObserver::new(vec![counting, every_op])))
+            .unwrap();
+        let region = machine.alloc("data", 1 << 20).unwrap();
+        let mut e = machine.attach(0).unwrap();
+        for i in 0..10_000u64 {
+            e.load(region.start + i * 8, 8);
+            let published = backend.read("mem_access").unwrap();
+            assert_eq!(published, (i + 1) / COUNTER_REFRESH_OPS * COUNTER_REFRESH_OPS, "op {i}");
+        }
+        e.flush_observer();
+        assert_eq!(backend.read("mem_access"), Some(10_000), "a flush delivers the rest");
+        e.store(region.start, 8);
+        drop(e);
+        assert_eq!(backend.read("mem_access"), Some(10_001), "and so does the detach");
+        assert_eq!(backend.read("inst_retired"), Some(machine.counters().instructions));
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! unit and driver update a [`SpeStats`] instance (shared via `Arc` with the
 //! NMO runtime) as they work; [`SpeStatsSnapshot`] is a plain-old-data copy
 //! for reports.
+//!
+//! One block has one writer at a time: the sampling unit and driver of a core
+//! run only inside that core's observer callbacks, which the simulator makes
+//! from whoever holds the core — the engine's thread while one is attached,
+//! a flusher under the `machine.core` lock otherwise — and the hand-over
+//! between the two goes through that lock. Everybody else only loads. So an
+//! update is a plain load and store, not a locked read-modify-write.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -82,8 +89,11 @@ impl SpeStats {
     }
 
     pub(crate) fn add(&self, field: &AtomicU64, n: u64) {
-        // relaxed-ok: statistics counter increment; see `snapshot`.
-        field.fetch_add(n, Ordering::Relaxed);
+        // relaxed-ok: single writer — only whoever holds the core (the
+        // engine's thread, or a flusher under `machine.core`; that lock
+        // orders one after the other) updates its block, so no increment can
+        // fall between this load and store; readers only `load` (`snapshot`).
+        field.store(field.load(Ordering::Relaxed) + n, Ordering::Relaxed);
     }
 }
 

@@ -399,6 +399,53 @@ proptest! {
     }
 
     #[test]
+    fn page_homes_an_engine_remembers_never_disagree_with_the_address_space(
+        steps in prop::collection::vec(any::<u64>(), 1..600),
+    ) {
+        // Loads and stores over three regions (one of them not a whole number
+        // of pages), migrations and frees, in any order, from the thread of
+        // an engine that stays attached: whenever an access reaches a memory
+        // node, it is the node the address space says the page lives on —
+        // node 0 for an address it does not track.
+        let machine = Machine::new(MachineConfig::small_test_tiered(PlacementPolicy::Interleave));
+        let names = ["a", "b", "c"];
+        let regions: Vec<_> = names
+            .iter()
+            .map(|name| machine.alloc(name, 12 * PAGE + 1000).unwrap())
+            .collect();
+        let mut engine = machine.attach(0).unwrap();
+        for word in steps {
+            let region = &regions[(word >> 8) as usize % 3];
+            // Up to a page past the rounded end: the tail of the last page
+            // and the guard page are addresses like any other.
+            let vaddr = region.start + (word >> 16) % (14 * PAGE);
+            match word % 32 {
+                0 => {
+                    engine.free(names[(word >> 8) as usize % 3]);
+                }
+                1..=4 => {
+                    let dst = (word >> 12 & 1) as NodeId;
+                    machine.migrate_page(vaddr, dst, engine.now_cycles()).unwrap();
+                }
+                action => {
+                    let out = if action % 2 == 0 {
+                        engine.load(vaddr, 8)
+                    } else {
+                        engine.store(vaddr, 8)
+                    };
+                    let home = machine.vm().node_of(vaddr).unwrap_or(0);
+                    match out.source {
+                        DataSource::Dram(node) | DataSource::RemoteDram(node) => {
+                            prop_assert_eq!(node, home, "{:#x} after {:?}", vaddr, out);
+                        }
+                        _ => prop_assert!(!out.first_touch),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn decode_records_never_panics_on_arbitrary_bytes(
         data in prop::collection::vec(any::<u8>(), 0..2048),
     ) {

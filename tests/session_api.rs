@@ -128,3 +128,56 @@ fn session_reports_are_deterministic_per_configuration() {
     assert_eq!(a.perf_counts, b.perf_counts);
     assert_eq!(a.processed_samples, b.processed_samples);
 }
+
+/// At period 64 the SPE unit has the core wake the counter backend's observer
+/// about every 64 operations, far more often than it asked for; it keeps its
+/// counts to itself until 4 096 have accumulated or it is flushed or
+/// detached. Nothing may be lost on the way, with or without flushes mid-run.
+#[test]
+fn perf_counts_are_exact_when_spe_at_period_64_shares_the_core_with_the_counters() {
+    for flush_mid_run in [false, true] {
+        let active = ProfileSession::builder()
+            .machine_config(MachineConfig::small_test())
+            .config(NmoConfig::paper_default(64))
+            .threads(1)
+            .backend(SpeBackend::new())
+            .backend(CounterBackend::new())
+            .build()
+            .expect("session builds")
+            .start()
+            .expect("session starts");
+        let machine = active.machine();
+        let region = machine.alloc("data", 1 << 20).expect("alloc");
+        for phase in 0..3u64 {
+            let mut engine = machine.attach(0).expect("attach");
+            for i in 0..10_000u64 {
+                engine.load(region.start + (phase * 10_000 + i) * 8, 8);
+                if i % 3 == 0 {
+                    engine.store(region.start + i * 64, 8);
+                }
+                if i % 7 == 0 {
+                    engine.branch(0x40_0000 + i);
+                }
+                engine.cpu_work(2);
+                if flush_mid_run && i == 5_000 {
+                    engine.flush_observer();
+                }
+            }
+            drop(engine);
+            if flush_mid_run {
+                assert!(machine.flush_observer(0).expect("core is idle"), "observer flushed");
+            }
+        }
+        let profile = active.finish().expect("finish");
+        assert!(profile.processed_samples > 0);
+        let count =
+            |name: &str| profile.perf_counts.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+        let c = &profile.counters;
+        assert_eq!(c.mem_access, 30_000 + 3 * 3_334);
+        assert_eq!(count("inst_retired"), Some(c.instructions), "flush {flush_mid_run}");
+        assert_eq!(count("mem_access"), Some(c.mem_access), "flush {flush_mid_run}");
+        assert_eq!(count("ld_retired"), Some(c.loads), "flush {flush_mid_run}");
+        assert_eq!(count("st_retired"), Some(c.stores), "flush {flush_mid_run}");
+        assert_eq!(count("br_retired"), Some(c.branches), "flush {flush_mid_run}");
+    }
+}
