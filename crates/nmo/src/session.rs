@@ -36,10 +36,13 @@
 //! [`ProfileSession::run_streaming`] (and the manual
 //! [`ProfileSession::start_streaming`]) turn the session into an online
 //! pipeline of [`StreamOptions::shards`] shards — the same code at every
-//! width, one shard included: per shard, a *pump worker* periodically
-//! drains its share of the backends into window-stamped
-//! [`crate::stream::SampleBatch`]es on its lane of the bounded
-//! [`crate::stream::ShardedBus`], and a *shard consumer* feeds them to the
+//! width, one shard included: per shard, a *pump worker* drains its share
+//! of the backends into window-stamped [`crate::stream::SampleBatch`]es on
+//! its lane of the bounded [`crate::stream::ShardedBus`] once per drain
+//! interval (a period, not a pause: a round sleeps what it left of the
+//! interval, and one that took longer is followed at once —
+//! [`StreamStats::pump_rounds_slept`] says how often a run's pump found
+//! time to sleep), and a *shard consumer* feeds them to the
 //! sinks as the workload runs (per-shard [`crate::sink::SinkShard`] workers,
 //! merged in ascending shard index; see `sink.rs` for the fan-in rule).
 //! Pump worker 0 is the coordinator: it also drains the backends that do
@@ -58,7 +61,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -582,9 +585,9 @@ fn catch_sink_panic<T>(stage: &str, f: impl FnOnce() -> T) -> Result<T, NmoError
 }
 
 /// What a pump worker returns on join: the backends it borrowed for the run
-/// (coordinator only), plus the first error any of its drain/stop calls
-/// produced.
-type PumpOutcome = (Option<CoordinatorBackends>, Result<(), NmoError>);
+/// (coordinator only), the first error any of its drain/stop calls
+/// produced, and its `(rounds run, rounds that slept)`.
+type PumpOutcome = (Option<CoordinatorBackends>, Result<(), NmoError>, (u64, u64));
 
 /// The shared half of a session's sink fan-in (the session owns its sinks).
 type SessionFanIn = FanIn<Vec<Box<dyn AnalysisSink>>>;
@@ -865,9 +868,12 @@ impl ActiveSession {
                 let mut backends = None;
                 let mut pump_result: Result<(), NmoError> = Ok(());
                 let mut pump_panicked = false;
+                let (mut pump_rounds, mut pump_rounds_slept) = (0, 0);
                 for pump in streaming.pumps {
                     match pump.join() {
-                        Ok((owned, result)) => {
+                        Ok((owned, result, (rounds, slept))) => {
+                            pump_rounds += rounds;
+                            pump_rounds_slept += slept;
                             if owned.is_some() {
                                 backends = owned;
                             }
@@ -933,6 +939,8 @@ impl ActiveSession {
                     shards_requested: streaming.requested_shards as u64,
                     active_shards: streaming.bus.active_lanes() as u64,
                     adaptive_decisions,
+                    pump_rounds,
+                    pump_rounds_slept,
                 });
             }
             None => {
@@ -986,15 +994,27 @@ impl Drop for ActiveSession {
     }
 }
 
-/// Wall-clock interval between a pump worker's drains — the adaptive
-/// controller's initial cadence too.
+/// Wall-clock interval between a pump worker's drains, start to start — the
+/// adaptive controller's initial cadence too.
 const PUMP_INTERVAL: Duration = Duration::from_micros(200);
 
-/// A source that has been quiet for this many pump ticks stops holding the
-/// close watermark back (it is presumed done, not lagging — e.g. the RSS
-/// probe after the allocation phase, or an SPE core whose thread exited).
-/// At [`PUMP_INTERVAL`] this is a 50 ms wall-clock grace — comfortably above
-/// one aux-watermark publication interval.
+/// What is left of the drain `interval` after a round that took `round`:
+/// how long the worker sleeps before the next one. `None` when the round
+/// used the interval up — the next round follows at once.
+fn left_of_interval(interval: Duration, round: Duration) -> Option<Duration> {
+    interval.checked_sub(round).filter(|left| !left.is_zero())
+}
+
+/// A source that has been quiet for this many pump ticks (rounds of the
+/// coordinator pump) stops holding the close watermark back (it is presumed
+/// done, not lagging — e.g. the RSS probe after the allocation phase, or an
+/// SPE core whose thread exited). A tick is never shorter than the drain
+/// interval, so at [`PUMP_INTERVAL`] this is a wall-clock grace of at least
+/// 50 ms (12.5 ms at the adaptive controller's shortest cadence) —
+/// comfortably above one aux-watermark publication interval — and longer
+/// whenever rounds overrun the interval. It stays counted in ticks on
+/// purpose: a wall-clock grace would expire *every* source at once after a
+/// host stall, and the next close would run on the global maximum.
 const SOURCE_IDLE_TICKS: u64 = 250;
 
 /// What the close coordinator is told about one published batch: its
@@ -1004,17 +1024,22 @@ type PublishNote = (u64, Option<(StreamSource, u64)>);
 
 /// Append `batch`'s [`PublishNote`]s: per-core maxima for SPE sample
 /// batches (each core's aux buffer publishes at its own cadence, so the
-/// slowest core bounds what may close), the batch maximum otherwise. One
-/// note per stretch of same-core samples — a single note for the per-core
-/// batches every SPE drain produces; a core noted twice just advances to
-/// the larger mark.
+/// slowest core bounds what may close), the batch maximum otherwise. A
+/// batch whose samples all come from one core — what a per-core drain
+/// produces — is noted from what [`SampleBatch::new`] cached, without
+/// reading its samples again; a mixed one (the SPE backend's per-window
+/// batches over a core set) gets one note per stretch of same-core samples,
+/// and a core noted twice just advances to the larger mark. The core is
+/// always the samples' own, never `batch.core`.
 fn push_notes(batch: &SampleBatch, notes: &mut Vec<PublishNote>) {
     let window = batch.window.index;
     let Some(max) = batch.max_time_ns() else {
         notes.push((window, None));
         return;
     };
-    if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
+    if let Some(core) = batch.sole_core() {
+        notes.push((window, Some(((batch.backend, Some(core)), max))));
+    } else if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
         for stretch in samples.chunk_by(|a, b| a.core == b.core) {
             let t_ns = stretch.iter().map(|s| s.time_ns).max().unwrap_or(0);
             notes.push((window, Some(((batch.backend, Some(stretch[0].core)), t_ns))));
@@ -1064,15 +1089,25 @@ impl CloseCoordinator {
     /// Register published batches: advance the clock and their sources'
     /// watermarks, and track their windows as open. Must be called *after*
     /// the batches were enqueued — the close threshold may only move once
-    /// the data that justifies it is on a lane.
+    /// the data that justifies it is on a lane. A drain lists each core's
+    /// batches back to back, so a run of consecutive notes from one source
+    /// is marked once, with the run's maximum, and a window is not inserted
+    /// again right after itself — the same end state as taking the notes
+    /// one at a time, at one source look-up per run.
     fn note_published(&mut self, notes: &[PublishNote]) {
-        for &(window_index, mark) in notes {
-            if let Some((source, t_ns)) = mark {
+        let source_of = |note: &PublishNote| note.1.map(|(source, _)| source);
+        let mut inserted_last = None;
+        for run in notes.chunk_by(|a, b| source_of(a) == source_of(b)) {
+            if let Some(source) = source_of(&run[0]) {
+                let t_ns = run.iter().filter_map(|note| note.1).map(|(_, t)| t).max().unwrap_or(0);
                 self.clock.observe(t_ns);
                 self.mark_source(source, t_ns);
             }
-            if window_index >= self.closed_below {
-                self.open_windows.insert(window_index);
+            for &(window_index, _) in run {
+                if window_index >= self.closed_below && inserted_last != Some(window_index) {
+                    self.open_windows.insert(window_index);
+                    inserted_last = Some(window_index);
+                }
             }
         }
     }
@@ -1232,6 +1267,7 @@ impl PumpWorker {
                 (
                     None,
                     Err(NmoError::backend("stream-pump", format!("pump worker {shard} panicked"))),
+                    (0, 0),
                 )
             }
         }
@@ -1252,8 +1288,11 @@ impl PumpWorker {
         let is_coordinator = self.shard == 0;
         let mut rss_cursor = 0usize;
         let mut result: Result<(), NmoError> = Ok(());
+        let (mut rounds, mut rounds_slept) = (0u64, 0u64);
 
         loop {
+            let round_start = Instant::now();
+            rounds += 1;
             if is_coordinator {
                 self.coordinator.lock().tick += 1;
             }
@@ -1314,7 +1353,7 @@ impl PumpWorker {
             if finishing {
                 self.workers_done.fetch_add(1, Ordering::AcqRel);
                 if !is_coordinator {
-                    return (None, result);
+                    return (None, result, (rounds, rounds_slept));
                 }
                 // Coordinator: wait for every worker's final publish, then
                 // deliver the bandwidth series, close what remains, and
@@ -1334,7 +1373,7 @@ impl PumpWorker {
                 publish_batches(probed, &self.bus, &self.coordinator);
                 self.coordinator.lock().close_remaining(&self.bus);
                 self.bus.close_all();
-                return (self.backends.take(), result);
+                return (self.backends.take(), result, (rounds, rounds_slept));
             }
 
             if is_coordinator {
@@ -1345,12 +1384,22 @@ impl PumpWorker {
                     let _ = adaptive.control(&self.bus);
                 }
             }
-            // Drain cadence: the workers sample the backends at a fixed
+            // Drain cadence: the workers sample the backends once per
             // wall-clock interval (the controller's current cadence when
-            // adaptive); nothing signals "new simulated work".
+            // adaptive); nothing signals "new simulated work". The interval
+            // is a deadline counted from the round's start, not a pause
+            // after it: a round sleeps what it left of the interval, and one
+            // that overran it (a drain that found a lot) is followed at
+            // once. Deliberately not keyed on "the round published
+            // something": the RSS probe publishes on nearly every round of a
+            // simulated run, and a pump that never slept would spin against
+            // the simulated cores on a small host.
             let poll = self.adaptive.as_ref().map_or(PUMP_INTERVAL, |a| a.poll_interval());
-            #[allow(clippy::disallowed_methods)]
-            std::thread::sleep(poll);
+            if let Some(left) = left_of_interval(poll, round_start.elapsed()) {
+                rounds_slept += 1;
+                #[allow(clippy::disallowed_methods)]
+                std::thread::sleep(left);
+            }
         }
     }
 }
@@ -2274,6 +2323,324 @@ mod tests {
         }
         assert_eq!(coordinator.open_windows.iter().copied().collect::<Vec<_>>(), vec![5]);
         assert_eq!(bus.stats().queued, 0);
+    }
+
+    /// `push_notes` as it was while it read every sample of every batch:
+    /// one note per stretch of same-core samples. The oracle for the notes
+    /// a batch's cached digest now answers.
+    fn push_notes_by_stretch(batch: &SampleBatch, notes: &mut Vec<PublishNote>) {
+        let window = batch.window.index;
+        let Some(max) = batch.max_time_ns() else {
+            notes.push((window, None));
+            return;
+        };
+        if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
+            for stretch in samples.chunk_by(|a, b| a.core == b.core) {
+                let t_ns = stretch.iter().map(|s| s.time_ns).max().unwrap_or(0);
+                notes.push((window, Some(((batch.backend, Some(stretch[0].core)), t_ns))));
+            }
+        } else {
+            notes.push((window, Some(((batch.backend, None), max))));
+        }
+    }
+
+    /// An SPE batch in window 3 (width 1000) of `clock`, one sample per
+    /// `(core, vaddr)`, with seeded timestamps inside the window.
+    fn spe_batch_of(
+        batch_core: Option<usize>,
+        samples: &[(usize, u64)],
+        seed: &mut u64,
+    ) -> SampleBatch {
+        let window = WindowClock::new(1000).window(3);
+        let samples = samples
+            .iter()
+            .map(|&(core, vaddr)| {
+                *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                crate::runtime::AddressSample {
+                    time_ns: window.start_ns + (*seed >> 33) % 1000,
+                    vaddr,
+                    core,
+                    is_store: false,
+                    latency: 1,
+                    source: arch_sim::DataSource::L1,
+                }
+            })
+            .collect();
+        let payload = BatchPayload::SpeSamples { samples, loss: Default::default() };
+        SampleBatch::new("spe", batch_core, window, payload)
+    }
+
+    fn notes_of(
+        batch: &SampleBatch,
+        push: fn(&SampleBatch, &mut Vec<PublishNote>),
+    ) -> Vec<PublishNote> {
+        let mut notes = Vec::new();
+        push(batch, &mut notes);
+        notes
+    }
+
+    /// Whatever a batch holds, `push_notes` answers from the digest
+    /// `SampleBatch::new` cached exactly what the stretch walk reads off the
+    /// samples — and the core it notes is the samples', not the batch's.
+    #[test]
+    fn push_notes_matches_the_stretch_walk() {
+        let on = |cores: &[usize]| cores.iter().map(|&c| (c, 0x1000)).collect::<Vec<_>>();
+        for seed in 1..=32u64 {
+            let mut seed = seed;
+            for (name, batch_core, samples, expected_notes) in [
+                ("one core", Some(3), on(&[3, 3, 3, 3, 3]), 1),
+                ("several stretches", None, on(&[0, 0, 1, 1, 1, 2]), 3),
+                ("a core that returns after another", None, on(&[0, 0, 1, 0]), 3),
+                ("one sample", Some(5), on(&[5]), 1),
+                ("batch.core disagrees with the samples", Some(9), on(&[2, 2, 2]), 1),
+                ("batch.core names no core", None, on(&[2, 2]), 1),
+            ] {
+                let batch = spe_batch_of(batch_core, &samples, &mut seed);
+                let notes = notes_of(&batch, push_notes);
+                assert_eq!(notes, notes_of(&batch, push_notes_by_stretch), "{name}");
+                assert_eq!(notes.len(), expected_notes, "{name}");
+                let (_, mark) = notes[0];
+                let ((backend, core), _) = mark.expect("SPE samples carry timestamps");
+                assert_eq!((backend, core), ("spe", Some(samples[0].0)), "{name}");
+            }
+        }
+
+        // No samples, only the drain's loss delta: a mark-less note.
+        let window = WindowClock::new(1000).window(3);
+        let loss = spe::SpeStatsSnapshot { collisions: 4, ..Default::default() };
+        let payload = BatchPayload::SpeSamples { samples: Vec::new(), loss };
+        let empty = SampleBatch::new("spe", Some(1), window, payload);
+        assert_eq!(empty.sole_core(), None);
+        assert_eq!(notes_of(&empty, push_notes), vec![(3, None)]);
+        assert_eq!(notes_of(&empty, push_notes_by_stretch), vec![(3, None)]);
+
+        // Other payloads: the batch maximum under a core-less source, or no
+        // mark at all.
+        let points = vec![arch_sim::RssPoint::flat(3400, 1), arch_sim::RssPoint::flat(3100, 2)];
+        let rss = BatchPayload::Rss { points };
+        let counters = BatchPayload::CounterDeltas { deltas: Vec::new() };
+        for (payload, expected) in [(rss, Some((("machine", None), 3400))), (counters, None)] {
+            let batch = SampleBatch::new("machine", Some(7), window, payload);
+            assert_eq!(batch.sole_core(), None);
+            assert_eq!(notes_of(&batch, push_notes), vec![(3, expected)]);
+            assert_eq!(notes_of(&batch, push_notes_by_stretch), vec![(3, expected)]);
+        }
+    }
+
+    /// A sliced trace query rebuilds the batches it filters; the rebuilt
+    /// batch's digest is scanned from the samples it kept, not copied from
+    /// the batch it came from — here a two-core batch that keeps one core,
+    /// and loses its newest sample.
+    #[test]
+    fn a_filtered_batch_is_noted_from_its_own_samples() {
+        let mut seed = 11;
+        let stored = spe_batch_of(
+            Some(0),
+            &[(0, 0x1000), (1, 0x9000), (0, 0x1040), (1, 0x9040), (0, 0x1080)],
+            &mut seed,
+        );
+        assert_eq!(stored.sole_core(), None);
+        let mut maxima = Vec::new();
+        for (lo, hi, core) in [(0x1000, 0x1fff, 0), (0x9000, 0x9fff, 1)] {
+            let query = crate::trace::TraceQuery::all().with_vaddr(lo, hi);
+            let kept = query.filter_batch(stored.clone()).expect("samples in range");
+            assert_eq!(kept.sole_core(), Some(core));
+            let notes = notes_of(&kept, push_notes);
+            assert_eq!(notes, notes_of(&kept, push_notes_by_stretch));
+            assert_eq!(notes.len(), 1);
+            maxima.push(kept.max_time_ns());
+        }
+        // One slice kept the stored batch's newest sample, the other lost it.
+        assert!(maxima.contains(&stored.max_time_ns()), "{maxima:?}");
+        assert!(maxima.iter().any(|max| *max < stored.max_time_ns()), "{maxima:?}");
+    }
+
+    /// `note_published` as it was while it took the notes one at a time:
+    /// the reference for the folded walk.
+    fn note_published_one_at_a_time(coordinator: &mut CloseCoordinator, notes: &[PublishNote]) {
+        for &(window_index, mark) in notes {
+            if let Some((source, t_ns)) = mark {
+                coordinator.clock.observe(t_ns);
+                coordinator.mark_source(source, t_ns);
+            }
+            if window_index >= coordinator.closed_below {
+                coordinator.open_windows.insert(window_index);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Folding runs of same-source notes changes nothing the coordinator
+        /// keeps: over arbitrary note lists — per-core SPE sources, the
+        /// core-less machine source and mark-less notes, in runs and singly,
+        /// windows on both sides of `closed_below`, handed over in several
+        /// calls with the tick advancing in between.
+        #[test]
+        fn folded_note_published_matches_one_note_at_a_time(
+            words in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 0..=200usize),
+            closed_below in 0..12u64,
+        ) {
+            let seeded = || {
+                let sources = vec![("spe", Some(0)), ("spe", Some(1)), ("machine", None)];
+                let mut c = CloseCoordinator::new(WindowClock::new(1000), sources);
+                c.closed_below = closed_below;
+                c
+            };
+            let (mut folded, mut reference) = (seeded(), seeded());
+            let mut calls: Vec<(u64, Vec<PublishNote>)> = vec![(0, Vec::new())];
+            let mut previous: PublishNote = (0, None);
+            for w in words {
+                // Three times in four the previous note's source again, and
+                // every other time its window: runs, as a drain lists them.
+                let t_ns = (w >> 8) % 16_000;
+                let mark = match w % 8 {
+                    0 => [None, Some((("machine", None), t_ns))][(w >> 4) as usize % 2],
+                    1 => Some((("spe", Some((w >> 4) as usize % 4)), t_ns)),
+                    _ => previous.1.map(|(source, _)| (source, t_ns)),
+                };
+                let window = if (w >> 24) % 2 == 0 { previous.0 } else { (w >> 32) % 16 };
+                previous = (window, mark);
+                if (w >> 40) % 16 == 0 {
+                    calls.push(((w >> 44) % 300, Vec::new()));
+                }
+                calls.last_mut().expect("starts with one call").1.push(previous);
+            }
+            for (ticks, notes) in calls {
+                for c in [&mut folded, &mut reference] {
+                    c.tick += ticks;
+                }
+                folded.note_published(&notes);
+                note_published_one_at_a_time(&mut reference, &notes);
+                assert_eq!(folded.open_windows, reference.open_windows);
+                assert_eq!(folded.sources, reference.sources);
+                assert_eq!(folded.clock.watermark_ns(), reference.clock.watermark_ns());
+                assert_eq!(folded.closed_below, reference.closed_below);
+                assert_eq!(folded.close_threshold(), reference.close_threshold());
+            }
+        }
+    }
+
+    /// The idle grace, counted in the coordinator pump's ticks: a declared
+    /// source that never produces holds every window open for
+    /// `SOURCE_IDLE_TICKS - 1` ticks and lets go on the next, and a source
+    /// that produced at tick `t` holds its window through tick `t + 249`.
+    #[test]
+    fn a_quiet_source_holds_the_close_threshold_for_the_idle_grace() {
+        let sources = vec![("spe", Some(0)), ("spe", Some(1))];
+        let mut coordinator = CloseCoordinator::new(WindowClock::new(1000), sources);
+        // As the coordinator pump does it: the tick, then the round's notes.
+        // Core 0 delivers into window 9 on every round, core 1 never.
+        let round = |coordinator: &mut CloseCoordinator| {
+            coordinator.tick += 1;
+            coordinator.note_published(&[(9, Some((("spe", Some(0)), 9_500)))]);
+            coordinator.close_threshold()
+        };
+        for tick in 1..SOURCE_IDLE_TICKS {
+            assert_eq!(round(&mut coordinator), 0, "tick {tick}: core 1 is still awaited");
+        }
+        assert_eq!(
+            round(&mut coordinator),
+            9,
+            "tick {SOURCE_IDLE_TICKS}: core 1 sat out the grace"
+        );
+
+        // Core 1 turns up at tick t with data for window 2, then goes quiet.
+        coordinator.tick += 1;
+        let t = coordinator.tick;
+        coordinator.note_published(&[
+            (9, Some((("spe", Some(0)), 9_600))),
+            (2, Some((("spe", Some(1)), 2_100))),
+        ]);
+        assert_eq!(coordinator.close_threshold(), 2);
+        for _ in 1..SOURCE_IDLE_TICKS {
+            assert_eq!(round(&mut coordinator), 2, "tick {}: within the grace", coordinator.tick);
+        }
+        assert_eq!(coordinator.tick, t + SOURCE_IDLE_TICKS - 1);
+        assert_eq!(round(&mut coordinator), 9, "tick t + {SOURCE_IDLE_TICKS}: grace over");
+    }
+
+    #[test]
+    fn left_of_interval_is_the_remainder_or_nothing() {
+        let interval = PUMP_INTERVAL;
+        assert_eq!(left_of_interval(interval, Duration::ZERO), Some(interval));
+        let round = Duration::from_micros(150);
+        assert_eq!(left_of_interval(interval, round), Some(Duration::from_micros(50)));
+        assert_eq!(
+            left_of_interval(interval, interval - Duration::from_nanos(1)),
+            Some(Duration::from_nanos(1))
+        );
+        assert_eq!(left_of_interval(interval, interval), None, "nothing left is no sleep");
+        assert_eq!(left_of_interval(interval, 2 * interval), None);
+        assert_eq!(left_of_interval(interval, Duration::MAX), None, "no underflow");
+        assert_eq!(left_of_interval(Duration::ZERO, Duration::ZERO), None);
+    }
+
+    /// The drain interval is a deadline, not a pause: a round that took
+    /// longer than the interval is followed at once. Fifty rounds whose
+    /// drain alone takes two intervals are fifty rounds that did not sleep —
+    /// whatever else the host does to the timing.
+    #[test]
+    fn a_round_longer_than_the_interval_is_followed_at_once() {
+        const SLOW_ROUNDS: u64 = 50;
+        struct SlowDrain {
+            slow_rounds_left: u64,
+            done: std::sync::mpsc::SyncSender<()>,
+        }
+        impl SampleBackend for SlowDrain {
+            fn name(&self) -> &'static str {
+                "slow-drain"
+            }
+            fn start(
+                &mut self,
+                _machine: &Machine,
+                _cores: &[usize],
+                _config: &NmoConfig,
+            ) -> Result<Vec<crate::backend::CoreObserver>, NmoError> {
+                Ok(Vec::new())
+            }
+            fn drain(
+                &mut self,
+                _machine: &Machine,
+                clock: &WindowClock,
+                _pool: &BatchPool,
+            ) -> Result<Vec<SampleBatch>, NmoError> {
+                if self.slow_rounds_left == 0 {
+                    return Ok(Vec::new());
+                }
+                let busy_until = Instant::now() + 2 * PUMP_INTERVAL;
+                while Instant::now() < busy_until {
+                    std::hint::spin_loop();
+                }
+                self.slow_rounds_left -= 1;
+                if self.slow_rounds_left == 0 {
+                    self.done.send(()).expect("the test waits for the last slow round");
+                }
+                let payload = BatchPayload::CounterDeltas { deltas: Vec::new() };
+                Ok(vec![SampleBatch::new("slow-drain", None, clock.current(), payload)])
+            }
+            fn stop(&mut self, _machine: &Machine) -> Result<(), NmoError> {
+                Ok(())
+            }
+            fn fill(&mut self, _profile: &mut Profile) -> Result<(), NmoError> {
+                Ok(())
+            }
+        }
+        let (done, slow_rounds_done) = std::sync::mpsc::sync_channel(1);
+        let active = ProfileSession::builder()
+            .machine_config(MachineConfig::small_test())
+            .config(NmoConfig::paper_default(100))
+            .threads(1)
+            .backend(SlowDrain { slow_rounds_left: SLOW_ROUNDS, done })
+            .build()
+            .unwrap()
+            .start_streaming()
+            .unwrap();
+        slow_rounds_done.recv_timeout(Duration::from_secs(60)).expect("the pump keeps draining");
+        let stats = active.finish().unwrap().stream.expect("stream stats");
+        assert_eq!(stats.shards, 1, "one pump worker: {stats:?}");
+        assert!(stats.batches_published >= SLOW_ROUNDS, "{stats:?}");
+        assert!(stats.pump_rounds > SLOW_ROUNDS, "the final round comes on top: {stats:?}");
+        assert!(stats.pump_rounds_slept <= stats.pump_rounds - SLOW_ROUNDS, "{stats:?}");
     }
 
     #[test]

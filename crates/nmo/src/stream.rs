@@ -52,8 +52,10 @@
 //! The pipeline's shape is tunable at runtime: the optional [`adaptive`]
 //! controller ([`StreamOptions::adaptive`]) moves the *active* lane count
 //! within the allocated shards ([`ShardedBus::set_active_lanes`]), the
-//! drain cadence, and the backpressure policy
-//! ([`EventBus::set_policy`]) against a loss/overhead budget.
+//! drain cadence (the period pump rounds start at — a round that overran
+//! it is followed at once, see [`StreamStats::pump_rounds_slept`]), and the
+//! backpressure policy ([`EventBus::set_policy`]) against a loss/overhead
+//! budget.
 
 pub mod adaptive;
 
@@ -213,9 +215,12 @@ pub enum BatchPayload {
 /// backend (or the machine probe).
 ///
 /// Construct batches with [`SampleBatch::new`]: the payload is scanned once
-/// there and its maximum timestamp cached, so the consumer-side watermark
-/// checks (`max_time_ns` is read on every delivery) never re-scan the
-/// sample slice. The payload is therefore immutable after construction.
+/// there and what the pipeline asks of every batch is cached — its maximum
+/// timestamp (read by the consumer-side watermark checks on every delivery)
+/// and, for SPE samples, whether they all come from one core (what the
+/// publishing pump notes with the close coordinator) — so nothing downstream
+/// re-scans the sample slice. The payload is therefore immutable after
+/// construction: a changed payload is a new batch, built by `new` again.
 #[derive(Debug, Clone)]
 pub struct SampleBatch {
     /// Name of the producing backend (`"spe"`, `"counters"`, `"machine"`).
@@ -227,28 +232,44 @@ pub struct SampleBatch {
     pub seq: u64,
     /// The time window the data belongs to.
     pub window: Window,
-    /// The data itself (immutable — `max_time_ns` is cached over it).
+    /// The data itself (immutable — the two fields below are cached over
+    /// it).
     payload: BatchPayload,
     /// Highest item timestamp, computed once at construction.
     max_time_ns: Option<u64>,
+    /// The core every SPE sample of the payload names, when they all name
+    /// the same one — the samples' own `core`, whatever the `core` field
+    /// above says. Computed by the same scan.
+    sole_core: Option<usize>,
 }
 
 impl SampleBatch {
     /// Build a batch, scanning the payload once to cache its maximum item
-    /// timestamp.
+    /// timestamp and, over SPE samples, their core if they share one.
     pub fn new(
         backend: &'static str,
         core: Option<usize>,
         window: Window,
         payload: BatchPayload,
     ) -> Self {
+        let mut sole_core = None;
         let max_time_ns = match &payload {
-            BatchPayload::SpeSamples { samples, .. } => samples.iter().map(|s| s.time_ns).max(),
+            BatchPayload::SpeSamples { samples, .. } => samples.first().map(|first| {
+                // Branch-free on purpose: this walk runs on the pump thread
+                // over every sample it hands on.
+                let (mut max, mut strays) = (0, 0);
+                for s in samples {
+                    max = max.max(s.time_ns);
+                    strays |= s.core ^ first.core;
+                }
+                sole_core = (strays == 0).then_some(first.core);
+                max
+            }),
             BatchPayload::CounterDeltas { .. } => None,
             BatchPayload::Rss { points } => points.iter().map(|p| p.time_ns).max(),
             BatchPayload::Bandwidth { points } => points.iter().map(|p| p.time_ns).max(),
         };
-        SampleBatch { backend, core, seq: 0, window, payload, max_time_ns }
+        SampleBatch { backend, core, seq: 0, window, payload, max_time_ns, sole_core }
     }
 
     /// The batch's data.
@@ -282,6 +303,12 @@ impl SampleBatch {
     pub fn max_time_ns(&self) -> Option<u64> {
         self.max_time_ns
     }
+
+    /// The one core all of the batch's SPE samples come from (cached at
+    /// construction); `None` for mixed, empty and non-SPE payloads.
+    pub(crate) fn sole_core(&self) -> Option<usize> {
+        self.sole_core
+    }
 }
 
 /// What the bus does when a producer finds it full.
@@ -307,6 +334,9 @@ pub struct BusStats {
     pub dropped_items: u64,
     /// Highest queue occupancy observed (sampled at every enqueue; a drain
     /// is enqueued under one hold, so its last batch sees all of it queued).
+    /// Counts every queued event, and window-close signals bypass the
+    /// capacity check: it can exceed `capacity` by the close signals queued
+    /// at the time (1 031 of 1 024 on the benchmark's `pipe_128c_serial`).
     pub high_watermark: u64,
     /// Configured capacity.
     pub capacity: u64,
@@ -958,6 +988,13 @@ pub struct StreamStats {
     /// Decisions the adaptive controller made over the run (0 on static
     /// runs).
     pub adaptive_decisions: u64,
+    /// Drain rounds the pump workers ran, summed over the workers.
+    pub pump_rounds: u64,
+    /// How many of those rounds ended before the drain interval was up and
+    /// slept the rest of it; `pump_rounds - pump_rounds_slept` rounds took
+    /// the whole interval or longer and were followed at once. Near 0, the
+    /// pump never idled: it is the pipeline's bottleneck.
+    pub pump_rounds_slept: u64,
 }
 
 impl StreamStats {
@@ -1506,6 +1543,7 @@ mod tests {
             BatchPayload::SpeSamples { samples, loss: SpeStatsSnapshot::default() },
         );
         assert_eq!(batch.max_time_ns(), Some(990));
+        assert_eq!(batch.sole_core(), Some(0), "both samples name core 0");
         assert_eq!(batch.len(), 2);
         let counters = SampleBatch::new(
             "counters",
@@ -1514,6 +1552,7 @@ mod tests {
             BatchPayload::CounterDeltas { deltas: Vec::new() },
         );
         assert_eq!(counters.max_time_ns(), None, "counter deltas carry no timestamps");
+        assert_eq!(counters.sole_core(), None, "nor samples");
     }
 
     #[test]

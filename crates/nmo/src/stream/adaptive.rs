@@ -41,7 +41,9 @@
 //!   lanes receive no new batches (routing is `core % active`). Every shard
 //!   consumer stays subscribed, so window-close bookkeeping and the
 //!   deterministic merge are untouched by width changes.
-//! * **Drain cadence** — the pump poll interval, within `[50 µs, 2 ms]`.
+//! * **Drain cadence** — the period pump rounds start at, within
+//!   `[50 µs, 2 ms]` (a round sleeps what it left of the period; one that
+//!   overran it is followed at once).
 //! * **Backpressure mode** — [`BackpressurePolicy::DropNewest`] ↔
 //!   [`BackpressurePolicy::Block`] once the loss budget is exhausted at full
 //!   width (bounded overhead beats unbounded loss only when widening is no
@@ -549,10 +551,11 @@ impl AdaptiveRuntime {
         self.state.lock().controller.active()
     }
 
-    /// The drain cadence every pump worker sleeps between ticks.
+    /// The drain cadence: the period every pump worker starts its rounds
+    /// at.
     pub fn poll_interval(&self) -> Duration {
         // relaxed-ok: cadence hint — a worker reading a stale interval
-        // sleeps one tick at the old cadence; no data depends on it.
+        // runs one round at the old cadence; no data depends on it.
         Duration::from_nanos(self.poll_ns.load(Ordering::Relaxed))
     }
 

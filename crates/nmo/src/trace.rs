@@ -1511,7 +1511,7 @@ impl TraceQuery {
     /// What the query keeps of one stored batch: nothing outside the window
     /// range or core set; of an SPE batch, the samples inside the address
     /// range (`None` when none is).
-    fn filter_batch(&self, batch: SampleBatch) -> Option<SampleBatch> {
+    pub(crate) fn filter_batch(&self, batch: SampleBatch) -> Option<SampleBatch> {
         let core_kept =
             batch.core.is_none_or(|c| self.cores.as_ref().is_none_or(|cores| cores.contains(&c)));
         if !self.window_in_range(batch.window.index) || !core_kept {
