@@ -24,7 +24,7 @@
 //!
 //! segment   := header block* index trailer
 //! header    := "NMOT" version:u16 shard:u16                  (8 bytes)
-//!              version 2; other versions are refused
+//!              version 3; other versions are refused
 //! block     := "NMOB" payload_len:u32 mulrot64(payload):u64 payload
 //! payload   := event*                                        (see below)
 //! index     := "NMOX" count:u32 entry{count} mulrot64(entries):u64
@@ -46,25 +46,52 @@
 //! fixed-width entry table from the end of the file once and seeks straight
 //! to the blocks it needs — O(1) per block, never scanning the segment.
 //!
-//! # Encoding invariants (varint/delta)
+//! # Encoding invariants (varint, delta, packed columns)
 //!
-//! Integers are LEB128 varints (7 bits per byte, little-endian groups, at
-//! most 10 bytes); signed deltas are zigzag-mapped (`0,-1,1,-2,…` →
-//! `0,1,2,3,…`) before varint encoding. Within one batch event:
+//! Outside a run of samples, integers are LEB128 varints (7 bits per byte,
+//! little-endian groups, at most 10 bytes); signed deltas are zigzag-mapped
+//! (`0,-1,1,-2,…` → `0,1,2,3,…`) first. An event is its tag and, for a batch,
+//! `seq window core backend count` and its items; a window close is its
+//! window. The samples of an SPE batch are stored in groups of up to 64, each
+//! group column by column, and the batch's loss counters follow the last:
 //!
-//! * sample timestamps are zigzag deltas from the previous sample, seeded
-//!   with the batch window's `start_ns` — in-window times are small;
-//! * virtual addresses are zigzag deltas from the previous sample's address,
-//!   seeded with 0 — strided and page-local access patterns collapse to a
-//!   byte or two;
-//! * the core id is elided while it equals the previous sample's core
-//!   (seeded with the batch core), which is always on per-core SPE batches;
-//! * the data source is the 1-byte SPE data-source encoding
-//!   ([`DataSource::encode`]), so the serving node id survives round-trips.
+//! ```text
+//! group     := source{g} stores{ceil(g/8)} column{4}    g = min(64, samples left)
+//! column    := width:u8 base:varint bits{ceil(g*width/8)}          width in 0..=64
+//! ```
 //!
-//! Decoding is the exact inverse and every read is bounds-checked:
-//! arbitrary bytes never panic, and no length read from a file is trusted
-//! with an allocation before it is checked against the file.
+//! * `source` is the 1-byte SPE data-source encoding
+//!   ([`DataSource::encode`]), so the serving node id survives round-trips;
+//!   bit `i` of `stores` (LSB-first) says sample `i` is a store;
+//! * the four columns are, in order: sample timestamps as zigzag deltas from
+//!   the previous sample, seeded with the batch window's `start_ns`; virtual
+//!   addresses as zigzag deltas from the previous sample's, seeded with 0;
+//!   latencies; core ids;
+//! * value `i` of a column is `base` plus the `width` bits at
+//!   `[i*width, (i+1)*width)` of `bits`, LSB-first. `base` is the group's
+//!   smallest value and `width` the bits of its largest `value - base` — a
+//!   frame of reference, so a constant stride in time or a batch from one
+//!   core is a column of two bytes and no bits.
+//!
+//! A value sits at `index × width`, wherever its neighbours end: the decoder
+//! unpacks a column in one loop without a branch or a dependency from value
+//! to value, checks bounds once per column, and sums the deltas afterwards.
+//! (A varint per field made every read wait for the length of the one
+//! before.) Two limits come with it. A group's width is that of its largest
+//! value, so one outlier — a kernel address among user addresses, which the
+//! simulator never produces — widens 64 samples. And a batch of 1–3 samples
+//! is up to 5 bytes larger than a varint per field would make it (four width
+//! bytes and the core base); they break even at 4.
+//!
+//! Decoding is the exact inverse, every read is bounds-checked, and no bit
+//! of a payload is ignored: a width above 64, a column or the source and
+//! store bytes running past the payload, a value past `u64::MAX`, a latency
+//! past `u16::MAX`, a core id no `usize` holds, a data-source code that names
+//! no source, a store bit at or beyond `g` and a set padding bit behind a
+//! column's last value are each an error. Arbitrary bytes never panic, and no
+//! length read from a file is trusted with an allocation before it is checked
+//! against the file: a sample buffer grows group by group, by what the bytes
+//! of each group have paid for.
 //!
 //! The checksum (`mulrot64`, one function for blocks and the index) reads a
 //! word at a time, not a byte at a time, and keeps what byte-wise FNV-1a
@@ -112,7 +139,11 @@
 //! re-derive them from host timing. One function, `feed`, delivers a run of
 //! indexed blocks through a shard's lane, so per-shard workers,
 //! ascending-shard window merges and legacy-sink closes follow the live rule
-//! by construction. [`TraceReader::replay`] calls it from one thread in
+//! by construction. A block is decoded whole, into sample buffers from the
+//! segment reader's own [`BatchPool`], before any of it is delivered, and
+//! `feed` hands each batch's buffer back once the lane has seen it: a replay
+//! allocates for its largest block and reuses that for every other.
+//! [`TraceReader::replay`] calls it from one thread in
 //! block-granular rounds — every shard's blocks up to and including its next
 //! close block, shard by shard, so the lanes advance in lock step — and a
 //! replay through a [`crate::LatencySink`] or
@@ -150,13 +181,16 @@ const BLOCK_MAGIC: [u8; 4] = *b"NMOB";
 const INDEX_MAGIC: [u8; 4] = *b"NMOX";
 /// End-of-file trailer magic.
 const TRAILER_MAGIC: [u8; 4] = *b"NMOE";
-/// Current format version (2: [`mulrot64`] checksums; 1 used FNV-1a). Every
-/// other version is refused.
-const FORMAT_VERSION: u16 = 2;
+/// Current format version (3: samples as packed columns; 2 stored a varint
+/// per field, 1 used FNV-1a checksums). Every other version is refused.
+const FORMAT_VERSION: u16 = 3;
 /// Size of a block frame's header: magic, payload length, checksum.
 const FRAME_HEADER_BYTES: usize = 16;
 /// Flush a block once its payload passes this size (closes flush earlier).
 const BLOCK_TARGET_BYTES: usize = 64 * 1024;
+/// More SPE batches than a block the writer flushed can hold (the emptiest
+/// one is a 17-byte event): how many sample buffers a reader's pool keeps.
+const MAX_BLOCK_BATCHES: usize = BLOCK_TARGET_BYTES / 16;
 /// Upper bound on a declared block payload length (corruption guard).
 const MAX_BLOCK_BYTES: usize = 1 << 28;
 /// Size of one fixed-width footer index entry.
@@ -175,25 +209,14 @@ const EV_BANDWIDTH: u8 = 5;
 // Primitive codecs: varint, zigzag, the checksum.
 // ---------------------------------------------------------------------------
 
-/// Write `v` as a LEB128 varint (at most 10 bytes) at `buf[at..]` and return
-/// the index after it. The caller has made the room.
-#[inline]
-fn write_varint(buf: &mut [u8], mut at: usize, mut v: u64) -> usize {
+/// Append a LEB128 varint (at most 10 bytes): event headers, per-point
+/// fields and column bases — never a per-sample field.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
-        buf[at] = (v as u8) | 0x80;
+        out.push((v as u8) | 0x80);
         v >>= 7;
-        at += 1;
     }
-    buf[at] = v as u8;
-    at + 1
-}
-
-/// Append a LEB128 varint — the per-event and per-point fields. The
-/// per-sample loop writes through [`write_varint`] into room it sized once.
-fn put_varint(out: &mut Vec<u8>, v: u64) {
-    let mut buf = [0u8; 10];
-    let len = write_varint(&mut buf, 0, v);
-    out.extend_from_slice(&buf[..len]);
+    out.push(v as u8);
 }
 
 /// Read a LEB128 varint; `None` on truncation or overlong encoding.
@@ -351,11 +374,47 @@ fn put_window(out: &mut Vec<u8>, w: Window) {
     put_varint(out, w.end_ns.saturating_sub(w.start_ns));
 }
 
-/// The most bytes one sample encodes to: flags, source, two 10-byte deltas,
-/// a `u16` latency, a core id.
-const MAX_SAMPLE_BYTES: usize = 2 + 10 + 10 + 3 + 10;
-/// Samples encoded per sizing of the scratch (its zero-fill stays in L1).
-const SAMPLE_GROUP: usize = 64;
+/// Samples per packed group: a `u64` of store bits, and at most 512 bytes a
+/// column.
+const GROUP: usize = 64;
+
+/// Append one frame-of-reference column: `width:u8 base:varint` and every
+/// `value - base` in `width` bits, LSB-first, the last byte zero-padded.
+/// `base` is the smallest value and `width` the bits of the largest
+/// `value - base`, so a constant column is two bytes.
+fn pack_column(out: &mut Vec<u8>, values: &[u64]) {
+    // The largest value as the smallest complement: a running `max` over
+    // `u64`s compiles to a branch, taken at every new maximum of values that
+    // come in no order; `min` compiles to a conditional move.
+    let (base, not_max) =
+        values.iter().fold((u64::MAX, u64::MAX), |(lo, hi), &v| (lo.min(v), hi.min(!v)));
+    let width = u64::BITS - (!not_max - base).leading_zeros();
+    out.push(width as u8);
+    put_varint(out, base);
+    if width == 0 {
+        return;
+    }
+    // Eight bytes of slack, cut off again below: the last word is stored
+    // whole. `fill` bits wait in `acc`; 64 of them are a word to store.
+    let at = out.len();
+    let end = at + (values.len() * width as usize).div_ceil(8);
+    out.resize(end + 8, 0);
+    let dst = &mut out[at..];
+    let (mut acc, mut fill, mut pos) = (0u64, 0u32, 0usize);
+    for &v in values {
+        let v = v - base;
+        acc |= v << fill;
+        fill += width;
+        if fill >= 64 {
+            dst[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
+            pos += 8;
+            fill -= 64;
+            acc = if fill == 0 { 0 } else { v >> (width - fill) };
+        }
+    }
+    dst[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
+    out.truncate(end);
+}
 
 /// Encode one batch delivery. Returns the number of address samples written.
 fn encode_batch_event(out: &mut Vec<u8>, batch: &SampleBatch, meta: &mut BlockMeta) -> u64 {
@@ -384,33 +443,29 @@ fn encode_batch_event(out: &mut Vec<u8>, batch: &SampleBatch, meta: &mut BlockMe
             put_varint(out, samples.len() as u64);
             let mut prev_time = batch.window.start_ns;
             let mut prev_vaddr = 0u64;
-            let mut prev_core = batch.core.unwrap_or(usize::MAX);
             let (mut core_mask, mut min_vaddr, mut max_vaddr) =
                 (meta.core_mask, meta.min_vaddr, meta.max_vaddr);
-            // Room for a group's worst case once, bytes stored through an
-            // index, the unused room cut off: no call per varint.
-            for group in samples.chunks(SAMPLE_GROUP) {
-                let mut at = out.len();
-                out.resize(at + group.len() * MAX_SAMPLE_BYTES, 0);
-                for s in group {
-                    let core_differs = s.core != prev_core;
-                    out[at] = u8::from(s.is_store) | (u8::from(core_differs) << 1);
-                    out[at + 1] = s.source.encode();
-                    at =
-                        write_varint(out, at + 2, zigzag(s.time_ns.wrapping_sub(prev_time) as i64));
-                    at = write_varint(out, at, zigzag(s.vaddr.wrapping_sub(prev_vaddr) as i64));
-                    at = write_varint(out, at, u64::from(s.latency));
-                    if core_differs {
-                        at = write_varint(out, at, s.core as u64);
-                        core_mask |= core_bit(s.core);
-                    }
+            let mut columns = [[0u64; GROUP]; 4];
+            for group in samples.chunks(GROUP) {
+                out.extend(group.iter().map(|s| s.source.encode()));
+                let [times, vaddrs, latencies, cores] = &mut columns;
+                let mut stores = 0u64;
+                for (i, s) in group.iter().enumerate() {
+                    stores |= u64::from(s.is_store) << i;
+                    times[i] = zigzag(s.time_ns.wrapping_sub(prev_time) as i64);
+                    vaddrs[i] = zigzag(s.vaddr.wrapping_sub(prev_vaddr) as i64);
+                    latencies[i] = u64::from(s.latency);
+                    cores[i] = s.core as u64;
                     prev_time = s.time_ns;
                     prev_vaddr = s.vaddr;
-                    prev_core = s.core;
+                    core_mask |= core_bit(s.core);
                     min_vaddr = min_vaddr.min(s.vaddr);
                     max_vaddr = max_vaddr.max(s.vaddr);
                 }
-                out.truncate(at);
+                out.extend_from_slice(&stores.to_le_bytes()[..group.len().div_ceil(8)]);
+                for column in &columns {
+                    pack_column(out, &column[..group.len()]);
+                }
             }
             (meta.core_mask, meta.min_vaddr, meta.max_vaddr) = (core_mask, min_vaddr, max_vaddr);
             samples_written = samples.len() as u64;
@@ -501,25 +556,73 @@ fn read_window(data: &[u8], pos: &mut usize) -> Result<Window, String> {
 }
 
 /// Guard a declared element count against the bytes actually remaining
-/// (each element encodes to at least `min_bytes`), so corrupt counts cannot
+/// (each element encodes to at least `min_bits`), so corrupt counts cannot
 /// drive huge allocations.
 fn checked_count(
     data: &[u8],
     pos: usize,
     count: u64,
-    min_bytes: usize,
+    min_bits: usize,
     what: &str,
 ) -> Result<usize, String> {
     let remaining = data.len().saturating_sub(pos);
     let count = usize::try_from(count).map_err(|_| format!("absurd {what} count {count}"))?;
-    if count.saturating_mul(min_bytes.max(1)) > remaining {
+    if count.saturating_mul(min_bits) > remaining.saturating_mul(8) {
         return Err(format!("{what} count {count} exceeds remaining payload ({remaining} bytes)"));
     }
     Ok(count)
 }
 
-/// Decode every event in a (checksum-verified) block payload.
-fn decode_events(payload: &[u8]) -> Result<Vec<BusEvent>, String> {
+/// Read one column [`pack_column`] wrote, `out.len()` (at most [`GROUP`])
+/// values long. Refused: a width above 64, a column running past the payload,
+/// set padding bits in its last byte, a value past `u64::MAX`.
+fn unpack_column(
+    payload: &[u8],
+    pos: &mut usize,
+    out: &mut [u64],
+    what: &str,
+) -> Result<(), String> {
+    let width = usize::from(
+        *payload.get(*pos).ok_or_else(|| format!("truncated {what} width at byte {pos}"))?,
+    );
+    *pos += 1;
+    if width > 64 {
+        return Err(format!("{what} width {width} exceeds 64 bits"));
+    }
+    let base = rv(payload, pos, what)?;
+    let bits = out.len() * width;
+    let packed = payload
+        .get(*pos..*pos + bits.div_ceil(8))
+        .ok_or_else(|| format!("truncated {what} column at byte {pos}"))?;
+    *pos += packed.len();
+    let padding = packed.len() * 8 - bits;
+    if packed.last().is_some_and(|&last| u16::from(last) >> (8 - padding) != 0) {
+        return Err(format!("{what} column ends in non-zero padding bits"));
+    }
+    if width == 0 {
+        out.fill(base);
+        return Ok(());
+    }
+    // Value `i` starts at bit `i * width`: one 16-byte load at its byte,
+    // whatever the width, from a copy with zeros behind the last byte.
+    let mut window = [0u8; GROUP * 8 + 16];
+    window[..packed.len()].copy_from_slice(packed);
+    let mask = u64::MAX >> (u64::BITS - width as u32);
+    for (i, v) in out.iter_mut().enumerate() {
+        let bit = i * width;
+        // unwrap-ok: a 16-byte slice converts to a 16-byte array.
+        let word = u128::from_le_bytes(window[bit / 8..bit / 8 + 16].try_into().expect("16 bytes"));
+        *v = base.wrapping_add((word >> (bit % 8)) as u64 & mask);
+    }
+    if base.checked_add(mask).is_none() && out.iter().any(|&v| v < base) {
+        return Err(format!("{what} column overflows u64"));
+    }
+    Ok(())
+}
+
+/// Decode every event in a (checksum-verified) block payload; the sample
+/// buffers come from `pool`.
+fn decode_events(payload: &[u8], pool: &BatchPool) -> Result<Vec<BusEvent>, String> {
     let mut pos = 0usize;
     let mut out = Vec::new();
     while pos < payload.len() {
@@ -544,44 +647,56 @@ fn decode_events(payload: &[u8]) -> Result<Vec<BusEvent>, String> {
         let data = match tag {
             EV_SPE => {
                 let n = rv(payload, &mut pos, "sample count")?;
-                let n = checked_count(payload, pos, n, 5, "sample")?;
-                let mut samples = Vec::with_capacity(n);
+                // A sample is at least its source byte and its store bit; the
+                // buffer grows by what each group's bytes have paid for.
+                let n = checked_count(payload, pos, n, 9, "sample")?;
+                let mut samples = pool.samples();
                 let mut prev_time = window.start_ns;
                 let mut prev_vaddr = 0u64;
-                let mut prev_core = core.unwrap_or(usize::MAX);
-                for _ in 0..n {
-                    let flags = *payload
-                        .get(pos)
-                        .ok_or_else(|| format!("truncated sample flags at byte {pos}"))?;
-                    let code = *payload
-                        .get(pos + 1)
-                        .ok_or_else(|| format!("truncated data source at byte {pos}"))?;
-                    pos += 2;
-                    let source = DataSource::decode(code)
-                        .ok_or_else(|| format!("invalid data-source code {code:#x}"))?;
-                    let dt = unzigzag(rv(payload, &mut pos, "time delta")?);
-                    let dv = unzigzag(rv(payload, &mut pos, "vaddr delta")?);
-                    let latency = u16::try_from(rv(payload, &mut pos, "latency")?)
-                        .map_err(|_| "latency out of u16 range".to_string())?;
-                    let sample_core = if flags & 0b10 != 0 {
-                        let c = rv(payload, &mut pos, "sample core")?;
-                        usize::try_from(c).map_err(|_| format!("absurd sample core {c}"))?
-                    } else {
-                        prev_core
-                    };
-                    let time_ns = prev_time.wrapping_add(dt as u64);
-                    let vaddr = prev_vaddr.wrapping_add(dv as u64);
-                    prev_time = time_ns;
-                    prev_vaddr = vaddr;
-                    prev_core = sample_core;
-                    samples.push(AddressSample {
-                        time_ns,
-                        vaddr,
-                        core: sample_core,
-                        is_store: flags & 0b1 != 0,
-                        latency,
-                        source,
-                    });
+                let mut columns = [[0u64; GROUP]; 4];
+                while samples.len() < n {
+                    let g = (n - samples.len()).min(GROUP);
+                    let (codes, stored) = payload
+                        .get(pos..pos + g + g.div_ceil(8))
+                        .ok_or_else(|| format!("truncated sources and store bits at byte {pos}"))?
+                        .split_at(g);
+                    pos += g + stored.len();
+                    let mut stores = [0u8; 8];
+                    stores[..stored.len()].copy_from_slice(stored);
+                    let stores = u64::from_le_bytes(stores);
+                    if stores.checked_shr(g as u32).is_some_and(|beyond| beyond != 0) {
+                        return Err(format!("store bits set beyond a group of {g}"));
+                    }
+                    for (column, what) in
+                        columns.iter_mut().zip(["time delta", "vaddr delta", "latency", "core"])
+                    {
+                        unpack_column(payload, &mut pos, &mut column[..g], what)?;
+                    }
+                    let [times, vaddrs, latencies, cores] = &columns;
+                    if latencies[..g].iter().fold(0, |all, &v| all | v) > u64::from(u16::MAX) {
+                        return Err("latency out of u16 range".to_string());
+                    }
+                    let widest = cores[..g].iter().fold(0, |all, &v| all | v);
+                    usize::try_from(widest).map_err(|_| format!("absurd sample core {widest}"))?;
+                    let mut sources = [DataSource::L1; GROUP];
+                    for (source, &code) in sources.iter_mut().zip(codes) {
+                        *source = DataSource::decode(code)
+                            .ok_or_else(|| format!("invalid data-source code {code:#x}"))?;
+                    }
+                    // Nothing below can fail: an exact-length `extend` writes
+                    // the group's samples without a capacity check each.
+                    samples.extend((0..g).map(|i| {
+                        prev_time = prev_time.wrapping_add(unzigzag(times[i]) as u64);
+                        prev_vaddr = prev_vaddr.wrapping_add(unzigzag(vaddrs[i]) as u64);
+                        AddressSample {
+                            time_ns: prev_time,
+                            vaddr: prev_vaddr,
+                            core: cores[i] as usize,
+                            is_store: stores >> i & 1 != 0,
+                            latency: latencies[i] as u16,
+                            source: sources[i],
+                        }
+                    }));
                 }
                 let mut loss = SpeStatsSnapshot::default();
                 for field in [
@@ -601,11 +716,11 @@ fn decode_events(payload: &[u8]) -> Result<Vec<BusEvent>, String> {
             }
             EV_COUNTERS => {
                 let n = rv(payload, &mut pos, "delta count")?;
-                let n = checked_count(payload, pos, n, 3, "counter delta")?;
+                let n = checked_count(payload, pos, n, 24, "counter delta")?;
                 let mut deltas = Vec::with_capacity(n);
                 for _ in 0..n {
                     let len = rv(payload, &mut pos, "event-name length")?;
-                    let len = checked_count(payload, pos, len, 1, "event-name byte")?;
+                    let len = checked_count(payload, pos, len, 8, "event-name byte")?;
                     let bytes = payload
                         .get(pos..pos + len)
                         .ok_or_else(|| format!("truncated event name at byte {pos}"))?;
@@ -621,7 +736,7 @@ fn decode_events(payload: &[u8]) -> Result<Vec<BusEvent>, String> {
             }
             EV_RSS => {
                 let n = rv(payload, &mut pos, "rss point count")?;
-                let n = checked_count(payload, pos, n, 3, "rss point")?;
+                let n = checked_count(payload, pos, n, 24, "rss point")?;
                 let mut points = Vec::with_capacity(n);
                 let mut prev_time = window.start_ns;
                 for _ in 0..n {
@@ -636,7 +751,7 @@ fn decode_events(payload: &[u8]) -> Result<Vec<BusEvent>, String> {
             }
             _ => {
                 let n = rv(payload, &mut pos, "bandwidth point count")?;
-                let n = checked_count(payload, pos, n, 11, "bandwidth point")?;
+                let n = checked_count(payload, pos, n, 88, "bandwidth point")?;
                 let mut points = Vec::with_capacity(n);
                 let mut prev_time = window.start_ns;
                 for _ in 0..n {
@@ -717,6 +832,11 @@ pub struct BlockScan {
 /// checksum or event stream does not verify are skipped whole, and a
 /// truncated tail is accounted and reported. Never panics, for any input.
 pub fn scan_blocks(data: &[u8]) -> BlockScan {
+    scan_with(data, &BatchPool::new(MAX_BLOCK_BATCHES))
+}
+
+/// [`scan_blocks`], each block decoded into `pool`'s buffers and handed back.
+fn scan_with(data: &[u8], pool: &BatchPool) -> BlockScan {
     let mut scan = BlockScan::default();
     let mut pos = 0usize;
     while pos < data.len() {
@@ -757,11 +877,15 @@ pub fn scan_blocks(data: &[u8]) -> BlockScan {
             pos += frame_len;
             continue;
         }
-        match decode_events(payload) {
+        match decode_events(payload, pool) {
             Ok(events) => {
                 scan.blocks.push(ScannedBlock { offset: pos, frame_len, events: events.len() });
                 scan.consumed_bytes += frame_len;
                 pos += frame_len;
+                pool.recycle_batches(events.into_iter().filter_map(|event| match event {
+                    BusEvent::Batch(batch) => Some(batch),
+                    BusEvent::CloseWindow(_) => None,
+                }));
             }
             Err(e) => {
                 scan.errors.push(format!("undecodable block at offset {pos}: {e}"));
@@ -1231,10 +1355,11 @@ impl Manifest {
         }
         // Replayed sinks compute with these values (page masks, per-node
         // arrays), and a cut-short segment list would replay part of the run
-        // as if it were all of it: refuse what no writer produces.
+        // as if it were all of it — also when the damage that cut it made the
+        // `shards` line an unknown key: refuse what no writer produces.
         let g = &m.geometry;
         if m.segments.is_empty()
-            || shards.is_some_and(|n| n != m.segments.len())
+            || shards != Some(m.segments.len())
             || !g.page_bytes.is_power_of_two()
             || !(1..=MAX_MEM_NODES).contains(&g.mem_nodes)
             || (m.window_ns == 0 && m.samples > 0)
@@ -1287,6 +1412,9 @@ struct SegmentReader {
     blocks_end: u64,
     /// Frame scratch, reused across blocks.
     scratch: Vec<u8>,
+    /// Where a block's sample buffers come from and where `feed` hands them
+    /// back: replay allocates for its largest block and no more.
+    pool: Arc<BatchPool>,
 }
 
 impl SegmentReader {
@@ -1295,7 +1423,8 @@ impl SegmentReader {
     fn open(shard: usize, path: PathBuf) -> Result<(SegmentReader, Vec<IndexEntry>), NmoError> {
         let file = File::open(&path)
             .map_err(|e| NmoError::trace(format!("cannot open {}: {e}", path.display())))?;
-        let mut r = SegmentReader { file, path, blocks_end: 0, scratch: Vec::new() };
+        let pool = BatchPool::new(MAX_BLOCK_BATCHES);
+        let mut r = SegmentReader { file, path, blocks_end: 0, scratch: Vec::new(), pool };
         let file_len = r.file.metadata().map_err(|e| r.damage(format!("cannot stat: {e}")))?.len();
         let mut header = [0u8; 8];
         r.read_at(0, &mut header, "segment header")?;
@@ -1393,7 +1522,7 @@ impl SegmentReader {
         if mulrot64(payload) != entry.checksum {
             return Err(self.damage(format!("block checksum mismatch at offset {at}")));
         }
-        decode_events(payload).map_err(|e| self.damage(e))
+        decode_events(payload, &self.pool).map_err(|e| self.damage(e))
     }
 }
 
@@ -1423,6 +1552,7 @@ fn feed(
                         stats.samples += samples.len() as u64;
                     }
                     lane.on_batch(&batch, || fan_in.lock());
+                    reader.pool.recycle_batch(batch);
                 }
                 BusEvent::CloseWindow(w) => {
                     if query.window_in_range(w.index) {
@@ -1961,20 +2091,35 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn events_encode_decode_round_trip() {
-        let window = Window { index: 4, start_ns: 4_000_000, end_ns: 5_000_000 };
-        let events = mixed_events(window);
-        let mut buf = Vec::new();
-        let mut meta = BlockMeta::empty();
-        for ev in &events {
+    /// `events` as one block payload, with the block's summary and the offset
+    /// at which each event ends.
+    fn encode_stream(events: &[BusEvent]) -> (Vec<u8>, BlockMeta, Vec<usize>) {
+        let (mut buf, mut meta, mut ends) = (Vec::new(), BlockMeta::empty(), Vec::new());
+        for ev in events {
             match ev {
                 BusEvent::Batch(b) => {
                     encode_batch_event(&mut buf, b, &mut meta);
                 }
                 BusEvent::CloseWindow(w) => encode_close_event(&mut buf, *w, &mut meta),
             }
+            ends.push(buf.len());
         }
+        (buf, meta, ends)
+    }
+
+    /// [`mixed_events`] and then [`wide_batch`]: every kind of event, and
+    /// sample runs from a few narrow bits to whole words.
+    fn mixed_and_wide_events(window: Window) -> Vec<BusEvent> {
+        let mut events = mixed_events(window);
+        events.push(BusEvent::Batch(wide_batch(window)));
+        events
+    }
+
+    #[test]
+    fn events_encode_decode_round_trip() {
+        let window = Window { index: 4, start_ns: 4_000_000, end_ns: 5_000_000 };
+        let events = mixed_events(window);
+        let (buf, meta, _) = encode_stream(&events);
         assert_eq!(meta.samples, 3);
         assert_eq!(meta.closes, 1);
         assert_eq!(meta.first_window, 4);
@@ -1984,7 +2129,7 @@ mod tests {
         assert_eq!(meta.min_vaddr, 0x6000_0000);
         assert_eq!(meta.max_vaddr, 0x7f00_0040);
 
-        let decoded = decode_events(&buf).expect("decode");
+        let decoded = decode_events(&buf, &BatchPool::new(4)).expect("decode");
         assert_eq!(decoded.len(), events.len());
         for (orig, got) in events.iter().zip(&decoded) {
             match (orig, got) {
@@ -1998,33 +2143,162 @@ mod tests {
     #[test]
     fn decode_rejects_any_truncation() {
         let window = Window { index: 0, start_ns: 0, end_ns: 1_000_000 };
-        let mut buf = Vec::new();
-        let mut meta = BlockMeta::empty();
-        // A cut at an exact event boundary is a legal (shorter) stream, so
-        // record the boundaries and expect success with fewer events there
-        // and a decode error everywhere else — never a panic.
-        let mut boundaries = std::collections::BTreeSet::new();
-        let mut n_events = 0usize;
-        for ev in mixed_events(window) {
-            match ev {
-                BusEvent::Batch(b) => {
-                    encode_batch_event(&mut buf, &b, &mut meta);
-                }
-                BusEvent::CloseWindow(w) => encode_close_event(&mut buf, w, &mut meta),
-            }
-            boundaries.insert(buf.len());
-            n_events += 1;
+        let events = mixed_and_wide_events(window);
+        let (buf, _, ends) = encode_stream(&events);
+        match decode_events(&buf, &BatchPool::new(4)).expect("the whole stream").last() {
+            Some(BusEvent::Batch(decoded)) => assert_batches_eq(decoded, &wide_batch(window)),
+            other => panic!("the wide batch came back as {other:?}"),
         }
+        // A cut at an exact event boundary is a legal (shorter) stream, so
+        // expect success with fewer events there and a decode error
+        // everywhere else — never a panic.
         for cut in 1..buf.len() {
-            match decode_events(&buf[..cut]) {
-                Ok(events) => {
-                    assert!(boundaries.contains(&cut), "cut {cut} inside an event decoded Ok");
-                    assert!(events.len() < n_events);
+            match decode_events(&buf[..cut], &BatchPool::new(4)) {
+                Ok(decoded) => {
+                    assert!(ends.contains(&cut), "cut {cut} inside an event decoded Ok");
+                    assert!(decoded.len() < events.len());
                 }
-                Err(_) => {
-                    assert!(!boundaries.contains(&cut), "cut {cut} at a boundary must decode");
-                }
+                Err(_) => assert!(!ends.contains(&cut), "cut {cut} at a boundary must decode"),
             }
+        }
+    }
+
+    /// Three groups (64 + 64 + 1) whose columns are as wide as they get:
+    /// addresses at 0 and `u64::MAX`, time running backwards, the latency and
+    /// core ranges end to end — and, in the second group, a column whose
+    /// `base + mask` passes `u64::MAX` while no value does (cores `MAX - 2`
+    /// and `MAX`: two bits above the base).
+    fn wide_batch(window: Window) -> SampleBatch {
+        let samples = (0..129u64)
+            .map(|i| AddressSample {
+                time_ns: if i % 2 == 0 { u64::MAX - i } else { i },
+                vaddr: if i % 3 == 0 { u64::MAX } else { 0 },
+                core: [if i < 64 { 0 } else { usize::MAX - 2 }, usize::MAX][i as usize % 2],
+                is_store: i % 5 == 0,
+                latency: [0, u16::MAX, 77][i as usize % 3],
+                source: [DataSource::Slc, DataSource::RemoteDram(15)][i as usize % 2],
+            })
+            .collect();
+        spe_batch(5, window, samples)
+    }
+
+    /// The layout, byte for byte: a change to it must change this string,
+    /// and then `FORMAT_VERSION`.
+    #[test]
+    fn a_batch_event_is_exactly_these_bytes() {
+        let window = Window { index: 4, start_ns: 4_000_000, end_ns: 5_000_000 };
+        let s = |dt, vaddr, core, latency, source, is_store| AddressSample {
+            time_ns: window.start_ns + dt,
+            vaddr,
+            core,
+            is_store,
+            latency,
+            source,
+        };
+        let batch = spe_batch(
+            3,
+            window,
+            vec![
+                s(10, 0x7f00_0000, 3, 120, DataSource::L1, false),
+                s(25, 0x7f00_0040, 3, 300, DataSource::Dram(0), false),
+                s(26, 0x6000_0000, 7, 900, DataSource::RemoteDram(1), true),
+            ],
+        );
+        #[rustfmt::skip]
+        let expected: &[u8] = &[
+            0x01,                   // EV_SPE
+            0x2c,                   // seq 44
+            0x04,                   // window: index 4,
+            0x80, 0x92, 0xf4, 0x01, //   start 4 000 000,
+            0xc0, 0x84, 0x3d,       //   width 1 000 000
+            0x04,                   // core 3 (+ 1)
+            0x00,                   // backend "spe"
+            0x03,                   // 3 samples: one group
+            0x00, 0x0d, 0x1e,       // sources L1, Dram(0), RemoteDram(1)
+            0x04,                   // store bits: sample 2
+            // zigzag time deltas 20, 30, 2: base 2, 5 bits of 18, 28, 0
+            0x05, 0x02, 0x92, 0x03,
+            // zigzag vaddr deltas 0xfe00_0000, 0x80, 0x3e00_007f: base 0x80,
+            // 32 bits of 0xfdff_ff80, 0, 0x3dff_ffff
+            0x20, 0x80, 0x01,
+            0x80, 0xff, 0xff, 0xfd, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0x3d,
+            // latencies 120, 300, 900: base 120, 10 bits of 0, 180, 780
+            0x0a, 0x78, 0x00, 0xd0, 0xc2, 0x30,
+            // cores 3, 3, 7: base 3, 3 bits of 0, 0, 4
+            0x03, 0x03, 0x00, 0x01,
+            // loss counters: 3 selected, 4 written, the rest 0
+            0x00, 0x03, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        ];
+        let mut buf = Vec::new();
+        encode_batch_event(&mut buf, &batch, &mut BlockMeta::empty());
+        assert_eq!(buf, expected, "{buf:02x?}");
+        match &decode_events(expected, &BatchPool::new(4)).expect("decode")[..] {
+            [BusEvent::Batch(decoded)] => assert_batches_eq(decoded, &batch),
+            other => panic!("decoded to {other:?}"),
+        }
+    }
+
+    /// What the decoder refuses of a sample run, each with its own message:
+    /// nothing below is a panic, and nothing decodes to samples.
+    #[test]
+    fn decode_refuses_every_malformed_sample_run() {
+        let packed = |values: &[u64]| {
+            let mut out = Vec::new();
+            pack_column(&mut out, values);
+            out
+        };
+        // An `EV_SPE` event of `n` samples in window 0 from core 0 whose
+        // sample run is these parts, verbatim.
+        let event = |n: u64, sources: &[u8], stores: &[u8], columns: [&[u8]; 4]| {
+            let mut out = vec![EV_SPE, 0, 0, 0, 100, 1, 0];
+            put_varint(&mut out, n);
+            out.extend_from_slice(&[sources, stores, &columns.concat()].concat());
+            out.extend_from_slice(&[0; 9]);
+            decode_events(&out, &BatchPool::new(4)).map(|events| events.len())
+        };
+        let (zeros, stride, nines) = (packed(&[0; 3]), packed(&[2, 4, 6]), packed(&[9; 3]));
+        let valid = [&stride[..], &stride, &nines, &zeros];
+        assert_eq!(event(3, &[0; 3], &[0], valid), Ok(1));
+
+        let too_wide = [&[65, 0][..], &[0; 25]].concat();
+        let past_u64 = [&[64, 1][..], &[0xff; 8], &[0; 16]].concat();
+        let slow = packed(&[70_000, 1, 2]);
+        for (refused, why) in [
+            (event(3, &[0; 3], &[0], [&too_wide, &stride, &nines, &zeros]), "width 65 exceeds"),
+            (event(3, &[0; 3], &[0], [&stride, &[1, 0, 0b1000], &nines, &zeros]), "padding bits"),
+            (event(3, &[0; 3], &[0], [&stride, &past_u64, &nines, &zeros]), "overflows u64"),
+            (event(3, &[0; 3], &[0], [&stride, &stride, &slow, &zeros]), "latency out of u16"),
+            (event(3, &[0; 3], &[0b1000], valid), "store bits set beyond a group of 3"),
+            (event(3, &[0, 3, 0], &[0], valid), "invalid data-source code 0x3"),
+            (event(1 << 40, &[0; 3], &[0], valid), "exceeds remaining payload"),
+        ] {
+            assert!(refused.as_ref().is_err_and(|e| e.contains(why)), "{why}: {refused:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// One flipped bit anywhere in a payload is an error or other events
+        /// — no bit is ignored, so none can flip and leave the samples as
+        /// they were — and any number of flipped bits is never a panic.
+        #[test]
+        fn flipped_payload_bits_never_panic_and_never_pass_unnoticed(
+            flips in proptest::collection::vec(0..1usize << 20, 1..=4usize),
+        ) {
+            let window = Window { index: 0, start_ns: 0, end_ns: 1_000_000 };
+            let (buf, _, _) = encode_stream(&mixed_and_wide_events(window));
+            let pool = BatchPool::new(8);
+            let pristine = format!("{:?}", decode_events(&buf, &pool).expect("pristine"));
+            let mut bad = buf.clone();
+            let bit = flips[0] % (buf.len() * 8);
+            bad[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(events) = decode_events(&bad, &pool) {
+                assert_ne!(format!("{events:?}"), pristine, "bit {bit} flipped");
+            }
+            for flip in &flips[1..] {
+                let bit = flip % (buf.len() * 8);
+                bad[bit / 8] ^= 1 << (bit % 8);
+            }
+            let _ = decode_events(&bad, &pool);
         }
     }
 
@@ -2124,6 +2398,53 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// Replay decodes into buffers it already has: one reader allocates for
+    /// its largest block and draws every other batch from what `feed` handed
+    /// back; so does the scanner, block by block.
+    #[test]
+    fn a_reader_allocates_for_its_largest_block_and_reuses_the_rest() {
+        let dir = tmp("reuse");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let mut w = SegmentWriter::create(&dir, 0, BatchPool::new(4)).expect("create");
+        let clock = WindowClock::new(1_000_000);
+        let per_block = [2u64, 3, 1, 3];
+        for (wi, &batches) in per_block.iter().enumerate() {
+            let window = clock.window(wi as u64);
+            for b in 0..batches {
+                let samples =
+                    (0..70).map(|i| sample(window.start_ns + i, b << 12, 0, 9, DataSource::L1));
+                w.append_batch(&spe_batch(0, window, samples.collect())).expect("append");
+            }
+            w.append_close(window).expect("close");
+        }
+        w.finish().expect("finish");
+        let (largest, total) = (3, per_block.iter().sum::<u64>());
+
+        let path = dir.join(SegmentWriter::segment_file_name(0));
+        let (mut reader, entries) = SegmentReader::open(0, path.clone()).expect("open");
+        let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(crate::LatencySink::default())];
+        let ctx = StreamContext::for_replay(1 << 20, 1000, 1, 4096);
+        let (fan_in, mut lanes) = FanIn::start(&mut sinks[..], 1, &ctx);
+        let fan_in = Mutex::named(fan_in, "trace.merger");
+        let mut stats = ReplayStats::default();
+        feed(&mut reader, &entries, &TraceQuery::all(), &mut lanes[0], &fan_in, &mut stats)
+            .expect("feed");
+        assert_eq!((stats.batches, stats.samples), (total, total * 70));
+        finish(fan_in, lanes, stats);
+        let fed = reader.pool.stats();
+        assert!(fed.allocated <= largest, "{fed:?}");
+        assert_eq!(fed.reused, total - fed.allocated, "{fed:?}");
+
+        let data = fs::read(&path).expect("read");
+        let pool = BatchPool::new(MAX_BLOCK_BATCHES);
+        let scan = scan_with(&data[8..reader.blocks_end as usize], &pool);
+        assert_eq!((scan.blocks.len(), scan.skipped_bytes), (entries.len(), 0));
+        let scanned = pool.stats();
+        assert!(scanned.allocated <= largest, "{scanned:?}");
+        assert_eq!(scanned.reused, total - scanned.allocated, "{scanned:?}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn strict_reader_surfaces_checksum_damage_as_trace_error() {
         let dir = tmp("strict_damage");
@@ -2143,11 +2464,11 @@ mod tests {
         // either replay starts a sink — while the lenient scanner, which
         // reads no header, still accounts for its whole block region.
         data[8 + 4 + 4 + 2] ^= 0xff;
-        data[4..6].copy_from_slice(&1u16.to_le_bytes());
+        data[4..6].copy_from_slice(&2u16.to_le_bytes());
         fs::write(&path, &data).expect("write");
-        let err = SegmentReader::open(0, path).map(|_| ()).expect_err("version 1 opened");
+        let err = SegmentReader::open(0, path).map(|_| ()).expect_err("version 2 opened");
         assert!(
-            matches!(&err, NmoError::Trace(m) if m.contains("unsupported segment version 1")),
+            matches!(&err, NmoError::Trace(m) if m.contains("unsupported segment version 2")),
             "unexpected error: {err}"
         );
         let blocks = &data[8..reader.blocks_end as usize];
@@ -2201,7 +2522,7 @@ mod tests {
         let manifest = |page: &str, nodes: &str, window: &str, segments: &str| {
             format!(
                 "nmo-trace-manifest v1\nwindow_ns {window}\nmem_nodes {nodes}\n\
-                 page_bytes {page}\nsamples 99\n{segments}end\n"
+                 page_bytes {page}\nshards 1\nsamples 99\n{segments}end\n"
             )
         };
         let seg = "segment shard-000.seg\n";
@@ -2214,6 +2535,7 @@ mod tests {
             manifest("4096", &too_many_nodes, "1000", seg),
             manifest("4096", "2", "0", seg),
             manifest("4096", "2", "1000", ""),
+            manifest("4096", "2", "1000", seg).replace("shards", "shares"),
         ] {
             let parsed = Manifest::parse(&hostile);
             assert!(matches!(parsed, Err(NmoError::Trace(_))), "{hostile}: {parsed:?}");

@@ -534,7 +534,7 @@ use std::sync::Arc;
 use nmo_repro::nmo::trace::scan_blocks;
 use nmo_repro::nmo::{
     AddressSample, AnalysisReport, AnalysisSink, Annotations, BatchPayload, LatencySink, NmoError,
-    SampleBatch, StreamContext, TraceQuery, TraceReader, TraceWriterSink, WindowClock,
+    SampleBatch, StreamContext, TraceQuery, TraceReader, TraceWriterSink, Window, WindowClock,
 };
 use nmo_repro::spe::SpeStatsSnapshot;
 
@@ -592,41 +592,66 @@ fn trace_ctx() -> StreamContext {
     }
 }
 
-/// Write `samples` to a trace at `dir` through `shards` writer shards, the
-/// way the live sharded pipeline would: per-window per-core batches on the
-/// core-hashed lane, closes delivered to every shard in window order.
-fn write_sharded_trace(dir: &Path, shards: usize, samples: &[AddressSample]) {
-    let ctx = trace_ctx();
+/// What the live sharded pipeline makes of `samples`: per window (none
+/// skipped, so every window is closed) the per-core batches, cores ascending.
+fn rounds_of(samples: &[AddressSample]) -> Vec<Round> {
     let clock = WindowClock::new(TRACE_WINDOW_NS);
     let mut by_window: BTreeMap<u64, BTreeMap<usize, Vec<AddressSample>>> = BTreeMap::new();
     for s in samples {
         by_window.entry(clock.index_of(s.time_ns)).or_default().entry(s.core).or_default().push(*s);
     }
     let last_window = by_window.keys().next_back().copied().unwrap_or(0);
+    (0..=last_window)
+        .map(|wi| {
+            (clock.window(wi), by_window.remove(&wi).unwrap_or_default().into_iter().collect())
+        })
+        .collect()
+}
 
+/// Write `samples` to a trace at `dir` through `shards` writer shards, the
+/// way the live sharded pipeline would: per-window per-core batches on the
+/// core-hashed lane, closes delivered to every shard in window order.
+fn write_sharded_trace(dir: &Path, shards: usize, samples: &[AddressSample]) {
+    write_rounds(dir, shards, rounds_of(samples));
+}
+
+/// [`samples_on_pages`] recorded as [`write_sharded_trace`] would, then one
+/// more window holding [`wide_batch`] — what the damage properties corrupt.
+fn write_trace_to_damage(dir: &Path, shards: usize, pages: &[u64], shape: &[u64]) {
+    let mut rounds = rounds_of(&samples_on_pages(pages));
+    let window = WindowClock::new(TRACE_WINDOW_NS).window(rounds.len() as u64);
+    rounds.push((window, vec![(5, wide_batch(shape))]));
+    write_rounds(dir, shards, rounds);
+}
+
+/// One window's `(core, samples)` batches.
+type Round = (Window, Vec<(usize, Vec<AddressSample>)>);
+
+/// Write one round per window to a trace at `dir`: the window's `(core,
+/// samples)` batches, each on the core's lane of `shards`, then the window's
+/// close on every lane. Nothing about a batch's samples is assumed.
+fn write_rounds(dir: &Path, shards: usize, rounds: Vec<Round>) {
+    let ctx = trace_ctx();
     let mut sink = TraceWriterSink::new(dir.to_path_buf());
     sink.on_stream_start(&ctx);
     let writer = sink.as_shardable().expect("trace writer is shardable");
     let mut workers: Vec<_> = (0..shards).map(|s| writer.make_shard(s, &ctx)).collect();
     let mut seq = 0u64;
-    for wi in 0..=last_window {
-        let window = clock.window(wi);
-        if let Some(cores) = by_window.get(&wi) {
-            for (&core, core_samples) in cores {
-                let loss = SpeStatsSnapshot {
-                    samples_selected: core_samples.len() as u64,
-                    ..SpeStatsSnapshot::default()
-                };
-                let mut batch = SampleBatch::new(
-                    "spe",
-                    Some(core),
-                    window,
-                    BatchPayload::SpeSamples { samples: core_samples.clone(), loss },
-                );
-                batch.seq = seq;
-                seq += 1;
-                workers[core % shards].on_batch(&batch);
-            }
+    for (window, batches) in rounds {
+        for (core, samples) in batches {
+            let loss = SpeStatsSnapshot {
+                samples_selected: samples.len() as u64,
+                ..SpeStatsSnapshot::default()
+            };
+            let mut batch = SampleBatch::new(
+                "spe",
+                Some(core),
+                window,
+                BatchPayload::SpeSamples { samples, loss },
+            );
+            batch.seq = seq;
+            seq += 1;
+            workers[core % shards].on_batch(&batch);
         }
         for w in workers.iter_mut() {
             w.on_window_close(window);
@@ -675,6 +700,56 @@ fn samples_on_pages(pages: &[u64]) -> Vec<AddressSample> {
             is_store: i % 2 == 0,
             latency: (i % 900) as u16,
             source: source_from((i % 5) as u8, (i % 2) as u8),
+        })
+        .collect()
+}
+
+/// Batch sizes around the 8-sample store byte and the 64-sample group.
+const GROUP_SIZES: [usize; 8] = [1, 7, 8, 9, 63, 64, 65, 129];
+/// Column widths around the byte, the decoder's 8-byte word and `u64`.
+const COLUMN_WIDTHS: [u32; 8] = [0, 1, 8, 55, 56, 57, 63, 64];
+
+/// `n` values no larger than `max` that pack into a column `width` bits wide
+/// (as far as `max` allows): the first is the smallest, the second the
+/// largest, the rest `fill` folded in between.
+fn column_of_width(n: usize, width: u32, max: u64, low: u64, fill: &[u64]) -> Vec<u64> {
+    let span = u64::MAX.checked_shr(u64::BITS - width).unwrap_or(0).min(max);
+    let low = low.min(max - span);
+    (0..n)
+        .map(|i| match i {
+            0 => low,
+            1 => low + span,
+            _ => low + (fill[i % fill.len()] & span),
+        })
+        .collect()
+}
+
+/// One batch drawn from `shape` (at least 25 words): its size one of
+/// [`GROUP_SIZES`], and each of its four stored columns — zigzag time and
+/// address deltas, latency, core — one of [`COLUMN_WIDTHS`] wide. So
+/// addresses reach 0 and `u64::MAX`, time runs backwards, latencies and core
+/// ids span their types.
+fn wide_batch(shape: &[u64]) -> Vec<AddressSample> {
+    let (n, fill) = (GROUP_SIZES[shape[0] as usize % 8], &shape[9..]);
+    let column = |c: usize, max: u64| {
+        column_of_width(n, COLUMN_WIDTHS[shape[1 + c] as usize % 8], max, shape[5 + c], &fill[c..])
+    };
+    let unzigzag = |v: u64| ((v >> 1) as i64 ^ -((v & 1) as i64)) as u64;
+    let (times, vaddrs) = (column(0, u64::MAX), column(1, u64::MAX));
+    let (latencies, cores) = (column(2, u64::from(u16::MAX)), column(3, usize::MAX as u64));
+    let (mut time_ns, mut vaddr) = (0u64, 0u64);
+    (0..n)
+        .map(|i| {
+            time_ns = time_ns.wrapping_add(unzigzag(times[i]));
+            vaddr = vaddr.wrapping_add(unzigzag(vaddrs[i]));
+            AddressSample {
+                time_ns,
+                vaddr,
+                core: cores[i] as usize,
+                is_store: fill[i % fill.len()] % 3 == 0,
+                latency: latencies[i] as u16,
+                source: source_from((i % 5) as u8, (i % 16) as u8),
+            }
         })
         .collect()
 }
@@ -765,6 +840,27 @@ proptest! {
         }
     }
 
+    /// A batch of every size around the store byte and the 64-sample group,
+    /// with every column at every width around the byte, the decoder's word
+    /// and `u64`, replays to exactly the samples recorded, in their order.
+    #[test]
+    fn trace_round_trips_every_group_size_and_column_width(
+        shape in prop::collection::vec(any::<u64>(), 25..64),
+    ) {
+        let samples = wide_batch(&shape);
+        let dir = trace_tmp("widths");
+        let window = WindowClock::new(TRACE_WINDOW_NS).window(2);
+        write_rounds(&dir, 1, vec![(window, vec![(5, samples.clone())])]);
+
+        let out = Arc::new(parking_lot::Mutex::named(Vec::new(), "test.collector"));
+        let mut sinks: Vec<Box<dyn AnalysisSink>> =
+            vec![Box::new(CollectorSink { out: Arc::clone(&out) })];
+        let stats = TraceReader::open(&dir).expect("open trace").replay(&mut sinks).expect("replay");
+        prop_assert_eq!(stats.samples, samples.len() as u64);
+        prop_assert_eq!(&*out.lock(), &samples, "shape {:?}", &shape[..9]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// A valid segment block region survives arbitrary corruption + an
     /// arbitrary truncation point: the scanner never panics, never
     /// double-counts a byte, and never recovers more blocks than written.
@@ -774,10 +870,10 @@ proptest! {
         corrupt_at in prop::collection::vec(0usize..1_000_000, 0..32),
         corrupt_with in prop::collection::vec(any::<u8>(), 0..32),
         cut_frac in 0u64..=1_000,
+        shape in prop::collection::vec(any::<u64>(), 25..64),
     ) {
-        let samples = samples_on_pages(&pages);
         let dir = trace_tmp("corrupt");
-        write_sharded_trace(&dir, 1, &samples);
+        write_trace_to_damage(&dir, 1, &pages, &shape);
         let seg = dir.join("shard-000.seg");
         let bytes = std::fs::read(&seg).expect("segment bytes");
         std::fs::remove_dir_all(&dir).ok();
@@ -818,10 +914,10 @@ proptest! {
         flip_at in prop::collection::vec(0usize..1_000_000, 0..4),
         flip_bit in prop::collection::vec(0u8..8, 0..4),
         cut_frac in 0u64..=1_500,
+        shape in prop::collection::vec(any::<u64>(), 25..64),
     ) {
-        let samples = samples_on_pages(&pages);
         let dir = trace_tmp("damaged");
-        write_sharded_trace(&dir, shards, &samples);
+        write_trace_to_damage(&dir, shards, &pages, &shape);
 
         // What a replay delivers, as counters plus the latency report (which
         // depends on the samples alone, not on the manifest's geometry).
