@@ -47,6 +47,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// Stdout belongs to the binaries; library code returns data or warns on stderr.
+#![cfg_attr(not(test), deny(clippy::print_stdout))]
 
 pub mod cache;
 pub mod clock;

@@ -114,7 +114,7 @@ fn json_str(s: &str) -> String {
 pub enum FileKind {
     /// Library code — every lint applies.
     Lib,
-    /// Binary (`src/bin/`, `main.rs`) — println/unwrap policies relaxed.
+    /// Binary (`src/bin/`, `main.rs`) — the unwrap policy is relaxed.
     Bin,
     /// Integration tests, benches, examples — exempt from the policies.
     Test,
@@ -320,7 +320,6 @@ pub fn default_lints() -> Vec<Box<dyn Lint>> {
         Box::new(lints::LockOrder),
         Box::new(lints::NoUnwrapInLib),
         Box::new(lints::RelaxedAtomicsAudit),
-        Box::new(lints::NoPrintlnInLib),
         Box::new(lints::PubApiResult),
     ]
 }
@@ -420,7 +419,7 @@ mod tests {
     #[test]
     fn suppression_comments() {
         let src = "\
-// nmo-lint: allow-file(no-println-in-lib)
+// nmo-lint: allow-file(relaxed-atomics-audit)
 fn a() {
     // nmo-lint: allow(no-unwrap-in-lib)
     x.unwrap();
@@ -429,7 +428,7 @@ fn a() {
 }
 ";
         let file = SourceFile::parse("x.rs", FileKind::Lib, src);
-        assert!(file.is_allowed("no-println-in-lib", 2));
+        assert!(file.is_allowed("relaxed-atomics-audit", 2));
         assert!(file.is_allowed("no-unwrap-in-lib", 4));
         assert!(file.is_allowed("no-unwrap-in-lib", 5));
         assert!(file.is_allowed("lock-order", 5));

@@ -375,49 +375,6 @@ impl Lint for RelaxedAtomicsAudit {
     }
 }
 
-/// `no-println-in-lib` — library crates report through `summary()` returns
-/// and stderr warning helpers, never stdout.
-pub struct NoPrintlnInLib;
-
-impl Lint for NoPrintlnInLib {
-    fn id(&self) -> &'static str {
-        "no-println-in-lib"
-    }
-    fn description(&self) -> &'static str {
-        "no println!/print! in library crates (stdout belongs to binaries)"
-    }
-
-    fn check_file(&self, file: &SourceFile, diags: &mut Vec<Diagnostic>) {
-        if file.kind != FileKind::Lib {
-            return;
-        }
-        let toks = &file.tokens;
-        for i in 0..toks.len() {
-            let t = &toks[i];
-            if !(t.is_ident("println") || t.is_ident("print")) {
-                continue;
-            }
-            if !toks.get(i + 1).is_some_and(|t| t.is_punct('!')) {
-                continue;
-            }
-            if file.in_test_code(t.line) || file.is_allowed(self.id(), t.line) {
-                continue;
-            }
-            diags.push(diag(
-                self.id(),
-                self.severity(),
-                file,
-                t,
-                format!(
-                    "`{}!` in library code: return data from `summary()`-style APIs or \
-                     use an eprintln-based warning helper",
-                    t.text
-                ),
-            ));
-        }
-    }
-}
-
 /// `pub-api-result` — a public `nmo` function whose body deals in
 /// `NmoError` must surface it: its return type must mention `Result`.
 pub struct PubApiResult;
@@ -703,13 +660,6 @@ fn f() {
     }
 
     #[test]
-    fn println_in_lib_flagged() {
-        let src = "fn f() { println!(\"x\"); eprintln!(\"y\"); }";
-        let diags = lint_src(src);
-        assert_eq!(diags.iter().filter(|d| d.lint == "no-println-in-lib").count(), 1);
-    }
-
-    #[test]
     fn pub_api_result_flags_swallowed_error() {
         let src = "\
 pub fn bad(x: u32) -> u32 {
@@ -737,7 +687,6 @@ fn lib_code() {}
 mod tests {
     fn f() {
         x.unwrap();
-        println!(\"dbg\");
         a.load(Ordering::Relaxed);
     }
 }
@@ -748,12 +697,11 @@ mod tests {
 
     #[test]
     fn non_lib_files_exempt_from_policies() {
-        let src = "fn f() { x.unwrap(); println!(\"ok\"); }";
+        let src = "fn f() { x.unwrap(); }";
         let file = SourceFile::parse("tests/x.rs", FileKind::Test, src);
         assert!(run_lints(&[file]).is_empty());
         let file = SourceFile::parse("src/bin/tool.rs", FileKind::Bin, src);
         let diags = run_lints(&[file]);
-        assert!(diags.iter().all(|d| d.lint != "no-println-in-lib"));
         assert!(diags.iter().all(|d| d.lint != "no-unwrap-in-lib"));
     }
 }

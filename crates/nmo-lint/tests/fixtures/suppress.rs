@@ -1,11 +1,11 @@
-// nmo-lint: allow-file(no-println-in-lib)
+// nmo-lint: allow-file(relaxed-atomics-audit)
 //! Fixture for suppression syntax: the file-level allow silences every
-//! `println!` here; the line-level allow silences exactly one unwrap, so
-//! the second unwrap is this file's only expected finding.
+//! unjustified `Relaxed` here; the line-level allow silences exactly one
+//! unwrap, so the second unwrap is this file's only expected finding.
 
-pub fn prints(x: u32) {
-    println!("file-level allow covers this: {x}");
-    println!("and this");
+pub fn loads(x: &std::sync::atomic::AtomicU32) -> u32 {
+    let a = x.load(std::sync::atomic::Ordering::Relaxed);
+    a + x.load(std::sync::atomic::Ordering::Relaxed)
 }
 
 pub fn unwraps(v: Option<u32>) -> u32 {

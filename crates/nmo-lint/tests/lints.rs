@@ -68,13 +68,6 @@ fn relaxed_fixture_flags_only_unjustified_site() {
 }
 
 #[test]
-fn println_fixture_flags_stdout_macros_only() {
-    let diags = lint_fixture("println_bad.rs");
-    assert_eq!(ids(&diags), ["no-println-in-lib", "no-println-in-lib"], "{diags:#?}");
-    assert_eq!((diags[0].line, diags[1].line), (5, 6), "{diags:#?}");
-}
-
-#[test]
 fn pub_api_result_keys_off_the_nmo_crate_path() {
     // Under a crates/nmo/src path the error-swallowing pub fn is flagged...
     let diags = lint_fixture_as("pub_api_bad.rs", "crates/nmo/src/fixture.rs");
@@ -141,9 +134,9 @@ fn cli_exit_codes() {
     // JSON output is one object per line with the lint id.
     let json = Command::new(bin)
         .args(["--assume-lib", "--format", "json"])
-        .arg(fixture_path("println_bad.rs"))
+        .arg(fixture_path("unwrap_bad.rs"))
         .output()
         .expect("nmo-lint runs");
     let stdout = String::from_utf8_lossy(&json.stdout);
-    assert!(stdout.lines().any(|l| l.contains("\"lint\":\"no-println-in-lib\"")), "{stdout}");
+    assert!(stdout.lines().any(|l| l.contains("\"lint\":\"no-unwrap-in-lib\"")), "{stdout}");
 }

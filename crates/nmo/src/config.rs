@@ -35,13 +35,15 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// Parse the `NMO_MODE` value. Unknown strings fall back to `None`.
-    pub fn parse(s: &str) -> Mode {
+    /// Parse the `NMO_MODE` value; `None` for a string that names no mode
+    /// (`none`, `off` and the empty string name [`Mode::None`]).
+    pub fn parse(s: &str) -> Option<Mode> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "load" | "loads" | "l" => Mode::Load,
-            "store" | "stores" | "s" => Mode::Store,
-            "mem" | "loadstore" | "load_store" | "ls" | "all" => Mode::LoadStore,
-            _ => Mode::None,
+            "load" | "loads" | "l" => Some(Mode::Load),
+            "store" | "stores" | "s" => Some(Mode::Store),
+            "mem" | "loadstore" | "load_store" | "ls" | "all" => Some(Mode::LoadStore),
+            "none" | "off" | "" => Some(Mode::None),
+            _ => None,
         }
     }
 
@@ -130,13 +132,23 @@ impl NmoConfig {
     }
 
     /// Read the configuration from environment variables (Table I).
-    pub fn from_env() -> Self {
+    pub fn from_env() -> Result<Self, NmoError> {
         Self::from_lookup(|k| std::env::var(k).ok())
     }
 
     /// Read the configuration from an arbitrary lookup function (testable
-    /// version of [`NmoConfig::from_env`]).
-    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
+    /// version of [`NmoConfig::from_env`]). A number that does not parse or
+    /// a mode nobody knows is an [`NmoError::Config`] naming the variable and
+    /// its value, never a default: `NMO_PERIOD=4o96` must not quietly mean
+    /// "period 0, sampling off".
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, NmoError> {
+        let bad = |var: &str, value: &str, want: &str| {
+            NmoError::Config(format!("{var}={value:?} is not {want}"))
+        };
+        let integer = |var: &str| match lookup(var) {
+            Some(v) => v.trim().parse::<u64>().map(Some).map_err(|_| bad(var, &v, "an integer")),
+            None => Ok(None),
+        };
         let mut cfg = NmoConfig::default();
         if let Some(v) = lookup("NMO_ENABLE") {
             cfg.enabled = parse_bool(&v);
@@ -147,27 +159,27 @@ impl NmoConfig {
             }
         }
         if let Some(v) = lookup("NMO_MODE") {
-            cfg.mode = Mode::parse(&v);
+            cfg.mode = Mode::parse(&v).ok_or_else(|| bad("NMO_MODE", &v, "a collection mode"))?;
         }
-        if let Some(v) = lookup("NMO_PERIOD") {
-            cfg.period = v.trim().parse().unwrap_or(0);
+        if let Some(period) = integer("NMO_PERIOD")? {
+            cfg.period = period;
         }
         if let Some(v) = lookup("NMO_TRACK_RSS") {
             cfg.track_rss = parse_bool(&v);
         }
-        if let Some(v) = lookup("NMO_BUFSIZE") {
-            cfg.bufsize_mib = v.trim().parse().unwrap_or(1).max(1);
+        if let Some(mib) = integer("NMO_BUFSIZE")? {
+            cfg.bufsize_mib = mib.max(1);
         }
-        if let Some(v) = lookup("NMO_AUXBUFSIZE") {
-            cfg.auxbufsize_mib = v.trim().parse().unwrap_or(1).max(1);
+        if let Some(mib) = integer("NMO_AUXBUFSIZE")? {
+            cfg.auxbufsize_mib = mib.max(1);
         }
         if let Some(v) = lookup("NMO_LOSS_WARN") {
-            cfg.loss_warn_threshold = v.trim().parse().unwrap_or(cfg.loss_warn_threshold).max(0.0);
+            let fraction: f64 =
+                v.trim().parse().map_err(|_| bad("NMO_LOSS_WARN", &v, "a fraction"))?;
+            cfg.loss_warn_threshold = fraction.max(0.0);
         }
-        if let Some(v) = lookup("NMO_AUXWATERMARK") {
-            cfg.aux_watermark_bytes = v.trim().parse().ok().filter(|b| *b > 0);
-        }
-        cfg
+        cfg.aux_watermark_bytes = integer("NMO_AUXWATERMARK")?.filter(|b| *b > 0);
+        Ok(cfg)
     }
 
     /// Whether SPE sampling should be set up.
@@ -283,7 +295,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let cfg = NmoConfig::from_lookup(|k| env.get(k).map(|v| v.to_string()));
+        let cfg = NmoConfig::from_lookup(|k| env.get(k).map(|v| v.to_string())).unwrap();
         assert!(cfg.enabled);
         assert_eq!(cfg.name, "triad");
         assert_eq!(cfg.mode, Mode::LoadStore);
@@ -294,37 +306,71 @@ mod tests {
         assert!(cfg.spe_active());
     }
 
-    #[test]
-    fn loss_warn_threshold_default_and_env() {
-        assert!((NmoConfig::default().loss_warn_threshold - 0.1).abs() < 1e-12);
-        let cfg = NmoConfig::from_lookup(|k| (k == "NMO_LOSS_WARN").then(|| "0.25".to_string()));
-        assert!((cfg.loss_warn_threshold - 0.25).abs() < 1e-12);
-        let cfg = NmoConfig::from_lookup(|k| (k == "NMO_LOSS_WARN").then(|| "-3".to_string()));
-        assert_eq!(cfg.loss_warn_threshold, 0.0, "negative values clamp to disabled");
-        let cfg = NmoConfig::from_lookup(|k| (k == "NMO_LOSS_WARN").then(|| "junk".to_string()));
-        assert!((cfg.loss_warn_threshold - 0.1).abs() < 1e-12);
+    fn one_var(var: &'static str, value: &'static str) -> Result<NmoConfig, NmoError> {
+        NmoConfig::from_lookup(|k| (k == var).then(|| value.to_string()))
     }
 
     #[test]
-    fn env_garbage_falls_back_to_defaults() {
-        let env: HashMap<&str, &str> =
-            [("NMO_ENABLE", "maybe"), ("NMO_PERIOD", "not-a-number"), ("NMO_MODE", "bogus")]
-                .into_iter()
-                .collect();
-        let cfg = NmoConfig::from_lookup(|k| env.get(k).map(|v| v.to_string()));
-        assert!(!cfg.enabled);
-        assert_eq!(cfg.period, 0);
-        assert_eq!(cfg.mode, Mode::None);
-        assert!(!cfg.spe_active());
+    fn loss_warn_threshold_default_and_env() {
+        assert!((NmoConfig::default().loss_warn_threshold - 0.1).abs() < 1e-12);
+        let cfg = one_var("NMO_LOSS_WARN", "0.25").unwrap();
+        assert!((cfg.loss_warn_threshold - 0.25).abs() < 1e-12);
+        let cfg = one_var("NMO_LOSS_WARN", "-3").unwrap();
+        assert_eq!(cfg.loss_warn_threshold, 0.0, "negative values clamp to disabled");
+    }
+
+    /// A value that does not parse is an error naming the variable and the
+    /// value, for each of the six variables that carry a number or a mode;
+    /// a good value beside it is taken.
+    #[test]
+    fn unparsable_values_are_config_errors_naming_the_variable() {
+        let good = [
+            ("NMO_PERIOD", " 4096 "),
+            ("NMO_BUFSIZE", "2"),
+            ("NMO_AUXBUFSIZE", "4"),
+            ("NMO_LOSS_WARN", "0.5"),
+            ("NMO_AUXWATERMARK", "8192"),
+            ("NMO_MODE", "off"),
+        ];
+        let taken = NmoConfig {
+            period: 4096,
+            bufsize_mib: 2,
+            auxbufsize_mib: 4,
+            loss_warn_threshold: 0.5,
+            aux_watermark_bytes: Some(8192),
+            ..NmoConfig::default()
+        };
+        let all = NmoConfig::from_lookup(|k| {
+            good.iter().find(|(var, _)| *var == k).map(|(_, v)| v.to_string())
+        });
+        assert_eq!(all.unwrap(), taken);
+        let bad = [
+            ("NMO_PERIOD", "4o96"),
+            ("NMO_BUFSIZE", "-1"),
+            ("NMO_AUXBUFSIZE", "1.5"),
+            ("NMO_LOSS_WARN", "junk"),
+            ("NMO_AUXWATERMARK", "4k"),
+            ("NMO_MODE", "bogus"),
+        ];
+        for ((var, value), (_, good_value)) in bad.into_iter().zip(good) {
+            assert!(one_var(var, good_value).is_ok(), "{var}={good_value}");
+            let err = one_var(var, value).expect_err(value);
+            assert!(matches!(err, NmoError::Config(_)), "{err}");
+            let message = err.to_string();
+            assert!(message.contains(var) && message.contains(value), "{message}");
+        }
+        // The switches stay lenient: anything but a yes is a no.
+        assert!(!one_var("NMO_ENABLE", "maybe").unwrap().enabled);
     }
 
     #[test]
     fn mode_parse_variants() {
-        assert_eq!(Mode::parse("load"), Mode::Load);
-        assert_eq!(Mode::parse("STORES"), Mode::Store);
-        assert_eq!(Mode::parse("Mem"), Mode::LoadStore);
-        assert_eq!(Mode::parse("none"), Mode::None);
-        assert_eq!(Mode::parse(""), Mode::None);
+        assert_eq!(Mode::parse("load"), Some(Mode::Load));
+        assert_eq!(Mode::parse("STORES"), Some(Mode::Store));
+        assert_eq!(Mode::parse("Mem"), Some(Mode::LoadStore));
+        assert_eq!(Mode::parse("none"), Some(Mode::None));
+        assert_eq!(Mode::parse(""), Some(Mode::None));
+        assert_eq!(Mode::parse("bogus"), None);
         assert!(Mode::LoadStore.uses_spe());
         assert!(!Mode::None.uses_spe());
     }
@@ -336,9 +382,9 @@ mod tests {
         assert_eq!(cfg.spe_config().to_attr().aux_watermark, 0, "kernel default");
         let cfg = NmoConfig { aux_watermark_bytes: Some(4096), ..cfg };
         assert_eq!(cfg.spe_config().to_attr().aux_watermark, 4096);
-        let env = NmoConfig::from_lookup(|k| (k == "NMO_AUXWATERMARK").then(|| "8192".to_string()));
+        let env = one_var("NMO_AUXWATERMARK", "8192").unwrap();
         assert_eq!(env.aux_watermark_bytes, Some(8192));
-        let env = NmoConfig::from_lookup(|k| (k == "NMO_AUXWATERMARK").then(|| "0".to_string()));
+        let env = one_var("NMO_AUXWATERMARK", "0").unwrap();
         assert_eq!(env.aux_watermark_bytes, None, "zero means kernel default");
     }
 

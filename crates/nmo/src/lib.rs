@@ -92,6 +92,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// Stdout belongs to the binaries; library code returns data or warns on stderr.
+#![cfg_attr(not(test), deny(clippy::print_stdout))]
 
 pub mod analysis;
 pub mod annotate;
@@ -123,10 +125,6 @@ pub use session::{ActiveSession, ProfileSession, ProfileSessionBuilder};
 pub use sink::{
     AnalysisRecord, AnalysisReport, AnalysisSink, BandwidthSink, CapacitySink, LatencySink,
     RegionSink, ShardState, ShardableSink, SinkShard, StreamContext,
-};
-pub use stream::adaptive::{
-    AdaptiveController, AdaptiveDecision, AdaptiveOptions, AdaptiveRuntime, ControlAction,
-    ControlSample, SlidingWindow,
 };
 pub use stream::{
     BackpressurePolicy, BatchPayload, BatchPool, BusStats, CounterDelta, EventBus, PoolStats,

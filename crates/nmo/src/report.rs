@@ -441,13 +441,6 @@ impl Profile {
                 // running narrower than asked.
                 let _ = write!(out, " ({} requested)", stream.shards_requested);
             }
-            if stream.adaptive_decisions > 0 {
-                let _ = write!(
-                    out,
-                    ", adaptive: {} decisions, {} shards active at finish",
-                    stream.adaptive_decisions, stream.active_shards,
-                );
-            }
         }
         out
     }
@@ -520,19 +513,16 @@ mod tests {
         assert!(summary.contains("bus loss 1234 items (25.0% of batches)"), "{summary}");
         assert!(summary.contains("8 shards"), "{summary}");
         assert!(!summary.contains("requested"), "no clamp note when requested defaults low");
-        // A clamped request and an adaptive run each get their own note.
+        // A clamped request gets its own note.
         profile.stream = Some(crate::stream::StreamStats {
             windows_closed: 7,
             batches_published: 30,
             shards: 4,
             shards_requested: 16,
-            active_shards: 2,
-            adaptive_decisions: 5,
             ..Default::default()
         });
         let summary = profile.summary();
         assert!(summary.contains("4 shards (16 requested)"), "{summary}");
-        assert!(summary.contains("adaptive: 5 decisions, 2 shards active at finish"), "{summary}");
     }
 
     #[test]

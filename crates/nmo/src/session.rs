@@ -72,7 +72,6 @@ use crate::backend::{CounterBackend, SampleBackend, ShardDrainer, SpeBackend};
 use crate::config::NmoConfig;
 use crate::runtime::Profile;
 use crate::sink::{default_sinks, run_sinks, AnalysisSink, FanIn, FanInLane, StreamContext};
-use crate::stream::adaptive::AdaptiveRuntime;
 use crate::stream::{
     BatchPayload, BatchPool, BusEvent, BusIdle, EventBus, SampleBatch, ShardedBus, SnapshotState,
     SourceTally, StreamOptions, StreamSnapshot, StreamSource, StreamStats, WindowClock,
@@ -375,10 +374,8 @@ impl ProfileSession {
     /// (shard-index-ordered) merge back into the registered sinks. One
     /// shard is the same pipeline at width 1 — one pump worker (the
     /// coordinator, draining every backend itself), one lane, one consumer.
-    /// With [`StreamOptions::adaptive`] set, an
-    /// [`crate::stream::adaptive::AdaptiveController`] additionally tunes
-    /// the *active* shard count, drain cadence, and backpressure policy at
-    /// runtime (at one allocated shard only the latter two can move).
+    /// The width, the drain interval and the backpressure policy are fixed
+    /// for the run.
     ///
     /// A sink that panics in [`AnalysisSink::on_stream_start`] makes this
     /// return [`NmoError::Sink`]; nothing is left running.
@@ -402,21 +399,6 @@ impl ProfileSession {
         };
 
         let bus = ShardedBus::new(shards, opts.bus_capacity, opts.backpressure);
-        // The adaptive controller tunes the *active* width within the
-        // allocated shards; its initial width applies before any worker
-        // spawns so the first routed batch already respects it.
-        let adaptive = opts.adaptive.as_ref().map(|a| {
-            AdaptiveRuntime::new(
-                a.clone(),
-                shards,
-                PUMP_INTERVAL,
-                opts.backpressure,
-                CONSUMER_RECV_TIMEOUT,
-            )
-        });
-        if let Some(rt) = &adaptive {
-            bus.set_active_lanes(rt.active());
-        }
         let pool = BatchPool::new((opts.bus_capacity * shards).clamp(64, 4096));
         let stop = Arc::new(AtomicBool::new(false));
         let snapshot = Arc::new(Mutex::named(SnapshotState::default(), "session.snapshot"));
@@ -460,21 +442,9 @@ impl ProfileSession {
         let final_round = Arc::new(AtomicBool::new(false));
         let workers_done = Arc::new(AtomicUsize::new(0));
 
-        // Shard `s`'s drainers live in shared slot `s` instead of being
-        // owned by worker `s`: at active width `k`, worker `w < k` drains
-        // every slot `s` with `s % k == w`, so parked workers' cores keep
-        // flowing through the active ones (at full width the assignment is
-        // the identity and each worker only ever touches its own slot).
-        let slots: Arc<DrainerSlots> = Arc::new(
-            per_shard_drainers
-                .into_iter()
-                .map(|drainers| Mutex::named(drainers, "session.drainers"))
-                .collect(),
-        );
-
         let mut pumps = Vec::with_capacity(shards);
         let mut backends_slot = Some((backends, classic));
-        for shard in 0..shards {
+        for (shard, drainers) in per_shard_drainers.into_iter().enumerate() {
             // The coordinator (shard 0) owns the backends: it drains the
             // non-shardable ones, runs the machine probes, and drives the
             // stop sequence.
@@ -483,14 +453,13 @@ impl ProfileSession {
                 shard,
                 machine: active.session.machine.clone(),
                 backends: owned,
-                slots: slots.clone(),
+                drainers,
                 bus: bus.clone(),
                 coordinator: coordinator.clone(),
                 stop: stop.clone(),
                 final_round: final_round.clone(),
                 workers_done: workers_done.clone(),
                 pool: pool.clone(),
-                adaptive: adaptive.clone(),
             };
             pumps.push(std::thread::spawn(move || worker.run()));
         }
@@ -501,9 +470,8 @@ impl ProfileSession {
             let merger = merger.clone();
             let snapshot = snapshot.clone();
             let pool = pool.clone();
-            let adaptive = adaptive.clone();
             consumers.push(std::thread::spawn(move || {
-                shard_consumer_loop(shard, shards, bus_lane, lane, merger, snapshot, pool, adaptive)
+                shard_consumer_loop(shard, shards, bus_lane, lane, merger, snapshot, pool)
             }));
         }
 
@@ -515,7 +483,6 @@ impl ProfileSession {
             consumers,
             merger,
             requested_shards,
-            adaptive,
         });
         Ok(active)
     }
@@ -596,17 +563,8 @@ type SessionFanIn = FanIn<Vec<Box<dyn AnalysisSink>>>;
 /// marking which of them it drains classically (no shard workers).
 type CoordinatorBackends = (Vec<Box<dyn SampleBackend>>, Vec<bool>);
 
-/// The shared drain-slot table of a streaming session: slot `s` holds shard
-/// `s`'s [`ShardDrainer`]s. At active width `k`, pump worker `w < k` drains
-/// every slot `s` with `s % k == w`; workers `w ≥ k` are parked. The
-/// per-slot mutex makes the hand-off across a width change safe — two
-/// workers transiently covering the same slot just drain it twice, and a
-/// drain takes whatever the backend store holds (possibly nothing).
-type DrainerSlots = Vec<Mutex<Vec<Box<dyn ShardDrainer>>>>;
-
-/// How long a shard consumer waits on its lane before re-checking for
-/// shutdown — also what one consumer idle tick is worth to the adaptive
-/// controller's idle estimate.
+/// How long a shard consumer waits on its lane before looking again: the
+/// lane's close wakes it at once, so the timeout only bounds one wait.
 const CONSUMER_RECV_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// The threads and shared state of a streaming session.
@@ -621,8 +579,6 @@ struct StreamingState {
     /// Shard count the caller configured (0 = auto); the allocated count
     /// (after resolution/clamping) is the bus's lane count.
     requested_shards: usize,
-    /// The adaptive controller, when the session runs adaptively.
-    adaptive: Option<Arc<AdaptiveRuntime>>,
 }
 
 /// The thread-less counterpart of [`StreamingState`]: the session's own
@@ -704,17 +660,10 @@ impl ActiveSession {
     /// session.
     pub fn poll_snapshot(&self) -> Option<StreamSnapshot> {
         self.streaming.as_ref().map(|s| {
-            // Read the controller state before taking the snapshot mutex:
-            // `decisions()` locks the controller, and nesting it under
-            // `session.snapshot` would add a needless lock-order edge.
-            let decisions = s.adaptive.as_ref().map(|a| a.decisions()).unwrap_or_default();
-            let active_shards = s.bus.active_lanes();
             s.snapshot.lock().snapshot(
                 s.bus.stats(),
                 &s.bus.lane_stats(),
                 self.session.machine.migration_stats(),
-                active_shards,
-                decisions,
             )
         })
     }
@@ -922,10 +871,6 @@ impl ActiveSession {
                     return Err(NmoError::sink("stream-consumer", "consumer thread panicked"));
                 }
                 pump_result?;
-                // Controller state first, for the same lock-order reason as
-                // in `poll_snapshot`.
-                let adaptive_decisions =
-                    streaming.adaptive.as_ref().map(|a| a.decisions_total()).unwrap_or(0);
                 let state = streaming.snapshot.lock();
                 let bus = streaming.bus.stats();
                 stream_stats = Some(StreamStats {
@@ -937,8 +882,6 @@ impl ActiveSession {
                     bus_high_watermark: bus.high_watermark,
                     shards: streaming.bus.shards() as u64,
                     shards_requested: streaming.requested_shards as u64,
-                    active_shards: streaming.bus.active_lanes() as u64,
-                    adaptive_decisions,
                     pump_rounds,
                     pump_rounds_slept,
                 });
@@ -994,8 +937,7 @@ impl Drop for ActiveSession {
     }
 }
 
-/// Wall-clock interval between a pump worker's drains, start to start — the
-/// adaptive controller's initial cadence too.
+/// Wall-clock interval between a pump worker's drains, start to start.
 const PUMP_INTERVAL: Duration = Duration::from_micros(200);
 
 /// What is left of the drain `interval` after a round that took `round`:
@@ -1010,11 +952,10 @@ fn left_of_interval(interval: Duration, round: Duration) -> Option<Duration> {
 /// done, not lagging — e.g. the RSS probe after the allocation phase, or an
 /// SPE core whose thread exited). A tick is never shorter than the drain
 /// interval, so at [`PUMP_INTERVAL`] this is a wall-clock grace of at least
-/// 50 ms (12.5 ms at the adaptive controller's shortest cadence) —
-/// comfortably above one aux-watermark publication interval — and longer
-/// whenever rounds overrun the interval. It stays counted in ticks on
-/// purpose: a wall-clock grace would expire *every* source at once after a
-/// host stall, and the next close would run on the global maximum.
+/// 50 ms — comfortably above one aux-watermark publication interval — and
+/// longer whenever rounds overrun the interval. It stays counted in ticks
+/// on purpose: a wall-clock grace would expire *every* source at once after
+/// a host stall, and the next close would run on the global maximum.
 const SOURCE_IDLE_TICKS: u64 = 250;
 
 /// What the close coordinator is told about one published batch: its
@@ -1222,30 +1163,26 @@ fn keep_first_error(result: &mut Result<(), NmoError>, e: NmoError) {
 
 /// One pump worker of the streaming pipeline. The worker for shard 0 is the
 /// *coordinator*: it owns the backends (draining the non-shardable ones),
-/// runs the machine probes, closes ready windows, runs the adaptive
-/// controller, and drives the shutdown sequence — stop the backends, signal
-/// the final drain round, wait for every worker's final publish, deliver
-/// the bandwidth series, close the remaining windows, and close every lane.
-/// The other workers drain their share of the [`DrainerSlots`] table and
-/// publish onto the bus; on an adaptive session a worker whose index is at
-/// or beyond the active width is *parked* — it skips draining (its slots
-/// are covered by the active workers) and just sleeps until widened back in
-/// or until shutdown.
+/// runs the machine probes, closes ready windows, and drives the shutdown
+/// sequence — stop the backends, signal the final drain round, wait for
+/// every worker's final publish, deliver the bandwidth series, close the
+/// remaining windows, and close every lane. Every worker, the coordinator
+/// included, drains the [`ShardDrainer`]s of its own shard — it owns them,
+/// and no other thread ever calls them — and publishes onto the bus.
 struct PumpWorker {
     shard: usize,
     machine: Arc<Machine>,
     /// `Some((backends, classic flags))` on the coordinator: `classic[i]`
     /// marks backends without shard workers, drained here.
     backends: Option<CoordinatorBackends>,
-    /// The shared drain-slot table (one slot per allocated shard).
-    slots: Arc<DrainerSlots>,
+    /// This shard's drainers.
+    drainers: Vec<Box<dyn ShardDrainer>>,
     bus: Arc<ShardedBus>,
     coordinator: Arc<Mutex<CloseCoordinator>>,
     stop: Arc<AtomicBool>,
     final_round: Arc<AtomicBool>,
     workers_done: Arc<AtomicUsize>,
     pool: Arc<BatchPool>,
-    adaptive: Option<Arc<AdaptiveRuntime>>,
 }
 
 impl PumpWorker {
@@ -1269,17 +1206,6 @@ impl PumpWorker {
                     Err(NmoError::backend("stream-pump", format!("pump worker {shard} panicked"))),
                     (0, 0),
                 )
-            }
-        }
-    }
-
-    /// Drain one slot of the shared table onto the bus, keeping the first
-    /// error.
-    fn drain_slot(&self, slot: usize, clock: &WindowClock, result: &mut Result<(), NmoError>) {
-        for drainer in self.slots[slot].lock().iter_mut() {
-            match drainer.drain(&self.machine, clock, &self.pool) {
-                Ok(batches) => publish_batches(batches, &self.bus, &self.coordinator),
-                Err(e) => keep_first_error(result, e),
             }
         }
     }
@@ -1313,26 +1239,11 @@ impl PumpWorker {
             }
             let finishing = self.final_round.load(Ordering::Acquire);
 
-            // Active width this tick: every allocated worker on a static
-            // session, the controller's current width on an adaptive one.
-            // Workers at or beyond the width are parked — their slots are
-            // covered by the active set, so the data keeps flowing.
-            let active = match &self.adaptive {
-                Some(_) => self.bus.active_lanes(),
-                None => self.bus.shards(),
-            };
-            let parked = self.shard >= active;
-
             let clock = self.coordinator.lock().clock;
-            if !parked {
-                // Drain every slot this worker covers at the current width
-                // (`slot % active == shard`); at full width that is exactly
-                // its own slot. Workers racing a width change may cover a
-                // slot twice (harmless: the second drain finds the store
-                // empty) or skip it for one tick (it is covered again next
-                // tick, and the coordinator sweeps every slot at shutdown).
-                for slot in (self.shard..self.slots.len()).step_by(active) {
-                    self.drain_slot(slot, &clock, &mut result);
+            for drainer in &mut self.drainers {
+                match drainer.drain(&self.machine, &clock, &self.pool) {
+                    Ok(batches) => publish_batches(batches, &self.bus, &self.coordinator),
+                    Err(e) => keep_first_error(&mut result, e),
                 }
             }
             if let Some((backends, classic)) = self.backends.as_mut() {
@@ -1363,12 +1274,6 @@ impl PumpWorker {
                     #[allow(clippy::disallowed_methods)]
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                // Final sweep: whatever width changes raced the final
-                // round, drain every slot once more so no backend store
-                // retains data (re-draining an empty store is free).
-                for slot in 0..self.slots.len() {
-                    self.drain_slot(slot, &clock, &mut result);
-                }
                 let probed = probe_machine(&self.machine, &clock, &mut rss_cursor, true);
                 publish_batches(probed, &self.bus, &self.coordinator);
                 self.coordinator.lock().close_remaining(&self.bus);
@@ -1378,24 +1283,17 @@ impl PumpWorker {
 
             if is_coordinator {
                 self.coordinator.lock().close_ready_windows(&self.bus);
-                // One control decision per control interval (rate-limited
-                // inside; a no-op between intervals).
-                if let Some(adaptive) = &self.adaptive {
-                    let _ = adaptive.control(&self.bus);
-                }
             }
             // Drain cadence: the workers sample the backends once per
-            // wall-clock interval (the controller's current cadence when
-            // adaptive); nothing signals "new simulated work". The interval
-            // is a deadline counted from the round's start, not a pause
-            // after it: a round sleeps what it left of the interval, and one
-            // that overran it (a drain that found a lot) is followed at
-            // once. Deliberately not keyed on "the round published
+            // wall-clock interval; nothing signals "new simulated work". The
+            // interval is a deadline counted from the round's start, not a
+            // pause after it: a round sleeps what it left of the interval,
+            // and one that overran it (a drain that found a lot) is followed
+            // at once. Deliberately not keyed on "the round published
             // something": the RSS probe publishes on nearly every round of a
             // simulated run, and a pump that never slept would spin against
             // the simulated cores on a small host.
-            let poll = self.adaptive.as_ref().map_or(PUMP_INTERVAL, |a| a.poll_interval());
-            if let Some(left) = left_of_interval(poll, round_start.elapsed()) {
+            if let Some(left) = left_of_interval(PUMP_INTERVAL, round_start.elapsed()) {
                 rounds_slept += 1;
                 #[allow(clippy::disallowed_methods)]
                 std::thread::sleep(left);
@@ -1415,7 +1313,6 @@ impl PumpWorker {
 /// joining it). Instead the panic is caught, the loop keeps draining
 /// (discarding) until the lane closes, and the panic is rethrown so the
 /// join in [`ActiveSession::finish`] surfaces it as an error.
-#[allow(clippy::too_many_arguments)] // thread spine wiring, built in one place
 fn shard_consumer_loop(
     shard: usize,
     shard_count: usize,
@@ -1424,7 +1321,6 @@ fn shard_consumer_loop(
     merger: Arc<Mutex<SessionFanIn>>,
     snapshot: Arc<Mutex<SnapshotState>>,
     pool: Arc<BatchPool>,
-    adaptive: Option<Arc<AdaptiveRuntime>>,
 ) -> FanInLane {
     let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
     // The events taken off the lane and not yet delivered: at most one
@@ -1475,13 +1371,7 @@ fn shard_consumer_loop(
                     BusEvent::CloseWindow(_) => None,
                 }));
             }
-            Err(BusIdle::TimedOut) => {
-                // An empty-lane timeout is the consumer idle signal the
-                // adaptive controller's starvation rule runs on.
-                if let Some(adaptive) = &adaptive {
-                    adaptive.note_consumer_idle(shard);
-                }
-            }
+            Err(BusIdle::TimedOut) => {}
             Err(BusIdle::Closed) => match panic_payload {
                 Some(payload) => std::panic::resume_unwind(payload),
                 None => return lane,
@@ -1562,14 +1452,16 @@ mod tests {
                 k if k == var => Some(value.into()),
                 _ => None,
             })
+            .and_then(build)
         };
         for (var, value) in [
             ("NMO_BUFSIZE", "18446744073709551615"),
             ("NMO_AUXBUFSIZE", "17592186044415"),
             ("NMO_AUXBUFSIZE", "1025"),
             ("NMO_BUFSIZE", "4096"),
+            ("NMO_AUXBUFSIZE", "lots"),
         ] {
-            let err = build(from_env(var, value)).expect_err(value);
+            let err = from_env(var, value).expect_err(value);
             assert!(matches!(err, NmoError::Config(_)), "{var}={value}: {err}");
         }
         for pages in [u64::MAX, (1 << 63) + 1, 1 << 19] {
@@ -1578,12 +1470,10 @@ mod tests {
             let err = build(config).expect_err("oversized override");
             assert!(matches!(err, NmoError::Config(_)), "{pages} pages: {err}");
         }
-        // Zero and garbage fall back to the 1 MiB default; the largest
-        // accepted size maps.
-        for (var, value) in
-            [("NMO_BUFSIZE", "0"), ("NMO_AUXBUFSIZE", "lots"), ("NMO_BUFSIZE", "1024")]
-        {
-            let session = build(from_env(var, value)).expect(value);
+        // Zero rounds up to the 1 MiB minimum; the largest accepted size
+        // maps.
+        for (var, value) in [("NMO_BUFSIZE", "0"), ("NMO_BUFSIZE", "1024")] {
+            let session = from_env(var, value).expect(value);
             let profile = session.run_with(|_, _, _| Ok(())).expect("buffers map");
             assert_eq!(profile.backends, ["spe", "counters"], "{var}={value}");
         }

@@ -206,8 +206,7 @@ pub trait SinkShard: Send {
     fn on_batch(&mut self, batch: &SampleBatch);
 
     /// The producer watermark closed `window` (broadcast to every lane,
-    /// including lanes the adaptive controller has parked — a parked lane
-    /// still has a live consumer, it just receives no new batches). Sinks
+    /// whether or not the lane carried a batch for it). Sinks
     /// that merge *per window* — because the parent acts on the merged
     /// state mid-run, like [`crate::tiering::HotPageTracker`] — return this
     /// shard's partial state for the window; cumulative sinks keep the
@@ -304,19 +303,16 @@ pub trait ShardableSink {
     /// for sinks whose shards return `Some` from
     /// [`SinkShard::on_window_close`]; the default does nothing.
     ///
-    /// The merge always gathers one state from **every allocated shard**,
-    /// even when the adaptive controller has narrowed the *active* width
-    /// mid-run: parked lanes keep their consumers, receive every window
-    /// close, and contribute (possibly empty) states. Implementations must
-    /// therefore tolerate states that saw no batches for the window, and
-    /// must not assume the distribution of work across shards is stable
-    /// over time — only that the *union* over shards is the full stream.
+    /// The merge always gathers one state from **every shard**: each lane
+    /// receives every window close and contributes a (possibly empty)
+    /// state. Implementations must therefore tolerate states that saw no
+    /// batches for the window, and may assume only that the *union* over
+    /// shards is the full stream.
     fn merge_window(&mut self, _window: Window, _states: Vec<ShardState>) {}
 
     /// Merge the shards' final states, ascending by shard index (called
     /// once, after every lane drained). As with
-    /// [`ShardableSink::merge_window`], every allocated shard contributes a
-    /// state regardless of how the active-shard set changed during the run.
+    /// [`ShardableSink::merge_window`], every shard contributes a state.
     fn merge_final(&mut self, states: Vec<ShardState>);
 }
 

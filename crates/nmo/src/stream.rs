@@ -49,18 +49,13 @@
 //! and [`crate::sink::ShardableSink`] through per-shard workers with a
 //! deterministic merge.
 //!
-//! The pipeline's shape is tunable at runtime: the optional [`adaptive`]
-//! controller ([`StreamOptions::adaptive`]) moves the *active* lane count
-//! within the allocated shards ([`ShardedBus::set_active_lanes`]), the
-//! drain cadence (the period pump rounds start at — a round that overran
-//! it is followed at once, see [`StreamStats::pump_rounds_slept`]), and the
-//! backpressure policy ([`EventBus::set_policy`]) against a loss/overhead
-//! budget.
-
-pub mod adaptive;
+//! The pipeline's shape — its width, the drain interval pump rounds start
+//! at (a round that overran it is followed at once, see
+//! [`StreamStats::pump_rounds_slept`]) and the backpressure policy — is
+//! fixed when the session starts.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -394,10 +389,7 @@ pub struct EventBus {
     readable: Condvar,
     writable: Condvar,
     capacity: usize,
-    /// [`BackpressurePolicy`] as a `u8` (`DropNewest = 0`, `Block = 1`):
-    /// runtime-switchable by the adaptive controller, re-read on every
-    /// publish attempt and on every wakeup of a blocked producer.
-    policy: AtomicU8,
+    policy: BackpressurePolicy,
     closed: AtomicBool,
     published: AtomicU64,
     dropped_batches: AtomicU64,
@@ -408,7 +400,7 @@ impl std::fmt::Debug for EventBus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventBus")
             .field("capacity", &self.capacity)
-            .field("policy", &self.policy())
+            .field("policy", &self.policy)
             .field("closed", &self.closed.load(Ordering::Relaxed)) // relaxed-ok: Debug snapshot
             .finish()
     }
@@ -425,7 +417,7 @@ impl EventBus {
             readable: Condvar::new(),
             writable: Condvar::new(),
             capacity: capacity.max(1),
-            policy: AtomicU8::new(policy as u8),
+            policy,
             closed: AtomicBool::new(false),
             published: AtomicU64::new(0),
             dropped_batches: AtomicU64::new(0),
@@ -467,7 +459,7 @@ impl EventBus {
             let mut full = false;
             if batch_items.is_some() {
                 while inner.queue.len() >= self.capacity && !self.is_closed() {
-                    if matches!(self.policy(), BackpressurePolicy::DropNewest) {
+                    if matches!(self.policy, BackpressurePolicy::DropNewest) {
                         full = true;
                         break;
                     }
@@ -576,28 +568,6 @@ impl EventBus {
         self.closed.store(true, Ordering::Release);
         let _guard = self.inner.lock();
         self.readable.notify_all();
-        self.writable.notify_all();
-    }
-
-    /// The current backpressure policy.
-    pub fn policy(&self) -> BackpressurePolicy {
-        // relaxed-ok: policy hint — a producer acting on a just-replaced
-        // policy for one more publish is indistinguishable from the switch
-        // landing one event later; no data travels through this flag.
-        match self.policy.load(Ordering::Relaxed) {
-            0 => BackpressurePolicy::DropNewest,
-            _ => BackpressurePolicy::Block,
-        }
-    }
-
-    /// Switch the backpressure policy at runtime (the adaptive controller's
-    /// actuation seam). Takes effect on the next publish attempt; a
-    /// producer blocked mid-wait re-reads the policy on wakeup, and the
-    /// notify below wakes it immediately rather than at its next 10 ms
-    /// re-check.
-    pub fn set_policy(&self, policy: BackpressurePolicy) {
-        self.policy.store(policy as u8, Ordering::Relaxed); // relaxed-ok: see policy()
-        let _guard = self.inner.lock();
         self.writable.notify_all();
     }
 
@@ -759,25 +729,14 @@ impl BatchPool {
 /// partial windows; per-lane drop/backpressure accounting rolls up into one
 /// [`BusStats`] ([`ShardedBus::stats`]) and stays inspectable per lane
 /// ([`ShardedBus::lane_stats`]).
-///
-/// The *active* lane count ([`ShardedBus::active_lanes`]) can move at
-/// runtime within `1..=shards()`: new batches only route onto active lanes,
-/// while parked lanes keep their consumers subscribed, still drain whatever
-/// they hold, and still receive window-close broadcasts — so narrowing or
-/// widening mid-run never strands data or wedges window bookkeeping.
 pub struct ShardedBus {
     lanes: Vec<Arc<EventBus>>,
-    /// Lanes new batches may route onto (`1..=lanes.len()`).
-    active: AtomicUsize,
     seq: AtomicU64,
 }
 
 impl std::fmt::Debug for ShardedBus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedBus")
-            .field("lanes", &self.lanes.len())
-            .field("active", &self.active_lanes())
-            .finish()
+        f.debug_struct("ShardedBus").field("lanes", &self.lanes.len()).finish()
     }
 }
 
@@ -792,7 +751,6 @@ impl ShardedBus {
         let shards = shards.max(1);
         Arc::new(ShardedBus {
             lanes: (0..shards).map(|_| EventBus::bounded(capacity_per_lane, policy)).collect(),
-            active: AtomicUsize::new(shards),
             seq: AtomicU64::new(0),
         })
     }
@@ -802,35 +760,10 @@ impl ShardedBus {
         self.lanes.len()
     }
 
-    /// Number of currently active lanes (≤ [`ShardedBus::shards`]).
-    pub fn active_lanes(&self) -> usize {
-        // relaxed-ok: routing hint — a producer routing by a stale width
-        // lands the batch on a lane whose consumer is subscribed either
-        // way; the batch itself travels through the lane's mutex.
-        self.active.load(Ordering::Relaxed).clamp(1, self.lanes.len())
-    }
-
-    /// Set the active lane count (clamped to `1..=shards()`) — the adaptive
-    /// controller's width actuation seam. Parked lanes drain what they hold
-    /// and keep receiving close broadcasts; they just get no new batches.
-    pub fn set_active_lanes(&self, active: usize) {
-        let clamped = active.clamp(1, self.lanes.len());
-        self.active.store(clamped, Ordering::Relaxed); // relaxed-ok: see active_lanes()
-    }
-
-    /// Switch every lane's backpressure policy
-    /// (see [`EventBus::set_policy`]).
-    pub fn set_policy(&self, policy: BackpressurePolicy) {
-        for lane in &self.lanes {
-            lane.set_policy(policy);
-        }
-    }
-
     /// The lane a batch from `core` is partitioned onto (core-hash
-    /// partitioning over the *active* lanes; core-less batches ride
-    /// lane 0).
+    /// partitioning over the lanes; core-less batches ride lane 0).
     pub fn lane_for_core(&self, core: Option<usize>) -> usize {
-        core.map(|c| c % self.active_lanes()).unwrap_or(0)
+        core.map(|c| c % self.shards()).unwrap_or(0)
     }
 
     /// One lane's queue (the consumer side of shard `lane`).
@@ -938,11 +871,6 @@ pub struct StreamOptions {
     /// extra shards would own zero cores and lanes with no producer (see
     /// [`StreamStats::shards_requested`]).
     pub shards: usize,
-    /// Adaptive controller configuration: `Some` lets the pipeline tune its
-    /// own active shard count, drain cadence, and backpressure policy at
-    /// runtime (see [`adaptive`]); `None` (the default) keeps the static
-    /// configuration above.
-    pub adaptive: Option<adaptive::AdaptiveOptions>,
 }
 
 impl Default for StreamOptions {
@@ -952,7 +880,6 @@ impl Default for StreamOptions {
             bus_capacity: 1024,
             backpressure: BackpressurePolicy::default(),
             shards: 0,
-            adaptive: None,
         }
     }
 }
@@ -982,12 +909,6 @@ pub struct StreamStats {
     /// before resolution/clamping (`0` = auto). Differs from `shards` when
     /// the request over-provisioned the machine.
     pub shards_requested: u64,
-    /// Active shard count when the run finished (< `shards` when the
-    /// adaptive controller parked lanes; == `shards` on static runs).
-    pub active_shards: u64,
-    /// Decisions the adaptive controller made over the run (0 on static
-    /// runs).
-    pub adaptive_decisions: u64,
     /// Drain rounds the pump workers ran, summed over the workers.
     pub pump_rounds: u64,
     /// How many of those rounds ended before the drain interval was up and
@@ -1068,12 +989,6 @@ pub struct StreamSnapshot {
     /// profile-guided tiering run (how many pages have been promoted or
     /// demoted *so far*).
     pub migrations: MigrationStats,
-    /// Active shard count at snapshot time (tracks the adaptive
-    /// controller's width; equals `per_shard.len()` on static runs).
-    pub active_shards: usize,
-    /// The adaptive controller's decision log so far (empty on static
-    /// runs) — what changed, when, and why.
-    pub adaptive: Vec<adaptive::AdaptiveDecision>,
 }
 
 impl StreamSnapshot {
@@ -1249,8 +1164,6 @@ impl SnapshotState {
         bus: BusStats,
         lanes: &[BusStats],
         migrations: MigrationStats,
-        active_shards: usize,
-        adaptive: Vec<adaptive::AdaptiveDecision>,
     ) -> StreamSnapshot {
         let per_shard = (0..lanes.len().max(self.per_shard.len()))
             .map(|shard| {
@@ -1275,8 +1188,6 @@ impl SnapshotState {
             last_time_ns: self.last_time_ns,
             bus,
             migrations,
-            active_shards,
-            adaptive,
         }
     }
 }
@@ -1465,8 +1376,7 @@ mod tests {
         state.record_close(clock.window(0), 1);
         state.record_close(clock.window(0), 1); // idempotent
         state.record_batch(&batch(clock.window(0), 1), 0); // late
-        let snap =
-            state.snapshot(BusStats::default(), &[], MigrationStats::default(), 1, Vec::new());
+        let snap = state.snapshot(BusStats::default(), &[], MigrationStats::default());
         assert_eq!(snap.windows_closed, 1);
         assert_eq!(snap.spe_samples, 6);
         assert_eq!(snap.batches, 3);
@@ -1496,8 +1406,7 @@ mod tests {
             }
             state.add_source_tally(&by_source);
         }
-        let snap =
-            state.snapshot(BusStats::default(), &[], MigrationStats::default(), 2, Vec::new());
+        let snap = state.snapshot(BusStats::default(), &[], MigrationStats::default());
         assert_eq!(snap.samples_from(DataSource::L1), 5);
         assert_eq!(snap.samples_from(DataSource::Dram(0)), 7);
         assert_eq!(snap.samples_from(DataSource::RemoteDram(1)), 2);
@@ -1629,53 +1538,6 @@ mod tests {
         seqs.sort_unstable();
         seqs.dedup();
         assert_eq!(seqs.len(), 3, "published batches carry distinct sequence numbers");
-    }
-
-    #[test]
-    fn active_lane_routing_narrows_and_widens() {
-        let bus = ShardedBus::new(4, 8, BackpressurePolicy::DropNewest);
-        assert_eq!(bus.active_lanes(), 4, "all lanes active by default");
-        assert_eq!(bus.lane_for_core(Some(7)), 3);
-
-        bus.set_active_lanes(2);
-        assert_eq!(bus.active_lanes(), 2);
-        assert_eq!(bus.lane_for_core(Some(7)), 1, "routing narrows to active lanes");
-        assert_eq!(bus.lane_for_core(Some(2)), 0);
-        assert_eq!(bus.lane_for_core(None), 0, "core-less batches still ride lane 0");
-
-        // Clamped at both ends.
-        bus.set_active_lanes(0);
-        assert_eq!(bus.active_lanes(), 1);
-        bus.set_active_lanes(64);
-        assert_eq!(bus.active_lanes(), 4);
-
-        // A policy switch reaches every lane.
-        bus.set_policy(BackpressurePolicy::Block);
-        for lane in 0..4 {
-            assert_eq!(bus.lane(lane).policy(), BackpressurePolicy::Block);
-        }
-    }
-
-    #[test]
-    fn policy_switch_reaches_a_blocked_producer() {
-        let bus = EventBus::bounded(1, BackpressurePolicy::Block);
-        let clock = WindowClock::new(1000);
-        assert!(bus.publish(BusEvent::Batch(batch(clock.window(0), 1))));
-        let bus2 = bus.clone();
-        let producer = std::thread::spawn(move || {
-            // Blocks on the full bus under Block...
-            bus2.publish(BusEvent::Batch(batch(WindowClock::new(1000).window(1), 2)))
-        });
-        #[allow(clippy::disallowed_methods)] // test: let the producer block first
-        std::thread::sleep(Duration::from_millis(20));
-        // ...until the policy flips mid-wait: the producer must wake, see
-        // DropNewest, and drop instead of staying blocked.
-        bus.set_policy(BackpressurePolicy::DropNewest);
-        assert!(!producer.join().unwrap(), "mid-wait switch to DropNewest drops the publish");
-        let stats = bus.stats();
-        assert_eq!(stats.dropped_batches, 1);
-        assert_eq!(stats.dropped_items, 2);
-        assert_eq!(stats.published, 1, "the queued batch is untouched");
     }
 
     #[test]

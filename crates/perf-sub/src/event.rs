@@ -4,8 +4,8 @@
 //! configuration process is done on a per-core basis"), mmaps a ring buffer
 //! of `(N+1)` 64 KiB pages and an aux buffer whose size is controlled by the
 //! `NMO_AUXBUFSIZE` environment variable, and then polls for
-//! `PERF_RECORD_AUX` records. In this reproduction nothing polls:
-//! [`PerfEvent::publish`] raises the waker, and the SPE driver then runs the
+//! `PERF_RECORD_AUX` records. In this reproduction nothing polls and there is
+//! nothing to wake: after [`PerfEvent::publish`] the SPE driver runs the
 //! profiler's reader itself (its publish handler — the overflow-handler
 //! analogue), on the publishing thread.
 
@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use crate::attr::PerfEventAttr;
 use crate::mmap::{AuxBuffer, MetadataPage, RingBuffer};
-use crate::poll::Waker;
 use crate::records::Record;
 use crate::{PerfError, Result};
 
@@ -37,7 +36,6 @@ pub struct PerfEvent {
     meta: MetadataPage,
     ring: RingBuffer,
     aux: Option<AuxBuffer>,
-    waker: Waker,
     enabled: AtomicBool,
 }
 
@@ -58,7 +56,6 @@ impl PerfEvent {
             meta: MetadataPage::default(),
             ring,
             aux: None,
-            waker: Waker::new(),
             enabled: AtomicBool::new(!attr.disabled),
         })
     }
@@ -104,11 +101,6 @@ impl PerfEvent {
         self.aux.as_ref()
     }
 
-    /// The readiness waker (epoll analogue).
-    pub fn waker(&self) -> &Waker {
-        &self.waker
-    }
-
     /// Enable the event (ioctl `PERF_EVENT_IOC_ENABLE`).
     pub fn enable(&self) {
         self.enabled.store(true, Ordering::Release);
@@ -135,11 +127,10 @@ impl PerfEvent {
         }
     }
 
-    /// Producer side: publish a record into the ring buffer and wake pollers.
+    /// Producer side: publish a record into the ring buffer. Returns
+    /// `false` when the ring was full and the record was lost.
     pub fn publish(&self, record: Record) -> bool {
-        let ok = self.ring.write_record(&record, &self.meta);
-        self.waker.wake();
-        ok
+        self.ring.write_record(&record, &self.meta)
     }
 
     /// Consumer side: read the next record from the ring buffer.
@@ -164,10 +155,9 @@ impl PerfEvent {
         self.ring.lost()
     }
 
-    /// Close the event: disable it and unblock any pollers.
+    /// Close the event: disable it.
     pub fn close(&self) {
         self.disable();
-        self.waker.close();
     }
 
     /// Convenience constructor returning an `Arc` so both sides can share it.
@@ -256,12 +246,11 @@ mod tests {
     }
 
     #[test]
-    fn publish_wakes_and_delivers() {
+    fn publish_delivers() {
         let ev = PerfEvent::open_shared(PerfEventAttr::arm_spe_loads_stores(4096), 0, 8, 16, 4096)
             .unwrap();
         let rec = Record::Aux(AuxRecord { aux_offset: 0, aux_size: 128, flags: 0 });
         assert!(ev.publish(rec));
-        assert_eq!(ev.waker().wakeups(), 1);
         assert_eq!(ev.next_record().unwrap(), Some(rec));
         assert_eq!(ev.next_record().unwrap(), None);
     }
@@ -357,11 +346,10 @@ mod tests {
     }
 
     #[test]
-    fn close_disables_and_unblocks() {
+    fn close_disables() {
         let ev = PerfEvent::open_shared(PerfEventAttr::arm_spe_loads_stores(4096), 0, 8, 4, 4096)
             .unwrap();
         ev.close();
         assert!(!ev.is_enabled());
-        assert!(ev.waker().is_closed());
     }
 }

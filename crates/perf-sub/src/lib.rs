@@ -15,22 +15,22 @@
 //! Section IV of the paper.
 //!
 //! The crate has no dependency on the machine simulator: it is a pure
-//! data-plane substrate (attributes, buffers, records, counters, wakeups).
+//! data-plane substrate (attributes, buffers, records, counters).
 
 #![warn(missing_docs)]
+// Stdout belongs to the binaries; library code returns data or warns on stderr.
+#![cfg_attr(not(test), deny(clippy::print_stdout))]
 
 pub mod attr;
 pub mod count;
 pub mod event;
 pub mod mmap;
-pub mod poll;
 pub mod records;
 
 pub use attr::{PerfEventAttr, PERF_TYPE_ARM_SPE, PERF_TYPE_HARDWARE};
 pub use count::CountingEvent;
 pub use event::{EventId, PerfEvent, RecordDrain};
 pub use mmap::{AuxBuffer, MetadataPage, RingBuffer, PAGE_SIZE_64K};
-pub use poll::{PollTimeout, Waker};
 pub use records::{
     AuxRecord, ItraceStartRecord, LostRecord, Record, RecordHeader, PERF_AUX_FLAG_COLLISION,
     PERF_AUX_FLAG_PARTIAL, PERF_AUX_FLAG_TRUNCATED, PERF_RECORD_AUX, PERF_RECORD_ITRACE_START,

@@ -34,7 +34,7 @@ pub struct SpeConfig {
     /// Discard records whose total latency is below this many cycles.
     pub min_latency: u64,
     /// Aux watermark in bytes: how much aux data accumulates before a
-    /// `PERF_RECORD_AUX` record is published and pollers are woken. 0 keeps
+    /// `PERF_RECORD_AUX` record is published and the profiler reads it. 0 keeps
     /// the kernel default (half the aux buffer). Streaming profilers lower
     /// this so data reaches the profiler with bounded lag — at the cost of
     /// more watermark interrupts, which the overhead model charges.

@@ -4,14 +4,13 @@
 //! [`SpeDriver`] implements [`arch_sim::OpObserver`], so attaching it to a
 //! simulated core is the software equivalent of `perf_event_open` with PMU
 //! type `0x2c` bound to that core. It owns the per-core [`SamplerUnit`] and a
-//! shared [`perf_sub::PerfEvent`] (ring buffer + aux buffer + waker). The
+//! shared [`perf_sub::PerfEvent`] (ring buffer + aux buffer). The
 //! profiler reads that event from a publish handler
 //! ([`SpeDriver::set_publish_handler`]) — the event's overflow handler, run
 //! by the driver right after each `PERF_RECORD_AUX` record it publishes —
 //! and not from a thread of its own: the NMO monitoring thread exists here
 //! as the drain model below, in simulated time, and that model releases aux
-//! space without waiting for any host reader. The waker is still raised on
-//! every publish, for whoever wants to park on it.
+//! space without waiting for any host reader.
 //!
 //! ## Overhead and loss model
 //!
@@ -24,7 +23,7 @@
 //!   collision or a full buffer charge nothing, matching the paper's
 //!   observation that dropped samples cost no time.
 //! * **Watermark interrupts** — when `aux_watermark` bytes accumulate, a
-//!   `PERF_RECORD_AUX` record is published, pollers are woken, and
+//!   `PERF_RECORD_AUX` record is published, the publish handler runs, and
 //!   [`OverheadModel::interrupt_cycles`] are charged to the core.
 //! * **Drain latency** — the space occupied by published data is only
 //!   released after a service latency plus a per-byte processing time

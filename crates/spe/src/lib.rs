@@ -37,6 +37,8 @@
 //! results (Figures 8–11) are reproduced.
 
 #![warn(missing_docs)]
+// Stdout belongs to the binaries; library code returns data or warns on stderr.
+#![cfg_attr(not(test), deny(clippy::print_stdout))]
 
 pub mod config;
 pub mod driver;

@@ -22,6 +22,8 @@
 //! can run any of them under the NMO profiler with arbitrary thread counts.
 
 #![warn(missing_docs)]
+// Stdout belongs to the binaries; library code returns data or warns on stderr.
+#![cfg_attr(not(test), deny(clippy::print_stdout))]
 
 pub mod bfs;
 pub mod cfd;

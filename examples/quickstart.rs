@@ -14,7 +14,7 @@ fn main() -> Result<(), NmoError> {
     // with NMO configured the way the paper runs it: loads + stores sampled
     // with ARM SPE, RSS and bandwidth tracking on. The same configuration can
     // be pulled from the NMO_* environment variables with
-    // `NmoConfig::from_env()`. The session registers its default backends —
+    // `NmoConfig::from_env()?`. The session registers its default backends —
     // SPE sampling plus perf-stat counting — and the three analysis sinks.
     let profile = ProfileSession::builder()
         .machine_config(MachineConfig::ampere_altra_max())

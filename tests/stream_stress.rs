@@ -14,12 +14,10 @@
 //!   produces bit-identical reports through 8 shards and through the serial
 //!   pipeline (the STREAM equivalence lives in `tests/streaming.rs`).
 
-use std::time::Duration;
-
 use nmo_repro::arch_sim::MachineConfig;
 use nmo_repro::nmo::{
-    AdaptiveOptions, BackpressurePolicy, BandwidthSink, CapacitySink, LatencySink, NmoConfig,
-    Profile, ProfileSession, RegionSink, StreamOptions,
+    BackpressurePolicy, BandwidthSink, CapacitySink, LatencySink, NmoConfig, Profile,
+    ProfileSession, RegionSink, StreamOptions,
 };
 use nmo_repro::workloads::{PageRank, StreamBench};
 
@@ -44,7 +42,6 @@ fn altra_stress_session(
             bus_capacity,
             backpressure: policy,
             shards,
-            ..StreamOptions::default()
         })
         .workload(Box::new(StreamBench::new(64_000, 1)))
         .build()
@@ -66,7 +63,6 @@ fn stress_128_cores_dropnewest_counts_drops_exactly() {
     let stats = profile.stream.expect("stream stats");
     assert_eq!(stats.shards, 8);
     assert_eq!(stats.shards_requested, 8);
-    assert_eq!(stats.active_shards, 8, "static run keeps every shard active");
     assert!(stats.batches_published > 0, "{stats:?}");
     assert!(stats.windows_closed > 0, "{stats:?}");
     assert!(
@@ -102,56 +98,6 @@ fn stress_128_cores_block_is_lossless_and_deadlock_free() {
     // Exact delivery accounting: with no drops, the streaming latency sink
     // saw exactly the decoded sample set, and the region sink attributed
     // exactly one scatter point per sample.
-    assert_eq!(profile.latency().total_count(), profile.processed_samples);
-    assert_eq!(profile.regions().scatter.len() as u64, profile.processed_samples);
-}
-
-/// Adaptive mode under the full 128-core stress load. The controller is free
-/// to repartition mid-run — parking and re-activating pump workers, moving
-/// the drain cadence, and (from `DropNewest`) escalating to `Block` — and
-/// the pipeline must still run to completion with its accounting intact.
-/// This test rides the CI `NMO_LOCK_CHECK=1` job, so every controller lock
-/// edge (`adaptive.control` → `bus.inner`, the shared drainer slots) is
-/// order-checked under real contention.
-#[test]
-fn stress_128_cores_adaptive_completes_with_exact_accounting() {
-    let profile = ProfileSession::builder()
-        .machine_config(MachineConfig::ampere_altra_max())
-        .config(NmoConfig { aux_watermark_bytes: Some(16 * 1024), ..NmoConfig::paper_default(1) })
-        .threads(128)
-        .sink(CapacitySink::default())
-        .sink(BandwidthSink::default())
-        .sink(RegionSink::default())
-        .sink(LatencySink::default())
-        .stream_options(StreamOptions {
-            window_ns: 100_000,
-            bus_capacity: 64,
-            backpressure: BackpressurePolicy::Block,
-            shards: 8,
-            adaptive: Some(AdaptiveOptions {
-                control_interval: Duration::from_micros(500),
-                window: 2,
-                ..AdaptiveOptions::default()
-            }),
-        })
-        .workload(Box::new(StreamBench::new(64_000, 1)))
-        .build()
-        .expect("session builds")
-        .run_streaming()
-        .expect("adaptive streaming run completes");
-    let stats = profile.stream.expect("stream stats");
-    assert_eq!(stats.shards, 8);
-    assert_eq!(stats.shards_requested, 8);
-    assert!(
-        (1..=8).contains(&(stats.active_shards as usize)),
-        "final active width stays within the allocated range: {stats:?}"
-    );
-    // Block backpressure stays lossless no matter how the controller moves
-    // the active width or cadence mid-run.
-    assert_eq!(stats.batches_dropped, 0, "{stats:?}");
-    assert_eq!(stats.items_dropped, 0, "{stats:?}");
-    assert!(profile.processed_samples > 10_000, "{}", profile.processed_samples);
-    assert_eq!(profile.samples.len() as u64, profile.processed_samples);
     assert_eq!(profile.latency().total_count(), profile.processed_samples);
     assert_eq!(profile.regions().scatter.len() as u64, profile.processed_samples);
 }

@@ -4,12 +4,19 @@
 //! and `poll_snapshot` must expose monotonically growing, non-empty windows
 //! while the workload is still running.
 
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::Arc;
+use std::thread::ThreadId;
 use std::time::Duration;
 
-use nmo_repro::arch_sim::{MachineConfig, PlacementPolicy};
+use nmo_repro::arch_sim::{DataSource, Machine, MachineConfig, PlacementPolicy};
+use nmo_repro::nmo::stream::StreamSource;
 use nmo_repro::nmo::{
-    BandwidthSink, CapacitySink, LatencySink, NmoConfig, ProfileSession, RegionSink, StreamOptions,
-    StreamSnapshot, Workload,
+    AddressSample, BackpressurePolicy, BandwidthSink, BatchPayload, BatchPool, CapacitySink,
+    CoreObserver, LatencySink, NmoConfig, NmoError, Profile, ProfileSession, RegionSink,
+    SampleBackend, SampleBatch, ShardDrainer, StreamOptions, StreamSnapshot, WindowClock, Workload,
 };
 use nmo_repro::workloads::StreamBench;
 
@@ -192,8 +199,6 @@ fn over_provisioned_shards_clamp_to_cores_bit_for_bit() {
     // counts surfaced in the stats.
     assert_eq!(sharded_stats.shards, 1, "effective shards clamp to the core count");
     assert_eq!(sharded_stats.shards_requested, 4, "the original request is recorded");
-    assert_eq!(sharded_stats.active_shards, 1);
-    assert_eq!(sharded_stats.adaptive_decisions, 0, "static run makes no decisions");
     assert_eq!(sharded_stats.batches_dropped, 0, "default bus must not drop");
 }
 
@@ -257,4 +262,190 @@ fn poll_snapshot_grows_monotonically_during_the_run() {
     assert_eq!(profile.samples.len() as u64, profile.processed_samples);
     assert!(profile.capacity.peak_bytes > 0);
     assert!(profile.bandwidth.total_bytes > 0);
+}
+
+/// Samples each scripted core emits, and how many of them one drain hands
+/// over per core: 16 drains, ~16 windows of 100 µs.
+const SCRIPT_PER_CORE: u64 = 16_384;
+const SCRIPT_DRAIN_CHUNK: u64 = 1_024;
+
+/// Sample `i` of scripted core `core`: a pure function, so every run of
+/// every width sees the same input.
+fn scripted_sample(core: usize, i: u64) -> AddressSample {
+    let mix = (i * 4 + core as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    AddressSample {
+        time_ns: i * 97 + core as u64 * 13,
+        vaddr: 0x1000_0000 + (mix >> 40) * 8,
+        core,
+        is_store: mix & 1 == 1,
+        latency: 4 + ((mix >> 8) % 900) as u16,
+        source: [DataSource::L1, DataSource::L2, DataSource::Slc, DataSource::Dram(0)]
+            [(mix >> 20) as usize % 4],
+    }
+}
+
+/// What the scripted drainers tell the test.
+struct ScriptLog {
+    /// Every distinct `(drainer, thread)` pair that made a `drain` call.
+    drained_by: parking_lot::Mutex<Vec<(usize, ThreadId)>>,
+    drain_calls: AtomicU64,
+    emitted: AtomicU64,
+    /// One message per drainer, when its script has run out.
+    dry: SyncSender<()>,
+}
+
+/// A backend with no instrument behind it: `shard_drainers(n)` hands out
+/// `n` drainers that emit [`scripted_sample`]s for the cores hashing to
+/// their shard, a chunk per call.
+struct ScriptedBackend {
+    cores: Vec<usize>,
+    log: Arc<ScriptLog>,
+}
+
+struct ScriptedDrainer {
+    shard: usize,
+    cores: Vec<usize>,
+    next: u64,
+    log: Arc<ScriptLog>,
+}
+
+impl SampleBackend for ScriptedBackend {
+    fn name(&self) -> &'static str {
+        "spe"
+    }
+
+    fn start(
+        &mut self,
+        _machine: &Machine,
+        cores: &[usize],
+        _config: &NmoConfig,
+    ) -> Result<Vec<CoreObserver>, NmoError> {
+        self.cores = cores.to_vec();
+        Ok(Vec::new())
+    }
+
+    fn shard_drainers(&mut self, shards: usize) -> Vec<Box<dyn ShardDrainer>> {
+        (0..shards)
+            .map(|shard| {
+                let cores = self.cores.iter().copied().filter(|c| c % shards == shard).collect();
+                Box::new(ScriptedDrainer { shard, cores, next: 0, log: self.log.clone() })
+                    as Box<dyn ShardDrainer>
+            })
+            .collect()
+    }
+
+    fn stop(&mut self, _machine: &Machine) -> Result<(), NmoError> {
+        Ok(())
+    }
+
+    fn fill(&mut self, profile: &mut Profile) -> Result<(), NmoError> {
+        profile.processed_samples = self.log.emitted.load(Ordering::SeqCst);
+        Ok(())
+    }
+}
+
+impl ShardDrainer for ScriptedDrainer {
+    fn shard(&self) -> usize {
+        self.shard
+    }
+
+    fn drain(
+        &mut self,
+        _machine: &Machine,
+        clock: &WindowClock,
+        pool: &BatchPool,
+    ) -> Result<Vec<SampleBatch>, NmoError> {
+        let caller = (self.shard, std::thread::current().id());
+        {
+            let mut drained_by = self.log.drained_by.lock();
+            if !drained_by.contains(&caller) {
+                drained_by.push(caller);
+            }
+        }
+        self.log.drain_calls.fetch_add(1, Ordering::SeqCst);
+        let end = (self.next + SCRIPT_DRAIN_CHUNK).min(SCRIPT_PER_CORE);
+        let mut batches = Vec::new();
+        for &core in &self.cores {
+            let chunk = (self.next..end).map(|i| scripted_sample(core, i));
+            for (window, group) in clock.group_by_window(chunk, |s| s.time_ns) {
+                let mut samples = pool.samples();
+                samples.extend(group);
+                let payload = BatchPayload::SpeSamples { samples, loss: Default::default() };
+                batches.push(SampleBatch::new("spe", Some(core), window, payload));
+            }
+        }
+        let emitted = batches.iter().map(|b| b.len() as u64).sum();
+        self.log.emitted.fetch_add(emitted, Ordering::SeqCst);
+        if self.next < end && end == SCRIPT_PER_CORE {
+            self.log.dry.send(()).expect("the test waits for every drainer");
+        }
+        self.next = end;
+        Ok(batches)
+    }
+
+    fn sources(&self) -> Vec<StreamSource> {
+        self.cores.iter().map(|&core| ("spe", Some(core))).collect()
+    }
+}
+
+/// The script through a real streaming session `shards` wide, lossless.
+fn run_script(shards: usize) -> (Profile, Arc<ScriptLog>) {
+    let (dry, on_dry) = sync_channel(shards);
+    let log = Arc::new(ScriptLog {
+        drained_by: parking_lot::Mutex::new(Vec::new()),
+        drain_calls: AtomicU64::new(0),
+        emitted: AtomicU64::new(0),
+        dry,
+    });
+    let active = ProfileSession::builder()
+        .machine_config(MachineConfig::small_test())
+        .threads(4)
+        .no_default_backends()
+        .backend(ScriptedBackend { cores: Vec::new(), log: log.clone() })
+        .sink(LatencySink::default())
+        .stream_options(StreamOptions {
+            window_ns: 100_000,
+            bus_capacity: 8,
+            backpressure: BackpressurePolicy::Block,
+            shards,
+        })
+        .build()
+        .expect("session builds")
+        .start_streaming()
+        .expect("start streaming");
+    for _ in 0..shards {
+        on_dry.recv_timeout(Duration::from_secs(30)).expect("every drainer runs its script dry");
+    }
+    (active.finish().expect("finish"), log)
+}
+
+/// A pump worker owns its shard's drainers: through a real 4-shard session
+/// every drainer is drained by one thread only, from its first round to its
+/// final one, nothing is lost or late under `Block`, and the sinks end up
+/// where the same input through one shard puts them.
+#[test]
+fn each_drainer_is_drained_by_one_thread_and_four_shards_equal_one() {
+    let (wide, log) = run_script(4);
+    let mut drained_by = log.drained_by.lock().clone();
+    drained_by.sort_by_key(|&(drainer, _)| drainer);
+    let drainers: Vec<usize> = drained_by.iter().map(|&(drainer, _)| drainer).collect();
+    assert_eq!(drainers, [0, 1, 2, 3], "one draining thread per drainer: {drained_by:?}");
+    let threads: HashSet<ThreadId> = drained_by.iter().map(|&(_, thread)| thread).collect();
+    assert_eq!(threads.len(), 4, "and each has a thread of its own: {drained_by:?}");
+    let rounds = SCRIPT_PER_CORE / SCRIPT_DRAIN_CHUNK;
+    assert!(log.drain_calls.load(Ordering::SeqCst) > 4 * rounds, "the final round drains too");
+
+    let emitted = 4 * SCRIPT_PER_CORE;
+    assert_eq!(log.emitted.load(Ordering::SeqCst), emitted);
+    assert_eq!(wide.latency().total_count(), emitted, "emitted == delivered");
+    let stats = wide.stream.expect("stream stats");
+    assert_eq!(stats.shards, 4);
+    assert_eq!(stats.late_batches, 0, "{stats:?}");
+    assert_eq!(stats.batches_dropped, 0, "{stats:?}");
+
+    let (serial, _) = run_script(1);
+    let serial_stats = serial.stream.expect("serial stream stats");
+    assert_eq!(serial_stats.shards, 1);
+    assert_eq!(wide.latency(), serial.latency(), "4 lanes merge to the 1-lane report");
+    assert_eq!(stats.windows_closed, serial_stats.windows_closed);
 }
