@@ -113,22 +113,23 @@ impl<'m> Engine<'m> {
         Engine { machine, state: Some(state) }
     }
 
+    // `state` is Some from `new()` until `Drop`/`into_state` consumes the
+    // engine; no method can observe the None window.
     #[inline]
+    #[allow(clippy::expect_used, reason = "Some for the engine's whole lifetime")]
     fn st(&mut self) -> &mut CoreState {
-        // unwrap-ok: `state` is Some from `new()` until `Drop`/`into_state`
-        // consumes the engine; no method can observe the None window.
         self.state.as_mut().expect("engine state present until drop")
     }
 
     /// The core this engine is attached to.
+    #[allow(clippy::expect_used, reason = "see `st()`: Some for the engine's whole lifetime")]
     pub fn core_id(&self) -> usize {
-        // unwrap-ok: see `st()` — Some for the engine's whole lifetime.
         self.state.as_ref().expect("engine state present until drop").id
     }
 
     /// Current core clock in cycles.
+    #[allow(clippy::expect_used, reason = "see `st()`: Some for the engine's whole lifetime")]
     pub fn now_cycles(&self) -> u64 {
-        // unwrap-ok: see `st()` — Some for the engine's whole lifetime.
         self.state.as_ref().expect("engine state present until drop").clock as u64
     }
 
@@ -225,8 +226,8 @@ impl<'m> Engine<'m> {
         let is_store = kind == OpKind::Store;
         let machine = self.machine;
 
-        // unwrap-ok: see `st()` — Some for the engine's whole lifetime
-        // (split borrow of `machine` + `state` forces the inline access).
+        // The split borrow of `machine` + `state` forces the inline access.
+        #[allow(clippy::expect_used, reason = "see `st()`: Some for the engine's whole lifetime")]
         let st = self.state.as_mut().expect("engine state present until drop");
         st.counters.instructions += 1;
         st.counters.mem_access += 1;

@@ -196,9 +196,8 @@ impl Machine {
     /// # Panics
     /// Panics if the configuration is invalid; use [`MachineConfig::validate`]
     /// first if the configuration is user-supplied.
+    #[allow(clippy::expect_used, reason = "the documented `# Panics` contract")]
     pub fn new(cfg: MachineConfig) -> Self {
-        // unwrap-ok: the panic is this constructor's documented contract
-        // (see `# Panics` above); fallible callers validate first.
         cfg.validate().expect("invalid machine configuration");
         let timeconv =
             TimeConv { core_freq_hz: cfg.freq_hz, timer_freq_hz: 25_000_000, time_zero_ns: 0 };

@@ -9,9 +9,11 @@ use std::path::Path;
 
 use arch_sim::MachineConfig;
 use nmo::report::{format_table, write_csv};
-use nmo::{Mode, NmoConfig, NmoError, Sweep, SweepPoint};
+use nmo::{
+    BandwidthSink, CapacitySink, Mode, NmoConfig, NmoError, Profile, RegionSink, Sweep, SweepPoint,
+};
 
-use crate::harness::{baseline_run, measure, profiled_run, Scale, WorkloadKind};
+use crate::harness::{baseline_run, measure, profiled_run, profiled_session, Scale, WorkloadKind};
 
 /// A rendered experiment result: a title, a header, and data rows.
 #[derive(Debug, Clone)]
@@ -143,12 +145,28 @@ pub fn fig2_fig3_cloud(scale: &Scale, threads: usize) -> Result<Vec<ExperimentRe
     Ok(results)
 }
 
+/// A profiled run that also attributes its samples to tags and phases: the
+/// sinks [`profiled_run`] gets by default, plus the region sink.
+fn region_run(
+    kind: WorkloadKind,
+    scale: &Scale,
+    threads: usize,
+    config: NmoConfig,
+) -> Result<Profile, NmoError> {
+    profiled_session(kind, scale, threads, config)
+        .sink(CapacitySink::default())
+        .sink(BandwidthSink::default())
+        .sink(RegionSink::new())
+        .build()?
+        .run()
+}
+
 /// Figure 4 — STREAM sampled-address scatter with tagged arrays and the
 /// `triad` phase (8 OpenMP threads, 5 iterations in the paper).
 pub fn fig4_stream_scatter(scale: &Scale, period: u64) -> Result<ExperimentResult, NmoError> {
     let config = NmoConfig { name: "stream".into(), ..NmoConfig::paper_default(period) };
-    let profile = profiled_run(WorkloadKind::Stream, scale, 8, config)?;
-    let regions = profile.regions();
+    let profile = region_run(WorkloadKind::Stream, scale, 8, config)?;
+    let regions = profile.regions().expect("region_run registers a RegionSink");
     let rows: Vec<Vec<String>> = regions
         .scatter
         .iter()
@@ -190,8 +208,8 @@ pub fn fig5_fig6_cfd_scatter(
     let mut out = Vec::new();
     for (id, threads) in [("fig5_cfd_1thread", 1usize), ("fig6_cfd_multithread", many_threads)] {
         let config = NmoConfig { name: "cfd".into(), ..NmoConfig::paper_default(period) };
-        let profile = profiled_run(WorkloadKind::Cfd, scale, threads, config)?;
-        let regions = profile.regions();
+        let profile = region_run(WorkloadKind::Cfd, scale, threads, config)?;
+        let regions = profile.regions().expect("region_run registers a RegionSink");
         let rows: Vec<Vec<String>> = regions
             .scatter
             .iter()

@@ -1,7 +1,7 @@
 //! Shared harness: workload construction, baseline and profiled runs.
 
 use arch_sim::{Machine, MachineConfig};
-use nmo::{NmoConfig, NmoError, Profile, ProfileSession, RunMeasurement};
+use nmo::{NmoConfig, NmoError, Profile, ProfileSession, ProfileSessionBuilder, RunMeasurement};
 use spe::SpeStatsSnapshot;
 use workloads::{
     bfs::GraphKind, BfsBench, CfdBench, InMemAnalytics, PageRank, StreamBench, Workload,
@@ -212,20 +212,31 @@ pub fn baseline_run(
     Ok(BaselineRun { mem_counted: counters.mem_access, cycles: counters.cycles })
 }
 
-/// Run a workload under an NMO profiling session and return the profile.
+/// The session every profiled experiment runs: the paper machine, `threads`
+/// cores, the workload at `scale`. A caller that reads a per-sample result
+/// adds its sinks before building.
+pub fn profiled_session(
+    kind: WorkloadKind,
+    scale: &Scale,
+    threads: usize,
+    config: NmoConfig,
+) -> ProfileSessionBuilder {
+    ProfileSession::builder()
+        .machine_config(MachineConfig::ampere_altra_max())
+        .config(config)
+        .threads(threads)
+        .workload(scale.build(kind))
+}
+
+/// Run a workload under an NMO profiling session (default sinks: capacity
+/// and bandwidth) and return the profile.
 pub fn profiled_run(
     kind: WorkloadKind,
     scale: &Scale,
     threads: usize,
     config: NmoConfig,
 ) -> Result<Profile, NmoError> {
-    ProfileSession::builder()
-        .machine_config(MachineConfig::ampere_altra_max())
-        .config(config)
-        .threads(threads)
-        .workload(scale.build(kind))
-        .build()?
-        .run()
+    profiled_session(kind, scale, threads, config).build()?.run()
 }
 
 /// Run one trial of the sensitivity study and fold it into a [`RunMeasurement`].

@@ -21,8 +21,8 @@
 //! * `// nmo-lint: allow(lint-id)` on the flagged line or the comment
 //!   block immediately above it;
 //! * `// nmo-lint: allow-file(lint-id)` anywhere in the file;
-//! * lint-specific justification comments (`// unwrap-ok: …`,
-//!   `// relaxed-ok: …`) that both suppress and document.
+//! * the `// relaxed-ok: …` justification comment, which both suppresses
+//!   `relaxed-atomics-audit` and documents the site.
 
 #![warn(missing_docs)]
 
@@ -114,7 +114,7 @@ fn json_str(s: &str) -> String {
 pub enum FileKind {
     /// Library code — every lint applies.
     Lib,
-    /// Binary (`src/bin/`, `main.rs`) — the unwrap policy is relaxed.
+    /// Binary (`src/bin/`, `main.rs`) — the library-API lints do not apply.
     Bin,
     /// Integration tests, benches, examples — exempt from the policies.
     Test,
@@ -222,7 +222,7 @@ impl SourceFile {
     }
 
     /// Whether the comments attached to `line` contain `marker` (e.g.
-    /// `unwrap-ok:`) — the justification convention.
+    /// `relaxed-ok:`) — the justification convention.
     pub fn has_justification(&self, marker: &str, line: u32) -> bool {
         self.attached_comments(line).contains(marker)
     }
@@ -318,7 +318,6 @@ pub trait Lint {
 pub fn default_lints() -> Vec<Box<dyn Lint>> {
     vec![
         Box::new(lints::LockOrder),
-        Box::new(lints::NoUnwrapInLib),
         Box::new(lints::RelaxedAtomicsAudit),
         Box::new(lints::PubApiResult),
     ]
@@ -419,35 +418,35 @@ mod tests {
     #[test]
     fn suppression_comments() {
         let src = "\
-// nmo-lint: allow-file(relaxed-atomics-audit)
+// nmo-lint: allow-file(pub-api-result)
 fn a() {
-    // nmo-lint: allow(no-unwrap-in-lib)
-    x.unwrap();
-    y.unwrap(); // nmo-lint: allow(no-unwrap-in-lib, lock-order)
-    z.unwrap();
+    // nmo-lint: allow(relaxed-atomics-audit)
+    x.load(Ordering::Relaxed);
+    y.load(Ordering::Relaxed); // nmo-lint: allow(relaxed-atomics-audit, lock-order)
+    z.load(Ordering::Relaxed);
 }
 ";
         let file = SourceFile::parse("x.rs", FileKind::Lib, src);
-        assert!(file.is_allowed("relaxed-atomics-audit", 2));
-        assert!(file.is_allowed("no-unwrap-in-lib", 4));
-        assert!(file.is_allowed("no-unwrap-in-lib", 5));
+        assert!(file.is_allowed("pub-api-result", 2));
+        assert!(file.is_allowed("relaxed-atomics-audit", 4));
+        assert!(file.is_allowed("relaxed-atomics-audit", 5));
         assert!(file.is_allowed("lock-order", 5));
-        assert!(!file.is_allowed("no-unwrap-in-lib", 6));
+        assert!(!file.is_allowed("relaxed-atomics-audit", 6));
     }
 
     #[test]
     fn justification_walks_comment_block() {
         let src = "\
 fn a() {
-    // unwrap-ok: the slice length is a compile-time constant
+    // relaxed-ok: a statistics counter, read for reporting only
     // (two lines of justification)
-    x.unwrap();
-    y.unwrap();
+    x.load(Ordering::Relaxed);
+    y.load(Ordering::Relaxed);
 }
 ";
         let file = SourceFile::parse("x.rs", FileKind::Lib, src);
-        assert!(file.has_justification("unwrap-ok:", 4));
-        assert!(!file.has_justification("unwrap-ok:", 5));
+        assert!(file.has_justification("relaxed-ok:", 4));
+        assert!(!file.has_justification("relaxed-ok:", 5));
     }
 
     #[test]

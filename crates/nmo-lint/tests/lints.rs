@@ -52,15 +52,6 @@ fn self_deadlock_is_an_error() {
 }
 
 #[test]
-fn unwrap_fixture_flags_only_naked_sites() {
-    let diags = lint_fixture("unwrap_bad.rs");
-    assert_eq!(ids(&diags), ["no-unwrap-in-lib", "no-unwrap-in-lib"], "{diags:#?}");
-    // The two *naked* sites, not the justified/suppressed/test ones.
-    assert_eq!(diags[0].line, 5, "{diags:#?}");
-    assert_eq!(diags[1].line, 9, "{diags:#?}");
-}
-
-#[test]
 fn relaxed_fixture_flags_only_unjustified_site() {
     let diags = lint_fixture("relaxed_bad.rs");
     assert_eq!(ids(&diags), ["relaxed-atomics-audit"], "{diags:#?}");
@@ -87,8 +78,8 @@ fn lexer_edge_cases_produce_no_findings() {
 #[test]
 fn suppression_comments_silence_exactly_their_targets() {
     let diags = lint_fixture("suppress.rs");
-    assert_eq!(ids(&diags), ["no-unwrap-in-lib"], "{diags:#?}");
-    assert_eq!(diags[0].line, 14, "only the un-suppressed unwrap: {diags:#?}");
+    assert_eq!(ids(&diags), ["relaxed-atomics-audit"], "{diags:#?}");
+    assert_eq!(diags[0].line, 16, "only the un-suppressed load: {diags:#?}");
 }
 
 /// The acceptance criterion for the satellite fix-up pass: the workspace
@@ -118,7 +109,7 @@ fn cli_exit_codes() {
             .expect("nmo-lint runs")
     };
 
-    let bad = run("unwrap_bad.rs");
+    let bad = run("relaxed_bad.rs");
     assert_eq!(bad.status.code(), Some(1), "stdout: {}", String::from_utf8_lossy(&bad.stdout));
     let good = run("lock_order_good.rs");
     assert_eq!(good.status.code(), Some(0), "stdout: {}", String::from_utf8_lossy(&good.stdout));
@@ -134,9 +125,9 @@ fn cli_exit_codes() {
     // JSON output is one object per line with the lint id.
     let json = Command::new(bin)
         .args(["--assume-lib", "--format", "json"])
-        .arg(fixture_path("unwrap_bad.rs"))
+        .arg(fixture_path("relaxed_bad.rs"))
         .output()
         .expect("nmo-lint runs");
     let stdout = String::from_utf8_lossy(&json.stdout);
-    assert!(stdout.lines().any(|l| l.contains("\"lint\":\"no-unwrap-in-lib\"")), "{stdout}");
+    assert!(stdout.lines().any(|l| l.contains("\"lint\":\"relaxed-atomics-audit\"")), "{stdout}");
 }

@@ -66,16 +66,16 @@ impl std::fmt::Debug for CoreObserver {
 /// Lifecycle: [`SampleBackend::start`] before the workload runs (returning
 /// the per-core observers), [`SampleBackend::stop`] after the workload
 /// finishes and observers are detached, then [`SampleBackend::fill`] to fold
-/// the backend's results into the assembled [`Profile`].
+/// the backend's run-wide counts into the assembled [`Profile`].
 ///
 /// In between, the session calls [`SampleBackend::drain`] — the pump threads
 /// of a streaming session periodically while the workload runs and once more
 /// after `stop`; a session without pipeline threads at every
 /// [`crate::session::ActiveSession::tiering_step`] and once after `stop` —
 /// turning whatever accumulated since the previous call into window-stamped
-/// [`SampleBatch`]es. That is the only way data reaches the analysis sinks:
-/// a backend that keeps the default no-op fills the [`Profile`] but feeds no
-/// sink.
+/// [`SampleBatch`]es. That is the only way data reaches the analysis sinks,
+/// and the sinks' reports are all a [`Profile`] holds of it: a backend that
+/// keeps the default no-op adds its counts in `fill` and nothing else.
 pub trait SampleBackend: Send {
     /// Stable backend name (used in reports and error messages).
     fn name(&self) -> &'static str;
@@ -95,10 +95,9 @@ pub trait SampleBackend: Send {
     /// session. `clock` supplies the window arithmetic and the producer
     /// watermark (use [`WindowClock::current`] for data without
     /// timestamps); `pool` supplies (and takes back) the batch buffers, so
-    /// a steady-state drain allocates nothing. Data returned here must
-    /// *also* be folded into the final [`Profile`] by
-    /// [`SampleBackend::fill`] — batches feed the sinks, the profile stays
-    /// the complete record.
+    /// a steady-state drain allocates nothing. A sample handed out here is
+    /// the sinks' from then on: the backend keeps no copy, and
+    /// [`SampleBackend::fill`] adds only run-wide counts.
     fn drain(
         &mut self,
         _machine: &Machine,
@@ -138,10 +137,10 @@ pub trait SampleBackend: Send {
     /// session has detached this backend's observers from the cores.
     fn stop(&mut self, machine: &Machine) -> Result<(), NmoError>;
 
-    /// Fold the backend's results into `profile` (called after the last
-    /// `drain`). Whatever a backend folds here, its data must also have
-    /// streamed through [`SampleBackend::drain`]: the shipped sinks report
-    /// what they were fed and do not read [`Profile::samples`].
+    /// Fold the backend's run-wide counts into `profile` (called after the
+    /// last `drain`). Per-sample data belongs in [`SampleBackend::drain`]:
+    /// a [`Profile`] holds what the registered sinks reported
+    /// ([`Profile::analyses`]), and nothing here can reach a sink.
     fn fill(&mut self, profile: &mut Profile) -> Result<(), NmoError>;
 }
 
@@ -206,13 +205,6 @@ struct CoreSpe {
 /// ([`spe::OverheadModel`]), and dropping the backend leaves nothing running.
 pub struct SpeBackend {
     cores: Vec<CoreSpe>,
-    /// Everything already handed out through [`SampleBackend::drain`];
-    /// merged back into the profile by `fill`.
-    drained: Arc<Mutex<Vec<AddressSample>>>,
-    /// One drained-record slot per shard drain worker (each worker writes
-    /// only its own slot, so the hot publish path never contends across
-    /// shards); collected alongside `drained` by `fill`.
-    shard_drained: Vec<Arc<Mutex<Vec<AddressSample>>>>,
     /// Cumulative statistics at the previous drain (for per-drain deltas).
     last_stats: SpeStatsSnapshot,
 }
@@ -226,12 +218,7 @@ impl Default for SpeBackend {
 impl SpeBackend {
     /// Create an idle SPE backend.
     pub fn new() -> Self {
-        SpeBackend {
-            cores: Vec::new(),
-            drained: Arc::new(Mutex::named(Vec::new(), "spe.drained")),
-            shard_drained: Vec::new(),
-            last_stats: SpeStatsSnapshot::default(),
-        }
+        SpeBackend { cores: Vec::new(), last_stats: SpeStatsSnapshot::default() }
     }
 }
 
@@ -287,15 +274,7 @@ impl SampleBackend for SpeBackend {
         if self.cores.is_empty() {
             return Ok(Vec::new());
         }
-        Ok(drain_core_set(
-            &self.cores,
-            machine,
-            clock,
-            pool,
-            &self.drained,
-            &mut self.last_stats,
-            None,
-        ))
+        Ok(drain_core_set(&self.cores, machine, clock, pool, &mut self.last_stats, None))
     }
 
     fn shard_drainers(&mut self, shards: usize) -> Vec<Box<dyn ShardDrainer>> {
@@ -310,14 +289,8 @@ impl SampleBackend for SpeBackend {
         by_shard
             .into_iter()
             .map(|(shard, cores)| {
-                let drained = Arc::new(Mutex::named(Vec::new(), "spe.shard_drained"));
-                self.shard_drained.push(drained.clone());
-                Box::new(SpeShardDrainer {
-                    shard,
-                    cores,
-                    drained,
-                    last_stats: SpeStatsSnapshot::default(),
-                }) as Box<dyn ShardDrainer>
+                Box::new(SpeShardDrainer { shard, cores, last_stats: SpeStatsSnapshot::default() })
+                    as Box<dyn ShardDrainer>
             })
             .collect()
     }
@@ -336,41 +309,21 @@ impl SampleBackend for SpeBackend {
     }
 
     fn fill(&mut self, profile: &mut Profile) -> Result<(), NmoError> {
-        // Everything still in the per-core stores plus everything already
-        // streamed out through `drain` (or the shard drain workers) —
-        // together the complete sample record.
-        let mut total = SampleStore {
-            samples: std::mem::take(&mut *self.drained.lock()),
-            ..Default::default()
-        };
-        for slot in &self.shard_drained {
-            total.samples.append(&mut slot.lock());
-        }
-        for c in &self.cores {
-            let mut store = c.store.lock();
-            total.samples.append(&mut store.samples);
-            total.processed += store.processed;
-            total.skipped += store.skipped;
-            total.aux_records += store.aux_records;
-            total.collision_flagged += store.collision_flagged;
-            total.truncated_flagged += store.truncated_flagged;
-        }
-        total.samples.sort_by_key(|s| s.time_ns);
-
+        // Counters only: the samples themselves went out through `drain`
+        // (or the shard drain workers) and belong to the sinks.
         let mut per_core_spe = Vec::new();
         let mut merged = SpeStatsSnapshot::default();
         for c in &self.cores {
+            let store = c.store.lock();
+            profile.processed_samples += store.processed;
+            profile.skipped_packets += store.skipped;
+            profile.aux_records += store.aux_records;
+            profile.collision_flagged_records += store.collision_flagged;
+            profile.truncated_flagged_records += store.truncated_flagged;
             let snap = c.stats.snapshot();
             merged.merge(&snap);
             per_core_spe.push((c.core, snap));
         }
-
-        profile.processed_samples = total.processed;
-        profile.skipped_packets = total.skipped;
-        profile.aux_records = total.aux_records;
-        profile.collision_flagged_records = total.collision_flagged;
-        profile.truncated_flagged_records = total.truncated_flagged;
-        profile.samples = total.samples;
         profile.spe = merged;
         profile.per_core_spe = per_core_spe;
         Ok(())
@@ -384,7 +337,6 @@ impl SampleBackend for SpeBackend {
 struct SpeShardDrainer {
     shard: usize,
     cores: Vec<CoreSpe>,
-    drained: Arc<Mutex<Vec<AddressSample>>>,
     last_stats: SpeStatsSnapshot,
 }
 
@@ -403,15 +355,7 @@ impl ShardDrainer for SpeShardDrainer {
         // routes them to this worker's lane (every core in the subset
         // hashes to the same lane by construction).
         let lane_core = self.cores.first().map(|c| c.core);
-        Ok(drain_core_set(
-            &self.cores,
-            machine,
-            clock,
-            pool,
-            &self.drained,
-            &mut self.last_stats,
-            lane_core,
-        ))
+        Ok(drain_core_set(&self.cores, machine, clock, pool, &mut self.last_stats, lane_core))
     }
 
     fn sources(&self) -> Vec<StreamSource> {
@@ -433,7 +377,6 @@ fn drain_core_set(
     machine: &Machine,
     clock: &WindowClock,
     pool: &BatchPool,
-    drained: &Mutex<Vec<AddressSample>>,
     last_stats: &mut SpeStatsSnapshot,
     batch_core: Option<usize>,
 ) -> Vec<SampleBatch> {
@@ -449,7 +392,6 @@ fn drain_core_set(
             }
             std::mem::replace(&mut store.samples, pool.samples())
         };
-        drained.lock().extend_from_slice(&taken);
         for s in &taken {
             by_window.entry(clock.index_of(s.time_ns)).or_insert_with(|| pool.samples()).push(*s);
         }
@@ -783,7 +725,9 @@ mod tests {
         let mut profile = Profile::empty("t", config);
         backend.fill(&mut profile).unwrap();
         assert!(profile.processed_samples > 100, "{}", profile.processed_samples);
-        assert_eq!(profile.samples.len() as u64, profile.processed_samples);
+        // Never drained, so the core's store still holds every decoded sample.
+        let stored = backend.cores[0].store.lock().samples.len() as u64;
+        assert_eq!(stored, profile.processed_samples);
         assert!(profile.spe.records_written >= profile.processed_samples);
     }
 
@@ -824,7 +768,7 @@ mod tests {
     }
 
     #[test]
-    fn spe_drain_streams_batches_and_fill_keeps_the_complete_record() {
+    fn spe_drain_hands_every_sample_out_once_and_fill_adds_the_counts() {
         let machine = machine();
         let config = NmoConfig::paper_default(100);
         let mut backend = SpeBackend::new();
@@ -869,16 +813,16 @@ mod tests {
         assert!(streamed > 0);
         assert_eq!(loss_batches, 1, "the drain's stats delta rides on one batch");
 
-        // A second drain with no new data is empty.
+        // A second drain with no new data is empty: the backend kept nothing.
         assert!(backend.drain(&machine, &clock, &pool).unwrap().is_empty());
+        assert!(backend.cores[0].store.lock().samples.is_empty());
 
-        // fill() still assembles the complete record.
+        // fill() adds the run's counts; what was drained is all of it.
         backend.stop(&machine).unwrap();
         let mut profile = Profile::empty("t", config);
         backend.fill(&mut profile).unwrap();
-        assert!(profile.processed_samples >= streamed);
-        assert_eq!(profile.samples.len() as u64, profile.processed_samples);
-        assert!(profile.samples.windows(2).all(|w| w[0].time_ns <= w[1].time_ns));
+        assert_eq!(profile.processed_samples, streamed);
+        assert!(profile.samples().is_none(), "a profile holds sink reports, and no sink ran");
     }
 
     #[test]

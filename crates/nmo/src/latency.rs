@@ -18,8 +18,9 @@
 //! The histograms are order-independent, so [`crate::sink::LatencySink`]
 //! (recording batch by batch, however the stream was batched or sharded)
 //! lands on bit-identical results to [`LatencyProfile::from_samples`] over
-//! `Profile::samples` — the lazy [`crate::Profile::latency`] and the
-//! reference the test suites compare against. The sink's per-sample fold
+//! the run's sample log ([`crate::Profile::samples`]) — the reference scan
+//! the test suites compare against; nothing in the library calls it. The
+//! sink's per-sample fold
 //! does not search `per_source`: it indexes a dense table by
 //! [`DataSource::slot`] (in `sink.rs`, beside the shard that owns it) and
 //! emits the same ascending profile at the end.
@@ -197,7 +198,8 @@ impl LatencyProfile {
         Self::default()
     }
 
-    /// Build a profile by scanning decoded samples.
+    /// Build a profile by scanning decoded samples — the reference the sink
+    /// is tested against.
     pub fn from_samples(samples: &[AddressSample]) -> Self {
         let mut profile = Self::new();
         for s in samples {

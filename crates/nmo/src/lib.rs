@@ -32,7 +32,9 @@
 //! * [`sink::AnalysisSink`] — pluggable analyses over the collected data.
 //!   The paper's levels ship as [`sink::CapacitySink`],
 //!   [`sink::BandwidthSink`], [`sink::RegionSink`], and
-//!   [`sink::LatencySink`] — all incremental aggregators.
+//!   [`sink::LatencySink`] — all incremental aggregators; keeping the raw
+//!   samples is one more, [`sink::SampleLogSink`]. A [`Profile`] holds what
+//!   the registered sinks reported and nothing besides.
 //! * [`stream`] — the online data plane: backends emit window-stamped
 //!   [`stream::SampleBatch`]es onto a bounded [`stream::EventBus`] while
 //!   the workload runs ([`session::ProfileSession::run_streaming`]), sinks
@@ -64,13 +66,14 @@
 //!
 //! ```
 //! use arch_sim::MachineConfig;
-//! use nmo::{NmoConfig, ProfileSession};
+//! use nmo::{NmoConfig, ProfileSession, RegionSink};
 //!
 //! # fn main() -> Result<(), nmo::NmoError> {
 //! let session = ProfileSession::builder()
 //!     .machine_config(MachineConfig::small_test())
 //!     .config(NmoConfig::paper_default(100))
 //!     .threads(1)
+//!     .sink(RegionSink::new())
 //!     .build()?;
 //!
 //! let profile = session.run_with(|machine, annotations, cores| {
@@ -86,14 +89,17 @@
 //! })?;
 //!
 //! assert!(profile.processed_samples > 0);
-//! assert!(profile.regions().per_tag.iter().any(|t| t.name == "data"));
+//! let regions = profile.regions().expect("a RegionSink was registered");
+//! assert!(regions.per_tag.iter().any(|t| t.name == "data"));
 //! # Ok(())
 //! # }
 //! ```
 
 #![warn(missing_docs)]
 // Stdout belongs to the binaries; library code returns data or warns on stderr.
-#![cfg_attr(not(test), deny(clippy::print_stdout))]
+// A failure correct use can meet is a `Result`; an `expect` on a broken internal
+// condition carries its own `#[allow(clippy::expect_used, reason = "…")]`.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::unwrap_used, clippy::expect_used))]
 
 pub mod analysis;
 pub mod annotate;
@@ -124,7 +130,7 @@ pub use runtime::{AddressSample, Profile};
 pub use session::{ActiveSession, ProfileSession, ProfileSessionBuilder};
 pub use sink::{
     AnalysisRecord, AnalysisReport, AnalysisSink, BandwidthSink, CapacitySink, LatencySink,
-    RegionSink, ShardState, ShardableSink, SinkShard, StreamContext,
+    RegionSink, SampleLogSink, ShardState, ShardableSink, SinkShard, StreamContext,
 };
 pub use stream::{
     BackpressurePolicy, BatchPayload, BatchPool, BusStats, CounterDelta, EventBus, PoolStats,

@@ -196,8 +196,10 @@ impl RegionAccumulator {
     }
 }
 
-/// Attribute SPE samples to tags and phases (the post-hoc, whole-run scan:
-/// one [`RegionAccumulator`] pass over everything).
+/// Attribute SPE samples to tags and phases in one [`RegionAccumulator`]
+/// pass over everything — the whole-run reference scan
+/// [`crate::sink::RegionSink`] is tested against; a session attributes
+/// through the sink.
 pub fn attribute(samples: &[AddressSample], tags: &[AddrTag], phases: &[Phase]) -> RegionProfile {
     let mut accum = RegionAccumulator::new();
     accum.ingest(samples, tags, phases);

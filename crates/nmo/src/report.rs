@@ -109,36 +109,38 @@ impl Profile {
         let mut written = Vec::new();
         let base = &self.name;
 
-        // Address samples (the scatter data of Figures 4-6). The source
-        // column carries the serving memory node for DRAM-class fills, e.g.
-        // `Dram(0)` / `RemoteDram(1)`. The source label is cached per
-        // distinct `DataSource` (a handful per topology), not re-formatted
-        // per row.
-        let path = dir.join(format!("{base}_samples.csv"));
-        let mut source_labels: Vec<(arch_sim::DataSource, String)> = Vec::new();
-        write_csv_streamed(
-            &path,
-            &["time_ns", "vaddr", "core", "is_store", "latency", "source"],
-            self.samples.len(),
-            44,
-            |out| {
-                for s in &self.samples {
-                    let label = match source_labels.iter().find(|(src, _)| *src == s.source) {
-                        Some((_, label)) => label,
-                        None => {
-                            source_labels.push((s.source, format!("{:?}", s.source)));
-                            &source_labels[source_labels.len() - 1].1
-                        }
-                    };
-                    let _ = writeln!(
-                        out,
-                        "{},{:#x},{},{},{},{label}",
-                        s.time_ns, s.vaddr, s.core, s.is_store as u8, s.latency,
-                    );
-                }
-            },
-        )?;
-        written.push(path.display().to_string());
+        // Address samples (the scatter data of Figures 4-6), when the
+        // session kept them. The source column carries the serving memory
+        // node for DRAM-class fills, e.g. `Dram(0)` / `RemoteDram(1)`. The
+        // source label is cached per distinct `DataSource` (a handful per
+        // topology), not re-formatted per row.
+        if let Some(samples) = self.samples() {
+            let path = dir.join(format!("{base}_samples.csv"));
+            let mut source_labels: Vec<(arch_sim::DataSource, String)> = Vec::new();
+            write_csv_streamed(
+                &path,
+                &["time_ns", "vaddr", "core", "is_store", "latency", "source"],
+                samples.len(),
+                44,
+                |out| {
+                    for s in samples {
+                        let label = match source_labels.iter().find(|(src, _)| *src == s.source) {
+                            Some((_, label)) => label,
+                            None => {
+                                source_labels.push((s.source, format!("{:?}", s.source)));
+                                &source_labels[source_labels.len() - 1].1
+                            }
+                        };
+                        let _ = writeln!(
+                            out,
+                            "{},{:#x},{},{},{},{label}",
+                            s.time_ns, s.vaddr, s.core, s.is_store as u8, s.latency,
+                        );
+                    }
+                },
+            )?;
+            written.push(path.display().to_string());
+        }
 
         // Capacity over time (Figure 2), one extra column per memory node
         // on tiered topologies. The per-tier column layout is hoisted once
@@ -191,8 +193,7 @@ impl Profile {
 
         // Per-data-source latency distributions (the tiered-memory latency
         // figure): log2-histogram summary statistics per source.
-        let latency = self.latency();
-        if !latency.is_empty() {
+        if let Some(latency) = self.latency().filter(|l| !l.is_empty()) {
             let path = dir.join(format!("{base}_latency.csv"));
             write_csv_streamed(
                 &path,
@@ -219,29 +220,30 @@ impl Profile {
         }
 
         // Region attribution (Figures 4-6 legends).
-        let regions = self.regions();
-        let path = dir.join(format!("{base}_regions.csv"));
-        let rows: Vec<Vec<String>> = regions
-            .per_tag
-            .iter()
-            .map(|t| {
-                vec![
-                    t.name.clone(),
-                    t.samples.to_string(),
-                    t.loads.to_string(),
-                    t.stores.to_string(),
-                    format!("{:#x}", t.min_addr),
-                    format!("{:#x}", t.max_addr),
-                    format!("{:.4}", t.coverage),
-                ]
-            })
-            .collect();
-        write_csv(
-            &path,
-            &["tag", "samples", "loads", "stores", "min_addr", "max_addr", "coverage"],
-            &rows,
-        )?;
-        written.push(path.display().to_string());
+        if let Some(regions) = self.regions() {
+            let path = dir.join(format!("{base}_regions.csv"));
+            let rows: Vec<Vec<String>> = regions
+                .per_tag
+                .iter()
+                .map(|t| {
+                    vec![
+                        t.name.clone(),
+                        t.samples.to_string(),
+                        t.loads.to_string(),
+                        t.stores.to_string(),
+                        format!("{:#x}", t.min_addr),
+                        format!("{:#x}", t.max_addr),
+                        format!("{:.4}", t.coverage),
+                    ]
+                })
+                .collect();
+            write_csv(
+                &path,
+                &["tag", "samples", "loads", "stores", "min_addr", "max_addr", "coverage"],
+                &rows,
+            )?;
+            written.push(path.display().to_string());
+        }
 
         // Phases.
         let path = dir.join(format!("{base}_phases.csv"));
@@ -359,8 +361,7 @@ impl Profile {
             self.loss_fraction() * 100.0,
         );
         // Per-tier view on multi-node topologies: traffic split per memory
-        // node, plus tier medians when a LatencySink report is cached on the
-        // profile (no on-demand sample scan here — summary stays cheap).
+        // node, plus tier medians when a LatencySink ran.
         if self.bandwidth.nodes > 1 {
             let shares: Vec<String> = (0..self.bandwidth.nodes)
                 .map(|node| {
@@ -369,10 +370,7 @@ impl Profile {
                 .collect();
             let _ = write!(out, ", mem traffic {}", shares.join(" / "));
         }
-        if let Some(latency) = self.analyses.iter().find_map(|a| match &a.report {
-            crate::sink::AnalysisReport::Latency(l) => Some(l),
-            _ => None,
-        }) {
+        if let Some(latency) = self.latency() {
             let (local, remote) = (latency.local_dram(), latency.remote_dram());
             if local.count() > 0 {
                 let _ = write!(out, ", DRAM p50 local {:.0}c", local.p50());

@@ -16,8 +16,8 @@ use crate::bandwidth::BandwidthSeries;
 use crate::capacity::CapacitySeries;
 use crate::config::NmoConfig;
 use crate::latency::LatencyProfile;
-use crate::regions::{attribute, RegionProfile};
-use crate::sink::AnalysisRecord;
+use crate::regions::RegionProfile;
+use crate::sink::{AnalysisRecord, AnalysisReport};
 use crate::stream::StreamStats;
 use crate::workload::WorkloadReport;
 
@@ -55,8 +55,6 @@ pub struct Profile {
     pub config: NmoConfig,
     /// Names of the sample backends that ran under the session.
     pub backends: Vec<String>,
-    /// Decoded address samples, sorted by time.
-    pub samples: Vec<AddressSample>,
     /// Number of successfully decoded samples.
     pub processed_samples: u64,
     /// Number of records skipped because of invalid header bytes or zero fields.
@@ -109,7 +107,6 @@ impl Profile {
             name: name.into(),
             config,
             backends: Vec::new(),
-            samples: Vec::new(),
             processed_samples: 0,
             skipped_packets: 0,
             aux_records: 0,
@@ -132,17 +129,23 @@ impl Profile {
         }
     }
 
-    /// Region-based attribution of the address samples (level 3).
-    ///
-    /// When a [`crate::sink::RegionSink`] ran on the session its stored
-    /// report is returned; otherwise the attribution is computed on demand.
-    pub fn regions(&self) -> RegionProfile {
-        for record in &self.analyses {
-            if let crate::sink::AnalysisReport::Regions(r) = &record.report {
-                return r.clone();
-            }
-        }
-        attribute(&self.samples, &self.tags, &self.phases)
+    /// Every delivered address sample, ascending by `(time_ns, core)`, when
+    /// a [`crate::sink::SampleLogSink`] was registered on the session (or
+    /// the replay); `None` otherwise — nothing else retains samples.
+    pub fn samples(&self) -> Option<&[AddressSample]> {
+        self.analyses.iter().find_map(|a| match &a.report {
+            AnalysisReport::Samples(s) => Some(s.as_slice()),
+            _ => None,
+        })
+    }
+
+    /// Region-based attribution of the address samples (level 3), when a
+    /// [`crate::sink::RegionSink`] was registered.
+    pub fn regions(&self) -> Option<&RegionProfile> {
+        self.analyses.iter().find_map(|a| match &a.report {
+            AnalysisReport::Regions(r) => Some(r),
+            _ => None,
+        })
     }
 
     /// Attach a manually driven tiering report (from
@@ -152,7 +155,7 @@ impl Profile {
     pub fn attach_tiering(&mut self, report: crate::tiering::TieringReport) {
         self.analyses.push(AnalysisRecord {
             sink: "tiering".to_string(),
-            report: crate::sink::AnalysisReport::Tiering(report),
+            report: AnalysisReport::Tiering(report),
         });
     }
 
@@ -161,23 +164,18 @@ impl Profile {
     /// migration log plus the before/after per-tier latency distributions.
     pub fn tiering(&self) -> Option<&crate::tiering::TieringReport> {
         self.analyses.iter().find_map(|a| match &a.report {
-            crate::sink::AnalysisReport::Tiering(t) => Some(t),
+            AnalysisReport::Tiering(t) => Some(t),
             _ => None,
         })
     }
 
-    /// Per-data-source latency distributions (the tiered-memory view).
-    ///
-    /// When a [`crate::sink::LatencySink`] ran on the session its stored
-    /// report is returned; otherwise the histograms are computed on demand
-    /// from the decoded samples.
-    pub fn latency(&self) -> LatencyProfile {
-        for record in &self.analyses {
-            if let crate::sink::AnalysisReport::Latency(l) = &record.report {
-                return l.clone();
-            }
-        }
-        LatencyProfile::from_samples(&self.samples)
+    /// Per-data-source latency distributions (the tiered-memory view), when
+    /// a [`crate::sink::LatencySink`] was registered.
+    pub fn latency(&self) -> Option<&LatencyProfile> {
+        self.analyses.iter().find_map(|a| match &a.report {
+            AnalysisReport::Latency(l) => Some(l),
+            _ => None,
+        })
     }
 
     /// The count collected by the counter backend for `event`, if any.
@@ -297,19 +295,24 @@ mod tests {
         });
     }
 
-    fn session(config: NmoConfig, threads: usize) -> ProfileSession {
+    fn builder(config: NmoConfig, threads: usize) -> crate::session::ProfileSessionBuilder {
         ProfileSession::builder()
             .machine_config(MachineConfig::small_test())
             .config(config)
             .threads(threads)
-            .build()
-            .unwrap()
+    }
+
+    fn session(config: NmoConfig, threads: usize) -> ProfileSession {
+        builder(config, threads).build().unwrap()
     }
 
     #[test]
     fn end_to_end_sampling_produces_samples() {
         let cfg = NmoConfig { overhead: fast_overhead(), ..NmoConfig::paper_default(100) };
-        let profile = session(cfg, 2)
+        let profile = builder(cfg, 2)
+            .sink(crate::sink::SampleLogSink::new())
+            .build()
+            .unwrap()
             .run_with(|machine, _ann, cores| {
                 run_stream_like(machine, cores, 50_000);
                 Ok(())
@@ -317,15 +320,16 @@ mod tests {
             .unwrap();
 
         assert!(profile.processed_samples > 0);
-        assert_eq!(profile.processed_samples as usize, profile.samples.len());
+        let samples = profile.samples().expect("a SampleLogSink was registered");
+        assert_eq!(profile.processed_samples as usize, samples.len());
         // ~2 cores * 100k ops / period 100 = ~2000 samples expected.
         assert!(profile.processed_samples > 1000, "{}", profile.processed_samples);
         assert!(profile.spe.records_written >= profile.processed_samples);
         assert!(profile.elapsed_cycles > 0);
         assert!(profile.counters.mem_access >= 200_000);
         // Samples are time-sorted and carry plausible addresses.
-        assert!(profile.samples.windows(2).all(|w| w[0].time_ns <= w[1].time_ns));
-        assert!(profile.samples.iter().all(|s| s.vaddr >= arch_sim::vm::HEAP_BASE));
+        assert!(samples.windows(2).all(|w| w[0].time_ns <= w[1].time_ns));
+        assert!(samples.iter().all(|s| s.vaddr >= arch_sim::vm::HEAP_BASE));
         // Accuracy against the machine's own mem_access counter is high with
         // a fast drain model.
         let acc = profile.accuracy_against(profile.counters.mem_access);
@@ -336,7 +340,10 @@ mod tests {
 
     #[test]
     fn disabled_session_collects_nothing_and_costs_nothing() {
-        let profile = session(NmoConfig::default(), 1)
+        let profile = builder(NmoConfig::default(), 1)
+            .sink(crate::sink::SampleLogSink::new())
+            .build()
+            .unwrap()
             .run_with(|machine, _ann, cores| {
                 run_stream_like(machine, cores, 10_000);
                 Ok(())
@@ -344,7 +351,7 @@ mod tests {
             .unwrap();
         assert_eq!(profile.processed_samples, 0);
         assert_eq!(profile.counters.observer_cycles, 0);
-        assert!(profile.samples.is_empty());
+        assert_eq!(profile.samples(), Some(&[][..]));
         assert!(profile.perf_counts.is_empty());
     }
 
@@ -366,7 +373,10 @@ mod tests {
     #[test]
     fn annotations_flow_into_profile_and_regions() {
         let cfg = NmoConfig { overhead: fast_overhead(), ..NmoConfig::paper_default(50) };
-        let profile = session(cfg, 1)
+        let profile = builder(cfg, 1)
+            .sink(crate::sink::RegionSink::new())
+            .build()
+            .unwrap()
             .run_with(|machine, annotations, _cores| {
                 let region = machine.alloc("a", 1 << 20)?;
                 annotations.tag_addr("a", region.start, region.end());
@@ -382,7 +392,7 @@ mod tests {
         assert_eq!(profile.tags.len(), 1);
         assert_eq!(profile.phases.len(), 1);
         assert!(!profile.phases[0].is_open());
-        let regions = profile.regions();
+        let regions = profile.regions().expect("a RegionSink was registered");
         assert!(regions.per_tag.iter().any(|t| t.name == "a" && t.samples > 0));
         assert_eq!(regions.untagged_samples, 0);
         let in_phase = regions.per_phase.iter().find(|(n, _)| n == "kernel0");

@@ -161,8 +161,10 @@ impl ProfileSessionBuilder {
     /// Register an analysis sink. When no sink is registered explicitly, the
     /// session derives the default set from the configuration flags
     /// (capacity when RSS tracking is on, bandwidth when bandwidth tracking
-    /// is on; region attribution stays lazy via `Profile::regions` unless
-    /// [`crate::sink::RegionSink`] is registered here).
+    /// is on). A level-3 result exists only if its sink is registered here:
+    /// [`crate::sink::RegionSink`] for [`Profile::regions`],
+    /// [`crate::sink::LatencySink`] for [`Profile::latency`],
+    /// [`crate::sink::SampleLogSink`] for [`Profile::samples`].
     pub fn sink(mut self, sink: impl AnalysisSink + 'static) -> Self {
         self.sinks.push(Box::new(sink));
         self
@@ -526,8 +528,7 @@ impl ProfileSession {
         for (core, mut observers) in per_core {
             let observer: Box<dyn OpObserver> = match observers.len() {
                 0 => continue,
-                // unwrap-ok: this match arm only runs when len == 1.
-                1 => observers.pop().expect("len checked"),
+                1 => observers.swap_remove(0),
                 _ => Box::new(FanoutObserver::new(observers)),
             };
             self.machine.set_observer(core, observer).map_err(NmoError::Sim)?;
@@ -731,8 +732,8 @@ impl ActiveSession {
                 };
                 self.inline.insert(InlineState {
                     fan_in,
-                    // unwrap-ok: `FanIn::start(_, 1, _)` hands out one lane.
-                    lane: lanes.pop().expect("one lane"),
+                    // `FanIn::start(_, 1, _)` hands out one lane.
+                    lane: lanes.swap_remove(0),
                     clock: WindowClock::new(self.session.stream_options.window_ns),
                     closed_below: 0,
                     pool: BatchPool::new(64),
@@ -894,7 +895,7 @@ impl ActiveSession {
                 }
                 self.step(None, true)?;
                 let delivery = self.inline.take();
-                // unwrap-ok: the step above started delivery or returned.
+                #[allow(clippy::expect_used, reason = "the step above started delivery")]
                 let InlineState { mut fan_in, lane, .. } = delivery.expect("delivery started");
                 catch_sink_panic("merge", || fan_in.finish(vec![lane]))?;
                 self.session.sinks = std::mem::take(&mut fan_in.sinks);
@@ -1495,12 +1496,40 @@ mod tests {
         let mem = profile.perf_count("mem_access").unwrap();
         assert_eq!(mem, profile.counters.mem_access);
         assert_eq!(profile.perf_count("inst_retired"), Some(profile.counters.instructions));
-        // Default sinks produced capacity and bandwidth; region attribution
-        // stays lazy unless RegionSink is registered explicitly.
+        // Default sinks produced capacity and bandwidth, and nothing else.
         assert_eq!(profile.analyses.len(), 2);
         assert!(profile.capacity.peak_bytes > 0);
         assert!(profile.bandwidth.total_bytes > 0);
-        assert!(!profile.regions().scatter.is_empty());
+    }
+
+    /// A profile is what its sinks reported: without `SampleLogSink` /
+    /// `RegionSink` there is no sample record and no attribution, on either
+    /// kind of session, and no `_samples.csv` is written for them.
+    #[test]
+    fn a_session_keeps_no_samples_and_no_regions_unless_their_sinks_are_registered() {
+        let default_run = small_session(100, 1).run_with(stream_like).unwrap();
+        let latency_only = ProfileSession::builder()
+            .machine_config(MachineConfig::small_test())
+            .config(NmoConfig::paper_default(100))
+            .threads(1)
+            .sink(crate::sink::LatencySink::new())
+            .build()
+            .unwrap()
+            .run_streaming_with(stream_like)
+            .unwrap();
+        assert!(default_run.latency().is_none());
+        let streamed = latency_only.latency().expect("its sink was registered");
+        assert_eq!(streamed.total_count(), latency_only.processed_samples);
+        for (i, profile) in [default_run, latency_only].iter().enumerate() {
+            assert!(profile.processed_samples > 100);
+            assert!(profile.samples().is_none() && profile.regions().is_none());
+            let dir = std::env::temp_dir().join(format!("nmo_none_{}_{i}", std::process::id()));
+            let written = profile.write_csv_reports(&dir).unwrap();
+            assert!(!written.iter().any(|f| f.ends_with("_samples.csv")), "{written:?}");
+            assert!(!written.iter().any(|f| f.ends_with("_regions.csv")), "{written:?}");
+            assert!(!dir.join(format!("{}_samples.csv", profile.name)).exists());
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -1515,6 +1544,7 @@ mod tests {
         let profile = session.run_with(stream_like).unwrap();
         assert!(profile.analyses.iter().any(|a| a.sink == "regions"
             && matches!(&a.report, AnalysisReport::Regions(r) if !r.scatter.is_empty())));
+        assert!(!profile.regions().expect("the same report").scatter.is_empty());
     }
 
     #[test]
@@ -1523,12 +1553,13 @@ mod tests {
             .machine_config(MachineConfig::small_test())
             .config(NmoConfig { enabled: true, track_rss: true, ..NmoConfig::default() })
             .threads(1)
+            .sink(crate::sink::SampleLogSink::new())
             .build()
             .unwrap();
         let profile = session.run_with(stream_like).unwrap();
         assert_eq!(profile.backends, vec!["counters".to_string()]);
         assert_eq!(profile.processed_samples, 0);
-        assert!(profile.samples.is_empty());
+        assert_eq!(profile.samples(), Some(&[][..]));
         assert_eq!(profile.perf_count("mem_access"), Some(40_000));
         assert_eq!(profile.counters.observer_cycles, 0, "counting charges no cycles");
     }
@@ -1696,6 +1727,7 @@ mod tests {
                 .sink(crate::sink::CapacitySink::default())
                 .sink(crate::sink::BandwidthSink::default())
                 .sink(crate::sink::RegionSink::default())
+                .sink(crate::sink::SampleLogSink::new())
                 .build()
                 .unwrap()
         };
@@ -1703,10 +1735,11 @@ mod tests {
         let streamed = build().run_streaming_with(stream_like).unwrap();
 
         assert_eq!(streamed.processed_samples, post_hoc.processed_samples);
-        assert_eq!(streamed.samples, post_hoc.samples);
+        assert_eq!(streamed.samples().unwrap().len() as u64, streamed.processed_samples);
+        assert_eq!(streamed.samples(), post_hoc.samples());
         assert_eq!(streamed.capacity, post_hoc.capacity);
         assert_eq!(streamed.bandwidth, post_hoc.bandwidth);
-        let (r_s, r_p) = (streamed.regions(), post_hoc.regions());
+        let (r_s, r_p) = (streamed.regions().unwrap(), post_hoc.regions().unwrap());
         assert_eq!(r_s.per_tag, r_p.per_tag);
         assert_eq!(r_s.untagged_samples, r_p.untagged_samples);
         assert_eq!(r_s.per_phase, r_p.per_phase);
@@ -1826,6 +1859,7 @@ mod tests {
             .threads(2)
             .sink(legacy)
             .sink(merged)
+            .sink(crate::sink::SampleLogSink::new())
             .stream_options(StreamOptions { window_ns: 50_000, ..Default::default() })
             .build()
             .unwrap();
@@ -1848,7 +1882,7 @@ mod tests {
                 e.strip_prefix("close w").expect("only closes after the first").parse().unwrap()
             })
             .collect();
-        let last_window = profile.samples.last().map_or(0, |s| s.time_ns / 50_000);
+        let last_window = profile.samples().unwrap().last().map_or(0, |s| s.time_ns / 50_000);
         assert!(closes.len() as u64 > last_window, "{closes:?}");
         assert_eq!(closes, (0..closes.len() as u64).collect::<Vec<_>>(), "each once, ascending");
 
@@ -1896,8 +1930,9 @@ mod tests {
     }
 
     /// Custom sinks keep both of their shapes on `run()`: one that only
-    /// implements `analyze` over the finished profile, and a shardable one
-    /// that counts what it is fed and overrides `finish`.
+    /// implements `analyze` over the finished profile (and there sees the
+    /// report of the sink registered before it), and a shardable one that
+    /// counts what it is fed and overrides `finish`.
     #[test]
     fn analyze_only_and_finish_overriding_sinks_report_from_run() {
         use crate::sink::{ShardState, ShardableSink, SinkShard};
@@ -1907,7 +1942,7 @@ mod tests {
                 "scan"
             }
             fn analyze(&mut self, _m: &Machine, p: &Profile) -> Result<AnalysisReport, NmoError> {
-                Ok(AnalysisReport::Text(format!("samples={}", p.samples.len())))
+                Ok(AnalysisReport::Text(format!("samples={}", p.samples().map_or(0, <[_]>::len))))
             }
         }
         #[derive(Default)]
@@ -1971,6 +2006,7 @@ mod tests {
             .machine_config(MachineConfig::small_test())
             .config(NmoConfig::paper_default(100))
             .threads(2)
+            .sink(crate::sink::SampleLogSink::new())
             .sink(ScanSink)
             .sink(CountSink::default())
             .workload(Box::new(StreamLike))
@@ -1983,8 +2019,8 @@ mod tests {
             AnalysisReport::Text(t) => t.clone(),
             other => panic!("expected text, got {other:?}"),
         };
-        assert_eq!(text(0), format!("samples={}", profile.processed_samples));
-        assert_eq!(text(1), format!("fed={}", profile.processed_samples), "every sample delivered");
+        assert_eq!(text(1), format!("samples={}", profile.processed_samples));
+        assert_eq!(text(2), format!("fed={}", profile.processed_samples), "every sample delivered");
     }
 
     /// A sink panicking while a thread-less session feeds it surfaces as

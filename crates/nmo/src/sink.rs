@@ -31,11 +31,18 @@
 //! closes, and latency folds each sample into per-data-source log2
 //! histograms — a windowed merge instead of a deferred whole-run scan, so
 //! analysis work is spread over a streaming run and live readouts stay
-//! current. Note that the *retained data* is not yet bounded: the final
-//! [`Profile`] still records every decoded sample (and the region scatter
-//! keeps one attributed point per sample), so memory grows with run length;
-//! eviction/downsampling policies for indefinitely long runs are future
-//! work (the latency histograms are already O(1) in run length).
+//! current. A session keeps what its registered sinks keep and nothing
+//! besides — no sink, no retained samples. What still grows with run length:
+//!
+//! * [`SampleLogSink`] — one [`AddressSample`] per delivered sample; that is
+//!   its job, and why it is not a default sink;
+//! * [`RegionSink`] — one attributed scatter point per sample, tag and phase
+//!   names included (ROADMAP item 8 bounds it);
+//! * `CapacityShard::events` — one point per RSS change;
+//! * `SnapshotState::windows` in [`crate::stream`] — one entry per window,
+//!   cloned on every [`crate::session::ActiveSession::poll_snapshot`].
+//!
+//! The latency histograms and the bandwidth buckets are O(1) and O(buckets).
 
 use std::collections::BTreeMap;
 use std::ops::DerefMut;
@@ -48,7 +55,7 @@ use crate::bandwidth::BandwidthSeries;
 use crate::capacity::CapacitySeries;
 use crate::latency::{LatencyHistogram, LatencyProfile};
 use crate::regions::{RegionAccumulator, RegionProfile};
-use crate::runtime::Profile;
+use crate::runtime::{AddressSample, Profile};
 use crate::stream::{BatchPayload, SampleBatch, Window};
 use crate::NmoError;
 
@@ -63,6 +70,9 @@ pub enum AnalysisReport {
     Regions(RegionProfile),
     /// Per-data-source latency distributions (the tiered-memory view).
     Latency(LatencyProfile),
+    /// Every delivered address sample, ascending by `(time_ns, core)` (from
+    /// [`SampleLogSink`]).
+    Samples(Vec<AddressSample>),
     /// A profile-guided tiering run: applied migrations plus before/after
     /// per-tier latency (from [`crate::tiering::HotPageTracker`]).
     Tiering(crate::tiering::TieringReport),
@@ -78,6 +88,7 @@ impl AnalysisReport {
             AnalysisReport::Bandwidth(b) => b.points.is_empty(),
             AnalysisReport::Regions(r) => r.scatter.is_empty(),
             AnalysisReport::Latency(l) => l.is_empty(),
+            AnalysisReport::Samples(s) => s.is_empty(),
             AnalysisReport::Tiering(t) => t.is_empty(),
             AnalysisReport::Text(t) => t.is_empty(),
         }
@@ -156,8 +167,11 @@ pub trait AnalysisSink: Send {
     /// Produce the report, after the last batch and window close were
     /// delivered and the backends filled `profile`. The shipped sinks report
     /// what was delivered to them and read `profile` only for run-wide
-    /// values (`elapsed_ns`, `counters.flops`, `tags`); a custom sink may
-    /// equally scan the profile.
+    /// values (`elapsed_ns`, `counters.flops`, `tags`). A custom sink may
+    /// equally scan the profile: sinks finish in registration order, so it
+    /// finds the reports of the sinks registered before it in
+    /// [`Profile::analyses`] (e.g. [`Profile::samples`] after a
+    /// [`SampleLogSink`]) and none of those after it.
     fn analyze(&mut self, machine: &Machine, profile: &Profile)
         -> Result<AnalysisReport, NmoError>;
 
@@ -197,6 +211,12 @@ pub trait AnalysisSink: Send {
 /// Type-erased state handed from a [`SinkShard`] back to its parent sink at
 /// merge time.
 pub type ShardState = Box<dyn std::any::Any + Send>;
+
+/// Unbox a state for the sink whose own [`SinkShard`] boxed it as a `T`.
+#[allow(clippy::expect_used, reason = "a sink is handed only its own shards' states")]
+pub(crate) fn own_state<T: 'static>(state: ShardState) -> T {
+    *state.downcast::<T>().expect("a state boxed by the merging sink's own shard")
+}
 
 /// One shard's worker for a [`ShardableSink`]: it consumes the batches of
 /// exactly one bus lane (a disjoint, core-hashed subset of the stream) on
@@ -577,10 +597,7 @@ impl ShardableSink for CapacitySink {
         // Only lane 0's worker holds events, so the concatenation keeps
         // their order whatever the shard count.
         for state in states {
-            // unwrap-ok: `merge_final` only receives states built by this
-            // sink's own `make_shard`, which always boxes Vec<RssPoint>.
-            let events = state.downcast::<Vec<RssPoint>>().expect("a CapacityShard state");
-            self.core.events.extend(*events);
+            self.core.events.extend(own_state::<Vec<RssPoint>>(state));
         }
     }
 }
@@ -700,12 +717,8 @@ impl ShardableSink for BandwidthSink {
         // Per-bucket sums are exact integers, so the merge does not depend
         // on how deliveries were split across shards.
         for state in states {
-            let merged = state
-                .downcast::<BTreeMap<u64, [u64; MAX_MEM_NODES]>>()
-                // unwrap-ok: states come from this sink's own `make_shard`,
-                // which always boxes this exact map type.
-                .expect("a BandwidthShard state");
-            for (bucket, by_node) in merged.into_iter() {
+            let merged = own_state::<BTreeMap<u64, [u64; MAX_MEM_NODES]>>(state);
+            for (bucket, by_node) in merged {
                 let entry = self.core.merged.entry(bucket).or_insert([0; MAX_MEM_NODES]);
                 for (node, bytes) in by_node.iter().enumerate() {
                     entry[node] += bytes;
@@ -769,7 +782,7 @@ impl AnalysisSink for RegionSink {
 #[derive(Debug, Default)]
 struct RegionShard {
     accum: RegionAccumulator,
-    pending: BTreeMap<u64, Vec<crate::runtime::AddressSample>>,
+    pending: BTreeMap<u64, Vec<AddressSample>>,
     /// Latched from the stream context.
     annotations: Arc<Annotations>,
 }
@@ -822,10 +835,7 @@ impl ShardableSink for RegionSink {
         // the shard count; scatter order is shard-major (deterministic by
         // the fixed merge order).
         for state in states {
-            // unwrap-ok: states come from this sink's own `make_shard`,
-            // which always boxes a RegionAccumulator.
-            let accum = state.downcast::<RegionAccumulator>().expect("a RegionShard state");
-            self.core.accum.merge(*accum);
+            self.core.accum.merge(own_state::<RegionAccumulator>(state));
         }
     }
 }
@@ -936,22 +946,93 @@ impl ShardableSink for LatencySink {
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
         for state in states {
-            // unwrap-ok: states come from this sink's own `make_shard`,
-            // which always boxes a LatencyProfile.
-            let profile = state.downcast::<LatencyProfile>().expect("a LatencyShard state");
-            self.core.rest.merge(&profile);
+            self.core.rest.merge(&own_state::<LatencyProfile>(state));
+        }
+    }
+}
+
+/// The raw sample record: every delivered address sample, kept. Nothing else
+/// in a session retains samples, so this is the sink to register when the
+/// samples themselves are the result (scatter CSVs, test oracles, a sliced
+/// query of a stored trace). Its memory grows with the run.
+///
+/// The report is sorted by `(time_ns, core)`, stably: a core's samples keep
+/// their delivery order, so the list is a function of the delivered set and
+/// not of the pipeline's width or the host's drain timing.
+#[derive(Debug, Default)]
+pub struct SampleLogSink {
+    core: SampleLogShard,
+}
+
+impl SampleLogSink {
+    /// A fresh sample log.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl AnalysisSink for SampleLogSink {
+    fn name(&self) -> &'static str {
+        "samples"
+    }
+
+    fn analyze(
+        &mut self,
+        _machine: &Machine,
+        _profile: &Profile,
+    ) -> Result<AnalysisReport, NmoError> {
+        let mut samples = std::mem::take(&mut self.core.samples);
+        samples.sort_by_key(|s| (s.time_ns, s.core));
+        Ok(AnalysisReport::Samples(samples))
+    }
+
+    fn on_batch(&mut self, batch: &SampleBatch) {
+        self.core.on_batch(batch);
+    }
+
+    fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
+        Some(self)
+    }
+}
+
+/// The sample list of a [`SampleLogSink`] (one per shard, plus the parent's
+/// own).
+#[derive(Debug, Default)]
+struct SampleLogShard {
+    samples: Vec<AddressSample>,
+}
+
+impl SinkShard for SampleLogShard {
+    fn on_batch(&mut self, batch: &SampleBatch) {
+        if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
+            self.samples.extend_from_slice(samples);
+        }
+    }
+
+    fn finish(self: Box<Self>) -> ShardState {
+        Box::new(self.samples)
+    }
+}
+
+impl ShardableSink for SampleLogSink {
+    fn make_shard(&mut self, _shard: usize, _ctx: &StreamContext) -> Box<dyn SinkShard> {
+        Box::new(SampleLogShard::default())
+    }
+
+    fn merge_final(&mut self, states: Vec<ShardState>) {
+        for state in states {
+            self.core.samples.extend(own_state::<Vec<AddressSample>>(state));
         }
     }
 }
 
 /// The sinks the session registers by default for `config`: capacity when
 /// RSS tracking is on, bandwidth when bandwidth tracking is on (the paper's
-/// always-on levels). Region attribution and latency
-/// histograms are *not* default sinks — they stay lazy via
-/// [`Profile::regions`] / [`Profile::latency`] (many callers, e.g. the
-/// sensitivity sweeps, never read them and should not pay the per-sample
-/// scans); register [`RegionSink`] / [`LatencySink`] explicitly to compute
-/// and cache them at session finish.
+/// always-on levels). The per-sample sinks — [`RegionSink`],
+/// [`LatencySink`], [`SampleLogSink`] — are *not* defaults: many callers,
+/// e.g. the sensitivity sweeps, read none of them and should not pay for
+/// them. Without its sink, [`Profile::regions`] / [`Profile::latency`] /
+/// [`Profile::samples`] is `None`.
 pub(crate) fn default_sinks(config: &crate::config::NmoConfig) -> Vec<Box<dyn AnalysisSink>> {
     let mut sinks: Vec<Box<dyn AnalysisSink>> = Vec::new();
     if config.track_rss {
@@ -978,6 +1059,7 @@ pub(crate) fn run_sinks(
             AnalysisReport::Bandwidth(b) => profile.bandwidth = b.clone(),
             AnalysisReport::Regions(_)
             | AnalysisReport::Latency(_)
+            | AnalysisReport::Samples(_)
             | AnalysisReport::Tiering(_)
             | AnalysisReport::Text(_) => {}
         }
@@ -1420,9 +1502,11 @@ mod tests {
         serial.on_stream_start(&ctx);
         let mut serial_lat = LatencySink::new();
         serial_lat.on_stream_start(&ctx);
+        let mut serial_log = SampleLogSink::new();
         for b in &batches {
             serial.on_batch(b);
             serial_lat.on_batch(b);
+            serial_log.on_batch(b);
         }
         for w in 0..12u64 {
             serial.on_window_close(clock.window(w));
@@ -1435,6 +1519,10 @@ mod tests {
             AnalysisReport::Latency(l) => l,
             other => panic!("expected latency, got {other:?}"),
         };
+        let serial_samples = match serial_log.finish(&machine, &profile).unwrap() {
+            AnalysisReport::Samples(s) => s,
+            other => panic!("expected samples, got {other:?}"),
+        };
 
         // Sharded: partition by core hash, merge in shard order.
         let mut region = RegionSink::new();
@@ -1445,10 +1533,14 @@ mod tests {
             (0..shards).map(|s| region.as_shardable().unwrap().make_shard(s, &ctx)).collect();
         let mut latency_shards: Vec<Box<dyn SinkShard>> =
             (0..shards).map(|s| latency.as_shardable().unwrap().make_shard(s, &ctx)).collect();
+        let mut log = SampleLogSink::new();
+        let mut log_shards: Vec<Box<dyn SinkShard>> =
+            (0..shards).map(|s| log.as_shardable().unwrap().make_shard(s, &ctx)).collect();
         for b in &batches {
             let lane = b.core.expect("spe batches carry a core") % shards;
             region_shards[lane].on_batch(b);
             latency_shards[lane].on_batch(b);
+            log_shards[lane].on_batch(b);
         }
         for w in 0..12u64 {
             for shard in region_shards.iter_mut().chain(latency_shards.iter_mut()) {
@@ -1459,6 +1551,8 @@ mod tests {
         region.as_shardable().unwrap().merge_final(states);
         let states: Vec<ShardState> = latency_shards.into_iter().map(|s| s.finish()).collect();
         latency.as_shardable().unwrap().merge_final(states);
+        let states: Vec<ShardState> = log_shards.into_iter().map(|s| s.finish()).collect();
+        log.as_shardable().unwrap().merge_final(states);
 
         let sharded_regions = match region.finish(&machine, &profile).unwrap() {
             AnalysisReport::Regions(r) => r,
@@ -1470,6 +1564,14 @@ mod tests {
         };
 
         assert_eq!(sharded_latency, serial_latency, "histogram merge is exact");
+        // Sixteen cores share every timestamp: the log's order is the
+        // `(time_ns, core)` sort, not the order the lanes were merged in.
+        let sharded_samples = match log.finish(&machine, &profile).unwrap() {
+            AnalysisReport::Samples(s) => s,
+            other => panic!("expected samples, got {other:?}"),
+        };
+        assert_eq!(sharded_samples.len(), 12 * 16 * 25);
+        assert_eq!(sharded_samples, serial_samples, "the log does not depend on the width");
         assert_eq!(sharded_regions.per_tag, serial_regions.per_tag);
         assert_eq!(sharded_regions.per_phase, serial_regions.per_phase);
         assert_eq!(sharded_regions.untagged_samples, serial_regions.untagged_samples);
@@ -1498,6 +1600,7 @@ mod tests {
         assert!(BandwidthSink::default().as_shardable().is_some());
         assert!(RegionSink::default().as_shardable().is_some());
         assert!(LatencySink::default().as_shardable().is_some());
+        assert!(SampleLogSink::default().as_shardable().is_some());
     }
 
     /// The fan-in rule, on the type alone: three lanes whose closes arrive

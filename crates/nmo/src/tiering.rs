@@ -40,7 +40,7 @@ use arch_sim::{Machine, MachineConfig, NodeId};
 use crate::latency::{LatencyHistogram, LatencyProfile};
 use crate::runtime::{AddressSample, Profile};
 use crate::sink::{
-    AnalysisReport, AnalysisSink, ShardState, ShardableSink, SinkShard, StreamContext,
+    own_state, AnalysisReport, AnalysisSink, ShardState, ShardableSink, SinkShard, StreamContext,
 };
 use crate::stream::{BatchPayload, SampleBatch, Window};
 use crate::NmoError;
@@ -562,8 +562,7 @@ impl HotPageTracker {
                 self.local_dram.record(s.latency);
             }
         }
-        // unwrap-ok: `segments` starts as vec![one profile] and is only
-        // ever pushed to, never drained.
+        #[allow(clippy::expect_used, reason = "`segments` starts with one profile and only grows")]
         self.segments.last_mut().expect("segments never empty").record(s.source, s.latency);
         self.last_seen_ns = self.last_seen_ns.max(s.time_ns);
     }
@@ -647,11 +646,9 @@ impl HotPageTracker {
         for segment in &self.segments[1..] {
             after.merge(segment);
         }
-        let settled = if self.segments.len() > 1 {
-            // unwrap-ok: `segments` starts non-empty and only grows.
-            self.segments.last().expect("segments never empty").clone()
-        } else {
-            LatencyProfile::new()
+        let settled = match &self.segments[1..] {
+            [.., last] => last.clone(),
+            [] => LatencyProfile::new(),
         };
         TieringReport {
             policy: self.policy.name().to_string(),
@@ -750,7 +747,7 @@ impl HotPageTracker {
     fn absorb_digest(&mut self, digest: TrackerDigest) {
         self.pages_tracked += merge_pages(&mut self.pages, digest.pages, &self.pinned);
         self.local_dram.merge(&digest.local_dram);
-        // unwrap-ok: `segments` starts non-empty and only grows.
+        #[allow(clippy::expect_used, reason = "`segments` starts with one profile and only grows")]
         self.segments.last_mut().expect("segments never empty").merge(&digest.latency);
         self.last_seen_ns = self.last_seen_ns.max(digest.last_seen_ns);
     }
@@ -770,10 +767,7 @@ impl ShardableSink for HotPageTracker {
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
         for state in states {
-            // unwrap-ok: states come from this sink's own `make_shard`,
-            // which always boxes a TrackerDigest.
-            let digest = state.downcast::<TrackerDigest>().expect("a TrackerShard digest");
-            self.absorb_digest(*digest);
+            self.absorb_digest(own_state::<TrackerDigest>(state));
         }
     }
 }

@@ -277,8 +277,9 @@ fn mulrot64(data: &[u8]) -> u64 {
     let mut strides = data.chunks_exact(32);
     for stride in &mut strides {
         for (lane, word) in lanes.iter_mut().zip(stride.chunks_exact(8)) {
-            // unwrap-ok: `chunks_exact(8)` yields 8-byte slices.
-            *lane = mulrot_step(*lane, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+            #[allow(clippy::expect_used, reason = "`chunks_exact(8)` yields 8-byte slices")]
+            let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            *lane = mulrot_step(*lane, word);
         }
     }
     let mut h = lanes.iter().fold(data.len() as u64, |h, &lane| mulrot_step(h, lane));
@@ -610,7 +611,7 @@ fn unpack_column(
     let mask = u64::MAX >> (u64::BITS - width as u32);
     for (i, v) in out.iter_mut().enumerate() {
         let bit = i * width;
-        // unwrap-ok: a 16-byte slice converts to a 16-byte array.
+        #[allow(clippy::expect_used, reason = "a 16-byte slice is a 16-byte array")]
         let word = u128::from_le_bytes(window[bit / 8..bit / 8 + 16].try_into().expect("16 bytes"));
         *v = base.wrapping_add((word >> (bit % 8)) as u64 & mask);
     }
@@ -853,9 +854,11 @@ fn scan_with(data: &[u8], pool: &BatchPool) -> BlockScan {
             scan.skipped_bytes += 1;
             continue;
         }
-        // unwrap-ok: the frame header's presence was checked above.
-        let len = get_u32(data, pos + 4).unwrap() as usize;
-        let checksum = get_u64(data, pos + 8).unwrap(); // unwrap-ok: as above
+        #[allow(clippy::expect_used, reason = "FRAME_HEADER_BYTES remain, checked above")]
+        let (len, checksum) = (
+            get_u32(data, pos + 4).expect("frame header") as usize,
+            get_u64(data, pos + 8).expect("frame header"),
+        );
         if len > MAX_BLOCK_BYTES {
             scan.errors.push(format!("oversized block length {len} at offset {pos}"));
             pos += 1;
@@ -1566,14 +1569,15 @@ fn feed(
 }
 
 /// A slice of a stored trace: time windows, cores, and/or an address range.
-/// Unset dimensions match everything. Time and core slicing are
-/// batch-granular (an SPE batch is per-core and per-window); the address
-/// range additionally filters individual samples inside matching batches.
+/// Unset dimensions match everything. Time slicing is batch-granular (a
+/// batch is per window); an SPE batch carries every core its drainer owns,
+/// so the core set and the address range filter its samples one by one.
 #[derive(Debug, Clone, Default)]
 pub struct TraceQuery {
     /// Inclusive window-index range.
     pub windows: Option<(u64, u64)>,
-    /// Cores to include (batch-level; core-less machine ticks always pass).
+    /// Cores to include (per sample for SPE batches, by the batch's stamp
+    /// for the others; core-less machine ticks always pass).
     pub cores: Option<Vec<usize>>,
     /// Inclusive virtual-address range (applied per sample).
     pub vaddr: Option<(u64, u64)>,
@@ -1639,19 +1643,32 @@ impl TraceQuery {
     }
 
     /// What the query keeps of one stored batch: nothing outside the window
-    /// range or core set; of an SPE batch, the samples inside the address
-    /// range (`None` when none is).
+    /// range; of an SPE batch, the samples of the queried cores inside the
+    /// address range (`None` when none is left); any other batch by its
+    /// core stamp.
     pub(crate) fn filter_batch(&self, batch: SampleBatch) -> Option<SampleBatch> {
-        let core_kept =
-            batch.core.is_none_or(|c| self.cores.as_ref().is_none_or(|cores| cores.contains(&c)));
-        if !self.window_in_range(batch.window.index) || !core_kept {
+        if !self.window_in_range(batch.window.index) {
             return None;
         }
-        let Some((lo, hi)) = self.vaddr else { return Some(batch) };
+        let in_cores = |c: usize| self.cores.as_ref().is_none_or(|cores| cores.contains(&c));
+        if !matches!(batch.payload(), BatchPayload::SpeSamples { .. }) {
+            return batch.core.is_none_or(in_cores).then_some(batch);
+        }
+        // An SPE batch holds one window of its drainer's whole core subset
+        // and its stamp only routes it to a lane: the cores are the samples'.
+        let mixed = match batch.sole_core() {
+            Some(core) if !in_cores(core) => return None,
+            Some(_) => false,
+            None => self.cores.is_some(),
+        };
+        if !mixed && self.vaddr.is_none() {
+            return Some(batch);
+        }
+        let (lo, hi) = self.vaddr.unwrap_or((0, u64::MAX));
         let (seq, backend, core, window) = (batch.seq, batch.backend, batch.core, batch.window);
         let mut payload = batch.into_payload();
         if let BatchPayload::SpeSamples { samples, .. } = &mut payload {
-            samples.retain(|s| (lo..=hi).contains(&s.vaddr));
+            samples.retain(|s| in_cores(s.core) && (lo..=hi).contains(&s.vaddr));
             if samples.is_empty() {
                 return None;
             }
@@ -1864,20 +1881,16 @@ pub struct TraceVerify {
     pub errors: Vec<String>,
 }
 
-/// Collect the sinks' reports after a replay, without a live machine: calls
-/// each sink's [`AnalysisSink::finish`] against a minimal machine and an
-/// empty profile (streaming-fed sinks ignore both and report what they
-/// aggregated from the replayed stream).
+/// Collect the sinks' reports after a replay, without a live machine: runs
+/// each sink's [`AnalysisSink::finish`] against a minimal machine and a
+/// profile that is empty but for the reports of the sinks before it
+/// (streaming-fed sinks ignore both and report what they aggregated from the
+/// replayed stream).
 pub fn replay_finish(sinks: &mut [Box<dyn AnalysisSink>]) -> Result<Vec<AnalysisRecord>, NmoError> {
     let machine = Machine::new(MachineConfig::small_test());
-    let profile = Profile::empty("replay", NmoConfig::paper_default(1000));
-    sinks
-        .iter_mut()
-        .map(|s| {
-            s.finish(&machine, &profile)
-                .map(|report| AnalysisRecord { sink: s.name().to_string(), report })
-        })
-        .collect()
+    let mut profile = Profile::empty("replay", NmoConfig::paper_default(1000));
+    crate::sink::run_sinks(&machine, &mut profile, sinks)?;
+    Ok(profile.analyses)
 }
 
 #[cfg(test)]

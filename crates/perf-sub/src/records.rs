@@ -159,9 +159,8 @@ impl Record {
         let body = &b[8..header.size as usize];
         let u64_at = |off: usize| -> Result<u64> {
             body.get(off..off + 8)
-                // unwrap-ok: the slice is exactly 8 bytes by construction
-                // of the `get(off..off + 8)` range.
-                .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
+                .and_then(|s| s.try_into().ok())
+                .map(u64::from_le_bytes)
                 .ok_or_else(|| PerfError::CorruptRecord("short field".into()))
         };
         match header.type_ {
@@ -176,11 +175,8 @@ impl Record {
                     return Err(PerfError::CorruptRecord("short itrace body".into()));
                 }
                 Ok(Record::ItraceStart(ItraceStartRecord {
-                    // unwrap-ok: `body.len() >= 8` checked above; the
-                    // slice is exactly 4 bytes.
-                    pid: u32::from_le_bytes(body[0..4].try_into().unwrap()),
-                    // unwrap-ok: same — exactly 4 bytes of a checked body.
-                    tid: u32::from_le_bytes(body[4..8].try_into().unwrap()),
+                    pid: u32::from_le_bytes([body[0], body[1], body[2], body[3]]),
+                    tid: u32::from_le_bytes([body[4], body[5], body[6], body[7]]),
                 }))
             }
             other => Err(PerfError::CorruptRecord(format!("unknown record type {other}"))),

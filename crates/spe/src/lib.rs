@@ -38,7 +38,9 @@
 
 #![warn(missing_docs)]
 // Stdout belongs to the binaries; library code returns data or warns on stderr.
-#![cfg_attr(not(test), deny(clippy::print_stdout))]
+// A failure correct use can meet is a `Result`; an `expect` on a broken internal
+// condition carries its own `#[allow(clippy::expect_used, reason = "…")]`.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::unwrap_used, clippy::expect_used))]
 
 pub mod config;
 pub mod driver;

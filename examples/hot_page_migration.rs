@@ -53,7 +53,7 @@ use nmo_repro::arch_sim::{MachineConfig, PlacementPolicy};
 use nmo_repro::nmo::tiering::{HotPageTracker, NoMigration, TieringPolicy, TieringReport, TopKHot};
 use nmo_repro::nmo::{
     BackpressurePolicy, LatencyHistogram, LatencyProfile, LatencySink, NmoConfig, NmoError,
-    Profile, ProfileSession, StreamOptions,
+    Profile, ProfileSession, SampleLogSink, StreamOptions,
 };
 use nmo_repro::workloads::generators::{rmat_graph, CsrGraph};
 use nmo_repro::workloads::{chunk_range, env_or, parallel_on_cores, pc};
@@ -113,6 +113,7 @@ fn run_policy(
         })
         .threads(rc.threads)
         .sink(LatencySink::default())
+        .sink(SampleLogSink::new())
         .stream_options(StreamOptions { window_ns: 250_000, ..StreamOptions::default() })
         .build()?;
 
@@ -215,7 +216,7 @@ fn run_policy(
 /// latency profile per epoch.
 fn per_epoch_latency(profile: &Profile, epoch_ends: &[u64]) -> Vec<LatencyProfile> {
     let mut epochs = vec![LatencyProfile::new(); epoch_ends.len()];
-    for s in &profile.samples {
+    for s in profile.samples().expect("a SampleLogSink was registered") {
         let epoch = epoch_ends.partition_point(|&end| end <= s.time_ns);
         if let Some(p) = epochs.get_mut(epoch) {
             p.record(s.source, s.latency);
@@ -249,7 +250,7 @@ fn main() -> Result<(), NmoError> {
 
     let (nomig_profile, _, nomig_epoch_ends) =
         run_policy("no-migration", NoMigration, &graph, &rc)?;
-    let nomig_latency = nomig_profile.latency();
+    let nomig_latency = nomig_profile.latency().expect("a LatencySink was registered");
     let (nomig_local, nomig_remote) = (nomig_latency.local_dram(), nomig_latency.remote_dram());
     tier_line("local DRAM", &nomig_local);
     tier_line("remote DRAM", &nomig_remote);
@@ -346,6 +347,7 @@ fn main() -> Result<(), NmoError> {
         })
         .threads(2)
         .sink(LatencySink::default())
+        .sink(SampleLogSink::new())
         .sink(HotPageTracker::new(TopKHot::new(8, 1)))
         .stream_options(StreamOptions {
             window_ns: 100_000,
@@ -374,7 +376,7 @@ fn main() -> Result<(), NmoError> {
     assert!(profile.migrations.migrations > 0, "streaming sink migrated mid-run");
     assert_eq!(
         profile.latency(),
-        LatencyProfile::from_samples(&profile.samples),
+        profile.samples().map(LatencyProfile::from_samples).as_ref(),
         "streaming == post-hoc with migrations active"
     );
     println!(

@@ -6,7 +6,9 @@
 //! ```
 
 use nmo_repro::arch_sim::MachineConfig;
-use nmo_repro::nmo::{NmoConfig, NmoError, ProfileSession};
+use nmo_repro::nmo::{
+    BandwidthSink, CapacitySink, NmoConfig, NmoError, ProfileSession, RegionSink,
+};
 use nmo_repro::workloads::StreamBench;
 
 fn main() -> Result<(), NmoError> {
@@ -15,13 +17,17 @@ fn main() -> Result<(), NmoError> {
     // with ARM SPE, RSS and bandwidth tracking on. The same configuration can
     // be pulled from the NMO_* environment variables with
     // `NmoConfig::from_env()?`. The session registers its default backends —
-    // SPE sampling plus perf-stat counting — and the three analysis sinks.
+    // SPE sampling plus perf-stat counting; the sinks are one per level (a
+    // session given none registers the first two by itself).
     let profile = ProfileSession::builder()
         .machine_config(MachineConfig::ampere_altra_max())
         .config(NmoConfig { name: "quickstart".into(), ..NmoConfig::paper_default(4096) })
         .threads(8)
         // A 2M-element STREAM Triad on 8 threads.
         .workload(Box::new(StreamBench::new(2_000_000, 2)))
+        .sink(CapacitySink::default())
+        .sink(BandwidthSink::default())
+        .sink(RegionSink::new())
         .build()?
         .run()?;
 
@@ -43,7 +49,7 @@ fn main() -> Result<(), NmoError> {
         profile.bandwidth.arithmetic_intensity
     );
 
-    let regions = profile.regions();
+    let regions = profile.regions().expect("a RegionSink was registered");
     println!(
         "level 3 (regions):   {} SPE samples attributed as follows:",
         profile.processed_samples

@@ -7,7 +7,7 @@
 //! ```
 
 use nmo_repro::arch_sim::MachineConfig;
-use nmo_repro::nmo::{NmoConfig, NmoError, ProfileSession};
+use nmo_repro::nmo::{NmoConfig, NmoError, ProfileSession, RegionSink, SampleLogSink};
 use nmo_repro::workloads::StreamBench;
 
 fn main() -> Result<(), NmoError> {
@@ -17,9 +17,13 @@ fn main() -> Result<(), NmoError> {
         .config(NmoConfig { name: "stream_regions".into(), ..NmoConfig::paper_default(2048) })
         .threads(8)
         .workload(Box::new(StreamBench::new(1_000_000, 5)))
+        // The attribution, and the raw samples for the per-core footprints.
+        .sink(RegionSink::new())
+        .sink(SampleLogSink::new())
         .build()?
         .run()?;
-    let regions = profile.regions();
+    let regions = profile.regions().expect("a RegionSink was registered");
+    let samples = profile.samples().expect("a SampleLogSink was registered");
 
     println!("== STREAM region profile (Figure 4 scenario) ==");
     println!(
@@ -52,8 +56,7 @@ fn main() -> Result<(), NmoError> {
     let a_tag = regions.per_tag.iter().find(|t| t.name == "a");
     if let Some(a_tag) = a_tag {
         for core in 0..8usize {
-            let addrs: Vec<u64> = profile
-                .samples
+            let addrs: Vec<u64> = samples
                 .iter()
                 .filter(|s| {
                     s.core == core && s.vaddr >= a_tag.min_addr && s.vaddr <= a_tag.max_addr

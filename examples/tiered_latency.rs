@@ -86,7 +86,8 @@ fn print_latency_table(profile: &Profile) {
         "    {:<16} {:>8} {:>9} {:>9} {:>9} {:>9}",
         "source", "samples", "mean", "p50", "p90", "p99"
     );
-    for (source, hist) in &profile.latency().per_source {
+    let latency = profile.latency().expect("a LatencySink was registered");
+    for (source, hist) in &latency.per_source {
         println!(
             "    {:<16} {:>8} {:>9.1} {:>9.1} {:>9.1} {:>9.1}",
             format!("{source:?}"),
@@ -115,7 +116,7 @@ fn main() -> Result<(), NmoError> {
         for &local_fraction in &ratios {
             let placement = PlacementPolicy::TierSplit { local_fraction };
             let profile = run_once(workload, placement, threads, period)?;
-            let latency = profile.latency();
+            let latency = profile.latency().expect("a LatencySink was registered");
             let (local, remote) = (latency.local_dram(), latency.remote_dram());
             println!(
                 "\n  local_fraction={local_fraction}: RSS local {:.3} GiB / remote {:.3} GiB, \

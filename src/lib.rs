@@ -32,8 +32,11 @@ pub use workloads;
 /// This is the "preload the library and set environment variables" usage
 /// model of the paper compressed into a function: the configuration can come
 /// from [`nmo::NmoConfig::from_env`] or be built programmatically. It is a
-/// thin wrapper over [`nmo::ProfileSession`]; use the session builder
-/// directly for custom machines, backends, or sinks.
+/// thin wrapper over [`nmo::ProfileSession`] with its default sinks
+/// (capacity and bandwidth); use the session builder directly for custom
+/// machines or backends, and for any per-sample result — region
+/// attribution, latency histograms, the raw samples — which exists only if
+/// its sink is registered.
 ///
 /// ```
 /// use nmo_repro::{profile_workload, nmo::NmoConfig, workloads::StreamBench};

@@ -2,14 +2,29 @@
 //! NMO runtime → analysis, end to end.
 
 use nmo_repro::arch_sim::MachineConfig;
-use nmo_repro::nmo::{Mode, NmoConfig, Profile, ProfileSession};
-use nmo_repro::profile_workload;
+use nmo_repro::nmo::{
+    BandwidthSink, CapacitySink, LatencySink, Mode, NmoConfig, Profile, ProfileSession, RegionSink,
+    SampleLogSink,
+};
 use nmo_repro::workloads::{
     bfs::GraphKind, BfsBench, CfdBench, InMemAnalytics, PageRank, StreamBench, Workload,
 };
 
+/// `nmo_repro::profile_workload` with every shipped sink registered: a
+/// profile holds exactly what its sinks reported.
 fn run_profiled(workload: Box<dyn Workload>, threads: usize, period: u64) -> Profile {
-    profile_workload(workload, &NmoConfig::paper_default(period), threads)
+    ProfileSession::builder()
+        .machine_config(MachineConfig::ampere_altra_max())
+        .config(NmoConfig::paper_default(period))
+        .threads(threads)
+        .workload(workload)
+        .sink(CapacitySink::default())
+        .sink(BandwidthSink::default())
+        .sink(RegionSink::new())
+        .sink(LatencySink::new())
+        .sink(SampleLogSink::new())
+        .build()
+        .and_then(ProfileSession::run)
         .expect("profiling session")
 }
 
@@ -17,7 +32,7 @@ fn run_profiled(workload: Box<dyn Workload>, threads: usize, period: u64) -> Pro
 fn stream_profile_attributes_samples_to_all_three_arrays() {
     let profile = run_profiled(Box::new(StreamBench::new(200_000, 2)), 4, 500);
     assert!(profile.processed_samples > 100);
-    let regions = profile.regions();
+    let regions = profile.regions().expect("a RegionSink was registered");
     let names: Vec<&str> = regions.per_tag.iter().map(|t| t.name.as_str()).collect();
     for expected in ["a", "b", "c"] {
         assert!(names.contains(&expected), "missing samples in array {expected}: {names:?}");
@@ -36,7 +51,7 @@ fn stream_profile_attributes_samples_to_all_three_arrays() {
 fn cfd_profile_shows_indirection_traffic_and_phase() {
     let profile = run_profiled(Box::new(CfdBench::new(4_000, 2)), 4, 400);
     assert!(profile.processed_samples > 100);
-    let regions = profile.regions();
+    let regions = profile.regions().expect("a RegionSink was registered");
     let vars = regions.per_tag.iter().find(|t| t.name == "variables");
     let normals = regions.per_tag.iter().find(|t| t.name == "normals");
     assert!(vars.is_some_and(|t| t.samples > 0), "variables must be sampled");

@@ -1138,13 +1138,13 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use nmo_repro::arch_sim::{Machine, MachineConfig};
-use nmo_repro::nmo::{NmoConfig, ProfileSession, StreamOptions};
+use nmo_repro::nmo::{NmoConfig, ProfileSession, SampleLogSink, StreamOptions};
 use nmo_repro::spe::OverheadModel;
 
 /// Profile `ops` loads of distinct addresses on each of two cores — without
 /// pipeline threads (`shards: None`) or through a streaming pipeline that
 /// many shards wide — and check that what was written into the aux buffers
-/// is exactly what the profile holds and what the sinks were fed.
+/// is exactly what the sinks were fed and what the sample log holds.
 fn assert_every_written_record_is_delivered_once(
     shards: Option<usize>,
     aux_pages: u64,
@@ -1163,6 +1163,7 @@ fn assert_every_written_record_is_delivered_once(
         })
         .threads(2)
         .sink(CollectorSink { out: fed.clone() })
+        .sink(SampleLogSink::new())
         .stream_options(StreamOptions {
             shards: shards.unwrap_or(0),
             backpressure: BackpressurePolicy::Block,
@@ -1192,17 +1193,19 @@ fn assert_every_written_record_is_delivered_once(
     .expect("profiled run");
 
     let identity = |s: &AddressSample| (s.core, s.time_ns, s.vaddr);
-    let distinct: std::collections::BTreeSet<_> = profile.samples.iter().map(identity).collect();
+    let samples = profile.samples().expect("a SampleLogSink was registered");
+    let distinct: std::collections::BTreeSet<_> = samples.iter().map(identity).collect();
     assert!(profile.spe.records_written > 0, "{case}");
     assert_eq!(distinct.len() as u64, profile.spe.records_written, "{case}");
-    assert_eq!(profile.samples.len() as u64, profile.spe.records_written, "{case}");
+    assert_eq!(samples.len() as u64, profile.spe.records_written, "{case}");
     assert_eq!(profile.processed_samples, profile.spe.records_written, "{case}");
     assert_eq!(profile.skipped_packets, 0, "{case}");
 
-    // The sinks were fed the same samples, each core's in time order.
+    // The sorted log cannot show feed order: the collector saw the same
+    // samples, each core's in time order.
     let fed = fed.lock();
     assert_eq!(fed.iter().map(identity).collect::<std::collections::BTreeSet<_>>(), distinct);
-    assert_eq!(fed.len(), profile.samples.len(), "{case}");
+    assert_eq!(fed.len(), samples.len(), "{case}");
     let mut newest = [0u64; 2];
     for s in fed.iter() {
         assert!(s.time_ns >= newest[s.core], "{case}: core {} went back in time", s.core);

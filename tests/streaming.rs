@@ -16,7 +16,8 @@ use nmo_repro::nmo::stream::StreamSource;
 use nmo_repro::nmo::{
     AddressSample, BackpressurePolicy, BandwidthSink, BatchPayload, BatchPool, CapacitySink,
     CoreObserver, LatencySink, NmoConfig, NmoError, Profile, ProfileSession, RegionSink,
-    SampleBackend, SampleBatch, ShardDrainer, StreamOptions, StreamSnapshot, WindowClock, Workload,
+    SampleBackend, SampleBatch, SampleLogSink, ShardDrainer, StreamOptions, StreamSnapshot,
+    WindowClock, Workload,
 };
 use nmo_repro::workloads::StreamBench;
 
@@ -34,6 +35,7 @@ fn stream_session_on(
         .sink(BandwidthSink::default())
         .sink(RegionSink::default())
         .sink(LatencySink::default())
+        .sink(SampleLogSink::new())
         .stream_options(StreamOptions { window_ns: 100_000, ..StreamOptions::default() })
         .workload(Box::new(StreamBench::new(n, iterations)))
         .build()
@@ -54,7 +56,9 @@ fn streaming_stream_workload_matches_post_hoc_series() {
 
     assert!(post_hoc.processed_samples > 500, "{}", post_hoc.processed_samples);
     assert_eq!(streamed.processed_samples, post_hoc.processed_samples);
-    assert_eq!(streamed.samples, post_hoc.samples, "identical decoded sample streams");
+    let samples = streamed.samples().expect("sample log");
+    assert_eq!(samples.len() as u64, streamed.processed_samples);
+    assert_eq!(Some(samples), post_hoc.samples(), "identical delivered sample streams");
 
     // Level 1: capacity series.
     assert_eq!(streamed.capacity.peak_bytes, post_hoc.capacity.peak_bytes);
@@ -74,7 +78,7 @@ fn streaming_stream_workload_matches_post_hoc_series() {
     assert!((streamed.bandwidth.peak_gib_per_s - post_hoc.bandwidth.peak_gib_per_s).abs() < 1e-6);
 
     // Level 3: region attribution.
-    let (rs, rp) = (streamed.regions(), post_hoc.regions());
+    let (rs, rp) = (streamed.regions().expect("regions"), post_hoc.regions().expect("regions"));
     assert_eq!(rs.per_tag, rp.per_tag);
     assert_eq!(rs.per_phase, rp.per_phase);
     assert_eq!(rs.untagged_samples, rp.untagged_samples);
@@ -82,7 +86,7 @@ fn streaming_stream_workload_matches_post_hoc_series() {
 
     // Per-tier latency distributions: the histograms are order-independent,
     // so the streaming merge is *exactly* the post-hoc scan.
-    let (ls, lp) = (streamed.latency(), post_hoc.latency());
+    let (ls, lp) = (streamed.latency().expect("latency"), post_hoc.latency().expect("latency"));
     assert!(!ls.is_empty());
     assert_eq!(ls, lp, "streaming latency histograms must equal the post-hoc scan");
 
@@ -116,7 +120,7 @@ fn tiered_stream_latency_is_bimodal_and_streaming_matches_post_hoc() {
 
     // Both tiers served DRAM traffic and the remote mode sits above the
     // local one — the DDR-vs-CXL signature.
-    let latency = post_hoc.latency();
+    let latency = post_hoc.latency().expect("latency");
     let (local, remote) = (latency.local_dram(), latency.remote_dram());
     assert!(local.count() > 0, "local DRAM fills observed");
     assert!(remote.count() > 0, "remote DRAM fills observed");
@@ -142,8 +146,9 @@ fn tiered_stream_latency_is_bimodal_and_streaming_matches_post_hoc() {
 
     // Streaming == post-hoc holds on the tiered machine too (single thread
     // => deterministic simulation).
-    assert_eq!(streamed.samples, post_hoc.samples);
-    assert_eq!(streamed.latency(), latency);
+    assert!(post_hoc.samples().is_some_and(|s| s.len() as u64 == post_hoc.processed_samples));
+    assert_eq!(streamed.samples(), post_hoc.samples());
+    assert_eq!(streamed.latency(), Some(latency));
     assert_eq!(streamed.capacity, post_hoc.capacity);
     assert_eq!(streamed.bandwidth, post_hoc.bandwidth);
 }
@@ -168,6 +173,7 @@ fn over_provisioned_shards_clamp_to_cores_bit_for_bit() {
             .sink(BandwidthSink::default())
             .sink(RegionSink::default())
             .sink(LatencySink::default())
+            .sink(SampleLogSink::new())
             .stream_options(StreamOptions {
                 window_ns: 100_000,
                 shards,
@@ -180,12 +186,14 @@ fn over_provisioned_shards_clamp_to_cores_bit_for_bit() {
     let serial = with_shards(1).run_streaming().expect("serial streaming run");
     let sharded = with_shards(4).run_streaming().expect("sharded streaming run");
 
-    assert_eq!(sharded.samples, serial.samples, "identical decoded sample streams");
+    assert!(serial.samples().is_some_and(|s| s.len() as u64 == serial.processed_samples));
+    assert_eq!(sharded.samples(), serial.samples(), "identical delivered sample streams");
     assert_eq!(sharded.processed_samples, serial.processed_samples);
     assert_eq!(sharded.capacity, serial.capacity);
     assert_eq!(sharded.bandwidth, serial.bandwidth);
+    assert!(serial.latency().is_some());
     assert_eq!(sharded.latency(), serial.latency());
-    let (rs, rp) = (sharded.regions(), serial.regions());
+    let (rs, rp) = (sharded.regions().expect("regions"), serial.regions().expect("regions"));
     assert_eq!(rs.per_tag, rp.per_tag);
     assert_eq!(rs.per_phase, rp.per_phase);
     assert_eq!(rs.untagged_samples, rp.untagged_samples);
@@ -210,6 +218,9 @@ fn poll_snapshot_grows_monotonically_during_the_run() {
         .machine_config(MachineConfig::small_test())
         .config(NmoConfig::paper_default(50))
         .threads(2)
+        .sink(CapacitySink::default())
+        .sink(BandwidthSink::default())
+        .sink(SampleLogSink::new())
         .stream_options(StreamOptions { window_ns: 50_000, ..StreamOptions::default() })
         .build()
         .expect("session builds");
@@ -257,9 +268,9 @@ fn poll_snapshot_grows_monotonically_during_the_run() {
     assert!(stats.batches_published >= last.batches);
     assert!(profile.processed_samples >= last.spe_samples);
     assert!(profile.processed_samples > 1_000, "{}", profile.processed_samples);
-    // The final profile is complete even though data was streamed out
+    // The final record is complete even though data was streamed out
     // incrementally along the way.
-    assert_eq!(profile.samples.len() as u64, profile.processed_samples);
+    assert_eq!(profile.samples().expect("sample log").len() as u64, profile.processed_samples);
     assert!(profile.capacity.peak_bytes > 0);
     assert!(profile.bandwidth.total_bytes > 0);
 }
@@ -270,11 +281,13 @@ const SCRIPT_PER_CORE: u64 = 16_384;
 const SCRIPT_DRAIN_CHUNK: u64 = 1_024;
 
 /// Sample `i` of scripted core `core`: a pure function, so every run of
-/// every width sees the same input.
+/// every width sees the same input. Timestamps tie on purpose: cores 0/1 and
+/// 2/3 share every `time_ns` (at four shards each of a pair is another
+/// lane's), and so do a core's samples `2k` and `2k + 1`.
 fn scripted_sample(core: usize, i: u64) -> AddressSample {
     let mix = (i * 4 + core as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     AddressSample {
-        time_ns: i * 97 + core as u64 * 13,
+        time_ns: i / 2 * 194 + core as u64 / 2 * 13,
         vaddr: 0x1000_0000 + (mix >> 40) * 8,
         core,
         is_store: mix & 1 == 1,
@@ -403,6 +416,7 @@ fn run_script(shards: usize) -> (Profile, Arc<ScriptLog>) {
         .no_default_backends()
         .backend(ScriptedBackend { cores: Vec::new(), log: log.clone() })
         .sink(LatencySink::default())
+        .sink(SampleLogSink::new())
         .stream_options(StreamOptions {
             window_ns: 100_000,
             bus_capacity: 8,
@@ -437,7 +451,7 @@ fn each_drainer_is_drained_by_one_thread_and_four_shards_equal_one() {
 
     let emitted = 4 * SCRIPT_PER_CORE;
     assert_eq!(log.emitted.load(Ordering::SeqCst), emitted);
-    assert_eq!(wide.latency().total_count(), emitted, "emitted == delivered");
+    assert_eq!(wide.latency().expect("latency").total_count(), emitted, "emitted == delivered");
     let stats = wide.stream.expect("stream stats");
     assert_eq!(stats.shards, 4);
     assert_eq!(stats.late_batches, 0, "{stats:?}");
@@ -448,4 +462,26 @@ fn each_drainer_is_drained_by_one_thread_and_four_shards_equal_one() {
     assert_eq!(serial_stats.shards, 1);
     assert_eq!(wide.latency(), serial.latency(), "4 lanes merge to the 1-lane report");
     assert_eq!(stats.windows_closed, serial_stats.windows_closed);
+}
+
+/// The sample log is a function of the delivered set alone: samples of
+/// different cores that share a timestamp come out in core order whichever
+/// lane carried them and whichever drain round the host got to first, and a
+/// core's own equal-time samples keep the order they were delivered in — so
+/// one shard, four shards and the sorted script agree element for element.
+#[test]
+fn sample_log_order_is_the_same_at_every_width() {
+    let mut script: Vec<(u64, AddressSample)> = (0..4)
+        .flat_map(|core| (0..SCRIPT_PER_CORE).map(move |i| (i, scripted_sample(core, i))))
+        .collect();
+    script.sort_by_key(|&(i, s)| (s.time_ns, s.core, i));
+    let script: Vec<AddressSample> = script.into_iter().map(|(_, s)| s).collect();
+    assert!(script.windows(2).any(|w| w[0].time_ns == w[1].time_ns && w[0].core != w[1].core));
+    assert!(script.windows(2).any(|w| w[0].time_ns == w[1].time_ns && w[0].core == w[1].core));
+
+    let (serial, _) = run_script(1);
+    let (wide, _) = run_script(4);
+    assert_eq!(wide.stream.expect("stream stats").shards, 4);
+    assert_eq!(serial.samples(), Some(&script[..]), "one shard");
+    assert_eq!(wide.samples(), Some(&script[..]), "four shards");
 }

@@ -7,7 +7,7 @@ use nmo_repro::arch_sim::{MachineConfig, PlacementPolicy};
 use nmo_repro::nmo::tiering::{AppliedMigration, HotPageTracker, NoMigration, TopKHot};
 use nmo_repro::nmo::{
     BackpressurePolicy, LatencyProfile, LatencySink, NmoConfig, NmoError, Profile, ProfileSession,
-    StreamOptions,
+    SampleLogSink, StreamOptions,
 };
 
 fn tiered_session(local_fraction: f64, threads: usize, window_ns: u64) -> ProfileSession {
@@ -23,6 +23,7 @@ fn tiered_session(local_fraction: f64, threads: usize, window_ns: u64) -> Profil
         })
         .threads(threads)
         .sink(LatencySink::default())
+        .sink(SampleLogSink::new())
         .stream_options(StreamOptions {
             window_ns,
             backpressure: BackpressurePolicy::Block,
@@ -73,14 +74,16 @@ fn tiering_runs_are_deterministic_end_to_end() {
 
     // Identical sample counts...
     assert_eq!(p1.processed_samples, p2.processed_samples);
-    assert_eq!(p1.samples.len(), p2.samples.len());
+    let samples = p1.samples().expect("sample log");
+    assert_eq!(samples.len() as u64, p1.processed_samples);
+    assert_eq!(Some(samples), p2.samples());
     assert_eq!(p1.counters.mem_access, p2.counters.mem_access);
     assert_eq!(p1.counters.cycles, p2.counters.cycles, "whole simulated timeline pinned");
     // ...identical per-tier latency histograms, over every step's samples
     // (the registered sink is fed by each `tiering_step`, not only by the
     // tail `finish` delivers)...
     assert_eq!(p1.latency(), p2.latency());
-    assert_eq!(p1.latency(), LatencyProfile::from_samples(&p1.samples));
+    assert_eq!(p1.latency(), Some(&LatencyProfile::from_samples(samples)));
     // ...and identical migration decisions, in order.
     assert_eq!(a1, a2);
     assert!(!a1.is_empty(), "the policy migrated at least once");
@@ -99,7 +102,7 @@ fn manual_actuation_promotes_hot_pages_and_cuts_remote_latency() {
     assert_eq!(profile.migrations.promoted_bytes, applied.len() as u64 * page);
     // Promoted pages are served locally afterwards: the local-DRAM share
     // of samples is substantial even though only 1/4 of pages started local.
-    let latency = profile.latency();
+    let latency = profile.latency().expect("latency sink");
     assert!(latency.local_dram().count() > 0);
     assert!(latency.remote_dram().count() > 0);
     // Migration counts surface in the summary line.
@@ -135,6 +138,7 @@ fn streaming_tiering_migrates_and_preserves_sink_equivalence() {
         .config(NmoConfig { aux_watermark_bytes: Some(4096), ..NmoConfig::paper_default(64) })
         .threads(2)
         .sink(LatencySink::default())
+        .sink(SampleLogSink::new())
         .sink(HotPageTracker::new(TopKHot::new(8, 1)))
         .stream_options(StreamOptions {
             window_ns: 100_000,
@@ -181,10 +185,12 @@ fn streaming_tiering_migrates_and_preserves_sink_equivalence() {
 
     // Streaming==post-hoc with migrations active: the latency sink's
     // incrementally merged histograms equal a post-hoc scan of the
-    // profile's complete sample record.
-    let streamed = profile.latency();
+    // run's complete sample record.
+    let streamed = profile.latency().expect("latency sink");
     assert!(!streamed.is_empty());
-    assert_eq!(streamed, LatencyProfile::from_samples(&profile.samples));
+    let samples = profile.samples().expect("sample log");
+    assert_eq!(samples.len() as u64, profile.processed_samples);
+    assert_eq!(*streamed, LatencyProfile::from_samples(samples));
     // The tracker observed the same stream: before+after together cover
     // every sample the latency sink saw.
     assert_eq!(tiering.before.total_count() + tiering.after.total_count(), streamed.total_count());

@@ -9,9 +9,10 @@
 //! * **Indexed == sequential.** The parallel indexed replay
 //!   (`TraceReader::replay_query`, one worker thread per segment) with an
 //!   unrestricted query produces the same reports as sequential replay.
-//! * **Slicing prunes.** A time-window-restricted query reads fewer blocks
-//!   and feeds fewer samples than the full replay, and a core-restricted
-//!   query only surfaces the selected cores' samples.
+//! * **Slicing prunes, exactly.** A time-window-restricted query reads
+//!   fewer blocks than the full replay, and a window-, core- or
+//!   address-restricted query (or any composition) feeds exactly the live
+//!   samples that satisfy it, whatever width the trace was recorded at.
 //! * **Every kind of run records.** A session without pipeline threads
 //!   stores what its one fan-in lane delivered at `finish` — RSS,
 //!   bandwidth and counter batches too — and replaying that trace
@@ -27,8 +28,9 @@ use std::path::{Path, PathBuf};
 use nmo_repro::arch_sim::{Machine, MachineConfig, PlacementPolicy};
 use nmo_repro::nmo::trace::replay_finish;
 use nmo_repro::nmo::{
-    AnalysisSink, BandwidthSink, CapacitySink, HotPageTracker, LatencySink, NmoConfig, NoMigration,
-    Profile, ProfileSession, StreamOptions, TraceQuery, TraceReader, TraceWriterSink,
+    AddressSample, AnalysisReport, AnalysisSink, BandwidthSink, CapacitySink, HotPageTracker,
+    LatencySink, NmoConfig, NoMigration, Profile, ProfileSession, SampleLogSink, StreamOptions,
+    TraceQuery, TraceReader, TraceWriterSink,
 };
 use nmo_repro::workloads::PageRank;
 
@@ -47,6 +49,7 @@ fn recorded_run(dir: &Path, shards: usize) -> Profile {
         .threads(4)
         .sink(LatencySink::default())
         .sink(HotPageTracker::new(NoMigration))
+        .sink(SampleLogSink::new())
         .trace_dir(dir.to_path_buf())
         .stream_options(StreamOptions { window_ns: 100_000, shards, ..StreamOptions::default() })
         .workload(Box::new(PageRank::new(1 << 10, 8, 2)))
@@ -164,6 +167,67 @@ fn window_and_core_sliced_queries_prune_blocks_and_samples() {
         .expect("window+core replay");
     assert!(both_stats.samples <= core_stats.samples.min(slice_stats.samples));
     fs::remove_dir_all(&dir).ok();
+}
+
+/// The sample log of a replay (`None`) or of a sliced query of `reader`.
+fn replayed_log(reader: &TraceReader, query: Option<&TraceQuery>) -> Vec<AddressSample> {
+    let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(SampleLogSink::new())];
+    match query {
+        None => reader.replay(&mut sinks).expect("sequential replay"),
+        Some(query) => reader.replay_query(query, &mut sinks).expect("indexed replay"),
+    };
+    match replay_finish(&mut sinks).expect("replay report").remove(0).report {
+        AnalysisReport::Samples(samples) => samples,
+        other => panic!("expected a sample log, got {other:?}"),
+    }
+}
+
+/// A sliced query is exact, not just smaller: at every recorded width the
+/// replay and the unrestricted query return the live sample log, and each
+/// window, core and address slice — alone and composed — returns the live
+/// log filtered by the same predicate. (A batch's core stamp routes it to a
+/// lane; only at one core per shard does it name the samples' core.)
+#[test]
+fn sliced_queries_return_exactly_the_live_samples_they_select() {
+    for shards in [1, 2, 4] {
+        let dir = tmp(&format!("exact_{shards}"));
+        let profile = recorded_run(&dir, shards);
+        let live = profile.samples().expect("live sample log");
+        assert_eq!(live.len() as u64, profile.processed_samples);
+        let reader = TraceReader::open(&dir).expect("open trace");
+        assert_eq!(replayed_log(&reader, None), live, "replay, {shards} shard(s)");
+        assert_eq!(replayed_log(&reader, Some(&TraceQuery::all())), live, "{shards} shard(s)");
+
+        let last_window = live.last().expect("samples").time_ns / 100_000 / 2;
+        let (lo, hi) = {
+            let mut vaddrs: Vec<u64> = live.iter().map(|s| s.vaddr).collect();
+            vaddrs.sort_unstable();
+            (vaddrs[vaddrs.len() / 4], vaddrs[vaddrs.len() * 3 / 4])
+        };
+        let in_window = |s: &AddressSample| s.time_ns / 100_000 <= last_window;
+        let in_vaddr = |s: &AddressSample| (lo..=hi).contains(&s.vaddr);
+        let check = |query: TraceQuery, keep: &dyn Fn(&AddressSample) -> bool| {
+            let expected: Vec<AddressSample> = live.iter().copied().filter(keep).collect();
+            assert!(!expected.is_empty() && expected.len() < live.len(), "{query:?} slices");
+            assert_eq!(replayed_log(&reader, Some(&query)), expected, "{shards}: {query:?}");
+            expected.len()
+        };
+        check(TraceQuery::all().with_windows(0, last_window), &in_window);
+        check(TraceQuery::all().with_vaddr(lo, hi), &in_vaddr);
+        let per_core: Vec<usize> =
+            (0..4).map(|c| check(TraceQuery::all().with_cores([c]), &|s| s.core == c)).collect();
+        assert_eq!(per_core.iter().sum::<usize>(), live.len(), "{shards}: {per_core:?}");
+        check(TraceQuery::all().with_windows(0, last_window).with_cores([1]), &|s| {
+            in_window(s) && s.core == 1
+        });
+        check(TraceQuery::all().with_cores([0, 3]).with_vaddr(lo, hi), &|s| {
+            in_vaddr(s) && (s.core == 0 || s.core == 3)
+        });
+        check(TraceQuery::all().with_windows(0, last_window).with_vaddr(lo, hi), &|s| {
+            in_window(s) && in_vaddr(s)
+        });
+        fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
