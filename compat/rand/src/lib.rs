@@ -189,6 +189,7 @@ impl SeedableRng for StdRng {
 }
 
 impl RngCore for StdRng {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         // xoshiro256** by Blackman & Vigna (public domain reference algorithm).
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);

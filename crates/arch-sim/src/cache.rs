@@ -19,6 +19,16 @@
 //! it found, a miss in a full set scans them for the victim — and a lookup
 //! that walks the ways of a set should not drag them through the host's cache
 //! with the tags.
+//!
+//! ## The two halves of an access
+//!
+//! [`Cache::access`] is `touch`, or else `fill`. `touch` is everything a hit
+//! needs — the LRU clock, the set, the way compare, the hit's own
+//! bookkeeping — and is small enough to inline into whoever calls it, another
+//! crate's loop included; `fill` is the miss — the lazily allocated arrays,
+//! the victim, the write — and stays out of line. The engine drives its L1
+//! through the halves directly so that the hit never leaves the workload's
+//! loop (see [`crate::engine`]); every other cache goes through `access`.
 
 use crate::config::CacheLevelConfig;
 
@@ -40,7 +50,7 @@ const DIRTY: u64 = 2;
 #[derive(Debug, Clone)]
 pub struct Cache {
     /// The tag array, `sets * ways` words (see the module docs) — allocated
-    /// by the first [`Cache::access`], so a machine pays for the caches of
+    /// by the first miss (`fill`), so a machine pays for the caches of
     /// the cores it runs, not of the 128 it has.
     tags: Vec<u64>,
     /// Monotonic LRU stamp of each way, parallel to `tags`; larger is more
@@ -60,9 +70,10 @@ impl Cache {
         Self::new_shard(cfg, 1)
     }
 
-    /// Build a shard of a larger cache: same geometry divided across
-    /// `shards` independent units, where this unit handles the sets whose
-    /// index modulo `shards` equals `shard_index`.
+    /// Build one shard of a larger cache: `cfg`'s line size and ways, and a
+    /// `shards`-th of its sets. Which lines a shard serves is the caller's
+    /// choice; the shard indexes its sets with the low bits of the line
+    /// index, as a whole cache does.
     pub fn new_shard(cfg: &CacheLevelConfig, shards: usize) -> Self {
         Cache {
             tags: Vec::new(),
@@ -84,35 +95,52 @@ impl Cache {
         (line << 2 | VALID, (line & (self.sets - 1)) as usize * self.ways)
     }
 
-    /// Look up `addr`, filling the line on a miss. `write` marks the line dirty.
+    /// Look up `addr`, filling the line on a miss. `write` marks the line
+    /// dirty. `touch`, or else `fill`.
     #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> CacheAccess {
+        if self.touch(addr, write) {
+            CacheAccess { hit: true, dirty_eviction: false }
+        } else {
+            self.fill(addr, write)
+        }
+    }
+
+    /// The hit half of an access: advance the LRU clock, and if `addr`'s
+    /// line is present stamp it, mark it dirty on a `write`, count the hit
+    /// and answer `true`. On `false` the access is not over: the caller owes
+    /// the [`Cache::fill`] of the same `addr` and `write`, before any other
+    /// access.
+    #[inline]
+    pub(crate) fn touch(&mut self, addr: u64, write: bool) -> bool {
         self.stamp += 1;
         let (want, base) = self.locate(addr);
-        let dirty = if write { DIRTY } else { 0 };
         // An untouched cache has no tag array yet: no way to compare, a miss.
         let ways = self.tags.get_mut(base..base + self.ways).unwrap_or_default();
         for (way, tag) in ways.iter_mut().enumerate() {
             if *tag & !DIRTY == want {
-                *tag |= dirty;
+                *tag |= if write { DIRTY } else { 0 };
                 self.stamps[base + way] = self.stamp;
                 self.hits += 1;
-                return CacheAccess { hit: true, dirty_eviction: false };
+                return true;
             }
         }
-        self.fill(base, want | dirty)
+        false
     }
 
-    /// The miss: put `tag` into the set at `base`, in its first empty way,
-    /// else over the least recently used one (the first of equals).
+    /// The miss half, after a [`Cache::touch`] that answered `false`: put
+    /// `addr`'s line into its set, in the first empty way, else over the
+    /// least recently used one (the first of equals), stamped with the
+    /// access `touch` began. Allocates the tag array on first use.
     #[inline(never)]
-    fn fill(&mut self, base: usize, tag: u64) -> CacheAccess {
+    pub(crate) fn fill(&mut self, addr: u64, write: bool) -> CacheAccess {
         self.misses += 1;
         if self.tags.is_empty() {
             let lines = self.sets as usize * self.ways;
             self.tags = vec![0; lines];
             self.stamps = vec![0; lines];
         }
+        let (want, base) = self.locate(addr);
         let ways = &mut self.tags[base..base + self.ways];
         let stamps = &mut self.stamps[base..base + self.ways];
         let mut victim = 0;
@@ -128,7 +156,7 @@ impl Cache {
             }
         }
         let dirty_eviction = ways[victim] & DIRTY != 0;
-        ways[victim] = tag;
+        ways[victim] = want | if write { DIRTY } else { 0 };
         stamps[victim] = self.stamp;
         CacheAccess { hit: false, dirty_eviction }
     }
@@ -353,7 +381,8 @@ mod tests {
     /// Every answer of the packed cache equals the `Line`-struct cache's,
     /// step by step, over geometries that evict, with probes and flushes
     /// interleaved — the never-touched cache included (a sequence may open
-    /// with probes and flushes).
+    /// with probes and flushes) — and whether it is driven through `access`
+    /// or, as the engine drives its L1, through `touch` and then `fill`.
     #[test]
     fn packed_cache_answers_like_the_line_struct_cache() {
         let level = |size_bytes, line_bytes, ways| CacheLevelConfig {
@@ -375,6 +404,7 @@ mod tests {
             for seed in 0..48u64 {
                 let mut rng = seed << 8 | geometry as u64;
                 let mut packed = Cache::new_shard(cfg, *shards);
+                let mut halves = Cache::new_shard(cfg, *shards);
                 let mut lines = LineCache::new_shard(cfg, *shards);
                 // A few sets' worth of lines, so sets fill up and evict; one
                 // seed in eight ranges over every address, top bits included.
@@ -384,26 +414,36 @@ mod tests {
                     let addr = next(&mut rng) % span;
                     let at = (geometry, seed, step, addr); // printed when a step disagrees
                     match word % 16 {
-                        0 => assert_eq!(packed.probe(addr), lines.probe(addr), "probe, {at:?}"),
+                        0 => {
+                            let present = lines.probe(addr);
+                            assert_eq!(packed.probe(addr), present, "probe, {at:?}");
+                            assert_eq!(halves.probe(addr), present, "probe, halves, {at:?}");
+                        }
                         1 if word >> 8 & 7 == 0 => {
                             packed.flush();
+                            halves.flush();
                             lines.flush();
                         }
                         _ => {
                             let write = word >> 4 & 1 == 1;
-                            assert_eq!(
-                                packed.access(addr, write),
-                                lines.access(addr, write),
-                                "{at:?}"
-                            );
+                            let answer = lines.access(addr, write);
+                            assert_eq!(packed.access(addr, write), answer, "{at:?}");
+                            let by_halves = if halves.touch(addr, write) {
+                                CacheAccess { hit: true, dirty_eviction: false }
+                            } else {
+                                halves.fill(addr, write)
+                            };
+                            assert_eq!(by_halves, answer, "halves, {at:?}");
                         }
                     }
-                    assert_eq!(
-                        (packed.hits(), packed.misses()),
-                        (lines.hits, lines.misses),
-                        "{at:?}"
-                    );
-                    assert_eq!(packed.is_allocated(), !lines.lines.is_empty(), "{at:?}");
+                    for cache in [&packed, &halves] {
+                        assert_eq!(
+                            (cache.hits(), cache.misses()),
+                            (lines.hits, lines.misses),
+                            "{at:?}"
+                        );
+                        assert_eq!(cache.is_allocated(), !lines.lines.is_empty(), "{at:?}");
+                    }
                 }
             }
         }

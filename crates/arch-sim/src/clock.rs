@@ -73,6 +73,7 @@ impl TimeConv {
     }
 
     /// Apply the perf metadata-page conversion, as NMO does when decoding.
+    #[inline]
     pub fn apply_mmap_triple(ticks: u64, time_zero: u64, time_shift: u16, time_mult: u32) -> u64 {
         time_zero + ((ticks as u128 * time_mult as u128) >> time_shift) as u64
     }

@@ -97,7 +97,8 @@ pub struct MemNodeConfig {
 impl MemNodeConfig {
     /// Validate the node parameters.
     pub fn validate(&self, name: &str) -> Result<()> {
-        if self.peak_bytes_per_cycle <= 0.0 {
+        // NaN compares false with everything: name it, or it passes.
+        if self.peak_bytes_per_cycle.is_nan() || self.peak_bytes_per_cycle <= 0.0 {
             return Err(SimError::BadConfig(format!(
                 "{name}: peak_bytes_per_cycle must be positive"
             )));
@@ -424,6 +425,18 @@ impl MachineConfig {
         if self.bandwidth_bucket_cycles == 0 {
             return Err(SimError::BadConfig("bandwidth_bucket_cycles must be non-zero".into()));
         }
+        // A clock stepped by NaN stays NaN and reads as cycle 0; by a
+        // negative cost it runs backwards.
+        for (name, cycles) in [
+            ("cost.cycles_per_cpu_op", self.cost.cycles_per_cpu_op),
+            ("cost.cycles_per_flop", self.cost.cycles_per_flop),
+        ] {
+            if !cycles.is_finite() || cycles < 0.0 {
+                return Err(SimError::BadConfig(format!(
+                    "{name} must be finite and non-negative, got {cycles}"
+                )));
+            }
+        }
         self.mem.validate()?;
         self.l1d.validate("l1d")?;
         self.l2.validate("l2")?;
@@ -569,6 +582,32 @@ mod tests {
         let mut c = MachineConfig::small_test_tiered(PlacementPolicy::LocalOnly);
         c.mem.placement = PlacementPolicy::TierSplit { local_fraction: f64::NAN };
         assert!(c.validate().is_err(), "non-finite split fraction");
+    }
+
+    #[test]
+    fn costs_that_are_not_finite_non_negative_numbers_are_rejected_by_name() {
+        let rejected = |c: &MachineConfig, field: &str| match c.validate() {
+            Err(SimError::BadConfig(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
+            other => panic!("{field}: expected BadConfig, got {other:?}"),
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -5.0] {
+            let mut c = MachineConfig::small_test();
+            c.cost.cycles_per_cpu_op = bad;
+            rejected(&c, "cycles_per_cpu_op");
+
+            let mut c = MachineConfig::small_test();
+            c.cost.cycles_per_flop = bad;
+            rejected(&c, "cycles_per_flop");
+        }
+        for bad in [f64::NAN, -1.0] {
+            let mut c = MachineConfig::small_test();
+            c.mem.nodes[0].peak_bytes_per_cycle = bad;
+            rejected(&c, "peak_bytes_per_cycle");
+        }
+        // Free instructions are a model, not a mistake.
+        let mut c = MachineConfig::small_test();
+        c.cost = CostModel { cycles_per_cpu_op: 0.0, cycles_per_flop: 0.0 };
+        c.validate().unwrap();
     }
 
     #[test]

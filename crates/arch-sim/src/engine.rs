@@ -21,6 +21,33 @@
 //! The permission is never exceeded but may be cut short; see
 //! [`crate::observer`] for the observer's side of the contract.
 //!
+//! ## What an L1 hit costs the host
+//!
+//! Most of what a workload retires hits the L1 (62 % of PageRank's memory
+//! operations, 87.5 % of STREAM's), and the hit itself is a compare per way.
+//! So only what a hit needs is compiled into the workload's own loop, through
+//! the `#[inline]` entry points ([`Engine::load`], [`Engine::store`],
+//! [`Engine::load_at`], [`Engine::store_at`]): the retire counters,
+//! `Cache::touch` on the L1, the clock step, and the observer's countdown
+//! (`Quiet::spend`). An L1 hit makes no call. Everything from the L1 victim
+//! on — the L1 `Cache::fill`, the L2, the SLC shard, the page home, the
+//! memory node, its traffic and bandwidth accounting, the RSS event, and the
+//! same clock step and countdown at the end — is one out-of-line function,
+//! `past_l1`; the only other call a memory operation can make is `show`, when
+//! the observer's permission has run out. The per-vertex and per-block
+//! entry points (`branch`, `cpu_work`, `flops`, `idle`, `now_cycles`) are
+//! `#[inline]` for the same reason.
+//!
+//! The reason is the crate boundary. The workloads live in another crate and
+//! the builds that matter have no link-time optimisation, so a function of
+//! this crate is either inlinable as a whole or a real call with its own
+//! frame — and the whole walk is far too large to inline. What had to become
+//! small is the part in front of the call, not the callee: returning early
+//! from an out-of-line `mem_op` still pays for the call. (`mem_op` is
+//! `#[inline(always)]` because it is private and has many call sites per
+//! loop body; left to the heuristic it is outlined again, one copy per
+//! calling crate.)
+//!
 //! ## What a memory-bound access costs the host
 //!
 //! An L1 or L2 hit touches nothing outside the core state the engine owns.
@@ -128,6 +155,7 @@ impl<'m> Engine<'m> {
     }
 
     /// Current core clock in cycles.
+    #[inline]
     #[allow(clippy::expect_used, reason = "see `st()`: Some for the engine's whole lifetime")]
     pub fn now_cycles(&self) -> u64 {
         self.state.as_ref().expect("engine state present until drop").clock as u64
@@ -165,6 +193,7 @@ impl<'m> Engine<'m> {
 
     /// Issue a branch instruction (sampleable by SPE but excluded by NMO's
     /// default filter).
+    #[inline]
     pub fn branch(&mut self, pc: u64) {
         let cost = self.machine.config().cost.cycles_per_cpu_op;
         let st = self.st();
@@ -172,7 +201,7 @@ impl<'m> Engine<'m> {
         st.counters.branches += 1;
         st.clock += cost;
         if st.quiet.spend(OpKind::Branch) {
-            show(st, &Op::branch(pc), None);
+            show(st, Op::branch(pc), None);
         }
     }
 
@@ -182,6 +211,7 @@ impl<'m> Engine<'m> {
     /// the observer individually — a simplification: NMO's SPE configuration
     /// samples only memory operations, so no sample could come of them. The
     /// observer learns of them as [`OpCounts::others`](crate::OpCounts::others).
+    #[inline]
     pub fn cpu_work(&mut self, n: u64) {
         let cost = self.machine.config().cost.cycles_per_cpu_op;
         let st = self.st();
@@ -190,6 +220,7 @@ impl<'m> Engine<'m> {
     }
 
     /// Account `n` floating-point operations (for arithmetic intensity).
+    #[inline]
     pub fn flops(&mut self, n: u64) {
         let cost = self.machine.config().cost.cycles_per_flop;
         let st = self.st();
@@ -200,6 +231,7 @@ impl<'m> Engine<'m> {
 
     /// Advance the core clock by `cycles` without retiring instructions
     /// (models stalls, synchronisation waits, I/O phases).
+    #[inline]
     pub fn idle(&mut self, cycles: u64) {
         self.st().clock += cycles as f64;
     }
@@ -219,12 +251,14 @@ impl<'m> Engine<'m> {
         self.machine.free_at(name, now)
     }
 
-    #[inline]
+    /// One load or store. What an L1 hit needs is here, inlined into the
+    /// caller's loop through the four entry points; the rest of the walk is
+    /// [`past_l1`] (see the module docs).
+    #[inline(always)]
     fn mem_op(&mut self, kind: OpKind, pc: u64, vaddr: u64, size: u32) -> MemOutcome {
-        let cfg = self.machine.config();
-        let line_bytes = cfg.l1d.line_bytes;
-        let is_store = kind == OpKind::Store;
         let machine = self.machine;
+        let cfg = machine.config();
+        let is_store = kind == OpKind::Store;
 
         // The split borrow of `machine` + `state` forces the inline access.
         #[allow(clippy::expect_used, reason = "see `st()`: Some for the engine's whole lifetime")]
@@ -237,86 +271,102 @@ impl<'m> Engine<'m> {
             st.counters.loads += 1;
         }
 
-        // Walk the hierarchy.
-        let l1 = st.l1.access(vaddr, is_store);
-        let outcome = if l1.hit {
-            st.counters.l1_hits += 1;
-            MemOutcome::hit(DataSource::L1, cfg.l1d.latency_cycles, cfg.l1d.occupancy_cycles)
-        } else {
-            let l2 = st.l2.access(vaddr, is_store);
-            if l2.hit {
-                st.counters.l2_hits += 1;
-                MemOutcome::hit(DataSource::L2, cfg.l2.latency_cycles, cfg.l2.occupancy_cycles)
-            } else {
-                let slc_res = {
-                    let mut shard = machine.slc_shard(vaddr).lock();
-                    shard.access(vaddr, is_store)
-                };
-                if slc_res.hit {
-                    st.counters.slc_hits += 1;
-                    MemOutcome::hit(
-                        DataSource::Slc,
-                        cfg.slc.latency_cycles,
-                        cfg.slc.occupancy_cycles,
-                    )
-                } else {
-                    // Memory-node access: line fill plus any write-back from
-                    // the hierarchy walk above. Resolving the page home first
-                    // also performs first-touch placement — only the cold
-                    // path needs it, since a never-touched page cannot be
-                    // cached. Write-back traffic is charged to the same node
-                    // as the fill (the model does not track the evicted
-                    // line's home).
-                    let wb = if l1.dirty_eviction || l2.dirty_eviction || slc_res.dirty_eviction {
-                        line_bytes
-                    } else {
-                        0
-                    };
-                    let now = st.clock as u64;
-                    let (node_id, first_touch) = st.homes.resolve(machine.vm(), vaddr);
-                    let node = machine.topology().node(node_id);
-                    let acc = node.reserve(now, (line_bytes + wb) as u64);
-                    let traffic = &mut st.node_traffic[node_id as usize];
-                    traffic[0] += line_bytes as u64;
-                    traffic[1] += wb as u64;
-                    traffic[2] += 1;
-                    st.counters.dram_accesses += 1;
-                    st.counters.bus_read_bytes += line_bytes as u64;
-                    st.counters.bus_write_bytes += wb as u64;
-
-                    // Bandwidth bucket accounting, split per serving node.
-                    let bucket = (now / cfg.bandwidth_bucket_cycles) as usize;
-                    if st.bw_buckets.len() <= bucket {
-                        st.bw_buckets.resize(bucket + 1, [0; crate::config::MAX_MEM_NODES]);
-                    }
-                    st.bw_buckets[bucket][node_id as usize] += (line_bytes + wb) as u64;
-
-                    if first_touch {
-                        machine.push_rss_event(now);
-                    }
-
-                    let source = if node.is_remote() {
-                        DataSource::RemoteDram(node_id)
-                    } else {
-                        DataSource::Dram(node_id)
-                    };
-                    MemOutcome {
-                        source,
-                        latency_cycles: acc.latency_cycles,
-                        occupancy_cycles: node.occupancy() + acc.queue_cycles,
-                        bus_bytes: line_bytes + wb,
-                        first_touch,
-                    }
-                }
-            }
-        };
+        // The `Op` is built where it is handed over: a hit that is not shown
+        // writes none.
+        if !st.l1.touch(vaddr, is_store) {
+            return past_l1(machine, st, Op { kind, pc, vaddr, size });
+        }
+        st.counters.l1_hits += 1;
+        let outcome =
+            MemOutcome::hit(DataSource::L1, cfg.l1d.latency_cycles, cfg.l1d.occupancy_cycles);
 
         st.clock += outcome.occupancy_cycles as f64 + cfg.cost.cycles_per_cpu_op;
         if st.quiet.spend(kind) {
-            show(st, &Op { kind, pc, vaddr, size }, Some(&outcome));
+            show(st, Op { kind, pc, vaddr, size }, Some(outcome));
         }
         outcome
     }
+}
+
+/// A memory operation from the L1 victim on — everything [`Engine::mem_op`]
+/// does for an access its L1 `touch` did not find, retiring included. Out of
+/// line, and the only call a memory operation makes unless it is shown.
+#[inline(never)]
+fn past_l1(machine: &Machine, st: &mut CoreState, op: Op) -> MemOutcome {
+    let cfg = machine.config();
+    let line_bytes = cfg.l1d.line_bytes;
+    let (vaddr, is_store) = (op.vaddr, op.kind == OpKind::Store);
+
+    // Walk the rest of the hierarchy.
+    let l1 = st.l1.fill(vaddr, is_store);
+    let l2 = st.l2.access(vaddr, is_store);
+    let outcome = if l2.hit {
+        st.counters.l2_hits += 1;
+        MemOutcome::hit(DataSource::L2, cfg.l2.latency_cycles, cfg.l2.occupancy_cycles)
+    } else {
+        let slc_res = {
+            let mut shard = machine.slc_shard(vaddr).lock();
+            shard.access(vaddr, is_store)
+        };
+        if slc_res.hit {
+            st.counters.slc_hits += 1;
+            MemOutcome::hit(DataSource::Slc, cfg.slc.latency_cycles, cfg.slc.occupancy_cycles)
+        } else {
+            // Memory-node access: line fill plus any write-back from
+            // the hierarchy walk above. Resolving the page home first
+            // also performs first-touch placement — only the cold
+            // path needs it, since a never-touched page cannot be
+            // cached. Write-back traffic is charged to the same node
+            // as the fill (the model does not track the evicted
+            // line's home).
+            let wb = if l1.dirty_eviction || l2.dirty_eviction || slc_res.dirty_eviction {
+                line_bytes
+            } else {
+                0
+            };
+            let now = st.clock as u64;
+            let (node_id, first_touch) = st.homes.resolve(machine.vm(), vaddr);
+            let node = machine.topology().node(node_id);
+            let acc = node.reserve(now, (line_bytes + wb) as u64);
+            let traffic = &mut st.node_traffic[node_id as usize];
+            traffic[0] += line_bytes as u64;
+            traffic[1] += wb as u64;
+            traffic[2] += 1;
+            st.counters.dram_accesses += 1;
+            st.counters.bus_read_bytes += line_bytes as u64;
+            st.counters.bus_write_bytes += wb as u64;
+
+            // Bandwidth bucket accounting, split per serving node.
+            let bucket = (now / cfg.bandwidth_bucket_cycles) as usize;
+            if st.bw_buckets.len() <= bucket {
+                st.bw_buckets.resize(bucket + 1, [0; crate::config::MAX_MEM_NODES]);
+            }
+            st.bw_buckets[bucket][node_id as usize] += (line_bytes + wb) as u64;
+
+            if first_touch {
+                machine.push_rss_event(now);
+            }
+
+            let source = if node.is_remote() {
+                DataSource::RemoteDram(node_id)
+            } else {
+                DataSource::Dram(node_id)
+            };
+            MemOutcome {
+                source,
+                latency_cycles: acc.latency_cycles,
+                occupancy_cycles: node.occupancy() + acc.queue_cycles,
+                bus_bytes: line_bytes + wb,
+                first_touch,
+            }
+        }
+    };
+
+    st.clock += outcome.occupancy_cycles as f64 + cfg.cost.cycles_per_cpu_op;
+    if st.quiet.spend(op.kind) {
+        show(st, op, Some(outcome));
+    }
+    outcome
 }
 
 /// The slow path of a retired operation: the observer's permission ran out,
@@ -324,8 +374,8 @@ impl<'m> Engine<'m> {
 /// how long the core may stay quiet next. Out of line — at the paper's
 /// sampling periods it runs once in thousands of operations.
 #[inline(never)]
-fn show(st: &mut CoreState, op: &Op, outcome: Option<&MemOutcome>) {
-    st.call_observer(Some(op.kind), |obs, now| obs.on_op(op, outcome, now));
+fn show(st: &mut CoreState, op: Op, outcome: Option<MemOutcome>) {
+    st.call_observer(Some(op.kind), |obs, now| obs.on_op(&op, outcome.as_ref(), now));
 }
 
 impl Drop for Engine<'_> {

@@ -148,6 +148,7 @@ impl SpeRecord {
     }
 
     /// Decode a full record (all packets). Returns `None` for malformed data.
+    #[inline]
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         if bytes.len() < SPE_RECORD_BYTES {
             return None;
@@ -173,6 +174,7 @@ impl SpeRecord {
 /// `0x71` header bytes, read the 64-bit virtual address at offset 31 and the
 /// 64-bit timestamp at offset 56, and reject the record if either header is
 /// wrong or either value is zero.
+#[inline]
 pub fn decode_nmo_fields(bytes: &[u8]) -> Option<(u64, u64)> {
     if bytes.len() < SPE_RECORD_BYTES {
         return None;
@@ -249,6 +251,7 @@ impl SpeRecordIter<'_> {
 impl Iterator for SpeRecordIter<'_> {
     type Item = DecodedRecord;
 
+    #[inline]
     fn next(&mut self) -> Option<DecodedRecord> {
         while self.pos + SPE_RECORD_BYTES <= self.data.len() {
             let chunk = &self.data[self.pos..self.pos + SPE_RECORD_BYTES];
@@ -275,6 +278,7 @@ impl Iterator for SpeRecordIter<'_> {
 }
 
 /// Decode a drained aux chunk incrementally (see [`SpeRecordIter`]).
+#[inline]
 pub fn decode_records(data: &[u8]) -> SpeRecordIter<'_> {
     SpeRecordIter { data, pos: 0, skipped: 0, skipped_bytes: 0, decoded: 0 }
 }

@@ -106,17 +106,13 @@ pub fn rmat_graph(num_vertices: usize, avg_degree: usize, seed: u64) -> CsrGraph
         for _ in 0..levels {
             src <<= 1;
             dst <<= 1;
+            // Quadrants in order of `r`: top-left below `a`, then top-right
+            // (`dst`), bottom-left (`src`), bottom-right (both). Compared,
+            // not branched on: the quadrant is a weighted coin per level, and
+            // a branch on it mispredicts about half the time.
             let r: f64 = rng.gen();
-            if r < a {
-                // top-left quadrant
-            } else if r < a + b {
-                dst |= 1;
-            } else if r < a + b + c {
-                src |= 1;
-            } else {
-                src |= 1;
-                dst |= 1;
-            }
+            src |= usize::from(r >= a + b);
+            dst |= usize::from((r >= a) & ((r < a + b) | (r >= a + b + c)));
         }
         edge_list.push((src as u32, dst as u32));
     }
@@ -216,6 +212,22 @@ mod tests {
         let r2 = ratings(10, 50, 5, 9);
         assert_eq!(r1.len(), r2.len());
         assert!(r1.iter().zip(&r2).all(|(a, b)| a == b));
+    }
+
+    /// FNV-1a over `edges` then `offsets`, each `u32` widened to a `u64`.
+    fn digest(g: &CsrGraph) -> u64 {
+        g.edges.iter().chain(&g.offsets).fold(0xcbf2_9ce4_8422_2325, |h: u64, &word| {
+            (h ^ u64::from(word)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The graphs themselves, not only that they repeat: PageRank's and
+    /// BFS's simulated counts are a function of these edges.
+    #[test]
+    fn rmat_graphs_are_pinned() {
+        assert_eq!(digest(&rmat_graph(1 << 15, 8, 42)), 0x2561_d02a_d69a_318e);
+        assert_eq!(digest(&rmat_graph(1 << 12, 8, 0x9A6E)), 0x5aac_c982_b5b5_fb9f);
+        assert_eq!(digest(&rmat_graph(1 << 12, 8, 0xBF5)), 0x5578_cc6b_f5d0_86c9);
     }
 
     #[test]
