@@ -103,7 +103,6 @@ pub fn fig2_fig3_cloud(scale: &Scale, threads: usize) -> Result<Vec<ExperimentRe
             enabled: true,
             mode: Mode::None,
             track_rss: true,
-            track_bandwidth: true,
             name: label.to_string(),
             ..Default::default()
         };

@@ -22,9 +22,7 @@
 //! `ProfileSession` spine; this crate is the paper's evaluation only.
 //!
 //! The `repro` binary drives them all (`repro --exp all --quick`) and writes
-//! CSV series under `results/`. Criterion benches cover the profiler's hot
-//! paths (SPE packet decode, aux drain, cache simulation) and a reduced-size
-//! figure workload.
+//! CSV series under `results/`.
 
 #![warn(missing_docs)]
 

@@ -24,7 +24,8 @@
 //!   construction, and a synchronous drain is complete by construction.
 //! * [`CounterBackend`] — `perf stat`-style aggregate counting over
 //!   [`perf_sub::CountingEvent`], the baseline side of the paper's accuracy
-//!   methodology (Eq. 1). It samples no addresses and charges no overhead.
+//!   methodology (Eq. 1). It samples no addresses, charges no overhead and
+//!   streams nothing: its counts are run totals, read at `fill`.
 
 use std::sync::Arc;
 
@@ -42,9 +43,7 @@ use spe::{SpeDriver, SpeStats, SpeStatsSnapshot};
 
 use crate::config::NmoConfig;
 use crate::runtime::{AddressSample, Profile};
-use crate::stream::{
-    BatchPayload, BatchPool, CounterDelta, SampleBatch, StreamSource, WindowClock,
-};
+use crate::stream::{BatchPayload, BatchPool, SampleBatch, StreamSource, WindowClock};
 use crate::NmoError;
 
 /// One per-core observer produced by a backend, ready to attach.
@@ -486,23 +485,23 @@ fn drain_event(core: usize, event: &PerfEvent, store: &Mutex<SampleStore>, scrat
 /// (`mem_access`, `ld_retired`, `st_retired`, `inst_retired`, `br_retired`)
 /// and feeds them from a per-core observer. Counting charges no cycles to the
 /// profiled cores, mirroring the negligible overhead of `perf stat` in the
-/// paper's baseline runs; the final counts land in
-/// [`Profile::perf_counts`].
+/// paper's baseline runs. The counts are run totals: nothing is streamed (the
+/// backend keeps the default no-op [`SampleBackend::drain`]), and
+/// [`SampleBackend::fill`] reads them into [`Profile::perf_counts`] once the
+/// run is over.
 ///
 /// A core adds to the shared events in bulk — once it has 4 096 retired
 /// loads, stores and branches to report, and whenever it is flushed or its
 /// engine detaches; until then the counts sit in its observer, however often
 /// another backend on the same core has it woken — so the cores' host threads
 /// do not share a cache line per operation or per sample. A
-/// [`SampleBackend::drain`] while engines are running can therefore lag each
-/// running core by up to 4 096 operations; the counts at `finish` are exact
+/// [`CounterBackend::read`] while engines are running can therefore lag each
+/// running core by up to 4 096 operations; the counts at `fill` are exact
 /// (`inst_retired` equals the machine's `instructions`, `mem_access` its
 /// `mem_access`).
 #[derive(Debug, Default)]
 pub struct CounterBackend {
     events: Vec<(&'static str, Arc<CountingEvent>)>,
-    /// Counter values at the previous streaming drain.
-    last_totals: Vec<u64>,
 }
 
 impl CounterBackend {
@@ -529,7 +528,7 @@ struct CounterObserver {
 
 /// How many operations a core may retire between two updates of the
 /// machine-wide counting events — how stale a mid-run
-/// [`CounterBackend::drain`] can be, per core. Flush and detach deliver the
+/// [`CounterBackend::read`] can be, per core. Flush and detach deliver the
 /// rest, so final counts are exact.
 const COUNTER_REFRESH_OPS: u64 = 4096;
 
@@ -632,42 +631,6 @@ impl SampleBackend for CounterBackend {
                 }) as Box<dyn OpObserver>,
             })
             .collect())
-    }
-
-    fn drain(
-        &mut self,
-        _machine: &Machine,
-        clock: &WindowClock,
-        _pool: &BatchPool,
-    ) -> Result<Vec<SampleBatch>, NmoError> {
-        if self.events.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.last_totals.len() != self.events.len() {
-            self.last_totals = vec![0; self.events.len()];
-        }
-        let mut deltas = Vec::new();
-        for (i, (name, event)) in self.events.iter().enumerate() {
-            let total = event.read();
-            let delta = total.saturating_sub(self.last_totals[i]);
-            if delta > 0 {
-                deltas.push(CounterDelta { event: name.to_string(), delta, total });
-            }
-            self.last_totals[i] = total;
-        }
-        if deltas.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Counter reads carry no timestamps of their own; stamp with the
-        // producer watermark's current window. (The counters are
-        // machine-wide, so this backend does not shard — the coordinator
-        // pump drains it.)
-        Ok(vec![SampleBatch::new(
-            "counters",
-            None,
-            clock.current(),
-            BatchPayload::CounterDeltas { deltas },
-        )])
     }
 
     fn stop(&mut self, _machine: &Machine) -> Result<(), NmoError> {
@@ -823,51 +786,6 @@ mod tests {
         backend.fill(&mut profile).unwrap();
         assert_eq!(profile.processed_samples, streamed);
         assert!(profile.samples().is_none(), "a profile holds sink reports, and no sink ran");
-    }
-
-    #[test]
-    fn counter_drain_emits_deltas_and_totals() {
-        let machine = machine();
-        let config = NmoConfig { enabled: true, ..NmoConfig::default() };
-        let mut backend = CounterBackend::new();
-        let observers = backend.start(&machine, &[0], &config).unwrap();
-        for co in observers {
-            machine.set_observer(co.core, co.observer).unwrap();
-        }
-        let clock = crate::stream::WindowClock::new(1_000);
-        let pool = BatchPool::new(8);
-        let region = machine.alloc("data", 1 << 16).unwrap();
-        {
-            let mut e = machine.attach(0).unwrap();
-            for i in 0..1_000u64 {
-                e.load(region.start + i * 8, 8);
-            }
-        }
-        let batches = backend.drain(&machine, &clock, &pool).unwrap();
-        assert_eq!(batches.len(), 1);
-        let BatchPayload::CounterDeltas { deltas } = batches[0].payload() else {
-            panic!("counter backend emits CounterDeltas");
-        };
-        let mem = deltas.iter().find(|d| d.event == "mem_access").unwrap();
-        assert_eq!(mem.delta, 1_000);
-        assert_eq!(mem.total, 1_000);
-
-        // Incremental: the next drain reports only the new work.
-        {
-            let mut e = machine.attach(0).unwrap();
-            e.store(region.start, 8);
-        }
-        let batches = backend.drain(&machine, &clock, &pool).unwrap();
-        let BatchPayload::CounterDeltas { deltas } = batches[0].payload() else {
-            panic!("counter backend emits CounterDeltas");
-        };
-        let mem = deltas.iter().find(|d| d.event == "mem_access").unwrap();
-        assert_eq!(mem.delta, 1);
-        assert_eq!(mem.total, 1_001);
-        let _ = machine.take_observer(0).unwrap();
-        backend.stop(&machine).unwrap();
-        // Quiescent counters drain to nothing.
-        assert!(backend.drain(&machine, &clock, &pool).unwrap().is_empty());
     }
 
     #[test]

@@ -75,8 +75,6 @@ pub struct NmoConfig {
     /// granularity (16 pages of 64 KiB per MiB); the Figure 9 sweep needs
     /// buffers as small as 2 pages, which this field expresses.
     pub auxbuf_pages_override: Option<u64>,
-    /// Minimum-latency filter in cycles (0 = keep everything).
-    pub min_latency: u64,
     /// Aux-watermark override in bytes (`NMO_AUXWATERMARK`): how much SPE
     /// data accumulates before the kernel publishes a `PERF_RECORD_AUX`
     /// record, which is when its samples are decoded. `None` keeps the
@@ -85,8 +83,6 @@ pub struct NmoConfig {
     /// watermark interrupts are charged by the overhead model like any
     /// others.
     pub aux_watermark_bytes: Option<u64>,
-    /// Track memory bandwidth over time.
-    pub track_bandwidth: bool,
     /// Warn (stderr) when the fraction of selected SPE samples lost to
     /// collisions/filters/truncation exceeds this threshold
     /// (`NMO_LOSS_WARN`; 0 disables the warning). The paper's sensitivity
@@ -108,9 +104,7 @@ impl Default for NmoConfig {
             bufsize_mib: 1,
             auxbufsize_mib: 1,
             auxbuf_pages_override: None,
-            min_latency: 0,
             aux_watermark_bytes: None,
-            track_bandwidth: true,
             loss_warn_threshold: 0.1,
             overhead: OverheadModel::default(),
         }
@@ -119,14 +113,14 @@ impl Default for NmoConfig {
 
 impl NmoConfig {
     /// The configuration the paper uses for its sensitivity study: loads and
-    /// stores sampled at `period`, RSS and bandwidth tracking on.
+    /// stores sampled at `period`, RSS tracking on (bandwidth is always
+    /// tracked).
     pub fn paper_default(period: u64) -> Self {
         NmoConfig {
             enabled: true,
             mode: Mode::LoadStore,
             period,
             track_rss: true,
-            track_bandwidth: true,
             ..Default::default()
         }
     }
@@ -192,7 +186,6 @@ impl NmoConfig {
         let mut spe = SpeConfig::loads_stores(self.period.max(1));
         spe.sample_loads = matches!(self.mode, Mode::Load | Mode::LoadStore);
         spe.sample_stores = matches!(self.mode, Mode::Store | Mode::LoadStore);
-        spe.min_latency = self.min_latency;
         spe.aux_watermark = self.aux_watermark_bytes.unwrap_or(0);
         spe
     }

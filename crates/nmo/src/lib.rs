@@ -133,9 +133,9 @@ pub use sink::{
     RegionSink, SampleLogSink, ShardState, ShardableSink, SinkShard, StreamContext,
 };
 pub use stream::{
-    BackpressurePolicy, BatchPayload, BatchPool, BusStats, CounterDelta, EventBus, PoolStats,
-    SampleBatch, ShardSummary, ShardedBus, StreamOptions, StreamSnapshot, StreamStats, Window,
-    WindowClock, WindowSummary,
+    BackpressurePolicy, BatchPayload, BatchPool, BusStats, EventBus, PoolStats, SampleBatch,
+    ShardSummary, ShardedBus, StreamOptions, StreamSnapshot, StreamStats, Window, WindowClock,
+    WindowSummary,
 };
 pub use tiering::{
     AppliedMigration, HotPageTracker, LatencyThreshold, MigrationDecision, NoMigration, PageStats,

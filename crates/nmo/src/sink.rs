@@ -1027,9 +1027,9 @@ impl ShardableSink for SampleLogSink {
 }
 
 /// The sinks the session registers by default for `config`: capacity when
-/// RSS tracking is on, bandwidth when bandwidth tracking is on (the paper's
-/// always-on levels). The per-sample sinks — [`RegionSink`],
-/// [`LatencySink`], [`SampleLogSink`] — are *not* defaults: many callers,
+/// RSS tracking is on, and bandwidth always (the paper's always-on levels).
+/// The per-sample sinks — [`RegionSink`], [`LatencySink`],
+/// [`SampleLogSink`] — are *not* defaults: many callers,
 /// e.g. the sensitivity sweeps, read none of them and should not pay for
 /// them. Without its sink, [`Profile::regions`] / [`Profile::latency`] /
 /// [`Profile::samples`] is `None`.
@@ -1038,9 +1038,7 @@ pub(crate) fn default_sinks(config: &crate::config::NmoConfig) -> Vec<Box<dyn An
     if config.track_rss {
         sinks.push(Box::new(CapacitySink::default()));
     }
-    if config.track_bandwidth {
-        sinks.push(Box::new(BandwidthSink::default()));
-    }
+    sinks.push(Box::new(BandwidthSink::default()));
     sinks
 }
 
@@ -1171,10 +1169,8 @@ mod tests {
         let names = |cfg: &NmoConfig| -> Vec<&'static str> {
             default_sinks(cfg).iter().map(|s| s.name()).collect()
         };
-        assert!(names(&NmoConfig::default()).contains(&"bandwidth"));
+        assert_eq!(names(&NmoConfig::default()), vec!["bandwidth"]);
         assert_eq!(names(&NmoConfig::paper_default(100)), vec!["capacity", "bandwidth"]);
-        let off = NmoConfig { track_bandwidth: false, ..NmoConfig::default() };
-        assert!(names(&off).is_empty());
     }
 
     /// `run_sinks`, reached through a session: each report lands in

@@ -18,9 +18,9 @@
 //! ```
 //!
 //! * A [`SampleBatch`] carries one window's worth of data from one source:
-//!   decoded SPE records, hardware-counter deltas, or RSS/bandwidth ticks.
-//!   Its buffers come from (and return to) a [`BatchPool`], so the steady
-//!   state of the hot path allocates nothing.
+//!   decoded SPE records or RSS/bandwidth ticks. Its buffers come from
+//!   (and return to) a [`BatchPool`], so the steady state of the hot path
+//!   allocates nothing.
 //! * The [`ShardedBus`] partitions batches over N single-producer lanes by
 //!   core hash ([`ShardedBus::lane_for_core`]); each lane is a bounded
 //!   [`EventBus`] with explicit backpressure: when a consumer falls behind,
@@ -164,18 +164,6 @@ impl WindowClock {
 /// cadences, so the window-close watermark must track each one).
 pub type StreamSource = (&'static str, Option<usize>);
 
-/// One hardware-counter reading inside a [`BatchPayload::CounterDeltas`]
-/// batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterDelta {
-    /// Event name (`mem_access`, `ld_retired`, ...).
-    pub event: String,
-    /// Increase since the previous drain.
-    pub delta: u64,
-    /// Cumulative count at this drain.
-    pub total: u64,
-}
-
 /// The data carried by one [`SampleBatch`].
 #[derive(Debug, Clone)]
 pub enum BatchPayload {
@@ -187,11 +175,6 @@ pub enum BatchPayload {
         samples: Vec<AddressSample>,
         /// Per-drain loss statistics delta.
         loss: SpeStatsSnapshot,
-    },
-    /// `perf stat`-style counter deltas since the previous drain.
-    CounterDeltas {
-        /// One entry per tracked hardware event.
-        deltas: Vec<CounterDelta>,
     },
     /// Resident-set-size step events (level 1 ticks).
     Rss {
@@ -218,7 +201,7 @@ pub enum BatchPayload {
 /// construction: a changed payload is a new batch, built by `new` again.
 #[derive(Debug, Clone)]
 pub struct SampleBatch {
-    /// Name of the producing backend (`"spe"`, `"counters"`, `"machine"`).
+    /// Name of the producing backend (`"spe"`, `"machine"`).
     pub backend: &'static str,
     /// Core the data belongs to, when per-core.
     pub core: Option<usize>,
@@ -260,7 +243,6 @@ impl SampleBatch {
                 sole_core = (strays == 0).then_some(first.core);
                 max
             }),
-            BatchPayload::CounterDeltas { .. } => None,
             BatchPayload::Rss { points } => points.iter().map(|p| p.time_ns).max(),
             BatchPayload::Bandwidth { points } => points.iter().map(|p| p.time_ns).max(),
         };
@@ -278,11 +260,10 @@ impl SampleBatch {
         self.payload
     }
 
-    /// Number of items (samples / deltas / points) in the batch.
+    /// Number of items (samples / points) in the batch.
     pub fn len(&self) -> usize {
         match &self.payload {
             BatchPayload::SpeSamples { samples, .. } => samples.len(),
-            BatchPayload::CounterDeltas { deltas } => deltas.len(),
             BatchPayload::Rss { points } => points.len(),
             BatchPayload::Bandwidth { points } => points.len(),
         }
@@ -325,7 +306,7 @@ pub struct BusStats {
     pub published: u64,
     /// Batches dropped because the bus was full.
     pub dropped_batches: u64,
-    /// Items (samples/points/deltas) inside dropped batches.
+    /// Items (samples/points) inside dropped batches.
     pub dropped_items: u64,
     /// Highest queue occupancy observed (sampled at every enqueue; a drain
     /// is enqueued under one hold, so its last batch sees all of it queued).
@@ -595,21 +576,18 @@ impl EventBus {
 
 /// A pool of recycled batch buffers: the zero-copy seam of the hot path.
 ///
-/// Every pump drain used to allocate a fresh `Vec` for the decoded samples
-/// (plus a scratch `Vec<u8>` per aux-record read); at the paper's densest
-/// sampling periods on 128 cores that is thousands of allocations per
-/// second on the hot path. The pool recycles both kinds of buffer: the
-/// consumer hands a finished [`SampleBatch`] back via
+/// Every pump drain used to allocate a fresh `Vec` for the decoded samples;
+/// at the paper's densest sampling periods on 128 cores that is thousands
+/// of allocations per second on the hot path. The pool recycles the sample
+/// buffers: the consumer hands a finished [`SampleBatch`] back via
 /// [`BatchPool::recycle_batch`], and the next drain reuses its capacity via
-/// [`BatchPool::samples`] / [`BatchPool::bytes`].
+/// [`BatchPool::samples`].
 ///
-/// The pool is bounded (`max_pooled` buffers of each kind); beyond that,
-/// recycled buffers are simply dropped, so a burst cannot pin memory
-/// forever.
+/// The pool is bounded (`max_pooled` buffers); beyond that, recycled
+/// buffers are simply dropped, so a burst cannot pin memory forever.
 #[derive(Debug)]
 pub struct BatchPool {
     samples: Mutex<Vec<Vec<AddressSample>>>,
-    bytes: Mutex<Vec<Vec<u8>>>,
     max_pooled: usize,
     reused: AtomicU64,
     allocated: AtomicU64,
@@ -625,11 +603,10 @@ pub struct PoolStats {
 }
 
 impl BatchPool {
-    /// A pool retaining at most `max_pooled` buffers of each kind.
+    /// A pool retaining at most `max_pooled` buffers.
     pub fn new(max_pooled: usize) -> Arc<BatchPool> {
         Arc::new(BatchPool {
             samples: Mutex::named(Vec::new(), "pool.samples"),
-            bytes: Mutex::named(Vec::new(), "pool.bytes"),
             max_pooled: max_pooled.max(1),
             reused: AtomicU64::new(0),
             allocated: AtomicU64::new(0),
@@ -652,23 +629,6 @@ impl BatchPool {
         buf.unwrap_or_default()
     }
 
-    /// An empty byte scratch buffer, recycled when available.
-    pub fn bytes(&self) -> Vec<u8> {
-        let buf = self.bytes.lock().pop();
-        self.count(buf.is_some());
-        buf.unwrap_or_default()
-    }
-
-    /// An empty byte scratch buffer with at least `min_capacity` reserved.
-    /// Recycled buffers usually already carry the capacity from their last
-    /// use, so steady-state callers (e.g. the trace writer's block scratch)
-    /// pay the allocation once per pooled buffer, not once per use.
-    pub fn bytes_with_capacity(&self, min_capacity: usize) -> Vec<u8> {
-        let mut buf = self.bytes();
-        buf.reserve(min_capacity);
-        buf
-    }
-
     /// Return a sample buffer to the pool (cleared, capacity kept).
     pub fn recycle_samples(&self, buf: Vec<AddressSample>) {
         self.recycle_sample_bufs(std::iter::once(buf));
@@ -681,15 +641,6 @@ impl BatchPool {
                 buf.clear();
                 pool.push(buf);
             }
-        }
-    }
-
-    /// Return a byte scratch buffer to the pool (cleared, capacity kept).
-    pub fn recycle_bytes(&self, mut buf: Vec<u8>) {
-        buf.clear();
-        let mut pool = self.bytes.lock();
-        if pool.len() < self.max_pooled {
-            pool.push(buf);
         }
     }
 
@@ -723,8 +674,8 @@ impl BatchPool {
 /// Each pump worker drains a disjoint core set and publishes to the lane its
 /// cores hash to, so lanes are effectively single-producer/single-consumer
 /// and scale with core count instead of funnelling every core through one
-/// queue. Batches without a core (counter deltas, machine probes) ride on
-/// lane 0. Window-close signals are broadcast to every lane
+/// queue. Batches without a core (the machine probes) ride on lane 0.
+/// Window-close signals are broadcast to every lane
 /// ([`ShardedBus::broadcast_close`]) so shard consumers can close their
 /// partial windows; per-lane drop/backpressure accounting rolls up into one
 /// [`BusStats`] ([`ShardedBus::stats`]) and stays inspectable per lane
@@ -973,8 +924,6 @@ pub struct StreamSnapshot {
     pub batches: u64,
     /// SPE samples consumed so far.
     pub spe_samples: u64,
-    /// Latest cumulative hardware-counter totals seen.
-    pub counter_totals: Vec<(String, u64)>,
     /// SPE samples consumed so far per data source, ascending by source —
     /// the live per-tier readout (how much traffic each cache level and
     /// memory node is serving *right now*).
@@ -1069,7 +1018,6 @@ pub(crate) struct SnapshotState {
     pub(crate) batches: u64,
     pub(crate) spe_samples: u64,
     pub(crate) late_batches: u64,
-    pub(crate) counter_totals: Vec<(String, u64)>,
     samples_by_source: SourceTally,
     pub(crate) rss_peak_bytes: u64,
     pub(crate) last_time_ns: u64,
@@ -1105,14 +1053,6 @@ impl SnapshotState {
         }
         match &batch.payload {
             BatchPayload::SpeSamples { samples, .. } => self.spe_samples += samples.len() as u64,
-            BatchPayload::CounterDeltas { deltas } => {
-                for d in deltas {
-                    match self.counter_totals.iter_mut().find(|(n, _)| *n == d.event) {
-                        Some((_, total)) => *total = d.total,
-                        None => self.counter_totals.push((d.event.clone(), d.total)),
-                    }
-                }
-            }
             BatchPayload::Rss { points } => {
                 for p in points {
                     self.rss_peak_bytes = self.rss_peak_bytes.max(p.rss_bytes);
@@ -1182,7 +1122,6 @@ impl SnapshotState {
             windows_closed: self.windows_closed,
             batches: self.batches,
             spe_samples: self.spe_samples,
-            counter_totals: self.counter_totals.clone(),
             samples_by_source: self.samples_by_source.observed(),
             rss_peak_bytes: self.rss_peak_bytes,
             last_time_ns: self.last_time_ns,
@@ -1454,14 +1393,10 @@ mod tests {
         assert_eq!(batch.max_time_ns(), Some(990));
         assert_eq!(batch.sole_core(), Some(0), "both samples name core 0");
         assert_eq!(batch.len(), 2);
-        let counters = SampleBatch::new(
-            "counters",
-            None,
-            clock.window(0),
-            BatchPayload::CounterDeltas { deltas: Vec::new() },
-        );
-        assert_eq!(counters.max_time_ns(), None, "counter deltas carry no timestamps");
-        assert_eq!(counters.sole_core(), None, "nor samples");
+        let no_points = BatchPayload::Rss { points: vec![] };
+        let rss = SampleBatch::new("machine", None, clock.window(0), no_points);
+        assert_eq!(rss.max_time_ns(), None, "an empty payload carries no timestamps");
+        assert_eq!(rss.sole_core(), None, "nor samples");
     }
 
     #[test]
@@ -1567,9 +1502,9 @@ mod tests {
 
         // The pool is bounded: recycles beyond `max_pooled` are dropped.
         for _ in 0..16 {
-            pool.recycle_bytes(vec![0u8; 8]);
+            pool.recycle_samples(Vec::with_capacity(8));
         }
-        let pooled: usize = (0..16).filter(|_| pool.bytes().capacity() > 0).count();
-        assert!(pooled <= 4, "at most max_pooled byte buffers retained, got {pooled}");
+        let pooled: usize = (0..16).filter(|_| pool.samples().capacity() > 0).count();
+        assert_eq!(pooled, 4, "at most max_pooled buffers retained");
     }
 }

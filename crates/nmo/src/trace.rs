@@ -24,7 +24,7 @@
 //!
 //! segment   := header block* index trailer
 //! header    := "NMOT" version:u16 shard:u16                  (8 bytes)
-//!              version 3; other versions are refused
+//!              version 4; other versions are refused
 //! block     := "NMOB" payload_len:u32 mulrot64(payload):u64 payload
 //! payload   := event*                                        (see below)
 //! index     := "NMOX" count:u32 entry{count} mulrot64(entries):u64
@@ -104,26 +104,20 @@
 //! of two words (order matters to a multiply-rotate), passes only as a
 //! 2⁻⁶⁴ accident.
 //!
-//! # Reading: one strict reader, one lenient scanner
+//! # Reading: one reader
 //!
-//! Block frames are parsed in exactly two places.
-//!
-//! * **Strict** — `SegmentReader`, behind [`TraceReader::replay`],
-//!   [`TraceReader::replay_query`] and the block-region bound of
-//!   [`TraceReader::verify`]. Opening checks the header (magic, version,
-//!   and that the file holds the shard the manifest lists it as), the
-//!   trailer, and the footer index (bounds, entry count against the file
-//!   size, checksum). Reading a block requires the frame to lie inside the
-//!   block region and the frame's own length and checksum to agree with the
-//!   index entry's *before* the payload is hashed and decoded — the index
-//!   and the frames vouch for each other. The manifest is validated the same
-//!   way (segment count, power-of-two page size, node count, window width).
-//!   Any damage is an [`NmoError::Trace`]; nothing is delivered from a block
-//!   that fails.
-//! * **Lenient** — [`scan_blocks`], behind [`TraceReader::verify`]: walks a
-//!   block region without the index, steps over garbage, skips frames whose
-//!   checksum or events do not verify, and accounts for every byte as
-//!   consumed or skipped instead of failing.
+//! Block frames are parsed in exactly one place, `SegmentReader`, behind
+//! [`TraceReader::replay`], [`TraceReader::replay_query`] and
+//! [`TraceReader::verify`]. Opening checks the header (magic, version, and
+//! that the file holds the shard the manifest lists it as), the trailer, and
+//! the footer index (bounds, entry count against the file size, checksum).
+//! Reading a block requires the frame to lie inside the block region and the
+//! frame's own length and checksum to agree with the index entry's *before*
+//! the payload is hashed and decoded — the index and the frames vouch for
+//! each other. The manifest is validated the same way (segment count,
+//! power-of-two page size, node count, window width). Any damage is an
+//! [`NmoError::Trace`]; nothing is delivered from a block that fails. The
+//! replays stop at the first such error; `verify` notes it and reads on.
 //!
 //! # Recording and replaying
 //!
@@ -181,9 +175,10 @@ const BLOCK_MAGIC: [u8; 4] = *b"NMOB";
 const INDEX_MAGIC: [u8; 4] = *b"NMOX";
 /// End-of-file trailer magic.
 const TRAILER_MAGIC: [u8; 4] = *b"NMOE";
-/// Current format version (3: samples as packed columns; 2 stored a varint
-/// per field, 1 used FNV-1a checksums). Every other version is refused.
-const FORMAT_VERSION: u16 = 3;
+/// Current format version (4: no counter-delta events, otherwise byte for
+/// byte 3; 3: samples as packed columns; 2 stored a varint per field, 1 used
+/// FNV-1a checksums). Every other version is refused.
+const FORMAT_VERSION: u16 = 4;
 /// Size of a block frame's header: magic, payload length, checksum.
 const FRAME_HEADER_BYTES: usize = 16;
 /// Flush a block once its payload passes this size (closes flush earlier).
@@ -201,7 +196,6 @@ const MANIFEST_NAME: &str = "trace.manifest";
 /// Event tags inside a block payload.
 const EV_SPE: u8 = 1;
 const EV_CLOSE: u8 = 2;
-const EV_COUNTERS: u8 = 3;
 const EV_RSS: u8 = 4;
 const EV_BANDWIDTH: u8 = 5;
 
@@ -314,7 +308,6 @@ fn get_u64(data: &[u8], pos: usize) -> Option<u64> {
 fn backend_id(name: &str) -> u64 {
     match name {
         "spe" => 0,
-        "counters" => 1,
         "machine" => 2,
         _ => 3,
     }
@@ -324,7 +317,6 @@ fn backend_id(name: &str) -> u64 {
 fn backend_name(id: u64) -> &'static str {
     match id {
         0 => "spe",
-        1 => "counters",
         2 => "machine",
         _ => "trace",
     }
@@ -421,7 +413,6 @@ fn pack_column(out: &mut Vec<u8>, values: &[u64]) {
 fn encode_batch_event(out: &mut Vec<u8>, batch: &SampleBatch, meta: &mut BlockMeta) -> u64 {
     let tag = match batch.payload() {
         BatchPayload::SpeSamples { .. } => EV_SPE,
-        BatchPayload::CounterDeltas { .. } => EV_COUNTERS,
         BatchPayload::Rss { .. } => EV_RSS,
         BatchPayload::Bandwidth { .. } => EV_BANDWIDTH,
     };
@@ -483,15 +474,6 @@ fn encode_batch_event(out: &mut Vec<u8>, batch: &SampleBatch, meta: &mut BlockMe
                 loss.overhead_cycles,
             ] {
                 put_varint(out, v);
-            }
-        }
-        BatchPayload::CounterDeltas { deltas } => {
-            put_varint(out, deltas.len() as u64);
-            for d in deltas {
-                put_varint(out, d.event.len() as u64);
-                out.extend_from_slice(d.event.as_bytes());
-                put_varint(out, d.delta);
-                put_varint(out, d.total);
             }
         }
         BatchPayload::Rss { points } => {
@@ -634,7 +616,7 @@ fn decode_events(payload: &[u8], pool: &BatchPool) -> Result<Vec<BusEvent>, Stri
             out.push(BusEvent::CloseWindow(w));
             continue;
         }
-        if !(EV_SPE..=EV_BANDWIDTH).contains(&tag) {
+        if !matches!(tag, EV_SPE | EV_RSS | EV_BANDWIDTH) {
             return Err(format!("unknown event tag {tag} at byte {pos}"));
         }
         let seq = rv(payload, &mut pos, "batch seq")?;
@@ -715,26 +697,6 @@ fn decode_events(payload: &[u8], pool: &BatchPool) -> Result<Vec<BusEvent>, Stri
                 }
                 BatchPayload::SpeSamples { samples, loss }
             }
-            EV_COUNTERS => {
-                let n = rv(payload, &mut pos, "delta count")?;
-                let n = checked_count(payload, pos, n, 24, "counter delta")?;
-                let mut deltas = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let len = rv(payload, &mut pos, "event-name length")?;
-                    let len = checked_count(payload, pos, len, 8, "event-name byte")?;
-                    let bytes = payload
-                        .get(pos..pos + len)
-                        .ok_or_else(|| format!("truncated event name at byte {pos}"))?;
-                    pos += len;
-                    let event = std::str::from_utf8(bytes)
-                        .map_err(|_| "event name is not UTF-8".to_string())?
-                        .to_string();
-                    let delta = rv(payload, &mut pos, "counter delta")?;
-                    let total = rv(payload, &mut pos, "counter total")?;
-                    deltas.push(crate::stream::CounterDelta { event, delta, total });
-                }
-                BatchPayload::CounterDeltas { deltas }
-            }
             EV_RSS => {
                 let n = rv(payload, &mut pos, "rss point count")?;
                 let n = checked_count(payload, pos, n, 24, "rss point")?;
@@ -792,112 +754,6 @@ fn read_node_array(payload: &[u8], pos: &mut usize) -> Result<[u64; MAX_MEM_NODE
         *slot = rv(payload, pos, "per-node value")?;
     }
     Ok(arr)
-}
-
-// ---------------------------------------------------------------------------
-// Lenient block scanning (corruption-tolerant, exact byte accounting).
-// ---------------------------------------------------------------------------
-
-/// One verified block recovered by [`scan_blocks`].
-#[derive(Debug)]
-pub struct ScannedBlock {
-    /// Byte offset of the block frame within the scanned slice.
-    pub offset: usize,
-    /// Whole frame length (header + payload).
-    pub frame_len: usize,
-    /// How many events the block decoded to.
-    pub events: usize,
-}
-
-/// Result of a lenient scan over a segment's block region.
-///
-/// Invariant (the fuzz-harness property): `consumed_bytes + skipped_bytes`
-/// always equals the scanned slice's length — every byte is either part of
-/// exactly one verified frame or accounted as skipped.
-#[derive(Debug, Default)]
-pub struct BlockScan {
-    /// Blocks whose frame, checksum, and event stream all verified.
-    pub blocks: Vec<ScannedBlock>,
-    /// Bytes covered by verified frames.
-    pub consumed_bytes: usize,
-    /// Bytes not covered by any verified frame (garbage, corrupt or
-    /// truncated frames).
-    pub skipped_bytes: usize,
-    /// One message per rejected frame or truncated tail (resync noise from
-    /// plain garbage bytes is not reported).
-    pub errors: Vec<String>,
-}
-
-/// Scan a segment's block region, skipping over corruption instead of
-/// failing: bad magic bytes are stepped over one at a time, frames whose
-/// checksum or event stream does not verify are skipped whole, and a
-/// truncated tail is accounted and reported. Never panics, for any input.
-pub fn scan_blocks(data: &[u8]) -> BlockScan {
-    scan_with(data, &BatchPool::new(MAX_BLOCK_BATCHES))
-}
-
-/// [`scan_blocks`], each block decoded into `pool`'s buffers and handed back.
-fn scan_with(data: &[u8], pool: &BatchPool) -> BlockScan {
-    let mut scan = BlockScan::default();
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let remaining = data.len() - pos;
-        if remaining < FRAME_HEADER_BYTES {
-            if data[pos..].starts_with(&BLOCK_MAGIC) {
-                scan.errors.push(format!("truncated block header at offset {pos}"));
-            }
-            scan.skipped_bytes += remaining;
-            break;
-        }
-        if data[pos..pos + 4] != BLOCK_MAGIC {
-            pos += 1;
-            scan.skipped_bytes += 1;
-            continue;
-        }
-        #[allow(clippy::expect_used, reason = "FRAME_HEADER_BYTES remain, checked above")]
-        let (len, checksum) = (
-            get_u32(data, pos + 4).expect("frame header") as usize,
-            get_u64(data, pos + 8).expect("frame header"),
-        );
-        if len > MAX_BLOCK_BYTES {
-            scan.errors.push(format!("oversized block length {len} at offset {pos}"));
-            pos += 1;
-            scan.skipped_bytes += 1;
-            continue;
-        }
-        let frame_len = FRAME_HEADER_BYTES + len;
-        if remaining < frame_len {
-            scan.errors.push(format!(
-                "truncated block payload at offset {pos} (need {frame_len} bytes, have {remaining})"
-            ));
-            scan.skipped_bytes += remaining;
-            break;
-        }
-        let payload = &data[pos + FRAME_HEADER_BYTES..pos + frame_len];
-        if mulrot64(payload) != checksum {
-            scan.errors.push(format!("block checksum mismatch at offset {pos}"));
-            scan.skipped_bytes += frame_len;
-            pos += frame_len;
-            continue;
-        }
-        match decode_events(payload, pool) {
-            Ok(events) => {
-                scan.blocks.push(ScannedBlock { offset: pos, frame_len, events: events.len() });
-                scan.consumed_bytes += frame_len;
-                pos += frame_len;
-                pool.recycle_batches(events.into_iter().filter_map(|event| match event {
-                    BusEvent::Batch(batch) => Some(batch),
-                    BusEvent::CloseWindow(_) => None,
-                }));
-            }
-            Err(e) => {
-                scan.errors.push(format!("undecodable block at offset {pos}: {e}"));
-                scan.skipped_bytes += frame_len;
-                pos += frame_len;
-            }
-        }
-    }
-    scan
 }
 
 // ---------------------------------------------------------------------------
@@ -974,8 +830,7 @@ struct SegmentSummary {
 }
 
 /// Appends one shard lane's deliveries to its segment file. Owns its file
-/// handle and scratch buffer, so the streaming hot path takes no lock; the
-/// scratch comes from (and returns to) the parent sink's [`BatchPool`].
+/// handle and scratch buffer, so the streaming hot path takes no lock.
 /// Everything reaches the unbuffered file as one `write_all` of the scratch:
 /// a block is one write, and an error is the caller's at once.
 struct SegmentWriter {
@@ -990,7 +845,6 @@ struct SegmentWriter {
     /// The totals so far (`window_ns` latched from the first event, 0 until
     /// then; `blocks` and `bytes` filled in by [`SegmentWriter::finish`]).
     summary: SegmentSummary,
-    pool: Arc<BatchPool>,
 }
 
 impl SegmentWriter {
@@ -999,10 +853,10 @@ impl SegmentWriter {
         format!("shard-{shard:03}.seg")
     }
 
-    fn create(dir: &Path, shard: usize, pool: Arc<BatchPool>) -> std::io::Result<SegmentWriter> {
+    fn create(dir: &Path, shard: usize) -> std::io::Result<SegmentWriter> {
         let file_name = Self::segment_file_name(shard);
         let mut file = File::create(dir.join(&file_name))?;
-        let mut buf = pool.bytes_with_capacity(FRAME_HEADER_BYTES + BLOCK_TARGET_BYTES);
+        let mut buf = Vec::with_capacity(FRAME_HEADER_BYTES + BLOCK_TARGET_BYTES);
         buf.extend_from_slice(&SEGMENT_MAGIC);
         buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         buf.extend_from_slice(&(shard as u16).to_le_bytes());
@@ -1015,7 +869,6 @@ impl SegmentWriter {
             meta: BlockMeta::empty(),
             index: Vec::new(),
             summary: SegmentSummary { shard, file_name, ..SegmentSummary::default() },
-            pool,
         })
     }
 
@@ -1083,7 +936,6 @@ impl SegmentWriter {
         self.file.write_all(out)?;
         self.summary.blocks = self.index.len() as u64;
         self.summary.bytes = index_offset + out.len() as u64;
-        self.pool.recycle_bytes(self.buf);
         Ok(self.summary)
     }
 }
@@ -1114,8 +966,8 @@ impl Default for Geometry {
 /// whose shards each append to their own segment file (no cross-shard lock
 /// on the hot path), so an N-shard pipeline records N segments, and a
 /// one-shard pipeline or a session without pipeline threads a
-/// single-segment trace — SPE samples, counter deltas, RSS and bandwidth
-/// ticks and every window close, in the session's own windows
+/// single-segment trace — SPE samples, RSS and bandwidth ticks and every
+/// window close, in the session's own windows
 /// ([`StreamOptions::window_ns`](crate::stream::StreamOptions::window_ns)).
 /// [`AnalysisSink::analyze`] finalises the segments and writes the
 /// manifest; the returned [`AnalysisReport::Text`] summarises what was
@@ -1136,7 +988,6 @@ impl Default for Geometry {
 /// ```
 pub struct TraceWriterSink {
     dir: PathBuf,
-    pool: Arc<BatchPool>,
     geometry: Geometry,
     summaries: Vec<SegmentSummary>,
     error: Option<String>,
@@ -1147,7 +998,6 @@ impl TraceWriterSink {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         TraceWriterSink {
             dir: dir.into(),
-            pool: BatchPool::new(32),
             geometry: Geometry::default(),
             summaries: Vec::new(),
             error: None,
@@ -1245,7 +1095,7 @@ impl AnalysisSink for TraceWriterSink {
 
 impl ShardableSink for TraceWriterSink {
     fn make_shard(&mut self, shard: usize, _ctx: &StreamContext) -> Box<dyn SinkShard> {
-        Box::new(TraceShard::open(&self.dir, shard, &self.pool))
+        Box::new(TraceShard::open(&self.dir, shard))
     }
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
@@ -1268,9 +1118,9 @@ struct TraceShard {
 }
 
 impl TraceShard {
-    fn open(dir: &Path, shard: usize, pool: &Arc<BatchPool>) -> TraceShard {
+    fn open(dir: &Path, shard: usize) -> TraceShard {
         let writer = fs::create_dir_all(dir)
-            .and_then(|()| SegmentWriter::create(dir, shard, Arc::clone(pool)))
+            .and_then(|()| SegmentWriter::create(dir, shard))
             .map_err(|e| format!("cannot open segment {shard}: {e}"));
         TraceShard { shard, writer }
     }
@@ -1420,15 +1270,31 @@ struct SegmentReader {
     pool: Arc<BatchPool>,
 }
 
+/// A segment's reader and its footer index (one entry per block, in file
+/// order).
+type OpenSegment = (SegmentReader, Vec<IndexEntry>);
+
 impl SegmentReader {
-    /// Open shard `shard`'s segment at `path` and return the reader with the
-    /// segment's footer index (one entry per block, in file order).
-    fn open(shard: usize, path: PathBuf) -> Result<(SegmentReader, Vec<IndexEntry>), NmoError> {
-        let file = File::open(&path)
-            .map_err(|e| NmoError::trace(format!("cannot open {}: {e}", path.display())))?;
+    /// Open shard `shard`'s segment at `path`.
+    fn open(shard: usize, path: PathBuf) -> Result<OpenSegment, NmoError> {
+        let (file, file_len) = SegmentReader::open_file(&path)?;
+        SegmentReader::check(shard, path, file, file_len)
+    }
+
+    /// Open the file at `path` and read its length: the only failures that
+    /// are not about what the segment holds.
+    fn open_file(path: &Path) -> Result<(File, u64), NmoError> {
+        let cannot = |e| NmoError::trace(format!("cannot read {}: {e}", path.display()));
+        let file = File::open(path).map_err(cannot)?;
+        let len = file.metadata().map_err(cannot)?.len();
+        Ok((file, len))
+    }
+
+    /// Check the header, trailer and footer index of the opened segment
+    /// `file` (`len` bytes).
+    fn check(shard: usize, path: PathBuf, file: File, len: u64) -> Result<OpenSegment, NmoError> {
         let pool = BatchPool::new(MAX_BLOCK_BATCHES);
         let mut r = SegmentReader { file, path, blocks_end: 0, scratch: Vec::new(), pool };
-        let file_len = r.file.metadata().map_err(|e| r.damage(format!("cannot stat: {e}")))?.len();
         let mut header = [0u8; 8];
         r.read_at(0, &mut header, "segment header")?;
         if header[..4] != SEGMENT_MAGIC {
@@ -1443,7 +1309,7 @@ impl SegmentReader {
             return Err(r.damage(format!("holds shard {recorded}, listed as shard {shard}")));
         }
         let trailer_at =
-            file_len.checked_sub(12).ok_or_else(|| r.damage("file too short for a trailer"))?;
+            len.checked_sub(12).ok_or_else(|| r.damage("file too short for a trailer"))?;
         let mut trailer = [0u8; 12];
         r.read_at(trailer_at, &mut trailer, "trailer")?;
         let index_offset = get_u64(&trailer, 0).unwrap_or(u64::MAX);
@@ -1733,7 +1599,7 @@ impl TraceReader {
 
     /// Open every segment strictly. Both replays do this before starting a
     /// sink, so a damaged header or index leaves the sinks untouched.
-    fn open_segments(&self) -> Result<Vec<(SegmentReader, Vec<IndexEntry>)>, NmoError> {
+    fn open_segments(&self) -> Result<Vec<OpenSegment>, NmoError> {
         self.segment_paths()
             .enumerate()
             .map(|(shard, path)| SegmentReader::open(shard, path))
@@ -1832,24 +1698,43 @@ impl TraceReader {
         Ok(finish(fan_in, lanes, stats))
     }
 
-    /// Lenient integrity check over every segment: scan all block regions
-    /// with [`scan_blocks`], tolerating (and reporting) damage instead of
-    /// failing on the first corrupt byte.
+    /// Integrity check over every segment: read every indexed block through
+    /// the reader both replays use, noting damage instead of stopping at it.
+    /// A block that does not verify is skipped and the next one read; a
+    /// segment whose header, index or trailer does not verify is skipped
+    /// whole. A segment that cannot be opened or stat'ed is an `Err`; a read
+    /// that fails after that is reported like damage, as a short read is how
+    /// a truncated segment shows.
     pub fn verify(&self) -> Result<TraceVerify, NmoError> {
         let mut v = TraceVerify::default();
         for (shard, path) in self.segment_paths().enumerate() {
-            let data = fs::read(&path)
-                .map_err(|e| NmoError::trace(format!("cannot read {}: {e}", path.display())))?;
-            // Scan only the block region when the strict reader finds it; a
-            // segment with a damaged header, index or trailer is scanned to
-            // the end (the index bytes then show up as skipped).
-            let end = SegmentReader::open(shard, path.clone())
-                .map_or(data.len(), |(reader, _)| (reader.blocks_end as usize).min(data.len()));
-            let scan = scan_blocks(&data[8.min(end)..end]);
-            v.blocks += scan.blocks.len() as u64;
-            v.consumed_bytes += scan.consumed_bytes as u64;
-            v.skipped_bytes += scan.skipped_bytes as u64;
-            v.errors.extend(scan.errors.into_iter().map(|e| format!("{}: {e}", path.display())));
+            let (file, file_len) = SegmentReader::open_file(&path)?;
+            let (mut reader, entries) = match SegmentReader::check(shard, path, file, file_len) {
+                Ok(opened) => opened,
+                Err(e) => {
+                    v.skipped_bytes += file_len;
+                    v.errors.push(e.to_string());
+                    continue;
+                }
+            };
+            let mut consumed = 0;
+            for entry in &entries {
+                match reader.read_block(entry) {
+                    Ok(events) => {
+                        v.blocks += 1;
+                        consumed += FRAME_HEADER_BYTES as u64 + entry.payload_len;
+                        reader.pool.recycle_batches(events.into_iter().filter_map(|event| {
+                            match event {
+                                BusEvent::Batch(batch) => Some(batch),
+                                BusEvent::CloseWindow(_) => None,
+                            }
+                        }));
+                    }
+                    Err(e) => v.errors.push(e.to_string()),
+                }
+            }
+            v.consumed_bytes += consumed;
+            v.skipped_bytes += (reader.blocks_end - 8).saturating_sub(consumed);
         }
         Ok(v)
     }
@@ -1873,11 +1758,12 @@ fn finish(
 pub struct TraceVerify {
     /// Blocks that verified across all segments.
     pub blocks: u64,
-    /// Bytes covered by verified blocks.
+    /// Bytes covered by verified block frames.
     pub consumed_bytes: u64,
-    /// Bytes skipped as damaged or unrecognised.
+    /// The rest of each segment's block region; the whole file of a segment
+    /// whose header, index or trailer did not verify.
     pub skipped_bytes: u64,
-    /// Damage reports.
+    /// One message per block or segment that did not verify.
     pub errors: Vec<String>,
 }
 
@@ -1930,15 +1816,6 @@ mod tests {
             ) => {
                 assert_eq!(sa, sb);
                 assert_eq!(la, lb);
-            }
-            (
-                BatchPayload::CounterDeltas { deltas: da },
-                BatchPayload::CounterDeltas { deltas: db },
-            ) => {
-                assert_eq!(da.len(), db.len());
-                for (x, y) in da.iter().zip(db) {
-                    assert_eq!((&x.event, x.delta, x.total), (&y.event, y.delta, y.total));
-                }
             }
             (BatchPayload::Rss { points: pa }, BatchPayload::Rss { points: pb }) => {
                 assert_eq!(pa, pb);
@@ -2055,18 +1932,9 @@ mod tests {
             sample(window.start_ns + 25, 0x7f00_0040, 3, 300, DataSource::Dram(0)),
             sample(window.start_ns + 26, 0x6000_0000, 7, 900, DataSource::RemoteDram(1)),
         ];
-        let counters = SampleBatch::new(
-            "counters",
-            Some(1),
-            window,
-            BatchPayload::CounterDeltas {
-                deltas: vec![crate::stream::CounterDelta {
-                    event: "ll_cache_miss".to_string(),
-                    delta: 17,
-                    total: 4242,
-                }],
-            },
-        );
+        // A core-stamped batch with no items and no timestamps.
+        let empty =
+            SampleBatch::new("machine", Some(1), window, BatchPayload::Rss { points: vec![] });
         let mut rss_by_node = [0u64; MAX_MEM_NODES];
         rss_by_node[0] = 4096;
         rss_by_node[1] = 8192;
@@ -2097,7 +1965,7 @@ mod tests {
         );
         vec![
             BusEvent::Batch(spe_batch(3, window, samples)),
-            BusEvent::Batch(counters),
+            BusEvent::Batch(empty),
             BusEvent::Batch(rss),
             BusEvent::Batch(bw),
             BusEvent::CloseWindow(window),
@@ -2316,8 +2184,7 @@ mod tests {
     }
 
     fn write_segment(dir: &Path, shard: usize, windows: u64) -> SegmentSummary {
-        let pool = BatchPool::new(4);
-        let mut w = SegmentWriter::create(dir, shard, Arc::clone(&pool)).expect("create");
+        let mut w = SegmentWriter::create(dir, shard).expect("create");
         let clock = WindowClock::new(1_000_000);
         for wi in 0..windows {
             let window = clock.window(wi);
@@ -2368,57 +2235,52 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// `verify` keeps going past a damaged block: whichever byte of the
+    /// first block frame is flipped, that block alone is skipped, whole, and
+    /// every byte of the block region is either consumed or skipped. Damage
+    /// to the index skips the whole file.
     #[test]
-    fn scan_blocks_accounts_for_every_byte_under_corruption() {
-        let dir = tmp("scan_corrupt");
-        fs::create_dir_all(&dir).expect("mkdir");
-        let summary = write_segment(&dir, 0, 4);
-        let path = dir.join(SegmentWriter::segment_file_name(0));
-        let data = fs::read(&path).expect("read");
-        let trailer_at = data.len() - 12;
-        let index_offset = get_u64(&data, trailer_at).expect("trailer") as usize;
-        let blocks = &data[8..index_offset];
+    fn verify_accounts_for_every_byte_under_corruption() {
+        let dir = tmp("verify_corrupt");
+        let reader = one_segment_trace(&dir, 4);
+        let seg = dir.join(SegmentWriter::segment_file_name(0));
+        let pristine = fs::read(&seg).expect("read");
+        let (opened, entries) = SegmentReader::open(0, seg.clone()).expect("open");
+        let (blocks, region) = (entries.len() as u64, opened.blocks_end - 8);
 
-        // Pristine region: everything consumed, nothing skipped.
-        let clean = scan_blocks(blocks);
+        let clean = reader.verify().expect("verify");
         assert!(clean.errors.is_empty(), "{:?}", clean.errors);
-        assert_eq!(clean.blocks.len() as u64, summary.blocks);
-        assert_eq!(clean.consumed_bytes, blocks.len());
-        assert_eq!(clean.skipped_bytes, 0);
+        assert_eq!((clean.blocks, clean.consumed_bytes, clean.skipped_bytes), (blocks, region, 0));
 
-        // Flip one payload byte in every position of the first block frame:
-        // never a panic, bytes always exactly accounted.
-        let first_len = clean.blocks[0].frame_len;
-        for at in 0..first_len {
-            let mut bad = blocks.to_vec();
+        let first_len = FRAME_HEADER_BYTES as u64 + entries[0].payload_len;
+        for at in 8..8 + first_len as usize {
+            let mut bad = pristine.clone();
             bad[at] ^= 0xff;
-            let scan = scan_blocks(&bad);
-            assert_eq!(
-                scan.consumed_bytes + scan.skipped_bytes,
-                bad.len(),
-                "byte {at}: consumed {} + skipped {} != {}",
-                scan.consumed_bytes,
-                scan.skipped_bytes,
-                bad.len()
-            );
+            fs::write(&seg, &bad).expect("write");
+            let v = reader.verify().expect("verify");
+            assert_eq!(v.blocks, blocks - 1, "byte {at}");
+            assert_eq!((v.consumed_bytes, v.skipped_bytes), (region - first_len, first_len));
+            assert!(v.errors.len() == 1 && v.errors[0].contains("offset 8"), "{:?}", v.errors);
         }
 
-        // A checksum flip specifically must surface as a checksum error.
-        let mut bad = blocks.to_vec();
-        bad[4 + 4 + 2] ^= 0xff; // inside the checksum field of block 0
-        let scan = scan_blocks(&bad);
-        assert!(scan.errors.iter().any(|e| e.contains("checksum mismatch")), "{:?}", scan.errors);
+        let mut bad = pristine.clone();
+        bad[opened.blocks_end as usize + 10] ^= 0xff; // inside the index's entry count
+        fs::write(&seg, &bad).expect("write");
+        let v = reader.verify().expect("verify");
+        assert_eq!((v.blocks, v.consumed_bytes), (0, 0));
+        assert_eq!(v.skipped_bytes, pristine.len() as u64, "the whole file");
+        assert!(v.errors.len() == 1 && v.errors[0].contains("index"), "{:?}", v.errors);
         fs::remove_dir_all(&dir).ok();
     }
 
     /// Replay decodes into buffers it already has: one reader allocates for
     /// its largest block and draws every other batch from what `feed` handed
-    /// back; so does the scanner, block by block.
+    /// back.
     #[test]
     fn a_reader_allocates_for_its_largest_block_and_reuses_the_rest() {
         let dir = tmp("reuse");
         fs::create_dir_all(&dir).expect("mkdir");
-        let mut w = SegmentWriter::create(&dir, 0, BatchPool::new(4)).expect("create");
+        let mut w = SegmentWriter::create(&dir, 0).expect("create");
         let clock = WindowClock::new(1_000_000);
         let per_block = [2u64, 3, 1, 3];
         for (wi, &batches) in per_block.iter().enumerate() {
@@ -2434,7 +2296,7 @@ mod tests {
         let (largest, total) = (3, per_block.iter().sum::<u64>());
 
         let path = dir.join(SegmentWriter::segment_file_name(0));
-        let (mut reader, entries) = SegmentReader::open(0, path.clone()).expect("open");
+        let (mut reader, entries) = SegmentReader::open(0, path).expect("open");
         let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(crate::LatencySink::default())];
         let ctx = StreamContext::for_replay(1 << 20, 1000, 1, 4096);
         let (fan_in, mut lanes) = FanIn::start(&mut sinks[..], 1, &ctx);
@@ -2447,14 +2309,6 @@ mod tests {
         let fed = reader.pool.stats();
         assert!(fed.allocated <= largest, "{fed:?}");
         assert_eq!(fed.reused, total - fed.allocated, "{fed:?}");
-
-        let data = fs::read(&path).expect("read");
-        let pool = BatchPool::new(MAX_BLOCK_BATCHES);
-        let scan = scan_with(&data[8..reader.blocks_end as usize], &pool);
-        assert_eq!((scan.blocks.len(), scan.skipped_bytes), (entries.len(), 0));
-        let scanned = pool.stats();
-        assert!(scanned.allocated <= largest, "{scanned:?}");
-        assert_eq!(scanned.reused, total - scanned.allocated, "{scanned:?}");
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2473,20 +2327,19 @@ mod tests {
             matches!(&err, NmoError::Trace(m) if m.contains("disagree")),
             "unexpected error: {err}"
         );
-        // A segment of another format version is refused at `open` — before
-        // either replay starts a sink — while the lenient scanner, which
-        // reads no header, still accounts for its whole block region.
+        // A segment of another format version is refused at `open`, before
+        // either replay starts a sink: 3 stored counter deltas as events of
+        // tag 3, which no longer decode.
         data[8 + 4 + 4 + 2] ^= 0xff;
-        data[4..6].copy_from_slice(&2u16.to_le_bytes());
-        fs::write(&path, &data).expect("write");
-        let err = SegmentReader::open(0, path).map(|_| ()).expect_err("version 2 opened");
-        assert!(
-            matches!(&err, NmoError::Trace(m) if m.contains("unsupported segment version 2")),
-            "unexpected error: {err}"
-        );
-        let blocks = &data[8..reader.blocks_end as usize];
-        let scan = scan_blocks(blocks);
-        assert_eq!((scan.consumed_bytes, scan.skipped_bytes), (blocks.len(), 0));
+        for version in [2u16, 3] {
+            data[4..6].copy_from_slice(&version.to_le_bytes());
+            fs::write(&path, &data).expect("write");
+            let err = SegmentReader::open(0, path.clone()).map(|_| ()).expect_err("opened");
+            let want = format!("unsupported segment version {version}");
+            assert!(matches!(&err, NmoError::Trace(m) if m.contains(&want)), "{err}");
+        }
+        let tag_3 = decode_events(&[3, 0, 0, 0, 100, 0, 1, 0], &BatchPool::new(1));
+        assert!(tag_3.is_err_and(|e| e.contains("unknown event tag 3")));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2498,8 +2351,7 @@ mod tests {
     fn a_failed_block_write_poisons_the_shard_and_fails_analyze() {
         let dir = tmp("write_fails");
         fs::create_dir_all(&dir).expect("mkdir");
-        let mut writer =
-            SegmentWriter::create(&dir, 0, BatchPool::new(4)).expect("the header is written");
+        let mut writer = SegmentWriter::create(&dir, 0).expect("the header is written");
         writer.file = File::options().write(true).open("/dev/full").expect("/dev/full");
         let mut shard = Box::new(TraceShard { shard: 0, writer: Ok(writer) });
         let window = WindowClock::new(1_000_000).window(0);

@@ -20,7 +20,6 @@ fn run(name: &str, workload: Box<dyn Workload>, threads: usize) -> Result<Profil
         name: name.into(),
         mode: Mode::None,
         track_rss: true,
-        track_bandwidth: true,
         ..Default::default()
     };
     ProfileSession::builder()

@@ -103,13 +103,8 @@ fn inmem_analytics_bandwidth_is_periodic_across_sweeps() {
 
 #[test]
 fn capacity_only_mode_runs_without_spe_and_without_overhead() {
-    let config = NmoConfig {
-        enabled: true,
-        mode: Mode::None,
-        track_rss: true,
-        track_bandwidth: true,
-        ..Default::default()
-    };
+    let config =
+        NmoConfig { enabled: true, mode: Mode::None, track_rss: true, ..Default::default() };
     let profile = ProfileSession::builder()
         .machine_config(MachineConfig::ampere_altra_max())
         .config(config)

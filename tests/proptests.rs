@@ -531,7 +531,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use nmo_repro::nmo::trace::scan_blocks;
 use nmo_repro::nmo::{
     AddressSample, AnalysisReport, AnalysisSink, Annotations, BatchPayload, LatencySink, NmoError,
     SampleBatch, StreamContext, TraceQuery, TraceReader, TraceWriterSink, Window, WindowClock,
@@ -776,19 +775,6 @@ proptest! {
         prop_assert!(w.contains_ns(t) || w.end_ns == u64::MAX);
     }
 
-    /// The lenient block scanner never panics on arbitrary bytes, and its
-    /// consumed/skipped accounting covers every byte exactly (the
-    /// `decode_records` fuzz-harness contract, ported to the trace codec).
-    #[test]
-    fn scan_blocks_never_panics_and_accounts_exactly_on_arbitrary_bytes(
-        data in prop::collection::vec(any::<u8>(), 0..4096),
-    ) {
-        let scan = scan_blocks(&data);
-        prop_assert_eq!(scan.consumed_bytes + scan.skipped_bytes, data.len());
-        let frame_bytes: usize = scan.blocks.iter().map(|b| b.frame_len).sum();
-        prop_assert_eq!(frame_bytes, scan.consumed_bytes);
-    }
-
     /// Arbitrary sample streams written through 1, 2, and 8 writer shards
     /// replay to exactly the same sample multiset — the encode→decode round
     /// trip is lossless and shard-count-independent.
@@ -861,51 +847,14 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A valid segment block region survives arbitrary corruption + an
-    /// arbitrary truncation point: the scanner never panics, never
-    /// double-counts a byte, and never recovers more blocks than written.
-    #[test]
-    fn scan_blocks_on_corrupted_truncated_segments_accounts_exactly(
-        pages in prop::collection::vec(0u64..64, 1..100),
-        corrupt_at in prop::collection::vec(0usize..1_000_000, 0..32),
-        corrupt_with in prop::collection::vec(any::<u8>(), 0..32),
-        cut_frac in 0u64..=1_000,
-        shape in prop::collection::vec(any::<u64>(), 25..64),
-    ) {
-        let dir = trace_tmp("corrupt");
-        write_trace_to_damage(&dir, 1, &pages, &shape);
-        let seg = dir.join("shard-000.seg");
-        let bytes = std::fs::read(&seg).expect("segment bytes");
-        std::fs::remove_dir_all(&dir).ok();
-
-        // Block region = after the 8-byte header, before the footer index
-        // (trailer's last 12 bytes end with the index offset + magic).
-        let trailer = bytes.len() - 12;
-        let index_offset =
-            u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().expect("8 bytes")) as usize;
-        let mut region = bytes[8..index_offset].to_vec();
-        let clean = scan_blocks(&region);
-        let written_blocks = clean.blocks.len();
-        prop_assert_eq!(clean.skipped_bytes, 0);
-
-        for (pos, byte) in corrupt_at.iter().zip(corrupt_with.iter()) {
-            let at = pos % region.len();
-            region[at] = *byte;
-        }
-        let cut = (region.len() as u64 * cut_frac / 1_000) as usize;
-        region.truncate(cut);
-
-        let scan = scan_blocks(&region);
-        prop_assert_eq!(scan.consumed_bytes + scan.skipped_bytes, region.len());
-        prop_assert!(scan.blocks.len() <= written_blocks, "cannot recover unwritten blocks");
-    }
-
     /// Arbitrary bit flips plus an arbitrary truncation anywhere in one file
     /// of a finished trace — a segment's header, block frames, footer index
     /// or trailer, or `trace.manifest` — make `TraceReader::open`, `replay`
     /// and `replay_query` fail with `NmoError::Trace` or deliver exactly what
     /// the undamaged trace delivers: never a panic, never other samples,
-    /// never an allocation sized by a corrupt length.
+    /// never an allocation sized by a corrupt length. `verify` reads through
+    /// the same reader, so it finds nothing where both replays are pristine
+    /// and something where either fails.
     #[test]
     fn damaged_traces_fail_with_trace_errors_or_replay_unchanged(
         pages in prop::collection::vec(0u64..64, 1..100),
@@ -954,11 +903,26 @@ proptest! {
         match TraceReader::open(&dir) {
             Err(e) => prop_assert!(matches!(e, NmoError::Trace(_)), "open: {}", e),
             Ok(reader) => {
+                let mut unchanged = true;
                 for (indexed, pristine) in [false, true].into_iter().zip(&pristine) {
                     match outcome(&reader, indexed) {
-                        Err(e) => prop_assert!(matches!(e, NmoError::Trace(_)), "replay: {}", e),
+                        Err(e) => {
+                            prop_assert!(matches!(e, NmoError::Trace(_)), "replay: {}", e);
+                            unchanged = false;
+                        }
                         Ok(delivered) => prop_assert_eq!(&delivered, pristine, "indexed={}", indexed),
                     }
+                }
+                match reader.verify() {
+                    Err(e) => {
+                        prop_assert!(matches!(e, NmoError::Trace(_)), "verify: {}", e);
+                        prop_assert!(!unchanged, "verify failed on a trace that replays");
+                    }
+                    Ok(v) if unchanged => {
+                        prop_assert!(v.errors.is_empty(), "{:?}", v.errors);
+                        prop_assert_eq!(v.skipped_bytes, 0);
+                    }
+                    Ok(v) => prop_assert!(!v.errors.is_empty(), "a replay failed: {:?}", v),
                 }
             }
         }

@@ -14,13 +14,13 @@
 //!   address-restricted query (or any composition) feeds exactly the live
 //!   samples that satisfy it, whatever width the trace was recorded at.
 //! * **Every kind of run records.** A session without pipeline threads
-//!   stores what its one fan-in lane delivered at `finish` — RSS,
-//!   bandwidth and counter batches too — and replaying that trace
+//!   stores what its one fan-in lane delivered at `finish` — RSS and
+//!   bandwidth batches too — and replaying that trace
 //!   reproduces the run's own capacity/bandwidth/latency reports.
 //! * **Damage is an error, not garbage.** Corrupting a stored segment makes
 //!   replay fail with `NmoError::Trace` (never a panic, never silently
-//!   wrong samples), while `TraceReader::verify` reports the damage with
-//!   exact byte accounting.
+//!   wrong samples), while `TraceReader::verify` reads on past it and
+//!   reports the damage with the bytes it skipped.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -257,8 +257,8 @@ fn corrupt_segments_fail_replay_with_trace_error_and_verify_reports_them() {
 }
 
 /// A session without pipeline threads records what its one fan-in lane
-/// delivered — samples, counter deltas, RSS and bandwidth ticks, window
-/// closes — as a single segment, and replaying that trace reproduces the
+/// delivered — samples, RSS and bandwidth ticks, window closes — as a
+/// single segment, and replaying that trace reproduces the
 /// run's own reports.
 #[test]
 fn thread_less_run_records_a_trace_that_replays_to_the_live_reports() {
