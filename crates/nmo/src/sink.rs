@@ -182,8 +182,10 @@ pub trait AnalysisSink: Send {
     fn on_stream_start(&mut self, _ctx: &StreamContext) {}
 
     /// Streaming: one window-stamped batch arrived. Only sinks that are not
-    /// [`ShardableSink`]s are fed through this hook by a pipeline or a
-    /// replay (in lane order, serialised across lanes).
+    /// [`ShardableSink`]s are fed through this hook, by a pipeline's shard
+    /// consumers or a replay's per-segment workers: one call at a time,
+    /// each lane's batches in order, the lanes interleaved in no fixed
+    /// order.
     fn on_batch(&mut self, _batch: &SampleBatch) {}
 
     /// Streaming: the producer watermark passed `window`; no further
@@ -200,10 +202,12 @@ pub trait AnalysisSink: Send {
 
     /// The sharded-pipeline seam: sinks that can aggregate per shard return
     /// themselves as a [`ShardableSink`] here. The default `None` is the
-    /// serial-fallback adapter — the pipeline feeds such a sink every batch
-    /// directly, serialised across lanes (per-lane order preserved,
-    /// cross-lane interleaving unspecified), so pre-sharding sinks compile
-    /// and run unchanged.
+    /// serial-fallback adapter — the pipeline, and a trace replay from its
+    /// one worker per segment, feed such a sink every batch directly,
+    /// serialised across lanes (per-lane order preserved, cross-lane
+    /// interleaving unspecified, each window close once after every lane's
+    /// on-time batches for it), so pre-sharding sinks compile and run
+    /// unchanged.
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
         None
     }
@@ -338,8 +342,8 @@ pub trait ShardableSink {
 }
 
 /// The shard fan-in: the one place that drives the sink traits over a
-/// sharded event stream. The live shard consumers, sequential trace replay
-/// and sliced trace queries all deliver through it, so they agree by
+/// sharded event stream. The live shard consumers and the trace replay's
+/// per-segment workers both deliver through it, so they agree by
 /// construction on the rule: every [`ShardableSink`] aggregates in one
 /// [`SinkShard`] worker per shard; a window's per-shard states merge in
 /// ascending shard index as soon as every shard has delivered its state;
@@ -350,7 +354,8 @@ pub trait ShardableSink {
 /// final states, both ascending by shard.
 ///
 /// This is the shared half (one per stream; the live consumers keep it
-/// under the `session.merger` mutex). Each shard's workers live in a
+/// under the `session.merger` mutex, a replay under `trace.merger`). Each
+/// shard's workers live in a
 /// [`FanInLane`], whose per-batch path touches the shared half only when a
 /// legacy sink is registered.
 pub(crate) struct FanIn<S> {

@@ -107,8 +107,11 @@
 //! # Reading: one reader
 //!
 //! Block frames are parsed in exactly one place, `SegmentReader`, behind
-//! [`TraceReader::replay`], [`TraceReader::replay_query`] and
-//! [`TraceReader::verify`]. Opening checks the header (magic, version, and
+//! [`TraceReader::replay_query`] (and [`TraceReader::replay`], which is that
+//! query over everything) and [`TraceReader::verify`]. Both read a trace one
+//! worker thread per segment, through one helper, `per_segment`, so a
+//! segment's blocks are decoded and delivered on the core that read them.
+//! Opening checks the header (magic, version, and
 //! that the file holds the shard the manifest lists it as), the trailer, and
 //! the footer index (bounds, entry count against the file size, checksum).
 //! Reading a block requires the frame to lie inside the block region and the
@@ -116,8 +119,8 @@
 //! the payload is hashed and decoded — the index and the frames vouch for
 //! each other. The manifest is validated the same way (segment count,
 //! power-of-two page size, node count, window width). Any damage is an
-//! [`NmoError::Trace`]; nothing is delivered from a block that fails. The
-//! replays stop at the first such error; `verify` notes it and reads on.
+//! [`NmoError::Trace`]; nothing is delivered from a block that fails. A
+//! replay stops at the first such error; `verify` notes it and reads on.
 //!
 //! # Recording and replaying
 //!
@@ -130,22 +133,22 @@
 //! Replay owns the reading side only and is a direct driver of the shard
 //! fan-in the live consumers use (`sink.rs`) — not a backend behind the bus:
 //! the recorded window closes are authoritative, and a bus hop would
-//! re-derive them from host timing. One function, `feed`, delivers a run of
-//! indexed blocks through a shard's lane, so per-shard workers,
+//! re-derive them from host timing. One function, `feed`, delivers a
+//! segment's indexed blocks through its shard's lane, so per-shard workers,
 //! ascending-shard window merges and legacy-sink closes follow the live rule
 //! by construction. A block is decoded whole, into sample buffers from the
 //! segment reader's own [`BatchPool`], before any of it is delivered, and
 //! `feed` hands each batch's buffer back once the lane has seen it: a replay
 //! allocates for its largest block and reuses that for every other.
-//! [`TraceReader::replay`] calls it from one thread in
-//! block-granular rounds — every shard's blocks up to and including its next
-//! close block, shard by shard, so the lanes advance in lock step — and a
-//! replay through a [`crate::LatencySink`] or
+//! [`TraceReader::replay_query`] runs `feed` on one worker thread per
+//! segment with the caller's [`TraceQuery`], reading only the blocks the
+//! index cannot rule out; [`TraceReader::replay`] is the query over
+//! everything. Shardable sinks merge in ascending shard order whatever the
+//! thread timing, so a replay through a [`crate::LatencySink`] or
 //! [`crate::tiering::HotPageTracker`] reproduces the recorded live run
-//! bit-for-bit. [`TraceReader::replay_query`] calls it from one worker
-//! thread per segment with the caller's [`TraceQuery`], for time-window-,
-//! core-, or address-sliced queries that read only the blocks the index
-//! cannot rule out.
+//! bit-for-bit; a sink that is not shardable sees each segment's batches in
+//! recorded order, interleaved across segments as the live pipeline
+//! interleaves its lanes.
 
 use std::fs::{self, File};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -1399,6 +1402,27 @@ impl SegmentReader {
 /// the sinks).
 type ReplayFanIn<'a> = FanIn<&'a mut [Box<dyn AnalysisSink>]>;
 
+/// Run `work` on each segment's `items` entry, one scoped worker thread per
+/// segment, and return what each returned, in shard order. A worker that
+/// panicked is an [`NmoError::Trace`] naming its shard.
+fn per_segment<I: Send, T: Send>(
+    items: impl IntoIterator<Item = I>,
+    work: impl Fn(I) -> Result<T, NmoError> + Sync,
+) -> Vec<Result<T, NmoError>> {
+    let work = &work;
+    thread::scope(|scope| {
+        let workers: Vec<_> =
+            items.into_iter().map(|item| scope.spawn(move || work(item))).collect();
+        (workers.into_iter().enumerate())
+            .map(|(shard, worker)| {
+                worker.join().unwrap_or_else(|_| {
+                    Err(NmoError::trace(format!("segment {shard}'s worker panicked")))
+                })
+            })
+            .collect()
+    })
+}
+
 /// Deliver what `query` keeps of the blocks listed in `entries` through one
 /// shard's lane, in file order — the one place a stored event reaches a
 /// sink. Blocks the index rules out are never read.
@@ -1408,8 +1432,8 @@ fn feed(
     query: &TraceQuery,
     lane: &mut FanInLane,
     fan_in: &Mutex<ReplayFanIn<'_>>,
-    stats: &mut ReplayStats,
-) -> Result<(), NmoError> {
+) -> Result<ReplayStats, NmoError> {
+    let mut stats = ReplayStats::default();
     for entry in entries.iter().filter(|e| query.matches_entry(e)) {
         stats.blocks += 1;
         for event in reader.read_block(entry)? {
@@ -1431,7 +1455,7 @@ fn feed(
             }
         }
     }
-    Ok(())
+    Ok(stats)
 }
 
 /// A slice of a stored trace: time windows, cores, and/or an address range.
@@ -1597,97 +1621,48 @@ impl TraceReader {
         self.manifest.segments.iter().map(|name| self.dir.join(name))
     }
 
-    /// Open every segment strictly. Both replays do this before starting a
-    /// sink, so a damaged header or index leaves the sinks untouched.
-    fn open_segments(&self) -> Result<Vec<OpenSegment>, NmoError> {
-        self.segment_paths()
-            .enumerate()
-            .map(|(shard, path)| SegmentReader::open(shard, path))
-            .collect()
-    }
-
-    /// Sequentially replay the whole trace through `sinks`, reproducing the
-    /// recorded run bit-for-bit: each sink's shard workers are fed their
-    /// lane's deliveries in recorded order, and per-window states merge in
-    /// ascending shard index exactly when the last shard closes the window
-    /// — the live shard consumers' rule, because it is the same code. Sinks
-    /// without a shardable implementation receive the merged stream
-    /// serially (shard-major within each window round). Per-window states
-    /// of a window that not every segment closed merge at the end, as on a
-    /// live run.
+    /// Replay the whole trace through `sinks`: [`TraceReader::replay_query`]
+    /// with [`TraceQuery::all`]. Shardable sinks reproduce the recorded run
+    /// bit-for-bit.
     ///
     /// Call [`replay_finish`] (or the sinks' `finish` directly) afterwards
     /// to collect the reports.
     pub fn replay(&self, sinks: &mut [Box<dyn AnalysisSink>]) -> Result<ReplayStats, NmoError> {
-        let mut segments = self.open_segments()?;
-        let (fan_in, mut lanes) = FanIn::start(sinks, segments.len(), &self.replay_context());
-        let fan_in = Mutex::named(fan_in, "trace.merger");
-        let mut stats = ReplayStats { segments: segments.len(), ..ReplayStats::default() };
-        // One round = every shard's blocks up to and including its next
-        // window close (a close is always alone in its block), so the lanes
-        // advance in lock step, windows ascending.
-        let mut rounds: Vec<_> = segments
-            .iter_mut()
-            .map(|(reader, entries)| (reader, entries.split_inclusive(|e| e.meta.closes > 0)))
-            .collect();
-        let all = TraceQuery::all();
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            for ((reader, round), lane) in rounds.iter_mut().zip(&mut lanes) {
-                if let Some(blocks) = round.next() {
-                    feed(reader, blocks, &all, lane, &fan_in, &mut stats)?;
-                    progressed = true;
-                }
-            }
-        }
-        Ok(finish(fan_in, lanes, stats))
+        self.replay_query(&TraceQuery::all(), sinks)
     }
 
-    /// Indexed parallel replay: fan the blocks matching `query` out across
-    /// one worker thread per segment, each delivering to its shard's sink
-    /// workers; per-window states merge (ascending shard) as the last
-    /// segment closes each window, exactly as on a live run — without ever
-    /// reading non-matching blocks or loading the whole trace. Every sink
-    /// must be a [`ShardableSink`] (deterministic merge is what makes the
-    /// parallel fan-out safe); otherwise no sink is started and nothing is
-    /// written.
+    /// Replay what `query` keeps through `sinks`, one worker thread per
+    /// segment, never reading a block the footer index rules out. Each
+    /// worker feeds its segment's blocks, in file order, through its
+    /// shard's lane of the live pipeline's fan-in:
+    ///
+    /// * a [`ShardableSink`] gets one [`SinkShard`] per segment, and its
+    ///   per-window states merge in ascending shard index when the last
+    ///   segment closes the window — whatever the thread timing, so it
+    ///   reports what the recorded live run reported, bit for bit;
+    /// * any other sink is fed under the fan-in's lock: each segment's
+    ///   batches in recorded order, interleaved across segments in no fixed
+    ///   order, and each window close once, after every segment's on-time
+    ///   batches for that window.
+    ///
+    /// Per-window states of a window that not every segment closed merge
+    /// at the end, as on a live run. Every segment is opened and checked
+    /// before a sink is started, so a damaged header or index leaves the
+    /// sinks untouched.
     pub fn replay_query(
         &self,
         query: &TraceQuery,
         sinks: &mut [Box<dyn AnalysisSink>],
     ) -> Result<ReplayStats, NmoError> {
-        for sink in sinks.iter_mut() {
-            let name = sink.name();
-            if sink.as_shardable().is_none() {
-                return Err(NmoError::trace(format!(
-                    "indexed replay requires shardable sinks; '{name}' is not"
-                )));
-            }
-        }
-        let mut segments = self.open_segments()?;
+        let mut segments = (self.segment_paths().enumerate())
+            .map(|(shard, path)| SegmentReader::open(shard, path))
+            .collect::<Result<Vec<_>, _>>()?;
         let (fan_in, mut lanes) = FanIn::start(sinks, segments.len(), &self.replay_context());
         let fan_in = Mutex::named(fan_in, "trace.merger");
-        let outcomes: Vec<Result<ReplayStats, NmoError>> = thread::scope(|scope| {
-            let workers: Vec<_> = segments
-                .iter_mut()
-                .zip(&mut lanes)
-                .map(|((reader, entries), lane)| {
-                    let fan_in = &fan_in;
-                    scope.spawn(move || {
-                        let mut stats = ReplayStats::default();
-                        feed(reader, entries, query, lane, fan_in, &mut stats).map(|()| stats)
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| {
-                    w.join()
-                        .unwrap_or_else(|_| Err(NmoError::trace("indexed replay worker panicked")))
-                })
-                .collect()
-        });
+        let outcomes =
+            per_segment(segments.iter_mut().zip(&mut lanes), |((reader, entries), lane)| {
+                feed(reader, entries, query, lane, &fan_in)
+            });
         let mut stats = ReplayStats { segments: segments.len(), ..ReplayStats::default() };
         for outcome in outcomes {
             let o = outcome?;
@@ -1698,46 +1673,54 @@ impl TraceReader {
         Ok(finish(fan_in, lanes, stats))
     }
 
-    /// Integrity check over every segment: read every indexed block through
-    /// the reader both replays use, noting damage instead of stopping at it.
-    /// A block that does not verify is skipped and the next one read; a
-    /// segment whose header, index or trailer does not verify is skipped
-    /// whole. A segment that cannot be opened or stat'ed is an `Err`; a read
-    /// that fails after that is reported like damage, as a short read is how
-    /// a truncated segment shows.
+    /// Integrity check over every segment, one worker thread per segment:
+    /// read every indexed block through the reader the replays use, noting
+    /// damage instead of stopping at it. A block that does not verify is
+    /// skipped and the next one read; a segment whose header, index or
+    /// trailer does not verify is skipped whole. The findings come in shard
+    /// order; a worker that panicked is one error naming its shard. A
+    /// segment that cannot be opened or stat'ed is an `Err`; a read that
+    /// fails after that is reported like damage, as a short read is how a
+    /// truncated segment shows.
     pub fn verify(&self) -> Result<TraceVerify, NmoError> {
-        let mut v = TraceVerify::default();
-        for (shard, path) in self.segment_paths().enumerate() {
-            let (file, file_len) = SegmentReader::open_file(&path)?;
-            let (mut reader, entries) = match SegmentReader::check(shard, path, file, file_len) {
-                Ok(opened) => opened,
-                Err(e) => {
-                    v.skipped_bytes += file_len;
-                    v.errors.push(e.to_string());
-                    continue;
-                }
-            };
-            let mut consumed = 0;
-            for entry in &entries {
-                match reader.read_block(entry) {
-                    Ok(events) => {
-                        v.blocks += 1;
-                        consumed += FRAME_HEADER_BYTES as u64 + entry.payload_len;
-                        reader.pool.recycle_batches(events.into_iter().filter_map(|event| {
-                            match event {
-                                BusEvent::Batch(batch) => Some(batch),
-                                BusEvent::CloseWindow(_) => None,
-                            }
-                        }));
-                    }
-                    Err(e) => v.errors.push(e.to_string()),
-                }
-            }
-            v.consumed_bytes += consumed;
-            v.skipped_bytes += (reader.blocks_end - 8).saturating_sub(consumed);
-        }
-        Ok(v)
+        let files = self
+            .segment_paths()
+            .map(|path| SegmentReader::open_file(&path).map(|(file, len)| (path, file, len)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let parts = per_segment(files.into_iter().enumerate(), |(shard, (path, file, len))| {
+            Ok(verify_segment(shard, path, file, len))
+        });
+        Ok(parts.into_iter().fold(TraceVerify::default(), TraceVerify::absorb))
     }
+}
+
+/// [`TraceReader::verify`]'s look at shard `shard`'s opened segment `file`
+/// (`len` bytes): its header, trailer and footer index, then every block.
+fn verify_segment(shard: usize, path: PathBuf, file: File, len: u64) -> TraceVerify {
+    let mut v = TraceVerify::default();
+    let (mut reader, entries) = match SegmentReader::check(shard, path, file, len) {
+        Ok(opened) => opened,
+        Err(e) => {
+            v.skipped_bytes = len;
+            v.errors.push(e.to_string());
+            return v;
+        }
+    };
+    for entry in &entries {
+        match reader.read_block(entry) {
+            Ok(events) => {
+                v.blocks += 1;
+                v.consumed_bytes += FRAME_HEADER_BYTES as u64 + entry.payload_len;
+                reader.pool.recycle_batches(events.into_iter().filter_map(|event| match event {
+                    BusEvent::Batch(batch) => Some(batch),
+                    BusEvent::CloseWindow(_) => None,
+                }));
+            }
+            Err(e) => v.errors.push(e.to_string()),
+        }
+    }
+    v.skipped_bytes = (reader.blocks_end - 8).saturating_sub(v.consumed_bytes);
+    v
 }
 
 /// End of a replay: merge what the lanes still hold and count the windows
@@ -1765,6 +1748,22 @@ pub struct TraceVerify {
     pub skipped_bytes: u64,
     /// One message per block or segment that did not verify.
     pub errors: Vec<String>,
+}
+
+impl TraceVerify {
+    /// Add one segment's findings, or the error its worker ended in.
+    fn absorb(mut self, part: Result<TraceVerify, NmoError>) -> TraceVerify {
+        match part {
+            Ok(part) => {
+                self.blocks += part.blocks;
+                self.consumed_bytes += part.consumed_bytes;
+                self.skipped_bytes += part.skipped_bytes;
+                self.errors.extend(part.errors);
+            }
+            Err(e) => self.errors.push(e.to_string()),
+        }
+        self
+    }
 }
 
 /// Collect the sinks' reports after a replay, without a live machine: runs
@@ -2225,7 +2224,8 @@ mod tests {
             let block_closes =
                 block.iter().filter(|ev| matches!(ev, BusEvent::CloseWindow(_))).count() as u64;
             assert_eq!(block_closes, e.meta.closes);
-            // What block-granular replay rounds rest on.
+            // What a sliced query rests on: a close block passes on its
+            // window alone, whatever cores or addresses are queried.
             assert!(e.meta.closes == 0 || e.meta.events == 1, "a close is alone in its block");
             events += e.meta.events;
             closes += block_closes;
@@ -2242,7 +2242,7 @@ mod tests {
     #[test]
     fn verify_accounts_for_every_byte_under_corruption() {
         let dir = tmp("verify_corrupt");
-        let reader = one_segment_trace(&dir, 4);
+        let reader = trace_of(&dir, 1, 4);
         let seg = dir.join(SegmentWriter::segment_file_name(0));
         let pristine = fs::read(&seg).expect("read");
         let (opened, entries) = SegmentReader::open(0, seg.clone()).expect("open");
@@ -2301,9 +2301,8 @@ mod tests {
         let ctx = StreamContext::for_replay(1 << 20, 1000, 1, 4096);
         let (fan_in, mut lanes) = FanIn::start(&mut sinks[..], 1, &ctx);
         let fan_in = Mutex::named(fan_in, "trace.merger");
-        let mut stats = ReplayStats::default();
-        feed(&mut reader, &entries, &TraceQuery::all(), &mut lanes[0], &fan_in, &mut stats)
-            .expect("feed");
+        let stats =
+            feed(&mut reader, &entries, &TraceQuery::all(), &mut lanes[0], &fan_in).expect("feed");
         assert_eq!((stats.batches, stats.samples), (total, total * 70));
         finish(fan_in, lanes, stats);
         let fed = reader.pool.stats();
@@ -2438,12 +2437,11 @@ mod tests {
         assert!(TraceQuery::all().with_cores([3]).matches_entry(&close_entry));
     }
 
-    /// Sequential replay and the sliced query share the live fan-in, so a
-    /// window not every segment closed is merged at the end (ascending
-    /// shard), like a live run's leftovers — it used to be dropped here.
-    /// And since both are the same lane feed over the same reader, an
-    /// unrestricted query is the sequential replay: equal counters, equal
-    /// reports from every built-in sink, at any shard count.
+    /// Replay and the query share the live fan-in, so a window not every
+    /// segment closed is merged at the end (ascending shard), like a live
+    /// run's leftovers — it used to be dropped here. And `replay` is
+    /// `replay_query(all)`: equal counters, equal reports from every
+    /// built-in sink, at any shard count.
     #[test]
     fn replay_and_sliced_query_merge_incomplete_windows_at_the_end() {
         use crate::sink::testing::RecordingSink;
@@ -2519,24 +2517,61 @@ mod tests {
         }
     }
 
-    /// A finished one-segment trace at `dir` (created), `windows` windows long.
-    fn one_segment_trace(dir: &Path, windows: u64) -> TraceReader {
+    /// A finished `shards`-segment trace at `dir` (created), each segment
+    /// [`write_segment`]'s `windows` windows.
+    fn trace_of(dir: &Path, shards: usize, windows: u64) -> TraceReader {
         fs::remove_dir_all(dir).ok();
         fs::create_dir_all(dir).expect("mkdir");
         let mut writer = TraceWriterSink::new(dir.to_path_buf());
-        writer.summaries = vec![write_segment(dir, 0, windows)];
+        writer.summaries = (0..shards).map(|s| write_segment(dir, s, windows)).collect();
         writer.write_manifest().expect("manifest");
         TraceReader::open(dir).expect("open")
     }
 
+    /// What `verify` reports of a three-segment trace with one damaged block
+    /// in segment 0 and a damaged footer index in segment 2, to the byte:
+    /// segment 0 loses that block, segment 1 is whole, segment 2 is skipped
+    /// whole, and the errors come in shard order.
+    #[test]
+    fn verify_reports_damage_in_shard_order_to_the_byte() {
+        let dir = tmp("verify_order");
+        let reader = trace_of(&dir, 3, 4);
+        let seg = |shard| dir.join(SegmentWriter::segment_file_name(shard));
+        let damage = |shard, at: fn(usize) -> usize| {
+            let mut bytes = fs::read(seg(shard)).expect("read");
+            let at = at(bytes.len());
+            bytes[at] ^= 0xff;
+            fs::write(seg(shard), &bytes).expect("write");
+        };
+        // A payload byte of block 0; an entry byte of the footer index
+        // (trailer 12, index checksum 8, then the last entry's last field).
+        damage(0, |_| 8 + FRAME_HEADER_BYTES + 1);
+        damage(2, |len| len - 12 - 8 - 1);
+        let v = reader.verify().expect("verify");
+        let errors: Vec<String> =
+            v.errors.iter().map(|e| e.replace(&dir.display().to_string(), "<dir>")).collect();
+        assert_eq!(
+            errors,
+            [
+                "trace error: <dir>/shard-000.seg: block checksum mismatch at offset 8",
+                "trace error: <dir>/shard-002.seg: index checksum mismatch",
+            ]
+        );
+        // Each block region is 1 532 bytes, block 0 a 353-byte frame and
+        // segment 2's file 2 272 bytes: 7 + 8 blocks, 1 532 * 2 - 353
+        // consumed, 353 + 2 272 skipped.
+        assert_eq!((v.blocks, v.consumed_bytes, v.skipped_bytes), (15, 2711, 2625));
+        fs::remove_dir_all(&dir).ok();
+    }
+
     /// The footer index and the block frames vouch for each other: an index
     /// entry that verifies (the index checksum is re-sealed) but contradicts
-    /// its frame's own header on length, then on checksum, fails sequential
-    /// and indexed replay alike; so does a trailer offset no file can hold.
+    /// its frame's own header on length, then on checksum, fails `replay`
+    /// and `replay_query` alike; so does a trailer offset no file can hold.
     #[test]
     fn index_that_contradicts_the_frames_fails_both_replays() {
         let dir = tmp("disagree");
-        let reader = one_segment_trace(&dir, 2);
+        let reader = trace_of(&dir, 1, 2);
         let seg = dir.join(SegmentWriter::segment_file_name(0));
         let pristine = fs::read(&seg).expect("read");
         let trailer_at = pristine.len() - 12;
@@ -2575,23 +2610,143 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// A sliced query over sinks that are not all shardable is refused
-    /// before any sink is started: a `TraceWriterSink` listed first must
-    /// not have created its directory or segment files by then.
+    /// A sink that is not shardable is fed by the segments' workers under
+    /// the live rule, by `replay` and by a window-sliced query alike: every
+    /// kept batch once, each segment's batches in recorded order, and each
+    /// window's close once, after every batch of that window or an earlier
+    /// one. Window `w`'s two batches are all in segment `w % shards`, so a
+    /// logged window names its segment.
     #[test]
-    fn sliced_query_rejects_a_legacy_sink_before_starting_any_sink() {
+    fn a_legacy_sink_is_fed_by_the_live_rule_from_every_segment_worker() {
         use crate::sink::testing::RecordingSink;
-        let dir = tmp("query_reject_src");
-        let out = tmp("query_reject_out");
-        fs::remove_dir_all(&out).ok();
-        let reader = one_segment_trace(&dir, 2);
-        let (legacy, log) = RecordingSink::new(false);
-        let mut sinks: Vec<Box<dyn AnalysisSink>> =
-            vec![Box::new(TraceWriterSink::new(out.clone())), Box::new(legacy)];
-        let err = reader.replay_query(&TraceQuery::all(), &mut sinks).expect_err("must refuse");
-        assert!(matches!(err, NmoError::Trace(_)), "{err}");
-        assert!(!out.exists(), "the writer sink was started: {} exists", out.display());
-        assert!(log.lock().is_empty(), "no sink saw the stream start");
+        let ctx = StreamContext::for_replay(1 << 20, 1000, 1, 4096);
+        let clock = WindowClock::new(1_000_000);
+        for shards in [2usize, 4] {
+            let dir = tmp(&format!("legacy_{shards}"));
+            fs::remove_dir_all(&dir).ok();
+            let mut writer = TraceWriterSink::new(dir.clone());
+            writer.on_stream_start(&ctx);
+            let mut lanes: Vec<_> = (0..shards).map(|s| writer.make_shard(s, &ctx)).collect();
+            for w in 0..12 {
+                let window = clock.window(w);
+                for seq in [2 * w, 2 * w + 1] {
+                    let samples = vec![sample(window.start_ns + seq, 0x1000, 0, 9, DataSource::L1)];
+                    let mut batch = spe_batch(0, window, samples);
+                    batch.seq = seq;
+                    lanes[w as usize % shards].on_batch(&batch);
+                }
+                for lane in &mut lanes {
+                    lane.on_window_close(window);
+                }
+            }
+            writer.merge_final(lanes.into_iter().map(|s| s.finish()).collect());
+            replay_finish(&mut [Box::new(writer)]).expect("manifest written");
+
+            let reader = TraceReader::open(&dir).expect("open");
+            for (first, last) in [(0, 11), (3, 8)] {
+                let (legacy, log) = RecordingSink::new(false);
+                let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(legacy)];
+                let stats = if first == 0 {
+                    reader.replay(&mut sinks)
+                } else {
+                    reader.replay_query(&TraceQuery::all().with_windows(first, last), &mut sinks)
+                }
+                .expect("replay");
+                let windows = last - first + 1;
+                assert_eq!((stats.batches, stats.windows), (2 * windows, windows));
+                let log = log.lock().clone();
+                let at = |entry: &str| -> Vec<usize> {
+                    (log.iter().enumerate()).filter(|(_, e)| *e == entry).map(|(i, _)| i).collect()
+                };
+                assert_eq!((log[0].as_str(), log.len() as u64), ("start", 1 + 3 * windows));
+                let mut last_seen = vec![0; shards];
+                for entry in &log[1..] {
+                    let Some(w) = entry.strip_prefix("batch w") else { continue };
+                    let w: u64 = w.parse().expect("a window index");
+                    let previous = std::mem::replace(&mut last_seen[w as usize % shards], w);
+                    assert!(previous <= w, "{shards}: segment order broken at {entry}: {log:?}");
+                }
+                for w in first..=last {
+                    assert_eq!(at(&format!("batch w{w}")).len(), 2, "{shards}: {log:?}");
+                    let close = at(&format!("close w{w}"));
+                    assert_eq!(close.len(), 1, "{shards}: {log:?}");
+                    for earlier in first..=w {
+                        let batches = at(&format!("batch w{earlier}"));
+                        assert!(batches.iter().all(|&b| b < close[0]), "{shards}: {log:?}");
+                    }
+                }
+            }
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A shardable sink whose shard `panics_in` panics at its first batch.
+    struct PanickingSink {
+        panics_in: usize,
+    }
+
+    struct PanickingShard(bool);
+
+    impl SinkShard for PanickingShard {
+        fn on_batch(&mut self, _batch: &SampleBatch) {
+            assert!(!self.0, "shard told to panic");
+        }
+
+        fn finish(self: Box<Self>) -> ShardState {
+            Box::new(())
+        }
+    }
+
+    impl AnalysisSink for PanickingSink {
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+
+        fn analyze(&mut self, _m: &Machine, _p: &Profile) -> Result<AnalysisReport, NmoError> {
+            Ok(AnalysisReport::Text(String::new()))
+        }
+
+        fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
+            Some(self)
+        }
+    }
+
+    impl ShardableSink for PanickingSink {
+        fn make_shard(&mut self, shard: usize, _ctx: &StreamContext) -> Box<dyn SinkShard> {
+            Box::new(PanickingShard(shard == self.panics_in))
+        }
+
+        fn merge_final(&mut self, _states: Vec<ShardState>) {}
+    }
+
+    /// A worker that panics is an error naming its shard, never a default
+    /// result: a replay fails with `NmoError::Trace`, and `verify`'s
+    /// findings hold that one error in its shard's place beside the other
+    /// segments' findings.
+    #[test]
+    fn a_panicking_worker_is_an_error_naming_its_shard() {
+        let dir = tmp("panicking");
+        let reader = trace_of(&dir, 3, 2);
+        let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(PanickingSink { panics_in: 1 })];
+        let err = reader.replay(&mut sinks).expect_err("a worker panicked");
+        assert!(matches!(&err, NmoError::Trace(m) if m == "segment 1's worker panicked"), "{err}");
+
+        let clean = reader.verify().expect("verify");
+        let files = (0..3).map(|shard| {
+            let path = dir.join(SegmentWriter::segment_file_name(shard));
+            let (file, len) = SegmentReader::open_file(&path).expect("open");
+            (shard, path, file, len)
+        });
+        let parts = per_segment(files, |(shard, path, file, len)| {
+            assert_ne!(shard, 1, "worker told to panic");
+            Ok(verify_segment(shard, path, file, len))
+        });
+        let v = parts.into_iter().fold(TraceVerify::default(), TraceVerify::absorb);
+        assert_eq!(v.errors, ["trace error: segment 1's worker panicked"]);
+        assert_eq!(
+            (v.blocks * 3, v.consumed_bytes * 3),
+            (clean.blocks * 2, clean.consumed_bytes * 2)
+        );
         fs::remove_dir_all(&dir).ok();
     }
 }

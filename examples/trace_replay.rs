@@ -5,9 +5,10 @@
 //! (`ProfileSession::trace_dir`). Everything afterwards happens **without
 //! re-simulation**, straight from the stored segments:
 //!
-//! 1. **Bit-for-bit replay** — a fresh `LatencySink` fed by sequential
-//!    replay must produce the identical report the live run produced
-//!    (asserted on the Debug rendering, the strictest cheap equality).
+//! 1. **Bit-for-bit replay** — a fresh `LatencySink` fed by a replay (one
+//!    worker thread per segment) must produce the identical report the
+//!    live run produced (asserted on the Debug rendering, the strictest
+//!    cheap equality).
 //! 2. **What-if tiering analysis** — the same trace replays through two
 //!    [`HotPageTracker`] policies, `NoMigration` and `TopKHot`. Replay has
 //!    no machine to actuate on, so decisions are *computed but not
@@ -132,23 +133,24 @@ fn main() -> Result<(), NmoError> {
         live_ms,
     );
 
-    // -- 1. Sequential replay: bit-for-bit the live latency report. --
+    // -- 1. Replay, one worker per segment: bit-for-bit the live report. --
     let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(LatencySink::default())];
     let started = Instant::now();
     let stats = reader.replay(&mut sinks)?;
-    let seq_ms = started.elapsed().as_secs_f64() * 1e3;
+    let replay_ms = started.elapsed().as_secs_f64() * 1e3;
     let records = replay_finish(&mut sinks)?;
     assert_eq!(
         format!("{:?}", records[0].report),
         live_latency,
-        "sequential replay must reproduce the live latency report bit for bit"
+        "replay must reproduce the live latency report bit for bit"
     );
     println!(
-        "  sequential replay: {} samples over {} windows in {:.1} ms ({:.0}x faster than live) — report identical",
+        "  replay on {} worker thread(s): {} samples over {} windows in {:.1} ms ({:.0}x faster than live) — report identical",
+        stats.segments,
         stats.samples,
         stats.windows,
-        seq_ms,
-        live_ms / seq_ms.max(1e-9),
+        replay_ms,
+        live_ms / replay_ms.max(1e-9),
     );
 
     // -- 2. What-if tiering: two policies over the same stored run. --
@@ -213,7 +215,7 @@ fn main() -> Result<(), NmoError> {
     assert!(half_stats.blocks < stats.blocks, "the index prunes whole blocks, not just samples");
     assert!(core0_stats.samples < stats.samples, "the core slice prunes samples");
     assert!(
-        seq_ms < live_ms && half_ms < live_ms,
+        replay_ms < live_ms && half_ms < live_ms,
         "replay reads the trace; it must beat re-simulating the run"
     );
 

@@ -3,12 +3,12 @@
 //! The contract under test (ISSUE 10 / ROADMAP item 3):
 //!
 //! * **Replay == live, bit for bit.** A sharded streaming run recorded
-//!   through `TraceWriterSink` and replayed sequentially through fresh
-//!   `LatencySink` + `HotPageTracker` instances produces byte-identical
-//!   reports — same windows, same merge order — without re-simulating.
-//! * **Indexed == sequential.** The parallel indexed replay
-//!   (`TraceReader::replay_query`, one worker thread per segment) with an
-//!   unrestricted query produces the same reports as sequential replay.
+//!   through `TraceWriterSink` and replayed — one worker thread per
+//!   segment — through fresh `LatencySink` + `HotPageTracker` instances
+//!   produces byte-identical reports — same windows, same merge order —
+//!   without re-simulating, whatever the workers' timing.
+//! * **`replay` == `replay_query(all)`.** `TraceReader::replay` is the
+//!   unrestricted query, and the two produce the same reports.
 //! * **Slicing prunes, exactly.** A time-window-restricted query reads
 //!   fewer blocks than the full replay, and a window-, core- or
 //!   address-restricted query (or any composition) feeds exactly the live
@@ -73,8 +73,8 @@ fn live_report(profile: &Profile, sink: &str) -> String {
     format!("{:?}", rec.report)
 }
 
-/// Live == sequential replay == indexed replay, at every pipeline width —
-/// one shard included: all three deliver through the same shard fan-in.
+/// Live == replay, at every pipeline width — one shard included: both
+/// deliver through the same shard fan-in.
 #[test]
 fn sequential_replay_is_bit_for_bit_equal_to_the_live_sharded_run() {
     for shards in [1, 2, 4] {
@@ -91,7 +91,7 @@ fn sequential_replay_is_bit_for_bit_equal_to_the_live_sharded_run() {
         assert!(summary.samples > 0 && summary.bytes > 0);
 
         let mut sinks = replay_sinks();
-        let stats = reader.replay(&mut sinks).expect("sequential replay");
+        let stats = reader.replay(&mut sinks).expect("replay");
         assert_eq!(stats.segments, shards);
         assert!(stats.samples > 0 && stats.windows > 0, "{stats:?}");
         assert_eq!(stats.samples, summary.samples, "replay feeds every stored sample");
@@ -111,8 +111,8 @@ fn indexed_parallel_replay_matches_sequential_replay() {
         let reader = TraceReader::open(&dir).expect("open trace");
 
         let mut seq = replay_sinks();
-        let seq_stats = reader.replay(&mut seq).expect("sequential replay");
-        let seq_records = replay_finish(&mut seq).expect("sequential reports");
+        let seq_stats = reader.replay(&mut seq).expect("replay");
+        let seq_records = replay_finish(&mut seq).expect("replay reports");
 
         let mut idx = replay_sinks();
         let idx_stats = reader.replay_query(&TraceQuery::all(), &mut idx).expect("indexed replay");
@@ -173,7 +173,7 @@ fn window_and_core_sliced_queries_prune_blocks_and_samples() {
 fn replayed_log(reader: &TraceReader, query: Option<&TraceQuery>) -> Vec<AddressSample> {
     let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(SampleLogSink::new())];
     match query {
-        None => reader.replay(&mut sinks).expect("sequential replay"),
+        None => reader.replay(&mut sinks).expect("replay"),
         Some(query) => reader.replay_query(query, &mut sinks).expect("indexed replay"),
     };
     match replay_finish(&mut sinks).expect("replay report").remove(0).report {
