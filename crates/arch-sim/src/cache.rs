@@ -14,21 +14,37 @@
 //! empty way. [`CacheLevelConfig::validate`] keeps `line_bytes >= 4`, so the
 //! two top bits of a line index are free for every `u64` address. A lookup
 //! masks `DIRTY` off and compares one word per way: a 16-way set is 128
-//! bytes, two host cache lines. The LRU stamps sit in a parallel array
-//! because only two things touch them — a hit writes the one stamp of the way
-//! it found, a miss in a full set scans them for the victim — and a lookup
-//! that walks the ways of a set should not drag them through the host's cache
-//! with the tags.
+//! bytes, two host cache lines.
+//!
+//! Recency is one more word per set, the *order word*: the set's ways listed
+//! from most to least recently used, one 4-bit way index per position,
+//! position 0 (the low nibble) the most recent. The word has 16 positions,
+//! so a set has at most 16 ways ([`CacheLevelConfig::validate`] enforces
+//! it); the positions past a smaller set's ways hold `0xF`, which names none
+//! of them. Empty ways always sit behind every valid one — a new or flushed
+//! set lists its ways in reverse, way 0 last, and an access only ever moves
+//! a valid way to the front — so the last position is the first empty way
+//! if there is one, else the least recently used: the victim, read without
+//! a scan. This is exact LRU, the same lines evicted as by a timestamp per
+//! way. A 16-way set's tags and order word are 136 bytes, where tags and
+//! stamps were 256.
 //!
 //! ## The two halves of an access
 //!
 //! [`Cache::access`] is `touch`, or else `fill`. `touch` is everything a hit
-//! needs — the LRU clock, the set, the way compare, the hit's own
-//! bookkeeping — and is small enough to inline into whoever calls it, another
-//! crate's loop included; `fill` is the miss — the lazily allocated arrays,
-//! the victim, the write — and stays out of line. The engine drives its L1
-//! through the halves directly so that the hit never leaves the workload's
-//! loop (see [`crate::engine`]); every other cache goes through `access`.
+//! needs — the set, the way compare, the move to the front of the order
+//! word, the dirty bit — and is small enough to inline into whoever calls
+//! it, another crate's loop included. It compares the most recently used
+//! way first, and a hit there writes nothing but a store's dirty bit; any
+//! other hit scans the ways in order and rotates the one it found to the
+//! front with a few shifts. It is `#[inline(always)]`: left to the
+//! heuristic, the engine's `past_l1` calls one outlined copy for the L2 and
+//! the SLC, ≈ 2–3 ns of an access that misses every level.
+//! `fill` is the miss — the lazily allocated arrays, the victim in the last
+//! position, the write, the rotation — and stays out of line. The engine
+//! drives its L1 through the halves directly so that the hit never leaves
+//! the workload's loop (see [`crate::engine`]); every other cache goes
+//! through `access`.
 
 use crate::config::CacheLevelConfig;
 
@@ -46,22 +62,24 @@ const VALID: u64 = 1;
 /// The line was written since it was filled.
 const DIRTY: u64 = 2;
 
-/// A single set-associative cache (one level, one shard).
+/// A 1 in every nibble of an order word.
+const NIBBLES: u64 = 0x1111_1111_1111_1111;
+
+/// A single set-associative cache (one level, one shard) with exact LRU
+/// replacement. At most 16-way: a set's recency order is one word of 4-bit
+/// way indices (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Cache {
     /// The tag array, `sets * ways` words (see the module docs) — allocated
-    /// by the first miss (`fill`), so a machine pays for the caches of
-    /// the cores it runs, not of the 128 it has.
+    /// by the first miss (`fill`) with `order`, so a machine pays for the
+    /// caches of the cores it runs, not of the 128 it has.
     tags: Vec<u64>,
-    /// Monotonic LRU stamp of each way, parallel to `tags`; larger is more
-    /// recent. Meaningful for valid ways only.
-    stamps: Vec<u64>,
+    /// One order word per set: its ways from most to least recently used,
+    /// a nibble each, `0xF` past the last (see the module docs).
+    order: Vec<u64>,
     sets: u64,
     ways: usize,
     line_shift: u32,
-    stamp: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -77,22 +95,27 @@ impl Cache {
     pub fn new_shard(cfg: &CacheLevelConfig, shards: usize) -> Self {
         Cache {
             tags: Vec::new(),
-            stamps: Vec::new(),
+            order: Vec::new(),
             sets: cfg.sets() / shards as u64,
             ways: cfg.ways as usize,
             line_shift: cfg.line_bytes.trailing_zeros(),
-            stamp: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
-    /// The valid, clean tag word of `addr`'s line and the index of its set's
-    /// first way.
+    /// The valid, clean tag word of `addr`'s line and the index of its set.
     #[inline]
     fn locate(&self, addr: u64) -> (u64, usize) {
         let line = addr >> self.line_shift;
-        (line << 2 | VALID, (line & (self.sets - 1)) as usize * self.ways)
+        (line << 2 | VALID, (line & (self.sets - 1)) as usize)
+    }
+
+    /// The order word of a set with every way empty: way 0 last, so the
+    /// first fills take the ways in index order.
+    fn fresh_order(&self) -> u64 {
+        (0..16).fold(0, |order, at| {
+            let way = if at < self.ways { self.ways - 1 - at } else { 0xF };
+            order | (way as u64) << (4 * at)
+        })
     }
 
     /// Look up `addr`, filling the line on a miss. `write` marks the line
@@ -106,22 +129,31 @@ impl Cache {
         }
     }
 
-    /// The hit half of an access: advance the LRU clock, and if `addr`'s
-    /// line is present stamp it, mark it dirty on a `write`, count the hit
-    /// and answer `true`. On `false` the access is not over: the caller owes
-    /// the [`Cache::fill`] of the same `addr` and `write`, before any other
+    /// The hit half of an access: if `addr`'s line is present, move its way
+    /// to the front of the set's order word, mark it dirty on a `write` and
+    /// answer `true`. On `false` the access is not over: the caller owes the
+    /// [`Cache::fill`] of the same `addr` and `write`, before any other
     /// access.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn touch(&mut self, addr: u64, write: bool) -> bool {
-        self.stamp += 1;
-        let (want, base) = self.locate(addr);
-        // An untouched cache has no tag array yet: no way to compare, a miss.
-        let ways = self.tags.get_mut(base..base + self.ways).unwrap_or_default();
+        let (want, set) = self.locate(addr);
+        // An untouched cache has no arrays yet: no way to compare, a miss.
+        let Some(order) = self.order.get_mut(set) else { return false };
+        let ways = &mut self.tags[set * self.ways..(set + 1) * self.ways];
+        let dirty = if write { DIRTY } else { 0 };
+        let mru = *order as usize & 0xF;
+        if ways[mru] & !DIRTY == want {
+            ways[mru] |= dirty;
+            return true;
+        }
         for (way, tag) in ways.iter_mut().enumerate() {
             if *tag & !DIRTY == want {
-                *tag |= if write { DIRTY } else { 0 };
-                self.stamps[base + way] = self.stamp;
-                self.hits += 1;
+                *tag |= dirty;
+                // The lowest nibble equal to `way` is its position: below
+                // the first zero nibble of `seek` nothing borrows.
+                let seek = *order ^ (way as u64 * NIBBLES);
+                let found = seek.wrapping_sub(NIBBLES) & !seek & NIBBLES << 3;
+                *order = to_front(*order, found.trailing_zeros() / 4);
                 return true;
             }
         }
@@ -129,60 +161,39 @@ impl Cache {
     }
 
     /// The miss half, after a [`Cache::touch`] that answered `false`: put
-    /// `addr`'s line into its set, in the first empty way, else over the
-    /// least recently used one (the first of equals), stamped with the
-    /// access `touch` began. Allocates the tag array on first use.
+    /// `addr`'s line into the way in its set's last position — the first
+    /// empty way, else the least recently used — and move that way to the
+    /// front. Allocates the arrays on first use.
     #[inline(never)]
     pub(crate) fn fill(&mut self, addr: u64, write: bool) -> CacheAccess {
-        self.misses += 1;
         if self.tags.is_empty() {
-            let lines = self.sets as usize * self.ways;
-            self.tags = vec![0; lines];
-            self.stamps = vec![0; lines];
+            self.tags = vec![0; self.sets as usize * self.ways];
+            self.order = vec![self.fresh_order(); self.sets as usize];
         }
-        let (want, base) = self.locate(addr);
-        let ways = &mut self.tags[base..base + self.ways];
-        let stamps = &mut self.stamps[base..base + self.ways];
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for (way, (&held, &stamp)) in ways.iter().zip(stamps.iter()).enumerate() {
-            if held == 0 {
-                victim = way;
-                break;
-            }
-            if stamp < oldest {
-                oldest = stamp;
-                victim = way;
-            }
-        }
-        let dirty_eviction = ways[victim] & DIRTY != 0;
-        ways[victim] = want | if write { DIRTY } else { 0 };
-        stamps[victim] = self.stamp;
+        let (want, set) = self.locate(addr);
+        let order = &mut self.order[set];
+        let last = self.ways as u32 - 1;
+        let victim = &mut self.tags[set * self.ways + (*order >> (4 * last) & 0xF) as usize];
+        let dirty_eviction = *victim & DIRTY != 0;
+        *victim = want | if write { DIRTY } else { 0 };
+        *order = to_front(*order, last);
         CacheAccess { hit: false, dirty_eviction }
     }
 
     /// Probe without modifying state: is the line present?
     pub fn probe(&self, addr: u64) -> bool {
-        let (want, base) = self.locate(addr);
+        let (want, set) = self.locate(addr);
         // An untouched cache has no tag array yet, and no line.
         self.tags
-            .get(base..base + self.ways)
+            .get(set * self.ways..(set + 1) * self.ways)
             .is_some_and(|ways| ways.iter().any(|tag| tag & !DIRTY == want))
     }
 
     /// Invalidate the whole cache (used between experiment trials).
     pub fn flush(&mut self) {
         self.tags.fill(0);
-    }
-
-    /// Total hits observed.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Total misses observed.
-    pub fn misses(&self) -> u64 {
-        self.misses
+        let fresh = self.fresh_order();
+        self.order.fill(fresh);
     }
 
     /// Number of sets in this cache (or shard).
@@ -195,6 +206,15 @@ impl Cache {
     pub(crate) fn is_allocated(&self) -> bool {
         !self.tags.is_empty()
     }
+}
+
+/// `order` with the way at position `at` moved to the front (position 0)
+/// and the ways before it moved one back; the positions after it stay.
+#[inline]
+fn to_front(order: u64, at: u32) -> u64 {
+    // Positions `0..=at`; at 15 the 1 is shifted out and this is every bit.
+    let through = (16u64 << (4 * at)).wrapping_sub(1);
+    order & !through | (order << 4) & through | order >> (4 * at) & 0xF
 }
 
 #[cfg(test)]
@@ -220,8 +240,6 @@ mod tests {
         assert!(c.access(0x1000, false).hit);
         assert!(c.access(0x1038, false).hit, "same 64B line");
         assert!(!c.access(0x1040, false).hit, "next line misses");
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 2);
     }
 
     #[test]
@@ -243,24 +261,14 @@ mod tests {
 
     #[test]
     fn dirty_eviction_reported() {
-        let mut c = Cache::new(&tiny());
-        let a = 0x0000;
-        let b = 0x0100;
-        let d = 0x0200;
-        c.access(a, true); // dirty
-        c.access(b, false);
-        c.access(d, false); // evicts a (LRU), which is dirty
-        let e = 0x0300;
-        // After a/b/d, the set holds b? Let's check via one more access: evicting
-        // the oldest of (b, d)... verify at least that some access reported a
-        // dirty eviction when `a` was displaced.
-        // Re-run deterministically:
+        // Four lines of one set (set stride = 4 sets * 64 B = 256 B).
+        let (a, b, d, e) = (0x0000, 0x0100, 0x0200, 0x0300);
         let mut c = Cache::new(&tiny());
         c.access(a, true);
         c.access(b, false);
-        let r = c.access(d, false);
+        let r = c.access(d, false); // evicts a (LRU), which is dirty
         assert!(r.dirty_eviction, "dirty LRU line must report write-back");
-        let r2 = c.access(e, false);
+        let r2 = c.access(e, false); // evicts b, which is clean
         assert!(!r2.dirty_eviction, "clean LRU line must not report write-back");
     }
 
@@ -286,8 +294,10 @@ mod tests {
     }
 
     /// The cache as it was before a way became one word — one `Line` struct
-    /// per way, a `valid` and a `dirty` flag each, the tag array allocated by
-    /// the first access — kept as the oracle for the packed layout.
+    /// per way, a `valid` and a `dirty` flag and an LRU timestamp each, the
+    /// victim the first empty way, else the oldest stamp, the tag array
+    /// allocated by the first access — kept as the oracle for the packed
+    /// layout and the order word.
     #[derive(Debug, Clone, Copy, Default)]
     struct Line {
         tag: u64,
@@ -302,8 +312,6 @@ mod tests {
         ways: usize,
         line_shift: u32,
         stamp: u64,
-        hits: u64,
-        misses: u64,
     }
 
     impl LineCache {
@@ -314,8 +322,6 @@ mod tests {
                 ways: cfg.ways as usize,
                 line_shift: cfg.line_bytes.trailing_zeros(),
                 stamp: 0,
-                hits: 0,
-                misses: 0,
             }
         }
 
@@ -336,11 +342,9 @@ mod tests {
                 if line.valid && line.tag == tag {
                     line.lru = self.stamp;
                     line.dirty |= write;
-                    self.hits += 1;
                     return CacheAccess { hit: true, dirty_eviction: false };
                 }
             }
-            self.misses += 1;
             let mut victim = 0usize;
             let mut best = u64::MAX;
             for (i, line) in ways.iter().enumerate() {
@@ -395,6 +399,8 @@ mod tests {
         let geometries = [
             (level(256, 64, 1), 1),        // direct-mapped, 4 sets
             (level(256, 64, 2), 1),        // 2 sets x 2 ways
+            (level(768, 64, 3), 1),        // 4 sets x 3 ways: not a power of two
+            (level(1536, 64, 12), 1),      // 2 sets x 12 ways
             (level(1024, 64, 16), 1),      // one 16-way set
             (level(16 << 10, 4, 4), 1),    // the smallest line the word allows
             (level(64 << 10, 64, 16), 16), // `new_shard(_, 16)`: 4 of 64 sets
@@ -437,15 +443,77 @@ mod tests {
                         }
                     }
                     for cache in [&packed, &halves] {
-                        assert_eq!(
-                            (cache.hits(), cache.misses()),
-                            (lines.hits, lines.misses),
-                            "{at:?}"
-                        );
                         assert_eq!(cache.is_allocated(), !lines.lines.is_empty(), "{at:?}");
                     }
                 }
             }
+        }
+    }
+
+    /// The order word is a move-to-front list: after every touch, fill and
+    /// flush of a one-set cache it reads as a `Vec` of way indices kept by
+    /// moving the way used to the front, with `0xF` in every position past
+    /// the last way — for every associativity the word holds, and with hits
+    /// at every position (the first and the last of a 16-way set included).
+    #[test]
+    fn order_word_is_a_move_to_front_list() {
+        for ways in 1..=16usize {
+            let cfg = CacheLevelConfig {
+                size_bytes: 64 * ways as u64,
+                line_bytes: 64,
+                ways: ways as u32,
+                latency_cycles: 1,
+                occupancy_cycles: 1,
+            };
+            let mut cache = Cache::new(&cfg);
+            // The model: the line each way holds, and the ways most recent
+            // first, an empty set's in reverse so that fills go 0, 1, 2, ….
+            let fresh: Vec<usize> = (0..ways).rev().collect();
+            let mut held: Vec<Option<u64>> = vec![None; ways];
+            let mut recency = fresh.clone();
+            let mut hit_at = vec![false; ways];
+            let mut rng = ways as u64;
+            for step in 0..4000 {
+                let word = next(&mut rng);
+                if word.is_multiple_of(64) {
+                    cache.flush();
+                    held.fill(None);
+                    recency.clone_from(&fresh);
+                } else {
+                    // Half the time a line the set holds, at any position
+                    // (the valid ways lead the list); else one of twice as
+                    // many lines as the set has ways.
+                    let valid = held.iter().flatten().count();
+                    let line = if word >> 8 & 1 == 0 && valid > 0 {
+                        held[recency[(word >> 16) as usize % valid]].expect("a valid way")
+                    } else {
+                        (word >> 16) % (2 * ways as u64)
+                    };
+                    let write = word >> 9 & 1 == 1;
+                    match held.iter().position(|&l| l == Some(line)) {
+                        Some(way) => {
+                            let at = recency.iter().position(|&w| w == way).expect("listed");
+                            assert!(cache.touch(line * 64, write), "{ways} ways, step {step}");
+                            hit_at[at] = true;
+                            recency.remove(at);
+                            recency.insert(0, way);
+                        }
+                        None => {
+                            assert!(!cache.touch(line * 64, write), "{ways} ways, step {step}");
+                            cache.fill(line * 64, write);
+                            let way = recency.pop().expect("a way");
+                            held[way] = Some(line);
+                            recency.insert(0, way);
+                        }
+                    }
+                }
+                let order = cache.order.first().copied().unwrap_or_else(|| cache.fresh_order());
+                let listed: Vec<usize> =
+                    (0..16).map(|at| (order >> (4 * at) & 0xF) as usize).collect();
+                assert_eq!(listed[..ways], recency[..], "{ways} ways, step {step}");
+                assert!(listed[ways..].iter().all(|&way| way == 0xF), "{ways} ways, step {step}");
+            }
+            assert!(hit_at.iter().all(|&hit| hit), "{ways} ways, hits at {hit_at:?}");
         }
     }
 

@@ -27,7 +27,8 @@ pub struct CacheLevelConfig {
     pub size_bytes: u64,
     /// Cache line size in bytes (64 on all modern ARM servers).
     pub line_bytes: u32,
-    /// Associativity (number of ways per set).
+    /// Associativity (number of ways per set), 1 to 16: a cache lists a
+    /// set's ways by recency in one `u64`, a 4-bit way index each.
     pub ways: u32,
     /// Load-to-use latency in core cycles when this level hits.
     pub latency_cycles: u64,
@@ -56,6 +57,12 @@ impl CacheLevelConfig {
         }
         if self.ways == 0 {
             return Err(SimError::BadConfig(format!("{name}: ways must be non-zero")));
+        }
+        if self.ways > 16 {
+            return Err(SimError::BadConfig(format!(
+                "{name}: ways must be at most 16, not {}",
+                self.ways
+            )));
         }
         let denom = self.line_bytes as u64 * self.ways as u64;
         if self.size_bytes == 0 || !self.size_bytes.is_multiple_of(denom) {
@@ -546,6 +553,14 @@ mod tests {
         let mut c = MachineConfig::small_test();
         c.l1d.ways = 0;
         assert!(c.validate().is_err());
+
+        // A set's recency order is 16 nibbles of one word.
+        let mut c = MachineConfig::ampere_altra_max();
+        (c.slc.ways, c.slc.size_bytes) = (32, 32 << 20);
+        match c.validate() {
+            Err(SimError::BadConfig(msg)) => assert!(msg.contains("slc"), "{msg}"),
+            other => panic!("32-way SLC: expected BadConfig, got {other:?}"),
+        }
 
         let mut c = MachineConfig::small_test();
         c.page_bytes = 1000;

@@ -29,14 +29,18 @@
 //! the `#[inline]` entry points ([`Engine::load`], [`Engine::store`],
 //! [`Engine::load_at`], [`Engine::store_at`]): the retire counters,
 //! `Cache::touch` on the L1, the clock step, and the observer's countdown
-//! (`Quiet::spend`). An L1 hit makes no call. Everything from the L1 victim
-//! on — the L1 `Cache::fill`, the L2, the SLC shard, the page home, the
-//! memory node, its traffic and bandwidth accounting, the RSS event, and the
-//! same clock step and countdown at the end — is one out-of-line function,
-//! `past_l1`; the only other call a memory operation can make is `show`, when
-//! the observer's permission has run out. The per-vertex and per-block
-//! entry points (`branch`, `cpu_work`, `flops`, `idle`, `now_cycles`) are
-//! `#[inline]` for the same reason.
+//! (`Quiet::spend`). An L1 hit makes no call and writes no timestamp: a hit
+//! on the set's most recently used way (a run on one line) compares one way
+//! and leaves the set's order word as it is, any other hit scans the ways and
+//! rotates one nibble of the word to the front (see [`crate::cache`]).
+//! Everything from the L1 victim on — the L1 `Cache::fill`, the L2, the SLC
+//! shard, the page home, the memory node, its traffic and bandwidth
+//! accounting, the RSS event, and the same clock step and countdown at the
+//! end — is one out-of-line function, `past_l1`, with the L2's and the SLC
+//! shard's `touch` compiled into it; the only other call a memory operation
+//! can make is `show`, when the observer's permission has run out. The
+//! per-vertex and per-block entry points (`branch`, `cpu_work`, `flops`,
+//! `idle`, `now_cycles`) are `#[inline]` for the same reason.
 //!
 //! The reason is the crate boundary. The workloads live in another crate and
 //! the builds that matter have no link-time optimisation, so a function of
@@ -744,9 +748,12 @@ mod tests {
             assert_eq!(node.read_bytes() + node.write_bytes(), series, "node {}", node.id());
         }
 
-        let written = topo.node(1).write_bytes();
-        m.migrate_page(region.start, 1, 1_000).unwrap().expect("page 0 lives on node 0");
-        assert_eq!(topo.node(1).write_bytes(), written + page);
+        // Which node page 0 landed on depends on which thread touched it
+        // first; move it to the other one.
+        let dst = 1 - m.vm().node_of(region.start).expect("page 0 was touched");
+        let written = topo.node(dst).write_bytes();
+        m.migrate_page(region.start, dst, 1_000).unwrap().expect("page 0 lives elsewhere");
+        assert_eq!(topo.node(dst).write_bytes(), written + page);
     }
 
     #[test]
