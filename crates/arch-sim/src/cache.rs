@@ -37,10 +37,17 @@
 //! it, another crate's loop included. It compares the most recently used
 //! way first, and a hit there writes nothing but a store's dirty bit; any
 //! other hit scans the ways in order and rotates the one it found to the
-//! front with a few shifts. It is `#[inline(always)]`: left to the
-//! heuristic, the engine's `past_l1` calls one outlined copy for the L2 and
-//! the SLC, ≈ 2–3 ns of an access that misses every level.
-//! `fill` is the miss — the lazily allocated arrays, the victim in the last
+//! front with a few shifts. The first compare is a measured trade: it
+//! catches 45 % of PageRank's L1 touches and none of STREAM's (its three
+//! arrays share a set), and without it `sim_pagerank_p4096` ran 7.7 %
+//! slower and `sim_stream_p64_live` 5 % faster (2-vCPU Xeon host). Scanning the order word's
+//! positions instead of the tags needs no first compare and no nibble
+//! search, but was no faster end to end and slower in isolation (see
+//! ROADMAP, "Struck on measurement").
+//!
+//! `touch` is `#[inline(always)]`: left to the heuristic, the engine's
+//! `past_l1` calls one outlined copy for the L2 and the SLC, ≈ 2–3 ns of an
+//! access that misses every level. `fill` is the miss — the lazily allocated arrays, the victim in the last
 //! position, the write, the rotation — and stays out of line. The engine
 //! drives its L1 through the halves directly so that the hit never leaves
 //! the workload's loop (see [`crate::engine`]); every other cache goes
@@ -92,7 +99,10 @@ impl Cache {
     /// `shards`-th of its sets. Which lines a shard serves is the caller's
     /// choice; the shard indexes its sets with the low bits of the line
     /// index, as a whole cache does.
+    ///
+    /// Panics unless `cfg` has 1 to 16 ways, the most an order word lists.
     pub fn new_shard(cfg: &CacheLevelConfig, shards: usize) -> Self {
+        assert!((1..=16).contains(&cfg.ways), "a cache has 1 to 16 ways, not {}", cfg.ways);
         Cache {
             tags: Vec::new(),
             order: Vec::new(),
@@ -515,6 +525,12 @@ mod tests {
             }
             assert!(hit_at.iter().all(|&hit| hit), "{ways} ways, hits at {hit_at:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 16 ways, not 32")]
+    fn more_ways_than_the_order_word_lists_is_refused() {
+        Cache::new(&CacheLevelConfig { size_bytes: 2048, ways: 32, ..tiny() });
     }
 
     #[test]
