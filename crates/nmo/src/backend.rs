@@ -202,22 +202,15 @@ struct CoreSpe {
 /// the perf clock via the metadata-page triple. The backend has no thread of
 /// its own: the paper's monitoring thread exists here only as simulated time
 /// ([`spe::OverheadModel`]), and dropping the backend leaves nothing running.
+#[derive(Default)]
 pub struct SpeBackend {
     cores: Vec<CoreSpe>,
-    /// Cumulative statistics at the previous drain (for per-drain deltas).
-    last_stats: SpeStatsSnapshot,
-}
-
-impl Default for SpeBackend {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl SpeBackend {
     /// Create an idle SPE backend.
     pub fn new() -> Self {
-        SpeBackend { cores: Vec::new(), last_stats: SpeStatsSnapshot::default() }
+        Self::default()
     }
 }
 
@@ -270,10 +263,7 @@ impl SampleBackend for SpeBackend {
         clock: &WindowClock,
         pool: &BatchPool,
     ) -> Result<Vec<SampleBatch>, NmoError> {
-        if self.cores.is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(drain_core_set(&self.cores, machine, clock, pool, &mut self.last_stats, None))
+        Ok(drain_core_set(&self.cores, machine, clock, pool, None))
     }
 
     fn shard_drainers(&mut self, shards: usize) -> Vec<Box<dyn ShardDrainer>> {
@@ -288,8 +278,7 @@ impl SampleBackend for SpeBackend {
         by_shard
             .into_iter()
             .map(|(shard, cores)| {
-                Box::new(SpeShardDrainer { shard, cores, last_stats: SpeStatsSnapshot::default() })
-                    as Box<dyn ShardDrainer>
+                Box::new(SpeShardDrainer { shard, cores }) as Box<dyn ShardDrainer>
             })
             .collect()
     }
@@ -330,13 +319,10 @@ impl SampleBackend for SpeBackend {
 }
 
 /// One pump worker's slice of the SPE backend: the cores whose index hashes
-/// to its shard, drained in parallel with the other shards' workers. Loss
-/// deltas are tracked per worker (each covers a disjoint core subset, so
-/// the per-shard deltas sum to the backend-wide delta).
+/// to its shard, drained in parallel with the other shards' workers.
 struct SpeShardDrainer {
     shard: usize,
     cores: Vec<CoreSpe>,
-    last_stats: SpeStatsSnapshot,
 }
 
 impl ShardDrainer for SpeShardDrainer {
@@ -354,7 +340,7 @@ impl ShardDrainer for SpeShardDrainer {
         // routes them to this worker's lane (every core in the subset
         // hashes to the same lane by construction).
         let lane_core = self.cores.first().map(|c| c.core);
-        Ok(drain_core_set(&self.cores, machine, clock, pool, &mut self.last_stats, lane_core))
+        Ok(drain_core_set(&self.cores, machine, clock, pool, lane_core))
     }
 
     fn sources(&self) -> Vec<StreamSource> {
@@ -366,17 +352,17 @@ impl ShardDrainer for SpeShardDrainer {
 /// decoded the flushed data into the store by the time the flush returns; a
 /// core an engine holds cannot be flushed and hands out what its watermarks
 /// published), take the store, and turn the samples into window-stamped
-/// batches. Once this returns, every record the subset published so far has
-/// been handed out — the completeness `ActiveSession::tiering_step`'s
-/// determinism rests on. The per-drain loss delta of the subset rides on the
-/// newest batch. Buffers come from `pool`; `batch_core` stamps the emitted
-/// batches (lane routing on the sharded bus).
+/// batches, one per window. Once this returns, every record the subset
+/// published so far has been handed out — the completeness
+/// `ActiveSession::tiering_step`'s determinism rests on. A drain that finds
+/// no new sample returns no batch: SPE loss is a run total, read at `fill`.
+/// Buffers come from `pool`; `batch_core` stamps the emitted batches (lane
+/// routing on the sharded bus).
 fn drain_core_set(
     cores: &[CoreSpe],
     machine: &Machine,
     clock: &WindowClock,
     pool: &BatchPool,
-    last_stats: &mut SpeStatsSnapshot,
     batch_core: Option<usize>,
 ) -> Vec<SampleBatch> {
     // Collect the subset's samples, grouped by window into pooled buffers.
@@ -396,39 +382,14 @@ fn drain_core_set(
         }
         pool.recycle_samples(taken);
     }
-
-    let mut cumulative = SpeStatsSnapshot::default();
-    for c in cores {
-        cumulative.merge(&c.stats.snapshot());
-    }
-    let loss = cumulative.delta(last_stats);
-    *last_stats = cumulative;
-
-    if by_window.is_empty() {
-        if loss == SpeStatsSnapshot::default() {
-            return Vec::new();
-        }
-        // Loss-only drain (e.g. pure truncation): stamp with the current
-        // watermark window.
-        return vec![SampleBatch::new(
-            "spe",
-            batch_core,
-            clock.current(),
-            BatchPayload::SpeSamples { samples: Vec::new(), loss },
-        )];
-    }
-    let last = by_window.len() - 1;
     by_window
         .into_iter()
-        .enumerate()
-        .map(|(i, (index, group))| {
-            // The per-drain loss delta rides on the newest batch.
-            let loss = if i == last { loss } else { SpeStatsSnapshot::default() };
+        .map(|(index, samples)| {
             SampleBatch::new(
                 "spe",
                 batch_core,
                 clock.window(index),
-                BatchPayload::SpeSamples { samples: group, loss },
+                BatchPayload::SpeSamples { samples, loss: SpeStatsSnapshot::default() },
             )
         })
         .collect()
@@ -454,7 +415,7 @@ fn drain_event(core: usize, event: &PerfEvent, store: &Mutex<SampleStore>, scrat
         aux_buf.read_into(aux.aux_offset, aux.aux_size, scratch);
         // The incremental NMO decode: validate the 0xb2 / 0x71 header bytes,
         // read the 64-bit address and timestamp, count everything else as
-        // skipped (per-drain loss accounting).
+        // skipped.
         let mut decoder = decode_records(scratch);
         store.samples.reserve(scratch.len() / SPE_RECORD_BYTES);
         let before = store.samples.len();
@@ -750,21 +711,18 @@ mod tests {
         }
         let _ = machine.take_observer(0).unwrap();
 
-        // Mid-run drain: batches are window-stamped, carry samples, and the
-        // per-drain loss delta rides exactly once.
+        // Mid-run drain: batches are window-stamped and every one carries
+        // samples.
         let batches = backend.drain(&machine, &clock, &pool).unwrap();
         assert!(!batches.is_empty());
         let mut streamed = 0u64;
-        let mut loss_batches = 0u64;
         let mut last_window = None;
         for b in &batches {
             assert_eq!(b.backend, "spe");
-            if let BatchPayload::SpeSamples { samples, loss } = b.payload() {
+            if let BatchPayload::SpeSamples { samples, .. } = b.payload() {
+                assert!(!samples.is_empty(), "every batch carries samples");
                 streamed += samples.len() as u64;
                 assert!(samples.iter().all(|s| b.window.contains_ns(s.time_ns)));
-                if *loss != SpeStatsSnapshot::default() {
-                    loss_batches += 1;
-                }
             } else {
                 panic!("spe backend emits SpeSamples payloads");
             }
@@ -774,7 +732,6 @@ mod tests {
             last_window = Some(b.window.index);
         }
         assert!(streamed > 0);
-        assert_eq!(loss_batches, 1, "the drain's stats delta rides on one batch");
 
         // A second drain with no new data is empty: the backend kept nothing.
         assert!(backend.drain(&machine, &clock, &pool).unwrap().is_empty());

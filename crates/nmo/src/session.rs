@@ -2298,10 +2298,10 @@ mod tests {
             }
         }
 
-        // No samples, only the drain's loss delta: a mark-less note.
+        // An SPE batch with no samples — the SPE backend publishes none, a
+        // custom backend or feed may: a mark-less note.
         let window = WindowClock::new(1000).window(3);
-        let loss = spe::SpeStatsSnapshot { collisions: 4, ..Default::default() };
-        let payload = BatchPayload::SpeSamples { samples: Vec::new(), loss };
+        let payload = BatchPayload::SpeSamples { samples: Vec::new(), loss: Default::default() };
         let empty = SampleBatch::new("spe", Some(1), window, payload);
         assert_eq!(empty.sole_core(), None);
         assert_eq!(notes_of(&empty, push_notes), vec![(3, None)]);

@@ -161,6 +161,14 @@ impl StreamContext {
 /// the delivery hooks default to no-ops and [`AnalysisSink::finish`]
 /// defaults to `analyze`, so a sink that only reads the finished
 /// [`Profile`] compiles and behaves the same on every kind of run.
+///
+/// Every sink nmo ships is a [`ShardableSink`]: it aggregates in its
+/// [`SinkShard`]s and its parent holds only the merged state, so none of
+/// them overrides [`AnalysisSink::on_batch`] or
+/// [`AnalysisSink::on_window_close`] — called on one of them, the hooks
+/// feed it nothing. The serial hooks, `finish` and the `None` of
+/// [`AnalysisSink::as_shardable`] are for sinks outside the crate that are
+/// fed one batch at a time (the benchmark's counting and probe sinks).
 pub trait AnalysisSink: Send {
     /// Stable sink name (used in reports and error messages).
     fn name(&self) -> &'static str;
@@ -515,7 +523,8 @@ impl FanInLane {
 pub struct CapacitySink {
     /// Number of evenly spaced output samples.
     pub buckets: usize,
-    core: CapacityShard,
+    /// The shards' RSS events, merged.
+    events: Vec<RssPoint>,
     /// Memory capacity (bytes) and node count, latched from the stream
     /// context.
     capacity_bytes: u64,
@@ -525,7 +534,7 @@ pub struct CapacitySink {
 impl CapacitySink {
     /// A capacity sink emitting `buckets` evenly spaced samples.
     pub fn new(buckets: usize) -> Self {
-        CapacitySink { buckets, core: CapacityShard::default(), capacity_bytes: 0, nodes: 1 }
+        CapacitySink { buckets, events: Vec::new(), capacity_bytes: 0, nodes: 1 }
     }
 }
 
@@ -547,7 +556,7 @@ impl AnalysisSink for CapacitySink {
     ) -> Result<AnalysisReport, NmoError> {
         // Delivery order is the machine's recording order (see
         // `CapacityShard`), which `from_events` expects.
-        let events = std::mem::take(&mut self.core.events);
+        let events = std::mem::take(&mut self.events);
         Ok(AnalysisReport::Capacity(CapacitySeries::from_events(
             &events,
             profile.elapsed_ns,
@@ -561,23 +570,18 @@ impl AnalysisSink for CapacitySink {
         (self.capacity_bytes, self.nodes) = (ctx.capacity_bytes, ctx.mem_nodes);
     }
 
-    fn on_batch(&mut self, batch: &SampleBatch) {
-        self.core.on_batch(batch);
-    }
-
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
         Some(self)
     }
 }
 
-/// The RSS event collector of a [`CapacitySink`]: one per shard, plus the
-/// parent's own (direct [`AnalysisSink::on_batch`] calls and the merge
-/// target). RSS batches are core-less and therefore all ride lane 0, in
-/// the order the machine recorded the events — the order their running
-/// totals mean something in (cores' clocks are skewed against each other,
-/// so timestamps do not reproduce it); the shard machinery keeps the sink
-/// uniform with the others.
-#[derive(Debug, Clone, Default)]
+/// The RSS event collector of a [`CapacitySink`], one per shard. RSS
+/// batches are core-less and therefore all ride lane 0, in the order the
+/// machine recorded the events — the order their running totals mean
+/// something in (cores' clocks are skewed against each other, so timestamps
+/// do not reproduce it); the shard machinery keeps the sink uniform with
+/// the others.
+#[derive(Debug, Default)]
 struct CapacityShard {
     events: Vec<RssPoint>,
 }
@@ -603,7 +607,7 @@ impl ShardableSink for CapacitySink {
         // Only lane 0's worker holds events, so the concatenation keeps
         // their order whatever the shard count.
         for state in states {
-            self.core.events.extend(own_state::<Vec<RssPoint>>(state));
+            self.events.extend(own_state::<Vec<RssPoint>>(state));
         }
     }
 }
@@ -664,17 +668,13 @@ impl AnalysisSink for BandwidthSink {
         (self.core, self.nodes) = (BandwidthShard::new(ctx), ctx.mem_nodes);
     }
 
-    fn on_batch(&mut self, batch: &SampleBatch) {
-        self.core.on_batch(batch);
-    }
-
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
         Some(self)
     }
 }
 
-/// The per-bucket traffic merge of a [`BandwidthSink`] (one per shard, plus
-/// the parent's own).
+/// The per-bucket traffic merge of a [`BandwidthSink`] (one per shard; the
+/// parent keeps one as the merge target).
 #[derive(Debug, Clone)]
 struct BandwidthShard {
     bucket_ns: u64,
@@ -741,7 +741,8 @@ impl ShardableSink for BandwidthSink {
 /// a running [`RegionAccumulator`].
 #[derive(Debug, Default)]
 pub struct RegionSink {
-    core: RegionShard,
+    /// The shards' attributions, merged.
+    accum: RegionAccumulator,
 }
 
 impl RegionSink {
@@ -761,19 +762,7 @@ impl AnalysisSink for RegionSink {
         _machine: &Machine,
         profile: &Profile,
     ) -> Result<AnalysisReport, NmoError> {
-        Ok(AnalysisReport::Regions(self.core.take_accum().finalize(&profile.tags)))
-    }
-
-    fn on_stream_start(&mut self, ctx: &StreamContext) {
-        self.core = RegionShard::new(ctx);
-    }
-
-    fn on_batch(&mut self, batch: &SampleBatch) {
-        self.core.on_batch(batch);
-    }
-
-    fn on_window_close(&mut self, window: Window) {
-        self.core.ingest_window(window.index);
+        Ok(AnalysisReport::Regions(std::mem::take(&mut self.accum).finalize(&profile.tags)))
     }
 
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
@@ -781,10 +770,10 @@ impl AnalysisSink for RegionSink {
     }
 }
 
-/// The windowed attribution of a [`RegionSink`] (one per shard, plus the
-/// parent's own): buffers samples per window, attributes them against the
-/// then-current tags/phases when the window closes, and hands its
-/// accumulator back for the ordered final merge.
+/// The windowed attribution of a [`RegionSink`], one per shard: buffers
+/// samples per window, attributes them against the then-current
+/// tags/phases when the window closes, and hands its accumulator back for
+/// the ordered final merge.
 #[derive(Debug, Default)]
 struct RegionShard {
     accum: RegionAccumulator,
@@ -802,16 +791,6 @@ impl RegionShard {
         let Some(samples) = self.pending.remove(&index) else { return };
         self.accum.ingest(&samples, &self.annotations.tags(), &self.annotations.phases());
     }
-
-    /// Attribute any windows that never saw a close signal and hand the
-    /// accumulator over.
-    fn take_accum(&mut self) -> RegionAccumulator {
-        let open: Vec<u64> = self.pending.keys().copied().collect();
-        for index in open {
-            self.ingest_window(index);
-        }
-        std::mem::take(&mut self.accum)
-    }
 }
 
 impl SinkShard for RegionShard {
@@ -827,7 +806,11 @@ impl SinkShard for RegionShard {
     }
 
     fn finish(mut self: Box<Self>) -> ShardState {
-        Box::new(self.take_accum())
+        // Windows that never saw a close signal, ascending.
+        while let Some(&index) = self.pending.keys().next() {
+            self.ingest_window(index);
+        }
+        Box::new(self.accum)
     }
 }
 
@@ -841,7 +824,7 @@ impl ShardableSink for RegionSink {
         // the shard count; scatter order is shard-major (deterministic by
         // the fixed merge order).
         for state in states {
-            self.core.accum.merge(own_state::<RegionAccumulator>(state));
+            self.accum.merge(own_state::<RegionAccumulator>(state));
         }
     }
 }
@@ -879,18 +862,14 @@ impl AnalysisSink for LatencySink {
         Ok(AnalysisReport::Latency(std::mem::take(&mut self.core).into_profile()))
     }
 
-    fn on_batch(&mut self, batch: &SampleBatch) {
-        self.core.on_batch(batch);
-    }
-
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
         Some(self)
     }
 }
 
-/// The latency histograms of a [`LatencySink`] (one per shard, plus the
-/// parent's own). Histogram buckets are exact counters, so the shard merge
-/// is bit-identical to a single fold in any order.
+/// The latency histograms of a [`LatencySink`] (one per shard; the parent
+/// keeps one as the merge target). Histogram buckets are exact counters, so
+/// the shard merge is bit-identical to a single fold in any order.
 ///
 /// The per-sample fold indexes a dense table by [`DataSource::slot`] — no
 /// search per sample. A slot keeps the low 4 bits of a node id (every node
@@ -967,7 +946,8 @@ impl ShardableSink for LatencySink {
 /// not of the pipeline's width or the host's drain timing.
 #[derive(Debug, Default)]
 pub struct SampleLogSink {
-    core: SampleLogShard,
+    /// The shards' samples, merged.
+    samples: Vec<AddressSample>,
 }
 
 impl SampleLogSink {
@@ -987,13 +967,9 @@ impl AnalysisSink for SampleLogSink {
         _machine: &Machine,
         _profile: &Profile,
     ) -> Result<AnalysisReport, NmoError> {
-        let mut samples = std::mem::take(&mut self.core.samples);
+        let mut samples = std::mem::take(&mut self.samples);
         samples.sort_by_key(|s| (s.time_ns, s.core));
         Ok(AnalysisReport::Samples(samples))
-    }
-
-    fn on_batch(&mut self, batch: &SampleBatch) {
-        self.core.on_batch(batch);
     }
 
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
@@ -1001,8 +977,7 @@ impl AnalysisSink for SampleLogSink {
     }
 }
 
-/// The sample list of a [`SampleLogSink`] (one per shard, plus the parent's
-/// own).
+/// The sample list of a [`SampleLogSink`], one per shard.
 #[derive(Debug, Default)]
 struct SampleLogShard {
     samples: Vec<AddressSample>,
@@ -1027,7 +1002,7 @@ impl ShardableSink for SampleLogSink {
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
         for state in states {
-            self.core.samples.extend(own_state::<Vec<AddressSample>>(state));
+            self.samples.extend(own_state::<Vec<AddressSample>>(state));
         }
     }
 }
@@ -1168,6 +1143,7 @@ mod tests {
     use super::*;
     use crate::config::NmoConfig;
     use crate::runtime::AddressSample;
+    use crate::stream::BusEvent;
     use arch_sim::{BandwidthPoint, DataSource, MachineConfig};
 
     #[test]
@@ -1250,22 +1226,41 @@ mod tests {
         }
     }
 
+    /// Deliver `events` to `sink` the way a session without pipeline threads
+    /// does — through a one-lane `FanIn` — and hand the sink back to finish.
+    fn fed(
+        sink: impl AnalysisSink + 'static,
+        ctx: &StreamContext,
+        events: impl IntoIterator<Item = BusEvent>,
+    ) -> Box<dyn AnalysisSink> {
+        let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(sink)];
+        let (mut fan_in, mut lanes) = FanIn::start(&mut sinks[..], 1, ctx);
+        for event in events {
+            match event {
+                BusEvent::Batch(batch) => lanes[0].on_batch(&batch, || &mut fan_in),
+                BusEvent::CloseWindow(window) => lanes[0].on_window_close(window, || &mut fan_in),
+            }
+        }
+        fan_in.finish(lanes);
+        sinks.remove(0)
+    }
+
     #[test]
     fn capacity_sink_merges_rss_batches_incrementally() {
         let machine = Machine::new(MachineConfig::small_test());
         let mut profile = Profile::empty("t", NmoConfig::default());
         profile.elapsed_ns = 4_000;
-        let mut sink = CapacitySink::new(4);
-        sink.on_stream_start(&stream_ctx(Arc::new(Annotations::new())));
         let clock = crate::stream::WindowClock::new(1000);
-        for (i, rss) in [(0u64, 1u64 << 20), (1, 3 << 20), (2, 2 << 20)] {
-            sink.on_batch(&SampleBatch::new(
+        let events = [(0u64, 1u64 << 20), (1, 3 << 20), (2, 2 << 20)].map(|(i, rss)| {
+            BusEvent::Batch(SampleBatch::new(
                 "machine",
                 None,
                 clock.window(i),
                 BatchPayload::Rss { points: vec![arch_sim::RssPoint::flat(i * 1000, rss)] },
-            ));
-        }
+            ))
+        });
+        let ctx = stream_ctx(Arc::new(Annotations::new()));
+        let mut sink = fed(CapacitySink::new(4), &ctx, events);
         let report = sink.finish(&machine, &profile).unwrap();
         match report {
             AnalysisReport::Capacity(c) => {
@@ -1287,17 +1282,17 @@ mod tests {
         let machine = Machine::new(MachineConfig::small_test());
         let mut profile = Profile::empty("t", NmoConfig::default());
         profile.elapsed_ns = 4_000;
-        let mut sink = CapacitySink::new(4);
-        sink.on_stream_start(&stream_ctx(Arc::new(Annotations::new())));
         let clock = crate::stream::WindowClock::new(1000);
-        for (time_ns, rss) in [(1_500u64, 1u64 << 20), (900, 2 << 20)] {
-            sink.on_batch(&SampleBatch::new(
+        let events = [(1_500u64, 1u64 << 20), (900, 2 << 20)].map(|(time_ns, rss)| {
+            BusEvent::Batch(SampleBatch::new(
                 "machine",
                 None,
                 clock.window_containing(time_ns),
                 BatchPayload::Rss { points: vec![arch_sim::RssPoint::flat(time_ns, rss)] },
-            ));
-        }
+            ))
+        });
+        let ctx = stream_ctx(Arc::new(Annotations::new()));
+        let mut sink = fed(CapacitySink::new(4), &ctx, events);
         match sink.finish(&machine, &profile).unwrap() {
             AnalysisReport::Capacity(c) => {
                 assert_eq!(c.peak_bytes, 2 << 20);
@@ -1315,8 +1310,6 @@ mod tests {
         let bucket_ns = 1000u64;
         let mut profile = Profile::empty("t", NmoConfig::default());
         profile.counters.flops = 1 << 20;
-        let mut sink = BandwidthSink::new();
-        sink.on_stream_start(&stream_ctx(Arc::new(Annotations::new())));
         let clock = crate::stream::WindowClock::new(1000);
         let bp = |time_ns: u64, bytes: u64| {
             let mut by_node = [0u64; MAX_MEM_NODES];
@@ -1330,17 +1323,20 @@ mod tests {
         };
         // Two deliveries into bucket 0 (one of them mid-bucket, i.e. not
         // aligned to a bucket boundary) plus one into bucket 2.
-        for (seq, points) in [
+        let events = [
             (0u64, vec![bp(0, 1 << 20)]),
             (1, vec![bp(bucket_ns / 2, 1 << 20), bp(2 * bucket_ns, 1 << 21)]),
-        ] {
-            sink.on_batch(&SampleBatch::new(
+        ]
+        .map(|(seq, points)| {
+            BusEvent::Batch(SampleBatch::new(
                 "machine",
                 None,
                 clock.window(seq),
                 BatchPayload::Bandwidth { points },
-            ));
-        }
+            ))
+        });
+        let ctx = stream_ctx(Arc::new(Annotations::new()));
+        let mut sink = fed(BandwidthSink::new(), &ctx, events);
         let report = sink.finish(&machine, &profile).unwrap();
         match report {
             AnalysisReport::Bandwidth(b) => {
@@ -1374,29 +1370,30 @@ mod tests {
         let annotations = Arc::new(Annotations::new());
         annotations.tag_addr("obj", 0x1000, 0x2000);
         profile.tags = annotations.tags();
-        let mut sink = RegionSink::new();
-        sink.on_stream_start(&stream_ctx(annotations.clone()));
         let clock = crate::stream::WindowClock::new(1000);
-        sink.on_batch(&SampleBatch::new(
-            "spe",
-            None,
-            clock.window(0),
-            BatchPayload::SpeSamples {
-                samples: vec![mk_sample(10, 0x1100), mk_sample(20, 0x9000)],
-                loss: Default::default(),
-            },
-        ));
-        sink.on_window_close(clock.window(0));
-        // A window that never closes is still merged at finish.
-        sink.on_batch(&SampleBatch::new(
-            "spe",
-            None,
-            clock.window(1),
-            BatchPayload::SpeSamples {
-                samples: vec![mk_sample(1500, 0x1200)],
-                loss: Default::default(),
-            },
-        ));
+        let events = [
+            BusEvent::Batch(SampleBatch::new(
+                "spe",
+                None,
+                clock.window(0),
+                BatchPayload::SpeSamples {
+                    samples: vec![mk_sample(10, 0x1100), mk_sample(20, 0x9000)],
+                    loss: Default::default(),
+                },
+            )),
+            BusEvent::CloseWindow(clock.window(0)),
+            // A window that never closes is still merged at finish.
+            BusEvent::Batch(SampleBatch::new(
+                "spe",
+                None,
+                clock.window(1),
+                BatchPayload::SpeSamples {
+                    samples: vec![mk_sample(1500, 0x1200)],
+                    loss: Default::default(),
+                },
+            )),
+        ];
+        let mut sink = fed(RegionSink::new(), &stream_ctx(annotations), events);
         let report = sink.finish(&machine, &profile).unwrap();
         match report {
             AnalysisReport::Regions(r) => {
@@ -1437,17 +1434,17 @@ mod tests {
             .collect();
 
         // Batches in arbitrary chunks, an empty one among them.
-        let mut sink = LatencySink::new();
-        sink.on_stream_start(&stream_ctx(Arc::new(Annotations::new())));
         let clock = crate::stream::WindowClock::new(1000);
-        for (seq, chunk) in samples.chunks(17).chain([&[][..]]).enumerate() {
-            sink.on_batch(&SampleBatch::new(
+        let events = samples.chunks(17).chain([&[][..]]).enumerate().map(|(seq, chunk)| {
+            BusEvent::Batch(SampleBatch::new(
                 "spe",
                 None,
                 clock.window(seq as u64),
                 BatchPayload::SpeSamples { samples: chunk.to_vec(), loss: Default::default() },
-            ));
-        }
+            ))
+        });
+        let ctx = stream_ctx(Arc::new(Annotations::new()));
+        let mut sink = fed(LatencySink::new(), &ctx, events);
         let empty_profile = Profile::empty("t", NmoConfig::default());
         let streamed = match sink.finish(&machine, &empty_profile).unwrap() {
             AnalysisReport::Latency(l) => l,
@@ -1499,20 +1496,14 @@ mod tests {
 
         let profile = Profile::empty("t", NmoConfig::default());
 
-        // Serial reference.
-        let mut serial = RegionSink::new();
-        serial.on_stream_start(&ctx);
-        let mut serial_lat = LatencySink::new();
-        serial_lat.on_stream_start(&ctx);
-        let mut serial_log = SampleLogSink::new();
-        for b in &batches {
-            serial.on_batch(b);
-            serial_lat.on_batch(b);
-            serial_log.on_batch(b);
-        }
-        for w in 0..12u64 {
-            serial.on_window_close(clock.window(w));
-        }
+        // Serial reference: one lane.
+        let events = || {
+            let closes = (0..12u64).map(|w| BusEvent::CloseWindow(clock.window(w)));
+            batches.iter().cloned().map(BusEvent::Batch).chain(closes)
+        };
+        let mut serial = fed(RegionSink::new(), &ctx, events());
+        let mut serial_lat = fed(LatencySink::new(), &ctx, events());
+        let mut serial_log = fed(SampleLogSink::new(), &ctx, events());
         let serial_regions = match serial.finish(&machine, &profile).unwrap() {
             AnalysisReport::Regions(r) => r,
             other => panic!("expected regions, got {other:?}"),

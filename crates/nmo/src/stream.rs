@@ -167,13 +167,14 @@ pub type StreamSource = (&'static str, Option<usize>);
 /// The data carried by one [`SampleBatch`].
 #[derive(Debug, Clone)]
 pub enum BatchPayload {
-    /// Decoded SPE address samples, plus the per-drain SPE loss statistics
-    /// (the [`SpeStatsSnapshot::delta`] since the previous drain; attached
-    /// to the last batch of a drain, zero on the others).
+    /// Decoded SPE address samples.
     SpeSamples {
         /// The decoded samples, all inside the batch's window.
         samples: Vec<AddressSample>,
-        /// Per-drain loss statistics delta.
+        /// Inert. No nmo backend sets it, and no sink, snapshot or trace
+        /// reads or stores it (a replayed batch carries zero). The run's SPE
+        /// loss is a run total, [`crate::Profile::spe`]. The field goes once
+        /// batches are built through one pooled batch builder (ROADMAP 9(a)).
         loss: SpeStatsSnapshot,
     },
     /// Resident-set-size step events (level 1 ticks).

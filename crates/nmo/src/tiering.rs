@@ -155,6 +155,25 @@ fn merge_pages(
 }
 
 impl PageState {
+    /// Fold one sample of page `page_addr` in. A DRAM-class sample sets the
+    /// page's node/tier — to the home `pinned` names for it, if any: a late
+    /// batch carrying pre-migration samples must not flip a migrated page's
+    /// tier back.
+    fn add(&mut self, page_addr: u64, s: &AddressSample, pinned: &BTreeMap<u64, (NodeId, bool)>) {
+        self.heat += 1.0;
+        self.samples += 1;
+        if s.source.is_dram_class() {
+            self.dram_heat += 1.0;
+            (self.node, self.remote) = pinned
+                .get(&page_addr)
+                .copied()
+                .unwrap_or_else(|| (s.source.node().unwrap_or(0), s.source.is_remote()));
+            self.saw_dram = true;
+            self.lat_sum += s.latency as f64;
+            self.lat_count += 1.0;
+        }
+    }
+
     fn stats(&self, page_addr: u64) -> PageStats {
         PageStats {
             page_addr,
@@ -494,22 +513,7 @@ impl HotPageTracker {
             self.pages_tracked += 1;
             PageState::default()
         });
-        entry.heat += 1.0;
-        entry.samples += 1;
-        if s.source.is_dram_class() {
-            entry.dram_heat += 1.0;
-            // A migrated page's home is pinned: a late batch carrying
-            // pre-migration samples must not flip the tier back.
-            let (node, remote) = match self.pinned.get(&page_addr) {
-                Some(&(node, remote)) => (node, remote),
-                None => (s.source.node().unwrap_or(0), s.source.is_remote()),
-            };
-            entry.node = node;
-            entry.remote = remote;
-            entry.saw_dram = true;
-            entry.lat_sum += s.latency as f64;
-            entry.lat_count += 1.0;
-        }
+        entry.add(page_addr, s, &self.pinned);
         #[allow(clippy::expect_used, reason = "`segments` starts with one profile and only grows")]
         self.segments.last_mut().expect("segments never empty").record(s.source, s.latency);
         self.last_seen_ns = self.last_seen_ns.max(s.time_ns);
@@ -623,17 +627,7 @@ struct TrackerDigest {
 impl TrackerDigest {
     fn observe(&mut self, s: &AddressSample, page_bytes: u64) {
         let page_addr = s.vaddr & !(page_bytes - 1);
-        let delta = self.pages.entry(page_addr).or_default();
-        delta.heat += 1.0;
-        delta.samples += 1;
-        if s.source.is_dram_class() {
-            delta.dram_heat += 1.0;
-            delta.node = s.source.node().unwrap_or(0);
-            delta.remote = s.source.is_remote();
-            delta.saw_dram = true;
-            delta.lat_sum += s.latency as f64;
-            delta.lat_count += 1.0;
-        }
+        self.pages.entry(page_addr).or_default().add(page_addr, s, &BTreeMap::new());
         self.latency.record(s.source, s.latency);
         self.last_seen_ns = self.last_seen_ns.max(s.time_ns);
     }
@@ -702,9 +696,10 @@ impl ShardableSink for HotPageTracker {
     }
 
     fn merge_window(&mut self, window: Window, states: Vec<ShardState>) {
-        // The shards' digests in, the window closes as on the serial path.
+        // The shards' digests in, then the window closes.
         self.merge_final(states);
-        self.on_window_close(window);
+        let machine = self.machine.clone();
+        self.close_window(window, machine.as_deref());
     }
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
@@ -738,15 +733,6 @@ impl AnalysisSink for HotPageTracker {
             self.page_bytes = ctx.page_bytes;
             self.configured = true;
         }
-    }
-
-    fn on_batch(&mut self, batch: &SampleBatch) {
-        self.ingest(batch);
-    }
-
-    fn on_window_close(&mut self, window: Window) {
-        let machine = self.machine.clone();
-        self.close_window(window, machine.as_deref());
     }
 
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {

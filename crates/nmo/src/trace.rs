@@ -24,7 +24,7 @@
 //!
 //! segment   := header block* index trailer
 //! header    := "NMOT" version:u16 shard:u16                  (8 bytes)
-//!              version 4; other versions are refused
+//!              version 5; other versions are refused
 //! block     := "NMOB" payload_len:u32 mulrot64(payload):u64 payload
 //! payload   := event*                                        (see below)
 //! index     := "NMOX" count:u32 entry{count} mulrot64(entries):u64
@@ -53,7 +53,8 @@
 //! (`0,-1,1,-2,…` → `0,1,2,3,…`) first. An event is its tag and, for a batch,
 //! `seq window core backend count` and its items; a window close is its
 //! window. The samples of an SPE batch are stored in groups of up to 64, each
-//! group column by column, and the batch's loss counters follow the last:
+//! group column by column (a batch's `loss` is not stored: SPE loss is a run
+//! total, and a replayed batch carries zero):
 //!
 //! ```text
 //! group     := source{g} stores{ceil(g/8)} column{4}    g = min(64, samples left)
@@ -178,17 +179,18 @@ const BLOCK_MAGIC: [u8; 4] = *b"NMOB";
 const INDEX_MAGIC: [u8; 4] = *b"NMOX";
 /// End-of-file trailer magic.
 const TRAILER_MAGIC: [u8; 4] = *b"NMOE";
-/// Current format version (4: no counter-delta events, otherwise byte for
-/// byte 3; 3: samples as packed columns; 2 stored a varint per field, 1 used
-/// FNV-1a checksums). Every other version is refused.
-const FORMAT_VERSION: u16 = 4;
+/// Current format version (5: an SPE batch stores no loss varints, otherwise
+/// byte for byte 4; 4: no counter-delta events; 3: samples as packed
+/// columns; 2 stored a varint per field, 1 used FNV-1a checksums). Every
+/// other version is refused.
+const FORMAT_VERSION: u16 = 5;
 /// Size of a block frame's header: magic, payload length, checksum.
 const FRAME_HEADER_BYTES: usize = 16;
 /// Flush a block once its payload passes this size (closes flush earlier).
 const BLOCK_TARGET_BYTES: usize = 64 * 1024;
-/// More SPE batches than a block the writer flushed can hold (the emptiest
-/// one is a 17-byte event): how many sample buffers a reader's pool keeps.
-const MAX_BLOCK_BATCHES: usize = BLOCK_TARGET_BYTES / 16;
+/// As many SPE batches as a block the writer flushed can hold (the emptiest
+/// one is an 8-byte event): how many sample buffers a reader's pool keeps.
+const MAX_BLOCK_BATCHES: usize = BLOCK_TARGET_BYTES / 8;
 /// Upper bound on a declared block payload length (corruption guard).
 const MAX_BLOCK_BYTES: usize = 1 << 28;
 /// Size of one fixed-width footer index entry.
@@ -434,7 +436,7 @@ fn encode_batch_event(out: &mut Vec<u8>, batch: &SampleBatch, meta: &mut BlockMe
     }
     let mut samples_written = 0u64;
     match batch.payload() {
-        BatchPayload::SpeSamples { samples, loss } => {
+        BatchPayload::SpeSamples { samples, .. } => {
             put_varint(out, samples.len() as u64);
             let mut prev_time = batch.window.start_ns;
             let mut prev_vaddr = 0u64;
@@ -465,19 +467,6 @@ fn encode_batch_event(out: &mut Vec<u8>, batch: &SampleBatch, meta: &mut BlockMe
             (meta.core_mask, meta.min_vaddr, meta.max_vaddr) = (core_mask, min_vaddr, max_vaddr);
             samples_written = samples.len() as u64;
             meta.samples += samples_written;
-            for v in [
-                loss.population_ops,
-                loss.samples_selected,
-                loss.records_written,
-                loss.collisions,
-                loss.filtered_out,
-                loss.truncated_records,
-                loss.interrupts,
-                loss.aux_bytes_written,
-                loss.overhead_cycles,
-            ] {
-                put_varint(out, v);
-            }
         }
         BatchPayload::Rss { points } => {
             put_varint(out, points.len() as u64);
@@ -684,21 +673,7 @@ fn decode_events(payload: &[u8], pool: &BatchPool) -> Result<Vec<BusEvent>, Stri
                         }
                     }));
                 }
-                let mut loss = SpeStatsSnapshot::default();
-                for field in [
-                    &mut loss.population_ops,
-                    &mut loss.samples_selected,
-                    &mut loss.records_written,
-                    &mut loss.collisions,
-                    &mut loss.filtered_out,
-                    &mut loss.truncated_records,
-                    &mut loss.interrupts,
-                    &mut loss.aux_bytes_written,
-                    &mut loss.overhead_cycles,
-                ] {
-                    *field = rv(payload, &mut pos, "loss counter")?;
-                }
-                BatchPayload::SpeSamples { samples, loss }
+                BatchPayload::SpeSamples { samples, loss: SpeStatsSnapshot::default() }
             }
             EV_RSS => {
                 let n = rv(payload, &mut pos, "rss point count")?;
@@ -1792,11 +1767,7 @@ mod tests {
     }
 
     fn spe_batch(core: usize, window: Window, samples: Vec<AddressSample>) -> SampleBatch {
-        let loss = SpeStatsSnapshot {
-            samples_selected: samples.len() as u64,
-            records_written: samples.len() as u64 + 1,
-            ..SpeStatsSnapshot::default()
-        };
+        let loss = SpeStatsSnapshot::default();
         let mut b =
             SampleBatch::new("spe", Some(core), window, BatchPayload::SpeSamples { samples, loss });
         b.seq = 41 + core as u64;
@@ -2063,7 +2034,8 @@ mod tests {
     }
 
     /// The layout, byte for byte: a change to it must change this string,
-    /// and then `FORMAT_VERSION`.
+    /// and then `FORMAT_VERSION`. Version 5 is version 4 without the nine
+    /// loss varints that used to follow the last column.
     #[test]
     fn a_batch_event_is_exactly_these_bytes() {
         let window = Window { index: 4, start_ns: 4_000_000, end_ns: 5_000_000 };
@@ -2106,8 +2078,6 @@ mod tests {
             0x0a, 0x78, 0x00, 0xd0, 0xc2, 0x30,
             // cores 3, 3, 7: base 3, 3 bits of 0, 0, 4
             0x03, 0x03, 0x00, 0x01,
-            // loss counters: 3 selected, 4 written, the rest 0
-            0x00, 0x03, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
         ];
         let mut buf = Vec::new();
         encode_batch_event(&mut buf, &batch, &mut BlockMeta::empty());
@@ -2133,7 +2103,6 @@ mod tests {
             let mut out = vec![EV_SPE, 0, 0, 0, 100, 1, 0];
             put_varint(&mut out, n);
             out.extend_from_slice(&[sources, stores, &columns.concat()].concat());
-            out.extend_from_slice(&[0; 9]);
             decode_events(&out, &BatchPool::new(4)).map(|events| events.len())
         };
         let (zeros, stride, nines) = (packed(&[0; 3]), packed(&[2, 4, 6]), packed(&[9; 3]));
@@ -2328,9 +2297,10 @@ mod tests {
         );
         // A segment of another format version is refused at `open`, before
         // either replay starts a sink: 3 stored counter deltas as events of
-        // tag 3, which no longer decode.
+        // tag 3, which no longer decode, and 4 nine loss varints after an
+        // SPE batch's samples, which would be read as further events.
         data[8 + 4 + 4 + 2] ^= 0xff;
-        for version in [2u16, 3] {
+        for version in [2u16, 3, 4] {
             data[4..6].copy_from_slice(&version.to_le_bytes());
             fs::write(&path, &data).expect("write");
             let err = SegmentReader::open(0, path.clone()).map(|_| ()).expect_err("opened");
@@ -2557,10 +2527,11 @@ mod tests {
                 "trace error: <dir>/shard-002.seg: index checksum mismatch",
             ]
         );
-        // Each block region is 1 532 bytes, block 0 a 353-byte frame and
-        // segment 2's file 2 272 bytes: 7 + 8 blocks, 1 532 * 2 - 353
-        // consumed, 353 + 2 272 skipped.
-        assert_eq!((v.blocks, v.consumed_bytes, v.skipped_bytes), (15, 2711, 2625));
+        // Each block region is 1 496 bytes, block 0 a 344-byte frame and
+        // segment 2's file 2 236 bytes (since version 5, each of a segment's
+        // four SPE batches is nine loss varints shorter): 7 + 8 blocks,
+        // 1 496 * 2 - 344 consumed, 344 + 2 236 skipped.
+        assert_eq!((v.blocks, v.consumed_bytes, v.skipped_bytes), (15, 2648, 2580));
         fs::remove_dir_all(&dir).ok();
     }
 

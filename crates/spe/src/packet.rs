@@ -210,9 +210,9 @@ pub struct DecodedRecord {
 /// The profiler reads aux data in arbitrary-size chunks (one per
 /// `PERF_RECORD_AUX`); this iterator walks the chunk in 64-byte steps,
 /// yielding every record whose NMO fields validate and counting the rest in
-/// [`SpeRecordIter::skipped`] — the per-drain loss accounting a streaming
-/// profiler reports alongside each batch. A trailing partial record (fewer
-/// than 64 bytes) is also counted as skipped.
+/// [`SpeRecordIter::skipped`] — the decode loss a profiler adds up over its
+/// run. A trailing partial record (fewer than 64 bytes) is also counted as
+/// skipped.
 #[derive(Debug)]
 pub struct SpeRecordIter<'a> {
     data: &'a [u8],

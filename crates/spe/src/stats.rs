@@ -119,24 +119,6 @@ impl SpeStatsSnapshot {
         }
         1.0 - self.records_written as f64 / self.samples_selected as f64
     }
-
-    /// The change since an earlier snapshot of the same (monotonically
-    /// increasing) statistics: per-drain loss accounting for a streaming
-    /// consumer. Fields use saturating subtraction so a stale `earlier`
-    /// cannot underflow.
-    pub fn delta(&self, earlier: &SpeStatsSnapshot) -> SpeStatsSnapshot {
-        SpeStatsSnapshot {
-            population_ops: self.population_ops.saturating_sub(earlier.population_ops),
-            samples_selected: self.samples_selected.saturating_sub(earlier.samples_selected),
-            records_written: self.records_written.saturating_sub(earlier.records_written),
-            collisions: self.collisions.saturating_sub(earlier.collisions),
-            filtered_out: self.filtered_out.saturating_sub(earlier.filtered_out),
-            truncated_records: self.truncated_records.saturating_sub(earlier.truncated_records),
-            interrupts: self.interrupts.saturating_sub(earlier.interrupts),
-            aux_bytes_written: self.aux_bytes_written.saturating_sub(earlier.aux_bytes_written),
-            overhead_cycles: self.overhead_cycles.saturating_sub(earlier.overhead_cycles),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -163,24 +145,5 @@ mod tests {
     #[test]
     fn loss_fraction_zero_when_no_samples() {
         assert_eq!(SpeStatsSnapshot::default().loss_fraction(), 0.0);
-    }
-
-    #[test]
-    fn delta_between_snapshots_is_per_drain_accounting() {
-        let stats = SpeStats::new_shared();
-        stats.add(&stats.samples_selected, 10);
-        stats.add(&stats.records_written, 8);
-        let first = stats.snapshot();
-        stats.add(&stats.samples_selected, 5);
-        stats.add(&stats.records_written, 3);
-        stats.add(&stats.truncated_records, 2);
-        let second = stats.snapshot();
-        let d = second.delta(&first);
-        assert_eq!(d.samples_selected, 5);
-        assert_eq!(d.records_written, 3);
-        assert_eq!(d.truncated_records, 2);
-        assert!((d.loss_fraction() - 0.4).abs() < 1e-12, "per-drain loss, not cumulative");
-        // A stale "earlier" saturates instead of underflowing.
-        assert_eq!(first.delta(&second).samples_selected, 0);
     }
 }

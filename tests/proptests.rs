@@ -638,10 +638,7 @@ fn write_rounds(dir: &Path, shards: usize, rounds: Vec<Round>) {
     let mut seq = 0u64;
     for (window, batches) in rounds {
         for (core, samples) in batches {
-            let loss = SpeStatsSnapshot {
-                samples_selected: samples.len() as u64,
-                ..SpeStatsSnapshot::default()
-            };
+            let loss = SpeStatsSnapshot::default();
             let mut batch = SampleBatch::new(
                 "spe",
                 Some(core),

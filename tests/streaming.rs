@@ -14,10 +14,10 @@ use std::time::Duration;
 use nmo_repro::arch_sim::{DataSource, Machine, MachineConfig, PlacementPolicy};
 use nmo_repro::nmo::stream::StreamSource;
 use nmo_repro::nmo::{
-    AddressSample, BackpressurePolicy, BandwidthSink, BatchPayload, BatchPool, CapacitySink,
-    CoreObserver, LatencySink, NmoConfig, NmoError, Profile, ProfileSession, RegionSink,
-    SampleBackend, SampleBatch, SampleLogSink, ShardDrainer, StreamOptions, StreamSnapshot,
-    WindowClock, Workload,
+    AddressSample, AnalysisReport, AnalysisSink, BackpressurePolicy, BandwidthSink, BatchPayload,
+    BatchPool, CapacitySink, CoreObserver, LatencySink, NmoConfig, NmoError, Profile,
+    ProfileSession, RegionSink, SampleBackend, SampleBatch, SampleLogSink, ShardDrainer,
+    StreamOptions, StreamSnapshot, WindowClock, Workload,
 };
 use nmo_repro::workloads::StreamBench;
 
@@ -488,4 +488,60 @@ fn sample_log_order_is_the_same_at_every_width() {
     assert_eq!(wide.stream.expect("stream stats").shards, 4);
     assert_eq!(serial.samples(), Some(&script[..]), "one shard");
     assert_eq!(wide.samples(), Some(&script[..]), "four shards");
+}
+
+/// Records the size of every SPE batch the pipeline delivers.
+struct SpeBatchProbe {
+    sizes: Arc<parking_lot::Mutex<Vec<usize>>>,
+}
+
+impl AnalysisSink for SpeBatchProbe {
+    fn name(&self) -> &'static str {
+        "spe-batch-probe"
+    }
+
+    fn analyze(&mut self, _m: &Machine, _p: &Profile) -> Result<AnalysisReport, NmoError> {
+        Ok(AnalysisReport::Text(String::new()))
+    }
+
+    fn on_batch(&mut self, batch: &SampleBatch) {
+        if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
+            self.sizes.lock().push(samples.len());
+        }
+    }
+}
+
+/// SPE loss is a run total, not a per-drain payload: on the golden STREAM
+/// row (period 64, where most selected samples are lost) every SPE batch the
+/// pipeline delivers carries samples — a drain that found none publishes
+/// nothing — and together they are every processed sample. Window closes
+/// and late batches come out as on a second run.
+#[test]
+fn every_spe_batch_carries_samples_and_loss_stays_a_run_total() {
+    let run = || {
+        let sizes = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let profile = ProfileSession::builder()
+            .machine_config(MachineConfig::ampere_altra_max())
+            .config(NmoConfig::paper_default(64))
+            .cores([0])
+            .sink(SpeBatchProbe { sizes: sizes.clone() })
+            .workload(Box::new(StreamBench::new(2_000_000, 1)))
+            .build()
+            .expect("session builds")
+            .run_streaming()
+            .expect("streaming run");
+        let sizes = std::mem::take(&mut *sizes.lock());
+        (profile, sizes)
+    };
+    let (profile, sizes) = run();
+    let empty = sizes.iter().filter(|&&n| n == 0).count();
+    assert_eq!(empty, 0, "{empty} of {} SPE batches carry no sample", sizes.len());
+    assert_eq!(sizes.iter().sum::<usize>() as u64, profile.processed_samples);
+    assert!(profile.spe.collisions > 0, "the run's loss is in its totals: {:?}", profile.spe);
+    let stats = profile.stream.expect("stream stats");
+    let again = run().0.stream.expect("stream stats");
+    assert_eq!(
+        (stats.windows_closed, stats.late_batches),
+        (again.windows_closed, again.late_batches)
+    );
 }
