@@ -58,7 +58,7 @@ impl Token {
 }
 
 /// One comment (line or block), kept out of the token stream but available
-/// to the lints for justification / suppression lookup.
+/// to the lints for the `relaxed-ok:` justification lookup.
 #[derive(Debug, Clone)]
 pub struct Comment {
     /// Comment text including its delimiters.

@@ -1,67 +1,12 @@
-//! CLI for the workspace lint pass.
+//! CLI for the workspace lint pass: `cargo run -p nmo-lint`.
 //!
-//! ```text
-//! cargo run -p nmo-lint -- [--root DIR] [--deny-warnings] [--format human|json]
-//!                          [--assume-lib] [--list-lints] [PATH ...]
-//! ```
-//!
-//! With no positional `PATH`s the whole workspace under `--root` (default:
-//! the current directory, walking up to the workspace `Cargo.toml`) is
-//! linted. Exit codes: 0 clean, 1 findings (errors always; warnings only
-//! under `--deny-warnings`), 2 usage or I/O error.
+//! Takes no argument. Lints the workspace that contains the current
+//! directory (walking up to the `Cargo.toml` beside a `crates/` directory)
+//! and prints one line per finding. Exit codes: 0 clean, 1 findings, 2 an
+//! argument or an I/O error.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-use nmo_lint::{classify, default_lints, lint_workspace, load_file, FileKind, Severity};
-
-struct Options {
-    root: Option<PathBuf>,
-    deny_warnings: bool,
-    json: bool,
-    assume_lib: bool,
-    list_lints: bool,
-    paths: Vec<PathBuf>,
-}
-
-fn usage() -> &'static str {
-    "usage: nmo-lint [--root DIR] [--deny-warnings] [--format human|json] \
-     [--assume-lib] [--list-lints] [PATH ...]"
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        root: None,
-        deny_warnings: false,
-        json: false,
-        assume_lib: false,
-        list_lints: false,
-        paths: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => {
-                let dir = it.next().ok_or("--root needs a directory argument")?;
-                opts.root = Some(PathBuf::from(dir));
-            }
-            "--deny-warnings" => opts.deny_warnings = true,
-            "--format" => match it.next().map(String::as_str) {
-                Some("human") => opts.json = false,
-                Some("json") => opts.json = true,
-                _ => return Err("--format needs `human` or `json`".into()),
-            },
-            "--assume-lib" => opts.assume_lib = true,
-            "--list-lints" => opts.list_lints = true,
-            "--help" | "-h" => return Err(String::new()),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag `{other}`"));
-            }
-            path => opts.paths.push(PathBuf::from(path)),
-        }
-    }
-    Ok(opts)
-}
 
 /// Walk up from `start` to the directory holding the workspace manifest
 /// (a `Cargo.toml` next to a `crates/` directory).
@@ -78,63 +23,23 @@ fn find_workspace_root(start: &Path) -> PathBuf {
 }
 
 fn run() -> Result<ExitCode, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
-        Err(msg) if msg.is_empty() => {
-            println!("{}", usage());
-            return Ok(ExitCode::SUCCESS);
-        }
-        Err(msg) => return Err(format!("{msg}\n{}", usage())),
-    };
-
-    if opts.list_lints {
-        for lint in default_lints() {
-            println!("{:<24} {}", lint.id(), lint.description());
-        }
-        return Ok(ExitCode::SUCCESS);
+    if std::env::args_os().len() > 1 {
+        return Err("takes no argument; run it inside the workspace".into());
     }
-
-    let diags = if opts.paths.is_empty() {
-        let cwd = std::env::current_dir().map_err(|e| format!("cannot read cwd: {e}"))?;
-        let root = opts.root.unwrap_or_else(|| find_workspace_root(&cwd));
-        lint_workspace(&root).map_err(|e| format!("lint walk failed under {root:?}: {e}"))?
-    } else {
-        let mut files = Vec::new();
-        for path in &opts.paths {
-            let rel = path.to_string_lossy().replace('\\', "/");
-            let kind = if opts.assume_lib { FileKind::Lib } else { classify(Path::new(&rel)) };
-            files.push(load_file(path, &rel, kind).map_err(|e| format!("cannot read {rel}: {e}"))?);
-        }
-        nmo_lint::run_lints(&files)
-    };
-
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
+    let cwd = std::env::current_dir().map_err(|e| format!("cannot read cwd: {e}"))?;
+    let root = find_workspace_root(&cwd);
+    let diags = nmo_lint::lint_workspace(&root)
+        .map_err(|e| format!("lint walk failed under {root:?}: {e}"))?;
     for d in &diags {
-        match d.severity {
-            Severity::Error => errors += 1,
-            Severity::Warning => warnings += 1,
-        }
-        if opts.json {
-            println!("{}", d.json());
-        } else {
-            println!("{}", d.human());
-        }
+        println!("{}", d.human());
     }
-    if !opts.json {
-        eprintln!("nmo-lint: {errors} error(s), {warnings} warning(s)");
-    }
-    let fail = errors > 0 || (opts.deny_warnings && warnings > 0);
-    Ok(if fail { ExitCode::FAILURE } else { ExitCode::SUCCESS })
+    eprintln!("nmo-lint: {} finding(s)", diags.len());
+    Ok(if diags.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("nmo-lint: {msg}");
-            ExitCode::from(2)
-        }
-    }
+    run().unwrap_or_else(|msg| {
+        eprintln!("nmo-lint: {msg}");
+        ExitCode::from(2)
+    })
 }

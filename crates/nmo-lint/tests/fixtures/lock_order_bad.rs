@@ -1,5 +1,5 @@
 //! Fixture: two call paths acquire `alpha` and `beta` in opposite orders —
-//! the `lock-order` lint must report a cycle (error severity).
+//! the `lock-order` lint must report a cycle.
 
 use parking_lot::Mutex;
 

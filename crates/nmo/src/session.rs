@@ -401,7 +401,7 @@ impl ProfileSession {
         };
 
         let bus = ShardedBus::new(shards, opts.bus_capacity, opts.backpressure);
-        let pool = BatchPool::new((opts.bus_capacity * shards).clamp(64, 4096));
+        let pool = BatchPool::new(opts.bus_capacity.saturating_mul(shards).clamp(64, 4096));
         let stop = Arc::new(AtomicBool::new(false));
         let snapshot = Arc::new(Mutex::named(SnapshotState::default(), "session.snapshot"));
         let ctx = active.session.stream_context(Some(active.session.machine.clone()));

@@ -796,7 +796,7 @@ impl ShardedBus {
             rolled.dropped_batches += s.dropped_batches;
             rolled.dropped_items += s.dropped_items;
             rolled.high_watermark = rolled.high_watermark.max(s.high_watermark);
-            rolled.capacity += s.capacity;
+            rolled.capacity = rolled.capacity.saturating_add(s.capacity);
             rolled.queued += s.queued;
         }
         rolled

@@ -437,7 +437,6 @@ const DECAY: f64 = 0.5;
 pub struct HotPageTracker {
     policy: Box<dyn TieringPolicy>,
     page_bytes: u64,
-    configured: bool,
     /// Actuation target on the streaming path (latched at stream start).
     machine: Option<Arc<Machine>>,
     pages: BTreeMap<u64, PageState>,
@@ -475,7 +474,6 @@ impl HotPageTracker {
         HotPageTracker {
             policy: Box::new(policy),
             page_bytes: 64 * 1024,
-            configured: false,
             machine: None,
             pages: BTreeMap::new(),
             pinned: BTreeMap::new(),
@@ -497,13 +495,10 @@ impl HotPageTracker {
         &self.applied
     }
 
-    /// Latch the page geometry from a machine configuration (idempotent;
-    /// called by both actuation paths).
+    /// Latch the page geometry from a machine configuration (the manual
+    /// actuation path; a stream latches it at `on_stream_start`).
     pub(crate) fn configure(&mut self, cfg: &MachineConfig) {
-        if !self.configured {
-            self.page_bytes = cfg.page_bytes;
-            self.configured = true;
-        }
+        self.page_bytes = cfg.page_bytes;
     }
 
     /// Fold one decoded sample into the per-page state.
@@ -690,9 +685,8 @@ impl HotPageTracker {
 }
 
 impl ShardableSink for HotPageTracker {
-    fn make_shard(&mut self, _shard: usize, ctx: &StreamContext) -> Box<dyn SinkShard> {
-        let page_bytes = if self.configured { self.page_bytes } else { ctx.page_bytes };
-        Box::new(TrackerShard { page_bytes, pending: BTreeMap::new() })
+    fn make_shard(&mut self, _shard: usize, _ctx: &StreamContext) -> Box<dyn SinkShard> {
+        Box::new(TrackerShard { page_bytes: self.page_bytes, pending: BTreeMap::new() })
     }
 
     fn merge_window(&mut self, window: Window, states: Vec<ShardState>) {
@@ -723,15 +717,11 @@ impl AnalysisSink for HotPageTracker {
     }
 
     fn on_stream_start(&mut self, ctx: &StreamContext) {
+        // The stream geometry's page size is the machine's on a live run and
+        // the recorded one on a replay, so page aggregation is the same.
+        self.page_bytes = ctx.page_bytes;
         if let Some(machine) = &ctx.machine {
-            self.configure(machine.config());
             self.machine = Some(machine.clone());
-        } else if !self.configured {
-            // Machine-less stream (a trace replay, a session without
-            // pipeline threads): latch the page size from the stream
-            // geometry so page aggregation is identical to a live run's.
-            self.page_bytes = ctx.page_bytes;
-            self.configured = true;
         }
     }
 

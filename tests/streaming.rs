@@ -279,6 +279,47 @@ fn poll_snapshot_grows_monotonically_during_the_run() {
     }
 }
 
+/// A hostile `bus_capacity` is a bound, not a size: a two-shard session
+/// sizes its batch pool and rolls up its lanes' capacities without
+/// overflowing, live and at `finish`.
+#[test]
+fn a_huge_bus_capacity_runs_a_sharded_session() {
+    let session = ProfileSession::builder()
+        .machine_config(MachineConfig::small_test())
+        .config(NmoConfig::paper_default(200))
+        .threads(2)
+        .sink(SampleLogSink::new())
+        .stream_options(StreamOptions {
+            window_ns: 50_000,
+            bus_capacity: usize::MAX,
+            shards: 2,
+            ..StreamOptions::default()
+        })
+        .build()
+        .expect("session builds");
+
+    let mut workload = StreamBench::new(60_000, 2);
+    workload.setup(session.machine(), &session.annotations()).expect("setup");
+    let active = session.start_streaming().expect("start streaming");
+    let snapshot = std::thread::scope(|s| {
+        let (machine, annotations, cores) =
+            (active.machine(), active.annotations_ref(), active.cores());
+        let workload = &mut workload;
+        let handle = s.spawn(move || workload.run(machine, annotations, cores));
+        let snapshot = active.poll_snapshot().expect("streaming session snapshots");
+        handle.join().expect("workload thread").expect("workload run");
+        snapshot
+    });
+    assert!(workload.verify(), "workload result corrupted");
+    assert_eq!(snapshot.bus.capacity, u64::MAX, "{snapshot:?}");
+
+    let profile = active.finish().expect("finish");
+    let stats = profile.stream.expect("stream stats");
+    assert_eq!(stats.shards, 2, "{stats:?}");
+    assert_eq!(stats.batches_dropped, 0, "{stats:?}");
+    assert_eq!(profile.samples().expect("sample log").len() as u64, profile.processed_samples);
+}
+
 /// Samples each scripted core emits, and how many of them one drain hands
 /// over per core: 16 drains, ~16 windows of 100 µs.
 const SCRIPT_PER_CORE: u64 = 16_384;
