@@ -2,9 +2,12 @@
 //!
 //! The paper's accuracy methodology (Section VII, Eq. 1) compares the number
 //! of SPE samples multiplied by the sampling period against a `perf stat`
-//! baseline counting the `mem_access` event. These counters provide that
-//! baseline, plus the bus-traffic and floating-point counts used by the
-//! bandwidth / arithmetic-intensity profiler.
+//! baseline counting the `mem_access` event. These counters are that
+//! baseline and every other `perf stat` count a profile reports
+//! (`ld_retired`, `st_retired`, `inst_retired`, `br_retired`), exact because
+//! each core counts what it retires itself, whatever observes it; plus the
+//! bus-traffic and floating-point counts used by the bandwidth /
+//! arithmetic-intensity profiler.
 
 /// Per-core event counters (owned by the core, merged on demand).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -226,11 +226,11 @@ pub trait OpObserver: Send {
 /// sums their charges.
 ///
 /// One core has exactly one observer slot; a profiling session that runs
-/// several sample backends on the same core (e.g. ARM SPE sampling plus
-/// `perf stat`-style counting) composes their per-core observers with this
-/// type. It asks the core for the strictest of its children's [`Quiet`]s and
-/// hands every child every count and every shown operation, so a child is at
-/// worst woken earlier than it asked.
+/// several sample backends on the same core (e.g. ARM SPE sampling plus a
+/// user's own backend) composes their per-core observers with this type. It
+/// asks the core for the strictest of its children's [`Quiet`]s and hands
+/// every child every count and every shown operation, so a child is at worst
+/// woken earlier than it asked.
 pub struct FanoutObserver {
     observers: Vec<Box<dyn OpObserver>>,
 }

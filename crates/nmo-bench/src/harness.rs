@@ -281,8 +281,6 @@ mod tests {
         // The profiled run issues the same number of memory accesses.
         assert_eq!(profile.counters.mem_access, baseline.mem_counted);
         assert!(profile.processed_samples > 0);
-        // The counter backend ran alongside SPE and agrees with the machine.
-        assert_eq!(profile.perf_count("mem_access"), Some(profile.counters.mem_access));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! * **Accuracy** follows Eq. (1):
 //!   `accuracy = 1 - |mem_counted - samples * period| / mem_counted`,
 //!   where `mem_counted` is the `perf stat` baseline count of the
-//!   `mem_access` event, `samples` the number of processed SPE samples and
-//!   `period` the sampling period.
+//!   `mem_access` event (the machine's own, `Profile::counters.mem_access`),
+//!   `samples` the number of processed SPE samples and `period` the sampling
+//!   period.
 //! * **Time overhead** is the relative increase of execution time when
 //!   profiling is enabled: `(t_profiled - t_baseline) / t_baseline`.
 //! * The sweep structures hold one row per sampling period / aux-buffer size

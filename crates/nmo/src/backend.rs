@@ -8,36 +8,30 @@
 //! backends via [`arch_sim::FanoutObserver`] when several backends share a
 //! core), and folds its results into the final [`Profile`].
 //!
-//! Two backends ship with the crate:
+//! One backend ships with the crate: [`SpeBackend`], the paper's path — one
+//! ARM SPE perf event per core and the 64-byte record decode of Section IV.
+//! The paper's monitoring thread is *simulated* — what keeping up with the
+//! aux buffer costs the profiled program is [`spe::OverheadModel`]'s drain
+//! latency, per-byte drain time and interrupt cycles — so the backend runs no
+//! host thread: the core that publishes a `PERF_RECORD_AUX` record decodes it
+//! on the spot ([`spe::SpeDriver::set_publish_handler`]). The model hands aux
+//! space back in simulated time whether or not a host reader has copied it; a
+//! reader on a thread of its own was late whenever the host scheduled it
+//! late, and returned later records' bytes in place of the ones it was sent
+//! for. Read at publication, every record is read exactly once by
+//! construction, and a synchronous drain is complete by construction.
 //!
-//! * [`SpeBackend`] — the paper's path: one ARM SPE perf event per core and
-//!   the 64-byte record decode of Section IV. The paper's monitoring thread
-//!   is *simulated* — what keeping up with the aux buffer costs the profiled
-//!   program is [`spe::OverheadModel`]'s drain latency, per-byte drain time
-//!   and interrupt cycles — so the backend runs no host thread: the core
-//!   that publishes a `PERF_RECORD_AUX` record decodes it on the spot
-//!   ([`spe::SpeDriver::set_publish_handler`]). The model hands aux space
-//!   back in simulated time whether or not a host reader has copied it; a
-//!   reader on a thread of its own was late whenever the host scheduled it
-//!   late, and returned later records' bytes in place of the ones it was
-//!   sent for. Read at publication, every record is read exactly once by
-//!   construction, and a synchronous drain is complete by construction.
-//! * [`CounterBackend`] — `perf stat`-style aggregate counting over
-//!   [`perf_sub::CountingEvent`], the baseline side of the paper's accuracy
-//!   methodology (Eq. 1). It samples no addresses, charges no overhead and
-//!   streams nothing: its counts are run totals, read at `fill`.
+//! The `perf stat` side of the paper's accuracy methodology (Eq. 1) needs no
+//! backend: the simulated machine counts every retired operation exactly,
+//! and [`Profile::counters`] is that count.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use arch_sim::{
-    DataSource, Machine, MemOutcome, ObserverCharge, Op, OpCounts, OpKind, OpObserver, Quiet,
-    TimeConv,
-};
-use perf_sub::attr::{hw_config, PerfEventAttr};
+use arch_sim::{DataSource, Machine, OpObserver, TimeConv};
 use perf_sub::records::Record;
-use perf_sub::{CountingEvent, PerfEvent};
+use perf_sub::PerfEvent;
 use spe::packet::{decode_records, SPE_RECORD_BYTES};
 use spe::{SpeDriver, SpeStats, SpeStatsSnapshot};
 
@@ -112,12 +106,12 @@ pub trait SampleBackend: Send {
     /// worker runs on its own pump thread and drains only its disjoint core
     /// subset, so drains scale with core count.
     ///
-    /// A backend that cannot shard (machine-wide instruments like the
-    /// counting backend) keeps the default empty list; the session then
-    /// calls its [`SampleBackend::drain`] from the coordinator pump worker
-    /// instead. When workers are handed out, the session stops calling
-    /// `drain` on the backend itself — the workers own the streaming side
-    /// until [`SampleBackend::stop`].
+    /// A backend that cannot shard (one with machine-wide instruments) keeps
+    /// the default empty list; the session then calls its
+    /// [`SampleBackend::drain`] from the coordinator pump worker instead.
+    /// When workers are handed out, the session stops calling `drain` on the
+    /// backend itself — the workers own the streaming side until
+    /// [`SampleBackend::stop`].
     fn shard_drainers(&mut self, _shards: usize) -> Vec<Box<dyn ShardDrainer>> {
         Vec::new()
     }
@@ -440,175 +434,6 @@ fn drain_event(core: usize, event: &PerfEvent, store: &Mutex<SampleStore>, scrat
     }
 }
 
-/// The `perf stat`-style counting backend.
-///
-/// Opens one machine-wide [`CountingEvent`] per tracked hardware event
-/// (`mem_access`, `ld_retired`, `st_retired`, `inst_retired`, `br_retired`)
-/// and feeds them from a per-core observer. Counting charges no cycles to the
-/// profiled cores, mirroring the negligible overhead of `perf stat` in the
-/// paper's baseline runs. The counts are run totals: nothing is streamed (the
-/// backend keeps the default no-op [`SampleBackend::drain`]), and
-/// [`SampleBackend::fill`] reads them into [`Profile::perf_counts`] once the
-/// run is over.
-///
-/// A core adds to the shared events in bulk — once it has 4 096 retired
-/// loads, stores and branches to report, and whenever it is flushed or its
-/// engine detaches; until then the counts sit in its observer, however often
-/// another backend on the same core has it woken — so the cores' host threads
-/// do not share a cache line per operation or per sample. A
-/// [`CounterBackend::read`] while engines are running can therefore lag each
-/// running core by up to 4 096 operations; the counts at `fill` are exact
-/// (`inst_retired` equals the machine's `instructions`, `mem_access` its
-/// `mem_access`).
-#[derive(Debug, Default)]
-pub struct CounterBackend {
-    events: Vec<(&'static str, Arc<CountingEvent>)>,
-}
-
-impl CounterBackend {
-    /// Create an idle counting backend.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current value of one named counter, if it exists.
-    pub fn read(&self, name: &str) -> Option<u64> {
-        self.events.iter().find(|(n, _)| *n == name).map(|(_, e)| e.read())
-    }
-}
-
-struct CounterObserver {
-    mem_access: Arc<CountingEvent>,
-    ld_retired: Arc<CountingEvent>,
-    st_retired: Arc<CountingEvent>,
-    inst_retired: Arc<CountingEvent>,
-    br_retired: Arc<CountingEvent>,
-    /// What this core retired since it last added to the events.
-    pending: OpCounts,
-}
-
-/// How many operations a core may retire between two updates of the
-/// machine-wide counting events — how stale a mid-run
-/// [`CounterBackend::read`] can be, per core. Flush and detach deliver the
-/// rest, so final counts are exact.
-const COUNTER_REFRESH_OPS: u64 = 4096;
-
-impl CounterObserver {
-    fn note(&mut self, counts: &OpCounts) {
-        self.pending.loads += counts.loads;
-        self.pending.stores += counts.stores;
-        self.pending.branches += counts.branches;
-        self.pending.others += counts.others;
-    }
-
-    /// Add what is pending to the machine-wide events.
-    fn publish(&mut self) -> ObserverCharge {
-        let counts = std::mem::take(&mut self.pending);
-        self.inst_retired.add(counts.total());
-        self.mem_access.add(counts.loads + counts.stores);
-        self.ld_retired.add(counts.loads);
-        self.st_retired.add(counts.stores);
-        self.br_retired.add(counts.branches);
-        ObserverCharge::NONE
-    }
-}
-
-impl OpObserver for CounterObserver {
-    fn quiet(&self) -> Quiet {
-        Quiet::over(&[OpKind::Load, OpKind::Store, OpKind::Branch], COUNTER_REFRESH_OPS - 1)
-    }
-
-    fn on_skipped(&mut self, counts: &OpCounts) {
-        self.note(counts);
-    }
-
-    fn on_op(
-        &mut self,
-        op: &Op,
-        _outcome: Option<&MemOutcome>,
-        _now_cycles: u64,
-    ) -> ObserverCharge {
-        self.note(&OpCounts::one(op.kind));
-        // Woken by its own countdown this is every wake-up; woken early by
-        // another backend's (the SPE unit at a short period) it is not.
-        let counted = self.pending.loads + self.pending.stores + self.pending.branches;
-        if counted >= COUNTER_REFRESH_OPS {
-            self.publish();
-        }
-        ObserverCharge::NONE
-    }
-
-    fn on_flush(&mut self, _now_cycles: u64) -> ObserverCharge {
-        self.publish()
-    }
-
-    fn on_detach(&mut self, _now_cycles: u64) -> ObserverCharge {
-        self.publish()
-    }
-}
-
-impl SampleBackend for CounterBackend {
-    fn name(&self) -> &'static str {
-        "counters"
-    }
-
-    fn start(
-        &mut self,
-        _machine: &Machine,
-        cores: &[usize],
-        config: &NmoConfig,
-    ) -> Result<Vec<CoreObserver>, NmoError> {
-        if !config.enabled {
-            return Ok(Vec::new());
-        }
-        let open = |cfg: u64| -> Result<Arc<CountingEvent>, NmoError> {
-            let attr = PerfEventAttr::counting(cfg);
-            attr.validate().map_err(NmoError::Perf)?;
-            Ok(Arc::new(CountingEvent::new(attr)))
-        };
-        let mem_access = open(hw_config::MEM_ACCESS)?;
-        let ld_retired = open(hw_config::LD_RETIRED)?;
-        let st_retired = open(hw_config::ST_RETIRED)?;
-        let inst_retired = open(hw_config::INSTRUCTIONS)?;
-        let br_retired = open(hw_config::BR_RETIRED)?;
-        self.events = vec![
-            ("mem_access", mem_access.clone()),
-            ("ld_retired", ld_retired.clone()),
-            ("st_retired", st_retired.clone()),
-            ("inst_retired", inst_retired.clone()),
-            ("br_retired", br_retired.clone()),
-        ];
-        Ok(cores
-            .iter()
-            .map(|&core| CoreObserver {
-                core,
-                observer: Box::new(CounterObserver {
-                    mem_access: mem_access.clone(),
-                    ld_retired: ld_retired.clone(),
-                    st_retired: st_retired.clone(),
-                    inst_retired: inst_retired.clone(),
-                    br_retired: br_retired.clone(),
-                    pending: OpCounts::default(),
-                }) as Box<dyn OpObserver>,
-            })
-            .collect())
-    }
-
-    fn stop(&mut self, _machine: &Machine) -> Result<(), NmoError> {
-        for (_, event) in &self.events {
-            event.disable();
-        }
-        Ok(())
-    }
-
-    fn fill(&mut self, profile: &mut Profile) -> Result<(), NmoError> {
-        profile
-            .perf_counts
-            .extend(self.events.iter().map(|(name, event)| (name.to_string(), event.read())));
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,73 +568,5 @@ mod tests {
         backend.fill(&mut profile).unwrap();
         assert_eq!(profile.processed_samples, streamed);
         assert!(profile.samples().is_none(), "a profile holds sink reports, and no sink ran");
-    }
-
-    #[test]
-    fn counter_backend_counts_while_attached() {
-        let machine = machine();
-        let config = NmoConfig { enabled: true, ..NmoConfig::default() };
-        let mut backend = CounterBackend::new();
-        let observers = backend.start(&machine, &[0, 1], &config).unwrap();
-        assert_eq!(observers.len(), 2);
-        for co in observers {
-            machine.set_observer(co.core, co.observer).unwrap();
-        }
-        let region = machine.alloc("data", 1 << 16).unwrap();
-        for core in [0usize, 1] {
-            let mut e = machine.attach(core).unwrap();
-            for i in 0..1_000u64 {
-                e.load(region.start + i * 8, 8);
-            }
-            e.store(region.start, 8);
-        }
-        for core in [0usize, 1] {
-            let _ = machine.take_observer(core).unwrap();
-        }
-        backend.stop(&machine).unwrap();
-        assert_eq!(backend.read("mem_access"), Some(2 * 1_000 + 2));
-        assert_eq!(backend.read("st_retired"), Some(2));
-        let mut profile = Profile::empty("t", config);
-        backend.fill(&mut profile).unwrap();
-        let mem = profile.perf_counts.iter().find(|(n, _)| n == "mem_access").unwrap();
-        assert_eq!(mem.1, machine.counters().mem_access);
-    }
-
-    /// Woken far more often than it asked for (here for every operation, by a
-    /// sibling that wants to see them all), a core's counting observer still
-    /// adds to the shared events only once it has 4 096 operations to report —
-    /// and is never further behind than that.
-    #[test]
-    fn counter_observer_woken_early_still_publishes_every_4096_ops() {
-        let machine = machine();
-        let config = NmoConfig { enabled: true, ..NmoConfig::default() };
-        let mut backend = CounterBackend::new();
-        let counting = backend.start(&machine, &[0], &config).unwrap().remove(0).observer;
-        let every_op = Box::new(arch_sim::NullObserver);
-        machine
-            .set_observer(0, Box::new(arch_sim::FanoutObserver::new(vec![counting, every_op])))
-            .unwrap();
-        let region = machine.alloc("data", 1 << 20).unwrap();
-        let mut e = machine.attach(0).unwrap();
-        for i in 0..10_000u64 {
-            e.load(region.start + i * 8, 8);
-            let published = backend.read("mem_access").unwrap();
-            assert_eq!(published, (i + 1) / COUNTER_REFRESH_OPS * COUNTER_REFRESH_OPS, "op {i}");
-        }
-        e.flush_observer();
-        assert_eq!(backend.read("mem_access"), Some(10_000), "a flush delivers the rest");
-        e.store(region.start, 8);
-        drop(e);
-        assert_eq!(backend.read("mem_access"), Some(10_001), "and so does the detach");
-        assert_eq!(backend.read("inst_retired"), Some(machine.counters().instructions));
-    }
-
-    #[test]
-    fn counter_backend_disabled_config_attaches_nothing() {
-        let machine = machine();
-        let mut backend = CounterBackend::new();
-        let observers = backend.start(&machine, &[0], &NmoConfig::default()).unwrap();
-        assert!(observers.is_empty());
-        assert_eq!(backend.read("mem_access"), None);
     }
 }

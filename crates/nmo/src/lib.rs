@@ -26,9 +26,10 @@
 //!   machine, cores, workload, backends, and sinks; every fallible step
 //!   returns [`Result`]`<_, `[`NmoError`]`>`.
 //! * [`backend::SampleBackend`] — pluggable data sources. [`backend::SpeBackend`]
-//!   samples precise addresses with the ARM SPE model; [`backend::CounterBackend`]
-//!   aggregates `perf stat`-style hardware counters. A session can run both
-//!   at once on the same cores.
+//!   samples precise addresses with the ARM SPE model; a user's own backend
+//!   can share the profiled cores with it. The `perf stat` counts need no
+//!   backend: [`Profile::counters`] are the machine's own exact retire
+//!   counts.
 //! * [`sink::AnalysisSink`] — pluggable analyses over the collected data.
 //!   The paper's levels ship as [`sink::CapacitySink`],
 //!   [`sink::BandwidthSink`], [`sink::RegionSink`], and
@@ -120,7 +121,7 @@ pub mod workload;
 
 pub use analysis::{accuracy, time_overhead, RunMeasurement, Sweep, SweepPoint};
 pub use annotate::{AddrTag, Annotations, Phase};
-pub use backend::{CoreObserver, CounterBackend, SampleBackend, ShardDrainer, SpeBackend};
+pub use backend::{CoreObserver, SampleBackend, ShardDrainer, SpeBackend};
 pub use bandwidth::BandwidthSeries;
 pub use capacity::CapacitySeries;
 pub use config::{Mode, NmoConfig};

@@ -320,14 +320,20 @@ impl Profile {
             written.push(path.display().to_string());
         }
 
-        // Hardware counters from the counting backend (perf stat analogue).
-        if !self.perf_counts.is_empty() {
+        // The `perf stat` counts: the machine's own retire counters.
+        if self.config.enabled {
             let path = dir.join(format!("{base}_counters.csv"));
-            let rows: Vec<Vec<String>> = self
-                .perf_counts
-                .iter()
-                .map(|(event, count)| vec![event.clone(), count.to_string()])
-                .collect();
+            let c = &self.counters;
+            let rows: Vec<Vec<String>> = [
+                ("mem_access", c.mem_access),
+                ("ld_retired", c.loads),
+                ("st_retired", c.stores),
+                ("inst_retired", c.instructions),
+                ("br_retired", c.branches),
+            ]
+            .iter()
+            .map(|(event, count)| vec![event.to_string(), count.to_string()])
+            .collect();
             write_csv(&path, &["event", "count"], &rows)?;
             written.push(path.display().to_string());
         }

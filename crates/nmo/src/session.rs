@@ -68,7 +68,7 @@ use parking_lot::Mutex;
 use arch_sim::{FanoutObserver, Machine, MachineConfig, OpObserver};
 
 use crate::annotate::Annotations;
-use crate::backend::{CounterBackend, SampleBackend, ShardDrainer, SpeBackend};
+use crate::backend::{SampleBackend, ShardDrainer, SpeBackend};
 use crate::config::NmoConfig;
 use crate::runtime::Profile;
 use crate::sink::{default_sinks, run_sinks, AnalysisSink, FanIn, FanInLane, StreamContext};
@@ -150,9 +150,10 @@ impl ProfileSessionBuilder {
     }
 
     /// Register a sample backend. When no backend is registered explicitly,
-    /// the session derives the default set from the configuration
-    /// ([`SpeBackend`] when SPE sampling is active, plus [`CounterBackend`]
-    /// whenever collection is enabled).
+    /// the session derives the default from the configuration:
+    /// [`SpeBackend`] when SPE sampling is active, and no backend otherwise
+    /// (an RSS/bandwidth-only session runs its sinks alone). The `perf stat`
+    /// counts need none: they are [`Profile::counters`].
     pub fn backend(mut self, backend: impl SampleBackend + 'static) -> Self {
         self.backends.push(Box::new(backend));
         self
@@ -206,6 +207,12 @@ impl ProfileSessionBuilder {
     pub fn build(mut self) -> Result<ProfileSession, NmoError> {
         self.machine_config.validate().map_err(NmoError::Sim)?;
         self.config.check_buffer_sizes(self.machine_config.page_bytes)?;
+        let per_byte = self.config.overhead.drain_cycles_per_byte;
+        if !(per_byte.is_finite() && per_byte >= 0.0) {
+            return Err(NmoError::Config(format!(
+                "overhead.drain_cycles_per_byte must be finite and non-negative, not {per_byte}"
+            )));
+        }
         if self.cores.is_empty() {
             self.cores.push(0);
         }
@@ -221,11 +228,8 @@ impl ProfileSessionBuilder {
                 return Err(NmoError::Config(format!("core {core} listed more than once")));
             }
         }
-        if self.default_backends && self.backends.is_empty() && self.config.enabled {
-            if self.config.spe_active() {
-                self.backends.push(Box::new(SpeBackend::new()));
-            }
-            self.backends.push(Box::new(CounterBackend::new()));
+        if self.default_backends && self.backends.is_empty() && self.config.spe_active() {
+            self.backends.push(Box::new(SpeBackend::new()));
         }
         if self.sinks.is_empty() {
             self.sinks = default_sinks(&self.config);
@@ -1467,8 +1471,45 @@ mod tests {
         for (var, value) in [("NMO_BUFSIZE", "0"), ("NMO_BUFSIZE", "1024")] {
             let session = from_env(var, value).expect(value);
             let profile = session.run_with(|_, _, _| Ok(())).expect("buffers map");
-            assert_eq!(profile.backends, ["spe", "counters"], "{var}={value}");
+            assert_eq!(profile.backends, ["spe"], "{var}={value}");
         }
+    }
+
+    /// The SPE overhead model is configuration too: a per-byte drain cost
+    /// that is not a finite, non-negative number is a config error, and a
+    /// drain latency no run outlasts runs (its aux space never comes back).
+    #[test]
+    fn hostile_overhead_models_are_config_errors_not_panics() {
+        let session = |overhead| {
+            ProfileSession::builder()
+                .machine_config(MachineConfig::small_test())
+                .config(NmoConfig { overhead, ..NmoConfig::paper_default(64) })
+                .build()
+        };
+        for per_byte in [f64::INFINITY, f64::NAN, -5.0] {
+            let overhead =
+                spe::OverheadModel { drain_cycles_per_byte: per_byte, ..Default::default() };
+            let err = session(overhead).expect_err("hostile per-byte cost");
+            assert!(
+                matches!(&err, NmoError::Config(m) if m.contains("drain_cycles_per_byte")),
+                "{per_byte}: {err}"
+            );
+        }
+        let overhead =
+            spe::OverheadModel { drain_service_latency_cycles: u64::MAX, ..Default::default() };
+        let profile = session(overhead)
+            .expect("a huge latency is a valid model")
+            .run_with(|machine, _, _| {
+                let region = machine.alloc("data", 1 << 20)?;
+                let mut e = machine.attach(0)?;
+                for i in 0..50_000u64 {
+                    e.load(region.start + (i % 10_000) * 8, 8);
+                }
+                Ok(())
+            })
+            .expect("the run completes");
+        assert!(profile.processed_samples > 0);
+        assert_eq!(profile.processed_samples, profile.spe.records_written);
     }
 
     #[test]
@@ -1478,15 +1519,12 @@ mod tests {
     }
 
     #[test]
-    fn default_backends_run_spe_and_counters_together() {
+    fn default_backends_run_spe_alone() {
         let session = small_session(100, 2);
         let profile = session.run_with(stream_like).unwrap();
-        assert_eq!(profile.backends, vec!["spe".to_string(), "counters".to_string()]);
+        assert_eq!(profile.backends, ["spe"]);
         assert!(profile.processed_samples > 100);
-        // The counter backend's mem_access agrees with the machine counter.
-        let mem = profile.perf_count("mem_access").unwrap();
-        assert_eq!(mem, profile.counters.mem_access);
-        assert_eq!(profile.perf_count("inst_retired"), Some(profile.counters.instructions));
+        assert_eq!(profile.counters.mem_access, 80_000);
         // Default sinks produced capacity and bandwidth, and nothing else.
         assert_eq!(profile.analyses.len(), 2);
         assert!(profile.capacity.peak_bytes > 0);
@@ -1548,11 +1586,11 @@ mod tests {
             .build()
             .unwrap();
         let profile = session.run_with(stream_like).unwrap();
-        assert_eq!(profile.backends, vec!["counters".to_string()]);
+        assert!(profile.backends.is_empty());
         assert_eq!(profile.processed_samples, 0);
         assert_eq!(profile.samples(), Some(&[][..]));
-        assert_eq!(profile.perf_count("mem_access"), Some(40_000));
-        assert_eq!(profile.counters.observer_cycles, 0, "counting charges no cycles");
+        assert_eq!(profile.counters.mem_access, 40_000);
+        assert_eq!(profile.counters.observer_cycles, 0, "no backend charges a cycle");
     }
 
     /// `inst_retired` counts every retired instruction — the bulk
@@ -1598,15 +1636,10 @@ mod tests {
                 .unwrap();
                 let case = format!("{threads} cores, streaming {streaming}");
                 let per_core = 20_000 * 4 + 5_000 * 4;
-                assert_eq!(profile.counters.instructions, threads as u64 * per_core, "{case}");
-                let inst = profile.perf_count("inst_retired");
-                assert_eq!(inst, Some(profile.counters.instructions), "{case}");
-                assert_eq!(
-                    profile.perf_count("mem_access"),
-                    Some(profile.counters.mem_access),
-                    "{case}"
-                );
-                assert_eq!(profile.perf_count("br_retired"), Some(profile.counters.branches));
+                let c = &profile.counters;
+                assert_eq!(c.instructions, threads as u64 * per_core, "{case}");
+                assert_eq!(c.mem_access, threads as u64 * 25_000, "{case}");
+                assert_eq!(c.branches, threads as u64 * 5_000, "{case}");
             }
         }
     }
@@ -1622,13 +1655,12 @@ mod tests {
             .build()
             .unwrap();
         let profile = session.run_streaming_with(stream_like).unwrap();
-        assert_eq!(profile.backends, vec!["counters".to_string()]);
+        assert!(profile.backends.is_empty());
         assert_eq!(profile.processed_samples, 0);
-        assert_eq!(profile.perf_count("mem_access"), Some(80_000));
-        assert_eq!(profile.perf_count("ld_retired"), Some(40_000));
-        assert_eq!(profile.perf_count("st_retired"), Some(40_000));
-        assert_eq!(profile.perf_count("inst_retired"), Some(80_000));
-        assert_eq!(profile.counters.observer_cycles, 0, "counting charges no cycles");
+        let c = &profile.counters;
+        assert_eq!((c.mem_access, c.loads, c.stores), (80_000, 40_000, 40_000));
+        assert_eq!(c.instructions, 80_000);
+        assert_eq!(profile.counters.observer_cycles, 0, "no backend charges a cycle");
     }
 
     #[test]
@@ -1671,13 +1703,13 @@ mod tests {
             .machine_config(MachineConfig::small_test())
             .config(NmoConfig::paper_default(100))
             .threads(1)
-            .backend(CounterBackend::new())
+            .backend(SpeBackend::new())
             .sink(crate::sink::BandwidthSink::default())
             .build()
             .unwrap();
         let profile = session.run_with(stream_like).unwrap();
-        assert_eq!(profile.backends, vec!["counters".to_string()]);
-        assert_eq!(profile.processed_samples, 0, "no SPE backend registered");
+        assert_eq!(profile.backends, ["spe"]);
+        assert!(profile.processed_samples > 0);
         assert_eq!(profile.analyses.len(), 1);
         assert!(profile.capacity.points.is_empty(), "no capacity sink registered");
     }

@@ -9,8 +9,8 @@
 
 use crate::{PerfError, Result};
 
-/// Generic hardware PMU type (`PERF_TYPE_HARDWARE`), used for counting events
-/// such as `mem_access` in the `perf stat` baseline.
+/// Generic hardware PMU type (`PERF_TYPE_HARDWARE`), the default of an
+/// attribute block that names no PMU.
 pub const PERF_TYPE_HARDWARE: u32 = 0;
 
 /// The dynamic PMU type of the ARM SPE device on the paper's testbed.
@@ -30,22 +30,6 @@ pub const SPE_CONFIG_BRANCH_FILTER: u64 = 1 << 35;
 /// the paper (`0x600000001`).
 pub const SPE_CONFIG_LOADS_AND_STORES: u64 =
     SPE_CONFIG_TS_ENABLE | SPE_CONFIG_LOAD_FILTER | SPE_CONFIG_STORE_FILTER;
-
-/// Counting-event configs for `PERF_TYPE_HARDWARE` (ARM PMU event numbers).
-pub mod hw_config {
-    /// ARM `mem_access` event (loads + stores), used for the accuracy baseline.
-    pub const MEM_ACCESS: u64 = 0x13;
-    /// CPU cycles.
-    pub const CPU_CYCLES: u64 = 0x11;
-    /// Retired instructions.
-    pub const INSTRUCTIONS: u64 = 0x08;
-    /// Retired load instructions (`LD_RETIRED`).
-    pub const LD_RETIRED: u64 = 0x06;
-    /// Retired store instructions (`ST_RETIRED`).
-    pub const ST_RETIRED: u64 = 0x07;
-    /// Retired branches (`BR_RETIRED`).
-    pub const BR_RETIRED: u64 = 0x21;
-}
 
 /// The subset of `perf_event_attr` NMO uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,11 +77,6 @@ impl PerfEventAttr {
             sample_period,
             ..Default::default()
         }
-    }
-
-    /// Attribute block for a `perf stat`-style counting event.
-    pub fn counting(config: u64) -> Self {
-        PerfEventAttr { type_: PERF_TYPE_HARDWARE, config, ..Default::default() }
     }
 
     /// Whether this attribute selects the ARM SPE PMU.
@@ -180,8 +159,8 @@ mod tests {
     }
 
     #[test]
-    fn counting_attr_is_valid() {
-        let attr = PerfEventAttr::counting(hw_config::MEM_ACCESS);
+    fn hardware_attr_is_valid() {
+        let attr = PerfEventAttr { config: 0x13, ..Default::default() };
         assert!(!attr.is_spe());
         attr.validate().unwrap();
     }

@@ -241,7 +241,9 @@ mod tests {
 
     #[test]
     fn aux_mmap_rejected_for_counting_events() {
-        let mut ev = PerfEvent::open(PerfEventAttr::counting(0x13), 0, 8, 4096).unwrap();
+        let mut ev =
+            PerfEvent::open(PerfEventAttr { config: 0x13, ..Default::default() }, 0, 8, 4096)
+                .unwrap();
         assert!(ev.mmap_aux(8, 4096).is_err());
     }
 
@@ -265,8 +267,9 @@ mod tests {
 
     #[test]
     fn ids_are_unique() {
-        let a = PerfEvent::open(PerfEventAttr::counting(0x11), 0, 1, 4096).unwrap();
-        let b = PerfEvent::open(PerfEventAttr::counting(0x11), 0, 1, 4096).unwrap();
+        let attr = PerfEventAttr { config: 0x11, ..Default::default() };
+        let a = PerfEvent::open(attr, 0, 1, 4096).unwrap();
+        let b = PerfEvent::open(attr, 0, 1, 4096).unwrap();
         assert_ne!(a.id(), b.id());
     }
 

@@ -15,7 +15,7 @@
 //! Section IV of the paper.
 //!
 //! The crate has no dependency on the machine simulator: it is a pure
-//! data-plane substrate (attributes, buffers, records, counters).
+//! data-plane substrate (attributes, buffers, records).
 
 #![warn(missing_docs)]
 // Stdout belongs to the binaries; library code returns data or warns on stderr.
@@ -24,13 +24,11 @@
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::unwrap_used, clippy::expect_used))]
 
 pub mod attr;
-pub mod count;
 pub mod event;
 pub mod mmap;
 pub mod records;
 
 pub use attr::{PerfEventAttr, PERF_TYPE_ARM_SPE, PERF_TYPE_HARDWARE};
-pub use count::CountingEvent;
 pub use event::{EventId, PerfEvent, RecordDrain};
 pub use mmap::{AuxBuffer, MetadataPage, RingBuffer, PAGE_SIZE_64K};
 pub use records::{

@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn non_spe_attr_rejected() {
-        let attr = PerfEventAttr::counting(0x13);
+        let attr = PerfEventAttr { config: 0x13, ..Default::default() };
         assert!(SpeConfig::from_attr(&attr).is_none());
     }
 

@@ -264,13 +264,15 @@ impl SpeDriver {
 
         // Schedule the space release (simulated monitor-thread drain). A
         // flags-only record (pending_bytes == 0, e.g. pure truncation at the
-        // final drain) releases nothing.
+        // final drain) releases nothing. A drain too slow to ever finish
+        // saturates: the space then comes back only at the final drain.
         let new_tail = self.pending_start + self.pending_bytes;
         if self.pending_bytes > 0 {
-            let drain_cycles = self.model.drain_service_latency_cycles
-                + (self.pending_bytes as f64 * self.model.drain_cycles_per_byte) as u64;
+            let drain_cycles = self.model.drain_service_latency_cycles.saturating_add(
+                (self.pending_bytes as f64 * self.model.drain_cycles_per_byte) as u64,
+            );
             self.releases.push_back(PendingRelease {
-                release_at_cycle: now_cycles + drain_cycles,
+                release_at_cycle: now_cycles.saturating_add(drain_cycles),
                 new_tail,
             });
         }
@@ -483,6 +485,28 @@ mod tests {
         let snap = stats.snapshot();
         assert!(snap.truncated_records > 0, "snap={snap:?}");
         assert!(snap.records_written < snap.samples_selected, "some selected samples must be lost");
+    }
+
+    /// A drain latency no run outlasts keeps the space instead of
+    /// overflowing the release time: the buffer fills once and every later
+    /// record is truncated.
+    #[test]
+    fn an_endless_drain_latency_truncates_instead_of_overflowing() {
+        let machine = Machine::new(MachineConfig::small_test());
+        let cfg = SpeConfig { jitter_ops: 0, ..SpeConfig::loads_stores(2) };
+        let model = OverheadModel { drain_service_latency_cycles: u64::MAX, ..fast_model() };
+        // 4 pages of 4 KiB = 256 records.
+        let (_event, stats) = SpeDriver::open_on(&machine, 0, cfg, 8, 4, model).unwrap();
+        let region = machine.alloc("data", 1 << 20).unwrap();
+        {
+            let mut e = machine.attach(0).unwrap();
+            for i in 0..10_000u64 {
+                e.load(region.start + i * 8, 8);
+            }
+        }
+        let snap = stats.snapshot();
+        assert_eq!(snap.records_written, 256, "{snap:?}");
+        assert!(snap.truncated_records > 0, "{snap:?}");
     }
 
     #[test]

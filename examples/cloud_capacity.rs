@@ -13,8 +13,8 @@ use nmo_repro::nmo::{Mode, NmoConfig, NmoError, Profile, ProfileSession};
 use nmo_repro::workloads::{InMemAnalytics, PageRank, Workload};
 
 fn run(name: &str, workload: Box<dyn Workload>, threads: usize) -> Result<Profile, NmoError> {
-    // Levels 1 and 2 only: no SPE sampling, just capacity + bandwidth (the
-    // session still runs the perf-stat counter backend).
+    // Levels 1 and 2 only: no SPE sampling and no backend, just capacity +
+    // bandwidth (the profile's perf-stat counts are the machine's own).
     let config = NmoConfig {
         enabled: true,
         name: name.into(),

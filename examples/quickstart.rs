@@ -16,9 +16,9 @@ fn main() -> Result<(), NmoError> {
     // with NMO configured the way the paper runs it: loads + stores sampled
     // with ARM SPE, RSS and bandwidth tracking on. The same configuration can
     // be pulled from the NMO_* environment variables with
-    // `NmoConfig::from_env()?`. The session registers its default backends —
-    // SPE sampling plus perf-stat counting; the sinks are one per level (a
-    // session given none registers the first two by itself).
+    // `NmoConfig::from_env()?`. The session registers its default backend,
+    // SPE sampling; the sinks are one per level (a session given none
+    // registers the first two by itself).
     let profile = ProfileSession::builder()
         .machine_config(MachineConfig::ampere_altra_max())
         .config(NmoConfig { name: "quickstart".into(), ..NmoConfig::paper_default(4096) })
@@ -65,7 +65,14 @@ fn main() -> Result<(), NmoError> {
         );
     }
     println!("\nperf-stat backend counts:");
-    for (event, count) in &profile.perf_counts {
+    let c = &profile.counters;
+    for (event, count) in [
+        ("mem_access", c.mem_access),
+        ("ld_retired", c.loads),
+        ("st_retired", c.stores),
+        ("inst_retired", c.instructions),
+        ("br_retired", c.branches),
+    ] {
         println!("  {event:14} {count:>14}");
     }
     println!(

@@ -9,7 +9,7 @@
 //! * [`spe`] — the ARM Statistical Profiling Extension model (sampling unit,
 //!   packet codec, driver, overhead model);
 //! * [`nmo`] — the NMO profiler itself: the [`nmo::ProfileSession`] builder,
-//!   pluggable [`nmo::SampleBackend`]s (SPE sampling, perf-stat counting),
+//!   pluggable [`nmo::SampleBackend`]s (SPE sampling),
 //!   pluggable [`nmo::AnalysisSink`]s (capacity/bandwidth/region levels),
 //!   the streaming pipeline ([`nmo::ProfileSession::run_streaming`], the
 //!   [`nmo::stream`] event bus, live [`nmo::ActiveSession::poll_snapshot`]),

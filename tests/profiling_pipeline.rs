@@ -118,10 +118,9 @@ fn capacity_only_mode_runs_without_spe_and_without_overhead() {
     assert_eq!(profile.counters.observer_cycles, 0, "no SPE => no profiling overhead");
     assert!(profile.capacity.peak_bytes > 0);
     assert!(profile.bandwidth.total_bytes > 0);
-    // Counter-only sessions still count: the perf-stat backend agrees with
-    // the machine-wide counter.
-    assert_eq!(profile.perf_count("mem_access"), Some(profile.counters.mem_access));
-    assert_eq!(profile.backends, vec!["counters".to_string()]);
+    // No SPE, no backend: the machine's own counters still count.
+    assert!(profile.counters.mem_access > 0);
+    assert!(profile.backends.is_empty());
 }
 
 #[test]
@@ -130,7 +129,7 @@ fn profile_csv_reports_are_written_and_parse_back() {
     let dir = std::env::temp_dir().join(format!("nmo_it_csv_{}", std::process::id()));
     let files = profile.write_csv_reports(&dir).unwrap();
     // samples, capacity, bandwidth, latency, regions, phases, plus the
-    // perf-stat counters collected by the counter backend.
+    // perf-stat counts read from the machine's counters.
     assert_eq!(files.len(), 7);
     assert!(files.iter().any(|f| f.ends_with("_latency.csv")));
     for f in &files {

@@ -1,12 +1,13 @@
 //! End-to-end coverage of the `ProfileSession` API: every paper workload runs
-//! under one session on the `small_test` machine with both sample backends
-//! (ARM SPE sampling + perf-stat counting) registered explicitly, and each
-//! analysis sink must produce non-empty output.
+//! under one session on the `small_test` machine with the SPE backend
+//! registered explicitly, and each analysis sink must produce non-empty
+//! output. The `perf stat` counts are the machine's own retire counters,
+//! which no observer may perturb.
 
-use nmo_repro::arch_sim::MachineConfig;
+use nmo_repro::arch_sim::{Machine, MachineConfig, MachineCounters};
 use nmo_repro::nmo::{
-    AnalysisReport, BandwidthSink, CapacitySink, CounterBackend, NmoConfig, Profile,
-    ProfileSession, RegionSink, SampleLogSink, SpeBackend, Workload,
+    AnalysisReport, BandwidthSink, CapacitySink, NmoConfig, Profile, ProfileSession, RegionSink,
+    SampleLogSink, SpeBackend, Workload,
 };
 use nmo_repro::workloads::{
     bfs::GraphKind, BfsBench, CfdBench, InMemAnalytics, PageRank, StreamBench,
@@ -31,7 +32,6 @@ fn run_session(workload: Box<dyn Workload>) -> (String, Profile) {
         .config(NmoConfig { name: name.clone(), ..NmoConfig::paper_default(100) })
         .threads(THREADS)
         .backend(SpeBackend::new())
-        .backend(CounterBackend::new())
         .sink(CapacitySink::default())
         .sink(BandwidthSink::default())
         .sink(RegionSink::default())
@@ -45,16 +45,11 @@ fn run_session(workload: Box<dyn Workload>) -> (String, Profile) {
 }
 
 #[test]
-fn every_workload_profiles_under_one_session_with_both_backends() {
+fn every_workload_profiles_under_one_session_with_the_spe_backend() {
     for workload in tiny_workloads() {
         let (name, profile) = run_session(workload);
 
-        // Both backends ran under the session.
-        assert_eq!(
-            profile.backends,
-            vec!["spe".to_string(), "counters".to_string()],
-            "{name}: both backends must be active"
-        );
+        assert_eq!(profile.backends, ["spe"], "{name}: the SPE backend must be active");
 
         // The SPE backend sampled addresses.
         assert!(profile.processed_samples > 0, "{name}: no SPE samples");
@@ -64,15 +59,8 @@ fn every_workload_profiles_under_one_session_with_both_backends() {
             "{name}: sample count mismatch"
         );
 
-        // The counter backend agrees exactly with the machine-wide counter
-        // (both observe the same retired-operation stream).
         assert_eq!(
-            profile.perf_count("mem_access"),
-            Some(profile.counters.mem_access),
-            "{name}: counter backend disagrees with machine counters"
-        );
-        assert_eq!(
-            profile.perf_count("ld_retired").unwrap() + profile.perf_count("st_retired").unwrap(),
+            profile.counters.loads + profile.counters.stores,
             profile.counters.mem_access,
             "{name}: loads + stores must equal mem_access"
         );
@@ -122,63 +110,67 @@ fn every_workload_profiles_under_one_session_with_both_backends() {
 #[test]
 fn session_reports_are_deterministic_per_configuration() {
     // Two identical sessions over the same deterministic workload must agree
-    // on the counter backend's exact counts (the SPE jitter is seeded per
-    // core, so sample counts agree as well).
+    // on the machine's exact counts (the SPE jitter is seeded per core, so
+    // sample counts agree as well).
     let (_, a) = run_session(Box::new(StreamBench::new(20_000, 1)));
     let (_, b) = run_session(Box::new(StreamBench::new(20_000, 1)));
-    assert_eq!(a.perf_counts, b.perf_counts);
+    assert_eq!(a.counters, b.counters);
     assert_eq!(a.processed_samples, b.processed_samples);
 }
 
-/// At period 64 the SPE unit has the core wake the counter backend's observer
-/// about every 64 operations, far more often than it asked for; it keeps its
-/// counts to itself until 4 096 have accumulated or it is flushed or
-/// detached. Nothing may be lost on the way, with or without flushes mid-run.
+/// Loads, stores, branches and bulk work on core 0 in three engine
+/// attachments, optionally flushing the observer mid-attachment and between
+/// them; returns the machine's counters once the engines have detached.
+fn retire_three_phases(machine: &Machine, flush_mid_run: bool) -> MachineCounters {
+    let region = machine.alloc("data", 1 << 20).expect("alloc");
+    for phase in 0..3u64 {
+        let mut engine = machine.attach(0).expect("attach");
+        for i in 0..10_000u64 {
+            engine.load(region.start + (phase * 10_000 + i) * 8, 8);
+            if i % 3 == 0 {
+                engine.store(region.start + i * 64, 8);
+            }
+            if i % 7 == 0 {
+                engine.branch(0x40_0000 + i);
+            }
+            engine.cpu_work(2);
+            if flush_mid_run && i == 5_000 {
+                engine.flush_observer();
+            }
+        }
+        drop(engine);
+        if flush_mid_run {
+            machine.flush_observer(0).expect("core is idle");
+        }
+    }
+    machine.counters()
+}
+
+/// The `perf stat` counts are the machine's own: SPE at period 64, woken
+/// about every 64 operations and charging cycles for what it writes, leaves
+/// every retire counter where a bare machine puts it, with or without
+/// flushes mid-run.
 #[test]
-fn perf_counts_are_exact_when_spe_at_period_64_shares_the_core_with_the_counters() {
+fn observers_never_perturb_the_retire_counters() {
     for flush_mid_run in [false, true] {
+        let bare = retire_three_phases(&Machine::new(MachineConfig::small_test()), flush_mid_run);
         let active = ProfileSession::builder()
             .machine_config(MachineConfig::small_test())
             .config(NmoConfig::paper_default(64))
             .threads(1)
-            .backend(SpeBackend::new())
-            .backend(CounterBackend::new())
             .build()
             .expect("session builds")
             .start()
             .expect("session starts");
-        let machine = active.machine();
-        let region = machine.alloc("data", 1 << 20).expect("alloc");
-        for phase in 0..3u64 {
-            let mut engine = machine.attach(0).expect("attach");
-            for i in 0..10_000u64 {
-                engine.load(region.start + (phase * 10_000 + i) * 8, 8);
-                if i % 3 == 0 {
-                    engine.store(region.start + i * 64, 8);
-                }
-                if i % 7 == 0 {
-                    engine.branch(0x40_0000 + i);
-                }
-                engine.cpu_work(2);
-                if flush_mid_run && i == 5_000 {
-                    engine.flush_observer();
-                }
-            }
-            drop(engine);
-            if flush_mid_run {
-                assert!(machine.flush_observer(0).expect("core is idle"), "observer flushed");
-            }
-        }
+        retire_three_phases(active.machine(), flush_mid_run);
         let profile = active.finish().expect("finish");
+        assert_eq!(profile.backends, ["spe"]);
         assert!(profile.processed_samples > 0);
-        let count =
-            |name: &str| profile.perf_counts.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+        assert!(profile.counters.observer_cycles > 0, "SPE charged the core");
         let c = &profile.counters;
         assert_eq!(c.mem_access, 30_000 + 3 * 3_334);
-        assert_eq!(count("inst_retired"), Some(c.instructions), "flush {flush_mid_run}");
-        assert_eq!(count("mem_access"), Some(c.mem_access), "flush {flush_mid_run}");
-        assert_eq!(count("ld_retired"), Some(c.loads), "flush {flush_mid_run}");
-        assert_eq!(count("st_retired"), Some(c.stores), "flush {flush_mid_run}");
-        assert_eq!(count("br_retired"), Some(c.branches), "flush {flush_mid_run}");
+        let retired =
+            |c: &MachineCounters| (c.loads, c.stores, c.branches, c.instructions, c.mem_access);
+        assert_eq!(retired(c), retired(&bare), "flush {flush_mid_run}");
     }
 }
