@@ -14,6 +14,8 @@
 //! collisions than STREAM/CFD at small sampling periods (its sample
 //! production rate per cycle is much lower).
 
+use std::sync::Arc;
+
 use parking_lot::Mutex;
 
 use arch_sim::{Machine, MemLevel};
@@ -39,7 +41,8 @@ struct Regions {
 
 /// The BFS benchmark.
 pub struct BfsBench {
-    graph: CsrGraph,
+    /// Shared with every other instance on the same graph, and only read.
+    graph: Arc<CsrGraph>,
     source: usize,
     /// Per-vertex BFS level (u32::MAX = unvisited).
     levels: Vec<u32>,
@@ -49,6 +52,11 @@ pub struct BfsBench {
 
 impl BfsBench {
     /// Create a BFS benchmark over a generated graph.
+    ///
+    /// The graph is built once per process and shared read-only (see
+    /// [`crate::generators`]): a second instance on the same arguments, such
+    /// as the profiled half of an overhead measurement, costs only its own
+    /// level array.
     pub fn new(num_vertices: usize, avg_degree: usize, kind: GraphKind) -> Self {
         let graph = match kind {
             GraphKind::Uniform => uniform_graph(num_vertices, avg_degree, 0xBF5),
@@ -71,6 +79,11 @@ impl BfsBench {
     /// Vertices reached by the last run.
     pub fn reached(&self) -> usize {
         self.visited_count
+    }
+
+    /// Per-vertex level of the last run (`u32::MAX` = unreached).
+    pub fn levels(&self) -> &[u32] {
+        &self.levels
     }
 }
 
@@ -104,7 +117,7 @@ impl Workload for BfsBench {
             .ok_or_else(|| NmoError::Workload("bfs: run() called before setup()".into()))?;
         let threads = cores.len();
         let (ro, re, rl) = (regions.offsets.start, regions.edges.start, regions.levels.start);
-        let graph = &self.graph;
+        let graph: &CsrGraph = &self.graph;
 
         self.levels.iter_mut().for_each(|l| *l = u32::MAX);
         self.levels[self.source] = 0;
@@ -176,24 +189,30 @@ impl Workload for BfsBench {
     }
 
     fn verify(&self) -> bool {
-        // The source must be at level 0 and every reached vertex must have a
-        // neighbour one level below it (spot-check the first few thousand).
-        if self.levels[self.source] != 0 {
+        // The source is at level 0, no edge out of a reached vertex skips a
+        // level, and every other reached vertex has an in-neighbour exactly
+        // one level above it: one pass over the edges of reached vertices.
+        let levels = &self.levels;
+        if levels[self.source] != 0 {
             return false;
         }
-        let n_check = self.graph.num_vertices.min(4000);
-        for v in 0..n_check {
-            let l = self.levels[v];
-            if l == u32::MAX || l == 0 {
+        let mut parented = vec![false; levels.len()];
+        for (u, &level) in levels.iter().enumerate() {
+            if level == u32::MAX {
                 continue;
             }
-            let ok = (0..self.graph.num_vertices)
-                .any(|u| self.levels[u] == l - 1 && self.graph.neighbors(u).contains(&(v as u32)));
-            if !ok {
-                return false;
+            for &t in self.graph.neighbors(u) {
+                let t = t as usize;
+                if levels[t] > level + 1 {
+                    return false;
+                }
+                parented[t] |= levels[t] == level + 1;
             }
         }
-        true
+        levels
+            .iter()
+            .zip(&parented)
+            .all(|(&level, &parented)| level == 0 || level == u32::MAX || parented)
     }
 }
 
@@ -229,6 +248,22 @@ mod tests {
         bench.run(&machine, &ann, &[0, 1, 2, 3]).unwrap();
         assert!(bench.verify());
         assert!(bench.reached() > 1);
+    }
+
+    #[test]
+    fn verify_checks_every_vertex_not_only_the_first_4000() {
+        let machine = Machine::new(MachineConfig::small_test());
+        let ann = Annotations::new();
+        let mut bench = BfsBench::new(1 << 13, 8, GraphKind::Uniform);
+        bench.setup(&machine, &ann).unwrap();
+        bench.run(&machine, &ann, &[0]).unwrap();
+        assert!(bench.verify());
+        // A vertex on the deepest level is no vertex's parent, so moving one
+        // past vertex 4 000 a level deeper breaks only its own in-edges.
+        let deepest = bench.levels.iter().copied().filter(|&l| l != u32::MAX).max().unwrap();
+        let v = (4000..bench.num_vertices()).find(|&v| bench.levels[v] == deepest).unwrap();
+        bench.levels[v] += 1;
+        assert!(!bench.verify(), "vertex {v} moved from level {deepest} to {}", deepest + 1);
     }
 
     #[test]

@@ -163,6 +163,30 @@ mod tests {
         assert_eq!(machine.counters().mem_access, 3);
     }
 
+    /// Two instances share one generated graph; running the first to
+    /// completion must leave the second exactly what a fresh process gets.
+    #[test]
+    fn a_shared_graph_stays_read_only() {
+        fn run(workload: &mut dyn Workload) -> arch_sim::MachineCounters {
+            let machine = Machine::new(MachineConfig::small_test());
+            let ann = nmo::Annotations::new();
+            workload.setup(&machine, &ann).unwrap();
+            // One core: on more, simulated time follows host scheduling.
+            workload.run(&machine, &ann, &[0]).unwrap();
+            assert!(workload.verify());
+            machine.counters()
+        }
+        let (mut first, mut second) = (PageRank::new(1 << 12, 8, 2), PageRank::new(1 << 12, 8, 2));
+        assert_eq!(run(&mut first), run(&mut second));
+        assert_eq!(first.ranks(), second.ranks());
+
+        let kind = bfs::GraphKind::Uniform;
+        let (mut first, mut second) =
+            (BfsBench::new(1 << 12, 6, kind), BfsBench::new(1 << 12, 6, kind));
+        assert_eq!(run(&mut first), run(&mut second));
+        assert_eq!(first.levels(), second.levels());
+    }
+
     #[test]
     fn parallel_on_cores_reports_unattachable_cores() {
         let machine = Machine::new(MachineConfig::small_test());

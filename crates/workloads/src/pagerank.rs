@@ -8,6 +8,8 @@
 //! structure directly: a *load* phase that materialises (first-touches) the
 //! CSR graph and rank arrays, then pull-style power iterations.
 
+use std::sync::Arc;
+
 use arch_sim::Machine;
 use nmo::{Annotations, NmoError};
 
@@ -27,7 +29,8 @@ struct Regions {
 
 /// The PageRank benchmark.
 pub struct PageRank {
-    graph: CsrGraph,
+    /// Shared with every other instance on the same graph, and only read.
+    graph: Arc<CsrGraph>,
     iterations: usize,
     ranks: Vec<f64>,
     ranks_next: Vec<f64>,
@@ -41,6 +44,11 @@ impl PageRank {
     /// (rounded to a power of two) and `avg_degree`, iterated `iterations`
     /// times. The generated edge direction is interpreted as "in-edge" so the
     /// gather loop reads the rank of each in-neighbour.
+    ///
+    /// The graph is built once per process and shared read-only (see
+    /// [`crate::generators`]): a second instance on the same arguments, such
+    /// as the profiled half of an overhead measurement, costs only its own
+    /// rank and out-degree arrays.
     pub fn new(num_vertices: usize, avg_degree: usize, iterations: usize) -> Self {
         let graph = rmat_graph(num_vertices, avg_degree, 0x9A6E);
         let n = graph.num_vertices;
@@ -111,7 +119,7 @@ impl Workload for PageRank {
             .ok_or_else(|| NmoError::Workload("pagerank: run() called before setup()".into()))?;
         let n = self.graph.num_vertices;
         let threads = cores.len();
-        let graph = &self.graph;
+        let graph: &CsrGraph = &self.graph;
         let out_degree = &self.out_degree;
         let (ro, re, rr, rn, rd) = (
             regions.offsets.start,
