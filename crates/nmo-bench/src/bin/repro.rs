@@ -14,6 +14,9 @@ use nmo::NmoError;
 use nmo_bench::experiments::{self, ExperimentResult};
 use nmo_bench::harness::Scale;
 
+const USAGE: &str = "usage: repro [--exp <id|all>] [--quick|--full|--tiny] [--out <dir>]";
+
+#[derive(Debug, PartialEq)]
 struct Args {
     exp: String,
     scale: Scale,
@@ -21,43 +24,30 @@ struct Args {
     out: PathBuf,
 }
 
-fn parse_args() -> Args {
-    let mut exp = "all".to_string();
-    let mut scale = Scale::quick();
-    let mut scale_name = "quick";
-    let mut out = PathBuf::from("results");
-    let mut args = std::env::args().skip(1);
+/// Parse the command line (without the program name). `Ok(None)` asks for
+/// the help text; `Err` names what is wrong with the arguments.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
+    let mut parsed = Args {
+        exp: "all".to_string(),
+        scale: Scale::quick(),
+        scale_name: "quick",
+        out: PathBuf::from("results"),
+    };
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
+        let mut value =
+            || args.next().filter(|v| !v.starts_with("--")).ok_or(format!("{arg} needs a value"));
         match arg.as_str() {
-            "--exp" => exp = args.next().unwrap_or_else(|| "all".into()),
-            "--quick" => {
-                scale = Scale::quick();
-                scale_name = "quick";
-            }
-            "--full" => {
-                scale = Scale::full();
-                scale_name = "full";
-            }
-            "--tiny" => {
-                scale = Scale::tiny();
-                scale_name = "tiny";
-            }
-            "--out" => out = PathBuf::from(args.next().unwrap_or_else(|| "results".into())),
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro [--exp <id|all>] [--quick|--full|--tiny] [--out <dir>]\n\
-                     experiments: table1 table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 \
-                     fig11"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other} (try --help)");
-                std::process::exit(2);
-            }
+            "--exp" => parsed.exp = value()?,
+            "--out" => parsed.out = PathBuf::from(value()?),
+            "--quick" => (parsed.scale, parsed.scale_name) = (Scale::quick(), "quick"),
+            "--full" => (parsed.scale, parsed.scale_name) = (Scale::full(), "full"),
+            "--tiny" => (parsed.scale, parsed.scale_name) = (Scale::tiny(), "tiny"),
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
-    Args { exp, scale, scale_name, out }
+    Ok(Some(parsed))
 }
 
 const EXPERIMENT_IDS: &[&str] = &[
@@ -76,25 +66,6 @@ fn emit(results: Vec<ExperimentResult>, out: &Path, max_print_rows: usize) {
             Ok(path) => println!("  -> wrote {path}\n"),
             Err(e) => eprintln!("  !! failed to write {}: {e}", r.id),
         }
-    }
-}
-
-trait Truncate {
-    fn to_table_truncated(&self, max_rows: usize) -> String;
-}
-
-impl Truncate for ExperimentResult {
-    fn to_table_truncated(&self, max_rows: usize) -> String {
-        if self.rows.len() <= max_rows {
-            return self.to_table();
-        }
-        let mut clipped = self.clone();
-        clipped.rows.truncate(max_rows);
-        format!(
-            "{}  ... ({} more rows in the CSV)\n",
-            clipped.to_table(),
-            self.rows.len() - max_rows
-        )
     }
 }
 
@@ -141,7 +112,17 @@ fn run(args: &Args) -> Result<(), NmoError> {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}\nexperiments: {}", EXPERIMENT_IDS.join(" "));
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let t0 = std::time::Instant::now();
     println!(
         "NMO reproduction harness — scale: {}, output: {}\n",
@@ -157,4 +138,38 @@ fn main() {
         std::process::exit(1);
     }
     println!("done in {:.1} s", t0.elapsed().as_secs_f64());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Args>, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn no_arguments_run_everything_at_quick_scale_into_results() {
+        let args = parse(&[]).unwrap().unwrap();
+        assert_eq!((args.exp.as_str(), args.scale_name), ("all", "quick"));
+        assert_eq!(args.out, PathBuf::from("results"));
+    }
+
+    #[test]
+    fn flags_and_values_are_read() {
+        let args = parse(&["--exp", "fig9", "--tiny", "--out", "/tmp/o"]).unwrap().unwrap();
+        assert_eq!(args.exp, "fig9");
+        assert_eq!((args.scale, args.scale_name), (Scale::tiny(), "tiny"));
+        assert_eq!(args.out, PathBuf::from("/tmp/o"));
+        assert_eq!(parse(&["-h"]), Ok(None));
+    }
+
+    #[test]
+    fn a_flag_missing_its_value_is_an_error() {
+        for args in [&["--exp"][..], &["--out"], &["--exp", "--tiny"], &["--tiny", "--out"]] {
+            let err = parse(args).unwrap_err();
+            assert!(err.ends_with("needs a value"), "{args:?}: {err}");
+        }
+        assert_eq!(parse(&["--bogus"]).unwrap_err(), "unknown argument: --bogus");
+    }
 }

@@ -2,18 +2,19 @@
 //!
 //! Every function returns its data as rows of strings (ready for CSV or
 //! terminal tables) so the `repro` binary can both print and persist them.
-//! See `EXPERIMENTS.md` at the repository root for the paper-vs-measured
-//! comparison of each experiment.
+//! The sensitivity sweeps (Figures 8–11) measure every profiled run against
+//! its unprofiled twin through [`nmo::measure`].
 
 use std::path::Path;
 
 use arch_sim::MachineConfig;
 use nmo::report::{format_table, write_csv};
 use nmo::{
-    BandwidthSink, CapacitySink, Mode, NmoConfig, NmoError, Profile, RegionSink, Sweep, SweepPoint,
+    measure, BandwidthSink, CapacitySink, Mode, NmoConfig, NmoError, Profile, RegionSink,
+    RunMeasurement,
 };
 
-use crate::harness::{baseline_run, measure, profiled_run, profiled_session, Scale, WorkloadKind};
+use crate::harness::{profiled_session, Scale, WorkloadKind};
 
 /// A rendered experiment result: a title, a header, and data rows.
 #[derive(Debug, Clone)]
@@ -35,6 +36,20 @@ impl ExperimentResult {
         format!("== {} ({}) ==\n{}", self.title, self.id, format_table(&header, &self.rows))
     }
 
+    /// Render as an aligned text table of at most `max_rows` rows, saying
+    /// how many more the CSV holds.
+    pub fn to_table_truncated(&self, max_rows: usize) -> String {
+        if self.rows.len() <= max_rows {
+            return self.to_table();
+        }
+        let clipped = ExperimentResult { rows: self.rows[..max_rows].to_vec(), ..self.clone() };
+        format!(
+            "{}  ... ({} more rows in the CSV)\n",
+            clipped.to_table(),
+            self.rows.len() - max_rows
+        )
+    }
+
     /// Write as `<id>.csv` under `dir`.
     pub fn write_csv(&self, dir: &Path) -> std::io::Result<String> {
         let header: Vec<&str> = self.header.iter().map(|s| s.as_str()).collect();
@@ -50,6 +65,53 @@ fn f3(x: f64) -> String {
 
 fn pct(x: f64) -> String {
     format!("{:.3}", x * 100.0)
+}
+
+/// One sensitivity-sweep point: means over its trials, and the standard
+/// deviations Figure 8 plots.
+struct Point {
+    accuracy: f64,
+    accuracy_std: f64,
+    overhead: f64,
+    overhead_std: f64,
+    collisions: f64,
+    samples: f64,
+}
+
+impl Point {
+    fn of(trials: &[RunMeasurement]) -> Self {
+        let n = trials.len() as f64;
+        let mean =
+            |value: &dyn Fn(&RunMeasurement) -> f64| trials.iter().map(value).sum::<f64>() / n;
+        let std = |value: &dyn Fn(&RunMeasurement) -> f64, mean: f64| {
+            (trials.iter().map(|t| (value(t) - mean).powi(2)).sum::<f64>() / n).sqrt()
+        };
+        let accuracy = mean(&RunMeasurement::accuracy);
+        let overhead = mean(&RunMeasurement::overhead);
+        Point {
+            accuracy,
+            accuracy_std: std(&RunMeasurement::accuracy, accuracy),
+            overhead,
+            overhead_std: std(&RunMeasurement::overhead, overhead),
+            collisions: mean(&|t| t.collisions() as f64),
+            samples: mean(&|t| t.profile.processed_samples as f64),
+        }
+    }
+}
+
+/// Measure `kind` on `threads` cores at every configuration of a sweep,
+/// `scale.trials` times each, against one unprofiled baseline: one [`Point`]
+/// per configuration, in order.
+fn sweep(
+    kind: WorkloadKind,
+    scale: &Scale,
+    threads: usize,
+    configs: impl IntoIterator<Item = NmoConfig>,
+) -> Result<Vec<Point>, NmoError> {
+    let trials = scale.trials.max(1);
+    let run = |c| profiled_session(kind, scale, threads, c).build()?.run();
+    let repeated = configs.into_iter().flat_map(|c| std::iter::repeat_n(c, trials));
+    Ok(measure(run, repeated)?.chunks(trials).map(Point::of).collect())
 }
 
 /// Table I — the supported environment variables and their defaults.
@@ -106,7 +168,7 @@ pub fn fig2_fig3_cloud(scale: &Scale, threads: usize) -> Result<Vec<ExperimentRe
             name: label.to_string(),
             ..Default::default()
         };
-        let profile = profiled_run(kind, scale, threads, config)?;
+        let profile = profiled_session(kind, scale, threads, config).build()?.run()?;
 
         let cap_rows: Vec<Vec<String>> = profile
             .capacity
@@ -145,7 +207,7 @@ pub fn fig2_fig3_cloud(scale: &Scale, threads: usize) -> Result<Vec<ExperimentRe
 }
 
 /// A profiled run that also attributes its samples to tags and phases: the
-/// sinks [`profiled_run`] gets by default, plus the region sink.
+/// sinks a session gets by default, plus the region sink.
 fn region_run(
     kind: WorkloadKind,
     scale: &Scale,
@@ -274,7 +336,7 @@ pub fn fig7_samples_vs_period(scale: &Scale) -> Result<ExperimentResult, NmoErro
         for period in fig7_periods() {
             for trial in 0..scale.trials {
                 let config = NmoConfig::paper_default(period);
-                let profile = profiled_run(kind, scale, threads, config)?;
+                let profile = profiled_session(kind, scale, threads, config).build()?.run()?;
                 rows.push(vec![
                     kind.label().to_string(),
                     period.to_string(),
@@ -298,24 +360,19 @@ pub fn fig8_sensitivity(scale: &Scale) -> Result<ExperimentResult, NmoError> {
     let threads = scale.sweep_threads;
     let mut rows = Vec::new();
     for kind in sweep_workloads() {
-        let baseline = baseline_run(kind, scale, threads)?;
-        let mut sweep = Sweep::new(kind.label());
-        for period in fig8_periods() {
-            let trials: Vec<_> = (0..scale.trials)
-                .map(|_| measure(kind, scale, threads, NmoConfig::paper_default(period), &baseline))
-                .collect::<Result<_, _>>()?;
-            let point = SweepPoint::from_trials(period, &trials);
+        let configs = fig8_periods().into_iter().map(NmoConfig::paper_default);
+        let points = sweep(kind, scale, threads, configs)?;
+        for (period, point) in fig8_periods().into_iter().zip(points) {
             rows.push(vec![
                 kind.label().to_string(),
                 period.to_string(),
-                pct(point.accuracy_mean),
+                pct(point.accuracy),
                 pct(point.accuracy_std),
-                pct(point.overhead_mean),
+                pct(point.overhead),
                 pct(point.overhead_std),
-                f3(point.collisions_mean),
-                f3(point.samples_mean()),
+                f3(point.collisions),
+                f3(point.samples),
             ]);
-            sweep.points.push(point);
         }
     }
     Ok(ExperimentResult {
@@ -344,27 +401,25 @@ pub fn fig9_aux_pages(max_pages: u64) -> Vec<u64> {
 /// (STREAM, fixed ring buffer, fixed sampling period).
 pub fn fig9_aux_buffer(scale: &Scale, period: u64) -> Result<ExperimentResult, NmoError> {
     let threads = scale.aux_sweep_threads;
-    let baseline = baseline_run(WorkloadKind::Stream, scale, threads)?;
-    let mut rows = Vec::new();
-    for pages in fig9_aux_pages(scale.aux_sweep_max_pages) {
-        let trials: Vec<_> = (0..scale.trials)
-            .map(|_| {
-                let config = NmoConfig {
-                    auxbuf_pages_override: Some(pages),
-                    ..NmoConfig::paper_default(period)
-                };
-                measure(WorkloadKind::Stream, scale, threads, config, &baseline)
-            })
-            .collect::<Result<_, _>>()?;
-        let point = SweepPoint::from_trials(pages, &trials);
-        rows.push(vec![
-            pages.to_string(),
-            pct(point.overhead_mean),
-            pct(point.accuracy_mean),
-            f3(point.samples_mean()),
-            f3(point.collisions_mean),
-        ]);
-    }
+    let pages = fig9_aux_pages(scale.aux_sweep_max_pages);
+    let configs = pages.iter().map(|&pages| NmoConfig {
+        auxbuf_pages_override: Some(pages),
+        ..NmoConfig::paper_default(period)
+    });
+    let points = sweep(WorkloadKind::Stream, scale, threads, configs)?;
+    let rows = pages
+        .iter()
+        .zip(points)
+        .map(|(pages, point)| {
+            vec![
+                pages.to_string(),
+                pct(point.overhead),
+                pct(point.accuracy),
+                f3(point.samples),
+                f3(point.collisions),
+            ]
+        })
+        .collect();
     Ok(ExperimentResult {
         id: "fig9_aux_buffer".into(),
         title: format!(
@@ -391,24 +446,20 @@ pub fn fig10_thread_counts(max_threads: usize) -> Vec<usize> {
 pub fn fig10_fig11_threads(scale: &Scale, period: u64) -> Result<ExperimentResult, NmoError> {
     let mut rows = Vec::new();
     for threads in fig10_thread_counts(scale.thread_sweep_max) {
-        let baseline = baseline_run(WorkloadKind::Stream, scale, threads)?;
-        let trials: Vec<_> = (0..scale.trials)
-            .map(|_| {
-                let config = NmoConfig {
-                    auxbufsize_mib: 1, // 16 pages of 64 KiB
-                    ..NmoConfig::paper_default(period)
-                };
-                measure(WorkloadKind::Stream, scale, threads, config, &baseline)
-            })
-            .collect::<Result<_, _>>()?;
-        let point = SweepPoint::from_trials(threads as u64, &trials);
-        rows.push(vec![
-            threads.to_string(),
-            pct(point.overhead_mean),
-            pct(point.accuracy_mean),
-            f3(point.collisions_mean),
-            f3(point.samples_mean()),
-        ]);
+        let config = NmoConfig {
+            auxbufsize_mib: 1, // 16 pages of 64 KiB
+            ..NmoConfig::paper_default(period)
+        };
+        let points = sweep(WorkloadKind::Stream, scale, threads, [config])?;
+        rows.extend(points.into_iter().map(|point| {
+            vec![
+                threads.to_string(),
+                pct(point.overhead),
+                pct(point.accuracy),
+                f3(point.collisions),
+                f3(point.samples),
+            ]
+        }));
     }
     Ok(ExperimentResult {
         id: "fig10_fig11_threads".into(),
@@ -436,6 +487,33 @@ mod tests {
         let t2 = table2();
         assert!(t2.to_table().contains("128 Armv8.2+ cores"));
         assert!(t2.rows.iter().any(|r| r[1].contains("200 GB/s")));
+        assert_eq!(t1.to_table_truncated(7), t1.to_table());
+        let clipped = t1.to_table_truncated(3);
+        assert!(clipped.ends_with("  ... (4 more rows in the CSV)\n"), "{clipped}");
+        assert!(!clipped.contains(&t1.rows[3][0]));
+    }
+
+    #[test]
+    fn a_point_is_the_mean_and_spread_of_its_trials() {
+        let trial = |samples: u64, cycles: u64| {
+            let mut profile = Profile::empty("t", NmoConfig::paper_default(1000));
+            profile.processed_samples = samples;
+            profile.elapsed_cycles = cycles;
+            profile.spe.collisions = 10;
+            let baseline = arch_sim::MachineCounters {
+                mem_access: 1_000_000,
+                cycles: 100,
+                ..Default::default()
+            };
+            RunMeasurement { baseline, profile }
+        };
+        let p = Point::of(&[trial(900, 102), trial(1000, 104), trial(950, 103)]);
+        let spread = (2.0f64 / 3.0).sqrt();
+        assert!((p.accuracy - 0.95).abs() < 1e-12);
+        assert!((p.accuracy_std - 0.05 * spread).abs() < 1e-12);
+        assert!((p.overhead - 0.03).abs() < 1e-12);
+        assert!((p.overhead_std - 0.01 * spread).abs() < 1e-12);
+        assert_eq!((p.collisions, p.samples), (10.0, 950.0));
     }
 
     #[test]

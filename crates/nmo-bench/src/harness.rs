@@ -1,8 +1,8 @@
-//! Shared harness: workload construction, baseline and profiled runs.
+//! Shared harness: the five workloads, their problem sizes, and the session
+//! every experiment runs them in.
 
-use arch_sim::{Machine, MachineConfig};
-use nmo::{NmoConfig, NmoError, Profile, ProfileSession, ProfileSessionBuilder, RunMeasurement};
-use spe::SpeStatsSnapshot;
+use arch_sim::MachineConfig;
+use nmo::{NmoConfig, ProfileSession, ProfileSessionBuilder};
 use workloads::{
     bfs::GraphKind, BfsBench, CfdBench, InMemAnalytics, PageRank, StreamBench, Workload,
 };
@@ -176,45 +176,11 @@ impl Scale {
     }
 }
 
-/// Result of a baseline (unprofiled) run — the `perf stat` side of Eq. (1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BaselineRun {
-    /// Total `mem_access` events counted.
-    pub mem_counted: u64,
-    /// Execution time in simulated cycles.
-    pub cycles: u64,
-}
-
-/// The machine preset every experiment runs on (Table II).
-pub fn paper_machine() -> Machine {
-    Machine::new(MachineConfig::ampere_altra_max())
-}
-
-/// Run a workload without any profiling and return the baseline measurements.
-pub fn baseline_run(
-    kind: WorkloadKind,
-    scale: &Scale,
-    threads: usize,
-) -> Result<BaselineRun, NmoError> {
-    let machine = paper_machine();
-    let annotations = nmo::Annotations::new();
-    let mut workload = scale.build(kind);
-    let cores: Vec<usize> = (0..threads).collect();
-    workload.setup(&machine, &annotations)?;
-    workload.run(&machine, &annotations, &cores)?;
-    if !workload.verify() {
-        return Err(NmoError::Workload(format!(
-            "{} failed verification in baseline run",
-            kind.label()
-        )));
-    }
-    let counters = machine.counters();
-    Ok(BaselineRun { mem_counted: counters.mem_access, cycles: counters.cycles })
-}
-
-/// The session every profiled experiment runs: the paper machine, `threads`
-/// cores, the workload at `scale`. A caller that reads a per-sample result
-/// adds its sinks before building.
+/// The session every experiment runs: the paper machine (Table II),
+/// `threads` cores, the workload at `scale`. A caller that reads a
+/// per-sample result adds its sinks before building; a sensitivity sweep
+/// hands `|c| profiled_session(kind, scale, threads, c).build()?.run()` to
+/// [`nmo::measure`].
 pub fn profiled_session(
     kind: WorkloadKind,
     scale: &Scale,
@@ -226,88 +192,4 @@ pub fn profiled_session(
         .config(config)
         .threads(threads)
         .workload(scale.build(kind))
-}
-
-/// Run a workload under an NMO profiling session (default sinks: capacity
-/// and bandwidth) and return the profile.
-pub fn profiled_run(
-    kind: WorkloadKind,
-    scale: &Scale,
-    threads: usize,
-    config: NmoConfig,
-) -> Result<Profile, NmoError> {
-    profiled_session(kind, scale, threads, config).build()?.run()
-}
-
-/// Run one trial of the sensitivity study and fold it into a [`RunMeasurement`].
-pub fn measure(
-    kind: WorkloadKind,
-    scale: &Scale,
-    threads: usize,
-    config: NmoConfig,
-    baseline: &BaselineRun,
-) -> Result<RunMeasurement, NmoError> {
-    let aux_pages = config.aux_pages(64 * 1024);
-    let period = config.period;
-    let profile = profiled_run(kind, scale, threads, config)?;
-    Ok(RunMeasurement {
-        period,
-        aux_pages,
-        threads,
-        baseline_cycles: baseline.cycles,
-        profiled_cycles: profile.elapsed_cycles,
-        mem_counted: baseline.mem_counted,
-        processed_samples: profile.processed_samples,
-        spe: merge_spe(&profile),
-    })
-}
-
-fn merge_spe(profile: &Profile) -> SpeStatsSnapshot {
-    profile.spe
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use nmo::NmoConfig;
-
-    #[test]
-    fn baseline_and_profiled_runs_agree_on_workload_size() {
-        let scale = Scale::tiny();
-        let baseline = baseline_run(WorkloadKind::Stream, &scale, 2).unwrap();
-        assert!(baseline.mem_counted > 0);
-        let profile =
-            profiled_run(WorkloadKind::Stream, &scale, 2, NmoConfig::paper_default(200)).unwrap();
-        // The profiled run issues the same number of memory accesses.
-        assert_eq!(profile.counters.mem_access, baseline.mem_counted);
-        assert!(profile.processed_samples > 0);
-    }
-
-    #[test]
-    fn measure_produces_consistent_measurement() {
-        let scale = Scale::tiny();
-        let baseline = baseline_run(WorkloadKind::Bfs, &scale, 2).unwrap();
-        let m = measure(WorkloadKind::Bfs, &scale, 2, NmoConfig::paper_default(500), &baseline)
-            .unwrap();
-        assert_eq!(m.period, 500);
-        assert!(m.processed_samples > 0);
-        assert!(m.accuracy() > 0.0 && m.accuracy() <= 1.0);
-        assert!(m.overhead() >= 0.0);
-    }
-
-    #[test]
-    fn every_workload_kind_builds_and_verifies_at_tiny_scale() {
-        let scale = Scale::tiny();
-        for kind in [
-            WorkloadKind::Stream,
-            WorkloadKind::Cfd,
-            WorkloadKind::Bfs,
-            WorkloadKind::PageRank,
-            WorkloadKind::InMemAnalytics,
-        ] {
-            let b = baseline_run(kind, &scale, 2).unwrap();
-            assert!(b.mem_counted > 0, "{}", kind.label());
-            assert!(b.cycles > 0, "{}", kind.label());
-        }
-    }
 }

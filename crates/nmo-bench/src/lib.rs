@@ -16,6 +16,10 @@
 //! | Fig. 9 | Aux-buffer size sweep | [`experiments::fig9_aux_buffer`] |
 //! | Fig. 10/11 | Thread-count sweep | [`experiments::fig10_fig11_threads`] |
 //!
+//! Figures 8–11 pair every profiled run with its unprofiled twin through
+//! [`nmo::measure`], the one sensitivity runner; this crate only chooses the
+//! sweep points and renders the rows.
+//!
 //! The profiler's own performance — pipeline throughput, the trace store,
 //! per-layer costs — is measured by the repository's benchmark
 //! (`BENCHMARK.json`, `benchmark/`), which drives the real
@@ -29,4 +33,4 @@
 pub mod experiments;
 pub mod harness;
 
-pub use harness::{baseline_run, profiled_run, BaselineRun, Scale, WorkloadKind};
+pub use harness::{profiled_session, Scale, WorkloadKind};

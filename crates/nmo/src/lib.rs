@@ -57,7 +57,9 @@
 //! IV is simulated time ([`spe::OverheadModel`]), not a host thread, so a
 //! session started with [`session::ProfileSession::start`] creates no thread
 //! at all; the accuracy and overhead metrics of
-//! the sensitivity study (Section VII) live in [`analysis`].
+//! the sensitivity study (Section VII), and [`analysis::measure`], the one
+//! runner that measures a profiled run against its unprofiled baseline, live
+//! in [`analysis`].
 //!
 //! Because real SPE hardware is unavailable in this environment, the profiler
 //! runs against the simulated machine of the `arch-sim` crate and the SPE
@@ -119,7 +121,7 @@ pub mod tiering;
 pub mod trace;
 pub mod workload;
 
-pub use analysis::{accuracy, time_overhead, RunMeasurement, Sweep, SweepPoint};
+pub use analysis::{accuracy, measure, time_overhead, RunMeasurement};
 pub use annotate::{AddrTag, Annotations, Phase};
 pub use backend::{CoreObserver, SampleBackend, ShardDrainer, SpeBackend};
 pub use bandwidth::BandwidthSeries;

@@ -393,23 +393,18 @@ mod tests {
 
     #[test]
     fn profiling_overhead_is_visible_but_bounded() {
-        // Run the same work twice: once bare, once profiled; the profiled run
-        // must be slower but not absurdly so.
-        let baseline = {
-            let machine = Machine::new(MachineConfig::small_test());
-            run_stream_like(&machine, &[0], 200_000);
-            machine.counters().cycles
-        };
+        // Run the same work twice, once unprofiled and once profiled: the
+        // profiled run must be slower but not absurdly so.
         let cfg = NmoConfig { overhead: fast_overhead(), ..NmoConfig::paper_default(100) };
-        let profiled = session(cfg, 1)
-            .run_with(|machine, _ann, cores| {
+        let run = |config| {
+            session(config, 1).run_with(|machine, _ann, cores| {
                 run_stream_like(machine, cores, 200_000);
                 Ok(())
             })
-            .unwrap()
-            .elapsed_cycles;
+        };
+        let m = crate::analysis::measure(run, [cfg]).unwrap().remove(0);
+        let (baseline, profiled) = (m.baseline.cycles, m.profile.elapsed_cycles);
         assert!(profiled > baseline, "profiled {profiled} vs baseline {baseline}");
-        let overhead = crate::analysis::time_overhead(baseline, profiled);
-        assert!(overhead < 0.5, "overhead unexpectedly large: {overhead}");
+        assert!(m.overhead() < 0.5, "overhead unexpectedly large: {}", m.overhead());
     }
 }

@@ -79,6 +79,8 @@ pub struct OverheadModel {
     /// starts draining, in cycles.
     pub drain_service_latency_cycles: u64,
     /// Minimum aux-buffer size, in pages, below which SPE produces nothing.
+    /// The default, 4, is the paper's Figure 9 observation entered as a
+    /// constant: nothing in this model derives it.
     pub min_functional_aux_pages: u64,
 }
 

@@ -13,7 +13,9 @@
 //!   pluggable [`nmo::AnalysisSink`]s (capacity/bandwidth/region levels),
 //!   the streaming pipeline ([`nmo::ProfileSession::run_streaming`], the
 //!   [`nmo::stream`] event bus, live [`nmo::ActiveSession::poll_snapshot`]),
-//!   configuration, annotations, and the accuracy & overhead analysis;
+//!   configuration, annotations, and the accuracy & overhead analysis
+//!   ([`nmo::measure`] runs a workload unprofiled once and then under each
+//!   configuration, the pairing behind the paper's Figures 8–11);
 //! * [`workloads`] — STREAM, CFD, BFS, PageRank and In-memory Analytics.
 //!
 //! See `README.md` for a guided tour and a `ProfileSession` quickstart. The
@@ -25,42 +27,3 @@ pub use nmo;
 pub use perf_sub;
 pub use spe;
 pub use workloads;
-
-/// One-call convenience: run a workload under NMO on a fresh simulated
-/// Ampere-Altra-like machine and return the resulting profile.
-///
-/// This is the "preload the library and set environment variables" usage
-/// model of the paper compressed into a function: the configuration can come
-/// from [`nmo::NmoConfig::from_env`] or be built programmatically. It is a
-/// thin wrapper over [`nmo::ProfileSession`] with its default sinks
-/// (capacity and bandwidth); use the session builder directly for custom
-/// machines or backends, and for any per-sample result — region
-/// attribution, latency histograms, the raw samples — which exists only if
-/// its sink is registered.
-///
-/// ```
-/// use nmo_repro::{profile_workload, nmo::NmoConfig, workloads::StreamBench};
-///
-/// # fn main() -> Result<(), nmo_repro::nmo::NmoError> {
-/// let profile = profile_workload(
-///     Box::new(StreamBench::new(10_000, 1)),
-///     &NmoConfig::paper_default(500),
-///     2,
-/// )?;
-/// assert!(profile.processed_samples > 0);
-/// # Ok(())
-/// # }
-/// ```
-pub fn profile_workload(
-    workload: Box<dyn workloads::Workload>,
-    config: &nmo::NmoConfig,
-    threads: usize,
-) -> Result<nmo::Profile, nmo::NmoError> {
-    nmo::ProfileSession::builder()
-        .machine_config(arch_sim::MachineConfig::ampere_altra_max())
-        .config(config.clone())
-        .threads(threads)
-        .workload(workload)
-        .build()?
-        .run()
-}

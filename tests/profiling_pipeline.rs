@@ -10,7 +10,7 @@ use nmo_repro::workloads::{
     bfs::GraphKind, BfsBench, CfdBench, InMemAnalytics, PageRank, StreamBench, Workload,
 };
 
-/// `nmo_repro::profile_workload` with every shipped sink registered: a
+/// A session on the paper machine with every shipped sink registered: a
 /// profile holds exactly what its sinks reported.
 fn run_profiled(workload: Box<dyn Workload>, threads: usize, period: u64) -> Profile {
     ProfileSession::builder()

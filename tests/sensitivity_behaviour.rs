@@ -3,53 +3,43 @@
 //! figures rely on, with generous tolerances so they stay robust.
 
 use nmo_repro::arch_sim::MachineConfig;
-use nmo_repro::nmo::{accuracy, time_overhead, NmoConfig, Profile, ProfileSession};
+use nmo_repro::nmo::{measure, NmoConfig, NmoError, Profile, ProfileSession, RunMeasurement};
 use nmo_repro::spe::OverheadModel;
 use nmo_repro::workloads::StreamBench;
 
 const ELEMS: usize = 400_000;
 const THREADS: usize = 4;
 
-fn session(config: NmoConfig) -> ProfileSession {
+/// One run of the workload under `config`: what [`measure`] drives.
+fn run(config: NmoConfig) -> Result<Profile, NmoError> {
     ProfileSession::builder()
         .machine_config(MachineConfig::ampere_altra_max())
         .config(config)
         .threads(THREADS)
         .workload(Box::new(StreamBench::new(ELEMS, 1)))
-        .build()
-        .expect("session builds")
+        .build()?
+        .run()
 }
 
-fn baseline() -> (u64, u64) {
-    let p = session(NmoConfig::default()).run().expect("baseline run");
-    (p.counters.mem_access, p.counters.cycles)
-}
-
-fn profiled(config: NmoConfig) -> Profile {
-    session(config).run().expect("profiled run")
+/// Each configuration measured against one unprofiled baseline.
+fn measured<const N: usize>(configs: [NmoConfig; N]) -> [RunMeasurement; N] {
+    let runs = measure(run, configs).expect("every run succeeds");
+    runs.try_into().expect("one measurement per configuration")
 }
 
 #[test]
 fn accuracy_is_high_at_moderate_periods_and_degrades_at_tiny_periods() {
-    let (mem_counted, _) = baseline();
-
-    let acc_moderate = {
-        let p = profiled(NmoConfig::paper_default(4096));
-        accuracy(mem_counted, p.processed_samples, 4096)
-    };
     // An extreme sampling rate with a deliberately slow drain loses samples:
     // at period 16 each core produces more record bytes than the whole aux
     // buffer holds, so a slow consumer forces truncation.
-    let acc_tiny = {
-        let slow_drain = OverheadModel {
-            drain_cycles_per_byte: 400.0,
-            drain_service_latency_cycles: 10_000_000,
-            ..OverheadModel::default()
-        };
-        let cfg = NmoConfig { overhead: slow_drain, ..NmoConfig::paper_default(16) };
-        let p = profiled(cfg);
-        accuracy(mem_counted, p.processed_samples, 16)
+    let slow_drain = OverheadModel {
+        drain_cycles_per_byte: 400.0,
+        drain_service_latency_cycles: 10_000_000,
+        ..OverheadModel::default()
     };
+    let tiny = NmoConfig { overhead: slow_drain, ..NmoConfig::paper_default(16) };
+    let [moderate, tiny] = measured([NmoConfig::paper_default(4096), tiny]);
+    let (acc_moderate, acc_tiny) = (moderate.accuracy(), tiny.accuracy());
     assert!(acc_moderate > 0.85, "moderate-period accuracy too low: {acc_moderate}");
     assert!(
         acc_tiny < acc_moderate,
@@ -59,13 +49,9 @@ fn accuracy_is_high_at_moderate_periods_and_degrades_at_tiny_periods() {
 
 #[test]
 fn overhead_decreases_with_larger_sampling_periods() {
-    let (_, baseline_cycles) = baseline();
-    let overhead_at = |period: u64| {
-        let p = profiled(NmoConfig::paper_default(period));
-        time_overhead(baseline_cycles, p.elapsed_cycles)
-    };
-    let small = overhead_at(512);
-    let large = overhead_at(32_768);
+    let [small, large] =
+        measured([NmoConfig::paper_default(512), NmoConfig::paper_default(32_768)]);
+    let (small, large) = (small.overhead(), large.overhead());
     assert!(small > large, "more samples must cost more time: {small} vs {large}");
     // The large-period overhead is tiny; allow head-room for run-to-run
     // variance from DRAM-contention ordering between simulated cores.
@@ -74,21 +60,18 @@ fn overhead_decreases_with_larger_sampling_periods() {
 
 #[test]
 fn aux_buffer_below_minimum_collects_nothing_but_larger_buffers_do() {
-    // 2 pages is below the 4-page functional minimum the paper observed.
-    let too_small = {
-        // 2 pages of 64 KiB = 128 KiB; NmoConfig sizes in MiB, so use the
-        // builder that takes pages directly via the overhead model check.
-        let mut cfg = NmoConfig::paper_default(1024);
-        cfg.auxbufsize_mib = 1;
-        cfg.overhead = OverheadModel { min_functional_aux_pages: 64, ..OverheadModel::default() };
-        profiled(cfg)
-    };
+    // 2 pages is below the 4-page functional minimum of Figure 9. That
+    // minimum is the paper's observation entered as a constant
+    // (`OverheadModel::min_functional_aux_pages`), not something the model
+    // derives, so this checks the constant is honoured, not the cause.
+    let two_pages = NmoConfig { auxbuf_pages_override: Some(2), ..NmoConfig::paper_default(1024) };
+    let too_small = run(two_pages).expect("2-page run");
     assert_eq!(
         too_small.processed_samples, 0,
         "an aux buffer below the functional minimum must produce nothing"
     );
 
-    let normal = profiled(NmoConfig::paper_default(1024));
+    let normal = run(NmoConfig::paper_default(1024)).expect("default-buffer run");
     assert!(normal.processed_samples > 0);
     // Time overhead of the non-functional configuration is also ~zero, as in
     // Figure 9's smallest point.
@@ -100,7 +83,7 @@ fn aux_buffer_below_minimum_collects_nothing_but_larger_buffers_do() {
 fn larger_aux_buffers_do_not_lose_more_samples_than_smaller_ones() {
     let samples_with_pages = |mib: u64| {
         let cfg = NmoConfig { auxbufsize_mib: mib, ..NmoConfig::paper_default(512) };
-        profiled(cfg)
+        run(cfg).expect("profiled run")
     };
     let small = samples_with_pages(1); // 16 pages
     let large = samples_with_pages(8); // 128 pages
@@ -115,7 +98,7 @@ fn larger_aux_buffers_do_not_lose_more_samples_than_smaller_ones() {
 
 #[test]
 fn per_core_stats_cover_all_profiled_cores() {
-    let p = profiled(NmoConfig::paper_default(2048));
+    let p = run(NmoConfig::paper_default(2048)).expect("profiled run");
     assert_eq!(p.per_core_spe.len(), THREADS);
     let total: u64 = p.per_core_spe.iter().map(|(_, s)| s.records_written).sum();
     assert_eq!(total, p.spe.records_written);
@@ -135,7 +118,7 @@ fn collision_flags_propagate_to_aux_records_under_pressure() {
     // Period 16 produces ~1.2 MiB of records per core, exceeding the 1 MiB
     // aux buffer, so a slow consumer guarantees truncation.
     let cfg = NmoConfig { overhead: slow, ..NmoConfig::paper_default(16) };
-    let p = profiled(cfg);
+    let p = run(cfg).expect("profiled run");
     assert!(p.spe.truncated_records > 0, "expected aux-buffer pressure");
     assert!(
         p.collision_flagged_records > 0,
