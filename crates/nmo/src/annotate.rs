@@ -12,9 +12,10 @@
 //! The Rust equivalent is the [`Annotations`] registry: `tag_addr` registers
 //! a named address range, `start`/`stop` bracket named execution phases with
 //! simulated-time timestamps. The registry is thread-safe: any worker thread
-//! may open or close phases (phases are tracked per thread, mirroring the
-//! behaviour of the C API under OpenMP where the annotation is typically
-//! issued by the master thread outside the parallel region).
+//! may open or close phases. Phases nest on one registry-wide stack, not per
+//! thread: `stop` closes the most recently opened phase, whichever thread
+//! opened it — the C API under OpenMP, where the annotation is typically
+//! issued by the master thread outside the parallel region.
 
 use parking_lot::Mutex;
 
@@ -242,6 +243,19 @@ mod tests {
         assert_eq!(outer.duration_ns(), 400);
         assert!(a.stop(600).is_none(), "no phase open anymore");
         assert_eq!(a.open_phases(), 0);
+    }
+
+    /// One stack for the whole registry: a `stop` on another thread closes
+    /// the phase this thread opened last.
+    #[test]
+    fn stop_on_another_thread_closes_the_most_recent_phase() {
+        let a = Annotations::new();
+        a.start("outer", 100);
+        a.start("inner", 200);
+        let closed = std::thread::scope(|s| s.spawn(|| a.stop(300)).join().unwrap());
+        assert_eq!(closed.map(|p| p.name), Some("inner".to_string()));
+        assert_eq!(a.open_phases(), 1);
+        assert_eq!(a.stop(400).map(|p| p.name), Some("outer".to_string()));
     }
 
     #[test]

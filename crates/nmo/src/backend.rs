@@ -85,7 +85,8 @@ pub trait SampleBackend: Send {
 
     /// Move everything collected since the previous call into
     /// window-stamped batches — what the sinks are fed, on every kind of
-    /// session. `clock` supplies the window arithmetic and the producer
+    /// session. An SPE batch is one core's samples in one window, stamped
+    /// with that core ([`SampleBatch::core`]). `clock` supplies the window arithmetic and the producer
     /// watermark (use [`WindowClock::current`] for data without
     /// timestamps); `pool` supplies (and takes back) the batch buffers, so
     /// a steady-state drain allocates nothing. A sample handed out here is
@@ -257,7 +258,7 @@ impl SampleBackend for SpeBackend {
         clock: &WindowClock,
         pool: &BatchPool,
     ) -> Result<Vec<SampleBatch>, NmoError> {
-        Ok(drain_core_set(&self.cores, machine, clock, pool, None))
+        Ok(drain_core_set(&self.cores, machine, clock, pool))
     }
 
     fn shard_drainers(&mut self, shards: usize) -> Vec<Box<dyn ShardDrainer>> {
@@ -330,11 +331,9 @@ impl ShardDrainer for SpeShardDrainer {
         clock: &WindowClock,
         pool: &BatchPool,
     ) -> Result<Vec<SampleBatch>, NmoError> {
-        // Stamp batches with a representative core so the sharded bus
-        // routes them to this worker's lane (every core in the subset
-        // hashes to the same lane by construction).
-        let lane_core = self.cores.first().map(|c| c.core);
-        Ok(drain_core_set(&self.cores, machine, clock, pool, lane_core))
+        // Each batch names its own core, and every core of the subset
+        // hashes to this worker's lane by construction.
+        Ok(drain_core_set(&self.cores, machine, clock, pool))
     }
 
     fn sources(&self) -> Vec<StreamSource> {
@@ -345,48 +344,52 @@ impl ShardDrainer for SpeShardDrainer {
 /// Drain a core subset: flush each core's driver (its publish handler has
 /// decoded the flushed data into the store by the time the flush returns; a
 /// core an engine holds cannot be flushed and hands out what its watermarks
-/// published), take the store, and turn the samples into window-stamped
-/// batches, one per window. Once this returns, every record the subset
-/// published so far has been handed out — the completeness
+/// published), take the store, and split it — already in time order — at
+/// window boundaries into one batch per core and window. The oldest window's
+/// run keeps the store's buffer, so a drain inside one window copies no
+/// sample. Batches come out window-major and core-minor, so a sink sees the
+/// samples of one window core by core. Once this returns, every record the
+/// subset published so far has been handed out — the completeness
 /// `ActiveSession::tiering_step`'s determinism rests on. A drain that finds
 /// no new sample returns no batch: SPE loss is a run total, read at `fill`.
-/// Buffers come from `pool`; `batch_core` stamps the emitted batches (lane
-/// routing on the sharded bus).
+/// Buffers come from `pool`.
 fn drain_core_set(
     cores: &[CoreSpe],
     machine: &Machine,
     clock: &WindowClock,
     pool: &BatchPool,
-    batch_core: Option<usize>,
 ) -> Vec<SampleBatch> {
-    // Collect the subset's samples, grouped by window into pooled buffers.
-    let mut by_window: std::collections::BTreeMap<u64, Vec<AddressSample>> =
-        std::collections::BTreeMap::new();
+    let mut batches = Vec::new();
     for c in cores {
         let _ = machine.flush_observer(c.core);
-        let taken = {
+        let mut samples = {
             let mut store = c.store.lock();
             if store.samples.is_empty() {
                 continue;
             }
             std::mem::replace(&mut store.samples, pool.samples())
         };
-        for s in &taken {
-            by_window.entry(clock.index_of(s.time_ns)).or_insert_with(|| pool.samples()).push(*s);
+        // Split the newest window's run off until one window is left.
+        while let Some(last) = samples.last() {
+            let window = clock.window_containing(last.time_ns);
+            let older = samples.partition_point(|s| s.time_ns < window.start_ns);
+            let run = if older == 0 {
+                std::mem::take(&mut samples)
+            } else {
+                let mut run = pool.samples();
+                run.extend_from_slice(&samples[older..]);
+                samples.truncate(older);
+                run
+            };
+            let payload =
+                BatchPayload::SpeSamples { samples: run, loss: SpeStatsSnapshot::default() };
+            batches.push(SampleBatch::new("spe", Some(c.core), window, payload));
         }
-        pool.recycle_samples(taken);
     }
-    by_window
-        .into_iter()
-        .map(|(index, samples)| {
-            SampleBatch::new(
-                "spe",
-                batch_core,
-                clock.window(index),
-                BatchPayload::SpeSamples { samples, loss: SpeStatsSnapshot::default() },
-            )
-        })
-        .collect()
+    // Stable, so within a window the cores keep their order (a core's own
+    // runs went in newest first).
+    batches.sort_by_key(|b| b.window.index);
+    batches
 }
 
 /// The publish handler's body: read every pending ring-buffer record of one
@@ -516,6 +519,56 @@ mod tests {
         assert!(store.samples.windows(2).all(|w| w[0].time_ns <= w[1].time_ns));
     }
 
+    /// A drain is one batch per core and window, window-major and
+    /// core-minor — the sample sequence a per-window regroup of the core
+    /// set's stores gives — and a store inside one window is handed on as it
+    /// is, buffer and all.
+    #[test]
+    fn a_drain_is_one_batch_per_core_and_window() {
+        let machine = machine();
+        let mut backend = SpeBackend::new();
+        backend.start(&machine, &[0, 1], &NmoConfig::paper_default(100)).unwrap();
+        let sample = |core, time_ns| AddressSample {
+            time_ns,
+            vaddr: 0x1000 + time_ns,
+            core,
+            is_store: false,
+            latency: 1,
+            source: DataSource::L1,
+        };
+        // Core 0 spans windows 0, 2 and 3; core 1 stays inside window 2.
+        let stores = [
+            vec![
+                sample(0, 10),
+                sample(0, 999),
+                sample(0, 2_000),
+                sample(0, 3_500),
+                sample(0, 3_999),
+            ],
+            vec![sample(1, 2_100), sample(1, 2_900)],
+        ];
+        for (c, samples) in backend.cores.iter().zip(stores.clone()) {
+            c.store.lock().samples = samples;
+        }
+        let one_window = backend.cores[1].store.lock().samples.as_ptr();
+
+        let batches =
+            backend.drain(&machine, &WindowClock::new(1_000), &BatchPool::new(8)).unwrap();
+        let shape: Vec<_> = batches.iter().map(|b| (b.window.index, b.core, b.len())).collect();
+        assert_eq!(shape, [(0, Some(0), 2), (2, Some(0), 1), (2, Some(1), 2), (3, Some(0), 2)]);
+        let delivered: Vec<&[AddressSample]> = batches
+            .iter()
+            .map(|b| match b.payload() {
+                BatchPayload::SpeSamples { samples, .. } => &samples[..],
+                _ => panic!("spe backend emits SpeSamples payloads"),
+            })
+            .collect();
+        let mut regrouped = stores.concat();
+        regrouped.sort_by_key(|s| s.time_ns / 1_000);
+        assert_eq!(delivered.concat(), regrouped);
+        assert_eq!(delivered[2].as_ptr(), one_window, "no copy inside one window");
+    }
+
     #[test]
     fn spe_drain_hands_every_sample_out_once_and_fill_adds_the_counts() {
         let machine = machine();
@@ -543,7 +596,7 @@ mod tests {
         let mut streamed = 0u64;
         let mut last_window = None;
         for b in &batches {
-            assert_eq!(b.backend, "spe");
+            assert_eq!((b.backend, b.core), ("spe", Some(0)));
             if let BatchPayload::SpeSamples { samples, .. } = b.payload() {
                 assert!(!samples.is_empty(), "every batch carries samples");
                 streamed += samples.len() as u64;

@@ -83,12 +83,6 @@ pub struct NmoConfig {
     /// watermark interrupts are charged by the overhead model like any
     /// others.
     pub aux_watermark_bytes: Option<u64>,
-    /// Warn (stderr) when the fraction of selected SPE samples lost to
-    /// collisions/filters/truncation exceeds this threshold
-    /// (`NMO_LOSS_WARN`; 0 disables the warning). The paper's sensitivity
-    /// study shows accuracy collapsing once loss grows, so surfacing it
-    /// loudly beats silently under-reporting.
-    pub loss_warn_threshold: f64,
     /// Overhead/cost model used by the simulated SPE driver.
     pub overhead: OverheadModel,
 }
@@ -105,7 +99,6 @@ impl Default for NmoConfig {
             auxbufsize_mib: 1,
             auxbuf_pages_override: None,
             aux_watermark_bytes: None,
-            loss_warn_threshold: 0.1,
             overhead: OverheadModel::default(),
         }
     }
@@ -166,11 +159,6 @@ impl NmoConfig {
         }
         if let Some(mib) = integer("NMO_AUXBUFSIZE")? {
             cfg.auxbufsize_mib = mib.max(1);
-        }
-        if let Some(v) = lookup("NMO_LOSS_WARN") {
-            let fraction: f64 =
-                v.trim().parse().map_err(|_| bad("NMO_LOSS_WARN", &v, "a fraction"))?;
-            cfg.loss_warn_threshold = fraction.max(0.0);
         }
         cfg.aux_watermark_bytes = integer("NMO_AUXWATERMARK")?.filter(|b| *b > 0);
         Ok(cfg)
@@ -303,17 +291,8 @@ mod tests {
         NmoConfig::from_lookup(|k| (k == var).then(|| value.to_string()))
     }
 
-    #[test]
-    fn loss_warn_threshold_default_and_env() {
-        assert!((NmoConfig::default().loss_warn_threshold - 0.1).abs() < 1e-12);
-        let cfg = one_var("NMO_LOSS_WARN", "0.25").unwrap();
-        assert!((cfg.loss_warn_threshold - 0.25).abs() < 1e-12);
-        let cfg = one_var("NMO_LOSS_WARN", "-3").unwrap();
-        assert_eq!(cfg.loss_warn_threshold, 0.0, "negative values clamp to disabled");
-    }
-
     /// A value that does not parse is an error naming the variable and the
-    /// value, for each of the six variables that carry a number or a mode;
+    /// value, for each of the five variables that carry a number or a mode;
     /// a good value beside it is taken.
     #[test]
     fn unparsable_values_are_config_errors_naming_the_variable() {
@@ -321,7 +300,6 @@ mod tests {
             ("NMO_PERIOD", " 4096 "),
             ("NMO_BUFSIZE", "2"),
             ("NMO_AUXBUFSIZE", "4"),
-            ("NMO_LOSS_WARN", "0.5"),
             ("NMO_AUXWATERMARK", "8192"),
             ("NMO_MODE", "off"),
         ];
@@ -329,7 +307,6 @@ mod tests {
             period: 4096,
             bufsize_mib: 2,
             auxbufsize_mib: 4,
-            loss_warn_threshold: 0.5,
             aux_watermark_bytes: Some(8192),
             ..NmoConfig::default()
         };
@@ -341,7 +318,6 @@ mod tests {
             ("NMO_PERIOD", "4o96"),
             ("NMO_BUFSIZE", "-1"),
             ("NMO_AUXBUFSIZE", "1.5"),
-            ("NMO_LOSS_WARN", "junk"),
             ("NMO_AUXWATERMARK", "4k"),
             ("NMO_MODE", "bogus"),
         ];

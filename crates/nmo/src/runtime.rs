@@ -196,23 +196,27 @@ impl Profile {
     }
 }
 
-/// Emit a stderr warning when the run lost more SPE samples than the
-/// configured threshold ([`NmoConfig::loss_warn_threshold`], `NMO_LOSS_WARN`)
-/// — the accuracy-collapse regime of the paper's Figures 8–9. The same
-/// threshold guards the streaming pipeline's own loss channel: batches the
-/// event bus dropped under backpressure (data that was decoded but never
-/// reached the sinks).
+/// Above this fraction of selected SPE samples lost (or of streamed batches
+/// dropped), a run warns on stderr.
+const LOSS_WARN_THRESHOLD: f64 = 0.1;
+
+/// Emit a stderr warning when the run lost more than
+/// [`LOSS_WARN_THRESHOLD`] of its selected SPE samples to
+/// collisions/filters/truncation — the accuracy-collapse regime of the
+/// paper's Figures 8–9, better surfaced loudly than silently
+/// under-reported. The same threshold guards the streaming pipeline's own
+/// loss channel: batches the event bus dropped under backpressure (data that
+/// was decoded but never reached the sinks).
 pub(crate) fn warn_on_loss(profile: &Profile) {
-    let threshold = profile.config.loss_warn_threshold;
     let loss = profile.loss_fraction();
-    if threshold > 0.0 && profile.spe.samples_selected > 0 && loss > threshold {
+    if profile.spe.samples_selected > 0 && loss > LOSS_WARN_THRESHOLD {
         eprintln!(
             "[nmo] warning: profile '{}' lost {:.1}% of selected SPE samples \
              (threshold {:.1}%): {} collisions, {} truncated of {} selected — consider a \
              larger NMO_AUXBUFSIZE or a longer NMO_PERIOD",
             profile.name,
             loss * 100.0,
-            threshold * 100.0,
+            LOSS_WARN_THRESHOLD * 100.0,
             profile.spe.collisions,
             profile.spe.truncated_records,
             profile.spe.samples_selected,
@@ -220,14 +224,14 @@ pub(crate) fn warn_on_loss(profile: &Profile) {
     }
     if let Some(stream) = &profile.stream {
         let dropped = stream.bus_drop_fraction();
-        if threshold > 0.0 && dropped > threshold {
+        if dropped > LOSS_WARN_THRESHOLD {
             eprintln!(
                 "[nmo] warning: profile '{}' dropped {:.1}% of streamed batches \
                  (threshold {:.1}%): {} of {} batches ({} items) lost to bus backpressure — \
                  consider a larger bus_capacity, more shards, or Block backpressure",
                 profile.name,
                 dropped * 100.0,
-                threshold * 100.0,
+                LOSS_WARN_THRESHOLD * 100.0,
                 stream.batches_dropped,
                 stream.batches_published + stream.batches_dropped,
                 stream.items_dropped,

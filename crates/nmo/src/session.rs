@@ -965,35 +965,16 @@ fn left_of_interval(interval: Duration, round: Duration) -> Option<Duration> {
 const SOURCE_IDLE_TICKS: u64 = 250;
 
 /// What the close coordinator is told about one published batch: its
-/// window, and — once per core whose samples it carries — the source
-/// watermark it advances (`None` for a batch without timestamps).
+/// window, and the watermark it advances for its source, `(backend,
+/// batch.core)` — for an SPE batch one core's aux buffer, which publishes at
+/// its own cadence, so the slowest core bounds what may close (`None` for a
+/// batch without timestamps).
 type PublishNote = (u64, Option<(StreamSource, u64)>);
 
-/// Append `batch`'s [`PublishNote`]s: per-core maxima for SPE sample
-/// batches (each core's aux buffer publishes at its own cadence, so the
-/// slowest core bounds what may close), the batch maximum otherwise. A
-/// batch whose samples all come from one core — what a per-core drain
-/// produces — is noted from what [`SampleBatch::new`] cached, without
-/// reading its samples again; a mixed one (the SPE backend's per-window
-/// batches over a core set) gets one note per stretch of same-core samples,
-/// and a core noted twice just advances to the larger mark. The core is
-/// always the samples' own, never `batch.core`.
-fn push_notes(batch: &SampleBatch, notes: &mut Vec<PublishNote>) {
-    let window = batch.window.index;
-    let Some(max) = batch.max_time_ns() else {
-        notes.push((window, None));
-        return;
-    };
-    if let Some(core) = batch.sole_core() {
-        notes.push((window, Some(((batch.backend, Some(core)), max))));
-    } else if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
-        for stretch in samples.chunk_by(|a, b| a.core == b.core) {
-            let t_ns = stretch.iter().map(|s| s.time_ns).max().unwrap_or(0);
-            notes.push((window, Some(((batch.backend, Some(stretch[0].core)), t_ns))));
-        }
-    } else {
-        notes.push((window, Some(((batch.backend, None), max))));
-    }
+/// `batch`'s [`PublishNote`], from what [`SampleBatch::new`] cached: the
+/// samples are not read again.
+fn note_of(batch: &SampleBatch) -> PublishNote {
+    (batch.window.index, batch.max_time_ns().map(|max| ((batch.backend, batch.core), max)))
 }
 
 /// Producer-side close bookkeeping, shared by every pump worker of a
@@ -1036,11 +1017,11 @@ impl CloseCoordinator {
     /// Register published batches: advance the clock and their sources'
     /// watermarks, and track their windows as open. Must be called *after*
     /// the batches were enqueued — the close threshold may only move once
-    /// the data that justifies it is on a lane. A drain lists each core's
-    /// batches back to back, so a run of consecutive notes from one source
-    /// is marked once, with the run's maximum, and a window is not inserted
-    /// again right after itself — the same end state as taking the notes
-    /// one at a time, at one source look-up per run.
+    /// the data that justifies it is on a lane. A run of consecutive notes
+    /// from one source (a one-core drain's windows) is marked once, with the
+    /// run's maximum, and a window is not inserted again right after itself
+    /// — the same end state as taking the notes one at a time, at one source
+    /// look-up per run.
     fn note_published(&mut self, notes: &[PublishNote]) {
         let source_of = |note: &PublishNote| note.1.map(|(source, _)| source);
         let mut inserted_last = None;
@@ -1106,10 +1087,7 @@ fn publish_batches(
     if batches.is_empty() {
         return;
     }
-    let mut notes = Vec::with_capacity(batches.len());
-    for batch in &batches {
-        push_notes(batch, &mut notes);
-    }
+    let notes: Vec<PublishNote> = batches.iter().map(note_of).collect();
     // Ordering rationale (pinned): publish-then-mark. The watermark may
     // only advance once the data justifying it is queued on a lane —
     // marking first would let a concurrent close-threshold computation
@@ -2250,134 +2228,34 @@ mod tests {
         assert_eq!(bus.stats().queued, 0);
     }
 
-    /// `push_notes` as it was while it read every sample of every batch:
-    /// one note per stretch of same-core samples. The oracle for the notes
-    /// a batch's cached digest now answers.
-    fn push_notes_by_stretch(batch: &SampleBatch, notes: &mut Vec<PublishNote>) {
-        let window = batch.window.index;
-        let Some(max) = batch.max_time_ns() else {
-            notes.push((window, None));
-            return;
+    /// One note per batch, keyed by the batch's own core: an SPE batch's
+    /// maximum under `(backend, core)`, any other batch's under its stamp,
+    /// and no mark for a batch without timestamps.
+    #[test]
+    fn a_batch_is_noted_once_under_its_own_core() {
+        let window = WindowClock::new(1000).window(3);
+        let sample = |time_ns| crate::runtime::AddressSample {
+            time_ns,
+            vaddr: 0x1000,
+            core: 5,
+            is_store: false,
+            latency: 1,
+            source: arch_sim::DataSource::L1,
         };
-        if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
-            for stretch in samples.chunk_by(|a, b| a.core == b.core) {
-                let t_ns = stretch.iter().map(|s| s.time_ns).max().unwrap_or(0);
-                notes.push((window, Some(((batch.backend, Some(stretch[0].core)), t_ns))));
-            }
-        } else {
-            notes.push((window, Some(((batch.backend, None), max))));
-        }
-    }
-
-    /// An SPE batch in window 3 (width 1000) of `clock`, one sample per
-    /// `(core, vaddr)`, with seeded timestamps inside the window.
-    fn spe_batch_of(
-        batch_core: Option<usize>,
-        samples: &[(usize, u64)],
-        seed: &mut u64,
-    ) -> SampleBatch {
-        let window = WindowClock::new(1000).window(3);
-        let samples = samples
-            .iter()
-            .map(|&(core, vaddr)| {
-                *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                crate::runtime::AddressSample {
-                    time_ns: window.start_ns + (*seed >> 33) % 1000,
-                    vaddr,
-                    core,
-                    is_store: false,
-                    latency: 1,
-                    source: arch_sim::DataSource::L1,
-                }
-            })
-            .collect();
-        let payload = BatchPayload::SpeSamples { samples, loss: Default::default() };
-        SampleBatch::new("spe", batch_core, window, payload)
-    }
-
-    fn notes_of(
-        batch: &SampleBatch,
-        push: fn(&SampleBatch, &mut Vec<PublishNote>),
-    ) -> Vec<PublishNote> {
-        let mut notes = Vec::new();
-        push(batch, &mut notes);
-        notes
-    }
-
-    /// Whatever a batch holds, `push_notes` answers from the digest
-    /// `SampleBatch::new` cached exactly what the stretch walk reads off the
-    /// samples — and the core it notes is the samples', not the batch's.
-    #[test]
-    fn push_notes_matches_the_stretch_walk() {
-        let on = |cores: &[usize]| cores.iter().map(|&c| (c, 0x1000)).collect::<Vec<_>>();
-        for seed in 1..=32u64 {
-            let mut seed = seed;
-            for (name, batch_core, samples, expected_notes) in [
-                ("one core", Some(3), on(&[3, 3, 3, 3, 3]), 1),
-                ("several stretches", None, on(&[0, 0, 1, 1, 1, 2]), 3),
-                ("a core that returns after another", None, on(&[0, 0, 1, 0]), 3),
-                ("one sample", Some(5), on(&[5]), 1),
-                ("batch.core disagrees with the samples", Some(9), on(&[2, 2, 2]), 1),
-                ("batch.core names no core", None, on(&[2, 2]), 1),
-            ] {
-                let batch = spe_batch_of(batch_core, &samples, &mut seed);
-                let notes = notes_of(&batch, push_notes);
-                assert_eq!(notes, notes_of(&batch, push_notes_by_stretch), "{name}");
-                assert_eq!(notes.len(), expected_notes, "{name}");
-                let (_, mark) = notes[0];
-                let ((backend, core), _) = mark.expect("SPE samples carry timestamps");
-                assert_eq!((backend, core), ("spe", Some(samples[0].0)), "{name}");
-            }
-        }
-
-        // An SPE batch with no samples — the SPE backend publishes none, a
-        // custom backend or feed may: a mark-less note.
-        let window = WindowClock::new(1000).window(3);
-        let payload = BatchPayload::SpeSamples { samples: Vec::new(), loss: Default::default() };
-        let empty = SampleBatch::new("spe", Some(1), window, payload);
-        assert_eq!(empty.sole_core(), None);
-        assert_eq!(notes_of(&empty, push_notes), vec![(3, None)]);
-        assert_eq!(notes_of(&empty, push_notes_by_stretch), vec![(3, None)]);
-
-        // Other payloads: the batch maximum under a core-less source, or no
-        // mark at all.
+        let spe = |core, samples| {
+            let payload = BatchPayload::SpeSamples { samples, loss: Default::default() };
+            SampleBatch::new("spe", Some(core), window, payload)
+        };
+        let rss = |points| SampleBatch::new("machine", None, window, BatchPayload::Rss { points });
         let points = vec![arch_sim::RssPoint::flat(3400, 1), arch_sim::RssPoint::flat(3100, 2)];
-        let rss = BatchPayload::Rss { points };
-        let no_points = BatchPayload::Rss { points: Vec::new() };
-        for (payload, expected) in [(rss, Some((("machine", None), 3400))), (no_points, None)] {
-            let batch = SampleBatch::new("machine", Some(7), window, payload);
-            assert_eq!(batch.sole_core(), None);
-            assert_eq!(notes_of(&batch, push_notes), vec![(3, expected)]);
-            assert_eq!(notes_of(&batch, push_notes_by_stretch), vec![(3, expected)]);
+        for (batch, expected) in [
+            (spe(5, vec![sample(3900), sample(3050)]), Some((("spe", Some(5)), 3900))),
+            (spe(1, Vec::new()), None),
+            (rss(points), Some((("machine", None), 3400))),
+            (rss(Vec::new()), None),
+        ] {
+            assert_eq!(note_of(&batch), (3, expected), "{batch:?}");
         }
-    }
-
-    /// A sliced trace query rebuilds the batches it filters; the rebuilt
-    /// batch's digest is scanned from the samples it kept, not copied from
-    /// the batch it came from — here a two-core batch that keeps one core,
-    /// and loses its newest sample.
-    #[test]
-    fn a_filtered_batch_is_noted_from_its_own_samples() {
-        let mut seed = 11;
-        let stored = spe_batch_of(
-            Some(0),
-            &[(0, 0x1000), (1, 0x9000), (0, 0x1040), (1, 0x9040), (0, 0x1080)],
-            &mut seed,
-        );
-        assert_eq!(stored.sole_core(), None);
-        let mut maxima = Vec::new();
-        for (lo, hi, core) in [(0x1000, 0x1fff, 0), (0x9000, 0x9fff, 1)] {
-            let query = crate::trace::TraceQuery::all().with_vaddr(lo, hi);
-            let kept = query.filter_batch(stored.clone()).expect("samples in range");
-            assert_eq!(kept.sole_core(), Some(core));
-            let notes = notes_of(&kept, push_notes);
-            assert_eq!(notes, notes_of(&kept, push_notes_by_stretch));
-            assert_eq!(notes.len(), 1);
-            maxima.push(kept.max_time_ns());
-        }
-        // One slice kept the stored batch's newest sample, the other lost it.
-        assert!(maxima.contains(&stored.max_time_ns()), "{maxima:?}");
-        assert!(maxima.iter().any(|max| *max < stored.max_time_ns()), "{maxima:?}");
     }
 
     /// `note_published` as it was while it took the notes one at a time:

@@ -1374,7 +1374,7 @@ mod tests {
         let events = [
             BusEvent::Batch(SampleBatch::new(
                 "spe",
-                None,
+                Some(0),
                 clock.window(0),
                 BatchPayload::SpeSamples {
                     samples: vec![mk_sample(10, 0x1100), mk_sample(20, 0x9000)],
@@ -1385,7 +1385,7 @@ mod tests {
             // A window that never closes is still merged at finish.
             BusEvent::Batch(SampleBatch::new(
                 "spe",
-                None,
+                Some(0),
                 clock.window(1),
                 BatchPayload::SpeSamples {
                     samples: vec![mk_sample(1500, 0x1200)],
@@ -1433,13 +1433,13 @@ mod tests {
             })
             .collect();
 
-        // Batches in arbitrary chunks, an empty one among them.
-        let clock = crate::stream::WindowClock::new(1000);
-        let events = samples.chunks(17).chain([&[][..]]).enumerate().map(|(seq, chunk)| {
+        // Batches in arbitrary chunks of one window, an empty one among them.
+        let clock = crate::stream::WindowClock::new(1 << 20);
+        let events = samples.chunks(17).chain([&[][..]]).map(|chunk| {
             BusEvent::Batch(SampleBatch::new(
                 "spe",
-                None,
-                clock.window(seq as u64),
+                Some(0),
+                clock.window(0),
                 BatchPayload::SpeSamples { samples: chunk.to_vec(), loss: Default::default() },
             ))
         });
@@ -1614,7 +1614,7 @@ mod tests {
         let batch = |w: u64| {
             SampleBatch::new(
                 "spe",
-                None,
+                Some(0),
                 clock.window(w),
                 BatchPayload::SpeSamples {
                     samples: vec![mk_sample(w * 1000, 0x1000)],

@@ -18,9 +18,11 @@
 //! ```
 //!
 //! * A [`SampleBatch`] carries one window's worth of data from one source:
-//!   decoded SPE records or RSS/bandwidth ticks. Its buffers come from
-//!   (and return to) a [`BatchPool`], so the steady state of the hot path
-//!   allocates nothing.
+//!   decoded SPE records or RSS/bandwidth ticks. An SPE batch is one core's
+//!   samples in one window, stamped with that core — the producer fixes
+//!   the stream's shape once, so no consumer re-derives which core a sample
+//!   came from. Its buffers come from (and return to) a [`BatchPool`], so
+//!   the steady state of the hot path allocates nothing.
 //! * The [`ShardedBus`] partitions batches over N single-producer lanes by
 //!   core hash ([`ShardedBus::lane_for_core`]); each lane is a bounded
 //!   [`EventBus`] with explicit backpressure: when a consumer falls behind,
@@ -67,7 +69,8 @@ use spe::SpeStatsSnapshot;
 use crate::runtime::AddressSample;
 
 /// One time window of the streaming pipeline (half-open, `[start, end)`
-/// simulated nanoseconds).
+/// simulated nanoseconds; the last window of time, clipped at `u64::MAX`,
+/// holds `u64::MAX` too).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Window {
     /// Window index (`start_ns / width`).
@@ -84,9 +87,10 @@ impl Window {
         self.end_ns - self.start_ns
     }
 
-    /// Whether a timestamp falls inside the window.
+    /// Whether a timestamp falls inside the window. Every `u64` falls
+    /// inside the window [`WindowClock::window_containing`] gives it.
     pub fn contains_ns(&self, t_ns: u64) -> bool {
-        t_ns >= self.start_ns && t_ns < self.end_ns
+        t_ns >= self.start_ns && (t_ns < self.end_ns || self.end_ns == u64::MAX)
     }
 }
 
@@ -144,7 +148,8 @@ impl WindowClock {
     }
 
     /// Group timestamped items by the window containing them, ascending by
-    /// window index (the stamping step every batch producer shares).
+    /// window index, whatever order they come in (how the machine probe
+    /// stamps its bandwidth buckets).
     pub fn group_by_window<T>(
         &self,
         items: impl IntoIterator<Item = T>,
@@ -169,7 +174,8 @@ pub type StreamSource = (&'static str, Option<usize>);
 pub enum BatchPayload {
     /// Decoded SPE address samples.
     SpeSamples {
-        /// The decoded samples, all inside the batch's window.
+        /// The decoded samples, all from the batch's core and inside its
+        /// window.
         samples: Vec<AddressSample>,
         /// Inert. No nmo backend sets it, and no sink, snapshot or trace
         /// reads or stores it (a replayed batch carries zero). The run's SPE
@@ -194,60 +200,56 @@ pub enum BatchPayload {
 /// backend (or the machine probe).
 ///
 /// Construct batches with [`SampleBatch::new`]: the payload is scanned once
-/// there and what the pipeline asks of every batch is cached — its maximum
-/// timestamp (read by the consumer-side watermark checks on every delivery)
-/// and, for SPE samples, whether they all come from one core (what the
-/// publishing pump notes with the close coordinator) — so nothing downstream
-/// re-scans the sample slice. The payload is therefore immutable after
-/// construction: a changed payload is a new batch, built by `new` again.
+/// there and its maximum timestamp cached (read by the close coordinator and
+/// the consumer-side watermark checks on every delivery), so nothing
+/// downstream re-scans the sample slice. The payload is therefore immutable
+/// after construction: a changed payload is a new batch, built by `new`
+/// again.
 #[derive(Debug, Clone)]
 pub struct SampleBatch {
     /// Name of the producing backend (`"spe"`, `"machine"`).
     pub backend: &'static str,
-    /// Core the data belongs to, when per-core.
+    /// Core the data belongs to, when per-core. An SPE batch is one core's
+    /// samples in one window: it names `Some(core)`, every sample in it is
+    /// from that core and lies inside [`SampleBatch::window`] (checked by
+    /// [`SampleBatch::new`] in debug builds). So this one field is the
+    /// samples' core for the bus lane, the close coordinator and the trace.
     pub core: Option<usize>,
     /// Monotonic publication sequence number (stamped by the bus on
     /// publish).
     pub seq: u64,
     /// The time window the data belongs to.
     pub window: Window,
-    /// The data itself (immutable — the two fields below are cached over
-    /// it).
+    /// The data itself (immutable — `max_time_ns` is cached over it).
     payload: BatchPayload,
     /// Highest item timestamp, computed once at construction.
     max_time_ns: Option<u64>,
-    /// The core every SPE sample of the payload names, when they all name
-    /// the same one — the samples' own `core`, whatever the `core` field
-    /// above says. Computed by the same scan.
-    sole_core: Option<usize>,
 }
 
 impl SampleBatch {
     /// Build a batch, scanning the payload once to cache its maximum item
-    /// timestamp and, over SPE samples, their core if they share one.
+    /// timestamp. An SPE payload must keep the rule on
+    /// [`SampleBatch::core`].
     pub fn new(
         backend: &'static str,
         core: Option<usize>,
         window: Window,
         payload: BatchPayload,
     ) -> Self {
-        let mut sole_core = None;
         let max_time_ns = match &payload {
-            BatchPayload::SpeSamples { samples, .. } => samples.first().map(|first| {
-                // Branch-free on purpose: this walk runs on the pump thread
-                // over every sample it hands on.
-                let (mut max, mut strays) = (0, 0);
-                for s in samples {
-                    max = max.max(s.time_ns);
-                    strays |= s.core ^ first.core;
-                }
-                sole_core = (strays == 0).then_some(first.core);
-                max
-            }),
+            BatchPayload::SpeSamples { samples, .. } => {
+                debug_assert!(
+                    core.is_some_and(|core| samples
+                        .iter()
+                        .all(|s| s.core == core && window.contains_ns(s.time_ns))),
+                    "an SPE batch is one core's samples in one window: core {core:?}, {window:?}"
+                );
+                samples.iter().map(|s| s.time_ns).max()
+            }
             BatchPayload::Rss { points } => points.iter().map(|p| p.time_ns).max(),
             BatchPayload::Bandwidth { points } => points.iter().map(|p| p.time_ns).max(),
         };
-        SampleBatch { backend, core, seq: 0, window, payload, max_time_ns, sole_core }
+        SampleBatch { backend, core, seq: 0, window, payload, max_time_ns }
     }
 
     /// The batch's data.
@@ -279,12 +281,6 @@ impl SampleBatch {
     /// carry timestamps (cached at construction — no payload scan).
     pub fn max_time_ns(&self) -> Option<u64> {
         self.max_time_ns
-    }
-
-    /// The one core all of the batch's SPE samples come from (cached at
-    /// construction); `None` for mixed, empty and non-SPE payloads.
-    pub(crate) fn sole_core(&self) -> Option<usize> {
-        self.sole_core
     }
 }
 
@@ -1032,7 +1028,7 @@ mod tests {
     fn batch(window: Window, n: usize) -> SampleBatch {
         SampleBatch::new(
             "test",
-            None,
+            Some(0),
             window,
             BatchPayload::SpeSamples {
                 samples: vec![
@@ -1079,6 +1075,7 @@ mod tests {
         assert_eq!(w.start_ns, w.index * 1_000_000);
         assert_eq!(w.end_ns, u64::MAX);
         assert!(w.contains_ns(u64::MAX - 1) && w.width_ns() < 1_000_000);
+        assert!(w.contains_ns(u64::MAX), "the window containing a timestamp contains it");
     }
 
     #[test]
@@ -1260,12 +1257,10 @@ mod tests {
             BatchPayload::SpeSamples { samples, loss: SpeStatsSnapshot::default() },
         );
         assert_eq!(batch.max_time_ns(), Some(990));
-        assert_eq!(batch.sole_core(), Some(0), "both samples name core 0");
         assert_eq!(batch.len(), 2);
         let no_points = BatchPayload::Rss { points: vec![] };
         let rss = SampleBatch::new("machine", None, clock.window(0), no_points);
         assert_eq!(rss.max_time_ns(), None, "an empty payload carries no timestamps");
-        assert_eq!(rss.sole_core(), None, "nor samples");
     }
 
     #[test]

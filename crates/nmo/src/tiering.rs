@@ -912,12 +912,13 @@ mod tests {
                     let samples: Vec<AddressSample> = (0..12u64)
                         .map(|i| {
                             let p = (i + core as u64) % 6;
-                            sample(
+                            let s = sample(
                                 base + p * page + (i % 8) * 64,
                                 DataSource::RemoteDram(1),
                                 700 + (p * 10) as u16,
                                 window * 1000 + i * 80,
-                            )
+                            );
+                            AddressSample { core, ..s }
                         })
                         .collect();
                     batches.push(SampleBatch::new(

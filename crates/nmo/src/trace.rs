@@ -24,7 +24,7 @@
 //!
 //! segment   := header block* index trailer
 //! header    := "NMOT" version:u16 shard:u16                  (8 bytes)
-//!              version 5; other versions are refused
+//!              version 6; other versions are refused
 //! block     := "NMOB" payload_len:u32 mulrot64(payload):u64 payload
 //! payload   := event*                                        (see below)
 //! index     := "NMOX" count:u32 entry{count} mulrot64(entries):u64
@@ -51,28 +51,38 @@
 //! Outside a run of samples, integers are LEB128 varints (7 bits per byte,
 //! little-endian groups, at most 10 bytes); signed deltas are zigzag-mapped
 //! (`0,-1,1,-2,…` → `0,1,2,3,…`) first. An event is its tag and, for a batch,
-//! `seq window core backend count` and its items; a window close is its
-//! window. The samples of an SPE batch are stored in groups of up to 64, each
-//! group column by column (a batch's `loss` is not stored: SPE loss is a run
-//! total, and a replayed batch carries zero):
+//! its header and items; a window close is its window:
 //!
 //! ```text
-//! group     := source{g} stores{ceil(g/8)} column{4}    g = min(64, samples left)
+//! batch     := tag seq:varint window core backend:varint count:varint item{count}
+//! window    := index:varint start_ns:varint width:varint
+//! core      := 0:u8 | 1:u8 core:varint                     no core / a core
+//! ```
+//!
+//! An SPE batch is one core's samples in one window (see
+//! [`SampleBatch::core`]), so its core is stored once, in the header: an SPE
+//! event without a core, or with a sample outside its window, is refused.
+//! Its samples are stored in groups of up to 64, each group column by column
+//! (a batch's `loss` is not stored: SPE loss is a run total, and a replayed
+//! batch carries zero):
+//!
+//! ```text
+//! group     := source{g} stores{ceil(g/8)} column{3}    g = min(64, samples left)
 //! column    := width:u8 base:varint bits{ceil(g*width/8)}          width in 0..=64
 //! ```
 //!
 //! * `source` is the 1-byte SPE data-source encoding
 //!   ([`DataSource::encode`]), so the serving node id survives round-trips;
 //!   bit `i` of `stores` (LSB-first) says sample `i` is a store;
-//! * the four columns are, in order: sample timestamps as zigzag deltas from
-//!   the previous sample, seeded with the batch window's `start_ns`; virtual
-//!   addresses as zigzag deltas from the previous sample's, seeded with 0;
-//!   latencies; core ids;
+//! * the three columns are, in order: sample timestamps as zigzag deltas
+//!   from the previous sample, seeded with the batch window's `start_ns`;
+//!   virtual addresses as zigzag deltas from the previous sample's, seeded
+//!   with 0; latencies;
 //! * value `i` of a column is `base` plus the `width` bits at
 //!   `[i*width, (i+1)*width)` of `bits`, LSB-first. `base` is the group's
 //!   smallest value and `width` the bits of its largest `value - base` — a
-//!   frame of reference, so a constant stride in time or a batch from one
-//!   core is a column of two bytes and no bits.
+//!   frame of reference, so a constant stride in time is a column of two
+//!   bytes and no bits.
 //!
 //! A value sits at `index × width`, wherever its neighbours end: the decoder
 //! unpacks a column in one loop without a branch or a dependency from value
@@ -80,19 +90,20 @@
 //! (A varint per field made every read wait for the length of the one
 //! before.) Two limits come with it. A group's width is that of its largest
 //! value, so one outlier — a kernel address among user addresses, which the
-//! simulator never produces — widens 64 samples. And a batch of 1–3 samples
-//! is up to 5 bytes larger than a varint per field would make it (four width
-//! bytes and the core base); they break even at 4.
+//! simulator never produces — widens 64 samples. And a batch of one sample
+//! is three bytes (its width bytes) larger than a varint per field would
+//! make it.
 //!
 //! Decoding is the exact inverse, every read is bounds-checked, and no bit
 //! of a payload is ignored: a width above 64, a column or the source and
 //! store bytes running past the payload, a value past `u64::MAX`, a latency
-//! past `u16::MAX`, a core id no `usize` holds, a data-source code that names
-//! no source, a store bit at or beyond `g` and a set padding bit behind a
-//! column's last value are each an error. Arbitrary bytes never panic, and no
-//! length read from a file is trusted with an allocation before it is checked
-//! against the file: a sample buffer grows group by group, by what the bytes
-//! of each group have paid for.
+//! past `u16::MAX`, a core flag other than 0 or 1, a core id no `usize`
+//! holds, an SPE batch without a core, a sample outside its batch's window,
+//! a data-source code that names no source, a store bit at or beyond `g` and
+//! a set padding bit behind a column's last value are each an error.
+//! Arbitrary bytes never panic, and no length read from a file is trusted
+//! with an allocation before it is checked against the file: a sample buffer
+//! grows group by group, by what the bytes of each group have paid for.
 //!
 //! The checksum (`mulrot64`, one function for blocks and the index) reads a
 //! word at a time, not a byte at a time, and keeps what byte-wise FNV-1a
@@ -179,11 +190,12 @@ const BLOCK_MAGIC: [u8; 4] = *b"NMOB";
 const INDEX_MAGIC: [u8; 4] = *b"NMOX";
 /// End-of-file trailer magic.
 const TRAILER_MAGIC: [u8; 4] = *b"NMOE";
-/// Current format version (5: an SPE batch stores no loss varints, otherwise
-/// byte for byte 4; 4: no counter-delta events; 3: samples as packed
-/// columns; 2 stored a varint per field, 1 used FNV-1a checksums). Every
-/// other version is refused.
-const FORMAT_VERSION: u16 = 5;
+/// Current format version (6: a batch's core is a flag byte and a varint
+/// in its header, and an SPE batch has no core column; 5: an SPE batch
+/// stores no loss varints, otherwise byte for byte 4; 4: no counter-delta
+/// events; 3: samples as packed columns; 2 stored a varint per field, 1 used
+/// FNV-1a checksums). Every other version is refused.
+const FORMAT_VERSION: u16 = 6;
 /// Size of a block frame's header: magic, payload length, checksum.
 const FRAME_HEADER_BYTES: usize = 16;
 /// Flush a block once its payload passes this size (closes flush earlier).
@@ -366,6 +378,15 @@ fn core_bit(core: usize) -> u64 {
     1u64 << (core % 64)
 }
 
+/// Append a batch's core: a flag byte, then the core when there is one —
+/// every `Option<usize>`, `usize::MAX` included, round-trips.
+fn put_core(out: &mut Vec<u8>, core: Option<usize>) {
+    out.push(u8::from(core.is_some()));
+    if let Some(core) = core {
+        put_varint(out, core as u64);
+    }
+}
+
 fn put_window(out: &mut Vec<u8>, w: Window) {
     put_varint(out, w.index);
     put_varint(out, w.start_ns);
@@ -424,7 +445,7 @@ fn encode_batch_event(out: &mut Vec<u8>, batch: &SampleBatch, meta: &mut BlockMe
     out.push(tag);
     put_varint(out, batch.seq);
     put_window(out, batch.window);
-    put_varint(out, batch.core.map_or(0, |c| c as u64 + 1));
+    put_core(out, batch.core);
     put_varint(out, backend_id(batch.backend));
     meta.see_window(batch.window.index);
     meta.events += 1;
@@ -440,22 +461,19 @@ fn encode_batch_event(out: &mut Vec<u8>, batch: &SampleBatch, meta: &mut BlockMe
             put_varint(out, samples.len() as u64);
             let mut prev_time = batch.window.start_ns;
             let mut prev_vaddr = 0u64;
-            let (mut core_mask, mut min_vaddr, mut max_vaddr) =
-                (meta.core_mask, meta.min_vaddr, meta.max_vaddr);
-            let mut columns = [[0u64; GROUP]; 4];
+            let (mut min_vaddr, mut max_vaddr) = (meta.min_vaddr, meta.max_vaddr);
+            let mut columns = [[0u64; GROUP]; 3];
             for group in samples.chunks(GROUP) {
                 out.extend(group.iter().map(|s| s.source.encode()));
-                let [times, vaddrs, latencies, cores] = &mut columns;
+                let [times, vaddrs, latencies] = &mut columns;
                 let mut stores = 0u64;
                 for (i, s) in group.iter().enumerate() {
                     stores |= u64::from(s.is_store) << i;
                     times[i] = zigzag(s.time_ns.wrapping_sub(prev_time) as i64);
                     vaddrs[i] = zigzag(s.vaddr.wrapping_sub(prev_vaddr) as i64);
                     latencies[i] = u64::from(s.latency);
-                    cores[i] = s.core as u64;
                     prev_time = s.time_ns;
                     prev_vaddr = s.vaddr;
-                    core_mask |= core_bit(s.core);
                     min_vaddr = min_vaddr.min(s.vaddr);
                     max_vaddr = max_vaddr.max(s.vaddr);
                 }
@@ -464,7 +482,7 @@ fn encode_batch_event(out: &mut Vec<u8>, batch: &SampleBatch, meta: &mut BlockMe
                     pack_column(out, &column[..group.len()]);
                 }
             }
-            (meta.core_mask, meta.min_vaddr, meta.max_vaddr) = (core_mask, min_vaddr, max_vaddr);
+            (meta.min_vaddr, meta.max_vaddr) = (min_vaddr, max_vaddr);
             samples_written = samples.len() as u64;
             meta.samples += samples_written;
         }
@@ -613,14 +631,11 @@ fn decode_events(payload: &[u8], pool: &BatchPool) -> Result<Vec<BusEvent>, Stri
         }
         let seq = rv(payload, &mut pos, "batch seq")?;
         let window = read_window(payload, &mut pos)?;
-        let core_plus1 = rv(payload, &mut pos, "batch core")?;
-        let core = match core_plus1 {
-            0 => None,
-            c => Some(usize::try_from(c - 1).map_err(|_| format!("absurd batch core {}", c - 1))?),
-        };
+        let core = read_core(payload, &mut pos)?;
         let backend = backend_name(rv(payload, &mut pos, "backend id")?);
         let data = match tag {
             EV_SPE => {
+                let core = core.ok_or("an SPE batch without a core")?;
                 let n = rv(payload, &mut pos, "sample count")?;
                 // A sample is at least its source byte and its store bit; the
                 // buffer grows by what each group's bytes have paid for.
@@ -628,7 +643,7 @@ fn decode_events(payload: &[u8], pool: &BatchPool) -> Result<Vec<BusEvent>, Stri
                 let mut samples = pool.samples();
                 let mut prev_time = window.start_ns;
                 let mut prev_vaddr = 0u64;
-                let mut columns = [[0u64; GROUP]; 4];
+                let mut columns = [[0u64; GROUP]; 3];
                 while samples.len() < n {
                     let g = (n - samples.len()).min(GROUP);
                     let (codes, stored) = payload
@@ -643,35 +658,39 @@ fn decode_events(payload: &[u8], pool: &BatchPool) -> Result<Vec<BusEvent>, Stri
                         return Err(format!("store bits set beyond a group of {g}"));
                     }
                     for (column, what) in
-                        columns.iter_mut().zip(["time delta", "vaddr delta", "latency", "core"])
+                        columns.iter_mut().zip(["time delta", "vaddr delta", "latency"])
                     {
                         unpack_column(payload, &mut pos, &mut column[..g], what)?;
                     }
-                    let [times, vaddrs, latencies, cores] = &columns;
+                    let [times, vaddrs, latencies] = &columns;
                     if latencies[..g].iter().fold(0, |all, &v| all | v) > u64::from(u16::MAX) {
                         return Err("latency out of u16 range".to_string());
                     }
-                    let widest = cores[..g].iter().fold(0, |all, &v| all | v);
-                    usize::try_from(widest).map_err(|_| format!("absurd sample core {widest}"))?;
                     let mut sources = [DataSource::L1; GROUP];
                     for (source, &code) in sources.iter_mut().zip(codes) {
                         *source = DataSource::decode(code)
                             .ok_or_else(|| format!("invalid data-source code {code:#x}"))?;
                     }
-                    // Nothing below can fail: an exact-length `extend` writes
-                    // the group's samples without a capacity check each.
+                    // An exact-length `extend` writes the group's samples
+                    // without a capacity check each; a time outside the
+                    // window is noted on the way and refused after it.
+                    let mut outside = false;
                     samples.extend((0..g).map(|i| {
                         prev_time = prev_time.wrapping_add(unzigzag(times[i]) as u64);
                         prev_vaddr = prev_vaddr.wrapping_add(unzigzag(vaddrs[i]) as u64);
+                        outside |= !window.contains_ns(prev_time);
                         AddressSample {
                             time_ns: prev_time,
                             vaddr: prev_vaddr,
-                            core: cores[i] as usize,
+                            core,
                             is_store: stores >> i & 1 != 0,
                             latency: latencies[i] as u16,
                             source: sources[i],
                         }
                     }));
+                    if outside {
+                        return Err(format!("a sample outside its batch's window {window:?}"));
+                    }
                 }
                 BatchPayload::SpeSamples { samples, loss: SpeStatsSnapshot::default() }
             }
@@ -719,6 +738,20 @@ fn decode_events(payload: &[u8], pool: &BatchPool) -> Result<Vec<BusEvent>, Stri
         out.push(BusEvent::Batch(batch));
     }
     Ok(out)
+}
+
+/// Read what [`put_core`] wrote; a flag other than 0 or 1 is an error.
+fn read_core(data: &[u8], pos: &mut usize) -> Result<Option<usize>, String> {
+    let flag = *data.get(*pos).ok_or_else(|| format!("truncated batch core at byte {pos}"))?;
+    *pos += 1;
+    match flag {
+        0 => Ok(None),
+        1 => {
+            let core = rv(data, pos, "batch core")?;
+            usize::try_from(core).map(Some).map_err(|_| format!("absurd batch core {core}"))
+        }
+        _ => Err(format!("batch core flag {flag} is neither 0 nor 1")),
+    }
 }
 
 fn read_node_array(payload: &[u8], pos: &mut usize) -> Result<[u64; MAX_MEM_NODES], String> {
@@ -1434,15 +1467,15 @@ fn feed(
 }
 
 /// A slice of a stored trace: time windows, cores, and/or an address range.
-/// Unset dimensions match everything. Time slicing is batch-granular (a
-/// batch is per window); an SPE batch carries every core its drainer owns,
-/// so the core set and the address range filter its samples one by one.
+/// Unset dimensions match everything. Time and core slicing are
+/// batch-granular — an SPE batch is one core's samples in one window — and
+/// only the address range filters an SPE batch's samples one by one.
 #[derive(Debug, Clone, Default)]
 pub struct TraceQuery {
     /// Inclusive window-index range.
     pub windows: Option<(u64, u64)>,
-    /// Cores to include (per sample for SPE batches, by the batch's stamp
-    /// for the others; core-less machine ticks always pass).
+    /// Cores to include, by each batch's core (core-less machine ticks
+    /// always pass).
     pub cores: Option<Vec<usize>>,
     /// Inclusive virtual-address range (applied per sample).
     pub vaddr: Option<(u64, u64)>,
@@ -1508,32 +1541,18 @@ impl TraceQuery {
     }
 
     /// What the query keeps of one stored batch: nothing outside the window
-    /// range; of an SPE batch, the samples of the queried cores inside the
-    /// address range (`None` when none is left); any other batch by its
-    /// core stamp.
+    /// range or the queried cores; of an SPE batch, the samples inside the
+    /// address range (`None` when none is left).
     pub(crate) fn filter_batch(&self, batch: SampleBatch) -> Option<SampleBatch> {
-        if !self.window_in_range(batch.window.index) {
+        let in_cores = |c: usize| self.cores.as_ref().is_none_or(|cores| cores.contains(&c));
+        if !self.window_in_range(batch.window.index) || !batch.core.is_none_or(in_cores) {
             return None;
         }
-        let in_cores = |c: usize| self.cores.as_ref().is_none_or(|cores| cores.contains(&c));
-        if !matches!(batch.payload(), BatchPayload::SpeSamples { .. }) {
-            return batch.core.is_none_or(in_cores).then_some(batch);
-        }
-        // An SPE batch holds one window of its drainer's whole core subset
-        // and its stamp only routes it to a lane: the cores are the samples'.
-        let mixed = match batch.sole_core() {
-            Some(core) if !in_cores(core) => return None,
-            Some(_) => false,
-            None => self.cores.is_some(),
-        };
-        if !mixed && self.vaddr.is_none() {
-            return Some(batch);
-        }
-        let (lo, hi) = self.vaddr.unwrap_or((0, u64::MAX));
+        let Some((lo, hi)) = self.vaddr else { return Some(batch) };
         let (seq, backend, core, window) = (batch.seq, batch.backend, batch.core, batch.window);
         let mut payload = batch.into_payload();
         if let BatchPayload::SpeSamples { samples, .. } = &mut payload {
-            samples.retain(|s| in_cores(s.core) && (lo..=hi).contains(&s.vaddr));
+            samples.retain(|s| (lo..=hi).contains(&s.vaddr));
             if samples.is_empty() {
                 return None;
             }
@@ -1770,7 +1789,7 @@ mod tests {
         let loss = SpeStatsSnapshot::default();
         let mut b =
             SampleBatch::new("spe", Some(core), window, BatchPayload::SpeSamples { samples, loss });
-        b.seq = 41 + core as u64;
+        b.seq = 41u64.wrapping_add(core as u64);
         b
     }
 
@@ -1900,7 +1919,7 @@ mod tests {
         let samples = vec![
             sample(window.start_ns + 10, 0x7f00_0000, 3, 120, DataSource::L1),
             sample(window.start_ns + 25, 0x7f00_0040, 3, 300, DataSource::Dram(0)),
-            sample(window.start_ns + 26, 0x6000_0000, 7, 900, DataSource::RemoteDram(1)),
+            sample(window.start_ns + 26, 0x6000_0000, 3, 900, DataSource::RemoteDram(1)),
         ];
         // A core-stamped batch with no items and no timestamps.
         let empty =
@@ -1962,7 +1981,7 @@ mod tests {
     /// sample runs from a few narrow bits to whole words.
     fn mixed_and_wide_events(window: Window) -> Vec<BusEvent> {
         let mut events = mixed_events(window);
-        events.push(BusEvent::Batch(wide_batch(window)));
+        events.push(BusEvent::Batch(wide_batch()));
         events
     }
 
@@ -1997,7 +2016,7 @@ mod tests {
         let events = mixed_and_wide_events(window);
         let (buf, _, ends) = encode_stream(&events);
         match decode_events(&buf, &BatchPool::new(4)).expect("the whole stream").last() {
-            Some(BusEvent::Batch(decoded)) => assert_batches_eq(decoded, &wide_batch(window)),
+            Some(BusEvent::Batch(decoded)) => assert_batches_eq(decoded, &wide_batch()),
             other => panic!("the wide batch came back as {other:?}"),
         }
         // A cut at an exact event boundary is a legal (shorter) stream, so
@@ -2014,28 +2033,65 @@ mod tests {
         }
     }
 
-    /// Three groups (64 + 64 + 1) whose columns are as wide as they get:
-    /// addresses at 0 and `u64::MAX`, time running backwards, the latency and
-    /// core ranges end to end — and, in the second group, a column whose
-    /// `base + mask` passes `u64::MAX` while no value does (cores `MAX - 2`
-    /// and `MAX`: two bits above the base).
-    fn wide_batch(window: Window) -> SampleBatch {
+    /// Three groups (64 + 64 + 1) whose columns are as wide as they get, in
+    /// a window that spans all of time: time running backwards from
+    /// `u64::MAX`, addresses at 0 and `u64::MAX`, the latency range end to
+    /// end — and, in the second group, address deltas whose zigzag column
+    /// has a `base + mask` past `u64::MAX` while no value is (`MAX - 2` and
+    /// `MAX`: two bits above the base). Its core, `usize::MAX`, is stored
+    /// once, in the header.
+    fn wide_batch() -> SampleBatch {
+        let window = Window { index: 7, start_ns: 0, end_ns: u64::MAX };
+        let mut vaddr = 0u64;
         let samples = (0..129u64)
-            .map(|i| AddressSample {
-                time_ns: if i % 2 == 0 { u64::MAX - i } else { i },
-                vaddr: if i % 3 == 0 { u64::MAX } else { 0 },
-                core: [if i < 64 { 0 } else { usize::MAX - 2 }, usize::MAX][i as usize % 2],
-                is_store: i % 5 == 0,
-                latency: [0, u16::MAX, 77][i as usize % 3],
-                source: [DataSource::Slc, DataSource::RemoteDram(15)][i as usize % 2],
+            .map(|i| {
+                vaddr = match i {
+                    0..64 => [u64::MAX, 0, 0][i as usize % 3],
+                    _ => vaddr.wrapping_add((1 << 63) + i % 2),
+                };
+                AddressSample {
+                    time_ns: if i % 2 == 0 { u64::MAX - i } else { i },
+                    vaddr,
+                    core: usize::MAX,
+                    is_store: i % 5 == 0,
+                    latency: [0, u16::MAX, 77][i as usize % 3],
+                    source: [DataSource::Slc, DataSource::RemoteDram(15)][i as usize % 2],
+                }
             })
             .collect();
-        spe_batch(5, window, samples)
+        spe_batch(usize::MAX, window, samples)
+    }
+
+    /// Every core a batch can name, none included, comes back from the
+    /// event header as it went in: `usize::MAX` as well (stored as `core +
+    /// 1`, it used to overflow in the writer).
+    #[test]
+    fn every_batch_core_round_trips_through_the_header() {
+        let window = Window { index: 2, start_ns: 2000, end_ns: 3000 };
+        let rss =
+            |core| SampleBatch::new("machine", core, window, BatchPayload::Rss { points: vec![] });
+        let mut events = vec![BusEvent::Batch(rss(None))];
+        for core in [0, 1, 127, 128, usize::MAX - 2, usize::MAX] {
+            let samples = vec![sample(2500, 0x1000, core, 9, DataSource::L1)];
+            events.push(BusEvent::Batch(spe_batch(core, window, samples)));
+            events.push(BusEvent::Batch(rss(Some(core))));
+        }
+        let (buf, meta, _) = encode_stream(&events);
+        assert_eq!(meta.core_mask, u64::MAX);
+        let decoded = decode_events(&buf, &BatchPool::new(4)).expect("decode");
+        assert_eq!(decoded.len(), events.len());
+        for (orig, got) in events.iter().zip(&decoded) {
+            match (orig, got) {
+                (BusEvent::Batch(a), BusEvent::Batch(b)) => assert_batches_eq(a, b),
+                _ => panic!("event kinds differ"),
+            }
+        }
     }
 
     /// The layout, byte for byte: a change to it must change this string,
-    /// and then `FORMAT_VERSION`. Version 5 is version 4 without the nine
-    /// loss varints that used to follow the last column.
+    /// and then `FORMAT_VERSION`. Version 6 is version 5 with the core as a
+    /// flag byte and a varint in the header (it was `core + 1`) and without
+    /// the core column that followed the latencies.
     #[test]
     fn a_batch_event_is_exactly_these_bytes() {
         let window = Window { index: 4, start_ns: 4_000_000, end_ns: 5_000_000 };
@@ -2053,7 +2109,7 @@ mod tests {
             vec![
                 s(10, 0x7f00_0000, 3, 120, DataSource::L1, false),
                 s(25, 0x7f00_0040, 3, 300, DataSource::Dram(0), false),
-                s(26, 0x6000_0000, 7, 900, DataSource::RemoteDram(1), true),
+                s(26, 0x6000_0000, 3, 900, DataSource::RemoteDram(1), true),
             ],
         );
         #[rustfmt::skip]
@@ -2063,7 +2119,7 @@ mod tests {
             0x04,                   // window: index 4,
             0x80, 0x92, 0xf4, 0x01, //   start 4 000 000,
             0xc0, 0x84, 0x3d,       //   width 1 000 000
-            0x04,                   // core 3 (+ 1)
+            0x01, 0x03,             // a core: 3
             0x00,                   // backend "spe"
             0x03,                   // 3 samples: one group
             0x00, 0x0d, 0x1e,       // sources L1, Dram(0), RemoteDram(1)
@@ -2076,8 +2132,6 @@ mod tests {
             0x80, 0xff, 0xff, 0xfd, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0x3d,
             // latencies 120, 300, 900: base 120, 10 bits of 0, 180, 780
             0x0a, 0x78, 0x00, 0xd0, 0xc2, 0x30,
-            // cores 3, 3, 7: base 3, 3 bits of 0, 0, 4
-            0x03, 0x03, 0x00, 0x01,
         ];
         let mut buf = Vec::new();
         encode_batch_event(&mut buf, &batch, &mut BlockMeta::empty());
@@ -2097,29 +2151,37 @@ mod tests {
             pack_column(&mut out, values);
             out
         };
-        // An `EV_SPE` event of `n` samples in window 0 from core 0 whose
-        // sample run is these parts, verbatim.
-        let event = |n: u64, sources: &[u8], stores: &[u8], columns: [&[u8]; 4]| {
-            let mut out = vec![EV_SPE, 0, 0, 0, 100, 1, 0];
+        // An `EV_SPE` event of `n` samples in window 0 (100 ns wide) whose
+        // core and sample run are these parts, verbatim.
+        let event = |core: &[u8], n: u64, sources: &[u8], stores: &[u8], columns: [&[u8]; 3]| {
+            let mut out = [&[EV_SPE, 0, 0, 0, 100][..], core, &[0]].concat();
             put_varint(&mut out, n);
             out.extend_from_slice(&[sources, stores, &columns.concat()].concat());
             decode_events(&out, &BatchPool::new(4)).map(|events| events.len())
         };
-        let (zeros, stride, nines) = (packed(&[0; 3]), packed(&[2, 4, 6]), packed(&[9; 3]));
-        let valid = [&stride[..], &stride, &nines, &zeros];
-        assert_eq!(event(3, &[0; 3], &[0], valid), Ok(1));
+        let (stride, nines) = (packed(&[2, 4, 6]), packed(&[9; 3]));
+        let valid = [&stride[..], &stride, &nines];
+        assert_eq!(event(&[1, 0], 3, &[0; 3], &[0], valid), Ok(1));
 
         let too_wide = [&[65, 0][..], &[0; 25]].concat();
         let past_u64 = [&[64, 1][..], &[0xff; 8], &[0; 16]].concat();
         let slow = packed(&[70_000, 1, 2]);
+        let late = packed(&[2, 4, 200]);
+        let core_0 = &[1, 0][..];
         for (refused, why) in [
-            (event(3, &[0; 3], &[0], [&too_wide, &stride, &nines, &zeros]), "width 65 exceeds"),
-            (event(3, &[0; 3], &[0], [&stride, &[1, 0, 0b1000], &nines, &zeros]), "padding bits"),
-            (event(3, &[0; 3], &[0], [&stride, &past_u64, &nines, &zeros]), "overflows u64"),
-            (event(3, &[0; 3], &[0], [&stride, &stride, &slow, &zeros]), "latency out of u16"),
-            (event(3, &[0; 3], &[0b1000], valid), "store bits set beyond a group of 3"),
-            (event(3, &[0, 3, 0], &[0], valid), "invalid data-source code 0x3"),
-            (event(1 << 40, &[0; 3], &[0], valid), "exceeds remaining payload"),
+            (event(core_0, 3, &[0; 3], &[0], [&too_wide, &stride, &nines]), "width 65 exceeds"),
+            (event(core_0, 3, &[0; 3], &[0], [&stride, &[1, 0, 0b1000], &nines]), "padding bits"),
+            (event(core_0, 3, &[0; 3], &[0], [&stride, &past_u64, &nines]), "overflows u64"),
+            (event(core_0, 3, &[0; 3], &[0], [&stride, &stride, &slow]), "latency out of u16"),
+            (event(core_0, 3, &[0; 3], &[0b1000], valid), "store bits set beyond a group of 3"),
+            (event(core_0, 3, &[0, 3, 0], &[0], valid), "invalid data-source code 0x3"),
+            (event(core_0, 1 << 40, &[0; 3], &[0], valid), "exceeds remaining payload"),
+            (
+                event(core_0, 3, &[0; 3], &[0], [&late, &stride, &nines]),
+                "outside its batch's window",
+            ),
+            (event(&[0], 3, &[0; 3], &[0], valid), "an SPE batch without a core"),
+            (event(&[2, 0], 3, &[0; 3], &[0], valid), "core flag 2 is neither 0 nor 1"),
         ] {
             assert!(refused.as_ref().is_err_and(|e| e.contains(why)), "{why}: {refused:?}");
         }
@@ -2297,10 +2359,11 @@ mod tests {
         );
         // A segment of another format version is refused at `open`, before
         // either replay starts a sink: 3 stored counter deltas as events of
-        // tag 3, which no longer decode, and 4 nine loss varints after an
-        // SPE batch's samples, which would be read as further events.
+        // tag 3, which no longer decode, 4 nine loss varints after an SPE
+        // batch's samples, which would be read as further events, and 5 a
+        // core column after the latencies and `core + 1` in the header.
         data[8 + 4 + 4 + 2] ^= 0xff;
-        for version in [2u16, 3, 4] {
+        for version in [2u16, 3, 4, 5] {
             data[4..6].copy_from_slice(&version.to_le_bytes());
             fs::write(&path, &data).expect("write");
             let err = SegmentReader::open(0, path.clone()).map(|_| ()).expect_err("opened");
@@ -2527,11 +2590,12 @@ mod tests {
                 "trace error: <dir>/shard-002.seg: index checksum mismatch",
             ]
         );
-        // Each block region is 1 496 bytes, block 0 a 344-byte frame and
-        // segment 2's file 2 236 bytes (since version 5, each of a segment's
-        // four SPE batches is nine loss varints shorter): 7 + 8 blocks,
-        // 1 496 * 2 - 344 consumed, 344 + 2 236 skipped.
-        assert_eq!((v.blocks, v.consumed_bytes, v.skipped_bytes), (15, 2648, 2580));
+        // Each block region is 1 492 bytes, block 0 a 343-byte frame and
+        // segment 2's file 2 232 bytes (since version 6, each of a segment's
+        // four one-group SPE batches is a byte shorter: a core flag byte
+        // more, a two-byte core column less): 7 + 8 blocks, 1 492 * 2 - 343
+        // consumed, 343 + 2 232 skipped.
+        assert_eq!((v.blocks, v.consumed_bytes, v.skipped_bytes), (15, 2641, 2575));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -618,17 +618,20 @@ fn write_sharded_trace(dir: &Path, shards: usize, samples: &[AddressSample]) {
 /// more window holding [`wide_batch`] — what the damage properties corrupt.
 fn write_trace_to_damage(dir: &Path, shards: usize, pages: &[u64], shape: &[u64]) {
     let mut rounds = rounds_of(&samples_on_pages(pages));
-    let window = WindowClock::new(TRACE_WINDOW_NS).window(rounds.len() as u64);
-    rounds.push((window, vec![(5, wide_batch(shape))]));
+    let window = Window { index: rounds.len() as u64, ..ALL_OF_TIME };
+    rounds.push((window, vec![(5, wide_batch(shape, 5))]));
     write_rounds(dir, shards, rounds);
 }
+
+/// A window that holds every timestamp: where [`wide_batch`]'s samples lie.
+const ALL_OF_TIME: Window = Window { index: 2, start_ns: 0, end_ns: u64::MAX };
 
 /// One window's `(core, samples)` batches.
 type Round = (Window, Vec<(usize, Vec<AddressSample>)>);
 
 /// Write one round per window to a trace at `dir`: the window's `(core,
 /// samples)` batches, each on the core's lane of `shards`, then the window's
-/// close on every lane. Nothing about a batch's samples is assumed.
+/// close on every lane. A batch's samples are its core's, inside its window.
 fn write_rounds(dir: &Path, shards: usize, rounds: Vec<Round>) {
     let ctx = trace_ctx();
     let mut sink = TraceWriterSink::new(dir.to_path_buf());
@@ -720,19 +723,19 @@ fn column_of_width(n: usize, width: u32, max: u64, low: u64, fill: &[u64]) -> Ve
         .collect()
 }
 
-/// One batch drawn from `shape` (at least 25 words): its size one of
-/// [`GROUP_SIZES`], and each of its four stored columns — zigzag time and
-/// address deltas, latency, core — one of [`COLUMN_WIDTHS`] wide. So
-/// addresses reach 0 and `u64::MAX`, time runs backwards, latencies and core
-/// ids span their types.
-fn wide_batch(shape: &[u64]) -> Vec<AddressSample> {
+/// One batch of `core`'s drawn from `shape` (at least 25 words): its size
+/// one of [`GROUP_SIZES`], and each of its three stored columns — zigzag
+/// time and address deltas, latency — one of [`COLUMN_WIDTHS`] wide. So
+/// addresses reach 0 and `u64::MAX`, time runs backwards (inside
+/// [`ALL_OF_TIME`]) and latencies span their type.
+fn wide_batch(shape: &[u64], core: usize) -> Vec<AddressSample> {
     let (n, fill) = (GROUP_SIZES[shape[0] as usize % 8], &shape[9..]);
     let column = |c: usize, max: u64| {
         column_of_width(n, COLUMN_WIDTHS[shape[1 + c] as usize % 8], max, shape[5 + c], &fill[c..])
     };
     let unzigzag = |v: u64| ((v >> 1) as i64 ^ -((v & 1) as i64)) as u64;
     let (times, vaddrs) = (column(0, u64::MAX), column(1, u64::MAX));
-    let (latencies, cores) = (column(2, u64::from(u16::MAX)), column(3, usize::MAX as u64));
+    let latencies = column(2, u64::from(u16::MAX));
     let (mut time_ns, mut vaddr) = (0u64, 0u64);
     (0..n)
         .map(|i| {
@@ -741,7 +744,7 @@ fn wide_batch(shape: &[u64]) -> Vec<AddressSample> {
             AddressSample {
                 time_ns,
                 vaddr,
-                core: cores[i] as usize,
+                core,
                 is_store: fill[i % fill.len()] % 3 == 0,
                 latency: latencies[i] as u16,
                 source: source_from((i % 5) as u8, (i % 16) as u8),
@@ -758,8 +761,8 @@ fn sample_sort_key(s: &AddressSample) -> (u64, u64, usize, u16, bool, u8) {
 proptest! {
     /// Window arithmetic holds over all of `u64` time: any width, any
     /// timestamp — no overflow, the window starts at or before the
-    /// timestamp, contains it (or is clipped at `u64::MAX`), and carries
-    /// the index `index_of` computes.
+    /// timestamp, contains it (the last window, clipped at `u64::MAX`,
+    /// included), and carries the index `index_of` computes.
     #[test]
     fn window_clock_never_overflows_and_windows_contain_their_timestamp(
         width in any::<u64>(),
@@ -769,7 +772,7 @@ proptest! {
         let w = clock.window_containing(t);
         prop_assert_eq!(w.index, clock.index_of(t));
         prop_assert!(w.start_ns <= t);
-        prop_assert!(w.contains_ns(t) || w.end_ns == u64::MAX);
+        prop_assert!(w.contains_ns(t));
     }
 
     /// Arbitrary sample streams written through 1, 2, and 8 writer shards
@@ -830,10 +833,9 @@ proptest! {
     fn trace_round_trips_every_group_size_and_column_width(
         shape in prop::collection::vec(any::<u64>(), 25..64),
     ) {
-        let samples = wide_batch(&shape);
+        let samples = wide_batch(&shape, usize::MAX);
         let dir = trace_tmp("widths");
-        let window = WindowClock::new(TRACE_WINDOW_NS).window(2);
-        write_rounds(&dir, 1, vec![(window, vec![(5, samples.clone())])]);
+        write_rounds(&dir, 1, vec![(ALL_OF_TIME, vec![(usize::MAX, samples.clone())])]);
 
         let out = Arc::new(parking_lot::Mutex::named(Vec::new(), "test.collector"));
         let mut sinks: Vec<Box<dyn AnalysisSink>> =
@@ -945,7 +947,7 @@ fn bus_script(sizes: &[usize]) -> Vec<BusEvent> {
     let mut events = Vec::new();
     for (i, &n) in sizes.iter().enumerate() {
         let sample = AddressSample {
-            time_ns: i as u64,
+            time_ns: clock.window(i as u64).start_ns,
             vaddr: 0x1000,
             core: 0,
             is_store: false,

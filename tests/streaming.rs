@@ -17,7 +17,7 @@ use nmo_repro::nmo::{
     AddressSample, AnalysisReport, AnalysisSink, BackpressurePolicy, BandwidthSink, BatchPayload,
     BatchPool, CapacitySink, CoreObserver, LatencySink, NmoConfig, NmoError, Profile,
     ProfileSession, RegionSink, SampleBackend, SampleBatch, SampleLogSink, ShardDrainer,
-    StreamOptions, StreamSnapshot, WindowClock, Workload,
+    StreamOptions, StreamSnapshot, TraceReader, WindowClock, Workload,
 };
 use nmo_repro::workloads::StreamBench;
 
@@ -531,9 +531,27 @@ fn sample_log_order_is_the_same_at_every_width() {
     assert_eq!(wide.samples(), Some(&script[..]), "four shards");
 }
 
-/// Records the size of every SPE batch the pipeline delivers.
+/// What [`SpeBatchProbe`] saw of one delivered SPE batch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SeenBatch {
+    samples: usize,
+    core: Option<usize>,
+    /// The distinct cores its samples name, ascending.
+    sample_cores: Vec<usize>,
+    /// Whether every sample lies inside the batch's window.
+    in_window: bool,
+}
+
+/// Records every SPE batch the pipeline (or a replay) delivers.
 struct SpeBatchProbe {
-    sizes: Arc<parking_lot::Mutex<Vec<usize>>>,
+    seen: Arc<parking_lot::Mutex<Vec<SeenBatch>>>,
+}
+
+impl SpeBatchProbe {
+    fn new() -> (Self, Arc<parking_lot::Mutex<Vec<SeenBatch>>>) {
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        (SpeBatchProbe { seen: seen.clone() }, seen)
+    }
 }
 
 impl AnalysisSink for SpeBatchProbe {
@@ -547,7 +565,71 @@ impl AnalysisSink for SpeBatchProbe {
 
     fn on_batch(&mut self, batch: &SampleBatch) {
         if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
-            self.sizes.lock().push(samples.len());
+            let mut sample_cores: Vec<usize> = samples.iter().map(|s| s.core).collect();
+            sample_cores.sort_unstable();
+            sample_cores.dedup();
+            self.seen.lock().push(SeenBatch {
+                samples: samples.len(),
+                core: batch.core,
+                sample_cores,
+                in_window: samples.iter().all(|s| batch.window.contains_ns(s.time_ns)),
+            });
+        }
+    }
+}
+
+/// An SPE batch is one core's samples in one window, on every delivery
+/// path: a thread-less run, a streaming run one shard and four shards wide,
+/// and a replay of the one-shard run's recorded trace — at four cores, where
+/// a drain over several cores used to merge them into one batch per window.
+#[test]
+fn every_spe_batch_is_one_cores_samples_in_one_window() {
+    let dir = std::env::temp_dir().join(format!("nmo_one_core_batches_{}", std::process::id()));
+    let session = |shards: usize, record: bool| {
+        let (probe, seen) = SpeBatchProbe::new();
+        let mut builder = ProfileSession::builder()
+            .machine_config(MachineConfig::small_test())
+            .config(NmoConfig::paper_default(200))
+            .threads(4)
+            .sink(probe)
+            .stream_options(StreamOptions { window_ns: 50_000, shards, ..StreamOptions::default() })
+            .workload(Box::new(StreamBench::new(60_000, 2)));
+        if record {
+            builder = builder.trace_dir(dir.clone());
+        }
+        (builder.build().expect("session builds"), seen)
+    };
+    let take = |seen: &parking_lot::Mutex<Vec<SeenBatch>>| std::mem::take(&mut *seen.lock());
+
+    let mut paths = Vec::new();
+    let (thread_less, seen) = session(1, false);
+    let profile = thread_less.run().expect("thread-less run");
+    paths.push(("thread-less", profile.processed_samples, take(&seen)));
+    for shards in [1, 4] {
+        let (streaming, seen) = session(shards, shards == 1);
+        let profile = streaming.run_streaming().expect("streaming run");
+        assert_eq!(profile.stream.expect("stream stats").shards, shards as u64);
+        let path = if shards == 1 { "1 shard" } else { "4 shards" };
+        paths.push((path, profile.processed_samples, take(&seen)));
+    }
+    let (probe, seen) = SpeBatchProbe::new();
+    let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(probe)];
+    let reader = TraceReader::open(&dir).expect("open trace");
+    let stats = reader.replay(&mut sinks).expect("replay");
+    paths.push(("replay", stats.samples, take(&seen)));
+    assert_eq!(paths[3].2, paths[1].2, "a one-segment replay delivers the recorded batches");
+    std::fs::remove_dir_all(&dir).ok();
+
+    for (path, processed, seen) in paths {
+        assert_eq!(seen.iter().map(|b| b.samples as u64).sum::<u64>(), processed, "{path}");
+        let mut cores: Vec<usize> = seen.iter().filter_map(|b| b.core).collect();
+        cores.sort_unstable();
+        cores.dedup();
+        assert_eq!(cores, [0, 1, 2, 3], "{path}: every core's samples are delivered");
+        for b in &seen {
+            assert!(b.core.is_some(), "{path}: an SPE batch without a core: {b:?}");
+            assert_eq!(b.sample_cores, Vec::from_iter(b.core), "{path}: {b:?}");
+            assert!(b.in_window, "{path}: a sample outside its batch's window: {b:?}");
         }
     }
 }
@@ -560,18 +642,18 @@ impl AnalysisSink for SpeBatchProbe {
 #[test]
 fn every_spe_batch_carries_samples_and_loss_stays_a_run_total() {
     let run = || {
-        let sizes = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let (probe, seen) = SpeBatchProbe::new();
         let profile = ProfileSession::builder()
             .machine_config(MachineConfig::ampere_altra_max())
             .config(NmoConfig::paper_default(64))
             .cores([0])
-            .sink(SpeBatchProbe { sizes: sizes.clone() })
+            .sink(probe)
             .workload(Box::new(StreamBench::new(2_000_000, 1)))
             .build()
             .expect("session builds")
             .run_streaming()
             .expect("streaming run");
-        let sizes = std::mem::take(&mut *sizes.lock());
+        let sizes: Vec<usize> = seen.lock().iter().map(|b| b.samples).collect();
         (profile, sizes)
     };
     let (profile, sizes) = run();

@@ -185,8 +185,8 @@ fn replayed_log(reader: &TraceReader, query: Option<&TraceQuery>) -> Vec<Address
 /// A sliced query is exact, not just smaller: at every recorded width the
 /// replay and the unrestricted query return the live sample log, and each
 /// window, core and address slice — alone and composed — returns the live
-/// log filtered by the same predicate. (A batch's core stamp routes it to a
-/// lane; only at one core per shard does it name the samples' core.)
+/// log filtered by the same predicate. (A core slice selects whole
+/// batches: an SPE batch is one core's samples in one window.)
 #[test]
 fn sliced_queries_return_exactly_the_live_samples_they_select() {
     for shards in [1, 2, 4] {
