@@ -118,11 +118,14 @@ pub trait SampleBackend: Send {
     }
 
     /// The timestamped batch producers this backend will feed once started
-    /// (queried after [`SampleBackend::start`]). The streaming pump holds
-    /// the window-close watermark until each declared source has produced —
-    /// otherwise a slow-starting producer's first delivery would land in
-    /// already-closed windows. Backends whose batches carry no timestamps
-    /// keep the default empty list.
+    /// (queried after [`SampleBackend::start`]). A window closes only once
+    /// every declared source has delivered a sample past it, so a
+    /// slow-starting producer's first delivery never lands in a closed
+    /// window. There is no grace: a declared source that never produces
+    /// holds every close until [`crate::session::ActiveSession::finish`]
+    /// (cumulative sinks report the same; per-window ones see every window
+    /// closed there). Backends whose batches carry no timestamps keep the
+    /// default empty list.
     fn stream_sources(&self) -> Vec<StreamSource> {
         Vec::new()
     }
@@ -156,7 +159,9 @@ pub trait ShardDrainer: Send {
     ) -> Result<Vec<SampleBatch>, NmoError>;
 
     /// The timestamped batch producers this worker feeds (the subset of the
-    /// backend's [`SampleBackend::stream_sources`] it covers).
+    /// backend's [`SampleBackend::stream_sources`] it covers). Each holds
+    /// every window close until it has delivered a sample past the window;
+    /// one that never produces holds them until the session finishes.
     fn sources(&self) -> Vec<StreamSource>;
 }
 

@@ -407,7 +407,7 @@ impl ProfileSession {
         let bus = ShardedBus::new(shards, opts.bus_capacity, opts.backpressure);
         let pool = BatchPool::new(opts.bus_capacity.saturating_mul(shards).clamp(64, 4096));
         let stop = Arc::new(AtomicBool::new(false));
-        let snapshot = Arc::new(Mutex::named(SnapshotState::default(), "session.snapshot"));
+        let snapshot = Arc::new(Mutex::named(SnapshotState::new(shards), "session.snapshot"));
         let ctx = active.session.stream_context(Some(active.session.machine.clone()));
 
         // Sinks see the stream start, then hand out one worker per shard
@@ -477,7 +477,7 @@ impl ProfileSession {
             let snapshot = snapshot.clone();
             let pool = pool.clone();
             consumers.push(std::thread::spawn(move || {
-                shard_consumer_loop(shard, shards, bus_lane, lane, merger, snapshot, pool)
+                shard_consumer_loop(shard, bus_lane, lane, merger, snapshot, pool)
             }));
         }
 
@@ -880,7 +880,7 @@ impl ActiveSession {
                 let state = streaming.snapshot.lock();
                 let bus = streaming.bus.stats();
                 stream_stats = Some(StreamStats {
-                    windows_closed: state.windows_closed,
+                    windows_closed: state.windows_closed(),
                     batches_published: state.batches,
                     batches_dropped: bus.dropped_batches,
                     items_dropped: bus.dropped_items,
@@ -953,17 +953,6 @@ fn left_of_interval(interval: Duration, round: Duration) -> Option<Duration> {
     interval.checked_sub(round).filter(|left| !left.is_zero())
 }
 
-/// A source that has been quiet for this many pump ticks (rounds of the
-/// coordinator pump) stops holding the close watermark back (it is presumed
-/// done, not lagging — e.g. the RSS probe after the allocation phase, or an
-/// SPE core whose thread exited). A tick is never shorter than the drain
-/// interval, so at [`PUMP_INTERVAL`] this is a wall-clock grace of at least
-/// 50 ms — comfortably above one aux-watermark publication interval — and
-/// longer whenever rounds overrun the interval. It stays counted in ticks
-/// on purpose: a wall-clock grace would expire *every* source at once after
-/// a host stall, and the next close would run on the global maximum.
-const SOURCE_IDLE_TICKS: u64 = 250;
-
 /// What the close coordinator is told about one published batch: its
 /// window, and the watermark it advances for its source, `(backend,
 /// batch.core)` — for an SPE batch one core's aux buffer, which publishes at
@@ -979,57 +968,57 @@ fn note_of(batch: &SampleBatch) -> PublishNote {
 
 /// Producer-side close bookkeeping, shared by every pump worker of a
 /// session: the window clock, the set of windows awaiting closure, and a
-/// per-source watermark — a window only closes once every recently active,
-/// timestamp-carrying source has moved past it (e.g. the SPE aux watermark
-/// publishes in bursts that lag the RSS probe, and closing on the global
-/// maximum alone would make every SPE burst arrive late). The workers mark
-/// their sources under the mutex after publishing; only the coordinator
-/// closes windows (broadcasting the close to every lane).
+/// per-source watermark, the newest sample time each source has delivered.
+/// A window closes once every source has delivered a sample past it, and
+/// nothing else decides it: a source's samples reach the pump in time
+/// order, so nothing it delivers later can land below its watermark (the
+/// SPE cores publish at their own cadences, and closing on the global
+/// maximum alone would make every lagging core's batches late). The
+/// workers mark their sources under the mutex after publishing; only the
+/// coordinator closes windows (broadcasting the close to every lane).
 struct CloseCoordinator {
     clock: WindowClock,
     open_windows: std::collections::BTreeSet<u64>,
     closed_below: u64,
-    /// Per-source `(watermark_ns, last tick the source produced)`.
-    sources: std::collections::BTreeMap<StreamSource, (u64, u64)>,
-    tick: u64,
+    /// Per-source watermark, simulated nanoseconds.
+    sources: std::collections::BTreeMap<StreamSource, u64>,
 }
 
 impl CloseCoordinator {
     /// Seed the watermark with every declared producer so nothing closes
-    /// until each has delivered its first data (or sat out the idle grace).
+    /// until each has delivered its first data.
     fn new(clock: WindowClock, seeded_sources: Vec<StreamSource>) -> Self {
         CloseCoordinator {
             clock,
             open_windows: std::collections::BTreeSet::new(),
             closed_below: 0,
-            sources: seeded_sources.into_iter().map(|s| (s, (0, 0))).collect(),
-            tick: 0,
+            sources: seeded_sources.into_iter().map(|s| (s, 0)).collect(),
         }
     }
 
     fn mark_source(&mut self, key: StreamSource, t_ns: u64) {
-        let tick = self.tick;
-        let entry = self.sources.entry(key).or_insert((0, tick));
-        entry.0 = entry.0.max(t_ns);
-        entry.1 = tick;
+        let watermark = self.sources.entry(key).or_insert(0);
+        *watermark = (*watermark).max(t_ns);
     }
 
-    /// Register published batches: advance the clock and their sources'
-    /// watermarks, and track their windows as open. Must be called *after*
-    /// the batches were enqueued — the close threshold may only move once
-    /// the data that justifies it is on a lane. A run of consecutive notes
-    /// from one source (a one-core drain's windows) is marked once, with the
-    /// run's maximum, and a window is not inserted again right after itself
-    /// — the same end state as taking the notes one at a time, at one source
-    /// look-up per run.
-    fn note_published(&mut self, notes: &[PublishNote]) {
+    /// Register published batches: advance the clock and, if they `vote`,
+    /// their sources' watermarks, and track their windows as open. Must be
+    /// called *after* the batches were enqueued — the close threshold may
+    /// only move once the data that justifies it is on a lane. A run of
+    /// consecutive notes from one source (a one-core drain's windows) is
+    /// marked once, with the run's maximum, and a window is not inserted
+    /// again right after itself — the same end state as taking the notes
+    /// one at a time, at one source look-up per run.
+    fn note_published(&mut self, notes: &[PublishNote], vote: bool) {
         let source_of = |note: &PublishNote| note.1.map(|(source, _)| source);
         let mut inserted_last = None;
         for run in notes.chunk_by(|a, b| source_of(a) == source_of(b)) {
             if let Some(source) = source_of(&run[0]) {
                 let t_ns = run.iter().filter_map(|note| note.1).map(|(_, t)| t).max().unwrap_or(0);
                 self.clock.observe(t_ns);
-                self.mark_source(source, t_ns);
+                if vote {
+                    self.mark_source(source, t_ns);
+                }
             }
             for &(window_index, _) in run {
                 if window_index >= self.closed_below && inserted_last != Some(window_index) {
@@ -1040,29 +1029,28 @@ impl CloseCoordinator {
         }
     }
 
-    /// The window index below which every active source has delivered.
+    /// The window index below which every source has delivered; the
+    /// global watermark's when no source votes (a session without SPE).
     fn close_threshold(&self) -> u64 {
-        let active_min = self
-            .sources
-            .values()
-            .filter(|(_, last_tick)| self.tick.saturating_sub(*last_tick) < SOURCE_IDLE_TICKS)
-            .map(|(watermark, _)| self.clock.index_of(*watermark))
-            .min();
-        active_min.unwrap_or_else(|| self.clock.index_of(self.clock.watermark_ns()))
+        let slowest = self.sources.values().min().copied();
+        self.clock.index_of(slowest.unwrap_or(self.clock.watermark_ns()))
     }
 
-    /// Close every open window every active producer has moved past — those
-    /// can no longer receive on-time data. Close signals are broadcast to
-    /// every lane (they bypass lane capacity, so this never blocks).
-    fn close_ready_windows(&mut self, bus: &ShardedBus) {
-        let threshold = self.close_threshold();
-        while let Some(&index) = self.open_windows.iter().next() {
+    /// Close every open window below `threshold` — those can no longer
+    /// receive on-time data. The coordinator reads the threshold before its
+    /// machine probe and closes after it: a core records a first-touch RSS
+    /// event before any later sample, so an event below a threshold every
+    /// core's samples passed is on lane 0 by the time its window closes.
+    /// Close signals are broadcast to every lane (they bypass lane
+    /// capacity, so this never blocks).
+    fn close_ready_windows(&mut self, threshold: u64, bus: &ShardedBus) {
+        while let Some(&index) = self.open_windows.first() {
             if index >= threshold {
                 break;
             }
             self.open_windows.remove(&index);
             bus.broadcast_close(self.clock.window(index));
-            self.closed_below = self.closed_below.max(index + 1);
+            self.closed_below = self.closed_below.max(index.saturating_add(1));
         }
     }
 
@@ -1070,19 +1058,21 @@ impl CloseCoordinator {
     fn close_remaining(&mut self, bus: &ShardedBus) {
         for index in std::mem::take(&mut self.open_windows) {
             bus.broadcast_close(self.clock.window(index));
-            self.closed_below = self.closed_below.max(index + 1);
+            self.closed_below = self.closed_below.max(index.saturating_add(1));
         }
     }
 }
 
 /// Publish a drain's batches on the sharded bus and register them with the
 /// close coordinator (in that order — see
-/// [`CloseCoordinator::note_published`]): one transaction per lane and one
-/// with the coordinator per drain, however many batches it produced.
+/// [`CloseCoordinator::note_published`]; the machine probe's batches do not
+/// `vote`): one transaction per lane and one with the coordinator per
+/// drain, however many batches it produced.
 fn publish_batches(
     batches: Vec<SampleBatch>,
     bus: &ShardedBus,
     coordinator: &Mutex<CloseCoordinator>,
+    vote: bool,
 ) {
     if batches.is_empty() {
         return;
@@ -1101,7 +1091,7 @@ fn publish_batches(
     // across the two calls), so no cycle exists — the `NMO_LOCK_CHECK`
     // runtime checker verifies exactly this in the stress suite.
     bus.publish_batches(batches);
-    coordinator.lock().note_published(&notes);
+    coordinator.lock().note_published(&notes, vote);
 }
 
 /// One machine probe round, as core-less `"machine"` batches: the RSS step
@@ -1203,9 +1193,6 @@ impl PumpWorker {
         loop {
             let round_start = Instant::now();
             rounds += 1;
-            if is_coordinator {
-                self.coordinator.lock().tick += 1;
-            }
             if is_coordinator
                 && self.stop.load(Ordering::Acquire)
                 && !self.final_round.load(Ordering::Acquire)
@@ -1223,10 +1210,15 @@ impl PumpWorker {
             }
             let finishing = self.final_round.load(Ordering::Acquire);
 
-            let clock = self.coordinator.lock().clock;
+            // The round's clock and the close threshold, read together and
+            // before the machine probe below (see `close_ready_windows`).
+            let (clock, threshold) = {
+                let coordinator = self.coordinator.lock();
+                (coordinator.clock, coordinator.close_threshold())
+            };
             for drainer in &mut self.drainers {
                 match drainer.drain(&self.machine, &clock, &self.pool) {
-                    Ok(batches) => publish_batches(batches, &self.bus, &self.coordinator),
+                    Ok(batches) => publish_batches(batches, &self.bus, &self.coordinator, true),
                     Err(e) => keep_first_error(&mut result, e),
                 }
             }
@@ -1236,13 +1228,15 @@ impl PumpWorker {
                         continue;
                     }
                     match backend.drain(&self.machine, &clock, &self.pool) {
-                        Ok(batches) => publish_batches(batches, &self.bus, &self.coordinator),
+                        Ok(batches) => publish_batches(batches, &self.bus, &self.coordinator, true),
                         Err(e) => keep_first_error(&mut result, e),
                     }
                 }
-                // Machine probe (coordinator only — it is machine-wide).
+                // Machine probe (coordinator only — it is machine-wide). Its
+                // notes advance the clock and open windows but hold none: the
+                // RSS watermark stops moving once allocation is over.
                 let probed = probe_machine(&self.machine, &clock, &mut rss_cursor, false);
-                publish_batches(probed, &self.bus, &self.coordinator);
+                publish_batches(probed, &self.bus, &self.coordinator, false);
             }
 
             if finishing {
@@ -1259,14 +1253,14 @@ impl PumpWorker {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 let probed = probe_machine(&self.machine, &clock, &mut rss_cursor, true);
-                publish_batches(probed, &self.bus, &self.coordinator);
+                publish_batches(probed, &self.bus, &self.coordinator, false);
                 self.coordinator.lock().close_remaining(&self.bus);
                 self.bus.close_all();
                 return (self.backends.take(), result, (rounds, rounds_slept));
             }
 
             if is_coordinator {
-                self.coordinator.lock().close_ready_windows(&self.bus);
+                self.coordinator.lock().close_ready_windows(threshold, &self.bus);
             }
             // Drain cadence: the workers sample the backends once per
             // wall-clock interval; nothing signals "new simulated work". The
@@ -1299,7 +1293,6 @@ impl PumpWorker {
 /// join in [`ActiveSession::finish`] surfaces it as an error.
 fn shard_consumer_loop(
     shard: usize,
-    shard_count: usize,
     bus_lane: Arc<EventBus>,
     mut lane: FanInLane,
     merger: Arc<Mutex<SessionFanIn>>,
@@ -1318,9 +1311,7 @@ fn shard_consumer_loop(
                     for event in &backlog {
                         match event {
                             BusEvent::Batch(batch) => snap.record_batch(batch, shard),
-                            BusEvent::CloseWindow(window) => {
-                                snap.record_close(*window, shard_count)
-                            }
+                            BusEvent::CloseWindow(window) => snap.record_close(*window, shard),
                         }
                     }
                 }
@@ -2190,7 +2181,7 @@ mod tests {
         let bus = ShardedBus::new(1, 1, BackpressurePolicy::Block);
         let publisher = {
             let (bus, coordinator) = (bus.clone(), coordinator.clone());
-            std::thread::spawn(move || publish_batches(drain, &bus, &coordinator))
+            std::thread::spawn(move || publish_batches(drain, &bus, &coordinator, true))
         };
         let recv = || match bus.lane(0).recv_timeout(Duration::from_secs(10)) {
             BusRecv::Event(event) => event,
@@ -2206,7 +2197,7 @@ mod tests {
             let mut coordinator = coordinator.lock();
             assert_eq!(coordinator.close_threshold(), 0, "no source has been marked yet");
             assert!(coordinator.open_windows.is_empty());
-            coordinator.close_ready_windows(&bus);
+            coordinator.close_ready_windows(0, &bus);
         }
         for _ in 0..2 {
             match recv() {
@@ -2220,7 +2211,7 @@ mod tests {
         let mut coordinator = coordinator.lock();
         assert_eq!(coordinator.open_windows.iter().copied().collect::<Vec<_>>(), vec![2, 3, 5]);
         assert_eq!(coordinator.close_threshold(), 5, "both cores have delivered window 5");
-        coordinator.close_ready_windows(&bus);
+        coordinator.close_ready_windows(5, &bus);
         for expected in [2, 3] {
             assert!(matches!(recv(), BusEvent::CloseWindow(w) if w.index == expected));
         }
@@ -2260,11 +2251,17 @@ mod tests {
 
     /// `note_published` as it was while it took the notes one at a time:
     /// the reference for the folded walk.
-    fn note_published_one_at_a_time(coordinator: &mut CloseCoordinator, notes: &[PublishNote]) {
+    fn note_published_one_at_a_time(
+        coordinator: &mut CloseCoordinator,
+        notes: &[PublishNote],
+        vote: bool,
+    ) {
         for &(window_index, mark) in notes {
             if let Some((source, t_ns)) = mark {
                 coordinator.clock.observe(t_ns);
-                coordinator.mark_source(source, t_ns);
+                if vote {
+                    coordinator.mark_source(source, t_ns);
+                }
             }
             if window_index >= coordinator.closed_below {
                 coordinator.open_windows.insert(window_index);
@@ -2277,7 +2274,7 @@ mod tests {
         /// keeps: over arbitrary note lists — per-core SPE sources, the
         /// core-less machine source and mark-less notes, in runs and singly,
         /// windows on both sides of `closed_below`, handed over in several
-        /// calls with the tick advancing in between.
+        /// calls, voting and not.
         #[test]
         fn folded_note_published_matches_one_note_at_a_time(
             words in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 0..=200usize),
@@ -2290,7 +2287,7 @@ mod tests {
                 c
             };
             let (mut folded, mut reference) = (seeded(), seeded());
-            let mut calls: Vec<(u64, Vec<PublishNote>)> = vec![(0, Vec::new())];
+            let mut calls: Vec<(bool, Vec<PublishNote>)> = vec![(true, Vec::new())];
             let mut previous: PublishNote = (0, None);
             for w in words {
                 // Three times in four the previous note's source again, and
@@ -2304,16 +2301,13 @@ mod tests {
                 let window = if (w >> 24) % 2 == 0 { previous.0 } else { (w >> 32) % 16 };
                 previous = (window, mark);
                 if (w >> 40) % 16 == 0 {
-                    calls.push(((w >> 44) % 300, Vec::new()));
+                    calls.push(((w >> 44) % 2 == 0, Vec::new()));
                 }
                 calls.last_mut().expect("starts with one call").1.push(previous);
             }
-            for (ticks, notes) in calls {
-                for c in [&mut folded, &mut reference] {
-                    c.tick += ticks;
-                }
-                folded.note_published(&notes);
-                note_published_one_at_a_time(&mut reference, &notes);
+            for (vote, notes) in calls {
+                folded.note_published(&notes, vote);
+                note_published_one_at_a_time(&mut reference, &notes, vote);
                 assert_eq!(folded.open_windows, reference.open_windows);
                 assert_eq!(folded.sources, reference.sources);
                 assert_eq!(folded.clock.watermark_ns(), reference.clock.watermark_ns());
@@ -2323,43 +2317,60 @@ mod tests {
         }
     }
 
-    /// The idle grace, counted in the coordinator pump's ticks: a declared
-    /// source that never produces holds every window open for
-    /// `SOURCE_IDLE_TICKS - 1` ticks and lets go on the next, and a source
-    /// that produced at tick `t` holds its window through tick `t + 249`.
+    /// Only delivered samples move the close threshold. A declared source
+    /// that never produces holds every window open however many rounds go
+    /// by; the machine probe's notes move the clock and open windows but
+    /// hold none; and a threshold read before a note closes nothing that
+    /// note opened.
     #[test]
-    fn a_quiet_source_holds_the_close_threshold_for_the_idle_grace() {
+    fn only_delivered_samples_move_the_close_threshold() {
+        use crate::stream::{BackpressurePolicy, BusRecv};
+        let bus = ShardedBus::new(1, 64, BackpressurePolicy::Block);
+        let closed = || {
+            let mut indices = Vec::new();
+            while let BusRecv::Event(event) = bus.lane(0).recv_timeout(Duration::ZERO) {
+                match event {
+                    BusEvent::CloseWindow(w) => indices.push(w.index),
+                    BusEvent::Batch(batch) => panic!("unexpected batch {batch:?}"),
+                }
+            }
+            indices
+        };
+        let probe = |window, t_ns| (window, Some((("machine", None), t_ns)));
+
+        // As the coordinator pump does it: the threshold, the round's notes,
+        // the close. Core 0 delivers into window 9 on every round, core 1
+        // never.
         let sources = vec![("spe", Some(0)), ("spe", Some(1))];
         let mut coordinator = CloseCoordinator::new(WindowClock::new(1000), sources);
-        // As the coordinator pump does it: the tick, then the round's notes.
-        // Core 0 delivers into window 9 on every round, core 1 never.
-        let round = |coordinator: &mut CloseCoordinator| {
-            coordinator.tick += 1;
-            coordinator.note_published(&[(9, Some((("spe", Some(0)), 9_500)))]);
-            coordinator.close_threshold()
-        };
-        for tick in 1..SOURCE_IDLE_TICKS {
-            assert_eq!(round(&mut coordinator), 0, "tick {tick}: core 1 is still awaited");
+        for round in 0..10_000 {
+            let threshold = coordinator.close_threshold();
+            coordinator.note_published(&[(9, Some((("spe", Some(0)), 9_500)))], true);
+            coordinator.close_ready_windows(threshold, &bus);
+            assert_eq!(threshold, 0, "round {round}: core 1 is still awaited");
         }
-        assert_eq!(
-            round(&mut coordinator),
-            9,
-            "tick {SOURCE_IDLE_TICKS}: core 1 sat out the grace"
-        );
+        assert_eq!(closed(), Vec::<u64>::new());
 
-        // Core 1 turns up at tick t with data for window 2, then goes quiet.
-        coordinator.tick += 1;
-        let t = coordinator.tick;
-        coordinator.note_published(&[
-            (9, Some((("spe", Some(0)), 9_600))),
-            (2, Some((("spe", Some(1)), 2_100))),
-        ]);
-        assert_eq!(coordinator.close_threshold(), 2);
-        for _ in 1..SOURCE_IDLE_TICKS {
-            assert_eq!(round(&mut coordinator), 2, "tick {}: within the grace", coordinator.tick);
-        }
-        assert_eq!(coordinator.tick, t + SOURCE_IDLE_TICKS - 1);
-        assert_eq!(round(&mut coordinator), 9, "tick t + {SOURCE_IDLE_TICKS}: grace over");
+        // Core 1 turns up in window 2; the probe notes windows 1 and 12.
+        coordinator.note_published(&[(2, Some((("spe", Some(1)), 2_100)))], true);
+        coordinator.note_published(&[probe(1, 1_200), probe(12, 12_300)], false);
+        assert_eq!(coordinator.clock.watermark_ns(), 12_300, "probe notes move the clock");
+        assert_eq!(coordinator.open_windows.iter().copied().collect::<Vec<_>>(), [1, 2, 9, 12]);
+        assert!(!coordinator.sources.contains_key(&("machine", None)), "and mark no source");
+        assert_eq!(coordinator.close_threshold(), 2, "the slowest core's window");
+        coordinator.close_ready_windows(2, &bus);
+        assert_eq!(closed(), [1]);
+
+        // Without a per-core source the close follows the global watermark,
+        // as of the threshold's read.
+        let mut coordinator = CloseCoordinator::new(WindowClock::new(1000), Vec::new());
+        let threshold = coordinator.close_threshold();
+        coordinator.note_published(&[probe(0, 300), probe(3, 3_400)], false);
+        coordinator.close_ready_windows(threshold, &bus);
+        assert_eq!(closed(), Vec::<u64>::new(), "read before the note");
+        assert_eq!(coordinator.close_threshold(), 3);
+        coordinator.close_ready_windows(3, &bus);
+        assert_eq!(closed(), [0]);
     }
 
     #[test]

@@ -38,10 +38,7 @@
 //!   its job, and why it is not a default sink;
 //! * [`RegionSink`] — one attributed scatter point per sample, tag and phase
 //!   names included (ROADMAP item 8 bounds it);
-//! * `CapacityShard::events` — one point per RSS change;
-//! * `SnapshotState::closed` in [`crate::stream`] — the index of every closed
-//!   window, a `u64` each, which decides whether a batch is late; a
-//!   [`crate::session::ActiveSession::poll_snapshot`] copies none of it.
+//! * `CapacityShard::events` — one point per RSS change.
 //!
 //! The latency histograms and the bandwidth buckets are O(1) and O(buckets).
 

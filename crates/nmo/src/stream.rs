@@ -42,9 +42,14 @@
 //!   consumer chunk, and [`BusStats::high_watermark`] reads the occupancy
 //!   after whole drains landed — the consumer cannot pop between the
 //!   batches of one drain.
-//! * [`Window`]s close monotonically once the producer-side watermark passes
-//!   them (window-close signals are broadcast to every lane); late batches
-//!   are still delivered (and counted) so final reports stay complete.
+//! * [`Window`]s close monotonically, on sample time alone: a window closes
+//!   once every declared source (each SPE core) has delivered a sample past
+//!   it. A core's samples reach the pump in time order, so nothing it
+//!   delivers later can land in a closed window, however long the host
+//!   leaves it unscheduled; a declared core that never samples holds every
+//!   close until the run ends. Window-close signals are broadcast to every
+//!   lane, and a batch behind its lane's newest close is still delivered
+//!   (and counted late) so final reports stay complete.
 //!
 //! [`crate::session::ProfileSession::run_streaming`] wires the pipeline up;
 //! [`crate::sink::AnalysisSink`] consumes it through its streaming hooks,
@@ -844,7 +849,9 @@ pub struct StreamStats {
     pub batches_dropped: u64,
     /// Items inside dropped batches.
     pub items_dropped: u64,
-    /// Batches that arrived for an already-closed window.
+    /// Batches delivered behind their lane's close: at or below the newest
+    /// window the lane had closed. Under [`BackpressurePolicy::Block`], with
+    /// every source declared, none.
     pub late_batches: u64,
     /// Highest bus occupancy observed (the worst single lane, after a
     /// whole drain landed on it — see [`BusStats::high_watermark`]).
@@ -918,19 +925,24 @@ pub struct StreamSnapshot {
     pub migrations: MigrationStats,
 }
 
+/// One lane's running tallies inside [`SnapshotState`].
+#[derive(Debug, Default, Clone, Copy)]
+struct LaneTally {
+    batches: u64,
+    spe_samples: u64,
+    /// Close signals the lane delivered.
+    closes: u64,
+    /// The newest window the lane closed: a batch at or below it is late.
+    newest_close: Option<u64>,
+}
+
 /// Consumer-thread bookkeeping behind [`StreamSnapshot`] (shared with
-/// [`crate::session::ActiveSession::poll_snapshot`] via a mutex).
+/// [`crate::session::ActiveSession::poll_snapshot`] via a mutex). Every
+/// lane receives the same ascending close sequence, so each keeps its own
+/// close count and newest close: nothing here grows with the windows.
 #[derive(Debug, Default)]
 pub(crate) struct SnapshotState {
-    /// `(batches, spe_samples)` per shard, grown on demand.
-    pub(crate) per_shard: Vec<(u64, u64)>,
-    /// Close signals seen per window (closes are broadcast to every lane;
-    /// a window only counts as closed once every lane processed its copy).
-    close_counts: std::collections::BTreeMap<u64, usize>,
-    /// Indices of the windows every lane has closed: what makes a batch
-    /// late. The one per-window state left, a `u64` per closed window.
-    closed: std::collections::BTreeSet<u64>,
-    pub(crate) windows_closed: u64,
+    lanes: Vec<LaneTally>,
     pub(crate) batches: u64,
     pub(crate) spe_samples: u64,
     pub(crate) late_batches: u64,
@@ -939,20 +951,28 @@ pub(crate) struct SnapshotState {
 }
 
 impl SnapshotState {
-    /// Account one delivered batch from its counts, cached maximum time and
-    /// RSS points; no SPE sample is read.
-    pub(crate) fn record_batch(&mut self, batch: &SampleBatch, shard: usize) {
+    /// The state of a pipeline `lanes` wide.
+    pub(crate) fn new(lanes: usize) -> Self {
+        SnapshotState { lanes: vec![LaneTally::default(); lanes], ..SnapshotState::default() }
+    }
+
+    /// Windows every lane has closed.
+    pub(crate) fn windows_closed(&self) -> u64 {
+        self.lanes.iter().map(|lane| lane.closes).min().unwrap_or(0)
+    }
+
+    /// Account one batch `lane` delivered, from its counts, cached maximum
+    /// time and RSS points; no SPE sample is read.
+    pub(crate) fn record_batch(&mut self, batch: &SampleBatch, lane: usize) {
+        let tally = &mut self.lanes[lane];
         self.batches += 1;
-        if self.per_shard.len() <= shard {
-            self.per_shard.resize(shard + 1, (0, 0));
-        }
-        self.per_shard[shard].0 += 1;
+        tally.batches += 1;
         if let Some(t) = batch.max_time_ns() {
             self.last_time_ns = self.last_time_ns.max(t);
         }
         match &batch.payload {
             BatchPayload::SpeSamples { samples, .. } => {
-                self.per_shard[shard].1 += samples.len() as u64;
+                tally.spe_samples += samples.len() as u64;
                 self.spe_samples += samples.len() as u64;
             }
             BatchPayload::Rss { points } => {
@@ -966,50 +986,38 @@ impl SnapshotState {
             // a lagging producer.
             BatchPayload::Bandwidth { .. } => return,
         }
-        if self.closed.contains(&batch.window.index) {
+        if tally.newest_close.is_some_and(|closed| batch.window.index <= closed) {
             self.late_batches += 1;
         }
     }
 
-    /// Register one lane's close signal for `window`; the window counts as
-    /// closed once `expected_closes` lanes (the broadcast fan-out) have
-    /// delivered theirs. Signals for a closed window are ignored.
-    pub(crate) fn record_close(&mut self, window: Window, expected_closes: usize) {
-        if self.closed.contains(&window.index) {
-            return;
-        }
-        let seen = self.close_counts.entry(window.index).or_insert(0);
-        *seen += 1;
-        if *seen < expected_closes.max(1) {
-            return;
-        }
-        // Broadcast complete: the counter goes, so close bookkeeping stays
-        // bounded by in-flight windows.
-        self.close_counts.remove(&window.index);
-        self.closed.insert(window.index);
-        self.windows_closed += 1;
+    /// Register `lane`'s close signal for `window`.
+    pub(crate) fn record_close(&mut self, window: Window, lane: usize) {
+        let tally = &mut self.lanes[lane];
+        tally.closes += 1;
+        tally.newest_close = Some(window.index);
     }
 
     pub(crate) fn snapshot(
         &self,
         bus: BusStats,
-        lanes: &[BusStats],
+        lane_stats: &[BusStats],
         migrations: MigrationStats,
     ) -> StreamSnapshot {
-        let per_shard = (0..lanes.len().max(self.per_shard.len()))
-            .map(|shard| {
-                let (batches, spe_samples) = self.per_shard.get(shard).copied().unwrap_or((0, 0));
-                ShardSummary {
-                    shard,
-                    batches,
-                    spe_samples,
-                    lane: lanes.get(shard).copied().unwrap_or_default(),
-                }
+        let per_shard = self
+            .lanes
+            .iter()
+            .enumerate()
+            .map(|(shard, tally)| ShardSummary {
+                shard,
+                batches: tally.batches,
+                spe_samples: tally.spe_samples,
+                lane: lane_stats.get(shard).copied().unwrap_or_default(),
             })
             .collect();
         StreamSnapshot {
             per_shard,
-            windows_closed: self.windows_closed,
+            windows_closed: self.windows_closed(),
             batches: self.batches,
             spe_samples: self.spe_samples,
             rss_peak_bytes: self.rss_peak_bytes,
@@ -1196,35 +1204,37 @@ mod tests {
     #[test]
     fn snapshot_state_tracks_windows_and_late_batches() {
         let clock = WindowClock::new(1000);
-        let mut state = SnapshotState::default();
+        let mut state = SnapshotState::new(2);
         state.record_batch(&batch(clock.window(0), 3), 0);
         state.record_batch(&batch(clock.window(1), 2), 1);
-        // Closes are broadcast to both lanes: one lane's signal closes
-        // nothing, the second closes the window, a repeat is ignored.
-        state.record_close(clock.window(0), 2);
-        assert_eq!(state.windows_closed, 0);
-        state.record_close(clock.window(0), 2);
-        assert_eq!(state.windows_closed, 1);
-        state.record_close(clock.window(0), 2);
-        state.record_close(clock.window(0), 2);
-        assert_eq!(state.windows_closed, 1);
+        // Closes are broadcast to both lanes: a window counts as closed
+        // once each lane delivered its copy.
+        state.record_close(clock.window(0), 0);
+        assert_eq!(state.windows_closed(), 0);
         state.record_batch(&batch(clock.window(0), 1), 1);
-        assert_eq!(state.late_batches, 1, "a batch for a closed window is late");
-        // A later window closing does not make a lower, unclosed one late.
-        state.record_close(clock.window(2), 2);
-        state.record_close(clock.window(2), 2);
-        state.record_batch(&batch(clock.window(1), 4), 0);
-        assert_eq!(state.late_batches, 1, "window 1 never closed");
+        assert_eq!(state.late_batches, 0, "lane 1 has not closed window 0 yet");
+        state.record_close(clock.window(0), 1);
+        assert_eq!(state.windows_closed(), 1);
+        state.record_batch(&batch(clock.window(0), 1), 1);
+        assert_eq!(state.late_batches, 1, "a batch behind its lane's close is late");
+        // Closes come in ascending order, so a window below a lane's newest
+        // close that never closed never will: a batch for it is late too.
+        state.record_close(clock.window(2), 0);
+        state.record_close(clock.window(2), 1);
+        state.record_batch(&batch(clock.window(1), 3), 0);
+        assert_eq!(state.late_batches, 2, "window 1 was passed over");
+        state.record_batch(&batch(clock.window(3), 1), 0);
+        assert_eq!(state.late_batches, 2, "window 3 is still open");
         // Bandwidth ticks land in closed windows by design.
         let ticks = BatchPayload::Bandwidth { points: vec![] };
         state.record_batch(&SampleBatch::new("machine", None, clock.window(0), ticks), 0);
-        assert_eq!(state.late_batches, 1, "bandwidth is never late");
-        assert_eq!((state.windows_closed, state.batches, state.spe_samples), (2, 5, 10));
+        assert_eq!(state.late_batches, 2, "bandwidth is never late");
+        assert_eq!((state.windows_closed(), state.batches, state.spe_samples), (2, 7, 11));
         let snap = state.snapshot(BusStats::default(), &[], MigrationStats::default());
-        assert_eq!((snap.windows_closed, snap.batches, snap.spe_samples), (2, 5, 10));
+        assert_eq!((snap.windows_closed, snap.batches, snap.spe_samples), (2, 7, 11));
         assert_eq!(snap.per_shard.len(), 2);
-        assert_eq!((snap.per_shard[0].batches, snap.per_shard[0].spe_samples), (3, 7));
-        assert_eq!((snap.per_shard[1].batches, snap.per_shard[1].spe_samples), (2, 3));
+        assert_eq!((snap.per_shard[0].batches, snap.per_shard[0].spe_samples), (4, 7));
+        assert_eq!((snap.per_shard[1].batches, snap.per_shard[1].spe_samples), (3, 4));
         assert_eq!(snap.per_shard.iter().map(|s| s.batches).sum::<u64>(), snap.batches);
         assert_eq!(snap.per_shard.iter().map(|s| s.spe_samples).sum::<u64>(), snap.spe_samples);
     }

@@ -92,6 +92,9 @@ fn main() -> Result<(), NmoError> {
             stats.batches_dropped,
             stats.late_batches,
         );
+        // A window closes once every core has delivered a sample past it,
+        // so under the default `Block` policy no batch arrives late.
+        assert_eq!(stats.late_batches, 0, "{stats:?}");
     }
     println!(
         "final series (merged from the streamed windows): peak RSS {:.3} GiB, \

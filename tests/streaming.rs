@@ -531,6 +531,278 @@ fn sample_log_order_is_the_same_at_every_width() {
     assert_eq!(wide.samples(), Some(&script[..]), "four shards");
 }
 
+/// Drain calls core 1 of a [`StalledScript`] sits out before it delivers.
+const STALL_DRAINS: u64 = 400;
+/// Samples each stalled-script core emits, and how many one drain hands
+/// over per core: 16 drains over ~40 windows of 10 µs.
+const STALL_PER_CORE: u64 = 4_096;
+const STALL_DRAIN_CHUNK: u64 = 256;
+
+/// A core that starts late: core 1 delivers nothing for its first
+/// [`STALL_DRAINS`] drains and then its [`scripted_sample`]s from time 0,
+/// while every other core delivers its own from the first drain on.
+struct StalledScript {
+    shard: usize,
+    cores: Vec<usize>,
+    drains: u64,
+    /// Per core, the next sample to emit.
+    next: Vec<u64>,
+    log: Arc<ScriptLog>,
+}
+
+impl StalledScript {
+    fn new(shard: usize, cores: Vec<usize>, log: Arc<ScriptLog>) -> Self {
+        let next = vec![0; cores.len()];
+        StalledScript { shard, cores, drains: 0, next, log }
+    }
+
+    fn emit(&mut self, clock: &WindowClock, pool: &BatchPool) -> Vec<SampleBatch> {
+        self.drains += 1;
+        let mut batches = Vec::new();
+        for (&core, next) in self.cores.iter().zip(&mut self.next) {
+            if core == 1 && self.drains <= STALL_DRAINS {
+                continue;
+            }
+            let end = (*next + STALL_DRAIN_CHUNK).min(STALL_PER_CORE);
+            let chunk = (*next..end).map(|i| scripted_sample(core, i));
+            for (window, group) in clock.group_by_window(chunk, |s| s.time_ns) {
+                let mut samples = pool.samples();
+                samples.extend(group);
+                let payload = BatchPayload::SpeSamples { samples, loss: Default::default() };
+                batches.push(SampleBatch::new("spe", Some(core), window, payload));
+            }
+            if *next < end && end == STALL_PER_CORE {
+                self.log.dry.send(()).expect("the test waits for every core");
+            }
+            *next = end;
+        }
+        let emitted = batches.iter().map(|b| b.len() as u64).sum();
+        self.log.emitted.fetch_add(emitted, Ordering::SeqCst);
+        batches
+    }
+}
+
+impl ShardDrainer for StalledScript {
+    fn shard(&self) -> usize {
+        self.shard
+    }
+
+    fn drain(
+        &mut self,
+        _machine: &Machine,
+        clock: &WindowClock,
+        pool: &BatchPool,
+    ) -> Result<Vec<SampleBatch>, NmoError> {
+        Ok(self.emit(clock, pool))
+    }
+
+    fn sources(&self) -> Vec<StreamSource> {
+        self.cores.iter().map(|&core| ("spe", Some(core))).collect()
+    }
+}
+
+/// The stalled script as a backend: drained classically by the coordinator
+/// at one shard, one [`StalledScript`] per shard's cores wider.
+struct StalledBackend {
+    script: StalledScript,
+}
+
+impl SampleBackend for StalledBackend {
+    fn name(&self) -> &'static str {
+        "spe"
+    }
+
+    fn start(
+        &mut self,
+        _machine: &Machine,
+        cores: &[usize],
+        _config: &NmoConfig,
+    ) -> Result<Vec<CoreObserver>, NmoError> {
+        self.script = StalledScript::new(0, cores.to_vec(), self.script.log.clone());
+        Ok(Vec::new())
+    }
+
+    fn drain(
+        &mut self,
+        _machine: &Machine,
+        clock: &WindowClock,
+        pool: &BatchPool,
+    ) -> Result<Vec<SampleBatch>, NmoError> {
+        Ok(self.script.emit(clock, pool))
+    }
+
+    fn shard_drainers(&mut self, shards: usize) -> Vec<Box<dyn ShardDrainer>> {
+        if shards == 1 {
+            return Vec::new();
+        }
+        (0..shards)
+            .map(|shard| {
+                let cores = self.script.cores.iter().copied().filter(|c| c % shards == shard);
+                let log = self.script.log.clone();
+                Box::new(StalledScript::new(shard, cores.collect(), log)) as Box<dyn ShardDrainer>
+            })
+            .collect()
+    }
+
+    fn stream_sources(&self) -> Vec<StreamSource> {
+        self.script.sources()
+    }
+
+    fn stop(&mut self, _machine: &Machine) -> Result<(), NmoError> {
+        Ok(())
+    }
+
+    fn fill(&mut self, profile: &mut Profile) -> Result<(), NmoError> {
+        profile.processed_samples = self.script.log.emitted.load(Ordering::SeqCst);
+        Ok(())
+    }
+}
+
+/// A declared core that starts late is never overtaken: windows close on
+/// sample time alone, so however many drain rounds core 1 sits out, no
+/// window closes past it, and its samples from time 0 on all arrive on
+/// time — through the coordinator's own drain at one shard and through
+/// per-shard drainers at two.
+#[test]
+fn a_core_that_starts_late_gets_no_late_batch() {
+    for shards in [1, 2] {
+        let (dry, on_dry) = sync_channel(2);
+        let log = Arc::new(ScriptLog {
+            drained_by: parking_lot::Mutex::new(Vec::new()),
+            drain_calls: AtomicU64::new(0),
+            emitted: AtomicU64::new(0),
+            dry,
+        });
+        let active = ProfileSession::builder()
+            .machine_config(MachineConfig::small_test())
+            .threads(2)
+            .no_default_backends()
+            .backend(StalledBackend { script: StalledScript::new(0, Vec::new(), log.clone()) })
+            .sink(LatencySink::default())
+            .stream_options(StreamOptions {
+                window_ns: 10_000,
+                bus_capacity: 8,
+                backpressure: BackpressurePolicy::Block,
+                shards,
+            })
+            .build()
+            .expect("session builds")
+            .start_streaming()
+            .expect("start streaming");
+        for _ in 0..2 {
+            on_dry.recv_timeout(Duration::from_secs(30)).expect("both cores run their script dry");
+        }
+        let profile = active.finish().expect("finish");
+        let stats = profile.stream.expect("stream stats");
+        assert_eq!(stats.shards, shards as u64);
+        let emitted = 2 * STALL_PER_CORE;
+        assert_eq!(log.emitted.load(Ordering::SeqCst), emitted);
+        assert_eq!(profile.latency().expect("latency").total_count(), emitted, "{stats:?}");
+        assert_eq!(stats.batches_dropped, 0, "{stats:?}");
+        assert_eq!(stats.late_batches, 0, "{shards} shard(s): {stats:?}");
+        // Both cores' scripts end at 2047 × 194 ns: windows 0 to 39.
+        assert_eq!(stats.windows_closed, 40, "{stats:?}");
+    }
+}
+
+/// The live case of the same rule: 8 simulated cores of STREAM through
+/// four pipeline shards and one, under `Block`, end with no late batch on
+/// every run, whatever the host's scheduling of the cores and the pump.
+#[test]
+fn eight_live_cores_get_no_late_batch_at_one_and_four_shards() {
+    for shards in [1, 4] {
+        for run in 0..5 {
+            let profile = ProfileSession::builder()
+                .machine_config(MachineConfig::ampere_altra_max())
+                .config(NmoConfig {
+                    aux_watermark_bytes: Some(16 * 1024),
+                    ..NmoConfig::paper_default(1024)
+                })
+                .threads(8)
+                .sink(LatencySink::default())
+                .stream_options(StreamOptions {
+                    window_ns: 250_000,
+                    backpressure: BackpressurePolicy::Block,
+                    shards,
+                    ..StreamOptions::default()
+                })
+                .workload(Box::new(StreamBench::new(1_000_000, 2)))
+                .build()
+                .expect("session builds")
+                .run_streaming()
+                .expect("streaming run");
+            let stats = profile.stream.expect("stream stats");
+            assert_eq!(stats.shards, shards as u64);
+            assert!(stats.windows_closed > 1, "{shards} shards, run {run}: {stats:?}");
+            assert_eq!(stats.batches_dropped, 0, "{shards} shards, run {run}: {stats:?}");
+            assert_eq!(stats.late_batches, 0, "{shards} shards, run {run}: {stats:?}");
+            let delivered = profile.latency().expect("latency").total_count();
+            assert_eq!(delivered, profile.processed_samples, "{shards} shards, run {run}");
+        }
+    }
+}
+
+/// One sample in the last window of time: a one-nanosecond window at
+/// `u64::MAX` closes like any other, and the pump that closes it returns.
+#[test]
+fn a_sample_at_the_end_of_time_closes_its_window() {
+    struct OneSample {
+        sent: bool,
+    }
+    impl SampleBackend for OneSample {
+        fn name(&self) -> &'static str {
+            "spe"
+        }
+        fn start(
+            &mut self,
+            _machine: &Machine,
+            _cores: &[usize],
+            _config: &NmoConfig,
+        ) -> Result<Vec<CoreObserver>, NmoError> {
+            Ok(Vec::new())
+        }
+        fn drain(
+            &mut self,
+            _machine: &Machine,
+            clock: &WindowClock,
+            _pool: &BatchPool,
+        ) -> Result<Vec<SampleBatch>, NmoError> {
+            if std::mem::replace(&mut self.sent, true) {
+                return Ok(Vec::new());
+            }
+            let sample = AddressSample { time_ns: u64::MAX, ..scripted_sample(0, 0) };
+            let payload =
+                BatchPayload::SpeSamples { samples: vec![sample], loss: Default::default() };
+            Ok(vec![SampleBatch::new("spe", Some(0), clock.window_containing(u64::MAX), payload)])
+        }
+        fn stream_sources(&self) -> Vec<StreamSource> {
+            vec![("spe", Some(0))]
+        }
+        fn stop(&mut self, _machine: &Machine) -> Result<(), NmoError> {
+            Ok(())
+        }
+        fn fill(&mut self, _profile: &mut Profile) -> Result<(), NmoError> {
+            Ok(())
+        }
+    }
+
+    let profile = ProfileSession::builder()
+        .machine_config(MachineConfig::small_test())
+        .threads(1)
+        .no_default_backends()
+        .backend(OneSample { sent: false })
+        .sink(SampleLogSink::new())
+        .stream_options(StreamOptions { window_ns: 1, ..StreamOptions::default() })
+        .build()
+        .expect("session builds")
+        .run_streaming_with(|_, _, _| Ok(()))
+        .expect("the pump closes the last window of time");
+    let samples = profile.samples().expect("sample log");
+    assert_eq!(samples.iter().map(|s| s.time_ns).collect::<Vec<_>>(), [u64::MAX]);
+    let stats = profile.stream.expect("stream stats");
+    assert_eq!((stats.windows_closed, stats.late_batches), (1, 0), "{stats:?}");
+}
+
 /// What [`SpeBatchProbe`] saw of one delivered SPE batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct SeenBatch {
