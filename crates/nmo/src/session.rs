@@ -24,12 +24,15 @@
 //! Sinks are fed one way, whoever drives the session: the backends are
 //! drained into window-stamped [`crate::stream::SampleBatch`]es, and the
 //! batches and window closes are delivered through the shard fan-in of
-//! `sink.rs`. A session started with [`ProfileSession::start`] (which
-//! [`ProfileSession::run`] uses) has no pipeline threads: it delivers on
-//! the caller's thread, through its own fan-in at width 1 — everything at
-//! [`ActiveSession::finish`], or piecewise at every
-//! [`ActiveSession::tiering_step`]. Post-hoc analysis is streaming finished
-//! at the end.
+//! `sink.rs`. Windows close by one rule, the close coordinator's: a window
+//! some batch named closes once every declared source (one per SPE core)
+//! has delivered a sample past it, and everything still open closes when
+//! the run finishes. A session started with [`ProfileSession::start`]
+//! (which [`ProfileSession::run`] uses) has no pipeline threads: it
+//! delivers on the caller's thread, through its own fan-in at width 1 and
+//! its own coordinator — everything at [`ActiveSession::finish`], or
+//! piecewise at every [`ActiveSession::tiering_step`]. Post-hoc analysis is
+//! streaming finished at the end.
 //!
 //! ## Streaming
 //!
@@ -74,7 +77,7 @@ use crate::runtime::Profile;
 use crate::sink::{default_sinks, run_sinks, AnalysisSink, FanIn, FanInLane, StreamContext};
 use crate::stream::{
     BatchPayload, BatchPool, BusEvent, BusIdle, EventBus, SampleBatch, ShardedBus, SnapshotState,
-    StreamOptions, StreamSnapshot, StreamSource, StreamStats, WindowClock,
+    StreamOptions, StreamSnapshot, StreamSource, StreamStats, Window, WindowClock,
 };
 use crate::workload::Workload;
 use crate::NmoError;
@@ -389,7 +392,7 @@ impl ProfileSession {
         let opts = self.stream_options.clone();
         let requested_shards = opts.shards;
         let cores = self.cores.len();
-        let mut active = self.start()?;
+        let mut active = self.attach()?;
         let mut backends = std::mem::take(&mut active.session.backends);
         let sinks = std::mem::take(&mut active.session.sinks);
 
@@ -481,7 +484,7 @@ impl ProfileSession {
             }));
         }
 
-        active.streaming = Some(StreamingState {
+        active.delivery = Some(Delivery::Pipeline(StreamingState {
             bus,
             stop,
             snapshot,
@@ -489,7 +492,7 @@ impl ProfileSession {
             consumers,
             merger,
             requested_shards,
-        });
+        }));
         Ok(active)
     }
 
@@ -509,9 +512,38 @@ impl ProfileSession {
 
     /// Start collection manually and return the active handle. Use this when
     /// the caller attaches engines itself; call [`ActiveSession::finish`]
-    /// when the work is done. No pipeline thread runs: the sinks are fed at
-    /// `finish` (and at every [`ActiveSession::tiering_step`] before it).
-    pub fn start(mut self) -> Result<ActiveSession, NmoError> {
+    /// when the work is done. No pipeline thread runs: the sinks see the
+    /// stream start here and are fed at `finish` (and at every
+    /// [`ActiveSession::tiering_step`] before it).
+    ///
+    /// A sink that panics in [`AnalysisSink::on_stream_start`] makes this
+    /// return [`NmoError::Sink`].
+    pub fn start(self) -> Result<ActiveSession, NmoError> {
+        let mut active = self.attach()?;
+        // Machine-less context, as on a replay: sinks aggregate, nothing
+        // actuates by itself.
+        let ctx = active.session.stream_context(None);
+        let sinks = std::mem::take(&mut active.session.sinks);
+        let (fan_in, mut lanes) =
+            catch_sink_panic("stream-start", || FanIn::start(sinks, 1, &ctx))?;
+        let sources = active.session.backends.iter().flat_map(|b| b.stream_sources()).collect();
+        active.delivery = Some(Delivery::Inline(InlineState {
+            fan_in,
+            // `FanIn::start(_, 1, _)` hands out one lane.
+            lane: lanes.swap_remove(0),
+            coordinator: CloseCoordinator::new(
+                WindowClock::new(active.session.stream_options.window_ns),
+                sources,
+            ),
+            pool: BatchPool::new(64),
+            rss_cursor: 0,
+        }));
+        Ok(active)
+    }
+
+    /// Start the backends and attach their observers to the profiled cores:
+    /// an active session whose delivery its caller starts.
+    fn attach(mut self) -> Result<ActiveSession, NmoError> {
         // Gather per-core observers from every backend, preserving core order.
         let mut per_core: Vec<(usize, Vec<Box<dyn OpObserver>>)> =
             self.cores.iter().map(|&c| (c, Vec::new())).collect();
@@ -542,8 +574,7 @@ impl ProfileSession {
             backend_names: self.backends.iter().map(|b| b.name().to_string()).collect(),
             session: self,
             attached,
-            streaming: None,
-            inline: None,
+            delivery: None,
             sink_failed: false,
         })
     }
@@ -587,17 +618,23 @@ struct StreamingState {
 }
 
 /// The thread-less counterpart of [`StreamingState`]: the session's own
-/// sink fan-in at width 1, fed on the caller's thread by
-/// [`ActiveSession::step`].
+/// sink fan-in at width 1 and close coordinator, fed on the caller's thread
+/// by [`ActiveSession::step`].
 struct InlineState {
     fan_in: SessionFanIn,
     lane: FanInLane,
-    clock: WindowClock,
-    /// Windows below this index have been closed.
-    closed_below: u64,
+    coordinator: CloseCoordinator,
     pool: Arc<BatchPool>,
     /// RSS step events already delivered.
     rss_cursor: usize,
+}
+
+/// How an active session feeds its sinks, fixed when collection starts.
+enum Delivery {
+    /// Pump workers and shard consumers ([`ProfileSession::start_streaming`]).
+    Pipeline(StreamingState),
+    /// The caller's thread, step by step ([`ProfileSession::start`]).
+    Inline(InlineState),
 }
 
 /// A session that is actively collecting.
@@ -605,10 +642,9 @@ pub struct ActiveSession {
     session: ProfileSession,
     attached: Vec<usize>,
     backend_names: Vec<String>,
-    streaming: Option<StreamingState>,
-    /// Sink delivery of a session without pipeline threads, started by its
-    /// first step.
-    inline: Option<InlineState>,
+    /// Set by `start` / `start_streaming`; `None` only before that and
+    /// once `finish` or `drop` has taken it.
+    delivery: Option<Delivery>,
     /// A sink panicked in a step: the fan-in state is unusable, every later
     /// step fails too.
     sink_failed: bool,
@@ -665,22 +701,22 @@ impl ActiveSession {
     /// What the samples say is the registered sinks' business. Returns
     /// `None` on a non-streaming session.
     pub fn poll_snapshot(&self) -> Option<StreamSnapshot> {
-        self.streaming.as_ref().map(|s| {
-            s.snapshot.lock().snapshot(
-                s.bus.stats(),
-                &s.bus.lane_stats(),
-                self.session.machine.migration_stats(),
-            )
-        })
+        let Some(Delivery::Pipeline(s)) = &self.delivery else { return None };
+        Some(s.snapshot.lock().snapshot(
+            s.bus.stats(),
+            &s.bus.lane_stats(),
+            self.session.machine.migration_stats(),
+        ))
     }
 
     /// The manual actuator hook of profile-guided tiering: one synchronous
     /// delivery step — drain every backend, feed the batches to the
-    /// registered sinks and to `tracker`, close every window the sample
-    /// watermark has passed (each close runs the tracker's
-    /// [`crate::tiering::TieringPolicy`]) — with the resulting migrations
-    /// applied to the machine via [`arch_sim::Machine::migrate_page`].
-    /// Returns the migrations applied by this step.
+    /// registered sinks and to `tracker`, close every window a batch named
+    /// once every source has delivered a sample past it (each close runs
+    /// the tracker's [`crate::tiering::TieringPolicy`]) — with the resulting
+    /// migrations applied to the machine via
+    /// [`arch_sim::Machine::migrate_page`]. Returns the migrations applied
+    /// by this step.
     ///
     /// Call it from the workload-driving thread between chunks of work
     /// (with no engine attached, so buffered SPE records flush first) —
@@ -697,23 +733,17 @@ impl ActiveSession {
         &mut self,
         tracker: &mut crate::tiering::HotPageTracker,
     ) -> Result<Vec<crate::tiering::AppliedMigration>, NmoError> {
-        if self.streaming.is_some() {
-            return Err(NmoError::Config(
-                "tiering_step drives non-streaming sessions; a streaming session actuates \
-                 through the registered HotPageTracker sink"
-                    .into(),
-            ));
-        }
         tracker.configure(self.session.machine.config());
         self.step(Some(tracker), false)
     }
 
     /// One delivery step of a session without pipeline threads — the only
-    /// way its sinks are fed: drain every backend and run the machine probe
-    /// round, deliver the batches through the session's fan-in (started by
-    /// the first step), then close every window below the watermark's — on
-    /// the `last` step, every remaining one. `tracker` sees the same
-    /// batches and closes; the migrations its closes applied are returned.
+    /// way its sinks are fed. It drains every backend and notes the batches
+    /// with the session's [`CloseCoordinator`], reads the close threshold,
+    /// runs the machine probe, then hands the batches and the windows the
+    /// coordinator closed to the fan-in — on the `last` step, every window
+    /// still open. `tracker` sees the same batches and closes; the
+    /// migrations its closes applied are returned.
     fn step(
         &mut self,
         mut tracker: Option<&mut crate::tiering::HotPageTracker>,
@@ -722,50 +752,38 @@ impl ActiveSession {
         if self.sink_failed {
             return Err(NmoError::sink("delivery", "a sink panicked in an earlier step"));
         }
-        let machine = self.session.machine.clone();
-        let state = match &mut self.inline {
-            Some(state) => state,
-            None => {
-                // Machine-less context, as on a replay: sinks aggregate,
-                // nothing actuates by itself.
-                let ctx = self.session.stream_context(None);
-                let sinks = std::mem::take(&mut self.session.sinks);
-                let started = catch_sink_panic("stream-start", || FanIn::start(sinks, 1, &ctx));
-                let (fan_in, mut lanes) = match started {
-                    Ok(started) => started,
-                    Err(e) => return Err(self.fail_delivery(e)),
-                };
-                self.inline.insert(InlineState {
-                    fan_in,
-                    // `FanIn::start(_, 1, _)` hands out one lane.
-                    lane: lanes.swap_remove(0),
-                    clock: WindowClock::new(self.session.stream_options.window_ns),
-                    closed_below: 0,
-                    pool: BatchPool::new(64),
-                    rss_cursor: 0,
-                })
-            }
+        let Some(Delivery::Inline(state)) = &mut self.delivery else {
+            return Err(NmoError::Config(
+                "tiering_step drives non-streaming sessions; a streaming session actuates \
+                 through the registered HotPageTracker sink"
+                    .into(),
+            ));
         };
-
-        let newest = |batches: &[SampleBatch]| {
-            batches.iter().filter_map(SampleBatch::max_time_ns).max().unwrap_or(0)
-        };
+        let machine = &self.session.machine;
+        let coordinator = &mut state.coordinator;
         let mut batches = Vec::new();
         for backend in &mut self.session.backends {
-            let drained = backend.drain(&machine, &state.clock, &state.pool)?;
-            // The watermark advances between backends: batches without
+            let drained = backend.drain(machine, &coordinator.clock, &state.pool)?;
+            // The clock advances between backends: batches without
             // timestamps are stamped with its window.
-            state.clock.observe(newest(&drained));
+            coordinator.note_published(&drained.iter().map(note_of).collect::<Vec<_>>(), true);
             batches.extend(drained);
         }
-        let probed = probe_machine(&machine, &state.clock, &mut state.rss_cursor, last);
-        state.clock.observe(newest(&probed));
+        // After the drains: read first, as the pump does at round start, it
+        // would hold every close back a step. Before the probe: see
+        // `close_ready_windows`.
+        let threshold = coordinator.close_threshold();
+        let probed = probe_machine(machine, &coordinator.clock, &mut state.rss_cursor, last);
+        coordinator.note_published(&probed.iter().map(note_of).collect::<Vec<_>>(), false);
         batches.extend(probed);
+        let closed = if last {
+            coordinator.close_remaining()
+        } else {
+            coordinator.close_ready_windows(threshold)
+        };
 
-        // The watermark's own window stays open until the last step.
-        let threshold = state.clock.index_of(state.clock.watermark_ns()) + u64::from(last);
         let delivered = catch_sink_panic("delivery", || {
-            let InlineState { fan_in, lane, clock, closed_below, .. } = state;
+            let InlineState { fan_in, lane, .. } = state;
             for batch in &batches {
                 lane.on_batch(batch, || &mut *fan_in);
                 if let Some(tracker) = tracker.as_deref_mut() {
@@ -773,13 +791,11 @@ impl ActiveSession {
                 }
             }
             let mut applied = Vec::new();
-            while *closed_below < threshold {
-                let window = clock.window(*closed_below);
+            for window in closed {
                 lane.on_window_close(window, || &mut *fan_in);
                 if let Some(tracker) = tracker.as_deref_mut() {
-                    applied.extend(tracker.close_window(window, Some(&machine)));
+                    applied.extend(tracker.close_window(window, Some(machine)));
                 }
-                *closed_below += 1;
             }
             applied
         });
@@ -812,9 +828,17 @@ impl ActiveSession {
     pub fn finish(mut self) -> Result<Profile, NmoError> {
         self.detach_observers();
 
+        if let Some(Delivery::Inline(_)) = self.delivery {
+            // Post-hoc is streaming finished at the end: the last step
+            // delivers everything no earlier step did.
+            for backend in &mut self.session.backends {
+                backend.stop(&self.session.machine)?;
+            }
+            self.step(None, true)?;
+        }
         let mut stream_stats = None;
-        match self.streaming.take() {
-            Some(streaming) => {
+        match self.delivery.take() {
+            Some(Delivery::Pipeline(streaming)) => {
                 // The coordinator pump stops the backends itself, runs the
                 // final drain round on every worker, publishes the
                 // remainder, closes every window, and closes the bus —
@@ -892,19 +916,11 @@ impl ActiveSession {
                     pump_rounds_slept,
                 });
             }
-            None => {
-                // Post-hoc is streaming finished at the end: the last step
-                // delivers everything no earlier step did.
-                for backend in &mut self.session.backends {
-                    backend.stop(&self.session.machine)?;
-                }
-                self.step(None, true)?;
-                let delivery = self.inline.take();
-                #[allow(clippy::expect_used, reason = "the step above started delivery")]
-                let InlineState { mut fan_in, lane, .. } = delivery.expect("delivery started");
+            Some(Delivery::Inline(InlineState { mut fan_in, lane, .. })) => {
                 catch_sink_panic("merge", || fan_in.finish(vec![lane]))?;
                 self.session.sinks = std::mem::take(&mut fan_in.sinks);
             }
+            None => {}
         }
 
         let mut profile = crate::runtime::base_profile(
@@ -930,7 +946,7 @@ impl ActiveSession {
 /// has nothing more to report here.
 impl Drop for ActiveSession {
     fn drop(&mut self) {
-        if let Some(streaming) = self.streaming.take() {
+        if let Some(Delivery::Pipeline(streaming)) = self.delivery.take() {
             streaming.stop.store(true, Ordering::Release);
             streaming.bus.close_all();
             for pump in streaming.pumps {
@@ -966,16 +982,18 @@ fn note_of(batch: &SampleBatch) -> PublishNote {
     (batch.window.index, batch.max_time_ns().map(|max| ((batch.backend, batch.core), max)))
 }
 
-/// Producer-side close bookkeeping, shared by every pump worker of a
-/// session: the window clock, the set of windows awaiting closure, and a
+/// Producer-side close bookkeeping, the one close rule of every session
+/// driver: the window clock, the set of windows awaiting closure, and a
 /// per-source watermark, the newest sample time each source has delivered.
 /// A window closes once every source has delivered a sample past it, and
-/// nothing else decides it: a source's samples reach the pump in time
-/// order, so nothing it delivers later can land below its watermark (the
-/// SPE cores publish at their own cadences, and closing on the global
-/// maximum alone would make every lagging core's batches late). The
-/// workers mark their sources under the mutex after publishing; only the
-/// coordinator closes windows (broadcasting the close to every lane).
+/// nothing else decides it: a source's samples arrive in time order, so
+/// nothing it delivers later can land below its watermark (the SPE cores
+/// publish at their own cadences, and closing on the global maximum alone
+/// would make every lagging core's batches late). A pipeline shares one
+/// behind a mutex — the workers mark their sources after publishing, and
+/// only the coordinator pump closes windows, broadcasting what it closed to
+/// every lane; a thread-less session owns one and hands what it closed to
+/// its fan-in.
 struct CloseCoordinator {
     clock: WindowClock,
     open_windows: std::collections::BTreeSet<u64>,
@@ -1037,29 +1055,29 @@ impl CloseCoordinator {
     }
 
     /// Close every open window below `threshold` — those can no longer
-    /// receive on-time data. The coordinator reads the threshold before its
-    /// machine probe and closes after it: a core records a first-touch RSS
-    /// event before any later sample, so an event below a threshold every
-    /// core's samples passed is on lane 0 by the time its window closes.
-    /// Close signals are broadcast to every lane (they bypass lane
-    /// capacity, so this never blocks).
-    fn close_ready_windows(&mut self, threshold: u64, bus: &ShardedBus) {
-        while let Some(&index) = self.open_windows.first() {
-            if index >= threshold {
-                break;
-            }
-            self.open_windows.remove(&index);
-            bus.broadcast_close(self.clock.window(index));
-            self.closed_below = self.closed_below.max(index.saturating_add(1));
-        }
+    /// receive on-time data — and return them, ascending. The pump reads
+    /// the threshold before its machine probe and closes after it (the
+    /// thread-less step likewise, after its drains): a core records a
+    /// first-touch RSS event before any later sample, so an event below a
+    /// threshold every core's samples passed is delivered by the time its
+    /// window closes.
+    fn close_ready_windows(&mut self, threshold: u64) -> Vec<Window> {
+        let still_open = self.open_windows.split_off(&threshold);
+        self.close_all_but(still_open)
     }
 
-    /// Shutdown: close everything still open, ascending.
-    fn close_remaining(&mut self, bus: &ShardedBus) {
-        for index in std::mem::take(&mut self.open_windows) {
-            bus.broadcast_close(self.clock.window(index));
-            self.closed_below = self.closed_below.max(index.saturating_add(1));
-        }
+    /// Shutdown: close everything still open and return it, ascending.
+    fn close_remaining(&mut self) -> Vec<Window> {
+        self.close_all_but(std::collections::BTreeSet::new())
+    }
+
+    /// Close every open window except `still_open` (the open windows from
+    /// some index on) and return them, ascending.
+    fn close_all_but(&mut self, still_open: std::collections::BTreeSet<u64>) -> Vec<Window> {
+        let closed = std::mem::replace(&mut self.open_windows, still_open);
+        let below = closed.last().map_or(0, |last| last.saturating_add(1));
+        self.closed_below = self.closed_below.max(below);
+        closed.into_iter().map(|index| self.clock.window(index)).collect()
     }
 }
 
@@ -1084,12 +1102,11 @@ fn publish_batches(
     // close a batch's window before the batch is visible to its shard
     // consumer, violating the close-after-on-time-data contract. Both
     // operations are mutex-protected (lane queue, coordinator), so the
-    // program order here is the inter-thread order. Note this nests
-    // bus-lock inside-then-before coordinator-lock; `close_ready_windows`
-    // takes coordinator then bus, but `bus.publish_batches` has released
-    // the lane lock before `coordinator.lock()` runs (no lock is held
-    // across the two calls), so no cycle exists — the `NMO_LOCK_CHECK`
-    // runtime checker verifies exactly this in the stress suite.
+    // program order here is the inter-thread order. No lock is held across
+    // the two calls, and the coordinator pump broadcasts the windows
+    // `close_ready_windows` returns after releasing the coordinator, so no
+    // two of these locks nest — the `NMO_LOCK_CHECK` runtime checker
+    // verifies exactly this in the stress suite.
     bus.publish_batches(batches);
     coordinator.lock().note_published(&notes, vote);
 }
@@ -1254,13 +1271,16 @@ impl PumpWorker {
                 }
                 let probed = probe_machine(&self.machine, &clock, &mut rss_cursor, true);
                 publish_batches(probed, &self.bus, &self.coordinator, false);
-                self.coordinator.lock().close_remaining(&self.bus);
+                let closed = self.coordinator.lock().close_remaining();
+                closed.into_iter().for_each(|window| self.bus.broadcast_close(window));
                 self.bus.close_all();
                 return (self.backends.take(), result, (rounds, rounds_slept));
             }
 
             if is_coordinator {
-                self.coordinator.lock().close_ready_windows(threshold, &self.bus);
+                // Close signals bypass lane capacity, so this never blocks.
+                let closed = self.coordinator.lock().close_ready_windows(threshold);
+                closed.into_iter().for_each(|window| self.bus.broadcast_close(window));
             }
             // Drain cadence: the workers sample the backends once per
             // wall-clock interval; nothing signals "new simulated work". The
@@ -1833,7 +1853,7 @@ mod tests {
             .unwrap();
         let active = session.start().unwrap();
         stream_like(active.machine(), active.annotations_ref(), active.cores()).unwrap();
-        assert_eq!(*legacy_log.lock(), Vec::<String>::new(), "nothing is fed before a step");
+        assert_eq!(*legacy_log.lock(), ["start"], "only the stream start is fed before a step");
         let profile = active.finish().unwrap();
         assert!(profile.stream.is_none(), "no pipeline ran");
 
@@ -2093,8 +2113,9 @@ mod tests {
     }
 
     /// A sink that panics in `on_stream_start` fails `start_streaming`
-    /// itself with a sink error, at every pipeline width, and nothing is
-    /// left running: the backends (and whatever they hold) are dropped.
+    /// itself with a sink error, at every pipeline width, and so does
+    /// `start`; nothing is left running: the backends (and whatever they
+    /// hold) are dropped.
     #[test]
     fn sink_panicking_at_stream_start_fails_start_streaming_and_leaves_nothing_running() {
         use crate::sink::testing::RecordingSink;
@@ -2120,7 +2141,8 @@ mod tests {
                 Ok(())
             }
         }
-        for shards in [1, 2] {
+        // `None`: a thread-less `start()`.
+        for shards in [Some(1), Some(2), None] {
             let alive = Arc::new(());
             let (mut sink, _log) = RecordingSink::new(true);
             sink.panic_on_start = true;
@@ -2131,19 +2153,24 @@ mod tests {
                 .backend(SpeBackend::new())
                 .backend(ProbeBackend { _alive: alive.clone() })
                 .sink(sink)
-                .stream_options(StreamOptions { shards, ..Default::default() })
+                .stream_options(StreamOptions { shards: shards.unwrap_or(1), ..Default::default() })
                 .build()
                 .unwrap();
-            let err = session.start_streaming().unwrap_err();
-            assert!(matches!(err, NmoError::Sink { .. }), "{shards} shard(s): {err}");
-            assert_eq!(Arc::strong_count(&alive), 1, "{shards} shard(s): backends dropped");
+            let err = match shards {
+                Some(_) => session.start_streaming(),
+                None => session.start(),
+            }
+            .unwrap_err();
+            assert!(matches!(err, NmoError::Sink { .. }), "{shards:?} shard(s): {err}");
+            assert_eq!(Arc::strong_count(&alive), 1, "{shards:?} shard(s): backends dropped");
         }
     }
 
     /// One drain is one hand-off: every batch goes onto its lane first, the
     /// coordinator hears of all of them afterwards — so a concurrent
     /// `close_ready_windows` can never close a window whose batch is still
-    /// on its way — and exactly the windows the batches name end up open.
+    /// on its way — and exactly the windows the batches name end up open,
+    /// to be closed in ascending order.
     #[test]
     fn publish_batches_notes_a_drain_only_once_all_of_it_is_on_a_lane() {
         use crate::runtime::AddressSample;
@@ -2197,7 +2224,7 @@ mod tests {
             let mut coordinator = coordinator.lock();
             assert_eq!(coordinator.close_threshold(), 0, "no source has been marked yet");
             assert!(coordinator.open_windows.is_empty());
-            coordinator.close_ready_windows(0, &bus);
+            assert_eq!(coordinator.close_ready_windows(u64::MAX), Vec::<Window>::new());
         }
         for _ in 0..2 {
             match recv() {
@@ -2211,10 +2238,7 @@ mod tests {
         let mut coordinator = coordinator.lock();
         assert_eq!(coordinator.open_windows.iter().copied().collect::<Vec<_>>(), vec![2, 3, 5]);
         assert_eq!(coordinator.close_threshold(), 5, "both cores have delivered window 5");
-        coordinator.close_ready_windows(5, &bus);
-        for expected in [2, 3] {
-            assert!(matches!(recv(), BusEvent::CloseWindow(w) if w.index == expected));
-        }
+        assert_eq!(coordinator.close_ready_windows(5), [clock.window(2), clock.window(3)]);
         assert_eq!(coordinator.open_windows.iter().copied().collect::<Vec<_>>(), vec![5]);
         assert_eq!(bus.stats().queued, 0);
     }
@@ -2324,18 +2348,7 @@ mod tests {
     /// note opened.
     #[test]
     fn only_delivered_samples_move_the_close_threshold() {
-        use crate::stream::{BackpressurePolicy, BusRecv};
-        let bus = ShardedBus::new(1, 64, BackpressurePolicy::Block);
-        let closed = || {
-            let mut indices = Vec::new();
-            while let BusRecv::Event(event) = bus.lane(0).recv_timeout(Duration::ZERO) {
-                match event {
-                    BusEvent::CloseWindow(w) => indices.push(w.index),
-                    BusEvent::Batch(batch) => panic!("unexpected batch {batch:?}"),
-                }
-            }
-            indices
-        };
+        let indices = |closed: Vec<Window>| closed.iter().map(|w| w.index).collect::<Vec<_>>();
         let probe = |window, t_ns| (window, Some((("machine", None), t_ns)));
 
         // As the coordinator pump does it: the threshold, the round's notes,
@@ -2346,10 +2359,9 @@ mod tests {
         for round in 0..10_000 {
             let threshold = coordinator.close_threshold();
             coordinator.note_published(&[(9, Some((("spe", Some(0)), 9_500)))], true);
-            coordinator.close_ready_windows(threshold, &bus);
             assert_eq!(threshold, 0, "round {round}: core 1 is still awaited");
+            assert_eq!(coordinator.close_ready_windows(threshold), Vec::<Window>::new());
         }
-        assert_eq!(closed(), Vec::<u64>::new());
 
         // Core 1 turns up in window 2; the probe notes windows 1 and 12.
         coordinator.note_published(&[(2, Some((("spe", Some(1)), 2_100)))], true);
@@ -2358,19 +2370,33 @@ mod tests {
         assert_eq!(coordinator.open_windows.iter().copied().collect::<Vec<_>>(), [1, 2, 9, 12]);
         assert!(!coordinator.sources.contains_key(&("machine", None)), "and mark no source");
         assert_eq!(coordinator.close_threshold(), 2, "the slowest core's window");
-        coordinator.close_ready_windows(2, &bus);
-        assert_eq!(closed(), [1]);
+        assert_eq!(indices(coordinator.close_ready_windows(2)), [1]);
+        assert_eq!(coordinator.closed_below, 2);
 
         // Without a per-core source the close follows the global watermark,
         // as of the threshold's read.
         let mut coordinator = CloseCoordinator::new(WindowClock::new(1000), Vec::new());
         let threshold = coordinator.close_threshold();
         coordinator.note_published(&[probe(0, 300), probe(3, 3_400)], false);
-        coordinator.close_ready_windows(threshold, &bus);
-        assert_eq!(closed(), Vec::<u64>::new(), "read before the note");
+        assert_eq!(indices(coordinator.close_ready_windows(threshold)), [], "read before the note");
         assert_eq!(coordinator.close_threshold(), 3);
-        coordinator.close_ready_windows(3, &bus);
-        assert_eq!(closed(), [0]);
+        assert_eq!(indices(coordinator.close_ready_windows(3)), [0]);
+        assert_eq!(indices(coordinator.close_remaining()), [3], "shutdown takes the rest");
+    }
+
+    /// The last window of time closes like any other: a one-nanosecond
+    /// window at index `u64::MAX` comes back whole, and `closed_below`
+    /// saturates instead of overflowing.
+    #[test]
+    fn the_window_at_the_end_of_time_comes_back_and_closed_below_saturates() {
+        let clock = WindowClock::new(1);
+        let mut coordinator = CloseCoordinator::new(clock, vec![("spe", Some(0))]);
+        coordinator.note_published(&[(u64::MAX, Some((("spe", Some(0)), u64::MAX)))], true);
+        assert_eq!(coordinator.close_threshold(), u64::MAX, "nothing lies past the source");
+        assert_eq!(coordinator.close_ready_windows(u64::MAX), Vec::<Window>::new());
+        assert_eq!(coordinator.close_remaining(), [clock.window(u64::MAX)]);
+        assert_eq!(coordinator.closed_below, u64::MAX);
+        assert!(coordinator.open_windows.is_empty());
     }
 
     #[test]

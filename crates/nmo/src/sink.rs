@@ -193,9 +193,11 @@ pub trait AnalysisSink: Send {
     /// order.
     fn on_batch(&mut self, _batch: &SampleBatch) {}
 
-    /// Streaming: the producer watermark passed `window`; no further
-    /// on-time data will arrive for it (late batches are still delivered
-    /// through [`AnalysisSink::on_batch`] and counted by the session).
+    /// Streaming: every source has delivered a sample past `window`, a
+    /// window some batch named (or the run finished); no further on-time
+    /// data will arrive for it (late batches are still delivered through
+    /// [`AnalysisSink::on_batch`] and counted by the session). Windows no
+    /// batch named are never closed.
     fn on_window_close(&mut self, _window: Window) {}
 
     /// Produce the final report — what every session and
@@ -235,8 +237,9 @@ pub trait SinkShard: Send {
     /// One batch from this shard's lane arrived.
     fn on_batch(&mut self, batch: &SampleBatch);
 
-    /// The producer watermark closed `window` (broadcast to every lane,
-    /// whether or not the lane carried a batch for it). Sinks
+    /// Every source has delivered a sample past `window`, a window some
+    /// batch named (or the run finished). The close is broadcast to every
+    /// lane, whether or not the lane carried a batch for it. Sinks
     /// that merge *per window* — because the parent acts on the merged
     /// state mid-run, like [`crate::tiering::HotPageTracker`] — return this
     /// shard's partial state for the window; cumulative sinks keep the

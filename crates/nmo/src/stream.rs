@@ -101,7 +101,7 @@ impl Window {
 
 /// The producer-side window arithmetic: a fixed width plus the high-water
 /// mark of simulated time observed so far. Backends use it to stamp drained
-/// data with windows; the pump uses the watermark to close windows.
+/// data with windows; the session's close coordinator keeps one.
 #[derive(Debug, Clone, Copy)]
 pub struct WindowClock {
     width_ns: u64,
@@ -811,6 +811,8 @@ pub struct StreamOptions {
     /// Window width in simulated nanoseconds (default 1 ms) — the one
     /// option a session without pipeline threads uses too (its delivery at
     /// `finish` and at each `tiering_step` is stamped with these windows).
+    /// Under every driver a window closes once every source has delivered
+    /// a sample past it, and only if some batch named it.
     pub window_ns: u64,
     /// Event-bus capacity in events *per lane* (default 1024).
     pub bus_capacity: usize,
@@ -841,7 +843,7 @@ impl Default for StreamOptions {
 /// [`crate::runtime::Profile::stream`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Windows closed by the watermark.
+    /// Windows closed (each once; only windows some batch named).
     pub windows_closed: u64,
     /// Batches accepted onto the bus.
     pub batches_published: u64,

@@ -4,9 +4,11 @@
 //! PR 3's tiered topology *reports* where data lives and what each tier
 //! costs; this module *acts* on it. A [`HotPageTracker`] aggregates SPE
 //! samples into per-page access counts and tier-resolved latency (decayed
-//! window over window, so heat tracks the current phase rather than the
-//! whole run), a pluggable [`TieringPolicy`] turns the per-page view into
-//! [`MigrationDecision`]s at every window close, and the decisions are
+//! at every window close, so heat tracks the current phase rather than the
+//! whole run; windows no batch named are never closed, so heat does not
+//! decay across them), a pluggable [`TieringPolicy`] turns the per-page
+//! view into [`MigrationDecision`]s at every window close, and the
+//! decisions are
 //! applied mid-run through [`arch_sim::Machine::migrate_page`] — the
 //! simulated analogue of a tiered-memory daemon moving hot pages from a
 //! CXL expander back into socket DDR with `move_pages(2)`.
@@ -16,8 +18,8 @@
 //! * **Streaming** — register the tracker as an analysis sink
 //!   ([`crate::session::ProfileSessionBuilder::sink`]); during a
 //!   [`crate::session::ProfileSession::run_streaming`] run it consumes
-//!   batches on the consumer thread and applies decisions whenever the
-//!   producer watermark closes a window. (Registered on a session without
+//!   batches on the consumer thread and applies decisions whenever a
+//!   window closes. (Registered on a session without
 //!   pipeline threads it is fed like every other sink but has no machine
 //!   to actuate: it tracks and reports, like on a replay.)
 //! * **Manual / deterministic** — drive the workload in chunks and call
@@ -26,7 +28,9 @@
 //!   same batches and window closes as the registered sinks — so drains,
 //!   closes, and migrations happen at fixed points of the *simulated*
 //!   timeline, and two identically configured runs reproduce the same
-//!   decisions bit for bit (see `tests/tiering.rs`).
+//!   decisions bit for bit (see `tests/tiering.rs`). Both paths close a
+//!   window by the same rule: once every profiled core has delivered a
+//!   sample past it, so on several cores the slowest core sets the pace.
 //!
 //! The [`TieringReport`] records the applied migration log plus the
 //! before/after per-tier latency distributions — the "remote p99 drops

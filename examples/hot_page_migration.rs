@@ -36,7 +36,9 @@
 //! latency distributions are free of the cross-core clock-skew queueing
 //! the shared-busy-frontier DRAM model exhibits under multiple free-running
 //! cores. Multi-threaded runs work too (`NMO_HPM_THREADS`), they just make
-//! the per-epoch comparison noisier.
+//! the per-epoch comparison noisier; there a window closes (and the policy
+//! decides) only once every core has delivered a sample past it, so the
+//! slowest core sets the pace of the decisions.
 //!
 //! Environment knobs:
 //!

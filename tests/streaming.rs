@@ -17,7 +17,7 @@ use nmo_repro::nmo::{
     AddressSample, AnalysisReport, AnalysisSink, BackpressurePolicy, BandwidthSink, BatchPayload,
     BatchPool, CapacitySink, CoreObserver, LatencySink, NmoConfig, NmoError, Profile,
     ProfileSession, RegionSink, SampleBackend, SampleBatch, SampleLogSink, ShardDrainer,
-    StreamOptions, StreamSnapshot, TraceReader, WindowClock, Workload,
+    StreamOptions, StreamSnapshot, TraceReader, Window, WindowClock, Workload,
 };
 use nmo_repro::workloads::StreamBench;
 
@@ -742,8 +742,102 @@ fn eight_live_cores_get_no_late_batch_at_one_and_four_shards() {
     }
 }
 
+/// The window indices a legacy sink was handed, in delivery order: every
+/// batch's window and every close.
+#[derive(Debug, Default)]
+struct WindowLog {
+    batches: Vec<u64>,
+    closes: Vec<u64>,
+}
+
+/// Fills a shared [`WindowLog`].
+struct WindowLogSink(Arc<parking_lot::Mutex<WindowLog>>);
+
+impl WindowLogSink {
+    fn new() -> (Self, Arc<parking_lot::Mutex<WindowLog>>) {
+        let log = Arc::new(parking_lot::Mutex::new(WindowLog::default()));
+        (WindowLogSink(log.clone()), log)
+    }
+}
+
+impl AnalysisSink for WindowLogSink {
+    fn name(&self) -> &'static str {
+        "window-log"
+    }
+
+    fn analyze(&mut self, _m: &Machine, _p: &Profile) -> Result<AnalysisReport, NmoError> {
+        Ok(AnalysisReport::Text(String::new()))
+    }
+
+    fn on_batch(&mut self, batch: &SampleBatch) {
+        self.0.lock().batches.push(batch.window.index);
+    }
+
+    fn on_window_close(&mut self, window: Window) {
+        self.0.lock().closes.push(window.index);
+    }
+}
+
+/// `body` under one of the two in-process drivers: the pipeline
+/// (`streaming`, at the session's shard count) or the thread-less step,
+/// which delivers at `finish`.
+fn run_driven<F>(session: ProfileSession, streaming: bool, body: F) -> Profile
+where
+    F: FnOnce(&Machine, &nmo_repro::nmo::Annotations, &[usize]) -> Result<(), NmoError>,
+{
+    let profile = if streaming { session.run_streaming_with(body) } else { session.run_with(body) };
+    profile.unwrap_or_else(|e| panic!("streaming: {streaming}: {e}"))
+}
+
+/// Every driver closes only windows some batch named, each once, in
+/// ascending order — here at 100 ns windows, where STREAM's samples leave
+/// most windows empty. (Which windows named only by the end-of-run
+/// bandwidth series get a close in the pipeline depends on host
+/// scheduling, so the close sets are not compared across drivers.)
+#[test]
+fn every_driver_closes_only_named_windows_each_once_ascending() {
+    for streaming in [false, true] {
+        let (sink, log) = WindowLogSink::new();
+        let session = ProfileSession::builder()
+            .machine_config(MachineConfig::small_test())
+            .config(NmoConfig::paper_default(64))
+            .cores([0])
+            .sink(sink)
+            .stream_options(StreamOptions {
+                window_ns: 100,
+                shards: 1,
+                // Every published batch reaches the sink.
+                backpressure: BackpressurePolicy::Block,
+                ..StreamOptions::default()
+            })
+            .build()
+            .expect("session builds");
+        let profile = run_driven(session, streaming, |machine, annotations, cores| {
+            let mut stream = StreamBench::new(20_000, 1);
+            stream.setup(machine, annotations)?;
+            stream.run(machine, annotations, cores).map(drop)
+        });
+        let log = std::mem::take(&mut *log.lock());
+        let named: HashSet<u64> = log.batches.iter().copied().collect();
+        let closes = log.closes.len();
+        assert!(closes > 1, "streaming: {streaming}: {closes} closes");
+        assert!(log.closes.windows(2).all(|w| w[0] < w[1]), "streaming: {streaming}");
+        let unnamed = log.closes.iter().filter(|w| !named.contains(w)).count();
+        assert_eq!(
+            unnamed,
+            0,
+            "streaming: {streaming}: {unnamed} of {closes} closes for {} named windows",
+            named.len()
+        );
+        if let Some(stats) = profile.stream {
+            assert_eq!(stats.windows_closed, closes as u64);
+        }
+    }
+}
+
 /// One sample in the last window of time: a one-nanosecond window at
-/// `u64::MAX` closes like any other, and the pump that closes it returns.
+/// `u64::MAX` closes like any other, under every driver, and the pump that
+/// closes it returns.
 #[test]
 fn a_sample_at_the_end_of_time_closes_its_window() {
     struct OneSample {
@@ -786,21 +880,27 @@ fn a_sample_at_the_end_of_time_closes_its_window() {
         }
     }
 
-    let profile = ProfileSession::builder()
-        .machine_config(MachineConfig::small_test())
-        .threads(1)
-        .no_default_backends()
-        .backend(OneSample { sent: false })
-        .sink(SampleLogSink::new())
-        .stream_options(StreamOptions { window_ns: 1, ..StreamOptions::default() })
-        .build()
-        .expect("session builds")
-        .run_streaming_with(|_, _, _| Ok(()))
-        .expect("the pump closes the last window of time");
-    let samples = profile.samples().expect("sample log");
-    assert_eq!(samples.iter().map(|s| s.time_ns).collect::<Vec<_>>(), [u64::MAX]);
-    let stats = profile.stream.expect("stream stats");
-    assert_eq!((stats.windows_closed, stats.late_batches), (1, 0), "{stats:?}");
+    for streaming in [false, true] {
+        let (window_log, log) = WindowLogSink::new();
+        let session = ProfileSession::builder()
+            .machine_config(MachineConfig::small_test())
+            .threads(1)
+            .no_default_backends()
+            .backend(OneSample { sent: false })
+            .sink(SampleLogSink::new())
+            .sink(window_log)
+            .stream_options(StreamOptions { window_ns: 1, ..StreamOptions::default() })
+            .build()
+            .expect("session builds");
+        let profile = run_driven(session, streaming, |_, _, _| Ok(()));
+        let samples = profile.samples().expect("sample log");
+        let times: Vec<u64> = samples.iter().map(|s| s.time_ns).collect();
+        assert_eq!(times, [u64::MAX], "streaming: {streaming}");
+        assert_eq!(log.lock().closes, [u64::MAX], "streaming: {streaming}: the last window closes");
+        if let Some(stats) = profile.stream {
+            assert_eq!((stats.windows_closed, stats.late_batches), (1, 0), "{stats:?}");
+        }
+    }
 }
 
 /// What [`SpeBatchProbe`] saw of one delivered SPE batch.

@@ -3,11 +3,14 @@
 //! samples, histograms, and migration decisions), the streaming
 //! auto-actuation path (the `HotPageTracker` sink migrates mid-run), and
 //! the streaming==post-hoc sink equivalence with migrations active.
-use nmo_repro::arch_sim::{MachineConfig, PlacementPolicy};
+use std::sync::Arc;
+
+use nmo_repro::arch_sim::{Machine, MachineConfig, PlacementPolicy};
 use nmo_repro::nmo::tiering::{AppliedMigration, HotPageTracker, NoMigration, TopKHot};
 use nmo_repro::nmo::{
-    BackpressurePolicy, LatencyProfile, LatencySink, NmoConfig, NmoError, Profile, ProfileSession,
-    SampleLogSink, StreamOptions,
+    AnalysisReport, AnalysisSink, BackpressurePolicy, BatchPayload, LatencyProfile, LatencySink,
+    NmoConfig, NmoError, Profile, ProfileSession, SampleBatch, SampleLogSink, StreamOptions,
+    Window,
 };
 
 fn tiered_session(local_fraction: f64, threads: usize, window_ns: u64) -> ProfileSession {
@@ -122,6 +125,71 @@ fn tiering_step_is_rejected_on_streaming_sessions() {
         err
     };
     assert!(matches!(err, NmoError::Config(_)), "{err}");
+}
+
+/// Counts the SPE batches it is fed, and those among them that land in a
+/// window at or below the newest window closed before them.
+struct LateBatchCounter {
+    newest_close: Option<u64>,
+    /// `(late, all)` SPE batches.
+    counts: Arc<parking_lot::Mutex<(u64, u64)>>,
+}
+
+impl AnalysisSink for LateBatchCounter {
+    fn name(&self) -> &'static str {
+        "late-batch-counter"
+    }
+
+    fn analyze(&mut self, _m: &Machine, _p: &Profile) -> Result<AnalysisReport, NmoError> {
+        Ok(AnalysisReport::Text(String::new()))
+    }
+
+    fn on_batch(&mut self, batch: &SampleBatch) {
+        if let BatchPayload::SpeSamples { .. } = batch.payload() {
+            let mut counts = self.counts.lock();
+            counts.0 += u64::from(self.newest_close.is_some_and(|c| batch.window.index <= c));
+            counts.1 += 1;
+        }
+    }
+
+    fn on_window_close(&mut self, window: Window) {
+        self.newest_close = self.newest_close.max(Some(window.index));
+    }
+}
+
+/// A thread-less session closes a window only once every core has passed
+/// it. Two cores attached one after the other on the caller's thread drift
+/// apart in simulated time — core 0 runs a fixed chunk, core 1 a growing
+/// one — and `tiering_step` still delivers no SPE batch into a window it
+/// has already closed.
+#[test]
+fn a_two_core_tiering_step_delivers_no_batch_into_a_closed_window() {
+    let counts = Arc::new(parking_lot::Mutex::new((0, 0)));
+    let session = ProfileSession::builder()
+        .machine_config(MachineConfig::small_test())
+        .config(NmoConfig { aux_watermark_bytes: Some(4096), ..NmoConfig::paper_default(64) })
+        .threads(2)
+        .sink(LateBatchCounter { newest_close: None, counts: counts.clone() })
+        .stream_options(StreamOptions { window_ns: 20_000, ..StreamOptions::default() })
+        .build()
+        .expect("session builds");
+    let mut active = session.start().expect("start");
+    let mut tracker = HotPageTracker::new(NoMigration);
+    let page = active.machine().config().page_bytes;
+    let region = active.machine().alloc("data", 64 * page).expect("alloc");
+    for chunk in 0..4u64 {
+        for (core, loads) in [(0, 40_000), (1, 10_000 * (chunk + 1))] {
+            let mut e = active.machine().attach(core).expect("attach");
+            for i in 0..loads {
+                e.load(region.start + (i * 64) % (64 * page), 8);
+            }
+        }
+        active.tiering_step(&mut tracker).expect("tiering step");
+    }
+    active.finish().expect("finish");
+    let (late, batches) = *counts.lock();
+    assert!(batches > 0, "SPE batches were delivered");
+    assert_eq!(late, 0, "{late} of {batches} SPE batches landed in a closed window");
 }
 
 /// The streaming path: a `HotPageTracker` registered as a sink applies
