@@ -228,7 +228,8 @@ pub(crate) fn warn_on_loss(profile: &Profile) {
             eprintln!(
                 "[nmo] warning: profile '{}' dropped {:.1}% of streamed batches \
                  (threshold {:.1}%): {} of {} batches ({} items) lost to bus backpressure — \
-                 consider a larger bus_capacity, more shards, or Block backpressure",
+                 consider a larger bus_capacity (samples per lane), more shards, or Block \
+                 backpressure",
                 profile.name,
                 dropped * 100.0,
                 LOSS_WARN_THRESHOLD * 100.0,

@@ -55,7 +55,8 @@
 //! coordinator in one more (`publish_batches`), and a consumer works off a
 //! local backlog of up to one [`crate::stream::EventBus::recv_chunk`],
 //! taking the snapshot state and the buffer pool once per chunk — so per
-//! lane, at most its capacity plus one chunk of events is in flight.
+//! lane, at most its bound plus one chunk of samples is in flight (a chunk
+//! holds no more than the lane did; see [`crate::stream::EventBus`]).
 //! [`ActiveSession::poll_snapshot`] exposes a live readout
 //! ([`StreamSnapshot`]) while collection is active — the mode a
 //! long-running service is profiled in, where waiting for the workload to
@@ -408,7 +409,7 @@ impl ProfileSession {
         };
 
         let bus = ShardedBus::new(shards, opts.bus_capacity, opts.backpressure);
-        let pool = BatchPool::new(opts.bus_capacity.saturating_mul(shards).clamp(64, 4096));
+        let pool = BatchPool::for_lanes(shards, opts.bus_capacity);
         let stop = Arc::new(AtomicBool::new(false));
         let snapshot = Arc::new(Mutex::named(SnapshotState::new(shards), "session.snapshot"));
         let ctx = active.session.stream_context(Some(active.session.machine.clone()));
@@ -2203,8 +2204,9 @@ mod tests {
         let sources = vec![("spe", Some(0)), ("spe", Some(1))];
         let coordinator =
             Arc::new(Mutex::named(CloseCoordinator::new(clock, sources), "session.coordinator"));
-        // One slot on a blocking lane: the publisher cannot get ahead of
-        // the receives below by more than one batch.
+        // A one-sample blocking lane takes a three-sample batch only when
+        // empty: the publisher cannot get ahead of the receives below by
+        // more than one batch.
         let bus = ShardedBus::new(1, 1, BackpressurePolicy::Block);
         let publisher = {
             let (bus, coordinator) = (bus.clone(), coordinator.clone());

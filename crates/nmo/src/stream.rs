@@ -35,13 +35,17 @@
 //!   ([`ShardedBus::publish_batches`] → [`EventBus::publish_all`]; each
 //!   batch still meets the backpressure policy on its own) and wakes the
 //!   consumer once; the consumer takes up to a fixed chunk of queued events
-//!   per hold ([`EventBus::recv_chunk`]), wakes a blocked producer only when
-//!   that took the lane from full to not full, and recycles the chunk's
+//!   per hold ([`EventBus::recv_chunk`]), wakes a blocked producer only once
+//!   that took the lane down to half its bound, and recycles the chunk's
 //!   buffers under one hold of the pool ([`BatchPool::recycle_batches`]).
-//!   A lane therefore bounds the data in flight at its capacity plus one
-//!   consumer chunk, and [`BusStats::high_watermark`] reads the occupancy
-//!   after whole drains landed — the consumer cannot pop between the
-//!   batches of one drain.
+//! * A lane's bound counts samples (or RSS/bandwidth points), not batches
+//!   ([`StreamOptions::bus_capacity`], 65 536 samples — 2 MiB — by
+//!   default), so the data in flight is bounded in bytes: at most a lane's
+//!   bound plus one consumer chunk (which holds no more than the lane did)
+//!   per lane, whatever the batch size. A batch larger than the bound
+//!   enters only an empty lane, so it stands in for the whole bound.
+//!   [`BusStats::high_watermark`] reads the occupancy after whole drains
+//!   landed — the consumer cannot pop between the batches of one drain.
 //! * [`Window`]s close monotonically, on sample time alone: a window closes
 //!   once every declared source (each SPE core) has delivered a sample past
 //!   it. A core's samples reach the pump in time order, so nothing it
@@ -301,7 +305,8 @@ pub enum BackpressurePolicy {
     Block,
 }
 
-/// Point-in-time bus accounting.
+/// Point-in-time bus accounting. Occupancy is counted in items, as the
+/// bound is (see [`EventBus`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BusStats {
     /// Events accepted onto the bus.
@@ -310,15 +315,14 @@ pub struct BusStats {
     pub dropped_batches: u64,
     /// Items (samples/points) inside dropped batches.
     pub dropped_items: u64,
-    /// Highest queue occupancy observed (sampled at every enqueue; a drain
-    /// is enqueued under one hold, so its last batch sees all of it queued).
-    /// Counts every queued event, and window-close signals bypass the
-    /// capacity check: it can exceed `capacity` by the close signals queued
-    /// at the time (1 031 of 1 024 on the benchmark's `pipe_128c_serial`).
+    /// Most items queued at once (sampled at every enqueue; a drain is
+    /// enqueued under one hold, so its last batch sees all of it queued).
+    /// At most `capacity`, unless one batch larger than it entered an empty
+    /// lane: then that batch's size.
     pub high_watermark: u64,
-    /// Configured capacity.
+    /// Configured bound, in items.
     pub capacity: u64,
-    /// Events currently queued.
+    /// Items currently queued.
     pub queued: u64,
 }
 
@@ -353,20 +357,46 @@ pub enum BusIdle {
 }
 
 /// Most events one [`EventBus::recv_chunk`] takes off a lane: what a
-/// consumer holds outside the lane's capacity bound while it works.
+/// consumer holds outside the lane's bound while it works (never more items
+/// than the lane held).
 const RECV_CHUNK: usize = 64;
+
+/// What a queued event counts against its lane's bound: a batch its items,
+/// an empty batch 1 (so a stream of empties stays bounded), a window-close
+/// signal nothing.
+fn weight(event: &BusEvent) -> usize {
+    match event {
+        BusEvent::Batch(batch) => batch.len().max(1),
+        BusEvent::CloseWindow(_) => 0,
+    }
+}
 
 struct BusQueue {
     queue: VecDeque<BusEvent>,
-    high_watermark: u64,
+    /// The queued events' summed [`weight`]: what the bound counts.
+    items: usize,
+    high_watermark: usize,
+    /// A parked `Block` producer is woken once `items` is at most this (the
+    /// most lenient level any parked producer asked for); `None` while no
+    /// producer is parked.
+    wake_at: Option<usize>,
 }
 
 /// Bounded multi-producer/single-consumer queue with drop accounting
 /// (see the module docs).
 ///
-/// Window-close signals bypass the capacity check: they are tiny, bounded
-/// in number by the run's window count, and dropping one would wedge the
-/// consumer's window tracking.
+/// The bound counts items — samples, or RSS/bandwidth points — not events,
+/// so what a lane holds is a function of its configuration, whatever the
+/// batch size. A batch is admitted when it fits, or when the lane holds no
+/// batch at all: one larger than the bound enters an empty lane instead of
+/// waiting forever. A `Block` producer that finds its batch does not fit
+/// parks until the consumer has drained the lane to half its bound (and to
+/// where the batch fits), so it refills the lane in one run instead of
+/// being woken for every consumer chunk.
+///
+/// Window-close signals bypass the bound: they are tiny, bounded in number
+/// by the run's window count, and dropping one would wedge the consumer's
+/// window tracking.
 pub struct EventBus {
     inner: Mutex<BusQueue>,
     readable: Condvar,
@@ -390,11 +420,13 @@ impl std::fmt::Debug for EventBus {
 }
 
 impl EventBus {
-    /// Create a bus holding at most `capacity` events (minimum 1).
+    /// Create a bus holding at most `capacity` items (minimum 1; see
+    /// [`EventBus`] for what counts and for the one batch that may exceed
+    /// it).
     pub fn bounded(capacity: usize, policy: BackpressurePolicy) -> Arc<EventBus> {
         Arc::new(EventBus {
             inner: Mutex::named(
-                BusQueue { queue: VecDeque::new(), high_watermark: 0 },
+                BusQueue { queue: VecDeque::new(), items: 0, high_watermark: 0, wake_at: None },
                 "bus.inner",
             ),
             readable: Condvar::new(),
@@ -417,8 +449,8 @@ impl EventBus {
 
     /// Producer side: enqueue a run of events — a whole drain — under one
     /// hold of the queue, and return how many were accepted. Each event
-    /// meets the same rules as if published alone: a batch that finds the
-    /// bus full is dropped and counted under
+    /// meets the same rules as if published alone: a batch that does not
+    /// fit (see [`EventBus`]) is dropped and counted under
     /// [`BackpressurePolicy::DropNewest`] or waits for room under
     /// [`BackpressurePolicy::Block`]; a closed bus rejects (and counts)
     /// every remaining batch. The consumer is woken once per run (and
@@ -435,26 +467,33 @@ impl EventBus {
         let mut unannounced = false;
         let mut inner = self.inner.lock();
         for event in events {
+            let weight = weight(&event);
             let batch_items = match &event {
                 BusEvent::Batch(b) => Some(b.len() as u64),
                 BusEvent::CloseWindow(_) => None,
             };
+            let fits = inner.items == 0 || inner.items + weight <= self.capacity;
             let mut full = false;
-            if batch_items.is_some() {
-                while inner.queue.len() >= self.capacity && !self.is_closed() {
-                    if matches!(self.policy, BackpressurePolicy::DropNewest) {
-                        full = true;
-                        break;
+            if batch_items.is_some() && !fits {
+                match self.policy {
+                    BackpressurePolicy::DropNewest => full = true,
+                    BackpressurePolicy::Block => {
+                        // Park until the lane is down to half its bound and
+                        // the batch fits there (an oversized one: empty).
+                        let level = (self.capacity / 2).min(self.capacity.saturating_sub(weight));
+                        while inner.items > level && !self.is_closed() {
+                            if std::mem::take(&mut unannounced) {
+                                self.readable.notify_one();
+                            }
+                            inner.wake_at = Some(inner.wake_at.map_or(level, |at| at.max(level)));
+                            // The consumer notifies once it reaches
+                            // `wake_at`; re-check the closed flag at least
+                            // every 10 ms all the same, so a blocked
+                            // producer cannot outlive a closed bus.
+                            let deadline = std::time::Instant::now() + Duration::from_millis(10);
+                            let _ = self.writable.wait_until(&mut inner, deadline);
+                        }
                     }
-                    if std::mem::take(&mut unannounced) {
-                        self.readable.notify_one();
-                    }
-                    // Block: the consumer notifies when it takes the queue
-                    // from full to not full; re-check the closed flag at
-                    // least every 10 ms all the same, so a blocked producer
-                    // cannot outlive a closed bus.
-                    let deadline = std::time::Instant::now() + Duration::from_millis(10);
-                    let _ = self.writable.wait_until(&mut inner, deadline);
                 }
             }
             if full || self.is_closed() {
@@ -467,8 +506,8 @@ impl EventBus {
                 continue;
             }
             inner.queue.push_back(event);
-            let occupancy = inner.queue.len() as u64;
-            inner.high_watermark = inner.high_watermark.max(occupancy);
+            inner.items += weight;
+            inner.high_watermark = inner.high_watermark.max(inner.items);
             // relaxed-ok: publish counter for `stats()`; the event itself is
             // handed over under `inner`'s mutex, which carries the ordering.
             self.published.fetch_add(1, Ordering::Relaxed);
@@ -514,15 +553,21 @@ impl EventBus {
         let mut inner = self.inner.lock();
         loop {
             if !inner.queue.is_empty() {
-                let was_full = inner.queue.len() >= self.capacity;
                 let taken = inner.queue.len().min(max);
-                inner.queue.drain(..taken).for_each(&mut take);
-                let made_room = was_full && inner.queue.len() < self.capacity;
+                let mut removed = 0;
+                for event in inner.queue.drain(..taken) {
+                    removed += weight(&event);
+                    take(event);
+                }
+                inner.items -= removed;
+                // Wake the parked producers (every one: a chunk can make room
+                // for several) only once the lane is down to their level.
+                let wake = inner.wake_at.is_some_and(|at| inner.items <= at);
+                if wake {
+                    inner.wake_at = None;
+                }
                 drop(inner);
-                // A producer can only be waiting for room while the queue is
-                // full, so only the full -> not-full step needs a wake-up
-                // (every waiter: a chunk can make room for several).
-                if made_room {
+                if wake {
                     self.writable.notify_all();
                 }
                 return Ok(taken);
@@ -569,9 +614,9 @@ impl EventBus {
             published: self.published.load(Ordering::Relaxed),
             dropped_batches: self.dropped_batches.load(Ordering::Relaxed), // relaxed-ok: as above
             dropped_items: self.dropped_items.load(Ordering::Relaxed),     // relaxed-ok: as above
-            high_watermark: inner.high_watermark,
+            high_watermark: inner.high_watermark as u64,
             capacity: self.capacity as u64,
-            queued: inner.queue.len() as u64,
+            queued: inner.items as u64,
         }
     }
 }
@@ -605,6 +650,15 @@ pub struct PoolStats {
 }
 
 impl BatchPool {
+    /// The pool of a pipeline `shards` lanes wide whose lanes hold `bound`
+    /// items each: one retained buffer per [`RECV_CHUNK`] items the lanes
+    /// can hold, enough to refill them with batches of that size (1 024 a
+    /// lane at the default bound), clamped to 64..4096 so a hostile bound
+    /// neither starves the pool nor lets it pin a burst.
+    pub(crate) fn for_lanes(shards: usize, bound: usize) -> Arc<BatchPool> {
+        BatchPool::new((bound / RECV_CHUNK).saturating_mul(shards).clamp(64, 4096))
+    }
+
     /// A pool retaining at most `max_pooled` buffers.
     pub fn new(max_pooled: usize) -> Arc<BatchPool> {
         Arc::new(BatchPool {
@@ -694,8 +748,8 @@ impl std::fmt::Debug for ShardedBus {
 }
 
 impl ShardedBus {
-    /// A bus with `shards` lanes of `capacity_per_lane` events each
-    /// (both clamped to at least 1).
+    /// A bus with `shards` lanes bounded at `capacity_per_lane` items each
+    /// (both clamped to at least 1; see [`EventBus`]).
     pub fn new(
         shards: usize,
         capacity_per_lane: usize,
@@ -814,7 +868,10 @@ pub struct StreamOptions {
     /// Under every driver a window closes once every source has delivered
     /// a sample past it, and only if some batch named it.
     pub window_ns: u64,
-    /// Event-bus capacity in events *per lane* (default 1024).
+    /// Bound of each bus lane, in items: samples, or RSS/bandwidth points,
+    /// an empty batch counting 1 (default 65 536 samples, 2 MiB of
+    /// [`AddressSample`]s). A batch larger than the bound still enters an
+    /// empty lane; see [`EventBus`].
     pub bus_capacity: usize,
     /// What producers do when the bus is full.
     pub backpressure: BackpressurePolicy,
@@ -832,7 +889,7 @@ impl Default for StreamOptions {
     fn default() -> Self {
         StreamOptions {
             window_ns: 1_000_000,
-            bus_capacity: 1024,
+            bus_capacity: 1 << 16,
             backpressure: BackpressurePolicy::default(),
             shards: 0,
         }
@@ -855,8 +912,9 @@ pub struct StreamStats {
     /// window the lane had closed. Under [`BackpressurePolicy::Block`], with
     /// every source declared, none.
     pub late_batches: u64,
-    /// Highest bus occupancy observed (the worst single lane, after a
-    /// whole drain landed on it — see [`BusStats::high_watermark`]).
+    /// Most items (samples, or RSS/bandwidth points) one lane held at once
+    /// (the worst single lane, after a whole drain landed on it — see
+    /// [`BusStats::high_watermark`]).
     pub bus_high_watermark: u64,
     /// Number of pipeline shards the run allocated (its width; 1 = one
     /// pump worker, one lane, one consumer), after clamping to the profiled
@@ -1115,17 +1173,127 @@ mod tests {
 
     #[test]
     fn full_bus_drops_newest_and_accounts_items() {
-        let bus = EventBus::bounded(2, BackpressurePolicy::DropNewest);
+        let bus = EventBus::bounded(10, BackpressurePolicy::DropNewest);
         let clock = WindowClock::new(1000);
         assert!(bus.publish(BusEvent::Batch(batch(clock.window(0), 5))));
         assert!(bus.publish(BusEvent::Batch(batch(clock.window(1), 5))));
         assert!(!bus.publish(BusEvent::Batch(batch(clock.window(2), 7))));
-        // Close signals bypass the capacity limit.
+        // Close signals bypass the bound.
         assert!(bus.publish(BusEvent::CloseWindow(clock.window(0))));
         let stats = bus.stats();
         assert_eq!(stats.dropped_batches, 1);
         assert_eq!(stats.dropped_items, 7);
         assert_eq!(stats.published, 3);
+    }
+
+    /// `DropNewest` drops exactly the batches that do not fit in what is
+    /// left of the bound, wherever they sit in a run; an empty batch
+    /// counts 1.
+    #[test]
+    fn dropnewest_drops_exactly_the_batches_that_do_not_fit() {
+        let bus = EventBus::bounded(10, BackpressurePolicy::DropNewest);
+        let clock = WindowClock::new(1000);
+        let run = [4, 4, 3, 2, 0, 5].into_iter().enumerate();
+        let accepted =
+            bus.publish_all(run.map(|(i, n)| BusEvent::Batch(batch(clock.window(i as u64), n))));
+        // 4 + 4 fit, 3 does not (11), 2 does (10), then the lane is full:
+        // the empty batch (1) and the 5 are dropped.
+        assert_eq!(accepted, 3);
+        let stats = bus.stats();
+        assert_eq!((stats.published, stats.queued, stats.high_watermark), (3, 10, 10));
+        assert_eq!((stats.dropped_batches, stats.dropped_items), (3, 8));
+        let mut chunk = Vec::new();
+        assert_eq!(bus.recv_chunk(&mut chunk, Duration::ZERO), Ok(3));
+        let sizes: Vec<usize> = chunk
+            .iter()
+            .map(|e| match e {
+                BusEvent::Batch(b) => b.len(),
+                BusEvent::CloseWindow(_) => panic!("no close was published"),
+            })
+            .collect();
+        assert_eq!(sizes, [4, 4, 2]);
+        // A stream of empty batches is bounded too: one item each.
+        let empties = (0..12).map(|i| BusEvent::Batch(batch(clock.window(i), 0)));
+        assert_eq!(bus.publish_all(empties), 10);
+        assert_eq!((bus.stats().queued, bus.stats().dropped_batches), (10, 5));
+    }
+
+    /// A batch larger than the whole bound enters an empty lane under
+    /// either policy (it would otherwise wait, or be dropped, forever), and
+    /// only an empty one.
+    #[test]
+    fn an_oversized_batch_enters_an_empty_lane_under_both_policies() {
+        let clock = WindowClock::new(1000);
+        for policy in [BackpressurePolicy::DropNewest, BackpressurePolicy::Block] {
+            let bus = EventBus::bounded(4, policy);
+            assert!(bus.publish(BusEvent::Batch(batch(clock.window(0), 10))), "{policy:?}");
+            let stats = bus.stats();
+            assert_eq!((stats.queued, stats.high_watermark, stats.capacity), (10, 10, 4));
+            if policy == BackpressurePolicy::DropNewest {
+                assert!(!bus.publish(BusEvent::Batch(batch(clock.window(1), 10))));
+                assert!(!bus.publish(BusEvent::Batch(batch(clock.window(1), 1))));
+                assert_eq!((bus.stats().dropped_batches, bus.stats().dropped_items), (2, 11));
+            }
+            let mut chunk = Vec::new();
+            assert_eq!(bus.recv_chunk(&mut chunk, Duration::ZERO), Ok(1));
+            assert!(bus.publish(BusEvent::Batch(batch(clock.window(1), 9))), "{policy:?}");
+            assert_eq!(bus.stats().queued, 9);
+        }
+    }
+
+    /// Window closes bypass the bound: they are accepted on a full lane,
+    /// never block a `Block` producer, and count nothing against it.
+    #[test]
+    fn closes_bypass_the_bound() {
+        let clock = WindowClock::new(1000);
+        for policy in [BackpressurePolicy::DropNewest, BackpressurePolicy::Block] {
+            let bus = ShardedBus::new(2, 4, policy);
+            assert!(bus.publish(batch(clock.window(0), 4)), "lane 0 is now full");
+            for i in 0..8 {
+                bus.broadcast_close(clock.window(i));
+            }
+            let lanes = bus.lane_stats();
+            assert_eq!((lanes[0].published, lanes[0].queued), (9, 4), "{policy:?}");
+            assert_eq!((lanes[1].published, lanes[1].queued), (8, 0), "{policy:?}");
+            assert_eq!(lanes[0].high_watermark, 4);
+            assert_eq!(bus.stats().dropped_batches, 0);
+        }
+    }
+
+    /// A parked `Block` run is not woken while receives leave the lane
+    /// above half its bound, and resumes once they take it there.
+    #[test]
+    fn a_parked_block_run_resumes_once_the_lane_is_down_to_half() {
+        let clock = WindowClock::new(1000);
+        let bus = EventBus::bounded(8, BackpressurePolicy::Block);
+        let one = move |i: u64| BusEvent::Batch(batch(clock.window(i), 1));
+        assert_eq!(bus.publish_all((0..8).map(one)), 8, "the lane is now full");
+        let (done, finished) = std::sync::mpsc::sync_channel(1);
+        let producer = {
+            let bus = bus.clone();
+            std::thread::spawn(move || {
+                let accepted = bus.publish_all((8..10).map(one));
+                done.send(()).expect("the test waits");
+                accepted
+            })
+        };
+        let recv = || match bus.recv_timeout(Duration::from_secs(10)) {
+            BusRecv::Event(BusEvent::Batch(b)) => b.window.index,
+            other => panic!("expected a batch, got {other:?}"),
+        };
+        // 8 -> 5 items: room for the run since the first receive, yet the
+        // producer stays parked until the lane is at 4.
+        for expected in 0..3 {
+            assert_eq!(recv(), expected);
+            assert_eq!(bus.stats().published, 8, "woken above half the bound");
+        }
+        assert_eq!(recv(), 3);
+        finished.recv_timeout(Duration::from_secs(10)).expect("the run resumes at half the bound");
+        assert_eq!(producer.join().unwrap(), 2);
+        assert_eq!((bus.stats().published, bus.stats().queued), (10, 6));
+        let rest: Vec<u64> = (0..6).map(|_| recv()).collect();
+        assert_eq!(rest, [4, 5, 6, 7, 8, 9]);
+        assert_eq!(bus.stats().high_watermark, 8);
     }
 
     #[test]
@@ -1148,13 +1316,14 @@ mod tests {
         assert_eq!(bus.stats().dropped_batches, 0);
     }
 
-    /// The consumer only wakes producers when a receive takes the lane
-    /// from full to not full; that wake-up (not just the 10 ms re-check)
-    /// and `close()` must reach a producer parked mid-run.
+    /// The consumer only wakes producers once a receive takes the lane
+    /// down to half its bound; that wake-up (not just the 10 ms re-check)
+    /// and `close()` must reach a producer parked mid-run. Two-sample
+    /// batches on a four-sample lane: two batches fill it.
     #[test]
     fn parked_block_producer_is_released_by_the_next_receive_and_by_close() {
         let clock = WindowClock::new(1000);
-        let bus = EventBus::bounded(2, BackpressurePolicy::Block);
+        let bus = EventBus::bounded(4, BackpressurePolicy::Block);
         let run = move |from: u64| {
             (from..from + 3).map(move |i| BusEvent::Batch(batch(clock.window(i), 2)))
         };
@@ -1188,9 +1357,9 @@ mod tests {
         bus.close();
         assert_eq!(producer.join().unwrap(), 0, "a closed bus accepts nothing");
         let stats = bus.stats();
-        assert_eq!((stats.published, stats.queued), (7, 2));
+        assert_eq!((stats.published, stats.queued), (7, 4), "two batches queued");
         assert_eq!((stats.dropped_batches, stats.dropped_items), (3, 6));
-        assert!(stats.high_watermark <= 2, "a Block lane never exceeds its capacity");
+        assert!(stats.high_watermark <= 4, "a Block lane never exceeds its bound");
     }
 
     #[test]

@@ -51,11 +51,12 @@ fn altra_stress_session(
 
 /// 128 simulated cores at period 1 through 8 shards with lanes too small to
 /// keep up: the run must complete (no deadlock) and count every drop: what
-/// the sinks did not see, the bus reports as dropped. The lanes are 1 deep, so the
-/// overflow does not hang on host timing: a core's samples span several
-/// 100 µs windows, its drain is one batch per window, and a drain goes onto
-/// its lane under one hold — every batch after the first is dropped however
-/// fast the consumer is.
+/// the sinks did not see, the bus reports as dropped. The lanes hold 1
+/// sample, so the overflow does not hang on host timing: a core's samples
+/// span several 100 µs windows, its drain is one batch per window, and a
+/// drain goes onto its lane under one hold — its first batch enters the
+/// empty lane (a batch larger than the bound enters only an empty one) and
+/// every later one is dropped however fast the consumer is.
 #[test]
 fn stress_128_cores_dropnewest_counts_drops_exactly() {
     let profile = altra_stress_session(8, 1, BackpressurePolicy::DropNewest)
@@ -68,7 +69,7 @@ fn stress_128_cores_dropnewest_counts_drops_exactly() {
     assert!(stats.windows_closed > 0, "{stats:?}");
     assert!(
         stats.batches_dropped > 0 && stats.items_dropped > 0,
-        "1-deep lanes at period 1 must overflow: {stats:?}"
+        "1-sample lanes at period 1 must overflow: {stats:?}"
     );
     assert!(profile.processed_samples > 10_000, "{}", profile.processed_samples);
     // The loss is surfaced, not silent.
@@ -90,7 +91,7 @@ fn stress_128_cores_dropnewest_counts_drops_exactly() {
 /// The lossless arm: `Block` backpressure on the same overloaded
 /// configuration stalls the pump workers instead of dropping, so every
 /// decoded sample reaches every sink exactly once — and nothing deadlocks
-/// even with 8 pump workers blocking on 2-deep lanes.
+/// even with 8 pump workers blocking on 2-sample lanes.
 #[test]
 fn stress_128_cores_block_is_lossless_and_deadlock_free() {
     let profile = altra_stress_session(8, 2, BackpressurePolicy::Block)
