@@ -10,8 +10,8 @@ use std::path::Path;
 use arch_sim::MachineConfig;
 use nmo::report::{format_table, write_csv};
 use nmo::{
-    measure, BandwidthSink, CapacitySink, Mode, NmoConfig, NmoError, Profile, RegionSink,
-    RunMeasurement,
+    measure, phase_of, tag_of, AddressSample, BandwidthSink, CapacitySink, Mode, NmoConfig,
+    NmoError, Profile, RegionSink, RunMeasurement, SampleLogSink,
 };
 
 use crate::harness::{profiled_session, Scale, WorkloadKind};
@@ -206,8 +206,9 @@ pub fn fig2_fig3_cloud(scale: &Scale, threads: usize) -> Result<Vec<ExperimentRe
     Ok(results)
 }
 
-/// A profiled run that also attributes its samples to tags and phases: the
-/// sinks a session gets by default, plus the region sink.
+/// A profiled run that also attributes its samples to tags and phases and
+/// logs them: the sinks a session gets by default, plus the region sink and
+/// the sample log the scatter points come from.
 fn region_run(
     kind: WorkloadKind,
     scale: &Scale,
@@ -218,30 +219,46 @@ fn region_run(
         .sink(CapacitySink::default())
         .sink(BandwidthSink::default())
         .sink(RegionSink::new())
+        .sink(SampleLogSink::new())
         .build()?
         .run()
 }
 
+/// A region run's logged samples in the sample log's `(time_ns, core)`
+/// order, each with its time in seconds and the names of the tag and the
+/// phase the region sink attributes it to (`-` for none).
+fn scatter(profile: &Profile) -> impl Iterator<Item = (&AddressSample, f64, &str, &str)> {
+    let samples = profile.samples().expect("region_run registers a SampleLogSink");
+    let (tags, phases) = (&profile.tags, &profile.phases);
+    samples.iter().map(move |s| {
+        let tag = tag_of(tags, s.vaddr).map_or("-", |t| tags[t].name.as_str());
+        let phase = phase_of(phases, s.time_ns).map_or("-", |p| phases[p].name.as_str());
+        (s, s.time_ns as f64 * 1e-9, tag, phase)
+    })
+}
+
 /// Figure 4 — STREAM sampled-address scatter with tagged arrays and the
-/// `triad` phase (8 OpenMP threads, 5 iterations in the paper).
+/// `triad` phase (8 OpenMP threads, 5 iterations in the paper). Rows are in
+/// `(time_ns, core)` order.
 pub fn fig4_stream_scatter(scale: &Scale, period: u64) -> Result<ExperimentResult, NmoError> {
     let config = NmoConfig { name: "stream".into(), ..NmoConfig::paper_default(period) };
-    let profile = region_run(WorkloadKind::Stream, scale, 8, config)?;
+    Ok(fig4_rows(&region_run(WorkloadKind::Stream, scale, 8, config)?))
+}
+
+fn fig4_rows(profile: &Profile) -> ExperimentResult {
     let regions = profile.regions().expect("region_run registers a RegionSink");
-    let rows: Vec<Vec<String>> = regions
-        .scatter
-        .iter()
-        .map(|s| {
+    let rows: Vec<Vec<String>> = scatter(profile)
+        .map(|(s, time_s, tag, phase)| {
             vec![
-                format!("{:.6}", s.time_s),
+                format!("{time_s:.6}"),
                 format!("{:#x}", s.vaddr),
-                s.tag.clone().unwrap_or_else(|| "-".into()),
-                s.phase.clone().unwrap_or_else(|| "-".into()),
+                tag.to_string(),
+                phase.to_string(),
                 (s.is_store as u8).to_string(),
             ]
         })
         .collect();
-    Ok(ExperimentResult {
+    ExperimentResult {
         id: "fig4_stream_scatter".into(),
         title: format!(
             "STREAM tagged memory-access samples (8 threads, {} samples, hottest tag: {})",
@@ -256,11 +273,12 @@ pub fn fig4_stream_scatter(scale: &Scale, period: u64) -> Result<ExperimentResul
             "is_store".into(),
         ],
         rows,
-    })
+    }
 }
 
 /// Figures 5 and 6 — CFD sampled-address scatter at 1 thread and at
 /// `many_threads` threads, plus the high-resolution window of Figure 6.
+/// Rows are in `(time_ns, core)` order.
 pub fn fig5_fig6_cfd_scatter(
     scale: &Scale,
     period: u64,
@@ -270,16 +288,9 @@ pub fn fig5_fig6_cfd_scatter(
     for (id, threads) in [("fig5_cfd_1thread", 1usize), ("fig6_cfd_multithread", many_threads)] {
         let config = NmoConfig { name: "cfd".into(), ..NmoConfig::paper_default(period) };
         let profile = region_run(WorkloadKind::Cfd, scale, threads, config)?;
-        let regions = profile.regions().expect("region_run registers a RegionSink");
-        let rows: Vec<Vec<String>> = regions
-            .scatter
-            .iter()
-            .map(|s| {
-                vec![
-                    format!("{:.6}", s.time_s),
-                    format!("{:#x}", s.vaddr),
-                    s.tag.clone().unwrap_or_else(|| "-".into()),
-                ]
+        let rows: Vec<Vec<String>> = scatter(&profile)
+            .map(|(s, time_s, tag, _)| {
+                vec![format!("{time_s:.6}"), format!("{:#x}", s.vaddr), tag.to_string()]
             })
             .collect();
         out.push(ExperimentResult {
@@ -291,15 +302,10 @@ pub fn fig5_fig6_cfd_scatter(
         if threads > 1 {
             // High-resolution zoom: the middle 10% of the computation loop.
             let t_end = profile.elapsed_ns as f64 * 1e-9;
-            let window = regions.window(t_end * 0.45, t_end * 0.55, None);
-            let rows: Vec<Vec<String>> = window
-                .iter()
-                .map(|s| {
-                    vec![
-                        format!("{:.9}", s.time_s),
-                        format!("{:#x}", s.vaddr),
-                        s.tag.clone().unwrap_or_else(|| "-".into()),
-                    ]
+            let rows: Vec<Vec<String>> = scatter(&profile)
+                .filter(|&(_, time_s, ..)| time_s >= t_end * 0.45 && time_s < t_end * 0.55)
+                .map(|(s, time_s, tag, _)| {
+                    vec![format!("{time_s:.9}"), format!("{:#x}", s.vaddr), tag.to_string()]
                 })
                 .collect();
             out.push(ExperimentResult {
@@ -529,12 +535,21 @@ mod tests {
 
     #[test]
     fn fig4_scatter_has_tagged_samples_at_tiny_scale() {
-        let scale = Scale::tiny();
-        let r = fig4_stream_scatter(&scale, 200).unwrap();
+        let config = NmoConfig { name: "stream".into(), ..NmoConfig::paper_default(200) };
+        let profile = region_run(WorkloadKind::Stream, &Scale::tiny(), 8, config).unwrap();
+        let r = fig4_rows(&profile);
         assert!(!r.rows.is_empty());
         // Most STREAM samples land in a tagged array.
         let tagged = r.rows.iter().filter(|row| row[2] != "-").count();
         assert!(tagged * 10 >= r.rows.len() * 9, "tagged {tagged} of {}", r.rows.len());
+        // The rows are attributed as the region sink attributed the run.
+        let regions = profile.regions().unwrap();
+        let rows_of = |tag: &str| r.rows.iter().filter(|row| row[2] == tag).count() as u64;
+        for stats in &regions.per_tag {
+            assert_eq!(rows_of(&stats.name), stats.samples, "tag {}", stats.name);
+        }
+        assert_eq!(rows_of("-"), regions.untagged_samples);
+        assert_eq!(r.rows.len() as u64, regions.total_samples());
     }
 
     #[test]

@@ -128,7 +128,7 @@ pub use bandwidth::BandwidthSeries;
 pub use capacity::CapacitySeries;
 pub use config::{Mode, NmoConfig};
 pub use latency::{LatencyHistogram, LatencyProfile};
-pub use regions::{attribute, RegionAccumulator, RegionProfile, RegionStats};
+pub use regions::{attribute, phase_of, tag_of, RegionAccumulator, RegionProfile, RegionStats};
 pub use runtime::{AddressSample, Profile};
 pub use session::{ActiveSession, ProfileSession, ProfileSessionBuilder};
 pub use sink::{

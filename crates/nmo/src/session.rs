@@ -1561,9 +1561,12 @@ mod tests {
             .build()
             .unwrap();
         let profile = session.run_with(stream_like).unwrap();
+        let attributed =
+            |r: &crate::regions::RegionProfile| r.total_samples() == profile.processed_samples;
+        assert!(profile.processed_samples > 0);
         assert!(profile.analyses.iter().any(|a| a.sink == "regions"
-            && matches!(&a.report, AnalysisReport::Regions(r) if !r.scatter.is_empty())));
-        assert!(!profile.regions().expect("the same report").scatter.is_empty());
+            && matches!(&a.report, AnalysisReport::Regions(r) if attributed(r))));
+        assert!(attributed(profile.regions().expect("the same report")));
     }
 
     #[test]

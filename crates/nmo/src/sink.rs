@@ -36,11 +36,12 @@
 //!
 //! * [`SampleLogSink`] — one [`AddressSample`] per delivered sample; that is
 //!   its job, and why it is not a default sink;
-//! * [`RegionSink`] — one attributed scatter point per sample, tag and phase
-//!   names included (ROADMAP item 8 bounds it);
 //! * `CapacityShard::events` — one point per RSS change.
 //!
 //! The latency histograms and the bandwidth buckets are O(1) and O(buckets).
+//! A [`RegionSink`] keeps counts per tag and phase name and each tag's
+//! sampled lines, bounded by the tags' footprint; between a window's first
+//! batch and its close it also holds that window's samples.
 
 use std::collections::BTreeMap;
 use std::ops::DerefMut;
@@ -84,7 +85,7 @@ impl AnalysisReport {
         match self {
             AnalysisReport::Capacity(c) => c.points.is_empty(),
             AnalysisReport::Bandwidth(b) => b.points.is_empty(),
-            AnalysisReport::Regions(r) => r.scatter.is_empty(),
+            AnalysisReport::Regions(r) => r.per_tag.is_empty() && r.untagged_samples == 0,
             AnalysisReport::Latency(l) => l.is_empty(),
             AnalysisReport::Samples(s) => s.is_empty(),
             AnalysisReport::Tiering(t) => t.is_empty(),
@@ -737,8 +738,11 @@ impl ShardableSink for BandwidthSink {
 /// Level 3: memory-region attribution (paper Section VI-C, Figures 4–6).
 ///
 /// Buffers each window's SPE samples and attributes them when the window
-/// closes (so phases bracketing the window are usually final), merging into
-/// a running [`RegionAccumulator`].
+/// closes (so phases bracketing the window are usually final), folding them
+/// into a running [`RegionAccumulator`]: counts, not samples. The points of
+/// a scatter plot come from a [`SampleLogSink`] on the same session,
+/// attributed through [`crate::regions::tag_of`] /
+/// [`crate::regions::phase_of`].
 #[derive(Debug, Default)]
 pub struct RegionSink {
     /// The shards' attributions, merged.
@@ -771,9 +775,9 @@ impl AnalysisSink for RegionSink {
 }
 
 /// The windowed attribution of a [`RegionSink`], one per shard: buffers
-/// samples per window, attributes them against the then-current
-/// tags/phases when the window closes, and hands its accumulator back for
-/// the ordered final merge.
+/// samples per window, folds them into its accumulator against the
+/// then-current tags/phases when the window closes (freeing the buffer),
+/// and hands the accumulator back for the final merge.
 #[derive(Debug, Default)]
 struct RegionShard {
     accum: RegionAccumulator,
@@ -820,9 +824,8 @@ impl ShardableSink for RegionSink {
     }
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
-        // Per-sample attribution is independent, so counts do not depend on
-        // the shard count; scatter order is shard-major (deterministic by
-        // the fixed merge order).
+        // Per-sample attribution is independent and the merge sums counts
+        // per name, so the report does not depend on the shard count.
         for state in states {
             self.accum.merge(own_state::<RegionAccumulator>(state));
         }
@@ -1186,7 +1189,7 @@ mod tests {
         assert!(matches!(&profile.analyses[1].report,
             AnalysisReport::Bandwidth(b) if *b == profile.bandwidth));
         assert!(matches!(&profile.analyses[2].report,
-            AnalysisReport::Regions(r) if r.scatter.len() as u64 == profile.processed_samples));
+            AnalysisReport::Regions(r) if r.total_samples() == profile.processed_samples));
     }
 
     /// A pre-streaming sink that only implements `analyze` still works via
@@ -1397,7 +1400,7 @@ mod tests {
         let report = sink.finish(&machine, &profile).unwrap();
         match report {
             AnalysisReport::Regions(r) => {
-                assert_eq!(r.scatter.len(), 3);
+                assert_eq!(r.total_samples(), 3);
                 assert_eq!(r.untagged_samples, 1);
                 let obj = r.per_tag.iter().find(|t| t.name == "obj").unwrap();
                 assert_eq!(obj.samples, 2);
@@ -1568,7 +1571,7 @@ mod tests {
         assert_eq!(sharded_regions.per_tag, serial_regions.per_tag);
         assert_eq!(sharded_regions.per_phase, serial_regions.per_phase);
         assert_eq!(sharded_regions.untagged_samples, serial_regions.untagged_samples);
-        assert_eq!(sharded_regions.scatter.len(), serial_regions.scatter.len());
+        assert_eq!(sharded_regions.total_samples(), serial_regions.total_samples());
     }
 
     /// A legacy sink (no `as_shardable` override) reports `None` — the

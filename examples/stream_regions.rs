@@ -28,7 +28,7 @@ fn main() -> Result<(), NmoError> {
     println!("== STREAM region profile (Figure 4 scenario) ==");
     println!(
         "{} samples total, {} outside any tag",
-        regions.scatter.len(),
+        regions.total_samples(),
         regions.untagged_samples
     );
 

@@ -97,7 +97,7 @@ fn every_workload_profiles_under_one_session_with_the_spe_backend() {
                 _ => None,
             })
             .expect("region sink report present");
-        assert!(!regions.scatter.is_empty(), "{name}: empty region scatter");
+        assert_eq!(regions.total_samples(), profile.processed_samples, "{name}: unattributed");
         assert!(
             regions.per_tag.iter().any(|t| t.samples > 0),
             "{name}: no samples attributed to any tag"

@@ -103,12 +103,12 @@ fn stress_128_cores_block_is_lossless_and_deadlock_free() {
     assert_eq!(stats.items_dropped, 0, "{stats:?}");
     assert!(profile.processed_samples > 10_000, "{}", profile.processed_samples);
     // Conservation: with no drops, the sample log kept, the latency sink
-    // folded and the region sink attributed (one scatter point per sample)
+    // folded and the region sink attributed (to a tag or as untagged)
     // exactly the decoded sample set.
     assert_eq!(profile.samples().expect("sample log").len() as u64, profile.processed_samples);
     assert_eq!(profile.latency().expect("latency sink").total_count(), profile.processed_samples);
     let regions = profile.regions().expect("region sink");
-    assert_eq!(regions.scatter.len() as u64, profile.processed_samples);
+    assert_eq!(regions.total_samples(), profile.processed_samples);
 }
 
 fn pagerank_session(shards: usize) -> ProfileSession {
@@ -139,7 +139,7 @@ fn assert_profiles_equivalent(sharded: &Profile, serial: &Profile) {
     assert_eq!(rs.per_tag, rp.per_tag);
     assert_eq!(rs.per_phase, rp.per_phase);
     assert_eq!(rs.untagged_samples, rp.untagged_samples);
-    assert_eq!(rs.scatter.len(), rp.scatter.len());
+    assert_eq!(rs.total_samples(), rp.total_samples());
 }
 
 /// PageRank with an over-provisioned shard request (8 shards, 1 profiled

@@ -82,7 +82,7 @@ fn streaming_stream_workload_matches_post_hoc_series() {
     assert_eq!(rs.per_tag, rp.per_tag);
     assert_eq!(rs.per_phase, rp.per_phase);
     assert_eq!(rs.untagged_samples, rp.untagged_samples);
-    assert_eq!(rs.scatter.len(), rp.scatter.len());
+    assert_eq!(rs.total_samples(), rp.total_samples());
 
     // Per-tier latency distributions: the histograms are order-independent,
     // so the streaming merge is *exactly* the post-hoc scan.
@@ -197,7 +197,7 @@ fn over_provisioned_shards_clamp_to_cores_bit_for_bit() {
     assert_eq!(rs.per_tag, rp.per_tag);
     assert_eq!(rs.per_phase, rp.per_phase);
     assert_eq!(rs.untagged_samples, rp.untagged_samples);
-    assert_eq!(rs.scatter.len(), rp.scatter.len());
+    assert_eq!(rs.total_samples(), rp.total_samples());
 
     let serial_stats = serial.stream.expect("serial stats");
     let sharded_stats = sharded.stream.expect("sharded stats");
