@@ -49,20 +49,33 @@
 //! sinks as the workload runs (per-shard [`crate::sink::SinkShard`] workers,
 //! merged in ascending shard index; see `sink.rs` for the fan-in rule).
 //! Pump worker 0 is the coordinator: it also drains the backends that do
-//! not shard, runs the machine probes, and closes windows. Threads hand
-//! over whole drains, not batches: a worker publishes each drain's batches
-//! in one lane transaction and then notes all of them with the close
-//! coordinator in one more (`publish_batches`), and a consumer works off a
-//! local backlog of up to one [`crate::stream::EventBus::recv_chunk`],
-//! taking the snapshot state and the buffer pool once per chunk — so per
-//! lane, at most its bound plus one chunk of samples is in flight (a chunk
-//! holds no more than the lane did; see [`crate::stream::EventBus`]).
+//! not shard, runs the machine probes, and closes windows.
+//!
+//! A pump round and a thread-less step are one delivery round (`Round`):
+//! its drain half hands each drain over whole — published (onto the bus in
+//! one lane transaction, or into the step's batch list) and then noted
+//! with the close coordinator in one more — and its close half reads the
+//! close threshold, runs the machine probe and returns the windows that may
+//! close. A consumer works off a local backlog of up to one
+//! [`crate::stream::EventBus::recv_chunk`], taking the snapshot state and
+//! the buffer pool once per chunk — so per lane, at most its bound plus one
+//! chunk of samples is in flight (a chunk holds no more than the lane did;
+//! see [`crate::stream::EventBus`]).
+//!
+//! `start_streaming` spawns one thread, the pipeline thread. It runs pump
+//! worker 0 itself, and pump workers 1..N and the N shard consumers on
+//! threads scoped to it. Once [`ActiveSession::finish`] (or `Drop`) asks it
+//! to stop, it stops the backends and opens the final round, which each
+//! pump worker runs on its own thread; it joins the workers, publishes the
+//! last probe, closes every window still open and the lanes, and joins the
+//! consumers. `finish` and `Drop` join the pipeline thread and nothing
+//! else, and `finish` merges the shards' final states on its own thread.
 //! [`ActiveSession::poll_snapshot`] exposes a live readout
 //! ([`StreamSnapshot`]) while collection is active — the mode a
 //! long-running service is profiled in, where waiting for the workload to
 //! exit is not an option.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -387,6 +400,11 @@ impl ProfileSession {
     /// The width, the drain interval and the backpressure policy are fixed
     /// for the run.
     ///
+    /// This spawns one thread, the pipeline thread: it runs pump worker 0
+    /// and spawns the other pump workers and the consumers as threads
+    /// scoped to it, so they all end before it does, and
+    /// [`ActiveSession::finish`] or dropping the handle joins it.
+    ///
     /// A sink that panics in [`AnalysisSink::on_stream_start`] makes this
     /// return [`NmoError::Sink`]; nothing is left running.
     pub fn start_streaming(self) -> Result<ActiveSession, NmoError> {
@@ -409,7 +427,6 @@ impl ProfileSession {
         };
 
         let bus = ShardedBus::new(shards, opts.bus_capacity, opts.backpressure);
-        let pool = BatchPool::for_lanes(shards, opts.bus_capacity);
         let stop = Arc::new(AtomicBool::new(false));
         let snapshot = Arc::new(Mutex::named(SnapshotState::new(shards), "session.snapshot"));
         let ctx = active.session.stream_context(Some(active.session.machine.clone()));
@@ -420,78 +437,51 @@ impl ProfileSession {
         // unwinds the backends cleanly — no thread has been spawned yet.
         let (fan_in, lanes) =
             catch_sink_panic("stream-start", || FanIn::start(sinks, shards, &ctx))?;
-        let merger = Arc::new(Mutex::named(fan_in, "session.merger"));
 
         // Partition the backends' drain work: shardable backends hand out
         // per-shard workers; the rest stay on the coordinator (all of them
         // when the pipeline is one shard wide).
-        let mut per_shard_drainers: Vec<Vec<Box<dyn ShardDrainer>>> =
+        let mut drainers: Vec<Vec<Box<dyn ShardDrainer>>> =
             (0..shards).map(|_| Vec::new()).collect();
         let mut classic = Vec::with_capacity(backends.len());
         let mut seeded_sources = Vec::new();
         for backend in &mut backends {
-            let drainers = backend.shard_drainers(shards);
-            classic.push(drainers.is_empty());
-            if drainers.is_empty() {
+            let workers = backend.shard_drainers(shards);
+            classic.push(workers.is_empty());
+            if workers.is_empty() {
                 // Coordinator-drained backend: its own source list.
                 seeded_sources.extend(backend.stream_sources());
             }
-            for drainer in drainers {
+            for drainer in workers {
                 // Worker-drained: each worker declares the sources it
                 // covers (its slice of the backend's core set).
                 seeded_sources.extend(drainer.sources());
                 let shard = drainer.shard();
-                per_shard_drainers[shard.min(shards - 1)].push(drainer);
+                drainers[shard.min(shards - 1)].push(drainer);
             }
         }
 
-        let coordinator = Arc::new(Mutex::named(
-            CloseCoordinator::new(WindowClock::new(opts.window_ns), seeded_sources),
-            "session.coordinator",
-        ));
-        let final_round = Arc::new(AtomicBool::new(false));
-        let workers_done = Arc::new(AtomicUsize::new(0));
-
-        let mut pumps = Vec::with_capacity(shards);
-        let mut backends_slot = Some((backends, classic));
-        for (shard, drainers) in per_shard_drainers.into_iter().enumerate() {
-            // The coordinator (shard 0) owns the backends: it drains the
-            // non-shardable ones, runs the machine probes, and drives the
-            // stop sequence.
-            let owned = if shard == 0 { backends_slot.take() } else { None };
-            let worker = PumpWorker {
-                shard,
-                machine: active.session.machine.clone(),
-                backends: owned,
-                drainers,
-                bus: bus.clone(),
-                coordinator: coordinator.clone(),
-                stop: stop.clone(),
-                final_round: final_round.clone(),
-                workers_done: workers_done.clone(),
-                pool: pool.clone(),
-            };
-            pumps.push(std::thread::spawn(move || worker.run()));
-        }
-
-        let mut consumers = Vec::with_capacity(shards);
-        for (shard, lane) in lanes.into_iter().enumerate() {
-            let bus_lane = bus.lane(shard).clone();
-            let merger = merger.clone();
-            let snapshot = snapshot.clone();
-            let pool = pool.clone();
-            consumers.push(std::thread::spawn(move || {
-                shard_consumer_loop(shard, bus_lane, lane, merger, snapshot, pool)
-            }));
-        }
-
+        let pipeline = Pipeline {
+            machine: active.session.machine.clone(),
+            bus: bus.clone(),
+            pool: BatchPool::for_lanes(shards, opts.bus_capacity),
+            snapshot: snapshot.clone(),
+            stop: stop.clone(),
+            backends,
+            classic,
+            drainers,
+            coordinator: Mutex::named(
+                CloseCoordinator::new(WindowClock::new(opts.window_ns), seeded_sources),
+                "session.coordinator",
+            ),
+            merger: Mutex::named(fan_in, "session.merger"),
+            lanes,
+        };
         active.delivery = Some(Delivery::Pipeline(StreamingState {
             bus,
             stop,
             snapshot,
-            pumps,
-            consumers,
-            merger,
+            pipeline: std::thread::spawn(move || pipeline.run()),
             requested_shards,
         }));
         Ok(active)
@@ -532,9 +522,12 @@ impl ProfileSession {
             fan_in,
             // `FanIn::start(_, 1, _)` hands out one lane.
             lane: lanes.swap_remove(0),
-            coordinator: CloseCoordinator::new(
-                WindowClock::new(active.session.stream_options.window_ns),
-                sources,
+            coordinator: Mutex::named(
+                CloseCoordinator::new(
+                    WindowClock::new(active.session.stream_options.window_ns),
+                    sources,
+                ),
+                "session.coordinator",
             ),
             pool: BatchPool::new(64),
             rss_cursor: 0,
@@ -588,43 +581,32 @@ fn catch_sink_panic<T>(stage: &str, f: impl FnOnce() -> T) -> Result<T, NmoError
         .map_err(|_| NmoError::sink(stage, "a sink panicked"))
 }
 
-/// What a pump worker returns on join: the backends it borrowed for the run
-/// (coordinator only), the first error any of its drain/stop calls
-/// produced, and its `(rounds run, rounds that slept)`.
-type PumpOutcome = (Option<CoordinatorBackends>, Result<(), NmoError>, (u64, u64));
-
 /// The shared half of a session's sink fan-in (the session owns its sinks).
 type SessionFanIn = FanIn<Vec<Box<dyn AnalysisSink>>>;
-
-/// The coordinator pump's cargo: the session's backends plus the flags
-/// marking which of them it drains classically (no shard workers).
-type CoordinatorBackends = (Vec<Box<dyn SampleBackend>>, Vec<bool>);
 
 /// How long a shard consumer waits on its lane before looking again: the
 /// lane's close wakes it at once, so the timeout only bounds one wait.
 const CONSUMER_RECV_TIMEOUT: Duration = Duration::from_millis(100);
 
-/// The threads and shared state of a streaming session.
+/// A streaming session's side of its pipeline: the pipeline thread, and
+/// what `poll_snapshot` reads while it runs.
 struct StreamingState {
     bus: Arc<ShardedBus>,
     stop: Arc<AtomicBool>,
     snapshot: Arc<Mutex<SnapshotState>>,
-    pumps: Vec<JoinHandle<PumpOutcome>>,
-    consumers: Vec<JoinHandle<FanInLane>>,
-    /// The sinks and the shard fan-in state, shared by the consumers.
-    merger: Arc<Mutex<SessionFanIn>>,
+    pipeline: JoinHandle<Result<PipelineEnd, NmoError>>,
     /// Shard count the caller configured (0 = auto); the allocated count
     /// (after resolution/clamping) is the bus's lane count.
     requested_shards: usize,
 }
 
 /// The thread-less counterpart of [`StreamingState`]: the session's own
-/// sink fan-in at width 1 and close coordinator, fed on the caller's thread
-/// by [`ActiveSession::step`].
+/// sink fan-in at width 1 and close coordinator (a mutex no other thread
+/// takes), fed on the caller's thread by [`ActiveSession::step`].
 struct InlineState {
     fan_in: SessionFanIn,
     lane: FanInLane,
-    coordinator: CloseCoordinator,
+    coordinator: Mutex<CloseCoordinator>,
     pool: Arc<BatchPool>,
     /// RSS step events already delivered.
     rss_cursor: usize,
@@ -739,12 +721,13 @@ impl ActiveSession {
     }
 
     /// One delivery step of a session without pipeline threads — the only
-    /// way its sinks are fed. It drains every backend and notes the batches
-    /// with the session's [`CloseCoordinator`], reads the close threshold,
-    /// runs the machine probe, then hands the batches and the windows the
-    /// coordinator closed to the fan-in — on the `last` step, every window
-    /// still open. `tracker` sees the same batches and closes; the
-    /// migrations its closes applied are returned.
+    /// way its sinks are fed. It runs one [`Round`] that publishes into a
+    /// local list: every backend is drained, the close threshold read and
+    /// the machine probe run; then the batches and the windows that may
+    /// close — on the `last` step, every window still open — go to the
+    /// fan-in. `tracker` sees the same batches and closes; the migrations
+    /// its closes applied are returned. A backend whose drain failed fails
+    /// the step once what the others drained has been delivered.
     fn step(
         &mut self,
         mut tracker: Option<&mut crate::tiering::HotPageTracker>,
@@ -760,31 +743,14 @@ impl ActiveSession {
                     .into(),
             ));
         };
+        let InlineState { fan_in, lane, coordinator, pool, rss_cursor } = state;
         let machine = &self.session.machine;
-        let coordinator = &mut state.coordinator;
+        let round = Round { machine, coordinator, pool };
         let mut batches = Vec::new();
-        for backend in &mut self.session.backends {
-            let drained = backend.drain(machine, &coordinator.clock, &state.pool)?;
-            // The clock advances between backends: batches without
-            // timestamps are stamped with its window.
-            coordinator.note_published(&drained.iter().map(note_of).collect::<Vec<_>>(), true);
-            batches.extend(drained);
-        }
-        // After the drains: read first, as the pump does at round start, it
-        // would hold every close back a step. Before the probe: see
-        // `close_ready_windows`.
-        let threshold = coordinator.close_threshold();
-        let probed = probe_machine(machine, &coordinator.clock, &mut state.rss_cursor, last);
-        coordinator.note_published(&probed.iter().map(note_of).collect::<Vec<_>>(), false);
-        batches.extend(probed);
-        let closed = if last {
-            coordinator.close_remaining()
-        } else {
-            coordinator.close_ready_windows(threshold)
-        };
+        let drained = round.drain(&mut [], &mut self.session.backends, |b| batches.extend(b));
+        let closed = round.close(rss_cursor, last, |probed| batches.extend(probed));
 
         let delivered = catch_sink_panic("delivery", || {
-            let InlineState { fan_in, lane, .. } = state;
             for batch in &batches {
                 lane.on_batch(batch, || &mut *fan_in);
                 if let Some(tracker) = tracker.as_deref_mut() {
@@ -800,8 +766,9 @@ impl ActiveSession {
             }
             applied
         });
-        state.pool.recycle_batches(batches);
-        delivered.map_err(|e| self.fail_delivery(e))
+        pool.recycle_batches(batches);
+        let applied = delivered.map_err(|e| self.fail_delivery(e))?;
+        drained.map(|()| applied)
     }
 
     /// A sink panicked in a step: tear collection down (observers
@@ -838,70 +805,17 @@ impl ActiveSession {
             self.step(None, true)?;
         }
         let mut stream_stats = None;
-        match self.delivery.take() {
+        let merge = match self.delivery.take() {
             Some(Delivery::Pipeline(streaming)) => {
-                // The coordinator pump stops the backends itself, runs the
-                // final drain round on every worker, publishes the
-                // remainder, closes every window, and closes the bus —
-                // which lets the consumers exit.
+                // The pipeline thread stops the backends, runs the final
+                // round on every pump worker, publishes the last probe,
+                // closes every window and the lanes, and joins its threads.
                 streaming.stop.store(true, Ordering::Release);
-                let mut backends = None;
-                let mut pump_result: Result<(), NmoError> = Ok(());
-                let mut pump_panicked = false;
-                let (mut pump_rounds, mut pump_rounds_slept) = (0, 0);
-                for pump in streaming.pumps {
-                    match pump.join() {
-                        Ok((owned, result, (rounds, slept))) => {
-                            pump_rounds += rounds;
-                            pump_rounds_slept += slept;
-                            if owned.is_some() {
-                                backends = owned;
-                            }
-                            if let Err(e) = result {
-                                if pump_result.is_ok() {
-                                    pump_result = Err(e);
-                                }
-                            }
-                        }
-                        Err(_) => pump_panicked = true,
-                    }
-                }
-                // A dead coordinator never closed the lanes; close them here
-                // so the consumers (joined below) can exit instead of
-                // polling an open, silent bus forever. (Idempotent on the
-                // clean path.)
-                streaming.bus.close_all();
-
-                let mut consumer_panicked = false;
-                let mut lanes = Vec::with_capacity(streaming.bus.shards());
-                for consumer in streaming.consumers {
-                    match consumer.join() {
-                        Ok(lane) => lanes.push(lane),
-                        Err(_) => consumer_panicked = true,
-                    }
-                }
-                {
-                    let mut fan_in = streaming.merger.lock();
-                    if !consumer_panicked && !pump_panicked {
-                        fan_in.finish(lanes);
-                    }
-                    self.session.sinks = std::mem::take(&mut fan_in.sinks);
-                }
-
-                let backends = match backends {
-                    Some((backends, _classic)) => backends,
-                    None => {
-                        return Err(NmoError::backend("stream-pump", "pump thread panicked"));
-                    }
-                };
-                self.session.backends = backends;
-                if pump_panicked {
-                    return Err(NmoError::backend("stream-pump", "pump worker panicked"));
-                }
-                if consumer_panicked {
-                    return Err(NmoError::sink("stream-consumer", "consumer thread panicked"));
-                }
-                pump_result?;
+                let end = streaming
+                    .pipeline
+                    .join()
+                    .map_err(|_| NmoError::backend("stream-pump", "pump thread panicked"))??;
+                self.session.backends = end.backends;
                 let state = streaming.snapshot.lock();
                 let bus = streaming.bus.stats();
                 stream_stats = Some(StreamStats {
@@ -913,15 +827,23 @@ impl ActiveSession {
                     bus_high_watermark: bus.high_watermark,
                     shards: streaming.bus.shards() as u64,
                     shards_requested: streaming.requested_shards as u64,
-                    pump_rounds,
-                    pump_rounds_slept,
+                    pump_rounds: end.rounds.0,
+                    pump_rounds_slept: end.rounds.1,
                 });
+                Some((end.fan_in, end.lanes, end.drained))
             }
-            Some(Delivery::Inline(InlineState { mut fan_in, lane, .. })) => {
-                catch_sink_panic("merge", || fan_in.finish(vec![lane]))?;
-                self.session.sinks = std::mem::take(&mut fan_in.sinks);
+            Some(Delivery::Inline(InlineState { fan_in, lane, .. })) => {
+                Some((fan_in, vec![lane], Ok(())))
             }
-            None => {}
+            None => None,
+        };
+        if let Some((mut fan_in, lanes, drained)) = merge {
+            // On this thread, not the pipeline's: the shards' final states
+            // (and a trace's segment ends) are merged where the profile is
+            // assembled.
+            catch_sink_panic("merge", || fan_in.finish(lanes))?;
+            self.session.sinks = std::mem::take(&mut fan_in.sinks);
+            drained?;
         }
 
         let mut profile = crate::runtime::base_profile(
@@ -942,20 +864,16 @@ impl ActiveSession {
 
 /// Abandoning an active streaming session (e.g. a workload error unwinding
 /// past `finish`) must leave no thread behind: signal the pipeline to stop,
-/// close the bus so nobody blocks on it, and join every pump worker and
-/// consumer — the only threads a session creates. A thread that panicked
-/// has nothing more to report here.
+/// close the bus so nobody blocks on it, and join the pipeline thread — the
+/// only thread a session creates, which joins every pump worker and
+/// consumer before it ends. A pipeline that panicked has nothing more to
+/// report here.
 impl Drop for ActiveSession {
     fn drop(&mut self) {
         if let Some(Delivery::Pipeline(streaming)) = self.delivery.take() {
             streaming.stop.store(true, Ordering::Release);
             streaming.bus.close_all();
-            for pump in streaming.pumps {
-                let _ = pump.join();
-            }
-            for consumer in streaming.consumers {
-                let _ = consumer.join();
-            }
+            let _ = streaming.pipeline.join();
         }
     }
 }
@@ -990,11 +908,11 @@ fn note_of(batch: &SampleBatch) -> PublishNote {
 /// nothing else decides it: a source's samples arrive in time order, so
 /// nothing it delivers later can land below its watermark (the SPE cores
 /// publish at their own cadences, and closing on the global maximum alone
-/// would make every lagging core's batches late). A pipeline shares one
-/// behind a mutex — the workers mark their sources after publishing, and
-/// only the coordinator pump closes windows, broadcasting what it closed to
-/// every lane; a thread-less session owns one and hands what it closed to
-/// its fan-in.
+/// would make every lagging core's batches late). Every session keeps one
+/// behind a mutex that its [`Round`]s take: a pipeline's pump workers mark
+/// their sources after publishing, and only pump worker 0 closes windows,
+/// broadcasting what it closed to every lane; a thread-less session's step
+/// hands what it closed to its fan-in.
 struct CloseCoordinator {
     clock: WindowClock,
     open_windows: std::collections::BTreeSet<u64>,
@@ -1056,12 +974,11 @@ impl CloseCoordinator {
     }
 
     /// Close every open window below `threshold` — those can no longer
-    /// receive on-time data — and return them, ascending. The pump reads
-    /// the threshold before its machine probe and closes after it (the
-    /// thread-less step likewise, after its drains): a core records a
-    /// first-touch RSS event before any later sample, so an event below a
-    /// threshold every core's samples passed is delivered by the time its
-    /// window closes.
+    /// receive on-time data — and return them, ascending. A [`Round`]
+    /// reads the threshold after its drains and before its machine probe,
+    /// and closes after the probe: a core records a first-touch RSS event
+    /// before any later sample, so an event below a threshold every core's
+    /// samples passed is delivered by the time its window closes.
     fn close_ready_windows(&mut self, threshold: u64) -> Vec<Window> {
         let still_open = self.open_windows.split_off(&threshold);
         self.close_all_but(still_open)
@@ -1082,34 +999,100 @@ impl CloseCoordinator {
     }
 }
 
-/// Publish a drain's batches on the sharded bus and register them with the
-/// close coordinator (in that order — see
-/// [`CloseCoordinator::note_published`]; the machine probe's batches do not
-/// `vote`): one transaction per lane and one with the coordinator per
-/// drain, however many batches it produced.
-fn publish_batches(
-    batches: Vec<SampleBatch>,
-    bus: &ShardedBus,
-    coordinator: &Mutex<CloseCoordinator>,
-    vote: bool,
-) {
-    if batches.is_empty() {
-        return;
+/// One delivery round, the rule every live driver follows: the pump
+/// workers each round, a thread-less session at each step. It borrows the
+/// machine, the close coordinator and the buffer pool; where a drain's
+/// batches go is the caller's `publish` (the bus for a pump worker, a local
+/// list for a step).
+#[derive(Clone, Copy)]
+struct Round<'a> {
+    machine: &'a Machine,
+    coordinator: &'a Mutex<CloseCoordinator>,
+    pool: &'a BatchPool,
+}
+
+impl Round<'_> {
+    /// The drain half: drain each of `drainers` and `backends` with the
+    /// clock as of the round's start and hand every drain over whole
+    /// ([`Round::publish`]). Every drain runs and what it produced is
+    /// delivered even if an earlier one failed; the first error comes back
+    /// once all of them have.
+    fn drain<'b>(
+        &self,
+        drainers: &mut [Box<dyn ShardDrainer>],
+        backends: impl IntoIterator<Item = &'b mut Box<dyn SampleBackend>>,
+        mut publish: impl FnMut(Vec<SampleBatch>),
+    ) -> Result<(), NmoError> {
+        let clock = self.coordinator.lock().clock;
+        let drains = drainers.iter_mut().map(|d| d.drain(self.machine, &clock, self.pool));
+        let drains =
+            drains.chain(backends.into_iter().map(|b| b.drain(self.machine, &clock, self.pool)));
+        let mut result = Ok(());
+        for drained in drains {
+            match drained {
+                Ok(batches) => self.publish(batches, true, &mut publish),
+                Err(e) => keep_first(&mut result, Err(e)),
+            }
+        }
+        result
     }
-    let notes: Vec<PublishNote> = batches.iter().map(note_of).collect();
-    // Ordering rationale (pinned): publish-then-mark. The watermark may
-    // only advance once the data justifying it is queued on a lane —
-    // marking first would let a concurrent close-threshold computation
-    // close a batch's window before the batch is visible to its shard
-    // consumer, violating the close-after-on-time-data contract. Both
-    // operations are mutex-protected (lane queue, coordinator), so the
-    // program order here is the inter-thread order. No lock is held across
-    // the two calls, and the coordinator pump broadcasts the windows
-    // `close_ready_windows` returns after releasing the coordinator, so no
-    // two of these locks nest — the `NMO_LOCK_CHECK` runtime checker
-    // verifies exactly this in the stress suite.
-    bus.publish_batches(batches);
-    coordinator.lock().note_published(&notes, vote);
+
+    /// The close half: read the close threshold — after the round's
+    /// drains (read before them, it would hold every close back a round)
+    /// and before the machine probe (see
+    /// [`CloseCoordinator::close_ready_windows`]) — publish the probe, and
+    /// return the windows that may close, ascending; on the `last` round,
+    /// every window still open. The probe's notes advance the clock and
+    /// open windows but hold none: the RSS watermark stops moving once
+    /// allocation is over.
+    fn close(
+        &self,
+        rss_cursor: &mut usize,
+        last: bool,
+        publish: impl FnMut(Vec<SampleBatch>),
+    ) -> Vec<Window> {
+        let (clock, threshold) = {
+            let coordinator = self.coordinator.lock();
+            (coordinator.clock, coordinator.close_threshold())
+        };
+        let probed = probe_machine(self.machine, &clock, rss_cursor, last);
+        self.publish(probed, false, publish);
+        let mut coordinator = self.coordinator.lock();
+        if last {
+            coordinator.close_remaining()
+        } else {
+            coordinator.close_ready_windows(threshold)
+        }
+    }
+
+    /// Hand one drain's batches to `publish`, then note them with the close
+    /// coordinator (see [`CloseCoordinator::note_published`]; the machine
+    /// probe's batches do not `vote`): one transaction with the coordinator
+    /// per drain, however many batches it produced.
+    fn publish(
+        &self,
+        batches: Vec<SampleBatch>,
+        vote: bool,
+        publish: impl FnOnce(Vec<SampleBatch>),
+    ) {
+        if batches.is_empty() {
+            return;
+        }
+        let notes: Vec<PublishNote> = batches.iter().map(note_of).collect();
+        // Ordering rationale (pinned): publish-then-mark. The watermark may
+        // only advance once the data justifying it is queued on a lane —
+        // marking first would let a concurrent close-threshold computation
+        // close a batch's window before the batch is visible to its shard
+        // consumer, violating the close-after-on-time-data contract. Both
+        // operations are mutex-protected (lane queue, coordinator), so the
+        // program order here is the inter-thread order. No lock is held
+        // across the two calls, and the coordinator pump broadcasts the
+        // windows `close` returns after releasing the coordinator, so no
+        // two of these locks nest — the `NMO_LOCK_CHECK` runtime checker
+        // verifies exactly this in the stress suite.
+        publish(batches);
+        self.coordinator.lock().note_published(&notes, vote);
+    }
 }
 
 /// One machine probe round, as core-less `"machine"` batches: the RSS step
@@ -1146,179 +1129,215 @@ fn probe_machine(
     batches
 }
 
-/// A pump worker reports the first error its drain/stop calls produced.
-fn keep_first_error(result: &mut Result<(), NmoError>, e: NmoError) {
+/// Keep the first error of a run of calls.
+fn keep_first(result: &mut Result<(), NmoError>, next: Result<(), NmoError>) {
     if result.is_ok() {
-        *result = Err(e);
+        *result = next;
     }
 }
 
-/// One pump worker of the streaming pipeline. The worker for shard 0 is the
-/// *coordinator*: it owns the backends (draining the non-shardable ones),
-/// runs the machine probes, closes ready windows, and drives the shutdown
-/// sequence — stop the backends, signal the final drain round, wait for
-/// every worker's final publish, deliver the bandwidth series, close the
-/// remaining windows, and close every lane. Every worker, the coordinator
-/// included, drains the [`ShardDrainer`]s of its own shard — it owns them,
-/// and no other thread ever calls them — and publishes onto the bus.
-struct PumpWorker {
-    shard: usize,
-    machine: Arc<Machine>,
-    /// `Some((backends, classic flags))` on the coordinator: `classic[i]`
-    /// marks backends without shard workers, drained here.
-    backends: Option<CoordinatorBackends>,
-    /// This shard's drainers.
-    drainers: Vec<Box<dyn ShardDrainer>>,
-    bus: Arc<ShardedBus>,
-    coordinator: Arc<Mutex<CloseCoordinator>>,
-    stop: Arc<AtomicBool>,
-    final_round: Arc<AtomicBool>,
-    workers_done: Arc<AtomicUsize>,
-    pool: Arc<BatchPool>,
+/// Run `round` once per [`PUMP_INTERVAL`] until `until` is set: the round
+/// that sees it set is the last, `round(true)`. Returns `(rounds run,
+/// rounds that slept)`.
+///
+/// Drain cadence: the pump samples the backends once per wall-clock
+/// interval; nothing signals "new simulated work". The interval is a
+/// deadline counted from the round's start, not a pause after it: a round
+/// sleeps what it left of the interval, and one that overran it (a drain
+/// that found a lot) is followed at once. Deliberately not keyed on "the
+/// round published something": the RSS probe publishes on nearly every
+/// round of a simulated run, and a pump that never slept would spin against
+/// the simulated cores on a small host.
+fn every_interval(until: &AtomicBool, mut round: impl FnMut(bool)) -> (u64, u64) {
+    let (mut rounds, mut slept) = (0, 0);
+    loop {
+        let round_start = Instant::now();
+        rounds += 1;
+        let last = until.load(Ordering::Acquire);
+        round(last);
+        if last {
+            return (rounds, slept);
+        }
+        if let Some(left) = left_of_interval(PUMP_INTERVAL, round_start.elapsed()) {
+            slept += 1;
+            #[allow(clippy::disallowed_methods)]
+            std::thread::sleep(left);
+        }
+    }
 }
 
-impl PumpWorker {
-    fn run(mut self) -> PumpOutcome {
-        let shard = self.shard;
-        let final_round = self.final_round.clone();
-        let workers_done = self.workers_done.clone();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_inner()));
-        match outcome {
-            Ok(outcome) => outcome,
-            Err(_) => {
-                // Do not wedge the other threads: a dead coordinator can no
-                // longer start the final round, and every worker owes the
-                // done-counter its increment.
-                if shard == 0 {
+/// What the pipeline thread owns for the run.
+struct Pipeline {
+    machine: Arc<Machine>,
+    bus: Arc<ShardedBus>,
+    pool: Arc<BatchPool>,
+    snapshot: Arc<Mutex<SnapshotState>>,
+    /// Set by `finish` or `Drop`: the run is over.
+    stop: Arc<AtomicBool>,
+    /// Every backend; `classic[i]` marks those without shard drainers,
+    /// which pump worker 0 drains itself.
+    backends: Vec<Box<dyn SampleBackend>>,
+    classic: Vec<bool>,
+    /// Shard `s`'s drainers, at index `s`: pump worker `s` alone calls them.
+    drainers: Vec<Vec<Box<dyn ShardDrainer>>>,
+    coordinator: Mutex<CloseCoordinator>,
+    merger: Mutex<SessionFanIn>,
+    /// The consumers' lanes: handed to them at the start, back from them
+    /// at the end.
+    lanes: Vec<FanInLane>,
+}
+
+/// What the pipeline thread hands back to `finish` once it has ended in
+/// order (a pump worker or a consumer that panicked is an error instead):
+/// what `finish` merges and reports. The rest of the [`Pipeline`] — the
+/// pool, the coordinator — is dropped on the pipeline thread, which
+/// allocated most of it. Freed on `finish`'s thread, its small blocks would
+/// stay in that thread's allocator cache and keep the pump threads' heaps
+/// from shrinking (`trace_rw_128c` `peak_rss_mib` 82 → 89 MiB on a 2-vCPU
+/// host).
+struct PipelineEnd {
+    fan_in: SessionFanIn,
+    lanes: Vec<FanInLane>,
+    backends: Vec<Box<dyn SampleBackend>>,
+    /// The first error a drain or a backend's `stop` returned.
+    drained: Result<(), NmoError>,
+    /// `(rounds run, rounds that slept)`, summed over the pump workers.
+    rounds: (u64, u64),
+}
+
+/// Ends the pipeline's other threads should it leave early (pump worker
+/// 0's rounds unwound, or a pump worker panicked): the pump workers leave
+/// after their next round, the consumers once their lanes close. After an
+/// orderly end both are already so.
+struct EndOnDrop<'a> {
+    final_round: &'a AtomicBool,
+    bus: &'a ShardedBus,
+}
+
+impl Drop for EndOnDrop<'_> {
+    fn drop(&mut self) {
+        self.final_round.store(true, Ordering::Release);
+        self.bus.close_all();
+    }
+}
+
+impl Pipeline {
+    /// The pipeline thread. It spawns the shard consumers and pump workers
+    /// 1..N on threads scoped to it and runs pump worker 0 — the
+    /// coordinator: the backends that do not shard, the machine probe and
+    /// the closes — itself. Once `stop` is set it stops the backends and
+    /// opens the final round, which every pump worker runs on its own
+    /// thread; then it joins the workers, publishes the last probe, closes
+    /// every window still open and the lanes, and joins the consumers.
+    fn run(mut self) -> Result<PipelineEnd, NmoError> {
+        let round =
+            Round { machine: &self.machine, coordinator: &self.coordinator, pool: &self.pool };
+        let bus = &*self.bus;
+        let publish = &|batches: Vec<SampleBatch>| {
+            bus.publish_batches(batches);
+        };
+        let final_round = &AtomicBool::new(false);
+        let mut drained = Ok(());
+        let rounds = std::thread::scope(|s| -> Result<_, NmoError> {
+            let _end = EndOnDrop { final_round, bus };
+            let consumers: Vec<_> = self
+                .lanes
+                .drain(..)
+                .enumerate()
+                .map(|(shard, lane)| {
+                    let (merger, snapshot, pool) = (&self.merger, &*self.snapshot, &*self.pool);
+                    s.spawn(move || {
+                        shard_consumer_loop(shard, bus.lane(shard), lane, merger, snapshot, pool)
+                    })
+                })
+                .collect();
+            let mut drainers = std::mem::take(&mut self.drainers).into_iter();
+            let mut own = drainers.next().unwrap_or_default();
+            let workers: Vec<_> = drainers
+                .map(|mut drainers| {
+                    s.spawn(move || {
+                        let mut drained = Ok(());
+                        let rounds = every_interval(final_round, |_| {
+                            keep_first(&mut drained, round.drain(&mut drainers, [], publish));
+                        });
+                        (drained, rounds)
+                    })
+                })
+                .collect();
+
+            let mut rss_cursor = 0;
+            let mut rounds = every_interval(&self.stop, |last| {
+                if last {
+                    // Observers are detached: stop the backends, then open
+                    // the final round for every pump worker.
+                    for backend in &mut self.backends {
+                        keep_first(&mut drained, backend.stop(&self.machine));
+                    }
                     final_round.store(true, Ordering::Release);
                 }
-                workers_done.fetch_add(1, Ordering::AcqRel);
-                (
-                    None,
-                    Err(NmoError::backend("stream-pump", format!("pump worker {shard} panicked"))),
-                    (0, 0),
-                )
-            }
-        }
-    }
-
-    fn run_inner(&mut self) -> PumpOutcome {
-        let is_coordinator = self.shard == 0;
-        let mut rss_cursor = 0usize;
-        let mut result: Result<(), NmoError> = Ok(());
-        let (mut rounds, mut rounds_slept) = (0u64, 0u64);
-
-        loop {
-            let round_start = Instant::now();
-            rounds += 1;
-            if is_coordinator
-                && self.stop.load(Ordering::Acquire)
-                && !self.final_round.load(Ordering::Acquire)
-            {
-                // Observers are detached: stop the backends, then open the
-                // final drain round for every worker.
-                if let Some((backends, _)) = self.backends.as_mut() {
-                    for backend in backends.iter_mut() {
-                        if let Err(e) = backend.stop(&self.machine) {
-                            keep_first_error(&mut result, e);
-                        }
-                    }
+                let classic = self.backends.iter_mut().zip(&self.classic);
+                let unsharded = classic.filter_map(|(backend, &c)| c.then_some(backend));
+                keep_first(&mut drained, round.drain(&mut own, unsharded, publish));
+                if !last {
+                    // Close signals bypass lane capacity, so this never blocks.
+                    let closed = round.close(&mut rss_cursor, false, publish);
+                    closed.into_iter().for_each(|window| bus.broadcast_close(window));
                 }
-                self.final_round.store(true, Ordering::Release);
+            });
+            for worker in workers {
+                let (worker_drained, (run, slept)) = worker
+                    .join()
+                    .map_err(|_| NmoError::backend("stream-pump", "pump worker panicked"))?;
+                keep_first(&mut drained, worker_drained);
+                rounds = (rounds.0 + run, rounds.1 + slept);
             }
-            let finishing = self.final_round.load(Ordering::Acquire);
-
-            // The round's clock and the close threshold, read together and
-            // before the machine probe below (see `close_ready_windows`).
-            let (clock, threshold) = {
-                let coordinator = self.coordinator.lock();
-                (coordinator.clock, coordinator.close_threshold())
-            };
-            for drainer in &mut self.drainers {
-                match drainer.drain(&self.machine, &clock, &self.pool) {
-                    Ok(batches) => publish_batches(batches, &self.bus, &self.coordinator, true),
-                    Err(e) => keep_first_error(&mut result, e),
+            // Every worker's final publish is on the bus: deliver the
+            // bandwidth series, close what remains, and close the lanes so
+            // the consumers can exit.
+            let closed = round.close(&mut rss_cursor, true, publish);
+            closed.into_iter().for_each(|window| bus.broadcast_close(window));
+            bus.close_all();
+            // Every consumer is joined before a panicked one is reported,
+            // and the lanes go back into the vector they came in: one
+            // allocated here would be freed on `finish`'s thread.
+            let mut consumer_panicked = false;
+            for consumer in consumers {
+                match consumer.join() {
+                    Ok(lane) => self.lanes.push(lane),
+                    Err(_) => consumer_panicked = true,
                 }
             }
-            if let Some((backends, classic)) = self.backends.as_mut() {
-                for (backend, is_classic) in backends.iter_mut().zip(classic.iter()) {
-                    if !is_classic {
-                        continue;
-                    }
-                    match backend.drain(&self.machine, &clock, &self.pool) {
-                        Ok(batches) => publish_batches(batches, &self.bus, &self.coordinator, true),
-                        Err(e) => keep_first_error(&mut result, e),
-                    }
-                }
-                // Machine probe (coordinator only — it is machine-wide). Its
-                // notes advance the clock and open windows but hold none: the
-                // RSS watermark stops moving once allocation is over.
-                let probed = probe_machine(&self.machine, &clock, &mut rss_cursor, false);
-                publish_batches(probed, &self.bus, &self.coordinator, false);
+            if consumer_panicked {
+                return Err(NmoError::sink("stream-consumer", "consumer thread panicked"));
             }
-
-            if finishing {
-                self.workers_done.fetch_add(1, Ordering::AcqRel);
-                if !is_coordinator {
-                    return (None, result, (rounds, rounds_slept));
-                }
-                // Coordinator: wait for every worker's final publish, then
-                // deliver the bandwidth series, close what remains, and
-                // close the lanes so the consumers can exit.
-                while self.workers_done.load(Ordering::Acquire) < self.bus.shards() {
-                    // Join-barrier poll at shutdown; not on the hot path.
-                    #[allow(clippy::disallowed_methods)]
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                let probed = probe_machine(&self.machine, &clock, &mut rss_cursor, true);
-                publish_batches(probed, &self.bus, &self.coordinator, false);
-                let closed = self.coordinator.lock().close_remaining();
-                closed.into_iter().for_each(|window| self.bus.broadcast_close(window));
-                self.bus.close_all();
-                return (self.backends.take(), result, (rounds, rounds_slept));
-            }
-
-            if is_coordinator {
-                // Close signals bypass lane capacity, so this never blocks.
-                let closed = self.coordinator.lock().close_ready_windows(threshold);
-                closed.into_iter().for_each(|window| self.bus.broadcast_close(window));
-            }
-            // Drain cadence: the workers sample the backends once per
-            // wall-clock interval; nothing signals "new simulated work". The
-            // interval is a deadline counted from the round's start, not a
-            // pause after it: a round sleeps what it left of the interval,
-            // and one that overran it (a drain that found a lot) is followed
-            // at once. Deliberately not keyed on "the round published
-            // something": the RSS probe publishes on nearly every round of a
-            // simulated run, and a pump that never slept would spin against
-            // the simulated cores on a small host.
-            if let Some(left) = left_of_interval(PUMP_INTERVAL, round_start.elapsed()) {
-                rounds_slept += 1;
-                #[allow(clippy::disallowed_methods)]
-                std::thread::sleep(left);
-            }
-        }
+            Ok(rounds)
+        })?;
+        let fan_in = self.merger.into_inner();
+        Ok(PipelineEnd { fan_in, lanes: self.lanes, backends: self.backends, drained, rounds })
     }
 }
 
-/// One shard consumer: it drains its bus lane into its [`FanInLane`] — the
-/// [`SinkShard`] workers lock-free, legacy sinks and window closes through
-/// the merger mutex (see [`FanIn`] for the merge rule) — and keeps the
-/// shared snapshot state current for [`ActiveSession::poll_snapshot`].
+/// One shard consumer, on a thread the pipeline thread scoped and joins
+/// once it has closed the lanes: it drains its bus lane into its
+/// [`FanInLane`] — the [`SinkShard`] workers lock-free, legacy sinks and
+/// window closes through the merger mutex (see [`FanIn`] for the merge
+/// rule) — and keeps the shared snapshot state current for
+/// [`ActiveSession::poll_snapshot`]. It returns the lane, which `finish`
+/// merges on its own thread.
 ///
 /// A panicking sink must not kill the thread outright: under
 /// [`crate::stream::BackpressurePolicy::Block`] a dead consumer would leave
-/// its lane's pump worker wedged in `publish` forever (and `finish` wedged
-/// joining it). Instead the panic is caught, the loop keeps draining
-/// (discarding) until the lane closes, and the panic is rethrown so the
-/// join in [`ActiveSession::finish`] surfaces it as an error.
+/// its lane's pump worker wedged in `publish` forever (and the pipeline
+/// thread wedged joining it). Instead the panic is caught, the loop keeps
+/// draining (discarding) until the lane closes, and the panic is rethrown
+/// so the pipeline thread's join surfaces it as an error.
 fn shard_consumer_loop(
     shard: usize,
-    bus_lane: Arc<EventBus>,
+    bus_lane: &EventBus,
     mut lane: FanInLane,
-    merger: Arc<Mutex<SessionFanIn>>,
-    snapshot: Arc<Mutex<SnapshotState>>,
-    pool: Arc<BatchPool>,
+    merger: &Mutex<SessionFanIn>,
+    snapshot: &Mutex<SnapshotState>,
+    pool: &BatchPool,
 ) -> FanInLane {
     let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
     // The events taken off the lane and not yet delivered: at most one
@@ -2116,6 +2135,165 @@ mod tests {
         }
     }
 
+    /// A backend (or one shard drainer of it) whose drain panics: directly
+    /// on pump worker 0, or on pump worker `shards - 1`.
+    struct PanickingDrain {
+        shards_to_hand_out: usize,
+    }
+    impl SampleBackend for PanickingDrain {
+        fn name(&self) -> &'static str {
+            "panicking-drain"
+        }
+        fn start(
+            &mut self,
+            _machine: &Machine,
+            _cores: &[usize],
+            _config: &NmoConfig,
+        ) -> Result<Vec<crate::backend::CoreObserver>, NmoError> {
+            Ok(Vec::new())
+        }
+        fn drain(
+            &mut self,
+            _machine: &Machine,
+            _clock: &WindowClock,
+            _pool: &BatchPool,
+        ) -> Result<Vec<SampleBatch>, NmoError> {
+            panic!("drain exploded");
+        }
+        fn shard_drainers(&mut self, shards: usize) -> Vec<Box<dyn ShardDrainer>> {
+            struct Drainer(usize, usize);
+            impl ShardDrainer for Drainer {
+                fn shard(&self) -> usize {
+                    self.0
+                }
+                fn drain(
+                    &mut self,
+                    _machine: &Machine,
+                    _clock: &WindowClock,
+                    _pool: &BatchPool,
+                ) -> Result<Vec<SampleBatch>, NmoError> {
+                    assert!(self.0 + 1 < self.1, "shard drainer exploded");
+                    Ok(Vec::new())
+                }
+                fn sources(&self) -> Vec<StreamSource> {
+                    Vec::new()
+                }
+            }
+            let wanted = self.shards_to_hand_out.min(shards);
+            (0..wanted).map(|s| Box::new(Drainer(s, wanted)) as Box<dyn ShardDrainer>).collect()
+        }
+        fn stop(&mut self, _machine: &Machine) -> Result<(), NmoError> {
+            Ok(())
+        }
+        fn fill(&mut self, _profile: &mut Profile) -> Result<(), NmoError> {
+            Ok(())
+        }
+    }
+
+    /// A pump worker that panics fails `finish` with a backend error and
+    /// does not wedge the pipeline: at width 1 the panicking drain runs on
+    /// the pipeline thread itself, at width 4 on a worker it scoped. And a
+    /// session dropped mid-run still joins every thread, so nothing holds
+    /// the sink afterwards.
+    #[test]
+    fn a_panicking_drain_fails_finish_and_drop_still_joins_every_thread() {
+        use crate::sink::testing::RecordingSink;
+        for (shards, shards_to_hand_out) in [(1, 0), (4, 4)] {
+            for finish in [true, false] {
+                let (sink, log) = RecordingSink::new(false);
+                let active = ProfileSession::builder()
+                    .machine_config(MachineConfig::small_test())
+                    .config(NmoConfig::paper_default(100))
+                    .threads(4)
+                    .backend(SpeBackend::new())
+                    .backend(PanickingDrain { shards_to_hand_out })
+                    .sink(sink)
+                    .stream_options(StreamOptions {
+                        shards,
+                        bus_capacity: 2,
+                        backpressure: crate::stream::BackpressurePolicy::Block,
+                        ..Default::default()
+                    })
+                    .build()
+                    .unwrap()
+                    .start_streaming()
+                    .unwrap();
+                stream_like(active.machine(), active.annotations_ref(), active.cores()).unwrap();
+                let case = format!("{shards} shard(s), finish {finish}");
+                if finish {
+                    let err = active.finish().unwrap_err();
+                    assert!(
+                        matches!(&err, NmoError::Backend { backend, .. } if backend == "stream-pump"),
+                        "{case}: {err}"
+                    );
+                } else {
+                    drop(active);
+                }
+                assert_eq!(Arc::strong_count(&log), 1, "{case}: a thread outlived the session");
+            }
+        }
+    }
+
+    /// A thread-less step delivers what every backend drained even when a
+    /// later backend's drain fails: the step returns the error, and no
+    /// sample the SPE backend handed over is lost.
+    #[test]
+    fn a_failed_drain_fails_the_step_and_loses_no_other_backends_samples() {
+        struct FailsFirstDrain(bool);
+        impl SampleBackend for FailsFirstDrain {
+            fn name(&self) -> &'static str {
+                "fails-first-drain"
+            }
+            fn start(
+                &mut self,
+                _machine: &Machine,
+                _cores: &[usize],
+                _config: &NmoConfig,
+            ) -> Result<Vec<crate::backend::CoreObserver>, NmoError> {
+                Ok(Vec::new())
+            }
+            fn drain(
+                &mut self,
+                _machine: &Machine,
+                _clock: &WindowClock,
+                _pool: &BatchPool,
+            ) -> Result<Vec<SampleBatch>, NmoError> {
+                if std::mem::replace(&mut self.0, true) {
+                    Ok(Vec::new())
+                } else {
+                    Err(NmoError::backend("fails-first-drain", "no data yet"))
+                }
+            }
+            fn stop(&mut self, _machine: &Machine) -> Result<(), NmoError> {
+                Ok(())
+            }
+            fn fill(&mut self, _profile: &mut Profile) -> Result<(), NmoError> {
+                Ok(())
+            }
+        }
+        let mut active = ProfileSession::builder()
+            .machine_config(MachineConfig::small_test())
+            .config(NmoConfig::paper_default(100))
+            .threads(1)
+            .backend(SpeBackend::new())
+            .backend(FailsFirstDrain(false))
+            .sink(crate::sink::SampleLogSink::new())
+            .build()
+            .unwrap()
+            .start()
+            .unwrap();
+        stream_like(active.machine(), active.annotations_ref(), active.cores()).unwrap();
+        let mut tracker = crate::tiering::HotPageTracker::new(crate::tiering::NoMigration);
+        let err = active.tiering_step(&mut tracker).unwrap_err();
+        assert!(
+            matches!(&err, NmoError::Backend { backend, .. } if backend == "fails-first-drain")
+        );
+        let profile = active.finish().unwrap();
+        assert!(profile.processed_samples > 0);
+        let logged = profile.samples().expect("its sink was registered").len() as u64;
+        assert_eq!(logged, profile.processed_samples, "every drained sample was delivered");
+    }
+
     /// A sink that panics in `on_stream_start` fails `start_streaming`
     /// itself with a sink error, at every pipeline width, and so does
     /// `start`; nothing is left running: the backends (and whatever they
@@ -2213,7 +2391,14 @@ mod tests {
         let bus = ShardedBus::new(1, 1, BackpressurePolicy::Block);
         let publisher = {
             let (bus, coordinator) = (bus.clone(), coordinator.clone());
-            std::thread::spawn(move || publish_batches(drain, &bus, &coordinator, true))
+            std::thread::spawn(move || {
+                let (machine, pool) =
+                    (Machine::new(MachineConfig::small_test()), BatchPool::new(1));
+                let round = Round { machine: &machine, coordinator: &coordinator, pool: &pool };
+                round.publish(drain, true, |batches| {
+                    bus.publish_batches(batches);
+                });
+            })
         };
         let recv = || match bus.lane(0).recv_timeout(Duration::from_secs(10)) {
             BusRecv::Event(event) => event,

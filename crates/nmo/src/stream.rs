@@ -63,7 +63,12 @@
 //! The pipeline's shape — its width, the drain interval pump rounds start
 //! at (a round that overran it is followed at once, see
 //! [`StreamStats::pump_rounds_slept`]) and the backpressure policy — is
-//! fixed when the session starts.
+//! fixed when the session starts. A pump round is the delivery round a
+//! session without pipeline threads runs at each step, publishing onto a
+//! lane instead of into a list. The session runs the pipeline on one
+//! thread of its own: pump worker 0 there, the other pump workers and the
+//! consumers on threads scoped to it, so stopping the session is joining
+//! that one thread.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

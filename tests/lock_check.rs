@@ -54,7 +54,7 @@ fn streaming_session_under_lock_checker_is_inversion_free() {
     }
 
     // The observed acquisition graph must agree with the documented order:
-    // `publish_batches` takes the coordinator lock strictly *after* releasing
+    // `Round::publish` takes the coordinator lock strictly *after* releasing
     // the bus lock, so no `bus.inner -> session.coordinator` edge may ever
     // appear in the same held-while-acquiring chain in reverse. Stronger:
     // the edge set over the named streaming locks must be acyclic (the
