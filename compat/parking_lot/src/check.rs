@@ -1,5 +1,4 @@
-//! Runtime lock-order checker (the dynamic arm of the repo's concurrency
-//! analysis; the static arm is `nmo-lint`'s `lock-order` pass).
+//! Runtime lock-order checker: the repo's lock-order analysis.
 //!
 //! Enabled by `NMO_LOCK_CHECK=1` in the environment (read once, at the first
 //! acquisition) or programmatically with [`force_enable`]. See the crate

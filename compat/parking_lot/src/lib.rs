@@ -9,8 +9,7 @@
 //! # Runtime lock-order checking (`NMO_LOCK_CHECK`)
 //!
 //! Because every lock in the workspace goes through this shim, it doubles
-//! as the *dynamic* arm of the repo's concurrency analysis (the static arm
-//! is the `lock-order` lint in `nmo-lint`). Set the environment variable
+//! as the repo's lock-order analysis. Set the environment variable
 //! `NMO_LOCK_CHECK=1` (checked once, at the first lock acquisition) and
 //! every **blocking** acquisition is instrumented:
 //!

@@ -55,15 +55,19 @@
 //! ## What a memory-bound access costs the host
 //!
 //! An L1 or L2 hit touches nothing outside the core state the engine owns.
-//! An access that misses both takes the `machine.slc` mutex of the one SLC
+//! An access that misses both first compares the clock with the core's
+//! `turn_end`: a core of a gang that has run past its turn hands it on there
+//! and waits for it to come back (see [`crate::gang`]); outside a gang the
+//! bound is infinite. It then takes the `machine.slc` mutex of the one SLC
 //! shard its line maps to. One that misses there too — a memory-bound access
 //! — then touches shared state three times: an `Acquire` load of the address
 //! space's generation; a look into the core's own `PageHomes`, which takes
 //! the `vm.inner` write lock only for a page the core has not resolved under
 //! this generation (every first touch among them); and the compare-and-swap
-//! on the serving node's busy frontier (`MemNode::reserve`) that models
-//! bandwidth contention. The shard mutex and the frontier are the only writes
-//! on this path that another core's access can wait for or be slowed by.
+//! on the serving node's link budget (`MemNode::reserve`) that models
+//! bandwidth contention. The shard mutex and the link budget are the only
+//! writes on this path that another core's access can wait for or be slowed
+//! by.
 //! Everything else the access produces stays in the core until the engine
 //! detaches: the node's traffic counters are added up per core
 //! (`CoreState::node_traffic`) and `counters.cycles` is the clock converted
@@ -308,6 +312,9 @@ fn past_l1(machine: &Machine, st: &mut CoreState, op: Op) -> MemOutcome {
         st.counters.l2_hits += 1;
         MemOutcome::hit(DataSource::L2, cfg.l2.latency_cycles, cfg.l2.occupancy_cycles)
     } else {
+        if st.clock > st.turn_end {
+            st.turn_end = machine.gang.hand_on(st.id, st.clock as u64);
+        }
         let slc_res = {
             let mut shard = machine.slc_shard(vaddr).lock();
             shard.access(vaddr, is_store)

@@ -57,6 +57,7 @@ pub mod clock;
 pub mod config;
 pub mod counters;
 pub mod engine;
+pub mod gang;
 pub mod machine;
 pub mod observer;
 pub mod op;
@@ -71,6 +72,7 @@ pub use config::{
 };
 pub use counters::{CoreCounters, MachineCounters, MigrationStats};
 pub use engine::Engine;
+pub use gang::TURN_CYCLES;
 pub use machine::{BandwidthPoint, Machine, RssPoint};
 pub use observer::{FanoutObserver, NullObserver, ObserverCharge, OpCounts, OpObserver, Quiet};
 pub use op::{DataSource, MemLevel, MemOutcome, NodeId, Op, OpKind};

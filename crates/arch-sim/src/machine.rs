@@ -9,6 +9,7 @@ use crate::clock::TimeConv;
 use crate::config::{MachineConfig, MAX_MEM_NODES};
 use crate::counters::{CoreCounters, MachineCounters, MigrationStats};
 use crate::engine::{Engine, PageHomes};
+use crate::gang::Gang;
 use crate::observer::{ObserverCharge, OpCounts, OpObserver, Quiet};
 use crate::op::{NodeId, OpKind};
 use crate::topology::MemTopology;
@@ -47,6 +48,9 @@ pub(crate) struct CoreState {
     /// memory node since it was attached; [`Machine::return_core`] hands
     /// them to the nodes' counters.
     pub node_traffic: [[u64; 3]; MAX_MEM_NODES],
+    /// The clock past which the engine hands the gang's turn on (see
+    /// [`crate::gang`]); infinite outside a gang.
+    pub turn_end: f64,
 }
 
 impl std::fmt::Debug for CoreState {
@@ -74,6 +78,7 @@ impl CoreState {
             bw_buckets: Vec::new(),
             homes: PageHomes::default(),
             node_traffic: [[0; 3]; MAX_MEM_NODES],
+            turn_end: f64::INFINITY,
         }
     }
 
@@ -178,6 +183,8 @@ pub struct Machine {
     rss_events: Mutex<Vec<RssPoint>>,
     /// Counters of the page-migration subsystem.
     migration_stats: Mutex<MigrationStats>,
+    /// The cores that take turns in simulated time.
+    pub(crate) gang: Gang,
 }
 
 impl std::fmt::Debug for Machine {
@@ -223,6 +230,7 @@ impl Machine {
             cores,
             rss_events: Mutex::named(Vec::new(), "machine.rss"),
             migration_stats: Mutex::named(MigrationStats::default(), "machine.migrations"),
+            gang: Gang::new(),
         }
     }
 
@@ -327,23 +335,43 @@ impl Machine {
         *self.migration_stats.lock()
     }
 
-    /// Attach an engine to a core (checking the core state out of the machine).
+    /// Make `cores` take turns in simulated time (see [`crate::gang`]): from
+    /// now until its engine detaches, the engine of each one runs only while
+    /// its core is the furthest behind, and [`Machine::attach`] blocks until
+    /// then. Every core named here must be attached once, or the cores
+    /// waiting for it wait for ever; a core that does not exist or is
+    /// attached already is left out.
+    pub fn gang_begin(&self, cores: &[usize]) {
+        let clocks: Vec<(usize, u64)> = cores
+            .iter()
+            .filter_map(|&core| Some((core, self.cores.get(core)?.lock().as_ref()?.clock as u64)))
+            .collect();
+        self.gang.join(clocks);
+    }
+
+    /// Attach an engine to a core (checking the core state out of the
+    /// machine). A core another engine holds is [`SimError::CoreBusy`] at
+    /// once, and its gang is left as it is; a core of a gang then waits for
+    /// its turn.
     pub fn attach(&self, core_id: usize) -> Result<Engine<'_>> {
         let slot = self.cores.get(core_id).ok_or(SimError::NoSuchCore(core_id))?;
-        let state = slot.lock().take().ok_or(SimError::CoreBusy(core_id))?;
+        let mut state = slot.lock().take().ok_or(SimError::CoreBusy(core_id))?;
+        state.turn_end = self.gang.wait_turn(core_id);
         Ok(Engine::new(self, state))
     }
 
     /// Take a core back from its engine: the join point at which what the
     /// core kept to itself — the clock as `counters.cycles`, its traffic at
-    /// each memory node — becomes readable.
+    /// each memory node — becomes readable, and at which the core leaves its
+    /// gang.
     pub(crate) fn return_core(&self, mut state: CoreState) {
         state.counters.cycles = state.clock as u64;
         for (node, traffic) in self.topology.nodes().iter().zip(&mut state.node_traffic) {
             node.record_traffic(std::mem::take(traffic));
         }
-        let slot = &self.cores[state.id];
-        *slot.lock() = Some(state);
+        let id = state.id;
+        *self.cores[id].lock() = Some(state);
+        self.gang.leave(id);
     }
 
     /// Attach an operation observer (e.g. an SPE unit) to a core.
@@ -468,7 +496,7 @@ impl Machine {
         self.vm.rss_bytes()
     }
 
-    /// Flush all caches and reset memory-node traffic and busy frontiers
+    /// Flush all caches and reset memory-node traffic and link budgets
     /// (used between experiment trials that reuse a machine). Counters,
     /// clocks and RSS are preserved.
     pub fn flush_caches(&self) {

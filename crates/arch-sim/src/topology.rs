@@ -3,28 +3,39 @@
 //! Each [`MemNode`] models one memory node — the socket-local DDR, or a
 //! CXL-style remote expander — as a shared resource with an idle latency and
 //! a peak throughput of `peak_bytes_per_cycle`. Each line fill or write-back
-//! reserves `bytes / peak` cycles of node time; when requests arrive faster
-//! than the node drains, a *busy frontier* runs ahead of the requesting
-//! core's clock and the difference appears as queueing delay added to the
-//! idle latency. This reproduces the behaviours the paper's experiments
-//! depend on:
+//! takes `bytes / peak` cycles of link time; when requests arrive faster
+//! than the node drains, they wait for link time and the wait appears as
+//! queueing delay added to the idle latency. This reproduces the behaviours
+//! the paper's experiments depend on:
 //!
-//! * bandwidth-bound workloads (STREAM at high thread counts) see inflated
-//!   memory latencies, which lengthens the tracked lifetime of SPE samples
-//!   and therefore increases sample collisions,
+//! * bandwidth-bound workloads see inflated memory latencies, which
+//!   lengthens the tracked lifetime of SPE samples and therefore increases
+//!   sample collisions,
 //! * the achievable GiB/s saturates near the configured peak, and
 //! * on a tiered topology, accesses homed on the remote node form a second,
 //!   slower mode in the latency distribution — the DDR-vs-CXL comparison of
 //!   the paper's evaluation.
 //!
-//! Each node's frontier is kept in micro-cycles (1/1024 cycle) in an atomic
-//! so that all cores share it without locking; nodes contend independently
-//! (a saturated CXL node does not slow down DDR traffic).
+//! Link time is kept as a budget per 64-cycle bucket (`BUCKET_CYCLES`) of
+//! simulated time, not as one busy position: an access at `now` takes its
+//! time from the first bucket at or after `now` that has budget left,
+//! spilling into the next ones when it needs more, and its first byte lands
+//! after what the bucket has already served (at `now` at the earliest). So
+//! an access that reaches the node after another one but is earlier in
+//! simulated time still finds the link time the later one left, arrival
+//! order moves a queueing delay by less than one bucket, and the node keeps
+//! its bandwidth whatever order the cores arrive in (cores take turns only
+//! to within
+//! [`crate::TURN_CYCLES`]; see [`crate::gang`]). The buckets are a fixed ring
+//! per node, each one atomic word of (bucket, budget used), so all cores
+//! share it without locking; nodes contend independently (a saturated CXL
+//! node does not slow down DDR traffic). An access further in the past than
+//! the ring reaches is charged from the oldest bucket the ring holds.
 //!
 //! A node holds two kinds of shared state, and they arrive at different
-//! times. The **frontier** is the model: every access reserves its time on
-//! it at once (`MemNode::reserve`'s CAS), because the next access from any
-//! core must queue behind it. The **traffic counters** (`read_bytes`,
+//! times. The **link budget** is the model: every access takes its time from
+//! it at once (`MemNode::reserve`'s CAS per bucket), because the next access
+//! from any core must queue behind it. The **traffic counters** (`read_bytes`,
 //! `write_bytes`, `accesses`) are reporting only: an engine adds its line
 //! fills to a tally of its own core and `Machine::return_core` hands that
 //! tally to the nodes when the engine detaches, so the getters are exact at
@@ -39,13 +50,24 @@ use crate::op::NodeId;
 
 const FRAC: u64 = 1024;
 
+/// Width of one bucket of link time, in cycles.
+const BUCKET_CYCLES: u64 = 64;
+
+/// Link time one bucket holds, in micro-cycles (1/1024 of a core cycle).
+const BUCKET_MICRO: u64 = BUCKET_CYCLES * FRAC;
+
+/// Bits of a ring slot that hold the budget used; the bits above hold the
+/// bucket's number plus one (0: a slot no access has used).
+const USED_BITS: u32 = 20;
+
 /// One shared memory node (DDR channel group or CXL expander).
 #[derive(Debug)]
 pub struct MemNode {
     id: NodeId,
     cfg: MemNodeConfig,
-    /// Node busy frontier in micro-cycles (1/1024 of a core cycle).
-    busy_until: AtomicU64,
+    /// The link budget: slot `b % len` holds bucket `b` as
+    /// `(b + 1) << USED_BITS | used micro-cycles`.
+    buckets: Box<[AtomicU64]>,
     /// Total bytes read from the node.
     read_bytes: AtomicU64,
     /// Total bytes written back to the node.
@@ -66,13 +88,17 @@ pub struct NodeAccess {
 }
 
 impl MemNode {
-    /// Create a memory node from its configuration.
+    /// Create a memory node from its configuration. Its ring of buckets
+    /// reaches four times the longest queueing delay plus a turn back from
+    /// the latest bucket used.
     pub fn new(id: NodeId, cfg: MemNodeConfig) -> Self {
         let microcycles_per_byte = (FRAC as f64 / cfg.peak_bytes_per_cycle).round() as u64;
+        let reach = 4 * (cfg.max_queue_cycles + crate::TURN_CYCLES);
+        let ring = (reach / BUCKET_CYCLES).next_power_of_two().max(64);
         MemNode {
             id,
             cfg,
-            busy_until: AtomicU64::new(0),
+            buckets: (0..ring).map(|_| AtomicU64::new(0)).collect(),
             read_bytes: AtomicU64::new(0),
             write_bytes: AtomicU64::new(0),
             accesses: AtomicU64::new(0),
@@ -111,39 +137,62 @@ impl MemNode {
         self.accesses.fetch_add(accesses, Ordering::Relaxed);
     }
 
-    /// Reserve the node's link for `total_bytes` from simulated time
-    /// `now_cycles` on: the busy frontier advances, and what it already ran
-    /// ahead of `now_cycles` is the access's queueing delay.
+    /// Take `total_bytes` of link time from simulated time `now_cycles` on,
+    /// bucket by bucket (see the module docs). The access's queueing delay
+    /// is where its first byte lands minus `now_cycles`, capped at
+    /// `max_queue_cycles`; an access that finds no budget in the whole ring
+    /// waits the cap.
     pub(crate) fn reserve(&self, now_cycles: u64, total_bytes: u64) -> NodeAccess {
         let now_micro = now_cycles.saturating_mul(FRAC);
-        let reserve = total_bytes * self.microcycles_per_byte;
-
-        // Advance the busy frontier: new_frontier = max(frontier, now) + reserve.
-        // relaxed-ok: the frontier is a self-contained monotone max in
-        // simulated time — the CAS loop only needs atomicity of the value
-        // itself; no memory is published through it.
-        let mut prev = self.busy_until.load(Ordering::Relaxed);
-        loop {
-            let start = prev.max(now_micro);
-            let next = start + reserve;
-            // relaxed-ok: as above — value-only CAS, no release payload.
-            match self.busy_until.compare_exchange_weak(
-                prev,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    let queue_micro = start - now_micro;
-                    let queue_cycles = (queue_micro / FRAC).min(self.cfg.max_queue_cycles);
-                    return NodeAccess {
-                        latency_cycles: self.cfg.latency_cycles + queue_cycles,
-                        queue_cycles,
-                    };
+        let mut need = total_bytes * self.microcycles_per_byte;
+        let mut first_byte = (need == 0).then_some(now_micro);
+        // The ring's length is a power of two: a mask, not a division, finds
+        // a bucket's slot.
+        let mask = self.buckets.len() as u64 - 1;
+        let first = now_cycles / BUCKET_CYCLES;
+        for bucket in first..=first + mask {
+            if need == 0 {
+                break;
+            }
+            let slot = &self.buckets[(bucket & mask) as usize];
+            let tag = (bucket + 1) << USED_BITS;
+            // relaxed-ok: each slot is a self-contained counter of simulated
+            // link time — the CAS only needs atomicity of the word itself;
+            // no memory is published through it.
+            let mut prev = slot.load(Ordering::Relaxed);
+            loop {
+                let used = match prev >> USED_BITS {
+                    t if t == bucket + 1 => prev & ((1 << USED_BITS) - 1),
+                    // A later bucket holds the slot: this one is older than
+                    // the ring, and counts as served.
+                    t if t > bucket + 1 => BUCKET_MICRO,
+                    _ => 0,
+                };
+                let take = need.min(BUCKET_MICRO - used);
+                if take == 0 {
+                    break;
                 }
-                Err(actual) => prev = actual,
+                // relaxed-ok: as above — value-only CAS, no release payload.
+                match slot.compare_exchange_weak(
+                    prev,
+                    tag | (used + take),
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => {
+                        let lands = (bucket * BUCKET_MICRO + used).max(now_micro);
+                        first_byte.get_or_insert(lands);
+                        need -= take;
+                        break;
+                    }
+                    Err(actual) => prev = actual,
+                }
             }
         }
+        let queue_cycles = first_byte
+            .map_or(u64::MAX, |lands| (lands - now_micro) / FRAC)
+            .min(self.cfg.max_queue_cycles);
+        NodeAccess { latency_cycles: self.cfg.latency_cycles + queue_cycles, queue_cycles }
     }
 
     /// Total bytes read from the node so far (by engines that have detached,
@@ -181,11 +230,13 @@ impl MemNode {
         self.cfg.capacity_bytes
     }
 
-    /// Reset traffic counters and the busy frontier (between trials).
+    /// Reset traffic counters and the link budget (between trials).
     pub fn reset(&self) {
-        // relaxed-ok: trial boundaries are externally synchronised (the
-        // caller joins all simulated cores before resetting).
-        self.busy_until.store(0, Ordering::Relaxed);
+        for slot in self.buckets.iter() {
+            // relaxed-ok: trial boundaries are externally synchronised (the
+            // caller joins all simulated cores before resetting).
+            slot.store(0, Ordering::Relaxed);
+        }
         // relaxed-ok: as above — quiescent at trial boundaries.
         self.read_bytes.store(0, Ordering::Relaxed);
         // relaxed-ok: as above.
@@ -265,7 +316,7 @@ impl MemTopology {
 
     /// Move `bytes` of page data from node `from` to node `to` at simulated
     /// time `now_cycles`: the source link serves a read, the destination a
-    /// write, and both busy frontiers advance, so a migration storm shows up
+    /// write, and both take the link time, so a migration storm shows up
     /// as queueing delay on subsequent demand traffic exactly like any other
     /// bandwidth consumer. Returns the combined transfer latency in cycles
     /// (the slower of the two links, including queueing).
@@ -279,7 +330,7 @@ impl MemTopology {
         read.latency_cycles.max(write.latency_cycles)
     }
 
-    /// Reset every node's counters and busy frontier (between trials).
+    /// Reset every node's counters and link budget (between trials).
     pub fn reset(&self) {
         for node in &self.nodes {
             node.reset();
@@ -356,6 +407,30 @@ mod tests {
         // Far in the future the node is idle again.
         let a = d.access(1_000_000, 64, 0);
         assert_eq!(a.queue_cycles, 0);
+    }
+
+    /// A core behind in simulated time that reaches the node after one far
+    /// ahead of it finds the link time the other left, instead of queueing
+    /// behind it.
+    #[test]
+    fn an_earlier_access_that_arrives_late_finds_the_link_free() {
+        let d = MemNode::new(0, cfg());
+        let (ahead, behind) = (160 * BUCKET_CYCLES, 140 * BUCKET_CYCLES);
+        for _ in 0..500 {
+            d.access(ahead, 64, 0);
+        }
+        assert_eq!(d.access(ahead, 64, 0).queue_cycles, 500);
+        assert_eq!(d.access(behind, 64, 0).queue_cycles, 0);
+    }
+
+    /// Arrival order moves a queueing delay by less than one bucket: the
+    /// same accesses arriving latest first queue less than a bucket's width,
+    /// where one busy position would make each wait for all the later ones.
+    #[test]
+    fn arrival_order_costs_less_than_a_bucket() {
+        let d = MemNode::new(0, cfg());
+        let worst = (0..1_000u64).rev().map(|t| d.access(t, 64, 0).queue_cycles).max();
+        assert!(worst.unwrap() < BUCKET_CYCLES, "{worst:?}");
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! collisions than STREAM/CFD at small sampling periods (its sample
 //! production rate per cycle is much lower).
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -119,12 +120,13 @@ impl Workload for BfsBench {
         let (ro, re, rl) = (regions.offsets.start, regions.edges.start, regions.levels.start);
         let graph: &CsrGraph = &self.graph;
 
-        self.levels.iter_mut().for_each(|l| *l = u32::MAX);
-        self.levels[self.source] = 0;
-        // The level array is written concurrently by threads; each vertex is
-        // claimed at most once per level thanks to the shared mutex-protected
-        // next frontier. A benign double-mark is acceptable for BFS levels.
-        let levels_ptr = SendPtr(self.levels.as_mut_ptr());
+        // Every core reads and writes the levels while a level runs, so they
+        // are atomics until the search ends. Two cores may both see a vertex
+        // unvisited and mark it with the same level: a benign double-mark,
+        // which the frontier's dedup below removes.
+        let mut levels: Vec<AtomicU32> =
+            (0..graph.num_vertices).map(|_| AtomicU32::new(u32::MAX)).collect();
+        *levels[self.source].get_mut() = 0;
 
         annotations.start("bfs", machine.makespan_ns());
         let mut frontier: Vec<u32> = vec![self.source as u32];
@@ -136,7 +138,6 @@ impl Workload for BfsBench {
             let result = parallel_on_cores(machine, cores, |tid, engine| {
                 let range = chunk_range(frontier_ref.len(), threads, tid);
                 let mut local_next = Vec::new();
-                let lv = levels_ptr;
                 for &v in &frontier_ref[range] {
                     let v = v as usize;
                     // Read the two row offsets (sequential-ish).
@@ -155,9 +156,13 @@ impl Workload for BfsBench {
                             let exposed = (out.latency_cycles - out.occupancy_cycles) / 2;
                             engine.idle(exposed);
                         }
-                        let seen = unsafe { *lv.0.add(t_us) };
+                        // relaxed-ok: a pass only asks whether a vertex is
+                        // marked; the scope's join orders its marks before
+                        // the next pass.
+                        let seen = levels[t_us].load(Ordering::Relaxed);
                         if seen == u32::MAX {
-                            unsafe { *lv.0.add(t_us) = level + 1 };
+                            // relaxed-ok: as the load above.
+                            levels[t_us].store(level + 1, Ordering::Relaxed);
                             engine.store_at(pc::BFS_EXPAND, rl + (t_us * 4) as u64, 4);
                             local_next.push(t);
                         }
@@ -178,6 +183,7 @@ impl Workload for BfsBench {
             level += 1;
         }
         annotations.stop(machine.makespan_ns());
+        self.levels = levels.into_iter().map(AtomicU32::into_inner).collect();
         self.visited_count = visited;
 
         let counters = machine.counters();
@@ -215,11 +221,6 @@ impl Workload for BfsBench {
             .all(|(&level, &parented)| level == 0 || level == u32::MAX || parented)
     }
 }
-
-#[derive(Clone, Copy)]
-struct SendPtr(*mut u32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 #[cfg(test)]
 mod tests {

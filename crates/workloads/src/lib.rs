@@ -78,16 +78,20 @@ pub mod pc {
 /// Run `body` once per core on its own thread, each with an attached engine.
 ///
 /// This is the OpenMP-`parallel for`-style helper every workload uses: thread
-/// `i` is bound to `cores[i]` and receives `(i, &mut Engine)`. A core that
-/// cannot be attached (out of range, or checked out by another engine) is
-/// reported as an [`NmoError`] after the remaining threads finish, instead of
-/// panicking inside the worker thread.
+/// `i` is bound to `cores[i]` and receives `(i, &mut Engine)`. The cores take
+/// turns in simulated time ([`Machine::gang_begin`]), so the order in which
+/// the threads run, and every simulated result, follow the simulated clocks
+/// and not the host's scheduling. A core that cannot be attached (out of
+/// range, or checked out by another engine) is reported as an [`NmoError`]
+/// after the remaining threads finish, instead of panicking inside the worker
+/// thread.
 pub fn parallel_on_cores<F>(machine: &Machine, cores: &[usize], body: F) -> Result<(), NmoError>
 where
     F: Fn(usize, &mut arch_sim::Engine<'_>) + Sync,
 {
     let failures: parking_lot::Mutex<Vec<arch_sim::SimError>> =
         parking_lot::Mutex::named(Vec::new(), "workloads.failures");
+    machine.gang_begin(cores);
     std::thread::scope(|s| {
         for (idx, &core) in cores.iter().enumerate() {
             let body = &body;
@@ -171,7 +175,6 @@ mod tests {
             let machine = Machine::new(MachineConfig::small_test());
             let ann = nmo::Annotations::new();
             workload.setup(&machine, &ann).unwrap();
-            // One core: on more, simulated time follows host scheduling.
             workload.run(&machine, &ann, &[0]).unwrap();
             assert!(workload.verify());
             machine.counters()
@@ -192,5 +195,91 @@ mod tests {
         let machine = Machine::new(MachineConfig::small_test());
         let err = parallel_on_cores(&machine, &[0, 99], |_idx, _engine| {}).unwrap_err();
         assert!(matches!(err, nmo::NmoError::Sim(arch_sim::SimError::NoSuchCore(99))), "{err}");
+        // A core attached elsewhere takes no turns, so the others run.
+        let busy = machine.attach(1).unwrap();
+        let region = machine.alloc("x", 1 << 16).unwrap();
+        let err = parallel_on_cores(&machine, &[0, 1, 2], |_idx, engine| {
+            engine.load(region.start, 8);
+        })
+        .unwrap_err();
+        assert!(matches!(err, nmo::NmoError::Sim(arch_sim::SimError::CoreBusy(1))), "{err}");
+        drop(busy);
+        assert_eq!(machine.counters().mem_access, 2);
+        // A core named twice runs once, in its turns; the second attach finds
+        // it busy and leaves the gang to the engine that holds it.
+        let err = parallel_on_cores(&machine, &[0, 0, 1], |_idx, engine| {
+            engine.load(region.start, 8);
+        })
+        .unwrap_err();
+        assert!(matches!(err, nmo::NmoError::Sim(arch_sim::SimError::CoreBusy(0))), "{err}");
+        assert_eq!(machine.counters().mem_access, 4);
+    }
+
+    /// A core whose body panics while it holds the turn hands it on as its
+    /// engine unwinds, so the other cores finish and the panic reaches the
+    /// caller.
+    #[test]
+    fn a_panicking_core_does_not_stall_the_others() {
+        let machine = Machine::new(MachineConfig::small_test());
+        let region = machine.alloc("x", 1 << 20).unwrap();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_on_cores(&machine, &[0, 1], |idx, engine| {
+                for i in 0..1_000u64 {
+                    engine.load(region.start + ((idx as u64) << 19) + i * 64, 8);
+                    assert!(idx == 1 || i < 10, "core 0 stops here");
+                }
+            })
+        }));
+        assert!(run.is_err());
+        assert_eq!(machine.counters().mem_access, 1_011);
+    }
+
+    /// Two memory-bound cores reach memory in the order their clocks set:
+    /// the same interleaving on every run, many hand-offs, and the core that
+    /// runs never more than a turn (plus the access in flight) ahead of the
+    /// other.
+    #[test]
+    fn parallel_cores_take_turns_in_simulated_time() {
+        let cfg = MachineConfig::small_test();
+        let node = cfg.mem.nodes[0];
+        let slack = arch_sim::TURN_CYCLES + 2 * (node.occupancy_cycles + node.max_queue_cycles);
+        const LOADS: usize = 2_000;
+        let interleaving = |cores: &[usize]| {
+            let machine = Machine::new(cfg.clone());
+            let region = machine.alloc("x", 1 << 22).unwrap();
+            let log = parking_lot::Mutex::named(Vec::new(), "test.log");
+            let run = parallel_on_cores(&machine, cores, |idx, engine| {
+                let core = cores[idx];
+                for i in 0..LOADS as u64 {
+                    engine.load(region.start + ((core as u64) << 21) + i * 64, 8);
+                    log.lock().push((core, engine.now_cycles()));
+                }
+            });
+            (run.err().map(|e| e.to_string()), log.into_inner())
+        };
+        let (err, first) = interleaving(&[0, 1]);
+        assert_eq!(err, None);
+        assert_eq!(
+            (err, first.clone()),
+            interleaving(&[0, 1]),
+            "the interleaving follows the clocks"
+        );
+        // A core named twice runs once and keeps its turns.
+        let (err, again) = interleaving(&[0, 0, 1]);
+        assert!(err.is_some());
+        assert_eq!(first, again);
+        let hand_offs = first.windows(2).filter(|w| w[0].0 != w[1].0).count();
+        assert!(hand_offs > 10, "only {hand_offs} hand-offs");
+        // A core waiting for the turn is where its last load left it; one
+        // that has finished no longer holds the other back.
+        let (mut loads, mut clocks) = ([0; 2], [0u64; 2]);
+        for &(core, clock) in &first {
+            let other = 1 - core;
+            if loads[other] < LOADS {
+                assert!(clock <= clocks[other] + slack, "core {core} at {clock}, {clocks:?}");
+            }
+            loads[core] += 1;
+            clocks[core] = clock;
+        }
     }
 }

@@ -2,12 +2,10 @@
 //! pipeline: run a small multi-threaded streaming session with the checker
 //! forced on, then inspect the acquisition graph and hold-time report.
 //!
-//! This is the dynamic counterpart of `nmo-lint`'s static `lock-order`
-//! pass: the static pass proves no inverted acquisition *sites* exist; this
-//! test observes the orders actually taken at runtime (including through
-//! trait objects and closures the static pass cannot see) and panics on
-//! inversion. It is also the in-tree example of the `NMO_LOCK_CHECK=1`
-//! workflow described in the README.
+//! The test observes the orders actually taken at runtime (including
+//! through trait objects and closures) and panics on inversion. It is also
+//! the in-tree example of the `NMO_LOCK_CHECK=1` workflow described in the
+//! README.
 
 use nmo_repro::arch_sim::MachineConfig;
 use nmo_repro::nmo::{BandwidthSink, CapacitySink, NmoConfig, ProfileSession, StreamOptions};
