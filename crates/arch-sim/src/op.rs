@@ -166,8 +166,19 @@ impl DataSource {
     /// node), for per-source tables. Like [`DataSource::encode`] it keeps
     /// the low 4 bits of the node id, which is every node the packet codec
     /// can carry.
+    ///
+    /// One load from a 256-entry table indexed by the branch-free
+    /// [`DataSource::encode`]: a per-sample fold runs this on sources that
+    /// vary from sample to sample, where the `match` compiles to a jump
+    /// table whose indirect jump mispredicts. Both mask the node to 4 bits,
+    /// so the table gives every source the `match`'s slot.
     #[inline]
     pub fn slot(self) -> usize {
+        SLOT_TABLE[self.encode() as usize] as usize
+    }
+
+    /// The source → slot rule [`SLOT_TABLE`] is filled from.
+    const fn slot_by_match(self) -> usize {
         match self {
             DataSource::L1 => 0,
             DataSource::L2 => 1,
@@ -203,6 +214,20 @@ const DECODE_TABLE: [Option<DataSource>; 256] = {
     let mut code = 0;
     while code < table.len() {
         table[code] = DataSource::decode_code(code as u8);
+        code += 1;
+    }
+    table
+};
+
+/// [`DataSource::slot`] by code; codes that name no source hold 0 (no
+/// [`DataSource::encode`] yields one).
+const SLOT_TABLE: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut code = 0;
+    while code < table.len() {
+        if let Some(source) = DECODE_TABLE[code] {
+            table[code] = source.slot_by_match() as u8;
+        }
         code += 1;
     }
     table
@@ -371,6 +396,20 @@ mod tests {
             }
         }
         assert_eq!(valid, 3 + 2 * 16, "three caches, 16 local and 16 remote nodes");
+    }
+
+    /// The table is the match for every source there is — every node byte,
+    /// so the mask to the low nibble too.
+    #[test]
+    fn slot_table_agrees_with_the_match_for_every_source() {
+        let caches = [DataSource::L1, DataSource::L2, DataSource::Slc];
+        let dram = (0..=u8::MAX).flat_map(|n| [DataSource::Dram(n), DataSource::RemoteDram(n)]);
+        for source in caches.into_iter().chain(dram) {
+            assert_eq!(source.slot(), source.slot_by_match(), "{source:?}");
+            if source.node().is_none_or(|n| n < 16) {
+                assert_eq!(DataSource::from_slot(source.slot()), Some(source), "{source:?}");
+            }
+        }
     }
 
     #[test]

@@ -19,11 +19,16 @@
 //! (recording batch by batch, however the stream was batched or sharded)
 //! lands on bit-identical results to [`LatencyProfile::from_samples`] over
 //! the run's sample log ([`crate::Profile::samples`]) — the reference scan
-//! the test suites compare against; nothing in the library calls it. The
-//! sink's per-sample fold
-//! does not search `per_source`: it indexes a dense table by
-//! [`DataSource::slot`] (in `sink.rs`, beside the shard that owns it) and
-//! emits the same ascending profile at the end.
+//! the test suites compare against; nothing in the library calls it.
+//!
+//! The sink's per-sample fold is only arithmetic and stores the CPU can
+//! pipeline, since its cost per sample is the profile's cost (paper §VII):
+//! it does not search `per_source` but indexes a dense table (in `sink.rs`,
+//! beside the shard that owns it) by [`DataSource::slot`], itself one table
+//! load, so nothing branches on the sample's source; [`LatencyHistogram`]
+//! keeps no count beside its buckets and stores `min` / `max` only when
+//! they change, so a run of samples from one source is not chained through
+//! a store per sample. It emits the same ascending profile at the end.
 
 use arch_sim::DataSource;
 
@@ -34,11 +39,12 @@ use crate::runtime::AddressSample;
 /// the 16-bit SPE latency counter.
 pub const LATENCY_BUCKETS: usize = 16;
 
-/// A streaming log2-bucket histogram over SPE latencies.
+/// A streaming log2-bucket histogram over SPE latencies. The observation
+/// count is the bucket sum, so [`LatencyHistogram::record`] keeps no count
+/// of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: [u64; LATENCY_BUCKETS],
-    count: u64,
     sum: u64,
     min: u16,
     max: u16,
@@ -46,16 +52,14 @@ pub struct LatencyHistogram {
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
-        LatencyHistogram { buckets: [0; LATENCY_BUCKETS], count: 0, sum: 0, min: u16::MAX, max: 0 }
+        LatencyHistogram { buckets: [0; LATENCY_BUCKETS], sum: 0, min: u16::MAX, max: 0 }
     }
 }
 
+/// The log2 bucket of `latency`, latency 0 joining 1 in bucket 0: one
+/// bit scan, no branch.
 fn bucket_of(latency: u16) -> usize {
-    if latency == 0 {
-        0
-    } else {
-        (15 - latency.leading_zeros() as usize).min(LATENCY_BUCKETS - 1)
-    }
+    (u32::from(latency) | 1).ilog2() as usize
 }
 
 /// Inclusive value range covered by bucket `i`.
@@ -72,12 +76,20 @@ impl LatencyHistogram {
     }
 
     /// Record one latency observation.
+    ///
+    /// `min` / `max` are written only when they change: a rarely taken
+    /// branch once the extremes settle, where an unconditional
+    /// load–select–store puts each sample's store on the next one's path.
+    #[inline]
     pub fn record(&mut self, latency: u16) {
         self.buckets[bucket_of(latency)] += 1;
-        self.count += 1;
         self.sum += latency as u64;
-        self.min = self.min.min(latency);
-        self.max = self.max.max(latency);
+        if latency < self.min {
+            self.min = latency;
+        }
+        if latency > self.max {
+            self.max = latency;
+        }
     }
 
     /// Merge another histogram into this one (order-independent).
@@ -85,7 +97,6 @@ impl LatencyHistogram {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
         }
-        self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -93,21 +104,20 @@ impl LatencyHistogram {
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.count
+        self.buckets.iter().sum()
     }
 
     /// Mean latency in cycles (0.0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
+        match self.count() {
+            0 => 0.0,
+            count => self.sum as f64 / count as f64,
         }
     }
 
     /// Smallest observed latency (0 when empty).
     pub fn min(&self) -> u16 {
-        if self.count == 0 {
+        if self.count() == 0 {
             0
         } else {
             self.min
@@ -140,14 +150,15 @@ impl LatencyHistogram {
     ///   bounds tightened to the observed min/max so the result can never
     ///   leave the observed range.
     pub fn percentile(&self, p: f64) -> f64 {
-        if self.count == 0 {
+        let count = self.count();
+        if count == 0 {
             return 0.0;
         }
-        let rank = (p.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
+        let rank = (p.clamp(0.0, 1.0) * count as f64).ceil().max(1.0) as u64;
         if rank <= 1 {
             return self.min() as f64;
         }
-        if rank >= self.count {
+        if rank >= count {
             return self.max as f64;
         }
         let mut seen = 0u64;

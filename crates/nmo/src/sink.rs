@@ -874,12 +874,20 @@ impl AnalysisSink for LatencySink {
 /// keeps one as the merge target). Histogram buckets are exact counters, so
 /// the shard merge is bit-identical to a single fold in any order.
 ///
-/// The per-sample fold indexes a dense table by [`DataSource::slot`] — no
-/// search per sample. A slot keeps the low 4 bits of a node id (every node
-/// the SPE packet can name), so a hand-built source whose node id it would
-/// alias goes to `rest` through [`LatencyProfile::record`], as do the shard
-/// states the parent merges.
+/// The per-sample fold is one table index by [`DataSource::slot`] and a
+/// [`LatencyHistogram::record`]: no search, no branch on the source, no
+/// count beside the buckets. A slot keeps the low 4 bits of a node id
+/// (every node the SPE packet can name), so a hand-built source whose node
+/// id it would alias must not reach the table. That is decided per batch,
+/// by one branch-free OR over its node ids: a batch holding such a source
+/// goes whole to `rest` through [`LatencyProfile::record`], which is exact
+/// because `rest` merges by source, as do the shard states the parent
+/// merges.
+///
+/// Aligned to a cache line, so a replay's shards, one per segment thread,
+/// never share a line of their tables.
 #[derive(Debug)]
+#[repr(align(64))]
 struct LatencyShard {
     by_slot: [LatencyHistogram; DataSource::SLOTS],
     rest: LatencyProfile,
@@ -911,13 +919,15 @@ impl LatencyShard {
 impl SinkShard for LatencyShard {
     fn on_batch(&mut self, batch: &SampleBatch) {
         if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
-            for s in samples {
-                let slot = s.source.slot();
-                if DataSource::from_slot(slot) == Some(s.source) {
-                    self.by_slot[slot].record(s.latency);
-                } else {
+            let wide = samples.iter().fold(0, |or, s| or | s.source.node().unwrap_or(0)) >> 4;
+            if wide != 0 {
+                for s in samples {
                     self.rest.record(s.source, s.latency);
                 }
+                return;
+            }
+            for s in samples {
+                self.by_slot[s.source.slot()].record(s.latency);
             }
         }
     }

@@ -1433,7 +1433,9 @@ fn per_segment<I: Send, T: Send>(
 
 /// Deliver what `query` keeps of the blocks listed in `entries` through one
 /// shard's lane, in file order — the one place a stored event reaches a
-/// sink. Blocks the index rules out are never read.
+/// sink. Blocks the index rules out are never read. Every batch a block
+/// decoded, delivered or filtered out, goes back to the reader's pool under
+/// one hold, so the next block decodes into the same buffers.
 fn feed(
     reader: &mut SegmentReader,
     entries: &[IndexEntry],
@@ -1442,18 +1444,21 @@ fn feed(
     fan_in: &Mutex<ReplayFanIn<'_>>,
 ) -> Result<ReplayStats, NmoError> {
     let mut stats = ReplayStats::default();
+    let mut spent = Vec::new();
     for entry in entries.iter().filter(|e| query.matches_entry(e)) {
         stats.blocks += 1;
         for event in reader.read_block(entry)? {
             match event {
                 BusEvent::Batch(batch) => {
-                    let Some(batch) = query.filter_batch(batch) else { continue };
-                    stats.batches += 1;
-                    if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
-                        stats.samples += samples.len() as u64;
+                    let (batch, kept) = query.filter_batch(batch);
+                    if kept {
+                        stats.batches += 1;
+                        if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
+                            stats.samples += samples.len() as u64;
+                        }
+                        lane.on_batch(&batch, || fan_in.lock());
                     }
-                    lane.on_batch(&batch, || fan_in.lock());
-                    reader.pool.recycle_batch(batch);
+                    spent.push(batch);
                 }
                 BusEvent::CloseWindow(w) => {
                     if query.window_in_range(w.index) {
@@ -1462,6 +1467,7 @@ fn feed(
                 }
             }
         }
+        reader.pool.recycle_batches(spent.drain(..));
     }
     Ok(stats)
 }
@@ -1542,24 +1548,24 @@ impl TraceQuery {
 
     /// What the query keeps of one stored batch: nothing outside the window
     /// range or the queried cores; of an SPE batch, the samples inside the
-    /// address range (`None` when none is left).
-    pub(crate) fn filter_batch(&self, batch: SampleBatch) -> Option<SampleBatch> {
+    /// address range. The batch comes back either way, so its buffer can be
+    /// recycled, with whether anything of it is kept.
+    fn filter_batch(&self, batch: SampleBatch) -> (SampleBatch, bool) {
         let in_cores = |c: usize| self.cores.as_ref().is_none_or(|cores| cores.contains(&c));
         if !self.window_in_range(batch.window.index) || !batch.core.is_none_or(in_cores) {
-            return None;
+            return (batch, false);
         }
-        let Some((lo, hi)) = self.vaddr else { return Some(batch) };
+        let Some((lo, hi)) = self.vaddr else { return (batch, true) };
         let (seq, backend, core, window) = (batch.seq, batch.backend, batch.core, batch.window);
         let mut payload = batch.into_payload();
+        let mut kept = true;
         if let BatchPayload::SpeSamples { samples, .. } = &mut payload {
             samples.retain(|s| (lo..=hi).contains(&s.vaddr));
-            if samples.is_empty() {
-                return None;
-            }
+            kept = !samples.is_empty();
         }
-        let mut kept = SampleBatch::new(backend, core, window, payload);
-        kept.seq = seq;
-        Some(kept)
+        let mut filtered = SampleBatch::new(backend, core, window, payload);
+        filtered.seq = seq;
+        (filtered, kept)
     }
 }
 
@@ -2306,39 +2312,54 @@ mod tests {
 
     /// Replay decodes into buffers it already has: one reader allocates for
     /// its largest block and draws every other batch from what `feed` handed
-    /// back.
+    /// back — the batches a sliced query filters out as well as those it
+    /// delivers.
     #[test]
     fn a_reader_allocates_for_its_largest_block_and_reuses_the_rest() {
         let dir = tmp("reuse");
         fs::create_dir_all(&dir).expect("mkdir");
         let mut w = SegmentWriter::create(&dir, 0).expect("create");
         let clock = WindowClock::new(1_000_000);
+        // Batches per core per block, for cores 0 and 1; batch `b` of core
+        // `c` lies on page `b << 8 | c`.
         let per_block = [2u64, 3, 1, 3];
         for (wi, &batches) in per_block.iter().enumerate() {
             let window = clock.window(wi as u64);
-            for b in 0..batches {
-                let samples =
-                    (0..70).map(|i| sample(window.start_ns + i, b << 12, 0, 9, DataSource::L1));
-                w.append_batch(&spe_batch(0, window, samples.collect())).expect("append");
+            for core in 0..2 {
+                for b in 0..batches {
+                    let page = b << 8 | core as u64;
+                    let samples = (0..70).map(|i| {
+                        sample(window.start_ns + i, page << 12 | i, core, 9, DataSource::L1)
+                    });
+                    w.append_batch(&spe_batch(core, window, samples.collect())).expect("append");
+                }
             }
             w.append_close(window).expect("close");
         }
         w.finish().expect("finish");
-        let (largest, total) = (3, per_block.iter().sum::<u64>());
+        let (largest, total) = (2 * 3, 2 * per_block.iter().sum::<u64>());
 
         let path = dir.join(SegmentWriter::segment_file_name(0));
-        let (mut reader, entries) = SegmentReader::open(0, path).expect("open");
-        let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(crate::LatencySink::default())];
-        let ctx = StreamContext::for_replay(1 << 20, 1000, 1, 4096);
-        let (fan_in, mut lanes) = FanIn::start(&mut sinks[..], 1, &ctx);
-        let fan_in = Mutex::named(fan_in, "trace.merger");
-        let stats =
-            feed(&mut reader, &entries, &TraceQuery::all(), &mut lanes[0], &fan_in).expect("feed");
-        assert_eq!((stats.batches, stats.samples), (total, total * 70));
-        finish(fan_in, lanes, stats);
-        let fed = reader.pool.stats();
-        assert!(fed.allocated <= largest, "{fed:?}");
-        assert_eq!(fed.reused, total - fed.allocated, "{fed:?}");
+        let queries = [
+            (TraceQuery::all(), total),
+            (TraceQuery::all().with_cores([0]), total / 2),
+            // Only each core's first batch of a block: the rest are emptied.
+            (TraceQuery::all().with_vaddr(0, 0x1fff), 2 * per_block.len() as u64),
+        ];
+        for (query, delivered) in queries {
+            let (mut reader, entries) = SegmentReader::open(0, path.clone()).expect("open");
+            let mut sinks: Vec<Box<dyn AnalysisSink>> =
+                vec![Box::new(crate::LatencySink::default())];
+            let ctx = StreamContext::for_replay(1 << 20, 1000, 1, 4096);
+            let (fan_in, mut lanes) = FanIn::start(&mut sinks[..], 1, &ctx);
+            let fan_in = Mutex::named(fan_in, "trace.merger");
+            let stats = feed(&mut reader, &entries, &query, &mut lanes[0], &fan_in).expect("feed");
+            assert_eq!((stats.batches, stats.samples), (delivered, delivered * 70), "{query:?}");
+            finish(fan_in, lanes, stats);
+            let fed = reader.pool.stats();
+            assert!(fed.allocated <= largest, "{query:?}: {fed:?}");
+            assert_eq!(fed.reused, total - fed.allocated, "{query:?}: {fed:?}");
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -933,6 +933,89 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Latency sink (nmo::sink): the sharded fold against the reference scan.
+// ---------------------------------------------------------------------------
+
+use nmo_repro::nmo::LatencyProfile;
+
+/// Where a batch of the latency property holds its one source with a node id
+/// past the slot's 4 bits: nowhere, first, in the middle, or last.
+fn wide_at(placement: u8, len: usize) -> Option<usize> {
+    match placement {
+        0 => None,
+        1 => Some(0),
+        2 => Some(len / 2),
+        _ => Some(len - 1),
+    }
+}
+
+proptest! {
+    /// Arbitrary batches, some holding a `Dram(n)` / `RemoteDram(n)` with n
+    /// ≥ 16 first, in the middle or last, and latencies 0, 1 and `u16::MAX`
+    /// among the rest, fed to 1–4 `LatencySink` shards at random and merged
+    /// in shard order, report exactly `LatencyProfile::from_samples` over
+    /// the same samples: a node id the slot table would alias never lands on
+    /// another node's histogram, and the histograms' extremes are exact.
+    #[test]
+    fn latency_shards_merge_to_from_samples_whatever_the_node_ids(
+        lengths in prop::collection::vec(1usize..40, 1..12),
+        placements in prop::collection::vec(0u8..4, 12),
+        shard_picks in prop::collection::vec(0usize..4, 12),
+        shards in 1usize..=4,
+        classes in prop::collection::vec(0u8..5, 40),
+        nodes in prop::collection::vec(any::<u8>(), 40),
+        latencies in prop::collection::vec(any::<u16>(), 40),
+    ) {
+        let clock = WindowClock::new(TRACE_WINDOW_NS);
+        let window = clock.window(0);
+        let mut all = Vec::new();
+        let batches: Vec<(usize, SampleBatch)> = lengths
+            .iter()
+            .enumerate()
+            .map(|(b, &len)| {
+                let wide = wide_at(placements[b], len);
+                let samples: Vec<AddressSample> = (0..len)
+                    .map(|i| {
+                        let source = match Some(i) == wide {
+                            true => source_from(3 + classes[i] % 2, nodes[i] | 0x10),
+                            false => source_from(classes[i], nodes[i] & 0xf),
+                        };
+                        let latency = match (b + i) % 8 {
+                            0 => 0,
+                            3 => 1,
+                            5 => u16::MAX,
+                            _ => latencies[i],
+                        };
+                        let time_ns = (b * 40 + i) as u64;
+                        AddressSample { time_ns, vaddr: 0x1000, core: b, is_store: false, latency, source }
+                    })
+                    .collect();
+                all.extend_from_slice(&samples);
+                let payload = BatchPayload::SpeSamples { samples, loss: SpeStatsSnapshot::default() };
+                (shard_picks[b] % shards, SampleBatch::new("spe", Some(b), window, payload))
+            })
+            .collect();
+
+        let ctx = trace_ctx();
+        let mut sink = LatencySink::new();
+        let shardable = sink.as_shardable().expect("LatencySink is shardable");
+        let mut workers: Vec<_> = (0..shards).map(|s| shardable.make_shard(s, &ctx)).collect();
+        for (shard, batch) in &batches {
+            workers[*shard].on_batch(batch);
+        }
+        shardable.merge_final(workers.into_iter().map(|w| w.finish()).collect());
+        let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(sink)];
+        let records = nmo_repro::nmo::trace::replay_finish(&mut sinks).expect("report");
+        match &records[0].report {
+            AnalysisReport::Latency(merged) => {
+                prop_assert_eq!(merged, &LatencyProfile::from_samples(&all), "{} shards", shards);
+            }
+            other => panic!("expected a latency report, got {other:?}"),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Event bus (nmo::stream): bulk enqueue/dequeue against the one-event forms.
 // ---------------------------------------------------------------------------
 
