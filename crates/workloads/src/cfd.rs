@@ -13,7 +13,7 @@ use arch_sim::Machine;
 use nmo::{Annotations, NmoError};
 
 use crate::generators::{mesh_neighbors, NEIGHBORS_PER_ELEMENT};
-use crate::{chunk_range, parallel_on_cores, pc, Workload, WorkloadReport};
+use crate::{parallel_chunks, pc, Workload, WorkloadReport};
 
 /// Number of conservative variables per element (density, momentum x3, energy).
 pub const NVAR: usize = 5;
@@ -108,16 +108,12 @@ impl Workload for CfdBench {
             .as_ref()
             .ok_or_else(|| NmoError::Workload("cfd: run() called before setup()".into()))?;
         let elements = self.elements;
-        let threads = cores.len();
         let (rv, rf, rn, rnb) = (
             regions.variables.start,
             regions.fluxes.start,
             regions.normals.start,
             regions.neighbors.start,
         );
-
-        let variables_ptr = SendPtr(self.variables.as_mut_ptr());
-        let fluxes_ptr = SendPtr(self.fluxes.as_mut_ptr());
         let normals = &self.normals;
         let neighbors = &self.neighbors;
 
@@ -125,66 +121,72 @@ impl Workload for CfdBench {
         for _iter in 0..self.iterations {
             // Flux computation: gather own + neighbour variables, read the
             // element's normals, write the flux vector.
-            let flux_result = parallel_on_cores(machine, cores, |tid, engine| {
-                let range = chunk_range(elements, threads, tid);
-                let vars = variables_ptr;
-                let flx = fluxes_ptr;
-                for e in range {
-                    let mut acc = [0.0f64; NVAR];
-                    // Own variables.
-                    for (v, slot) in acc.iter_mut().enumerate() {
-                        let idx = e * NVAR + v;
-                        engine.load_at(pc::CFD_FLUX, rv + (idx * 8) as u64, 8);
-                        *slot += unsafe { *vars.0.add(idx) };
-                    }
-                    // Neighbour gathers through the index array (indirect).
-                    for k in 0..NEIGHBORS_PER_ELEMENT {
-                        let nb_idx = e * NEIGHBORS_PER_ELEMENT + k;
-                        engine.load_at(pc::CFD_FLUX, rnb + (nb_idx * 4) as u64, 4);
-                        let nb = neighbors[nb_idx] as usize;
-                        // Normals for this face: contiguous per element.
-                        for d in 0..3 {
-                            let n_idx = (e * NEIGHBORS_PER_ELEMENT + k) * 3 + d;
-                            engine.load_at(pc::CFD_FLUX, rn + (n_idx * 8) as u64, 8);
-                        }
-                        let weight = normals[(e * NEIGHBORS_PER_ELEMENT + k) * 3];
+            let vars = &self.variables;
+            let flux_result = parallel_chunks(
+                machine,
+                cores,
+                elements,
+                &mut self.fluxes,
+                |range, flx, engine| {
+                    for (e, flx) in range.zip(flx.chunks_exact_mut(NVAR)) {
+                        let mut acc = [0.0f64; NVAR];
+                        // Own variables.
                         for (v, slot) in acc.iter_mut().enumerate() {
-                            let idx = nb * NVAR + v;
+                            let idx = e * NVAR + v;
                             engine.load_at(pc::CFD_FLUX, rv + (idx * 8) as u64, 8);
-                            *slot += weight * unsafe { *vars.0.add(idx) };
+                            *slot += vars[idx];
                         }
+                        // Neighbour gathers through the index array (indirect).
+                        for k in 0..NEIGHBORS_PER_ELEMENT {
+                            let nb_idx = e * NEIGHBORS_PER_ELEMENT + k;
+                            engine.load_at(pc::CFD_FLUX, rnb + (nb_idx * 4) as u64, 4);
+                            let nb = neighbors[nb_idx] as usize;
+                            // Normals for this face: contiguous per element.
+                            for d in 0..3 {
+                                let n_idx = (e * NEIGHBORS_PER_ELEMENT + k) * 3 + d;
+                                engine.load_at(pc::CFD_FLUX, rn + (n_idx * 8) as u64, 8);
+                            }
+                            let weight = normals[(e * NEIGHBORS_PER_ELEMENT + k) * 3];
+                            for (v, slot) in acc.iter_mut().enumerate() {
+                                let idx = nb * NVAR + v;
+                                engine.load_at(pc::CFD_FLUX, rv + (idx * 8) as u64, 8);
+                                *slot += weight * vars[idx];
+                            }
+                        }
+                        // Store the flux vector.
+                        for (v, (value, out)) in acc.iter().zip(flx).enumerate() {
+                            let idx = e * NVAR + v;
+                            engine.store_at(pc::CFD_FLUX, rf + (idx * 8) as u64, 8);
+                            *out = value * 0.2;
+                        }
+                        engine.flops((NVAR * (NEIGHBORS_PER_ELEMENT + 2)) as u64);
+                        engine.cpu_work(8);
                     }
-                    // Store the flux vector.
-                    for (v, value) in acc.iter().enumerate() {
-                        let idx = e * NVAR + v;
-                        engine.store_at(pc::CFD_FLUX, rf + (idx * 8) as u64, 8);
-                        unsafe { *flx.0.add(idx) = value * 0.2 };
-                    }
-                    engine.flops((NVAR * (NEIGHBORS_PER_ELEMENT + 2)) as u64);
-                    engine.cpu_work(8);
-                }
-            });
-
+                },
+            );
             flux_result?;
+
             // Time-step update: variables += dt * fluxes (regular).
-            let step_result = parallel_on_cores(machine, cores, |tid, engine| {
-                let range = chunk_range(elements, threads, tid);
-                let vars = variables_ptr;
-                let flx = fluxes_ptr;
-                for e in range {
-                    for v in 0..NVAR {
-                        let idx = e * NVAR + v;
-                        engine.load_at(pc::CFD_TIME_STEP, rf + (idx * 8) as u64, 8);
-                        engine.load_at(pc::CFD_TIME_STEP, rv + (idx * 8) as u64, 8);
-                        engine.store_at(pc::CFD_TIME_STEP, rv + (idx * 8) as u64, 8);
-                        unsafe {
-                            *vars.0.add(idx) += 1e-4 * *flx.0.add(idx);
+            let flx = &self.fluxes;
+            let step_result = parallel_chunks(
+                machine,
+                cores,
+                elements,
+                &mut self.variables,
+                |range, vars, engine| {
+                    for (e, vars) in range.zip(vars.chunks_exact_mut(NVAR)) {
+                        for (v, var) in vars.iter_mut().enumerate() {
+                            let idx = e * NVAR + v;
+                            engine.load_at(pc::CFD_TIME_STEP, rf + (idx * 8) as u64, 8);
+                            engine.load_at(pc::CFD_TIME_STEP, rv + (idx * 8) as u64, 8);
+                            engine.store_at(pc::CFD_TIME_STEP, rv + (idx * 8) as u64, 8);
+                            *var += 1e-4 * flx[idx];
                         }
+                        engine.flops(2 * NVAR as u64);
+                        engine.cpu_work(4);
                     }
-                    engine.flops(2 * NVAR as u64);
-                    engine.cpu_work(4);
-                }
-            });
+                },
+            );
             step_result?;
         }
         annotations.stop(machine.makespan_ns());
@@ -204,11 +206,6 @@ impl Workload for CfdBench {
             && self.fluxes.iter().take(NVAR * 16).any(|f| *f != 0.0)
     }
 }
-
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 #[cfg(test)]
 mod tests {

@@ -12,11 +12,13 @@
 //! structure, which is what NMO observes, is the same: for every rating, read
 //! the counterpart factor row and update the owned factor row).
 
+use std::sync::atomic::{AtomicU32, Ordering};
+
 use arch_sim::Machine;
 use nmo::{Annotations, NmoError};
 
 use crate::generators::{ratings, Rating};
-use crate::{chunk_range, parallel_on_cores, pc, Workload, WorkloadReport};
+use crate::{parallel_chunks, parallel_on_cores, pc, Workload, WorkloadReport};
 
 /// Latent-factor dimensionality (CloudSuite uses small ranks; 16 keeps the
 /// factor rows two cache lines wide).
@@ -75,17 +77,21 @@ impl InMemAnalytics {
     pub fn rmse(&self) -> f64 {
         let mut se = 0.0f64;
         for r in &self.ratings {
-            let pred =
-                predict(&self.user_factors, &self.item_factors, r.user as usize, r.movie as usize);
+            let (u, m) = (r.user as usize, r.movie as usize);
+            let pred = predict(row(&self.user_factors, u), row(&self.item_factors, m));
             se += (pred - r.value as f64).powi(2);
         }
         (se / self.ratings.len().max(1) as f64).sqrt()
     }
 }
 
-fn predict(user_factors: &[f32], item_factors: &[f32], user: usize, movie: usize) -> f64 {
-    let uf = &user_factors[user * RANK..(user + 1) * RANK];
-    let mf = &item_factors[movie * RANK..(movie + 1) * RANK];
+/// Row `i` of a factor matrix.
+fn row(factors: &[f32], i: usize) -> &[f32] {
+    &factors[i * RANK..(i + 1) * RANK]
+}
+
+/// The predicted rating of a user and a movie: their factor rows' dot product.
+fn predict(uf: &[f32], mf: &[f32]) -> f64 {
     uf.iter().zip(mf).map(|(a, b)| (*a as f64) * (*b as f64)).sum()
 }
 
@@ -117,94 +123,99 @@ impl Workload for InMemAnalytics {
         let regions = self.regions.as_ref().ok_or_else(|| {
             NmoError::Workload("inmem-analytics: run() called before setup()".into())
         })?;
-        let threads = cores.len();
         let users = self.users;
         let (rr, ru, ri) =
             (regions.ratings.start, regions.user_factors.start, regions.item_factors.start);
         let ratings_ref = &self.ratings;
         let offsets = &self.user_offsets;
 
-        let uf_ptr = SendPtr(self.user_factors.as_mut_ptr());
-        let if_ptr = SendPtr(self.item_factors.as_mut_ptr());
-
         let mut report = WorkloadReport::default();
         for sweep in 0..self.sweeps {
             // User sweep: for each user, read its ratings and the item factor
             // rows, update the user factor row (gradient step).
             annotations.start("als-user-sweep", machine.makespan_ns());
-            let user_result = parallel_on_cores(machine, cores, |tid, engine| {
-                let urange = chunk_range(users, threads, tid);
-                let uf = uf_ptr;
-                let itf = if_ptr;
-                for u in urange {
-                    let r0 = offsets[u] as usize;
-                    let r1 = offsets[u + 1] as usize;
-                    // Load this user's factor row.
-                    for k in 0..RANK {
-                        engine.load_at(pc::ALS_USER, ru + ((u * RANK + k) * 4) as u64, 4);
-                    }
-                    for (ridx, rating) in ratings_ref[r0..r1].iter().enumerate() {
-                        engine.load_at(pc::ALS_USER, rr + ((r0 + ridx) * 12) as u64, 12);
-                        let m = rating.movie as usize;
-                        // Gather the item factor row (scattered by movie id).
+            let itf = &self.item_factors;
+            let user_result = parallel_chunks(
+                machine,
+                cores,
+                users,
+                &mut self.user_factors,
+                |urange, rows, engine| {
+                    for (u, uf) in urange.zip(rows.chunks_exact_mut(RANK)) {
+                        let (r0, r1) = (offsets[u] as usize, offsets[u + 1] as usize);
+                        // Load this user's factor row.
                         for k in 0..RANK {
-                            engine.load_at(pc::ALS_USER, ri + ((m * RANK + k) * 4) as u64, 4);
+                            engine.load_at(pc::ALS_USER, ru + ((u * RANK + k) * 4) as u64, 4);
                         }
-                        let err = rating.value as f64 - predict_raw(uf.0, itf.0, u, m);
-                        for k in 0..RANK {
-                            unsafe {
-                                let item = *itf.0.add(m * RANK + k) as f64;
-                                let cur = uf.0.add(u * RANK + k);
-                                *cur = (*cur as f64 + 0.01 * err * item) as f32;
+                        for (ridx, rating) in ratings_ref[r0..r1].iter().enumerate() {
+                            engine.load_at(pc::ALS_USER, rr + ((r0 + ridx) * 12) as u64, 12);
+                            let m = rating.movie as usize;
+                            // Gather the item factor row (scattered by movie id).
+                            for k in 0..RANK {
+                                engine.load_at(pc::ALS_USER, ri + ((m * RANK + k) * 4) as u64, 4);
                             }
+                            let mf = row(itf, m);
+                            let err = rating.value as f64 - predict(uf, mf);
+                            for (cur, item) in uf.iter_mut().zip(mf) {
+                                *cur = (*cur as f64 + 0.01 * err * *item as f64) as f32;
+                            }
+                            engine.flops(4 * RANK as u64);
                         }
-                        engine.flops(4 * RANK as u64);
+                        // Store the updated user factor row.
+                        for k in 0..RANK {
+                            engine.store_at(pc::ALS_USER, ru + ((u * RANK + k) * 4) as u64, 4);
+                        }
+                        engine.cpu_work(8);
                     }
-                    // Store the updated user factor row.
-                    for k in 0..RANK {
-                        engine.store_at(pc::ALS_USER, ru + ((u * RANK + k) * 4) as u64, 4);
-                    }
-                    engine.cpu_work(8);
-                }
-            });
+                },
+            );
             annotations.stop(machine.makespan_ns());
             user_result?;
 
             // Item sweep: symmetric pass reading user rows and updating item
-            // rows. Partition by user range but update items with a small
-            // damped step (races between threads on popular movies are
-            // numerically benign for this workload model).
+            // rows, partitioned by user range, so any core may update any
+            // movie's row. The rows are atomics (f32 bit patterns) for the
+            // pass; the cores take turns in simulated time, so the order of
+            // the updates, and every value, follow the simulated clocks.
             annotations.start("als-item-sweep", machine.makespan_ns());
-            let item_result = parallel_on_cores(machine, cores, |tid, engine| {
-                let urange = chunk_range(users, threads, tid);
-                let uf = uf_ptr;
-                let itf = if_ptr;
-                for u in urange {
-                    let r0 = offsets[u] as usize;
-                    let r1 = offsets[u + 1] as usize;
-                    for (ridx, rating) in ratings_ref[r0..r1].iter().enumerate() {
-                        engine.load_at(pc::ALS_ITEM, rr + ((r0 + ridx) * 12) as u64, 12);
-                        let m = rating.movie as usize;
-                        for k in 0..RANK {
-                            engine.load_at(pc::ALS_ITEM, ru + ((u * RANK + k) * 4) as u64, 4);
-                            engine.load_at(pc::ALS_ITEM, ri + ((m * RANK + k) * 4) as u64, 4);
-                        }
-                        let err = rating.value as f64 - predict_raw(uf.0, itf.0, u, m);
-                        for k in 0..RANK {
-                            unsafe {
-                                let user = *uf.0.add(u * RANK + k) as f64;
-                                let cur = itf.0.add(m * RANK + k);
-                                *cur = (*cur as f64 + 0.01 * err * user) as f32;
+            let uf = &self.user_factors;
+            let items: Vec<AtomicU32> =
+                self.item_factors.iter().map(|f| AtomicU32::new(f.to_bits())).collect();
+            // relaxed-ok: a core reads and writes the rows only while it
+            // holds the turn, and handing the turn on orders its writes
+            // before the next holder's reads.
+            let item = |i: usize| f32::from_bits(items[i].load(Ordering::Relaxed));
+            let item_result =
+                parallel_chunks(machine, cores, users, &mut [(); 0], |urange, _, engine| {
+                    for u in urange {
+                        let (r0, r1) = (offsets[u] as usize, offsets[u + 1] as usize);
+                        let user = row(uf, u);
+                        for (ridx, rating) in ratings_ref[r0..r1].iter().enumerate() {
+                            engine.load_at(pc::ALS_ITEM, rr + ((r0 + ridx) * 12) as u64, 12);
+                            let m = rating.movie as usize;
+                            for k in 0..RANK {
+                                engine.load_at(pc::ALS_ITEM, ru + ((u * RANK + k) * 4) as u64, 4);
+                                engine.load_at(pc::ALS_ITEM, ri + ((m * RANK + k) * 4) as u64, 4);
                             }
-                            engine.store_at(pc::ALS_ITEM, ri + ((m * RANK + k) * 4) as u64, 4);
+                            let mf: [f32; RANK] = std::array::from_fn(|k| item(m * RANK + k));
+                            let err = rating.value as f64 - predict(user, &mf);
+                            for (k, &x) in user.iter().enumerate() {
+                                let cur =
+                                    (item(m * RANK + k) as f64 + 0.01 * err * x as f64) as f32;
+                                // relaxed-ok: as the load above.
+                                items[m * RANK + k].store(cur.to_bits(), Ordering::Relaxed);
+                                engine.store_at(pc::ALS_ITEM, ri + ((m * RANK + k) * 4) as u64, 4);
+                            }
+                            engine.flops(4 * RANK as u64);
                         }
-                        engine.flops(4 * RANK as u64);
+                        engine.cpu_work(8);
                     }
-                    engine.cpu_work(8);
-                }
-            });
+                });
             annotations.stop(machine.makespan_ns());
             item_result?;
+            for (f, bits) in self.item_factors.iter_mut().zip(items) {
+                *f = f32::from_bits(bits.into_inner());
+            }
 
             // Between sweeps the driver does bookkeeping with little memory
             // traffic, which creates the bandwidth troughs of Figure 3.
@@ -234,21 +245,6 @@ impl Workload for InMemAnalytics {
             && self.rmse() < trivial
     }
 }
-
-fn predict_raw(uf: *mut f32, itf: *mut f32, user: usize, movie: usize) -> f64 {
-    let mut acc = 0.0f64;
-    for k in 0..RANK {
-        unsafe {
-            acc += *uf.add(user * RANK + k) as f64 * *itf.add(movie * RANK + k) as f64;
-        }
-    }
-    acc
-}
-
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 #[cfg(test)]
 mod tests {

@@ -77,27 +77,68 @@ pub mod pc {
 
 /// Run `body` once per core on its own thread, each with an attached engine.
 ///
-/// This is the OpenMP-`parallel for`-style helper every workload uses: thread
-/// `i` is bound to `cores[i]` and receives `(i, &mut Engine)`. The cores take
-/// turns in simulated time ([`Machine::gang_begin`]), so the order in which
-/// the threads run, and every simulated result, follow the simulated clocks
-/// and not the host's scheduling. A core that cannot be attached (out of
-/// range, or checked out by another engine) is reported as an [`NmoError`]
-/// after the remaining threads finish, instead of panicking inside the worker
-/// thread.
+/// The OpenMP-`parallel for`-style helper every workload uses: thread `i` is
+/// bound to `cores[i]` and receives `(i, &mut Engine)`. It is
+/// [`parallel_chunks`] over one item per core.
 pub fn parallel_on_cores<F>(machine: &Machine, cores: &[usize], body: F) -> Result<(), NmoError>
 where
     F: Fn(usize, &mut arch_sim::Engine<'_>) + Sync,
 {
-    let failures: parking_lot::Mutex<Vec<arch_sim::SimError>> =
-        parking_lot::Mutex::named(Vec::new(), "workloads.failures");
+    parallel_chunks(machine, cores, cores.len(), &mut [(); 0], |items, _, engine| {
+        body(items.start, engine)
+    })
+}
+
+/// Split `n` items across `cores` by OpenMP static scheduling and run each
+/// part on its own thread with an attached engine.
+///
+/// Thread `i` is bound to `cores[i]` and receives its items
+/// `chunk_range(n, cores.len(), i)`, its own part of `out` (`out.len() / n`
+/// entries per item, so the part's first entry belongs to the range's first
+/// item) and `&mut Engine`. What a body writes is its part of `out`; what it
+/// reads it borrows as `&[T]`. A pass that writes no host array passes
+/// `&mut [(); 0]`. The cores take turns in simulated time
+/// ([`Machine::gang_begin`]), so the order in which the threads run, and
+/// every simulated result, follow the simulated clocks and not the host's
+/// scheduling. A core that cannot be attached (out of range, or checked out
+/// by another engine) is reported as an [`NmoError`] after the remaining
+/// threads finish, instead of panicking inside the worker thread; its items
+/// are not run. So are those of a core named a second time
+/// ([`arch_sim::SimError::CoreBusy`]).
+///
+/// # Panics
+///
+/// If `out.len()` is not a multiple of `n` (or, for `n == 0`, not empty).
+pub fn parallel_chunks<T, F>(
+    machine: &Machine,
+    cores: &[usize],
+    n: usize,
+    out: &mut [T],
+    body: F,
+) -> Result<(), NmoError>
+where
+    T: Send,
+    F: Fn(std::ops::Range<usize>, &mut [T], &mut arch_sim::Engine<'_>) + Sync,
+{
+    let stride = out.len().checked_div(n).unwrap_or(0);
+    assert_eq!(stride * n, out.len(), "{} entries do not split into {n} items", out.len());
+    let failures = parking_lot::Mutex::named(Vec::new(), "workloads.failures");
     machine.gang_begin(cores);
     std::thread::scope(|s| {
+        let mut rest = out;
         for (idx, &core) in cores.iter().enumerate() {
-            let body = &body;
-            let failures = &failures;
+            let items = chunk_range(n, cores.len(), idx);
+            let (part, tail) = std::mem::take(&mut rest).split_at_mut(items.len() * stride);
+            rest = tail;
+            let (body, failures) = (&body, &failures);
+            // Decided here, not by whether the first part has finished by
+            // the time this one's thread attaches.
+            if cores[..idx].contains(&core) {
+                failures.lock().push(arch_sim::SimError::CoreBusy(core));
+                continue;
+            }
             s.spawn(move || match machine.attach(core) {
-                Ok(mut engine) => body(idx, &mut engine),
+                Ok(mut engine) => body(items, part, &mut engine),
                 Err(e) => failures.lock().push(e),
             });
         }
@@ -115,8 +156,9 @@ pub fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
     std::env::var(key).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
 }
 
-/// Split `n` items into `parts` contiguous ranges (the last part absorbs the
-/// remainder), mirroring OpenMP static scheduling.
+/// Split `n` items into `parts` contiguous ranges, mirroring OpenMP static
+/// scheduling: the first `n % parts` parts get one item more than the rest
+/// (10 items in 4 parts are 3, 3, 2, 2).
 pub fn chunk_range(n: usize, parts: usize, part: usize) -> std::ops::Range<usize> {
     let parts = parts.max(1);
     let base = n / parts;
@@ -165,6 +207,38 @@ mod tests {
         })
         .unwrap();
         assert_eq!(machine.counters().mem_access, 3);
+    }
+
+    /// Core `i` gets exactly `chunk_range(n, cores, i)` and exactly that
+    /// range's entries of `out`: each core writes its index into its part,
+    /// and every entry ends up written once, by the core owning its item.
+    #[test]
+    fn parallel_chunks_hands_each_core_its_range_and_its_part() {
+        let machine = Machine::new(MachineConfig::small_test());
+        let cores = [0, 1, 2, 3];
+        for n in [0usize, 3, 10] {
+            for stride in [1usize, 3] {
+                let mut out = vec![usize::MAX; n * stride];
+                let ranges = parking_lot::Mutex::named(vec![None; cores.len()], "test.ranges");
+                parallel_chunks(&machine, &cores, n, &mut out, |items, part, engine| {
+                    let idx = engine.core_id();
+                    assert_eq!(part.len(), items.len() * stride);
+                    part.fill(idx);
+                    ranges.lock()[idx] = Some(items);
+                })
+                .unwrap();
+                let ranges = ranges.into_inner();
+                for (idx, items) in ranges.into_iter().enumerate() {
+                    assert_eq!(items, Some(chunk_range(n, cores.len(), idx)), "n={n} core {idx}");
+                }
+                let owner = |j: usize| {
+                    (0..cores.len()).find(|&i| chunk_range(n, cores.len(), i).contains(&j))
+                };
+                for (e, &written) in out.iter().enumerate() {
+                    assert_eq!(Some(written), owner(e / stride), "n={n} stride={stride} entry {e}");
+                }
+            }
+        }
     }
 
     /// Two instances share one generated graph; running the first to

@@ -14,7 +14,7 @@ use arch_sim::Machine;
 use nmo::{Annotations, NmoError};
 
 use crate::generators::{rmat_graph, CsrGraph};
-use crate::{chunk_range, parallel_on_cores, pc, Workload, WorkloadReport};
+use crate::{parallel_chunks, pc, Workload, WorkloadReport};
 
 /// Damping factor used by the power iteration.
 pub const DAMPING: f64 = 0.85;
@@ -118,7 +118,6 @@ impl Workload for PageRank {
             .as_ref()
             .ok_or_else(|| NmoError::Workload("pagerank: run() called before setup()".into()))?;
         let n = self.graph.num_vertices;
-        let threads = cores.len();
         let graph: &CsrGraph = &self.graph;
         let out_degree = &self.out_degree;
         let (ro, re, rr, rn, rd) = (
@@ -133,8 +132,7 @@ impl Workload for PageRank {
         // first-touches every page (memory usage climbs to saturation) and
         // produces the early bandwidth peak of Figure 3.
         annotations.start("load graph", machine.makespan_ns());
-        let load_result = parallel_on_cores(machine, cores, |tid, engine| {
-            let vrange = chunk_range(n, threads, tid);
+        let load_result = parallel_chunks(machine, cores, n, &mut [(); 0], |vrange, _, engine| {
             for v in vrange {
                 engine.store_at(pc::PR_LOAD, ro + (v * 4) as u64, 4);
                 engine.store_at(pc::PR_LOAD, rr + (v * 8) as u64, 8);
@@ -151,36 +149,36 @@ impl Workload for PageRank {
         annotations.stop(machine.makespan_ns());
         load_result?;
 
-        // Phase 2: power iterations (pull model).
-        let ranks_ptr = SendPtr(self.ranks.as_mut_ptr());
-        let next_ptr = SendPtr(self.ranks_next.as_mut_ptr());
+        // Phase 2: power iterations (pull model). Each iteration reads the
+        // ranks the last one wrote and each core writes its own vertices'
+        // next ranks.
         annotations.start("iterate", machine.makespan_ns());
         for _it in 0..self.iterations {
-            let iter_result = parallel_on_cores(machine, cores, |tid, engine| {
-                let vrange = chunk_range(n, threads, tid);
-                let ranks = ranks_ptr;
-                let next = next_ptr;
-                for v in vrange {
-                    engine.load_at(pc::PR_GATHER, ro + (v * 4) as u64, 4);
-                    engine.load_at(pc::PR_GATHER, ro + ((v + 1) * 4) as u64, 4);
-                    let mut acc = 0.0f64;
-                    let e0 = graph.offsets[v] as usize;
-                    for (j, &u) in graph.neighbors(v).iter().enumerate() {
-                        let u = u as usize;
-                        engine.load_at(pc::PR_GATHER, re + ((e0 + j) * 4) as u64, 4);
-                        engine.load_at(pc::PR_GATHER, rr + (u * 8) as u64, 8);
-                        engine.load_at(pc::PR_GATHER, rd + (u * 4) as u64, 4);
-                        acc += unsafe { *ranks.0.add(u) } / out_degree[u] as f64;
+            let ranks = &self.ranks;
+            let iter_result =
+                parallel_chunks(machine, cores, n, &mut self.ranks_next, |vrange, next, engine| {
+                    for (v, next) in vrange.zip(next) {
+                        engine.load_at(pc::PR_GATHER, ro + (v * 4) as u64, 4);
+                        engine.load_at(pc::PR_GATHER, ro + ((v + 1) * 4) as u64, 4);
+                        let mut acc = 0.0f64;
+                        let e0 = graph.offsets[v] as usize;
+                        for (j, &u) in graph.neighbors(v).iter().enumerate() {
+                            let u = u as usize;
+                            engine.load_at(pc::PR_GATHER, re + ((e0 + j) * 4) as u64, 4);
+                            engine.load_at(pc::PR_GATHER, rr + (u * 8) as u64, 8);
+                            engine.load_at(pc::PR_GATHER, rd + (u * 4) as u64, 4);
+                            acc += ranks[u] / out_degree[u] as f64;
+                        }
+                        engine.store_at(pc::PR_GATHER, rn + (v * 8) as u64, 8);
+                        *next = (1.0 - DAMPING) / n as f64 + DAMPING * acc;
+                        engine.flops((2 * graph.degree(v) + 3) as u64);
+                        engine.cpu_work(4);
                     }
-                    engine.store_at(pc::PR_GATHER, rn + (v * 8) as u64, 8);
-                    unsafe { *next.0.add(v) = (1.0 - DAMPING) / n as f64 + DAMPING * acc };
-                    engine.flops((2 * graph.degree(v) + 3) as u64);
-                    engine.cpu_work(4);
-                }
-            });
+                });
             iter_result?;
-            // Swap rank buffers on the host (the simulated arrays swap roles
-            // implicitly; accesses alternate between the two tagged regions).
+            // Swap the host buffers. The simulated arrays do not swap: every
+            // iteration loads from the `ranks` region and stores to
+            // `ranks_next`.
             std::mem::swap(&mut self.ranks, &mut self.ranks_next);
         }
         annotations.stop(machine.makespan_ns());
@@ -201,11 +199,6 @@ impl Workload for PageRank {
         self.ranks.iter().all(|r| *r >= 0.0 && r.is_finite()) && sum > 0.4 && sum < 1.05
     }
 }
-
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 #[cfg(test)]
 mod tests {
@@ -234,6 +227,42 @@ mod tests {
         let uniform = 1.0 / bench.num_vertices() as f64;
         let max = bench.ranks().iter().cloned().fold(0.0, f64::max);
         assert!(max > 3.0 * uniform, "power-law hubs should concentrate rank");
+    }
+
+    /// The plain sequential power iteration over the same graph, each
+    /// vertex's in-neighbours summed in CSR order.
+    fn reference_ranks(bench: &PageRank, iterations: usize) -> Vec<f64> {
+        let (graph, n) = (&bench.graph, bench.num_vertices());
+        let mut ranks = vec![1.0 / n as f64; n];
+        for _ in 0..iterations {
+            ranks = (0..n)
+                .map(|v| {
+                    let mut acc = 0.0f64;
+                    for &u in graph.neighbors(v) {
+                        acc += ranks[u as usize] / bench.out_degree[u as usize] as f64;
+                    }
+                    (1.0 - DAMPING) / n as f64 + DAMPING * acc
+                })
+                .collect();
+        }
+        ranks
+    }
+
+    /// Every iteration reads the ranks the one before it wrote, at any core
+    /// count: the result equals the sequential reference bit for bit.
+    #[test]
+    fn ranks_equal_a_sequential_power_iteration() {
+        for iterations in 1..=3 {
+            for cores in [&[0][..], &[0, 1], &[0, 1, 2, 3]] {
+                let machine = Machine::new(MachineConfig::small_test());
+                let ann = Annotations::new();
+                let mut bench = PageRank::new(1 << 10, 8, iterations);
+                bench.setup(&machine, &ann).unwrap();
+                bench.run(&machine, &ann, cores).unwrap();
+                let want = reference_ranks(&bench, iterations);
+                assert!(bench.ranks() == want, "{iterations} iterations on {cores:?}");
+            }
+        }
     }
 
     #[test]

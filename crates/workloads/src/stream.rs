@@ -11,7 +11,7 @@
 use arch_sim::Machine;
 use nmo::{Annotations, NmoError};
 
-use crate::{chunk_range, parallel_on_cores, pc, Workload, WorkloadReport};
+use crate::{parallel_chunks, pc, Workload, WorkloadReport};
 
 /// STREAM scalar constant (the reference implementation uses 3.0).
 pub const SCALAR: f64 = 3.0;
@@ -133,53 +133,53 @@ impl Workload for StreamBench {
             .as_ref()
             .ok_or_else(|| NmoError::Workload("stream: run() called before setup()".into()))?;
         let n = self.n;
-        let threads = cores.len();
         let kernel = self.kernel;
         let kpc = kernel.pc();
-
-        // The host arrays are updated for real so the result can be verified;
-        // shared mutable access is safe because threads write disjoint chunks.
-        let a_ptr = SendPtr(self.a.as_mut_ptr());
-        let b_ptr = SendPtr(self.b.as_mut_ptr());
-        let c_ptr = SendPtr(self.c.as_mut_ptr());
         let (ra, rb, rc) = (regions.a.start, regions.b.start, regions.c.start);
+
+        // The host arrays are updated for real so the result can be
+        // verified: each core writes its chunk of the kernel's output array
+        // `dst` from the same chunk of its inputs `x` and `y`.
+        let (dst, x, y) = match kernel {
+            StreamKernel::Copy => (&mut self.c, &self.a, &self.a),
+            StreamKernel::Scale => (&mut self.b, &self.c, &self.c),
+            StreamKernel::Add => (&mut self.c, &self.a, &self.b),
+            StreamKernel::Triad => (&mut self.a, &self.b, &self.c),
+        };
 
         let mut report = WorkloadReport::default();
         for _iter in 0..self.iterations {
             annotations.start(kernel.name(), machine.makespan_ns());
-            let result = parallel_on_cores(machine, cores, |tid, engine| {
-                let range = chunk_range(n, threads, tid);
-                let a = a_ptr;
-                let b = b_ptr;
-                let c = c_ptr;
+            let result = parallel_chunks(machine, cores, n, dst, |range, out, engine| {
                 const BLOCK: usize = 256;
                 let mut i = range.start;
                 while i < range.end {
                     let end = (i + BLOCK).min(range.end);
                     for k in i..end {
                         let off = (k * 8) as u64;
+                        let d = &mut out[k - range.start];
                         match kernel {
                             StreamKernel::Copy => {
                                 engine.load_at(kpc, ra + off, 8);
                                 engine.store_at(kpc, rc + off, 8);
-                                unsafe { *c.0.add(k) = *a.0.add(k) };
+                                *d = x[k];
                             }
                             StreamKernel::Scale => {
                                 engine.load_at(kpc, rc + off, 8);
                                 engine.store_at(kpc, rb + off, 8);
-                                unsafe { *b.0.add(k) = SCALAR * *c.0.add(k) };
+                                *d = SCALAR * x[k];
                             }
                             StreamKernel::Add => {
                                 engine.load_at(kpc, ra + off, 8);
                                 engine.load_at(kpc, rb + off, 8);
                                 engine.store_at(kpc, rc + off, 8);
-                                unsafe { *c.0.add(k) = *a.0.add(k) + *b.0.add(k) };
+                                *d = x[k] + y[k];
                             }
                             StreamKernel::Triad => {
                                 engine.load_at(kpc, rb + off, 8);
                                 engine.load_at(kpc, rc + off, 8);
                                 engine.store_at(kpc, ra + off, 8);
-                                unsafe { *a.0.add(k) = *b.0.add(k) + SCALAR * *c.0.add(k) };
+                                *d = x[k] + SCALAR * y[k];
                             }
                         }
                     }
@@ -222,13 +222,6 @@ impl Workload for StreamBench {
         }
     }
 }
-
-/// A raw pointer wrapper that is `Send`/`Copy` so worker threads can write
-/// their disjoint chunks of the host arrays.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 #[cfg(test)]
 mod tests {

@@ -58,7 +58,7 @@ use nmo_repro::nmo::{
     Profile, ProfileSession, SampleLogSink, StreamOptions,
 };
 use nmo_repro::workloads::generators::{rmat_graph, CsrGraph};
-use nmo_repro::workloads::{chunk_range, env_or, parallel_on_cores, pc};
+use nmo_repro::workloads::{env_or, parallel_chunks, pc};
 
 const DAMPING: f64 = 0.85;
 
@@ -90,11 +90,6 @@ struct PrRegions {
     ranks_next: u64,
     out_degree: u64,
 }
-
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 /// One tiered PageRank run under `policy`: the graph loads once, then each
 /// epoch runs one pull-model power iteration with a tiering step (drain →
@@ -140,9 +135,8 @@ fn run_policy(
         };
         // Load phase (once): stream every array, first-touching (and
         // TierSplit-homing) every page.
-        parallel_on_cores(machine, active.cores(), |tid, engine| {
-            let threads = rc.threads;
-            for v in chunk_range(n, threads, tid) {
+        parallel_chunks(machine, active.cores(), n, &mut [(); 0], |vs, _, engine| {
+            for v in vs {
                 engine.store_at(pc::PR_LOAD, r.offsets + (v * 4) as u64, 4);
                 engine.store_at(pc::PR_LOAD, r.ranks + (v * 8) as u64, 8);
                 engine.store_at(pc::PR_LOAD, r.ranks_next + (v * 8) as u64, 8);
@@ -161,30 +155,32 @@ fn run_policy(
     let mut epoch_ends = Vec::with_capacity(rc.epochs);
     for epoch in 0..rc.epochs {
         // One pull-model power iteration (the PageRank gather kernel).
-        let ranks_ptr = SendPtr(ranks.as_mut_ptr());
-        let next_ptr = SendPtr(ranks_next.as_mut_ptr());
-        let out_degree = &out_degree;
-        let r = &regions;
-        parallel_on_cores(active.machine(), active.cores(), |tid, engine| {
-            let (ranks, next) = (ranks_ptr, next_ptr);
-            for v in chunk_range(n, rc.threads, tid) {
-                engine.load_at(pc::PR_GATHER, r.offsets + (v * 4) as u64, 4);
-                engine.load_at(pc::PR_GATHER, r.offsets + ((v + 1) * 4) as u64, 4);
-                let mut acc = 0.0f64;
-                let e0 = graph.offsets[v] as usize;
-                for (j, &u) in graph.neighbors(v).iter().enumerate() {
-                    let u = u as usize;
-                    engine.load_at(pc::PR_GATHER, r.edges + ((e0 + j) * 4) as u64, 4);
-                    engine.load_at(pc::PR_GATHER, r.ranks + (u * 8) as u64, 8);
-                    engine.load_at(pc::PR_GATHER, r.out_degree + (u * 4) as u64, 4);
-                    acc += unsafe { *ranks.0.add(u) } / out_degree[u] as f64;
+        let (ranks_ref, out_degree, r) = (&ranks, &out_degree, &regions);
+        parallel_chunks(
+            active.machine(),
+            active.cores(),
+            n,
+            &mut ranks_next,
+            |vs, next, engine| {
+                for (v, next) in vs.zip(next) {
+                    engine.load_at(pc::PR_GATHER, r.offsets + (v * 4) as u64, 4);
+                    engine.load_at(pc::PR_GATHER, r.offsets + ((v + 1) * 4) as u64, 4);
+                    let mut acc = 0.0f64;
+                    let e0 = graph.offsets[v] as usize;
+                    for (j, &u) in graph.neighbors(v).iter().enumerate() {
+                        let u = u as usize;
+                        engine.load_at(pc::PR_GATHER, r.edges + ((e0 + j) * 4) as u64, 4);
+                        engine.load_at(pc::PR_GATHER, r.ranks + (u * 8) as u64, 8);
+                        engine.load_at(pc::PR_GATHER, r.out_degree + (u * 4) as u64, 4);
+                        acc += ranks_ref[u] / out_degree[u] as f64;
+                    }
+                    engine.store_at(pc::PR_GATHER, r.ranks_next + (v * 8) as u64, 8);
+                    *next = (1.0 - DAMPING) / n as f64 + DAMPING * acc;
+                    engine.flops((2 * graph.degree(v) + 3) as u64);
+                    engine.cpu_work(4);
                 }
-                engine.store_at(pc::PR_GATHER, r.ranks_next + (v * 8) as u64, 8);
-                unsafe { *next.0.add(v) = (1.0 - DAMPING) / n as f64 + DAMPING * acc };
-                engine.flops((2 * graph.degree(v) + 3) as u64);
-                engine.cpu_work(4);
-            }
-        })?;
+            },
+        )?;
         std::mem::swap(&mut ranks, &mut ranks_next);
 
         // Actuate: tiering_step drains synchronously (every record was
