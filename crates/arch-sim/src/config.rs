@@ -248,8 +248,13 @@ pub struct MachineConfig {
     pub l2: CacheLevelConfig,
     /// Shared system-level cache (SLC).
     pub slc: CacheLevelConfig,
-    /// Number of independently locked SLC shards (reduces contention between
-    /// simulated cores; must be a power of two).
+    /// Number of slices the SLC's sets are split into (a power of two). It
+    /// only splits the sets: the slices share the machine's one lock on the
+    /// shared level. A line goes to slice `line & (shards - 1)` and, inside
+    /// it, to a set picked by the same low bits of `line`, so each slice
+    /// reaches only a `shards`-th of its sets and the SLC holds a `shards`-th
+    /// of `slc.size_bytes` (ROADMAP item 4, kept until its fix moves the
+    /// golden numbers).
     pub slc_shards: usize,
     /// Memory topology: the nodes behind the SLC and the page-placement
     /// policy homing pages on them.

@@ -58,79 +58,22 @@
 //! An access that misses both first compares the clock with the core's
 //! `turn_end`: a core of a gang that has run past its turn hands it on there
 //! and waits for it to come back (see [`crate::gang`]); outside a gang the
-//! bound is infinite. It then takes the `machine.slc` mutex of the one SLC
-//! shard its line maps to. One that misses there too — a memory-bound access
-//! — then touches shared state three times: an `Acquire` load of the address
-//! space's generation; a look into the core's own `PageHomes`, which takes
-//! the `vm.inner` write lock only for a page the core has not resolved under
-//! this generation (every first touch among them); and the compare-and-swap
-//! on the serving node's link budget (`MemNode::reserve`) that models
-//! bandwidth contention. The shard mutex and the link budget are the only
-//! writes on this path that another core's access can wait for or be slowed
-//! by.
-//! Everything else the access produces stays in the core until the engine
-//! detaches: the node's traffic counters are added up per core
-//! (`CoreState::node_traffic`) and `counters.cycles` is the clock converted
-//! once, both in `Machine::return_core`.
+//! bound is infinite. Only then, holding no turn-taking lock, does it take
+//! the one lock of the machine's shared level, `machine.shared`, once, and
+//! under it: the SLC shard its line maps to, and on a miss there the page's
+//! home (a look into the page-home memo, the region lookup behind it only
+//! for a page the memo does not hold, first-touch placement among them),
+//! the serving node's link budget and traffic, and a first touch's RSS event
+//! (see [`crate::vm`] and [`crate::topology`]). Those are plain integers: no
+//! atomic is left on the path, and the lock is released before the observer
+//! is shown the access. What the access adds to the core's own counters and
+//! bandwidth series stays in the core until the engine detaches, as does
+//! `counters.cycles`, the clock converted once in `Machine::return_core`.
 //!
 //! [`Machine::attach`]: crate::machine::Machine::attach
 
 use crate::machine::{CoreState, Machine};
-use crate::op::{DataSource, MemOutcome, NodeId, Op, OpKind};
-use crate::vm::AddressSpace;
-
-/// How many resolved pages a core remembers, direct-mapped by page number.
-/// Chosen by counting `vm.inner` acquisitions (exact, host-independent) on
-/// one `ampere_altra_max` core: at 16 slots STREAM 2 M takes the lock for
-/// 1 470 of its 750 000 memory-bound accesses (its three arrays collide up to
-/// 4 slots: 500 980) and PageRank 2^15 for 7 581 of 172 258 (78 707 at 1
-/// slot, 1 014 at 32 — 0.2 ms of a 250 ms run).
-const PAGE_HOMES: usize = 16;
-
-/// The page homes a core has resolved: `(base, len, node)` spans as
-/// `AddressSpace::place_span` returned them, valid for one generation of the
-/// address space (see [`crate::vm`] for the contract).
-#[derive(Debug, Default)]
-pub(crate) struct PageHomes {
-    /// The generation `spans` were resolved under.
-    generation: u64,
-    /// No slot at all, or [`PAGE_HOMES`] of them — allocated, like a cache's
-    /// tag array, by the first core to need them. An empty slot has `len` 0
-    /// and holds no address.
-    spans: Vec<(u64, u64, NodeId)>,
-}
-
-impl PageHomes {
-    /// The node serving `vaddr` and whether this access is the first touch
-    /// of its page; node 0, no residency accounting, for an address outside
-    /// every region.
-    #[inline]
-    fn resolve(&mut self, vm: &AddressSpace, vaddr: u64) -> (NodeId, bool) {
-        // The generation first: a span must never outlive, even for one
-        // access, a free or migration whose bump this thread can see, and a
-        // span resolved while one is in flight is filed under the old
-        // generation, which the next access finds gone.
-        let generation = vm.generation();
-        if generation != self.generation {
-            self.generation = generation;
-            self.spans.clear();
-        }
-        let slot = (vaddr >> vm.page_shift()) as usize % PAGE_HOMES;
-        if let Some(&(base, len, node)) = self.spans.get(slot) {
-            if vaddr.wrapping_sub(base) < len {
-                return (node, false);
-            }
-        }
-        match vm.place_span(vaddr) {
-            Some((home, base, len)) => {
-                self.spans.resize(PAGE_HOMES, (0, 0, 0));
-                self.spans[slot] = (base, len, home.node);
-                (home.node, home.first_touch)
-            }
-            None => (0, false),
-        }
-    }
-}
+use crate::op::{DataSource, MemOutcome, Op, OpKind};
 
 /// Execution handle bound to one core of a [`Machine`].
 ///
@@ -315,62 +258,24 @@ fn past_l1(machine: &Machine, st: &mut CoreState, op: Op) -> MemOutcome {
         if st.clock > st.turn_end {
             st.turn_end = machine.gang.hand_on(st.id, st.clock as u64);
         }
-        let slc_res = {
-            let mut shard = machine.slc_shard(vaddr).lock();
-            shard.access(vaddr, is_store)
-        };
-        if slc_res.hit {
-            st.counters.slc_hits += 1;
-            MemOutcome::hit(DataSource::Slc, cfg.slc.latency_cycles, cfg.slc.occupancy_cycles)
-        } else {
-            // Memory-node access: line fill plus any write-back from
-            // the hierarchy walk above. Resolving the page home first
-            // also performs first-touch placement — only the cold
-            // path needs it, since a never-touched page cannot be
-            // cached. Write-back traffic is charged to the same node
-            // as the fill (the model does not track the evicted
-            // line's home).
-            let wb = if l1.dirty_eviction || l2.dirty_eviction || slc_res.dirty_eviction {
-                line_bytes
-            } else {
-                0
-            };
-            let now = st.clock as u64;
-            let (node_id, first_touch) = st.homes.resolve(machine.vm(), vaddr);
-            let node = machine.topology().node(node_id);
-            let acc = node.reserve(now, (line_bytes + wb) as u64);
-            let traffic = &mut st.node_traffic[node_id as usize];
-            traffic[0] += line_bytes as u64;
-            traffic[1] += wb as u64;
-            traffic[2] += 1;
-            st.counters.dram_accesses += 1;
-            st.counters.bus_read_bytes += line_bytes as u64;
-            st.counters.bus_write_bytes += wb as u64;
-
-            // Bandwidth bucket accounting, split per serving node.
-            let bucket = (now / cfg.bandwidth_bucket_cycles) as usize;
-            if st.bw_buckets.len() <= bucket {
-                st.bw_buckets.resize(bucket + 1, [0; crate::config::MAX_MEM_NODES]);
+        let now = st.clock as u64;
+        let dirty_above = l1.dirty_eviction || l2.dirty_eviction;
+        let outcome = machine.shared.lock().access(cfg, vaddr, is_store, dirty_above, now);
+        match outcome.source {
+            DataSource::Dram(node) | DataSource::RemoteDram(node) => {
+                st.counters.dram_accesses += 1;
+                st.counters.bus_read_bytes += line_bytes as u64;
+                st.counters.bus_write_bytes += (outcome.bus_bytes - line_bytes) as u64;
+                // Bandwidth bucket accounting, split per serving node.
+                let bucket = (now / cfg.bandwidth_bucket_cycles) as usize;
+                if st.bw_buckets.len() <= bucket {
+                    st.bw_buckets.resize(bucket + 1, [0; crate::config::MAX_MEM_NODES]);
+                }
+                st.bw_buckets[bucket][node as usize] += outcome.bus_bytes as u64;
             }
-            st.bw_buckets[bucket][node_id as usize] += (line_bytes + wb) as u64;
-
-            if first_touch {
-                machine.push_rss_event(now);
-            }
-
-            let source = if node.is_remote() {
-                DataSource::RemoteDram(node_id)
-            } else {
-                DataSource::Dram(node_id)
-            };
-            MemOutcome {
-                source,
-                latency_cycles: acc.latency_cycles,
-                occupancy_cycles: node.occupancy() + acc.queue_cycles,
-                bus_bytes: line_bytes + wb,
-                first_touch,
-            }
+            _ => st.counters.slc_hits += 1,
         }
+        outcome
     };
 
     st.clock += outcome.occupancy_cycles as f64 + cfg.cost.cycles_per_cpu_op;
@@ -404,7 +309,7 @@ mod tests {
     use crate::config::{MachineConfig, PlacementPolicy};
     use crate::machine::Machine;
     use crate::observer::CountingObserver;
-    use crate::op::MemLevel;
+    use crate::op::{MemLevel, NodeId};
 
     #[test]
     fn streaming_counts_and_levels() {
@@ -570,8 +475,8 @@ mod tests {
             mean(&remote)
         );
         // Traffic accounting reaches the right nodes.
-        assert!(m.topology().node(0).accesses() > 0);
-        assert!(m.topology().node(1).accesses() > 0);
+        let traffic = m.node_traffic();
+        assert!(traffic[0].accesses > 0 && traffic[1].accesses > 0);
         let bw = m.bandwidth_series();
         let by_node: [u64; crate::config::MAX_MEM_NODES] =
             bw.iter().fold([0; crate::config::MAX_MEM_NODES], |mut acc, p| {
@@ -721,10 +626,11 @@ mod tests {
         assert_eq!(m.rss_bytes(), page);
     }
 
-    /// The nodes' traffic counters are handed over when an engine detaches:
-    /// once every engine has, nothing is missing; a migration counts at once.
+    /// The nodes' traffic counts every access as it happens, from engines
+    /// attached outside any gang on four threads at once, and a migration
+    /// on both of its links.
     #[test]
-    fn node_traffic_is_exact_once_every_engine_has_detached() {
+    fn node_traffic_counts_every_access_of_every_core() {
         let (m, region, page) = tiered(PlacementPolicy::Interleave, 1024);
         std::thread::scope(|s| {
             for t in 0..4u64 {
@@ -742,25 +648,24 @@ mod tests {
                 });
             }
         });
-        let (c, topo) = (m.counters(), m.topology());
+        let (c, traffic) = (m.counters(), m.node_traffic());
         assert_eq!(c.dram_accesses, 2 * region.len / 64);
         assert!(c.bus_write_bytes > 0, "dirty lines were written back");
-        assert_eq!(topo.read_bytes(), c.bus_read_bytes);
-        assert_eq!(topo.write_bytes(), c.bus_write_bytes);
-        assert_eq!(topo.accesses(), c.dram_accesses);
-        for node in topo.nodes() {
-            assert!(node.accesses() > 0);
-            let series: u64 =
-                m.bandwidth_series().iter().map(|point| point.by_node[node.id() as usize]).sum();
-            assert_eq!(node.read_bytes() + node.write_bytes(), series, "node {}", node.id());
+        assert_eq!(traffic.iter().map(|t| t.read_bytes).sum::<u64>(), c.bus_read_bytes);
+        assert_eq!(traffic.iter().map(|t| t.write_bytes).sum::<u64>(), c.bus_write_bytes);
+        assert_eq!(traffic.iter().map(|t| t.accesses).sum::<u64>(), c.dram_accesses);
+        for (node, t) in traffic.iter().enumerate() {
+            assert!(t.accesses > 0);
+            let series: u64 = m.bandwidth_series().iter().map(|point| point.by_node[node]).sum();
+            assert_eq!(t.read_bytes + t.write_bytes, series, "node {node}");
         }
 
         // Which node page 0 landed on depends on which thread touched it
         // first; move it to the other one.
-        let dst = 1 - m.vm().node_of(region.start).expect("page 0 was touched");
-        let written = topo.node(dst).write_bytes();
+        let dst = 1 - m.node_of(region.start).expect("page 0 was touched");
+        let written = traffic[dst as usize].write_bytes;
         m.migrate_page(region.start, dst, 1_000).unwrap().expect("page 0 lives elsewhere");
-        assert_eq!(topo.node(dst).write_bytes(), written + page);
+        assert_eq!(m.node_traffic()[dst as usize].write_bytes, written + page);
     }
 
     #[test]

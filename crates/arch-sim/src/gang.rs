@@ -1,7 +1,7 @@
 //! Simulated cores that take turns in simulated time.
 //!
 //! A workload runs each simulated core on its own host thread. Left alone,
-//! those threads reach the machine's shared state — the SLC shards, the
+//! those threads reach the machine's shared level — the SLC, the
 //! memory nodes' links, first-touch placement — in whatever order the host
 //! schedules them, so every multi-core simulated number would depend on the
 //! host. The cores of a gang ([`crate::Machine::gang_begin`]) instead take

@@ -8,12 +8,13 @@ use crate::cache::Cache;
 use crate::clock::TimeConv;
 use crate::config::{MachineConfig, MAX_MEM_NODES};
 use crate::counters::{CoreCounters, MachineCounters, MigrationStats};
-use crate::engine::{Engine, PageHomes};
+use crate::engine::Engine;
 use crate::gang::Gang;
 use crate::observer::{ObserverCharge, OpCounts, OpObserver, Quiet};
 use crate::op::{NodeId, OpKind};
-use crate::topology::MemTopology;
-use crate::vm::{AddressSpace, PageMigration, Region};
+use crate::shared::SharedLevel;
+use crate::topology::{MemTopology, NodeTraffic};
+use crate::vm::{PageMigration, Region};
 use crate::{Result, SimError};
 
 /// State owned by one simulated core. Checked out by an [`Engine`] while a
@@ -42,12 +43,6 @@ pub(crate) struct CoreState {
     /// Bus bytes per bandwidth bucket attributable to this core, split per
     /// memory node.
     pub bw_buckets: Vec<[u64; MAX_MEM_NODES]>,
-    /// Page homes this core has resolved.
-    pub homes: PageHomes,
-    /// `[read bytes, written-back bytes, accesses]` this core caused at each
-    /// memory node since it was attached; [`Machine::return_core`] hands
-    /// them to the nodes' counters.
-    pub node_traffic: [[u64; 3]; MAX_MEM_NODES],
     /// The clock past which the engine hands the gang's turn on (see
     /// [`crate::gang`]); infinite outside a gang.
     pub turn_end: f64,
@@ -76,8 +71,6 @@ impl CoreState {
             quiet: Quiet::NEVER,
             told: OpCounts::default(),
             bw_buckets: Vec::new(),
-            homes: PageHomes::default(),
-            node_traffic: [[0; 3]; MAX_MEM_NODES],
             turn_end: f64::INFINITY,
         }
     }
@@ -171,18 +164,13 @@ impl RssPoint {
 pub struct Machine {
     cfg: MachineConfig,
     timeconv: TimeConv,
-    vm: AddressSpace,
-    /// The memory nodes (local DDR plus any remote tiers).
+    /// The memory nodes (local DDR plus any remote tiers), as configured.
     topology: MemTopology,
-    /// Sharded shared system-level cache. A line maps to shard
-    /// `(line_index) & (shards - 1)`.
-    slc: Vec<Mutex<Cache>>,
+    /// The SLC, the nodes' links, the page table and the RSS and migration
+    /// records (see [`crate::shared`]).
+    pub(crate) shared: Mutex<SharedLevel>,
     /// Per-core state; `None` while checked out by an engine.
     cores: Vec<Mutex<Option<CoreState>>>,
-    /// Step events of the RSS-over-time series.
-    rss_events: Mutex<Vec<RssPoint>>,
-    /// Counters of the page-migration subsystem.
-    migration_stats: Mutex<MigrationStats>,
     /// The cores that take turns in simulated time.
     pub(crate) gang: Gang,
 }
@@ -208,30 +196,12 @@ impl Machine {
         cfg.validate().expect("invalid machine configuration");
         let timeconv =
             TimeConv { core_freq_hz: cfg.freq_hz, timer_freq_hz: 25_000_000, time_zero_ns: 0 };
-        let vm = AddressSpace::with_placement(
-            cfg.page_bytes,
-            cfg.total_mem_bytes(),
-            cfg.mem_nodes(),
-            cfg.mem.placement,
-        );
         let topology = MemTopology::from_config(&cfg.mem);
-        let slc = (0..cfg.slc_shards)
-            .map(|_| Mutex::named(Cache::new_shard(&cfg.slc, cfg.slc_shards), "machine.slc"))
-            .collect();
+        let shared = Mutex::named(SharedLevel::new(&cfg), "machine.shared");
         let cores = (0..cfg.num_cores)
             .map(|id| Mutex::named(Some(CoreState::new(id, &cfg)), "machine.core"))
             .collect();
-        Machine {
-            cfg,
-            timeconv,
-            vm,
-            topology,
-            slc,
-            cores,
-            rss_events: Mutex::named(Vec::new(), "machine.rss"),
-            migration_stats: Mutex::named(MigrationStats::default(), "machine.migrations"),
-            gang: Gang::new(),
-        }
+        Machine { cfg, timeconv, topology, shared, cores, gang: Gang::new() }
     }
 
     /// The machine configuration.
@@ -244,45 +214,26 @@ impl Machine {
         self.timeconv
     }
 
-    /// The virtual address space.
-    pub fn vm(&self) -> &AddressSpace {
-        &self.vm
-    }
-
-    /// The memory topology (every node, local and remote).
+    /// The memory topology: what every node, local and remote, is.
     pub fn topology(&self) -> &MemTopology {
         &self.topology
     }
 
-    pub(crate) fn slc_shard(&self, vaddr: u64) -> &Mutex<Cache> {
-        let line = vaddr >> self.cfg.slc.line_bytes.trailing_zeros();
-        let idx = (line as usize) & (self.slc.len() - 1);
-        &self.slc[idx]
-    }
-
     /// Allocate a named region of the simulated address space.
     pub fn alloc(&self, name: &str, len: u64) -> Result<Region> {
-        self.vm.alloc(name, len)
+        self.shared.lock().vm.alloc(name, len)
     }
 
     /// Free a named region, recording the RSS drop at simulated time
     /// `now_cycles` (use [`Engine::free`] from workload code so the timestamp
     /// comes from the issuing core's clock).
     pub fn free_at(&self, name: &str, now_cycles: u64) -> bool {
-        let freed = self.vm.free(name);
+        let mut shared = self.shared.lock();
+        let freed = shared.vm.free(name);
         if freed {
-            self.push_rss_event(now_cycles);
+            shared.push_rss_event(&self.cfg, now_cycles);
         }
         freed
-    }
-
-    pub(crate) fn push_rss_event(&self, now_cycles: u64) {
-        // One consistent reading: taking total and per-node split under
-        // separate locks could record a point whose split does not sum to
-        // its total when another core first-touches in between.
-        let (rss_bytes, rss_by_node) = self.vm.rss_snapshot();
-        let point = RssPoint { time_ns: self.cfg.cycles_to_ns(now_cycles), rss_bytes, rss_by_node };
-        self.rss_events.lock().push(point);
     }
 
     /// Migrate the resident page containing `addr` onto memory node `dst` at
@@ -310,29 +261,12 @@ impl Machine {
                 self.topology.len()
             )));
         }
-        let Some(migration) = self.vm.migrate_page(addr, dst) else {
-            return Ok(None);
-        };
-        let transfer = self.topology.transfer_page(
-            migration.from,
-            migration.to,
-            now_cycles,
-            migration.bytes as u32,
-        );
-        let cycles = self.cfg.mem.migration.fixed_cycles_per_page + transfer;
-        self.migration_stats.lock().record(
-            migration.bytes,
-            self.topology.node(migration.from).is_remote(),
-            self.topology.node(migration.to).is_remote(),
-            cycles,
-        );
-        self.push_rss_event(now_cycles);
-        Ok(Some(migration))
+        Ok(self.shared.lock().migrate_page(&self.cfg, addr, dst, now_cycles))
     }
 
     /// Snapshot of the page-migration counters.
     pub fn migration_stats(&self) -> MigrationStats {
-        *self.migration_stats.lock()
+        self.shared.lock().migrations
     }
 
     /// Make `cores` take turns in simulated time (see [`crate::gang`]): from
@@ -361,14 +295,11 @@ impl Machine {
     }
 
     /// Take a core back from its engine: the join point at which what the
-    /// core kept to itself — the clock as `counters.cycles`, its traffic at
-    /// each memory node — becomes readable, and at which the core leaves its
+    /// core kept to itself — the clock as `counters.cycles`, its counters and
+    /// bandwidth series — becomes readable, and at which the core leaves its
     /// gang.
     pub(crate) fn return_core(&self, mut state: CoreState) {
         state.counters.cycles = state.clock as u64;
-        for (node, traffic) in self.topology.nodes().iter().zip(&mut state.node_traffic) {
-            node.record_traffic(std::mem::take(traffic));
-        }
         let id = state.id;
         *self.cores[id].lock() = Some(state);
         self.gang.leave(id);
@@ -480,20 +411,42 @@ impl Machine {
     /// page first-touch or region free, with the per-node residency split in
     /// [`RssPoint::rss_by_node`].
     pub fn rss_series(&self) -> Vec<RssPoint> {
-        self.rss_events.lock().clone()
+        self.shared.lock().rss_events.clone()
     }
 
     /// The RSS step events from index `from` onward — the incremental read
     /// for streaming consumers, which copies only the new suffix instead of
     /// cloning the whole series on every poll.
     pub fn rss_events_since(&self, from: usize) -> Vec<RssPoint> {
-        let events = self.rss_events.lock();
-        events.get(from..).map(<[RssPoint]>::to_vec).unwrap_or_default()
+        let shared = self.shared.lock();
+        shared.rss_events.get(from..).map(<[RssPoint]>::to_vec).unwrap_or_default()
     }
 
     /// Current resident set size in bytes.
     pub fn rss_bytes(&self) -> u64 {
-        self.vm.rss_bytes()
+        self.shared.lock().vm.rss_bytes()
+    }
+
+    /// Current resident set size per memory node, bytes.
+    pub fn rss_bytes_by_node(&self) -> [u64; MAX_MEM_NODES] {
+        self.shared.lock().vm.rss_bytes_by_node()
+    }
+
+    /// The home node of `addr`'s page, if the page is resident.
+    pub fn node_of(&self, addr: u64) -> Option<NodeId> {
+        self.shared.lock().vm.node_of(addr)
+    }
+
+    /// The live regions of the simulated address space.
+    pub fn regions(&self) -> Vec<Region> {
+        self.shared.lock().vm.regions()
+    }
+
+    /// The traffic each memory node has served, indexed by [`NodeId`]:
+    /// every line fill and write-back as it happens, and both sides of every
+    /// page migration.
+    pub fn node_traffic(&self) -> Vec<NodeTraffic> {
+        self.shared.lock().links.iter().map(|link| link.traffic).collect()
     }
 
     /// Flush all caches and reset memory-node traffic and link budgets
@@ -506,10 +459,7 @@ impl Machine {
                 state.l2.flush();
             }
         }
-        for shard in &self.slc {
-            shard.lock().flush();
-        }
-        self.topology.reset();
+        self.shared.lock().flush();
     }
 
     /// Number of cores.
@@ -636,12 +586,12 @@ mod tests {
             e.store(region.start, 8);
             e.store(region.start + page, 8);
         }
-        assert_eq!(m.vm().rss_bytes_by_node()[1], 2 * page, "TierSplit(0) homes remotely");
-        let node_traffic_before = m.topology().node(0).write_bytes();
+        assert_eq!(m.rss_bytes_by_node()[1], 2 * page, "TierSplit(0) homes remotely");
+        let before = m.node_traffic();
 
         let mig = m.migrate_page(region.start, 0, 1_000).unwrap().expect("page migrates");
         assert_eq!((mig.from, mig.to), (1, 0));
-        assert_eq!(m.vm().node_of(region.start), Some(0));
+        assert_eq!(m.node_of(region.start), Some(0));
         let stats = m.migration_stats();
         assert_eq!(stats.migrations, 1);
         assert_eq!(stats.promoted_pages, 1);
@@ -652,8 +602,15 @@ mod tests {
             stats.charged_cycles >= m.config().mem.migration.fixed_cycles_per_page,
             "{stats:?}"
         );
-        // The transfer occupied the destination link.
-        assert_eq!(m.topology().node(0).write_bytes(), node_traffic_before + page);
+        // The transfer read the page from the source link and wrote it on
+        // the destination link.
+        let after = m.node_traffic();
+        assert_eq!(after[1].read_bytes, before[1].read_bytes + page);
+        assert_eq!(after[0].write_bytes, before[0].write_bytes + page);
+        assert_eq!(
+            (after[0].accesses, after[1].accesses),
+            (before[0].accesses + 1, before[1].accesses + 1)
+        );
         // The RSS series recorded the re-homing as a step event.
         let last = *m.rss_series().last().unwrap();
         assert_eq!(last.rss_bytes, 2 * page, "total residency unchanged");
@@ -703,7 +660,7 @@ mod tests {
                 let core = slot.as_ref().expect("no engine attached");
                 core.l1.is_allocated() || core.l2.is_allocated()
             });
-            (cores.count(), m.slc.iter().filter(|shard| shard.lock().is_allocated()).count())
+            (cores.count(), m.shared.lock().slc.iter().filter(|shard| shard.is_allocated()).count())
         };
         assert_eq!(allocated(&m), (0, 0));
         m.flush_caches();
@@ -723,8 +680,7 @@ mod tests {
         let m = Machine::new(MachineConfig::small_test());
         let mut seen = std::collections::HashSet::new();
         for line in 0..64u64 {
-            let shard = m.slc_shard(line * 64) as *const _;
-            seen.insert(shard as usize);
+            seen.insert(crate::shared::slc_shard(m.config(), line * 64));
         }
         assert_eq!(seen.len(), m.config().slc_shards);
     }

@@ -8,9 +8,12 @@
 //! queueing delay added to the idle latency. This reproduces the behaviours
 //! the paper's experiments depend on:
 //!
-//! * bandwidth-bound workloads see inflated memory latencies, which
-//!   lengthens the tracked lifetime of SPE samples and therefore increases
-//!   sample collisions,
+//! * bandwidth-bound workloads see inflated memory latencies: a 2 M-element
+//!   STREAM triad on `ampere_altra_max`, profiled at period 4 096, reads a
+//!   DRAM p50 / p99 of 330 / 330 cycles on 1 thread, 338 / 345 on 8 and
+//!   384 / 436 on 32 (at 10, 75 and 192 GB/s). The inflation does not show
+//!   up as SPE collisions: at period 64 the same runs count 9 422 collisions
+//!   on 1 thread (beside 70 975 truncated records) and none on 8 or 32;
 //! * the achievable GiB/s saturates near the configured peak, and
 //! * on a tiered topology, accesses homed on the remote node form a second,
 //!   slower mode in the latency distribution — the DDR-vs-CXL comparison of
@@ -25,25 +28,18 @@
 //! simulated time still finds the link time the later one left, arrival
 //! order moves a queueing delay by less than one bucket, and the node keeps
 //! its bandwidth whatever order the cores arrive in (cores take turns only
-//! to within
-//! [`crate::TURN_CYCLES`]; see [`crate::gang`]). The buckets are a fixed ring
-//! per node, each one atomic word of (bucket, budget used), so all cores
-//! share it without locking; nodes contend independently (a saturated CXL
-//! node does not slow down DDR traffic). An access further in the past than
-//! the ring reaches is charged from the oldest bucket the ring holds.
+//! to within [`crate::TURN_CYCLES`]; see [`crate::gang`]). The buckets are a
+//! fixed ring per node; an access further in the past than the ring reaches
+//! is charged from the oldest bucket the ring holds. Nodes contend
+//! independently: a saturated CXL node does not slow down DDR traffic.
 //!
-//! A node holds two kinds of shared state, and they arrive at different
-//! times. The **link budget** is the model: every access takes its time from
-//! it at once (`MemNode::reserve`'s CAS per bucket), because the next access
-//! from any core must queue behind it. The **traffic counters** (`read_bytes`,
-//! `write_bytes`, `accesses`) are reporting only: an engine adds its line
-//! fills to a tally of its own core and `Machine::return_core` hands that
-//! tally to the nodes when the engine detaches, so the getters are exact at
-//! join points and lag each running core in between. A page migration
-//! ([`MemTopology::transfer_page`]) has no core to wait for and counts at
-//! once, as does [`MemNode::access`].
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! What a node *is* — its configuration — is [`MemNode`], readable from
+//! [`crate::Machine::topology`] without a lock. What a node *does* — its
+//! link budget and the traffic it has served ([`NodeTraffic`]) — is a
+//! `Link`, and every node's link lives in the machine's shared level, behind
+//! the one `machine.shared` lock an access past the L2 takes anyway (see
+//! [`crate::engine`]). Both are plain integers, updated at the access, so
+//! [`crate::Machine::node_traffic`] is exact whenever it is read.
 
 use crate::config::{MemNodeConfig, MemTopologyConfig};
 use crate::op::NodeId;
@@ -56,31 +52,27 @@ const BUCKET_CYCLES: u64 = 64;
 /// Link time one bucket holds, in micro-cycles (1/1024 of a core cycle).
 const BUCKET_MICRO: u64 = BUCKET_CYCLES * FRAC;
 
-/// Bits of a ring slot that hold the budget used; the bits above hold the
-/// bucket's number plus one (0: a slot no access has used).
-const USED_BITS: u32 = 20;
-
-/// One shared memory node (DDR channel group or CXL expander).
+/// One memory node (DDR channel group or CXL expander), as configured.
 #[derive(Debug)]
 pub struct MemNode {
     id: NodeId,
     cfg: MemNodeConfig,
-    /// The link budget: slot `b % len` holds bucket `b` as
-    /// `(b + 1) << USED_BITS | used micro-cycles`.
-    buckets: Box<[AtomicU64]>,
-    /// Total bytes read from the node.
-    read_bytes: AtomicU64,
-    /// Total bytes written back to the node.
-    write_bytes: AtomicU64,
-    /// Total number of accesses served by the node.
-    accesses: AtomicU64,
-    /// Cycles per byte on the node's link, in micro-cycles.
-    microcycles_per_byte: u64,
+}
+
+/// The traffic one memory node has served.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeTraffic {
+    /// Bytes read from the node (line fills, and migrations' page reads).
+    pub read_bytes: u64,
+    /// Bytes written back to the node (and migrations' page writes).
+    pub write_bytes: u64,
+    /// Accesses served (a migration counts one per node it uses).
+    pub accesses: u64,
 }
 
 /// Outcome of one memory-node access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeAccess {
+pub(crate) struct NodeAccess {
     /// Total latency of the access in cycles (idle latency + queueing delay).
     pub latency_cycles: u64,
     /// Queueing delay component in cycles.
@@ -88,24 +80,6 @@ pub struct NodeAccess {
 }
 
 impl MemNode {
-    /// Create a memory node from its configuration. Its ring of buckets
-    /// reaches four times the longest queueing delay plus a turn back from
-    /// the latest bucket used.
-    pub fn new(id: NodeId, cfg: MemNodeConfig) -> Self {
-        let microcycles_per_byte = (FRAC as f64 / cfg.peak_bytes_per_cycle).round() as u64;
-        let reach = 4 * (cfg.max_queue_cycles + crate::TURN_CYCLES);
-        let ring = (reach / BUCKET_CYCLES).next_power_of_two().max(64);
-        MemNode {
-            id,
-            cfg,
-            buckets: (0..ring).map(|_| AtomicU64::new(0)).collect(),
-            read_bytes: AtomicU64::new(0),
-            write_bytes: AtomicU64::new(0),
-            accesses: AtomicU64::new(0),
-            microcycles_per_byte: microcycles_per_byte.max(1),
-        }
-    }
-
     /// The node's id in the topology.
     pub fn id(&self) -> NodeId {
         self.id
@@ -114,105 +88,6 @@ impl MemNode {
     /// Whether the node is on the remote (CXL-style) tier.
     pub fn is_remote(&self) -> bool {
         self.cfg.remote
-    }
-
-    /// Access the node at simulated time `now_cycles`, transferring `bytes`
-    /// (a line fill and possibly a write-back). `write_back_bytes` counts
-    /// separately toward write traffic.
-    pub fn access(&self, now_cycles: u64, read_bytes: u32, write_back_bytes: u32) -> NodeAccess {
-        self.record_traffic([read_bytes as u64, write_back_bytes as u64, 1]);
-        self.reserve(now_cycles, read_bytes as u64 + write_back_bytes as u64)
-    }
-
-    /// Add `[read bytes, written-back bytes, accesses]` to the traffic
-    /// counters: one access as it happens, or a core's tally when its engine
-    /// detaches.
-    pub(crate) fn record_traffic(&self, [read_bytes, write_bytes, accesses]: [u64; 3]) {
-        // relaxed-ok: traffic counters — monotone sums read only by the
-        // reporting getters below; no other data is published through them.
-        self.read_bytes.fetch_add(read_bytes, Ordering::Relaxed);
-        // relaxed-ok: traffic counter, as above.
-        self.write_bytes.fetch_add(write_bytes, Ordering::Relaxed);
-        // relaxed-ok: traffic counter, as above.
-        self.accesses.fetch_add(accesses, Ordering::Relaxed);
-    }
-
-    /// Take `total_bytes` of link time from simulated time `now_cycles` on,
-    /// bucket by bucket (see the module docs). The access's queueing delay
-    /// is where its first byte lands minus `now_cycles`, capped at
-    /// `max_queue_cycles`; an access that finds no budget in the whole ring
-    /// waits the cap.
-    pub(crate) fn reserve(&self, now_cycles: u64, total_bytes: u64) -> NodeAccess {
-        let now_micro = now_cycles.saturating_mul(FRAC);
-        let mut need = total_bytes * self.microcycles_per_byte;
-        let mut first_byte = (need == 0).then_some(now_micro);
-        // The ring's length is a power of two: a mask, not a division, finds
-        // a bucket's slot.
-        let mask = self.buckets.len() as u64 - 1;
-        let first = now_cycles / BUCKET_CYCLES;
-        for bucket in first..=first + mask {
-            if need == 0 {
-                break;
-            }
-            let slot = &self.buckets[(bucket & mask) as usize];
-            let tag = (bucket + 1) << USED_BITS;
-            // relaxed-ok: each slot is a self-contained counter of simulated
-            // link time — the CAS only needs atomicity of the word itself;
-            // no memory is published through it.
-            let mut prev = slot.load(Ordering::Relaxed);
-            loop {
-                let used = match prev >> USED_BITS {
-                    t if t == bucket + 1 => prev & ((1 << USED_BITS) - 1),
-                    // A later bucket holds the slot: this one is older than
-                    // the ring, and counts as served.
-                    t if t > bucket + 1 => BUCKET_MICRO,
-                    _ => 0,
-                };
-                let take = need.min(BUCKET_MICRO - used);
-                if take == 0 {
-                    break;
-                }
-                // relaxed-ok: as above — value-only CAS, no release payload.
-                match slot.compare_exchange_weak(
-                    prev,
-                    tag | (used + take),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        let lands = (bucket * BUCKET_MICRO + used).max(now_micro);
-                        first_byte.get_or_insert(lands);
-                        need -= take;
-                        break;
-                    }
-                    Err(actual) => prev = actual,
-                }
-            }
-        }
-        let queue_cycles = first_byte
-            .map_or(u64::MAX, |lands| (lands - now_micro) / FRAC)
-            .min(self.cfg.max_queue_cycles);
-        NodeAccess { latency_cycles: self.cfg.latency_cycles + queue_cycles, queue_cycles }
-    }
-
-    /// Total bytes read from the node so far (by engines that have detached,
-    /// and by migrations).
-    pub fn read_bytes(&self) -> u64 {
-        // relaxed-ok: reporting read of a stats counter; a stale value is
-        // fine mid-run and exact at join points.
-        self.read_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes written back to the node so far.
-    pub fn write_bytes(&self) -> u64 {
-        // relaxed-ok: reporting read of a stats counter, as above.
-        self.write_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total number of accesses served so far.
-    pub fn accesses(&self) -> u64 {
-        // relaxed-ok: reporting read of a stats counter, as above.
-        self.accesses.load(Ordering::Relaxed)
     }
 
     /// The configured idle latency, in cycles.
@@ -229,20 +104,93 @@ impl MemNode {
     pub fn capacity_bytes(&self) -> u64 {
         self.cfg.capacity_bytes
     }
+}
 
-    /// Reset traffic counters and the link budget (between trials).
-    pub fn reset(&self) {
-        for slot in self.buckets.iter() {
-            // relaxed-ok: trial boundaries are externally synchronised (the
-            // caller joins all simulated cores before resetting).
-            slot.store(0, Ordering::Relaxed);
+/// One node's link: its budget of link time and the traffic it has served.
+#[derive(Debug)]
+pub(crate) struct Link {
+    cfg: MemNodeConfig,
+    /// Cycles per byte on the link, in micro-cycles.
+    microcycles_per_byte: u64,
+    /// The link budget: slot `b % len` holds bucket `b` as `(b + 1, used
+    /// micro-cycles)`; `(0, 0)` is a slot no access has used.
+    buckets: Box<[(u64, u64)]>,
+    pub traffic: NodeTraffic,
+}
+
+impl Link {
+    /// A node's idle link. Its ring of buckets reaches four times the
+    /// longest queueing delay plus a turn back from the latest bucket used.
+    pub(crate) fn new(cfg: MemNodeConfig) -> Self {
+        let microcycles_per_byte = (FRAC as f64 / cfg.peak_bytes_per_cycle).round() as u64;
+        let reach = 4 * (cfg.max_queue_cycles + crate::TURN_CYCLES);
+        let ring = (reach / BUCKET_CYCLES).next_power_of_two().max(64);
+        Link {
+            cfg,
+            microcycles_per_byte: microcycles_per_byte.max(1),
+            buckets: vec![(0, 0); ring as usize].into_boxed_slice(),
+            traffic: NodeTraffic::default(),
         }
-        // relaxed-ok: as above — quiescent at trial boundaries.
-        self.read_bytes.store(0, Ordering::Relaxed);
-        // relaxed-ok: as above.
-        self.write_bytes.store(0, Ordering::Relaxed);
-        // relaxed-ok: as above.
-        self.accesses.store(0, Ordering::Relaxed);
+    }
+
+    /// Access the node at simulated time `now_cycles`: a line fill of
+    /// `read_bytes` plus `write_back_bytes` of write-back, counted as traffic
+    /// and taken from the link budget together.
+    pub(crate) fn access(
+        &mut self,
+        now_cycles: u64,
+        read_bytes: u64,
+        write_back_bytes: u64,
+    ) -> NodeAccess {
+        self.traffic.read_bytes += read_bytes;
+        self.traffic.write_bytes += write_back_bytes;
+        self.traffic.accesses += 1;
+        self.reserve(now_cycles, read_bytes + write_back_bytes)
+    }
+
+    /// Take `total_bytes` of link time from simulated time `now_cycles` on,
+    /// bucket by bucket (see the module docs). The access's queueing delay
+    /// is where its first byte lands minus `now_cycles`, capped at
+    /// `max_queue_cycles`; an access that finds no budget in the whole ring
+    /// waits the cap.
+    fn reserve(&mut self, now_cycles: u64, total_bytes: u64) -> NodeAccess {
+        let now_micro = now_cycles.saturating_mul(FRAC);
+        let mut need = total_bytes * self.microcycles_per_byte;
+        let mut first_byte = (need == 0).then_some(now_micro);
+        // The ring's length is a power of two: a mask, not a division, finds
+        // a bucket's slot.
+        let mask = self.buckets.len() as u64 - 1;
+        let first = now_cycles / BUCKET_CYCLES;
+        for bucket in first..=first + mask {
+            if need == 0 {
+                break;
+            }
+            let slot = &mut self.buckets[(bucket & mask) as usize];
+            let used = match slot.0.cmp(&(bucket + 1)) {
+                std::cmp::Ordering::Equal => slot.1,
+                // A later bucket holds the slot: this one is older than the
+                // ring, and counts as served.
+                std::cmp::Ordering::Greater => BUCKET_MICRO,
+                std::cmp::Ordering::Less => 0,
+            };
+            let take = need.min(BUCKET_MICRO - used);
+            if take == 0 {
+                continue;
+            }
+            *slot = (bucket + 1, used + take);
+            first_byte.get_or_insert((bucket * BUCKET_MICRO + used).max(now_micro));
+            need -= take;
+        }
+        let queue_cycles = first_byte
+            .map_or(u64::MAX, |lands| (lands - now_micro) / FRAC)
+            .min(self.cfg.max_queue_cycles);
+        NodeAccess { latency_cycles: self.cfg.latency_cycles + queue_cycles, queue_cycles }
+    }
+
+    /// Forget the link budget and the traffic (between trials).
+    pub(crate) fn reset(&mut self) {
+        self.buckets.fill((0, 0));
+        self.traffic = NodeTraffic::default();
     }
 }
 
@@ -260,7 +208,7 @@ impl MemTopology {
                 .nodes
                 .iter()
                 .enumerate()
-                .map(|(id, node)| MemNode::new(id as NodeId, *node))
+                .map(|(id, node)| MemNode { id: id as NodeId, cfg: *node })
                 .collect(),
         }
     }
@@ -294,47 +242,9 @@ impl MemTopology {
         &self.nodes
     }
 
-    /// Total bytes read across all nodes.
-    pub fn read_bytes(&self) -> u64 {
-        self.nodes.iter().map(MemNode::read_bytes).sum()
-    }
-
-    /// Total bytes written back across all nodes.
-    pub fn write_bytes(&self) -> u64 {
-        self.nodes.iter().map(MemNode::write_bytes).sum()
-    }
-
-    /// Total accesses across all nodes.
-    pub fn accesses(&self) -> u64 {
-        self.nodes.iter().map(MemNode::accesses).sum()
-    }
-
     /// Total capacity across all nodes, bytes.
     pub fn total_capacity_bytes(&self) -> u64 {
         self.nodes.iter().map(MemNode::capacity_bytes).sum()
-    }
-
-    /// Move `bytes` of page data from node `from` to node `to` at simulated
-    /// time `now_cycles`: the source link serves a read, the destination a
-    /// write, and both take the link time, so a migration storm shows up
-    /// as queueing delay on subsequent demand traffic exactly like any other
-    /// bandwidth consumer. Returns the combined transfer latency in cycles
-    /// (the slower of the two links, including queueing).
-    ///
-    /// # Panics
-    /// Panics when either node id is out of range (validated by
-    /// [`crate::Machine::migrate_page`] before the page is re-homed).
-    pub fn transfer_page(&self, from: NodeId, to: NodeId, now_cycles: u64, bytes: u32) -> u64 {
-        let read = self.node(from).access(now_cycles, bytes, 0);
-        let write = self.node(to).access(now_cycles, 0, bytes);
-        read.latency_cycles.max(write.latency_cycles)
-    }
-
-    /// Reset every node's counters and link budget (between trials).
-    pub fn reset(&self) {
-        for node in &self.nodes {
-            node.reset();
-        }
     }
 }
 
@@ -354,9 +264,13 @@ mod tests {
         }
     }
 
+    fn remote() -> MemNodeConfig {
+        MemNodeConfig { latency_cycles: 400, peak_bytes_per_cycle: 16.0, remote: true, ..cfg() }
+    }
+
     #[test]
     fn idle_access_sees_base_latency() {
-        let d = MemNode::new(0, cfg());
+        let mut d = Link::new(cfg());
         let a = d.access(1_000_000, 64, 0);
         assert_eq!(a.queue_cycles, 0);
         assert_eq!(a.latency_cycles, 100);
@@ -364,7 +278,7 @@ mod tests {
 
     #[test]
     fn back_to_back_accesses_queue() {
-        let d = MemNode::new(0, cfg());
+        let mut d = Link::new(cfg());
         // 100 accesses at the same instant: the node serialises them at one
         // line per cycle, so the last one queues for ~99 cycles.
         let mut max_queue = 0;
@@ -378,7 +292,7 @@ mod tests {
 
     #[test]
     fn queue_delay_is_capped() {
-        let d = MemNode::new(0, cfg());
+        let mut d = Link::new(cfg());
         for _ in 0..10_000 {
             let a = d.access(0, 64, 0);
             assert!(a.queue_cycles <= 1000);
@@ -386,21 +300,22 @@ mod tests {
     }
 
     #[test]
-    fn traffic_counters_accumulate() {
-        let d = MemNode::new(0, cfg());
+    fn traffic_accumulates_and_reset_forgets_it() {
+        let mut d = Link::new(cfg());
         d.access(0, 64, 0);
         d.access(0, 64, 64);
-        assert_eq!(d.read_bytes(), 128);
-        assert_eq!(d.write_bytes(), 64);
-        assert_eq!(d.accesses(), 2);
+        assert_eq!(d.traffic, NodeTraffic { read_bytes: 128, write_bytes: 64, accesses: 2 });
+        for _ in 0..100 {
+            d.access(0, 64, 0);
+        }
         d.reset();
-        assert_eq!(d.read_bytes(), 0);
-        assert_eq!(d.accesses(), 0);
+        assert_eq!(d.traffic, NodeTraffic::default());
+        assert_eq!(d.access(0, 64, 0).queue_cycles, 0, "the budget is forgotten too");
     }
 
     #[test]
     fn idle_gaps_drain_the_queue() {
-        let d = MemNode::new(0, cfg());
+        let mut d = Link::new(cfg());
         for _ in 0..100 {
             d.access(0, 64, 0);
         }
@@ -414,7 +329,7 @@ mod tests {
     /// behind it.
     #[test]
     fn an_earlier_access_that_arrives_late_finds_the_link_free() {
-        let d = MemNode::new(0, cfg());
+        let mut d = Link::new(cfg());
         let (ahead, behind) = (160 * BUCKET_CYCLES, 140 * BUCKET_CYCLES);
         for _ in 0..500 {
             d.access(ahead, 64, 0);
@@ -428,78 +343,36 @@ mod tests {
     /// where one busy position would make each wait for all the later ones.
     #[test]
     fn arrival_order_costs_less_than_a_bucket() {
-        let d = MemNode::new(0, cfg());
+        let mut d = Link::new(cfg());
         let worst = (0..1_000u64).rev().map(|t| d.access(t, 64, 0).queue_cycles).max();
         assert!(worst.unwrap() < BUCKET_CYCLES, "{worst:?}");
     }
 
     #[test]
-    fn topology_nodes_contend_independently() {
-        let local = cfg();
-        let remote = MemNodeConfig {
-            latency_cycles: 400,
-            peak_bytes_per_cycle: 16.0,
-            remote: true,
-            ..local
-        };
+    fn nodes_contend_independently() {
+        let (mut local, mut far) = (Link::new(cfg()), Link::new(remote()));
+        // Saturate the remote node; the local node stays idle.
+        for _ in 0..1000 {
+            far.access(0, 64, 0);
+        }
+        assert_eq!(local.access(0, 64, 0).queue_cycles, 0, "local node unaffected");
+        assert!(far.access(0, 64, 0).queue_cycles > 0, "remote node is congested");
+    }
+
+    #[test]
+    fn topology_describes_the_configured_nodes() {
         let topo = MemTopology::from_config(&MemTopologyConfig::tiered(
-            local,
-            remote,
+            cfg(),
+            remote(),
             PlacementPolicy::Interleave,
         ));
         assert_eq!(topo.len(), 2);
         assert!(!topo.node(0).is_remote());
         assert!(topo.node(1).is_remote());
         assert!(topo.node(1).idle_latency() > topo.node(0).idle_latency());
-
-        // Saturate the remote node; the local node stays idle.
-        for _ in 0..1000 {
-            topo.node(1).access(0, 64, 0);
-        }
-        let local_acc = topo.node(0).access(0, 64, 0);
-        assert_eq!(local_acc.queue_cycles, 0, "local node unaffected by remote pressure");
-        let remote_acc = topo.node(1).access(0, 64, 0);
-        assert!(remote_acc.queue_cycles > 0, "remote node is congested");
-
-        assert_eq!(topo.accesses(), 1002);
-        assert_eq!(topo.read_bytes(), 1002 * 64);
+        assert_eq!((topo.node(1).id(), topo.node(1).occupancy()), (1, 4));
         assert_eq!(topo.total_capacity_bytes(), 2 << 30);
-        topo.reset();
-        assert_eq!(topo.accesses(), 0);
-    }
-
-    #[test]
-    fn transfer_page_charges_both_links() {
-        let local = cfg();
-        let remote = MemNodeConfig {
-            latency_cycles: 400,
-            peak_bytes_per_cycle: 16.0,
-            remote: true,
-            ..local
-        };
-        let topo = MemTopology::from_config(&MemTopologyConfig::tiered(
-            local,
-            remote,
-            PlacementPolicy::Interleave,
-        ));
-        let latency = topo.transfer_page(1, 0, 0, 4096);
-        assert!(latency >= 400, "bounded below by the slower (remote) link: {latency}");
-        assert_eq!(topo.node(1).read_bytes(), 4096);
-        assert_eq!(topo.node(0).write_bytes(), 4096);
-        assert_eq!(topo.read_bytes(), 4096);
-        assert_eq!(topo.write_bytes(), 4096);
-        // A migration storm congests the links it uses.
-        for _ in 0..200 {
-            topo.transfer_page(1, 0, 0, 4096);
-        }
-        let after = topo.node(1).access(0, 64, 0);
-        assert!(after.queue_cycles > 0, "demand traffic queues behind the storm");
-    }
-
-    #[test]
-    fn out_of_range_node_lookup() {
-        let topo = MemTopology::from_config(&MemTopologyConfig::single(cfg()));
-        assert!(topo.get(0).is_some());
+        assert!(topo.get(1).is_some());
         assert!(topo.get(7).is_none());
     }
 }

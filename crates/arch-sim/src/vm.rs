@@ -14,28 +14,22 @@
 //! DRAM-class access to the page is served by that node — exactly the
 //! first-touch NUMA behaviour the paper's tiered experiments rely on.
 //!
-//! ## The generation
+//! ## The page-home memo
 //!
-//! A core remembers the homes it has resolved (the engine's page-home
-//! table), so it takes the `vm.inner` lock once per page it enters rather
-//! than once per access. What it remembers stays true until a page loses or
-//! changes its home, and only two calls do that: [`AddressSpace::free`] and
-//! [`AddressSpace::migrate_page`]. Each bumps the address space's
-//! *generation* (a `Release` increment, made while it still holds the write
-//! lock its change was made under). The reader's side of the contract, in
-//! this order: load the generation (`Acquire`), forget everything remembered
-//! under another one, and only then consult the table or call `place_span`
-//! — whose answer is filed under the generation loaded *before* the call.
-//! An answer that a concurrent free or migration overtook is therefore filed
-//! under a generation that is already past, and dies at the core's next
-//! memory-bound access. `alloc` and a first touch bump nothing: they give
-//! homes to addresses that had none, and a core remembers no address without
-//! a home.
+//! Every access that misses the SLC asks the address space for its page's
+//! home. The answer for the last few pages resolved is remembered
+//! (`PAGE_HOMES` spans, direct-mapped by page number), so most of those
+//! questions are answered without the region lookup. What the memo holds
+//! stays true until a page loses or changes its home, and only two calls do
+//! that: [`AddressSpace::free`] and [`AddressSpace::migrate_page`], which
+//! empty it. `alloc` and a first touch leave it as it is: they give homes
+//! to addresses that had none, and the memo holds no address without a
+//! home. The address space is one value behind the machine's
+//! `machine.shared` lock (see [`crate::engine`]), so the memo is shared by
+//! every core and no core can read it while a free or a migration is half
+//! done.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::RwLock;
 
 use crate::config::{PlacementPolicy, MAX_MEM_NODES};
 use crate::op::NodeId;
@@ -47,6 +41,15 @@ pub const HEAP_BASE: u64 = 0xffff_0000_0000;
 
 /// Sentinel for a page that has not been homed yet.
 const NODE_UNASSIGNED: u8 = u8::MAX;
+
+/// How many resolved pages the address space remembers, direct-mapped by
+/// page number. One memo serves every core, so it is sized by the region
+/// lookups it leaves a gang of cores on `ampere_altra_max` (exact counts,
+/// host-independent): at 16 slots STREAM 2 M does 735 of its 750 000 at one
+/// core, 49 926 at 8 and 94 229 at 32, and PageRank 2^15 at one core 7 552
+/// of 172 258; at 64 they are 735, 756, 68 840 and 29. A slot is 24 bytes,
+/// and emptying the memo is what a free or a migration costs.
+const PAGE_HOMES: usize = 64;
 
 /// A named, contiguous allocation in the simulated address space.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,8 +115,14 @@ struct RegionState {
     freed: bool,
 }
 
-#[derive(Debug, Default)]
-struct Inner {
+/// The simulated process address space.
+#[derive(Debug)]
+pub struct AddressSpace {
+    page_bytes: u64,
+    page_shift: u32,
+    capacity_bytes: u64,
+    num_nodes: usize,
+    placement: PlacementPolicy,
     /// Regions keyed by start address for range lookup.
     regions: BTreeMap<u64, RegionState>,
     next_free: u64,
@@ -127,20 +136,10 @@ struct Inner {
     local_assigned: u64,
     /// Pages assigned to remote nodes so far (TierSplit round-robin state).
     remote_assigned: u64,
-}
-
-/// The simulated process address space.
-#[derive(Debug)]
-pub struct AddressSpace {
-    page_bytes: u64,
-    page_shift: u32,
-    capacity_bytes: u64,
-    num_nodes: usize,
-    placement: PlacementPolicy,
-    inner: RwLock<Inner>,
-    /// Bumped by every change that takes a home away from a page or gives it
-    /// another (see the module docs).
-    generation: AtomicU64,
+    /// The page-home memo (see the module docs): `(base, len, node)` spans
+    /// as [`AddressSpace::place`] resolved them; an empty slot has `len` 0
+    /// and holds no address.
+    homes: [(u64, u64, NodeId); PAGE_HOMES],
 }
 
 impl AddressSpace {
@@ -164,25 +163,21 @@ impl AddressSpace {
             capacity_bytes,
             num_nodes: num_nodes.clamp(1, MAX_MEM_NODES),
             placement,
-            inner: RwLock::named(Inner { next_free: HEAP_BASE, ..Default::default() }, "vm.inner"),
-            generation: AtomicU64::new(0),
+            regions: BTreeMap::new(),
+            next_free: HEAP_BASE,
+            resident_pages: 0,
+            peak_resident_pages: 0,
+            resident_by_node: [0; MAX_MEM_NODES],
+            pages_assigned: 0,
+            local_assigned: 0,
+            remote_assigned: 0,
+            homes: [(0, 0, 0); PAGE_HOMES],
         }
-    }
-
-    /// The generation of page homes: anything resolved under an earlier one
-    /// may no longer hold (see the module docs for the order of reads).
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
     }
 
     /// Page size in bytes.
     pub fn page_bytes(&self) -> u64 {
         self.page_bytes
-    }
-
-    /// `log2` of the page size.
-    pub(crate) fn page_shift(&self) -> u32 {
-        self.page_shift
     }
 
     /// Number of memory nodes pages are placed on.
@@ -196,20 +191,19 @@ impl AddressSpace {
     }
 
     /// Allocate `len` bytes under `name`. Returns the region descriptor.
-    pub fn alloc(&self, name: &str, len: u64) -> Result<Region> {
-        let mut inner = self.inner.write();
-        if inner.regions.values().any(|r| r.region.name == name && !r.freed) {
+    pub fn alloc(&mut self, name: &str, len: u64) -> Result<Region> {
+        if self.regions.values().any(|r| r.region.name == name && !r.freed) {
             return Err(SimError::DuplicateRegion(name.to_string()));
         }
         let len_rounded = len.div_ceil(self.page_bytes) * self.page_bytes;
-        let start = inner.next_free;
+        let start = self.next_free;
         let end = start.checked_add(len_rounded).ok_or(SimError::OutOfAddressSpace)?;
         // Leave a guard page between allocations so regions are visually
         // separated in address-scatter plots, like distinct mmap segments.
-        inner.next_free = end + self.page_bytes;
+        self.next_free = end + self.page_bytes;
         let region = Region { name: name.to_string(), start, len };
         let pages = (len_rounded >> self.page_shift) as usize;
-        inner.regions.insert(
+        self.regions.insert(
             start,
             RegionState {
                 region: region.clone(),
@@ -224,17 +218,15 @@ impl AddressSpace {
     }
 
     /// Free a region by name. Its resident pages are returned to the system.
-    pub fn free(&self, name: &str) -> bool {
-        let mut inner = self.inner.write();
+    pub fn free(&mut self, name: &str) -> bool {
         let mut found = false;
-        let mut released = 0;
-        let mut released_by_node = [0u64; MAX_MEM_NODES];
-        for st in inner.regions.values_mut() {
+        for st in self.regions.values_mut() {
             if st.region.name == name && !st.freed {
                 st.freed = true;
-                released += st.touched_pages;
+                self.resident_pages = self.resident_pages.saturating_sub(st.touched_pages);
                 for (node, count) in st.touched_by_node.iter_mut().enumerate() {
-                    released_by_node[node] += *count;
+                    self.resident_by_node[node] =
+                        self.resident_by_node[node].saturating_sub(*count);
                     *count = 0;
                 }
                 st.touched_pages = 0;
@@ -243,75 +235,61 @@ impl AddressSpace {
                 found = true;
             }
         }
-        inner.resident_pages = inner.resident_pages.saturating_sub(released);
-        for (node, count) in released_by_node.iter().enumerate() {
-            inner.resident_by_node[node] = inner.resident_by_node[node].saturating_sub(*count);
-        }
         if found {
-            self.generation.fetch_add(1, Ordering::Release);
+            self.homes = [(0, 0, 0); PAGE_HOMES];
         }
         found
     }
 
     /// Pick the home node for a page just being touched, advancing the
     /// placement-policy counters.
-    fn assign_node(
-        &self,
-        pages_assigned: &mut u64,
-        local_assigned: &mut u64,
-        remote_assigned: &mut u64,
-    ) -> NodeId {
+    fn assign_node(&mut self) -> NodeId {
         let nodes = self.num_nodes as u64;
         let node = if nodes <= 1 {
             0
         } else {
             match self.placement {
                 PlacementPolicy::LocalOnly => 0,
-                PlacementPolicy::Interleave => (*pages_assigned % nodes) as NodeId,
+                PlacementPolicy::Interleave => (self.pages_assigned % nodes) as NodeId,
                 PlacementPolicy::TierSplit { local_fraction } => {
                     let frac = local_fraction.clamp(0.0, 1.0);
-                    let target_local = frac * (*pages_assigned + 1) as f64;
-                    if (*local_assigned as f64) < target_local {
-                        *local_assigned += 1;
+                    let target_local = frac * (self.pages_assigned + 1) as f64;
+                    if (self.local_assigned as f64) < target_local {
+                        self.local_assigned += 1;
                         0
                     } else {
-                        let remote = 1 + (*remote_assigned % (nodes - 1)) as NodeId;
-                        *remote_assigned += 1;
+                        let remote = 1 + (self.remote_assigned % (nodes - 1)) as NodeId;
+                        self.remote_assigned += 1;
                         remote
                     }
                 }
             }
         };
-        *pages_assigned += 1;
+        self.pages_assigned += 1;
         node
     }
 
     /// Resolve the home of `addr`'s page, homing the page per the placement
     /// policy if this is its first touch. Returns `None` for addresses
     /// outside every live region (such accesses are served by node 0 and do
-    /// not count toward residency).
-    pub fn place(&self, addr: u64) -> Option<PageHome> {
-        self.place_span(addr).map(|(home, _, _)| home)
+    /// not count toward residency), and for an address past an unrounded
+    /// region length, as [`Region::contains`] has it.
+    #[inline]
+    pub fn place(&mut self, addr: u64) -> Option<PageHome> {
+        let slot = (addr >> self.page_shift) as usize % PAGE_HOMES;
+        let (base, len, node) = self.homes[slot];
+        if addr.wrapping_sub(base) < len {
+            return Some(PageHome { node, first_touch: false });
+        }
+        self.place_in_table(addr, slot)
     }
 
-    /// [`AddressSpace::place`], plus the span the answer holds for as
-    /// `(base, len)`: the page's part of its region, `[page start, min(page
-    /// end, region end))`. An address past an unrounded region length is in
-    /// no span, as [`Region::contains`] has it.
-    pub(crate) fn place_span(&self, addr: u64) -> Option<(PageHome, u64, u64)> {
-        let mut inner = self.inner.write();
-        let Inner {
-            regions,
-            resident_pages,
-            peak_resident_pages,
-            resident_by_node,
-            pages_assigned,
-            local_assigned,
-            remote_assigned,
-            next_free: _,
-        } = &mut *inner;
+    /// [`AddressSpace::place`] for a page the memo does not hold: the
+    /// region lookup, the first touch if it is one, and the answer filed in
+    /// memo slot `slot`.
+    fn place_in_table(&mut self, addr: u64, slot: usize) -> Option<PageHome> {
         // Find the region containing addr: last region starting at or below addr.
-        let (_, st) = regions.range_mut(..=addr).next_back()?;
+        let (_, st) = self.regions.range(..=addr).next_back()?;
         if st.freed || !st.region.contains(addr) {
             return None;
         }
@@ -319,25 +297,30 @@ impl AddressSpace {
         let base = st.region.start + ((page as u64) << self.page_shift);
         let len = self.page_bytes.min(st.region.end() - base);
         let (word, bit) = (page / 64, page % 64);
-        if st.touched[word] & (1 << bit) != 0 {
-            return Some((PageHome { node: st.nodes[page], first_touch: false }, base, len));
-        }
-        let node = self.assign_node(pages_assigned, local_assigned, remote_assigned);
-        st.touched[word] |= 1 << bit;
-        st.touched_pages += 1;
-        st.touched_by_node[node as usize] += 1;
-        st.nodes[page] = node;
-        *resident_pages += 1;
-        resident_by_node[node as usize] += 1;
-        *peak_resident_pages = (*peak_resident_pages).max(*resident_pages);
-        Some((PageHome { node, first_touch: true }, base, len))
+        let home = if st.touched[word] & (1 << bit) != 0 {
+            PageHome { node: st.nodes[page], first_touch: false }
+        } else {
+            let start = st.region.start;
+            let node = self.assign_node();
+            let st = self.regions.get_mut(&start)?;
+            st.touched[word] |= 1 << bit;
+            st.touched_pages += 1;
+            st.touched_by_node[node as usize] += 1;
+            st.nodes[page] = node;
+            self.resident_pages += 1;
+            self.resident_by_node[node as usize] += 1;
+            self.peak_resident_pages = self.peak_resident_pages.max(self.resident_pages);
+            PageHome { node, first_touch: true }
+        };
+        self.homes[slot] = (base, len, home.node);
+        Some(home)
     }
 
     /// Record a touch of `addr`; returns true if this was the first touch of
     /// its page (i.e. the page just became resident). Equivalent to
     /// [`AddressSpace::place`] ignoring the home node.
-    pub fn touch(&self, addr: u64) -> bool {
-        self.place(addr).map(|h| h.first_touch).unwrap_or(false)
+    pub fn touch(&mut self, addr: u64) -> bool {
+        self.place(addr).is_some_and(|h| h.first_touch)
     }
 
     /// Re-home the resident page containing `addr` onto `dst`, updating the
@@ -350,13 +333,11 @@ impl AddressSpace {
     /// first-touched after a migration are still placed as if no migration
     /// had happened, exactly like Linux `move_pages(2)` versus the NUMA
     /// memory policy.
-    pub fn migrate_page(&self, addr: u64, dst: NodeId) -> Option<PageMigration> {
+    pub fn migrate_page(&mut self, addr: u64, dst: NodeId) -> Option<PageMigration> {
         if dst as usize >= self.num_nodes {
             return None;
         }
-        let mut inner = self.inner.write();
-        let Inner { regions, resident_by_node, .. } = &mut *inner;
-        let (_, st) = regions.range_mut(..=addr).next_back()?;
+        let (_, st) = self.regions.range_mut(..=addr).next_back()?;
         if st.freed || !st.region.contains(addr) {
             return None;
         }
@@ -372,17 +353,16 @@ impl AddressSpace {
         st.nodes[page] = dst;
         st.touched_by_node[from as usize] -= 1;
         st.touched_by_node[dst as usize] += 1;
-        resident_by_node[from as usize] -= 1;
-        resident_by_node[dst as usize] += 1;
-        self.generation.fetch_add(1, Ordering::Release);
+        self.resident_by_node[from as usize] -= 1;
+        self.resident_by_node[dst as usize] += 1;
+        self.homes = [(0, 0, 0); PAGE_HOMES];
         let page_addr = st.region.start + ((page as u64) << self.page_shift);
         Some(PageMigration { page_addr, from, to: dst, bytes: self.page_bytes })
     }
 
     /// The home node of `addr`'s page, if the page is resident.
     pub fn node_of(&self, addr: u64) -> Option<NodeId> {
-        let inner = self.inner.read();
-        let (_, st) = inner.regions.range(..=addr).next_back()?;
+        let (_, st) = self.regions.range(..=addr).next_back()?;
         if st.freed || !st.region.contains(addr) {
             return None;
         }
@@ -393,29 +373,23 @@ impl AddressSpace {
 
     /// Current resident set size in bytes.
     pub fn rss_bytes(&self) -> u64 {
-        self.inner.read().resident_pages * self.page_bytes
+        self.resident_pages * self.page_bytes
     }
 
-    /// Current resident set size per memory node, bytes.
+    /// Current resident set size per memory node, bytes; the split sums to
+    /// [`AddressSpace::rss_bytes`].
     pub fn rss_bytes_by_node(&self) -> [u64; MAX_MEM_NODES] {
-        self.rss_snapshot().1
+        self.resident_by_node.map(|pages| pages * self.page_bytes)
     }
 
-    /// Consistent `(total, per-node)` RSS reading under one lock
-    /// acquisition — the per-node split always sums to the total, even
-    /// while other cores are first-touching pages concurrently.
+    /// `(total, per-node)` RSS.
     pub fn rss_snapshot(&self) -> (u64, [u64; MAX_MEM_NODES]) {
-        let inner = self.inner.read();
-        let mut by_node = [0u64; MAX_MEM_NODES];
-        for (node, pages) in inner.resident_by_node.iter().enumerate() {
-            by_node[node] = pages * self.page_bytes;
-        }
-        (inner.resident_pages * self.page_bytes, by_node)
+        (self.rss_bytes(), self.rss_bytes_by_node())
     }
 
     /// Peak resident set size in bytes.
     pub fn peak_rss_bytes(&self) -> u64 {
-        self.inner.read().peak_resident_pages * self.page_bytes
+        self.peak_resident_pages * self.page_bytes
     }
 
     /// Fraction of physical capacity currently resident (0.0–1.0+).
@@ -425,9 +399,7 @@ impl AddressSpace {
 
     /// Look up the region containing `addr`, if any.
     pub fn region_of(&self, addr: u64) -> Option<Region> {
-        let inner = self.inner.read();
-        inner
-            .regions
+        self.regions
             .range(..=addr)
             .next_back()
             .filter(|(_, st)| !st.freed && st.region.contains(addr))
@@ -436,13 +408,7 @@ impl AddressSpace {
 
     /// Snapshot of all live regions.
     pub fn regions(&self) -> Vec<Region> {
-        self.inner
-            .read()
-            .regions
-            .values()
-            .filter(|st| !st.freed)
-            .map(|st| st.region.clone())
-            .collect()
+        self.regions.values().filter(|st| !st.freed).map(|st| st.region.clone()).collect()
     }
 }
 
@@ -452,7 +418,7 @@ mod tests {
 
     #[test]
     fn alloc_assigns_disjoint_page_aligned_regions() {
-        let vm = AddressSpace::new(4096, 1 << 30);
+        let mut vm = AddressSpace::new(4096, 1 << 30);
         let a = vm.alloc("a", 10_000).unwrap();
         let b = vm.alloc("b", 10_000).unwrap();
         assert_eq!(a.start % 4096, 0);
@@ -463,7 +429,7 @@ mod tests {
 
     #[test]
     fn duplicate_names_rejected() {
-        let vm = AddressSpace::new(4096, 1 << 30);
+        let mut vm = AddressSpace::new(4096, 1 << 30);
         vm.alloc("a", 100).unwrap();
         assert!(matches!(vm.alloc("a", 100), Err(SimError::DuplicateRegion(_))));
         // After freeing, the name can be reused.
@@ -473,7 +439,7 @@ mod tests {
 
     #[test]
     fn first_touch_accounting() {
-        let vm = AddressSpace::new(4096, 1 << 30);
+        let mut vm = AddressSpace::new(4096, 1 << 30);
         let a = vm.alloc("a", 3 * 4096).unwrap();
         assert_eq!(vm.rss_bytes(), 0);
         assert!(vm.touch(a.start));
@@ -487,7 +453,7 @@ mod tests {
 
     #[test]
     fn touch_outside_any_region_is_ignored() {
-        let vm = AddressSpace::new(4096, 1 << 30);
+        let mut vm = AddressSpace::new(4096, 1 << 30);
         let a = vm.alloc("a", 4096).unwrap();
         assert!(!vm.touch(a.start - 1));
         assert!(!vm.touch(a.end() + 4096 * 10));
@@ -497,7 +463,7 @@ mod tests {
 
     #[test]
     fn free_releases_resident_pages() {
-        let vm = AddressSpace::new(4096, 1 << 30);
+        let mut vm = AddressSpace::new(4096, 1 << 30);
         let a = vm.alloc("a", 4 * 4096).unwrap();
         for p in 0..4u64 {
             vm.touch(a.start + p * 4096);
@@ -511,7 +477,7 @@ mod tests {
 
     #[test]
     fn region_lookup() {
-        let vm = AddressSpace::new(4096, 1 << 30);
+        let mut vm = AddressSpace::new(4096, 1 << 30);
         let a = vm.alloc("a", 4096).unwrap();
         let b = vm.alloc("b", 4096).unwrap();
         assert_eq!(vm.region_of(a.start + 100).unwrap().name, "a");
@@ -522,7 +488,7 @@ mod tests {
 
     #[test]
     fn utilization_fraction() {
-        let vm = AddressSpace::new(4096, 8 * 4096);
+        let mut vm = AddressSpace::new(4096, 8 * 4096);
         let a = vm.alloc("a", 4 * 4096).unwrap();
         for p in 0..4u64 {
             vm.touch(a.start + p * 4096);
@@ -532,7 +498,7 @@ mod tests {
 
     #[test]
     fn local_only_homes_everything_on_node_0() {
-        let vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::LocalOnly);
+        let mut vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::LocalOnly);
         let a = vm.alloc("a", 8 * 4096).unwrap();
         for p in 0..8u64 {
             let home = vm.place(a.start + p * 4096).unwrap();
@@ -546,7 +512,7 @@ mod tests {
 
     #[test]
     fn interleave_stripes_pages_across_nodes() {
-        let vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::Interleave);
+        let mut vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::Interleave);
         let a = vm.alloc("a", 8 * 4096).unwrap();
         let homes: Vec<NodeId> =
             (0..8u64).map(|p| vm.place(a.start + p * 4096).unwrap().node).collect();
@@ -558,7 +524,7 @@ mod tests {
 
     #[test]
     fn place_is_stable_after_first_touch() {
-        let vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::Interleave);
+        let mut vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::Interleave);
         let a = vm.alloc("a", 4 * 4096).unwrap();
         let first = vm.place(a.start + 4096).unwrap();
         assert!(first.first_touch);
@@ -574,7 +540,7 @@ mod tests {
     #[test]
     fn tier_split_respects_the_local_fraction() {
         for (fraction, expect_local) in [(1.0, 100u64), (0.75, 75), (0.5, 50), (0.0, 0)] {
-            let vm = AddressSpace::with_placement(
+            let mut vm = AddressSpace::with_placement(
                 4096,
                 1 << 30,
                 2,
@@ -592,7 +558,7 @@ mod tests {
 
     #[test]
     fn tier_split_spreads_the_remote_share_round_robin() {
-        let vm = AddressSpace::with_placement(
+        let mut vm = AddressSpace::with_placement(
             4096,
             1 << 30,
             3,
@@ -606,7 +572,7 @@ mod tests {
 
     #[test]
     fn migrate_page_rehomes_and_keeps_rss_consistent() {
-        let vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::Interleave);
+        let mut vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::Interleave);
         let a = vm.alloc("a", 4 * 4096).unwrap();
         for p in 0..4u64 {
             vm.place(a.start + p * 4096).unwrap();
@@ -633,7 +599,7 @@ mod tests {
 
     #[test]
     fn migrate_page_rejects_invalid_targets() {
-        let vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::LocalOnly);
+        let mut vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::LocalOnly);
         let a = vm.alloc("a", 2 * 4096).unwrap();
         vm.place(a.start).unwrap();
         assert!(vm.migrate_page(a.start, 0).is_none(), "already home");
@@ -647,7 +613,7 @@ mod tests {
 
     #[test]
     fn migration_does_not_disturb_placement_counters() {
-        let vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::Interleave);
+        let mut vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::Interleave);
         let a = vm.alloc("a", 8 * 4096).unwrap();
         vm.place(a.start).unwrap(); // node 0
         vm.place(a.start + 4096).unwrap(); // node 1
@@ -660,7 +626,7 @@ mod tests {
 
     #[test]
     fn free_releases_per_node_counts() {
-        let vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::Interleave);
+        let mut vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::Interleave);
         let a = vm.alloc("a", 4 * 4096).unwrap();
         for p in 0..4u64 {
             vm.place(a.start + p * 4096).unwrap();

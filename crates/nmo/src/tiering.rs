@@ -856,8 +856,8 @@ mod tests {
         assert_eq!(applied.len(), 2);
         assert!(applied.iter().all(|m| m.is_promotion() && !m.is_demotion()));
         assert_eq!(machine.migration_stats().promoted_pages, 2);
-        assert_eq!(machine.vm().node_of(region.start), Some(0));
-        assert_eq!(machine.vm().node_of(region.start + page), Some(0));
+        assert_eq!(machine.node_of(region.start), Some(0));
+        assert_eq!(machine.node_of(region.start + page), Some(0));
         // The tracker's own view follows the move: nothing remote remains
         // above the floor, so the next close applies nothing.
         let applied = tracker.close_window(clock.window(1), Some(&machine));

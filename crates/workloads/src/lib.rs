@@ -308,6 +308,72 @@ mod tests {
         assert_eq!(machine.counters().mem_access, 1_011);
     }
 
+    /// What the shared level's one lock is for: four profiled cores stream
+    /// through a tiered machine in their turns while another thread migrates
+    /// pages all along, as a streaming `HotPageTracker` does from its
+    /// consumer thread. The nodes' traffic is exactly the cores' bus bytes
+    /// plus the migrated pages, and every RSS event is one consistent
+    /// reading.
+    #[test]
+    fn a_migrating_thread_beside_a_four_core_stream_loses_no_traffic() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const N: u64 = 1 << 15; // 256 KiB an array: twice the SLC
+        let session = nmo::ProfileSession::builder()
+            .machine_config(MachineConfig::small_test_tiered(arch_sim::PlacementPolicy::Interleave))
+            .config(nmo::NmoConfig::paper_default(64))
+            .threads(4)
+            .build()
+            .unwrap();
+        let active = session.start().unwrap();
+        let machine = active.machine();
+        let page_bytes = machine.config().page_bytes;
+        let pages = N * 8 / page_bytes;
+        let arrays = ["a", "b", "c"].map(|name| machine.alloc(name, N * 8).unwrap());
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let migrator = s.spawn(|| {
+                let mut tries = 0u64;
+                while !done.load(Ordering::Acquire) || tries < 256 {
+                    let page = arrays[tries as usize % 3].start + tries * 7 % pages * page_bytes;
+                    machine.migrate_page(page, (tries % 2) as u8, tries * 100).unwrap();
+                    tries += 1;
+                }
+            });
+            let [a, b, c] = arrays.each_ref().map(|r| r.start);
+            parallel_on_cores(machine, active.cores(), |idx, engine| {
+                for i in chunk_range(N as usize, 4, idx) {
+                    let at = i as u64 * 8;
+                    engine.load(a + at, 8);
+                    engine.load(b + at, 8);
+                    engine.store(c + at, 8);
+                }
+            })
+            .unwrap();
+            done.store(true, Ordering::Release);
+            migrator.join().unwrap();
+        });
+
+        let (counters, stats, traffic) =
+            (machine.counters(), machine.migration_stats(), machine.node_traffic());
+        assert_eq!(counters.mem_access, 3 * N);
+        assert!(stats.migrations > 0, "{stats:?}");
+        let migrated = stats.bus_bytes / 2;
+        let sum = |field: fn(&arch_sim::NodeTraffic) -> u64| traffic.iter().map(field).sum::<u64>();
+        assert_eq!(sum(|t| t.read_bytes), counters.bus_read_bytes + migrated);
+        assert_eq!(sum(|t| t.write_bytes), counters.bus_write_bytes + migrated);
+        assert_eq!(sum(|t| t.accesses), counters.dram_accesses + 2 * stats.migrations);
+        let events = machine.rss_series();
+        assert_eq!(
+            events.len() as u64,
+            3 * pages + stats.migrations,
+            "a first touch or a move each"
+        );
+        for event in events {
+            assert_eq!(event.rss_by_node.iter().sum::<u64>(), event.rss_bytes, "{event:?}");
+        }
+        active.finish().unwrap();
+    }
+
     /// Two memory-bound cores reach memory in the order their clocks set:
     /// the same interleaving on every run, many hand-offs, and the core that
     /// runs never more than a turn (plus the access in flight) ahead of the

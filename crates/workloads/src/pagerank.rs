@@ -274,7 +274,6 @@ mod tests {
         bench.run(&machine, &ann, &[0, 1, 2]).unwrap();
         // After the load phase every allocated region is resident.
         let total_alloc: u64 = machine
-            .vm()
             .regions()
             .iter()
             .map(|r| r.len.div_ceil(machine.config().page_bytes) * machine.config().page_bytes)

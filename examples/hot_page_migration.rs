@@ -116,9 +116,14 @@ fn run_policy(
 
     let n = graph.num_vertices;
     let m = graph.num_edges();
-    let mut out_degree = vec![1u32; n];
+    // Counted as `workloads::PageRank` counts them: occurrences as an edge
+    // source, a sink lifted to 1.
+    let mut out_degree = vec![0u32; n];
     for &t in &graph.edges {
         out_degree[t as usize] += 1;
+    }
+    for d in &mut out_degree {
+        *d = (*d).max(1);
     }
     let mut ranks = vec![1.0 / n as f64; n];
     let mut ranks_next = vec![0.0f64; n];
@@ -188,7 +193,7 @@ fn run_policy(
         // closes the elapsed windows, and applies the policy's decisions.
         let applied = active.tiering_step(&mut tracker)?;
         epoch_ends.push(active.machine().makespan_ns());
-        let rss = active.machine().vm().rss_bytes_by_node();
+        let rss = active.machine().rss_bytes_by_node();
         println!(
             "  epoch {epoch}: {:>3} pages promoted this step, RSS local {:>5.1} MiB / remote {:>5.1} MiB",
             applied.len(),

@@ -1,4 +1,4 @@
-//! How often a memory-bound access takes the locks it shares with other
+//! How often a memory-bound access takes the lock it shares with other
 //! cores — exact acquisition counts from the runtime lock checker, the same
 //! kind of gate as CI's `bus.inner` one. Alone in its test binary because the
 //! lock report is process-wide (`tests/lock_check.rs` shows the workflow).
@@ -9,8 +9,12 @@ use parking_lot::{check, lock_report};
 const PAGES: u64 = 64;
 const PASSES: u64 = 3;
 
+fn taken(name: &str) -> u64 {
+    lock_report().iter().find(|s| s.name == name).map_or(0, |s| s.acquisitions)
+}
+
 #[test]
-fn a_streaming_engine_takes_vm_inner_per_page_and_machine_slc_per_l2_miss() {
+fn a_streaming_engine_takes_machine_shared_once_per_l2_miss() {
     check::force_enable();
 
     let machine = Machine::new(MachineConfig::small_test());
@@ -29,13 +33,22 @@ fn a_streaming_engine_takes_vm_inner_per_page_and_machine_slc_per_l2_miss() {
     let accesses = PASSES * PAGES * (page / 64);
     assert_eq!(counters.dram_accesses, accesses, "every access is memory-bound");
 
-    let report = lock_report();
-    let taken = |name: &str| report.iter().find(|s| s.name == name).map_or(0, |s| s.acquisitions);
-    // The `alloc`; one `place_span` for each page the engine enters (the
-    // stream re-enters all of them every pass — its table holds 16); one
-    // RSS snapshot per first touch. Not one per access: that was
-    // 3 x 64 x 64 = 12 288.
-    assert_eq!(taken("vm.inner"), 1 + PASSES * PAGES + PAGES);
-    // Nothing about the SLC changed: its shard lock, once per L2 miss.
-    assert_eq!(taken("machine.slc"), counters.slc_hits + counters.dram_accesses);
+    // The `alloc`, then once per L2 miss: the SLC, the page's home, its
+    // first touch's RSS event and the node's link, all under one
+    // acquisition. Attaching and detaching take none.
+    assert_eq!(taken("machine.shared"), 1 + counters.slc_hits + counters.dram_accesses);
+    // Every lock the simulator has: the shared level, the cores' slots
+    // (attach, detach, and `counters` reading four cores) and the turns.
+    let mut names: Vec<_> = lock_report().into_iter().map(|s| s.name).collect();
+    names.sort_unstable();
+    assert_eq!(names, ["machine.core", "machine.gang", "machine.shared"]);
+
+    // Every other call on the shared level takes the lock once.
+    let before = taken("machine.shared");
+    assert_eq!(machine.rss_events_since(0).len() as u64, PAGES);
+    assert_eq!(machine.migration_stats().migrations, 0);
+    assert!(machine.migrate_page(region.start, 0, 0).expect("node 0 exists").is_none());
+    assert!(machine.free_at("data", 0));
+    machine.flush_caches();
+    assert_eq!(taken("machine.shared"), before + 5);
 }

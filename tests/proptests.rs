@@ -17,7 +17,7 @@ const PAGE: u64 = 4096;
 
 /// Build a placed address space: one region of `pages` pages, all touched.
 fn placed_space(nodes: usize, placement: PlacementPolicy, pages: usize) -> (AddressSpace, u64) {
-    let vm = AddressSpace::with_placement(PAGE, 1 << 30, nodes, placement);
+    let mut vm = AddressSpace::with_placement(PAGE, 1 << 30, nodes, placement);
     let region = vm.alloc("a", pages as u64 * PAGE).unwrap();
     for p in 0..pages as u64 {
         vm.place(region.start + p * PAGE).unwrap();
@@ -350,7 +350,7 @@ proptest! {
         move_pages in prop::collection::vec(0usize..1_000, 0..60),
         move_nodes in prop::collection::vec(0u8..6, 0..60),
     ) {
-        let (vm, start) = placed_space(nodes, PlacementPolicy::Interleave, pages);
+        let (mut vm, start) = placed_space(nodes, PlacementPolicy::Interleave, pages);
         for (page_sel, dst) in move_pages.iter().zip(move_nodes.iter()) {
             let addr = start + (*page_sel as u64 % pages as u64) * PAGE;
             let before = vm.node_of(addr);
@@ -382,7 +382,7 @@ proptest! {
     ) {
         // First-touch placement (round-robin under Interleave) must not be
         // disturbed by migrations happening between touches.
-        let vm = AddressSpace::with_placement(PAGE, 1 << 30, nodes, PlacementPolicy::Interleave);
+        let mut vm = AddressSpace::with_placement(PAGE, 1 << 30, nodes, PlacementPolicy::Interleave);
         let region = vm.alloc("a", pages as u64 * PAGE).unwrap();
         for p in 0..pages as u64 {
             let home = vm.place(region.start + p * PAGE).unwrap();
@@ -433,7 +433,7 @@ proptest! {
                     } else {
                         engine.store(vaddr, 8)
                     };
-                    let home = machine.vm().node_of(vaddr).unwrap_or(0);
+                    let home = machine.node_of(vaddr).unwrap_or(0);
                     match out.source {
                         DataSource::Dram(node) | DataSource::RemoteDram(node) => {
                             prop_assert_eq!(node, home, "{:#x} after {:?}", vaddr, out);
