@@ -504,11 +504,11 @@ mod tests {
     fn serving_node(m: &Machine, out: &MemOutcome) -> NodeId {
         match out.source {
             DataSource::Dram(n) => {
-                assert!(!m.topology().node(n).is_remote(), "{:?}", out.source);
+                assert!(!m.config().mem.nodes[n as usize].remote, "{:?}", out.source);
                 n
             }
             DataSource::RemoteDram(n) => {
-                assert!(m.topology().node(n).is_remote(), "{:?}", out.source);
+                assert!(m.config().mem.nodes[n as usize].remote, "{:?}", out.source);
                 n
             }
             cached => panic!("expected a memory-node access, got {cached:?}"),

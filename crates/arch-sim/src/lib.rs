@@ -77,7 +77,7 @@ pub use gang::TURN_CYCLES;
 pub use machine::{BandwidthPoint, Machine, RssPoint};
 pub use observer::{FanoutObserver, NullObserver, ObserverCharge, OpCounts, OpObserver, Quiet};
 pub use op::{DataSource, MemLevel, MemOutcome, NodeId, Op, OpKind};
-pub use topology::{MemNode, MemTopology, NodeTraffic};
+pub use topology::NodeTraffic;
 pub use vm::{AddressSpace, PageHome, PageMigration, Region};
 
 /// Errors produced by the machine substrate.

@@ -13,7 +13,7 @@ use crate::gang::Gang;
 use crate::observer::{ObserverCharge, OpCounts, OpObserver, Quiet};
 use crate::op::{NodeId, OpKind};
 use crate::shared::SharedLevel;
-use crate::topology::{MemTopology, NodeTraffic};
+use crate::topology::NodeTraffic;
 use crate::vm::{PageMigration, Region};
 use crate::{Result, SimError};
 
@@ -164,8 +164,6 @@ impl RssPoint {
 pub struct Machine {
     cfg: MachineConfig,
     timeconv: TimeConv,
-    /// The memory nodes (local DDR plus any remote tiers), as configured.
-    topology: MemTopology,
     /// The SLC, the nodes' links, the page table and the RSS and migration
     /// records (see [`crate::shared`]).
     pub(crate) shared: Mutex<SharedLevel>,
@@ -180,7 +178,7 @@ impl std::fmt::Debug for Machine {
         f.debug_struct("Machine")
             .field("name", &self.cfg.name)
             .field("num_cores", &self.cfg.num_cores)
-            .field("mem_nodes", &self.topology.len())
+            .field("mem_nodes", &self.cfg.mem.nodes.len())
             .finish()
     }
 }
@@ -196,12 +194,11 @@ impl Machine {
         cfg.validate().expect("invalid machine configuration");
         let timeconv =
             TimeConv { core_freq_hz: cfg.freq_hz, timer_freq_hz: 25_000_000, time_zero_ns: 0 };
-        let topology = MemTopology::from_config(&cfg.mem);
         let shared = Mutex::named(SharedLevel::new(&cfg), "machine.shared");
         let cores = (0..cfg.num_cores)
             .map(|id| Mutex::named(Some(CoreState::new(id, &cfg)), "machine.core"))
             .collect();
-        Machine { cfg, timeconv, topology, shared, cores, gang: Gang::new() }
+        Machine { cfg, timeconv, shared, cores, gang: Gang::new() }
     }
 
     /// The machine configuration.
@@ -212,11 +209,6 @@ impl Machine {
     /// Time-base conversion helper for this machine.
     pub fn timeconv(&self) -> TimeConv {
         self.timeconv
-    }
-
-    /// The memory topology: what every node, local and remote, is.
-    pub fn topology(&self) -> &MemTopology {
-        &self.topology
     }
 
     /// Allocate a named region of the simulated address space.
@@ -254,11 +246,11 @@ impl Machine {
         dst: NodeId,
         now_cycles: u64,
     ) -> Result<Option<PageMigration>> {
-        if (dst as usize) >= self.topology.len() {
+        let nodes = self.cfg.mem.nodes.len();
+        if (dst as usize) >= nodes {
             return Err(SimError::BadConfig(format!(
-                "migrate_page: no memory node {dst} on '{}' ({} nodes)",
-                self.cfg.name,
-                self.topology.len()
+                "migrate_page: no memory node {dst} on '{}' ({nodes} nodes)",
+                self.cfg.name
             )));
         }
         Ok(self.shared.lock().migrate_page(&self.cfg, addr, dst, now_cycles))
@@ -628,6 +620,45 @@ mod tests {
         assert!(m.migrate_page(0xdead_0000, 0, 3_000).unwrap().is_none(), "outside regions");
         assert!(matches!(m.migrate_page(region.start, 9, 3_000), Err(SimError::BadConfig(_))));
         assert_eq!(m.migration_stats().migrations, 2, "no-ops never count");
+    }
+
+    /// A migration's transfer lasts at least the slower link's idle
+    /// latency, and a storm of migrations queues the demand traffic that
+    /// follows on both links it used.
+    #[test]
+    fn migrations_take_link_time_from_demand_traffic() {
+        let m = Machine::new(MachineConfig::small_test_tiered(PlacementPolicy::TierSplit {
+            local_fraction: 0.0,
+        }));
+        let cfg = m.config();
+        let (page, line) = (cfg.page_bytes, cfg.slc.line_bytes as u64);
+        let region = m.alloc("data", 2 * page).unwrap();
+        {
+            let mut e = m.attach(0).unwrap();
+            e.store(region.start, 8);
+            e.store(region.start + page, 8);
+        }
+        let (local, remote) = (cfg.mem.nodes[0], cfg.mem.nodes[1]);
+        assert!(remote.latency_cycles > local.latency_cycles);
+        let now = 10_000;
+        m.migrate_page(region.start, 0, now).unwrap().expect("promotes");
+        let charged = m.migration_stats().charged_cycles;
+        assert!(
+            charged >= cfg.mem.migration.fixed_cycles_per_page + remote.latency_cycles,
+            "bounded below by the slower (remote) link: {charged}"
+        );
+        for i in 0..200 {
+            let dst = if i % 2 == 0 { 1 } else { 0 };
+            m.migrate_page(region.start, dst, now).unwrap().expect("moves");
+        }
+        // Lines no access has brought into the SLC: one on each node.
+        let mut shared = m.shared.lock();
+        let on_local = shared.access(cfg, region.start + 8 * line, false, false, now);
+        let on_remote = shared.access(cfg, region.start + page + 8 * line, false, false, now);
+        assert_eq!(on_local.source, crate::op::DataSource::Dram(0));
+        assert_eq!(on_remote.source, crate::op::DataSource::RemoteDram(1));
+        assert!(on_local.latency_cycles > local.latency_cycles, "{on_local:?}");
+        assert!(on_remote.latency_cycles > remote.latency_cycles, "{on_remote:?}");
     }
 
     #[test]

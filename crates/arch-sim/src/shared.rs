@@ -104,8 +104,11 @@ impl SharedLevel {
 
     /// Record the resident set as it stands, at simulated time `now`.
     pub(crate) fn push_rss_event(&mut self, cfg: &MachineConfig, now: u64) {
-        let (rss_bytes, rss_by_node) = self.vm.rss_snapshot();
-        self.rss_events.push(RssPoint { time_ns: cfg.cycles_to_ns(now), rss_bytes, rss_by_node });
+        self.rss_events.push(RssPoint {
+            time_ns: cfg.cycles_to_ns(now),
+            rss_bytes: self.vm.rss_bytes(),
+            rss_by_node: self.vm.rss_bytes_by_node(),
+        });
     }
 
     /// Move `addr`'s page to node `dst` at simulated time `now` (see

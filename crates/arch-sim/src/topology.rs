@@ -1,12 +1,12 @@
 //! The multi-node memory system: per-node latency and bandwidth contention.
 //!
-//! Each [`MemNode`] models one memory node — the socket-local DDR, or a
-//! CXL-style remote expander — as a shared resource with an idle latency and
-//! a peak throughput of `peak_bytes_per_cycle`. Each line fill or write-back
-//! takes `bytes / peak` cycles of link time; when requests arrive faster
-//! than the node drains, they wait for link time and the wait appears as
-//! queueing delay added to the idle latency. This reproduces the behaviours
-//! the paper's experiments depend on:
+//! Each node of a [`crate::config::MemTopologyConfig`] — the socket-local
+//! DDR, or a CXL-style remote expander — is a shared resource with an idle
+//! latency and a peak throughput of `peak_bytes_per_cycle`. Each line fill
+//! or write-back takes `bytes / peak` cycles of link time; when requests
+//! arrive faster than the node drains, they wait for link time and the wait
+//! appears as queueing delay added to the idle latency. This reproduces the
+//! behaviours the paper's experiments depend on:
 //!
 //! * bandwidth-bound workloads see inflated memory latencies: a 2 M-element
 //!   STREAM triad on `ampere_altra_max`, profiled at period 4 096, reads a
@@ -33,16 +33,15 @@
 //! is charged from the oldest bucket the ring holds. Nodes contend
 //! independently: a saturated CXL node does not slow down DDR traffic.
 //!
-//! What a node *is* — its configuration — is [`MemNode`], readable from
-//! [`crate::Machine::topology`] without a lock. What a node *does* — its
-//! link budget and the traffic it has served ([`NodeTraffic`]) — is a
-//! `Link`, and every node's link lives in the machine's shared level, behind
-//! the one `machine.shared` lock an access past the L2 takes anyway (see
-//! [`crate::engine`]). Both are plain integers, updated at the access, so
-//! [`crate::Machine::node_traffic`] is exact whenever it is read.
+//! What a node *is* is its configuration, `machine.config().mem.nodes[n]`.
+//! What a node *does* — its link budget and the traffic it has served
+//! ([`NodeTraffic`]) — is a `Link`, and every node's link lives in the
+//! machine's shared level, behind the one `machine.shared` lock an access
+//! past the L2 takes anyway (see [`crate::engine`]). Both are plain
+//! integers, updated at the access, so [`crate::Machine::node_traffic`] is
+//! exact whenever it is read.
 
-use crate::config::{MemNodeConfig, MemTopologyConfig};
-use crate::op::NodeId;
+use crate::config::MemNodeConfig;
 
 const FRAC: u64 = 1024;
 
@@ -51,13 +50,6 @@ const BUCKET_CYCLES: u64 = 64;
 
 /// Link time one bucket holds, in micro-cycles (1/1024 of a core cycle).
 const BUCKET_MICRO: u64 = BUCKET_CYCLES * FRAC;
-
-/// One memory node (DDR channel group or CXL expander), as configured.
-#[derive(Debug)]
-pub struct MemNode {
-    id: NodeId,
-    cfg: MemNodeConfig,
-}
 
 /// The traffic one memory node has served.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,37 +71,13 @@ pub(crate) struct NodeAccess {
     pub queue_cycles: u64,
 }
 
-impl MemNode {
-    /// The node's id in the topology.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// Whether the node is on the remote (CXL-style) tier.
-    pub fn is_remote(&self) -> bool {
-        self.cfg.remote
-    }
-
-    /// The configured idle latency, in cycles.
-    pub fn idle_latency(&self) -> u64 {
-        self.cfg.latency_cycles
-    }
-
-    /// The configured per-access core occupancy, in cycles.
-    pub fn occupancy(&self) -> u64 {
-        self.cfg.occupancy_cycles
-    }
-
-    /// The node's capacity, bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.cfg.capacity_bytes
-    }
-}
-
 /// One node's link: its budget of link time and the traffic it has served.
 #[derive(Debug)]
 pub(crate) struct Link {
-    cfg: MemNodeConfig,
+    /// The node's idle latency, in cycles.
+    latency_cycles: u64,
+    /// The longest queueing delay an access sees, in cycles.
+    max_queue_cycles: u64,
     /// Cycles per byte on the link, in micro-cycles.
     microcycles_per_byte: u64,
     /// The link budget: slot `b % len` holds bucket `b` as `(b + 1, used
@@ -126,7 +94,8 @@ impl Link {
         let reach = 4 * (cfg.max_queue_cycles + crate::TURN_CYCLES);
         let ring = (reach / BUCKET_CYCLES).next_power_of_two().max(64);
         Link {
-            cfg,
+            latency_cycles: cfg.latency_cycles,
+            max_queue_cycles: cfg.max_queue_cycles,
             microcycles_per_byte: microcycles_per_byte.max(1),
             buckets: vec![(0, 0); ring as usize].into_boxed_slice(),
             traffic: NodeTraffic::default(),
@@ -183,8 +152,8 @@ impl Link {
         }
         let queue_cycles = first_byte
             .map_or(u64::MAX, |lands| (lands - now_micro) / FRAC)
-            .min(self.cfg.max_queue_cycles);
-        NodeAccess { latency_cycles: self.cfg.latency_cycles + queue_cycles, queue_cycles }
+            .min(self.max_queue_cycles);
+        NodeAccess { latency_cycles: self.latency_cycles + queue_cycles, queue_cycles }
     }
 
     /// Forget the link budget and the traffic (between trials).
@@ -194,64 +163,9 @@ impl Link {
     }
 }
 
-/// The machine's memory nodes, indexed by [`NodeId`].
-#[derive(Debug)]
-pub struct MemTopology {
-    nodes: Vec<MemNode>,
-}
-
-impl MemTopology {
-    /// Build the topology from its (validated) configuration.
-    pub fn from_config(cfg: &MemTopologyConfig) -> Self {
-        MemTopology {
-            nodes: cfg
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(id, node)| MemNode { id: id as NodeId, cfg: *node })
-                .collect(),
-        }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the topology has no nodes (never the case on a validated
-    /// machine).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// The node with the given id.
-    ///
-    /// # Panics
-    /// Panics when `id` is out of range; placement never produces one.
-    pub fn node(&self, id: NodeId) -> &MemNode {
-        &self.nodes[id as usize]
-    }
-
-    /// The node with the given id, if it exists.
-    pub fn get(&self, id: NodeId) -> Option<&MemNode> {
-        self.nodes.get(id as usize)
-    }
-
-    /// All nodes, ascending by id.
-    pub fn nodes(&self) -> &[MemNode] {
-        &self.nodes
-    }
-
-    /// Total capacity across all nodes, bytes.
-    pub fn total_capacity_bytes(&self) -> u64 {
-        self.nodes.iter().map(MemNode::capacity_bytes).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PlacementPolicy;
 
     fn cfg() -> MemNodeConfig {
         MemNodeConfig {
@@ -357,22 +271,5 @@ mod tests {
         }
         assert_eq!(local.access(0, 64, 0).queue_cycles, 0, "local node unaffected");
         assert!(far.access(0, 64, 0).queue_cycles > 0, "remote node is congested");
-    }
-
-    #[test]
-    fn topology_describes_the_configured_nodes() {
-        let topo = MemTopology::from_config(&MemTopologyConfig::tiered(
-            cfg(),
-            remote(),
-            PlacementPolicy::Interleave,
-        ));
-        assert_eq!(topo.len(), 2);
-        assert!(!topo.node(0).is_remote());
-        assert!(topo.node(1).is_remote());
-        assert!(topo.node(1).idle_latency() > topo.node(0).idle_latency());
-        assert_eq!((topo.node(1).id(), topo.node(1).occupancy()), (1, 4));
-        assert_eq!(topo.total_capacity_bytes(), 2 << 30);
-        assert!(topo.get(1).is_some());
-        assert!(topo.get(7).is_none());
     }
 }

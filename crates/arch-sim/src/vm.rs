@@ -45,11 +45,12 @@ const NODE_UNASSIGNED: u8 = u8::MAX;
 /// How many resolved pages the address space remembers, direct-mapped by
 /// page number. One memo serves every core, so it is sized by the region
 /// lookups it leaves a gang of cores on `ampere_altra_max` (exact counts,
-/// host-independent): at 16 slots STREAM 2 M does 735 of its 750 000 at one
-/// core, 49 926 at 8 and 94 229 at 32, and PageRank 2^15 at one core 7 552
-/// of 172 258; at 64 they are 735, 756, 68 840 and 29. A slot is 24 bytes,
+/// host-independent): STREAM 2 M does 735 of its 750 000 at one core, 756
+/// at 8 and, with 32 cores streaming 96 pages at once, 94 229 / 68 840 /
+/// 18 485 / 1 863 at 16 / 64 / 128 / 256 slots; PageRank 2^15 at one core
+/// does 7 552 of 172 258 at 16 slots and 29 from 64 on. A slot is 24 bytes,
 /// and emptying the memo is what a free or a migration costs.
-const PAGE_HOMES: usize = 64;
+const PAGE_HOMES: usize = 256;
 
 /// A named, contiguous allocation in the simulated address space.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,6 +103,51 @@ pub struct PageMigration {
     pub bytes: u64,
 }
 
+/// The placement policy and the counters it advances as pages are first
+/// touched.
+#[derive(Debug)]
+struct Placement {
+    policy: PlacementPolicy,
+    /// Number of memory nodes pages are placed on.
+    num_nodes: usize,
+    /// Pages assigned a home so far.
+    pages_assigned: u64,
+    /// Pages assigned to node 0 so far (TierSplit state).
+    local_assigned: u64,
+    /// Pages assigned to remote nodes so far (TierSplit round-robin state).
+    remote_assigned: u64,
+}
+
+impl Placement {
+    /// Pick the home node for a page just being touched, advancing the
+    /// counters.
+    fn assign(&mut self) -> NodeId {
+        let nodes = self.num_nodes as u64;
+        let node = if nodes <= 1 {
+            0
+        } else {
+            match self.policy {
+                PlacementPolicy::LocalOnly => 0,
+                PlacementPolicy::Interleave => (self.pages_assigned % nodes) as NodeId,
+                PlacementPolicy::TierSplit { local_fraction } => {
+                    let frac = local_fraction.clamp(0.0, 1.0);
+                    let target_local = frac * (self.pages_assigned + 1) as f64;
+                    if (self.local_assigned as f64) < target_local {
+                        self.local_assigned += 1;
+                        0
+                    } else {
+                        let remote = 1 + (self.remote_assigned % (nodes - 1)) as NodeId;
+                        self.remote_assigned += 1;
+                        remote
+                    }
+                }
+            }
+        };
+        self.pages_assigned += 1;
+        node
+    }
+}
+
 #[derive(Debug)]
 struct RegionState {
     region: Region,
@@ -121,8 +167,7 @@ pub struct AddressSpace {
     page_bytes: u64,
     page_shift: u32,
     capacity_bytes: u64,
-    num_nodes: usize,
-    placement: PlacementPolicy,
+    placement: Placement,
     /// Regions keyed by start address for range lookup.
     regions: BTreeMap<u64, RegionState>,
     next_free: u64,
@@ -130,12 +175,6 @@ pub struct AddressSpace {
     peak_resident_pages: u64,
     /// Resident pages per memory node.
     resident_by_node: [u64; MAX_MEM_NODES],
-    /// Pages assigned a home so far (placement-policy state).
-    pages_assigned: u64,
-    /// Pages assigned to node 0 so far (TierSplit state).
-    local_assigned: u64,
-    /// Pages assigned to remote nodes so far (TierSplit round-robin state).
-    remote_assigned: u64,
     /// The page-home memo (see the module docs): `(base, len, node)` spans
     /// as [`AddressSpace::place`] resolved them; an empty slot has `len` 0
     /// and holds no address.
@@ -161,16 +200,18 @@ impl AddressSpace {
             page_bytes,
             page_shift: page_bytes.trailing_zeros(),
             capacity_bytes,
-            num_nodes: num_nodes.clamp(1, MAX_MEM_NODES),
-            placement,
+            placement: Placement {
+                policy: placement,
+                num_nodes: num_nodes.clamp(1, MAX_MEM_NODES),
+                pages_assigned: 0,
+                local_assigned: 0,
+                remote_assigned: 0,
+            },
             regions: BTreeMap::new(),
             next_free: HEAP_BASE,
             resident_pages: 0,
             peak_resident_pages: 0,
             resident_by_node: [0; MAX_MEM_NODES],
-            pages_assigned: 0,
-            local_assigned: 0,
-            remote_assigned: 0,
             homes: [(0, 0, 0); PAGE_HOMES],
         }
     }
@@ -182,12 +223,12 @@ impl AddressSpace {
 
     /// Number of memory nodes pages are placed on.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.placement.num_nodes
     }
 
     /// The placement policy in force.
     pub fn placement(&self) -> PlacementPolicy {
-        self.placement
+        self.placement.policy
     }
 
     /// Allocate `len` bytes under `name`. Returns the region descriptor.
@@ -241,34 +282,6 @@ impl AddressSpace {
         found
     }
 
-    /// Pick the home node for a page just being touched, advancing the
-    /// placement-policy counters.
-    fn assign_node(&mut self) -> NodeId {
-        let nodes = self.num_nodes as u64;
-        let node = if nodes <= 1 {
-            0
-        } else {
-            match self.placement {
-                PlacementPolicy::LocalOnly => 0,
-                PlacementPolicy::Interleave => (self.pages_assigned % nodes) as NodeId,
-                PlacementPolicy::TierSplit { local_fraction } => {
-                    let frac = local_fraction.clamp(0.0, 1.0);
-                    let target_local = frac * (self.pages_assigned + 1) as f64;
-                    if (self.local_assigned as f64) < target_local {
-                        self.local_assigned += 1;
-                        0
-                    } else {
-                        let remote = 1 + (self.remote_assigned % (nodes - 1)) as NodeId;
-                        self.remote_assigned += 1;
-                        remote
-                    }
-                }
-            }
-        };
-        self.pages_assigned += 1;
-        node
-    }
-
     /// Resolve the home of `addr`'s page, homing the page per the placement
     /// policy if this is its first touch. Returns `None` for addresses
     /// outside every live region (such accesses are served by node 0 and do
@@ -289,7 +302,7 @@ impl AddressSpace {
     /// memo slot `slot`.
     fn place_in_table(&mut self, addr: u64, slot: usize) -> Option<PageHome> {
         // Find the region containing addr: last region starting at or below addr.
-        let (_, st) = self.regions.range(..=addr).next_back()?;
+        let (_, st) = self.regions.range_mut(..=addr).next_back()?;
         if st.freed || !st.region.contains(addr) {
             return None;
         }
@@ -300,9 +313,7 @@ impl AddressSpace {
         let home = if st.touched[word] & (1 << bit) != 0 {
             PageHome { node: st.nodes[page], first_touch: false }
         } else {
-            let start = st.region.start;
-            let node = self.assign_node();
-            let st = self.regions.get_mut(&start)?;
+            let node = self.placement.assign();
             st.touched[word] |= 1 << bit;
             st.touched_pages += 1;
             st.touched_by_node[node as usize] += 1;
@@ -334,7 +345,7 @@ impl AddressSpace {
     /// had happened, exactly like Linux `move_pages(2)` versus the NUMA
     /// memory policy.
     pub fn migrate_page(&mut self, addr: u64, dst: NodeId) -> Option<PageMigration> {
-        if dst as usize >= self.num_nodes {
+        if dst as usize >= self.placement.num_nodes {
             return None;
         }
         let (_, st) = self.regions.range_mut(..=addr).next_back()?;
@@ -380,11 +391,6 @@ impl AddressSpace {
     /// [`AddressSpace::rss_bytes`].
     pub fn rss_bytes_by_node(&self) -> [u64; MAX_MEM_NODES] {
         self.resident_by_node.map(|pages| pages * self.page_bytes)
-    }
-
-    /// `(total, per-node)` RSS.
-    pub fn rss_snapshot(&self) -> (u64, [u64; MAX_MEM_NODES]) {
-        (self.rss_bytes(), self.rss_bytes_by_node())
     }
 
     /// Peak resident set size in bytes.
@@ -582,7 +588,7 @@ mod tests {
         assert_eq!(mig.page_addr, a.start, "page base address, not the probed one");
         assert_eq!((mig.from, mig.to, mig.bytes), (0, 1, 4096));
         assert_eq!(vm.node_of(a.start), Some(1), "home is updated");
-        let (total, by_node) = vm.rss_snapshot();
+        let (total, by_node) = (vm.rss_bytes(), vm.rss_bytes_by_node());
         assert_eq!(total, 4 * 4096, "migration moves pages, not residency");
         assert_eq!(by_node[0], 4096);
         assert_eq!(by_node[1], 3 * 4096);

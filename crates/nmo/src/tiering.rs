@@ -553,7 +553,7 @@ impl HotPageTracker {
                     .migrate_page(decision.page_addr, decision.dst_node, now_cycles)
                     .unwrap_or_default();
                 let Some(migration) = outcome else { continue };
-                let topology = machine.topology();
+                let nodes = &machine.config().mem.nodes;
                 let done = AppliedMigration {
                     window: window.index,
                     time_ns: now_ns,
@@ -561,8 +561,8 @@ impl HotPageTracker {
                     from: migration.from,
                     to: migration.to,
                     bytes: migration.bytes,
-                    from_remote: topology.node(migration.from).is_remote(),
-                    to_remote: topology.node(migration.to).is_remote(),
+                    from_remote: nodes[migration.from as usize].remote,
+                    to_remote: nodes[migration.to as usize].remote,
                 };
                 if let Some(state) = self.pages.get_mut(&migration.page_addr) {
                     state.node = migration.to;

@@ -310,7 +310,7 @@ mod tests {
 
     /// What the shared level's one lock is for: four profiled cores stream
     /// through a tiered machine in their turns while another thread migrates
-    /// pages all along, as a streaming `HotPageTracker` does from its
+    /// pages meanwhile, as a streaming `HotPageTracker` does from its
     /// consumer thread. The nodes' traffic is exactly the cores' bus bytes
     /// plus the migrated pages, and every RSS event is one consistent
     /// reading.
@@ -318,6 +318,7 @@ mod tests {
     fn a_migrating_thread_beside_a_four_core_stream_loses_no_traffic() {
         use std::sync::atomic::{AtomicBool, Ordering};
         const N: u64 = 1 << 15; // 256 KiB an array: twice the SLC
+        const MOVES: u64 = 256; // more than the three arrays' 192 pages
         let session = nmo::ProfileSession::builder()
             .machine_config(MachineConfig::small_test_tiered(arch_sim::PlacementPolicy::Interleave))
             .config(nmo::NmoConfig::paper_default(64))
@@ -329,16 +330,30 @@ mod tests {
         let page_bytes = machine.config().page_bytes;
         let pages = N * 8 / page_bytes;
         let arrays = ["a", "b", "c"].map(|name| machine.alloc(name, N * 8).unwrap());
-        let done = AtomicBool::new(false);
-        std::thread::scope(|s| {
+        let (started, done) = (AtomicBool::new(false), AtomicBool::new(false));
+        let moved_during_pass = std::thread::scope(|s| {
+            // A fixed number of moves, yielding between tries. A page the
+            // pass has not touched yet does not move, so the first moves
+            // land while the cores run.
             let migrator = s.spawn(|| {
-                let mut tries = 0u64;
-                while !done.load(Ordering::Acquire) || tries < 256 {
+                started.store(true, Ordering::Release);
+                let (mut tries, mut moved, mut during_pass) = (0u64, 0u64, 0u64);
+                while moved < MOVES {
                     let page = arrays[tries as usize % 3].start + tries * 7 % pages * page_bytes;
-                    machine.migrate_page(page, (tries % 2) as u8, tries * 100).unwrap();
                     tries += 1;
+                    // To the other node: a touched page always moves.
+                    if let Some(home) = machine.node_of(page) {
+                        machine.migrate_page(page, 1 - home, tries * 100).unwrap().unwrap();
+                        moved += 1;
+                        during_pass += u64::from(!done.load(Ordering::Acquire));
+                    }
+                    std::thread::yield_now();
                 }
+                during_pass
             });
+            while !started.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
             let [a, b, c] = arrays.each_ref().map(|r| r.start);
             parallel_on_cores(machine, active.cores(), |idx, engine| {
                 for i in chunk_range(N as usize, 4, idx) {
@@ -350,13 +365,14 @@ mod tests {
             })
             .unwrap();
             done.store(true, Ordering::Release);
-            migrator.join().unwrap();
+            migrator.join().unwrap()
         });
+        assert!(moved_during_pass > 0, "no move landed while the cores ran");
 
         let (counters, stats, traffic) =
             (machine.counters(), machine.migration_stats(), machine.node_traffic());
         assert_eq!(counters.mem_access, 3 * N);
-        assert!(stats.migrations > 0, "{stats:?}");
+        assert_eq!(stats.migrations, MOVES, "{stats:?}");
         let migrated = stats.bus_bytes / 2;
         let sum = |field: fn(&arch_sim::NodeTraffic) -> u64| traffic.iter().map(field).sum::<u64>();
         assert_eq!(sum(|t| t.read_bytes), counters.bus_read_bytes + migrated);

@@ -27,7 +27,7 @@ fn placed_space(nodes: usize, placement: PlacementPolicy, pages: usize) -> (Addr
 
 /// The per-node RSS split must always sum to the total RSS.
 fn assert_rss_consistent(vm: &AddressSpace, expect_pages: u64) {
-    let (total, by_node) = vm.rss_snapshot();
+    let (total, by_node) = (vm.rss_bytes(), vm.rss_bytes_by_node());
     assert_eq!(total, expect_pages * PAGE, "total residency");
     assert_eq!(by_node.iter().sum::<u64>(), total, "per-node split sums to total");
 }
@@ -392,7 +392,7 @@ proptest! {
                 // Shuffle an earlier page around between the touches.
                 vm.migrate_page(region.start, ((p as usize + 1) % nodes) as NodeId);
             }
-            let (total, by_node) = vm.rss_snapshot();
+            let (total, by_node) = (vm.rss_bytes(), vm.rss_bytes_by_node());
             prop_assert_eq!(total, (p + 1) * PAGE);
             prop_assert_eq!(by_node.iter().sum::<u64>(), total);
         }
