@@ -135,12 +135,14 @@ impl Link {
                 break;
             }
             let slot = &mut self.buckets[(bucket & mask) as usize];
-            let used = match slot.0.cmp(&(bucket + 1)) {
-                std::cmp::Ordering::Equal => slot.1,
+            let used = if slot.0 == bucket + 1 {
+                slot.1
+            } else if slot.0 > bucket + 1 {
                 // A later bucket holds the slot: this one is older than the
                 // ring, and counts as served.
-                std::cmp::Ordering::Greater => BUCKET_MICRO,
-                std::cmp::Ordering::Less => 0,
+                BUCKET_MICRO
+            } else {
+                0
             };
             let take = need.min(BUCKET_MICRO - used);
             if take == 0 {
