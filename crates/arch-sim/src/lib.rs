@@ -75,7 +75,7 @@ pub use counters::{CoreCounters, MachineCounters, MigrationStats};
 pub use engine::Engine;
 pub use gang::TURN_CYCLES;
 pub use machine::{BandwidthPoint, Machine, RssPoint};
-pub use observer::{FanoutObserver, NullObserver, ObserverCharge, OpCounts, OpObserver, Quiet};
+pub use observer::{FanoutObserver, ObserverCharge, OpCounts, OpObserver, Quiet};
 pub use op::{DataSource, MemLevel, MemOutcome, NodeId, Op, OpKind};
 pub use topology::NodeTraffic;
 pub use vm::{AddressSpace, PageHome, PageMigration, Region};

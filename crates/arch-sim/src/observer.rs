@@ -296,33 +296,37 @@ impl OpObserver for FanoutObserver {
 }
 
 /// An observer that does nothing (profiling disabled).
+#[cfg(test)]
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserver;
+pub(crate) struct NullObserver;
 
+#[cfg(test)]
 impl OpObserver for NullObserver {
     fn on_op(&mut self, _op: &Op, _outcome: Option<&MemOutcome>, _now: u64) -> ObserverCharge {
         ObserverCharge::NONE
     }
 }
 
-/// A simple recording observer used in tests and examples: counts ops by kind
-/// and remembers the last few addresses.
+/// A recording observer for tests: counts ops by kind and callbacks, and
+/// charges a fixed number of cycles per op.
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct CountingObserver {
+pub(crate) struct CountingObserver {
     /// Number of memory ops seen.
-    pub mem_ops: u64,
+    pub(crate) mem_ops: u64,
     /// Number of non-memory ops seen.
-    pub other_ops: u64,
+    pub(crate) other_ops: u64,
     /// Last observed core clock.
-    pub last_cycles: u64,
+    pub(crate) last_cycles: u64,
     /// Fixed per-op charge, for overhead-model tests.
-    pub charge_per_op: u64,
+    pub(crate) charge_per_op: u64,
     /// Number of detach callbacks received.
-    pub detaches: u64,
+    pub(crate) detaches: u64,
     /// Number of flush callbacks received.
-    pub flushes: u64,
+    pub(crate) flushes: u64,
 }
 
+#[cfg(test)]
 impl OpObserver for CountingObserver {
     fn on_op(&mut self, op: &Op, outcome: Option<&MemOutcome>, now_cycles: u64) -> ObserverCharge {
         if op.kind.is_mem() {

@@ -45,12 +45,7 @@ impl SharedLevel {
         SharedLevel {
             slc: (0..cfg.slc_shards).map(|_| Cache::new_shard(&cfg.slc, cfg.slc_shards)).collect(),
             links: cfg.mem.nodes.iter().map(|node| Link::new(*node)).collect(),
-            vm: AddressSpace::with_placement(
-                cfg.page_bytes,
-                cfg.total_mem_bytes(),
-                cfg.mem_nodes(),
-                cfg.mem.placement,
-            ),
+            vm: AddressSpace::with_placement(cfg.page_bytes, cfg.mem_nodes(), cfg.mem.placement),
             rss_events: Vec::new(),
             migrations: MigrationStats::default(),
         }

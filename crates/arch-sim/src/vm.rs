@@ -166,7 +166,6 @@ struct RegionState {
 pub struct AddressSpace {
     page_bytes: u64,
     page_shift: u32,
-    capacity_bytes: u64,
     placement: Placement,
     /// Regions keyed by start address for range lookup.
     regions: BTreeMap<u64, RegionState>,
@@ -182,24 +181,18 @@ pub struct AddressSpace {
 }
 
 impl AddressSpace {
-    /// Create a single-node address space with the given page size and
-    /// physical capacity (every page homed on node 0).
-    pub fn new(page_bytes: u64, capacity_bytes: u64) -> Self {
-        Self::with_placement(page_bytes, capacity_bytes, 1, PlacementPolicy::LocalOnly)
+    /// Create a single-node address space with the given page size (every
+    /// page homed on node 0).
+    pub fn new(page_bytes: u64) -> Self {
+        Self::with_placement(page_bytes, 1, PlacementPolicy::LocalOnly)
     }
 
     /// Create an address space placing pages over `num_nodes` memory nodes
     /// per `placement`.
-    pub fn with_placement(
-        page_bytes: u64,
-        capacity_bytes: u64,
-        num_nodes: usize,
-        placement: PlacementPolicy,
-    ) -> Self {
+    pub fn with_placement(page_bytes: u64, num_nodes: usize, placement: PlacementPolicy) -> Self {
         AddressSpace {
             page_bytes,
             page_shift: page_bytes.trailing_zeros(),
-            capacity_bytes,
             placement: Placement {
                 policy: placement,
                 num_nodes: num_nodes.clamp(1, MAX_MEM_NODES),
@@ -398,11 +391,6 @@ impl AddressSpace {
         self.peak_resident_pages * self.page_bytes
     }
 
-    /// Fraction of physical capacity currently resident (0.0–1.0+).
-    pub fn utilization(&self) -> f64 {
-        self.rss_bytes() as f64 / self.capacity_bytes as f64
-    }
-
     /// Look up the region containing `addr`, if any.
     pub fn region_of(&self, addr: u64) -> Option<Region> {
         self.regions
@@ -424,7 +412,7 @@ mod tests {
 
     #[test]
     fn alloc_assigns_disjoint_page_aligned_regions() {
-        let mut vm = AddressSpace::new(4096, 1 << 30);
+        let mut vm = AddressSpace::new(4096);
         let a = vm.alloc("a", 10_000).unwrap();
         let b = vm.alloc("b", 10_000).unwrap();
         assert_eq!(a.start % 4096, 0);
@@ -435,7 +423,7 @@ mod tests {
 
     #[test]
     fn duplicate_names_rejected() {
-        let mut vm = AddressSpace::new(4096, 1 << 30);
+        let mut vm = AddressSpace::new(4096);
         vm.alloc("a", 100).unwrap();
         assert!(matches!(vm.alloc("a", 100), Err(SimError::DuplicateRegion(_))));
         // After freeing, the name can be reused.
@@ -445,7 +433,7 @@ mod tests {
 
     #[test]
     fn first_touch_accounting() {
-        let mut vm = AddressSpace::new(4096, 1 << 30);
+        let mut vm = AddressSpace::new(4096);
         let a = vm.alloc("a", 3 * 4096).unwrap();
         assert_eq!(vm.rss_bytes(), 0);
         assert!(vm.touch(a.start));
@@ -459,7 +447,7 @@ mod tests {
 
     #[test]
     fn touch_outside_any_region_is_ignored() {
-        let mut vm = AddressSpace::new(4096, 1 << 30);
+        let mut vm = AddressSpace::new(4096);
         let a = vm.alloc("a", 4096).unwrap();
         assert!(!vm.touch(a.start - 1));
         assert!(!vm.touch(a.end() + 4096 * 10));
@@ -469,7 +457,7 @@ mod tests {
 
     #[test]
     fn free_releases_resident_pages() {
-        let mut vm = AddressSpace::new(4096, 1 << 30);
+        let mut vm = AddressSpace::new(4096);
         let a = vm.alloc("a", 4 * 4096).unwrap();
         for p in 0..4u64 {
             vm.touch(a.start + p * 4096);
@@ -483,7 +471,7 @@ mod tests {
 
     #[test]
     fn region_lookup() {
-        let mut vm = AddressSpace::new(4096, 1 << 30);
+        let mut vm = AddressSpace::new(4096);
         let a = vm.alloc("a", 4096).unwrap();
         let b = vm.alloc("b", 4096).unwrap();
         assert_eq!(vm.region_of(a.start + 100).unwrap().name, "a");
@@ -493,18 +481,8 @@ mod tests {
     }
 
     #[test]
-    fn utilization_fraction() {
-        let mut vm = AddressSpace::new(4096, 8 * 4096);
-        let a = vm.alloc("a", 4 * 4096).unwrap();
-        for p in 0..4u64 {
-            vm.touch(a.start + p * 4096);
-        }
-        assert!((vm.utilization() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn local_only_homes_everything_on_node_0() {
-        let mut vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::LocalOnly);
+        let mut vm = AddressSpace::with_placement(4096, 2, PlacementPolicy::LocalOnly);
         let a = vm.alloc("a", 8 * 4096).unwrap();
         for p in 0..8u64 {
             let home = vm.place(a.start + p * 4096).unwrap();
@@ -518,7 +496,7 @@ mod tests {
 
     #[test]
     fn interleave_stripes_pages_across_nodes() {
-        let mut vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::Interleave);
+        let mut vm = AddressSpace::with_placement(4096, 2, PlacementPolicy::Interleave);
         let a = vm.alloc("a", 8 * 4096).unwrap();
         let homes: Vec<NodeId> =
             (0..8u64).map(|p| vm.place(a.start + p * 4096).unwrap().node).collect();
@@ -530,7 +508,7 @@ mod tests {
 
     #[test]
     fn place_is_stable_after_first_touch() {
-        let mut vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::Interleave);
+        let mut vm = AddressSpace::with_placement(4096, 2, PlacementPolicy::Interleave);
         let a = vm.alloc("a", 4 * 4096).unwrap();
         let first = vm.place(a.start + 4096).unwrap();
         assert!(first.first_touch);
@@ -548,7 +526,6 @@ mod tests {
         for (fraction, expect_local) in [(1.0, 100u64), (0.75, 75), (0.5, 50), (0.0, 0)] {
             let mut vm = AddressSpace::with_placement(
                 4096,
-                1 << 30,
                 2,
                 PlacementPolicy::TierSplit { local_fraction: fraction },
             );
@@ -566,7 +543,6 @@ mod tests {
     fn tier_split_spreads_the_remote_share_round_robin() {
         let mut vm = AddressSpace::with_placement(
             4096,
-            1 << 30,
             3,
             PlacementPolicy::TierSplit { local_fraction: 0.0 },
         );
@@ -578,7 +554,7 @@ mod tests {
 
     #[test]
     fn migrate_page_rehomes_and_keeps_rss_consistent() {
-        let mut vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::Interleave);
+        let mut vm = AddressSpace::with_placement(4096, 2, PlacementPolicy::Interleave);
         let a = vm.alloc("a", 4 * 4096).unwrap();
         for p in 0..4u64 {
             vm.place(a.start + p * 4096).unwrap();
@@ -605,7 +581,7 @@ mod tests {
 
     #[test]
     fn migrate_page_rejects_invalid_targets() {
-        let mut vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::LocalOnly);
+        let mut vm = AddressSpace::with_placement(4096, 2, PlacementPolicy::LocalOnly);
         let a = vm.alloc("a", 2 * 4096).unwrap();
         vm.place(a.start).unwrap();
         assert!(vm.migrate_page(a.start, 0).is_none(), "already home");
@@ -619,7 +595,7 @@ mod tests {
 
     #[test]
     fn migration_does_not_disturb_placement_counters() {
-        let mut vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::Interleave);
+        let mut vm = AddressSpace::with_placement(4096, 2, PlacementPolicy::Interleave);
         let a = vm.alloc("a", 8 * 4096).unwrap();
         vm.place(a.start).unwrap(); // node 0
         vm.place(a.start + 4096).unwrap(); // node 1
@@ -632,7 +608,7 @@ mod tests {
 
     #[test]
     fn free_releases_per_node_counts() {
-        let mut vm = AddressSpace::with_placement(4096, 1 << 30, 2, PlacementPolicy::Interleave);
+        let mut vm = AddressSpace::with_placement(4096, 2, PlacementPolicy::Interleave);
         let a = vm.alloc("a", 4 * 4096).unwrap();
         for p in 0..4u64 {
             vm.place(a.start + p * 4096).unwrap();

@@ -500,8 +500,7 @@ mod tests {
             drain_cycles_per_byte: 0.1,
             ..spe::OverheadModel::default()
         };
-        let config =
-            NmoConfig { auxbuf_pages_override: Some(4), overhead, ..NmoConfig::paper_default(3) };
+        let config = NmoConfig { auxbuf_bytes: 4 * 4096, overhead, ..NmoConfig::paper_default(3) };
         let mut backend = SpeBackend::new();
         for co in backend.start(&machine, &[0], &config).unwrap() {
             machine.set_observer(co.core, co.observer).unwrap();

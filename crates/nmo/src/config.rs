@@ -68,13 +68,10 @@ pub struct NmoConfig {
     pub track_rss: bool,
     /// Ring buffer size in MiB (`NMO_BUFSIZE`).
     pub bufsize_mib: u64,
-    /// Aux buffer size in MiB (`NMO_AUXBUFSIZE`).
-    pub auxbufsize_mib: u64,
-    /// Explicit aux-buffer size in machine pages, overriding
-    /// `auxbufsize_mib` when set. The environment variable only offers MiB
-    /// granularity (16 pages of 64 KiB per MiB); the Figure 9 sweep needs
-    /// buffers as small as 2 pages, which this field expresses.
-    pub auxbuf_pages_override: Option<u64>,
+    /// Aux buffer size in bytes (`NMO_AUXBUFSIZE`, given there in MiB).
+    /// Mapped as a power of two of machine pages, at least one: the
+    /// Figure 9 sweep asks for 2 pages of 64 KiB, below one MiB.
+    pub auxbuf_bytes: u64,
     /// Aux-watermark override in bytes (`NMO_AUXWATERMARK`): how much SPE
     /// data accumulates before the kernel publishes a `PERF_RECORD_AUX`
     /// record, which is when its samples are decoded. `None` keeps the
@@ -96,8 +93,7 @@ impl Default for NmoConfig {
             period: 0,
             track_rss: false,
             bufsize_mib: 1,
-            auxbufsize_mib: 1,
-            auxbuf_pages_override: None,
+            auxbuf_bytes: 1 << 20,
             aux_watermark_bytes: None,
             overhead: OverheadModel::default(),
         }
@@ -158,7 +154,7 @@ impl NmoConfig {
             cfg.bufsize_mib = mib.max(1);
         }
         if let Some(mib) = integer("NMO_AUXBUFSIZE")? {
-            cfg.auxbufsize_mib = mib.max(1);
+            cfg.auxbuf_bytes = mib.max(1).saturating_mul(1 << 20);
         }
         cfg.aux_watermark_bytes = integer("NMO_AUXWATERMARK")?.filter(|b| *b > 0);
         Ok(cfg)
@@ -188,10 +184,7 @@ impl NmoConfig {
     /// Aux buffer size in pages for the given machine page size (saturating
     /// like [`NmoConfig::ring_pages`]).
     pub fn aux_pages(&self, page_bytes: u64) -> u64 {
-        match self.auxbuf_pages_override {
-            Some(pages) => round_pages(pages),
-            None => mib_to_pages(self.auxbufsize_mib, page_bytes),
-        }
+        round_pages(self.auxbuf_bytes / page_bytes)
     }
 
     /// Reject ring/aux sizes no session maps: the environment can ask for
@@ -259,7 +252,7 @@ mod tests {
         assert_eq!(cfg.period, 0);
         assert!(!cfg.track_rss);
         assert_eq!(cfg.bufsize_mib, 1);
-        assert_eq!(cfg.auxbufsize_mib, 1);
+        assert_eq!(cfg.auxbuf_bytes, 1 << 20);
         assert_eq!(NmoConfig::table1().len(), 7);
     }
 
@@ -283,7 +276,7 @@ mod tests {
         assert_eq!(cfg.period, 4096);
         assert!(cfg.track_rss);
         assert_eq!(cfg.bufsize_mib, 2);
-        assert_eq!(cfg.auxbufsize_mib, 4);
+        assert_eq!(cfg.auxbuf_bytes, 4 << 20);
         assert!(cfg.spe_active());
     }
 
@@ -306,7 +299,7 @@ mod tests {
         let taken = NmoConfig {
             period: 4096,
             bufsize_mib: 2,
-            auxbufsize_mib: 4,
+            auxbuf_bytes: 4 << 20,
             aux_watermark_bytes: Some(8192),
             ..NmoConfig::default()
         };
@@ -377,13 +370,45 @@ mod tests {
         // 1 MiB of 64 KiB pages = 16 pages.
         assert_eq!(cfg.ring_pages(64 * 1024), 16);
         assert_eq!(cfg.aux_pages(64 * 1024), 16);
-        let cfg = NmoConfig { auxbufsize_mib: 4, ..NmoConfig::default() };
+        let cfg = NmoConfig { auxbuf_bytes: 4 << 20, ..NmoConfig::default() };
         assert_eq!(cfg.aux_pages(64 * 1024), 64);
-        // The page-count override expresses sub-MiB buffers exactly.
-        let cfg = NmoConfig { auxbuf_pages_override: Some(32), ..NmoConfig::default() };
-        assert_eq!(cfg.aux_pages(64 * 1024), 32);
-        let cfg = NmoConfig { auxbuf_pages_override: Some(2), ..NmoConfig::default() };
+        // Sub-MiB buffers are expressed exactly.
+        let cfg = NmoConfig { auxbuf_bytes: 2 * 64 * 1024, ..NmoConfig::default() };
         assert_eq!(cfg.aux_pages(64 * 1024), 2);
+        // `NMO_AUXBUFSIZE` counts MiB, at least one.
+        assert_eq!(one_var("NMO_AUXBUFSIZE", "0").unwrap().auxbuf_bytes, 1 << 20);
+    }
+
+    /// One byte count gives every aux-buffer size the former pair (a MiB
+    /// count plus an optional page-count override) gave: the same pages at
+    /// 4 KiB and 64 KiB pages, and a size no session maps is refused either
+    /// way.
+    #[test]
+    fn aux_bytes_give_the_pages_the_mib_and_page_override_pair_gave() {
+        let old = |mib: u64, pages: Option<u64>, page_bytes: u64| match pages {
+            Some(pages) => round_pages(pages),
+            None => round_pages(mib.saturating_mul(1 << 20) / page_bytes),
+        };
+        for page_bytes in [4 << 10, 64 << 10] {
+            for mib in [1u64, 4, 16] {
+                for pages in [None, Some(0), Some(2), Some(32), Some(u64::MAX)] {
+                    let case = format!("{mib} MiB, override {pages:?}, {page_bytes} B pages");
+                    let auxbuf_bytes = match pages {
+                        Some(pages) => pages.saturating_mul(page_bytes),
+                        None => mib << 20,
+                    };
+                    let cfg = NmoConfig { auxbuf_bytes, ..NmoConfig::paper_default(64) };
+                    let was = old(mib, pages, page_bytes);
+                    if was.checked_mul(page_bytes).is_some_and(|b| b <= MAX_BUFFER_BYTES) {
+                        assert_eq!(cfg.aux_pages(page_bytes), was, "{case}");
+                        assert!(cfg.check_buffer_sizes(page_bytes).is_ok(), "{case}");
+                    } else {
+                        let err = cfg.check_buffer_sizes(page_bytes).expect_err(&case);
+                        assert!(matches!(err, NmoError::Config(_)), "{case}: {err}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

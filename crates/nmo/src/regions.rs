@@ -14,7 +14,7 @@
 //! The raw points of the paper's scatter plots are not kept here. A session
 //! that wants them also registers [`crate::sink::SampleLogSink`] and
 //! attributes each logged sample through the same two functions, as
-//! `nmo-bench`'s Figure 4–6 experiments do.
+//! `repro`'s Figure 4–6 experiments do.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -1,10 +1,9 @@
-//! Report generation: CSV series and text tables.
+//! Report generation: CSV series and a one-paragraph summary.
 //!
 //! The original NMO writes its raw data to files that Python scripts
 //! post-process into the paper's figures. This module provides the same
 //! output surface in Rust: every temporal series and attribution table of a
-//! [`Profile`] can be written as CSV (one file per figure-style series), and
-//! small helpers format aligned text tables for terminal output.
+//! [`Profile`] can be written as CSV (one file per figure-style series).
 
 use std::fmt::Write as _;
 use std::fs;
@@ -69,32 +68,6 @@ fn write_csv_streamed<P: AsRef<Path>>(
         fs::create_dir_all(parent)?;
     }
     fs::write(path, out)
-}
-
-/// Render rows as an aligned text table.
-pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize], out: &mut String| {
-        for (i, cell) in cells.iter().enumerate() {
-            let w = widths.get(i).copied().unwrap_or(cell.len());
-            let _ = write!(out, "{cell:<w$}  ");
-        }
-        out.push('\n');
-    };
-    fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>(), &widths, &mut out);
-    fmt_row(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>(), &widths, &mut out);
-    for row in rows {
-        fmt_row(row, &widths, &mut out);
-    }
-    out
 }
 
 impl Profile {
@@ -525,18 +498,5 @@ mod tests {
         });
         let summary = profile.summary();
         assert!(summary.contains("4 shards (16 requested)"), "{summary}");
-    }
-
-    #[test]
-    fn table_formatting_aligns_columns() {
-        let t = format_table(
-            &["name", "value"],
-            &[vec!["x".into(), "1".into()], vec!["longer-name".into(), "22".into()]],
-        );
-        let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("name"));
-        assert!(lines[2].starts_with("x"));
-        assert!(lines[3].starts_with("longer-name"));
     }
 }

@@ -1469,11 +1469,10 @@ mod tests {
             let err = from_env(var, value).expect_err(value);
             assert!(matches!(err, NmoError::Config(_)), "{var}={value}: {err}");
         }
-        for pages in [u64::MAX, (1 << 63) + 1, 1 << 19] {
-            let config =
-                NmoConfig { auxbuf_pages_override: Some(pages), ..NmoConfig::paper_default(100) };
-            let err = build(config).expect_err("oversized override");
-            assert!(matches!(err, NmoError::Config(_)), "{pages} pages: {err}");
+        for bytes in [u64::MAX, (1 << 63) + 1, 1 << 31] {
+            let config = NmoConfig { auxbuf_bytes: bytes, ..NmoConfig::paper_default(100) };
+            let err = build(config).expect_err("oversized aux buffer");
+            assert!(matches!(err, NmoError::Config(_)), "{bytes} bytes: {err}");
         }
         // Zero rounds up to the 1 MiB minimum; the largest accepted size
         // maps.

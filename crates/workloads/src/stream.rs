@@ -98,11 +98,6 @@ impl StreamBench {
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
-
-    /// Bytes moved per Triad iteration (3 arrays of f64, as STREAM counts it).
-    pub fn bytes_per_iteration(&self) -> u64 {
-        3 * 8 * self.n as u64
-    }
 }
 
 impl Workload for StreamBench {

@@ -31,14 +31,17 @@
 //! cargo run --release --example hot_page_migration
 //! ```
 //!
-//! The default run uses a single worker: the simulated timeline is then
-//! fully deterministic (same numbers on every run and platform), and the
-//! latency distributions are free of the cross-core clock-skew queueing
-//! the shared-busy-frontier DRAM model exhibits under multiple free-running
-//! cores. Multi-threaded runs work too (`NMO_HPM_THREADS`), they just make
-//! the per-epoch comparison noisier; there a window closes (and the policy
-//! decides) only once every core has delivered a sample past it, so the
-//! slowest core sets the pace of the decisions.
+//! The default run uses a single worker because CI pins its headline
+//! (`1441c (NoMigration) -> 1280c (TopKHot)`, 48 migrations) at one worker;
+//! lifting that default re-pins those numbers, which ROADMAP item 18 leaves
+//! to a change of its own. Multi-threaded runs work too (`NMO_HPM_THREADS`);
+//! there a window closes (and the policy decides) only once every core has
+//! delivered a sample past it, so the slowest core sets the pace of the
+//! decisions. The streaming arm's migration and sample counts are left off
+//! stdout: its tracker migrates from the consumer thread while the cores run
+//! free, so both depend on host timing (50 or 51 migrations, 9 674 or 9 675
+//! samples); the example asserts only that some migration happened and that
+//! streaming equals post-hoc.
 //!
 //! Environment knobs:
 //!
@@ -382,10 +385,6 @@ fn main() -> Result<(), NmoError> {
         profile.samples().map(LatencyProfile::from_samples).as_ref(),
         "streaming == post-hoc with migrations active"
     );
-    println!(
-        "  {} migrations applied mid-run; streaming latency histograms == post-hoc scan \
-         ({} samples)",
-        profile.migrations.migrations, profile.processed_samples
-    );
+    println!("  migrations applied mid-run; streaming latency histograms == post-hoc scan");
     Ok(())
 }

@@ -5,10 +5,11 @@
 //! The sensitivity sweeps (Figures 8–11) measure every profiled run against
 //! its unprofiled twin through [`nmo::measure`].
 
+use std::fmt::Write as _;
 use std::path::Path;
 
 use arch_sim::MachineConfig;
-use nmo::report::{format_table, write_csv};
+use nmo::report::write_csv;
 use nmo::{
     measure, phase_of, tag_of, AddressSample, BandwidthSink, CapacitySink, Mode, NmoConfig,
     NmoError, Profile, RegionSink, RunMeasurement, SampleLogSink,
@@ -19,19 +20,16 @@ use crate::harness::{profiled_session, Scale, WorkloadKind};
 /// A rendered experiment result: a title, a header, and data rows.
 #[derive(Debug, Clone)]
 pub struct ExperimentResult {
-    /// Experiment identifier ("fig7", "table1", ...).
+    /// Experiment identifier ("fig7", "table1", ...), the CSV's file name.
     pub id: String,
-    /// Human-readable title.
-    pub title: String,
-    /// Column names.
-    pub header: Vec<String>,
-    /// Data rows.
-    pub rows: Vec<Vec<String>>,
+    title: String,
+    header: Vec<String>,
+    rows: Vec<Vec<String>>,
 }
 
 impl ExperimentResult {
     /// Render as an aligned text table.
-    pub fn to_table(&self) -> String {
+    fn to_table(&self) -> String {
         let header: Vec<&str> = self.header.iter().map(|s| s.as_str()).collect();
         format!("== {} ({}) ==\n{}", self.title, self.id, format_table(&header, &self.rows))
     }
@@ -57,6 +55,27 @@ impl ExperimentResult {
         write_csv(&path, &header, &self.rows)?;
         Ok(path.display().to_string())
     }
+}
+
+/// Render rows as an aligned text table.
+fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+    for row in rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
+        }
+    }
+    let header: Vec<String> = header.iter().map(|h| h.to_string()).collect();
+    let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+    let mut out = String::new();
+    for row in [&header, &rule].into_iter().chain(rows) {
+        for (i, cell) in row.iter().enumerate() {
+            let w = widths.get(i).copied().unwrap_or(0);
+            let _ = write!(out, "{cell:<w$}  ");
+        }
+        out.push('\n');
+    }
+    out
 }
 
 fn f3(x: f64) -> String {
@@ -320,12 +339,12 @@ pub fn fig5_fig6_cfd_scatter(
 }
 
 /// The sampling periods of Figure 7 (512 … 131072, powers of two).
-pub fn fig7_periods() -> Vec<u64> {
+fn fig7_periods() -> Vec<u64> {
     (9..=17).map(|p| 1u64 << p).collect()
 }
 
 /// The sampling periods of Figure 8 (1000 … 128000, doubling).
-pub fn fig8_periods() -> Vec<u64> {
+fn fig8_periods() -> Vec<u64> {
     vec![1000, 2000, 4000, 8000, 16000, 32000, 64000, 128000]
 }
 
@@ -399,7 +418,7 @@ pub fn fig8_sensitivity(scale: &Scale) -> Result<ExperimentResult, NmoError> {
 }
 
 /// The aux-buffer sizes (in 64 KiB pages) of Figure 9.
-pub fn fig9_aux_pages(max_pages: u64) -> Vec<u64> {
+fn fig9_aux_pages(max_pages: u64) -> Vec<u64> {
     [2u64, 8, 32, 128, 512, 2048].into_iter().filter(|p| *p <= max_pages).collect()
 }
 
@@ -409,7 +428,7 @@ pub fn fig9_aux_buffer(scale: &Scale, period: u64) -> Result<ExperimentResult, N
     let threads = scale.aux_sweep_threads;
     let pages = fig9_aux_pages(scale.aux_sweep_max_pages);
     let configs = pages.iter().map(|&pages| NmoConfig {
-        auxbuf_pages_override: Some(pages),
+        auxbuf_bytes: pages * 64 * 1024,
         ..NmoConfig::paper_default(period)
     });
     let points = sweep(WorkloadKind::Stream, scale, threads, configs)?;
@@ -443,7 +462,7 @@ pub fn fig9_aux_buffer(scale: &Scale, period: u64) -> Result<ExperimentResult, N
 }
 
 /// The thread counts of Figures 10 and 11.
-pub fn fig10_thread_counts(max_threads: usize) -> Vec<usize> {
+fn fig10_thread_counts(max_threads: usize) -> Vec<usize> {
     [1usize, 2, 4, 8, 16, 32, 48, 64, 96, 128].into_iter().filter(|t| *t <= max_threads).collect()
 }
 
@@ -453,7 +472,7 @@ pub fn fig10_fig11_threads(scale: &Scale, period: u64) -> Result<ExperimentResul
     let mut rows = Vec::new();
     for threads in fig10_thread_counts(scale.thread_sweep_max) {
         let config = NmoConfig {
-            auxbufsize_mib: 1, // 16 pages of 64 KiB
+            auxbuf_bytes: 1 << 20, // 16 pages of 64 KiB
             ..NmoConfig::paper_default(period)
         };
         let points = sweep(WorkloadKind::Stream, scale, threads, [config])?;
@@ -484,6 +503,19 @@ pub fn fig10_fig11_threads(scale: &Scale, period: u64) -> Result<ExperimentResul
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn table_formatting_aligns_columns() {
+        let t = format_table(
+            &["name", "value"],
+            &[vec!["x".into(), "1".into()], vec!["longer-name".into(), "22".into()]],
+        );
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].starts_with("name"));
+        assert!(lines[2].starts_with("x"));
+        assert!(lines[3].starts_with("longer-name"));
+    }
 
     #[test]
     fn tables_render() {

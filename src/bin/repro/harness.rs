@@ -45,29 +45,29 @@ impl WorkloadKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// STREAM array elements.
-    pub stream_elems: usize,
+    stream_elems: usize,
     /// STREAM kernel repetitions.
-    pub stream_iters: usize,
+    stream_iters: usize,
     /// CFD mesh elements.
-    pub cfd_elements: usize,
+    cfd_elements: usize,
     /// CFD solver iterations.
-    pub cfd_iters: usize,
+    cfd_iters: usize,
     /// BFS vertices.
-    pub bfs_vertices: usize,
+    bfs_vertices: usize,
     /// BFS average degree.
-    pub bfs_degree: usize,
+    bfs_degree: usize,
     /// PageRank vertices.
-    pub pr_vertices: usize,
+    pr_vertices: usize,
     /// PageRank iterations.
-    pub pr_iters: usize,
+    pr_iters: usize,
     /// In-memory-analytics users.
-    pub inmem_users: usize,
+    inmem_users: usize,
     /// In-memory-analytics movies.
-    pub inmem_movies: usize,
+    inmem_movies: usize,
     /// Ratings per user.
-    pub inmem_ratings_per_user: usize,
+    inmem_ratings_per_user: usize,
     /// ALS sweeps.
-    pub inmem_sweeps: usize,
+    inmem_sweeps: usize,
     /// Trials per configuration point.
     pub trials: usize,
     /// Threads used by the period sweeps (Figures 7 and 8).
@@ -156,7 +156,7 @@ impl Scale {
     }
 
     /// Instantiate a fresh workload of the given kind at this scale.
-    pub fn build(&self, kind: WorkloadKind) -> Box<dyn Workload> {
+    fn build(&self, kind: WorkloadKind) -> Box<dyn Workload> {
         match kind {
             WorkloadKind::Stream => {
                 Box::new(StreamBench::new(self.stream_elems, self.stream_iters))
@@ -192,4 +192,53 @@ pub fn profiled_session(
         .config(config)
         .threads(threads)
         .workload(scale.build(kind))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use arch_sim::{Machine, MachineCounters};
+    use nmo::{measure, Annotations};
+
+    /// The workload on a bare machine: no session, no profiler.
+    fn bare_run(kind: WorkloadKind, scale: &Scale) -> MachineCounters {
+        let machine = Machine::new(MachineConfig::ampere_altra_max());
+        let annotations = Annotations::new();
+        let mut workload = scale.build(kind);
+        workload.setup(&machine, &annotations).unwrap();
+        workload.run(&machine, &annotations, &[0]).unwrap();
+        assert!(workload.verify(), "{} failed verification on a bare machine", kind.label());
+        machine.counters()
+    }
+
+    /// The sensitivity runner's baseline is the unprofiled run the paper's
+    /// Eq. 1 and time overhead are measured against: at one core, a disabled
+    /// session retires exactly what a bare machine does, in exactly as many
+    /// cycles.
+    #[test]
+    fn the_baseline_of_every_workload_is_its_bare_run_at_one_core() {
+        let scale = Scale::tiny();
+        for kind in [
+            WorkloadKind::Stream,
+            WorkloadKind::Cfd,
+            WorkloadKind::Bfs,
+            WorkloadKind::PageRank,
+            WorkloadKind::InMemAnalytics,
+        ] {
+            let label = kind.label();
+            let bare = bare_run(kind, &scale);
+            assert!(bare.mem_access > 0 && bare.cycles > 0, "{label}");
+
+            let run = |c| profiled_session(kind, &scale, 1, c).build()?.run();
+            let m = measure(run, [NmoConfig::paper_default(200)]).unwrap().remove(0);
+            assert_eq!(m.baseline.mem_access, bare.mem_access, "{label}");
+            assert_eq!(m.baseline.cycles, bare.cycles, "{label}");
+
+            // The profiled run retires the same work, samples it, and costs time.
+            assert_eq!(m.profile.counters.mem_access, bare.mem_access, "{label}");
+            assert!(m.profile.processed_samples > 0, "{label}");
+            assert!(m.accuracy() > 0.0 && m.accuracy() <= 1.0, "{label}: {}", m.accuracy());
+            assert!(m.overhead() > 0.0, "{label}: {}", m.overhead());
+        }
+    }
 }

@@ -7,12 +7,42 @@
 //!
 //! Each experiment prints an aligned table to stdout and writes a CSV file
 //! under the output directory.
+//!
+//! | Experiment | Content | Function |
+//! |---|---|---|
+//! | Table I | NMO environment variables | [`experiments::table1`] |
+//! | Table II | Platform specification | [`experiments::table2`] |
+//! | Fig. 2 | Capacity over time (PageRank, In-memory Analytics) | [`experiments::fig2_fig3_cloud`] |
+//! | Fig. 3 | Bandwidth over time (same workloads) | [`experiments::fig2_fig3_cloud`] |
+//! | Fig. 4 | STREAM tagged address scatter (from the sample log) | [`experiments::fig4_stream_scatter`] |
+//! | Fig. 5/6 | CFD access patterns at 1 and 32 threads (from the sample log) | [`experiments::fig5_fig6_cfd_scatter`] |
+//! | Fig. 7 | Samples vs sampling period (5 trials) | [`experiments::fig7_samples_vs_period`] |
+//! | Fig. 8 | Accuracy / overhead / collisions vs period | [`experiments::fig8_sensitivity`] |
+//! | Fig. 9 | Aux-buffer size sweep | [`experiments::fig9_aux_buffer`] |
+//! | Fig. 10/11 | Thread-count sweep | [`experiments::fig10_fig11_threads`] |
+//!
+//! Figures 4–6 plot the samples of a `SampleLogSink` registered beside the
+//! `RegionSink`, attributed by [`nmo::tag_of`] / [`nmo::phase_of`] (the
+//! rule the sink counts by), in the sample log's `(time_ns, core)` order.
+//! Figures 8–11 pair every profiled run with its unprofiled twin through
+//! [`nmo::measure`], the one sensitivity runner; `repro` only chooses the
+//! sweep points and renders the rows.
+//!
+//! The profiler's own performance — pipeline throughput, the trace store,
+//! per-layer costs — is measured by the repository's benchmark
+//! (`BENCHMARK.json`, `benchmark/`); `repro` is the paper's evaluation only.
+
+#![forbid(unsafe_code)]
+
+mod experiments;
+mod harness;
 
 use std::path::{Path, PathBuf};
 
 use nmo::NmoError;
-use nmo_bench::experiments::{self, ExperimentResult};
-use nmo_bench::harness::Scale;
+
+use experiments::ExperimentResult;
+use harness::Scale;
 
 const USAGE: &str = "usage: repro [--exp <id|all>] [--quick|--full|--tiny] [--out <dir>]";
 

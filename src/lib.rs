@@ -20,7 +20,8 @@
 //!
 //! See `README.md` for a guided tour and a `ProfileSession` quickstart. The
 //! runnable entry points are the examples in `examples/` and the `repro`
-//! binary in `crates/nmo-bench`.
+//! binary in `src/bin/repro`, which reproduces the paper's tables and
+//! figures.
 
 pub use arch_sim;
 pub use nmo;

@@ -17,7 +17,7 @@ const PAGE: u64 = 4096;
 
 /// Build a placed address space: one region of `pages` pages, all touched.
 fn placed_space(nodes: usize, placement: PlacementPolicy, pages: usize) -> (AddressSpace, u64) {
-    let mut vm = AddressSpace::with_placement(PAGE, 1 << 30, nodes, placement);
+    let mut vm = AddressSpace::with_placement(PAGE, nodes, placement);
     let region = vm.alloc("a", pages as u64 * PAGE).unwrap();
     for p in 0..pages as u64 {
         vm.place(region.start + p * PAGE).unwrap();
@@ -382,7 +382,7 @@ proptest! {
     ) {
         // First-touch placement (round-robin under Interleave) must not be
         // disturbed by migrations happening between touches.
-        let mut vm = AddressSpace::with_placement(PAGE, 1 << 30, nodes, PlacementPolicy::Interleave);
+        let mut vm = AddressSpace::with_placement(PAGE, nodes, PlacementPolicy::Interleave);
         let region = vm.alloc("a", pages as u64 * PAGE).unwrap();
         for p in 0..pages as u64 {
             let home = vm.place(region.start + p * PAGE).unwrap();
@@ -1203,7 +1203,7 @@ fn assert_every_written_record_is_delivered_once(
     let session = ProfileSession::builder()
         .machine_config(MachineConfig::small_test())
         .config(NmoConfig {
-            auxbuf_pages_override: Some(aux_pages),
+            auxbuf_bytes: aux_pages * 4096,
             overhead,
             ..NmoConfig::paper_default(period)
         })

@@ -64,7 +64,7 @@ fn aux_buffer_below_minimum_collects_nothing_but_larger_buffers_do() {
     // minimum is the paper's observation entered as a constant
     // (`OverheadModel::min_functional_aux_pages`), not something the model
     // derives, so this checks the constant is honoured, not the cause.
-    let two_pages = NmoConfig { auxbuf_pages_override: Some(2), ..NmoConfig::paper_default(1024) };
+    let two_pages = NmoConfig { auxbuf_bytes: 2 * 64 * 1024, ..NmoConfig::paper_default(1024) };
     let too_small = run(two_pages).expect("2-page run");
     assert_eq!(
         too_small.processed_samples, 0,
@@ -82,7 +82,7 @@ fn aux_buffer_below_minimum_collects_nothing_but_larger_buffers_do() {
 #[test]
 fn larger_aux_buffers_do_not_lose_more_samples_than_smaller_ones() {
     let samples_with_pages = |mib: u64| {
-        let cfg = NmoConfig { auxbufsize_mib: mib, ..NmoConfig::paper_default(512) };
+        let cfg = NmoConfig { auxbuf_bytes: mib << 20, ..NmoConfig::paper_default(512) };
         run(cfg).expect("profiled run")
     };
     let small = samples_with_pages(1); // 16 pages
