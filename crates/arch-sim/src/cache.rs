@@ -21,13 +21,13 @@
 //! position 0 (the low nibble) the most recent. The word has 16 positions,
 //! so a set has at most 16 ways ([`CacheLevelConfig::validate`] enforces
 //! it); the positions past a smaller set's ways hold `0xF`, which names none
-//! of them. Empty ways always sit behind every valid one — a new or flushed
-//! set lists its ways in reverse, way 0 last, and an access only ever moves
-//! a valid way to the front — so the last position is the first empty way
-//! if there is one, else the least recently used: the victim, read without
-//! a scan. This is exact LRU, the same lines evicted as by a timestamp per
-//! way. A 16-way set's tags and order word are 136 bytes, where tags and
-//! stamps were 256.
+//! of them. Empty ways always sit behind every valid one — a new set lists
+//! its ways in reverse, way 0 last, and an access only ever moves a valid
+//! way to the front — so the last position is the first empty way if there
+//! is one, else the least recently used: the victim, read without a scan.
+//! This is exact LRU, the same lines evicted as by a timestamp per way. A
+//! 16-way set's tags and order word are 136 bytes, where tags and stamps
+//! were 256.
 //!
 //! ## The two halves of an access
 //!
@@ -199,13 +199,6 @@ impl Cache {
             .is_some_and(|ways| ways.iter().any(|tag| tag & !DIRTY == want))
     }
 
-    /// Invalidate the whole cache (used between experiment trials).
-    pub fn flush(&mut self) {
-        self.tags.fill(0);
-        let fresh = self.fresh_order();
-        self.order.fill(fresh);
-    }
-
     /// Number of sets in this cache (or shard).
     pub fn sets(&self) -> u64 {
         self.sets
@@ -283,21 +276,11 @@ mod tests {
     }
 
     #[test]
-    fn flush_clears_everything() {
-        let mut c = Cache::new(&tiny());
-        c.access(0x1000, true);
-        assert!(c.probe(0x1000));
-        c.flush();
-        assert!(!c.probe(0x1000));
-    }
-
-    #[test]
     fn untouched_cache_has_no_tag_array_and_answers_like_an_empty_one() {
         let mut c = Cache::new(&tiny());
         assert!(!c.is_allocated());
         assert!(!c.probe(0x1000));
-        c.flush();
-        assert!(!c.is_allocated(), "probe and flush leave an untouched cache untouched");
+        assert!(!c.is_allocated(), "a probe leaves an untouched cache untouched");
         assert!(!c.access(0x1000, false).hit);
         assert!(c.is_allocated());
         assert!(c.probe(0x1000));
@@ -378,10 +361,6 @@ mod tests {
                 .get(self.set_of(addr))
                 .is_some_and(|ways| ways.iter().any(|l| l.valid && l.tag == tag))
         }
-
-        fn flush(&mut self) {
-            self.lines.iter_mut().for_each(|line| *line = Line::default());
-        }
     }
 
     /// SplitMix64: the arbitrary sequences below, reproducible per seed.
@@ -393,10 +372,10 @@ mod tests {
     }
 
     /// Every answer of the packed cache equals the `Line`-struct cache's,
-    /// step by step, over geometries that evict, with probes and flushes
-    /// interleaved — the never-touched cache included (a sequence may open
-    /// with probes and flushes) — and whether it is driven through `access`
-    /// or, as the engine drives its L1, through `touch` and then `fill`.
+    /// step by step, over geometries that evict, with probes interleaved —
+    /// the never-touched cache included (a sequence may open with probes) —
+    /// and whether it is driven through `access` or, as the engine drives
+    /// its L1, through `touch` and then `fill`.
     #[test]
     fn packed_cache_answers_like_the_line_struct_cache() {
         let level = |size_bytes, line_bytes, ways| CacheLevelConfig {
@@ -435,11 +414,6 @@ mod tests {
                             assert_eq!(packed.probe(addr), present, "probe, {at:?}");
                             assert_eq!(halves.probe(addr), present, "probe, halves, {at:?}");
                         }
-                        1 if word >> 8 & 7 == 0 => {
-                            packed.flush();
-                            halves.flush();
-                            lines.flush();
-                        }
                         _ => {
                             let write = word >> 4 & 1 == 1;
                             let answer = lines.access(addr, write);
@@ -460,10 +434,10 @@ mod tests {
         }
     }
 
-    /// The order word is a move-to-front list: after every touch, fill and
-    /// flush of a one-set cache it reads as a `Vec` of way indices kept by
-    /// moving the way used to the front, with `0xF` in every position past
-    /// the last way — for every associativity the word holds, and with hits
+    /// The order word is a move-to-front list: after every touch and fill
+    /// of a one-set cache it reads as a `Vec` of way indices kept by moving
+    /// the way used to the front, with `0xF` in every position past the
+    /// last way — for every associativity the word holds, and with hits
     /// at every position (the first and the last of a 16-way set included).
     #[test]
     fn order_word_is_a_move_to_front_list() {
@@ -478,43 +452,36 @@ mod tests {
             let mut cache = Cache::new(&cfg);
             // The model: the line each way holds, and the ways most recent
             // first, an empty set's in reverse so that fills go 0, 1, 2, ….
-            let fresh: Vec<usize> = (0..ways).rev().collect();
             let mut held: Vec<Option<u64>> = vec![None; ways];
-            let mut recency = fresh.clone();
+            let mut recency: Vec<usize> = (0..ways).rev().collect();
             let mut hit_at = vec![false; ways];
             let mut rng = ways as u64;
             for step in 0..4000 {
                 let word = next(&mut rng);
-                if word.is_multiple_of(64) {
-                    cache.flush();
-                    held.fill(None);
-                    recency.clone_from(&fresh);
+                // Half the time a line the set holds, at any position
+                // (the valid ways lead the list); else one of twice as
+                // many lines as the set has ways.
+                let valid = held.iter().flatten().count();
+                let line = if word >> 8 & 1 == 0 && valid > 0 {
+                    held[recency[(word >> 16) as usize % valid]].expect("a valid way")
                 } else {
-                    // Half the time a line the set holds, at any position
-                    // (the valid ways lead the list); else one of twice as
-                    // many lines as the set has ways.
-                    let valid = held.iter().flatten().count();
-                    let line = if word >> 8 & 1 == 0 && valid > 0 {
-                        held[recency[(word >> 16) as usize % valid]].expect("a valid way")
-                    } else {
-                        (word >> 16) % (2 * ways as u64)
-                    };
-                    let write = word >> 9 & 1 == 1;
-                    match held.iter().position(|&l| l == Some(line)) {
-                        Some(way) => {
-                            let at = recency.iter().position(|&w| w == way).expect("listed");
-                            assert!(cache.touch(line * 64, write), "{ways} ways, step {step}");
-                            hit_at[at] = true;
-                            recency.remove(at);
-                            recency.insert(0, way);
-                        }
-                        None => {
-                            assert!(!cache.touch(line * 64, write), "{ways} ways, step {step}");
-                            cache.fill(line * 64, write);
-                            let way = recency.pop().expect("a way");
-                            held[way] = Some(line);
-                            recency.insert(0, way);
-                        }
+                    (word >> 16) % (2 * ways as u64)
+                };
+                let write = word >> 9 & 1 == 1;
+                match held.iter().position(|&l| l == Some(line)) {
+                    Some(way) => {
+                        let at = recency.iter().position(|&w| w == way).expect("listed");
+                        assert!(cache.touch(line * 64, write), "{ways} ways, step {step}");
+                        hit_at[at] = true;
+                        recency.remove(at);
+                        recency.insert(0, way);
+                    }
+                    None => {
+                        assert!(!cache.touch(line * 64, write), "{ways} ways, step {step}");
+                        cache.fill(line * 64, write);
+                        let way = recency.pop().expect("a way");
+                        held[way] = Some(line);
+                        recency.insert(0, way);
                     }
                 }
                 let order = cache.order.first().copied().unwrap_or_else(|| cache.fresh_order());

@@ -441,19 +441,6 @@ impl Machine {
         self.shared.lock().links.iter().map(|link| link.traffic).collect()
     }
 
-    /// Flush all caches and reset memory-node traffic and link budgets
-    /// (used between experiment trials that reuse a machine). Counters,
-    /// clocks and RSS are preserved.
-    pub fn flush_caches(&self) {
-        for slot in &self.cores {
-            if let Some(state) = slot.lock().as_mut() {
-                state.l1.flush();
-                state.l2.flush();
-            }
-        }
-        self.shared.lock().flush();
-    }
-
     /// Number of cores.
     pub fn num_cores(&self) -> usize {
         self.cfg.num_cores
@@ -666,17 +653,16 @@ mod tests {
         let m = Machine::new(MachineConfig::small_test_tiered(PlacementPolicy::TierSplit {
             local_fraction: 0.0,
         }));
-        let page = m.config().page_bytes;
+        let (page, line) = (m.config().page_bytes, m.config().slc.line_bytes as u64);
         let region = m.alloc("data", page).unwrap();
         {
             let mut e = m.attach(0).unwrap();
             e.store(region.start, 8);
         }
         m.migrate_page(region.start, 0, 1_000).unwrap().expect("promotes");
-        // Flush caches so the next access goes back to memory.
-        m.flush_caches();
+        // A line of the page no cache holds yet, so the load goes to memory.
         let mut e = m.attach(0).unwrap();
-        let out = e.load(region.start, 8);
+        let out = e.load(region.start + 8 * line, 8);
         assert_eq!(out.source, crate::op::DataSource::Dram(0), "served locally after promotion");
     }
 
@@ -694,9 +680,8 @@ mod tests {
             (cores.count(), m.shared.lock().slc.iter().filter(|shard| shard.is_allocated()).count())
         };
         assert_eq!(allocated(&m), (0, 0));
-        m.flush_caches();
         drop(m.attach(5).unwrap());
-        assert_eq!(allocated(&m), (0, 0), "flushing and attaching touch no tag array");
+        assert_eq!(allocated(&m), (0, 0), "attaching touches no tag array");
 
         let region = m.alloc("data", 1 << 16).unwrap();
         m.attach(5).unwrap().load(region.start, 8);

@@ -4,11 +4,11 @@
 //! table with its page-home memo, and the RSS and migration records — and
 //! the machine keeps it behind one lock, `machine.shared`. An access that
 //! misses the L2 takes that lock once and does its whole walk past the L2
-//! under it (see [`crate::engine`]); `alloc`, `free`, `migrate_page`,
-//! `flush_caches` and the readers of the records take it once each. The
-//! cores of a gang take turns anyway ([`crate::gang`]), so the lock only
-//! orders what runs beside a gang: engines attached outside one, and the
-//! tiering actuator migrating pages from another thread.
+//! under it (see [`crate::engine`]); `alloc`, `free`, `migrate_page` and
+//! the readers of the records take it once each. The cores of a gang take
+//! turns anyway ([`crate::gang`]), so the lock only orders what runs beside
+//! a gang: engines attached outside one, and the tiering actuator migrating
+//! pages from another thread.
 
 use crate::cache::Cache;
 use crate::config::MachineConfig;
@@ -132,11 +132,5 @@ impl SharedLevel {
         );
         self.push_rss_event(cfg, now);
         Some(migration)
-    }
-
-    /// Empty the SLC and forget every link's budget and traffic.
-    pub(crate) fn flush(&mut self) {
-        self.slc.iter_mut().for_each(Cache::flush);
-        self.links.iter_mut().for_each(Link::reset);
     }
 }

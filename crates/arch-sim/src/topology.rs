@@ -157,12 +157,6 @@ impl Link {
             .min(self.max_queue_cycles);
         NodeAccess { latency_cycles: self.latency_cycles + queue_cycles, queue_cycles }
     }
-
-    /// Forget the link budget and the traffic (between trials).
-    pub(crate) fn reset(&mut self) {
-        self.buckets.fill((0, 0));
-        self.traffic = NodeTraffic::default();
-    }
 }
 
 #[cfg(test)]
@@ -216,17 +210,11 @@ mod tests {
     }
 
     #[test]
-    fn traffic_accumulates_and_reset_forgets_it() {
+    fn traffic_accumulates() {
         let mut d = Link::new(cfg());
         d.access(0, 64, 0);
         d.access(0, 64, 64);
         assert_eq!(d.traffic, NodeTraffic { read_bytes: 128, write_bytes: 64, accesses: 2 });
-        for _ in 0..100 {
-            d.access(0, 64, 0);
-        }
-        d.reset();
-        assert_eq!(d.traffic, NodeTraffic::default());
-        assert_eq!(d.access(0, 64, 0).queue_cycles, 0, "the budget is forgotten too");
     }
 
     #[test]

@@ -151,9 +151,8 @@ impl Placement {
 #[derive(Debug)]
 struct RegionState {
     region: Region,
-    /// One bit per page: has the page been touched?
-    touched: Vec<u64>,
-    /// The home node of each page (NODE_UNASSIGNED until first touch).
+    /// The home node of each page, NODE_UNASSIGNED until its first touch
+    /// and again once the region is freed.
     nodes: Vec<u8>,
     touched_pages: u64,
     /// Touched pages per memory node (released on free).
@@ -241,7 +240,6 @@ impl AddressSpace {
             start,
             RegionState {
                 region: region.clone(),
-                touched: vec![0u64; pages.div_ceil(64)],
                 nodes: vec![NODE_UNASSIGNED; pages],
                 touched_pages: 0,
                 touched_by_node: [0; MAX_MEM_NODES],
@@ -264,7 +262,6 @@ impl AddressSpace {
                     *count = 0;
                 }
                 st.touched_pages = 0;
-                st.touched.iter_mut().for_each(|w| *w = 0);
                 st.nodes.iter_mut().for_each(|n| *n = NODE_UNASSIGNED);
                 found = true;
             }
@@ -302,12 +299,10 @@ impl AddressSpace {
         let page = ((addr - st.region.start) >> self.page_shift) as usize;
         let base = st.region.start + ((page as u64) << self.page_shift);
         let len = self.page_bytes.min(st.region.end() - base);
-        let (word, bit) = (page / 64, page % 64);
-        let home = if st.touched[word] & (1 << bit) != 0 {
+        let home = if st.nodes[page] != NODE_UNASSIGNED {
             PageHome { node: st.nodes[page], first_touch: false }
         } else {
             let node = self.placement.assign();
-            st.touched[word] |= 1 << bit;
             st.touched_pages += 1;
             st.touched_by_node[node as usize] += 1;
             st.nodes[page] = node;
@@ -346,12 +341,8 @@ impl AddressSpace {
             return None;
         }
         let page = ((addr - st.region.start) >> self.page_shift) as usize;
-        let (word, bit) = (page / 64, page % 64);
-        if st.touched[word] & (1 << bit) == 0 {
-            return None;
-        }
         let from = st.nodes[page];
-        if from == dst {
+        if from == NODE_UNASSIGNED || from == dst {
             return None;
         }
         st.nodes[page] = dst;

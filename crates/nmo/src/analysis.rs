@@ -10,8 +10,10 @@
 //!   profiling is enabled: `(t_profiled - t_baseline) / t_baseline`.
 //! * [`measure`] is the one place a profiled run is paired with its
 //!   unprofiled twin: the sweeps of Figures 8–11 (`repro --exp
-//!   fig8/fig9/fig10`) and the shape tests call it with one configuration
-//!   per sampling period / aux-buffer size / trial.
+//!   fig7/fig8/fig9/fig10`) and the shape tests call it with one
+//!   configuration per sampling period / aux-buffer size / thread count.
+//!   A simulated run is a function of its configuration, so one run per
+//!   configuration is the whole measurement.
 
 use arch_sim::MachineCounters;
 
@@ -74,8 +76,8 @@ impl RunMeasurement {
 ///
 /// `run` builds and runs a session of the workload under the configuration
 /// it is given. The baseline is `run(NmoConfig::default())`, a disabled
-/// session: no backend, so its `observer_cycles` are 0. Repeat a
-/// configuration to measure repeated trials against the same baseline.
+/// session: no backend, so its `observer_cycles` are 0. A configuration
+/// given twice runs twice and measures the same numbers twice.
 pub fn measure(
     mut run: impl FnMut(NmoConfig) -> Result<Profile, NmoError>,
     configs: impl IntoIterator<Item = NmoConfig>,

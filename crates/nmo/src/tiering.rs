@@ -32,6 +32,13 @@
 //!   window by the same rule: once every profiled core has delivered a
 //!   sample past it, so on several cores the slowest core sets the pace.
 //!
+//! Only the manual path is reproducible. The streaming tracker migrates
+//! from the consumer thread while the engines run free, so where in
+//! simulated time a migration lands — and every simulated number after it
+//! — depends on host timing: the streaming arm of
+//! `examples/hot_page_migration.rs` made 51 migrations instead of 50 in 1
+//! of 20 runs.
+//!
 //! The [`TieringReport`] records the applied migration log plus the
 //! before/after per-tier latency distributions — the "remote p99 drops
 //! toward local after promotion" figure of `examples/hot_page_migration.rs`.

@@ -58,7 +58,7 @@ impl std::fmt::Debug for SamplerUnit {
 
 impl SamplerUnit {
     /// Create a sampling unit. `seed` makes the perturbation deterministic
-    /// per core (use the core id so trials are reproducible).
+    /// per core (use the core id, so a run's samples repeat run to run).
     pub fn new(cfg: SpeConfig, stats: Arc<SpeStats>, timeconv: TimeConv, seed: u64) -> Self {
         let population = [OpKind::Load, OpKind::Store, OpKind::Branch]
             .into_iter()

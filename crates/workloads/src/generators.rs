@@ -6,15 +6,15 @@
 //! the same structural properties: power-law graphs for BFS/PageRank
 //! (RMAT-style), uniform graphs as a regular baseline, an unstructured-mesh
 //! neighbour map for CFD, and a sparse user–movie rating matrix for ALS. All
-//! generators are seeded and deterministic so experiment trials are
-//! reproducible.
+//! generators are seeded and deterministic, so a run is a function of its
+//! configuration.
 //!
 //! # Graphs are built once per process
 //!
 //! A graph is a pure function of its generator and arguments, and the paper's
 //! method builds the same input many times: every overhead measurement runs
 //! the application twice, unprofiled and profiled, and every sweep point
-//! (period × aux size × trials) does so again. So [`rmat_graph`] and
+//! (period × aux size × thread count) runs it again. So [`rmat_graph`] and
 //! [`uniform_graph`] memoise on (generator, `num_vertices`, `avg_degree`,
 //! `seed`): the first call generates the graph, every later call with the
 //! same arguments returns the same [`Arc`]. A shared graph is read-only —

@@ -2,8 +2,8 @@
 //!
 //! Every function returns its data as rows of strings (ready for CSV or
 //! terminal tables) so the `repro` binary can both print and persist them.
-//! The sensitivity sweeps (Figures 8–11) measure every profiled run against
-//! its unprofiled twin through [`nmo::measure`].
+//! The sweeps (Figures 7–11) measure every profiled run, once per sweep
+//! point, against its unprofiled twin through [`nmo::measure`].
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -78,59 +78,26 @@ fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-fn f3(x: f64) -> String {
-    format!("{x:.3}")
+/// A count in the `.3` format the sweep tables print their numbers in.
+fn count(n: u64) -> String {
+    format!("{n}.000")
 }
 
 fn pct(x: f64) -> String {
     format!("{:.3}", x * 100.0)
 }
 
-/// One sensitivity-sweep point: means over its trials, and the standard
-/// deviations Figure 8 plots.
-struct Point {
-    accuracy: f64,
-    accuracy_std: f64,
-    overhead: f64,
-    overhead_std: f64,
-    collisions: f64,
-    samples: f64,
-}
-
-impl Point {
-    fn of(trials: &[RunMeasurement]) -> Self {
-        let n = trials.len() as f64;
-        let mean =
-            |value: &dyn Fn(&RunMeasurement) -> f64| trials.iter().map(value).sum::<f64>() / n;
-        let std = |value: &dyn Fn(&RunMeasurement) -> f64, mean: f64| {
-            (trials.iter().map(|t| (value(t) - mean).powi(2)).sum::<f64>() / n).sqrt()
-        };
-        let accuracy = mean(&RunMeasurement::accuracy);
-        let overhead = mean(&RunMeasurement::overhead);
-        Point {
-            accuracy,
-            accuracy_std: std(&RunMeasurement::accuracy, accuracy),
-            overhead,
-            overhead_std: std(&RunMeasurement::overhead, overhead),
-            collisions: mean(&|t| t.collisions() as f64),
-            samples: mean(&|t| t.profile.processed_samples as f64),
-        }
-    }
-}
-
-/// Measure `kind` on `threads` cores at every configuration of a sweep,
-/// `scale.trials` times each, against one unprofiled baseline: one [`Point`]
-/// per configuration, in order.
+/// Measure `kind` on `threads` cores once at every configuration of a sweep,
+/// against one unprofiled baseline: one [`RunMeasurement`] per
+/// configuration, in order. A simulated run is a function of its
+/// configuration, so a repeat would only measure the same run again.
 fn sweep(
     kind: WorkloadKind,
     scale: &Scale,
     threads: usize,
     configs: impl IntoIterator<Item = NmoConfig>,
-) -> Result<Vec<Point>, NmoError> {
-    let trials = scale.trials.max(1);
-    let run = |c| profiled_session(kind, scale, threads, c).build()?.run();
-    let repeated = configs.into_iter().flat_map(|c| std::iter::repeat_n(c, trials));
-    Ok(measure(run, repeated)?.chunks(trials).map(Point::of).collect())
+) -> Result<Vec<RunMeasurement>, NmoError> {
+    measure(|c| profiled_session(kind, scale, threads, c).build()?.run(), configs)
 }
 
 /// Table I — the supported environment variables and their defaults.
@@ -352,29 +319,24 @@ fn sweep_workloads() -> Vec<WorkloadKind> {
     vec![WorkloadKind::Stream, WorkloadKind::Cfd, WorkloadKind::Bfs]
 }
 
-/// Figure 7 — number of collected SPE samples vs sampling period, with every
-/// trial reported separately (the paper plots 5 trials per point).
+/// Figure 7 — number of collected SPE samples vs sampling period.
 pub fn fig7_samples_vs_period(scale: &Scale) -> Result<ExperimentResult, NmoError> {
-    let threads = scale.sweep_threads;
     let mut rows = Vec::new();
     for kind in sweep_workloads() {
-        for period in fig7_periods() {
-            for trial in 0..scale.trials {
-                let config = NmoConfig::paper_default(period);
-                let profile = profiled_session(kind, scale, threads, config).build()?.run()?;
-                rows.push(vec![
-                    kind.label().to_string(),
-                    period.to_string(),
-                    (trial + 1).to_string(),
-                    profile.processed_samples.to_string(),
-                ]);
-            }
+        let configs = fig7_periods().into_iter().map(NmoConfig::paper_default);
+        let runs = sweep(kind, scale, scale.sweep_threads, configs)?;
+        for (period, run) in fig7_periods().into_iter().zip(runs) {
+            rows.push(vec![
+                kind.label().to_string(),
+                period.to_string(),
+                run.profile.processed_samples.to_string(),
+            ]);
         }
     }
     Ok(ExperimentResult {
         id: "fig7_samples_vs_period".into(),
-        title: "Collected ARM SPE samples vs sampling period (per trial)".into(),
-        header: vec!["workload".into(), "period".into(), "trial".into(), "samples".into()],
+        title: "Collected ARM SPE samples vs sampling period".into(),
+        header: vec!["workload".into(), "period".into(), "samples".into()],
         rows,
     })
 }
@@ -382,21 +344,18 @@ pub fn fig7_samples_vs_period(scale: &Scale) -> Result<ExperimentResult, NmoErro
 /// Figures 8a–8c — accuracy, time overhead, and sample collisions vs
 /// sampling period for STREAM, CFD and BFS.
 pub fn fig8_sensitivity(scale: &Scale) -> Result<ExperimentResult, NmoError> {
-    let threads = scale.sweep_threads;
     let mut rows = Vec::new();
     for kind in sweep_workloads() {
         let configs = fig8_periods().into_iter().map(NmoConfig::paper_default);
-        let points = sweep(kind, scale, threads, configs)?;
-        for (period, point) in fig8_periods().into_iter().zip(points) {
+        let runs = sweep(kind, scale, scale.sweep_threads, configs)?;
+        for (period, run) in fig8_periods().into_iter().zip(runs) {
             rows.push(vec![
                 kind.label().to_string(),
                 period.to_string(),
-                pct(point.accuracy),
-                pct(point.accuracy_std),
-                pct(point.overhead),
-                pct(point.overhead_std),
-                f3(point.collisions),
-                f3(point.samples),
+                pct(run.accuracy()),
+                pct(run.overhead()),
+                count(run.collisions()),
+                count(run.profile.processed_samples),
             ]);
         }
     }
@@ -407,9 +366,7 @@ pub fn fig8_sensitivity(scale: &Scale) -> Result<ExperimentResult, NmoError> {
             "workload".into(),
             "period".into(),
             "accuracy_pct".into(),
-            "accuracy_std_pct".into(),
             "overhead_pct".into(),
-            "overhead_std_pct".into(),
             "collisions".into(),
             "samples".into(),
         ],
@@ -431,17 +388,17 @@ pub fn fig9_aux_buffer(scale: &Scale, period: u64) -> Result<ExperimentResult, N
         auxbuf_bytes: pages * 64 * 1024,
         ..NmoConfig::paper_default(period)
     });
-    let points = sweep(WorkloadKind::Stream, scale, threads, configs)?;
+    let runs = sweep(WorkloadKind::Stream, scale, threads, configs)?;
     let rows = pages
         .iter()
-        .zip(points)
-        .map(|(pages, point)| {
+        .zip(runs)
+        .map(|(pages, run)| {
             vec![
                 pages.to_string(),
-                pct(point.overhead),
-                pct(point.accuracy),
-                f3(point.samples),
-                f3(point.collisions),
+                pct(run.overhead()),
+                pct(run.accuracy()),
+                count(run.profile.processed_samples),
+                count(run.collisions()),
             ]
         })
         .collect();
@@ -475,16 +432,14 @@ pub fn fig10_fig11_threads(scale: &Scale, period: u64) -> Result<ExperimentResul
             auxbuf_bytes: 1 << 20, // 16 pages of 64 KiB
             ..NmoConfig::paper_default(period)
         };
-        let points = sweep(WorkloadKind::Stream, scale, threads, [config])?;
-        rows.extend(points.into_iter().map(|point| {
-            vec![
-                threads.to_string(),
-                pct(point.overhead),
-                pct(point.accuracy),
-                f3(point.collisions),
-                f3(point.samples),
-            ]
-        }));
+        let run = sweep(WorkloadKind::Stream, scale, threads, [config])?.remove(0);
+        rows.push(vec![
+            threads.to_string(),
+            pct(run.overhead()),
+            pct(run.accuracy()),
+            count(run.collisions()),
+            count(run.profile.processed_samples),
+        ]);
     }
     Ok(ExperimentResult {
         id: "fig10_fig11_threads".into(),
@@ -531,27 +486,23 @@ mod tests {
         assert!(!clipped.contains(&t1.rows[3][0]));
     }
 
+    /// Why a sweep point runs once: the same configuration, run twice on
+    /// several cores, measures the same numbers. If a run ever depends on
+    /// host timing, this fails, and repeated trials mean something again.
     #[test]
-    fn a_point_is_the_mean_and_spread_of_its_trials() {
-        let trial = |samples: u64, cycles: u64| {
-            let mut profile = Profile::empty("t", NmoConfig::paper_default(1000));
-            profile.processed_samples = samples;
-            profile.elapsed_cycles = cycles;
-            profile.spe.collisions = 10;
-            let baseline = arch_sim::MachineCounters {
-                mem_access: 1_000_000,
-                cycles: 100,
-                ..Default::default()
-            };
-            RunMeasurement { baseline, profile }
-        };
-        let p = Point::of(&[trial(900, 102), trial(1000, 104), trial(950, 103)]);
-        let spread = (2.0f64 / 3.0).sqrt();
-        assert!((p.accuracy - 0.95).abs() < 1e-12);
-        assert!((p.accuracy_std - 0.05 * spread).abs() < 1e-12);
-        assert!((p.overhead - 0.03).abs() < 1e-12);
-        assert!((p.overhead_std - 0.01 * spread).abs() < 1e-12);
-        assert_eq!((p.collisions, p.samples), (10.0, 950.0));
+    fn a_sweep_point_measures_the_same_run_twice() {
+        let scale = Scale::tiny();
+        let c = || NmoConfig::paper_default(1000);
+        for kind in sweep_workloads() {
+            let label = kind.label();
+            let runs = sweep(kind, &scale, scale.sweep_threads, [c(), c()]).unwrap();
+            let [a, b] = &runs[..] else { panic!("{label}: one run per configuration") };
+            assert_eq!(a.accuracy(), b.accuracy(), "{label}");
+            assert_eq!(a.overhead(), b.overhead(), "{label}");
+            assert_eq!(a.collisions(), b.collisions(), "{label}");
+            assert_eq!(a.profile.processed_samples, b.profile.processed_samples, "{label}");
+            assert_eq!(a.profile.counters, b.profile.counters, "{label}");
+        }
     }
 
     #[test]

@@ -68,8 +68,6 @@ pub struct Scale {
     inmem_ratings_per_user: usize,
     /// ALS sweeps.
     inmem_sweeps: usize,
-    /// Trials per configuration point.
-    pub trials: usize,
     /// Threads used by the period sweeps (Figures 7 and 8).
     pub sweep_threads: usize,
     /// Threads used by the aux-buffer sweep (Figure 9).
@@ -101,7 +99,6 @@ impl Scale {
             inmem_movies: 4_000,
             inmem_ratings_per_user: 40,
             inmem_sweeps: 3,
-            trials: 2,
             sweep_threads: 2,
             aux_sweep_threads: 2,
             aux_sweep_max_pages: 512,
@@ -124,7 +121,6 @@ impl Scale {
             inmem_movies: 10_000,
             inmem_ratings_per_user: 60,
             inmem_sweeps: 4,
-            trials: 5,
             sweep_threads: 16,
             aux_sweep_threads: 32,
             aux_sweep_max_pages: 2048,
@@ -147,7 +143,6 @@ impl Scale {
             inmem_movies: 400,
             inmem_ratings_per_user: 10,
             inmem_sweeps: 2,
-            trials: 2,
             sweep_threads: 4,
             aux_sweep_threads: 4,
             aux_sweep_max_pages: 64,

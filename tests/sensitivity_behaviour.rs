@@ -53,8 +53,8 @@ fn overhead_decreases_with_larger_sampling_periods() {
         measured([NmoConfig::paper_default(512), NmoConfig::paper_default(32_768)]);
     let (small, large) = (small.overhead(), large.overhead());
     assert!(small > large, "more samples must cost more time: {small} vs {large}");
-    // The large-period overhead is tiny; allow head-room for run-to-run
-    // variance from DRAM-contention ordering between simulated cores.
+    // The large-period overhead is tiny. The run repeats exactly, so the
+    // bound is a statement about the model, not slack for noise.
     assert!(large < 0.10, "overhead at period 32768 should be small: {large}");
 }
 
