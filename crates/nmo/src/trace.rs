@@ -84,15 +84,23 @@
 //!   frame of reference, so a constant stride in time is a column of two
 //!   bytes and no bits.
 //!
-//! A value sits at `index × width`, wherever its neighbours end: the decoder
-//! unpacks a column in one loop without a branch or a dependency from value
-//! to value, checks bounds once per column, and sums the deltas afterwards.
-//! (A varint per field made every read wait for the length of the one
-//! before.) Two limits come with it. A group's width is that of its largest
-//! value, so one outlier — a kernel address among user addresses, which the
-//! simulator never produces — widens 64 samples. And a batch of one sample
-//! is three bytes (its width bytes) larger than a varint per field would
-//! make it.
+//! A value sits at `index × width`, wherever its neighbours end, so eight
+//! values fill exactly `width` bytes. Both directions run one kernel per
+//! width (`const W` in 1..=64, picked once per column by a macro-generated
+//! match) over runs of eight: within a run every byte offset and shift is a
+//! constant, a value is one 8-byte load (unpack) and a word of 64 bits one
+//! 8-byte store (pack), with no branch and no dependency from value to value.
+//! A kernel reaches at most 8 bytes past a column's last run. The decoder
+//! checks bounds once per column and runs the kernel straight on the payload
+//! where that reach lies inside it, else on a zero-padded copy of the column;
+//! the encoder sets the values past a partial group to `base`, so its padding
+//! bits come out zero. The deltas are summed afterwards, in a loop of their
+//! own. (A varint per field made every read wait for the length of the one
+//! before; a width read at run time made every shift a variable one.) Two
+//! limits come with it. A group's width is that of its largest value, so one
+//! outlier — a kernel address among user addresses, which the simulator never
+//! produces — widens 64 samples. And a batch of one sample is three bytes
+//! (its width bytes) larger than a varint per field would make it.
 //!
 //! Decoding is the exact inverse, every read is bounds-checked, and no bit
 //! of a payload is ignored: a width above 64, a column or the source and
@@ -397,42 +405,99 @@ fn put_window(out: &mut Vec<u8>, w: Window) {
 /// column.
 const GROUP: usize = 64;
 
-/// Append one frame-of-reference column: `width:u8 base:varint` and every
-/// `value - base` in `width` bits, LSB-first, the last byte zero-padded.
-/// `base` is the smallest value and `width` the bits of the largest
-/// `value - base`, so a constant column is two bytes.
-fn pack_column(out: &mut Vec<u8>, values: &[u64]) {
+/// The bytes a width kernel reaches past its last eight values: it moves
+/// each value with one 8-byte load or store at the value's first byte.
+const KERNEL_SLACK: usize = 8;
+
+/// Run `$kernel::<W>($args)` for the column width `W == $width`, in 1..=64:
+/// one match per column picks the kernel compiled for that width.
+macro_rules! with_width {
+    ($width:expr, $kernel:ident $args:tt) => {
+        with_width!(@ $width, $kernel $args;
+            1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+            33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61
+            62 63 64)
+    };
+    (@ $width:expr, $kernel:ident $args:tt; $($w:literal)*) => {
+        match $width {
+            $($w => $kernel::<$w> $args,)*
+            width => unreachable!("column width {width} is not in 1..=64"),
+        }
+    };
+}
+
+/// Pack `chunks` runs of eight `values`, each `value - base` in `W` bits,
+/// into `W` bytes a run from the start of `dst`, which holds
+/// [`KERNEL_SLACK`] bytes more. Within a run every shift and store offset is
+/// a constant: a word of 64 bits is stored whole as it fills, and the run's
+/// last part-word with zeros above it, which the next run's first store
+/// overwrites.
+fn pack_runs<const W: usize>(values: &[u64; GROUP], base: u64, dst: &mut [u8], chunks: usize) {
+    for (run, eight) in values.chunks_exact(8).take(chunks).enumerate() {
+        let dst = &mut dst[run * W..run * W + W + KERNEL_SLACK];
+        let (mut acc, mut fill, mut at) = (0u64, 0usize, 0usize);
+        for &v in eight {
+            let v = v - base;
+            acc |= v << fill;
+            fill += W;
+            if fill >= 64 {
+                dst[at..at + 8].copy_from_slice(&acc.to_le_bytes());
+                at += 8;
+                fill -= 64;
+                acc = if fill == 0 { 0 } else { v >> (W - fill) };
+            }
+        }
+        if fill > 0 {
+            dst[at..at + 8].copy_from_slice(&acc.to_le_bytes());
+        }
+    }
+}
+
+/// Unpack `chunks` runs of eight `W`-bit values plus `base` from `W` bytes
+/// a run at the start of `src`, which holds [`KERNEL_SLACK`] bytes more.
+/// Value `j` of a run is one 8-byte load at the constant byte `j * W / 8`,
+/// shifted and masked by constants (and, where its bits run past that word,
+/// one more byte).
+fn unpack_runs<const W: usize>(src: &[u8], base: u64, out: &mut [u64; GROUP], chunks: usize) {
+    let mask = u64::MAX >> (64 - W);
+    for (run, eight) in out.chunks_exact_mut(8).take(chunks).enumerate() {
+        let src = &src[run * W..run * W + W + KERNEL_SLACK];
+        for (j, v) in eight.iter_mut().enumerate() {
+            let (byte, shift) = (j * W / 8, j * W % 8);
+            let mut word = [0u8; 8];
+            word.copy_from_slice(&src[byte..byte + 8]);
+            let mut bits = u64::from_le_bytes(word) >> shift;
+            if shift + W > 64 {
+                bits |= u64::from(src[byte + 8]) << (64 - shift);
+            }
+            *v = base.wrapping_add(bits & mask);
+        }
+    }
+}
+
+/// Append one frame-of-reference column of the group's first `g` values:
+/// `width:u8 base:varint` and every `value - base` in `width` bits,
+/// LSB-first, the last byte zero-padded. `base` is the smallest value and
+/// `width` the bits of the largest `value - base`, so a constant column is
+/// two bytes. The values past `g` are set to `base`, so the kernel packs
+/// them as zero bits.
+fn pack_column(out: &mut Vec<u8>, values: &mut [u64; GROUP], g: usize) {
     // The largest value as the smallest complement: a running `max` over
     // `u64`s compiles to a branch, taken at every new maximum of values that
     // come in no order; `min` compiles to a conditional move.
     let (base, not_max) =
-        values.iter().fold((u64::MAX, u64::MAX), |(lo, hi), &v| (lo.min(v), hi.min(!v)));
-    let width = u64::BITS - (!not_max - base).leading_zeros();
+        values[..g].iter().fold((u64::MAX, u64::MAX), |(lo, hi), &v| (lo.min(v), hi.min(!v)));
+    let width = (u64::BITS - (!not_max - base).leading_zeros()) as usize;
     out.push(width as u8);
     put_varint(out, base);
     if width == 0 {
         return;
     }
-    // Eight bytes of slack, cut off again below: the last word is stored
-    // whole. `fill` bits wait in `acc`; 64 of them are a word to store.
-    let at = out.len();
-    let end = at + (values.len() * width as usize).div_ceil(8);
-    out.resize(end + 8, 0);
-    let dst = &mut out[at..];
-    let (mut acc, mut fill, mut pos) = (0u64, 0u32, 0usize);
-    for &v in values {
-        let v = v - base;
-        acc |= v << fill;
-        fill += width;
-        if fill >= 64 {
-            dst[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
-            pos += 8;
-            fill -= 64;
-            acc = if fill == 0 { 0 } else { v >> (width - fill) };
-        }
-    }
-    dst[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
-    out.truncate(end);
+    values[g..].fill(base);
+    let (at, chunks) = (out.len(), g.div_ceil(8));
+    out.resize(at + chunks * width + KERNEL_SLACK, 0);
+    with_width!(width, pack_runs(values, base, &mut out[at..], chunks));
+    out.truncate(at + (g * width).div_ceil(8));
 }
 
 /// Encode one batch delivery. Returns the number of address samples written.
@@ -478,8 +543,8 @@ fn encode_batch_event(out: &mut Vec<u8>, batch: &SampleBatch, meta: &mut BlockMe
                     max_vaddr = max_vaddr.max(s.vaddr);
                 }
                 out.extend_from_slice(&stores.to_le_bytes()[..group.len().div_ceil(8)]);
-                for column in &columns {
-                    pack_column(out, &column[..group.len()]);
+                for column in &mut columns {
+                    pack_column(out, column, group.len());
                 }
             }
             (meta.min_vaddr, meta.max_vaddr) = (min_vaddr, max_vaddr);
@@ -566,13 +631,14 @@ fn checked_count(
     Ok(count)
 }
 
-/// Read one column [`pack_column`] wrote, `out.len()` (at most [`GROUP`])
-/// values long. Refused: a width above 64, a column running past the payload,
-/// set padding bits in its last byte, a value past `u64::MAX`.
+/// Read one column [`pack_column`] wrote, `g` (at most [`GROUP`]) values
+/// long, into `out[..g]`. Refused: a width above 64, a column running past
+/// the payload, set padding bits in its last byte, a value past `u64::MAX`.
 fn unpack_column(
     payload: &[u8],
     pos: &mut usize,
-    out: &mut [u64],
+    out: &mut [u64; GROUP],
+    g: usize,
     what: &str,
 ) -> Result<(), String> {
     let width = usize::from(
@@ -583,9 +649,10 @@ fn unpack_column(
         return Err(format!("{what} width {width} exceeds 64 bits"));
     }
     let base = rv(payload, pos, what)?;
-    let bits = out.len() * width;
+    let bits = g * width;
+    let start = *pos;
     let packed = payload
-        .get(*pos..*pos + bits.div_ceil(8))
+        .get(start..start + bits.div_ceil(8))
         .ok_or_else(|| format!("truncated {what} column at byte {pos}"))?;
     *pos += packed.len();
     let padding = packed.len() * 8 - bits;
@@ -593,21 +660,24 @@ fn unpack_column(
         return Err(format!("{what} column ends in non-zero padding bits"));
     }
     if width == 0 {
-        out.fill(base);
+        out[..g].fill(base);
         return Ok(());
     }
-    // Value `i` starts at bit `i * width`: one 16-byte load at its byte,
-    // whatever the width, from a copy with zeros behind the last byte.
-    let mut window = [0u8; GROUP * 8 + 16];
-    window[..packed.len()].copy_from_slice(packed);
-    let mask = u64::MAX >> (u64::BITS - width as u32);
-    for (i, v) in out.iter_mut().enumerate() {
-        let bit = i * width;
-        #[allow(clippy::expect_used, reason = "a 16-byte slice is a 16-byte array")]
-        let word = u128::from_le_bytes(window[bit / 8..bit / 8 + 16].try_into().expect("16 bytes"));
-        *v = base.wrapping_add((word >> (bit % 8)) as u64 & mask);
+    // The kernel reads whole runs of eight plus its slack: straight from
+    // the payload where that many bytes follow the column's start (the
+    // bytes past the column land only in `out[g..]`), else from a copy with
+    // zeros behind the column.
+    let chunks = g.div_ceil(8);
+    let reach = chunks * width + KERNEL_SLACK;
+    if let Some(src) = payload.get(start..start + reach) {
+        with_width!(width, unpack_runs(src, base, out, chunks));
+    } else {
+        let mut padded = [0u8; GROUP * 8 + KERNEL_SLACK];
+        padded[..packed.len()].copy_from_slice(packed);
+        with_width!(width, unpack_runs(&padded, base, out, chunks));
     }
-    if base.checked_add(mask).is_none() && out.iter().any(|&v| v < base) {
+    let mask = u64::MAX >> (64 - width);
+    if base.checked_add(mask).is_none() && out[..g].iter().any(|&v| v < base) {
         return Err(format!("{what} column overflows u64"));
     }
     Ok(())
@@ -641,57 +711,7 @@ fn decode_events(payload: &[u8], pool: &BatchPool) -> Result<Vec<BusEvent>, Stri
                 // buffer grows by what each group's bytes have paid for.
                 let n = checked_count(payload, pos, n, 9, "sample")?;
                 let mut samples = pool.samples();
-                let mut prev_time = window.start_ns;
-                let mut prev_vaddr = 0u64;
-                let mut columns = [[0u64; GROUP]; 3];
-                while samples.len() < n {
-                    let g = (n - samples.len()).min(GROUP);
-                    let (codes, stored) = payload
-                        .get(pos..pos + g + g.div_ceil(8))
-                        .ok_or_else(|| format!("truncated sources and store bits at byte {pos}"))?
-                        .split_at(g);
-                    pos += g + stored.len();
-                    let mut stores = [0u8; 8];
-                    stores[..stored.len()].copy_from_slice(stored);
-                    let stores = u64::from_le_bytes(stores);
-                    if stores.checked_shr(g as u32).is_some_and(|beyond| beyond != 0) {
-                        return Err(format!("store bits set beyond a group of {g}"));
-                    }
-                    for (column, what) in
-                        columns.iter_mut().zip(["time delta", "vaddr delta", "latency"])
-                    {
-                        unpack_column(payload, &mut pos, &mut column[..g], what)?;
-                    }
-                    let [times, vaddrs, latencies] = &columns;
-                    if latencies[..g].iter().fold(0, |all, &v| all | v) > u64::from(u16::MAX) {
-                        return Err("latency out of u16 range".to_string());
-                    }
-                    let mut sources = [DataSource::L1; GROUP];
-                    for (source, &code) in sources.iter_mut().zip(codes) {
-                        *source = DataSource::decode(code)
-                            .ok_or_else(|| format!("invalid data-source code {code:#x}"))?;
-                    }
-                    // An exact-length `extend` writes the group's samples
-                    // without a capacity check each; a time outside the
-                    // window is noted on the way and refused after it.
-                    let mut outside = false;
-                    samples.extend((0..g).map(|i| {
-                        prev_time = prev_time.wrapping_add(unzigzag(times[i]) as u64);
-                        prev_vaddr = prev_vaddr.wrapping_add(unzigzag(vaddrs[i]) as u64);
-                        outside |= !window.contains_ns(prev_time);
-                        AddressSample {
-                            time_ns: prev_time,
-                            vaddr: prev_vaddr,
-                            core,
-                            is_store: stores >> i & 1 != 0,
-                            latency: latencies[i] as u16,
-                            source: sources[i],
-                        }
-                    }));
-                    if outside {
-                        return Err(format!("a sample outside its batch's window {window:?}"));
-                    }
-                }
+                decode_samples(payload, &mut pos, n, window, core, &mut samples)?;
                 BatchPayload::SpeSamples { samples, loss: SpeStatsSnapshot::default() }
             }
             EV_RSS => {
@@ -738,6 +758,79 @@ fn decode_events(payload: &[u8], pool: &BatchPool) -> Result<Vec<BusEvent>, Stri
         out.push(BusEvent::Batch(batch));
     }
     Ok(out)
+}
+
+/// Decode the `n` samples of an SPE batch of `core`'s in `window`, group by
+/// group, from `payload[*pos..]` onto `samples`. A function of its own
+/// (inlined into `decode_events`, the running sums lived on the stack: a
+/// store and a load per sample).
+#[inline(never)]
+fn decode_samples(
+    payload: &[u8],
+    pos: &mut usize,
+    n: usize,
+    window: Window,
+    core: usize,
+    samples: &mut Vec<AddressSample>,
+) -> Result<(), String> {
+    let mut prev_time = window.start_ns;
+    let mut prev_vaddr = 0u64;
+    let mut columns = [[0u64; GROUP]; 3];
+    let mut left = n;
+    while left > 0 {
+        let g = left.min(GROUP);
+        left -= g;
+        let (codes, stored) = payload
+            .get(*pos..*pos + g + g.div_ceil(8))
+            .ok_or_else(|| format!("truncated sources and store bits at byte {pos}"))?
+            .split_at(g);
+        *pos += g + stored.len();
+        let mut stores = [0u8; 8];
+        stores[..stored.len()].copy_from_slice(stored);
+        let stores = u64::from_le_bytes(stores);
+        if stores.checked_shr(g as u32).is_some_and(|beyond| beyond != 0) {
+            return Err(format!("store bits set beyond a group of {g}"));
+        }
+        for (column, what) in columns.iter_mut().zip(["time delta", "vaddr delta", "latency"]) {
+            unpack_column(payload, pos, column, g, what)?;
+        }
+        let [times, vaddrs, latencies] = &mut columns;
+        if latencies[..g].iter().fold(0, |all, &v| all | v) > u64::from(u16::MAX) {
+            return Err("latency out of u16 range".to_string());
+        }
+        let mut sources = [DataSource::L1; GROUP];
+        for (source, &code) in sources.iter_mut().zip(codes) {
+            *source = DataSource::decode(code)
+                .ok_or_else(|| format!("invalid data-source code {code:#x}"))?;
+        }
+        // The deltas are summed in place, in a loop of their own, so the
+        // running sums need not survive the `extend` closure below. The
+        // window holds every time iff it holds the earliest and the latest.
+        let (mut earliest, mut latest) = (u64::MAX, 0);
+        for (time, vaddr) in times[..g].iter_mut().zip(&mut vaddrs[..g]) {
+            prev_time = prev_time.wrapping_add(unzigzag(*time) as u64);
+            prev_vaddr = prev_vaddr.wrapping_add(unzigzag(*vaddr) as u64);
+            (earliest, latest) = (earliest.min(prev_time), latest.max(prev_time));
+            (*time, *vaddr) = (prev_time, prev_vaddr);
+        }
+        if !window.contains_ns(earliest) || !window.contains_ns(latest) {
+            return Err(format!("a sample outside its batch's window {window:?}"));
+        }
+        // An exact-length `extend` writes the group's samples without a
+        // capacity check each.
+        let fields = times[..g].iter().zip(&vaddrs[..g]).zip(&latencies[..g]).zip(&sources[..g]);
+        samples.extend(fields.enumerate().map(
+            move |(i, (((&time_ns, &vaddr), &latency), &source))| AddressSample {
+                time_ns,
+                vaddr,
+                core,
+                is_store: stores >> i & 1 != 0,
+                latency: latency as u16,
+                source,
+            },
+        ));
+    }
+    Ok(())
 }
 
 /// Read what [`put_core`] wrote; a flag other than 0 or 1 is an error.
@@ -2148,13 +2241,186 @@ mod tests {
         }
     }
 
+    /// The per-value packing loop the width kernels replaced, kept as their
+    /// oracle: `fill` bits wait in `acc`, 64 of them are a word to store.
+    fn reference_pack_column(out: &mut Vec<u8>, values: &[u64]) {
+        let (base, not_max) =
+            values.iter().fold((u64::MAX, u64::MAX), |(lo, hi), &v| (lo.min(v), hi.min(!v)));
+        let width = u64::BITS - (!not_max - base).leading_zeros();
+        out.push(width as u8);
+        put_varint(out, base);
+        if width == 0 {
+            return;
+        }
+        let at = out.len();
+        let end = at + (values.len() * width as usize).div_ceil(8);
+        out.resize(end + 8, 0);
+        let dst = &mut out[at..];
+        let (mut acc, mut fill, mut pos) = (0u64, 0u32, 0usize);
+        for &v in values {
+            let v = v - base;
+            acc |= v << fill;
+            fill += width;
+            if fill >= 64 {
+                dst[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
+                pos += 8;
+                fill -= 64;
+                acc = if fill == 0 { 0 } else { v >> (width - fill) };
+            }
+        }
+        dst[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
+        out.truncate(end);
+    }
+
+    /// The per-value unpacking loop the width kernels replaced, kept as
+    /// their oracle: one 16-byte load per value at its byte, from a copy
+    /// with zeros behind the last byte; every check as [`unpack_column`].
+    fn reference_unpack_column(
+        payload: &[u8],
+        pos: &mut usize,
+        out: &mut [u64],
+        what: &str,
+    ) -> Result<(), String> {
+        let width = usize::from(
+            *payload.get(*pos).ok_or_else(|| format!("truncated {what} width at byte {pos}"))?,
+        );
+        *pos += 1;
+        if width > 64 {
+            return Err(format!("{what} width {width} exceeds 64 bits"));
+        }
+        let base = rv(payload, pos, what)?;
+        let bits = out.len() * width;
+        let packed = payload
+            .get(*pos..*pos + bits.div_ceil(8))
+            .ok_or_else(|| format!("truncated {what} column at byte {pos}"))?;
+        *pos += packed.len();
+        let padding = packed.len() * 8 - bits;
+        if packed.last().is_some_and(|&last| u16::from(last) >> (8 - padding) != 0) {
+            return Err(format!("{what} column ends in non-zero padding bits"));
+        }
+        if width == 0 {
+            out.fill(base);
+            return Ok(());
+        }
+        let mut window = [0u8; GROUP * 8 + 16];
+        window[..packed.len()].copy_from_slice(packed);
+        let mask = u64::MAX >> (u64::BITS - width as u32);
+        for (i, v) in out.iter_mut().enumerate() {
+            let bit = i * width;
+            let word = u128::from_le_bytes(window[bit / 8..bit / 8 + 16].try_into().expect("16"));
+            *v = base.wrapping_add((word >> (bit % 8)) as u64 & mask);
+        }
+        if base.checked_add(mask).is_none() && out.iter().any(|&v| v < base) {
+            return Err(format!("{what} column overflows u64"));
+        }
+        Ok(())
+    }
+
+    /// The kernels against the per-value loops, at every width 1..=64 and
+    /// every group size 1..=64: packing writes the reference's bytes, and
+    /// unpacking those bytes — straight from a payload with bytes after the
+    /// column, and through the padded copy at the payload's end — returns
+    /// the reference's values, which are the values packed. The values
+    /// span their width from a base of 0, are all ones above one base
+    /// value, or sit on a base whose `base + mask` overflows `u64`.
+    #[test]
+    fn width_kernels_match_the_per_value_loops() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for width in 1..=64u32 {
+            let mask = u64::MAX >> (64 - width);
+            let top = 1u64 << (width - 1);
+            for g in 1..=GROUP {
+                let spans: [(u64, u64); 3] = [(0, mask), (0, mask), (u64::MAX - top, top)];
+                for (kind, (base, span)) in spans.into_iter().enumerate() {
+                    let mut values = [0u64; GROUP];
+                    for (i, v) in values[..g].iter_mut().enumerate() {
+                        *v = match (kind, i) {
+                            (_, 0) => base,
+                            (1, _) | (_, 1) => base + span,
+                            _ => base + next() % span.saturating_add(1),
+                        };
+                    }
+                    let stored = values;
+                    let mut expected = Vec::new();
+                    reference_pack_column(&mut expected, &stored[..g]);
+                    let mut packed = Vec::new();
+                    pack_column(&mut packed, &mut values, g);
+                    assert_eq!(packed, expected, "width {width}, group {g}, kind {kind}");
+
+                    let mut reference = [0u64; GROUP];
+                    let mut pos = 0;
+                    reference_unpack_column(&packed, &mut pos, &mut reference[..g], "oracle")
+                        .expect("the reference reads its own column");
+                    assert_eq!(reference[..g], stored[..g], "width {width}, group {g}");
+                    let followed = [&packed[..], &[0xff; GROUP * 8 + KERNEL_SLACK]].concat();
+                    for payload in [&packed[..], &followed] {
+                        let (mut got, mut pos) = ([0u64; GROUP], 0);
+                        unpack_column(payload, &mut pos, &mut got, g, "kernel").expect("unpack");
+                        assert_eq!(pos, packed.len());
+                        assert_eq!(got[..g], stored[..g], "width {width}, group {g}, kind {kind}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every single flipped bit of a packed column, and every cut, reads
+    /// the same through the kernels as through the per-value loop: the same
+    /// values, or an error both report.
+    #[test]
+    fn damaged_columns_read_alike_through_the_kernels_and_the_loops() {
+        for width in [1u32, 7, 8, 13, 31, 56, 57, 59, 63, 64] {
+            let mask = u64::MAX >> (64 - width);
+            for g in [1, 7, 9, 63, 64] {
+                let mut values = [0u64; GROUP];
+                for (i, v) in values[..g].iter_mut().enumerate() {
+                    *v = u64::MAX - ((i as u64).wrapping_mul(0x2545_f491_4f6c_dd1d) & mask);
+                }
+                let mut packed = Vec::new();
+                pack_column(&mut packed, &mut values, g);
+                let mut variants: Vec<Vec<u8>> = (0..packed.len() * 8)
+                    .map(|bit| {
+                        let mut damaged = packed.clone();
+                        damaged[bit / 8] ^= 1 << (bit % 8);
+                        damaged
+                    })
+                    .collect();
+                variants.extend((0..packed.len()).map(|cut| packed[..cut].to_vec()));
+                for damaged in variants {
+                    let (mut want, mut want_pos) = ([0u64; GROUP], 0);
+                    let want =
+                        reference_unpack_column(&damaged, &mut want_pos, &mut want[..g], "column")
+                            .map(|()| want);
+                    let (mut got, mut got_pos) = ([0u64; GROUP], 0);
+                    let got =
+                        unpack_column(&damaged, &mut got_pos, &mut got, g, "column").map(|()| got);
+                    match (want, got) {
+                        (Ok(want), Ok(got)) => {
+                            assert_eq!(got[..g], want[..g], "width {width}, group {g}");
+                            assert_eq!(got_pos, want_pos);
+                        }
+                        (want, got) => assert_eq!(got.err(), want.err(), "width {width}, g {g}"),
+                    }
+                }
+            }
+        }
+    }
+
     /// What the decoder refuses of a sample run, each with its own message:
     /// nothing below is a panic, and nothing decodes to samples.
     #[test]
     fn decode_refuses_every_malformed_sample_run() {
         let packed = |values: &[u64]| {
+            let mut column = [0; GROUP];
+            column[..values.len()].copy_from_slice(values);
             let mut out = Vec::new();
-            pack_column(&mut out, values);
+            pack_column(&mut out, &mut column, values.len());
             out
         };
         // An `EV_SPE` event of `n` samples in window 0 (100 ns wide) whose

@@ -319,37 +319,26 @@ fn sweep_workloads() -> Vec<WorkloadKind> {
     vec![WorkloadKind::Stream, WorkloadKind::Cfd, WorkloadKind::Bfs]
 }
 
-/// Figure 7 — number of collected SPE samples vs sampling period.
-pub fn fig7_samples_vs_period(scale: &Scale) -> Result<ExperimentResult, NmoError> {
-    let mut rows = Vec::new();
+/// Figure 7 — number of collected SPE samples vs sampling period — and
+/// Figures 8a–8c — accuracy, time overhead, and sample collisions vs
+/// sampling period — for STREAM, CFD and BFS. Both period grids are one
+/// sweep per workload, so each workload's unprofiled baseline runs once.
+pub fn fig7_fig8_period_sweeps(scale: &Scale) -> Result<Vec<ExperimentResult>, NmoError> {
+    let (mut fig7, mut fig8) = (Vec::new(), Vec::new());
     for kind in sweep_workloads() {
-        let configs = fig7_periods().into_iter().map(NmoConfig::paper_default);
-        let runs = sweep(kind, scale, scale.sweep_threads, configs)?;
+        let periods = fig7_periods().into_iter().chain(fig8_periods());
+        let configs = periods.map(NmoConfig::paper_default);
+        let mut runs = sweep(kind, scale, scale.sweep_threads, configs)?;
+        let fig8_runs = runs.split_off(fig7_periods().len());
         for (period, run) in fig7_periods().into_iter().zip(runs) {
-            rows.push(vec![
+            fig7.push(vec![
                 kind.label().to_string(),
                 period.to_string(),
                 run.profile.processed_samples.to_string(),
             ]);
         }
-    }
-    Ok(ExperimentResult {
-        id: "fig7_samples_vs_period".into(),
-        title: "Collected ARM SPE samples vs sampling period".into(),
-        header: vec!["workload".into(), "period".into(), "samples".into()],
-        rows,
-    })
-}
-
-/// Figures 8a–8c — accuracy, time overhead, and sample collisions vs
-/// sampling period for STREAM, CFD and BFS.
-pub fn fig8_sensitivity(scale: &Scale) -> Result<ExperimentResult, NmoError> {
-    let mut rows = Vec::new();
-    for kind in sweep_workloads() {
-        let configs = fig8_periods().into_iter().map(NmoConfig::paper_default);
-        let runs = sweep(kind, scale, scale.sweep_threads, configs)?;
-        for (period, run) in fig8_periods().into_iter().zip(runs) {
-            rows.push(vec![
+        for (period, run) in fig8_periods().into_iter().zip(fig8_runs) {
+            fig8.push(vec![
                 kind.label().to_string(),
                 period.to_string(),
                 pct(run.accuracy()),
@@ -359,19 +348,27 @@ pub fn fig8_sensitivity(scale: &Scale) -> Result<ExperimentResult, NmoError> {
             ]);
         }
     }
-    Ok(ExperimentResult {
-        id: "fig8_sensitivity".into(),
-        title: "Accuracy / time overhead / sample collisions vs sampling period".into(),
-        header: vec![
-            "workload".into(),
-            "period".into(),
-            "accuracy_pct".into(),
-            "overhead_pct".into(),
-            "collisions".into(),
-            "samples".into(),
-        ],
-        rows,
-    })
+    Ok(vec![
+        ExperimentResult {
+            id: "fig7_samples_vs_period".into(),
+            title: "Collected ARM SPE samples vs sampling period".into(),
+            header: vec!["workload".into(), "period".into(), "samples".into()],
+            rows: fig7,
+        },
+        ExperimentResult {
+            id: "fig8_sensitivity".into(),
+            title: "Accuracy / time overhead / sample collisions vs sampling period".into(),
+            header: vec![
+                "workload".into(),
+                "period".into(),
+                "accuracy_pct".into(),
+                "overhead_pct".into(),
+                "collisions".into(),
+                "samples".into(),
+            ],
+            rows: fig8,
+        },
+    ])
 }
 
 /// The aux-buffer sizes (in 64 KiB pages) of Figure 9.

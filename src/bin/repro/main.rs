@@ -16,8 +16,8 @@
 //! | Fig. 3 | Bandwidth over time (same workloads) | [`experiments::fig2_fig3_cloud`] |
 //! | Fig. 4 | STREAM tagged address scatter (from the sample log) | [`experiments::fig4_stream_scatter`] |
 //! | Fig. 5/6 | CFD access patterns at 1 and 32 threads (from the sample log) | [`experiments::fig5_fig6_cfd_scatter`] |
-//! | Fig. 7 | Samples vs sampling period | [`experiments::fig7_samples_vs_period`] |
-//! | Fig. 8 | Accuracy / overhead / collisions vs period | [`experiments::fig8_sensitivity`] |
+//! | Fig. 7 | Samples vs sampling period | [`experiments::fig7_fig8_period_sweeps`] |
+//! | Fig. 8 | Accuracy / overhead / collisions vs period | [`experiments::fig7_fig8_period_sweeps`] |
 //! | Fig. 9 | Aux-buffer size sweep | [`experiments::fig9_aux_buffer`] |
 //! | Fig. 10/11 | Thread-count sweep | [`experiments::fig10_fig11_threads`] |
 //!
@@ -128,11 +128,8 @@ fn run(args: &Args) -> Result<(), NmoError> {
         let many = scale.thread_sweep_max.min(32);
         emit(experiments::fig5_fig6_cfd_scatter(scale, 2048, many)?, &args.out, 12);
     }
-    if wants(exp, &["fig7"]) {
-        emit(vec![experiments::fig7_samples_vs_period(scale)?], &args.out, 40);
-    }
-    if wants(exp, &["fig8"]) {
-        emit(vec![experiments::fig8_sensitivity(scale)?], &args.out, 40);
+    if wants(exp, &["fig7", "fig8"]) {
+        emit(experiments::fig7_fig8_period_sweeps(scale)?, &args.out, 40);
     }
     if wants(exp, &["fig9"]) {
         emit(vec![experiments::fig9_aux_buffer(scale, 2048)?], &args.out, 20);

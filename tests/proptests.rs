@@ -932,6 +932,137 @@ proptest! {
     }
 }
 
+/// `mulrot64`, the trace store's block and index checksum, as the module
+/// docs of `nmo::trace` define it: the bytes' little-endian words round-robin
+/// through four lanes of `s = rotl((s ^ word) * K, 29)`, then the length, the
+/// lanes and the bytes past the last 32 folded through the same step, then
+/// an xor-shift/multiply avalanche.
+fn mulrot64(data: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |state: u64, word: u64| (state ^ word).wrapping_mul(K).rotate_left(29);
+    let mut lanes = [
+        0x243f_6a88_85a3_08d3,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    let mut strides = data.chunks_exact(32);
+    for stride in &mut strides {
+        for (lane, word) in lanes.iter_mut().zip(stride.chunks_exact(8)) {
+            *lane = step(*lane, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+    }
+    let mut h = lanes.iter().fold(data.len() as u64, |h, &lane| step(h, lane));
+    for &byte in strides.remainder() {
+        h = step(h, u64::from(byte));
+    }
+    h ^= h >> 32;
+    h = h.wrapping_mul(K);
+    h ^ (h >> 29)
+}
+
+fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// Flip `flips` (bit positions, taken modulo the payload's bits) inside the
+/// payload of the `pick`-th block holding samples of the segment `bytes`,
+/// then store the payload's new checksum in the block frame, in its index
+/// entry and, over the changed entries, in the index: every check before
+/// the decoder passes, and only the decoder can notice the damage. False,
+/// and nothing changed, if no block of the segment holds samples.
+fn damage_one_payload(bytes: &mut [u8], pick: usize, flips: &[usize]) -> bool {
+    const ENTRY: usize = 88;
+    let trailer = bytes.len() - 12;
+    let index = le_u64(bytes, trailer) as usize;
+    let count = u32::from_le_bytes(bytes[index + 4..index + 8].try_into().expect("4")) as usize;
+    let entries = index + 8;
+    let with_samples: Vec<usize> =
+        (0..count).filter(|&e| le_u64(bytes, entries + e * ENTRY + 64) > 0).collect();
+    if with_samples.is_empty() {
+        return false;
+    }
+    let entry = entries + with_samples[pick % with_samples.len()] * ENTRY;
+    let (offset, len) = (le_u64(bytes, entry) as usize, le_u64(bytes, entry + 8) as usize);
+    let payload = offset + 16;
+    for &flip in flips {
+        let bit = flip % (len * 8);
+        bytes[payload + bit / 8] ^= 1 << (bit % 8);
+    }
+    let checksum = mulrot64(&bytes[payload..payload + len]).to_le_bytes();
+    bytes[offset + 8..offset + 16].copy_from_slice(&checksum);
+    bytes[entry + 16..entry + 24].copy_from_slice(&checksum);
+    let index_checksum = mulrot64(&bytes[entries..entries + count * ENTRY]).to_le_bytes();
+    bytes[entries + count * ENTRY..entries + count * ENTRY + 8].copy_from_slice(&index_checksum);
+    true
+}
+
+proptest! {
+    /// Bit flips inside one data block's payload, behind rewritten frame,
+    /// index-entry and index checksums, reach the decoder and its column
+    /// kernels. What a replay then delivers is decided by the payload alone:
+    /// `open`, `replay`, `replay_query` and `verify` never panic and fail
+    /// only with `NmoError::Trace`; both replays fail together or deliver
+    /// the same report, and `verify` flags the block exactly when they
+    /// fail. (A flipped bit may also leave a payload that decodes to other,
+    /// valid values — a different latency or address — which no check
+    /// below the checksum can tell from the recorded ones.) The payload is
+    /// hashed by the same rule the reader checks, so the checks before the
+    /// decoder pass: no corrupt length drives an allocation either.
+    #[test]
+    fn trace_payload_damage_behind_valid_checksums_is_an_error_or_a_consistent_replay(
+        pages in prop::collection::vec(0u64..64, 1..100),
+        shards in 1usize..=3,
+        segment_pick in 0usize..3,
+        block_pick in 0usize..64,
+        flips in prop::collection::vec(any::<usize>(), 1..4),
+        shape in prop::collection::vec(any::<u64>(), 25..64),
+    ) {
+        let dir = trace_tmp("payload");
+        write_trace_to_damage(&dir, shards, &pages, &shape);
+        let outcome = |reader: &TraceReader, indexed: bool| {
+            let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(LatencySink::default())];
+            let stats = if indexed {
+                reader.replay_query(&TraceQuery::all(), &mut sinks)
+            } else {
+                reader.replay(&mut sinks)
+            }?;
+            let reports = nmo_repro::nmo::trace::replay_finish(&mut sinks)?;
+            Ok::<_, NmoError>(format!("{stats:?} {:?}", reports[0].report))
+        };
+
+        // The first segment from the picked one on that holds samples (the
+        // wide batch's always does).
+        let damaged = (0..shards).map(|s| (segment_pick + s) % shards).find(|shard| {
+            let file = dir.join(format!("shard-{shard:03}.seg"));
+            let mut bytes = std::fs::read(&file).expect("segment bytes");
+            damage_one_payload(&mut bytes, block_pick, &flips)
+                && std::fs::write(&file, &bytes).is_ok()
+        });
+        prop_assert!(damaged.is_some(), "no segment holds samples");
+
+        PEAK_ALLOC.store(0, Ordering::Relaxed);
+        let reader = TraceReader::open(&dir).expect("the index and frames still agree");
+        let [sequential, indexed] = [false, true].map(|indexed| outcome(&reader, indexed));
+        for result in [&sequential, &indexed] {
+            if let Err(e) = result {
+                prop_assert!(matches!(e, NmoError::Trace(_)), "replay: {}", e);
+            }
+        }
+        prop_assert_eq!(sequential.is_ok(), indexed.is_ok(), "{:?} / {:?}", sequential, indexed);
+        let verified = reader.verify().expect("verify reads past a damaged block");
+        match (&sequential, &indexed) {
+            (Ok(sequential), Ok(indexed)) => {
+                prop_assert_eq!(sequential, indexed);
+                prop_assert!(verified.errors.is_empty(), "{:?}", verified.errors);
+            }
+            _ => prop_assert!(!verified.errors.is_empty(), "a replay failed: {:?}", verified),
+        }
+        prop_assert!(PEAK_ALLOC.load(Ordering::Relaxed) <= MAX_BLOCK_BYTES);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Latency sink (nmo::sink): the sharded fold against the reference scan.
 // ---------------------------------------------------------------------------

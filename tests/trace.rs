@@ -25,13 +25,17 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use nmo_repro::arch_sim::{Machine, MachineConfig, PlacementPolicy};
+use std::sync::Arc;
+
+use nmo_repro::arch_sim::{DataSource, Machine, MachineConfig, PlacementPolicy};
 use nmo_repro::nmo::trace::replay_finish;
 use nmo_repro::nmo::{
-    AddressSample, AnalysisReport, AnalysisSink, BandwidthSink, CapacitySink, HotPageTracker,
-    LatencySink, NmoConfig, NoMigration, Profile, ProfileSession, SampleLogSink, StreamOptions,
-    TraceQuery, TraceReader, TraceWriterSink,
+    AddressSample, AnalysisReport, AnalysisSink, Annotations, BandwidthSink, BatchPayload,
+    CapacitySink, HotPageTracker, LatencySink, NmoConfig, NoMigration, Profile, ProfileSession,
+    SampleBatch, SampleLogSink, StreamContext, StreamOptions, TraceQuery, TraceReader,
+    TraceWriterSink, Window,
 };
+use nmo_repro::spe::SpeStatsSnapshot;
 use nmo_repro::workloads::PageRank;
 
 fn tmp(tag: &str) -> PathBuf {
@@ -298,5 +302,145 @@ fn thread_less_run_records_a_trace_that_replays_to_the_live_reports() {
         let replayed = sink.finish(&machine, &profile).expect("replayed report");
         assert_eq!(format!("{replayed:?}"), live_report(&profile, name), "{name} replay == live");
     }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A batch's core and samples.
+type CoreBatch = (usize, Vec<AddressSample>);
+
+/// One column of `n` stored values (zigzag deltas, or latencies) that packs
+/// `width` bits wide in every group of 64 holding two or more: each group's
+/// first value is `low`, its second `low + span`, the rest `next()` folded in
+/// between (all wrapping: at 64 bits, `low + span` wraps to `low - 1`).
+fn pinned_column(n: usize, width: u32, low: u64, next: &mut impl FnMut() -> u64) -> Vec<u64> {
+    let span = u64::MAX.checked_shr(u64::BITS - width).unwrap_or(0);
+    (0..n)
+        .map(|i| match i % 64 {
+            0 => low,
+            1 => low.wrapping_add(span),
+            _ => low.wrapping_add(next() & span),
+        })
+        .collect()
+}
+
+/// The stream the format pin records: one window per column width `w` in
+/// 0..=64, holding a batch of every size around the 64-sample group with
+/// time deltas `w` bits wide, address deltas `64 - w` and latencies
+/// `min(w, 16)`, and one batch of 65 whose address deltas are `w` bits wide
+/// with the group's base next to `u64::MAX`.
+fn pinned_stream() -> Vec<(Window, Vec<CoreBatch>)> {
+    let mut state = 0x0123_4567_89ab_cdefu64;
+    let mut next = move || {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        state ^ state >> 29
+    };
+    let unzigzag = |v: u64| ((v >> 1) as i64 ^ -((v & 1) as i64)) as u64;
+    let mut batch = |core: usize, n: usize, widths: [u32; 3], vaddr_low: u64| {
+        let times = pinned_column(n, widths[0], 3, &mut next);
+        let vaddrs = pinned_column(n, widths[1], vaddr_low, &mut next);
+        let latencies = pinned_column(n, widths[2], 0, &mut next);
+        let (mut time_ns, mut vaddr) = (0u64, 0u64);
+        let samples = (0..n)
+            .map(|i| {
+                time_ns = time_ns.wrapping_add(unzigzag(times[i]));
+                vaddr = vaddr.wrapping_add(unzigzag(vaddrs[i]));
+                let node = (next() % 4) as u8;
+                AddressSample {
+                    time_ns,
+                    vaddr,
+                    core,
+                    is_store: next() % 3 == 0,
+                    latency: latencies[i] as u16,
+                    source: [
+                        DataSource::L1,
+                        DataSource::L2,
+                        DataSource::Slc,
+                        DataSource::Dram(node),
+                        DataSource::RemoteDram(node),
+                    ][i % 5],
+                }
+            })
+            .collect();
+        (core, samples)
+    };
+    (0..=64u32)
+        .map(|w| {
+            let window = Window { index: u64::from(w), start_ns: 0, end_ns: u64::MAX };
+            let widths = [w, 64 - w, w.min(16)];
+            let mut batches: Vec<_> = [1, 7, 63, 64, 65, 129]
+                .into_iter()
+                .enumerate()
+                .map(|(core, n)| batch(core, n, widths, 5))
+                .collect();
+            let span = u64::MAX.checked_shr(u64::BITS - w).unwrap_or(0);
+            batches.push(batch(6, 65, [1, w, 0], u64::MAX - span));
+            (window, batches)
+        })
+        .collect()
+}
+
+/// 64-bit FNV-1a of a file's bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Format v6 byte for byte: the pinned stream, written through two writer
+/// shards, gives segment files whose digests and lengths are these
+/// literals (recorded with the per-value packing loop the width kernels
+/// replaced), and replays to exactly the samples written.
+#[test]
+fn the_pinned_stream_encodes_to_the_recorded_segment_bytes() {
+    let dir = tmp("format_pin");
+    let ctx = StreamContext {
+        annotations: Arc::new(Annotations::new()),
+        capacity_bytes: 1 << 30,
+        bucket_ns: 1000,
+        mem_nodes: 2,
+        page_bytes: 4096,
+        machine: None,
+    };
+    let mut sink = TraceWriterSink::new(dir.clone());
+    sink.on_stream_start(&ctx);
+    let writer = sink.as_shardable().expect("trace writer is shardable");
+    let mut shards: Vec<_> = (0..2).map(|s| writer.make_shard(s, &ctx)).collect();
+    let mut written = Vec::new();
+    for (seq, (window, batches)) in pinned_stream().into_iter().enumerate() {
+        for (core, samples) in batches {
+            written.extend_from_slice(&samples);
+            let loss = SpeStatsSnapshot::default();
+            let payload = BatchPayload::SpeSamples { samples, loss };
+            let mut batch = SampleBatch::new("spe", Some(core), window, payload);
+            batch.seq = seq as u64;
+            shards[core % 2].on_batch(&batch);
+        }
+        for shard in shards.iter_mut() {
+            shard.on_window_close(window);
+        }
+    }
+    let states = shards.into_iter().map(|s| s.finish()).collect();
+    sink.as_shardable().expect("still shardable").merge_final(states);
+    let mut sinks: Vec<Box<dyn AnalysisSink>> = vec![Box::new(sink)];
+    replay_finish(&mut sinks).expect("manifest written");
+
+    let digests: Vec<(usize, u64)> = (0..2)
+        .map(|s| {
+            let bytes = fs::read(dir.join(format!("shard-{s:03}.seg"))).expect("segment bytes");
+            (bytes.len(), fnv1a(&bytes))
+        })
+        .collect();
+    let key =
+        |s: &AddressSample| (s.core, s.time_ns, s.vaddr, s.latency, s.is_store, s.source.encode());
+    let mut replayed = replayed_log(&TraceReader::open(&dir).expect("open trace"), None);
+    replayed.sort_by_key(key);
+    written.sort_by_key(key);
+    assert_eq!(replayed, written, "the pinned stream round-trips");
+    assert_eq!(
+        digests,
+        [(134_552, 0x7cfd39e02383d469), (160_646, 0x86466dde9c121ac0)],
+        "segment lengths and FNV-1a digests"
+    );
     fs::remove_dir_all(&dir).ok();
 }
