@@ -7,8 +7,8 @@
 //! under it (see [`crate::engine`]); `alloc`, `free`, `migrate_page` and
 //! the readers of the records take it once each. The cores of a gang take
 //! turns anyway ([`crate::gang`]), so the lock only orders what runs beside
-//! a gang: engines attached outside one, and the tiering actuator migrating
-//! pages from another thread.
+//! a gang: engines attached outside one, and `alloc`, `free` or
+//! `migrate_page` called from a thread outside it.
 
 use crate::cache::Cache;
 use crate::config::MachineConfig;

@@ -44,10 +44,10 @@
 //!   the mode long-running services are profiled in.
 //! * [`tiering`] — the profile-guided feedback loop: a
 //!   [`tiering::HotPageTracker`] aggregates decayed per-page heat from the
-//!   sample stream and a pluggable [`tiering::TieringPolicy`] migrates hot
-//!   pages between memory tiers mid-run through
-//!   [`arch_sim::Machine::migrate_page`] — the first place the profiler's
-//!   output changes simulated machine behaviour.
+//!   sample stream, a pluggable [`tiering::TieringPolicy`] picks hot pages,
+//!   and [`session::ActiveSession::tiering_step`] migrates them between
+//!   memory tiers mid-run through [`arch_sim::Machine::migrate_page`] — the
+//!   one place the profiler's output changes simulated machine behaviour.
 //!
 //! Configuration follows Table I of the paper ([`config::NmoConfig`], the
 //! `NMO_*` environment variables); source annotations follow the C API of

@@ -149,8 +149,8 @@ impl Profile {
 
     /// Attach a manually driven tiering report (from
     /// [`crate::tiering::HotPageTracker::report`]) so [`Profile::summary`],
-    /// the CSV reports, and [`Profile::tiering`] can see it — the
-    /// manual-actuation analogue of registering the tracker as a sink.
+    /// the CSV reports, and [`Profile::tiering`] can see it, as they see a
+    /// registered tracker's report.
     pub fn attach_tiering(&mut self, report: crate::tiering::TieringReport) {
         self.analyses.push(AnalysisRecord {
             sink: "tiering".to_string(),

@@ -429,7 +429,7 @@ impl ProfileSession {
         let bus = ShardedBus::new(shards, opts.bus_capacity, opts.backpressure);
         let stop = Arc::new(AtomicBool::new(false));
         let snapshot = Arc::new(Mutex::named(SnapshotState::new(shards), "session.snapshot"));
-        let ctx = active.session.stream_context(Some(active.session.machine.clone()));
+        let ctx = active.session.stream_context();
 
         // Sinks see the stream start, then hand out one worker per shard
         // (legacy sinks are fed through the merger mutex instead). A
@@ -487,9 +487,8 @@ impl ProfileSession {
         Ok(active)
     }
 
-    /// The context sinks latch when delivery starts: the machine's geometry,
-    /// plus the machine itself where sinks may act on the run.
-    fn stream_context(&self, machine: Option<Arc<Machine>>) -> StreamContext {
+    /// The context sinks latch when delivery starts: the machine's geometry.
+    fn stream_context(&self) -> StreamContext {
         let cfg = self.machine.config();
         StreamContext {
             annotations: self.annotations.clone(),
@@ -497,7 +496,7 @@ impl ProfileSession {
             bucket_ns: cfg.cycles_to_ns(cfg.bandwidth_bucket_cycles).max(1),
             mem_nodes: cfg.mem_nodes(),
             page_bytes: cfg.page_bytes,
-            machine,
+            machine: None,
         }
     }
 
@@ -511,9 +510,7 @@ impl ProfileSession {
     /// return [`NmoError::Sink`].
     pub fn start(self) -> Result<ActiveSession, NmoError> {
         let mut active = self.attach()?;
-        // Machine-less context, as on a replay: sinks aggregate, nothing
-        // actuates by itself.
-        let ctx = active.session.stream_context(None);
+        let ctx = active.session.stream_context();
         let sinks = std::mem::take(&mut active.session.sinks);
         let (fan_in, mut lanes) =
             catch_sink_panic("stream-start", || FanIn::start(sinks, 1, &ctx))?;
@@ -680,19 +677,14 @@ impl ActiveSession {
 
     /// Live readout of a streaming session, as running totals of the
     /// pipeline: windows closed, batch and sample counts (in all and per
-    /// shard), bus accounting, and the machine's page-migration counters.
-    /// What the samples say is the registered sinks' business. Returns
-    /// `None` on a non-streaming session.
+    /// shard) and bus accounting. What the samples say is the registered
+    /// sinks' business. Returns `None` on a non-streaming session.
     pub fn poll_snapshot(&self) -> Option<StreamSnapshot> {
         let Some(Delivery::Pipeline(s)) = &self.delivery else { return None };
-        Some(s.snapshot.lock().snapshot(
-            s.bus.stats(),
-            &s.bus.lane_stats(),
-            self.session.machine.migration_stats(),
-        ))
+        Some(s.snapshot.lock().snapshot(s.bus.stats(), &s.bus.lane_stats()))
     }
 
-    /// The manual actuator hook of profile-guided tiering: one synchronous
+    /// The one actuator of profile-guided tiering: one synchronous
     /// delivery step — drain every backend, feed the batches to the
     /// registered sinks and to `tracker`, close every window a batch named
     /// once every source has delivered a sample past it (each close runs
@@ -710,8 +702,9 @@ impl ActiveSession {
     ///
     /// A sink that panics makes this return [`NmoError::Sink`], with
     /// collection torn down (observers detached, backends stopped). On a
-    /// streaming session this returns an error: there the registered
-    /// tracker sink actuates by itself on the consumer thread.
+    /// streaming session this returns an error: streaming sessions never
+    /// actuate (a tracker registered there tracks and reports only), so
+    /// start the session with [`ProfileSession::start`] to step it.
     pub fn tiering_step(
         &mut self,
         tracker: &mut crate::tiering::HotPageTracker,
@@ -738,8 +731,8 @@ impl ActiveSession {
         }
         let Some(Delivery::Inline(state)) = &mut self.delivery else {
             return Err(NmoError::Config(
-                "tiering_step drives non-streaming sessions; a streaming session actuates \
-                 through the registered HotPageTracker sink"
+                "tiering_step drives non-streaming sessions; streaming sessions never actuate, \
+                 start the session with start() to get one that does"
                     .into(),
             ));
         };

@@ -103,8 +103,9 @@ pub struct AnalysisRecord {
     pub report: AnalysisReport,
 }
 
-/// Context handed to sinks when a streaming session starts. (Per-window
-/// geometry travels on each batch's [`Window`], so it is not repeated here.)
+/// Context handed to sinks when delivery starts: on a live session or a
+/// replay. (Per-window geometry travels on each batch's [`Window`], so it is
+/// not repeated here.)
 #[derive(Debug, Clone)]
 pub struct StreamContext {
     /// The session's annotation registry (tags/phases grow during the run).
@@ -118,24 +119,19 @@ pub struct StreamContext {
     pub mem_nodes: usize,
     /// Virtual-memory page size, bytes (for per-page aggregation).
     pub page_bytes: u64,
-    /// The live machine, for sinks that *act* on the run (e.g.
-    /// [`crate::tiering::HotPageTracker`] applying page migrations).
-    /// Present on a session with pipeline threads
-    /// ([`crate::session::ProfileSession::start_streaming`]); `None` on
-    /// replays from a stored trace (the run is over — there is nothing left
-    /// to actuate), on sessions without pipeline threads (delivery happens
-    /// at the caller's steps and at `finish`; nothing actuates by itself —
-    /// see [`crate::session::ActiveSession::tiering_step`]) and in
-    /// hand-built test contexts.
-    pub machine: Option<Arc<Machine>>,
+    /// Always `None`: no sink can reach the machine, so none acts on the
+    /// run (the one path that migrates pages is
+    /// [`crate::session::ActiveSession::tiering_step`]). The field is left
+    /// only because the benchmark builds this struct as a literal; the next
+    /// change to the benchmark deletes the two together.
+    pub machine: Option<std::convert::Infallible>,
 }
 
 impl StreamContext {
-    /// A machine-less context for replaying a stored trace
-    /// ([`crate::trace::TraceReader`]): the recorded geometry is restored,
-    /// the annotation registry starts empty, and `machine` is `None` —
-    /// sinks aggregate exactly as they did live, but nothing can actuate
-    /// the (finished) run.
+    /// The context for replaying a stored trace
+    /// ([`crate::trace::TraceReader`]): the recorded geometry is restored
+    /// and the annotation registry starts empty, so sinks aggregate exactly
+    /// as they did live.
     pub fn for_replay(
         capacity_bytes: u64,
         bucket_ns: u64,
@@ -240,9 +236,9 @@ pub trait SinkShard: Send {
 
     /// Every source has delivered a sample past `window`, a window some
     /// batch named (or the run finished). The close is broadcast to every
-    /// lane, whether or not the lane carried a batch for it. Sinks
-    /// that merge *per window* — because the parent acts on the merged
-    /// state mid-run, like [`crate::tiering::HotPageTracker`] — return this
+    /// lane, whether or not the lane carried a batch for it. Sinks that
+    /// merge *per window* — because the parent decides on the merged state
+    /// at each close, like [`crate::tiering::HotPageTracker`] — return this
     /// shard's partial state for the window; cumulative sinks keep the
     /// default `None` and merge once at the end.
     fn on_window_close(&mut self, _window: Window) -> Option<ShardState> {

@@ -77,7 +77,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use arch_sim::{BandwidthPoint, MigrationStats, RssPoint};
+use arch_sim::{BandwidthPoint, RssPoint};
 use spe::SpeStatsSnapshot;
 
 use crate::runtime::AddressSample;
@@ -984,10 +984,6 @@ pub struct StreamSnapshot {
     pub last_time_ns: u64,
     /// Bus accounting at snapshot time.
     pub bus: BusStats,
-    /// Page-migration counters at snapshot time — the live readout of a
-    /// profile-guided tiering run (how many pages have been promoted or
-    /// demoted *so far*).
-    pub migrations: MigrationStats,
 }
 
 /// One lane's running tallies inside [`SnapshotState`].
@@ -1063,12 +1059,7 @@ impl SnapshotState {
         tally.newest_close = Some(window.index);
     }
 
-    pub(crate) fn snapshot(
-        &self,
-        bus: BusStats,
-        lane_stats: &[BusStats],
-        migrations: MigrationStats,
-    ) -> StreamSnapshot {
+    pub(crate) fn snapshot(&self, bus: BusStats, lane_stats: &[BusStats]) -> StreamSnapshot {
         let per_shard = self
             .lanes
             .iter()
@@ -1088,7 +1079,6 @@ impl SnapshotState {
             rss_peak_bytes: self.rss_peak_bytes,
             last_time_ns: self.last_time_ns,
             bus,
-            migrations,
         }
     }
 }
@@ -1406,7 +1396,7 @@ mod tests {
         state.record_batch(&SampleBatch::new("machine", None, clock.window(0), ticks), 0);
         assert_eq!(state.late_batches, 2, "bandwidth is never late");
         assert_eq!((state.windows_closed(), state.batches, state.spe_samples), (2, 7, 11));
-        let snap = state.snapshot(BusStats::default(), &[], MigrationStats::default());
+        let snap = state.snapshot(BusStats::default(), &[]);
         assert_eq!((snap.windows_closed, snap.batches, snap.spe_samples), (2, 7, 11));
         assert_eq!(snap.per_shard.len(), 2);
         assert_eq!((snap.per_shard[0].batches, snap.per_shard[0].spe_samples), (4, 7));

@@ -13,38 +13,27 @@
 //! simulated analogue of a tiered-memory daemon moving hot pages from a
 //! CXL expander back into socket DDR with `move_pages(2)`.
 //!
-//! Two actuation paths share the same tracker:
+//! One path actuates: drive the workload in chunks and call
+//! [`crate::session::ActiveSession::tiering_step`] between them. Each step
+//! is the session's own delivery step, with the tracker fed the same
+//! batches and window closes as the registered sinks — so drains, closes,
+//! and migrations happen at fixed points of the *simulated* timeline, and
+//! two identically configured runs reproduce the same decisions bit for
+//! bit (see `tests/tiering.rs`). A window closes once every profiled core
+//! has delivered a sample past it, so on several cores the slowest core
+//! sets the pace.
 //!
-//! * **Streaming** — register the tracker as an analysis sink
-//!   ([`crate::session::ProfileSessionBuilder::sink`]); during a
-//!   [`crate::session::ProfileSession::run_streaming`] run it consumes
-//!   batches on the consumer thread and applies decisions whenever a
-//!   window closes. (Registered on a session without
-//!   pipeline threads it is fed like every other sink but has no machine
-//!   to actuate: it tracks and reports, like on a replay.)
-//! * **Manual / deterministic** — drive the workload in chunks and call
-//!   [`crate::session::ActiveSession::tiering_step`] between them: each
-//!   step is the session's own delivery step, with the tracker fed the
-//!   same batches and window closes as the registered sinks — so drains,
-//!   closes, and migrations happen at fixed points of the *simulated*
-//!   timeline, and two identically configured runs reproduce the same
-//!   decisions bit for bit (see `tests/tiering.rs`). Both paths close a
-//!   window by the same rule: once every profiled core has delivered a
-//!   sample past it, so on several cores the slowest core sets the pace.
-//!
-//! Only the manual path is reproducible. The streaming tracker migrates
-//! from the consumer thread while the engines run free, so where in
-//! simulated time a migration lands — and every simulated number after it
-//! — depends on host timing: the streaming arm of
-//! `examples/hot_page_migration.rs` made 51 migrations instead of 50 in 1
-//! of 20 runs.
+//! A tracker registered as a sink
+//! ([`crate::session::ProfileSessionBuilder::sink`]) never actuates: on a
+//! streaming session, a thread-less one and a trace replay alike it tracks
+//! the stream, asks its policy at every close, and reports — what-if
+//! decisions over an unchanged placement.
 //!
 //! The [`TieringReport`] records the applied migration log plus the
 //! before/after per-tier latency distributions — the "remote p99 drops
 //! toward local after promotion" figure of `examples/hot_page_migration.rs`.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use arch_sim::{Machine, MachineConfig, NodeId};
 
@@ -138,13 +127,8 @@ struct PageState {
 
 /// Fold per-page contributions into `pages` (ascending by address): counts
 /// add, and a contribution that saw a DRAM-class sample sets the page's
-/// node/tier — to the home `pinned` names for it, if any. Returns how many
-/// pages were new to `pages`.
-fn merge_pages(
-    pages: &mut BTreeMap<u64, PageState>,
-    deltas: BTreeMap<u64, PageState>,
-    pinned: &BTreeMap<u64, (NodeId, bool)>,
-) -> u64 {
+/// node/tier. Returns how many pages were new to `pages`.
+fn merge_pages(pages: &mut BTreeMap<u64, PageState>, deltas: BTreeMap<u64, PageState>) -> u64 {
     let mut added = 0;
     for (page_addr, delta) in deltas {
         let entry = pages.entry(page_addr).or_insert_with(|| {
@@ -157,8 +141,7 @@ fn merge_pages(
         entry.lat_sum += delta.lat_sum;
         entry.lat_count += delta.lat_count;
         if delta.saw_dram {
-            (entry.node, entry.remote) =
-                pinned.get(&page_addr).copied().unwrap_or((delta.node, delta.remote));
+            (entry.node, entry.remote) = (delta.node, delta.remote);
             entry.saw_dram = true;
         }
     }
@@ -166,19 +149,13 @@ fn merge_pages(
 }
 
 impl PageState {
-    /// Fold one sample of page `page_addr` in. A DRAM-class sample sets the
-    /// page's node/tier — to the home `pinned` names for it, if any: a late
-    /// batch carrying pre-migration samples must not flip a migrated page's
-    /// tier back.
-    fn add(&mut self, page_addr: u64, s: &AddressSample, pinned: &BTreeMap<u64, (NodeId, bool)>) {
+    /// Fold one sample in. A DRAM-class sample sets the page's node/tier.
+    fn add(&mut self, s: &AddressSample) {
         self.heat += 1.0;
         self.samples += 1;
         if s.source.is_dram_class() {
             self.dram_heat += 1.0;
-            (self.node, self.remote) = pinned
-                .get(&page_addr)
-                .copied()
-                .unwrap_or_else(|| (s.source.node().unwrap_or(0), s.source.is_remote()));
+            (self.node, self.remote) = (s.source.node().unwrap_or(0), s.source.is_remote());
             self.saw_dram = true;
             self.lat_sum += s.latency as f64;
             self.lat_count += 1.0;
@@ -382,7 +359,7 @@ impl TieringPolicy for TopKHot {
 
 /// The output of a tiering run: what moved, and what it did to the per-tier
 /// latency distributions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TieringReport {
     /// Name of the policy that decided.
     pub policy: String,
@@ -436,25 +413,19 @@ const EVICT_HEAT: f64 = 1.0 / 64.0;
 /// one-window half-life).
 const DECAY: f64 = 0.5;
 
-/// The hot-page streaming aggregator and actuator (see the module docs).
+/// The hot-page aggregator and actuator (see the module docs).
 ///
-/// As an [`AnalysisSink`] it consumes `SpeSamples` batches, decays its
-/// per-page counters at every window close, asks its [`TieringPolicy`] for
-/// decisions, and — when a machine handle is available (on a session with
-/// pipeline threads) — applies them via [`Machine::migrate_page`]. On the
-/// manual path, [`crate::session::ActiveSession::tiering_step`] drives the
-/// same state machine synchronously through [`HotPageTracker::ingest`] and
-/// [`HotPageTracker::close_window`].
+/// It folds `SpeSamples` batches into per-page counters, decays them at
+/// every window close and asks its [`TieringPolicy`] for decisions there.
+/// [`crate::session::ActiveSession::tiering_step`] drives it through
+/// [`HotPageTracker::ingest`] and [`HotPageTracker::close_window`] and
+/// applies the decisions via [`Machine::migrate_page`]; that is the one
+/// path that migrates. Registered as an [`AnalysisSink`] it tracks and
+/// reports only.
 pub struct HotPageTracker {
     policy: Box<dyn TieringPolicy>,
     page_bytes: u64,
-    /// Actuation target on the streaming path (latched at stream start).
-    machine: Option<Arc<Machine>>,
     pages: BTreeMap<u64, PageState>,
-    /// Authoritative homes of pages this tracker migrated: late batches may
-    /// still carry pre-migration samples, which must not flip the page's
-    /// tier back in the view (and re-trigger decisions for it).
-    pinned: BTreeMap<u64, (NodeId, bool)>,
     pages_tracked: u64,
     windows_closed: u64,
     /// Latency profiles segmented by migration activity: a new segment
@@ -479,15 +450,13 @@ impl std::fmt::Debug for HotPageTracker {
 
 impl HotPageTracker {
     /// A tracker deciding with `policy`, with a 64 KiB page size until
-    /// configured from a machine (both actuation paths configure it
-    /// automatically).
+    /// configured from a machine (`tiering_step` and a stream's start
+    /// configure it automatically).
     pub fn new(policy: impl TieringPolicy + 'static) -> Self {
         HotPageTracker {
             policy: Box::new(policy),
             page_bytes: 64 * 1024,
-            machine: None,
             pages: BTreeMap::new(),
-            pinned: BTreeMap::new(),
             pages_tracked: 0,
             windows_closed: 0,
             segments: vec![LatencyProfile::new()],
@@ -506,8 +475,8 @@ impl HotPageTracker {
         &self.applied
     }
 
-    /// Latch the page geometry from a machine configuration (the manual
-    /// actuation path; a stream latches it at `on_stream_start`).
+    /// Latch the page geometry from a machine configuration (the
+    /// `tiering_step` path; a stream latches it at `on_stream_start`).
     pub(crate) fn configure(&mut self, cfg: &MachineConfig) {
         self.page_bytes = cfg.page_bytes;
     }
@@ -519,7 +488,7 @@ impl HotPageTracker {
             self.pages_tracked += 1;
             PageState::default()
         });
-        entry.add(page_addr, s, &self.pinned);
+        entry.add(s);
         #[allow(clippy::expect_used, reason = "`segments` starts with one profile and only grows")]
         self.segments.last_mut().expect("segments never empty").record(s.source, s.latency);
         self.last_seen_ns = self.last_seen_ns.max(s.time_ns);
@@ -575,7 +544,6 @@ impl HotPageTracker {
                     state.node = migration.to;
                     state.remote = done.to_remote;
                 }
-                self.pinned.insert(migration.page_addr, (migration.to, done.to_remote));
                 applied.push(done);
             }
         }
@@ -633,7 +601,7 @@ struct TrackerDigest {
 impl TrackerDigest {
     fn observe(&mut self, s: &AddressSample, page_bytes: u64) {
         let page_addr = s.vaddr & !(page_bytes - 1);
-        self.pages.entry(page_addr).or_default().add(page_addr, s, &BTreeMap::new());
+        self.pages.entry(page_addr).or_default().add(s);
         self.latency.record(s.source, s.latency);
         self.last_seen_ns = self.last_seen_ns.max(s.time_ns);
     }
@@ -641,7 +609,7 @@ impl TrackerDigest {
     /// Fold `other` into this digest (used for the shard's leftover windows
     /// at finish; ascending window order keeps it deterministic).
     fn absorb(&mut self, other: TrackerDigest) {
-        merge_pages(&mut self.pages, other.pages, &BTreeMap::new());
+        merge_pages(&mut self.pages, other.pages);
         self.latency.merge(&other.latency);
         self.last_seen_ns = self.last_seen_ns.max(other.last_seen_ns);
     }
@@ -684,11 +652,9 @@ impl SinkShard for TrackerShard {
 }
 
 impl HotPageTracker {
-    /// Merge one digest into the tracker's live per-page state (pinned
-    /// homes override the digest's tier view, exactly like
-    /// [`HotPageTracker::observe`] does on the direct `ingest` path).
+    /// Merge one digest into the tracker's live per-page state.
     fn absorb_digest(&mut self, digest: TrackerDigest) {
-        self.pages_tracked += merge_pages(&mut self.pages, digest.pages, &self.pinned);
+        self.pages_tracked += merge_pages(&mut self.pages, digest.pages);
         #[allow(clippy::expect_used, reason = "`segments` starts with one profile and only grows")]
         self.segments.last_mut().expect("segments never empty").merge(&digest.latency);
         self.last_seen_ns = self.last_seen_ns.max(digest.last_seen_ns);
@@ -701,10 +667,10 @@ impl ShardableSink for HotPageTracker {
     }
 
     fn merge_window(&mut self, window: Window, states: Vec<ShardState>) {
-        // The shards' digests in, then the window closes.
+        // The shards' digests in, then the window closes: a sink decides
+        // but never actuates.
         self.merge_final(states);
-        let machine = self.machine.clone();
-        self.close_window(window, machine.as_deref());
+        self.close_window(window, None);
     }
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
@@ -731,9 +697,6 @@ impl AnalysisSink for HotPageTracker {
         // The stream geometry's page size is the machine's on a live run and
         // the recorded one on a replay, so page aggregation is the same.
         self.page_bytes = ctx.page_bytes;
-        if let Some(machine) = &ctx.machine {
-            self.machine = Some(machine.clone());
-        }
     }
 
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
@@ -883,104 +846,79 @@ mod tests {
 
     /// The sharded tracker contract: partitioning a per-window sample
     /// stream over N shards and merging digests in shard order at each
-    /// window close must reproduce the serial tracker's state — same heat,
-    /// same latency segments, and (with a machine attached) the same
-    /// migration decisions.
+    /// window close must reproduce the serial tracker's state — the same
+    /// per-page view after every close (decay and eviction included), and
+    /// the same latency segments.
     #[test]
     fn sharded_tracker_merge_matches_serial_ingestion() {
         use crate::stream::SampleBatch;
 
-        let machine = || {
-            Machine::new(MachineConfig::small_test_tiered(PlacementPolicy::TierSplit {
-                local_fraction: 0.0,
-            }))
-        };
-        let serial_machine = machine();
-        let sharded_machine = machine();
-        let page = serial_machine.config().page_bytes;
+        let page = MachineConfig::small_test_tiered(PlacementPolicy::Interleave).page_bytes;
+        let base = 16 * page;
         let clock = WindowClock::new(1000);
         let shards = 4usize;
 
-        // Touch 6 pages so they are resident (remote under TierSplit 0.0).
-        let touch = |m: &Machine| {
-            let region = m.alloc("data", 6 * page).unwrap();
-            let mut e = m.attach(0).unwrap();
-            for p in 0..6u64 {
-                e.store(region.start + p * page, 8);
+        // A deterministic windowed stream over 8 cores and 6 pages, each
+        // page with its own latency.
+        let mut batches = Vec::new();
+        for window in 0..4u64 {
+            for core in 0..8usize {
+                let samples: Vec<AddressSample> = (0..12u64)
+                    .map(|i| {
+                        let p = (i + core as u64) % 6;
+                        let s = sample(
+                            base + p * page + (i % 8) * 64,
+                            DataSource::RemoteDram(1),
+                            700 + (p * 10) as u16,
+                            window * 1000 + i * 80,
+                        );
+                        AddressSample { core, ..s }
+                    })
+                    .collect();
+                batches.push(SampleBatch::new(
+                    "spe",
+                    Some(core),
+                    clock.window(window),
+                    BatchPayload::SpeSamples { samples, loss: Default::default() },
+                ));
             }
-            region.start
-        };
-        let serial_base = touch(&serial_machine);
-        let sharded_base = touch(&sharded_machine);
-        assert_eq!(serial_base, sharded_base, "identical machines place identically");
-
-        // A deterministic windowed stream over 8 cores: page p is hammered
-        // in proportion to its index, so the top-k choice is unambiguous.
-        let batches_for = |base: u64| {
-            let mut batches = Vec::new();
-            for window in 0..4u64 {
-                for core in 0..8usize {
-                    let samples: Vec<AddressSample> = (0..12u64)
-                        .map(|i| {
-                            let p = (i + core as u64) % 6;
-                            let s = sample(
-                                base + p * page + (i % 8) * 64,
-                                DataSource::RemoteDram(1),
-                                700 + (p * 10) as u16,
-                                window * 1000 + i * 80,
-                            );
-                            AddressSample { core, ..s }
-                        })
-                        .collect();
-                    batches.push(SampleBatch::new(
-                        "spe",
-                        Some(core),
-                        clock.window(window),
-                        BatchPayload::SpeSamples { samples, loss: Default::default() },
-                    ));
-                }
-            }
-            batches
-        };
+        }
+        let view = |t: &HotPageTracker| TieringView { pages: &t.pages }.pages().collect::<Vec<_>>();
 
         // Serial reference: ingest in stream order, close each window.
         let mut serial = HotPageTracker::new(TopKHot::new(2, 1));
-        serial.configure(serial_machine.config());
-        let mut serial_applied = Vec::new();
+        serial.page_bytes = page;
+        let mut serial_views = Vec::new();
         for window in 0..4u64 {
-            for b in batches_for(serial_base).iter().filter(|b| b.window.index == window) {
+            for b in batches.iter().filter(|b| b.window.index == window) {
                 serial.ingest(b);
             }
-            serial_applied.extend(serial.close_window(clock.window(window), Some(&serial_machine)));
+            assert!(serial.close_window(clock.window(window), None).is_empty());
+            serial_views.push(view(&serial));
         }
 
         // Sharded: per-core lanes, window digests merged in shard order.
         let mut sharded = HotPageTracker::new(TopKHot::new(2, 1));
-        sharded.configure(sharded_machine.config());
-        sharded.machine = Some(Arc::new(sharded_machine));
-        let ctx = StreamContext {
-            annotations: Arc::new(crate::annotate::Annotations::new()),
-            capacity_bytes: 1 << 30,
-            bucket_ns: 1000,
-            mem_nodes: 2,
-            page_bytes: page,
-            machine: None,
-        };
+        let ctx = StreamContext::for_replay(1 << 30, 1000, 2, page);
+        sharded.on_stream_start(&ctx);
         let mut workers: Vec<Box<dyn SinkShard>> =
             (0..shards).map(|s| ShardableSink::make_shard(&mut sharded, s, &ctx)).collect();
-        for b in &batches_for(sharded_base) {
+        for b in &batches {
             workers[b.core.unwrap() % shards].on_batch(b);
         }
+        let mut sharded_views = Vec::new();
         for window in 0..4u64 {
             let states: Vec<ShardState> = workers
                 .iter_mut()
                 .map(|w| w.on_window_close(clock.window(window)).expect("tracker digests"))
                 .collect();
             sharded.merge_window(clock.window(window), states);
+            sharded_views.push(view(&sharded));
         }
 
-        assert!(!serial_applied.is_empty(), "the policy migrated something");
-        assert_eq!(sharded.applied(), &serial_applied[..], "identical migration decisions");
+        assert_eq!(serial_views[0].len(), 6, "every page is tracked");
+        assert_eq!(sharded_views, serial_views, "identical per-page views at every close");
+        assert!(sharded.applied().is_empty(), "a sink never actuates");
         let (s, m) = (serial.report(), sharded.report());
         assert_eq!(s.before, m.before);
         assert_eq!(s.after, m.after);

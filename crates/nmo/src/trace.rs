@@ -1702,9 +1702,8 @@ impl TraceReader {
         }
     }
 
-    /// A machine-less [`StreamContext`] rebuilt from the recorded stream
-    /// geometry: the legitimate replay-side context ([`StreamContext::machine`]
-    /// is `None`, so sinks aggregate but do not actuate).
+    /// The [`StreamContext`] a replay hands its sinks, rebuilt from the
+    /// recorded stream geometry.
     pub fn replay_context(&self) -> StreamContext {
         let g = &self.manifest.geometry;
         StreamContext::for_replay(g.capacity_bytes, g.bucket_ns, g.mem_nodes, g.page_bytes)

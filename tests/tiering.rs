@@ -1,8 +1,8 @@
-//! Profile-guided tiering integration tests: the deterministic manual
-//! actuation path (two identically configured runs reproduce the same
-//! samples, histograms, and migration decisions), the streaming
-//! auto-actuation path (the `HotPageTracker` sink migrates mid-run), and
-//! the streaming==post-hoc sink equivalence with migrations active.
+//! Profile-guided tiering integration tests: the one actuation path,
+//! `ActiveSession::tiering_step` (two identically configured runs reproduce
+//! the same samples, histograms, and migration decisions, and every sample
+//! after a migration reports the page's new home), and a `HotPageTracker`
+//! registered as a sink, which tracks and reports without migrating.
 use std::sync::Arc;
 
 use nmo_repro::arch_sim::{Machine, MachineConfig, PlacementPolicy};
@@ -95,6 +95,29 @@ fn tiering_runs_are_deterministic_end_to_end() {
     assert!(p1.migrations.promoted_pages > 0, "{:?}", p1.migrations);
 }
 
+/// `tiering_step` migrates only with no engine attached, after every
+/// buffered record was flushed and delivered: so every DRAM-class sample
+/// of a migrated page taken after the migration reports the page's new
+/// home, and the tracker needs no record of the homes it set.
+#[test]
+fn samples_after_a_migration_report_the_new_home() {
+    let (profile, applied) = deterministic_run(4);
+    let page = MachineConfig::small_test().page_bytes;
+    let samples = profile.samples().expect("sample log");
+    let mut checked = 0;
+    for m in &applied {
+        for s in samples.iter().filter(|s| {
+            s.vaddr & !(page - 1) == m.page_addr
+                && s.time_ns > m.time_ns
+                && s.source.is_dram_class()
+        }) {
+            assert_eq!(s.source.node(), Some(m.to), "{s:?} after {m:?}");
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "some migrated page was sampled from DRAM afterwards");
+}
+
 #[test]
 fn manual_actuation_promotes_hot_pages_and_cuts_remote_latency() {
     let (profile, applied) = deterministic_run(4);
@@ -125,6 +148,7 @@ fn tiering_step_is_rejected_on_streaming_sessions() {
         err
     };
     assert!(matches!(err, NmoError::Config(_)), "{err}");
+    assert!(err.to_string().contains("never actuate"), "{err}");
 }
 
 /// Counts the SPE batches it is fed, and those among them that land in a
@@ -192,13 +216,10 @@ fn a_two_core_tiering_step_delivers_no_batch_into_a_closed_window() {
     assert_eq!(late, 0, "{late} of {batches} SPE batches landed in a closed window");
 }
 
-/// The streaming path: a `HotPageTracker` registered as a sink applies
-/// migrations mid-run from the consumer thread, the live snapshot carries
-/// the migration counters, and the sinks' incremental aggregation still
-/// equals a post-hoc scan over the same run's samples — streaming==post-hoc
-/// equivalence is preserved with migrations active.
-#[test]
-fn streaming_tiering_migrates_and_preserves_sink_equivalence() {
+/// One 2-core run of a skewed load with a `TopKHot` tracker registered as
+/// a sink, streaming or thread-less. The cores take turns in simulated time
+/// (`gang_begin`), so the run is a function of its configuration.
+fn registered_tracker_run(streaming: bool) -> Profile {
     let session = ProfileSession::builder()
         .machine_config(MachineConfig::small_test_tiered(PlacementPolicy::TierSplit {
             local_fraction: 0.1,
@@ -216,9 +237,11 @@ fn streaming_tiering_migrates_and_preserves_sink_equivalence() {
         .build()
         .expect("session builds");
 
-    let active = session.start_streaming().expect("start streaming");
+    let active = if streaming { session.start_streaming() } else { session.start() };
+    let active = active.expect("start");
     let page = active.machine().config().page_bytes;
     let region = active.machine().alloc("data", 64 * page).expect("alloc");
+    active.machine().gang_begin(active.cores());
     std::thread::scope(|s| {
         for (t, &core) in active.cores().iter().enumerate() {
             let machine = active.machine();
@@ -235,35 +258,47 @@ fn streaming_tiering_migrates_and_preserves_sink_equivalence() {
             });
         }
     });
-    let snapshot = active.poll_snapshot().expect("streaming snapshot");
-    let profile = active.finish().expect("finish");
+    if streaming {
+        assert!(active.poll_snapshot().is_some(), "a streaming session has a live readout");
+    }
+    active.finish().expect("finish")
+}
 
-    // Migrations happened and are visible everywhere they should be.
-    assert!(profile.migrations.migrations > 0, "{:?}", profile.migrations);
-    assert!(profile.migrations.promoted_pages > 0);
+/// A `HotPageTracker` registered as a sink on a streaming session tracks
+/// and reports but never migrates: the run repeats exactly, its report
+/// equals a thread-less session's, and the sinks' incremental aggregation
+/// equals a post-hoc scan over the same run's samples.
+#[test]
+fn a_streaming_tracker_reports_without_actuating() {
+    let profile = registered_tracker_run(true);
+    let again = registered_tracker_run(true);
+    let threadless = registered_tracker_run(false);
     let tiering = profile.tiering().expect("tracker report cached on the profile");
-    assert_eq!(tiering.migrations(), profile.migrations.migrations);
-    assert_eq!(tiering.policy, "top-k-hot");
-    assert!(tiering.before.total_count() > 0);
-    assert!(
-        snapshot.migrations.migrations <= profile.migrations.migrations,
-        "snapshot counters are a prefix of the final ones"
-    );
-    assert!(profile.summary().contains("page migrations"), "{}", profile.summary());
+    for other in [&again, &threadless] {
+        assert_eq!(profile.counters.cycles, other.counters.cycles, "whole timeline pinned");
+        assert_eq!(profile.samples(), other.samples());
+        assert_eq!(Some(tiering), other.tiering());
+    }
 
-    // Streaming==post-hoc with migrations active: the latency sink's
-    // incrementally merged histograms equal a post-hoc scan of the
-    // run's complete sample record.
-    let streamed = profile.latency().expect("latency sink");
-    assert!(!streamed.is_empty());
+    // The policy decided at every close, and nothing moved.
+    assert_eq!(profile.migrations.migrations, 0, "{:?}", profile.migrations);
+    assert_eq!(tiering.policy, "top-k-hot");
+    assert!(tiering.windows_closed > 0);
+    assert!(tiering.applied.is_empty(), "{:?}", tiering.applied);
+
+    // Streaming==post-hoc: the latency sink's incrementally merged
+    // histograms equal a post-hoc scan of the run's complete sample
+    // record, and the tracker, which never opened a second segment, saw
+    // every one of those samples before any migration.
+    let latency = profile.latency().expect("latency sink");
+    assert!(!latency.is_empty());
     let samples = profile.samples().expect("sample log");
     assert_eq!(samples.len() as u64, profile.processed_samples);
-    assert_eq!(*streamed, LatencyProfile::from_samples(samples));
-    // The tracker observed the same stream: before+after together cover
-    // every sample the latency sink saw.
-    assert_eq!(tiering.before.total_count() + tiering.after.total_count(), streamed.total_count());
+    assert_eq!(*latency, LatencyProfile::from_samples(samples));
+    assert_eq!(tiering.before, *latency);
+    assert!(tiering.after.is_empty() && tiering.settled.is_empty());
 
-    // CSV reports grow the migration files.
+    // CSV reports carry the tracker's files.
     let dir = std::env::temp_dir().join(format!("nmo_tiering_test_{}", std::process::id()));
     let written = profile.write_csv_reports(&dir).expect("write csv");
     assert!(written.iter().any(|f| f.ends_with("_migrations.csv")), "{written:?}");
