@@ -72,7 +72,7 @@ const DIRTY: u64 = 2;
 /// A 1 in every nibble of an order word.
 const NIBBLES: u64 = 0x1111_1111_1111_1111;
 
-/// A single set-associative cache (one level, one shard) with exact LRU
+/// A single set-associative cache (one level) with exact LRU
 /// replacement. At most 16-way: a set's recency order is one word of 4-bit
 /// way indices (see the module docs).
 #[derive(Debug, Clone)]
@@ -90,23 +90,16 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Build a cache with the given geometry.
-    pub fn new(cfg: &CacheLevelConfig) -> Self {
-        Self::new_shard(cfg, 1)
-    }
-
-    /// Build one shard of a larger cache: `cfg`'s line size and ways, and a
-    /// `shards`-th of its sets. Which lines a shard serves is the caller's
-    /// choice; the shard indexes its sets with the low bits of the line
-    /// index, as a whole cache does.
+    /// Build a cache with the given geometry; it indexes its sets with the
+    /// low bits of the line index.
     ///
     /// Panics unless `cfg` has 1 to 16 ways, the most an order word lists.
-    pub fn new_shard(cfg: &CacheLevelConfig, shards: usize) -> Self {
+    pub fn new(cfg: &CacheLevelConfig) -> Self {
         assert!((1..=16).contains(&cfg.ways), "a cache has 1 to 16 ways, not {}", cfg.ways);
         Cache {
             tags: Vec::new(),
             order: Vec::new(),
-            sets: cfg.sets() / shards as u64,
+            sets: cfg.sets(),
             ways: cfg.ways as usize,
             line_shift: cfg.line_bytes.trailing_zeros(),
         }
@@ -199,7 +192,7 @@ impl Cache {
             .is_some_and(|ways| ways.iter().any(|tag| tag & !DIRTY == want))
     }
 
-    /// Number of sets in this cache (or shard).
+    /// Number of sets in this cache.
     pub fn sets(&self) -> u64 {
         self.sets
     }
@@ -308,10 +301,10 @@ mod tests {
     }
 
     impl LineCache {
-        fn new_shard(cfg: &CacheLevelConfig, shards: usize) -> Self {
+        fn new(cfg: &CacheLevelConfig) -> Self {
             LineCache {
                 lines: Vec::new(),
-                sets: cfg.sets() / shards as u64,
+                sets: cfg.sets(),
                 ways: cfg.ways as usize,
                 line_shift: cfg.line_bytes.trailing_zeros(),
                 stamp: 0,
@@ -386,21 +379,21 @@ mod tests {
             occupancy_cycles: 1,
         };
         let geometries = [
-            (level(256, 64, 1), 1),        // direct-mapped, 4 sets
-            (level(256, 64, 2), 1),        // 2 sets x 2 ways
-            (level(768, 64, 3), 1),        // 4 sets x 3 ways: not a power of two
-            (level(1536, 64, 12), 1),      // 2 sets x 12 ways
-            (level(1024, 64, 16), 1),      // one 16-way set
-            (level(16 << 10, 4, 4), 1),    // the smallest line the word allows
-            (level(64 << 10, 64, 16), 16), // `new_shard(_, 16)`: 4 of 64 sets
+            level(256, 64, 1),      // direct-mapped, 4 sets
+            level(256, 64, 2),      // 2 sets x 2 ways
+            level(768, 64, 3),      // 4 sets x 3 ways: not a power of two
+            level(1536, 64, 12),    // 2 sets x 12 ways
+            level(1024, 64, 16),    // one 16-way set
+            level(16 << 10, 4, 4),  // the smallest line the word allows
+            level(4 << 10, 64, 16), // 4 sets x 16 ways
         ];
-        for (geometry, (cfg, shards)) in geometries.iter().enumerate() {
+        for (geometry, cfg) in geometries.iter().enumerate() {
             cfg.validate("test").expect("geometry is valid");
             for seed in 0..48u64 {
                 let mut rng = seed << 8 | geometry as u64;
-                let mut packed = Cache::new_shard(cfg, *shards);
-                let mut halves = Cache::new_shard(cfg, *shards);
-                let mut lines = LineCache::new_shard(cfg, *shards);
+                let mut packed = Cache::new(cfg);
+                let mut halves = Cache::new(cfg);
+                let mut lines = LineCache::new(cfg);
                 // A few sets' worth of lines, so sets fill up and evict; one
                 // seed in eight ranges over every address, top bits included.
                 let span = if seed % 8 == 7 { u64::MAX } else { cfg.size_bytes * 3 };
@@ -498,20 +491,6 @@ mod tests {
     #[should_panic(expected = "1 to 16 ways, not 32")]
     fn more_ways_than_the_order_word_lists_is_refused() {
         Cache::new(&CacheLevelConfig { size_bytes: 2048, ways: 32, ..tiny() });
-    }
-
-    #[test]
-    fn shard_has_fraction_of_sets() {
-        let cfg = CacheLevelConfig {
-            size_bytes: 16 * 1024 * 1024,
-            line_bytes: 64,
-            ways: 16,
-            latency_cycles: 1,
-            occupancy_cycles: 1,
-        };
-        let full = Cache::new(&cfg);
-        let shard = Cache::new_shard(&cfg, 16);
-        assert_eq!(full.sets(), shard.sets() * 16);
     }
 
     #[test]

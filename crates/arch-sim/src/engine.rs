@@ -33,11 +33,11 @@
 //! on the set's most recently used way (a run on one line) compares one way
 //! and leaves the set's order word as it is, any other hit scans the ways and
 //! rotates one nibble of the word to the front (see [`crate::cache`]).
-//! Everything from the L1 victim on — the L1 `Cache::fill`, the L2, the SLC
-//! shard, the page home, the memory node, its traffic and bandwidth
-//! accounting, the RSS event, and the same clock step and countdown at the
-//! end — is one out-of-line function, `past_l1`, with the L2's and the SLC
-//! shard's `touch` compiled into it; the only other call a memory operation
+//! Everything from the L1 victim on — the L1 `Cache::fill`, the L2, the SLC,
+//! the page home, the memory node, its traffic and bandwidth accounting, the
+//! RSS event, and the same clock step and countdown at the end — is one
+//! out-of-line function, `past_l1`, with the L2's and the SLC's `touch`
+//! compiled into it; the only other call a memory operation
 //! can make is `show`, when the observer's permission has run out. The
 //! per-vertex and per-block entry points (`branch`, `cpu_work`, `flops`,
 //! `idle`, `now_cycles`) are `#[inline]` for the same reason.
@@ -60,7 +60,7 @@
 //! and waits for it to come back (see [`crate::gang`]); outside a gang the
 //! bound is infinite. Only then, holding no turn-taking lock, does it take
 //! the one lock of the machine's shared level, `machine.shared`, once, and
-//! under it: the SLC shard its line maps to, and on a miss there the page's
+//! under it: the SLC, and on a miss there the page's
 //! home (a look into the page-home memo, the region lookup behind it only
 //! for a page the memo does not hold, first-touch placement among them),
 //! the serving node's link budget and traffic, and a first touch's RSS event
@@ -490,7 +490,7 @@ mod tests {
     }
 
     /// A tiered `small_test` machine and a region of `pages` pages on it —
-    /// at 64 pages (256 KiB) twice the SLC, so a pass over it at line stride
+    /// at 64 pages (256 KiB) eight times the SLC, so a pass over it at line stride
     /// misses every cache on every access.
     fn tiered(placement: PlacementPolicy, pages: u64) -> (Machine, crate::vm::Region, u64) {
         let m = Machine::new(MachineConfig::small_test_tiered(placement));

@@ -666,8 +666,8 @@ mod tests {
         assert_eq!(out.source, crate::op::DataSource::Dram(0), "served locally after promotion");
     }
 
-    /// A machine costs what its running cores and touched SLC shards cost:
-    /// no tag array exists until a core attaches *and* accesses memory.
+    /// A machine costs what its running cores and its SLC, once touched,
+    /// cost: no tag array exists until a core attaches *and* accesses memory.
     #[test]
     fn caches_are_allocated_by_their_first_access() {
         let m = Machine::new(MachineConfig::ampere_altra_max());
@@ -677,27 +677,42 @@ mod tests {
                 let core = slot.as_ref().expect("no engine attached");
                 core.l1.is_allocated() || core.l2.is_allocated()
             });
-            (cores.count(), m.shared.lock().slc.iter().filter(|shard| shard.is_allocated()).count())
+            (cores.count(), m.shared.lock().slc.is_allocated())
         };
-        assert_eq!(allocated(&m), (0, 0));
+        assert_eq!(allocated(&m), (0, false));
         drop(m.attach(5).unwrap());
-        assert_eq!(allocated(&m), (0, 0), "attaching touches no tag array");
+        assert_eq!(allocated(&m), (0, false), "attaching touches no tag array");
 
         let region = m.alloc("data", 1 << 16).unwrap();
         m.attach(5).unwrap().load(region.start, 8);
-        assert_eq!(allocated(&m), (1, 1), "one core's L1 + L2 and the one SLC shard it missed to");
+        assert_eq!(allocated(&m), (1, true), "one core's L1 + L2 and the SLC it missed to");
         let core = m.cores[5].lock();
         let core = core.as_ref().unwrap();
         assert!(core.l1.is_allocated() && core.l2.is_allocated());
     }
 
+    /// The SLC holds what its configuration says: a working set of three
+    /// quarters of `slc.size_bytes`, past the L1 and the L2, misses to
+    /// memory once per line and then hits the SLC on every line.
     #[test]
-    fn slc_sharding_covers_all_shards() {
-        let m = Machine::new(MachineConfig::small_test());
-        let mut seen = std::collections::HashSet::new();
-        for line in 0..64u64 {
-            seen.insert(crate::shared::slc_shard(m.config(), line * 64));
+    fn the_slc_holds_its_configured_size() {
+        let mut cfg = MachineConfig::small_test();
+        cfg.l2.size_bytes = 8 << 10;
+        let (bytes, line) = (cfg.slc.size_bytes / 4 * 3, cfg.slc.line_bytes as u64);
+        assert!(
+            bytes > cfg.l2.size_bytes + cfg.l1d.size_bytes,
+            "the set passes the private caches"
+        );
+        let m = Machine::new(cfg);
+        let region = m.alloc("data", bytes).unwrap();
+        let mut e = m.attach(0).unwrap();
+        for _ in 0..2 {
+            for at in (0..bytes).step_by(line as usize) {
+                e.load(region.start + at, 8);
+            }
         }
-        assert_eq!(seen.len(), m.config().slc_shards);
+        drop(e);
+        let (c, lines) = (m.counters(), bytes / line);
+        assert_eq!((c.dram_accesses, c.slc_hits), (lines, lines));
     }
 }

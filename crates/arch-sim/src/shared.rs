@@ -21,9 +21,8 @@ use crate::vm::{AddressSpace, PageMigration};
 /// Everything the cores share (see the module docs).
 #[derive(Debug)]
 pub(crate) struct SharedLevel {
-    /// The SLC, split into `slc_shards` shards; a line lives in shard
-    /// [`slc_shard`].
-    pub slc: Vec<Cache>,
+    /// The SLC: one cache of the configured geometry, shared by every core.
+    pub slc: Cache,
     /// Each memory node's link, indexed by [`NodeId`].
     pub links: Vec<Link>,
     /// The page table, and the page-home memo inside it.
@@ -34,16 +33,10 @@ pub(crate) struct SharedLevel {
     pub migrations: MigrationStats,
 }
 
-/// The SLC shard a line maps to: the low bits of its line index.
-pub(crate) fn slc_shard(cfg: &MachineConfig, vaddr: u64) -> usize {
-    let line = vaddr >> cfg.slc.line_bytes.trailing_zeros();
-    (line as usize) & (cfg.slc_shards - 1)
-}
-
 impl SharedLevel {
     pub(crate) fn new(cfg: &MachineConfig) -> Self {
         SharedLevel {
-            slc: (0..cfg.slc_shards).map(|_| Cache::new_shard(&cfg.slc, cfg.slc_shards)).collect(),
+            slc: Cache::new(&cfg.slc),
             links: cfg.mem.nodes.iter().map(|node| Link::new(*node)).collect(),
             vm: AddressSpace::with_placement(cfg.page_bytes, cfg.mem_nodes(), cfg.mem.placement),
             rss_events: Vec::new(),
@@ -67,7 +60,7 @@ impl SharedLevel {
         dirty_above: bool,
         now: u64,
     ) -> MemOutcome {
-        let slc = self.slc[slc_shard(cfg, vaddr)].access(vaddr, is_store);
+        let slc = self.slc.access(vaddr, is_store);
         if slc.hit {
             return MemOutcome::hit(
                 DataSource::Slc,

@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn a_migrating_thread_beside_a_four_core_stream_loses_no_traffic() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        const N: u64 = 1 << 15; // 256 KiB an array: twice the SLC
+        const N: u64 = 1 << 15; // 256 KiB an array: eight times the SLC
         const MOVES: u64 = 256; // more than the three arrays' 192 pages
         let session = nmo::ProfileSession::builder()
             .machine_config(MachineConfig::small_test_tiered(arch_sim::PlacementPolicy::Interleave))

@@ -3,8 +3,8 @@
 //! PageRank (pull-model power iteration over an RMAT graph, the same kernel
 //! as `workloads::PageRank`) runs on the Table II machine extended with a
 //! CXL-style remote node, with half of its pages homed remotely
-//! (`TierSplit { 0.5 }`) and the SLC shrunk so the gather loop actually
-//! reaches DRAM. Two identically configured runs differ only in the tiering
+//! (`TierSplit { 0.5 }`) and the SLC shrunk to 128 KiB so the gather loop
+//! actually reaches DRAM. Two identically configured runs differ only in the tiering
 //! policy:
 //!
 //! * **`NoMigration`** — the control arm: pages stay where first touch put
@@ -60,12 +60,12 @@ const DAMPING: f64 = 0.85;
 
 /// The Table II tiered preset reshaped for the demo: half the pages homed
 /// remotely, a deliberately narrow remote link (so remote-homed hot pages
-/// visibly queue — the situation migration fixes), and a 2 MiB SLC so the
+/// visibly queue — the situation migration fixes), and a 128 KiB SLC so the
 /// ~9 MiB PageRank working set spills to memory every iteration.
 fn machine_config(remote_bw_div: f64) -> MachineConfig {
     let mut cfg =
         MachineConfig::ampere_altra_max_tiered(PlacementPolicy::TierSplit { local_fraction: 0.5 });
-    cfg.slc.size_bytes = 2 * 1024 * 1024;
+    cfg.slc.size_bytes = 128 * 1024;
     let local = cfg.mem.nodes[0];
     cfg.mem.nodes[1].peak_bytes_per_cycle = local.peak_bytes_per_cycle / remote_bw_div.max(1.0);
     cfg

@@ -12,8 +12,9 @@
 //! 2. **What-if tiering analysis** — the same trace replays through two
 //!    [`HotPageTracker`] policies, `NoMigration` and `TopKHot`. Replay has
 //!    no machine to actuate on, so decisions are *computed but not
-//!    applied*: the example counts the promotions each policy would have
-//!    issued — a migration plan derived offline from a stored run.
+//!    applied*: the example collects the distinct pages each policy would
+//!    have promoted — a migration plan derived offline from a stored run —
+//!    beside the number of decisions it took to name them.
 //! 3. **Sliced indexed queries** — `TraceReader::replay_query` uses the
 //!    per-segment footer index to prune blocks: the first half of the
 //!    timeline, then a single core, each through its own `LatencySink`.
@@ -27,7 +28,7 @@
 //! cargo run --release --example trace_replay
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -41,15 +42,26 @@ use nmo_repro::nmo::{
     StreamOptions, TraceQuery, TraceReader,
 };
 use nmo_repro::workloads::PageRank;
+use parking_lot::Mutex;
 
-/// Wraps any [`TieringPolicy`] and counts the decisions it makes, so the
-/// would-be migration plan survives the replay (the boxed sink itself is
-/// consumed by the sink registry). Atomics keep it `Send` without a lock.
+/// What a wrapped policy decided over a replay: its decisions, the windows
+/// it decided in, and the distinct pages they name. A replayed tracker never
+/// applies a decision, so the hot remote pages stay remote in its view and
+/// are proposed again at every close: the plan is the distinct pages, not
+/// the decision count.
+#[derive(Debug, Default)]
+struct Plan {
+    decisions: u64,
+    windows: u64,
+    pages: BTreeSet<u64>,
+}
+
+/// Wraps any [`TieringPolicy`] and records its [`Plan`], so the would-be
+/// migration plan survives the replay (the boxed sink itself is consumed by
+/// the sink registry).
 struct WhatIf<P> {
     inner: P,
-    decisions: Arc<AtomicU64>,
-    decision_windows: Arc<AtomicU64>,
-    first_page: Arc<AtomicU64>,
+    plan: Arc<Mutex<Plan>>,
 }
 
 impl<P: TieringPolicy> TieringPolicy for WhatIf<P> {
@@ -60,35 +72,18 @@ impl<P: TieringPolicy> TieringPolicy for WhatIf<P> {
     fn decide(&mut self, window_index: u64, view: &TieringView<'_>) -> Vec<MigrationDecision> {
         let decided = self.inner.decide(window_index, view);
         if !decided.is_empty() {
-            self.decisions.fetch_add(decided.len() as u64, Ordering::Relaxed);
-            self.decision_windows.fetch_add(1, Ordering::Relaxed);
-            // Remember the first page the plan would promote (0 = unset;
-            // page addresses here are never 0, the heap is high).
-            self.first_page
-                .compare_exchange(0, decided[0].page_addr, Ordering::Relaxed, Ordering::Relaxed)
-                .ok();
+            let mut plan = self.plan.lock();
+            plan.decisions += decided.len() as u64;
+            plan.windows += 1;
+            plan.pages.extend(decided.iter().map(|d| d.page_addr));
         }
         decided
     }
 }
 
-/// Counters handle returned alongside a wrapped policy.
-struct WhatIfStats {
-    decisions: Arc<AtomicU64>,
-    decision_windows: Arc<AtomicU64>,
-    first_page: Arc<AtomicU64>,
-}
-
-fn what_if<P: TieringPolicy>(inner: P) -> (WhatIf<P>, WhatIfStats) {
-    let decisions = Arc::new(AtomicU64::new(0));
-    let decision_windows = Arc::new(AtomicU64::new(0));
-    let first_page = Arc::new(AtomicU64::new(0));
-    let stats = WhatIfStats {
-        decisions: decisions.clone(),
-        decision_windows: decision_windows.clone(),
-        first_page: first_page.clone(),
-    };
-    (WhatIf { inner, decisions, decision_windows, first_page }, stats)
+fn what_if<P: TieringPolicy>(inner: P) -> (WhatIf<P>, Arc<Mutex<Plan>>) {
+    let plan = Arc::new(Mutex::new(Plan::default()));
+    (WhatIf { inner, plan: plan.clone() }, plan)
 }
 
 fn latency_debug(profile: &Profile) -> String {
@@ -154,8 +149,8 @@ fn main() -> Result<(), NmoError> {
     );
 
     // -- 2. What-if tiering: two policies over the same stored run. --
-    let (control, control_stats) = what_if(NoMigration);
-    let (topk, topk_stats) = what_if(TopKHot::new(8, 1).with_budget(u64::MAX));
+    let (control, control_plan) = what_if(NoMigration);
+    let (topk, topk_plan) = what_if(TopKHot::new(8, 1).with_budget(u64::MAX));
     let mut sinks: Vec<Box<dyn AnalysisSink>> =
         vec![Box::new(HotPageTracker::new(control)), Box::new(HotPageTracker::new(topk))];
     let started = Instant::now();
@@ -174,18 +169,18 @@ fn main() -> Result<(), NmoError> {
             report.applied.len(),
         );
     }
-    let control_n = control_stats.decisions.load(Ordering::Relaxed);
-    let topk_n = topk_stats.decisions.load(Ordering::Relaxed);
+    let (control, topk) =
+        (std::mem::take(&mut *control_plan.lock()), std::mem::take(&mut *topk_plan.lock()));
     println!(
         "  what-if plans from one replay pass ({tier_ms:.1} ms): no-migration would move {} pages; \
-         top-k-hot would promote {} pages across {} windows (first: {:#x})",
-        control_n,
-        topk_n,
-        topk_stats.decision_windows.load(Ordering::Relaxed),
-        topk_stats.first_page.load(Ordering::Relaxed),
+         top-k-hot would promote {} distinct pages ({} decisions across {} windows)",
+        control.pages.len(),
+        topk.pages.len(),
+        topk.decisions,
+        topk.windows,
     );
-    assert_eq!(control_n, 0, "the control policy never decides");
-    assert!(topk_n > 0, "TopKHot finds hot remote pages under TierSplit(0.5)");
+    assert_eq!(control.decisions, 0, "the control policy never decides");
+    assert!(topk.decisions > 0, "TopKHot finds hot remote pages under TierSplit(0.5)");
 
     // -- 3. Indexed queries: footer index prunes blocks before decode. --
     let last_window = stats.windows.saturating_sub(1);

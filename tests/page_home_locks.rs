@@ -19,7 +19,7 @@ fn a_streaming_engine_takes_machine_shared_once_per_l2_miss() {
 
     let machine = Machine::new(MachineConfig::small_test());
     let page = machine.config().page_bytes;
-    // 256 KiB, twice the SLC: at line stride every access misses every cache.
+    // 256 KiB, eight times the SLC: at line stride every access misses every cache.
     let region = machine.alloc("data", PAGES * page).expect("alloc");
     let mut engine = machine.attach(0).expect("attach");
     for _ in 0..PASSES {
